@@ -13,7 +13,10 @@ Neighborhood samplers read adjacency through a :class:`NeighborProvider`, so
 the same sampler runs against a plain in-memory :class:`Graph` or against the
 distributed store (with local/cache/remote accounting), matching the paper's
 "one-hop neighbors from local storage, multi-hop from local cache, else a
-call to a remote graph server".
+call to a remote graph server". A provider answers a whole frontier with one
+ragged :class:`~repro.sampling.kernels.CsrAdjacency` block, and every
+sampler draws on that block with the same kernels whichever provider built
+it.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 
 from repro.errors import SamplingError
 from repro.graph.graph import Graph
+from repro.sampling.kernels import CsrAdjacency
 
 
 class Sampler:
@@ -50,45 +54,32 @@ class Sampler:
 
 
 class NeighborProvider:
-    """Adjacency access abstraction consumed by neighborhood samplers."""
+    """Adjacency access abstraction consumed by neighborhood samplers.
 
-    #: Whether a full CSR snapshot of this provider is free to take (pure
-    #: memory views, no priced reads). Samplers with ``backend="auto"``
-    #: pick the batched kernels exactly when this is True; priced providers
-    #: keep the per-vertex reference path so their cost ledgers are
-    #: unchanged unless a snapshot is explicitly requested.
-    csr_cost_free = False
+    :meth:`frontier_block` answers "give me this frontier's rows as one
+    ragged block" and is all a sampler's draw path reads;
+    :meth:`neighbors` / :meth:`weights` are the per-vertex accessors.
+    """
 
-    #: Adjacency version counter. Providers over mutable sources bump this
-    #: on every structural change; samplers compare it against the version
-    #: their CSR snapshot was built at and rebuild when it moved.
-    version = 0
+    def frontier_block(
+        self, frontier: np.ndarray
+    ) -> "tuple[CsrAdjacency, np.ndarray]":
+        """``(block, rows)``: ``block`` row ``rows[i]`` is ``frontier[i]``'s.
+
+        ``frontier`` is a 1-D int64 array and may repeat ids. A provider
+        that keeps handing back the *same* block object promises its
+        contents have not changed, so samplers may keep tables derived from
+        it; a new object invalidates them.
+        """
+        raise NotImplementedError
 
     def neighbors(self, vertex: int) -> np.ndarray:
         """Out-neighbor ids of ``vertex``."""
         raise NotImplementedError
 
-    def prefetch(self, vertices: np.ndarray) -> None:
-        """Hint that ``vertices`` are about to be read.
-
-        Samplers call this once per hop with the whole frontier; providers
-        backed by the distributed store use it to coalesce the hop's remote
-        reads into batched RPCs. The in-memory provider ignores it.
-        """
-
     def weights(self, vertex: int) -> np.ndarray:
         """Edge weights aligned with :meth:`neighbors`."""
         raise NotImplementedError
-
-    def csr_snapshot(self) -> "object":
-        """A :class:`~repro.sampling.kernels.CsrAdjacency` of this provider.
-
-        The default scans the provider one vertex at a time (every read
-        priced as usual); providers with a cheaper bulk path override it.
-        """
-        from repro.sampling.kernels import CsrAdjacency
-
-        return CsrAdjacency.from_provider(self)
 
     @property
     def n_vertices(self) -> int:
@@ -97,12 +88,21 @@ class NeighborProvider:
 
 
 class GraphProvider(NeighborProvider):
-    """Direct in-memory adjacency access (single-machine path)."""
+    """Direct in-memory adjacency access (single-machine path).
 
-    csr_cost_free = True
+    Every frontier gets the same zero-copy whole-graph snapshot, for free.
+    """
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
+        self._snapshot: "CsrAdjacency | None" = None
+
+    def frontier_block(
+        self, frontier: np.ndarray
+    ) -> "tuple[CsrAdjacency, np.ndarray]":
+        if self._snapshot is None:
+            self._snapshot = CsrAdjacency.from_graph(self.graph)
+        return self._snapshot, frontier
 
     def neighbors(self, vertex: int) -> np.ndarray:
         return self.graph.out_neighbors(vertex)
@@ -110,32 +110,25 @@ class GraphProvider(NeighborProvider):
     def weights(self, vertex: int) -> np.ndarray:
         return self.graph.out_weights(vertex)
 
-    def csr_snapshot(self) -> "object":
-        from repro.sampling.kernels import CsrAdjacency
-
-        return CsrAdjacency.from_graph(self.graph)
-
     @property
     def n_vertices(self) -> int:
         return self.graph.n_vertices
 
 
-class SnapshotProvider(NeighborProvider):
+class SnapshotProvider(GraphProvider):
     """Adjacency over one timestamp of a :class:`DynamicGraph`.
 
-    :meth:`advance` moves to another snapshot and bumps :attr:`version`, so
-    batched samplers bound to this provider rebuild their CSR on the next
-    draw — the "refresh on dynamic-graph updates" contract without the
-    sampler knowing about dynamic graphs at all.
+    :meth:`advance` moves to another timestamp and drops the snapshot, so
+    the next frontier gets a new block object and samplers bound to this
+    provider rebuild what they derived from the old one — the "refresh on
+    dynamic-graph updates" contract without the sampler knowing about
+    dynamic graphs at all.
     """
 
-    csr_cost_free = True
-
     def __init__(self, dynamic_graph: "object", t: int = 0) -> None:
+        super().__init__(dynamic_graph.snapshot(int(t)))
         self.dynamic_graph = dynamic_graph
         self.t = int(t)
-        self.graph = dynamic_graph.snapshot(self.t)
-        self.version = 0
 
     def advance(self, t: int) -> "SnapshotProvider":
         """Rebind to snapshot ``t`` (no-op when already there)."""
@@ -143,23 +136,8 @@ class SnapshotProvider(NeighborProvider):
         if t != self.t:
             self.graph = self.dynamic_graph.snapshot(t)
             self.t = t
-            self.version += 1
+            self._snapshot = None
         return self
-
-    def neighbors(self, vertex: int) -> np.ndarray:
-        return self.graph.out_neighbors(vertex)
-
-    def weights(self, vertex: int) -> np.ndarray:
-        return self.graph.out_weights(vertex)
-
-    def csr_snapshot(self) -> "object":
-        from repro.sampling.kernels import CsrAdjacency
-
-        return CsrAdjacency.from_graph(self.graph)
-
-    @property
-    def n_vertices(self) -> int:
-        return self.graph.n_vertices
 
 
 class StoreProvider(NeighborProvider):
@@ -167,14 +145,17 @@ class StoreProvider(NeighborProvider):
 
     Every read is routed (and priced) by the store: local shard, neighbor
     cache, or remote RPC. ``from_part`` identifies the issuing worker.
-    Weights for remote vertices are uniform — shipping weight vectors is a
-    cost the paper's samplers avoid by using cached/dynamic local weights.
+    Weights are uniform — shipping weight vectors is a cost the paper's
+    samplers avoid by using cached/dynamic local weights.
 
-    With ``batched=True`` (the default), :meth:`prefetch` resolves a whole
-    frontier through ``store.get_neighbors_batch`` — one deduplicated RPC
-    per destination server via the runtime — and :meth:`neighbors` serves
-    from the prefetched rows; vertices read outside a prefetch fall back to
-    the per-vertex path, so results are identical either way.
+    A frontier is deduplicated (sorted unique ids) and fetched with **one**
+    ``store.get_neighbors_batch`` read — one coalesced RPC per destination
+    server via the runtime — then packed into a block of exactly those
+    rows. Nothing is kept between calls, so a row is never older than the
+    read that fetched it. ``batched=False`` issues one ``store.neighbors``
+    read per frontier entry instead — no dedup, no coalescing — and packs
+    the same block: same draws, one RPC per remote entry (the baseline of
+    the batching bench).
     """
 
     def __init__(self, store: "object", from_part: int, batched: bool = True) -> None:
@@ -182,39 +163,24 @@ class StoreProvider(NeighborProvider):
         self.store = store
         self.from_part = from_part
         self.batched = batched
-        self._prefetched: "dict[int, np.ndarray]" = {}
 
-    def prefetch(self, vertices: np.ndarray) -> None:
-        if not self.batched:
-            return
-        self._prefetched = self.store.get_neighbors_batch(
-            vertices, from_part=self.from_part
-        )
-
-    def csr_snapshot(self) -> "object":
-        """CSR snapshot via one bulk batched read of the whole graph.
-
-        Every row is fetched through ``get_neighbors_batch`` — one
-        deduplicated RPC per owning server, fully priced on the cost
-        ledger. Pays once; afterwards batched kernels draw without any
-        per-hop store traffic (weights stay uniform, as for all remote
-        reads through this provider).
-        """
-        from repro.sampling.kernels import CsrAdjacency
-
-        all_vertices = np.arange(self.n_vertices, dtype=np.int64)
-        fetched = self.store.get_neighbors_batch(
-            all_vertices, from_part=self.from_part
-        )
-        rows = [
-            np.asarray(fetched[int(v)], dtype=np.int64) for v in all_vertices
-        ]
-        return CsrAdjacency.from_rows(rows)
+    def frontier_block(
+        self, frontier: np.ndarray
+    ) -> "tuple[CsrAdjacency, np.ndarray]":
+        # return_inverse selects numpy's sort path, ~10x cheaper than the
+        # flag-less hash path at frontier sizes, and is the row index.
+        ids, rows = np.unique(frontier, return_inverse=True)
+        if self.batched:
+            fetched = self.store.get_neighbors_batch(ids, from_part=self.from_part)
+        else:
+            fetched = {
+                v: self.store.neighbors(v, from_part=self.from_part)
+                for v in frontier.tolist()
+            }
+        packed = [fetched[v] for v in ids.tolist()]
+        return CsrAdjacency.from_rows(packed, ids), rows
 
     def neighbors(self, vertex: int) -> np.ndarray:
-        row = self._prefetched.get(int(vertex))
-        if row is not None:
-            return row
         return self.store.neighbors(vertex, from_part=self.from_part)
 
     def weights(self, vertex: int) -> np.ndarray:

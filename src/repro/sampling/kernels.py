@@ -1,11 +1,11 @@
-"""Vectorized frontier-sampling kernels: CSR snapshots for batched draws.
+"""Vectorized frontier-sampling kernels: ragged adjacency blocks.
 
 The paper's sampling layer runs "many millions of times per epoch" (§3.3),
 which is why it is engineered around O(1) alias draws — but O(1) per draw
 still loses to array-shaped expansion when every draw carries Python
-dispatch. This module packs adjacency into a :class:`CsrAdjacency` snapshot
-(concatenated neighbor/weight arrays + offsets) so a whole frontier expands
-in a handful of numpy kernel calls:
+dispatch. This module packs adjacency rows into a :class:`CsrAdjacency`
+block (concatenated neighbor/weight arrays + offsets) so a whole frontier
+expands in a handful of numpy kernel calls:
 
 * uniform fan-out: one broadcast ``rng.integers`` over per-row degrees;
 * weighted / importance fan-out: one
@@ -14,11 +14,12 @@ in a handful of numpy kernel calls:
 * top-k / full fan-out: one gather through a precomputed per-row weight
   ranking.
 
-Snapshots are built once from a :class:`~repro.sampling.base
-.NeighborProvider` (zero-copy off an in-memory :class:`Graph`, one bulk
-batched read off the distributed store) and refreshed when the underlying
-graph changes — providers advertise a ``version`` counter; samplers rebuild
-their snapshot when it moves (dynamic graphs, §4.1's incremental updates).
+A block is whatever a :class:`~repro.sampling.base.NeighborProvider` hands
+back for a frontier: in-memory providers give their whole-graph snapshot
+(zero-copy off a :class:`Graph`, row ``v`` is vertex ``v``), the distributed
+store gives the rows of one priced batched read of the deduplicated
+frontier (row ``i`` is vertex ``ids[i]``). The kernels only ever see block
+rows; neighbor ids inside a block are always global.
 """
 
 from __future__ import annotations
@@ -29,28 +30,38 @@ from repro.errors import SamplingError
 
 
 class CsrAdjacency:
-    """Immutable CSR snapshot of an adjacency source.
+    """Immutable ragged block of adjacency rows in CSR layout.
 
-    ``indices[indptr[v]:indptr[v+1]]`` are vertex ``v``'s out-neighbors and
-    ``weights`` the aligned edge weights. The per-row descending-weight
-    ranking used by the deterministic samplers is built lazily and cached.
+    ``indices[indptr[r]:indptr[r+1]]`` are the out-neighbors (global ids) of
+    row ``r`` and ``weights`` the aligned edge weights. ``ids`` names the
+    vertex each row belongs to — sorted and unique — and is ``None`` for a
+    whole-graph snapshot, where row ``v`` is vertex ``v``. The per-row
+    descending-weight ranking used by the deterministic samplers is built
+    lazily and cached.
     """
 
     def __init__(
-        self, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray
+        self,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        weights: np.ndarray,
+        ids: "np.ndarray | None" = None,
     ) -> None:
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.weights = np.asarray(weights, dtype=np.float64)
+        self.ids = ids
         if self.indptr.ndim != 1 or self.indptr.size < 1:
             raise SamplingError("CSR indptr must be a non-empty 1-D array")
-        if self.indptr[0] != 0 or np.any(np.diff(self.indptr) < 0):
+        self.degrees = np.diff(self.indptr)
+        if self.indptr[0] != 0 or np.any(self.degrees < 0):
             raise SamplingError("CSR indptr must be monotone from 0")
         if self.indices.shape != self.weights.shape or self.indices.ndim != 1:
             raise SamplingError("CSR indices/weights must be aligned 1-D arrays")
         if self.indptr[-1] != self.indices.size:
             raise SamplingError("CSR indptr does not cover the indices array")
-        self.degrees = np.diff(self.indptr)
+        if ids is not None and ids.shape != (self.indptr.size - 1,):
+            raise SamplingError("CSR ids must name every row")
         self._ranked: np.ndarray | None = None
 
     @classmethod
@@ -60,45 +71,19 @@ class CsrAdjacency:
         return cls(indptr, indices, weights)
 
     @classmethod
-    def from_provider(
-        cls, provider: "object", n_vertices: "int | None" = None
-    ) -> "CsrAdjacency":
-        """Snapshot built by scanning ``provider`` once, vertex by vertex.
-
-        The generic (and priced) path: every adjacency row is read through
-        the provider, so a distributed provider pays one full-graph read —
-        built *once*, then every subsequent frontier draw is local. Providers
-        with a cheaper bulk path override ``csr_snapshot`` instead.
-        """
-        n = int(n_vertices if n_vertices is not None else provider.n_vertices)
-        rows = [np.asarray(provider.neighbors(v), dtype=np.int64) for v in range(n)]
-        wrows = [np.asarray(provider.weights(v), dtype=np.float64) for v in range(n)]
-        return cls.from_rows(rows, wrows)
-
-    @classmethod
     def from_rows(
-        cls, rows: "list[np.ndarray]", weight_rows: "list[np.ndarray] | None" = None
+        cls, rows: "list[np.ndarray]", ids: "np.ndarray | None" = None
     ) -> "CsrAdjacency":
-        """Assemble a snapshot from per-vertex neighbor (and weight) rows."""
-        counts = np.array([row.size for row in rows], dtype=np.int64)
+        """Pack per-vertex neighbor rows into a uniformly weighted block."""
+        counts = np.fromiter(map(len, rows), np.int64, len(rows))
         indptr = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        indices = (
-            np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-        ).astype(np.int64, copy=False)
-        if weight_rows is None:
-            weights = np.ones(indices.size, dtype=np.float64)
-        else:
-            weights = (
-                np.concatenate(weight_rows)
-                if weight_rows
-                else np.zeros(0, dtype=np.float64)
-            ).astype(np.float64, copy=False)
-        return cls(indptr, indices, weights)
+        indices = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+        return cls(indptr, indices, np.ones(indices.size, dtype=np.float64), ids)
 
     @property
     def n_vertices(self) -> int:
-        """Rows in the snapshot."""
+        """Rows in the block."""
         return int(self.indptr.size - 1)
 
     @property
@@ -106,18 +91,25 @@ class CsrAdjacency:
         """Total packed adjacency entries."""
         return int(self.indices.size)
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """Vertex ``v``'s packed neighbor slice (a view)."""
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
+    def row_of(self, vertex: int) -> int:
+        """The row holding ``vertex``'s adjacency, or -1 when it has none."""
+        if self.ids is None:
+            return vertex if 0 <= vertex < self.n_vertices else -1
+        row = int(np.searchsorted(self.ids, vertex))
+        return row if row < self.ids.size and self.ids[row] == vertex else -1
 
-    def weights_of(self, v: int) -> np.ndarray:
+    def neighbors(self, row: int) -> np.ndarray:
+        """Row ``row``'s packed neighbor slice (a view)."""
+        return self.indices[self.indptr[row] : self.indptr[row + 1]]
+
+    def weights_of(self, row: int) -> np.ndarray:
         """Weights aligned with :meth:`neighbors` (a view)."""
-        return self.weights[self.indptr[v] : self.indptr[v + 1]]
+        return self.weights[self.indptr[row] : self.indptr[row + 1]]
 
     def ranked(self) -> np.ndarray:
         """Flat permutation ranking each row by (-weight, neighbor id).
 
-        ``indices[ranked()[indptr[v] + t]]`` is vertex ``v``'s ``t``-th
+        ``indices[ranked()[indptr[r] + t]]`` is row ``r``'s ``t``-th
         heaviest neighbor (ties broken by ascending id) — the gather order
         of the deterministic top-k sampler. Built once, cached.
         """
@@ -131,73 +123,92 @@ class CsrAdjacency:
     # ------------------------------------------------------------------ #
     # Batched draw kernels
     # ------------------------------------------------------------------ #
+    # Every kernel returns ``(len(rows), count)`` global neighbor ids. Rows
+    # with no neighbors repeat ``pad_ids`` — the global id of each row's
+    # vertex (self-loop semantics); a whole-graph snapshot's rows are their
+    # own ids, so it may be left out there.
     def _pad_empty(
-        self, vertices: np.ndarray, count: int
+        self, rows: np.ndarray, count: int, pad_ids: "np.ndarray | None"
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Self-padded output scaffold + the non-empty row mask."""
-        out = np.repeat(vertices[:, None], count, axis=1)
-        return out, self.degrees[vertices] > 0
+        out = np.repeat((rows if pad_ids is None else pad_ids)[:, None], count, axis=1)
+        return out, self.degrees[rows] > 0
 
     def sample_uniform(
-        self, vertices: np.ndarray, count: int, rng: np.random.Generator
+        self,
+        rows: np.ndarray,
+        count: int,
+        rng: np.random.Generator,
+        pad_ids: "np.ndarray | None" = None,
     ) -> np.ndarray:
-        """Uniform with-replacement fan-out: ``(len(vertices), count)`` ids.
+        """Uniform with-replacement fan-out.
 
-        Zero-degree rows pad with the vertex itself (self-loop semantics).
+        The broadcast draw consumes ``rng`` exactly like one
+        ``rng.integers(degree, size=count)`` per non-empty row, in order.
         """
-        out, nz = self._pad_empty(vertices, count)
+        out, nz = self._pad_empty(rows, count, pad_ids)
         if nz.any():
-            vs = vertices[nz]
-            slot = rng.integers(0, self.degrees[vs][:, None], size=(vs.size, count))
-            out[nz] = self.indices[self.indptr[vs][:, None] + slot]
+            rs = rows[nz]
+            slot = rng.integers(0, self.degrees[rs][:, None], size=(rs.size, count))
+            out[nz] = self.indices[self.indptr[rs][:, None] + slot]
         return out
 
     def sample_alias(
         self,
-        vertices: np.ndarray,
+        rows: np.ndarray,
         count: int,
         rng: np.random.Generator,
         table: "object",
+        pad_ids: "np.ndarray | None" = None,
     ) -> np.ndarray:
-        """Weighted fan-out through a grouped alias ``table`` over this CSR."""
-        out, nz = self._pad_empty(vertices, count)
+        """Weighted fan-out through a grouped alias ``table`` over this block."""
+        out, nz = self._pad_empty(rows, count, pad_ids)
         if nz.any():
-            flat = table.draw_for_groups(vertices[nz], count, rng)
+            flat = table.draw_for_groups(rows[nz], count, rng)
             out[nz] = self.indices[flat]
         return out
 
     def sample_ranked(
-        self, vertices: np.ndarray, count: int, max_take: "int | None" = None
+        self,
+        rows: np.ndarray,
+        count: int,
+        max_take: "int | None" = None,
+        pad_ids: "np.ndarray | None" = None,
     ) -> np.ndarray:
         """Deterministic heaviest-``count`` fan-out, cyclically tiled.
 
-        Row ``v`` yields its ``min(count, deg, max_take)`` top-ranked
+        Each row yields its ``min(count, deg, max_take)`` top-ranked
         neighbors repeated cyclically to ``count`` — the batched form of the
         top-k sampler's ``np.tile`` contract.
         """
-        return self._gather_cyclic(self.ranked(), vertices, count, max_take)
+        return self._gather_cyclic(self.ranked(), rows, count, max_take, pad_ids)
 
     def sample_leading(
-        self, vertices: np.ndarray, count: int, max_take: "int | None" = None
+        self,
+        rows: np.ndarray,
+        count: int,
+        max_take: "int | None" = None,
+        pad_ids: "np.ndarray | None" = None,
     ) -> np.ndarray:
         """Like :meth:`sample_ranked` but in raw CSR order (full sampler)."""
-        return self._gather_cyclic(None, vertices, count, max_take)
+        return self._gather_cyclic(None, rows, count, max_take, pad_ids)
 
     def _gather_cyclic(
         self,
         perm: "np.ndarray | None",
-        vertices: np.ndarray,
+        rows: np.ndarray,
         count: int,
         max_take: "int | None",
+        pad_ids: "np.ndarray | None",
     ) -> np.ndarray:
-        out, nz = self._pad_empty(vertices, count)
+        out, nz = self._pad_empty(rows, count, pad_ids)
         if nz.any():
-            vs = vertices[nz]
-            take = self.degrees[vs]
+            rs = rows[nz]
+            take = self.degrees[rs]
             if max_take is not None:
                 take = np.minimum(take, max_take)
             pos = np.arange(count, dtype=np.int64)[None, :] % take[:, None]
-            flat = self.indptr[vs][:, None] + pos
+            flat = self.indptr[rs][:, None] + pos
             if perm is not None:
                 flat = perm[flat]
             out[nz] = self.indices[flat]

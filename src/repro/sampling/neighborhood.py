@@ -17,24 +17,22 @@ the paper's Table 1:
 * :class:`FullNeighborSampler` — no sampling (exact GCN), with a fan-out cap
   as a safety valve on power-law hubs.
 
-Every sampler exposes two execution backends behind the same public
-:meth:`_ExpandingSampler.sample_children` API:
+Every sampler runs one flow behind the public
+:meth:`_ExpandingSampler.sample_children` API, whatever provider it reads:
+ask the provider for the frontier's rows as one ragged
+:class:`~repro.sampling.kernels.CsrAdjacency` block, then expand the whole
+frontier with one vectorized kernel call on the block's rows (uniform draws
+are a broadcast ``rng.integers``; weighted/importance draws go through one
+:class:`~repro.utils.alias.GroupedAliasTable` spanning every row of the
+block; top-k/full are one gather). In-memory providers hand back their
+whole-graph snapshot for free; the distributed store pays one batched read
+of the deduplicated frontier per hop. Tables derived from a block live
+exactly as long as the provider keeps handing back that block object.
 
-* ``batched`` — one vectorized draw for the whole frontier over a
-  :class:`~repro.sampling.kernels.CsrAdjacency` snapshot (uniform draws are
-  a broadcast ``rng.integers``; weighted/importance draws go through one
-  :class:`~repro.utils.alias.GroupedAliasTable` spanning every adjacency
-  list). The snapshot is built once from the provider and rebuilt whenever
-  the provider's ``version`` counter moves (dynamic-graph updates).
-* ``reference`` — the original per-vertex scalar loop, kept as the
-  equivalence oracle: deterministic samplers must match it exactly, the
-  stochastic ones distributionally (chi-square tested).
-
-``backend="auto"`` (the default) picks ``batched`` when the provider's CSR
-snapshot is free to take (in-memory providers) and ``reference`` when reads
-are priced (the distributed store path keeps per-hop prefetch + per-vertex
-draws, so its cost ledgers are unchanged); pass ``backend="batched"`` to a
-store-backed sampler to pay for one bulk snapshot instead.
+``backend="reference"`` draws on the *same* block one row at a time with
+scalar code. It is the equivalence oracle of the kernel tests and
+``bench_sampling_kernels.py`` — uniform/top-k/full must match it exactly,
+weighted/importance distributionally — and nothing else selects it.
 """
 
 from __future__ import annotations
@@ -46,9 +44,9 @@ import numpy as np
 from repro.errors import SamplingError
 from repro.sampling.base import NeighborProvider, Sampler
 from repro.sampling.kernels import CsrAdjacency
-from repro.utils.alias import AliasTable, GroupedAliasTable
+from repro.utils.alias import GroupedAliasTable
 
-_BACKENDS = ("auto", "batched", "reference")
+_BACKENDS = ("batched", "reference")
 
 
 @dataclass
@@ -97,13 +95,12 @@ class NeighborhoodSample:
 class _ExpandingSampler(Sampler):
     """Shared multi-hop expansion; subclasses supply the draw kernels.
 
-    Subclasses implement ``_sample_one`` (scalar reference draw) and
-    ``_sample_children_batched`` (vectorized frontier draw); everything
-    else — backend selection, CSR snapshot lifecycle, hop expansion —
-    lives here.
+    Subclasses implement ``_draw`` (vectorized draw over block rows) and
+    ``_draw_one`` (the scalar oracle for one non-empty row); fetching the
+    block, padding and hop expansion live here.
     """
 
-    def __init__(self, provider: NeighborProvider, backend: str = "auto") -> None:
+    def __init__(self, provider: NeighborProvider, backend: str = "batched") -> None:
         super().__init__()
         if backend not in _BACKENDS:
             raise SamplingError(
@@ -111,67 +108,25 @@ class _ExpandingSampler(Sampler):
             )
         self.provider = provider
         self.backend = backend
-        self._csr: CsrAdjacency | None = None
-        self._csr_version = -1
 
-    # ------------------------------------------------------------------ #
-    # Backend / snapshot lifecycle
-    # ------------------------------------------------------------------ #
-    @property
-    def resolved_backend(self) -> str:
-        """The backend actually in use (``auto`` resolved per provider)."""
-        if self.backend != "auto":
-            return self.backend
-        return "batched" if getattr(self.provider, "csr_cost_free", False) else "reference"
-
-    def csr(self) -> CsrAdjacency:
-        """The adjacency snapshot backing the batched kernels.
-
-        Built lazily from the provider; rebuilt automatically when the
-        provider's ``version`` counter moves (dynamic-graph snapshots).
-        """
-        version = getattr(self.provider, "version", 0)
-        if self._csr is None or version != self._csr_version:
-            self._csr = self.provider.csr_snapshot()
-            self._csr_version = version
-            self._on_csr_refresh()
-        return self._csr
-
-    def refresh_csr(self) -> None:
-        """Drop the CSR snapshot (and derived tables); rebuilt on next draw."""
-        self._csr = None
-        self._csr_version = -1
-        self._on_csr_refresh()
-
-    def _on_csr_refresh(self) -> None:
-        """Hook for subclasses holding tables derived from the snapshot."""
-
-    def rebind(self, provider: NeighborProvider) -> None:
-        """Point the sampler at a new provider and refresh the snapshot."""
-        self.provider = provider
-        self.refresh_csr()
-
-    # ------------------------------------------------------------------ #
-    # Draw kernels
-    # ------------------------------------------------------------------ #
-    def _sample_one(
-        self, vertex: int, count: int, rng: np.random.Generator
+    def _draw(
+        self,
+        block: CsrAdjacency,
+        rows: np.ndarray,
+        vertices: np.ndarray,
+        count: int,
+        rng: np.random.Generator,
     ) -> np.ndarray:
-        """Scalar reference draw: exactly ``count`` neighbor ids of ``vertex``.
+        """``(len(rows), count)`` children of block ``rows``.
 
-        Vertices without neighbors are padded with themselves.
-
-        .. deprecated:: PR 5
-            Private — the reference backend's inner kernel only. External
-            callers use :meth:`sample_children`, which batches the whole
-            frontier and works on either backend.
+        ``vertices`` are the rows' global ids, the padding of empty rows.
         """
         raise NotImplementedError
 
-    def _sample_children_batched(
-        self, vertices: np.ndarray, count: int, rng: np.random.Generator
+    def _draw_one(
+        self, block: CsrAdjacency, row: int, count: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Vectorized draw: ``(len(vertices), count)`` neighbor ids."""
+        """Scalar oracle: ``count`` children of one non-empty block row."""
         raise NotImplementedError
 
     def sample_children(
@@ -179,25 +134,23 @@ class _ExpandingSampler(Sampler):
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Draw ``count`` children for every frontier vertex — one call.
 
-        The public batched API: returns ``(children, pad_mask)``, both of
-        shape ``(len(vertices), count)``. ``pad_mask`` marks entries equal
-        to their parent (the self-loop contract of
-        :class:`NeighborhoodSample`). On the ``batched`` backend this is a
-        handful of numpy kernel calls over the CSR snapshot; on
-        ``reference`` it loops the scalar oracle per vertex (prefetching
-        the deduplicated frontier first, so store-backed providers coalesce
-        the hop into batched RPCs).
+        Returns ``(children, pad_mask)``, both of shape
+        ``(len(vertices), count)``. ``pad_mask`` marks entries equal to
+        their parent (the self-loop contract of :class:`NeighborhoodSample`);
+        vertices without neighbors are padded with themselves. One provider
+        read for the whole frontier, then a handful of numpy kernel calls.
         """
         if count < 1:
             raise SamplingError(f"fan-out must be positive, got {count}")
         vertices = np.atleast_1d(np.asarray(vertices, dtype=np.int64))
-        if self.resolved_backend == "batched":
-            children = self._sample_children_batched(vertices, count, rng)
+        block, rows = self.provider.frontier_block(vertices)
+        if self.backend == "batched":
+            children = self._draw(block, rows, vertices, count, rng)
         else:
-            self.provider.prefetch(np.unique(vertices))
-            children = np.empty((vertices.size, count), dtype=np.int64)
-            for i, v in enumerate(vertices):
-                children[i] = self._sample_one(int(v), count, rng)
+            children = np.repeat(vertices[:, None], count, axis=1)
+            for i, row in enumerate(rows.tolist()):
+                if block.degrees[row]:
+                    children[i] = self._draw_one(block, row, count, rng)
         return children, children == vertices[:, None]
 
     def sample(
@@ -226,47 +179,79 @@ class UniformNeighborSampler(_ExpandingSampler):
 
     name = "neighborhood_uniform"
 
-    def _sample_one(
-        self, vertex: int, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        nbrs = self.provider.neighbors(vertex)
-        if nbrs.size == 0:
-            return np.full(count, vertex, dtype=np.int64)
+    def _draw(self, block, rows, vertices, count, rng):
+        return block.sample_uniform(rows, count, rng, pad_ids=vertices)
+
+    def _draw_one(self, block, row, count, rng):
+        nbrs = block.neighbors(row)
         return nbrs[rng.integers(nbrs.size, size=count)]
 
-    def _sample_children_batched(
-        self, vertices: np.ndarray, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        return self.csr().sample_uniform(vertices, count, rng)
+
+class _AliasSampler(_ExpandingSampler):
+    """Weighted draws through one grouped alias table per block.
+
+    The table spans every row of the block it was built on and is kept
+    only while the provider hands back that same block object: a
+    whole-graph snapshot builds it once, a store-backed frontier block
+    builds a frontier-sized one per hop, and neither can outlive the
+    adjacency it describes.
+    """
+
+    def __init__(self, provider: NeighborProvider, backend: str = "batched") -> None:
+        super().__init__(provider, backend=backend)
+        self._table: GroupedAliasTable | None = None
+        self._table_block: CsrAdjacency | None = None
+
+    def _slot_weights(self, block: CsrAdjacency) -> np.ndarray:
+        """Fresh per-slot sampling weights of ``block`` (the table owns them)."""
+        raise NotImplementedError
+
+    def _row_weights(self, block: CsrAdjacency, row: int) -> np.ndarray:
+        """One row of :meth:`_slot_weights`, computed on its own (oracle)."""
+        raise NotImplementedError
+
+    def _table_for(self, block: CsrAdjacency) -> GroupedAliasTable:
+        if block is not self._table_block:
+            self._table = GroupedAliasTable(self._slot_weights(block), block.indptr)
+            self._table_block = block
+        return self._table
+
+    def _draw(self, block, rows, vertices, count, rng):
+        return block.sample_alias(
+            rows, count, rng, self._table_for(block), pad_ids=vertices
+        )
+
+    def _draw_one(self, block, row, count, rng):
+        # Inverse-CDF draws: an oracle that shares no code with the tables.
+        weights = self._row_weights(block, row)
+        slots = rng.choice(weights.size, size=count, p=weights / weights.sum())
+        return block.neighbors(row)[slots]
 
 
-class WeightedNeighborSampler(_ExpandingSampler):
+class WeightedNeighborSampler(_AliasSampler):
     """Edge-weight proportional sampling with dynamic (trainable) weights.
 
-    Alias tables are built lazily and invalidated when ``backward`` adjusts
-    a vertex's weights — the paper's "register a gradient function for the
-    sampler" mechanism. The batched backend keeps one
-    :class:`~repro.utils.alias.GroupedAliasTable` spanning every adjacency
-    list and rebuilds only the touched vertex's slots per update; the
-    reference backend keeps the original per-vertex tables.
+    ``backward`` adjusts one vertex's weights — the paper's "register a
+    gradient function for the sampler" mechanism. Adjusted weights are kept
+    per vertex and laid over every block's own weights when its alias table
+    is built (an adjustment whose length no longer matches the vertex's row
+    is ignored: the row changed under it); a table already built is patched
+    in place, one group per update.
     """
 
     name = "neighborhood_weighted"
 
-    def __init__(self, provider: NeighborProvider, backend: str = "auto") -> None:
+    def __init__(self, provider: NeighborProvider, backend: str = "batched") -> None:
         super().__init__(provider, backend=backend)
         self._weights: dict[int, np.ndarray] = {}
-        self._tables: dict[int, AliasTable] = {}
-        self._grouped: GroupedAliasTable | None = None
         self.register_update_fn(self._apply_weight_update)
 
     def current_weights(self, vertex: int) -> np.ndarray:
         """The (possibly updated) sampling weights of ``vertex``'s edges."""
-        if vertex not in self._weights:
-            self._weights[vertex] = np.array(
-                self.provider.weights(vertex), dtype=np.float64
-            )
-        return self._weights[vertex]
+        weights = self._weights.get(vertex)
+        if weights is None:
+            weights = np.array(self.provider.weights(vertex), dtype=np.float64)
+        return weights
 
     def _apply_weight_update(
         self, vertex: int, grads: np.ndarray, lr: float = 0.1
@@ -281,80 +266,55 @@ class WeightedNeighborSampler(_ExpandingSampler):
             )
         updated = np.maximum(weights * np.exp(lr * grads), 1e-12)
         self._weights[vertex] = updated
-        self._tables.pop(vertex, None)  # invalidate the reference table
-        if self._grouped is not None:  # patch the batched table in place
-            self._grouped.update_group(vertex, updated)
+        if self._table_block is not None:
+            row = self._table_block.row_of(vertex)
+            if row >= 0 and self._table.group_size(row) == updated.size:
+                self._table.update_group(row, updated)
 
-    def _on_csr_refresh(self) -> None:
-        self._grouped = None
+    def _row_weights(self, block: CsrAdjacency, row: int) -> np.ndarray:
+        override = self._weights.get(row if block.ids is None else int(block.ids[row]))
+        if override is not None and override.size == block.degrees[row]:
+            return override
+        return block.weights_of(row)
 
-    def _grouped_table(self) -> GroupedAliasTable:
-        csr = self.csr()
-        if self._grouped is None:
-            weights = csr.weights.copy()
-            for vertex, override in self._weights.items():
-                start, end = csr.indptr[vertex], csr.indptr[vertex + 1]
-                if override.size == end - start:
-                    weights[start:end] = override
-            self._grouped = GroupedAliasTable(weights, csr.indptr)
-        return self._grouped
-
-    def _sample_one(
-        self, vertex: int, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        nbrs = self.provider.neighbors(vertex)
-        if nbrs.size == 0:
-            return np.full(count, vertex, dtype=np.int64)
-        table = self._tables.get(vertex)
-        if table is None:
-            table = AliasTable(self.current_weights(vertex))
-            self._tables[vertex] = table
-        return nbrs[table.draw_batch(rng, count)]
-
-    def _sample_children_batched(
-        self, vertices: np.ndarray, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        return self.csr().sample_alias(vertices, count, rng, self._grouped_table())
+    def _slot_weights(self, block: CsrAdjacency) -> np.ndarray:
+        weights = block.weights.copy()
+        for vertex in self._weights:
+            row = block.row_of(vertex)
+            if row >= 0:
+                weights[block.indptr[row] : block.indptr[row + 1]] = (
+                    self._row_weights(block, row)
+                )
+        return weights
 
 
 class TopKNeighborSampler(_ExpandingSampler):
     """Deterministic heaviest-``count`` neighbors (ties by id).
 
     Repeats the heaviest neighbors cyclically when the fan-out exceeds the
-    degree so output stays aligned. Both backends produce identical output
-    (the batched kernel gathers through the snapshot's cached per-row
-    weight ranking).
+    degree so output stays aligned (the kernel gathers through the block's
+    cached per-row weight ranking).
     """
 
     name = "neighborhood_topk"
 
-    def _sample_one(
-        self, vertex: int, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        nbrs = self.provider.neighbors(vertex)
-        if nbrs.size == 0:
-            return np.full(count, vertex, dtype=np.int64)
-        weights = self.provider.weights(vertex)
-        order = np.lexsort((nbrs, -weights))
+    def _draw(self, block, rows, vertices, count, rng):
+        return block.sample_ranked(rows, count, pad_ids=vertices)
+
+    def _draw_one(self, block, row, count, rng):
+        nbrs = block.neighbors(row)
+        order = np.lexsort((nbrs, -block.weights_of(row)))
         top = nbrs[order[: min(count, nbrs.size)]]
-        reps = int(np.ceil(count / top.size))
-        return np.tile(top, reps)[:count]
-
-    def _sample_children_batched(
-        self, vertices: np.ndarray, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        return self.csr().sample_ranked(vertices, count)
+        return np.resize(top, count)
 
 
-class ImportanceNeighborSampler(_ExpandingSampler):
+class ImportanceNeighborSampler(_AliasSampler):
     """Degree-proportional importance sampling (FastGCN/AS-GCN family).
 
     Samples neighbor ``u`` of ``v`` with probability proportional to
     ``deg(u)^beta`` (``beta=1`` emphasizes hubs; FastGCN's q(u) ∝ deg).
     ``inclusion_probability`` exposes the per-draw probabilities so callers
-    can build unbiased (importance-weighted) aggregations. The batched
-    backend packs ``deg^beta`` scores for every adjacency slot into one
-    grouped alias table.
+    can build unbiased (importance-weighted) aggregations.
     """
 
     name = "neighborhood_importance"
@@ -364,7 +324,7 @@ class ImportanceNeighborSampler(_ExpandingSampler):
         provider: NeighborProvider,
         degrees: np.ndarray,
         beta: float = 1.0,
-        backend: str = "auto",
+        backend: str = "batched",
     ):
         super().__init__(provider, backend=backend)
         degrees = np.asarray(degrees, dtype=np.float64)
@@ -372,10 +332,6 @@ class ImportanceNeighborSampler(_ExpandingSampler):
             raise SamplingError("degrees must be a 1-D vector")
         self.beta = beta
         self._scores = np.power(np.maximum(degrees, 1.0), beta)
-        self._grouped: GroupedAliasTable | None = None
-
-    def _on_csr_refresh(self) -> None:
-        self._grouped = None
 
     def inclusion_probability(self, vertex: int) -> np.ndarray:
         """p(u | v) over ``v``'s neighbor list (sums to 1)."""
@@ -385,33 +341,18 @@ class ImportanceNeighborSampler(_ExpandingSampler):
         scores = self._scores[nbrs]
         return scores / scores.sum()
 
-    def _grouped_table(self) -> GroupedAliasTable:
-        csr = self.csr()
-        if self._grouped is None:
-            self._grouped = GroupedAliasTable(self._scores[csr.indices], csr.indptr)
-        return self._grouped
+    def _slot_weights(self, block: CsrAdjacency) -> np.ndarray:
+        return self._scores[block.indices]
 
-    def _sample_one(
-        self, vertex: int, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        nbrs = self.provider.neighbors(vertex)
-        if nbrs.size == 0:
-            return np.full(count, vertex, dtype=np.int64)
-        probs = self.inclusion_probability(vertex)
-        return nbrs[rng.choice(nbrs.size, size=count, p=probs)]
-
-    def _sample_children_batched(
-        self, vertices: np.ndarray, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        return self.csr().sample_alias(vertices, count, rng, self._grouped_table())
+    def _row_weights(self, block: CsrAdjacency, row: int) -> np.ndarray:
+        return self._scores[block.neighbors(row)]
 
 
 class FullNeighborSampler(_ExpandingSampler):
     """No sampling: the full neighbor set, cyclically padded to ``count``.
 
     ``max_fanout`` caps hub explosion; pass the graph's max degree as the
-    fan-out to make the expansion exact. Both backends produce identical
-    output.
+    fan-out to make the expansion exact.
     """
 
     name = "neighborhood_full"
@@ -420,24 +361,17 @@ class FullNeighborSampler(_ExpandingSampler):
         self,
         provider: NeighborProvider,
         max_fanout: int = 512,
-        backend: str = "auto",
+        backend: str = "batched",
     ) -> None:
         super().__init__(provider, backend=backend)
         if max_fanout < 1:
             raise SamplingError("max_fanout must be positive")
         self.max_fanout = max_fanout
 
-    def _sample_one(
-        self, vertex: int, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        nbrs = self.provider.neighbors(vertex)
-        if nbrs.size == 0:
-            return np.full(count, vertex, dtype=np.int64)
-        take = nbrs[: min(self.max_fanout, nbrs.size)]
-        reps = int(np.ceil(count / take.size))
-        return np.tile(take, reps)[:count]
+    def _draw(self, block, rows, vertices, count, rng):
+        return block.sample_leading(
+            rows, count, max_take=self.max_fanout, pad_ids=vertices
+        )
 
-    def _sample_children_batched(
-        self, vertices: np.ndarray, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        return self.csr().sample_leading(vertices, count, max_take=self.max_fanout)
+    def _draw_one(self, block, row, count, rng):
+        return np.resize(block.neighbors(row)[: self.max_fanout], count)

@@ -44,11 +44,12 @@ class NeighborCache:
         self.misses = 0
         self._registry = None  # ReplicaRegistry | None
         self._part: int | None = None
-        # Sorted snapshot of the pinned key set, rebuilt lazily after a
-        # pin/invalidate; lets the store's batched read path answer "which
-        # of these vertices are cached?" with one np.isin instead of a
-        # per-vertex dict probe.
-        self._pinned_keys: np.ndarray | None = None
+        # Membership table of the pinned key set (slot v is True when v is
+        # pinned, plus one trailing False slot), rebuilt lazily after a
+        # pin/unpin/invalidate; lets the store's batched read path answer
+        # "which of these vertices are cached?" with one gather — a few µs
+        # at any batch size, where np.isin costs ~200 µs even for one id.
+        self._pinned_table: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._pinned) + len(self._lru)
@@ -75,7 +76,7 @@ class NeighborCache:
         if vertex not in self._pinned and len(self._pinned) >= self.capacity:
             raise StorageError("neighbor cache pin capacity exhausted")
         self._pinned[vertex] = np.asarray(neighbors, dtype=np.int64)
-        self._pinned_keys = None
+        self._pinned_table = None
         self._register(vertex)
 
     def get(self, vertex: int) -> np.ndarray | None:
@@ -117,7 +118,7 @@ class NeighborCache:
         """
         if self._pinned.pop(vertex, None) is None:
             return False
-        self._pinned_keys = None
+        self._pinned_table = None
         if self._lru.peek(vertex) is None:
             self._deregister(vertex)
         return True
@@ -156,7 +157,7 @@ class NeighborCache:
         """
         pinned = self._pinned.pop(vertex, None) is not None
         if pinned:
-            self._pinned_keys = None
+            self._pinned_table = None
         dropped = self._lru.delete(vertex)
         if pinned or dropped:
             self._deregister(vertex)
@@ -178,17 +179,15 @@ class NeighborCache:
 
         A pure array probe: no hit/miss accounting, no recency updates —
         callers read the hits out with :meth:`get` (which counts them) and
-        charge the misses in bulk with :meth:`record_misses`.
+        charge the misses in bulk with :meth:`record_misses`. Ids must be
+        non-negative (the store validates a batch before probing it).
         """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if not self._pinned:
-            return np.zeros(vertices.shape, dtype=bool)
-        if self._pinned_keys is None:
-            self._pinned_keys = np.fromiter(
-                self._pinned, dtype=np.int64, count=len(self._pinned)
-            )
-            self._pinned_keys.sort()
-        return np.isin(vertices, self._pinned_keys, assume_unique=False)
+        if self._pinned_table is None:
+            table = np.zeros(max(self._pinned, default=-1) + 2, dtype=bool)
+            table[np.fromiter(self._pinned, np.int64, len(self._pinned))] = True
+            self._pinned_table = table
+        # Ids past the largest pinned key clip onto the trailing False slot.
+        return self._pinned_table.take(vertices, mode="clip")
 
     def record_misses(self, n: int) -> None:
         """Charge ``n`` lookups that a batch probe resolved as misses."""

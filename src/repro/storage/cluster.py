@@ -342,7 +342,7 @@ class DistributedGraphStore:
             raise StorageError(f"unknown vertex {int(uniq[oob][0])}")
         owners = self.assignment.vertex_to_part[uniq]
 
-        # Pinned caches never mutate on access, so one np.isin answers
+        # Pinned caches never mutate on access, so one table gather answers
         # every cache probe for the batch; the loop then only touches the
         # cache for actual hits. LRU caches mutate recency per access and
         # keep the per-vertex probe (probe_mask=None).

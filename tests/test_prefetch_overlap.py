@@ -393,6 +393,37 @@ def test_neighbor_cache_probe_batch_matches_membership():
     assert cache.probe_batch(verts).tolist() == [True, False, True, False, False]
 
 
+def test_probe_batch_tracks_is_pinned_through_churn():
+    from repro.storage.cache import make_pinned_cache
+
+    cache = make_pinned_cache(16)
+    probe = np.array([0, 3, 3, 40, 41, 999, 10_000_000])
+
+    def check():
+        want = [cache.is_pinned(int(v)) for v in probe]
+        assert cache.probe_batch(probe).tolist() == want
+        assert cache.probe_batch(np.array([40])).tolist() == [cache.is_pinned(40)]
+
+    row = np.array([1, 2])
+    check()  # empty cache: all misses, nothing to index
+    assert not cache.probe_batch(probe).any()
+    cache.pin(3, row)
+    check()
+    cache.pin(40, row)  # grows past the previous largest key
+    check()
+    cache.pin(3, row)  # re-pin: membership unchanged
+    check()
+    cache.unpin(40)  # largest key leaves: 40 and everything above miss
+    check()
+    cache.pin(999, row)
+    cache.invalidate(3)
+    check()
+    cache.invalidate(999)
+    check()
+    assert not cache.probe_batch(probe).any()
+    assert cache.hits == 0 and cache.misses == 0  # pure probes throughout
+
+
 def test_resolve_read_ledger_event_order_deterministic():
     graph = _graph()
     rows = []

@@ -1,26 +1,38 @@
-"""Batched frontier-sampling kernels: CSR snapshots, grouped alias tables,
-backend equivalence, determinism, and dynamic refresh."""
+"""Batched frontier-sampling kernels: adjacency blocks, grouped alias tables,
+oracle equivalence, determinism, dynamic refresh, and the one draw path every
+provider (in-memory or store-backed) runs."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.data import dynamic_taobao
+from repro.data import dynamic_taobao, make_dataset
 from repro.errors import SamplingError
 from repro.graph import Graph
+from repro.graph.dynamic import EdgeEvent
+from repro.runtime import FaultPlan, RetryPolicy, RpcRuntime
 from repro.sampling import (
     CsrAdjacency,
     FullNeighborSampler,
     GraphProvider,
     ImportanceNeighborSampler,
     SnapshotProvider,
+    StoreProvider,
     TopKNeighborSampler,
     UniformNeighborSampler,
     WeightedNeighborSampler,
 )
 from repro.sampling.negative import DegreeBiasedNegativeSampler, UniformNegativeSampler
 from repro.sampling.randomwalk import random_walks
+from repro.storage.cache import ImportanceCachePolicy, LRUCachePolicy
+from repro.storage.cluster import make_store
+from repro.storage.costmodel import (
+    EV_CACHE_HIT,
+    EV_ITEM_SHIPPED,
+    EV_LOCAL_READ,
+    EV_REMOTE_RPC,
+)
 from repro.utils.alias import AliasTable, GroupedAliasTable, build_alias_arrays
 from repro.utils.rng import make_rng
 from repro.utils.stats import (
@@ -33,8 +45,8 @@ from repro.utils.stats import (
 P_FLOOR = 1e-4  # equivalence tests: H0 true, so p is uniform on [0, 1]
 
 
-def _sampler(kind: str, graph: Graph, backend: str):
-    provider = GraphProvider(graph)
+def _sampler(kind: str, graph: Graph, backend: str, provider=None):
+    provider = provider or GraphProvider(graph)
     if kind == "uniform":
         return UniformNeighborSampler(provider, backend=backend)
     if kind == "weighted":
@@ -64,12 +76,27 @@ class TestCsrAdjacency:
         assert np.array_equal(csr.degrees, tiny_graph.out_degrees())
         assert csr.n_slots == int(tiny_graph.out_degrees().sum())
 
-    def test_from_provider_scan_equals_from_graph(self, tiny_graph):
+    def test_from_rows_equals_from_graph(self, tiny_graph):
         a = CsrAdjacency.from_graph(tiny_graph)
-        b = CsrAdjacency.from_provider(GraphProvider(tiny_graph))
+        rows = [tiny_graph.out_neighbors(v) for v in range(tiny_graph.n_vertices)]
+        b = CsrAdjacency.from_rows(rows)
         assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.weights, b.weights)
+        assert np.all(b.weights == 1.0)  # packed rows are uniformly weighted
+        assert CsrAdjacency.from_rows([]).n_vertices == 0
+
+    def test_block_rows_are_named_by_ids(self, tiny_graph):
+        whole = CsrAdjacency.from_graph(tiny_graph)
+        assert whole.row_of(4) == 4 and whole.row_of(6) == -1
+        ids = np.array([1, 4], dtype=np.int64)
+        block = CsrAdjacency.from_rows(
+            [tiny_graph.out_neighbors(1), tiny_graph.out_neighbors(4)], ids
+        )
+        assert block.row_of(4) == 1 and block.row_of(1) == 0
+        assert block.row_of(0) == block.row_of(3) == block.row_of(9) == -1
+        assert np.array_equal(block.neighbors(1), [0, 5])
+        with pytest.raises(SamplingError):
+            CsrAdjacency.from_rows([tiny_graph.out_neighbors(1)], ids)
 
     def test_validation_rejects_bad_indptr(self):
         with pytest.raises(SamplingError):
@@ -98,6 +125,17 @@ class TestCsrAdjacency:
         csr = CsrAdjacency.from_graph(tiny_graph)
         out = csr.sample_uniform(np.array([5]), 4, rng)  # 5 is a sink
         assert np.array_equal(out, np.full((1, 4), 5))
+        # A frontier block pads with the vertex's global id, not its row.
+        block = CsrAdjacency.from_rows(
+            [tiny_graph.out_neighbors(5)], np.array([5], dtype=np.int64)
+        )
+        rows, pad = np.array([0]), np.array([5])
+        for out in (
+            block.sample_uniform(rows, 3, rng, pad),
+            block.sample_ranked(rows, 3, pad_ids=pad),
+            block.sample_leading(rows, 3, pad_ids=pad),
+        ):
+            assert np.array_equal(out, np.full((1, 3), 5))
 
 
 # --------------------------------------------------------------------- #
@@ -185,6 +223,20 @@ class TestSampleChildren:
                 assert set(int(c) for c in row) <= allowed
             assert np.array_equal(prow, row == v)
 
+    @pytest.mark.parametrize("backend", ["batched", "reference"])
+    def test_uniform_matches_per_row_oracle_exactly(self, small_powerlaw, backend):
+        # The broadcast draw consumes the stream like one scalar call per
+        # non-empty row, in frontier order: not merely the same law.
+        vs = make_rng(4).integers(0, small_powerlaw.n_vertices, size=400)
+        got, _ = _sampler("uniform", small_powerlaw, backend).sample_children(
+            vs, 7, make_rng(21)
+        )
+        rng = make_rng(21)
+        for v, kids in zip(vs.tolist(), got):
+            row = small_powerlaw.out_neighbors(v)
+            want = row[rng.integers(row.size, size=7)] if row.size else v
+            assert np.array_equal(kids, np.broadcast_to(want, (7,)))
+
     @pytest.mark.parametrize("kind", ["topk", "full"])
     def test_deterministic_kinds_match_reference_exactly(
         self, small_powerlaw, rng, kind
@@ -199,7 +251,7 @@ class TestSampleChildren:
         assert np.array_equal(got, want)
         assert np.array_equal(gp, wp)
 
-    @pytest.mark.parametrize("kind", ["uniform", "weighted", "importance"])
+    @pytest.mark.parametrize("kind", ["weighted", "importance"])
     def test_stochastic_kinds_chi_square_equivalent(self, small_powerlaw, kind):
         degrees = small_powerlaw.out_degrees()
         parents = np.argsort(degrees)[-12:].astype(np.int64)
@@ -233,7 +285,7 @@ class TestSampleChildren:
 
     def test_multi_hop_sample_uses_batched_kernels(self, small_powerlaw):
         sampler = _sampler("uniform", small_powerlaw, "batched")
-        assert sampler.resolved_backend == "batched"
+        assert sampler.backend == "batched"
         out = sampler.sample(np.array([1, 2, 3]), [4, 2], make_rng(0))
         assert out.layers[1].size == 12 and out.layers[2].size == 24
         assert len(out.pad_masks) == 2
@@ -267,8 +319,9 @@ class TestSampleChildren:
         assert np.mean(children == 2) > 0.97
 
     def test_invalid_backend_rejected(self, tiny_graph):
-        with pytest.raises(SamplingError):
-            UniformNeighborSampler(GraphProvider(tiny_graph), backend="turbo")
+        for backend in ("turbo", "auto"):
+            with pytest.raises(SamplingError):
+                UniformNeighborSampler(GraphProvider(tiny_graph), backend=backend)
 
 
 # --------------------------------------------------------------------- #
@@ -298,14 +351,19 @@ class TestDynamicRefresh:
             for c in row:
                 assert int(c) in nbrs or int(c) == int(v)
 
-    def test_refresh_csr_forces_rebuild(self, tiny_graph):
-        sampler = UniformNeighborSampler(
-            GraphProvider(tiny_graph), backend="batched"
-        )
-        first = sampler.csr()
-        assert sampler.csr() is first  # cached
-        sampler.refresh_csr()
-        assert sampler.csr() is not first
+    def test_alias_table_cached_per_snapshot_object(self):
+        dyn = dynamic_taobao(n_vertices=300, n_timestamps=3, seed=11)
+        provider = dyn.provider(0)
+        sampler = WeightedNeighborSampler(provider)
+        seeds = np.arange(32, dtype=np.int64)
+        sampler.sample_children(seeds, 4, make_rng(0))
+        first = sampler._table
+        sampler.sample_children(seeds, 4, make_rng(0))
+        assert sampler._table is first  # same snapshot object: table kept
+        provider.advance(1)
+        sampler.sample_children(seeds, 4, make_rng(0))
+        assert sampler._table is not first  # new snapshot: rebuilt on it
+        assert len(sampler._table) == dyn.snapshot(1).n_edges
 
 
 # --------------------------------------------------------------------- #
@@ -400,24 +458,34 @@ class TestBatchedNegativesAndWalks:
 # Providers and auto backend
 # --------------------------------------------------------------------- #
 class TestBackendSelection:
-    def test_auto_is_batched_on_graph_provider(self, tiny_graph):
-        sampler = UniformNeighborSampler(GraphProvider(tiny_graph))
-        assert sampler.resolved_backend == "batched"
+    def test_default_backend_is_batched_on_every_provider(self, small_powerlaw):
+        store = make_store(small_powerlaw, 2, seed=0)
+        degrees = small_powerlaw.out_degrees()
+        for provider in (GraphProvider(small_powerlaw), StoreProvider(store, 0)):
+            samplers = [
+                UniformNeighborSampler(provider),
+                WeightedNeighborSampler(provider),
+                TopKNeighborSampler(provider),
+                ImportanceNeighborSampler(provider, degrees),
+                FullNeighborSampler(provider),
+            ]
+            assert all(s.backend == "batched" for s in samplers)
 
-    def test_auto_is_reference_on_store_provider(self, small_powerlaw):
-        from repro.runtime import RpcRuntime
-        from repro.sampling import StoreProvider
-        from repro.storage.cluster import make_store
-
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_store_sample_reads_only_frontier_rows(self, small_powerlaw, seed):
+        # No whole-graph read hides behind the batched kernels: what a
+        # sample ships is bounded by the rows of the frontiers it expanded.
         store = make_store(small_powerlaw, 2, seed=0)
         store.attach_runtime(RpcRuntime(store))
-        provider = StoreProvider(store, from_part=0)
-        sampler = UniformNeighborSampler(provider)
-        assert sampler.resolved_backend == "reference"
-        # Explicit opt-in pays one bulk snapshot and then runs batched.
-        batched = UniformNeighborSampler(provider, backend="batched")
-        out = batched.sample(np.array([1, 2, 3]), [4], make_rng(0))
-        assert out.layers[1].size == 12
+        sampler = UniformNeighborSampler(StoreProvider(store, from_part=0))
+        batch = make_rng(seed).integers(0, small_powerlaw.n_vertices, size=3)
+        out = sampler.sample(batch, [4, 2], make_rng(seed))
+        degrees = small_powerlaw.out_degrees()
+        frontier_slots = sum(
+            int(degrees[np.unique(layer)].sum()) for layer in out.layers[:-1]
+        )
+        assert 0 < store.ledger.count(EV_ITEM_SHIPPED) <= frontier_slots
+        assert frontier_slots < small_powerlaw.n_edges // 10
 
     def test_zipf_probs_normalized_and_monotone(self):
         probs = zipf_probs(50, exponent=1.2)
@@ -458,8 +526,154 @@ class TestBackendSelection:
     def test_snapshot_provider_exposes_versioned_csr(self):
         dyn = dynamic_taobao(n_vertices=200, n_timestamps=3, seed=1)
         provider = SnapshotProvider(dyn, 0)
-        assert provider.csr_cost_free and provider.version == 0
+        frontier = np.array([3, 1, 3], dtype=np.int64)
+        v0, rows = provider.frontier_block(frontier)
+        assert rows is frontier and v0.ids is None  # whole graph, row == id
+        assert provider.frontier_block(frontier)[0] is v0
         provider.advance(1)
-        assert provider.version == 1
+        v1, _ = provider.frontier_block(frontier)
+        assert v1 is not v0 and v1.n_slots == dyn.snapshot(1).n_edges
         provider.advance(1)  # no-op
-        assert provider.version == 1
+        assert provider.frontier_block(frontier)[0] is v1
+
+
+# --------------------------------------------------------------------- #
+# One draw path: store-backed frontier blocks
+# --------------------------------------------------------------------- #
+def _sink_graph() -> Graph:
+    """240 vertices, ~1.4k directed edges; vertices >= 200 have no out-edges."""
+    rng = make_rng(17)
+    src = rng.integers(0, 200, size=1500)
+    dst = rng.integers(0, 240, size=1500)
+    return Graph(240, src, dst, directed=True)
+
+
+def _sampling_calls(fn) -> int:
+    """Python-level calls made inside ``repro.sampling`` while ``fn`` runs."""
+    import sys
+
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call" and "/repro/sampling/" in frame.f_code.co_filename:
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestStoreBackedBlocks:
+    @pytest.mark.parametrize("policy", [ImportanceCachePolicy, LRUCachePolicy])
+    def test_store_draws_equal_graph_draws_bit_for_bit(self, policy):
+        graph = _sink_graph()
+        sinks = np.flatnonzero(graph.out_degrees() == 0)
+        assert sinks.size >= 40
+        batches = [
+            np.array([7, 7, sinks[0], 3, 7, sinks[1], 3], dtype=np.int64),
+            np.array([11], dtype=np.int64),  # batch of one
+            sinks[:2],  # nothing to draw at all
+            make_rng(5).integers(0, graph.n_vertices, size=96),
+        ]
+        n_workers = 3
+        for part in range(n_workers):
+            store = make_store(
+                graph,
+                n_workers,
+                cache_policy=policy(),
+                cache_budget_fraction=0.2,
+                seed=0,
+            )
+            store.attach_runtime(
+                RpcRuntime(
+                    store,
+                    faults=FaultPlan(drop_rate=0.25, seed=part),
+                    retry=RetryPolicy(max_attempts=40),
+                )
+            )
+            via_store = UniformNeighborSampler(StoreProvider(store, part))
+            via_graph = UniformNeighborSampler(GraphProvider(graph))
+            rng_s, rng_g = make_rng(9), make_rng(9)
+            for batch in batches:
+                a = via_store.sample(batch, [5, 3], rng_s)
+                b = via_graph.sample(batch, [5, 3], rng_g)
+                for x, y in zip(a.layers + a.pad_masks, b.layers + b.pad_masks):
+                    assert np.array_equal(x, y)
+            assert store.runtime.metrics.counter("rpc.retries").value > 0
+
+    def test_provider_rows_are_never_stale(self):
+        # Regression: the provider used to keep the last prefetched rows and
+        # serve them after the store had changed the adjacency.
+        graph = make_dataset("taobao-small-sim", scale=0.1, seed=0)
+        store = make_store(graph, 2, seed=0)
+        provider = StoreProvider(store, from_part=0)
+        hub = int(np.argmax(graph.out_degrees()))
+        sampler = UniformNeighborSampler(provider)
+        sampler.sample(np.array([hub]), [4], make_rng(0))  # reads hub's row
+        victim = int(graph.out_neighbors(hub)[0])
+        store.apply_edge_events([EdgeEvent(0, hub, victim, "remove")])
+        fresh = store.neighbors(hub, from_part=0)
+        assert fresh.size == graph.out_degree(hub) - 1
+        assert np.array_equal(provider.neighbors(hub), fresh)
+        # ... and weights() is one priced read, not neighbors() plus another.
+        def reads() -> int:
+            return sum(
+                store.ledger.count(ev)
+                for ev in (EV_LOCAL_READ, EV_CACHE_HIT, EV_REMOTE_RPC)
+            )
+
+        before = reads()
+        assert provider.weights(hub).shape == fresh.shape
+        assert reads() == before + 1
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_samplers_follow_edge_churn(self, kind):
+        graph = make_dataset("taobao-small-sim", scale=0.1, seed=0)
+        store = make_store(graph, 2, seed=0)
+        sampler = _sampler(kind, graph, "batched", StoreProvider(store, 0))
+        hubs = np.argsort(graph.out_degrees())[-6:].astype(np.int64)
+        rng = make_rng(3)
+        sampler.sample(hubs, [16, 2], rng)
+        newcomer = int(np.flatnonzero(graph.out_degrees() == graph.out_degrees().min())[0])
+        events = []
+        for hub in hubs.tolist():
+            row = graph.out_neighbors(hub)
+            # Shrink every hub to one old neighbor plus one new one.
+            events += [EdgeEvent(0, hub, int(u), "remove") for u in row[1:]]
+            events.append(EdgeEvent(0, hub, newcomer, "add"))
+        store.apply_edge_events(events)
+        # Used to die here with a bare IndexError from a stale alias table.
+        children, _ = sampler.sample_children(hubs, 64, rng)
+        seen_newcomer = False
+        for hub, kids in zip(hubs.tolist(), children):
+            current = set(store.neighbors(hub, from_part=0).tolist())
+            assert newcomer in current and len(current) <= 2
+            assert set(kids.tolist()) <= current | {hub}
+            seen_newcomer |= newcomer in kids
+        assert seen_newcomer  # additions are sampled, not only removals honoured
+
+    def test_sampling_call_count_independent_of_batch_size(self):
+        # The per-vertex loop cannot come back unnoticed: the Python calls
+        # one store-backed expansion makes inside repro.sampling do not
+        # depend on how many vertices it expands.
+        graph = make_dataset("taobao-small-sim", scale=0.3, seed=0)
+        store = make_store(
+            graph, 4, cache_policy=ImportanceCachePolicy(), cache_budget_fraction=0.1, seed=0
+        )
+        sampler = UniformNeighborSampler(StoreProvider(store, from_part=0))
+        counts = {
+            size: _sampling_calls(
+                lambda: sampler.sample(
+                    make_rng(1).integers(0, graph.n_vertices, size=size),
+                    [10, 5],
+                    make_rng(2),
+                )
+            )
+            for size in (64, 512)
+        }
+        assert counts[64] == counts[512] > 0
+        assert counts[512] < 64
