@@ -54,17 +54,6 @@ def parse_bench_args(
     return parser.parse_args(argv)
 
 
-def _payload(report: ExperimentReport) -> dict:
-    return {
-        "experiment_id": report.experiment_id,
-        "title": report.title,
-        "records": [
-            {"label": r.label, "measured": r.measured, "paper": r.paper}
-            for r in report.records
-        ],
-    }
-
-
 def emit(report: ExperimentReport, print_json: bool = False) -> None:
     """Print the report and persist it under benchmarks/results/.
 
@@ -79,7 +68,7 @@ def emit(report: ExperimentReport, print_json: bool = False) -> None:
     path = os.path.join(out_dir, f"{report.experiment_id}.txt")
     with open(path, "w", encoding="utf-8") as f:
         f.write(rendered + "\n")
-    payload = _payload(report)
+    payload = report.to_payload()
     with open(
         os.path.join(out_dir, f"{report.experiment_id}.json"),
         "w",

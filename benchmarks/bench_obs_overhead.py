@@ -1,15 +1,15 @@
 """Introspection overhead — recorder + time series off must cost ~nothing.
 
-The workload introspection layer (``repro.obs``) rides the same
-null-object contract as tracing: every hook site in the store's read path
-pays one attribute check when the :data:`~repro.obs.NULL_RECORDER` /
-:data:`~repro.obs.NULL_TIMESERIES` defaults are in place. The canonical
-2-hop GraphSAGE-style sampling workload (fan-outs 10x5) runs three ways:
+The workload introspection layer (``repro.obs``) rides the
+:class:`~repro.runtime.RpcRuntime`: every hook site in the store's read
+path pays one ``is not None`` check while ``runtime.recorder`` /
+``runtime.timeseries`` are ``None``. The canonical 2-hop GraphSAGE-style
+sampling workload (fan-outs 10x5) runs three ways:
 
-* ``baseline``  — stock stack, no obs attachments at all;
-* ``disabled``  — explicit null objects re-attached (every call site
-  active, all no-ops) — identical to baseline by construction, kept as
-  the honesty check;
+* ``baseline``  — stock stack, the runtime's hooks never touched;
+* ``disabled``  — both hooks explicitly assigned ``None`` — identical to
+  baseline by construction, kept as the A/A honesty check (it measures
+  the noise floor the enabled arm is read against);
 * ``enabled``   — a live :class:`~repro.obs.AccessRecorder` and a
   :class:`~repro.obs.TimeSeriesSampler` on a 500us tick.
 
@@ -28,7 +28,7 @@ import pytest
 
 from repro.bench import ExperimentReport
 from repro.data import make_dataset
-from repro.obs import NULL_RECORDER, NULL_TIMESERIES, AccessRecorder, TimeSeriesSampler
+from repro.obs import AccessRecorder, TimeSeriesSampler
 from repro.runtime import RpcRuntime
 from repro.sampling import (
     DegreeBiasedNegativeSampler,
@@ -75,14 +75,12 @@ def _setup(mode: str):
     store.attach_runtime(runtime)
     recorder = sampler = None
     if mode == "disabled":
-        # Re-attach the null objects: every hook site active, all no-ops.
-        store.attach_recorder(NULL_RECORDER)
-        store.attach_timeseries(NULL_TIMESERIES)
+        runtime.recorder = runtime.timeseries = None
     elif mode == "enabled":
-        recorder = AccessRecorder()
-        sampler = TimeSeriesSampler(runtime.metrics, runtime.clock, tick_us=TICK_US)
-        store.attach_recorder(recorder)
-        store.attach_timeseries(sampler)
+        recorder = runtime.recorder = AccessRecorder()
+        sampler = runtime.timeseries = TimeSeriesSampler(
+            runtime.metrics, runtime.clock, tick_us=TICK_US
+        )
     pipeline = SamplingPipeline(
         traverse=VertexTraverseSampler(_GRAPH, vertex_type="user"),
         neighborhood=UniformNeighborSampler(StoreProvider(store, from_part=0)),
@@ -168,7 +166,7 @@ def _run(smoke: bool = False) -> ExperimentReport:
         }
 
     report.add("baseline (no obs)", row("baseline"))
-    report.add("obs disabled (null objects)", row("disabled"))
+    report.add("obs disabled (hooks None)", row("disabled"))
     report.add("obs enabled (recorder + 500us tick)", row("enabled"))
 
     runtime, recorder, sampler = _run_workload("enabled", steps)

@@ -196,7 +196,6 @@ class GNNFramework(EmbeddingModel):
         seed: int = 0,
         profiler: "object | None" = None,
         prefetch_depth: int = 0,
-        timeseries: "object | None" = None,
         minibatch_blocks: bool = False,
     ) -> None:
         if kmax < 1:
@@ -227,9 +226,6 @@ class GNNFramework(EmbeddingModel):
         self.profiler = profiler
         self.prefetch_depth = prefetch_depth
         self.minibatch_blocks = minibatch_blocks
-        #: Optional repro.obs TimeSeriesSampler polled once per training
-        #: step (needs a profiler with a bound virtual clock to tick).
-        self.timeseries = timeseries
         self._prefetcher: "PrefetchingPipeline | None" = None
         self.stopped_early = False
         self._embeddings: np.ndarray | None = None
@@ -368,8 +364,6 @@ class GNNFramework(EmbeddingModel):
                         loss.backward()
                     with stage("optimizer"):
                         optimizer.step()
-                if self.timeseries is not None:
-                    self.timeseries.poll()
                 epoch_losses.append(loss.item())
             epoch_loss = float(np.mean(epoch_losses))
             self.loss_history.append(epoch_loss)

@@ -69,6 +69,22 @@ class ExperimentReport:
             out += f"\n  note: {note}"
         return out
 
+    def to_payload(self) -> dict:
+        """The machine-readable result contract.
+
+        Shared by the benchmark writers (``benchmarks/_common.emit``), the
+        CLI ``--json`` emitters and ``repro bench-compare``; validated by
+        ``tests/format_checkers.py --results``.
+        """
+        return {
+            "experiment_id": self.experiment_id,
+            "title": self.title,
+            "records": [
+                {"label": r.label, "measured": r.measured, "paper": r.paper}
+                for r in self.records
+            ],
+        }
+
     def print(self) -> None:
         """Print the rendered report (benchmarks call this)."""
         print("\n" + self.render() + "\n")

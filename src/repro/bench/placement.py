@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.obs.workload import AccessRecorder
+from repro.runtime.rpc import RpcRuntime
 from repro.storage.cache import ImportanceCachePolicy
 from repro.storage.cluster import make_store
 from repro.storage.costmodel import EV_MIGRATION_RPC, EV_REMOTE_RPC
@@ -99,13 +100,16 @@ def run_arm(
         cache_budget_fraction=0.02,
         seed=workload.seed,
     )
+    runtime = RpcRuntime(store)
+    store.attach_runtime(runtime)
     controller: "PlacementController | None" = None
     if adaptive:
+        # Installs its windowed recorder on the runtime.
         controller = PlacementController(
             store, config=placement or PlacementConfig()
         )
     else:
-        store.attach_recorder(AccessRecorder())
+        runtime.recorder = AccessRecorder()
 
     latencies = np.zeros(len(schedule), dtype=np.float64)
     overhead_us = 0.0
@@ -118,8 +122,9 @@ def run_arm(
             controller.poll()
             overhead_us += store.ledger.modelled_micros() - before
 
-    routes = store.recorder.route_reads
-    total_reads = store.recorder.total_reads
+    recorder = runtime.recorder
+    routes = recorder.route_reads
+    total_reads = recorder.total_reads
     counts = store.ledger.counts
     measured = {
         "remote_rpcs": int(counts[EV_REMOTE_RPC]),

@@ -6,15 +6,12 @@ Commands
 ``train``           fit a model on a dataset and save the embeddings
 ``evaluate``        link-prediction evaluation of saved embeddings
 ``info``            print a dataset's summary statistics
-``runtime-demo``    sampled workload through the RPC runtime with faults on
+``report``          one fully instrumented sampled run -> one report: ledger,
+                    trace + critical path, metrics, hot keys, time series
 ``fault-matrix``    availability sweep {drop rate x failed workers x cache}
-``trace``           traced sampling workload -> Chrome trace JSON (Perfetto)
-``metrics-report``  sampled workload -> Prometheus text exposition
 ``prefetch-demo``   overlapped sampling: prefetch buffer + makespan model
 ``sampling-bench``  A/B the batched vs reference frontier-sampling kernels
 ``serve-bench``     online serving tier under seeded load -> SLO report
-``workload-report`` mine hot vertices / traffic matrix / cache efficacy
-``timeseries``      virtual-clock metric series of the sampled workload
 ``bench-compare``   regression-gate fresh smoke benchmarks vs baselines
 ``placement-bench`` adaptive placement vs static partition under shifting skew
 
@@ -140,80 +137,21 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="number of 3x-slower servers")
         p.add_argument("--seed", type=int, default=0)
 
-    p_rt = sub.add_parser(
-        "runtime-demo",
-        help="run a sampled workload through the RPC runtime and print metrics",
+    p_rp = sub.add_parser(
+        "report",
+        help="run the sampled workload once with tracer, access recorder "
+        "and time-series sampler all on; print the one run report",
     )
-    _add_workload_args(p_rt, drop_rate=0.1)
-
-    p_tc = sub.add_parser(
-        "trace",
-        help="trace a sampled workload and write Chrome trace JSON (Perfetto)",
+    _add_workload_args(p_rp, drop_rate=0.1)
+    p_rp.add_argument(
+        "--out", default=None, metavar="DIR",
+        help="also write trace.json (Chrome trace + metric counter tracks, "
+        "Perfetto), metrics.prom (Prometheus text) and series.csv here",
     )
-    _add_workload_args(p_tc, drop_rate=0.0)
-    p_tc.add_argument(
-        "--output", default="trace.json",
-        help="Chrome trace-event JSON output path (default: trace.json)",
-    )
-    p_tc.add_argument(
+    p_rp.add_argument(
         "--json", action="store_true",
-        help="also print a machine-readable summary payload (the "
-        "benchmarks/_common.py record contract)",
-    )
-
-    p_mr = sub.add_parser(
-        "metrics-report",
-        help="run a sampled workload and export Prometheus text exposition",
-    )
-    _add_workload_args(p_mr, drop_rate=0.1)
-    p_mr.add_argument(
-        "--output", default=None,
-        help="write the exposition here instead of stdout",
-    )
-    p_mr.add_argument(
-        "--json", action="store_true",
-        help="print the metrics as a machine-readable payload (the "
-        "benchmarks/_common.py record contract) instead of Prometheus text",
-    )
-
-    p_wr = sub.add_parser(
-        "workload-report",
-        help="mine the sampled workload's access stream: hot vertices, "
-        "traffic matrix, Zipf skew, cache efficacy",
-    )
-    _add_workload_args(p_wr, drop_rate=0.0)
-    p_wr.add_argument(
-        "--top-k", type=int, default=10,
-        help="hot vertices to list (default: 10)",
-    )
-    p_wr.add_argument(
-        "--json", action="store_true",
-        help="print the machine-readable payload (the benchmarks/_common.py "
-        "record contract) instead of the rendered report",
-    )
-
-    p_ts = sub.add_parser(
-        "timeseries",
-        help="sample the metrics registry on the virtual clock while the "
-        "workload runs; export the series",
-    )
-    _add_workload_args(p_ts, drop_rate=0.1)
-    p_ts.add_argument(
-        "--tick-us", type=float, default=500.0,
-        help="sampling tick in simulated microseconds (default: 500)",
-    )
-    p_ts.add_argument(
-        "--capacity", type=int, default=4096,
-        help="ring-buffer samples kept per series (default: 4096)",
-    )
-    p_ts.add_argument(
-        "--format", choices=["csv", "json", "chrome"], default="csv",
-        help="export format: csv rows, json payload, or Chrome counter "
-        "events for Perfetto (default: csv)",
-    )
-    p_ts.add_argument(
-        "--output", default=None,
-        help="write the export here instead of stdout",
+        help="print the report as the machine-readable result contract "
+        "(ExperimentReport.to_payload) instead of the rendered text",
     )
 
     p_bc = sub.add_parser(
@@ -446,8 +384,8 @@ def _build_sampled_workload(
 ):
     """Stand up the shared demo workload without driving any batches.
 
-    The common substrate of ``runtime-demo``, ``trace``,
-    ``metrics-report`` and ``prefetch-demo``: a 2-hop (10x5)
+    The common substrate of ``report``, ``prefetch-demo`` and
+    ``sampling-bench``: a 2-hop (10x5)
     GraphSAGE-style sampling stack over ``taobao-small-sim`` with the
     importance cache and seeded fault injection. Returns
     ``(graph, store, runtime, pipeline)``.
@@ -463,7 +401,6 @@ def _build_sampled_workload(
     )
     from repro.storage import ImportanceCachePolicy
     from repro.storage.cluster import make_store
-    from repro.utils.rng import make_rng
 
     graph = _make("taobao-small-sim", scale=args.scale, seed=args.seed)
     store = make_store(
@@ -500,218 +437,153 @@ def _build_sampled_workload(
     return graph, store, runtime, pipeline
 
 
-def _run_sampled_workload(args: argparse.Namespace, tracer: "object | None" = None):
-    """Build the demo workload and drive ``args.steps`` batches through it."""
+_REPORT_TICK_US = 500.0  # sampler tick of ``repro report``, simulated us
+_REPORT_TOP_K = 10  # hot vertices it lists
+
+
+def _run_sampled_workload(args: argparse.Namespace, instrumented: bool = False):
+    """Build the demo workload and drive ``args.steps`` batches through it.
+
+    ``instrumented`` turns every read-path instrument on for that one run:
+    the tracer goes to the runtime's constructor, the access recorder and
+    the time-series sampler are assigned onto it.
+    """
+    from repro.obs import AccessRecorder, TimeSeriesSampler
+    from repro.runtime import Tracer
     from repro.utils.rng import make_rng
 
+    tracer = Tracer(seed=args.seed) if instrumented else None
     graph, store, runtime, pipeline = _build_sampled_workload(args, tracer)
+    if instrumented:
+        runtime.recorder = AccessRecorder()
+        runtime.timeseries = TimeSeriesSampler(
+            runtime.metrics, runtime.clock, tick_us=_REPORT_TICK_US
+        )
     rng = make_rng(args.seed)
     for _ in range(args.steps):
         pipeline.sample(args.batch_size, rng)
+    if instrumented:
+        runtime.timeseries.sample_now()
     return graph, store, runtime, pipeline
 
 
-def _cmd_runtime_demo(args: argparse.Namespace) -> int:
-    from repro.utils.tables import format_table
-
-    graph, store, runtime, _ = _run_sampled_workload(args)
-    print(
-        format_table(
-            ["quantity", "value"],
-            [
-                ["graph", graph.describe()["n_vertices"]],
-                ["workers", args.workers],
-                ["sampling steps", args.steps],
-                ["seeds per step", args.batch_size],
-                ["virtual clock (ms)", round(runtime.clock.now_us / 1000.0, 3)],
-                ["ledger modelled (ms)", round(store.ledger.modelled_millis(), 3)],
-            ],
-            title="runtime-demo workload",
-        )
-    )
-    print()
-    print(runtime.metrics.render())
-    print()
-    print("cost ledger")
-    print(store.ledger.summary())
-    return 0
+_REPORT_LEGEND = """\
+clocks: every number above is a count or simulated microseconds; nothing is
+wall-clock. The virtual clock advances on RPC service time and retry waits
+only; rpc.* histograms and the trace are read off it. The cost ledger is a
+separate account (event count x cost-model price: local and cached reads
+included, waits and overlap not), so the two totals differ by design. The
+pipeline.*_us stage histograms share the clock-bound registry, so the
+clock-free traverse / negative stages read 0."""
 
 
-def _print_contract_payload(experiment_id: str, title: str, records) -> None:
-    """Print a payload in the ``benchmarks/_common.py`` output contract.
-
-    The CLI cannot import ``benchmarks/_common`` (scripts, not a package),
-    so the shape — ``{experiment_id, title, records: [{label, measured,
-    paper}]}`` — is reproduced here; ``repro bench-compare`` and the CI
-    schema check consume both interchangeably.
-    """
+def _cmd_report(args: argparse.Namespace) -> int:
     import json
+    import os
 
-    payload = {
-        "experiment_id": experiment_id,
-        "title": title,
-        "records": [
-            {"label": label, "measured": measured, "paper": {}}
-            for label, measured in records
-        ],
-    }
-    print(json.dumps(payload, indent=1))
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.runtime import Tracer, write_chrome_trace
-
-    tracer = Tracer(seed=args.seed)
-    _, store, runtime, _ = _run_sampled_workload(args, tracer=tracer)
-    payload = write_chrome_trace(tracer, args.output)
-    traces = tracer.traces()
-    if args.json:
-        from repro.obs import analyze
-
-        cp = analyze(tracer)
-        _print_contract_payload(
-            "cli_trace",
-            "traced sampling workload (repro trace)",
-            [
-                (
-                    "trace volume",
-                    {
-                        "events": len(payload["traceEvents"]),
-                        "traces": len(traces),
-                        "spans": len(tracer.spans),
-                        "ledger_rows": len(tracer.ledger_rows),
-                    },
-                ),
-                ("trace latency", dict(cp["latency_us"])),
-                ("critical-path segments", dict(cp["segments_total"])),
-            ],
-        )
-        return 0
-    print(
-        f"wrote {args.output}: {len(payload['traceEvents'])} trace events, "
-        f"{len(traces)} traces, {len(tracer.ledger_rows)} ledger rows "
-        "correlated (open in https://ui.perfetto.dev)"
-    )
-    print()
-    print(tracer.render_tree(traces[0]))
-    if len(traces) > 1:
-        print(f"... and {len(traces) - 1} more traces in {args.output}")
-    return 0
-
-
-def _cmd_metrics_report(args: argparse.Namespace) -> int:
-    from repro.runtime import prometheus_text
-
-    _, store, runtime, _ = _run_sampled_workload(args)
-    if args.json:
-        records = []
-        for row in runtime.metrics.summary_rows():
-            name, kind, count = row[0], row[1], row[2]
-            measured = {"type": kind, "count": count}
-            if kind == "histogram":
-                measured.update(
-                    {"mean": row[3], "p50": row[4], "p95": row[5], "p99": row[6]}
-                )
-            records.append((name, measured))
-        _print_contract_payload(
-            "cli_metrics", "sampled workload metrics (repro metrics-report)",
-            records,
-        )
-        return 0
-    text = prometheus_text(runtime.metrics)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text)
-        n_samples = sum(
-            1 for line in text.splitlines() if line and not line.startswith("#")
-        )
-        print(f"wrote {args.output}: {n_samples} samples in Prometheus text format")
-    else:
-        print(text, end="")
-    return 0
-
-
-def _cmd_workload_report(args: argparse.Namespace) -> int:
+    from repro.bench import ExperimentReport
     from repro.obs import (
-        AccessRecorder,
+        analyze,
         cache_efficacy,
         mine_workload,
+        render_analysis,
         render_workload_report,
     )
-    from repro.utils.rng import make_rng
+    from repro.runtime import chrome_trace, prometheus_text
+    from repro.utils.tables import format_table
 
-    graph, store, runtime, pipeline = _build_sampled_workload(args)
-    recorder = AccessRecorder()
-    store.attach_recorder(recorder)
-    rng = make_rng(args.seed)
-    for _ in range(args.steps):
-        pipeline.sample(args.batch_size, rng)
-    report = mine_workload(recorder, top_k=args.top_k)
-    efficacy = cache_efficacy(recorder, store.cost_model)
+    graph, store, runtime, _ = _run_sampled_workload(args, instrumented=True)
+    tracer, sampler = runtime.tracer, runtime.timeseries
+    trace_payload = chrome_trace(tracer)
+    trace_payload["traceEvents"].extend(sampler.chrome_counter_events())
+    cp = analyze(tracer)
+    mined = mine_workload(runtime.recorder, top_k=_REPORT_TOP_K)
+    efficacy = cache_efficacy(runtime.recorder, store.cost_model)
+    workload = {"vertices": graph.n_vertices}
+    for key in ("workers", "steps", "batch_size", "drop_rate", "timeout_rate",
+                "slow_workers", "seed"):
+        workload[key] = getattr(args, key)
+    clock = {
+        "virtual_clock_us": round(runtime.clock.now_us, 3),
+        "ledger_modelled_us": round(store.ledger.modelled_micros(), 3),
+    }
+    volume = {
+        "events": len(trace_payload["traceEvents"]),
+        "traces": len(tracer.traces()),
+        "spans": len(tracer.spans),
+        "dropped_spans": tracer.dropped,
+        "ledger_rows": len(tracer.ledger_rows),
+    }
+    series = {
+        "tick_us": sampler.tick_us,
+        "snapshots": sampler.n_samples,
+        "series": len(sampler.series),
+    }
+
+    wrote = None
+    if args.out:
+        side_files = {
+            "trace.json": json.dumps(trace_payload, indent=1) + "\n",
+            "metrics.prom": prometheus_text(runtime.metrics),
+            "series.csv": sampler.to_csv(),
+        }
+        os.makedirs(args.out, exist_ok=True)
+        for name, text in side_files.items():
+            with open(os.path.join(args.out, name), "w", encoding="utf-8") as f:
+                f.write(text)
+        wrote = (
+            f"wrote {', '.join(side_files)} to {args.out} "
+            "(open trace.json in https://ui.perfetto.dev)"
+        )
+
     if args.json:
-        records = [
-            (
-                "workload",
-                {
-                    "total_reads": report["total_reads"],
-                    "unique_vertices": report["unique_vertices"],
-                    "local_share": report["local_share"],
-                },
-            ),
-            ("routes", dict(report["routes"])),
-        ]
-        if report["zipf"]:
-            records.append(("zipf", dict(report["zipf"])))
-        records.append(
-            ("cache observed", dict(efficacy["observed"]))
+        report = ExperimentReport(
+            "cli_report", "instrumented sampled workload (repro report)"
         )
+        report.add("workload", workload)
+        report.add("clock", clock)
+        report.add(
+            "ledger", {ev: int(n) for ev, n in sorted(store.ledger.counts.items())}
+        )
+        report.add("trace volume", volume)
+        report.add("trace latency", dict(cp["latency_us"]))
+        report.add("critical-path segments", dict(cp["segments_total"]))
+        for name, kind, count, *stats in runtime.metrics.summary_rows():
+            measured = {"type": kind, "count": count}
+            if kind == "histogram":
+                measured.update(zip(("mean", "p50", "p95", "p99"), stats))
+            report.add(name, measured)
+        reads = ("total_reads", "unique_vertices", "local_share")
+        report.add("reads", {key: mined[key] for key in reads})
+        report.add("routes", dict(mined["routes"]))
+        if mined["zipf"]:
+            report.add("zipf", dict(mined["zipf"]))
+        report.add("cache observed", dict(efficacy["observed"]))
         for row in efficacy["oracle"]:
-            records.append((f"cache oracle k={row['capacity']}", dict(row)))
-        _print_contract_payload(
-            "cli_workload", "mined workload report (repro workload-report)",
-            records,
-        )
+            report.add(f"cache oracle k={row['capacity']}", dict(row))
+        report.add("time series", series)
+        print(json.dumps(report.to_payload(), indent=1))
         return 0
-    print(render_workload_report(report, efficacy))
-    return 0
 
-
-def _cmd_timeseries(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs import TimeSeriesSampler
-    from repro.utils.rng import make_rng
-
-    graph, store, runtime, pipeline = _build_sampled_workload(args)
-    sampler = TimeSeriesSampler(
-        runtime.metrics,
-        runtime.clock,
-        tick_us=args.tick_us,
-        capacity=args.capacity,
-    )
-    store.attach_timeseries(sampler)
-    rng = make_rng(args.seed)
-    for _ in range(args.steps):
-        pipeline.sample(args.batch_size, rng)
-    sampler.sample_now()
-    if args.format == "csv":
-        text = sampler.to_csv()
-    elif args.format == "json":
-        text = json.dumps(sampler.to_dict(), indent=1) + "\n"
-    else:
-        text = (
-            json.dumps({"traceEvents": sampler.chrome_counter_events()}, indent=1)
-            + "\n"
-        )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text)
-        print(
-            f"wrote {args.output}: {sampler.n_samples} snapshots of "
-            f"{len(sampler.series)} series ({args.format})"
-        )
-    else:
-        print(text, end="")
+    sections = [
+        format_table(
+            ["quantity", "value"],
+            [[k.replace("_", " "), v] for k, v in {**workload, **clock}.items()],
+            title="report: sampled workload, every instrument on",
+        ),
+        "cost ledger\n" + store.ledger.summary(),
+        f"trace: {volume['events']} events, {volume['traces']} traces, "
+        f"{volume['spans']} spans ({volume['dropped_spans']} dropped past "
+        f"max_spans), {volume['ledger_rows']} ledger rows correlated\n"
+        + tracer.render_tree(),
+        render_analysis(cp),
+        runtime.metrics.render(),
+        render_workload_report(mined, efficacy),
+        f"time series: {series['snapshots']} snapshots of {series['series']} "
+        f"series ({series['tick_us']:g}us tick, plus the end-of-run flush)",
+        _REPORT_LEGEND,
+    ]
+    print("\n\n".join(sections + ([wrote] if wrote else [])))
     return 0
 
 
@@ -945,23 +817,20 @@ def _cmd_placement_bench(args: argparse.Namespace) -> int:
     result = run_placement_comparison(graph, workload, placement)
     static, adaptive = result["static"], result["adaptive"]
     if args.json:
-        _print_contract_payload(
+        import json
+
+        from repro.bench import ExperimentReport
+
+        report = ExperimentReport(
             "cli_placement",
             "adaptive placement vs static partition (repro placement-bench)",
-            [
-                ("workload", dict(result["workload"])),
-                ("static partition + importance cache", dict(static)),
-                ("adaptive placement (controller on)", dict(adaptive)),
-                (
-                    "headline",
-                    {
-                        "remote_rpc_reduction": result["remote_rpc_reduction"],
-                        "remote_read_reduction": result["remote_read_reduction"],
-                        "p99_improvement": result["p99_improvement"],
-                    },
-                ),
-            ],
         )
+        report.add("workload", dict(result["workload"]))
+        report.add("static partition + importance cache", dict(static))
+        report.add("adaptive placement (controller on)", dict(adaptive))
+        headline = ("remote_rpc_reduction", "remote_read_reduction", "p99_improvement")
+        report.add("headline", {key: result[key] for key in headline})
+        print(json.dumps(report.to_payload(), indent=1))
         return 0
     print(
         format_table(
@@ -1089,15 +958,11 @@ def main(argv: "list[str] | None" = None) -> int:
         "info": _cmd_info,
         "train": _cmd_train,
         "evaluate": _cmd_evaluate,
-        "runtime-demo": _cmd_runtime_demo,
+        "report": _cmd_report,
         "fault-matrix": _cmd_fault_matrix,
-        "trace": _cmd_trace,
-        "metrics-report": _cmd_metrics_report,
         "prefetch-demo": _cmd_prefetch_demo,
         "sampling-bench": _cmd_sampling_bench,
         "serve-bench": _cmd_serve_bench,
-        "workload-report": _cmd_workload_report,
-        "timeseries": _cmd_timeseries,
         "bench-compare": _cmd_bench_compare,
         "placement-bench": _cmd_placement_bench,
     }

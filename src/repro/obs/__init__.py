@@ -11,11 +11,12 @@ regressed against the committed benchmark baselines
 (:mod:`~repro.obs.regression`).
 
 Everything here is read-side: the only hooks on hot paths are the
-null-object :data:`~repro.obs.timeseries.NULL_TIMESERIES` and
-:data:`~repro.obs.workload.NULL_RECORDER`, which keep disabled runs at one
-attribute check per batch (``benchmarks/bench_obs_overhead.py`` holds the
-line at <1%). All reports are plain dicts with stable ordering — two
-same-seed runs compare equal with ``==``.
+``runtime.recorder`` / ``runtime.timeseries`` attributes of the
+:class:`~repro.runtime.rpc.RpcRuntime`, ``None`` when off, which keep
+disabled runs at one ``is not None`` check per read
+(``benchmarks/bench_obs_overhead.py`` holds the line at <1%). All reports
+are plain dicts with stable ordering — two same-seed runs compare equal
+with ``==``.
 """
 
 from repro.obs.critical_path import (
@@ -37,9 +38,8 @@ from repro.obs.regression import (
     render_compare,
     run_bench,
 )
-from repro.obs.timeseries import NULL_TIMESERIES, TimeSeriesSampler
+from repro.obs.timeseries import TimeSeriesSampler
 from repro.obs.workload import (
-    NULL_RECORDER,
     ROUTES,
     AccessRecorder,
     WindowedAccessRecorder,
@@ -56,8 +56,6 @@ __all__ = [
     "BenchSpec",
     "DEFAULT_SUITE",
     "MetricRule",
-    "NULL_RECORDER",
-    "NULL_TIMESERIES",
     "ROUTES",
     "SEGMENTS",
     "TimeSeriesSampler",

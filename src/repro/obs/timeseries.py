@@ -7,15 +7,15 @@ registry into exactly that: on every crossed tick of the virtual clock it
 snapshots each counter (value), gauge (value) and histogram (count plus
 exact percentiles) into per-series ring buffers.
 
-Sampling is **pull-based and deterministic**: instrumented subsystems call
-:meth:`TimeSeriesSampler.poll` at natural points (the store after each
-resolved read batch, the serving engine after each request, the GNN
-framework after each step), and a sample is taken only when the clock has
-crossed the next tick boundary — stamped *at the boundary*, so two
-same-seed runs produce bit-identical series no matter how often either
-polls. The shared :data:`NULL_TIMESERIES` answers ``poll()`` with an
-immediate ``False``, keeping un-instrumented runs at one no-op call per
-batch (the ``NULL_TRACER`` bar; see ``benchmarks/bench_obs_overhead.py``).
+Sampling is **pull-based and deterministic**: a sampler rides the
+:class:`~repro.runtime.rpc.RpcRuntime` as ``runtime.timeseries`` and the
+instrumented subsystems call :meth:`TimeSeriesSampler.poll` at natural
+points (the store after each resolved read batch, the serving engine after
+each request); a sample is taken only when the clock has crossed the next
+tick boundary — stamped *at the boundary*, so two same-seed runs produce
+bit-identical series no matter how often either polls. ``None`` there
+means off: un-instrumented runs pay one ``is not None`` check per batch
+(see ``benchmarks/bench_obs_overhead.py``).
 
 Exports: plain dict (:meth:`to_dict`), CSV rows (:meth:`to_csv`) and
 Chrome trace-event counter (``ph: "C"``) events that render as time-series
@@ -29,23 +29,6 @@ from collections import deque
 
 from repro.errors import ReproError
 from repro.runtime.metrics import MetricsRegistry, _series_key
-
-
-class _NullTimeSeries:
-    """Shared do-nothing sampler wired in when time series are off."""
-
-    __slots__ = ()
-    enabled = False
-
-    def poll(self) -> bool:
-        return False
-
-    def sample_now(self) -> None:
-        return None
-
-
-#: The singleton disabled sampler (the default hook target everywhere).
-NULL_TIMESERIES = _NullTimeSeries()
 
 
 class TimeSeriesSampler:
@@ -70,8 +53,6 @@ class TimeSeriesSampler:
         Histogram percentiles captured per snapshot (p50/p95/p99 default,
         matching every latency table in the repo).
     """
-
-    enabled = True
 
     def __init__(
         self,

@@ -6,10 +6,11 @@ partitioner needs the same signal. The ledger tells us "how many remote
 RPCs", never "for which vertex" — so this module adds the missing per-key
 stream and the miners over it:
 
-* :class:`AccessRecorder` — a null-object hook (`NULL_RECORDER` twin of
-  ``NULL_TRACER``) the store and serving engine feed with one call per
-  resolved read: ``(vertex, owner, issuer, route)``. Counters only — no
-  clock reads, no allocation beyond the `Counter` cells.
+* :class:`AccessRecorder` — rides the runtime as ``runtime.recorder``
+  (``None`` = off); the store feeds it one call per resolved read,
+  ``(vertex, owner, issuer, route)``, the serving engine one per finished
+  request. Counters only — no clock reads, no allocation beyond the
+  `Counter` cells.
 * :func:`mine_workload` — per-vertex access-frequency table (top-k hot
   list), partition-to-partition traffic matrix, locality share and a
   Zipf-skew fit of the frequency spectrum (:func:`fit_zipf`, reusing
@@ -45,37 +46,15 @@ ROUTES = (
 )
 
 
-class _NullRecorder:
-    """Shared do-nothing recorder wired in when workload mining is off."""
-
-    __slots__ = ()
-    enabled = False
-
-    def record(self, vertex: int, owner: int, issuer: int, route: str) -> None:
-        return None
-
-    def record_request(
-        self, user: int, cls: str, outcome: str, cache_hit: bool
-    ) -> None:
-        return None
-
-
-#: The singleton disabled recorder (the default hook target everywhere).
-NULL_RECORDER = _NullRecorder()
-
-
 class AccessRecorder:
     """Per-vertex access stream the store and serving engine feed.
 
     ``record`` is called once per resolved read with the vertex, its owning
     partition, the issuing partition and the route the dispatch loop chose
     (one of :data:`ROUTES`). The recorder only increments counters, so the
-    stream adds a dict update per read when enabled and a single attribute
-    check per batch when disabled (hooks hoist ``recorder if
-    recorder.enabled else None`` out of their loops).
+    stream adds a dict update per read when installed and one ``is not
+    None`` check per read when not.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self.reset()

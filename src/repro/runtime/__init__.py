@@ -46,7 +46,6 @@ from repro.runtime.rpc import (
     Inbox,
     Request,
     Response,
-    RpcFuture,
     RpcRuntime,
     VirtualClock,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "Inbox",
     "Request",
     "Response",
-    "RpcFuture",
     "RpcRuntime",
     "VirtualClock",
     "KIND_NEIGHBORS",

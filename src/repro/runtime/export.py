@@ -177,6 +177,7 @@ def chrome_trace(tracer: Tracer) -> dict:
             "seed": tracer.seed,
             "n_traces": len(tid_of),
             "n_ledger_rows": len(tracer.ledger_rows),
+            "dropped_spans": tracer.dropped,
         },
     }
 

@@ -11,16 +11,7 @@ calls. This module gives them the shape of real traffic:
 * a deterministic event loop orders deliveries on a :class:`VirtualClock`
   (simulated microseconds) — requests to different servers overlap, retries
   are rescheduled after a timeout plus capped exponential backoff, and two
-  runs with the same seed replay identically;
-* submission is decoupled from completion: :meth:`RpcRuntime.submit`
-  schedules a batch and returns an :class:`RpcFuture` without draining the
-  event loop, so several batches can be in flight concurrently (the
-  prefetching pipeline overlaps one batch's RPCs with the previous batch's
-  consumption). Completion order stays deterministic — deliveries are
-  processed in ``(ready time, submission sequence)`` order no matter how
-  many futures are outstanding — and :meth:`RpcRuntime.execute` is a thin
-  submit-then-drain wrapper, so the blocking path behaves bit-for-bit as
-  it always has.
+  runs with the same seed replay identically.
 
 Latency is *modelled*, not measured: a successful delivery costs the cost
 model's ``remote_rpc_us`` plus per-item shipping, scaled by the destination's
@@ -47,7 +38,7 @@ from repro.runtime.faults import (
 )
 from repro.runtime.health import HealthTracker
 from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.tracing import NULL_SPAN, NULL_TRACER, Tracer
+from repro.runtime.tracing import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.storage.cluster import DistributedGraphStore
@@ -153,57 +144,21 @@ class Inbox:
             ) from None
 
 
-class RpcFuture:
-    """Handle to one submitted batch of in-flight requests.
-
-    Minted by :meth:`RpcRuntime.submit`; :meth:`result` drains the
-    runtime's event loop until every request of *this* future has
-    completed (other in-flight futures make progress too — the loop is
-    shared — but only this future's completion gates the return). The
-    response list aligns with the submitted request list.
-    """
-
-    __slots__ = ("requests", "span", "_runtime", "_responses")
-
-    def __init__(
-        self, runtime: "RpcRuntime", requests: "list[Request]", span: "object"
-    ) -> None:
-        self._runtime = runtime
-        self.requests = list(requests)
-        #: Span that retry-exhaustion events are stamped onto (the
-        #: ``rpc.execute`` span on the blocking path, the span open at
-        #: submission time otherwise).
-        self.span = span
-        self._responses: "dict[int, Response]" = {}
-
-    def __len__(self) -> int:
-        return len(self.requests)
-
-    @property
-    def done(self) -> bool:
-        """Whether every request of this future has a response."""
-        return len(self._responses) == len(self.requests)
-
-    @property
-    def pending(self) -> int:
-        """Requests still awaiting a response."""
-        return len(self.requests) - len(self._responses)
-
-    def result(self) -> "list[Response]":
-        """Drain the runtime until this future completes; aligned responses."""
-        self._runtime.drain(self)
-        return [self._responses[req.req_id] for req in self.requests]
-
-
 class RpcRuntime:
     """Mediates every cross-server read of a :class:`DistributedGraphStore`.
 
     The runtime owns the virtual clock, one bounded inbox per server, the
     fault injector, the retry policy and the metrics registry. The store's
     batch entry points build deduplicated :class:`Request` batches (see
-    :mod:`repro.runtime.batching`) and hand them to :meth:`execute` — or,
-    on the overlapped path, to :meth:`submit`, which returns an
-    :class:`RpcFuture` without draining the event loop.
+    :mod:`repro.runtime.batching`) and hand them to :meth:`execute`.
+
+    The runtime is also the one carrier of the read/serve-path instruments:
+    ``tracer`` (constructor argument, :data:`NULL_TRACER` when off) plus the
+    plain attributes ``recorder`` (an
+    :class:`~repro.obs.workload.AccessRecorder`) and ``timeseries`` (a
+    :class:`~repro.obs.timeseries.TimeSeriesSampler`), ``None`` when off.
+    The store's dispatch loop, the serving engine and the placement
+    controller all read them from here.
     """
 
     def __init__(
@@ -233,6 +188,12 @@ class RpcRuntime:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if self.tracer.enabled and self.tracer.clock is None:
             self.tracer.clock = self.clock
+        #: Fed one ``record`` per resolved read and one ``record_request``
+        #: per finished serving request; ``None`` = off.
+        self.recorder: "object | None" = None
+        #: Polled once per resolved read batch and per finished serving
+        #: request, so snapshots advance with the clock; ``None`` = off.
+        self.timeseries: "object | None" = None
         self.health = health or HealthTracker(
             len(store.servers), metrics=self.metrics
         )
@@ -253,13 +214,6 @@ class RpcRuntime:
         #: inboxes, fault injection, retries, clock accounting and metrics
         #: as the built-in graph reads.
         self._services: "dict[str, object]" = {}
-        # Shared scheduler state: one heap orders deliveries of *all*
-        # in-flight futures by (ready time, submission sequence), so
-        # completion order is deterministic regardless of how many
-        # batches overlap.
-        self._heap: "list[tuple[float, int, Request]]" = []
-        self._submit_us: "dict[int, float]" = {}
-        self._future_of: "dict[int, RpcFuture]" = {}
 
     # ------------------------------------------------------------------ #
     # Request construction
@@ -305,10 +259,15 @@ class RpcRuntime:
     # ------------------------------------------------------------------ #
     # The deterministic event loop
     # ------------------------------------------------------------------ #
-    def _schedule(self, req: Request, ready_us: float) -> None:
+    def _schedule(
+        self,
+        heap: "list[tuple[float, int, Request]]",
+        req: Request,
+        ready_us: float,
+    ) -> None:
         self.inboxes[req.dst_part].push(req.req_id)
         self._seq += 1
-        heapq.heappush(self._heap, (ready_us, self._seq, req))
+        heapq.heappush(heap, (ready_us, self._seq, req))
         self.metrics.gauge("inbox.depth", labels={"part": req.dst_part}).inc()
 
     def _serve(self, req: Request) -> "tuple[dict[int, np.ndarray], dict[int, bool], int]":
@@ -339,60 +298,10 @@ class RpcRuntime:
                 n_items += int(row.size)
         return payload, meta, n_items
 
-    @property
-    def inflight(self) -> int:
-        """Requests currently awaiting completion across all futures."""
-        return len(self._future_of)
-
-    def submit(
-        self, requests: "list[Request]", span: "object | None" = None
-    ) -> RpcFuture:
-        """Schedule ``requests`` without draining the event loop.
-
-        The returned :class:`RpcFuture` completes when :meth:`drain` (or
-        its own :meth:`~RpcFuture.result`) has processed every delivery it
-        is waiting on. ``span`` (default: the no-op span) receives
-        retry-exhaustion events for this batch.
-        """
-        future = RpcFuture(self, requests, span if span is not None else NULL_SPAN)
-        for req in requests:
-            if req.req_id in self._future_of:
-                raise RuntimeConfigError(
-                    f"request {req.req_id} is already in flight"
-                )
-            self._submit_us[req.req_id] = self.clock.now_us
-            self._future_of[req.req_id] = future
-            self._schedule(req, self.clock.now_us)
-            self.metrics.counter("rpc.requests").inc()
-            self.metrics.histogram("rpc.batch_size").observe(len(req.vertices))
-        return future
-
-    def drain(self, future: "RpcFuture | None" = None) -> None:
-        """Process deliveries until ``future`` completes (or, with no
-        argument, until nothing is in flight).
-
-        Deliveries of *all* in-flight futures are processed in
-        ``(ready time, submission sequence)`` order — a later-submitted
-        batch can complete while an earlier future is being drained, which
-        is exactly the overlap the prefetching pipeline exploits.
-        """
-        if future is None:
-            while self._heap:
-                self._step()
-            return
-        while not future.done:
-            if not self._heap:
-                raise RuntimeConfigError(
-                    f"future with {future.pending} pending requests has "
-                    "nothing scheduled (was it submitted to this runtime?)"
-                )
-            self._step()
-
     def execute(self, requests: "list[Request]") -> "list[Response]":
         """Run ``requests`` to completion; responses align with the input.
 
-        A thin submit-then-drain wrapper over the shared event loop:
-        deliveries are ordered by ``(ready time, submission sequence)`` on
+        Deliveries are ordered by ``(ready time, submission sequence)`` on
         the virtual clock. Drops and timeouts consume an attempt and are
         rescheduled after ``timeout_us`` plus the retry policy's backoff;
         a request that exhausts its attempt budget yields a failed
@@ -401,23 +310,37 @@ class RpcRuntime:
         if not requests:
             return []
         with self.tracer.span("rpc.execute", requests=len(requests)) as exec_span:
-            return self.submit(requests, span=exec_span).result()
+            submit_us = self.clock.now_us
+            heap: "list[tuple[float, int, Request]]" = []
+            for req in requests:
+                self._schedule(heap, req, submit_us)
+                self.metrics.counter("rpc.requests").inc()
+                self.metrics.histogram("rpc.batch_size").observe(len(req.vertices))
+            responses: "dict[int, Response]" = {}
+            while heap:
+                ready_us, _, req = heapq.heappop(heap)
+                response = self._deliver(req, ready_us, submit_us, exec_span)
+                if response is not None:
+                    responses[req.req_id] = response
+                    continue
+                self.metrics.counter("rpc.retries").inc()
+                backoff = self.retry.backoff_us(req.attempt)
+                self._schedule(
+                    heap,
+                    replace(req, attempt=req.attempt + 1),
+                    ready_us + self.timeout_us + backoff,
+                )
+            return [responses[req.req_id] for req in requests]
 
-    def _complete(self, req: Request, response: Response) -> None:
-        """Deliver ``response`` to the future owning ``req``."""
-        future = self._future_of.pop(req.req_id)
-        self._submit_us.pop(req.req_id, None)
-        future._responses[req.req_id] = response
-
-    def _step(self) -> None:
-        """Process the next scheduled delivery (one heap pop)."""
+    def _deliver(
+        self, req: Request, ready_us: float, submit_us: float, exec_span: "object"
+    ) -> "Response | None":
+        """Process one scheduled delivery; ``None`` means "retry it"."""
         tracer = self.tracer
         cost = self.store.cost_model
-        ready_us, _, req = heapq.heappop(self._heap)
         self.clock.advance_to(ready_us)
         self.inboxes[req.dst_part].pop(req.req_id)
         self.metrics.gauge("inbox.depth", labels={"part": req.dst_part}).dec()
-        submit_us = self._submit_us[req.req_id]
         # Fail-stop membership is authoritative: a request addressed to
         # a worker the store has declared down fails immediately — no
         # retries (the server will never answer), no fault roll. The
@@ -433,20 +356,16 @@ class RpcRuntime:
                 kind=req.kind,
                 outcome="unreachable",
             )
-            self._complete(
-                req,
-                Response(
-                    req_id=req.req_id,
-                    ok=False,
-                    latency_us=ready_us + self.timeout_us - submit_us,
-                    attempts=req.attempt,
-                    error=(
-                        f"{req.kind} request to server {req.dst_part}: "
-                        "server is down (fail-stop)"
-                    ),
+            return Response(
+                req_id=req.req_id,
+                ok=False,
+                latency_us=ready_us + self.timeout_us - submit_us,
+                attempts=req.attempt,
+                error=(
+                    f"{req.kind} request to server {req.dst_part}: "
+                    "server is down (fail-stop)"
                 ),
             )
-            return
         self.metrics.counter("rpc.attempts").inc()
         outcome = self.faults.roll() if self.faults is not None else OUTCOME_OK
         if outcome != OUTCOME_OK:
@@ -461,34 +380,22 @@ class RpcRuntime:
                 attempt=req.attempt,
                 outcome=outcome,
             )
-            if req.attempt >= self.retry.max_attempts:
-                self._future_of[req.req_id].span.event(
-                    "rpc.retry_exhausted", req.dst_part
-                )
-                self._complete(
-                    req,
-                    Response(
-                        req_id=req.req_id,
-                        ok=False,
-                        latency_us=ready_us + self.timeout_us - submit_us,
-                        attempts=req.attempt,
-                        error=(
-                            f"{req.kind} request to server {req.dst_part} "
-                            f"{outcome}ped past the retry budget"
-                            if outcome == "drop"
-                            else f"{req.kind} request to server {req.dst_part} "
-                            f"timed out past the retry budget"
-                        ),
-                    ),
-                )
-                return
-            self.metrics.counter("rpc.retries").inc()
-            backoff = self.retry.backoff_us(req.attempt)
-            self._schedule(
-                replace(req, attempt=req.attempt + 1),
-                ready_us + self.timeout_us + backoff,
+            if req.attempt < self.retry.max_attempts:
+                return None
+            exec_span.event("rpc.retry_exhausted", req.dst_part)
+            return Response(
+                req_id=req.req_id,
+                ok=False,
+                latency_us=ready_us + self.timeout_us - submit_us,
+                attempts=req.attempt,
+                error=(
+                    f"{req.kind} request to server {req.dst_part} "
+                    f"{outcome}ped past the retry budget"
+                    if outcome == "drop"
+                    else f"{req.kind} request to server {req.dst_part} "
+                    f"timed out past the retry budget"
+                ),
             )
-            return
         self.health.record_success(req.dst_part)
         payload, meta, n_items = self._serve(req)
         factor = (
@@ -517,14 +424,11 @@ class RpcRuntime:
             attempt=req.attempt,
             latency_us=latency,
         )
-        self._complete(
-            req,
-            Response(
-                req_id=req.req_id,
-                ok=True,
-                payload=payload,
-                meta=meta,
-                latency_us=latency,
-                attempts=req.attempt,
-            ),
+        return Response(
+            req_id=req.req_id,
+            ok=True,
+            payload=payload,
+            meta=meta,
+            latency_us=latency,
+            attempts=req.attempt,
         )

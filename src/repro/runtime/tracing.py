@@ -151,6 +151,8 @@ class Tracer:
         self.enabled = enabled
         self.max_spans = max_spans
         self.spans: "list[Span]" = []
+        #: Spans discarded because :attr:`spans` already held ``max_spans``.
+        self.dropped = 0
         #: ``[t_us, trace_id, span_id, event, times]`` rows stamped by the
         #: cost-ledger hook — the ledger<->trace correlation table.
         self.ledger_rows: "list[list]" = []
@@ -240,6 +242,8 @@ class Tracer:
     def _admit(self, sp: Span) -> None:
         if len(self.spans) < self.max_spans:
             self.spans.append(sp)
+        else:
+            self.dropped += 1
 
     def current(self) -> "Span | None":
         """The innermost open span, if any."""
@@ -318,6 +322,7 @@ class Tracer:
     def reset(self) -> None:
         """Drop all spans, rows and id counters (replays start fresh)."""
         self.spans.clear()
+        self.dropped = 0
         self.ledger_rows.clear()
         self._stack.clear()
         self._next_trace = 0

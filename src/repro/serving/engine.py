@@ -37,8 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ServingError
-from repro.obs.timeseries import NULL_TIMESERIES
-from repro.obs.workload import NULL_RECORDER
 from repro.runtime.rpc import RpcRuntime
 from repro.sampling.base import StoreProvider
 from repro.sampling.neighborhood import UniformNeighborSampler
@@ -95,7 +93,11 @@ class ServingEngine:
 
     The engine shares the store's attached :class:`RpcRuntime` (creating a
     fault-free one when absent) so serving, sampling and RPC all advance
-    one virtual clock and feed one metrics registry. ``base_vectors``
+    one virtual clock and feed one metrics registry — and one set of
+    instruments: per finished request the engine records a
+    ``serve.request`` span on ``runtime.tracer``, feeds
+    ``runtime.recorder.record_request`` and polls ``runtime.timeseries``
+    (each skipped when off). ``base_vectors``
     supplies the per-vertex embeddings the fresh path aggregates — pass a
     trained model's table, or let the engine derive a seeded stand-in.
     """
@@ -105,9 +107,6 @@ class ServingEngine:
         store: "object",
         config: "ServingConfig | None" = None,
         base_vectors: "np.ndarray | None" = None,
-        tracer: "object | None" = None,
-        recorder: "object" = NULL_RECORDER,
-        timeseries: "object" = NULL_TIMESERIES,
         placement: "object | None" = None,
         seed: int = 0,
     ) -> None:
@@ -118,12 +117,6 @@ class ServingEngine:
         self.runtime: RpcRuntime = store.runtime
         self.clock = self.runtime.clock
         self.metrics = self.runtime.metrics
-        self.tracer = tracer
-        #: Workload-introspection hooks (repro.obs): the recorder sees one
-        #: record_request per finished request, the sampler is polled per
-        #: request. Null objects by default.
-        self.recorder = recorder
-        self.timeseries = timeseries
         #: Optional :class:`~repro.storage.placement.PlacementController`
         #: polled once per finished request — adaptation runs between
         #: services, never inside one, so per-request latency stays a pure
@@ -252,8 +245,9 @@ class ServingEngine:
             self.metrics.histogram(
                 "serving.queue_us", labels={"class": req.cls}
             ).observe(queue_us)
-        if self.tracer is not None:
-            self.tracer.record_span(
+        runtime = self.runtime
+        if runtime.tracer.enabled:
+            runtime.tracer.record_span(
                 "serve.request",
                 req.arrival_us,
                 end_us,
@@ -262,9 +256,10 @@ class ServingEngine:
                 outcome=outcome,
                 cache_hit=cache_hit,
             )
-        if self.recorder.enabled:
-            self.recorder.record_request(req.user, req.cls, outcome, cache_hit)
-        self.timeseries.poll()
+        if runtime.recorder is not None:
+            runtime.recorder.record_request(req.user, req.cls, outcome, cache_hit)
+        if runtime.timeseries is not None:
+            runtime.timeseries.poll()
         if self.placement is not None:
             self.placement.poll()
         return rec

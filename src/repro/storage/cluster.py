@@ -55,8 +55,6 @@ from repro.storage.costmodel import (
     EV_VERTEX_MIGRATED,
     CostModel,
 )
-from repro.obs.timeseries import NULL_TIMESERIES
-from repro.obs.workload import NULL_RECORDER
 from repro.runtime.batching import RequestBatcher
 from repro.runtime.rpc import KIND_ATTRS, KIND_NEIGHBORS, RpcRuntime
 from repro.storage.partition.base import PartitionAssignment, Partitioner
@@ -125,10 +123,6 @@ class DistributedGraphStore:
         self._failed: set[int] = set()
         self.runtime: "RpcRuntime | None" = None
         self._batcher = RequestBatcher()
-        #: Workload-introspection hooks (repro.obs). Null objects by
-        #: default: disabled runs pay one attribute check per batch.
-        self.recorder = NULL_RECORDER
-        self.timeseries = NULL_TIMESERIES
 
     # ------------------------------------------------------------------ #
     # Cache installation
@@ -195,7 +189,9 @@ class DistributedGraphStore:
 
         A runtime carrying an enabled tracer is bound to the cost ledger:
         every ledger event recorded while a trace span is open is stamped
-        with that span's ids (the ledger<->trace cross-reference).
+        with that span's ids (the ledger<->trace cross-reference). The
+        read path also takes its access recorder and time-series sampler
+        from ``runtime.recorder`` / ``runtime.timeseries`` (``None`` = off).
         """
         if runtime.store is not self:
             raise StorageError("runtime was constructed for a different store")
@@ -203,25 +199,6 @@ class DistributedGraphStore:
         self._batcher.max_batch_size = runtime.max_batch_size
         if runtime.tracer.enabled:
             runtime.tracer.bind_ledger(self.ledger)
-
-    def attach_recorder(self, recorder: "object") -> None:
-        """Install an :class:`~repro.obs.workload.AccessRecorder`.
-
-        The dispatch loop feeds it one ``(vertex, owner, issuer, route)``
-        call per resolved read — the per-key stream the workload miners
-        (and the future adaptive partitioner) consume. Pass
-        :data:`~repro.obs.workload.NULL_RECORDER` to detach.
-        """
-        self.recorder = recorder
-
-    def attach_timeseries(self, sampler: "object") -> None:
-        """Install a :class:`~repro.obs.timeseries.TimeSeriesSampler`.
-
-        Polled once per resolved read batch, so metric snapshots advance
-        with the virtual clock as the workload runs. Pass
-        :data:`~repro.obs.timeseries.NULL_TIMESERIES` to detach.
-        """
-        self.timeseries = sampler
 
     def _ensure_runtime(self) -> RpcRuntime:
         """The attached runtime, creating a fault-free default on first use."""
@@ -252,10 +229,9 @@ class DistributedGraphStore:
             self.ledger.record(EV_DEGRADED_READ)
             if self.runtime is not None:
                 self.runtime.metrics.counter("reads.degraded").inc()
-            if self.recorder.enabled and from_part >= 0:
-                self.recorder.record(
-                    vertex, self.owner(vertex), from_part, "degraded"
-                )
+                rec = self.runtime.recorder
+                if rec is not None and from_part >= 0:
+                    rec.record(vertex, self.owner(vertex), from_part, "degraded")
             return np.zeros(0, dtype=np.int64)
         raise ReadUnavailableError(vertex, self.owner(vertex), kind)
 
@@ -272,10 +248,9 @@ class DistributedGraphStore:
             row = self._replica_peek(vertex, from_part)
             if row is not None:
                 self.ledger.record(EV_FAILOVER_READ)
-                if self.recorder.enabled:
-                    self.recorder.record(
-                        vertex, self.owner(vertex), from_part, "failover"
-                    )
+                rec = self.runtime.recorder
+                if rec is not None:
+                    rec.record(vertex, self.owner(vertex), from_part, "failover")
                 return row
         return self._read_unavailable(vertex, kind, from_part)
 
@@ -305,7 +280,8 @@ class DistributedGraphStore:
             results = self._resolve_read_traced(
                 kind, vertices, from_part, runtime, read_span
             )
-        self.timeseries.poll()
+        if runtime.timeseries is not None:
+            runtime.timeseries.poll()
         return results
 
     def _resolve_read_traced(
@@ -324,9 +300,9 @@ class DistributedGraphStore:
             and self.cache_policy is not None
             and self.cache_policy.demand_filled
         )
-        # Hoisted once per batch: the disabled recorder costs the loop one
-        # `is not None` check per vertex (the NULL_TRACER overhead bar).
-        rec = self.recorder if self.recorder.enabled else None
+        # Hoisted once per batch: with the recorder off the loop pays one
+        # `is not None` check per vertex.
+        rec = runtime.recorder
 
         # Dedup and validate the whole batch with array ops: np.unique on
         # the raw ids, re-sorted to first-seen order so replays (and the

@@ -95,32 +95,26 @@ class PlacementConfig:
 class PlacementController:
     """Online placement decisions over a :class:`DistributedGraphStore`.
 
-    Construction attaches a :class:`WindowedAccessRecorder` to the store
-    (unless one is already attached) and registers the migration protocol
-    verbs on the store's runtime; :meth:`poll` — cheap enough to call per
-    request — fires :meth:`run_epoch` whenever the virtual clock crosses
-    the next epoch boundary. One controller per runtime: the protocol verbs
-    cannot be registered twice.
+    Construction adopts the :class:`WindowedAccessRecorder` riding the
+    store's runtime (``runtime.recorder``), installing one there when the
+    runtime carries none or a plain recorder, and registers the migration
+    protocol verbs; :meth:`poll` — cheap enough to call per request — fires
+    :meth:`run_epoch` whenever the virtual clock crosses the next epoch
+    boundary. One controller per runtime: the protocol verbs cannot be
+    registered twice.
     """
 
     def __init__(
         self,
         store: DistributedGraphStore,
         config: "PlacementConfig | None" = None,
-        recorder: "WindowedAccessRecorder | None" = None,
     ) -> None:
         self.store = store
         self.config = config or PlacementConfig()
         self.runtime = store._ensure_runtime()
-        if recorder is None:
-            if isinstance(store.recorder, WindowedAccessRecorder):
-                recorder = store.recorder
-            else:
-                recorder = WindowedAccessRecorder(decay=self.config.decay)
-                store.attach_recorder(recorder)
-        elif store.recorder is not recorder:
-            store.attach_recorder(recorder)
-        self.recorder = recorder
+        if not isinstance(self.runtime.recorder, WindowedAccessRecorder):
+            self.runtime.recorder = WindowedAccessRecorder(decay=self.config.decay)
+        self.recorder: WindowedAccessRecorder = self.runtime.recorder
         self.runtime.register_service(KIND_MIGRATE_FETCH, self._serve_fetch)
         self.runtime.register_service(KIND_MIGRATE_RELEASE, self._serve_release)
         self._ensure_caches()

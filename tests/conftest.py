@@ -68,3 +68,36 @@ def small_taobao():
 def small_amazon():
     """A session-cached small amazon-sim AHG."""
     return amazon_graph(n_products=300, n_communities=6, seed=3)
+
+
+#: The ``repro report`` invocation the CLI / obs tests share (2 steps -> 2 traces).
+REPORT_ARGV = ["report", "--scale", "0.1", "--steps", "2", "--workers", "3", "--seed", "0"]
+
+
+def run_cli(argv: "list[str]") -> str:
+    """Run ``repro.cli.main(argv)``, assert exit 0, return its stdout."""
+    import contextlib
+    import io
+
+    from repro.cli import main
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="session")
+def report_run(tmp_path_factory):
+    """One ``repro report --json --out DIR`` run: ``(payload, out_dir)``."""
+    import json
+
+    out_dir = tmp_path_factory.mktemp("report")
+    stdout = run_cli([*REPORT_ARGV, "--json", "--out", str(out_dir)])
+    return json.loads(stdout), out_dir
+
+
+@pytest.fixture(scope="session")
+def report_text() -> str:
+    """The rendered (non ``--json``) output of the same run."""
+    return run_cli(REPORT_ARGV)

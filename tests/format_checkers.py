@@ -19,13 +19,14 @@ list means the payload is valid):
 
 Also runnable as a script (used by CI)::
 
-    python tests/format_checkers.py smoke-metrics.prom smoke-trace.json
+    python tests/format_checkers.py report.json out/trace.json out/metrics.prom
     python tests/format_checkers.py --results benchmarks/results/*.json
 
-Without ``--results``, files ending in ``.json`` are checked as Chrome
-traces and everything else as Prometheus text; with it, every file is
-checked as an experiment payload. Exits non-zero and prints the problems
-when any file fails.
+Without ``--results``, a ``.json`` file carrying an ``experiment_id`` is
+checked as an experiment payload, any other ``.json`` as a Chrome trace
+and everything else as Prometheus text; with it, every file is checked as
+an experiment payload. Exits non-zero and prints the problems when any
+file fails.
 """
 
 from __future__ import annotations
@@ -254,7 +255,11 @@ def _check_file(path: str, as_results: bool = False) -> "list[str]":
     if as_results:
         return check_experiment_payload(text)
     if path.endswith(".json"):
-        return check_chrome_trace(text)
+        try:
+            is_payload = "experiment_id" in json.loads(text)
+        except (json.JSONDecodeError, TypeError):
+            is_payload = False
+        return (check_experiment_payload if is_payload else check_chrome_trace)(text)
     return check_prometheus_text(text)
 
 

@@ -100,19 +100,31 @@ def test_node_classification_validations():
         )
 
 
-def test_runtime_demo_prints_metrics_and_ledger(capsys):
-    code = main(
-        ["runtime-demo", "--scale", "0.1", "--steps", "2", "--workers", "3",
-         "--drop-rate", "0.1", "--seed", "0"]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "runtime-demo workload" in out
+def test_report_prints_workload_metrics_and_ledger(report_text):
+    out = report_text
+    assert "report: sampled workload" in out
     assert "runtime metrics" in out
     assert "rpc.completed" in out
     assert "pipeline.neighborhood_us" in out
     assert "cost ledger" in out
     assert "remote_rpc" in out and "TOTAL" in out
+    assert "pipeline.sample" in out  # the rendered span tree
+    assert "critical-path analysis" in out
+    assert "0 dropped past max_spans" in out
+    assert "time series:" in out
+    # The legend says which clock the numbers are on.
+    assert "nothing is\nwall-clock" in out and "stages read 0" in out
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["runtime-demo", "trace", "metrics-report", "workload-report", "timeseries"],
+)
+def test_commands_folded_into_report_are_gone(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_sampling_bench_runs_both_backends(capsys):
@@ -144,58 +156,61 @@ def test_fault_matrix_sweep(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_trace_writes_perfetto_loadable_json(tmp_path, capsys):
+def test_trace_writes_perfetto_loadable_json(report_run):
     import json
 
     from tests.format_checkers import check_chrome_trace
 
-    out_path = str(tmp_path / "trace.json")
-    code = main(
-        ["trace", "--scale", "0.1", "--steps", "2", "--workers", "3",
-         "--seed", "0", "--output", out_path]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "trace events" in out and "ledger rows" in out
-    assert "pipeline.sample" in out  # the rendered span tree
-    with open(out_path, encoding="utf-8") as f:
+    _, out_dir = report_run
+    with open(out_dir / "trace.json", encoding="utf-8") as f:
         payload = json.load(f)
     assert check_chrome_trace(payload) == []
     assert payload["otherData"]["n_traces"] == 2
+    assert payload["otherData"]["dropped_spans"] == 0
     names = {ev["name"] for ev in payload["traceEvents"]}
     assert {"pipeline.sample", "store.resolve_read", "rpc.execute"} <= names
+    # The sampler's series ride along as counter tracks under the spans.
+    assert any(ev["ph"] == "C" for ev in payload["traceEvents"])
 
 
 def test_trace_is_deterministic_across_invocations(tmp_path):
-    paths = [str(tmp_path / f"t{i}.json") for i in range(2)]
-    for path in paths:
-        assert main(
-            ["trace", "--scale", "0.1", "--steps", "2", "--seed", "5",
-             "--output", path]
-        ) == 0
-    with open(paths[0], encoding="utf-8") as a, open(paths[1], encoding="utf-8") as b:
-        assert a.read() == b.read()
+    """Same seed twice: stdout payload and every ``--out`` file byte-equal."""
+    from tests.conftest import REPORT_ARGV, run_cli
+
+    runs = []
+    for i in range(2):
+        out_dir = tmp_path / f"run{i}"
+        stdout = run_cli([*REPORT_ARGV, "--json", "--out", str(out_dir)])
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        runs.append((stdout, files))
+    assert sorted(runs[0][1]) == ["metrics.prom", "series.csv", "trace.json"]
+    assert runs[0] == runs[1]
 
 
-def test_metrics_report_emits_valid_prometheus_text(tmp_path, capsys):
+def test_metrics_report_emits_valid_prometheus_text(report_run):
     from tests.format_checkers import check_prometheus_text
 
-    out_path = str(tmp_path / "metrics.prom")
-    code = main(
-        ["metrics-report", "--scale", "0.1", "--steps", "2", "--workers", "3",
-         "--drop-rate", "0.1", "--seed", "0", "--output", out_path]
-    )
-    assert code == 0
-    assert "samples in Prometheus text format" in capsys.readouterr().out
-    with open(out_path, encoding="utf-8") as f:
+    _, out_dir = report_run
+    with open(out_dir / "metrics.prom", encoding="utf-8") as f:
         text = f.read()
     assert check_prometheus_text(text) == []
     assert "# TYPE rpc_completed counter" in text
     assert 'server_served{part=' in text
-    # Without --output the exposition goes to stdout.
-    assert main(["metrics-report", "--scale", "0.1", "--steps", "1"]) == 0
-    stdout = capsys.readouterr().out
-    assert check_prometheus_text(stdout) == []
+
+
+def test_format_checkers_script_accepts_every_report_artifact(report_run, tmp_path):
+    """The one CI call: payload, trace and exposition told apart per file."""
+    import json
+
+    from tests.format_checkers import _check_file
+
+    payload, out_dir = report_run
+    payload_path = tmp_path / "report.json"
+    payload_path.write_text(json.dumps(payload), encoding="utf-8")
+    for path in (payload_path, out_dir / "trace.json", out_dir / "metrics.prom"):
+        assert _check_file(str(path)) == [], path
+    # A trace is not a result payload: the explicit flag still forces it.
+    assert _check_file(str(out_dir / "trace.json"), as_results=True) != []
 
 
 def test_placement_bench_table_and_headline(capsys):

@@ -14,16 +14,14 @@ import json
 import numpy as np
 import pytest
 
+from tests.conftest import REPORT_ARGV
 from tests.format_checkers import (
     check_chrome_trace,
     check_experiment_payload,
     check_prometheus_text,
 )
-from repro.cli import main
 from repro.errors import ReproError
 from repro.obs import (
-    NULL_RECORDER,
-    NULL_TIMESERIES,
     ROUTES,
     SEGMENTS,
     AccessRecorder,
@@ -86,10 +84,10 @@ def _instrumented_workload(seed=0, steps=3, tick_us=500.0):
     tracer = Tracer(seed=seed)
     runtime = RpcRuntime(store, tracer=tracer)
     store.attach_runtime(runtime)
-    recorder = AccessRecorder()
-    store.attach_recorder(recorder)
-    sampler = TimeSeriesSampler(runtime.metrics, runtime.clock, tick_us=tick_us)
-    store.attach_timeseries(sampler)
+    recorder = runtime.recorder = AccessRecorder()
+    sampler = runtime.timeseries = TimeSeriesSampler(
+        runtime.metrics, runtime.clock, tick_us=tick_us
+    )
     pipeline = SamplingPipeline(
         traverse=VertexTraverseSampler(graph, vertex_type="user"),
         neighborhood=UniformNeighborSampler(StoreProvider(store, from_part=0)),
@@ -134,11 +132,6 @@ class TestDeterminism:
 # Time series sampler
 # --------------------------------------------------------------------- #
 class TestTimeSeries:
-    def test_null_object_is_disabled_and_inert(self):
-        assert NULL_TIMESERIES.enabled is False
-        assert NULL_TIMESERIES.poll() is False
-        assert NULL_TIMESERIES.sample_now() is None
-
     def test_samples_land_on_tick_boundaries(self):
         clock = VirtualClock()
         metrics = MetricsRegistry()
@@ -258,11 +251,6 @@ class TestCriticalPath:
 # Workload mining
 # --------------------------------------------------------------------- #
 class TestWorkloadMining:
-    def test_null_recorder_is_disabled(self):
-        assert NULL_RECORDER.enabled is False
-        NULL_RECORDER.record(1, 0, 0, "local")  # must be a no-op
-        NULL_RECORDER.record_request("u", "fresh", "ok", True)
-
     def test_recorder_routes_and_traffic(self):
         rec = AccessRecorder()
         rec.record(7, owner=1, issuer=0, route="remote")
@@ -332,8 +320,8 @@ class TestWorkloadMining:
             cache_budget_fraction=0.1, seed=7,
         )
         store.attach_runtime(RpcRuntime(store))
-        rec = AccessRecorder()
-        engine = ServingEngine(store, recorder=rec, seed=7)
+        rec = store.runtime.recorder = AccessRecorder()
+        engine = ServingEngine(store, seed=7)
         users = graph.vertices_of_type("user")
         workload = OpenLoopWorkload(
             users, duration_us=50_000.0, rate=constant_rate(400.0), seed=7
@@ -595,60 +583,90 @@ class TestExperimentPayloadChecker:
 
 
 # --------------------------------------------------------------------- #
-# CLI surfaces
+# Observer effect: switching every instrument on changes no simulated number
 # --------------------------------------------------------------------- #
-_CLI_ARGS = ["--scale", "0.1", "--steps", "2", "--workers", "2"]
+@pytest.mark.parametrize(
+    "faults",
+    [
+        ["--drop-rate", "0", "--timeout-rate", "0", "--slow-workers", "0"],
+        ["--drop-rate", "0.1", "--timeout-rate", "0", "--slow-workers", "0"],
+    ],
+    ids=["fault-free", "drop-10pct"],
+)
+def test_instrumented_run_matches_uninstrumented(faults):
+    from repro.cli import _build_parser, _run_sampled_workload
+
+    args = _build_parser().parse_args([*REPORT_ARGV, "--seed", "3", *faults])
+    finals = []
+    for instrumented in (False, True):
+        _, store, runtime, _ = _run_sampled_workload(args, instrumented)
+        assert (runtime.recorder is not None) == instrumented
+        assert (runtime.timeseries is not None) == instrumented
+        assert runtime.tracer.enabled == instrumented
+        finals.append(
+            (
+                dict(store.ledger.counts),
+                runtime.clock.now_us,
+                [
+                    row
+                    for row in runtime.metrics.summary_rows()
+                    if row[0].startswith(("rpc.", "pipeline."))
+                ],
+            )
+        )
+    assert finals[0][0]["remote_rpc"] > 0 and finals[0][2]
+    assert finals[0] == finals[1]
 
 
+# --------------------------------------------------------------------- #
+# CLI surface: `repro report` (one run, shared via the conftest fixtures)
+# --------------------------------------------------------------------- #
 class TestCli:
-    def _json_out(self, capsys, argv):
-        assert main(argv) == 0
-        payload = json.loads(capsys.readouterr().out)
+    @staticmethod
+    def _measured(payload, label):
+        (rec,) = [r for r in payload["records"] if r["label"] == label]
+        return rec["measured"]
+
+    def test_workload_report_text(self, report_text):
+        assert "=== workload report ===" in report_text
+        assert "hot vertices" in report_text and "traffic" in report_text
+        assert "cache efficacy" in report_text
+
+    def test_workload_report_json(self, report_run):
+        payload, _ = report_run
         assert check_experiment_payload(payload) == []
-        return payload
+        assert payload["experiment_id"] == "cli_report"
+        reads = self._measured(payload, "reads")
+        routes = self._measured(payload, "routes")
+        assert reads["total_reads"] == sum(routes.values()) > 0
+        assert set(routes) == set(ROUTES)
+        assert self._measured(payload, "zipf")["n_keys"] == reads["unique_vertices"]
+        assert 0.0 <= self._measured(payload, "cache observed")["hit_rate"] <= 1.0
+        assert self._measured(payload, "workload")["seed"] == 0
 
-    def test_workload_report_text(self, capsys):
-        assert main(["workload-report", *_CLI_ARGS]) == 0
-        out = capsys.readouterr().out
-        assert "hot vertices" in out and "traffic" in out
+    def test_timeseries_csv_and_chrome(self, report_run):
+        payload, out_dir = report_run
+        csv_text = (out_dir / "series.csv").read_text(encoding="utf-8")
+        assert csv_text.startswith("t_us,series,value\n")
+        series = self._measured(payload, "time series")
+        assert series["snapshots"] > 0 and series["series"] > 0
+        assert check_chrome_trace((out_dir / "trace.json").read_text()) == []
 
-    def test_workload_report_json(self, capsys):
-        payload = self._json_out(
-            capsys, ["workload-report", *_CLI_ARGS, "--json"]
-        )
-        assert payload["experiment_id"] == "cli_workload"
-        labels = [r["label"] for r in payload["records"]]
-        assert "workload" in labels and "routes" in labels
+    def test_trace_json(self, report_run):
+        payload, _ = report_run
+        volume = self._measured(payload, "trace volume")
+        assert volume["traces"] == 2 and volume["dropped_spans"] == 0
+        assert volume["spans"] > 0 and volume["ledger_rows"] > 0
+        latency = self._measured(payload, "trace latency")
+        assert latency["p99"] >= latency["p50"] > 0
+        assert set(self._measured(payload, "critical-path segments")) == set(SEGMENTS)
 
-    def test_timeseries_csv_and_chrome(self, capsys, tmp_path):
-        assert main(["timeseries", *_CLI_ARGS]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("t_us,series,value")
-        path = tmp_path / "ts.json"
-        assert main([
-            "timeseries", *_CLI_ARGS, "--format", "chrome",
-            "--output", str(path),
-        ]) == 0
-        with open(path, encoding="utf-8") as f:
-            assert check_chrome_trace(f.read()) == []
-
-    def test_trace_json(self, capsys, tmp_path):
-        payload = self._json_out(capsys, [
-            "trace", *_CLI_ARGS, "--output", str(tmp_path / "t.json"), "--json",
-        ])
-        assert payload["experiment_id"] == "cli_trace"
-
-    def test_metrics_report_json(self, capsys):
-        payload = self._json_out(
-            capsys, ["metrics-report", *_CLI_ARGS, "--json"]
-        )
-        assert payload["experiment_id"] == "cli_metrics"
-        assert payload["records"]
-
-    def test_timeseries_determinism_across_processes_shape(self, capsys):
-        # Same CLI args twice -> byte-identical CSV (the CLI-level
-        # restatement of the dict-equality acceptance test).
-        assert main(["timeseries", *_CLI_ARGS]) == 0
-        first = capsys.readouterr().out
-        assert main(["timeseries", *_CLI_ARGS]) == 0
-        assert capsys.readouterr().out == first
+    def test_metrics_report_json(self, report_run):
+        payload, _ = report_run
+        completed = self._measured(payload, "rpc.completed")
+        assert completed["type"] == "counter"
+        # Every remote batch the ledger paid for completed on the runtime.
+        assert completed["count"] == self._measured(payload, "ledger")["remote_rpc"]
+        latency = self._measured(payload, "rpc.latency_us")
+        assert latency["type"] == "histogram" and latency["p99"] >= latency["p50"]
+        assert self._measured(payload, "clock")["virtual_clock_us"] > 0

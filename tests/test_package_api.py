@@ -67,12 +67,49 @@ def test_top_level_import():
             ["Graph", "AttributedHeterogeneousGraph", "GraphBuilder",
              "DynamicGraph", "EdgeEvent"],
         ),
+        (
+            "repro.runtime",
+            ["RpcRuntime", "Request", "Response", "VirtualClock", "Inbox",
+             "FaultPlan", "RetryPolicy", "HealthTracker", "MetricsRegistry",
+             "Tracer", "NULL_TRACER", "StageProfiler", "chrome_trace",
+             "prometheus_text", "write_chrome_trace"],
+        ),
+        (
+            "repro.obs",
+            ["AccessRecorder", "WindowedAccessRecorder", "TimeSeriesSampler",
+             "analyze", "mine_workload", "cache_efficacy", "fit_zipf",
+             "compare_suite", "render_workload_report"],
+        ),
+        ("repro.bench", ["ExperimentRecord", "ExperimentReport"]),
     ],
 )
 def test_advertised_names_exist(module, names):
     mod = importlib.import_module(module)
     for name in names:
         assert hasattr(mod, name), f"{module}.{name} missing"
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.runtime", "repro.obs", "repro.serving", "repro.bench"]
+)
+def test_all_lists_only_names_that_exist(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+
+
+def test_instruments_ride_the_runtime_not_constructor_arguments():
+    import inspect
+
+    from repro.algorithms.framework import GNNFramework
+    from repro.runtime import RpcRuntime
+    from repro.serving import ServingEngine
+
+    engine_args = set(inspect.signature(ServingEngine.__init__).parameters)
+    assert not engine_args & {"tracer", "recorder", "timeseries"}
+    assert "timeseries" not in inspect.signature(GNNFramework.__init__).parameters
+    # execute() owns the event loop: nothing to submit to or drain.
+    assert not {"submit", "drain", "inflight"} & set(vars(RpcRuntime))
 
 
 def test_cli_importable():

@@ -305,6 +305,25 @@ def test_one_controller_per_runtime(small_powerlaw):
         PlacementController(store)
 
 
+def test_controller_adopts_or_installs_the_runtime_recorder(small_taobao):
+    # A windowed recorder already riding the runtime is adopted ...
+    store = make_store(small_taobao, 2, seed=0)
+    runtime = RpcRuntime(store)
+    store.attach_runtime(runtime)
+    mine = runtime.recorder = WindowedAccessRecorder(decay=0.25)
+    assert attach_placement(store).recorder is mine
+    # ... anything else (nothing, or a plain recorder) is replaced by one.
+    for plain in (None, AccessRecorder()):
+        store = make_store(small_taobao, 2, seed=0)
+        runtime = RpcRuntime(store)
+        store.attach_runtime(runtime)
+        runtime.recorder = plain
+        controller = attach_placement(store, PlacementConfig(decay=0.3))
+        assert isinstance(runtime.recorder, WindowedAccessRecorder)
+        assert controller.recorder is runtime.recorder
+        assert controller.recorder.decay == 0.3
+
+
 def test_attach_placement_rejects_non_store():
     with pytest.raises(StorageError):
         attach_placement(object())

@@ -1,4 +1,4 @@
-"""Overlapped sampling PR: futures, prefetch determinism, vectorized kernels."""
+"""Overlapped sampling: prefetch determinism, vectorized kernels."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.algorithms.framework import GNNFramework
 from repro.data import make_dataset
 from repro.errors import (
     OperatorError,
-    RuntimeConfigError,
     SamplingError,
     TrainingError,
 )
@@ -18,7 +17,6 @@ from repro.runtime import (
     Tracer,
     chrome_trace,
 )
-from repro.runtime.rpc import KIND_NEIGHBORS
 from repro.ops.materialize import MaterializationCache
 from repro.sampling import (
     DegreeBiasedNegativeSampler,
@@ -40,95 +38,11 @@ def _graph(scale=0.15):
     return make_dataset("taobao-small-sim", scale=scale, seed=0)
 
 
-# --------------------------------------------------------------------- #
-# RpcFuture: submit / drain / result vs execute
-# --------------------------------------------------------------------- #
-def _remote_requests(store, runtime, n=6):
-    """Requests for the first n vertices not owned by worker 0."""
-    remote = [v for v in range(store.graph.n_vertices) if store.owner(v) != 0]
-    return [
-        runtime.make_request(KIND_NEIGHBORS, 0, store.owner(v), (v,))
-        for v in remote[:n]
-    ]
-
-
-def test_submit_returns_pending_future_and_result_drains():
-    store = make_store(_graph(), 3, seed=0)
-    runtime = RpcRuntime(store)
-    store.attach_runtime(runtime)
-    reqs = _remote_requests(store, runtime)
-    future = runtime.submit(reqs)
-    assert future.pending and not future.done
-    assert runtime.inflight == len(reqs)
-    responses = future.result()
-    assert future.done and runtime.inflight == 0
-    assert [r.req_id for r in responses] == [r.req_id for r in reqs]
-    assert all(r.ok for r in responses)
-
-
-def test_execute_equals_submit_then_result():
-    graph = _graph()
-    payloads = []
-    clocks = []
-    for mode in ("execute", "submit"):
-        store = make_store(graph, 3, seed=0)
-        runtime = RpcRuntime(
-            store, faults=FaultPlan(drop_rate=0.2, slow_parts=frozenset({1}), seed=5)
-        )
-        store.attach_runtime(runtime)
-        reqs = _remote_requests(store, runtime)
-        if mode == "execute":
-            responses = runtime.execute(reqs)
-        else:
-            responses = runtime.submit(reqs).result()
-        payloads.append(
-            [(r.req_id, r.ok, sorted(r.payload or {})) for r in responses]
-        )
-        clocks.append(runtime.clock.now_us)
-    assert payloads[0] == payloads[1]
-    assert clocks[0] == clocks[1]
-
-
-def test_interleaved_futures_complete_deterministically():
-    graph = _graph()
-    totals = []
-    for _ in range(2):
-        store = make_store(graph, 4, seed=0)
-        runtime = RpcRuntime(store, faults=FaultPlan(timeout_rate=0.1, seed=3))
-        store.attach_runtime(runtime)
-        reqs = _remote_requests(store, runtime, n=8)
-        fut_a = runtime.submit(reqs[:4])
-        fut_b = runtime.submit(reqs[4:])
-        # Draining b first still completes a's requests in clock order.
-        res_b = fut_b.result()
-        assert fut_a.done  # shared event loop drained everything
-        res_a = fut_a.result()
-        totals.append(
-            (
-                [r.req_id for r in res_a + res_b],
-                [r.ok for r in res_a + res_b],
-                runtime.clock.now_us,
-            )
-        )
-    assert totals[0] == totals[1]
-
-
-def test_resubmitting_inflight_request_rejected():
-    store = make_store(_graph(), 3, seed=0)
-    runtime = RpcRuntime(store)
-    store.attach_runtime(runtime)
-    reqs = _remote_requests(store, runtime, n=1)
-    runtime.submit(reqs)
-    with pytest.raises(RuntimeConfigError):
-        runtime.submit(reqs)
-
-
 def test_execute_empty_requests():
     store = make_store(_graph(), 2, seed=0)
     runtime = RpcRuntime(store)
     store.attach_runtime(runtime)
     assert runtime.execute([]) == []
-    assert runtime.drain() is None
 
 
 # --------------------------------------------------------------------- #

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ServingError
+from repro.obs import AccessRecorder, TimeSeriesSampler
 from repro.runtime import RpcRuntime, Tracer
 from repro.serving import (
     CLASS_CACHED,
@@ -42,7 +43,7 @@ def _engine(graph, seed=7, config=None, cached=True, tracer=None):
         seed=seed,
     )
     store.attach_runtime(RpcRuntime(store, tracer=tracer))
-    return ServingEngine(store, config=config, tracer=tracer, seed=seed)
+    return ServingEngine(store, config=config, seed=seed)
 
 
 def _open(users, seed=7, rps=800.0, duration_us=100_000.0, **kw):
@@ -278,9 +279,19 @@ class TestServingEngine:
         assert {r.outcome for r in records} <= {OUTCOME_OK, "late"}
 
     def test_metrics_and_tracer_integration(self, small_taobao, users):
+        # Every instrument rides the runtime: tracer through its
+        # constructor, recorder and sampler as plain attributes.
         tracer = Tracer(seed=0)
         engine = _engine(small_taobao, tracer=tracer)
+        runtime = engine.runtime
+        recorder = runtime.recorder = AccessRecorder()
+        sampler = runtime.timeseries = TimeSeriesSampler(
+            runtime.metrics, runtime.clock, tick_us=5_000.0
+        )
         records = engine.run(_open(users, duration_us=50_000.0))
+        assert sum(recorder.user_requests.values()) == len(records)
+        assert recorder.total_reads > 0  # the store fed the same recorder
+        assert sampler.n_samples > 0
         served = engine.metrics.counter(
             "serving.requests", labels={"class": CLASS_CACHED}
         ).value

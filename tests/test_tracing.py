@@ -305,6 +305,23 @@ def test_exception_unwinding_closes_dangling_spans():
     assert tracer.current() is None
 
 
+def test_spans_past_max_spans_are_counted_not_silently_lost():
+    clock = VirtualClock()
+    tracer = Tracer(clock=clock, seed=0, max_spans=3)
+    with tracer.span("root"):
+        for _ in range(3):
+            with tracer.span("child"):
+                clock.advance(1.0)
+        tracer.record_span("late", 0.0, 1.0)
+    assert len(tracer.spans) == 3
+    assert tracer.dropped == 2
+    payload = chrome_trace(tracer)
+    assert payload["otherData"]["dropped_spans"] == 2
+    assert check_chrome_trace(payload) == []
+    tracer.reset()
+    assert tracer.dropped == 0
+
+
 # --------------------------------------------------------------------- #
 # Stage profiler
 # --------------------------------------------------------------------- #
