@@ -4,10 +4,12 @@
 ``h' = AGGREGATE(h^(k-1)_u, u in S)``, ``h^(k) = COMBINE(h^(k-1), h')``;
 normalize; after ``kmax`` hops the final vectors are the embeddings.
 
-:class:`GNNFramework` runs this full-graph (every vertex each hop, exactly
-the paper's pseudocode) with pluggable sampler / aggregator / combiner
-names, trained end to end with an unsupervised link objective (neighbors
-score high, sampled negatives low). GraphSAGE, GCN-flavoured models and the
+:class:`GNNFramework` runs this over a
+:class:`~repro.sampling.blocks.KHopBlock` — the all-vertex block (every
+vertex each hop, exactly the paper's pseudocode) or a per-step minibatch
+block — with pluggable sampler / aggregator / combiner names, trained end
+to end with an unsupervised link objective (neighbors score high, sampled
+negatives low). GraphSAGE, GCN-flavoured models and the
 in-house GNNs are all configurations or subclasses of this machinery.
 """
 
@@ -28,7 +30,7 @@ from repro.nn.tensor import Tensor
 from repro.ops.aggregate import make_aggregator
 from repro.ops.combine import make_combiner
 from repro.sampling.base import GraphProvider
-from repro.sampling.blocks import build_block
+from repro.sampling.blocks import KHopBlock, build_block, build_block_from_tables
 from repro.sampling.neighborhood import (
     ImportanceNeighborSampler,
     TopKNeighborSampler,
@@ -36,7 +38,6 @@ from repro.sampling.neighborhood import (
     WeightedNeighborSampler,
 )
 from repro.sampling.negative import DegreeBiasedNegativeSampler
-from repro.sampling.prefetch import PrefetchingPipeline
 from repro.sampling.traverse import EdgeTraverseSampler
 from repro.utils.rng import make_rng
 
@@ -48,7 +49,7 @@ _SAMPLERS = {
 
 
 class _GNNEncoder(Module):
-    """The stacked AGGREGATE/COMBINE network over pre-sampled hop tables."""
+    """The stacked AGGREGATE/COMBINE network over a k-hop block."""
 
     def __init__(
         self,
@@ -88,34 +89,15 @@ class _GNNEncoder(Module):
             return nullcontext()
         return self.profiler.stage(name)
 
-    def forward(self, features: Tensor, hop_tables: "list[np.ndarray]") -> Tensor:
-        """Embed all n vertices given per-hop sampled neighbor id tables.
+    def forward(self, features: Tensor, block: KHopBlock) -> Tensor:
+        """Embed a :class:`~repro.sampling.blocks.KHopBlock`'s seeds.
 
-        ``hop_tables[k]`` is an ``(n, fanout_k)`` id matrix: the SAMPLE
-        output for hop k+1.
-        """
-        h = features if self.input_proj is None else self.input_proj(features)
-        for k in range(self.kmax):
-            table = hop_tables[k]
-            n, fanout = table.shape
-            with self._stage("materialize"):
-                neigh = h.gather_rows(table.reshape(-1))  # (n*fanout, d)
-            with self._stage("aggregate"):
-                h_neigh = self.aggregators[k](neigh, fanout)
-            with self._stage("combine"):
-                h = self.combiners[k](h, h_neigh)
-                h = F.l2_normalize(h)  # Algorithm 1 line 7
-        return h
-
-    def forward_block(self, features: Tensor, block: "object") -> Tensor:
-        """Embed only a :class:`~repro.sampling.blocks.KHopBlock`'s seeds.
-
-        Runs the identical per-hop ops as :meth:`forward` over the block's
-        compact id space: hop k gathers level-k states through the block's
-        relabeled child/self indices instead of global ``(n, fanout)``
-        tables. Every op is row-wise, so output row ``i`` is ulp-identical
-        to the full-graph forward's row ``block.seeds[i]`` when the block
-        was built from the same per-vertex hop tables.
+        Hop k gathers level-k states through the block's relabeled
+        child/self indices, aggregates the ``hop_nums[k]`` children of each
+        level-(k+1) vertex and combines them with its own state. Every op
+        is row-wise, so an output row depends only on that vertex's draws:
+        a minibatch block and the all-vertex block (every level
+        ``arange(n)``) give ulp-identical rows for the same hop tables.
         """
         with self._stage("materialize"):
             h = features.gather_rows(block.layers[0])
@@ -155,23 +137,18 @@ class GNNFramework(EmbeddingModel):
         every training step is bucketed into sample / materialize /
         aggregate / combine / backward / optimizer stage spans and
         histograms (``profiler.render()`` shows which stage dominates).
-    prefetch_depth:
-        Training batches the sampling stage keeps buffered ahead of the
-        compute stage (0 = sample on demand, today's behaviour). Every
-        depth draws from the RNG in the identical order, so losses and
-        embeddings are bit-identical across depths; the buffer adds
-        cross-batch frontier overlap measurement
-        (``pipeline.coalesced``) and feeds the overlap makespan model.
     minibatch_blocks:
-        When True, each training step builds a k-hop
-        :class:`~repro.sampling.blocks.KHopBlock` seeded from the deduped
-        ``(src, dst, negs)`` batch ids and runs the encoder over only the
-        block's rows — per-step forward/backward cost proportional to the
-        batch instead of the graph. Blocks draw frontiers from a dedicated
-        RNG stream (derived from ``seed``), so the batch stream stays
-        bit-identical to the full-graph path at every prefetch depth. The
-        final all-vertex embedding pass still runs full-graph once after
-        training. Default False (the paper's full-graph Algorithm 1).
+        Selects how each step's :class:`~repro.sampling.blocks.KHopBlock`
+        is built. False (default, the paper's full-graph Algorithm 1): one
+        all-vertex block per epoch from ``(n, fanout)`` hop tables, so
+        every step embeds every vertex. True: each step seeds a block from
+        its deduped ``(src, dst, negs)`` ids and the encoder runs over only
+        that block's rows — per-step forward/backward cost proportional to
+        the batch instead of the graph. Live blocks draw frontiers from a
+        dedicated RNG stream (derived from ``seed``) so the ``(src, dst,
+        negs)`` batch stream is identical in both modes. Either way the
+        final embedding matrix comes from one all-vertex block after
+        training.
     """
 
     name = "gnn-framework"
@@ -195,15 +172,10 @@ class GNNFramework(EmbeddingModel):
         early_stop_min_delta: float = 1e-3,
         seed: int = 0,
         profiler: "object | None" = None,
-        prefetch_depth: int = 0,
         minibatch_blocks: bool = False,
     ) -> None:
         if kmax < 1:
             raise TrainingError(f"kmax must be >= 1, got {kmax}")
-        if prefetch_depth < 0:
-            raise TrainingError(
-                f"prefetch_depth must be >= 0, got {prefetch_depth}"
-            )
         self.dim = dim
         self.kmax = kmax
         self.fanout = fanout
@@ -224,9 +196,7 @@ class GNNFramework(EmbeddingModel):
         self.early_stop_min_delta = early_stop_min_delta
         self.seed = seed
         self.profiler = profiler
-        self.prefetch_depth = prefetch_depth
         self.minibatch_blocks = minibatch_blocks
-        self._prefetcher: "PrefetchingPipeline | None" = None
         self.stopped_early = False
         self._embeddings: np.ndarray | None = None
         self.loss_history: list[float] = []
@@ -265,6 +235,16 @@ class GNNFramework(EmbeddingModel):
             tables.append(table)
         return tables
 
+    def _all_vertex_block(
+        self, graph: Graph, sampler, rng: np.random.Generator
+    ) -> KHopBlock:
+        """Algorithm 1 verbatim: every level is ``arange(n)`` and
+        ``child_index[k]`` is hop table k (every vertex every hop)."""
+        tables = self._sample_hop_tables(graph, sampler, rng)
+        return build_block_from_tables(
+            np.arange(graph.n_vertices, dtype=np.int64), tables
+        )
+
     def fit(self, graph: Graph) -> "GNNFramework":
         rng = make_rng(self.seed)
         prof = self.profiler
@@ -286,79 +266,58 @@ class GNNFramework(EmbeddingModel):
         edge_sampler = EdgeTraverseSampler(graph)
         neg_sampler = DegreeBiasedNegativeSampler(graph)
         feat_tensor = Tensor(features)
-        hop_nums = [self.fanout] * self.kmax
-        # Blocks draw per-step frontiers from a dedicated stream so the
-        # (src, dst, negs) batch stream consumes ``rng`` in exactly the
-        # full-graph order — prefetch depths stay bit-identical.
-        block_rng = make_rng(self.seed + 0x5EED) if self.minibatch_blocks else None
         #: Deterministic per-fit block accounting: steps trained on blocks,
         #: feature rows gathered, and vertex rows across all block levels.
         self.block_stats = {"steps": 0, "input_rows": 0, "total_rows": 0}
-        hop_tables: "list[np.ndarray] | None" = None
-        if not self.minibatch_blocks:
-            with stage("sample"):
-                hop_tables = self._sample_hop_tables(graph, sampler, rng)
+        #: Full-graph mode's block, redrawn per epoch under
+        #: ``resample_each_epoch``; minibatch mode builds it once at the end.
+        graph_block: "KHopBlock | None" = None
+        if self.minibatch_blocks:
+            hop_nums = [self.fanout] * self.kmax
+            # Frontier draws get their own stream so the (src, dst, negs)
+            # batches consume ``rng`` identically in both block modes.
+            block_rng = make_rng(self.seed + 0x5EED)
+
+            def step_block(*batch_ids: np.ndarray) -> KHopBlock:
+                with stage("sample"):
+                    seeds = np.unique(np.concatenate(batch_ids))
+                    block = build_block(seeds, sampler, hop_nums, block_rng)
+                    self.block_stats["steps"] += 1
+                    self.block_stats["input_rows"] += block.n_input_rows
+                    self.block_stats["total_rows"] += block.total_rows()
+                return block
+
+        else:
+
+            def step_block(*batch_ids: np.ndarray) -> KHopBlock:
+                return graph_block
 
         steps = min(self.max_steps_per_epoch, max(1, graph.n_edges // self.batch_size))
         self.loss_history = []
         self.stopped_early = False
         best_loss = float("inf")
         stall = 0
-
-        def _draw_step(step_rng: np.random.Generator):
-            with stage("sample"):
-                src, dst = edge_sampler.sample(self.batch_size, step_rng)
-                negs = neg_sampler.sample(
-                    src, self.neg_num, step_rng
-                ).reshape(-1)
-            return src, dst, negs
-
-        # The prefetcher calls _draw_step strictly in step order with the
-        # same rng, so every depth consumes the RNG stream identically;
-        # depth 0 adds no buffering, metrics or frontier accounting at all
-        # (byte-for-byte today's behaviour).
-        self._prefetcher = PrefetchingPipeline(
-            _draw_step,
-            self.prefetch_depth,
-            frontier_of=(
-                (lambda b: np.concatenate(b)) if self.prefetch_depth else None
-            ),
-            metrics=(
-                prof.metrics
-                if (prof is not None and self.prefetch_depth)
-                else None
-            ),
-        )
         for epoch in range(self.epochs):
-            if (
-                not self.minibatch_blocks
-                and self.resample_each_epoch
-                and epoch > 0
+            if not self.minibatch_blocks and (
+                epoch == 0 or self.resample_each_epoch
             ):
                 with stage("sample"):
-                    hop_tables = self._sample_hop_tables(graph, sampler, rng)
+                    graph_block = self._all_vertex_block(graph, sampler, rng)
             epoch_losses = []
-            batch_iter = self._prefetcher.run(steps, rng)
             for _ in range(steps):
                 with prof.step() if prof is not None else nullcontext():
-                    src, dst, negs = next(batch_iter)
+                    with stage("sample"):
+                        src, dst = edge_sampler.sample(self.batch_size, rng)
+                        negs = neg_sampler.sample(
+                            src, self.neg_num, rng
+                        ).reshape(-1)
                     optimizer.zero_grad()
-                    if self.minibatch_blocks:
-                        with stage("sample"):
-                            seeds = np.unique(np.concatenate([src, dst, negs]))
-                            block = build_block(seeds, sampler, hop_nums, block_rng)
-                            self.block_stats["steps"] += 1
-                            self.block_stats["input_rows"] += block.n_input_rows
-                            self.block_stats["total_rows"] += block.total_rows()
-                        h = encoder.forward_block(feat_tensor, block)
-                        rows = block.seed_positions
-                    else:
-                        h = encoder(feat_tensor, hop_tables)
-                        rows = lambda ids: ids  # noqa: E731 - global id space
+                    block = step_block(src, dst, negs)
+                    h = encoder(feat_tensor, block)
                     loss = skipgram_negative_loss(
-                        h.gather_rows(rows(src)),
-                        h.gather_rows(rows(dst)),
-                        h.gather_rows(rows(negs)),
+                        h.gather_rows(block.seed_positions(src)),
+                        h.gather_rows(block.seed_positions(dst)),
+                        h.gather_rows(block.seed_positions(negs)),
                     )
                     with stage("backward"):
                         loss.backward()
@@ -380,12 +339,9 @@ class GNNFramework(EmbeddingModel):
         # The final all-vertex embedding pass runs unprofiled: stage totals
         # stay pure per-training-step cost, comparable across modes.
         encoder.profiler = None
-        if hop_tables is None:
-            # Minibatch mode never sampled full tables: one final
-            # full-graph pass produces the all-vertex embedding matrix.
-            hop_tables = self._sample_hop_tables(graph, sampler, rng)
-        h_final = encoder(feat_tensor, hop_tables).numpy()
-        self._embeddings = unit_rows(h_final)
+        if graph_block is None:
+            graph_block = self._all_vertex_block(graph, sampler, rng)
+        self._embeddings = unit_rows(encoder(feat_tensor, graph_block).numpy())
         return self
 
     def embeddings(self) -> np.ndarray:

@@ -93,8 +93,8 @@ def _run_workload(
 ) -> "tuple[int, int]":
     """Drive the 2-hop GraphSAGE-style expansion.
 
-    Mirrors what the neighborhood samplers do through ``prefetch`` — one
-    deduplicated ``get_neighbors_batch`` per hop frontier — and counts
+    Mirrors what the neighborhood samplers do through ``StoreProvider`` —
+    one deduplicated ``get_neighbors_batch`` per hop frontier — and counts
     *logical* reads (one per sampled neighbor, before the batcher's dedup)
     so availability is weighted the way the traffic actually is: a hub
     sampled forty times is forty served reads, and coalescing them into

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import StorageError
 from repro.graph.graph import Graph
 from repro.obs.workload import AccessRecorder
 from repro.runtime.rpc import RpcRuntime
@@ -173,6 +174,11 @@ def run_placement_comparison(
     placement: "PlacementConfig | None" = None,
 ) -> dict:
     """Both arms over one schedule, plus the headline derived metrics."""
+    if workload.n_workers < 2:
+        raise StorageError(
+            "placement comparison needs >= 2 workers (one worker has no "
+            f"remote reads to remove), got {workload.n_workers}"
+        )
     schedule = build_schedule(graph.n_vertices, workload)
     static = run_arm(graph, schedule, workload, adaptive=False)
     adaptive = run_arm(

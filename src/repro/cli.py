@@ -9,7 +9,6 @@ Commands
 ``report``          one fully instrumented sampled run -> one report: ledger,
                     trace + critical path, metrics, hot keys, time series
 ``fault-matrix``    availability sweep {drop rate x failed workers x cache}
-``prefetch-demo``   overlapped sampling: prefetch buffer + makespan model
 ``sampling-bench``  A/B the batched vs reference frontier-sampling kernels
 ``serve-bench``     online serving tier under seeded load -> SLO report
 ``bench-compare``   regression-gate fresh smoke benchmarks vs baselines
@@ -27,7 +26,7 @@ import sys
 import numpy as np
 
 from repro.data import make_dataset, train_test_split_edges
-from repro.errors import ReproError
+from repro.errors import DatasetError, ReproError, SamplingError
 from repro.graph.io import load_ahg, save_ahg
 from repro.tasks import evaluate_link_prediction
 
@@ -188,20 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bc.add_argument(
         "--json", action="store_true",
         help="print the comparison as JSON instead of the rendered report",
-    )
-
-    p_pf = sub.add_parser(
-        "prefetch-demo",
-        help="overlapped sampling: bounded prefetch buffer + makespan model",
-    )
-    _add_workload_args(p_pf, drop_rate=0.0)
-    p_pf.add_argument(
-        "--depth", type=int, default=2,
-        help="prefetch buffer depth (default: 2)",
-    )
-    p_pf.add_argument(
-        "--compute-us-per-row", type=float, default=0.18,
-        help="modelled per-context-row compute cost for the makespan model",
     )
 
     p_sb = sub.add_parser(
@@ -384,12 +369,13 @@ def _build_sampled_workload(
 ):
     """Stand up the shared demo workload without driving any batches.
 
-    The common substrate of ``report``, ``prefetch-demo`` and
-    ``sampling-bench``: a 2-hop (10x5)
-    GraphSAGE-style sampling stack over ``taobao-small-sim`` with the
-    importance cache and seeded fault injection. Returns
+    The common substrate of ``report`` and ``sampling-bench``: a 2-hop
+    (10x5) GraphSAGE-style sampling stack over ``taobao-small-sim`` with
+    the importance cache and seeded fault injection. Returns
     ``(graph, store, runtime, pipeline)``.
     """
+    if args.steps < 1:
+        raise SamplingError(f"--steps must be >= 1, got {args.steps}")
     from repro.data import make_dataset as _make
     from repro.runtime import FaultPlan, RpcRuntime
     from repro.sampling import (
@@ -615,62 +601,6 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
     else:
         print(render_compare(report))
     return 0 if report["ok"] else 1
-
-
-def _cmd_prefetch_demo(args: argparse.Namespace) -> int:
-    from repro.sampling import PrefetchingPipeline, overlap_report
-    from repro.utils.rng import make_rng
-    from repro.utils.tables import format_table
-
-    if args.depth < 0:
-        print(f"error: --depth must be >= 0, got {args.depth}", file=sys.stderr)
-        return 2
-    graph, store, runtime, pipeline = _build_sampled_workload(args)
-    sample_us: "list[float]" = []
-    rows: "list[int]" = []
-
-    def produce(rng):
-        before = store.ledger.modelled_micros()
-        batch = pipeline.sample(args.batch_size, rng)
-        sample_us.append(store.ledger.modelled_micros() - before)
-        rows.append(int(sum(layer.size for layer in batch.context.layers)))
-        return batch
-
-    prefetcher = PrefetchingPipeline(
-        produce,
-        args.depth,
-        frontier_of=lambda b: b.context.all_vertices(),
-        metrics=runtime.metrics,
-    )
-    rng = make_rng(args.seed)
-    for _ in prefetcher.run(args.steps, rng):
-        pass
-
-    compute_us = [r * args.compute_us_per_row for r in rows]
-    rep = overlap_report(sample_us, compute_us, args.depth)
-    print(
-        format_table(
-            ["quantity", "value"],
-            [
-                ["graph", graph.describe()["n_vertices"]],
-                ["workers", args.workers],
-                ["batches", args.steps],
-                ["prefetch depth", args.depth],
-                ["batches produced", prefetcher.produced],
-                ["coalescable frontier reads", prefetcher.coalesced],
-                ["sample cost (ms, simulated)", round(rep.sample_us / 1e3, 3)],
-                ["compute cost (ms, modelled)", round(rep.compute_us / 1e3, 3)],
-                ["serial makespan (ms)", round(rep.serial_us / 1e3, 3)],
-                ["overlapped makespan (ms)", round(rep.makespan_us / 1e3, 3)],
-                ["speedup", f"{rep.speedup:.2f}x"],
-            ],
-            title="prefetch-demo: overlapped sampling",
-        )
-    )
-    print()
-    print("cost ledger (identical at every depth — overlap is modelled)")
-    print(store.ledger.summary())
-    return 0
 
 
 def _cmd_sampling_bench(args: argparse.Namespace) -> int:
@@ -902,7 +832,7 @@ def _cmd_fault_matrix(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
     print(
         format_table(
             [
@@ -935,12 +865,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     with np.load(args.embeddings) as data:
         embeddings = data["embeddings"]
     if embeddings.shape[0] != graph.n_vertices:
-        print(
+        raise DatasetError(
             f"embedding rows ({embeddings.shape[0]}) != graph vertices "
-            f"({graph.n_vertices})",
-            file=sys.stderr,
+            f"({graph.n_vertices})"
         )
-        return 2
     split = train_test_split_edges(graph, args.holdout, seed=args.seed)
     result = evaluate_link_prediction(embeddings, split)
     print(
@@ -960,7 +888,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "evaluate": _cmd_evaluate,
         "report": _cmd_report,
         "fault-matrix": _cmd_fault_matrix,
-        "prefetch-demo": _cmd_prefetch_demo,
         "sampling-bench": _cmd_sampling_bench,
         "serve-bench": _cmd_serve_bench,
         "bench-compare": _cmd_bench_compare,

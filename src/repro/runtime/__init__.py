@@ -22,7 +22,8 @@ simulation:
 
 :class:`~repro.storage.cluster.DistributedGraphStore` routes its batch read
 entry points (``get_neighbors_batch`` / ``get_attrs_batch``) through an
-:class:`RpcRuntime`; the samplers reach it via per-hop prefetching.
+:class:`RpcRuntime`; the samplers reach it through
+``StoreProvider.frontier_block`` — one deduplicated batch read per hop.
 """
 
 from repro.runtime.batching import Batch, RequestBatcher

@@ -97,6 +97,9 @@ class Histogram:
     samples: list = field(default_factory=list)
     labels: "LabelSet" = None
     _total: float = field(default=0.0, repr=False, compare=False)
+    #: Sorted view of ``samples``, kept from one percentile query to the
+    #: next ``observe`` (the time-series sampler queries every tick).
+    _sorted: "list | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._total = float(sum(self.samples))
@@ -106,6 +109,7 @@ class Histogram:
         value = float(value)
         self.samples.append(value)
         self._total += value
+        self._sorted = None
 
     @property
     def count(self) -> int:
@@ -127,18 +131,21 @@ class Histogram:
         return self.percentiles((p,))[0]
 
     def percentiles(self, ps: "tuple[float, ...] | list[float]") -> "list[float]":
-        """Nearest-rank percentiles for every ``p`` in ``ps``, sorting once.
+        """Nearest-rank percentiles for every ``p`` in ``ps``.
 
-        Every consumer that wants a p50/p95/p99 row (summary tables, the
-        Prometheus exporter, SLO reports) should call this instead of
-        re-sorting the sample list per quantile.
+        The sample list is sorted at most once per ``observe``: repeated
+        queries between observations (summary tables, the Prometheus
+        exporter, SLO reports, the per-tick time-series sampler) reuse the
+        sorted view.
         """
         for p in ps:
             if not 0.0 <= p <= 100.0:
                 raise ValueError(f"percentile must be in [0, 100], got {p}")
         if not self.samples:
             return [0.0 for _ in ps]
-        ordered = sorted(self.samples)
+        if self._sorted is None:
+            self._sorted = sorted(self.samples)
+        ordered = self._sorted
         return [
             ordered[max(1, math.ceil(p / 100.0 * len(ordered))) - 1] for p in ps
         ]

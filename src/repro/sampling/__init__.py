@@ -29,13 +29,6 @@ from repro.sampling.neighborhood import (
     WeightedNeighborSampler,
 )
 from repro.sampling.pipeline import SamplingPipeline, TrainingBatch
-from repro.sampling.prefetch import (
-    OverlapReport,
-    PrefetchingPipeline,
-    overlap_report,
-    simulate_makespan,
-    stage_costs,
-)
 from repro.sampling.randomwalk import metapath_walks, node2vec_walks, random_walks
 from repro.sampling.traverse import EdgeTraverseSampler, VertexTraverseSampler
 
@@ -62,11 +55,6 @@ __all__ = [
     "TypeAwareNegativeSampler",
     "SamplingPipeline",
     "TrainingBatch",
-    "PrefetchingPipeline",
-    "OverlapReport",
-    "simulate_makespan",
-    "overlap_report",
-    "stage_costs",
     "random_walks",
     "node2vec_walks",
     "metapath_walks",

@@ -47,7 +47,8 @@ def test_evaluate_shape_mismatch(tmp_path, capsys):
     emb = str(tmp_path / "e.npz")
     main(["dataset", "amazon-sim", ds, "--scale", "0.15"])
     np.savez_compressed(emb, embeddings=np.zeros((3, 4)))
-    assert main(["evaluate", emb, ds]) == 2
+    assert main(["evaluate", emb, ds]) == 1
+    assert "error: embedding rows (3) != graph vertices" in capsys.readouterr().err
 
 
 def test_dataset_error_reported(tmp_path, capsys):
@@ -127,6 +128,26 @@ def test_commands_folded_into_report_are_gone(command, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["report", "--steps", "0"], "--steps must be >= 1, got 0"),
+        (["report", "--steps", "-1"], "--steps must be >= 1, got -1"),
+        (["sampling-bench", "--steps", "0"], "--steps must be >= 1, got 0"),
+        (["sampling-bench", "--steps", "-3"], "--steps must be >= 1, got -3"),
+        (["fault-matrix", "--scale", "0.1", "--workers", "1"],
+         "cannot fail 1 of 1 workers"),
+        (["placement-bench", "--workers", "1"], "needs >= 2 workers"),
+    ],
+)
+def test_bad_workload_sizes_exit_1_with_one_error_line(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing ran, nothing half-printed
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
+
+
 def test_sampling_bench_runs_both_backends(capsys):
     for backend in ("batched", "reference"):
         code = main(
@@ -152,7 +173,7 @@ def test_fault_matrix_sweep(capsys):
     assert "fault matrix" in out
     assert "lru" in out and "none" in out
     code = main(["fault-matrix", "--scale", "0.1", "--policies", "bogus"])
-    assert code == 2
+    assert code == 1
     assert "error:" in capsys.readouterr().err
 
 

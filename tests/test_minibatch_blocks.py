@@ -86,6 +86,18 @@ def test_block_validation(taobao_setup):
 # ---------------------------------------------------------------------- #
 # Tentpole exactness: block forward == full forward on the same draws
 # ---------------------------------------------------------------------- #
+def hop_table_forward(encoder, features, hop_tables):
+    """Oracle: Algorithm 1 over all n vertices straight off ``(n, fanout)``
+    hop tables — no block, no relabeling — so the block path is compared
+    to an independent computation."""
+    h = features if encoder.input_proj is None else encoder.input_proj(features)
+    for k, table in enumerate(hop_tables):
+        neigh = h.gather_rows(table.reshape(-1))  # (n*fanout, d)
+        h_neigh = encoder.aggregators[k](neigh, table.shape[1])
+        h = F.l2_normalize(encoder.combiners[k](h, h_neigh))
+    return h
+
+
 @pytest.mark.parametrize("combiner", COMBINERS)
 @pytest.mark.parametrize("aggregator", AGGREGATORS)
 def test_block_forward_bitwise_equals_full(taobao_setup, aggregator, combiner):
@@ -100,12 +112,18 @@ def test_block_forward_bitwise_equals_full(taobao_setup, aggregator, combiner):
         rng=make_rng(1),
     )
     feat_tensor = Tensor(features)
-    full = encoder(feat_tensor, tables).numpy()
+    full = hop_table_forward(encoder, feat_tensor, tables).numpy()
     seeds = np.unique(make_rng(9).integers(0, graph.n_vertices, size=80))
     block = build_block_from_tables(seeds, tables)
-    block_out = encoder.forward_block(feat_tensor, block).numpy()
+    block_out = encoder(feat_tensor, block).numpy()
     # Ulp-identical, not merely close: same draws + row-wise ops.
     assert np.array_equal(full[block.seeds], block_out)
+    # The all-vertex block (full-graph training, the final embedding pass)
+    # is the oracle row for row.
+    everyone = build_block_from_tables(np.arange(graph.n_vertices), tables)
+    for k, table in enumerate(tables):
+        assert np.array_equal(everyone.child_index[k], table)
+    assert np.array_equal(encoder(feat_tensor, everyone).numpy(), full)
 
 
 def test_block_backward_matches_full(taobao_setup):
@@ -121,10 +139,10 @@ def test_block_backward_matches_full(taobao_setup):
         feat_tensor = Tensor(features)
         if use_block:
             block = build_block_from_tables(seeds, tables)
-            h = encoder.forward_block(feat_tensor, block)
+            h = encoder(feat_tensor, block)
             rows = block.seed_positions(seeds)
         else:
-            h = encoder(feat_tensor, tables)
+            h = hop_table_forward(encoder, feat_tensor, tables)
             rows = seeds
         (h.gather_rows(rows) ** 2).sum().backward()
         return [p.grad.copy() for p in encoder.parameters()]

@@ -22,8 +22,8 @@ def test_framework_parameters_actually_train(small_amazon):
     from repro.nn.tensor import Tensor
 
     feats = model._features(small_amazon)
-    tables = model._sample_hop_tables(small_amazon, model._make_sampler(small_amazon), rng)
-    h = encoder(Tensor(feats), tables)
+    block = model._all_vertex_block(small_amazon, model._make_sampler(small_amazon), rng)
+    h = encoder(Tensor(feats), block)
     (h * h).sum().backward()
     grads = [p.grad for p in params]
     assert all(g is not None for g in grads)

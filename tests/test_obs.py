@@ -458,6 +458,30 @@ class TestRegressionGate:
         assert report["ok"] is False
         assert "no baseline" in report["results"][0]["error"]
 
+    def test_suite_specs_scripts_and_baselines_line_up(self):
+        # Removing (or adding) a gated bench cannot orphan a spec, a script
+        # or a committed smoke baseline: ids <-> smoke/*.json one to one,
+        # each baseline carrying its own id, every script present.
+        import glob
+        import json
+        import os
+
+        from repro.obs import DEFAULT_SUITE
+
+        bench_dir = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
+        for spec in DEFAULT_SUITE:
+            assert os.path.isfile(os.path.join(bench_dir, spec.script)), spec
+        baselines = {}
+        for path in glob.glob(os.path.join(bench_dir, "results", "smoke", "*.json")):
+            with open(path, encoding="utf-8") as f:
+                stem = os.path.splitext(os.path.basename(path))[0]
+                baselines[stem] = json.load(f)
+        ids = [spec.experiment_id for spec in DEFAULT_SUITE]
+        assert len(set(ids)) == len(ids)
+        assert sorted(baselines) == sorted(ids)
+        for stem, payload in baselines.items():
+            assert payload["experiment_id"] == stem
+
 
 # --------------------------------------------------------------------- #
 # Exporter edge cases (satellite: empty traces, zero-duration spans,

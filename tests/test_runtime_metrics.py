@@ -54,6 +54,26 @@ def test_histogram_percentiles_are_exact_nearest_rank():
         h.percentile(101)
 
 
+def test_histogram_sorted_view_is_invalidated_by_observe():
+    """Interleaved observe / percentiles always answer from the live samples."""
+    import math
+
+    rng = np.random.default_rng(0)
+    h = MetricsRegistry().histogram("lat")
+    ps = (0.0, 50.0, 95.0, 99.0, 100.0)
+    seen = []
+    for value in rng.integers(0, 1000, size=200).tolist():
+        h.observe(value)
+        seen.append(float(value))
+        if rng.random() < 0.5:
+            continue  # several observes between queries
+        ordered = sorted(seen)
+        want = [ordered[max(1, math.ceil(p / 100.0 * len(ordered))) - 1] for p in ps]
+        assert h.percentiles(ps) == want
+        assert h.percentiles(ps) == want  # repeated query reuses the view
+        assert h.samples == seen  # insertion order is never disturbed
+
+
 def test_empty_histogram_is_safe():
     h = MetricsRegistry().histogram("lat")
     assert h.mean == 0.0
