@@ -2,11 +2,15 @@
 
 Paper: build time decreases with worker count on both Taobao datasets, and
 even the large graph builds in minutes (~5 min at 400 workers vs hours for
-PowerGraph). Here each worker's shard ingestion is actually executed and
-wall-clock timed; the reported build time is the critical path (slowest
-worker) plus coordination, i.e. the time the same work takes with p real
-workers. The shape to reproduce: monotone decrease with diminishing
-returns, and the large dataset a constant factor above the small one.
+PowerGraph). Here every worker's shard is really built, and the build time
+is reported on two clocks. The *modelled* columns — ``build_s`` =
+``ingest_s`` + coordination, where ``ingest_s`` is the critical path
+``max_w(edges_w)`` at the cost model's per-edge ingest price — are
+bit-reproducible and carry the shape to reproduce: monotone decrease with
+diminishing returns, and the large dataset a constant factor above the
+small one. ``wall_critical_path_ms`` is the wall-clock time the slowest
+shard took in this process: a diagnostic (a vectorised shard build is a
+fraction of a millisecond at this scale), not asserted and not gated.
 """
 
 from __future__ import annotations
@@ -18,9 +22,12 @@ from repro.data import make_dataset
 from repro.storage.cluster import build_distributed
 from repro.storage.costmodel import CostModel
 
-from _common import emit
+from _common import emit, parse_bench_args
 
 WORKER_COUNTS = [25, 50, 100, 200, 400]
+DATASETS = (("taobao-small-sim", 1.0), ("taobao-large-sim", 1.5))
+SMOKE_WORKER_COUNTS = [25, 400]
+SMOKE_DATASETS = DATASETS[:1]
 #: Paper's approximate build times (seconds, read off Figure 7).
 PAPER_SECONDS = {
     "taobao-small-sim": {25: 150, 50: 80, 100: 45, 200: 30, 400: 25},
@@ -28,7 +35,7 @@ PAPER_SECONDS = {
 }
 
 
-def _run() -> ExperimentReport:
+def _run(smoke: bool = False) -> ExperimentReport:
     report = ExperimentReport(
         "fig7", "Graph building time (s) vs number of workers"
     )
@@ -36,21 +43,20 @@ def _run() -> ExperimentReport:
     # laptop-scale shards (the default 50 ms models datacenter barriers and
     # would flatten the curve at this size).
     cost_model = CostModel(coordination_us=2000.0)
-    for name, scale in (("taobao-small-sim", 1.0), ("taobao-large-sim", 1.5)):
+    worker_counts = SMOKE_WORKER_COUNTS if smoke else WORKER_COUNTS
+    for name, scale in SMOKE_DATASETS if smoke else DATASETS:
         graph = make_dataset(name, scale=scale, seed=0)
-        for workers in WORKER_COUNTS:
-            # Critical path is a max over workers: take the best of two
-            # runs so one GC hiccup cannot break monotonicity.
-            builds = [
-                build_distributed(graph, workers, cost_model=cost_model)[1]
-                for _ in range(2)
-            ]
-            build = min(builds, key=lambda b: b.critical_path_seconds)
+        for workers in worker_counts:
+            build = build_distributed(graph, workers, cost_model=cost_model)[1]
             report.add(
                 f"{name} @ {workers}w",
                 {
-                    "build_s": round(build.total_seconds, 4),
-                    "critical_path_s": round(build.critical_path_seconds, 4),
+                    "build_s": round(build.total_seconds, 6),
+                    "ingest_s": round(build.ingest_seconds, 6),
+                    "max_worker_edges": max(build.per_worker_edges),
+                    "wall_critical_path_ms": round(
+                        build.critical_path_seconds * 1e3, 3
+                    ),
                 },
                 paper={"build_s": PAPER_SECONDS[name][workers]},
             )
@@ -59,18 +65,34 @@ def _run() -> ExperimentReport:
             "(synthetic stand-in; absolute seconds differ, the worker-count "
             "trend and small/large gap are the reproduced shape)"
         )
+    report.note(
+        "clocks: build_s / ingest_s are modelled (max_w(edges_w) x "
+        f"{cost_model.edge_ingest_us} us, + {build.coordination_seconds * 1e3:g} ms "
+        "coordination); wall_critical_path_ms is wall-clock"
+    )
     return report
 
 
 def test_fig7_graph_build(benchmark: "pytest.fixture") -> None:
     report = benchmark.pedantic(_run, iterations=1, rounds=1)
     emit(report)
-    # Shape assertions: monotone non-increasing critical path in workers.
-    for name in ("taobao-small-sim", "taobao-large-sim"):
+    # Shape assertions, on the modelled columns: the critical path falls
+    # with workers (non-increasing all the way, strictly 25w -> 400w).
+    for name, _ in DATASETS:
         rows = [r for r in report.records if r.label.startswith(name)]
-        paths = [r.measured["critical_path_s"] for r in rows]
+        paths = [r.measured["ingest_s"] for r in rows]
+        assert all(a >= b for a, b in zip(paths, paths[1:])), f"{name}: not monotone"
         assert paths[0] > paths[-1], f"{name}: no speedup from workers"
     # Large dataset builds slower than small at every worker count.
     small = [r.measured["build_s"] for r in report.records[: len(WORKER_COUNTS)]]
     large = [r.measured["build_s"] for r in report.records[len(WORKER_COUNTS) : 2 * len(WORKER_COUNTS)]]
     assert all(l > s for s, l in zip(small, large))
+
+
+def main(argv: "list[str] | None" = None) -> None:
+    args = parse_bench_args(__doc__.splitlines()[0], argv)
+    emit(_run(smoke=args.smoke), print_json=args.json)
+
+
+if __name__ == "__main__":
+    main()

@@ -52,7 +52,9 @@ def main() -> None:
     print(
         f"\ndistributed build: {build.total_seconds * 1000:.1f} ms modelled "
         f"({build.n_workers} workers, critical path "
-        f"{build.critical_path_seconds * 1000:.2f} ms)"
+        f"{max(build.per_worker_edges)} edges = "
+        f"{build.ingest_seconds * 1000:.2f} ms modelled; slowest shard took "
+        f"{build.critical_path_seconds * 1000:.2f} ms wall-clock)"
     )
     store.set_cache_policy(
         ImportanceCachePolicy(), budget=int(0.2 * graph.n_vertices)

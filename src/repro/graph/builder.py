@@ -3,8 +3,9 @@
 :class:`GraphBuilder` is the single ingestion path for both plain graphs and
 AHGs: callers add vertices/edges with arbitrary hashable external ids and
 string type names, then :meth:`build` freezes everything into dense-id CSR
-form. The distributed build pipeline (Figure 7) feeds edge streams through
-builders, one per simulated worker.
+form. The distributed build pipeline (Figure 7) starts from the frozen
+graph: its shards are slices of that CSR, not builder output (see
+:func:`repro.storage.cluster.build_distributed`).
 """
 
 from __future__ import annotations

@@ -234,6 +234,32 @@ class Graph:
         """The raw out-CSR ``(indptr, indices, weights)`` arrays."""
         return self._indptr, self._indices, self._weights
 
+    def csr_slice(
+        self, vertices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copy of the out-rows of ``vertices`` as one contiguous CSR slice.
+
+        Returns ``(offsets, indices, weights)``: row ``i`` of the slice —
+        ``indices[offsets[i]:offsets[i + 1]]`` and the aligned weights — is
+        the out-row of ``vertices[i]``. The arrays are fresh copies (one
+        gather each), so a shard or replica built from them shares no
+        memory with the graph.
+        """
+        vertices = np.asarray(vertices, dtype=np.int64)
+        unknown = (vertices < 0) | (vertices >= self._n)
+        if unknown.any():
+            raise VertexNotFoundError(int(vertices[unknown][0]))
+        starts = self._indptr[vertices]
+        degrees = self._indptr[vertices + 1] - starts
+        offsets = np.zeros(vertices.size + 1, dtype=np.int64)
+        np.cumsum(degrees, out=offsets[1:])
+        # Slot j of row i sits at starts[i] + j in the graph's arrays and at
+        # offsets[i] + j in the slice: one shifted arange gathers them all.
+        take = np.repeat(starts - offsets[:-1], degrees) + np.arange(
+            offsets[-1], dtype=np.int64
+        )
+        return offsets, self._indices[take], self._weights[take]
+
     def subgraph(self, vertices: np.ndarray) -> tuple["Graph", np.ndarray]:
         """Induced subgraph on ``vertices``.
 

@@ -130,6 +130,20 @@ DEFAULT_SUITE: "tuple[BenchSpec, ...]" = (
         ),
     ),
     BenchSpec(
+        "fig7",
+        "bench_fig7_graph_build.py",
+        (
+            # The modelled build is ledger prices times partition edge
+            # counts: exact at the fixed seed. wall_critical_path_ms is
+            # wall-clock and deliberately unruled.
+            MetricRule(
+                r":(build_s|ingest_s|max_worker_edges)$",
+                rel_tol=0.0,
+                direction="both",
+            ),
+        ),
+    ),
+    BenchSpec(
         "trace_overhead",
         "bench_trace_overhead.py",
         (

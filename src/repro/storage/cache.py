@@ -58,10 +58,7 @@ class NeighborCache:
         """Attach a replica registry and register current contents."""
         self._registry = registry
         self._part = part
-        for vertex in self._pinned:
-            registry.register(vertex, part)
-        for vertex in self._lru.keys():
-            registry.register(vertex, part)
+        registry.register_many([*self._pinned, *self._lru.keys()], part)
 
     def _register(self, vertex: int) -> None:
         if self._registry is not None:
@@ -278,15 +275,22 @@ def make_cache(
     budget: int,
     rng: np.random.Generator,
 ) -> NeighborCache:
-    """Build a :class:`NeighborCache` under ``policy`` with ``budget`` slots."""
+    """Build a :class:`NeighborCache` under ``policy`` with ``budget`` slots.
+
+    A pinned policy's selection is installed in bulk: the selected rows are
+    copied out of the graph as one block and pinned as views of it.
+    """
     if policy.demand_filled:
-        cache = NeighborCache(budget)
-        return cache
-    cache = NeighborCache(budget)
-    for v in policy.select(graph, budget, rng):
-        cache.pin(int(v), graph.out_neighbors(int(v)))
-    # Pinned caches do not demand-fill: zero out the LRU side.
-    cache._lru = LRUCache(0)
+        return NeighborCache(budget)
+    cache = make_pinned_cache(budget)
+    selected = np.asarray(policy.select(graph, budget, rng), dtype=np.int64)
+    offsets, indices, _ = graph.csr_slice(selected)
+    bounds = offsets.tolist()
+    cache._pinned = {
+        v: indices[a:b] for v, a, b in zip(selected.tolist(), bounds, bounds[1:])
+    }
+    if len(cache._pinned) > budget:
+        raise StorageError("neighbor cache pin capacity exhausted")
     return cache
 
 

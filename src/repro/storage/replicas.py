@@ -44,6 +44,18 @@ class ReplicaRegistry:
         self._holders.setdefault(vertex, set()).add(part)
         self._by_part[part].add(vertex)
 
+    def register_many(self, vertices: "list[int]", part: int) -> None:
+        """Record that ``part`` holds replicas of all ``vertices`` at once.
+
+        What a cache calls when it is bound with contents already in place
+        (a policy's whole selection): one part check and one set update for
+        the batch. ``vertices`` must be plain ints.
+        """
+        self._check_part(part)
+        for vertex in vertices:
+            self._holders.setdefault(vertex, set()).add(part)
+        self._by_part[part].update(vertices)
+
     def deregister(self, vertex: int, part: int) -> None:
         """Forget ``part``'s replica of ``vertex`` (no-op when absent)."""
         self._check_part(part)

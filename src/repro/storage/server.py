@@ -1,11 +1,18 @@
 """One simulated graph server: a partition's shard plus its caches (§3.2).
 
 A :class:`GraphServer` owns a set of vertices and the out-adjacency rows of
-their edges, stores attributes in a :class:`SeparateAttributeStore` (the
-IV/IE indices with LRU fronts) and holds a :class:`NeighborCache` of
-important *remote* vertices' neighbor lists. All cross-server traffic is
-mediated — and accounted — by :class:`repro.storage.cluster.
-DistributedGraphStore`.
+their edges. The shard is columnar: at construction the owned rows are
+copied out of the graph's CSR as *one* contiguous slice (one gather for the
+neighbor ids, one for the weights) and every row is served as a view of that
+slice, so a row read is one dict lookup. Writes — streaming edge updates and
+vertex migration — never edit a row in place: they replace the touched
+vertex's row with a fresh array, so a row handed out (or pinned as a
+replica) earlier keeps the contents it had.
+
+Attributes live in a :class:`SeparateAttributeStore` (the IV/IE indices with
+LRU fronts) and a :class:`NeighborCache` holds important *remote* vertices'
+neighbor lists. All cross-server traffic is mediated — and accounted — by
+:class:`repro.storage.cluster.DistributedGraphStore`.
 """
 
 from __future__ import annotations
@@ -27,29 +34,29 @@ class GraphServer:
         owned_vertices: np.ndarray,
         graph: Graph,
         attr_cache_capacity: int = 4096,
-        neighbor_cache_capacity: int = 0,
     ) -> None:
         self.part_id = part_id
-        self.owned = np.asarray(owned_vertices, dtype=np.int64)
-        self._owned_set = set(int(v) for v in self.owned)
-        self._graph = graph
-        # Local adjacency: copy out the rows this server owns. The copy is
-        # what makes the shard a real shard — reads of non-owned vertices
-        # cannot be served from here.
+        # The copy is what makes the shard a real shard — reads of non-owned
+        # vertices cannot be served from here. The vertex -> row-view maps
+        # are built eagerly: a lazily sliced row would move the slicing into
+        # the first read of every vertex.
+        owned = np.asarray(owned_vertices, dtype=np.int64)
+        offsets, indices, weights = graph.csr_slice(owned)
+        bounds = offsets.tolist()
+        rows = list(zip(owned.tolist(), bounds, bounds[1:]))
         self._adjacency: dict[int, np.ndarray] = {
-            int(v): np.array(graph.out_neighbors(int(v)), dtype=np.int64)
-            for v in self.owned
+            v: indices[a:b] for v, a, b in rows
         }
         self._adj_weights: dict[int, np.ndarray] = {
-            int(v): np.array(graph.out_weights(int(v)), dtype=np.float64)
-            for v in self.owned
+            v: weights[a:b] for v, a, b in rows
         }
+        self._n_local_edges: int = bounds[-1]
         self.attrs = SeparateAttributeStore(
             vertex_cache_capacity=attr_cache_capacity,
             edge_cache_capacity=attr_cache_capacity,
         )
         self._replica_registry = None  # ReplicaRegistry | None
-        self._neighbor_cache = NeighborCache(neighbor_cache_capacity)
+        self._neighbor_cache = NeighborCache(0)
 
     @property
     def neighbor_cache(self) -> NeighborCache:
@@ -76,18 +83,18 @@ class GraphServer:
 
     def __repr__(self) -> str:
         return (
-            f"GraphServer(part={self.part_id}, vertices={self.owned.size}, "
+            f"GraphServer(part={self.part_id}, vertices={len(self._adjacency)}, "
             f"cache={len(self.neighbor_cache)})"
         )
 
     def owns(self, vertex: int) -> bool:
         """Whether this server is the owner of ``vertex``."""
-        return vertex in self._owned_set
+        return vertex in self._adjacency
 
     @property
     def n_local_edges(self) -> int:
         """Out-edges stored on this shard."""
-        return sum(a.size for a in self._adjacency.values())
+        return self._n_local_edges
 
     def local_neighbors(self, vertex: int) -> np.ndarray:
         """Out-neighbors of an owned vertex (raises if not owned)."""
@@ -121,6 +128,7 @@ class GraphServer:
             raise StorageError(f"edge weight must be positive, got {weight}")
         self._adjacency[src] = np.append(self._adjacency[src], np.int64(dst))
         self._adj_weights[src] = np.append(self._adj_weights[src], float(weight))
+        self._n_local_edges += 1
 
     def remove_local_edge(self, src: int, dst: int) -> bool:
         """Drop the first ``src -> dst`` arc; returns whether one existed."""
@@ -136,6 +144,7 @@ class GraphServer:
         keep[hits[0]] = False
         self._adjacency[src] = row[keep]
         self._adj_weights[src] = self._adj_weights[src][keep]
+        self._n_local_edges -= 1
         return True
 
     def ingest_vertex(
@@ -164,10 +173,9 @@ class GraphServer:
                 f"vertex {vertex}: {neighbors.size} neighbors vs "
                 f"{weights.size} weights"
             )
-        self._owned_set.add(vertex)
-        self.owned = np.append(self.owned, np.int64(vertex))
         self._adjacency[vertex] = neighbors
         self._adj_weights[vertex] = weights
+        self._n_local_edges += neighbors.size
         if attr is not None:
             self.attrs.put_vertex_attr(vertex, attr)
 
@@ -185,10 +193,9 @@ class GraphServer:
             raise StorageError(
                 f"server {self.part_id} does not own vertex {vertex}"
             )
-        self._owned_set.remove(vertex)
-        self.owned = self.owned[self.owned != vertex]
         neighbors = self._adjacency.pop(vertex)
         weights = self._adj_weights.pop(vertex)
+        self._n_local_edges -= neighbors.size
         attr = self.attrs.remove_vertex_attr(vertex)
         return neighbors, weights, attr
 

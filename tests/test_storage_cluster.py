@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import StorageError
+from repro.graph.dynamic import EdgeEvent
+from repro.sampling import StoreProvider, UniformNeighborSampler
 from repro.storage import (
     CostModel,
     ImportanceCachePolicy,
@@ -13,6 +15,8 @@ from repro.storage import (
 from repro.storage.cluster import build_distributed, make_store
 from repro.storage.costmodel import (
     EV_CACHE_HIT,
+    EV_COORDINATION,
+    EV_EDGE_INGESTED,
     EV_LOCAL_READ,
     EV_REMOTE_RPC,
 )
@@ -139,10 +143,65 @@ def test_build_distributed_report(small_powerlaw):
     store, report = build_distributed(small_powerlaw, 4)
     assert report.n_workers == 4
     assert report.n_edges == small_powerlaw.n_edges
-    assert len(report.per_worker_seconds) == 4
-    assert report.critical_path_seconds == max(report.per_worker_seconds)
-    assert report.total_seconds > report.critical_path_seconds
     assert store.n_workers == 4
+    # Modelled total: slowest worker's edges at the ingest price plus the
+    # coordination rounds — the prices the build ledger charges, no clock.
+    prices = CostModel()
+    assert report.per_worker_edges == tuple(store.assignment.edge_counts().tolist())
+    assert sum(report.per_worker_edges) == small_powerlaw.n_edges
+    assert report.total_seconds == (
+        max(report.per_worker_edges) * prices.edge_ingest_us / 1e6
+        + 3 * prices.coordination_us / 1e6
+    )
+    # Wall-clock diagnostics: what building each real shard took here.
+    assert len(report.per_worker_seconds) == 4
+    assert all(t > 0 for t in report.per_worker_seconds)
+    assert report.critical_path_seconds == max(report.per_worker_seconds)
+
+
+def test_build_ledger_matches_the_row_at_a_time_build(small_powerlaw):
+    """Build-ledger events, order and modelled µs for this fixture (seed 7),
+    captured from the builder-per-worker build the columnar one replaced."""
+    ledgers, events = [], []
+
+    class Tap(CostModel):
+        def accumulator(self):
+            ledger = super().accumulator()
+            ledger.trace_hook = lambda event, times: events.append((event, times))
+            ledgers.append(ledger)
+            return ledger
+
+    build_distributed(small_powerlaw, 4, cost_model=Tap())
+    assert events == [(EV_EDGE_INGESTED, n) for n in (742, 688, 584, 615)] + [
+        (EV_COORDINATION, 3)
+    ]
+    assert [dict(ledger.counts) for ledger in ledgers] == [
+        {EV_EDGE_INGESTED: 2629, EV_COORDINATION: 3},
+        {},
+    ]
+    assert sum(ledger.modelled_micros() for ledger in ledgers) == 153154.8
+
+
+def test_apply_edge_events_rejects_unknown_dst(small_powerlaw):
+    """An out-of-range dst used to land in the shard row and fail far away
+    (``unknown vertex -3`` from a later sampler read)."""
+    store = make_store(small_powerlaw, 4, seed=0)
+    n = small_powerlaw.n_vertices
+    for bad in (EdgeEvent(0, 1, n + 5, "add"), EdgeEvent(0, 1, -3, "remove")):
+        with pytest.raises(StorageError) as exc:
+            store.apply_edge_events([EdgeEvent(0, 0, 7, "add"), bad])
+        assert str(bad) in str(exc.value)
+    # The valid event ahead of each bad one applied; the bad ones touched nothing.
+    assert store.ledger.count(EV_EDGE_INGESTED) == 2
+    np.testing.assert_array_equal(
+        store.servers[store.owner(1)].local_neighbors(1), small_powerlaw.out_neighbors(1)
+    )
+    np.testing.assert_array_equal(
+        store.servers[store.owner(0)].local_neighbors(0),
+        np.append(small_powerlaw.out_neighbors(0), [7, 7]),
+    )
+    sampler = UniformNeighborSampler(StoreProvider(store, 0))
+    sampler.sample(np.array([0, 1]), [3], make_rng(0))
 
 
 def test_build_work_decreases_with_workers(small_powerlaw):
