@@ -50,10 +50,11 @@ class AccessRecorder:
     """Per-vertex access stream the store and serving engine feed.
 
     ``record`` is called once per resolved read with the vertex, its owning
-    partition, the issuing partition and the route the dispatch loop chose
-    (one of :data:`ROUTES`). The recorder only increments counters, so the
-    stream adds a dict update per read when installed and one ``is not
-    None`` check per read when not.
+    partition, the issuing partition and the route the store's read path
+    chose (one of :data:`ROUTES`); a batch's reads arrive arm by arm (local,
+    cache hits, replica routes, remote), not in batch order. The recorder
+    only increments counters, so the stream adds a dict update per read
+    when installed and one ``is not None`` check per arm when not.
     """
 
     def __init__(self) -> None:

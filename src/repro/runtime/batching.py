@@ -1,12 +1,12 @@
-"""Request batching and coalescing for cross-server reads.
+"""Request batching for cross-server reads.
 
 The unbatched read path issues one RPC per vertex — exactly what production
-graph stores avoid. The batcher turns a stream of ``(vertex, owner)`` reads
-into one request per destination server: repeated vertex ids coalesce into a
-single slot (first-seen order is preserved, so replays are deterministic)
-and oversized groups split at ``max_batch_size``. The cost ledger then
-charges one ``remote_rpc`` per batch plus per-item shipping instead of one
-round trip per vertex.
+graph stores avoid. The batcher turns the remote arm of a read batch —
+aligned ``vertices`` / ``owners`` arrays the caller has already deduplicated
+to first-seen order — into one request per destination server, splitting
+oversized groups at ``max_batch_size``. The cost ledger then charges one
+``remote_rpc`` per batch plus per-item shipping instead of one round trip
+per vertex.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ class Batch:
 
 
 class RequestBatcher:
-    """Groups outstanding reads by destination server and deduplicates them.
+    """Groups outstanding reads by destination server.
 
     ``max_batch_size == 0`` means unbounded batches (one request per
     destination); a positive value splits each destination's batch into
@@ -44,60 +44,24 @@ class RequestBatcher:
                 f"max_batch_size must be >= 0 (0 = unbounded), got {max_batch_size}"
             )
         self.max_batch_size = max_batch_size
-        self.coalesced_total = 0  # reads saved by dedup, cumulative
-
-    def plan(
-        self, kind: str, reads: "list[tuple[int, int]]"
-    ) -> "list[Batch]":
-        """Plan batches for ``reads`` — a list of ``(vertex, owner)`` pairs.
-
-        Returns batches ordered by first appearance of each destination,
-        each batch's vertices in first-seen order with duplicates removed.
-        """
-        by_dest: "dict[int, list[int]]" = {}
-        seen: "dict[int, set[int]]" = {}
-        coalesced = 0
-        for vertex, owner in reads:
-            vertex = int(vertex)
-            dest_seen = seen.setdefault(owner, set())
-            if vertex in dest_seen:
-                coalesced += 1
-                continue
-            dest_seen.add(vertex)
-            by_dest.setdefault(owner, []).append(vertex)
-        self.coalesced_total += coalesced
-
-        batches: "list[Batch]" = []
-        for owner, vertices in by_dest.items():
-            if self.max_batch_size:
-                for i in range(0, len(vertices), self.max_batch_size):
-                    chunk = vertices[i : i + self.max_batch_size]
-                    batches.append(Batch(owner, kind, tuple(chunk)))
-            else:
-                batches.append(Batch(owner, kind, tuple(vertices)))
-        return batches
 
     def plan_grouped(
         self, kind: str, vertices: np.ndarray, owners: np.ndarray
     ) -> "list[Batch]":
-        """Array-native :meth:`plan` for already-deduplicated reads.
+        """Plan one batch per destination for already-deduplicated reads.
 
         ``vertices``/``owners`` are aligned arrays with no repeated vertex
         (the store's read path dedups its batch up front, so re-checking
-        per vertex here would be wasted work). Output is identical to
-        :meth:`plan` on the equivalent ``(vertex, owner)`` list:
-        destinations ordered by first appearance, each destination's
-        vertices in input order, oversized groups split at
-        ``max_batch_size``.
+        per vertex here would be wasted work). Destinations are ordered by
+        first appearance, each destination's vertices stay in input order,
+        and oversized groups split at ``max_batch_size``.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         owners = np.asarray(owners, dtype=np.int64)
         if vertices.size == 0:
             return []
-        dests, first_idx = np.unique(owners, return_index=True)
-        dests = dests[np.argsort(first_idx, kind="stable")]
         batches: "list[Batch]" = []
-        for dest in dests.tolist():
+        for dest in dict.fromkeys(owners.tolist()):  # first-appearance order
             group = tuple(vertices[owners == dest].tolist())
             if self.max_batch_size:
                 for i in range(0, len(group), self.max_batch_size):

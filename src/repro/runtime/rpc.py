@@ -76,12 +76,15 @@ class Response:
 
     ``meta`` carries per-key scalars next to the payload rows: the IV-cache
     flag for attribute reads, the row version for embedding pulls.
+    ``n_items`` is the item count the serving side summed over the payload —
+    what priced the response's shipping time on the virtual clock.
     """
 
     req_id: int
     ok: bool
     payload: "dict[int, np.ndarray]" = field(default_factory=dict)
     meta: "dict[int, object]" = field(default_factory=dict)
+    n_items: int = 0
     latency_us: float = 0.0
     attempts: int = 1
     error: "str | None" = None
@@ -157,7 +160,7 @@ class RpcRuntime:
     plain attributes ``recorder`` (an
     :class:`~repro.obs.workload.AccessRecorder`) and ``timeseries`` (a
     :class:`~repro.obs.timeseries.TimeSeriesSampler`), ``None`` when off.
-    The store's dispatch loop, the serving engine and the placement
+    The store's read path, the serving engine and the placement
     controller all read them from here.
     """
 
@@ -240,7 +243,11 @@ class RpcRuntime:
         vertices: "tuple[int, ...]",
         body: "object | None" = None,
     ) -> Request:
-        """Mint a request envelope with a fresh id."""
+        """Mint a request envelope with a fresh id.
+
+        ``vertices`` are plain ints (a planned :class:`Batch`'s tuple is
+        used as is, not re-coerced element by element).
+        """
         if kind not in _KINDS and kind not in self._services:
             raise RuntimeConfigError(f"unknown request kind {kind!r}")
         if not vertices:
@@ -250,7 +257,7 @@ class RpcRuntime:
             kind=kind,
             src_part=src_part,
             dst_part=dst_part,
-            vertices=tuple(int(v) for v in vertices),
+            vertices=tuple(vertices),
             body=body,
         )
         self._next_req_id += 1
@@ -282,21 +289,15 @@ class RpcRuntime:
         if handler is not None:
             return handler(req)
         server = self.store.servers[req.dst_part]
-        payload: "dict[int, np.ndarray]" = {}
         meta: "dict[int, bool]" = {}
-        n_items = 0
         if req.kind == KIND_NEIGHBORS:
-            for v in req.vertices:
-                row = server.local_neighbors(v)
-                payload[v] = row
-                n_items += int(row.size)
+            payload = server.local_rows(req.vertices)
         else:
+            payload = {}
             for v in req.vertices:
                 meta[v] = v in server.attrs.iv_cache
-                row = server.local_vertex_attr(v)
-                payload[v] = row
-                n_items += int(row.size)
-        return payload, meta, n_items
+                payload[v] = server.local_vertex_attr(v)
+        return payload, meta, sum(map(len, payload.values()))
 
     def execute(self, requests: "list[Request]") -> "list[Response]":
         """Run ``requests`` to completion; responses align with the input.
@@ -429,6 +430,7 @@ class RpcRuntime:
             ok=True,
             payload=payload,
             meta=meta,
+            n_items=n_items,
             latency_us=latency,
             attempts=req.attempt,
         )

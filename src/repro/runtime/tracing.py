@@ -154,7 +154,10 @@ class Tracer:
         #: Spans discarded because :attr:`spans` already held ``max_spans``.
         self.dropped = 0
         #: ``[t_us, trace_id, span_id, event, times]`` rows stamped by the
-        #: cost-ledger hook — the ledger<->trace correlation table.
+        #: cost-ledger hook — the ledger<->trace correlation table. One row
+        #: per ``record`` call, carrying its ``times``: the store charges a
+        #: read batch per arm, so the contract is the sum of ``times`` per
+        #: (span, event), not the number or order of rows.
         self.ledger_rows: "list[list]" = []
         self._stack: "list[Span]" = []
         self._next_trace = 0
@@ -263,13 +266,14 @@ class Tracer:
         Every :meth:`~repro.utils.timer.CostAccumulator.record` call made
         while a span is open lands both on the span (as a ``ledger:<event>``
         event) and in :attr:`ledger_rows` — the cross-reference between the
-        cost ledger's Figure 8–9 accounting and the trace.
+        cost ledger's Figure 8–9 accounting and the trace. A call with
+        ``times=n`` is one row worth ``n`` events.
         """
         if self.enabled:
             accumulator.trace_hook = self.on_ledger_event
 
     def on_ledger_event(self, event: str, times: int) -> None:
-        """Ledger hook target; correlates one recorded event with a span."""
+        """Ledger hook target; correlates one ``record`` call with a span."""
         if not self._stack:
             return
         sp = self._stack[-1]

@@ -44,12 +44,6 @@ class NeighborCache:
         self.misses = 0
         self._registry = None  # ReplicaRegistry | None
         self._part: int | None = None
-        # Membership table of the pinned key set (slot v is True when v is
-        # pinned, plus one trailing False slot), rebuilt lazily after a
-        # pin/unpin/invalidate; lets the store's batched read path answer
-        # "which of these vertices are cached?" with one gather — a few µs
-        # at any batch size, where np.isin costs ~200 µs even for one id.
-        self._pinned_table: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._pinned) + len(self._lru)
@@ -73,7 +67,6 @@ class NeighborCache:
         if vertex not in self._pinned and len(self._pinned) >= self.capacity:
             raise StorageError("neighbor cache pin capacity exhausted")
         self._pinned[vertex] = np.asarray(neighbors, dtype=np.int64)
-        self._pinned_table = None
         self._register(vertex)
 
     def get(self, vertex: int) -> np.ndarray | None:
@@ -87,6 +80,28 @@ class NeighborCache:
             return value
         self.misses += 1
         return None
+
+    def get_many(
+        self, vertices: "list[int]"
+    ) -> "tuple[dict[int, np.ndarray], list[int]]":
+        """:meth:`get` for each of ``vertices`` in order, in one call.
+
+        Returns ``(hits, misses)``: the cached rows by vertex and the ids
+        not held, in input order. This is the store's cache arm: pinned
+        entries answer first (they never move), the rest go through the LRU
+        side in order, so recency, ``hits`` and ``misses`` end up exactly as
+        the scalar sequence would leave them.
+        """
+        n_lookups = len(vertices)
+        pinned = self._pinned
+        hits = {v: pinned[v] for v in vertices if v in pinned} if pinned else {}
+        if hits:
+            vertices = [v for v in vertices if v not in pinned]
+        found, misses = self._lru.get_many(vertices)
+        hits.update(found)
+        self.hits += n_lookups - len(misses)
+        self.misses += len(misses)
+        return hits, misses
 
     def peek(self, vertex: int) -> np.ndarray | None:
         """Cached neighbor array without hit/miss accounting or recency.
@@ -115,7 +130,6 @@ class NeighborCache:
         """
         if self._pinned.pop(vertex, None) is None:
             return False
-        self._pinned_table = None
         if self._lru.peek(vertex) is None:
             self._deregister(vertex)
         return True
@@ -143,8 +157,34 @@ class NeighborCache:
         if self._lru.capacity > 0 and vertex not in self._pinned:
             evicted = self._lru.put(vertex, np.asarray(neighbors, dtype=np.int64))
             self._register(vertex)
-            if evicted is not None and evicted != vertex:
+            # A vertex evicted from the LRU side may still be pinned (mixed
+            # caches): its replica is not gone.
+            if evicted is not None and evicted not in self._pinned:
                 self._deregister(evicted)
+
+    def admit_many(self, rows: "dict[int, np.ndarray]") -> None:
+        """:meth:`admit` for each ``vertex -> row`` of ``rows`` in order.
+
+        The store hands a whole neighbors response here, so the rows are
+        taken as served (int64 arrays), not re-coerced. The registry is
+        told once per batch, by what the LRU side holds afterwards: every
+        eviction is deregistered first, then the batch's surviving ids are
+        registered — all of them, or the last ``capacity`` when the batch
+        overflows the cache and evicts its own head — so an id evicted and
+        re-admitted, or admitted and evicted, inside one batch ends up as
+        the scalar sequence would leave it.
+        """
+        lru = self._lru
+        if lru.capacity == 0:
+            return
+        if self._pinned:
+            rows = {v: row for v, row in rows.items() if v not in self._pinned}
+        evicted = lru.put_many(rows)
+        if self._registry is not None:
+            if self._pinned:
+                evicted = [v for v in evicted if v not in self._pinned]
+            self._registry.deregister_many(evicted, self._part)
+            self._registry.register_many(list(rows)[-lru.capacity :], self._part)
 
     def invalidate(self, vertex: int) -> None:
         """Drop any cached copy of ``vertex``'s neighbors (after an update).
@@ -153,44 +193,21 @@ class NeighborCache:
         miss.
         """
         pinned = self._pinned.pop(vertex, None) is not None
-        if pinned:
-            self._pinned_table = None
         dropped = self._lru.delete(vertex)
         if pinned or dropped:
             self._deregister(vertex)
 
     @property
     def supports_batch_probe(self) -> bool:
-        """Whether :meth:`probe_batch` answers membership exactly.
+        """Whether this cache is pinned-only (no demand-filled side).
 
-        True for pinned-only caches (importance/random policies, or no
-        cache at all): their contents do not change on access, so a batch
-        membership mask computed up front stays valid while the batch's
-        hits are read out. Demand-filled (LRU) caches mutate recency and
-        contents per access and must keep the per-vertex path.
+        True for the importance/random policies and for no cache at all:
+        contents change only through :meth:`pin` / :meth:`unpin` /
+        :meth:`invalidate`, never on access, and :meth:`pinned_vertices`
+        lists all of them. Demand-filled (LRU) caches move recency and
+        contents per access.
         """
         return self._lru.capacity == 0
-
-    def probe_batch(self, vertices: np.ndarray) -> np.ndarray:
-        """Boolean membership mask over ``vertices`` (pinned entries only).
-
-        A pure array probe: no hit/miss accounting, no recency updates —
-        callers read the hits out with :meth:`get` (which counts them) and
-        charge the misses in bulk with :meth:`record_misses`. Ids must be
-        non-negative (the store validates a batch before probing it).
-        """
-        if self._pinned_table is None:
-            table = np.zeros(max(self._pinned, default=-1) + 2, dtype=bool)
-            table[np.fromiter(self._pinned, np.int64, len(self._pinned))] = True
-            self._pinned_table = table
-        # Ids past the largest pinned key clip onto the trailing False slot.
-        return self._pinned_table.take(vertices, mode="clip")
-
-    def record_misses(self, n: int) -> None:
-        """Charge ``n`` lookups that a batch probe resolved as misses."""
-        if n < 0:
-            raise StorageError(f"cannot record {n} misses")
-        self.misses += n
 
     @property
     def hit_rate(self) -> float:

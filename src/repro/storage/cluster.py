@@ -12,6 +12,8 @@ charges exactly one of three paths:
 
 These counters are the entire substance of Figures 8–9 and Table 4, so the
 experiments measure them exactly and convert to time through the cost model.
+A read batch is classified once and each path is served — and charged, with
+``record(event, times=n)`` — in bulk (see ``_resolve_read``).
 
 Cross-server traffic is mediated by the simulated RPC runtime
 (:mod:`repro.runtime`): the batch entry points ``get_neighbors_batch`` /
@@ -268,13 +270,24 @@ class DistributedGraphStore:
     ) -> "dict[int, np.ndarray]":
         """Resolve a deduplicated read batch as seen by ``from_part``.
 
-        Per-vertex routing, in order: owned shard (local), issuer neighbor
-        cache, fail-stopped owner -> replica failover, suspect owner ->
-        replica route (with probing), otherwise remote via the runtime —
-        one coalesced request per owning server. RPC failures past the
-        retry budget fall back to replica failover per vertex and raise
+        The batch is classified once and each arm is served in bulk, in
+        this order: vertices the issuer owns read its shard (local); the
+        rest probe the issuer's neighbor cache in batch order; misses whose
+        owner is fail-stopped fail over to a replica and misses whose owner
+        is suspect route to one (with probing) — the only per-vertex arm,
+        entered only when such an owner exists; what is left goes remote
+        via the runtime, one coalesced request per owning server, and a
+        successful response is absorbed whole (results, shipping charge,
+        demand fill). RPC failures past the retry budget fall back to
+        replica failover per vertex and raise
         :class:`~repro.errors.RetryExhaustedError` when no replica holds
         the data (or degrade, see ``degraded_reads``).
+
+        The ledger is charged per arm (``record(event, times=n)``): the
+        contract is the per-span event *counts*, not the order events were
+        recorded in. Cache recency, hit/miss counters, the replica registry
+        and everything the runtime keeps are exactly what resolving the
+        batch one vertex at a time would leave.
         """
         if kind not in (KIND_NEIGHBORS, KIND_ATTRS):
             raise StorageError(f"unknown read kind {kind!r}")
@@ -301,88 +314,148 @@ class DistributedGraphStore:
         runtime: RpcRuntime,
         read_span: "object",
     ) -> "dict[int, np.ndarray]":
-        health = runtime.health
+        neighbors = kind == KIND_NEIGHBORS
         issuer = self.servers[from_part]
-        nb_cache = issuer.neighbor_cache
-        demand_fill = (
-            kind == KIND_NEIGHBORS
-            and self.cache_policy is not None
-            and self.cache_policy.demand_filled
-        )
-        # Hoisted once per batch: with the recorder off the loop pays one
-        # `is not None` check per vertex.
+        ledger = self.ledger
         rec = runtime.recorder
 
-        # Dedup and validate the whole batch with array ops: np.unique on
-        # the raw ids, re-sorted to first-seen order so replays (and the
-        # ledger events the ordered loop below emits) stay deterministic.
+        # Dedup to first-seen order (what a dict keeps), so every arm below
+        # — cache recency, fills, request payloads — sees a stable order;
+        # validate the ids with array ops.
         arr = np.asarray(vertices, dtype=np.int64).reshape(-1)
-        if arr.size:
-            uniq, first_idx = np.unique(arr, return_index=True)
-            uniq = uniq[np.argsort(first_idx, kind="stable")]
-        else:
-            uniq = arr
+        ids = list(dict.fromkeys(arr.tolist()))
+        uniq = arr if len(ids) == arr.size else np.array(ids, dtype=np.int64)
         oob = (uniq < 0) | (uniq >= self.graph.n_vertices)
         if oob.any():
             raise StorageError(f"unknown vertex {int(uniq[oob][0])}")
-        owners = self.assignment.vertex_to_part[uniq]
 
-        # Pinned caches never mutate on access, so one table gather answers
-        # every cache probe for the batch; the loop then only touches the
-        # cache for actual hits. LRU caches mutate recency per access and
-        # keep the per-vertex probe (probe_mask=None).
-        probe_mask = None
-        if kind == KIND_NEIGHBORS and nb_cache.supports_batch_probe:
-            probe_mask = nb_cache.probe_batch(uniq)
+        # Classify once, on plain lists (small reads dominate serving, and
+        # a handful of mask ops costs more than the ids they sort): owned
+        # by the issuer -> local arm, everything else -> cache arm.
+        owner_of = dict(zip(ids, self.assignment.vertex_to_part[uniq].tolist()))
+        local = [v for v in ids if owner_of[v] == from_part]
+        foreign = [v for v in ids if owner_of[v] != from_part]
 
-        results: "dict[int, np.ndarray]" = {}
-        remote_v: "list[int]" = []
-        remote_owner: "list[int]" = []
-        probe_misses = 0
-        # Dispatch stays an ordered scalar loop: each arm records ledger
-        # events whose order is part of the deterministic trace contract.
-        for i, (v, owner) in enumerate(zip(uniq.tolist(), owners.tolist())):
-            server = self.servers[owner]
-            if owner == from_part:
+        if neighbors:
+            results = issuer.local_rows(local)
+            if local:
+                ledger.record(EV_LOCAL_READ, times=len(local))
+        else:
+            # The IV-LRU front moves per access, so attribute rows decode
+            # one by one.
+            results = {}
+            for v in local:
+                if not issuer.attrs.has_vertex_attr(v):
+                    raise StorageError(f"vertex {v} has no attributes stored")
+                was_cached = v in issuer.attrs.iv_cache
+                results[v] = issuer.local_vertex_attr(v)
+                ledger.record(EV_ATTR_CACHE_HIT if was_cached else EV_ATTR_DECODE)
+        if rec is not None:
+            for v in local:
+                rec.record(v, from_part, from_part, "local")
+
+        missed = foreign
+        if neighbors and foreign:
+            hits, missed = issuer.neighbor_cache.get_many(foreign)
+            if hits:
+                results.update(hits)
+                ledger.record(EV_CACHE_HIT, times=len(hits))
                 if rec is not None:
-                    rec.record(v, owner, from_part, "local")
-                if kind == KIND_NEIGHBORS:
-                    self.ledger.record(EV_LOCAL_READ)
-                    results[v] = server.local_neighbors(v)
-                else:
-                    if not server.attrs.has_vertex_attr(v):
-                        raise StorageError(
-                            f"vertex {v} has no attributes stored"
-                        )
-                    was_cached = v in server.attrs.iv_cache
-                    results[v] = server.local_vertex_attr(v)
-                    self.ledger.record(
-                        EV_ATTR_CACHE_HIT if was_cached else EV_ATTR_DECODE
-                    )
+                    for v in hits:
+                        rec.record(v, owner_of[v], from_part, "cache_hit")
+
+        # Only a fail-stopped or suspect owner needs per-vertex routing
+        # (attribute rows have no replicas to route a suspect's reads to).
+        if missed and (
+            self._failed or (neighbors and runtime.health.suspect_parts)
+        ):
+            missed = self._route_around(
+                kind, missed, owner_of, from_part, runtime, results
+            )
+        if not neighbors:
+            for v in missed:
+                if not self.servers[owner_of[v]].attrs.has_vertex_attr(v):
+                    raise StorageError(f"vertex {v} has no attributes stored")
+
+        read_span.annotate(
+            vertices=len(ids),
+            resolved_local=len(results),
+            remote=len(missed),
+        )
+        if not missed:
+            return results
+        with runtime.tracer.span("batch.plan", kind=kind) as plan_span:
+            batches = self._batcher.plan_grouped(
+                kind,
+                np.asarray(missed, dtype=np.int64),
+                np.asarray([owner_of[v] for v in missed], dtype=np.int64),
+            )
+            plan_span.annotate(reads=len(missed), batches=len(batches))
+        requests = [
+            runtime.make_request(b.kind, from_part, b.dst_part, b.vertices)
+            for b in batches
+        ]
+        demand_fill = (
+            neighbors
+            and self.cache_policy is not None
+            and self.cache_policy.demand_filled
+        )
+        for req, resp in zip(requests, runtime.execute(requests)):
+            if not resp.ok:
+                for v in req.vertices:
+                    try:
+                        results[v] = self._failover_read(v, from_part, kind)
+                    except ReadUnavailableError as exc:
+                        raise RetryExhaustedError(
+                            f"{kind} of vertex {v}: {resp.error}, "
+                            "and no healthy replica holds it",
+                            resp.attempts,
+                        ) from exc
                 continue
-            if kind == KIND_NEIGHBORS:
-                if probe_mask is not None:
-                    if probe_mask[i]:
-                        cached = nb_cache.get(v)
-                        self.ledger.record(EV_CACHE_HIT)
-                        if rec is not None:
-                            rec.record(v, owner, from_part, "cache_hit")
-                        results[v] = cached
-                        continue
-                    probe_misses += 1
-                else:
-                    cached = nb_cache.get(v)
-                    if cached is not None:
-                        self.ledger.record(EV_CACHE_HIT)
-                        if rec is not None:
-                            rec.record(v, owner, from_part, "cache_hit")
-                        results[v] = cached
-                        continue
+            payload = resp.payload
+            results.update(payload)
+            ledger.record(EV_REMOTE_RPC)
+            if rec is not None:
+                for v in payload:
+                    rec.record(v, req.dst_part, from_part, "remote")
+            if neighbors:
+                ledger.record(EV_ITEM_SHIPPED, times=resp.n_items)
+                if demand_fill:
+                    issuer.neighbor_cache.admit_many(payload)
+                    ledger.record(EV_CACHE_FILL, times=len(payload))
+            else:
+                iv_hits = sum(resp.meta.values())
+                if iv_hits:
+                    ledger.record(EV_ATTR_CACHE_HIT, times=iv_hits)
+                if iv_hits < len(payload):
+                    ledger.record(EV_ATTR_DECODE, times=len(payload) - iv_hits)
+        return results
+
+    def _route_around(
+        self,
+        kind: str,
+        missed: "list[int]",
+        owner_of: "dict[int, int]",
+        from_part: int,
+        runtime: RpcRuntime,
+        results: "dict[int, np.ndarray]",
+    ) -> "list[int]":
+        """Serve what a troubled owner's vertices can get from replicas.
+
+        The scalar arm of the read path, in batch order (``should_probe``
+        counts per read): a fail-stopped owner's vertex fails over to a
+        replica (or degrades / raises); a suspect owner's vertex routes to
+        a replica unless this read is the probe or no replica holds it.
+        Fills ``results`` and returns the ids still to fetch remotely.
+        """
+        health = runtime.health
+        rec = runtime.recorder
+        remote: "list[int]" = []
+        for v in missed:
+            owner = owner_of[v]
             if owner in self._failed:
                 results[v] = self._failover_read(v, from_part, kind)
                 continue
-            if kind == KIND_ATTRS and not server.attrs.has_vertex_attr(v):
-                raise StorageError(f"vertex {v} has no attributes stored")
             if (
                 kind == KIND_NEIGHBORS
                 and health.is_suspect(owner)
@@ -396,62 +469,8 @@ class DistributedGraphStore:
                         rec.record(v, owner, from_part, "suspect")
                     results[v] = row
                     continue
-            remote_v.append(v)
-            remote_owner.append(owner)
-        if probe_misses:
-            nb_cache.record_misses(probe_misses)
-
-        read_span.annotate(
-            vertices=int(uniq.size),
-            resolved_local=len(results),
-            remote=len(remote_v),
-        )
-        if not remote_v:
-            return results
-        with runtime.tracer.span("batch.plan", kind=kind) as plan_span:
-            batches = self._batcher.plan_grouped(
-                kind,
-                np.asarray(remote_v, dtype=np.int64),
-                np.asarray(remote_owner, dtype=np.int64),
-            )
-            plan_span.annotate(reads=len(remote_v), batches=len(batches))
-        requests = [
-            runtime.make_request(b.kind, from_part, b.dst_part, b.vertices)
-            for b in batches
-        ]
-        for req, resp in zip(requests, runtime.execute(requests)):
-            if resp.ok:
-                self.ledger.record(EV_REMOTE_RPC)
-                if rec is not None:
-                    for v in resp.payload:
-                        rec.record(v, req.dst_part, from_part, "remote")
-                if kind == KIND_NEIGHBORS:
-                    shipped = sum(int(row.size) for row in resp.payload.values())
-                    self.ledger.record(EV_ITEM_SHIPPED, times=shipped)
-                    for v, row in resp.payload.items():
-                        results[v] = row
-                        if demand_fill:
-                            issuer.neighbor_cache.admit(v, row)
-                            self.ledger.record(EV_CACHE_FILL)
-                else:
-                    for v, row in resp.payload.items():
-                        results[v] = row
-                        self.ledger.record(
-                            EV_ATTR_CACHE_HIT
-                            if resp.meta.get(v)
-                            else EV_ATTR_DECODE
-                        )
-            else:
-                for v in req.vertices:
-                    try:
-                        results[v] = self._failover_read(v, from_part, kind)
-                    except ReadUnavailableError as exc:
-                        raise RetryExhaustedError(
-                            f"{kind} of vertex {v}: {resp.error}, "
-                            "and no healthy replica holds it",
-                            resp.attempts,
-                        ) from exc
-        return results
+            remote.append(v)
+        return remote
 
     def neighbors(self, vertex: int, from_part: int) -> np.ndarray:
         """Out-neighbors of ``vertex`` as seen by worker ``from_part``.
@@ -511,14 +530,17 @@ class DistributedGraphStore:
         """Apply a batch of :class:`~repro.graph.dynamic.EdgeEvent` updates.
 
         Additions/removals are routed to the source vertex's owning shard;
-        every server's cached copy of the touched vertex's neighbor list is
+        every cached copy of the touched vertex's neighbor list — found
+        through the replica registry, so only its holders are visited — is
         invalidated so subsequent reads observe the new adjacency. Servers
         that held the vertex as a *pinned* (importance-selected) entry are
         re-pinned with the fresh adjacency — a hot vertex keeps its replica
         set, and therefore its failover coverage, across updates (one
         ``replica_refresh`` push plus per-item shipping per holder).
         Demand-filled (LRU) copies are dropped only; they re-fill on the
-        next access. Returns the number of applied events. An event naming
+        next access. A ``remove`` that matches no arc is charged its
+        ``edge_ingested`` (the shard did process the message) and touches
+        nothing else. Returns the number of applied events. An event naming
         an unknown vertex (``src`` or ``dst``) raises :class:`StorageError`
         before it mutates anything; events ahead of it in the batch stay
         applied. Note: the immutable analytical snapshot (``self.graph``) is
@@ -527,7 +549,8 @@ class DistributedGraphStore:
         applied = 0
         n_vertices = self.graph.n_vertices
         for ev in events:
-            owner = self.owner(ev.src)
+            src = ev.src
+            owner = self.owner(src)
             if not 0 <= ev.dst < n_vertices:
                 raise StorageError(f"unknown vertex {ev.dst} in {ev}")
             if owner in self._failed:
@@ -535,28 +558,25 @@ class DistributedGraphStore:
                     f"cannot apply update: owner worker {owner} is down"
                 )
             server = self.servers[owner]
-            pinned_holders = [
-                p
-                for p in self.replicas.holders(ev.src)
-                if self.servers[p].neighbor_cache.is_pinned(ev.src)
-            ]
-            if ev.kind == "add":
-                server.add_local_edge(ev.src, ev.dst)
-                applied += 1
-            elif server.remove_local_edge(ev.src, ev.dst):
-                applied += 1
             self.ledger.record(EV_EDGE_INGESTED)
-            for other in self.servers:
-                other.neighbor_cache.invalidate(ev.src)
-            if pinned_holders:
-                fresh = server.local_neighbors(ev.src)
-                for p in pinned_holders:
-                    self.servers[p].neighbor_cache.pin(ev.src, fresh)
+            if ev.kind == "add":
+                server.add_local_edge(src, ev.dst)
+            elif not server.remove_local_edge(src, ev.dst):
+                # Nothing changed: every cached copy is still exact.
+                continue
+            applied += 1
+            # Only registered holders can have a copy to drop (the registry
+            # audit invariant), so the other servers are not visited.
+            for p in self.replicas.holders(src):
+                cache = self.servers[p].neighbor_cache
+                pinned = cache.is_pinned(src)
+                cache.invalidate(src)
+                if pinned:
+                    fresh = server.local_neighbors(src)
+                    cache.pin(src, fresh)
                     if p != owner:
                         self.ledger.record(EV_REPLICA_REFRESH)
-                        self.ledger.record(
-                            EV_ITEM_SHIPPED, times=int(fresh.size)
-                        )
+                        self.ledger.record(EV_ITEM_SHIPPED, times=int(fresh.size))
         return applied
 
     def commit_migration(self, vertex: int, new_part: int) -> int:

@@ -340,13 +340,7 @@ class PlacementController:
             if not resp.ok:
                 metrics.counter("placement.migrate_aborted").inc(len(vertices))
                 return 0, 0
-            n_items = sum(
-                int(row.size)
-                + (int(meta[1].size) if meta[1] is not None else 0)
-                for row, meta in (
-                    (resp.payload[v], resp.meta[v]) for v in vertices
-                )
-            )
+            n_items = resp.n_items  # rows + attrs, as the old owner summed them
             store.ledger.record(EV_MIGRATION_RPC)
             if n_items:
                 store.ledger.record(EV_ITEM_SHIPPED, times=n_items)

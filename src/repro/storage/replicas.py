@@ -68,6 +68,21 @@ class ReplicaRegistry:
         if not holders:
             del self._holders[vertex]
 
+    def deregister_many(self, vertices: "list[int]", part: int) -> None:
+        """Forget ``part``'s replicas of all ``vertices`` (absent ones skipped).
+
+        The bulk twin of :meth:`deregister` — what a cache calls with the
+        evictions of one batch admission. ``vertices`` must be plain ints.
+        """
+        self._check_part(part)
+        for vertex in vertices:
+            holders = self._holders.get(vertex)
+            if holders is not None:
+                holders.discard(part)
+                if not holders:
+                    del self._holders[vertex]
+        self._by_part[part].difference_update(vertices)
+
     def drop_part(self, part: int) -> None:
         """Forget every replica registered by ``part`` (cache swap/rebuild)."""
         self._check_part(part)

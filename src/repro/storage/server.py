@@ -105,6 +105,20 @@ class GraphServer:
                 f"server {self.part_id} does not own vertex {vertex}"
             ) from None
 
+    def local_rows(self, vertices: "list[int]") -> "dict[int, np.ndarray]":
+        """Out-neighbor rows of a batch of owned vertices, by vertex.
+
+        :meth:`local_neighbors` for the whole batch in one call; raises the
+        same error, naming the first vertex this shard does not own.
+        """
+        adjacency = self._adjacency
+        try:
+            return {v: adjacency[v] for v in vertices}
+        except KeyError as exc:
+            raise StorageError(
+                f"server {self.part_id} does not own vertex {exc.args[0]}"
+            ) from None
+
     def local_weights(self, vertex: int) -> np.ndarray:
         """Edge weights aligned with :meth:`local_neighbors`."""
         try:
@@ -126,8 +140,16 @@ class GraphServer:
             )
         if weight <= 0:
             raise StorageError(f"edge weight must be positive, got {weight}")
-        self._adjacency[src] = np.append(self._adjacency[src], np.int64(dst))
-        self._adj_weights[src] = np.append(self._adj_weights[src], float(weight))
+        row = self._adjacency[src]
+        n = row.size
+        grown = np.empty(n + 1, dtype=np.int64)
+        grown[:n] = row
+        grown[n] = dst
+        weights = np.empty(n + 1, dtype=np.float64)
+        weights[:n] = self._adj_weights[src]
+        weights[n] = weight
+        self._adjacency[src] = grown
+        self._adj_weights[src] = weights
         self._n_local_edges += 1
 
     def remove_local_edge(self, src: int, dst: int) -> bool:
@@ -137,13 +159,13 @@ class GraphServer:
                 f"server {self.part_id} cannot touch foreign vertex {src}"
             )
         row = self._adjacency[src]
-        hits = np.flatnonzero(row == dst)
+        hits = (row == dst).nonzero()[0]
         if hits.size == 0:
             return False
-        keep = np.ones(row.size, dtype=bool)
-        keep[hits[0]] = False
-        self._adjacency[src] = row[keep]
-        self._adj_weights[src] = self._adj_weights[src][keep]
+        i = hits[0]
+        weights = self._adj_weights[src]
+        self._adjacency[src] = np.concatenate((row[:i], row[i + 1 :]))
+        self._adj_weights[src] = np.concatenate((weights[:i], weights[i + 1 :]))
         self._n_local_edges -= 1
         return True
 

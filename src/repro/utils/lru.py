@@ -40,6 +40,32 @@ class LRUCache:
         self.misses += 1
         return default
 
+    def get_many(
+        self, keys: "list[Hashable]"
+    ) -> "tuple[dict[Hashable, Any], list[Hashable]]":
+        """:meth:`get` for each of ``keys`` in order, in one call.
+
+        Returns ``(found, missing)``: the cached values by key and the keys
+        not held, in input order. Recency moves and the hit/miss counters
+        end up exactly as the scalar sequence would leave them.
+        """
+        store = self._store
+        found: "dict[Hashable, Any]" = {}
+        missing: "list[Hashable]" = []
+        if store:
+            touch = store.move_to_end
+            for key in keys:
+                if key in store:
+                    touch(key)
+                    found[key] = store[key]
+                else:
+                    missing.append(key)
+        else:
+            missing.extend(keys)
+        self.hits += len(keys) - len(missing)
+        self.misses += len(missing)
+        return found, missing
+
     def put(self, key: Hashable, value: Any) -> Hashable | None:
         """Insert/refresh ``key``; evicts the least recently used entry.
 
@@ -56,6 +82,26 @@ class LRUCache:
             self.evictions += 1
             return evicted
         return None
+
+    def put_many(self, items: "dict[Hashable, Any]") -> "list[Hashable]":
+        """:meth:`put` for each item in order; returns the evicted keys in order.
+
+        A batch larger than the capacity evicts its own earlier entries, as
+        the scalar sequence would.
+        """
+        capacity = self.capacity
+        if capacity == 0:
+            return []
+        store = self._store
+        evicted: "list[Hashable]" = []
+        for key, value in items.items():
+            if key in store:
+                store.move_to_end(key)
+            store[key] = value
+            if len(store) > capacity:
+                evicted.append(store.popitem(last=False)[0])
+        self.evictions += len(evicted)
+        return evicted
 
     def peek(self, key: Hashable, default: Any = None) -> Any:
         """Return the cached value without touching recency or statistics."""

@@ -74,6 +74,26 @@ def small_amazon():
 REPORT_ARGV = ["report", "--scale", "0.1", "--steps", "2", "--workers", "3", "--seed", "0"]
 
 
+def python_calls(fn, under: str) -> int:
+    """Python-level calls made in files whose path contains ``under`` while
+    ``fn`` runs — the guard that a per-vertex loop cannot come back unnoticed."""
+    import sys
+
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call" and under in frame.f_code.co_filename:
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 def run_cli(argv: "list[str]") -> str:
     """Run ``repro.cli.main(argv)``, assert exit 0, return its stdout."""
     import contextlib

@@ -9,9 +9,14 @@ from repro.algorithms.automl import AutoGNN, default_candidates
 from repro.algorithms.framework import GNNFramework
 from repro.errors import ReproError, StorageError, TrainingError
 from repro.graph.dynamic import EdgeEvent
-from repro.storage import ImportanceCachePolicy
+from repro.storage import ImportanceCachePolicy, LRUCachePolicy
 from repro.storage.cluster import make_store
-from repro.storage.costmodel import EV_FAILOVER_READ
+from repro.storage.costmodel import (
+    EV_EDGE_INGESTED,
+    EV_FAILOVER_READ,
+    EV_ITEM_SHIPPED,
+    EV_REPLICA_REFRESH,
+)
 from repro.tasks.edge_embeddings import (
     edge_embedding,
     neighborhood_subgraph_embedding,
@@ -258,6 +263,33 @@ def test_remove_absent_edge_not_counted(small_powerlaw):
         [EdgeEvent(timestamp=0, src=u, dst=absent, kind="remove")]
     )
     assert applied == 0
+
+
+@pytest.mark.parametrize("policy", [ImportanceCachePolicy, LRUCachePolicy])
+def test_remove_absent_edge_keeps_cached_copies(small_powerlaw, policy):
+    # A remove that matches no arc changes nothing, so it must not drop a
+    # demand-filled copy nor re-ship the unchanged row to pinned holders.
+    store = make_store(
+        small_powerlaw, 2, cache_policy=policy(), cache_budget_fraction=0.5, seed=0
+    )
+    from repro.storage.importance import importance_scores
+
+    u = int(np.argsort(importance_scores(small_powerlaw, 2))[::-1][0])  # pinned
+    reader = (store.owner(u) + 1) % 2
+    row = store.neighbors(u, from_part=reader)  # LRU: fills the reader's cache
+    cache = store.servers[reader].neighbor_cache
+    assert cache.peek(u) is not None
+    absent = next(v for v in range(small_powerlaw.n_vertices) if v not in set(row.tolist()))
+    store.reset_ledger()
+    applied = store.apply_edge_events(
+        [EdgeEvent(timestamp=0, src=u, dst=absent, kind="remove")]
+    )
+    assert applied == 0
+    assert store.ledger.count(EV_EDGE_INGESTED) == 1  # the shard did process it
+    assert store.ledger.count(EV_REPLICA_REFRESH) == 0
+    assert store.ledger.count(EV_ITEM_SHIPPED) == 0
+    assert cache.peek(u) is row
+    assert store.replicas.holders(u) != ()
 
 
 def test_update_invalidates_caches(small_powerlaw):

@@ -1,4 +1,4 @@
-"""Vectorized read-path kernels: cache parity, grouped plans, batch probes.
+"""Vectorized read-path kernels: cache parity, grouped plans.
 
 The overlap layer this file was named after is gone (the prefetching
 pipeline, its depth knob and the makespan model); what remains are the
@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 from repro.data import make_dataset
-from repro.errors import OperatorError
+from repro.errors import OperatorError, RuntimeConfigError
 from repro.ops.materialize import MaterializationCache
-from repro.runtime import RequestBatcher, RpcRuntime, Tracer
+from repro.runtime import Batch, RequestBatcher, RpcRuntime, Tracer
 from repro.storage import ImportanceCachePolicy
-from repro.storage.cache import NeighborCache
 from repro.storage.cluster import make_store
 from repro.utils.rng import make_rng
 
@@ -106,8 +105,24 @@ def test_materialization_cache_missing_vertex_message():
 
 
 # --------------------------------------------------------------------- #
-# Vectorized read path: plan_grouped and batch cache probes
+# Vectorized read path: plan_grouped against the per-read planner it replaced
 # --------------------------------------------------------------------- #
+def plan_per_read(max_batch_size, kind, reads):
+    """``RequestBatcher.plan`` as it was: one ``(vertex, owner)`` pair at a
+    time, deduplicating per destination — the oracle for ``plan_grouped``."""
+    by_dest = {}
+    for vertex, owner in reads:
+        group = by_dest.setdefault(owner, [])
+        if vertex not in group:
+            group.append(vertex)
+    batches = []
+    for owner, vertices in by_dest.items():
+        step = max_batch_size or len(vertices)
+        for i in range(0, len(vertices), step):
+            batches.append(Batch(owner, kind, tuple(vertices[i : i + step])))
+    return batches
+
+
 @pytest.mark.parametrize("max_batch", [0, 3])
 def test_plan_grouped_matches_plan(max_batch):
     rng = make_rng(9)
@@ -116,60 +131,11 @@ def test_plan_grouped_matches_plan(max_batch):
         vertices = rng.choice(1000, size=n, replace=False)
         owners = rng.integers(0, 5, size=n)
         reads = list(zip(vertices.tolist(), owners.tolist()))
-        a = RequestBatcher(max_batch).plan("neighbors", reads)
+        a = plan_per_read(max_batch, "neighbors", reads)
         b = RequestBatcher(max_batch).plan_grouped("neighbors", vertices, owners)
         assert a == b
-
-
-def test_neighbor_cache_probe_batch_matches_membership():
-    from repro.utils.lru import LRUCache
-
-    graph = _graph(scale=0.1)
-    cache = NeighborCache(8)
-    cache._lru = LRUCache(0)  # pinned-only, as make_cache configures it
-    for v in range(8):
-        cache.pin(v, graph.out_neighbors(v))
-    assert cache.supports_batch_probe  # LRU side is zero-capacity
-    verts = np.array([0, 5, 7, 100, 200])
-    mask = cache.probe_batch(verts)
-    assert mask.tolist() == [True, True, True, False, False]
-    # A pure probe: no accounting happened.
-    assert cache.hits == 0 and cache.misses == 0
-    cache.record_misses(2)
-    assert cache.misses == 2
-    cache.invalidate(5)
-    assert cache.probe_batch(verts).tolist() == [True, False, True, False, False]
-
-
-def test_probe_batch_tracks_is_pinned_through_churn():
-    from repro.storage.cache import make_pinned_cache
-
-    cache = make_pinned_cache(16)
-    probe = np.array([0, 3, 3, 40, 41, 999, 10_000_000])
-
-    def check():
-        want = [cache.is_pinned(int(v)) for v in probe]
-        assert cache.probe_batch(probe).tolist() == want
-        assert cache.probe_batch(np.array([40])).tolist() == [cache.is_pinned(40)]
-
-    row = np.array([1, 2])
-    check()  # empty cache: all misses, nothing to index
-    assert not cache.probe_batch(probe).any()
-    cache.pin(3, row)
-    check()
-    cache.pin(40, row)  # grows past the previous largest key
-    check()
-    cache.pin(3, row)  # re-pin: membership unchanged
-    check()
-    cache.unpin(40)  # largest key leaves: 40 and everything above miss
-    check()
-    cache.pin(999, row)
-    cache.invalidate(3)
-    check()
-    cache.invalidate(999)
-    check()
-    assert not cache.probe_batch(probe).any()
-    assert cache.hits == 0 and cache.misses == 0  # pure probes throughout
+    with pytest.raises(RuntimeConfigError):
+        RequestBatcher(max_batch_size=-1)
 
 
 def test_resolve_read_ledger_event_order_deterministic():

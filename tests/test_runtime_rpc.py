@@ -13,7 +13,6 @@ from repro.errors import (
 from repro.runtime import (
     FaultInjector,
     FaultPlan,
-    RequestBatcher,
     RetryPolicy,
     RpcRuntime,
 )
@@ -265,20 +264,6 @@ def test_runtime_rejects_oversized_submission():
     store.attach_runtime(RpcRuntime(store, inbox_capacity=1, max_batch_size=1))
     with pytest.raises(InboxOverflowError):
         store.get_neighbors_batch(np.arange(graph.n_vertices), from_part=0)
-
-
-def test_batcher_groups_dedupes_and_splits():
-    batcher = RequestBatcher(max_batch_size=2)
-    reads = [(5, 1), (6, 1), (5, 1), (7, 2), (8, 1)]
-    batches = batcher.plan(KIND_NEIGHBORS, reads)
-    assert [(b.dst_part, b.vertices) for b in batches] == [
-        (1, (5, 6)),
-        (1, (8,)),
-        (2, (7,)),
-    ]
-    assert batcher.coalesced_total == 1
-    with pytest.raises(RuntimeConfigError):
-        RequestBatcher(max_batch_size=-1)
 
 
 def test_make_request_validation():

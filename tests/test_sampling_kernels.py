@@ -41,6 +41,7 @@ from repro.utils.stats import (
     chi_square_homogeneity,
     zipf_probs,
 )
+from tests.conftest import python_calls
 
 P_FLOOR = 1e-4  # equivalence tests: H0 true, so p is uniform on [0, 1]
 
@@ -548,25 +549,6 @@ def _sink_graph() -> Graph:
     return Graph(240, src, dst, directed=True)
 
 
-def _sampling_calls(fn) -> int:
-    """Python-level calls made inside ``repro.sampling`` while ``fn`` runs."""
-    import sys
-
-    calls = 0
-
-    def profiler(frame, event, arg):
-        nonlocal calls
-        if event == "call" and "/repro/sampling/" in frame.f_code.co_filename:
-            calls += 1
-
-    sys.setprofile(profiler)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return calls
-
-
 class TestStoreBackedBlocks:
     @pytest.mark.parametrize("policy", [ImportanceCachePolicy, LRUCachePolicy])
     def test_store_draws_equal_graph_draws_bit_for_bit(self, policy):
@@ -666,12 +648,13 @@ class TestStoreBackedBlocks:
         )
         sampler = UniformNeighborSampler(StoreProvider(store, from_part=0))
         counts = {
-            size: _sampling_calls(
+            size: python_calls(
                 lambda: sampler.sample(
                     make_rng(1).integers(0, graph.n_vertices, size=size),
                     [10, 5],
                     make_rng(2),
-                )
+                ),
+                under="/repro/sampling/",
             )
             for size in (64, 512)
         }

@@ -1,10 +1,21 @@
 """Distributed store: routing accounting, caches, build pipeline."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import ReadUnavailableError, RetryExhaustedError, StorageError
 from repro.graph.dynamic import EdgeEvent
+from repro.obs import AccessRecorder
+from repro.runtime import (
+    FaultPlan,
+    HealthTracker,
+    MetricsRegistry,
+    RetryPolicy,
+    RpcRuntime,
+)
+from repro.runtime.rpc import KIND_ATTRS, KIND_NEIGHBORS
 from repro.sampling import StoreProvider, UniformNeighborSampler
 from repro.storage import (
     CostModel,
@@ -12,14 +23,25 @@ from repro.storage import (
     LRUCachePolicy,
     RandomCachePolicy,
 )
-from repro.storage.cluster import build_distributed, make_store
+from repro.storage.cluster import (
+    DistributedGraphStore,
+    build_distributed,
+    make_store,
+)
 from repro.storage.costmodel import (
+    EV_ATTR_CACHE_HIT,
+    EV_ATTR_DECODE,
+    EV_CACHE_FILL,
     EV_CACHE_HIT,
     EV_COORDINATION,
     EV_EDGE_INGESTED,
+    EV_FAILOVER_READ,
+    EV_ITEM_SHIPPED,
     EV_LOCAL_READ,
     EV_REMOTE_RPC,
+    EV_SUSPECT_ROUTE,
 )
+from repro.storage.partition.hashcut import EdgeCutPartitioner
 from repro.utils.rng import make_rng
 
 
@@ -228,3 +250,353 @@ def test_cache_hit_rate_property(small_powerlaw):
     for v in range(40):
         store.neighbors(v, from_part=(store.owner(v) + 1) % 4)
     assert 0.0 <= store.cache_hit_rate() <= 1.0
+
+
+# --------------------------------------------------------------------- #
+# The bulk-arm read path against the per-vertex dispatch it replaced
+# --------------------------------------------------------------------- #
+def per_vertex_dispatch(store, kind, vertices, from_part, runtime, read_span):
+    """The ordered per-vertex dispatch loop the store used to run.
+
+    Kept here as the oracle for ``_resolve_read_traced``: one vertex at a
+    time through the scalar ``get`` / ``admit`` / ``local_neighbors`` /
+    ``ledger.record`` calls, in batch order.
+    """
+    health = runtime.health
+    issuer = store.servers[from_part]
+    nb_cache = issuer.neighbor_cache
+    demand_fill = (
+        kind == KIND_NEIGHBORS
+        and store.cache_policy is not None
+        and store.cache_policy.demand_filled
+    )
+    rec = runtime.recorder
+    arr = np.asarray(vertices, dtype=np.int64).reshape(-1)
+    if arr.size:
+        uniq, first_idx = np.unique(arr, return_index=True)
+        uniq = uniq[np.argsort(first_idx, kind="stable")]
+    else:
+        uniq = arr
+    oob = (uniq < 0) | (uniq >= store.graph.n_vertices)
+    if oob.any():
+        raise StorageError(f"unknown vertex {int(uniq[oob][0])}")
+    owners = store.assignment.vertex_to_part[uniq]
+
+    results = {}
+    remote_v, remote_owner = [], []
+    for v, owner in zip(uniq.tolist(), owners.tolist()):
+        server = store.servers[owner]
+        if owner == from_part:
+            if rec is not None:
+                rec.record(v, owner, from_part, "local")
+            if kind == KIND_NEIGHBORS:
+                store.ledger.record(EV_LOCAL_READ)
+                results[v] = server.local_neighbors(v)
+            else:
+                if not server.attrs.has_vertex_attr(v):
+                    raise StorageError(f"vertex {v} has no attributes stored")
+                was_cached = v in server.attrs.iv_cache
+                results[v] = server.local_vertex_attr(v)
+                store.ledger.record(
+                    EV_ATTR_CACHE_HIT if was_cached else EV_ATTR_DECODE
+                )
+            continue
+        if kind == KIND_NEIGHBORS:
+            cached = nb_cache.get(v)
+            if cached is not None:
+                store.ledger.record(EV_CACHE_HIT)
+                if rec is not None:
+                    rec.record(v, owner, from_part, "cache_hit")
+                results[v] = cached
+                continue
+        if owner in store._failed:
+            results[v] = store._failover_read(v, from_part, kind)
+            continue
+        if kind == KIND_ATTRS and not server.attrs.has_vertex_attr(v):
+            raise StorageError(f"vertex {v} has no attributes stored")
+        if (
+            kind == KIND_NEIGHBORS
+            and health.is_suspect(owner)
+            and not health.should_probe(owner)
+        ):
+            row = store._replica_peek(v, from_part)
+            if row is not None:
+                store.ledger.record(EV_SUSPECT_ROUTE)
+                runtime.metrics.counter("health.suspect_routes").inc()
+                if rec is not None:
+                    rec.record(v, owner, from_part, "suspect")
+                results[v] = row
+                continue
+        remote_v.append(v)
+        remote_owner.append(owner)
+
+    read_span.annotate(
+        vertices=int(uniq.size), resolved_local=len(results), remote=len(remote_v)
+    )
+    if not remote_v:
+        return results
+    with runtime.tracer.span("batch.plan", kind=kind) as plan_span:
+        batches = store._batcher.plan_grouped(
+            kind,
+            np.asarray(remote_v, dtype=np.int64),
+            np.asarray(remote_owner, dtype=np.int64),
+        )
+        plan_span.annotate(reads=len(remote_v), batches=len(batches))
+    requests = [
+        runtime.make_request(b.kind, from_part, b.dst_part, b.vertices)
+        for b in batches
+    ]
+    for req, resp in zip(requests, runtime.execute(requests)):
+        if resp.ok:
+            store.ledger.record(EV_REMOTE_RPC)
+            if rec is not None:
+                for v in resp.payload:
+                    rec.record(v, req.dst_part, from_part, "remote")
+            if kind == KIND_NEIGHBORS:
+                shipped = sum(int(row.size) for row in resp.payload.values())
+                store.ledger.record(EV_ITEM_SHIPPED, times=shipped)
+                for v, row in resp.payload.items():
+                    results[v] = row
+                    if demand_fill:
+                        issuer.neighbor_cache.admit(v, row)
+                        store.ledger.record(EV_CACHE_FILL)
+            else:
+                for v, row in resp.payload.items():
+                    results[v] = row
+                    store.ledger.record(
+                        EV_ATTR_CACHE_HIT if resp.meta.get(v) else EV_ATTR_DECODE
+                    )
+        else:
+            for v in req.vertices:
+                try:
+                    results[v] = store._failover_read(v, from_part, kind)
+                except ReadUnavailableError as exc:
+                    raise RetryExhaustedError(
+                        f"{kind} of vertex {v}: {resp.error}, "
+                        "and no healthy replica holds it",
+                        resp.attempts,
+                    ) from exc
+    return results
+
+
+N_PARTS = 4
+POLICIES = {
+    "none": None,
+    "importance": ImportanceCachePolicy,
+    "random": RandomCachePolicy,
+    "lru": LRUCachePolicy,
+}
+#: scenario -> (fault plan kwargs, retry attempts, degraded_reads)
+SCENARIOS = {
+    "fault_free": ({}, 8, False),
+    "drops_5": ({"drop_rate": 0.05}, 8, False),
+    "drops_25": ({"drop_rate": 0.25, "timeout_rate": 0.05}, 8, False),
+    "retry_exhausted": ({"drop_rate": 0.4}, 2, False),
+    "fail_stop": ({"drop_rate": 0.05}, 8, False),
+    "degraded": ({"drop_rate": 0.05}, 8, True),
+    "suspect": ({"drop_rate": 0.05}, 8, False),
+}
+
+
+def _parity_store(graph, feats, policy, scenario, per_vertex):
+    faults, attempts, degraded = SCENARIOS[scenario]
+    policy_cls = POLICIES[policy]
+    store = DistributedGraphStore(
+        graph,
+        EdgeCutPartitioner().partition(graph, N_PARTS),
+        cache_policy=policy_cls() if policy_cls else None,
+        cache_budget_fraction=0.1 if policy_cls else 0.0,
+        attr_cache_capacity=48,  # small enough for the IV-LRU front to evict
+        seed=11,
+        degraded_reads=degraded,
+    )
+    for v in range(graph.n_vertices):
+        store.servers[store.owner(v)].ingest_vertex_attr(v, feats[v])
+    metrics = MetricsRegistry()
+    runtime = RpcRuntime(
+        store,
+        faults=FaultPlan(seed=5, **faults),
+        retry=RetryPolicy(max_attempts=attempts),
+        metrics=metrics,
+        health=HealthTracker(
+            N_PARTS, suspect_after=2, recover_after=2, probe_every=3, metrics=metrics
+        ),
+    )
+    runtime.recorder = AccessRecorder()
+    store.attach_runtime(runtime)
+    if per_vertex:
+        store._resolve_read_traced = functools.partial(per_vertex_dispatch, store)
+    return store
+
+
+def _observable_state(store):
+    runtime = store.runtime
+    rec = runtime.recorder
+    caches = [s.neighbor_cache for s in store.servers]
+    contents = {
+        p: set(c.pinned_vertices()) | set(c._lru.keys()) for p, c in enumerate(caches)
+    }
+    return {
+        "ledger": dict(store.ledger.counts),
+        "caches": [
+            (c.hits, c.misses, c._lru.keys(), c._lru.evictions, c.pinned_vertices())
+            for c in caches
+        ],
+        "iv_fronts": [
+            (s.attrs.iv_cache.keys(), s.attrs.iv_cache.hits, s.attrs.iv_cache.misses)
+            for s in store.servers
+        ],
+        "audit": store.replicas.audit(contents),
+        "held_by": [store.replicas.held_by(p) for p in range(N_PARTS)],
+        "clock": runtime.clock.now_us,
+        "metrics": runtime.metrics.render(),
+        "fault_rng": runtime.faults._rng.bit_generator.state,
+        "store_rng": store._rng.bit_generator.state,
+        "recorder": (
+            dict(rec.vertex_reads),
+            dict(rec.cross_part_reads),
+            dict(rec.route_reads),
+            dict(rec.traffic),
+            rec.vertex_owner,
+        ),
+    }
+
+
+def _both(stores, call):
+    """Run ``call`` on the bulk store and the oracle; outcomes must agree."""
+    outcomes = []
+    for store in stores:
+        try:
+            outcomes.append(("ok", call(store)))
+        except (StorageError, RetryExhaustedError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    (kind_a, a), (kind_b, b) = outcomes
+    assert kind_a == kind_b, outcomes
+    if kind_a != "ok":
+        assert a == b
+        return kind_a
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for v in a:
+            np.testing.assert_array_equal(a[v], b[v])
+    else:
+        np.testing.assert_array_equal(a, b)
+    return a
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_bulk_arms_match_per_vertex_dispatch(small_powerlaw, policy, scenario):
+    graph = small_powerlaw
+    n = graph.n_vertices
+    feats = make_rng(3).normal(size=(n, 6)).astype(np.float32)
+    stores = [
+        _parity_store(graph, feats, policy, scenario, per_vertex)
+        for per_vertex in (False, True)
+    ]
+    bulk, oracle = stores
+    assert _observable_state(bulk)["audit"] == {"missing": [], "stale": []}
+    assert _observable_state(bulk) == _observable_state(oracle)
+    rng = make_rng(17)
+    owners = bulk.assignment.vertex_to_part
+    down = 1  # the worker the fail-stop scenarios take offline
+    seen_errors = set()
+
+    def check():
+        state = _observable_state(bulk)
+        assert state == _observable_state(oracle)
+        assert state["audit"] == {"missing": [], "stale": []}
+
+    for step in range(14):
+        issuer = (0, 2, 3)[step % 3]
+        if step == 4 and scenario in ("fail_stop", "degraded"):
+            for store in stores:
+                store.fail_worker(down)
+        if step in (4, 8, 12) and scenario == "suspect":
+            for store in stores:
+                store.runtime.health.record_failure(2)
+                store.runtime.health.record_failure(2)
+                assert store.runtime.health.is_suspect(2)
+        failed = bool(bulk.failed_workers)
+
+        for size in (1, 3, 1200, 40):
+            batch = rng.integers(0, n, size=size)
+            if size == 40:
+                batch = np.concatenate([batch, batch[::2], batch[:5]])
+            if failed and not bulk.degraded_reads:
+                # Keep what a healthy server or a replica can serve; the
+                # uncovered rest is read one by one below, where the error
+                # leaves both stores in the same state.
+                batch = np.array(
+                    [
+                        v
+                        for v in batch.tolist()
+                        if owners[v] != down
+                        or any(p != down for p in bulk.replicas.holders(v))
+                    ],
+                    dtype=np.int64,
+                )
+            out = _both(stores, lambda s: s.get_neighbors_batch(batch, from_part=issuer))
+            if isinstance(out, dict):
+                assert set(out) == set(batch.tolist())
+            else:
+                seen_errors.add(out)
+            check()
+            attrs_batch = batch[owners[batch] != down] if failed else batch
+            out = _both(
+                stores, lambda s: s.get_attrs_batch(attrs_batch[:300], from_part=issuer)
+            )
+            if isinstance(out, dict):
+                for v, row in out.items():
+                    np.testing.assert_array_equal(row, feats[v])
+            else:
+                seen_errors.add(out)
+            check()
+
+        if failed:
+            lost = int(np.flatnonzero(owners == down)[step])
+            for read in ("neighbors", "vertex_attr"):
+                out = _both(stores, lambda s: getattr(s, read)(lost, from_part=issuer))
+                if not isinstance(out, np.ndarray):
+                    seen_errors.add(out)
+            check()
+
+        events = []
+        for src in rng.integers(0, n, size=24).tolist():
+            if failed and owners[src] == down:
+                continue
+            row = bulk.servers[owners[src]].local_neighbors(src)
+            roll = int(rng.integers(3))
+            if roll == 0 and row.size:
+                events.append(EdgeEvent(0, src, int(row[rng.integers(row.size)]), "remove"))
+            elif roll == 1:
+                events.append(EdgeEvent(0, src, int(rng.integers(n)), "add"))
+            else:  # usually a no-op remove
+                events.append(EdgeEvent(0, src, int(rng.integers(n)), "remove"))
+        assert bulk.apply_edge_events(events) == oracle.apply_edge_events(events)
+        check()
+
+    # Errors every caller can hit leave no trace in either store.
+    for bad_call in (
+        lambda s: s.get_neighbors_batch([0, n], from_part=0),
+        lambda s: s.get_attrs_batch([-1], from_part=0),
+        lambda s: s.neighbors(0, from_part=N_PARTS),
+    ):
+        assert _both(stores, bad_call) is StorageError
+    if bulk.failed_workers:
+        assert _both(stores, lambda s: s.neighbors(0, from_part=down)) is StorageError
+    check()
+
+    counters = {c.name: c.value for c in bulk.runtime.metrics.counters()}
+    if scenario == "retry_exhausted":
+        assert RetryExhaustedError in seen_errors
+    if scenario == "fail_stop":
+        assert ReadUnavailableError in seen_errors
+        if policy in ("random", "lru"):  # importance pins one set everywhere
+            assert bulk.ledger.count(EV_FAILOVER_READ) > 0
+    if scenario == "degraded":
+        assert counters["reads.degraded"] > 0
+    if scenario == "suspect" and policy in ("random", "lru"):
+        assert counters["health.suspect_routes"] > 0
+        assert counters["health.probes"] > 0
+        assert counters["health.recoveries"] > 0

@@ -1,28 +1,33 @@
-"""The columnar shard against its dict-of-rows oracle, and bulk cache install.
+"""The columnar shard against its dict-of-rows oracle, and bulk cache ops.
 
 ``OracleServer`` is the ``GraphServer`` body as it was before the shard
 became one CSR slice — one ``np.array`` copy per owned row. A hypothesis
 state machine drives both through every mutator and compares the whole
 public surface after each step; ``pin_loop_cache`` is ``make_cache`` as it
-was, one ``pin`` per selected vertex, the oracle for the bulk install.
+was, one ``pin`` per selected vertex, the oracle for the bulk install; the
+scalar ``get`` / ``admit`` are the oracle for ``get_many`` / ``admit_many``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.data import powerlaw_graph
 from repro.errors import StorageError
 from repro.graph import Graph
+from repro.runtime import RpcRuntime
 from repro.storage import ImportanceCachePolicy, LRUCachePolicy, RandomCachePolicy
-from repro.storage.cache import NeighborCache, make_cache
+from repro.storage.cache import NeighborCache, make_cache, make_pinned_cache
 from repro.storage.cluster import build_distributed, make_store
+from repro.storage.costmodel import EV_CACHE_FILL, EV_CACHE_HIT
 from repro.storage.partition import EdgeCutPartitioner
+from repro.storage.replicas import ReplicaRegistry
 from repro.storage.server import GraphServer
 from repro.utils.lru import LRUCache
 from repro.utils.rng import make_rng
+from tests.conftest import python_calls
 
 
 class OracleServer:
@@ -270,3 +275,105 @@ def test_bulk_install_rejects_an_oversized_selection(small_powerlaw):
 
     with pytest.raises(StorageError, match="capacity"):
         make_cache(Greedy(), small_powerlaw, 10, make_rng(0))
+
+
+# --------------------------------------------------------------------- #
+# Bulk cache reads / admissions vs the same ids fed one by one
+# --------------------------------------------------------------------- #
+_IDS = st.integers(0, 11)
+_CACHE_OPS = st.one_of(
+    st.tuples(st.just("get_many"), st.lists(_IDS, max_size=10)),  # duplicates too
+    st.tuples(st.just("admit_many"), st.lists(_IDS, max_size=10, unique=True)),
+    st.tuples(st.sampled_from(["pin", "unpin", "invalidate"]), _IDS),
+)
+
+
+def _cache_state(cache, registry):
+    lru = cache._lru
+    return (
+        cache.pinned_vertices(),
+        lru.keys(),
+        (cache.hits, cache.misses, lru.hits, lru.misses, lru.evictions),
+        registry.held_by(1),
+        [registry.holders(v) for v in range(12)],
+        registry.audit({1: set(cache.pinned_vertices()) | set(lru.keys())}),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    capacity=st.integers(0, 4),
+    pin_only=st.booleans(),
+    ops=st.lists(_CACHE_OPS, max_size=30),
+)
+def test_bulk_cache_ops_equal_their_scalar_sequence(capacity, pin_only, ops):
+    caches = []
+    for _ in range(2):
+        cache = make_pinned_cache(capacity) if pin_only else NeighborCache(capacity)
+        registry = ReplicaRegistry(2)
+        cache.bind(registry, 1)
+        caches.append((cache, registry))
+    (bulk, bulk_reg), (scalar, scalar_reg) = caches
+    for step, (op, arg) in enumerate(ops):
+        if op == "get_many":
+            hits, misses = bulk.get_many(arg)
+            one_by_one = [(v, scalar.get(v)) for v in arg]
+            assert misses == [v for v, row in one_by_one if row is None]
+            assert hits.keys() == {v for v, row in one_by_one if row is not None}
+            for v, row in one_by_one:
+                assert row is None or hits[v] is row
+        elif op == "admit_many":
+            # One row object per id for both caches: identity shows whose
+            # copy a later get returns.
+            rows = {v: np.array([v, step], dtype=np.int64) for v in arg}
+            bulk.admit_many(rows)
+            for v, row in rows.items():
+                scalar.admit(v, row)
+        else:
+            row = np.array([step], dtype=np.int64)
+            outcomes = []
+            for cache in (bulk, scalar):
+                try:
+                    call = getattr(cache, op)
+                    outcomes.append(call(arg, row) if op == "pin" else call(arg))
+                except StorageError as exc:  # pin capacity exhausted
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+        state = _cache_state(bulk, bulk_reg)
+        assert state == _cache_state(scalar, scalar_reg)
+        assert state[-1] == {"missing": [], "stale": []}
+
+
+def test_local_rows_matches_local_neighbors(small_powerlaw):
+    store = make_store(small_powerlaw, 3, seed=0)
+    server = store.servers[0]
+    owned = [v for v in range(60) if server.owns(v)]
+    foreign = next(v for v in range(60) if not server.owns(v))
+    rows = server.local_rows(owned)
+    assert list(rows) == owned
+    assert all(rows[v] is server.local_neighbors(v) for v in owned)
+    assert server.local_rows([]) == {}
+    with pytest.raises(StorageError) as scalar:
+        server.local_neighbors(foreign)
+    with pytest.raises(StorageError) as bulk:
+        server.local_rows(owned[:3] + [foreign] + owned[3:])
+    assert str(bulk.value) == str(scalar.value) and str(foreign) in str(bulk.value)
+
+
+def test_batch_read_makes_no_call_per_vertex():
+    # The whole LRU round trip — classify, probe, fetch, fill — then the
+    # same batch again as hits: the work is per arm and per request.
+    graph = powerlaw_graph(4000, alpha=2.3, max_degree=40, seed=2)
+    calls = {}
+    for size in (64, 2048):
+        store = make_store(
+            graph, 4, cache_policy=LRUCachePolicy(), cache_budget_fraction=0.6, seed=0
+        )
+        store.attach_runtime(RpcRuntime(store))
+        batch = make_rng(size).choice(graph.n_vertices, size=size, replace=False)
+        calls[size] = python_calls(
+            lambda: [store.get_neighbors_batch(batch, from_part=1) for _ in range(2)],
+            under="/repro/",
+        )
+        assert store.ledger.count(EV_CACHE_FILL) == store.ledger.count(EV_CACHE_HIT) > size // 2
+    assert calls[2048] <= calls[64] + 8, calls
