@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
-from repro.bench import ExperimentReport
+from repro.bench import Experiment, ExperimentReport
 from repro.data import make_dataset
 from repro.storage.attributes import SeparateAttributeStore
 from repro.storage.buckets import RequestFlowBuckets, synthetic_trace
@@ -30,72 +28,66 @@ from repro.storage.partition import (
 from repro.utils.alias import AliasTable
 from repro.utils.rng import make_rng
 
-from _common import emit
 
-
-def test_partitioner_comparison(benchmark: "pytest.fixture") -> None:
+def _run_partition(smoke: bool) -> ExperimentReport:
     """Cut/balance/replication across the four built-in strategies."""
-
-    def run() -> ExperimentReport:
-        graph = make_dataset("taobao-small-sim", scale=0.5, seed=0)
-        report = ExperimentReport(
-            "ablation_partition", "Partition strategies at 8 workers"
+    graph = make_dataset("taobao-small-sim", scale=0.5, seed=0)
+    report = ExperimentReport(
+        "ablation_partition", "Partition strategies at 8 workers"
+    )
+    for partitioner in (
+        MetisPartitioner(seed=0),
+        EdgeCutPartitioner(),
+        VertexCutPartitioner(),
+        TwoDimPartitioner(),
+        StreamingPartitioner(),
+    ):
+        start = time.perf_counter()
+        assignment = partitioner.partition(graph, 8)
+        elapsed = time.perf_counter() - start
+        report.add(
+            partitioner.name,
+            {
+                "edge_cut": round(assignment.edge_cut_fraction(), 3),
+                "balance": round(assignment.balance(), 3),
+                "replication": round(assignment.replication_factor(), 2),
+                "time_s": round(elapsed, 3),
+            },
         )
-        for partitioner in (
-            MetisPartitioner(seed=0),
-            EdgeCutPartitioner(),
-            VertexCutPartitioner(),
-            TwoDimPartitioner(),
-            StreamingPartitioner(),
-        ):
-            start = time.perf_counter()
-            assignment = partitioner.partition(graph, 8)
-            elapsed = time.perf_counter() - start
-            report.add(
-                partitioner.name,
-                {
-                    "edge_cut": round(assignment.edge_cut_fraction(), 3),
-                    "balance": round(assignment.balance(), 3),
-                    "replication": round(assignment.replication_factor(), 2),
-                    "time_s": round(elapsed, 3),
-                },
-            )
-        report.note("METIS/streaming minimize the cut; hash methods are cheapest")
-        return report
+    report.note("METIS/streaming minimize the cut; hash methods are cheapest")
+    return report
 
-    report = benchmark.pedantic(run, iterations=1, rounds=1)
-    emit(report)
+
+def _check_partition(report: ExperimentReport, smoke: bool) -> None:
     rows = {r.label: r.measured for r in report.records}
     # The quality strategies must beat the stateless hash cut.
     assert rows["metis"]["edge_cut"] < rows["edge_cut"]["edge_cut"]
     assert rows["streaming"]["edge_cut"] < rows["edge_cut"]["edge_cut"]
 
 
-def test_attribute_storage_space(benchmark: "pytest.fixture") -> None:
+def _run_attrs(smoke: bool) -> ExperimentReport:
     """Separate (deduplicating) vs inline attribute storage."""
+    graph = make_dataset("taobao-small-sim", seed=0)
+    store = SeparateAttributeStore()
+    for v in range(graph.n_vertices):
+        store.put_vertex_attr(v, graph.vertex_features[v])
+    report = ExperimentReport(
+        "ablation_attrs", "Attribute storage: inline vs separate indices"
+    )
+    report.add(
+        "taobao-small-sim",
+        {
+            "inline_mb": round(store.inline_bytes() / 2**20, 2),
+            "separate_mb": round(store.separated_bytes() / 2**20, 2),
+            "saving_ratio": round(store.space_saving_ratio(), 1),
+            "distinct_payloads": len(store.iv),
+        },
+    )
+    report.note("O(n*N_D*N_L) inline vs O(n*N_D + N_A*N_L) separated (§3.2)")
+    return report
 
-    def run() -> ExperimentReport:
-        graph = make_dataset("taobao-small-sim", seed=0)
-        store = SeparateAttributeStore()
-        for v in range(graph.n_vertices):
-            store.put_vertex_attr(v, graph.vertex_features[v])
-        report = ExperimentReport(
-            "ablation_attrs", "Attribute storage: inline vs separate indices"
-        )
-        report.add(
-            "taobao-small-sim",
-            {
-                "inline_mb": round(store.inline_bytes() / 2**20, 2),
-                "separate_mb": round(store.separated_bytes() / 2**20, 2),
-                "saving_ratio": round(store.space_saving_ratio(), 1),
-                "distinct_payloads": len(store.iv),
-            },
-        )
-        report.note("O(n*N_D*N_L) inline vs O(n*N_D + N_A*N_L) separated (§3.2)")
-        return report
 
-    report = benchmark.pedantic(run, iterations=1, rounds=1)
-    emit(report)
+def _check_attrs(report: ExperimentReport, smoke: bool) -> None:
     row = report.records[0].measured
     # Whole-row dedup: profile archetypes collide even though the one-hot
     # interest tags split them, so separation still wins clearly.
@@ -103,100 +95,103 @@ def test_attribute_storage_space(benchmark: "pytest.fixture") -> None:
     assert row["distinct_payloads"] < 0.8 * 16_000
 
 
-def test_lock_free_buckets(benchmark: "pytest.fixture") -> None:
+def _run_buckets(smoke: bool) -> ExperimentReport:
     """Figure 6's lock-free request-flow buckets vs a lock-based store."""
-
-    def run() -> ExperimentReport:
-        rng = make_rng(0)
-        report = ExperimentReport(
-            "ablation_buckets", "Lock-free buckets vs lock-based makespan (ms)"
+    rng = make_rng(0)
+    report = ExperimentReport(
+        "ablation_buckets", "Lock-free buckets vs lock-based makespan (ms)"
+    )
+    buckets = RequestFlowBuckets(n_vertices=10_000, n_buckets=16)
+    for update_fraction in (0.0, 0.1, 0.3):
+        trace = synthetic_trace(10_000, 40_000, update_fraction, rng)
+        lock_free = buckets.lock_free_makespan_us(trace) / 1000
+        locked = buckets.locked_makespan_us(trace) / 1000
+        report.add(
+            f"updates={int(update_fraction * 100)}%",
+            {
+                "lock_free_ms": round(lock_free, 2),
+                "locked_ms": round(locked, 2),
+                "speedup": round(locked / lock_free, 1),
+            },
         )
-        buckets = RequestFlowBuckets(n_vertices=10_000, n_buckets=16)
-        for update_fraction in (0.0, 0.1, 0.3):
-            trace = synthetic_trace(10_000, 40_000, update_fraction, rng)
-            lock_free = buckets.lock_free_makespan_us(trace) / 1000
-            locked = buckets.locked_makespan_us(trace) / 1000
-            report.add(
-                f"updates={int(update_fraction * 100)}%",
-                {
-                    "lock_free_ms": round(lock_free, 2),
-                    "locked_ms": round(locked, 2),
-                    "speedup": round(locked / lock_free, 1),
-                },
-            )
-        return report
+    return report
 
-    report = benchmark.pedantic(run, iterations=1, rounds=1)
-    emit(report)
+
+def _check_buckets(report: ExperimentReport, smoke: bool) -> None:
     speedups = [r.measured["speedup"] for r in report.records]
     assert all(s > 1.0 for s in speedups)
     # Update-heavy traces amplify the lock-free advantage.
     assert speedups[-1] > speedups[0]
 
 
-def test_alias_vs_linear_sampling(benchmark: "pytest.fixture") -> None:
+def _run_alias(smoke: bool) -> ExperimentReport:
     """O(1) alias draws vs O(n) linear-scan weighted sampling."""
-
-    def run() -> ExperimentReport:
-        rng = make_rng(1)
-        report = ExperimentReport(
-            "ablation_alias", "Weighted sampling: alias vs linear scan"
+    rng = make_rng(1)
+    report = ExperimentReport(
+        "ablation_alias", "Weighted sampling: alias vs linear scan"
+    )
+    for n in (1_000, 10_000, 100_000):
+        weights = rng.random(n) + 0.01
+        draws = 20_000
+        table = AliasTable(weights)
+        start = time.perf_counter()
+        table.draw_batch(rng, draws)
+        alias_ms = (time.perf_counter() - start) * 1000
+        probs = weights / weights.sum()
+        start = time.perf_counter()
+        rng.choice(n, size=draws, p=probs)  # numpy's linear-CDF sampler
+        linear_ms = (time.perf_counter() - start) * 1000
+        report.add(
+            f"n={n}",
+            {
+                "alias_ms": round(alias_ms, 2),
+                "linear_ms": round(linear_ms, 2),
+                "speedup": round(linear_ms / alias_ms, 1),
+            },
         )
-        for n in (1_000, 10_000, 100_000):
-            weights = rng.random(n) + 0.01
-            draws = 20_000
-            table = AliasTable(weights)
-            start = time.perf_counter()
-            table.draw_batch(rng, draws)
-            alias_ms = (time.perf_counter() - start) * 1000
-            probs = weights / weights.sum()
-            start = time.perf_counter()
-            rng.choice(n, size=draws, p=probs)  # numpy's linear-CDF sampler
-            linear_ms = (time.perf_counter() - start) * 1000
-            report.add(
-                f"n={n}",
-                {
-                    "alias_ms": round(alias_ms, 2),
-                    "linear_ms": round(linear_ms, 2),
-                    "speedup": round(linear_ms / alias_ms, 1),
-                },
-            )
-        report.note("alias draw cost is flat in n; CDF sampling grows")
-        return report
+    report.note("alias draw cost is flat in n; CDF sampling grows")
+    return report
 
-    report = benchmark.pedantic(run, iterations=1, rounds=1)
-    emit(report)
+
+def _check_alias(report: ExperimentReport, smoke: bool) -> None:
     rows = [r.measured for r in report.records]
     # Alias time is roughly flat; the largest-n case must win clearly.
     assert rows[-1]["alias_ms"] < rows[-1]["linear_ms"]
 
 
-def test_sampler_fanout_quality(benchmark: "pytest.fixture") -> None:
+def _run_fanout(smoke: bool) -> ExperimentReport:
     """GraphSAGE quality vs SAMPLE fan-out (the paper's variance story)."""
+    from repro.algorithms import GraphSAGE
+    from repro.data import train_test_split_edges
+    from repro.tasks import evaluate_link_prediction
 
-    def run() -> ExperimentReport:
-        from repro.algorithms import GraphSAGE
-        from repro.data import train_test_split_edges
-        from repro.tasks import evaluate_link_prediction
-
-        graph = make_dataset("taobao-small-sim", scale=0.25, seed=0)
-        split = train_test_split_edges(graph, 0.2, seed=0)
-        report = ExperimentReport(
-            "ablation_fanout", "GraphSAGE ROC-AUC vs neighbor fan-out"
+    graph = make_dataset("taobao-small-sim", scale=0.25, seed=0)
+    split = train_test_split_edges(graph, 0.2, seed=0)
+    report = ExperimentReport(
+        "ablation_fanout", "GraphSAGE ROC-AUC vs neighbor fan-out"
+    )
+    for fanout in (1, 4, 12):
+        model = GraphSAGE(
+            dim=32, fanout=fanout, epochs=3, max_steps_per_epoch=15, seed=0
         )
-        for fanout in (1, 4, 12):
-            model = GraphSAGE(
-                dim=32, fanout=fanout, epochs=3, max_steps_per_epoch=15, seed=0
-            )
-            model.fit(split.train_graph)
-            result = evaluate_link_prediction(model.embeddings(), split)
-            report.add(
-                f"fanout={fanout}", {"roc_auc": round(result.roc_auc, 2)}
-            )
-        return report
+        model.fit(split.train_graph)
+        result = evaluate_link_prediction(model.embeddings(), split)
+        report.add(
+            f"fanout={fanout}", {"roc_auc": round(result.roc_auc, 2)}
+        )
+    return report
 
-    report = benchmark.pedantic(run, iterations=1, rounds=1)
-    emit(report)
+
+def _check_fanout(report: ExperimentReport, smoke: bool) -> None:
     rows = [r.measured["roc_auc"] for r in report.records]
     # More sampled neighbors -> lower variance -> better quality.
     assert rows[-1] > rows[0]
+
+
+EXPERIMENTS = (
+    Experiment("ablation_partition", _run_partition, _check_partition),
+    Experiment("ablation_attrs", _run_attrs, _check_attrs),
+    Experiment("ablation_buckets", _run_buckets, _check_buckets),
+    Experiment("ablation_alias", _run_alias, _check_alias),
+    Experiment("ablation_fanout", _run_fanout, _check_fanout),
+)

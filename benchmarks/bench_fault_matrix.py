@@ -13,20 +13,16 @@ expansion keeps landing on.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench import ExperimentReport
+from repro.bench import Experiment, ExperimentReport, MetricRule
 from repro.bench.fault_matrix import run_fault_matrix
 from repro.data import make_dataset
-
-from _common import emit
 
 SEED = 7
 AVAILABILITY_BAR = 0.99
 ACCEPTANCE_CELL = "drop=20% failed=1 cache=importance"
 
 
-def _run() -> ExperimentReport:
+def _run(smoke: bool) -> ExperimentReport:
     report = ExperimentReport(
         "fault_matrix",
         "read availability: {drop rate x failed workers x cache policy}",
@@ -57,9 +53,7 @@ def _run() -> ExperimentReport:
     return report
 
 
-def test_fault_matrix(benchmark: "pytest.fixture") -> None:
-    report = benchmark.pedantic(_run, iterations=1, rounds=1)
-    emit(report)
+def _check(report: ExperimentReport, smoke: bool) -> None:
     by_label = {r.label: r.measured for r in report.records}
 
     # Acceptance: >= 99% availability with 20% drops, one dead worker and
@@ -87,3 +81,23 @@ def test_fault_matrix(benchmark: "pytest.fixture") -> None:
         by_label["drop=20% failed=0 cache=none"]["p95_us"]
         > by_label["drop=0% failed=0 cache=none"]["p95_us"]
     )
+
+
+EXPERIMENTS = (
+    Experiment(
+        "fault_matrix",
+        _run,
+        _check,
+        # Every column is a ledger count or a virtual-clock latency.
+        (
+            MetricRule(r":availability$", rel_tol=0.005, direction="lower_is_worse"),
+            MetricRule(r":p95_us$", rel_tol=0.10, abs_tol=1.0),
+            MetricRule(
+                r":(reads|failover|suspect_routes|degraded|retries)$",
+                rel_tol=0.05,
+                direction="both",
+                abs_tol=2.0,
+            ),
+        ),
+    ),
+)

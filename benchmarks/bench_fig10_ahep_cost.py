@@ -11,13 +11,9 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
 from repro.algorithms import AHEP, HEP
-from repro.bench import ExperimentReport
+from repro.bench import Experiment, ExperimentReport, MetricRule
 from repro.data import taobao_graph
-
-from _common import emit
 
 STEPS = 20
 PAPER = {
@@ -26,7 +22,7 @@ PAPER = {
 }
 
 
-def _run() -> ExperimentReport:
+def _run(smoke: bool) -> ExperimentReport:
     # Dense enough that full typed neighborhoods dominate the step cost.
     graph = taobao_graph(
         n_users=800, n_items=300, mean_user_degree=60.0,
@@ -61,11 +57,20 @@ def _run() -> ExperimentReport:
     return report
 
 
-def test_fig10_ahep_cost(benchmark: "pytest.fixture") -> None:
-    report = benchmark.pedantic(_run, iterations=1, rounds=1)
-    emit(report)
+def _check(report: ExperimentReport, smoke: bool) -> None:
     hep = next(r for r in report.records if r.label == "HEP")
     ahep = next(r for r in report.records if r.label == "AHEP")
     speedup = hep.measured["batch_ms"] / ahep.measured["batch_ms"]
     assert speedup > 1.5, f"AHEP speedup only {speedup:.2f}x"
     assert ahep.measured["peak_batch_rows"] < hep.measured["peak_batch_rows"] * 0.6
+
+
+EXPERIMENTS = (
+    Experiment(
+        "fig10",
+        _run,
+        _check,
+        # Rows touched per batch are seeded counts; batch_ms is wall-clock.
+        (MetricRule(r":(peak_batch_rows|memory_ratio)$", rel_tol=0.0, direction="both"),),
+    ),
+)

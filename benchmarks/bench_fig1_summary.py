@@ -5,20 +5,25 @@ GATNE +4.12–16.43%, Mixture GNN +8.73–15.58%, Hierarchical GNN +13.99%,
 Evolving GNN +5.72–17.19%, Bayesian GNN +15.48% — summarized as normalized
 evaluation metrics.
 
-This bench aggregates the already-produced Table 8–12 results (it is named
-``bench_z_...`` so pytest collects it last) and reports, per in-house
-model, measured-metric / best-competitor-metric as a normalized lift.
-Run the full benchmark suite for all rows; missing upstream results are
-reported as skipped rows rather than failing.
+This experiment aggregates the committed Table 8–12 results
+(``benchmarks/results/t8.json`` … ``t12.json``) and reports, per in-house
+model, measured-metric / best-competitor-metric as a normalized lift. It
+declares those five tables ahead of itself, so a run of the whole suite
+regenerates them first.
 """
 
 from __future__ import annotations
 
-import pytest
+import os
 
-from repro.bench import ExperimentReport
+import bench_t8_gatne
+import bench_t9_mixture
+import bench_t10_hierarchical
+import bench_t11_evolving
+import bench_t12_bayesian
+from repro.bench import Experiment, ExperimentReport, load_result
 
-from _common import emit, load_result
+RESULTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 
 PAPER_LIFT_PCT = {
     "GATNE": (4.12, 16.43),
@@ -37,13 +42,13 @@ def _lift(ours: float, best_other: float) -> float:
     return 100.0 * (ours - best_other) / best_other
 
 
-def _run() -> ExperimentReport:
+def _run(smoke: bool) -> ExperimentReport:
     report = ExperimentReport(
         "fig1", "Normalized lift of in-house models vs best competitor (%)"
     )
     available = 0
 
-    t8 = load_result("t8")
+    t8 = load_result(RESULTS, "t8")
     if t8:
         rows = _records(t8)
         taobao = {k.split(": ")[1]: v for k, v in rows.items() if k.startswith("taobao")}
@@ -55,7 +60,7 @@ def _run() -> ExperimentReport:
         )
         available += 1
 
-    t9 = load_result("t9")
+    t9 = load_result(RESULTS, "t9")
     if t9:
         rows = _records(t9)
         best = max(rows["DAE"]["hr@50"], rows["beta*-VAE"]["hr@50"])
@@ -66,7 +71,7 @@ def _run() -> ExperimentReport:
         )
         available += 1
 
-    t10 = load_result("t10")
+    t10 = load_result(RESULTS, "t10")
     if t10:
         rows = _records(t10)
         report.add(
@@ -84,7 +89,7 @@ def _run() -> ExperimentReport:
         )
         available += 1
 
-    t11 = load_result("t11")
+    t11 = load_result(RESULTS, "t11")
     if t11:
         rows = _records(t11)
         best = max(
@@ -97,7 +102,7 @@ def _run() -> ExperimentReport:
         )
         available += 1
 
-    t12 = load_result("t12")
+    t12 = load_result(RESULTS, "t12")
     if t12:
         rows = _records(t12)
         base = rows["Brand/buy/GraphSAGE"]["hr@30"]
@@ -113,17 +118,27 @@ def _run() -> ExperimentReport:
         report.note("no upstream results found — run the full benchmark suite")
     report.note(
         "lift = (in-house metric - best competitor) / best competitor; the "
-        "reproduced contract is positive lift for every in-house model"
+        "reproduced contract is positive lift for every in-house model. The "
+        "Bayesian row is one cell of Table 12 (seed mean); over all twelve "
+        "cells the paper's lift is not reproduced (see t12)"
     )
     return report
 
 
-def test_fig1_summary(benchmark: "pytest.fixture") -> None:
-    report = benchmark.pedantic(_run, iterations=1, rounds=1)
-    emit(report)
-    if not report.records:
-        pytest.skip("upstream table results not available yet")
+def _check(report: ExperimentReport, smoke: bool) -> None:
+    assert report.records, "no upstream table results under benchmarks/results/"
     lifts = [r.measured["lift_pct"] for r in report.records]
-    # Every summarized in-house model shows a non-negative lift.
+    # No summarized in-house model loses visibly, and all but one win.
     assert all(l > -1.0 for l in lifts), lifts
     assert sum(l > 0 for l in lifts) >= max(1, len(lifts) - 1)
+
+
+#: Figure 1 reads Tables 8-12's results, so they are declared ahead of it.
+EXPERIMENTS = (
+    *bench_t8_gatne.EXPERIMENTS,
+    *bench_t9_mixture.EXPERIMENTS,
+    *bench_t10_hierarchical.EXPERIMENTS,
+    *bench_t11_evolving.EXPERIMENTS,
+    *bench_t12_bayesian.EXPERIMENTS,
+    Experiment("fig1", _run, _check),
+)

@@ -15,14 +15,10 @@ fraction of a millisecond at this scale), not asserted and not gated.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench import ExperimentReport
+from repro.bench import Experiment, ExperimentReport, MetricRule
 from repro.data import make_dataset
 from repro.storage.cluster import build_distributed
 from repro.storage.costmodel import CostModel
-
-from _common import emit, parse_bench_args
 
 WORKER_COUNTS = [25, 50, 100, 200, 400]
 DATASETS = (("taobao-small-sim", 1.0), ("taobao-large-sim", 1.5))
@@ -35,7 +31,7 @@ PAPER_SECONDS = {
 }
 
 
-def _run(smoke: bool = False) -> ExperimentReport:
+def _run(smoke: bool) -> ExperimentReport:
     report = ExperimentReport(
         "fig7", "Graph building time (s) vs number of workers"
     )
@@ -73,26 +69,37 @@ def _run(smoke: bool = False) -> ExperimentReport:
     return report
 
 
-def test_fig7_graph_build(benchmark: "pytest.fixture") -> None:
-    report = benchmark.pedantic(_run, iterations=1, rounds=1)
-    emit(report)
+def _check(report: ExperimentReport, smoke: bool) -> None:
     # Shape assertions, on the modelled columns: the critical path falls
-    # with workers (non-increasing all the way, strictly 25w -> 400w).
-    for name, _ in DATASETS:
+    # with workers (non-increasing all the way, strictly first -> last).
+    datasets = SMOKE_DATASETS if smoke else DATASETS
+    for name, _ in datasets:
         rows = [r for r in report.records if r.label.startswith(name)]
         paths = [r.measured["ingest_s"] for r in rows]
         assert all(a >= b for a, b in zip(paths, paths[1:])), f"{name}: not monotone"
         assert paths[0] > paths[-1], f"{name}: no speedup from workers"
+    if smoke:
+        return
     # Large dataset builds slower than small at every worker count.
     small = [r.measured["build_s"] for r in report.records[: len(WORKER_COUNTS)]]
     large = [r.measured["build_s"] for r in report.records[len(WORKER_COUNTS) : 2 * len(WORKER_COUNTS)]]
     assert all(l > s for s, l in zip(small, large))
 
 
-def main(argv: "list[str] | None" = None) -> None:
-    args = parse_bench_args(__doc__.splitlines()[0], argv)
-    emit(_run(smoke=args.smoke), print_json=args.json)
-
-
-if __name__ == "__main__":
-    main()
+EXPERIMENTS = (
+    Experiment(
+        "fig7",
+        _run,
+        _check,
+        # The modelled build is ledger prices times partition edge counts:
+        # exact at the fixed seed. wall_critical_path_ms is wall-clock and
+        # deliberately unruled.
+        (
+            MetricRule(
+                r":(build_s|ingest_s|max_worker_edges)$",
+                rel_tol=0.0,
+                direction="both",
+            ),
+        ),
+    ),
+)

@@ -10,13 +10,10 @@ vertices cached.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.bench import ExperimentReport
+from repro.bench import Experiment, ExperimentReport, MetricRule
 from repro.data import make_dataset
 from repro.storage.importance import importance_scores
-
-from _common import emit
 
 THRESHOLDS = [0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45]
 #: Approximate cached-vertex percentages read off Figure 8.
@@ -24,7 +21,7 @@ PAPER_PERCENT = {0.05: 45, 0.10: 35, 0.15: 28, 0.20: 22, 0.25: 19,
                  0.30: 17, 0.35: 15, 0.40: 14, 0.45: 13}
 
 
-def _run() -> ExperimentReport:
+def _run(smoke: bool) -> ExperimentReport:
     graph = make_dataset("taobao-small-sim", seed=0)
     scores = importance_scores(graph, 2)
     report = ExperimentReport(
@@ -44,9 +41,7 @@ def _run() -> ExperimentReport:
     return report
 
 
-def test_fig8_cache_rate(benchmark: "pytest.fixture") -> None:
-    report = benchmark.pedantic(_run, iterations=1, rounds=1)
-    emit(report)
+def _check(report: ExperimentReport, smoke: bool) -> None:
     pct = [r.measured["cached_pct"] for r in report.records]
     # Monotone non-increasing.
     assert all(a >= b for a, b in zip(pct, pct[1:]))
@@ -58,3 +53,13 @@ def test_fig8_cache_rate(benchmark: "pytest.fixture") -> None:
     assert early_drop > late_drop
     # The tau=0.2 operating point caches a minority of the graph.
     assert pct[i_020] < 50.0
+
+
+EXPERIMENTS = (
+    Experiment(
+        "fig8",
+        _run,
+        _check,
+        (MetricRule(r":cached_pct$", rel_tol=0.0, direction="both"),),
+    ),
+)

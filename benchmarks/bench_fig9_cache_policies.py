@@ -11,9 +11,8 @@ cost model; counts are exact, costs are the calibrated defaults.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.bench import ExperimentReport
+from repro.bench import Experiment, ExperimentReport, MetricRule
 from repro.data import make_dataset
 from repro.sampling import StoreProvider, UniformNeighborSampler
 from repro.storage import (
@@ -24,8 +23,6 @@ from repro.storage import (
 from repro.storage.cluster import make_store
 from repro.storage.costmodel import CostModel
 from repro.utils.rng import make_rng
-
-from _common import emit
 
 CACHE_FRACTIONS = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
 #: Figure 9's approximate cost curve (ms) per policy at matching fractions.
@@ -54,7 +51,7 @@ def _workload(store, graph, rng) -> float:
     return store.ledger.modelled_millis()
 
 
-def _run() -> ExperimentReport:
+def _run(smoke: bool) -> ExperimentReport:
     graph = make_dataset("taobao-small-sim", scale=0.5, seed=0)
     # LRU replacement sits on the read critical path (allocate + copy the
     # neighbor list + synchronize the queue): priced at 150 µs per fill.
@@ -93,9 +90,7 @@ def _run() -> ExperimentReport:
     return report
 
 
-def test_fig9_cache_policies(benchmark: "pytest.fixture") -> None:
-    report = benchmark.pedantic(_run, iterations=1, rounds=1)
-    emit(report)
+def _check(report: ExperimentReport, smoke: bool) -> None:
     by_policy: dict[str, list[float]] = {}
     for rec in report.records:
         policy = rec.label.split(" @ ")[0]
@@ -107,3 +102,14 @@ def test_fig9_cache_policies(benchmark: "pytest.fixture") -> None:
     # Larger caches never cost more (within each policy).
     for curve in by_policy.values():
         assert curve[-1] <= curve[0]
+
+
+EXPERIMENTS = (
+    Experiment(
+        "fig9",
+        _run,
+        _check,
+        # Modelled cost: exact access counts x cost-model prices.
+        (MetricRule(r":cost_ms$", rel_tol=0.0, direction="both"),),
+    ),
+)

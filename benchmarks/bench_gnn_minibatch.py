@@ -25,15 +25,11 @@ vertex set (negatives alone seed ~25% of it) and the win is only ~3x.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.algorithms import SIGN, GNNFramework
-from repro.bench import ExperimentReport
+from repro.bench import Experiment, ExperimentReport, MetricRule
 from repro.data import make_dataset, train_test_split_edges
 from repro.runtime.tracing import TRAIN_STAGES, StageProfiler
 from repro.tasks import evaluate_link_prediction
-
-from _common import emit, parse_bench_args
 
 BATCH = 512
 KMAX = 2
@@ -147,27 +143,34 @@ def _run(smoke: bool) -> ExperimentReport:
     return report
 
 
-def test_gnn_minibatch(benchmark) -> None:
-    report = benchmark.pedantic(lambda: _run(smoke=False), iterations=1, rounds=1)
-    emit(report)
-    assert report.meta["speedup"] >= 10.0
-    assert abs(report.meta["aucs"]["full"] - report.meta["aucs"]["minibatch"]) < 10.0
+def _check(report: ExperimentReport, smoke: bool) -> None:
+    if smoke:
+        return  # at n~2.6k the block saturates the graph; the gate bands the rest
+    speedup, aucs = report.meta["speedup"], report.meta["aucs"]
+    assert speedup >= 10.0, f"minibatch speedup {speedup:.1f}x below the 10x bar"
+    assert abs(aucs["full"] - aucs["minibatch"]) < 10.0, (
+        f"minibatch AUC drifted: {aucs}"
+    )
+    assert aucs["minibatch"] > 50.0, f"minibatch AUC at chance: {aucs}"
 
 
-def main(argv: "list[str] | None" = None) -> None:
-    args = parse_bench_args(__doc__.splitlines()[0], argv)
-    report = _run(smoke=args.smoke)
-    emit(report, print_json=args.json)
-    if not args.smoke:
-        assert report.meta["speedup"] >= 10.0, (
-            f"minibatch speedup {report.meta['speedup']:.1f}x below the 10x bar"
-        )
-        aucs = report.meta["aucs"]
-        assert abs(aucs["full"] - aucs["minibatch"]) < 10.0, (
-            f"minibatch AUC drifted: {aucs}"
-        )
-        np.testing.assert_array_less(50.0, aucs["minibatch"])
-
-
-if __name__ == "__main__":
-    main()
+EXPERIMENTS = (
+    Experiment(
+        "gnn_minibatch",
+        _run,
+        _check,
+        # Deterministic at a fixed seed: step counts, block sizes and
+        # held-out AUC. The step_ms / stage_ms wall-clock columns (and the
+        # speedup ratios derived from them) are deliberately unruled.
+        (
+            MetricRule(r":steps$", rel_tol=0.0, direction="both"),
+            MetricRule(
+                r":(input|block)_rows_per_step$",
+                rel_tol=0.05,
+                direction="both",
+                abs_tol=2.0,
+            ),
+            MetricRule(r":auc$", rel_tol=0.10, direction="lower_is_worse"),
+        ),
+    ),
+)

@@ -12,17 +12,14 @@ timeouts, one 3x-slow server) and reports the retry and latency metrics.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.bench import ExperimentReport
+from repro.bench import Experiment, ExperimentReport, MetricRule
 from repro.data import make_dataset
 from repro.runtime import FaultPlan, RpcRuntime
 from repro.sampling import StoreProvider, UniformNeighborSampler
 from repro.storage.cluster import make_store
 from repro.storage.costmodel import EV_REMOTE_RPC
 from repro.utils.rng import make_rng
-
-from _common import emit
 
 N_WORKERS = 4
 HOP_NUMS = [10, 5]
@@ -46,7 +43,7 @@ def _run_workload(batched: bool, faults: "FaultPlan | None" = None):
     return outputs, store
 
 
-def _run() -> ExperimentReport:
+def _run(smoke: bool) -> ExperimentReport:
     report = ExperimentReport(
         "runtime_batching",
         "RPC runtime: batched vs unbatched 2-hop sampling workload",
@@ -106,9 +103,7 @@ def _run() -> ExperimentReport:
     return report
 
 
-def test_runtime_batching(benchmark: "pytest.fixture") -> None:
-    report = benchmark.pedantic(_run, iterations=1, rounds=1)
-    emit(report)
+def _check(report: ExperimentReport, smoke: bool) -> None:
     by_label = {r.label: r.measured for r in report.records}
     rpc_u = by_label["unbatched"]["remote_rpc"]
     rpc_b = by_label["batched"]["remote_rpc"]
@@ -121,3 +116,18 @@ def test_runtime_batching(benchmark: "pytest.fixture") -> None:
     faulted = by_label["batched+faults(20%)"]
     assert faulted["retries"] > 0
     assert faulted["p95_us"] >= faulted["p50_us"] > 0
+
+
+EXPERIMENTS = (
+    Experiment(
+        "runtime_batching",
+        _run,
+        _check,
+        # Ledger counts and virtual-clock latencies, exact at the seed.
+        (
+            MetricRule(r":(remote_rpc|modelled_ms)$", rel_tol=0.05, abs_tol=2.0),
+            MetricRule(r":p(50|95)_us$", rel_tol=0.10),
+            MetricRule(r":retries$", rel_tol=0.25, direction="both", abs_tol=2.0),
+        ),
+    ),
+)

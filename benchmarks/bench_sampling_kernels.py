@@ -21,8 +21,6 @@ workload (taobao-small-sim at scale 0.3, fan-outs 10x5, 64-seed batches):
   weights (the distribution per-list ``AliasTable``s sample), and its
   one-shot construction is timed against building per-list tables in a
   Python loop.
-
-Run ``python benchmarks/bench_sampling_kernels.py [--smoke] [--json]``.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import time
 
 import numpy as np
 
-from repro.bench import ExperimentReport
+from repro.bench import Experiment, ExperimentReport
 from repro.data import dynamic_taobao, make_dataset
 from repro.sampling import (
     FullNeighborSampler,
@@ -45,8 +43,6 @@ from repro.utils.alias import AliasTable, GroupedAliasTable
 from repro.utils.rng import make_rng
 from repro.utils.stats import chi_square_homogeneity
 
-from _common import emit, parse_bench_args
-
 HOP_NUMS = [10, 5]
 BATCH_SIZE = 64
 SEED = 7
@@ -57,12 +53,10 @@ MIN_UNIFORM_SPEEDUP = 3.0
 #: under H0 p is uniform — 1e-4 gives a 0.01% false-alarm rate per sampler.
 MIN_P_VALUE = 1e-4
 
-_GRAPH = make_dataset("taobao-small-sim", scale=0.3, seed=0)
 
-
-def _samplers(backend: str) -> "dict[str, object]":
-    provider = GraphProvider(_GRAPH)
-    degrees = _GRAPH.out_degrees()
+def _samplers(graph, backend: str) -> "dict[str, object]":
+    provider = GraphProvider(graph)
+    degrees = graph.out_degrees()
     return {
         "uniform": UniformNeighborSampler(provider, backend=backend),
         "weighted": WeightedNeighborSampler(provider, backend=backend),
@@ -72,10 +66,10 @@ def _samplers(backend: str) -> "dict[str, object]":
     }
 
 
-def _batches(steps: int) -> "list[np.ndarray]":
+def _batches(graph, steps: int) -> "list[np.ndarray]":
     rng = make_rng(SEED)
     return [
-        rng.integers(0, _GRAPH.n_vertices, size=BATCH_SIZE).astype(np.int64)
+        rng.integers(0, graph.n_vertices, size=BATCH_SIZE).astype(np.int64)
         for _ in range(steps)
     ]
 
@@ -99,9 +93,9 @@ def _context_rows(steps: int) -> int:
     return steps * per_batch
 
 
-def _determinism(sampler_factory) -> "tuple[bool, bool]":
+def _determinism(graph, sampler_factory) -> "tuple[bool, bool]":
     """(same-seed determinism, determinism after a dynamic-graph refresh)."""
-    batch = _batches(1)[0]
+    batch = _batches(graph, 1)[0]
     a = sampler_factory().sample(batch, HOP_NUMS, make_rng(SEED))
     b = sampler_factory().sample(batch, HOP_NUMS, make_rng(SEED))
     static_ok = all(np.array_equal(x, y) for x, y in zip(a.layers, b.layers))
@@ -121,41 +115,41 @@ def _determinism(sampler_factory) -> "tuple[bool, bool]":
     return static_ok, refresh_ok
 
 
-def _equivalence_pvalue(name: str, draws: int) -> float:
+def _equivalence_pvalue(graph, name: str, draws: int) -> float:
     """Chi-square p: batched vs reference child frequencies, heavy vertices."""
-    degrees = _GRAPH.out_degrees()
+    degrees = graph.out_degrees()
     parents = np.argsort(degrees)[-16:].astype(np.int64)
     counts = {}
     for offset, backend in enumerate(("batched", "reference")):
-        sampler = _samplers(backend)[name]
+        sampler = _samplers(graph, backend)[name]
         # Distinct seeds: the backends must agree as *distributions*, not
         # because they happen to consume the same RNG stream.
         rng = make_rng(SEED + 1 + offset)
-        acc = np.zeros((parents.size, _GRAPH.n_vertices), dtype=np.int64)
+        acc = np.zeros((parents.size, graph.n_vertices), dtype=np.int64)
         for _ in range(draws):
             children, _ = sampler.sample_children(parents, HOP_NUMS[0], rng)
             for row, kids in enumerate(children):
-                acc[row] += np.bincount(kids, minlength=_GRAPH.n_vertices)
+                acc[row] += np.bincount(kids, minlength=graph.n_vertices)
         counts[backend] = acc.ravel()
     _, p = chi_square_homogeneity(counts["batched"], counts["reference"])
     return float(p)
 
 
-def _backends_match_exactly(name: str) -> bool:
+def _backends_match_exactly(graph, name: str) -> bool:
     """uniform/topk/full: batched output must equal the reference bit-for-bit."""
-    batch = _batches(1)[0]
-    a = _samplers("batched")[name].sample(batch, HOP_NUMS, make_rng(SEED))
-    b = _samplers("reference")[name].sample(batch, HOP_NUMS, make_rng(SEED))
+    batch = _batches(graph, 1)[0]
+    a = _samplers(graph, "batched")[name].sample(batch, HOP_NUMS, make_rng(SEED))
+    b = _samplers(graph, "reference")[name].sample(batch, HOP_NUMS, make_rng(SEED))
     return all(np.array_equal(x, y) for x, y in zip(a.layers, b.layers)) and all(
         np.array_equal(x, y) for x, y in zip(a.pad_masks, b.pad_masks)
     )
 
 
-def _alias_exactness_and_build(repeats: int) -> "tuple[float, float, float]":
+def _alias_exactness_and_build(graph, repeats: int) -> "tuple[float, float, float]":
     """(max |implied - normalized weights|, per-list build s, grouped build s)."""
     from repro.sampling import CsrAdjacency
 
-    csr = CsrAdjacency.from_graph(_GRAPH)
+    csr = CsrAdjacency.from_graph(graph)
     grouped = GroupedAliasTable(csr.weights, csr.indptr)
     implied = grouped.probabilities()
     expected = np.zeros_like(implied)
@@ -178,7 +172,8 @@ def _alias_exactness_and_build(repeats: int) -> "tuple[float, float, float]":
     return max_diff, best_ref, best_grp
 
 
-def _run(smoke: bool = False) -> ExperimentReport:
+def _run(smoke: bool) -> ExperimentReport:
+    graph = make_dataset("taobao-small-sim", scale=0.3, seed=0)
     steps = SMOKE_STEPS if smoke else STEPS
     repeats = 2 if smoke else 5
     draws = 60 if smoke else 400
@@ -186,15 +181,15 @@ def _run(smoke: bool = False) -> ExperimentReport:
         "sampling_kernels",
         "Batched CSR sampling kernels vs scalar reference "
         f"({steps} batches of {BATCH_SIZE} seeds, fan-outs {HOP_NUMS}, "
-        f"{_GRAPH.n_vertices} vertices)",
+        f"{graph.n_vertices} vertices)",
     )
 
-    batches = _batches(steps)
+    batches = _batches(graph, steps)
     rows = _context_rows(steps)
     speedups: "dict[str, float]" = {}
-    for name, sampler in _samplers("reference").items():
+    for name, sampler in _samplers(graph, "reference").items():
         ref_s = _time_expansion(sampler, batches, repeats)
-        bat_s = _time_expansion(_samplers("batched")[name], batches, repeats)
+        bat_s = _time_expansion(_samplers(graph, "batched")[name], batches, repeats)
         speedups[name] = ref_s / bat_s if bat_s else 1.0
         report.add(
             f"2-hop expansion: {name}",
@@ -207,7 +202,7 @@ def _run(smoke: bool = False) -> ExperimentReport:
         )
 
     static_ok, refresh_ok = _determinism(
-        lambda: _samplers("batched")["uniform"]
+        graph, lambda: _samplers(graph, "batched")["uniform"]
     )
     report.add(
         "same-seed determinism (batched)",
@@ -215,10 +210,12 @@ def _run(smoke: bool = False) -> ExperimentReport:
     )
 
     pvalues = {
-        name: _equivalence_pvalue(name, draws) for name in ("weighted", "importance")
+        name: _equivalence_pvalue(graph, name, draws)
+        for name in ("weighted", "importance")
     }
     exact = {
-        name: _backends_match_exactly(name) for name in ("uniform", "topk", "full")
+        name: _backends_match_exactly(graph, name)
+        for name in ("uniform", "topk", "full")
     }
     report.add(
         "backend equivalence",
@@ -228,7 +225,7 @@ def _run(smoke: bool = False) -> ExperimentReport:
         },
     )
 
-    max_diff, ref_build_s, grp_build_s = _alias_exactness_and_build(repeats)
+    max_diff, ref_build_s, grp_build_s = _alias_exactness_and_build(graph, repeats)
     report.add(
         "grouped alias construction",
         {
@@ -246,24 +243,18 @@ def _run(smoke: bool = False) -> ExperimentReport:
         "child draw frequencies on the 16 heaviest vertices"
     )
     report.meta = {
-        "speedups": speedups,
         "uniform_speedup": speedups["uniform"],
         "deterministic": static_ok,
         "refresh_deterministic": refresh_ok,
         "pvalues": pvalues,
         **{f"{k}_exact": v for k, v in exact.items()},
         "alias_max_prob_error": max_diff,
-        "smoke": smoke,
     }
     return report
 
 
-def _assert_acceptance(report: ExperimentReport) -> None:
+def _check(report: ExperimentReport, smoke: bool) -> None:
     meta = report.meta
-    assert meta["uniform_speedup"] >= MIN_UNIFORM_SPEEDUP, (
-        f"uniform 2-hop expansion speedup {meta['uniform_speedup']:.2f}x "
-        f"under the {MIN_UNIFORM_SPEEDUP}x bar"
-    )
     assert meta["deterministic"], "batched kernels are not same-seed deterministic"
     assert meta["refresh_deterministic"], (
         "batched kernels lost determinism after a dynamic CSR refresh"
@@ -276,21 +267,12 @@ def _assert_acceptance(report: ExperimentReport) -> None:
     assert meta["alias_max_prob_error"] < 1e-9, (
         "grouped alias probabilities drifted from the normalized weights"
     )
+    if smoke:
+        return  # two repeats of six batches do not time anything
+    assert meta["uniform_speedup"] >= MIN_UNIFORM_SPEEDUP, (
+        f"uniform 2-hop expansion speedup {meta['uniform_speedup']:.2f}x "
+        f"under the {MIN_UNIFORM_SPEEDUP}x bar"
+    )
 
 
-def test_sampling_kernels() -> None:
-    report = _run(smoke=False)
-    emit(report)
-    _assert_acceptance(report)
-
-
-def main(argv: "list[str] | None" = None) -> None:
-    args = parse_bench_args(__doc__.splitlines()[0], argv)
-    report = _run(smoke=args.smoke)
-    emit(report, print_json=args.json)
-    if not args.smoke:
-        _assert_acceptance(report)
-
-
-if __name__ == "__main__":
-    main()
+EXPERIMENTS = (Experiment("sampling_kernels", _run, _check),)

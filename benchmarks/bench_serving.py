@@ -19,12 +19,14 @@ is exactly reproducible:
 * **Determinism.** A same-seed rerun of the diurnal shape reproduces the
   full SLO report dict bit for bit.
 
-Run ``python benchmarks/bench_serving.py [--smoke] [--json]``.
+Ad-hoc traffic shapes drive a :class:`ServingEngine` with their own
+:class:`OpenLoopWorkload` / :class:`ClosedLoopWorkload` (README, "Serving
+tier").
 """
 
 from __future__ import annotations
 
-from repro.bench import ExperimentReport
+from repro.bench import Experiment, ExperimentReport, MetricRule
 from repro.data import make_dataset
 from repro.serving import (
     CLASS_CACHED,
@@ -39,8 +41,6 @@ from repro.serving import (
 from repro.storage import ImportanceCachePolicy
 from repro.storage.cluster import make_store
 
-from _common import emit, parse_bench_args
-
 N_WORKERS = 4
 SEED = 7
 SCALE = 0.2
@@ -48,14 +48,11 @@ DURATION_US = 2_000_000.0
 SMOKE_DURATION_US = 250_000.0
 FRESH_FRACTION = 0.1
 
-_GRAPH = make_dataset("taobao-small-sim", scale=SCALE, seed=0)
-_USERS = _GRAPH.vertices_of_type("user")
 
-
-def _engine(cached: bool) -> ServingEngine:
+def _engine(graph, cached: bool) -> ServingEngine:
     """The full stack or the cacheless baseline over a fresh store."""
     store = make_store(
-        _GRAPH,
+        graph,
         N_WORKERS,
         cache_policy=ImportanceCachePolicy() if cached else None,
         cache_budget_fraction=0.1 if cached else 0.0,
@@ -65,9 +62,9 @@ def _engine(cached: bool) -> ServingEngine:
     return ServingEngine(store, config=config, seed=SEED)
 
 
-def _diurnal(duration_us: float) -> OpenLoopWorkload:
+def _diurnal(users, duration_us: float) -> OpenLoopWorkload:
     return OpenLoopWorkload(
-        _USERS,
+        users,
         duration_us=duration_us,
         rate=diurnal_rate(400.0, 1600.0, burst_multiplier=3.0),
         fresh_fraction=FRESH_FRACTION,
@@ -76,9 +73,9 @@ def _diurnal(duration_us: float) -> OpenLoopWorkload:
     )
 
 
-def _hotkey(duration_us: float) -> OpenLoopWorkload:
+def _hotkey(users, duration_us: float) -> OpenLoopWorkload:
     return OpenLoopWorkload(
-        _USERS,
+        users,
         duration_us=duration_us,
         rate=constant_rate(4000.0),
         fresh_fraction=FRESH_FRACTION,
@@ -87,9 +84,9 @@ def _hotkey(duration_us: float) -> OpenLoopWorkload:
     )
 
 
-def _closed() -> ClosedLoopWorkload:
+def _closed(users) -> ClosedLoopWorkload:
     return ClosedLoopWorkload(
-        _USERS,
+        users,
         n_clients=32,
         requests_per_client=20,
         think_us=2_000.0,
@@ -99,9 +96,9 @@ def _closed() -> ClosedLoopWorkload:
     )
 
 
-def _measure(workload, cached: bool) -> dict:
+def _measure(graph, workload, cached: bool) -> dict:
     """Run ``workload`` on a fresh engine; returns the SLO report dict."""
-    engine = _engine(cached)
+    engine = _engine(graph, cached)
     records = engine.run(workload)
     return build_slo_report(records).to_dict()
 
@@ -132,8 +129,10 @@ def _report_cells(report: ExperimentReport, label: str, slo: dict) -> None:
     )
 
 
-def _run(smoke: bool = False) -> ExperimentReport:
+def _run(smoke: bool) -> ExperimentReport:
     duration_us = SMOKE_DURATION_US if smoke else DURATION_US
+    graph = make_dataset("taobao-small-sim", scale=SCALE, seed=0)
+    users = graph.vertices_of_type("user")
     report = ExperimentReport(
         "serving_slo",
         "Online serving tier: SLO latency tails, goodput and admission "
@@ -141,11 +140,11 @@ def _run(smoke: bool = False) -> ExperimentReport:
         f"{N_WORKERS} workers)",
     )
 
-    diurnal_full = _measure(_diurnal(duration_us), cached=True)
-    diurnal_base = _measure(_diurnal(duration_us), cached=False)
-    hotkey_full = _measure(_hotkey(duration_us), cached=True)
-    hotkey_base = _measure(_hotkey(duration_us), cached=False)
-    closed_full = _measure(_closed(), cached=True)
+    diurnal_full = _measure(graph, _diurnal(users, duration_us), cached=True)
+    diurnal_base = _measure(graph, _diurnal(users, duration_us), cached=False)
+    hotkey_full = _measure(graph, _hotkey(users, duration_us), cached=True)
+    hotkey_base = _measure(graph, _hotkey(users, duration_us), cached=False)
+    closed_full = _measure(graph, _closed(users), cached=True)
 
     _report_cells(report, "diurnal burst / full stack", diurnal_full)
     _report_cells(report, "diurnal burst / cacheless", diurnal_base)
@@ -192,7 +191,7 @@ def _run(smoke: bool = False) -> ExperimentReport:
     )
 
     # Determinism: a same-seed rerun reproduces the whole report dict.
-    diurnal_rerun = _measure(_diurnal(duration_us), cached=True)
+    diurnal_rerun = _measure(graph, _diurnal(users, duration_us), cached=True)
     identical = diurnal_rerun == diurnal_full
     report.add(
         "determinism (same-seed rerun, diurnal / full stack)",
@@ -211,15 +210,14 @@ def _run(smoke: bool = False) -> ExperimentReport:
         "goodput_win": (
             hotkey_full["goodput_rps"] > hotkey_base["goodput_rps"]
         ),
-        "smoke": smoke,
     }
     return report
 
 
-def test_serving_slo() -> None:
-    report = _run(smoke=False)
-    emit(report)
+def _check(report: ExperimentReport, smoke: bool) -> None:
     assert report.meta["identical"], "same-seed SLO reports diverged"
+    if smoke:
+        return  # 0.25 s of traffic does not reach saturation
     for shape, win in report.meta["p99_wins"].items():
         assert win["win"], (
             f"full stack did not beat cacheless on cached-class p99 under "
@@ -233,15 +231,17 @@ def test_serving_slo() -> None:
     )
 
 
-def main(argv: "list[str] | None" = None) -> None:
-    args = parse_bench_args(__doc__.splitlines()[0], argv)
-    report = _run(smoke=args.smoke)
-    emit(report, print_json=args.json)
-    if not args.smoke:
-        assert report.meta["identical"]
-        assert all(w["win"] for w in report.meta["p99_wins"].values())
-        assert report.meta["cacheless_losses"] > 0
-
-
-if __name__ == "__main__":
-    main()
+EXPERIMENTS = (
+    Experiment(
+        "serving_slo",
+        _run,
+        _check,
+        # Every cell is virtual-clock microseconds or a seeded count.
+        (
+            MetricRule(r":p(50|95|99)_us$", rel_tol=0.10),
+            MetricRule(r":in_deadline_rps$", rel_tol=0.10, direction="lower_is_worse"),
+            MetricRule(r":(requests|ok)$", rel_tol=0.05, direction="both", abs_tol=2.0),
+            MetricRule(r":(shed|expired)$", rel_tol=0.25, abs_tol=5.0),
+        ),
+    ),
+)

@@ -17,15 +17,13 @@ import time
 import numpy as np
 
 from repro.data import powerlaw_graph
-from repro.bench import ExperimentReport
+from repro.bench import Experiment, ExperimentReport
 from repro.nn.optim import Adam, SparseAdam
 from repro.nn.tensor import Tensor
 from repro.storage import EmbeddingKVStore
 from repro.storage.cluster import make_store
 from repro.storage.costmodel import EV_REMOTE_RPC
 from repro.utils.rng import make_rng
-
-from _common import emit, parse_bench_args
 
 DIM = 64
 BATCH = 256
@@ -139,21 +137,14 @@ def _run(smoke: bool) -> ExperimentReport:
     return report
 
 
-def test_sparse_optim(benchmark) -> None:
-    report = benchmark.pedantic(lambda: _run(smoke=False), iterations=1, rounds=1)
-    emit(report)
-    assert report.meta["speedups"][100_000] >= 10.0
+def _check(report: ExperimentReport, smoke: bool) -> None:
+    kv = report.records[-1].measured
+    assert kv["bitwise_vs_inprocess"], "kv arm diverged from the in-process run"
+    if smoke:
+        return  # only the 10k table is built
+    assert report.meta["speedups"][100_000] >= 10.0, (
+        "sparse step speedup below the 10x acceptance bar at 100k rows"
+    )
 
 
-def main(argv: "list[str] | None" = None) -> None:
-    args = parse_bench_args(__doc__.splitlines()[0], argv)
-    report = _run(smoke=args.smoke)
-    emit(report, print_json=args.json)
-    if not args.smoke:
-        assert report.meta["speedups"][100_000] >= 10.0, (
-            "sparse step speedup below the 10x acceptance bar at 100k rows"
-        )
-
-
-if __name__ == "__main__":
-    main()
+EXPERIMENTS = (Experiment("sparse_optim", _run, _check),)

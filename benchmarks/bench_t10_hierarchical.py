@@ -12,14 +12,10 @@ GraphSAGE on all three link-prediction metrics.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.algorithms import GraphSAGE, HierarchicalGNN
-from repro.bench import ExperimentReport
+from repro.bench import Experiment, ExperimentReport
 from repro.data import make_dataset, train_test_split_edges
 from repro.tasks import evaluate_link_prediction
-
-from _common import emit
 
 PAPER = {
     "GraphSAGE": {"roc_auc": 82.89, "pr_auc": 44.45, "f1": 45.76},
@@ -27,7 +23,7 @@ PAPER = {
 }
 
 
-def _run() -> ExperimentReport:
+def _run(smoke: bool) -> ExperimentReport:
     graph = make_dataset("taobao-small-sim", scale=0.35, seed=0)
     split = train_test_split_edges(graph, 0.2, seed=0)
     report = ExperimentReport("t10", "Hierarchical GNN vs GraphSAGE (%)")
@@ -52,9 +48,10 @@ def _run() -> ExperimentReport:
     return report
 
 
-def test_t10_hierarchical(benchmark: "pytest.fixture") -> None:
-    report = benchmark.pedantic(_run, iterations=1, rounds=1)
-    emit(report)
+def _check(report: ExperimentReport, smoke: bool) -> None:
     rows = {r.label: r.measured for r in report.records}
     assert rows["Hierarchical GNN"]["roc_auc"] > rows["GraphSAGE"]["roc_auc"]
     assert rows["Hierarchical GNN"]["f1"] > rows["GraphSAGE"]["f1"] - 2.0
+
+
+EXPERIMENTS = (Experiment("t10", _run, _check),)

@@ -18,15 +18,12 @@ paper's two conditions.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.algorithms import TNE, DANE, EvolvingGNN, GraphSAGE
-from repro.bench import ExperimentReport
+from repro.bench import Experiment, ExperimentReport
 from repro.data import dynamic_taobao
 from repro.graph.dynamic import DynamicGraph
 from repro.utils.rng import make_rng
-
-from _common import emit
 
 PAPER = {
     "TNE": {"normal_micro": 79.9, "normal_macro": 71.9, "burst_micro": 69.1, "burst_macro": 67.2},
@@ -76,7 +73,7 @@ def _history_average(per_snapshot: "list[np.ndarray]") -> np.ndarray:
     return np.mean(per_snapshot, axis=0)
 
 
-def _run() -> ExperimentReport:
+def _run(smoke: bool) -> ExperimentReport:
     dynamic = dynamic_taobao(
         n_vertices=500, n_timestamps=5, normal_adds_per_step=180,
         burst_events_per_step=2, burst_size=45, removals_per_step=20, seed=0,
@@ -166,9 +163,7 @@ def _run() -> ExperimentReport:
     return report
 
 
-def test_t11_evolving(benchmark: "pytest.fixture") -> None:
-    report = benchmark.pedantic(_run, iterations=1, rounds=1)
-    emit(report)
+def _check(report: ExperimentReport, smoke: bool) -> None:
     rows = {r.label: r.measured for r in report.records}
     ev = rows["Evolving GNN"]
     for competitor in ("TNE", "GraphSAGE"):
@@ -177,3 +172,6 @@ def test_t11_evolving(benchmark: "pytest.fixture") -> None:
         # normal evolution (the paper's headline is the burst gap).
         assert ev["burst_macro"] >= comp["burst_macro"] - 2.0, competitor
     assert ev["normal_micro"] > 50.0
+
+
+EXPERIMENTS = (Experiment("t11", _run, _check),)

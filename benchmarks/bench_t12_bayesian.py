@@ -9,22 +9,31 @@ and categories (aligned with the generator's interest groups); the Bayesian
 GNN learns the posterior correction (Eq. 7's second-order generative model)
 and the corrected embeddings are evaluated on the same recommendation
 split at group granularity.
+
+**Not reproduced.** One (GraphSAGE, Bayesian) seed pair decides the sign of
+a lift this small, so the table is the mean over ``SEEDS`` and the lift is
+reported per seed with its spread. At every seed the correction *costs* a
+few hundredths of a point of recall on average; ``check`` asserts only
+that bound. The 50/50 blend, ``steps`` and the seeds are not tuned towards
+the paper's sign — a fix to ``BayesianGNN`` is its own change.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.algorithms import BayesianGNN, GraphSAGE
-from repro.bench import ExperimentReport
+from repro.bench import Experiment, ExperimentReport
 from repro.graph import AttributedHeterogeneousGraph
 from repro.data import knowledge_graph, make_dataset, train_test_split_edges
 from repro.tasks import evaluate_recommendation
 
-from _common import emit
-
 KS = [10, 30, 50]
+#: Seed of both the GraphSAGE base and the Bayesian correction, per run.
+SEEDS = (0, 1, 2, 3, 4)
+#: How much hit recall (a fraction: 0.01 = one point of HR) the correction
+#: may cost on average before ``check`` fails; measured worst seed -0.0034.
+MAX_MEAN_LOSS = 0.01
 #: Paper values (%), Brand and Category granularity, Click and Buy.
 PAPER = {
     ("Brand", "click", "GraphSAGE"): {10: 15.97, 30: 16.65, 50: 17.26},
@@ -57,7 +66,7 @@ def _interaction_split(graph, behaviours, seed=0):
     return split.train_graph, train_items, test_items, n_users
 
 
-def _run() -> ExperimentReport:
+def _run(smoke: bool) -> ExperimentReport:
     graph = make_dataset("taobao-small-sim", scale=0.35, seed=0)
     n_users = int(np.sum(graph.vertex_types == 0))
     n_items = graph.n_vertices - n_users
@@ -69,8 +78,8 @@ def _run() -> ExperimentReport:
         category_of=item_category, seed=1,
     )
 
-    report = ExperimentReport("t12", "Bayesian correction lift on hit recall (%)")
-    rows = {}
+    #: (granularity, behaviour, method) -> one [hr@k for k in KS] row per seed
+    recalls: dict[tuple, list[list[float]]] = {}
     for behaviour in ("click", "buy"):
         train_graph, train_items, test_items, _ = _interaction_split(
             graph, [behaviour]
@@ -93,55 +102,85 @@ def _run() -> ExperimentReport:
             directed=train_graph.directed,
             vertex_features=None,
         )
-        sage = GraphSAGE(dim=64, epochs=4, max_steps_per_epoch=20, seed=0)
-        sage.fit(structural)
-        emb = sage.embeddings()
-        user_emb = emb[:n_users]
-        item_emb = emb[n_users:]
+        for seed in SEEDS:
+            sage = GraphSAGE(dim=64, epochs=4, max_steps_per_epoch=20, seed=seed)
+            sage.fit(structural)
+            emb = sage.embeddings()
+            user_emb = emb[:n_users]
+            item_emb = emb[n_users:]
 
-        bayes = BayesianGNN(dim=32, steps=300, seed=0)
-        bayes.fit_correction(item_emb, kg, entity_ids=np.arange(n_items))
-        # Corrected task embedding f(h+mu) lives in the task space; blend
-        # it with the original (the KG prior refines, not replaces).
-        corrected_items = 0.5 * item_emb + 0.5 * bayes.embeddings()
-        corrected_users = user_emb
-        for gran, groups in (("Brand", brand_of), ("Category", category_of)):
-            base = evaluate_recommendation(
-                user_emb, item_emb, train_items, test_items, KS, item_group=groups
-            )
-            corr = evaluate_recommendation(
-                corrected_users, corrected_items, train_items, test_items, KS,
-                item_group=groups,
-            )
-            for label, hr in (("GraphSAGE", base), ("+Bayesian", corr)):
-                key = (gran, behaviour, label)
-                rows[key] = hr
-                report.add(
-                    f"{gran}/{behaviour}/{label}",
-                    {f"hr@{k}": round(100 * hr[k], 2) for k in KS},
-                    paper={f"hr@{k}": PAPER[key][k] for k in KS},
-                )
+            bayes = BayesianGNN(dim=32, steps=300, seed=seed)
+            bayes.fit_correction(item_emb, kg, entity_ids=np.arange(n_items))
+            # Corrected task embedding f(h+mu) lives in the task space; blend
+            # it with the original (the KG prior refines, not replaces).
+            corrected_items = 0.5 * item_emb + 0.5 * bayes.embeddings()
+            for gran, groups in (("Brand", brand_of), ("Category", category_of)):
+                for label, items in (
+                    ("GraphSAGE", item_emb),
+                    ("+Bayesian", corrected_items),
+                ):
+                    hr = evaluate_recommendation(
+                        user_emb, items, train_items, test_items, KS,
+                        item_group=groups,
+                    )
+                    recalls.setdefault((gran, behaviour, label), []).append(
+                        [hr[k] for k in KS]
+                    )
+
+    report = ExperimentReport(
+        "t12",
+        f"Bayesian correction on hit recall (%), mean of {len(SEEDS)} seeds",
+    )
+    for key, rows in recalls.items():
+        mean = np.mean(rows, axis=0)
+        report.add(
+            "/".join(key),
+            {f"hr@{k}": round(100 * float(m), 2) for k, m in zip(KS, mean)},
+            paper={f"hr@{k}": PAPER[key][k] for k in KS},
+        )
+    # Per seed: the lift averaged over the 12 (granularity, behaviour, k) cells.
+    cell_lifts = np.array(
+        [
+            np.subtract(recalls[(gran, behaviour, "+Bayesian")],
+                        recalls[(gran, behaviour, "GraphSAGE")])
+            for gran in ("Brand", "Category")
+            for behaviour in ("click", "buy")
+        ]
+    )  # [cell, seed, k]
+    lifts = cell_lifts.mean(axis=(0, 2))
+    for seed, lift in zip(SEEDS, lifts):
+        report.add(f"mean lift, seed {seed}", {"mean_lift": round(float(lift), 4)})
+    report.add(
+        "mean lift over seeds",
+        {
+            "mean_lift": round(float(lifts.mean()), 4),
+            "std": round(float(lifts.std()), 4),
+            "min": round(float(lifts.min()), 4),
+            "max": round(float(lifts.max()), 4),
+            "cells_lifted_of_12": int(np.sum(cell_lifts.mean(axis=1) > 0)),
+        },
+    )
     report.note(
         "corrected item embeddings blend the task view 50/50 with the "
-        "KG-informed f(h+mu) projection"
+        "KG-informed f(h+mu) projection; hr@k rows are percentages, "
+        "mean_lift is the same recall as a fraction (+Bayesian minus "
+        "GraphSAGE, averaged over the 12 cells)"
     )
-    _assert_shape(rows)
+    report.note(
+        "paper's +1-3% lift NOT reproduced: the mean lift is negative at "
+        "every seed"
+    )
     return report
 
 
-def _assert_shape(rows) -> None:
-    # The Bayesian correction lifts (or preserves) recall in aggregate.
-    lifts = []
-    for gran in ("Brand", "Category"):
-        for behaviour in ("click", "buy"):
-            base = rows[(gran, behaviour, "GraphSAGE")]
-            corr = rows[(gran, behaviour, "+Bayesian")]
-            for k in KS:
-                lifts.append(corr[k] - base[k])
-    assert np.mean(lifts) > 0.0, f"mean lift {np.mean(lifts):.4f} not positive"
-    assert max(lifts) > 0.005  # at least one granularity gains visibly
+def _check(report: ExperimentReport, smoke: bool) -> None:
+    rows = {r.label: r.measured for r in report.records}
+    # All these seeds support: the correction does not cost a point of recall.
+    for seed in SEEDS:
+        lift = rows[f"mean lift, seed {seed}"]["mean_lift"]
+        assert lift > -MAX_MEAN_LOSS, f"seed {seed}: mean lift {lift:.4f}"
+    # The base model carries real signal at brand granularity (chance ~7%).
+    assert rows["Brand/click/GraphSAGE"]["hr@10"] > 15.0
 
 
-def test_t12_bayesian(benchmark: "pytest.fixture") -> None:
-    report = benchmark.pedantic(_run, iterations=1, rounds=1)
-    emit(report)
+EXPERIMENTS = (Experiment("t12", _run, _check),)

@@ -10,16 +10,15 @@ The contracts to reproduce: NEIGHBORHOOD is an order of magnitude costlier
 than TRAVERSE/NEGATIVE (it touches the distributed adjacency), everything
 finishes in tens of milliseconds, and the 6x-larger graph moves the numbers
 only slightly. Both measured wall-clock (of our Python samplers) and
-modelled distributed cost are reported.
+modelled distributed cost are reported; the scaling claim is asserted (and
+gated) on the modelled column, the wall-clock ones only as orderings.
 """
 
 from __future__ import annotations
 
 import time
 
-import pytest
-
-from repro.bench import ExperimentReport
+from repro.bench import Experiment, ExperimentReport, MetricRule
 from repro.data import make_dataset
 from repro.sampling import (
     DegreeBiasedNegativeSampler,
@@ -30,8 +29,6 @@ from repro.sampling import (
 from repro.storage import ImportanceCachePolicy
 from repro.storage.cluster import make_store
 from repro.utils.rng import make_rng
-
-from _common import emit
 
 BATCH = 512
 PAPER_MS = {
@@ -50,7 +47,7 @@ def _best_of(fn, repeats: int = 3) -> float:
     return best * 1000.0
 
 
-def _run() -> ExperimentReport:
+def _run(smoke: bool) -> ExperimentReport:
     report = ExperimentReport("t4", "Sampling latency per 512-vertex batch (ms)")
     for name, workers, scale in (
         ("taobao-small-sim", 25, 1.0),
@@ -93,9 +90,7 @@ def _run() -> ExperimentReport:
     return report
 
 
-def test_t4_sampling(benchmark: "pytest.fixture") -> None:
-    report = benchmark.pedantic(_run, iterations=1, rounds=1)
-    emit(report)
+def _check(report: ExperimentReport, smoke: bool) -> None:
     for rec in report.records:
         m = rec.measured
         # NEIGHBORHOOD dominates the other two samplers.
@@ -105,5 +100,17 @@ def test_t4_sampling(benchmark: "pytest.fixture") -> None:
         # slack for the pure-Python substrate).
         assert m["neighborhood_ms"] < 60 * 5
     small, large = report.records
-    # Sampling time grows slowly with the 6x graph (paper: ~1.15x).
-    assert large.measured["neighborhood_ms"] < small.measured["neighborhood_ms"] * 3
+    # Sampling cost grows slowly with the 6x graph (paper: ~1.15x).
+    assert large.measured["neigh_modelled_ms"] < small.measured["neigh_modelled_ms"] * 3
+
+
+EXPERIMENTS = (
+    Experiment(
+        "t4",
+        _run,
+        _check,
+        # Ledger prices x seeded access counts: exact. The *_ms wall-clock
+        # columns carry no rule.
+        (MetricRule(r":(neigh_modelled_ms|cache_hit_pct)$", rel_tol=0.0, direction="both"),),
+    ),
+)

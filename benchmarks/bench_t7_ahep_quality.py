@@ -13,14 +13,10 @@ win of Figure 10.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.algorithms import AHEP, HEP
-from repro.bench import ExperimentReport
+from repro.bench import Experiment, ExperimentReport
 from repro.data import make_dataset, train_test_split_edges
 from repro.tasks import evaluate_link_prediction
-
-from _common import emit
 
 PAPER = {
     "HEP": {"roc_auc": 77.77, "f1": 57.93},
@@ -28,7 +24,7 @@ PAPER = {
 }
 
 
-def _run() -> ExperimentReport:
+def _run(smoke: bool) -> ExperimentReport:
     graph = make_dataset("taobao-small-sim", scale=0.4, seed=0)
     split = train_test_split_edges(graph, 0.2, seed=0)
     report = ExperimentReport("t7", "AHEP vs HEP link-prediction quality (%)")
@@ -50,9 +46,7 @@ def _run() -> ExperimentReport:
     return report
 
 
-def test_t7_ahep_quality(benchmark: "pytest.fixture") -> None:
-    report = benchmark.pedantic(_run, iterations=1, rounds=1)
-    emit(report)
+def _check(report: ExperimentReport, smoke: bool) -> None:
     hep = next(r for r in report.records if r.label == "HEP")
     ahep = next(r for r in report.records if r.label == "AHEP")
     # Both methods carry real signal ...
@@ -60,3 +54,6 @@ def test_t7_ahep_quality(benchmark: "pytest.fixture") -> None:
     assert ahep.measured["roc_auc"] > 60.0
     # ... and AHEP stays within a modest gap of HEP (paper: ~2.3 points).
     assert ahep.measured["roc_auc"] > hep.measured["roc_auc"] - 10.0
+
+
+EXPERIMENTS = (Experiment("t7", _run, _check),)

@@ -14,14 +14,11 @@ baselines at both cutoffs by a couple of points of recall.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.algorithms import DAE, BetaVAE, MixtureGNN
-from repro.bench import ExperimentReport
+from repro.bench import Experiment, ExperimentReport
 from repro.data import make_dataset, train_test_split_edges
 from repro.tasks import evaluate_recommendation
-
-from _common import emit
 
 PAPER = {
     "DAE": {"hr@20": 0.12622, "hr@50": 0.21619},
@@ -52,7 +49,7 @@ def _interaction_split(graph, seed=0):
     return split.train_graph, train_items, test_items, n_users
 
 
-def _run() -> ExperimentReport:
+def _run(smoke: bool) -> ExperimentReport:
     graph = make_dataset("taobao-small-sim", scale=0.35, seed=0)
     train_graph, train_items, test_items, n_users = _interaction_split(graph)
     n_items = graph.n_vertices - n_users
@@ -98,12 +95,13 @@ def _run() -> ExperimentReport:
     return report
 
 
-def test_t9_mixture(benchmark: "pytest.fixture") -> None:
-    report = benchmark.pedantic(_run, iterations=1, rounds=1)
-    emit(report)
+def _check(report: ExperimentReport, smoke: bool) -> None:
     rows = {r.label: r.measured for r in report.records}
     for k in ("hr@20", "hr@50"):
         assert rows["Mixture GNN"][k] > rows["DAE"][k]
         assert rows["Mixture GNN"][k] > rows["beta*-VAE"][k]
     # All methods produce non-trivial recall.
     assert rows["Mixture GNN"]["hr@50"] > 0.05
+
+
+EXPERIMENTS = (Experiment("t9", _run, _check),)

@@ -10,19 +10,19 @@ GraphSAGE-style sampling workload (fan-outs 10x5) runs three ways:
   pipeline, store and runtime (every call site active, all no-ops);
 * ``enabled``   — full tracing with ledger correlation.
 
-Wall-clock is min-of-repeats (the standard noise filter); the acceptance
-bar is disabled <= 2% over baseline. All three runs share one process, so
-each builds a fresh store/registry and resets shared state — the leak the
-``MetricsRegistry.reset()`` satellite closed.
+Wall-clock is min-of-repeats (the standard noise filter) and reported,
+not asserted: on a ~15 ms workload the disabled arm reads anywhere between
+-26% and +50% of baseline run to run. The volume row (spans, ledger rows,
+traces) is virtual-clock deterministic; it is checked and gated. All three
+runs share one process, so each builds a fresh store/registry and resets
+shared state — the leak the ``MetricsRegistry.reset()`` satellite closed.
 """
 
 from __future__ import annotations
 
 import time
 
-import pytest
-
-from repro.bench import ExperimentReport
+from repro.bench import Experiment, ExperimentReport, MetricRule
 from repro.data import make_dataset
 from repro.runtime import RpcRuntime, Tracer
 from repro.sampling import (
@@ -36,8 +36,6 @@ from repro.storage import ImportanceCachePolicy
 from repro.storage.cluster import make_store
 from repro.utils.rng import make_rng
 
-from _common import emit, parse_bench_args
-
 N_WORKERS = 4
 HOP_NUMS = [10, 5]
 STEPS = 8
@@ -46,15 +44,11 @@ SEED = 7
 REPEATS = 5
 SMOKE_STEPS = 3
 SMOKE_REPEATS = 2
-OVERHEAD_BUDGET = 0.02  # disabled tracing must stay within 2% of baseline
-
-# One graph for every run: dataset synthesis is not the thing under test.
-_GRAPH = make_dataset("taobao-small-sim", scale=0.3, seed=0)
 
 
-def _run_workload(tracer: "Tracer | None", steps: int = STEPS) -> "RpcRuntime":
+def _run_workload(graph, tracer: "Tracer | None", steps: int) -> "RpcRuntime":
     store = make_store(
-        _GRAPH,
+        graph,
         N_WORKERS,
         cache_policy=ImportanceCachePolicy(),
         cache_budget_fraction=0.1,
@@ -63,9 +57,9 @@ def _run_workload(tracer: "Tracer | None", steps: int = STEPS) -> "RpcRuntime":
     runtime = RpcRuntime(store, tracer=tracer)
     store.attach_runtime(runtime)
     pipeline = SamplingPipeline(
-        traverse=VertexTraverseSampler(_GRAPH, vertex_type="user"),
+        traverse=VertexTraverseSampler(graph, vertex_type="user"),
         neighborhood=UniformNeighborSampler(StoreProvider(store, from_part=0)),
-        negative=DegreeBiasedNegativeSampler(_GRAPH),
+        negative=DegreeBiasedNegativeSampler(graph),
         hop_nums=HOP_NUMS,
         neg_num=5,
         metrics=runtime.metrics,
@@ -77,35 +71,37 @@ def _run_workload(tracer: "Tracer | None", steps: int = STEPS) -> "RpcRuntime":
     return runtime
 
 
-def _time_config(make_tracer, steps: int, repeats: int) -> float:
+def _time_config(graph, make_tracer, steps: int, repeats: int) -> float:
     """Min-of-repeats wall-clock seconds for one tracer configuration."""
     best = float("inf")
     for _ in range(repeats):
         tracer = make_tracer()
         t0 = time.perf_counter()
-        runtime = _run_workload(tracer, steps)
+        runtime = _run_workload(graph, tracer, steps)
         best = min(best, time.perf_counter() - t0)
         # Shared-process hygiene: registries don't leak between runs.
         runtime.metrics.reset()
     return best
 
 
-def _run(smoke: bool = False) -> ExperimentReport:
+def _run(smoke: bool) -> ExperimentReport:
     steps = SMOKE_STEPS if smoke else STEPS
     repeats = SMOKE_REPEATS if smoke else REPEATS
+    # One graph for every run: dataset synthesis is not the thing under test.
+    graph = make_dataset("taobao-small-sim", scale=0.3, seed=0)
     report = ExperimentReport(
         "trace_overhead",
         f"Tracing overhead on the 2-hop sampling workload (min of "
         f"{repeats} repeats)",
     )
     # Warm up caches/imports so the first timed config isn't penalized.
-    _run_workload(None, steps)
+    _run_workload(graph, None, steps)
 
-    base_s = _time_config(lambda: None, steps, repeats)
+    base_s = _time_config(graph, lambda: None, steps, repeats)
     disabled_s = _time_config(
-        lambda: Tracer(enabled=False, seed=SEED), steps, repeats
+        graph, lambda: Tracer(enabled=False, seed=SEED), steps, repeats
     )
-    enabled_s = _time_config(lambda: Tracer(seed=SEED), steps, repeats)
+    enabled_s = _time_config(graph, lambda: Tracer(seed=SEED), steps, repeats)
 
     def row(seconds: float) -> dict:
         return {
@@ -118,7 +114,7 @@ def _run(smoke: bool = False) -> ExperimentReport:
     report.add("tracer enabled", row(enabled_s))
 
     enabled_tracer = Tracer(seed=SEED)
-    runtime = _run_workload(enabled_tracer, steps)
+    runtime = _run_workload(graph, enabled_tracer, steps)
     report.add(
         "enabled trace volume",
         {
@@ -130,33 +126,30 @@ def _run(smoke: bool = False) -> ExperimentReport:
     runtime.metrics.reset()
     report.note(
         f"{steps} pipeline batches of {BATCH_SIZE} seeds, fan-outs "
-        f"{HOP_NUMS}, {N_WORKERS} workers; acceptance bar: disabled "
-        f"tracing within {OVERHEAD_BUDGET:.0%} of baseline"
+        f"{HOP_NUMS}, {N_WORKERS} workers; the vs_baseline column is "
+        f"wall-clock, reported and not asserted"
     )
-    report.meta = {"baseline_s": base_s, "disabled_s": disabled_s,
-                   "enabled_s": enabled_s}
     return report
 
 
-def test_trace_overhead(benchmark: "pytest.fixture") -> None:
-    report = benchmark.pedantic(_run, iterations=1, rounds=1)
-    emit(report)
-    base_s = report.meta["baseline_s"]
-    disabled_s = report.meta["disabled_s"]
-    assert disabled_s <= base_s * (1.0 + OVERHEAD_BUDGET), (
-        f"disabled tracing costs {(disabled_s / base_s - 1.0):.2%}, "
-        f"budget is {OVERHEAD_BUDGET:.0%}"
-    )
+def _check(report: ExperimentReport, smoke: bool) -> None:
     by_label = {r.label: r.measured for r in report.records}
     volume = by_label["enabled trace volume"]
     assert volume["spans"] > 0 and volume["ledger_rows"] > 0
 
 
-def main(argv: "list[str] | None" = None) -> None:
-    args = parse_bench_args(__doc__.splitlines()[0], argv)
-    report = _run(smoke=args.smoke)
-    emit(report, print_json=args.json)
-
-
-if __name__ == "__main__":
-    main()
+EXPERIMENTS = (
+    Experiment(
+        "trace_overhead",
+        _run,
+        _check,
+        (
+            MetricRule(
+                r":(spans|ledger_rows|traces)$",
+                rel_tol=0.05,
+                direction="both",
+                abs_tol=2.0,
+            ),
+        ),
+    ),
+)

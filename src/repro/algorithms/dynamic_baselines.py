@@ -22,6 +22,7 @@ from repro.algorithms.base import EmbeddingModel, unit_rows
 from repro.errors import TrainingError
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.graph import Graph
+from repro.utils.rng import make_rng
 
 
 def _adjacency(graph: Graph) -> sp.csr_matrix:
@@ -35,7 +36,10 @@ def _svd_embed(a: sp.csr_matrix, dim: int) -> np.ndarray:
     k = min(dim, a.shape[0] - 2)
     if k < 1:
         raise TrainingError("graph too small for spectral embedding")
-    u, s, _ = svds(a.astype(np.float64), k=k)
+    # ARPACK draws its start vector from the global RNG unless handed one:
+    # a fixed one keeps same graph -> same embedding.
+    v0 = make_rng(0).standard_normal(min(a.shape))
+    u, s, _ = svds(a.astype(np.float64), k=k, v0=v0)
     emb = u * np.sqrt(np.maximum(s, 0.0))
     if k < dim:
         emb = np.pad(emb, ((0, 0), (0, dim - k)))

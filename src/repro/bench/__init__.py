@@ -1,11 +1,47 @@
-"""Benchmark harness: experiment records and report rendering.
+"""The experiment suite: declarations, reports, and the regression gate.
 
-Each benchmark module under ``benchmarks/`` regenerates one table or figure
-of the paper; this package holds the shared scaffolding — result records
-carrying the paper's reference numbers alongside the measured ones, and the
-renderer that prints them side by side.
+Each ``benchmarks/bench_*.py`` script declares the tables and figures it
+regenerates as :class:`Experiment` records (id, ``run``, ``check``,
+``rules``) and nothing else runs them but three consumers of those
+declarations: the pytest collector ``benchmarks/test_experiments.py``,
+``repro bench`` and ``repro bench-compare``. This package holds what they
+share — the declaration and its loader, the report carrying measured
+values next to the paper's, the results files, and the gate that bands a
+fresh run against the committed one.
 """
 
-from repro.bench.harness import ExperimentRecord, ExperimentReport
+from repro.bench.gate import (
+    MetricRule,
+    compare_payloads,
+    compare_suite,
+    flatten_payload,
+    inject_latency,
+    render_compare,
+)
+from repro.bench.harness import (
+    Experiment,
+    ExperimentRecord,
+    ExperimentReport,
+    load_experiments,
+    load_result,
+    results_dir,
+    run_experiment,
+    select_experiments,
+)
 
-__all__ = ["ExperimentRecord", "ExperimentReport"]
+__all__ = [
+    "Experiment",
+    "ExperimentRecord",
+    "ExperimentReport",
+    "MetricRule",
+    "compare_payloads",
+    "compare_suite",
+    "flatten_payload",
+    "inject_latency",
+    "load_experiments",
+    "load_result",
+    "render_compare",
+    "results_dir",
+    "run_experiment",
+    "select_experiments",
+]

@@ -15,8 +15,9 @@ This is the serving-layer availability story the paper's §4.3 caching
 theorems imply: important vertices are replicated "on each partition it
 occurs", so a failed worker's hot data survives in the importance caches
 while cold tails degrade — and an LRU or cacheless store has strictly
-less coverage. Shared by ``benchmarks/bench_fault_matrix.py`` and the
-``repro fault-matrix`` CLI subcommand.
+less coverage. ``benchmarks/bench_fault_matrix.py`` declares the default
+sweep as the ``fault_matrix`` experiment (``repro bench fault_matrix``);
+other sweeps call :func:`run_fault_matrix` with their own axes.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
-"""Benchmark regression gate: fresh smoke runs vs committed baselines.
+"""Benchmark regression gate: fresh runs vs the committed results.
 
 Earlier PRs bought concrete numbers — 3.6x cached-class p99, 99.5x block
 training steps, 44.8x fewer remote RPCs under adaptive placement — and
 without a gate nothing notices when a later change quietly gives them
-back. This module is the gate: it re-runs each benchmark in ``--smoke
---json`` mode (CI-sized, deterministic under the virtual clock), loads the
-committed smoke baseline from ``benchmarks/results/smoke/`` and compares
-metric by metric under explicit per-metric tolerance bands.
+back. This module is the gate: it runs each gated
+:class:`~repro.bench.harness.Experiment` in-process, checks it, loads the
+committed results file of the same id (``benchmarks/results/smoke/`` for
+the CI-sized ``--smoke`` runs, ``benchmarks/results/`` for full size) and
+compares metric by metric under the experiment's own tolerance bands.
 
 Only metrics matched by a :class:`MetricRule` are gated — wall-clock
 readings (``wall_ms`` and friends) are machine noise and deliberately have
@@ -15,27 +16,22 @@ are deterministic and band tightly. A metric present in the baseline but
 missing fresh (or vice versa) is a failure: renames must touch the
 baseline in the same PR.
 
-Fresh runs are redirected to a scratch directory via the
-``REPRO_BENCH_RESULTS_DIR`` override honored by ``benchmarks/_common.py``,
-so a gate run never rewrites the committed artifacts it compares against.
-``repro bench-compare`` is the CLI face; ``--inject-latency-pct`` inflates
-the fresh payload's higher-is-worse metrics, proving end to end that the
-bands actually trip (the CI gate runs it with 20%).
+Fresh results are written to a scratch directory, never over the
+committed files they are compared against. ``repro bench-compare`` is the
+CLI face; ``--inject-latency-pct`` inflates the fresh payload's
+higher-is-worse metrics, proving end to end that the bands actually trip
+(the CI gate runs it with 20%).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
-import subprocess
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
-from repro.errors import ReproError
-
-#: Env var (honored by benchmarks/_common.py) redirecting result output.
-RESULTS_DIR_ENV = "REPRO_BENCH_RESULTS_DIR"
+from repro.bench.harness import Experiment, load_result, run_experiment
+from repro.errors import CheckFailedError, ReproError
 
 DIRECTIONS = ("higher_is_worse", "lower_is_worse", "both")
 
@@ -65,109 +61,6 @@ class MetricRule:
             )
         if self.rel_tol < 0 or self.abs_tol < 0:
             raise ReproError("tolerances must be >= 0")
-
-
-@dataclass(frozen=True)
-class BenchSpec:
-    """One gated benchmark: its id, its script and its tolerance bands."""
-
-    experiment_id: str
-    script: str
-    rules: "tuple[MetricRule, ...]" = field(default_factory=tuple)
-
-
-#: The gated suite. Wall-clock metrics carry no rule on purpose; everything
-#: banded below is virtual-clock deterministic at a fixed seed.
-DEFAULT_SUITE: "tuple[BenchSpec, ...]" = (
-    BenchSpec(
-        "serving_slo",
-        "bench_serving.py",
-        (
-            MetricRule(r":p(50|95|99)_us$", rel_tol=0.10),
-            MetricRule(r":in_deadline_rps$", rel_tol=0.10, direction="lower_is_worse"),
-            MetricRule(r":(requests|ok)$", rel_tol=0.05, direction="both", abs_tol=2.0),
-            MetricRule(r":(shed|expired)$", rel_tol=0.25, abs_tol=5.0),
-        ),
-    ),
-    BenchSpec(
-        "gnn_minibatch",
-        "bench_gnn_minibatch.py",
-        (
-            # Deterministic at a fixed seed: step counts, block sizes and
-            # held-out AUC. The step_ms / stage_ms wall-clock columns (and
-            # the speedup ratios derived from them) are deliberately
-            # unruled.
-            MetricRule(r":steps$", rel_tol=0.0, direction="both"),
-            MetricRule(
-                r":(input|block)_rows_per_step$",
-                rel_tol=0.05,
-                direction="both",
-                abs_tol=2.0,
-            ),
-            MetricRule(r":auc$", rel_tol=0.10, direction="lower_is_worse"),
-        ),
-    ),
-    BenchSpec(
-        "placement_adaptive",
-        "bench_placement.py",
-        (
-            # Virtual-clock deterministic at the fixed seed: latencies are
-            # ledger deltas, counts are controller decisions. The headline
-            # "...x" strings and the determinism boolean flatten away.
-            MetricRule(r":p(50|95|99)_us$", rel_tol=0.10, abs_tol=1.0),
-            MetricRule(r":remote_rpcs$", rel_tol=0.10, abs_tol=5.0),
-            MetricRule(
-                r":local_share$", rel_tol=0.05, direction="lower_is_worse"
-            ),
-            MetricRule(
-                r"^adaptation:(epochs|promoted|demoted|migrated"
-                r"|migrate_items|migration_rpcs)$",
-                rel_tol=0.10,
-                direction="both",
-                abs_tol=2.0,
-            ),
-            MetricRule(r"^adaptation:max_epoch_items$", rel_tol=0.25, abs_tol=5.0),
-        ),
-    ),
-    BenchSpec(
-        "fig7",
-        "bench_fig7_graph_build.py",
-        (
-            # The modelled build is ledger prices times partition edge
-            # counts: exact at the fixed seed. wall_critical_path_ms is
-            # wall-clock and deliberately unruled.
-            MetricRule(
-                r":(build_s|ingest_s|max_worker_edges)$",
-                rel_tol=0.0,
-                direction="both",
-            ),
-        ),
-    ),
-    BenchSpec(
-        "trace_overhead",
-        "bench_trace_overhead.py",
-        (
-            MetricRule(
-                r":(spans|ledger_rows|traces)$",
-                rel_tol=0.05,
-                direction="both",
-                abs_tol=2.0,
-            ),
-        ),
-    ),
-    BenchSpec(
-        "obs_overhead",
-        "bench_obs_overhead.py",
-        (
-            MetricRule(
-                r":(reads_recorded|ts_samples|series|spans)$",
-                rel_tol=0.05,
-                direction="both",
-                abs_tol=2.0,
-            ),
-        ),
-    ),
-)
 
 
 # ---------------------------------------------------------------------- #
@@ -203,7 +96,7 @@ def _match_rule(rules: "tuple[MetricRule, ...]", key: str) -> "MetricRule | None
     return None
 
 
-def compare_payloads(baseline: dict, fresh: dict, spec: BenchSpec) -> dict:
+def compare_payloads(baseline: dict, fresh: dict, experiment: Experiment) -> dict:
     """Band-by-band comparison of one benchmark's fresh run vs baseline.
 
     Returns ``{experiment_id, ok, rows, n_checked, n_regressions,
@@ -217,7 +110,7 @@ def compare_payloads(baseline: dict, fresh: dict, spec: BenchSpec) -> dict:
     rows: "list[dict]" = []
     n_skipped = 0
     for key in sorted(set(base) | set(new)):
-        rule = _match_rule(spec.rules, key)
+        rule = _match_rule(experiment.rules, key)
         if rule is None:
             n_skipped += 1
             continue
@@ -261,7 +154,7 @@ def compare_payloads(baseline: dict, fresh: dict, spec: BenchSpec) -> dict:
     n_regressions = sum(r["status"] == "regression" for r in rows)
     n_missing = sum(r["status"] == "missing" for r in rows)
     return {
-        "experiment_id": spec.experiment_id,
+        "experiment_id": experiment.id,
         "ok": n_regressions == 0 and n_missing == 0,
         "rows": rows,
         "n_checked": len(rows),
@@ -271,7 +164,7 @@ def compare_payloads(baseline: dict, fresh: dict, spec: BenchSpec) -> dict:
     }
 
 
-def inject_latency(payload: dict, pct: float, spec: BenchSpec) -> dict:
+def inject_latency(payload: dict, pct: float, experiment: Experiment) -> dict:
     """Inflate every ``higher_is_worse``-gated metric by ``pct`` percent.
 
     The self-test hook behind ``bench-compare --inject-latency-pct``: a
@@ -287,99 +180,60 @@ def inject_latency(payload: dict, pct: float, spec: BenchSpec) -> dict:
         for key, value in measured.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 continue
-            rule = _match_rule(spec.rules, f"{rec.get('label', '?')}:{key}")
+            rule = _match_rule(experiment.rules, f"{rec.get('label', '?')}:{key}")
             if rule is not None and rule.direction == "higher_is_worse":
                 measured[key] = type(value)(value * factor)
     return out
 
 
 # ---------------------------------------------------------------------- #
-# Running benchmarks
+# Running the gated experiments
 # ---------------------------------------------------------------------- #
-def run_bench(
-    spec: BenchSpec, bench_dir: str, out_dir: str, smoke: bool = True
-) -> dict:
-    """Run one benchmark script and return its fresh JSON payload.
-
-    The subprocess writes its results into ``out_dir`` (via the
-    ``REPRO_BENCH_RESULTS_DIR`` override) so the committed artifacts stay
-    untouched; the payload is read back from there.
-    """
-    script = os.path.join(bench_dir, spec.script)
-    if not os.path.exists(script):
-        raise ReproError(f"benchmark script not found: {script}")
-    os.makedirs(out_dir, exist_ok=True)
-    env = dict(os.environ)
-    repro_src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    src_root = os.path.dirname(repro_src)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src_root, bench_dir, env.get("PYTHONPATH")) if p
-    )
-    env[RESULTS_DIR_ENV] = out_dir
-    cmd = [sys.executable, script] + (["--smoke"] if smoke else [])
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise ReproError(
-            f"benchmark {spec.script} exited {proc.returncode}:\n"
-            f"{proc.stdout[-2000:]}\n{proc.stderr[-2000:]}"
-        )
-    path = os.path.join(out_dir, f"{spec.experiment_id}.json")
-    if not os.path.exists(path):
-        raise ReproError(
-            f"benchmark {spec.script} produced no {spec.experiment_id}.json "
-            f"in {out_dir}"
-        )
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)
-
-
-def load_baseline(baseline_dir: str, experiment_id: str) -> "dict | None":
-    path = os.path.join(baseline_dir, f"{experiment_id}.json")
-    if not os.path.exists(path):
-        return None
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)
+def _failed(experiment_id: str, error: str) -> dict:
+    return {
+        "experiment_id": experiment_id,
+        "ok": False,
+        "rows": [],
+        "n_checked": 0,
+        "n_regressions": 0,
+        "n_missing": 1,
+        "n_skipped": 0,
+        "error": error,
+    }
 
 
 def compare_suite(
-    bench_dir: str,
+    experiments: "Sequence[Experiment]",
     baseline_dir: str,
     out_dir: str,
-    specs: "tuple[BenchSpec, ...]" = DEFAULT_SUITE,
-    smoke: bool = True,
+    smoke: bool,
     inject_latency_pct: float = 0.0,
-    only: "list[str] | None" = None,
 ) -> dict:
-    """Run the gated suite and compare every benchmark against baseline.
+    """Run ``experiments`` and compare each against its committed results.
 
-    Returns ``{ok, results: [per-bench compare dicts]}``. A missing
-    baseline fails that benchmark (commit one with the PR that adds the
-    bench). ``only`` restricts the suite by experiment id.
+    Returns ``{ok, results: [per-experiment compare dicts]}``. A missing
+    baseline fails that experiment (commit one with the PR that gates it),
+    and so does a failed ``check``.
     """
     results: "list[dict]" = []
-    for spec in specs:
-        if only and spec.experiment_id not in only:
-            continue
-        baseline = load_baseline(baseline_dir, spec.experiment_id)
+    for experiment in experiments:
+        baseline = load_result(baseline_dir, experiment.id)
         if baseline is None:
             results.append(
-                {
-                    "experiment_id": spec.experiment_id,
-                    "ok": False,
-                    "rows": [],
-                    "n_checked": 0,
-                    "n_regressions": 0,
-                    "n_missing": 1,
-                    "n_skipped": 0,
-                    "error": f"no baseline {spec.experiment_id}.json "
-                    f"in {baseline_dir}",
-                }
+                _failed(
+                    experiment.id,
+                    f"no baseline {experiment.id}.json in {baseline_dir}",
+                )
             )
             continue
-        fresh = run_bench(spec, bench_dir, out_dir, smoke=smoke)
+        try:
+            fresh = run_experiment(experiment, smoke, out_dir).to_payload()
+        except CheckFailedError as exc:
+            results.append(_failed(experiment.id, str(exc)))
+            continue
         if inject_latency_pct:
-            fresh = inject_latency(fresh, inject_latency_pct, spec)
-        results.append(compare_payloads(baseline, fresh, spec))
+            fresh = inject_latency(fresh, inject_latency_pct, experiment)
+        results.append(compare_payloads(baseline, fresh, experiment))
     return {"ok": all(r["ok"] for r in results), "results": results}
 
 

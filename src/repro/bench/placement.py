@@ -24,8 +24,10 @@ and is accounted separately (``placement_overhead_us``, migration RPCs on
 the ``migration_rpc`` ledger event), so the p50/p95/p99 comparison is
 strictly over request service time while the *totals* still price the
 migration traffic on the same clock. Everything is seeded: two same-seed
-calls return ``==``-equal payloads. Shared by
-``benchmarks/bench_placement.py`` and the ``repro placement-bench`` CLI.
+calls return ``==``-equal payloads. ``benchmarks/bench_placement.py``
+declares the committed workload as the ``placement_adaptive`` experiment
+(``repro bench placement_adaptive``); other workloads call
+:func:`run_placement_comparison` directly.
 """
 
 from __future__ import annotations

@@ -8,11 +8,8 @@ Commands
 ``info``            print a dataset's summary statistics
 ``report``          one fully instrumented sampled run -> one report: ledger,
                     trace + critical path, metrics, hot keys, time series
-``fault-matrix``    availability sweep {drop rate x failed workers x cache}
-``sampling-bench``  A/B the batched vs reference frontier-sampling kernels
-``serve-bench``     online serving tier under seeded load -> SLO report
-``bench-compare``   regression-gate fresh smoke benchmarks vs baselines
-``placement-bench`` adaptive placement vs static partition under shifting skew
+``bench``           list the declared experiments, or run some by id
+``bench-compare``   regression-gate the gated experiments vs committed results
 
 The CLI covers the adopt-and-script path: generate once, train many models
 against the same artifact, compare evaluations — without writing Python.
@@ -124,24 +121,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: 0 = exact reads)",
     )
 
-    def _add_workload_args(p, drop_rate: float) -> None:
-        """Shared knobs of the sampled-workload subcommands."""
-        p.add_argument("--workers", type=int, default=4)
-        p.add_argument("--scale", type=float, default=0.2)
-        p.add_argument("--steps", type=int, default=5)
-        p.add_argument("--batch-size", type=int, default=64)
-        p.add_argument("--drop-rate", type=float, default=drop_rate)
-        p.add_argument("--timeout-rate", type=float, default=0.05)
-        p.add_argument("--slow-workers", type=int, default=1,
-                       help="number of 3x-slower servers")
-        p.add_argument("--seed", type=int, default=0)
-
     p_rp = sub.add_parser(
         "report",
         help="run the sampled workload once with tracer, access recorder "
         "and time-series sampler all on; print the one run report",
     )
-    _add_workload_args(p_rp, drop_rate=0.1)
+    p_rp.add_argument("--workers", type=int, default=4)
+    p_rp.add_argument("--scale", type=float, default=0.2)
+    p_rp.add_argument("--steps", type=int, default=5)
+    p_rp.add_argument("--batch-size", type=int, default=64)
+    p_rp.add_argument("--drop-rate", type=float, default=0.1)
+    p_rp.add_argument("--timeout-rate", type=float, default=0.05)
+    p_rp.add_argument("--slow-workers", type=int, default=1,
+                      help="number of 3x-slower servers")
+    p_rp.add_argument("--seed", type=int, default=0)
     p_rp.add_argument(
         "--out", default=None, metavar="DIR",
         help="also write trace.json (Chrome trace + metric counter tracks, "
@@ -153,153 +146,55 @@ def _build_parser() -> argparse.ArgumentParser:
         "(ExperimentReport.to_payload) instead of the rendered text",
     )
 
+    def _add_bench_args(p, out_default: str) -> None:
+        """What ``bench`` and ``bench-compare`` share."""
+        p.add_argument(
+            "--smoke", action="store_true",
+            help="CI-sized workloads, results under results/smoke/ "
+            "(without it: full size, results/)",
+        )
+        p.add_argument(
+            "--bench-dir", default=None,
+            help="directory of the bench_*.py declarations "
+            "(default: <repo>/benchmarks)",
+        )
+        p.add_argument(
+            "--out-dir", default=None,
+            help=f"where fresh results are written (default: {out_default})",
+        )
+        p.add_argument(
+            "--json", action="store_true",
+            help="print JSON instead of the rendered tables",
+        )
+
+    p_b = sub.add_parser(
+        "bench",
+        help="run declared experiments by id (no id: list them), write "
+        "their results, check their claims; exit 1 on a failed check",
+    )
+    p_b.add_argument("ids", nargs="*", metavar="ID", help="experiment ids")
+    _add_bench_args(p_b, "<bench-dir>/results, with --smoke results/smoke")
+
     p_bc = sub.add_parser(
         "bench-compare",
-        help="re-run the gated benchmarks and compare against committed "
-        "baselines; exit 1 on regression",
+        help="re-run the gated experiments and compare against their "
+        "committed results; exit 1 on regression",
     )
-    p_bc.add_argument(
-        "--smoke", action="store_true", default=True,
-        help="run benchmarks in --smoke mode (default: on)",
-    )
-    p_bc.add_argument(
-        "--bench-dir", default=None,
-        help="benchmark scripts directory (default: <repo>/benchmarks)",
-    )
+    _add_bench_args(p_bc, "a temp dir")
     p_bc.add_argument(
         "--baseline-dir", default=None,
-        help="committed baseline payloads "
-        "(default: <bench-dir>/results/smoke)",
-    )
-    p_bc.add_argument(
-        "--out-dir", default=None,
-        help="scratch directory for fresh results (default: a temp dir)",
+        help="committed results to compare against (default: "
+        "<bench-dir>/results, with --smoke results/smoke)",
     )
     p_bc.add_argument(
         "--only", nargs="+", default=None, metavar="ID",
-        help="restrict the suite to these experiment ids",
+        help="restrict the gate to these experiment ids",
     )
     p_bc.add_argument(
         "--inject-latency-pct", type=float, default=0.0,
         help="self-test: inflate fresh higher-is-worse metrics by this "
         "percentage so the gate must trip",
     )
-    p_bc.add_argument(
-        "--json", action="store_true",
-        help="print the comparison as JSON instead of the rendered report",
-    )
-
-    p_sb = sub.add_parser(
-        "sampling-bench",
-        help="time the sampled workload on the batched or reference kernels",
-    )
-    _add_workload_args(p_sb, drop_rate=0.0)
-    p_sb.add_argument(
-        "--backend", choices=["batched", "reference"], default="batched",
-        help="frontier-sampling kernel backend to run (default: batched)",
-    )
-
-    p_sv = sub.add_parser(
-        "serve-bench",
-        help="drive the online serving tier under seeded load, print the "
-        "SLO report",
-    )
-    p_sv.add_argument("--workers", type=int, default=4)
-    p_sv.add_argument("--scale", type=float, default=0.2)
-    p_sv.add_argument("--seed", type=int, default=7)
-    p_sv.add_argument(
-        "--loop", choices=["open", "closed"], default="open",
-        help="arrival process: open (Poisson) or closed (client population)",
-    )
-    p_sv.add_argument(
-        "--duration-ms", type=float, default=1000.0,
-        help="open-loop workload duration in simulated milliseconds",
-    )
-    p_sv.add_argument("--base-rps", type=float, default=300.0)
-    p_sv.add_argument("--peak-rps", type=float, default=1200.0)
-    p_sv.add_argument(
-        "--burst-mult", type=float, default=3.0,
-        help="flash-burst rate multiplier of the diurnal shape",
-    )
-    p_sv.add_argument("--clients", type=int, default=32,
-                      help="closed-loop client population")
-    p_sv.add_argument("--requests-per-client", type=int, default=20)
-    p_sv.add_argument("--think-us", type=float, default=5000.0)
-    p_sv.add_argument("--zipf", type=float, default=1.1,
-                      help="hot-key skew exponent (0 = uniform users)")
-    p_sv.add_argument("--fresh-fraction", type=float, default=0.1,
-                      help="fraction of requests demanding fresh inference")
-    p_sv.add_argument(
-        "--policy", choices=["importance", "lru", "none"],
-        default="importance", help="neighbor-cache policy of the store",
-    )
-    p_sv.add_argument(
-        "--embed-cache", type=int, default=512,
-        help="per-user embedding cache entries (0 = recompute everything)",
-    )
-    p_sv.add_argument(
-        "--metrics", action="store_true",
-        help="also print the runtime metrics table (p50/p95/p99 columns)",
-    )
-
-    p_pb = sub.add_parser(
-        "placement-bench",
-        help="adaptive placement (replica promotion + incremental "
-        "migration) vs the static partition under shifting Zipf skew",
-    )
-    p_pb.add_argument("--workers", type=int, default=4)
-    p_pb.add_argument("--scale", type=float, default=0.2)
-    p_pb.add_argument("--seed", type=int, default=7)
-    p_pb.add_argument(
-        "--phases", type=int, default=3,
-        help="hot-set rotations: each phase draws a fresh rank->vertex "
-        "permutation (default: 3)",
-    )
-    p_pb.add_argument(
-        "--requests", type=int, default=4000,
-        help="point-read requests per phase (default: 4000)",
-    )
-    p_pb.add_argument(
-        "--zipf", type=float, default=2.5,
-        help="Zipf skew exponent of the per-phase read draw (default: 2.5)",
-    )
-    p_pb.add_argument(
-        "--affinity", type=float, default=0.85,
-        help="probability a request is issued by its lead vertex's home "
-        "worker (default: 0.85)",
-    )
-    p_pb.add_argument(
-        "--epoch-us", type=float, default=800.0,
-        help="controller decision-epoch length in simulated microseconds",
-    )
-    p_pb.add_argument(
-        "--json", action="store_true",
-        help="print the machine-readable payload (the benchmarks/_common.py "
-        "record contract) instead of the rendered table",
-    )
-
-    p_fm = sub.add_parser(
-        "fault-matrix",
-        help="sweep read availability over {drop rate x failed workers x cache}",
-    )
-    p_fm.add_argument("--workers", type=int, default=4)
-    p_fm.add_argument("--scale", type=float, default=0.2)
-    p_fm.add_argument(
-        "--drop-rates", type=float, nargs="+", default=[0.0, 0.2],
-        metavar="RATE",
-    )
-    p_fm.add_argument(
-        "--failed-workers", type=int, nargs="+", default=[0, 1],
-        metavar="N", help="numbers of fail-stopped workers to sweep",
-    )
-    p_fm.add_argument(
-        "--policies", nargs="+", default=["none", "lru", "importance"],
-        metavar="POLICY", help="cache policies to sweep (none/lru/importance)",
-    )
-    p_fm.add_argument("--cache-fraction", type=float, default=0.25)
-    p_fm.add_argument("--batches", type=int, default=2)
-    p_fm.add_argument("--batch-size", type=int, default=64)
-    p_fm.add_argument("--seed", type=int, default=7)
 
     p_ev = sub.add_parser("evaluate", help="link-prediction metrics of embeddings")
     p_ev.add_argument("embeddings", help=".npz embeddings path (from train)")
@@ -363,16 +258,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _build_sampled_workload(
-    args: argparse.Namespace,
-    tracer: "object | None" = None,
-    backend: str = "batched",
+    args: argparse.Namespace, tracer: "object | None" = None
 ):
-    """Stand up the shared demo workload without driving any batches.
+    """Stand up the demo workload of ``report`` without driving any batches.
 
-    The common substrate of ``report`` and ``sampling-bench``: a 2-hop
-    (10x5) GraphSAGE-style sampling stack over ``taobao-small-sim`` with
-    the importance cache and seeded fault injection. Returns
-    ``(graph, store, runtime, pipeline)``.
+    A 2-hop (10x5) GraphSAGE-style sampling stack over
+    ``taobao-small-sim`` with the importance cache and seeded fault
+    injection. Returns ``(graph, store, runtime, pipeline)``.
     """
     if args.steps < 1:
         raise SamplingError(f"--steps must be >= 1, got {args.steps}")
@@ -410,10 +302,7 @@ def _build_sampled_workload(
     store.attach_runtime(runtime)
     pipeline = SamplingPipeline(
         traverse=VertexTraverseSampler(graph, vertex_type="user"),
-        neighborhood=UniformNeighborSampler(
-            StoreProvider(store, from_part=0),
-            backend=backend,
-        ),
+        neighborhood=UniformNeighborSampler(StoreProvider(store, from_part=0)),
         negative=DegreeBiasedNegativeSampler(graph),
         hop_nums=[10, 5],
         neg_num=5,
@@ -573,291 +462,63 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    import json
+def _declared_experiments(args: argparse.Namespace):
+    """``(bench_dir, experiments)`` of a ``bench`` / ``bench-compare`` call."""
     import os
-    import tempfile
 
-    from repro.obs import compare_suite, render_compare
+    from repro.bench import load_experiments
 
     repo_root = os.path.dirname(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     )
     bench_dir = args.bench_dir or os.path.join(repo_root, "benchmarks")
-    baseline_dir = args.baseline_dir or os.path.join(
-        bench_dir, "results", "smoke"
+    return bench_dir, load_experiments(bench_dir)
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    import json
+
+    from repro.bench import results_dir, run_experiment, select_experiments
+
+    bench_dir, experiments = _declared_experiments(args)
+    if not args.ids:
+        print("\n".join(e.id for e in experiments))
+        return 0
+    out_dir = args.out_dir or results_dir(bench_dir, args.smoke)
+    for experiment in select_experiments(experiments, args.ids):
+        report = run_experiment(experiment, args.smoke, out_dir)
+        if args.json:
+            print(json.dumps(report.to_payload(), indent=1))
+        else:
+            report.print()
+    return 0
+
+
+def _cmd_bench_compare(args: argparse.Namespace) -> int:
+    import json
+    import tempfile
+
+    from repro.bench import (
+        compare_suite,
+        render_compare,
+        results_dir,
+        select_experiments,
     )
-    out_dir = args.out_dir or tempfile.mkdtemp(prefix="repro-bench-compare-")
+
+    bench_dir, experiments = _declared_experiments(args)
+    gated = [e for e in experiments if e.rules]
     report = compare_suite(
-        bench_dir=bench_dir,
-        baseline_dir=baseline_dir,
-        out_dir=out_dir,
+        select_experiments(gated, args.only) if args.only else gated,
+        baseline_dir=args.baseline_dir or results_dir(bench_dir, args.smoke),
+        out_dir=args.out_dir or tempfile.mkdtemp(prefix="repro-bench-compare-"),
         smoke=args.smoke,
         inject_latency_pct=args.inject_latency_pct,
-        only=args.only,
     )
     if args.json:
         print(json.dumps(report, indent=1))
     else:
         print(render_compare(report))
     return 0 if report["ok"] else 1
-
-
-def _cmd_sampling_bench(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.utils.rng import make_rng
-    from repro.utils.tables import format_table
-
-    graph, store, runtime, pipeline = _build_sampled_workload(
-        args, backend=args.backend
-    )
-    rng = make_rng(args.seed)
-    pipeline.sample(args.batch_size, rng)  # warm-up batch, priced like any other
-    warmup_ms = store.ledger.modelled_millis()
-    rows = 0
-    t0 = time.perf_counter()
-    for _ in range(args.steps):
-        batch = pipeline.sample(args.batch_size, rng)
-        rows += int(sum(layer.size for layer in batch.context.layers))
-    wall_s = time.perf_counter() - t0
-    print(
-        format_table(
-            ["quantity", "value"],
-            [
-                ["graph", graph.describe()["n_vertices"]],
-                ["backend", args.backend],
-                ["timed steps", args.steps],
-                ["seeds per step", args.batch_size],
-                ["context rows", rows],
-                ["wall time (ms)", round(wall_s * 1e3, 3)],
-                ["context rows / s", f"{rows / max(wall_s, 1e-9):,.0f}"],
-                ["warm-up ledger (ms)", round(warmup_ms, 3)],
-                [
-                    "steady-state ledger (ms)",
-                    round(store.ledger.modelled_millis() - warmup_ms, 3),
-                ],
-            ],
-            title=f"sampling-bench: {args.backend} kernels",
-        )
-    )
-    return 0
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.data import make_dataset as _make
-    from repro.serving import (
-        ClosedLoopWorkload,
-        OpenLoopWorkload,
-        ServingConfig,
-        ServingEngine,
-        build_slo_report,
-        diurnal_rate,
-    )
-    from repro.storage import ImportanceCachePolicy, LRUCachePolicy
-    from repro.storage.cluster import make_store
-
-    policies = {
-        "importance": lambda: ImportanceCachePolicy(),
-        "lru": lambda: LRUCachePolicy(),
-        "none": lambda: None,
-    }
-    policy = policies[args.policy]()
-    graph = _make("taobao-small-sim", scale=args.scale, seed=args.seed)
-    store = make_store(
-        graph,
-        args.workers,
-        cache_policy=policy,
-        cache_budget_fraction=0.1 if policy is not None else 0.0,
-        seed=args.seed,
-    )
-    engine = ServingEngine(
-        store,
-        config=ServingConfig(embed_cache_capacity=args.embed_cache),
-        seed=args.seed,
-    )
-    users = graph.vertices_of_type("user")
-    if args.loop == "open":
-        workload = OpenLoopWorkload(
-            users,
-            duration_us=args.duration_ms * 1e3,
-            rate=diurnal_rate(
-                args.base_rps, args.peak_rps, burst_multiplier=args.burst_mult
-            ),
-            fresh_fraction=args.fresh_fraction,
-            zipf_exponent=args.zipf,
-            seed=args.seed,
-        )
-        shape = (
-            f"open loop, diurnal {args.base_rps:g}-{args.peak_rps:g} rps "
-            f"(burst x{args.burst_mult:g})"
-        )
-    else:
-        workload = ClosedLoopWorkload(
-            users,
-            n_clients=args.clients,
-            requests_per_client=args.requests_per_client,
-            think_us=args.think_us,
-            fresh_fraction=args.fresh_fraction,
-            zipf_exponent=args.zipf,
-            seed=args.seed,
-        )
-        shape = (
-            f"closed loop, {args.clients} clients x "
-            f"{args.requests_per_client} requests, think {args.think_us:g} us"
-        )
-    records = engine.run(workload)
-    report = build_slo_report(records)
-    print(
-        report.render(
-            title=f"serve-bench: {shape}, zipf {args.zipf:g}, "
-            f"{args.policy} neighbor cache, embed cache {args.embed_cache}"
-        )
-    )
-    if args.metrics:
-        print()
-        print(engine.metrics.render())
-    return 0
-
-
-def _cmd_placement_bench(args: argparse.Namespace) -> int:
-    from repro.bench.placement import PlacementWorkload, run_placement_comparison
-    from repro.data import make_dataset as _make
-    from repro.storage.placement import PlacementConfig
-    from repro.utils.tables import format_table
-
-    workload = PlacementWorkload(
-        n_workers=args.workers,
-        n_phases=args.phases,
-        requests_per_phase=args.requests,
-        reads_per_request=1,
-        zipf_exponent=args.zipf,
-        issuer_affinity=args.affinity,
-        seed=args.seed,
-    )
-    placement = PlacementConfig(
-        epoch_us=args.epoch_us,
-        promote_per_epoch=192,
-        demote_per_epoch=256,
-        migrate_per_epoch=32,
-        migrate_dominance=1.5,
-        min_decision_weight=0.3,
-    )
-    graph = _make("taobao-small-sim", scale=args.scale, seed=0)
-    result = run_placement_comparison(graph, workload, placement)
-    static, adaptive = result["static"], result["adaptive"]
-    if args.json:
-        import json
-
-        from repro.bench import ExperimentReport
-
-        report = ExperimentReport(
-            "cli_placement",
-            "adaptive placement vs static partition (repro placement-bench)",
-        )
-        report.add("workload", dict(result["workload"]))
-        report.add("static partition + importance cache", dict(static))
-        report.add("adaptive placement (controller on)", dict(adaptive))
-        headline = ("remote_rpc_reduction", "remote_read_reduction", "p99_improvement")
-        report.add("headline", {key: result[key] for key in headline})
-        print(json.dumps(report.to_payload(), indent=1))
-        return 0
-    print(
-        format_table(
-            ["quantity", "static", "adaptive"],
-            [
-                ["remote RPCs", static["remote_rpcs"], adaptive["remote_rpcs"]],
-                ["remote reads", static["remote_reads"], adaptive["remote_reads"]],
-                ["local share", static["local_share"], adaptive["local_share"]],
-                ["p50 us", static["p50_us"], adaptive["p50_us"]],
-                ["p95 us", static["p95_us"], adaptive["p95_us"]],
-                ["p99 us", static["p99_us"], adaptive["p99_us"]],
-                [
-                    "request total (ms)",
-                    round(static["request_us"] / 1e3, 3),
-                    round(adaptive["request_us"] / 1e3, 3),
-                ],
-            ],
-            title=f"placement-bench: {args.phases} phases x {args.requests} "
-            f"Zipf({args.zipf:g}) point reads, hot set rotated per phase",
-        )
-    )
-    print()
-    print(
-        format_table(
-            ["quantity", "value"],
-            [
-                ["decision epochs", adaptive["epochs"]],
-                ["replicas promoted", adaptive["promoted"]],
-                ["replicas demoted", adaptive["demoted"]],
-                ["vertices migrated", adaptive["migrated"]],
-                ["migration RPCs", adaptive["migration_rpcs"]],
-                ["items migrated", adaptive["migrate_items"]],
-                [
-                    "max items / epoch",
-                    f"{adaptive['max_epoch_items']} "
-                    f"(budget {adaptive['epoch_item_budget']})",
-                ],
-                ["migrations aborted", adaptive["migrate_aborted"]],
-                ["controller time (ms)", round(adaptive["placement_us"] / 1e3, 3)],
-            ],
-            title="adaptation (priced on the same virtual clock)",
-        )
-    )
-    print(
-        f"\nheadline: {result['remote_rpc_reduction']}x fewer remote RPCs, "
-        f"p99 {static['p99_us']:g} -> {adaptive['p99_us']:g} us "
-        f"({result['p99_improvement']}x)"
-    )
-    return 0
-
-
-def _cmd_fault_matrix(args: argparse.Namespace) -> int:
-    from repro.bench.fault_matrix import run_fault_matrix
-    from repro.data import make_dataset as _make
-    from repro.utils.tables import format_table
-
-    graph = _make("taobao-small-sim", scale=args.scale, seed=0)
-    try:
-        rows = run_fault_matrix(
-            graph,
-            drop_rates=tuple(args.drop_rates),
-            failed_workers=tuple(args.failed_workers),
-            policies=tuple(args.policies),
-            n_workers=args.workers,
-            cache_fraction=args.cache_fraction,
-            n_batches=args.batches,
-            batch_size=args.batch_size,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(
-        format_table(
-            [
-                "cell", "reads", "avail", "failover", "suspect",
-                "degraded", "retries", "p95 us",
-            ],
-            [
-                [
-                    row.cell.label,
-                    row.reads_total,
-                    f"{row.availability:.4f}",
-                    row.failover_reads,
-                    row.suspect_routes,
-                    row.degraded_reads,
-                    row.retries,
-                    f"{row.p95_latency_us:.0f}",
-                ]
-                for row in rows
-            ],
-            title="fault matrix: 2-hop GraphSAGE workload availability",
-        )
-    )
-    worst = min(rows, key=lambda r: r.availability)
-    print(f"\nworst cell: {worst.cell.label} at {worst.availability:.2%}")
-    return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -887,11 +548,8 @@ def main(argv: "list[str] | None" = None) -> int:
         "train": _cmd_train,
         "evaluate": _cmd_evaluate,
         "report": _cmd_report,
-        "fault-matrix": _cmd_fault_matrix,
-        "sampling-bench": _cmd_sampling_bench,
-        "serve-bench": _cmd_serve_bench,
+        "bench": _cmd_bench,
         "bench-compare": _cmd_bench_compare,
-        "placement-bench": _cmd_placement_bench,
     }
     try:
         return handlers[args.command](args)

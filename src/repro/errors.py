@@ -113,3 +113,7 @@ class DatasetError(ReproError):
 
 class ServingError(ReproError):
     """The online serving tier was misconfigured or misused."""
+
+
+class CheckFailedError(ReproError):
+    """An experiment's ``check`` rejected the report its ``run`` produced."""

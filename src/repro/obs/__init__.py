@@ -5,16 +5,14 @@
 :class:`~repro.runtime.metrics.MetricsRegistry`, the cost ledger — and
 turns them into answers: how metrics evolved over virtual time
 (:mod:`~repro.obs.timeseries`), where each request's latency actually went
-(:mod:`~repro.obs.critical_path`), which vertices are hot and which reads
-cross partitions (:mod:`~repro.obs.workload`), and whether a fresh run
-regressed against the committed benchmark baselines
-(:mod:`~repro.obs.regression`).
+(:mod:`~repro.obs.critical_path`), and which vertices are hot and which reads
+cross partitions (:mod:`~repro.obs.workload`).
 
 Everything here is read-side: the only hooks on hot paths are the
 ``runtime.recorder`` / ``runtime.timeseries`` attributes of the
 :class:`~repro.runtime.rpc.RpcRuntime`, ``None`` when off, which keep
 disabled runs at one ``is not None`` check per read
-(``benchmarks/bench_obs_overhead.py`` holds the line at <1%). All reports
+(``benchmarks/bench_obs_overhead.py`` measures it). All reports
 are plain dicts with stable ordering — two same-seed runs compare equal
 with ``==``.
 """
@@ -26,17 +24,6 @@ from repro.obs.critical_path import (
     critical_path,
     render_analysis,
     render_critical_path,
-)
-from repro.obs.regression import (
-    DEFAULT_SUITE,
-    BenchSpec,
-    MetricRule,
-    compare_payloads,
-    compare_suite,
-    flatten_payload,
-    inject_latency,
-    render_compare,
-    run_bench,
 )
 from repro.obs.timeseries import TimeSeriesSampler
 from repro.obs.workload import (
@@ -53,9 +40,6 @@ from repro.obs.workload import (
 
 __all__ = [
     "AccessRecorder",
-    "BenchSpec",
-    "DEFAULT_SUITE",
-    "MetricRule",
     "ROUTES",
     "SEGMENTS",
     "TimeSeriesSampler",
@@ -63,18 +47,12 @@ __all__ = [
     "analyze",
     "cache_efficacy",
     "classify_span",
-    "compare_payloads",
-    "compare_suite",
     "critical_path",
     "fit_zipf",
-    "flatten_payload",
-    "inject_latency",
     "ledger_event_totals",
     "mine_windowed",
     "mine_workload",
     "render_analysis",
-    "render_compare",
     "render_critical_path",
     "render_workload_report",
-    "run_bench",
 ]

@@ -107,6 +107,21 @@ def run_cli(argv: "list[str]") -> str:
     return buf.getvalue()
 
 
+def bench_payload(experiment_id: str, out_dir) -> dict:
+    """``repro bench ID --smoke --json`` into ``out_dir``: the checked payload."""
+    import json
+
+    from tests.format_checkers import check_experiment_payload
+
+    stdout = run_cli(
+        ["bench", experiment_id, "--smoke", "--json", "--out-dir", str(out_dir)]
+    )
+    payload = json.loads(stdout)
+    assert check_experiment_payload(payload) == []
+    assert payload["experiment_id"] == experiment_id
+    return payload
+
+
 @pytest.fixture(scope="session")
 def report_run(tmp_path_factory):
     """One ``repro report --json --out DIR`` run: ``(payload, out_dir)``."""

@@ -208,6 +208,14 @@ def test_dane_fits_dynamic(tiny_dynamic):
     assert emb.shape == (tiny_dynamic.n_vertices, 12)
 
 
+def test_dynamic_baselines_are_deterministic(tiny_dynamic):
+    # svds used to start ARPACK from the global RNG: Table 11's TNE / DANE
+    # rows moved by tens of points between two runs of the same code.
+    for model in (TNE, DANE):
+        first = model(dim=12).fit(tiny_dynamic).embeddings()
+        assert np.array_equal(first, model(dim=12).fit(tiny_dynamic).embeddings())
+
+
 def test_dynamic_baselines_reject_static(small_amazon):
     with pytest.raises(TrainingError):
         TNE().fit(small_amazon)

@@ -119,7 +119,9 @@ def test_report_prints_workload_metrics_and_ledger(report_text):
 
 @pytest.mark.parametrize(
     "command",
-    ["runtime-demo", "trace", "metrics-report", "workload-report", "timeseries"],
+    ["runtime-demo", "trace", "metrics-report", "workload-report", "timeseries",
+     # ... and the four folded into ``repro bench <id>``.
+     "sampling-bench", "serve-bench", "placement-bench", "fault-matrix"],
 )
 def test_commands_folded_into_report_are_gone(command, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -133,11 +135,6 @@ def test_commands_folded_into_report_are_gone(command, capsys):
     [
         (["report", "--steps", "0"], "--steps must be >= 1, got 0"),
         (["report", "--steps", "-1"], "--steps must be >= 1, got -1"),
-        (["sampling-bench", "--steps", "0"], "--steps must be >= 1, got 0"),
-        (["sampling-bench", "--steps", "-3"], "--steps must be >= 1, got -3"),
-        (["fault-matrix", "--scale", "0.1", "--workers", "1"],
-         "cannot fail 1 of 1 workers"),
-        (["placement-bench", "--workers", "1"], "needs >= 2 workers"),
     ],
 )
 def test_bad_workload_sizes_exit_1_with_one_error_line(argv, message, capsys):
@@ -148,33 +145,85 @@ def test_bad_workload_sizes_exit_1_with_one_error_line(argv, message, capsys):
     assert line.startswith("error: ") and message in line
 
 
-def test_sampling_bench_runs_both_backends(capsys):
-    for backend in ("batched", "reference"):
-        code = main(
-            ["sampling-bench", "--scale", "0.1", "--steps", "2",
-             "--workers", "3", "--backend", backend, "--seed", "0"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert f"sampling-bench: {backend} kernels" in out
-        assert backend in out
-        assert "context rows / s" in out
+def test_sampling_bench_runs_both_backends(tmp_path):
+    from tests.conftest import bench_payload
+
+    payload = bench_payload("sampling_kernels", tmp_path)
+    rows = {r["label"]: r["measured"] for r in payload["records"]}
+    for sampler in ("uniform", "weighted", "topk", "importance", "full"):
+        timed = rows[f"2-hop expansion: {sampler}"]
+        assert timed["reference_ms"] > 0 and timed["batched_ms"] > 0
+    assert rows["backend equivalence"]["uniform_exact"] is True
+    assert (tmp_path / "sampling_kernels.json").exists()
 
 
-def test_fault_matrix_sweep(capsys):
-    code = main(
-        ["fault-matrix", "--scale", "0.1", "--workers", "3",
-         "--drop-rates", "0.0", "0.2", "--failed-workers", "0",
-         "--policies", "none", "lru", "--batches", "1",
-         "--batch-size", "32", "--seed", "7"]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "fault matrix" in out
-    assert "lru" in out and "none" in out
-    code = main(["fault-matrix", "--scale", "0.1", "--policies", "bogus"])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+_TOY_BENCH = """
+from repro.bench import Experiment, ExperimentReport
+
+
+def _run(smoke):
+    report = ExperimentReport("toy", "toy")
+    report.add("row", {"smoke": smoke, "value": 1})
+    return report
+
+
+def _check(report, smoke):
+    assert not smoke, "toy fails its smoke check"
+
+
+EXPERIMENTS = (Experiment("toy", _run, _check),)
+"""
+
+
+@pytest.fixture
+def toy_bench_dir(tmp_path, monkeypatch):
+    """A bench dir declaring one experiment, ``toy``: smoke check red, full green."""
+    import sys
+
+    bench_dir = tmp_path / "bench"
+    bench_dir.mkdir()
+    (bench_dir / "bench_toy.py").write_text(_TOY_BENCH, encoding="utf-8")
+    monkeypatch.syspath_prepend(str(bench_dir))
+    yield bench_dir
+    sys.modules.pop("bench_toy", None)
+
+
+def test_bench_lists_runs_and_writes_by_size(toy_bench_dir, capsys):
+    """No id lists; a smoke run writes only under ``results/smoke/``, never
+    over the full-size ``results/<id>.json``; a failed check exits 1 with
+    the results already on disk."""
+    bench = ["bench", "--bench-dir", str(toy_bench_dir)]
+    assert main(bench) == 0
+    assert capsys.readouterr().out.split() == ["toy"]
+
+    assert main([*bench, "toy"]) == 0
+    assert "[toy] toy" in capsys.readouterr().out
+    results = toy_bench_dir / "results"
+    full = (results / "toy.json").read_bytes()
+    assert sorted(p.name for p in results.iterdir()) == ["toy.json", "toy.txt"]
+
+    assert main([*bench, "toy", "--smoke"]) == 1
+    assert "error: toy: check failed: toy fails" in capsys.readouterr().err
+    assert (results / "toy.json").read_bytes() == full
+    assert sorted(p.name for p in (results / "smoke").iterdir()) == [
+        "toy.json", "toy.txt",
+    ]
+
+    assert main([*bench, "nope"]) == 1
+    assert "unknown experiment id(s) nope" in capsys.readouterr().err
+
+
+def test_bench_compare_smoke_is_a_real_switch(capsys):
+    """Without ``--smoke`` the gate runs full size against ``results/``."""
+    import json
+
+    checked = {}
+    for flags in ([], ["--smoke"]):
+        assert main(["bench-compare", "--only", "fig7", "--json", *flags]) == 0
+        (result,) = json.loads(capsys.readouterr().out)["results"]
+        checked[bool(flags)] = result["n_checked"]
+    # 2 datasets x 5 worker counts x 3 banded columns vs 1 x 2 x 3.
+    assert checked == {False: 30, True: 6}
 
 
 def test_trace_writes_perfetto_loadable_json(report_run):
@@ -234,29 +283,10 @@ def test_format_checkers_script_accepts_every_report_artifact(report_run, tmp_pa
     assert _check_file(str(out_dir / "trace.json"), as_results=True) != []
 
 
-def test_placement_bench_table_and_headline(capsys):
-    code = main(
-        ["placement-bench", "--phases", "1", "--requests", "400",
-         "--scale", "0.2", "--seed", "7"]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "placement-bench:" in out
-    assert "remote RPCs" in out
-    assert "vertices migrated" in out
-    assert "headline:" in out
+def test_placement_bench_json_contract(tmp_path):
+    from tests.conftest import bench_payload
 
-
-def test_placement_bench_json_contract(capsys):
-    import json
-
-    from tests.format_checkers import check_experiment_payload
-
-    code = main(
-        ["placement-bench", "--phases", "1", "--requests", "400", "--json"]
-    )
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert check_experiment_payload(payload) == []
+    payload = bench_payload("placement_adaptive", tmp_path)
     labels = [r["label"] for r in payload["records"]]
     assert "adaptive placement (controller on)" in labels
+    assert "determinism (same-seed rerun)" in labels

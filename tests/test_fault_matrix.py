@@ -329,16 +329,11 @@ def test_fault_matrix_cell_label():
     assert cell.label == "drop=20% failed=1 cache=lru"
 
 
-def test_fault_matrix_cli(capsys):
-    from repro.cli import main
+def test_fault_matrix_cli(tmp_path):
+    from tests.conftest import bench_payload
 
-    code = main(
-        ["fault-matrix", "--scale", "0.1", "--drop-rates", "0.0",
-         "--failed-workers", "1", "--policies", "none", "importance",
-         "--batches", "1", "--batch-size", "32"]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "fault matrix" in out
-    assert "drop=0% failed=1 cache=importance" in out
-    assert "worst cell:" in out
+    payload = bench_payload("fault_matrix", tmp_path)
+    by_label = {r["label"]: r["measured"] for r in payload["records"]}
+    assert len(by_label) == 12  # 2 drop rates x 2 failed counts x 3 policies
+    assert by_label["drop=0% failed=1 cache=importance"]["availability"] >= 0.99
+    assert (tmp_path / "fault_matrix.txt").read_text().startswith("[fault_matrix]")

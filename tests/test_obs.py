@@ -10,6 +10,7 @@ dictionaries, no tolerance).
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -20,26 +21,33 @@ from tests.format_checkers import (
     check_experiment_payload,
     check_prometheus_text,
 )
+from repro.bench import (
+    Experiment,
+    MetricRule,
+    compare_payloads,
+    compare_suite,
+    flatten_payload,
+    inject_latency,
+    load_experiments,
+    load_result,
+    render_compare,
+    results_dir,
+    select_experiments,
+)
 from repro.errors import ReproError
 from repro.obs import (
     ROUTES,
     SEGMENTS,
     AccessRecorder,
-    BenchSpec,
-    MetricRule,
     TimeSeriesSampler,
     analyze,
     cache_efficacy,
     classify_span,
-    compare_payloads,
     critical_path,
     fit_zipf,
-    flatten_payload,
-    inject_latency,
     ledger_event_totals,
     mine_workload,
     render_analysis,
-    render_compare,
     render_critical_path,
     render_workload_report,
 )
@@ -336,9 +344,12 @@ class TestWorkloadMining:
 # --------------------------------------------------------------------- #
 # Regression gate
 # --------------------------------------------------------------------- #
-_SPEC = BenchSpec(
-    experiment_id="toy",
-    script="bench_toy.py",
+_BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmarks")
+
+_SPEC = Experiment(
+    id="toy",
+    run=None,  # the band tests below compare payloads, they never run it
+    check=None,
     rules=(
         MetricRule(r":p99_us$", rel_tol=0.10, direction="higher_is_worse"),
         MetricRule(r":rps$", rel_tol=0.10, direction="lower_is_worse"),
@@ -423,64 +434,65 @@ class TestRegressionGate:
             MetricRule(r"x", rel_tol=0.1, direction="sideways")
 
     def test_end_to_end_single_bench_compare(self, tmp_path):
-        # The full subprocess path for the cheapest gated bench: a fresh
-        # --smoke run vs the committed smoke baseline must pass clean.
-        import os
-
-        from repro.obs import DEFAULT_SUITE, compare_suite
-
-        repo = os.path.join(os.path.dirname(__file__), "..")
+        # The whole in-process path for the cheapest gated experiment: a
+        # fresh smoke run vs the committed smoke baseline must pass clean.
         report = compare_suite(
-            bench_dir=os.path.join(repo, "benchmarks"),
-            baseline_dir=os.path.join(repo, "benchmarks", "results", "smoke"),
+            select_experiments(load_experiments(_BENCH_DIR), ["trace_overhead"]),
+            baseline_dir=results_dir(_BENCH_DIR, smoke=True),
             out_dir=str(tmp_path),
-            specs=DEFAULT_SUITE,
             smoke=True,
-            only=["trace_overhead"],
         )
         assert report["ok"] is True, render_compare(report)
         (res,) = report["results"]
         assert res["n_checked"] >= 3
+        assert (tmp_path / "trace_overhead.json").exists()
 
     def test_missing_baseline_fails_suite(self, tmp_path):
-        import os
-
-        from repro.obs import compare_suite
-
-        repo = os.path.join(os.path.dirname(__file__), "..")
         report = compare_suite(
-            bench_dir=os.path.join(repo, "benchmarks"),
+            select_experiments(load_experiments(_BENCH_DIR), ["trace_overhead"]),
             baseline_dir=str(tmp_path / "nowhere"),
             out_dir=str(tmp_path / "out"),
             smoke=True,
-            only=["trace_overhead"],
         )
         assert report["ok"] is False
         assert "no baseline" in report["results"][0]["error"]
 
-    def test_suite_specs_scripts_and_baselines_line_up(self):
-        # Removing (or adding) a gated bench cannot orphan a spec, a script
-        # or a committed smoke baseline: ids <-> smoke/*.json one to one,
-        # each baseline carrying its own id, every script present.
+    def test_suite_specs_scripts_and_baselines_line_up(self, monkeypatch):
+        # One declaration per committed result: ids unique and one to one
+        # with results/*.json; an experiment is gated (has rules) exactly
+        # when a results/smoke/<id>.json baseline carries its id; and
+        # declaring costs nothing — importing every script builds no dataset.
         import glob
-        import json
-        import os
+        import sys
 
-        from repro.obs import DEFAULT_SUITE
+        import repro.data
 
-        bench_dir = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
-        for spec in DEFAULT_SUITE:
-            assert os.path.isfile(os.path.join(bench_dir, spec.script)), spec
-        baselines = {}
-        for path in glob.glob(os.path.join(bench_dir, "results", "smoke", "*.json")):
-            with open(path, encoding="utf-8") as f:
-                stem = os.path.splitext(os.path.basename(path))[0]
-                baselines[stem] = json.load(f)
-        ids = [spec.experiment_id for spec in DEFAULT_SUITE]
+        def stems(directory):
+            paths = glob.glob(os.path.join(directory, "*.json"))
+            return sorted(os.path.splitext(os.path.basename(p))[0] for p in paths)
+
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("a bench script built a dataset at import")
+
+        def loaded_scripts():
+            return [name for name in sys.modules if name.startswith("bench_")]
+
+        for name in loaded_scripts():
+            monkeypatch.delitem(sys.modules, name)  # restored on teardown
+        monkeypatch.setattr(repro.data, "make_dataset", no_dataset)
+        try:
+            experiments = load_experiments(_BENCH_DIR)
+        finally:
+            for name in loaded_scripts():
+                del sys.modules[name]  # the copies bound to ``no_dataset``
+        ids = [e.id for e in experiments]
         assert len(set(ids)) == len(ids)
-        assert sorted(baselines) == sorted(ids)
-        for stem, payload in baselines.items():
-            assert payload["experiment_id"] == stem
+        assert sorted(ids) == stems(results_dir(_BENCH_DIR, smoke=False))
+        gated = sorted(e.id for e in experiments if e.rules)
+        smoke_dir = results_dir(_BENCH_DIR, smoke=True)
+        assert gated == stems(smoke_dir)
+        for stem in gated:
+            assert load_result(smoke_dir, stem)["experiment_id"] == stem
 
 
 # --------------------------------------------------------------------- #

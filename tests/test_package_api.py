@@ -78,9 +78,13 @@ def test_top_level_import():
             "repro.obs",
             ["AccessRecorder", "WindowedAccessRecorder", "TimeSeriesSampler",
              "analyze", "mine_workload", "cache_efficacy", "fit_zipf",
-             "compare_suite", "render_workload_report"],
+             "render_workload_report"],
         ),
-        ("repro.bench", ["ExperimentRecord", "ExperimentReport"]),
+        (
+            "repro.bench",
+            ["Experiment", "ExperimentRecord", "ExperimentReport", "MetricRule",
+             "load_experiments", "run_experiment", "compare_suite"],
+        ),
     ],
 )
 def test_advertised_names_exist(module, names):

@@ -472,3 +472,10 @@ def test_serving_engine_polls_placement(small_taobao):
     )
     assert len(records) == 80
     assert controller.totals()["epochs"] >= 1
+
+
+def test_placement_comparison_needs_two_workers(small_powerlaw):
+    from repro.bench.placement import PlacementWorkload, run_placement_comparison
+
+    with pytest.raises(StorageError, match="needs >= 2 workers"):
+        run_placement_comparison(small_powerlaw, PlacementWorkload(n_workers=1))

@@ -1,12 +1,11 @@
 """Serving tier: load generators, admission control, engine determinism,
-SLO reports and the serve-bench CLI."""
+SLO reports and ``repro bench serving_slo``."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.cli import main
 from repro.errors import ServingError
 from repro.obs import AccessRecorder, TimeSeriesSampler
 from repro.runtime import RpcRuntime, Tracer
@@ -356,30 +355,11 @@ class TestSLOReport:
 # CLI
 # --------------------------------------------------------------------- #
 class TestServeBenchCli:
-    def test_open_loop_smoke(self, capsys):
-        code = main(
-            ["serve-bench", "--scale", "0.1", "--duration-ms", "50",
-             "--workers", "2", "--metrics"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "serve-bench" in out and "goodput" in out
-        assert "p99" in out  # both the SLO table and the metrics table
+    def test_open_loop_smoke(self, tmp_path):
+        from tests.conftest import bench_payload
 
-    def test_closed_loop_smoke(self, capsys):
-        code = main(
-            ["serve-bench", "--loop", "closed", "--scale", "0.1",
-             "--workers", "2", "--clients", "4",
-             "--requests-per-client", "3"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "closed loop" in out and "goodput" in out
-
-    def test_cacheless_policy_flags(self, capsys):
-        code = main(
-            ["serve-bench", "--scale", "0.1", "--duration-ms", "30",
-             "--workers", "2", "--policy", "none", "--embed-cache", "0"]
-        )
-        assert code == 0
-        assert "none neighbor cache" in capsys.readouterr().out
+        payload = bench_payload("serving_slo", tmp_path)
+        rows = {r["label"]: r["measured"] for r in payload["records"]}
+        cached = rows["diurnal burst / full stack / cached"]
+        assert cached["ok"] > 0 and cached["p99_us"] >= cached["p50_us"]
+        assert rows["diurnal burst / full stack / goodput"]["in_deadline_rps"] > 0
