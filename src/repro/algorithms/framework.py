@@ -26,7 +26,7 @@ from repro.nn import functional as F
 from repro.nn.layers import Module
 from repro.nn.loss import skipgram_negative_loss
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 from repro.ops.aggregate import make_aggregator
 from repro.ops.combine import make_combiner
 from repro.sampling.base import GraphProvider
@@ -92,10 +92,11 @@ class _GNNEncoder(Module):
     def forward(self, features: Tensor, block: KHopBlock) -> Tensor:
         """Embed a :class:`~repro.sampling.blocks.KHopBlock`'s seeds.
 
-        Hop k gathers level-k states through the block's relabeled
-        child/self indices, aggregates the ``hop_nums[k]`` children of each
-        level-(k+1) vertex and combines them with its own state. Every op
-        is row-wise, so an output row depends only on that vertex's draws:
+        Hop k hands the aggregator the level-k states and the block's
+        relabeled ``(B, hop_nums[k])`` child table (a fused gather-reduce
+        for mean / sum), gathers each level-(k+1) vertex's own state and
+        combines the two. Every op is row-wise, so an output row depends
+        only on that vertex's draws:
         a minibatch block and the all-vertex block (every level
         ``arange(n)``) give ulp-identical rows for the same hop tables.
         """
@@ -105,10 +106,9 @@ class _GNNEncoder(Module):
             h = self.input_proj(h)
         for k in range(block.n_hops):
             with self._stage("materialize"):
-                neigh = h.gather_rows(block.child_index[k].reshape(-1))
                 h_self = h.gather_rows(block.self_index[k])
             with self._stage("aggregate"):
-                h_neigh = self.aggregators[k](neigh, block.hop_nums[k])
+                h_neigh = self.aggregators[k].forward_block(h, block.child_index[k])
             with self._stage("combine"):
                 h = self.combiners[k](h_self, h_neigh)
                 h = F.l2_normalize(h)  # Algorithm 1 line 7
@@ -341,7 +341,8 @@ class GNNFramework(EmbeddingModel):
         encoder.profiler = None
         if graph_block is None:
             graph_block = self._all_vertex_block(graph, sampler, rng)
-        self._embeddings = unit_rows(encoder(feat_tensor, graph_block).numpy())
+        with no_grad():
+            self._embeddings = unit_rows(encoder(feat_tensor, graph_block).numpy())
         return self
 
     def embeddings(self) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 The paper trains its models on TensorFlow atop the AliGraph runtime; this
 package is the from-scratch substitute: a :class:`Tensor` with reverse-mode
-autodiff, the layers the in-house models need (dense, embedding, GRU/LSTM,
-self-attention), losses (BCE, CE, skip-gram with negative sampling, VAE
-ELBO) and optimizers (SGD/Adam/Adagrad). Everything is float64 numpy —
-small-graph scale, gradient-checkable, deterministic.
+autodiff whose tape records only what reaches a trainable leaf (and nothing
+under :func:`no_grad`), the layers the in-house models need (dense,
+embedding, GRU/LSTM, self-attention), losses (BCE, CE, skip-gram with
+negative sampling, VAE ELBO) and optimizers (SGD/Adam/Adagrad). Everything
+is float64 numpy — small-graph scale, gradient-checkable, deterministic.
 """
 
 from repro.nn import functional
@@ -20,10 +21,11 @@ from repro.nn.loss import (
 )
 from repro.nn.optim import SGD, Adagrad, Adam, SparseAdagrad, SparseAdam
 from repro.nn.rnn import GRUCell, LSTMCell
-from repro.nn.tensor import SparseGrad, Tensor
+from repro.nn.tensor import SparseGrad, Tensor, no_grad
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "functional",
     "Module",
     "Dense",

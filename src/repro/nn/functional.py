@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import OperatorError
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, selection_matrix
 
 
 def relu(x: Tensor) -> Tensor:
@@ -200,6 +200,20 @@ def sparse_matmul(matrix: "object", x: Tensor) -> Tensor:
         return [(x, matrix.T @ g)]
 
     return Tensor(np.asarray(out), _parents=(x,), _backward=backward)
+
+
+def gather_sum_rows(x: Tensor, table: np.ndarray) -> Tensor:
+    """Fused gather-reduce ``out[b] = sum_j x[table[b, j]]``: ``(n, d) -> (B, d)``.
+
+    AGGREGATE over a k-hop block as one SpMM: ``table`` is the block's
+    ``(B, fanout)`` child-position table and the ``(B * fanout, d)``
+    neighbor matrix is never materialised, forward or backward. Equal bit
+    for bit to ``sum_rows_segmented(x.gather_rows(table.reshape(-1)),
+    fanout)`` — see :func:`~repro.nn.tensor.selection_matrix` for why.
+    """
+    if x.ndim != 2:
+        raise OperatorError(f"gather_sum_rows needs (n, d) input, got shape {x.shape}")
+    return sparse_matmul(selection_matrix(table, x.shape[0]), x)
 
 
 def mean_rows_segmented(x: Tensor, segment_size: int) -> Tensor:

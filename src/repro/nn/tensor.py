@@ -5,15 +5,93 @@ backpropagate through the op that produced it. ``backward()`` runs a
 topological sort and accumulates gradients into every ``requires_grad``
 leaf. Broadcasting is supported on elementwise ops; gradients are
 un-broadcast (summed) back to the operand shapes.
+
+**Tape rule.** A tensor *needs a gradient* iff it is a ``requires_grad``
+leaf or was produced from a parent that needs one. An op none of whose
+parents needs a gradient records nothing — no parents, no closure — so
+constants (raw features, targets, everything computed from them alone)
+never reach the tape, and the n-ary closures skip an operand that does not
+need one. The decision is taken once, when the op's output is constructed:
+flipping ``requires_grad`` on a leaf *after* ops were built from it is not
+supported. Under :func:`no_grad` no op records anything.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 import numpy as np
+from scipy import sparse
 
 from repro.errors import OperatorError
+
+#: False inside :func:`no_grad`: ops record no parents and no closure.
+_recording = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Run the enclosed ops off the tape (inference-only forward).
+
+    Every tensor produced inside has ``_parents == ()``, so intermediates
+    die as the forward advances instead of living until a backward nobody
+    runs. Nests, and restores the previous state on any exit.
+    """
+    global _recording
+    previous = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
+def _check_row_ids(ids: np.ndarray, n_rows: int) -> None:
+    """Reject row ids outside ``[0, n_rows)`` — scipy's kernels never do."""
+    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
+        raise OperatorError(
+            f"row ids span [{ids.min()}, {ids.max()}], outside [0, {n_rows})"
+        )
+
+
+def selection_matrix(table: np.ndarray, n_rows: int) -> sparse.csr_matrix:
+    """The ``(B, n_rows)`` operator that sums each ``table`` row's picks.
+
+    ``table`` is a ``(B, s)`` array of row ids into an ``(n_rows, d)``
+    matrix ``x``. The result ``op`` holds a unit entry at ``(b, table[b,
+    j])`` per pick, in stored order with duplicates kept, so ``op @ x`` is
+    ``x[table].sum(axis=1)`` and ``op.T @ g`` scatter-adds ``g[b]`` into
+    every row ``b`` picked. Both scipy kernels accumulate each output row
+    sequentially in stored order starting from zero — the grouping of a
+    strided ``add.reduce`` forward and of a ``bincount`` scatter backward —
+    so the operator must never be canonicalised (``sum_duplicates`` or
+    sorted indices regroup the additions).
+    """
+    table = np.asarray(table, dtype=np.int64)
+    if table.ndim != 2:
+        raise OperatorError(f"row-id table must be 2-D, got shape {table.shape}")
+    _check_row_ids(table, n_rows)
+    batch, width = table.shape
+    indptr = np.arange(batch + 1, dtype=np.int64) * width
+    return sparse.csr_matrix(
+        (np.ones(table.size), table.reshape(-1), indptr), shape=(batch, n_rows)
+    )
+
+
+def _scatter_add_rows(index: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """``out[index[i]] += rows[i]`` into a fresh ``(n_rows, d)`` array.
+
+    ``sel.T @ rows`` for the one-pick-per-row :func:`selection_matrix` of
+    ``index``, built directly in its transposed (CSC) form: repeated ids
+    accumulate in index order from zero, exactly as a ``bincount`` would.
+    ``index`` must already be validated against ``n_rows``.
+    """
+    m = index.size
+    sel_t = sparse.csc_matrix(
+        (np.ones(m), index, np.arange(m + 1, dtype=np.int64)), shape=(n_rows, m)
+    )
+    return sel_t @ rows
 
 
 class SparseGrad:
@@ -49,7 +127,7 @@ class SparseGrad:
         Unique ids come out sorted; repeated ids (within or across entries)
         have their gradient rows summed, **bit-identically** to the dense
         accumulation this replaces: each entry's repeats are reduced by the
-        same bincount the dense scatter uses, and entry partial sums are
+        same scatter-add the dense backward uses, and entry partial sums are
         then added in entry order — the exact grouping of ``grad +=`` over
         per-lookup dense scatters. Summing one flat concatenation instead
         would regroup the additions and drift in the last ulp.
@@ -63,10 +141,7 @@ class SparseGrad:
         for ids, rows in self._entries:
             inverse = np.searchsorted(uniq, ids)
             if d:
-                flat = (inverse[:, None] * d + np.arange(d)).ravel()
-                summed += np.bincount(
-                    flat, weights=rows.ravel(), minlength=uniq.size * d
-                ).reshape(uniq.size, d)
+                summed += _scatter_add_rows(inverse, rows, uniq.size)
             else:
                 summed += np.bincount(
                     inverse, weights=rows, minlength=uniq.size
@@ -126,6 +201,9 @@ class Tensor:
         self.sparse_grad: SparseGrad | None = None
         self.accumulates_sparse = False
         self.requires_grad = requires_grad
+        if _parents and not (_recording and any(p.needs_grad for p in _parents)):
+            # Tape rule: nothing upstream trains, so there is nothing to record.
+            _parents, _backward = (), None
         self._parents = _parents
         self._backward = _backward
         self.name = name
@@ -145,6 +223,12 @@ class Tensor:
 
     def __len__(self) -> int:
         return len(self.data)
+
+    @property
+    def needs_grad(self) -> bool:
+        """Whether a backward pass has anything to deliver to or through
+        this tensor: a ``requires_grad`` leaf, or an op output on the tape."""
+        return self.requires_grad or bool(self._parents)
 
     def __repr__(self) -> str:
         grad_flag = ", grad" if self.requires_grad else ""
@@ -236,8 +320,7 @@ class Tensor:
             self.data + other.data,
             _parents=(self, other),
             _backward=lambda g: [
-                (self, _unbroadcast(g, self.shape)),
-                (other, _unbroadcast(g, other.shape)),
+                (t, _unbroadcast(g, t.shape)) for t in (self, other) if t.needs_grad
             ],
         )
         return out
@@ -263,8 +346,9 @@ class Tensor:
             self.data * other.data,
             _parents=(self, other),
             _backward=lambda g: [
-                (self, _unbroadcast(g * other.data, self.shape)),
-                (other, _unbroadcast(g * self.data, other.shape)),
+                (t, _unbroadcast(g * co.data, t.shape))
+                for t, co in ((self, other), (other, self))
+                if t.needs_grad
             ],
         )
         return out
@@ -273,18 +357,17 @@ class Tensor:
 
     def __truediv__(self, other: "Tensor | np.ndarray | float") -> "Tensor":
         other = Tensor._coerce(other)
-        out = Tensor(
-            self.data / other.data,
-            _parents=(self, other),
-            _backward=lambda g: [
-                (self, _unbroadcast(g / other.data, self.shape)),
-                (
-                    other,
-                    _unbroadcast(-g * self.data / (other.data**2), other.shape),
-                ),
-            ],
-        )
-        return out
+
+        def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray]]":
+            grads = []
+            if self.needs_grad:
+                grads.append((self, _unbroadcast(g / other.data, self.shape)))
+            if other.needs_grad:
+                wrt_other = -g * self.data / (other.data**2)
+                grads.append((other, _unbroadcast(wrt_other, other.shape)))
+            return grads
+
+        return Tensor(self.data / other.data, _parents=(self, other), _backward=backward)
 
     def __rtruediv__(self, other: "Tensor | np.ndarray | float") -> "Tensor":
         return Tensor._coerce(other) / self
@@ -320,17 +403,22 @@ class Tensor:
         a: "Tensor", b: "Tensor", g: np.ndarray
     ) -> "list[tuple[Tensor, np.ndarray]]":
         ad, bd = a.data, b.data
-        if ad.ndim == 2 and bd.ndim == 2:
-            return [(a, g @ bd.T), (b, ad.T @ g)]
-        if ad.ndim == 1 and bd.ndim == 2:
-            return [(a, g @ bd.T), (b, np.outer(ad, g))]
-        if ad.ndim == 2 and bd.ndim == 1:
-            return [(a, np.outer(g, bd)), (b, ad.T @ g)]
-        if ad.ndim == 1 and bd.ndim == 1:
-            return [(a, g * bd), (b, g * ad)]
-        raise OperatorError(
-            f"unsupported matmul operand ranks {ad.ndim} and {bd.ndim}"
-        )
+        if ad.ndim > 2 or bd.ndim > 2:
+            raise OperatorError(
+                f"unsupported matmul operand ranks {ad.ndim} and {bd.ndim}"
+            )
+        grads = []
+        if a.needs_grad:
+            if bd.ndim == 2:
+                grads.append((a, g @ bd.T))
+            else:
+                grads.append((a, np.outer(g, bd) if ad.ndim == 2 else g * bd))
+        if b.needs_grad:
+            if ad.ndim == 2:
+                grads.append((b, ad.T @ g))
+            else:
+                grads.append((b, np.outer(ad, g) if bd.ndim == 2 else g * ad))
+        return grads
 
     @property
     def T(self) -> "Tensor":
@@ -380,9 +468,11 @@ class Tensor:
         :attr:`accumulates_sparse` set, the backward pass appends an
         ``(index, grad_rows)`` entry to :attr:`sparse_grad` instead of
         materializing the dense O(rows x dim) scatter — the sparse
-        optimizers consume it directly.
+        optimizers consume it directly. ``index`` must lie in ``[0,
+        n_rows)``: negative ids do not wrap.
         """
         index = np.asarray(index, dtype=np.int64)
+        _check_row_ids(index, self.data.shape[0])
 
         def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray | None]]":
             if self.accumulates_sparse and self.requires_grad:
@@ -390,14 +480,9 @@ class Tensor:
                     self.sparse_grad = SparseGrad(self.data.shape)
                 self.sparse_grad.append(index, g)
                 return [(self, None)]
-            # Scatter-add via bincount: ~10x faster than np.add.at for the
-            # embedding-table gradients that dominate training steps.
-            n, d = self.data.shape if self.data.ndim == 2 else (self.data.shape[0], 1)
+            n = self.data.shape[0]
             if self.data.ndim == 2:
-                flat = (index[:, None] * d + np.arange(d)).ravel()
-                full = np.bincount(
-                    flat, weights=g.ravel(), minlength=n * d
-                ).reshape(n, d)
+                full = _scatter_add_rows(index, g, n)
             else:
                 full = np.bincount(index, weights=g, minlength=n)
             return [(self, full)]
@@ -427,9 +512,14 @@ class Tensor:
         data[index] = rows.data
 
         def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray]]":
-            keep = g.copy()
-            keep[index] = 0.0
-            return [(self, keep), (rows, g[index])]
+            grads = []
+            if self.needs_grad:
+                keep = g.copy()
+                keep[index] = 0.0
+                grads.append((self, keep))
+            if rows.needs_grad:
+                grads.append((rows, g[index]))
+            return grads
 
         return Tensor(data, _parents=(self, rows), _backward=backward)
 

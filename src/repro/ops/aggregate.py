@@ -3,7 +3,10 @@
 All take the flattened neighbor-state matrix ``(batch * fanout, d_in)`` plus
 a segment spec, and emit ``(batch, d_out)``. The paper names element-wise
 mean, max-pooling neural network and LSTM as the aggregating methods used
-across GNNs; we add sum and (GAT-style) attention.
+across GNNs; we add sum and (GAT-style) attention. Over a k-hop block the
+encoder calls ``forward_block(h, child_index)`` instead: mean and sum run it
+as one SpMM over the child table, the other three gather and fall through
+to ``forward``.
 
 Segment spec: an ``int`` fanout means equal-size segments (the sampled
 fixed-fanout fast path, reshape-based kernels); a 1-D **offsets array**
@@ -53,6 +56,12 @@ class MeanAggregator(Aggregator):
             pooled = F.segment_mean(neighbor_states, offsets)
         return self.dense(pooled)
 
+    def forward_block(self, h: Tensor, child_index: np.ndarray) -> Tensor:
+        # A true divide by the count, as numpy's mean performs: a reciprocal
+        # multiply (or 1/fanout weights in the operator) rounds differently.
+        pooled = F.gather_sum_rows(h, child_index) / child_index.shape[1]
+        return self.dense(pooled)
+
 
 @register_aggregator
 class SumAggregator(Aggregator):
@@ -70,6 +79,9 @@ class SumAggregator(Aggregator):
         else:
             pooled = F.segment_sum(neighbor_states, offsets)
         return self.dense(pooled)
+
+    def forward_block(self, h: Tensor, child_index: np.ndarray) -> Tensor:
+        return self.dense(F.gather_sum_rows(h, child_index))
 
 
 @register_aggregator

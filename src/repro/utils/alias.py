@@ -15,8 +15,12 @@ Both are built by the same vectorized Vose construction
 small/large stacks, groups are processed in lock-step rounds — every active
 group resolves exactly one slot per round, so the build costs
 ``O(maxdeg)`` vectorized numpy passes rather than ``O(nnz)`` interpreted
-steps. Draw distributions are identical to the stack-based construction
-(the alias pairing may differ; the implied probabilities do not).
+steps. Once a single group is left active (a one-distribution table, or one
+hub row outliving the rest) a round resolves one slot for a dozen
+one-element numpy calls, so that group's walk is finished on Python floats
+instead — the same IEEE operations in the same order. Draw distributions
+are identical to the stack-based construction (the alias pairing may
+differ; the implied probabilities do not).
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ def build_alias_arrays(
     res[nonempty] = scaled[order[hi[nonempty]]]
 
     active = np.flatnonzero(hi > lo)
-    while active.size:
+    while active.size > 1:
         case_b = res[active] < 1.0
         a = active[~case_b]
         if a.size:
@@ -107,9 +111,47 @@ def build_alias_arrays(
             hi[b] -= 1
             res[b] = scaled[order[hi[b]]] - (1.0 - prob[head])
         active = active[lo[active] < hi[active]]
+    if active.size:
+        g = int(active[0])
+        _finish_group(prob, alias, scaled, order[lo[g] : hi[g] + 1], float(res[g]))
     # The last remaining slot of each group holds residual ~1.0 up to
     # floating point; prob=1, alias=self was pre-filled.
     return prob, alias
+
+
+def _finish_group(
+    prob: np.ndarray,
+    alias: np.ndarray,
+    scaled: np.ndarray,
+    slots: np.ndarray,
+    res: float,
+) -> None:
+    """Finish one group's two-pointer walk on Python floats.
+
+    ``slots`` are the group's unresolved slot ids in ascending scaled
+    weight and ``res`` the residual its largest holds. Mirrors one lane of
+    the vectorized rounds in :func:`build_alias_arrays` operation for
+    operation (``x if x <= 1.0 else 1.0`` is ``np.minimum(x, 1.0)``), so
+    ``prob`` / ``alias`` come out bit-equal; only this slice is converted.
+    """
+    ids = slots.tolist()
+    mass = scaled[slots].tolist()
+    p = [1.0] * len(ids)
+    a = list(ids)
+    i, j = 0, len(ids) - 1
+    while i < j:
+        if res >= 1.0:
+            p[i] = mass[i] if mass[i] <= 1.0 else 1.0
+            a[i] = ids[j]
+            res -= 1.0 - p[i]
+            i += 1
+        else:
+            p[j] = res if res >= 0.0 else 0.0
+            a[j] = ids[j - 1]
+            res = mass[j - 1] - (1.0 - p[j])
+            j -= 1
+    prob[slots] = p
+    alias[slots] = a
 
 
 class AliasTable:

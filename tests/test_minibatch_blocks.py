@@ -88,8 +88,10 @@ def test_block_validation(taobao_setup):
 # ---------------------------------------------------------------------- #
 def hop_table_forward(encoder, features, hop_tables):
     """Oracle: Algorithm 1 over all n vertices straight off ``(n, fanout)``
-    hop tables — no block, no relabeling — so the block path is compared
-    to an independent computation."""
+    hop tables — no block, no relabeling, and AGGREGATE as gather-then-
+    reduce over the materialised ``(n * fanout, d)`` neighbor matrix — so
+    the block path and its fused gather-reduce are compared to an
+    independent computation."""
     h = features if encoder.input_proj is None else encoder.input_proj(features)
     for k, table in enumerate(hop_tables):
         neigh = h.gather_rows(table.reshape(-1))  # (n*fanout, d)
@@ -98,10 +100,26 @@ def hop_table_forward(encoder, features, hop_tables):
     return h
 
 
+def _hop_table_variants(graph, sampler, tables):
+    """The fixture's fanout-4 draws, plus what a power-of-two sweep misses:
+    fanouts where dividing by the count and multiplying by its reciprocal
+    round differently, and child rows holding one vertex several times."""
+    yield tables
+    for fanouts in ([3, 5], [10, 3]):
+        rng = make_rng(sum(fanouts))
+        everyone = np.arange(graph.n_vertices, dtype=np.int64)
+        yield [sampler.sample_children(everyone, f, rng)[0] for f in fanouts]
+    repeated = [t.copy() for t in tables]
+    for table in repeated:
+        table[:, 1] = table[:, 0]
+        table[::3] = table[::3, :1]  # every third row: one vertex, four times
+    yield repeated
+
+
 @pytest.mark.parametrize("combiner", COMBINERS)
 @pytest.mark.parametrize("aggregator", AGGREGATORS)
 def test_block_forward_bitwise_equals_full(taobao_setup, aggregator, combiner):
-    graph, features, _, tables = taobao_setup
+    graph, features, sampler, fixture_tables = taobao_setup
     encoder = _GNNEncoder(
         in_dim=features.shape[1],
         hidden_dim=16,
@@ -112,18 +130,25 @@ def test_block_forward_bitwise_equals_full(taobao_setup, aggregator, combiner):
         rng=make_rng(1),
     )
     feat_tensor = Tensor(features)
-    full = hop_table_forward(encoder, feat_tensor, tables).numpy()
     seeds = np.unique(make_rng(9).integers(0, graph.n_vertices, size=80))
-    block = build_block_from_tables(seeds, tables)
-    block_out = encoder(feat_tensor, block).numpy()
-    # Ulp-identical, not merely close: same draws + row-wise ops.
-    assert np.array_equal(full[block.seeds], block_out)
-    # The all-vertex block (full-graph training, the final embedding pass)
-    # is the oracle row for row.
-    everyone = build_block_from_tables(np.arange(graph.n_vertices), tables)
-    for k, table in enumerate(tables):
-        assert np.array_equal(everyone.child_index[k], table)
-    assert np.array_equal(encoder(feat_tensor, everyone).numpy(), full)
+    variants = _hop_table_variants(graph, sampler, fixture_tables)
+    if aggregator == "attention":
+        # Its (rows, d) @ (d, 1) score product is a BLAS gemv whose rows are
+        # not position-independent at every shape: block and full rows sit
+        # 1 ulp apart at fanouts [3, 5] with or without the fused path.
+        variants = [fixture_tables]
+    for tables in variants:
+        full = hop_table_forward(encoder, feat_tensor, tables).numpy()
+        block = build_block_from_tables(seeds, tables)
+        block_out = encoder(feat_tensor, block).numpy()
+        # Ulp-identical, not merely close: same draws + row-wise ops.
+        assert np.array_equal(full[block.seeds], block_out)
+        # The all-vertex block (full-graph training, the final embedding
+        # pass) is the oracle row for row.
+        everyone = build_block_from_tables(np.arange(graph.n_vertices), tables)
+        for k, table in enumerate(tables):
+            assert np.array_equal(everyone.child_index[k], table)
+        assert np.array_equal(encoder(feat_tensor, everyone).numpy(), full)
 
 
 def test_block_backward_matches_full(taobao_setup):
@@ -149,6 +174,36 @@ def test_block_backward_matches_full(taobao_setup):
 
     for g_full, g_block in zip(loss_grads(False), loss_grads(True)):
         np.testing.assert_allclose(g_full, g_block, atol=1e-12)
+
+
+@pytest.mark.parametrize("combiner", COMBINERS)
+@pytest.mark.parametrize("aggregator", ["mean", "sum"])
+def test_fused_aggregate_backward_bitwise_equals_gather_then_reduce(
+    taobao_setup, aggregator, combiner
+):
+    """Over the all-vertex block every matmul sees the oracle's rows, so the
+    SpMM AGGREGATE must reproduce gather-then-reduce gradients bit for bit
+    — trainable features included, which drives the hop-0 backward too."""
+    graph, features, sampler, fixture_tables = taobao_setup
+    rows = np.arange(0, graph.n_vertices, 3)
+    for tables in _hop_table_variants(graph, sampler, fixture_tables):
+
+        def loss_grads(use_block):
+            encoder = _GNNEncoder(
+                in_dim=features.shape[1], hidden_dim=16, out_dim=16, kmax=2,
+                aggregator=aggregator, combiner=combiner, rng=make_rng(1),
+            )
+            feat_tensor = Tensor(features, requires_grad=True)
+            if use_block:
+                block = build_block_from_tables(np.arange(graph.n_vertices), tables)
+                h = encoder(feat_tensor, block)
+            else:
+                h = hop_table_forward(encoder, feat_tensor, tables)
+            (h.gather_rows(rows) ** 2).sum().backward()
+            return [p.grad for p in encoder.parameters()] + [feat_tensor.grad]
+
+        for g_full, g_block in zip(loss_grads(False), loss_grads(True)):
+            assert np.array_equal(g_full, g_block)
 
 
 # ---------------------------------------------------------------------- #
