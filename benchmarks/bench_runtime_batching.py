@@ -16,7 +16,7 @@ import numpy as np
 from repro.bench import Experiment, ExperimentReport, MetricRule
 from repro.data import make_dataset
 from repro.runtime import FaultPlan, RpcRuntime
-from repro.sampling import StoreProvider, UniformNeighborSampler
+from repro.sampling import CsrAdjacency, StoreProvider, UniformNeighborSampler
 from repro.storage.cluster import make_store
 from repro.storage.costmodel import EV_REMOTE_RPC
 from repro.utils.rng import make_rng
@@ -28,12 +28,22 @@ BATCH_SIZE = 64
 SEED = 7
 
 
+class _PerVertexProvider(StoreProvider):
+    """The baseline: one ``store.neighbors`` read per frontier entry — no
+    dedup, no coalescing — packed into the same block, so the same draws."""
+
+    def frontier_block(self, frontier):
+        ids, rows = np.unique(frontier, return_inverse=True)
+        fetched = {v: self.neighbors(v) for v in frontier.tolist()}
+        return CsrAdjacency.from_rows([fetched[v] for v in ids.tolist()], ids), rows
+
+
 def _run_workload(batched: bool, faults: "FaultPlan | None" = None):
     graph = make_dataset("taobao-small-sim", scale=0.3, seed=0)
     store = make_store(graph, N_WORKERS, seed=0)
     if faults is not None:
         store.attach_runtime(RpcRuntime(store, faults=faults))
-    provider = StoreProvider(store, from_part=0, batched=batched)
+    provider = (StoreProvider if batched else _PerVertexProvider)(store, from_part=0)
     sampler = UniformNeighborSampler(provider)
     rng = make_rng(SEED)
     outputs = []

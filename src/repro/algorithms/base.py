@@ -13,6 +13,8 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import svds
 
 from repro.errors import TrainingError
 from repro.graph.graph import Graph
@@ -41,6 +43,38 @@ class EmbeddingModel:
             raise TrainingError(f"{type(self).__name__} is not fitted yet")
 
 
+def _skipgram_epochs(
+    pairs: tuple[np.ndarray, np.ndarray],
+    step: Callable[[np.ndarray, np.ndarray, np.ndarray], float],
+    negative_sampler: DegreeBiasedNegativeSampler,
+    rng: np.random.Generator,
+    epochs: int,
+    batch_size: int,
+    neg_num: int,
+) -> float:
+    """The one SGNS epoch/batch loop: shuffle, batch, draw negatives, ``step``.
+
+    ``step(c_ids, u_ids, neg_ids)`` fetches the rows, runs the loss, applies
+    the update and returns the batch loss. Everything that consumes ``rng``
+    happens here, so every caller sees the same batches at the same seed.
+    Returns the final epoch's mean batch loss.
+    """
+    centers, contexts = pairs
+    if centers.size != contexts.size or centers.size == 0:
+        raise TrainingError("need equal, non-empty center/context arrays")
+    last_loss = float("inf")
+    for _ in range(epochs):
+        perm = rng.permutation(centers.size)
+        losses = []
+        for lo in range(0, centers.size, batch_size):
+            idx = perm[lo : lo + batch_size]
+            c_ids = centers[idx]
+            neg_ids = negative_sampler.sample(c_ids, neg_num, rng).reshape(-1)
+            losses.append(step(c_ids, contexts[idx], neg_ids))
+        last_loss = float(np.mean(losses))
+    return last_loss
+
+
 def train_skipgram(
     pairs: tuple[np.ndarray, np.ndarray],
     center_fn: Callable[[np.ndarray], Tensor],
@@ -58,27 +92,19 @@ def train_skipgram(
     tensors — models compose arbitrary structure inside them. Returns the
     final mean batch loss (for convergence assertions in tests).
     """
-    centers, contexts = pairs
-    if centers.size != contexts.size or centers.size == 0:
-        raise TrainingError("need equal, non-empty center/context arrays")
-    last_loss = float("inf")
-    for _ in range(epochs):
-        perm = rng.permutation(centers.size)
-        losses = []
-        for lo in range(0, centers.size, batch_size):
-            idx = perm[lo : lo + batch_size]
-            c_ids = centers[idx]
-            u_ids = contexts[idx]
-            neg_ids = negative_sampler.sample(c_ids, neg_num, rng).reshape(-1)
-            optimizer.zero_grad()
-            loss = skipgram_negative_loss(
-                center_fn(c_ids), context_fn(u_ids), context_fn(neg_ids)
-            )
-            loss.backward()
-            optimizer.step()
-            losses.append(loss.item())
-        last_loss = float(np.mean(losses))
-    return last_loss
+
+    def step(c_ids: np.ndarray, u_ids: np.ndarray, neg_ids: np.ndarray) -> float:
+        optimizer.zero_grad()
+        loss = skipgram_negative_loss(
+            center_fn(c_ids), context_fn(u_ids), context_fn(neg_ids)
+        )
+        loss.backward()
+        optimizer.step()
+        return loss.item()
+
+    return _skipgram_epochs(
+        pairs, step, negative_sampler, rng, epochs, batch_size, neg_num
+    )
 
 
 def train_skipgram_kv(
@@ -94,42 +120,31 @@ def train_skipgram_kv(
 ) -> float:
     """SGNS against parameter-server embedding tables.
 
-    The KV twin of :func:`train_skipgram`: same shuffling, batching and
-    negative sampling (the RNG consumption is identical, so the two paths
-    see the same batches), but embeddings live in
+    The same loop as :func:`train_skipgram` — same batches at the same seed
+    — but embeddings live in
     :class:`~repro.storage.embedding.EmbeddingKVStore` tables. Each step
     pulls the deduplicated union of the ids a table needs **once** (one
     coalesced request per remote shard), runs the loss over the pulled
     block, and pushes the coalesced row gradients back — the server applies
     the sparse optimizer update, so untouched rows are never written.
     """
-    centers, contexts = pairs
-    if centers.size != contexts.size or centers.size == 0:
-        raise TrainingError("need equal, non-empty center/context arrays")
-    last_loss = float("inf")
-    for _ in range(epochs):
-        perm = rng.permutation(centers.size)
-        losses = []
-        for lo in range(0, centers.size, batch_size):
-            idx = perm[lo : lo + batch_size]
-            c_ids = centers[idx]
-            u_ids = contexts[idx]
-            neg_ids = negative_sampler.sample(c_ids, neg_num, rng).reshape(-1)
-            mb_center = kv_center.minibatch(c_ids, from_part=from_part)
-            mb_context = kv_context.minibatch(
-                u_ids, neg_ids, from_part=from_part
-            )
-            loss = skipgram_negative_loss(
-                mb_center.lookup(c_ids),
-                mb_context.lookup(u_ids),
-                mb_context.lookup(neg_ids),
-            )
-            loss.backward()
-            mb_center.push()
-            mb_context.push()
-            losses.append(loss.item())
-        last_loss = float(np.mean(losses))
-    return last_loss
+
+    def step(c_ids: np.ndarray, u_ids: np.ndarray, neg_ids: np.ndarray) -> float:
+        mb_center = kv_center.minibatch(c_ids, from_part=from_part)
+        mb_context = kv_context.minibatch(u_ids, neg_ids, from_part=from_part)
+        loss = skipgram_negative_loss(
+            mb_center.lookup(c_ids),
+            mb_context.lookup(u_ids),
+            mb_context.lookup(neg_ids),
+        )
+        loss.backward()
+        mb_center.push()
+        mb_context.push()
+        return loss.item()
+
+    return _skipgram_epochs(
+        pairs, step, negative_sampler, rng, epochs, batch_size, neg_num
+    )
 
 
 def default_optimizer(params: "list[Tensor]", lr: float = 0.025) -> Optimizer:
@@ -141,6 +156,21 @@ def unit_rows(matrix: np.ndarray) -> np.ndarray:
     """L2-normalize rows (final embedding post-processing)."""
     norm = np.linalg.norm(matrix, axis=1, keepdims=True)
     return matrix / np.maximum(norm, 1e-12)
+
+
+def svd_embed(a: sp.spmatrix, dim: int) -> np.ndarray:
+    """Rank-``dim`` spectral embedding ``U * sqrt(S)`` of a sparse matrix."""
+    k = min(dim, a.shape[0] - 2)
+    if k < 1:
+        raise TrainingError("graph too small for spectral embedding")
+    # ARPACK draws its start vector from the global RNG unless handed one:
+    # a fixed one keeps same graph -> same embedding.
+    v0 = make_rng(0).standard_normal(min(a.shape))
+    u, s, _ = svds(a.astype(np.float64), k=k, v0=v0)
+    emb = u * np.sqrt(np.maximum(s, 0.0))
+    if k < dim:
+        emb = np.pad(emb, ((0, 0), (0, dim - k)))
+    return emb
 
 
 def make_fit_rng(seed: "int | np.random.Generator | None") -> np.random.Generator:

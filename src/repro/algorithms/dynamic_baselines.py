@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import svds
 
-from repro.algorithms.base import EmbeddingModel, unit_rows
+from repro.algorithms.base import EmbeddingModel, svd_embed, unit_rows
 from repro.errors import TrainingError
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.graph import Graph
-from repro.utils.rng import make_rng
 
 
 def _adjacency(graph: Graph) -> sp.csr_matrix:
@@ -30,20 +28,6 @@ def _adjacency(graph: Graph) -> sp.csr_matrix:
     indptr, indices, weights = graph.csr_arrays()
     a = sp.csr_matrix((weights, indices, indptr), shape=(n, n))
     return (a + a.T).tocsr()
-
-
-def _svd_embed(a: sp.csr_matrix, dim: int) -> np.ndarray:
-    k = min(dim, a.shape[0] - 2)
-    if k < 1:
-        raise TrainingError("graph too small for spectral embedding")
-    # ARPACK draws its start vector from the global RNG unless handed one:
-    # a fixed one keeps same graph -> same embedding.
-    v0 = make_rng(0).standard_normal(min(a.shape))
-    u, s, _ = svds(a.astype(np.float64), k=k, v0=v0)
-    emb = u * np.sqrt(np.maximum(s, 0.0))
-    if k < dim:
-        emb = np.pad(emb, ((0, 0), (0, dim - k)))
-    return emb
 
 
 class TNE(EmbeddingModel):
@@ -68,7 +52,7 @@ class TNE(EmbeddingModel):
             if snap.n_edges == 0:
                 emb = prev if prev is not None else np.zeros((snap.n_vertices, self.dim))
             else:
-                emb = _svd_embed(_adjacency(snap), self.dim)
+                emb = svd_embed(_adjacency(snap), self.dim)
                 if prev is not None:
                     # Sign-align the factors before smoothing (SVD sign
                     # ambiguity would otherwise cancel the history).
@@ -102,7 +86,7 @@ class DANE(EmbeddingModel):
         for snap in dynamic.snapshots:
             if snap.n_edges == 0:
                 continue
-            parts.append(_svd_embed(_adjacency(snap), self.dim))
+            parts.append(svd_embed(_adjacency(snap), self.dim))
         if not parts:
             raise TrainingError("all snapshots are empty")
         # Sign-align successive embeddings before averaging.

@@ -49,7 +49,7 @@ class LINE(EmbeddingModel):
         kv_staleness: int = 0,
     ) -> None:
         if dim % 2:
-            raise ValueError("LINE splits dim across two orders; use an even dim")
+            raise TrainingError("LINE splits dim across two orders; use an even dim")
         if backend not in ("dense", "kv"):
             raise TrainingError(
                 f"unknown embedding backend {backend!r} (dense or kv)"

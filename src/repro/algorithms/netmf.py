@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import svds
 
-from repro.algorithms.base import EmbeddingModel, unit_rows
+from repro.algorithms.base import EmbeddingModel, svd_embed, unit_rows
 from repro.errors import TrainingError
 from repro.graph.graph import Graph
 
@@ -54,12 +53,7 @@ class NetMF(EmbeddingModel):
             acc += power
         m = (vol / (self.negatives * self.window)) * (acc @ np.diag(1.0 / degree))
         m = np.log(np.maximum(m, 1.0))
-        k = min(self.dim, n - 2)
-        u, s, _ = svds(sp.csr_matrix(m), k=k)
-        emb = u * np.sqrt(np.maximum(s, 0.0))
-        if k < self.dim:
-            emb = np.pad(emb, ((0, 0), (0, self.dim - k)))
-        self._embeddings = unit_rows(emb)
+        self._embeddings = unit_rows(svd_embed(sp.csr_matrix(m), self.dim))
         return self
 
     def embeddings(self) -> np.ndarray:

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from repro.data import make_dataset, train_test_split_edges
-from repro.errors import DatasetError, ReproError, SamplingError
+from repro.errors import DatasetError, ReproError, SamplingError, TrainingError
 from repro.graph.io import load_ahg, save_ahg
 from repro.tasks import evaluate_link_prediction
 
@@ -226,13 +226,25 @@ def _cmd_train(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    for flag, value, ok, want in (
+        ("--dim", args.dim, args.dim >= 1, ">= 1"),
+        ("--epochs", args.epochs, args.epochs >= 1, ">= 1"),
+        ("--seed", args.seed, args.seed >= 0, ">= 0"),
+        ("--holdout", args.holdout, 0 <= args.holdout < 1, "in [0, 1)"),
+        ("--kv-workers", args.kv_workers, args.kv_workers >= 1, ">= 1"),
+        ("--kv-staleness", args.kv_staleness, args.kv_staleness >= 0, ">= 0"),
+    ):
+        if not ok:
+            raise TrainingError(f"{flag} must be {want}, got {value}")
+    # Built before the dataset is read: a model's own argument checks (LINE's
+    # even dim) fail as cheaply as the ones above.
+    model = factories[args.model](args)
     graph = load_ahg(args.dataset)
     if args.holdout > 0:
         split = train_test_split_edges(graph, args.holdout, seed=args.seed)
         train_graph = split.train_graph
     else:
         train_graph = graph
-    model = factories[args.model](args)
     model.fit(train_graph)
     embeddings = model.embeddings()
     np.savez_compressed(

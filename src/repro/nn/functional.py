@@ -4,13 +4,8 @@ Activations, row-wise softmax/log-softmax, concatenation/stacking, dropout,
 L2 row normalization (Algorithm 1 line 7's embedding normalization),
 numerically stable log-sigmoid for the skip-gram losses, and the segment
 kernels of the AGGREGATE step — fixed-size (``*_rows_segmented``) and
-ragged CSR-style (``segment_*`` over an offsets array).
-
-The ragged kernels mirror the batched/reference pattern of
-``sampling/kernels.py``: the default ``batched`` backend is one
-``np.add.reduceat``-style sweep over the concatenated rows; the
-``reference`` backend loops segments with plain numpy reductions and is the
-equivalence oracle the tests compare against.
+ragged CSR-style (``segment_*`` over an offsets array, each one
+``ufunc.reduceat`` sweep over the concatenated rows).
 """
 
 from __future__ import annotations
@@ -281,30 +276,20 @@ def max_rows_segmented(x: Tensor, segment_size: int) -> Tensor:
 # ---------------------------------------------------------------------- #
 # Ragged (CSR-style) segment kernels
 # ---------------------------------------------------------------------- #
-SEGMENT_BACKENDS = ("batched", "reference")
-
-
-def _check_offsets(offsets: np.ndarray, n_rows: int) -> "tuple[np.ndarray, np.ndarray]":
-    """Validate a CSR offsets array against ``n_rows``; return (offsets, sizes)."""
+def _check_segments(x: Tensor, offsets: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Validate ``(n, d)`` input and its CSR offsets; return (offsets, sizes)."""
+    if x.ndim != 2:
+        raise OperatorError(f"segment kernels need (n, d) input, got shape {x.shape}")
     offsets = np.asarray(offsets, dtype=np.int64)
     if offsets.ndim != 1 or offsets.size < 1:
         raise OperatorError("segment offsets must be a non-empty 1-D array")
     if offsets[0] != 0 or np.any(np.diff(offsets) < 0):
         raise OperatorError("segment offsets must be monotone from 0")
-    if offsets[-1] != n_rows:
+    if offsets[-1] != x.shape[0]:
         raise OperatorError(
-            f"segment offsets cover {offsets[-1]} rows, tensor has {n_rows}"
+            f"segment offsets cover {offsets[-1]} rows, tensor has {x.shape[0]}"
         )
     return offsets, np.diff(offsets)
-
-
-def _check_segment_input(x: Tensor, backend: str) -> None:
-    if backend not in SEGMENT_BACKENDS:
-        raise OperatorError(
-            f"unknown segment backend {backend!r}; expected one of {SEGMENT_BACKENDS}"
-        )
-    if x.ndim != 2:
-        raise OperatorError(f"segment kernels need (n, d) input, got shape {x.shape}")
 
 
 def _reduceat(
@@ -344,7 +329,7 @@ def segment_mean_np(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return segment_sum_np(x, offsets) / np.maximum(sizes, 1)[:, None]
 
 
-def segment_sum(x: Tensor, offsets: np.ndarray, backend: str = "batched") -> Tensor:
+def segment_sum(x: Tensor, offsets: np.ndarray) -> Tensor:
     """Ragged segment sum: rows ``offsets[i]:offsets[i+1]`` sum to row ``i``.
 
     The un-padded AGGREGATE kernel: neighbor states concatenated in CSR
@@ -352,14 +337,8 @@ def segment_sum(x: Tensor, offsets: np.ndarray, backend: str = "batched") -> Ten
     segments produce zero rows (a vertex with no neighbors aggregates
     nothing).
     """
-    _check_segment_input(x, backend)
-    offsets, sizes = _check_offsets(offsets, x.shape[0])
-    if backend == "reference":
-        out = np.stack(
-            [x.data[lo:hi].sum(axis=0) for lo, hi in zip(offsets[:-1], offsets[1:])]
-        ) if sizes.size else np.zeros((0, x.shape[1]))
-    else:
-        out = segment_sum_np(x.data, offsets)
+    offsets, sizes = _check_segments(x, offsets)
+    out = segment_sum_np(x.data, offsets)
 
     def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray]]":
         return [(x, np.repeat(g, sizes, axis=0))]
@@ -367,20 +346,11 @@ def segment_sum(x: Tensor, offsets: np.ndarray, backend: str = "batched") -> Ten
     return Tensor(out, _parents=(x,), _backward=backward)
 
 
-def segment_mean(x: Tensor, offsets: np.ndarray, backend: str = "batched") -> Tensor:
+def segment_mean(x: Tensor, offsets: np.ndarray) -> Tensor:
     """Ragged segment mean; empty segments yield zero rows."""
-    _check_segment_input(x, backend)
-    offsets, sizes = _check_offsets(offsets, x.shape[0])
+    offsets, sizes = _check_segments(x, offsets)
     counts = np.maximum(sizes, 1).astype(np.float64)
-    if backend == "reference":
-        out = np.stack(
-            [
-                x.data[lo:hi].mean(axis=0) if hi > lo else np.zeros(x.shape[1])
-                for lo, hi in zip(offsets[:-1], offsets[1:])
-            ]
-        ) if sizes.size else np.zeros((0, x.shape[1]))
-    else:
-        out = segment_sum_np(x.data, offsets) / counts[:, None]
+    out = segment_sum_np(x.data, offsets) / counts[:, None]
 
     def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray]]":
         return [(x, np.repeat(g / counts[:, None], sizes, axis=0))]
@@ -388,26 +358,17 @@ def segment_mean(x: Tensor, offsets: np.ndarray, backend: str = "batched") -> Te
     return Tensor(out, _parents=(x,), _backward=backward)
 
 
-def segment_max(x: Tensor, offsets: np.ndarray, backend: str = "batched") -> Tensor:
+def segment_max(x: Tensor, offsets: np.ndarray) -> Tensor:
     """Ragged segment max; empty segments yield zero rows.
 
     Gradients flow to the *first* maximal row per (segment, column) —
     ``np.argmax`` semantics, matching :func:`max_rows_segmented`.
     """
-    _check_segment_input(x, backend)
-    offsets, sizes = _check_offsets(offsets, x.shape[0])
+    offsets, sizes = _check_segments(x, offsets)
     n, d = x.shape
     seg_ids = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-    if backend == "reference":
-        out = np.stack(
-            [
-                x.data[lo:hi].max(axis=0) if hi > lo else np.zeros(d)
-                for lo, hi in zip(offsets[:-1], offsets[1:])
-            ]
-        ) if sizes.size else np.zeros((0, d))
-    else:
-        out = _reduceat(np.maximum, x.data, offsets, fill=-np.inf)
-        out[sizes == 0] = 0.0
+    out = _reduceat(np.maximum, x.data, offsets, fill=-np.inf)
+    out[sizes == 0] = 0.0
     # First maximal position per (segment, column), for the backward scatter.
     pos = np.arange(n, dtype=np.int64) - offsets[seg_ids]
     hit = x.data == out[seg_ids]
@@ -426,7 +387,7 @@ def segment_max(x: Tensor, offsets: np.ndarray, backend: str = "batched") -> Ten
     return Tensor(out, _parents=(x,), _backward=backward)
 
 
-def segment_softmax(x: Tensor, offsets: np.ndarray, backend: str = "batched") -> Tensor:
+def segment_softmax(x: Tensor, offsets: np.ndarray) -> Tensor:
     """Within-segment softmax along the rows: output has ``x``'s shape.
 
     Each column is normalized independently inside its segment — the
@@ -434,22 +395,12 @@ def segment_softmax(x: Tensor, offsets: np.ndarray, backend: str = "batched") ->
     ``(n, 1)`` normalize per target vertex). Empty segments contribute no
     rows; single-row segments come out as 1.
     """
-    _check_segment_input(x, backend)
-    offsets, sizes = _check_offsets(offsets, x.shape[0])
+    offsets, sizes = _check_segments(x, offsets)
     seg_ids = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-    if backend == "reference":
-        s = np.empty_like(x.data)
-        for b, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-            if hi == lo:
-                continue
-            shifted = x.data[lo:hi] - x.data[lo:hi].max(axis=0, keepdims=True)
-            e = np.exp(shifted)
-            s[lo:hi] = e / e.sum(axis=0, keepdims=True)
-    else:
-        mx = _reduceat(np.maximum, x.data, offsets, fill=0.0)
-        e = np.exp(x.data - mx[seg_ids])
-        denom = _reduceat(np.add, e, offsets, fill=1.0)
-        s = e / denom[seg_ids]
+    mx = _reduceat(np.maximum, x.data, offsets, fill=0.0)
+    e = np.exp(x.data - mx[seg_ids])
+    denom = _reduceat(np.add, e, offsets, fill=1.0)
+    s = e / denom[seg_ids]
 
     def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray]]":
         dot = _reduceat(np.add, g * s, offsets)

@@ -152,17 +152,13 @@ class StoreProvider(NeighborProvider):
     ``store.get_neighbors_batch`` read — one coalesced RPC per destination
     server via the runtime — then packed into a block of exactly those
     rows. Nothing is kept between calls, so a row is never older than the
-    read that fetched it. ``batched=False`` issues one ``store.neighbors``
-    read per frontier entry instead — no dedup, no coalescing — and packs
-    the same block: same draws, one RPC per remote entry (the baseline of
-    the batching bench).
+    read that fetched it.
     """
 
-    def __init__(self, store: "object", from_part: int, batched: bool = True) -> None:
+    def __init__(self, store: "object", from_part: int) -> None:
         # Typed loosely to avoid a circular import with repro.storage.
         self.store = store
         self.from_part = from_part
-        self.batched = batched
 
     def frontier_block(
         self, frontier: np.ndarray
@@ -170,13 +166,7 @@ class StoreProvider(NeighborProvider):
         # return_inverse selects numpy's sort path, ~10x cheaper than the
         # flag-less hash path at frontier sizes, and is the row index.
         ids, rows = np.unique(frontier, return_inverse=True)
-        if self.batched:
-            fetched = self.store.get_neighbors_batch(ids, from_part=self.from_part)
-        else:
-            fetched = {
-                v: self.store.neighbors(v, from_part=self.from_part)
-                for v in frontier.tolist()
-            }
+        fetched = self.store.get_neighbors_batch(ids, from_part=self.from_part)
         packed = [fetched[v] for v in ids.tolist()]
         return CsrAdjacency.from_rows(packed, ids), rows
 

@@ -30,30 +30,20 @@ from repro.utils.alias import AliasTable
 class _PoolNegativeSampler(Sampler):
     """Common machinery: a vertex pool + optional true-edge rejection.
 
-    ``backend="batched"`` (default) runs strict-mode rejection as rounds of
-    masked vectorized redraws — all still-colliding slots across the whole
-    batch redraw together, with membership tested against sorted
-    ``(row, vertex)`` keys. ``reference`` keeps the original per-slot scalar
-    rejection loop. Both give each slot up to ``max_retries`` redraws and
-    keep a stubborn collision rather than looping forever.
+    Strict-mode rejection runs as rounds of masked vectorized redraws — all
+    still-colliding slots across the whole batch redraw together, with
+    membership tested against sorted ``(row, vertex)`` keys. Each slot gets
+    up to ``max_retries`` redraws and keeps a stubborn collision rather
+    than looping forever.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        pool: np.ndarray,
-        strict: bool = False,
-        backend: str = "batched",
-    ) -> None:
+    def __init__(self, graph: Graph, pool: np.ndarray, strict: bool = False) -> None:
         super().__init__()
         if pool.size == 0:
             raise SamplingError("negative sampler has an empty vertex pool")
-        if backend not in ("batched", "reference"):
-            raise SamplingError(f"unknown negative-sampler backend {backend!r}")
         self.graph = graph
         self.pool = pool.astype(np.int64)
         self.strict = strict
-        self.backend = backend
         self.max_retries = 10
 
     def _draw(self, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -78,22 +68,12 @@ class _PoolNegativeSampler(Sampler):
         out = self._draw(anchors.size * neg_num, rng).reshape(anchors.size, neg_num)
         if not self.strict:
             return out
-        if self.backend == "batched":
-            return self._reject_batched(anchors, out, rng)
-        for i, anchor in enumerate(anchors):
-            forbidden = set(int(u) for u in self.graph.out_neighbors(int(anchor)))
-            forbidden.add(int(anchor))
-            for j in range(neg_num):
-                tries = 0
-                while int(out[i, j]) in forbidden and tries < self.max_retries:
-                    out[i, j] = self._draw(1, rng)[0]
-                    tries += 1
-        return out
+        return self._reject(anchors, out, rng)
 
-    def _reject_batched(
+    def _reject(
         self, anchors: np.ndarray, out: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """Vectorized strict rejection: rounds of masked redraws.
+        """Strict rejection: rounds of masked redraws.
 
         Forbidden (row, vertex) pairs are encoded as ``row * n + vertex``
         keys; per-row neighbor lists are gathered off the graph's CSR, and
@@ -138,14 +118,13 @@ class UniformNegativeSampler(_PoolNegativeSampler):
         graph: Graph,
         vertices: np.ndarray | None = None,
         strict: bool = False,
-        backend: str = "batched",
     ) -> None:
         pool = (
             np.asarray(vertices, dtype=np.int64)
             if vertices is not None
             else graph.vertices()
         )
-        super().__init__(graph, pool, strict=strict, backend=backend)
+        super().__init__(graph, pool, strict=strict)
 
     def _draw(self, size: int, rng: np.random.Generator) -> np.ndarray:
         return self.pool[rng.integers(self.pool.size, size=size)]
@@ -162,14 +141,13 @@ class DegreeBiasedNegativeSampler(_PoolNegativeSampler):
         power: float = 0.75,
         vertices: np.ndarray | None = None,
         strict: bool = False,
-        backend: str = "batched",
     ) -> None:
         pool = (
             np.asarray(vertices, dtype=np.int64)
             if vertices is not None
             else graph.vertices()
         )
-        super().__init__(graph, pool, strict=strict, backend=backend)
+        super().__init__(graph, pool, strict=strict)
         if power < 0:
             raise SamplingError(f"power must be non-negative, got {power}")
         degrees = graph.out_degrees()[self.pool].astype(np.float64)

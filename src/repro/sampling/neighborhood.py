@@ -28,11 +28,6 @@ block; top-k/full are one gather). In-memory providers hand back their
 whole-graph snapshot for free; the distributed store pays one batched read
 of the deduplicated frontier per hop. Tables derived from a block live
 exactly as long as the provider keeps handing back that block object.
-
-``backend="reference"`` draws on the *same* block one row at a time with
-scalar code. It is the equivalence oracle of the kernel tests and
-``bench_sampling_kernels.py`` — uniform/top-k/full must match it exactly,
-weighted/importance distributionally — and nothing else selects it.
 """
 
 from __future__ import annotations
@@ -45,8 +40,6 @@ from repro.errors import SamplingError
 from repro.sampling.base import NeighborProvider, Sampler
 from repro.sampling.kernels import CsrAdjacency
 from repro.utils.alias import GroupedAliasTable
-
-_BACKENDS = ("batched", "reference")
 
 
 @dataclass
@@ -93,21 +86,15 @@ class NeighborhoodSample:
 
 
 class _ExpandingSampler(Sampler):
-    """Shared multi-hop expansion; subclasses supply the draw kernels.
+    """Shared multi-hop expansion; subclasses supply the draw kernel.
 
-    Subclasses implement ``_draw`` (vectorized draw over block rows) and
-    ``_draw_one`` (the scalar oracle for one non-empty row); fetching the
-    block, padding and hop expansion live here.
+    Subclasses implement ``_draw`` (one vectorized draw over block rows);
+    fetching the block and hop expansion live here.
     """
 
-    def __init__(self, provider: NeighborProvider, backend: str = "batched") -> None:
+    def __init__(self, provider: NeighborProvider) -> None:
         super().__init__()
-        if backend not in _BACKENDS:
-            raise SamplingError(
-                f"unknown sampler backend {backend!r}; expected one of {_BACKENDS}"
-            )
         self.provider = provider
-        self.backend = backend
 
     def _draw(
         self,
@@ -121,12 +108,6 @@ class _ExpandingSampler(Sampler):
 
         ``vertices`` are the rows' global ids, the padding of empty rows.
         """
-        raise NotImplementedError
-
-    def _draw_one(
-        self, block: CsrAdjacency, row: int, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Scalar oracle: ``count`` children of one non-empty block row."""
         raise NotImplementedError
 
     def sample_children(
@@ -144,13 +125,7 @@ class _ExpandingSampler(Sampler):
             raise SamplingError(f"fan-out must be positive, got {count}")
         vertices = np.atleast_1d(np.asarray(vertices, dtype=np.int64))
         block, rows = self.provider.frontier_block(vertices)
-        if self.backend == "batched":
-            children = self._draw(block, rows, vertices, count, rng)
-        else:
-            children = np.repeat(vertices[:, None], count, axis=1)
-            for i, row in enumerate(rows.tolist()):
-                if block.degrees[row]:
-                    children[i] = self._draw_one(block, row, count, rng)
+        children = self._draw(block, rows, vertices, count, rng)
         return children, children == vertices[:, None]
 
     def sample(
@@ -182,10 +157,6 @@ class UniformNeighborSampler(_ExpandingSampler):
     def _draw(self, block, rows, vertices, count, rng):
         return block.sample_uniform(rows, count, rng, pad_ids=vertices)
 
-    def _draw_one(self, block, row, count, rng):
-        nbrs = block.neighbors(row)
-        return nbrs[rng.integers(nbrs.size, size=count)]
-
 
 class _AliasSampler(_ExpandingSampler):
     """Weighted draws through one grouped alias table per block.
@@ -197,17 +168,13 @@ class _AliasSampler(_ExpandingSampler):
     adjacency it describes.
     """
 
-    def __init__(self, provider: NeighborProvider, backend: str = "batched") -> None:
-        super().__init__(provider, backend=backend)
+    def __init__(self, provider: NeighborProvider) -> None:
+        super().__init__(provider)
         self._table: GroupedAliasTable | None = None
         self._table_block: CsrAdjacency | None = None
 
     def _slot_weights(self, block: CsrAdjacency) -> np.ndarray:
         """Fresh per-slot sampling weights of ``block`` (the table owns them)."""
-        raise NotImplementedError
-
-    def _row_weights(self, block: CsrAdjacency, row: int) -> np.ndarray:
-        """One row of :meth:`_slot_weights`, computed on its own (oracle)."""
         raise NotImplementedError
 
     def _table_for(self, block: CsrAdjacency) -> GroupedAliasTable:
@@ -220,12 +187,6 @@ class _AliasSampler(_ExpandingSampler):
         return block.sample_alias(
             rows, count, rng, self._table_for(block), pad_ids=vertices
         )
-
-    def _draw_one(self, block, row, count, rng):
-        # Inverse-CDF draws: an oracle that shares no code with the tables.
-        weights = self._row_weights(block, row)
-        slots = rng.choice(weights.size, size=count, p=weights / weights.sum())
-        return block.neighbors(row)[slots]
 
 
 class WeightedNeighborSampler(_AliasSampler):
@@ -241,8 +202,8 @@ class WeightedNeighborSampler(_AliasSampler):
 
     name = "neighborhood_weighted"
 
-    def __init__(self, provider: NeighborProvider, backend: str = "batched") -> None:
-        super().__init__(provider, backend=backend)
+    def __init__(self, provider: NeighborProvider) -> None:
+        super().__init__(provider)
         self._weights: dict[int, np.ndarray] = {}
         self.register_update_fn(self._apply_weight_update)
 
@@ -271,20 +232,12 @@ class WeightedNeighborSampler(_AliasSampler):
             if row >= 0 and self._table.group_size(row) == updated.size:
                 self._table.update_group(row, updated)
 
-    def _row_weights(self, block: CsrAdjacency, row: int) -> np.ndarray:
-        override = self._weights.get(row if block.ids is None else int(block.ids[row]))
-        if override is not None and override.size == block.degrees[row]:
-            return override
-        return block.weights_of(row)
-
     def _slot_weights(self, block: CsrAdjacency) -> np.ndarray:
         weights = block.weights.copy()
-        for vertex in self._weights:
+        for vertex, override in self._weights.items():
             row = block.row_of(vertex)
-            if row >= 0:
-                weights[block.indptr[row] : block.indptr[row + 1]] = (
-                    self._row_weights(block, row)
-                )
+            if row >= 0 and override.size == block.degrees[row]:
+                weights[block.indptr[row] : block.indptr[row + 1]] = override
         return weights
 
 
@@ -300,12 +253,6 @@ class TopKNeighborSampler(_ExpandingSampler):
 
     def _draw(self, block, rows, vertices, count, rng):
         return block.sample_ranked(rows, count, pad_ids=vertices)
-
-    def _draw_one(self, block, row, count, rng):
-        nbrs = block.neighbors(row)
-        order = np.lexsort((nbrs, -block.weights_of(row)))
-        top = nbrs[order[: min(count, nbrs.size)]]
-        return np.resize(top, count)
 
 
 class ImportanceNeighborSampler(_AliasSampler):
@@ -324,9 +271,8 @@ class ImportanceNeighborSampler(_AliasSampler):
         provider: NeighborProvider,
         degrees: np.ndarray,
         beta: float = 1.0,
-        backend: str = "batched",
     ):
-        super().__init__(provider, backend=backend)
+        super().__init__(provider)
         degrees = np.asarray(degrees, dtype=np.float64)
         if degrees.ndim != 1:
             raise SamplingError("degrees must be a 1-D vector")
@@ -344,9 +290,6 @@ class ImportanceNeighborSampler(_AliasSampler):
     def _slot_weights(self, block: CsrAdjacency) -> np.ndarray:
         return self._scores[block.indices]
 
-    def _row_weights(self, block: CsrAdjacency, row: int) -> np.ndarray:
-        return self._scores[block.neighbors(row)]
-
 
 class FullNeighborSampler(_ExpandingSampler):
     """No sampling: the full neighbor set, cyclically padded to ``count``.
@@ -357,13 +300,8 @@ class FullNeighborSampler(_ExpandingSampler):
 
     name = "neighborhood_full"
 
-    def __init__(
-        self,
-        provider: NeighborProvider,
-        max_fanout: int = 512,
-        backend: str = "batched",
-    ) -> None:
-        super().__init__(provider, backend=backend)
+    def __init__(self, provider: NeighborProvider, max_fanout: int = 512) -> None:
+        super().__init__(provider)
         if max_fanout < 1:
             raise SamplingError("max_fanout must be positive")
         self.max_fanout = max_fanout
@@ -372,6 +310,3 @@ class FullNeighborSampler(_ExpandingSampler):
         return block.sample_leading(
             rows, count, max_take=self.max_fanout, pad_ids=vertices
         )
-
-    def _draw_one(self, block, row, count, rng):
-        return np.resize(block.neighbors(row)[: self.max_fanout], count)

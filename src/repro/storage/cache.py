@@ -238,16 +238,15 @@ class ImportanceCachePolicy(CachePolicy):
 
     name = "importance"
 
-    def __init__(self, hop: int = 2, method: str = "multiplicity") -> None:
+    def __init__(self, hop: int = 2) -> None:
         self.hop = hop
-        self.method = method
 
     def select(
         self, graph: Graph, budget: int, rng: np.random.Generator
     ) -> np.ndarray:
         if budget <= 0:
             return np.zeros(0, dtype=np.int64)
-        scores = importance_scores(graph, self.hop, method=self.method)
+        scores = importance_scores(graph, self.hop)
         top = np.argsort(scores, kind="stable")[::-1][:budget]
         return top[scores[top] > 0].astype(np.int64)
 

@@ -156,7 +156,6 @@ def plan_importance_cache(
     graph: Graph,
     max_hop: int = 2,
     thresholds: "list[float] | float | None" = None,
-    method: str = "multiplicity",
     cost_model: "object | None" = None,
 ) -> CachePlan:
     """Algorithm 2 lines 5–9: select vertices with Imp^(k) >= tau_k.
@@ -184,6 +183,6 @@ def plan_importance_cache(
         )
     plan = CachePlan(max_hop=max_hop, thresholds=taus)
     for k in range(1, max_hop + 1):
-        scores = importance_scores(graph, k, method=method)
+        scores = importance_scores(graph, k)
         plan.cached_by_hop[k] = np.flatnonzero(scores >= taus[k - 1]).astype(np.int64)
     return plan

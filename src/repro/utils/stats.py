@@ -1,9 +1,9 @@
 """Small self-contained statistics helpers for sampler equivalence checks.
 
-The batched sampling kernels are validated *distributionally* against the
-scalar reference backend (the two consume RNG streams differently, so
-bit-equality is only required of the deterministic samplers). The tests and
-benchmarks need chi-square p-values for that; to keep the repo dependency-
+The sampling kernels are validated *distributionally* against the scalar
+oracles in ``tests/test_sampling_kernels.py`` (the two consume RNG streams
+differently, so bit-equality is only required of the uniform and
+deterministic samplers). The tests need chi-square p-values for that; to keep the repo dependency-
 free these are computed here from scratch via the regularized incomplete
 gamma function (series + continued-fraction forms, Numerical Recipes style)
 rather than pulling in scipy.

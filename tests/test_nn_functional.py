@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import OperatorError
 from repro.nn import functional as F
@@ -174,25 +176,80 @@ SEGMENT_KERNELS = [F.segment_sum, F.segment_mean, F.segment_max, F.segment_softm
 SEGMENT_IDS = ["sum", "mean", "max", "softmax"]
 
 
-@pytest.mark.parametrize("kernel", SEGMENT_KERNELS, ids=SEGMENT_IDS)
-@pytest.mark.parametrize("backend", F.SEGMENT_BACKENDS)
-def test_segment_kernel_gradients(kernel, backend):
-    x = Tensor(make_rng(3).normal(size=(12, 4)), requires_grad=True)
-    check_gradients(
-        lambda: (kernel(x, RAGGED_OFFSETS, backend=backend) ** 2).sum(), [x]
-    )
+def segment_loop(kernel, x: Tensor, offsets: np.ndarray) -> Tensor:
+    """Per-segment oracle of a ragged kernel, composed of the fixed-shape ops.
+
+    One Python iteration per segment, forward and backward: it shares no
+    code with the ``reduceat`` sweeps it checks.
+    """
+    name, d = kernel.__name__, x.shape[1]
+    out = []
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        seg = x.slice_rows(lo, hi)
+        if name == "segment_softmax":
+            if hi > lo:
+                out.append(F.softmax(seg, axis=0))
+        elif hi == lo:
+            out.append(Tensor(np.zeros((1, d))))
+        elif name == "segment_sum":
+            out.append(seg.sum(axis=0, keepdims=True))
+        elif name == "segment_mean":
+            out.append(seg.mean(axis=0, keepdims=True))
+        else:
+            out.append(F.max_rows_segmented(seg, hi - lo))
+    n_out = x.shape[0] if name == "segment_softmax" else offsets.size - 1
+    return F.concat(out, axis=0) if out else Tensor(np.zeros((n_out, d)))
+
+
+# Random ragged offsets; the pinned examples end in (and are all) empty segments.
+ragged_case = given(
+    sizes=st.lists(st.integers(0, 5), min_size=0, max_size=7),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+pinned = [
+    dict(sizes=[3, 0, 4, 1, 4], d=4, seed=3),
+    dict(sizes=[2, 3, 0, 0], d=2, seed=4),
+    dict(sizes=[0, 0], d=1, seed=5),
+]
+
+
+def _ragged_input(sizes, d, seed):
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    x = Tensor(make_rng(seed).normal(size=(int(offsets[-1]), d)), requires_grad=True)
+    return x, offsets
+
+
+# "batched" in the ids survives from when a reference arm shipped beside it.
+@pytest.mark.parametrize(
+    "kernel", SEGMENT_KERNELS, ids=[f"batched-{name}" for name in SEGMENT_IDS]
+)
+@settings(max_examples=25, deadline=None)
+@ragged_case
+@example(**pinned[0])
+@example(**pinned[1])
+def test_segment_kernel_gradients(kernel, sizes, d, seed):
+    assume(sum(sizes) > 0)  # check_gradients needs an entry to perturb
+    x, offsets = _ragged_input(sizes, d, seed)
+    check_gradients(lambda: (kernel(x, offsets) ** 2).sum(), [x])
 
 
 @pytest.mark.parametrize("kernel", SEGMENT_KERNELS, ids=SEGMENT_IDS)
-def test_segment_backends_agree(kernel):
-    x = Tensor(make_rng(4).normal(size=(12, 4)), requires_grad=True)
+@settings(max_examples=60, deadline=None)
+@ragged_case
+@example(**pinned[0])
+@example(**pinned[1])
+@example(**pinned[2])
+def test_segment_backends_agree(kernel, sizes, d, seed):
+    x, offsets = _ragged_input(sizes, d, seed)
     outs, grads = [], []
-    for backend in F.SEGMENT_BACKENDS:
+    for fn in (kernel, lambda t, o: segment_loop(kernel, t, o)):
         x.zero_grad()
-        out = kernel(x, RAGGED_OFFSETS, backend=backend)
+        out = fn(x, offsets)
         (out**2).sum().backward()
         outs.append(out.numpy())
-        grads.append(x.grad.copy())
+        # All segments empty: the oracle is a constant and reaches no leaf.
+        grads.append(np.zeros_like(x.data) if x.grad is None else x.grad.copy())
     np.testing.assert_allclose(outs[0], outs[1], atol=1e-12)
     np.testing.assert_allclose(grads[0], grads[1], atol=1e-12)
 
@@ -249,7 +306,5 @@ def test_segment_offsets_validation():
         F.segment_sum(x, np.array([0, 4, 3, 6]))  # not monotone
     with pytest.raises(OperatorError):
         F.segment_sum(x, np.array([0, 3, 5]))  # does not cover all rows
-    with pytest.raises(OperatorError):
-        F.segment_sum(x, np.array([0, 6]), backend="nope")
     with pytest.raises(OperatorError):
         F.segment_sum(Tensor(np.zeros(6)), np.array([0, 6]))  # 1-D input

@@ -146,3 +146,39 @@ def test_cli_importable():
     from repro.cli import main
 
     assert callable(main)
+
+
+def test_no_kernel_ships_a_second_implementation_switch():
+    """One shipped implementation per kernel: no ``backend`` / ``batched``
+    parameter, and no ``method`` outside the two functions that define the
+    paper's exact k-hop count beside its walk-count approximation. The
+    scalar oracles live in the test modules that compare against them.
+    (``repro.algorithms``' dense/kv ``backend`` picks where embedding tables
+    live — both sides have callers — and is outside this guard's scope.)"""
+    import inspect
+
+    exact_definition = {"khop_degrees", "importance_scores"}
+    offenders = []
+    for module in ("repro.sampling", "repro.nn.functional", "repro.ops", "repro.storage"):
+        mod = importlib.import_module(module)
+        for name in getattr(mod, "__all__", [n for n in vars(mod) if n[0] != "_"]):
+            obj = getattr(mod, name)
+            targets = {name: obj} if callable(obj) else {}
+            if inspect.isclass(obj):
+                targets.update(
+                    (f"{name}.{attr}", fn)
+                    for attr, fn in inspect.getmembers(obj, inspect.isfunction)
+                    if attr[0] != "_"
+                )
+            for label, fn in targets.items():
+                try:
+                    params = inspect.signature(fn).parameters
+                except (TypeError, ValueError):  # builtins without a signature
+                    continue
+                offenders += [
+                    f"{module}.{label}({param}=)"
+                    for param in params
+                    if param in ("backend", "batched")
+                    or (param == "method" and label not in exact_definition)
+                ]
+    assert offenders == []

@@ -17,7 +17,7 @@ from repro.runtime import (
     RpcRuntime,
 )
 from repro.runtime.rpc import KIND_NEIGHBORS, Inbox
-from repro.sampling import StoreProvider, UniformNeighborSampler
+from repro.sampling import CsrAdjacency, StoreProvider, UniformNeighborSampler
 from repro.storage.cache import NeighborCache
 from repro.storage.cluster import make_store
 from repro.storage.costmodel import EV_ITEM_SHIPPED, EV_REMOTE_RPC
@@ -31,16 +31,24 @@ def _graph():
 # --------------------------------------------------------------------- #
 # Batching equivalence (seeded property test)
 # --------------------------------------------------------------------- #
+class PerVertexProvider(StoreProvider):
+    """The unbatched oracle: one ``store.neighbors`` read per frontier entry
+    — no dedup, no coalescing — packed into the same block."""
+
+    def frontier_block(self, frontier):
+        ids, rows = np.unique(frontier, return_inverse=True)
+        fetched = {v: self.neighbors(v) for v in frontier.tolist()}
+        return CsrAdjacency.from_rows([fetched[v] for v in ids.tolist()], ids), rows
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 23, 99])
 @pytest.mark.parametrize("n_workers", [2, 4])
 def test_batched_reads_match_unbatched_with_fewer_rpcs(seed, n_workers):
     graph = _graph()
     results = []
-    for batched in (False, True):
+    for provider in (PerVertexProvider, StoreProvider):
         store = make_store(graph, n_workers, seed=0)
-        sampler = UniformNeighborSampler(
-            StoreProvider(store, from_part=0, batched=batched)
-        )
+        sampler = UniformNeighborSampler(provider(store, from_part=0))
         rng = make_rng(seed)
         out = sampler.sample(np.arange(48), [6, 4], rng)
         results.append((out, store))

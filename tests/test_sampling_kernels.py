@@ -1,11 +1,13 @@
-"""Batched frontier-sampling kernels: adjacency blocks, grouped alias tables,
-oracle equivalence, determinism, dynamic refresh, and the one draw path every
-provider (in-memory or store-backed) runs."""
+"""Frontier-sampling kernels: adjacency blocks, grouped alias tables,
+equivalence to the scalar oracles below, determinism, dynamic refresh, and the
+one draw path every provider (in-memory or store-backed) runs."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import dynamic_taobao, make_dataset
 from repro.errors import SamplingError
@@ -46,22 +48,128 @@ from tests.conftest import python_calls
 P_FLOOR = 1e-4  # equivalence tests: H0 true, so p is uniform on [0, 1]
 
 
-def _sampler(kind: str, graph: Graph, backend: str, provider=None):
+def _sampler(kind: str, graph: Graph, provider=None, max_fanout: int = 512):
     provider = provider or GraphProvider(graph)
     if kind == "uniform":
-        return UniformNeighborSampler(provider, backend=backend)
+        return UniformNeighborSampler(provider)
     if kind == "weighted":
-        return WeightedNeighborSampler(provider, backend=backend)
+        return WeightedNeighborSampler(provider)
     if kind == "topk":
-        return TopKNeighborSampler(provider, backend=backend)
+        return TopKNeighborSampler(provider)
     if kind == "importance":
-        return ImportanceNeighborSampler(
-            provider, graph.out_degrees(), backend=backend
-        )
-    return FullNeighborSampler(provider, backend=backend)
+        return ImportanceNeighborSampler(provider, graph.out_degrees())
+    return FullNeighborSampler(provider, max_fanout=max_fanout)
 
 
 ALL_KINDS = ["uniform", "weighted", "topk", "importance", "full"]
+
+
+# --------------------------------------------------------------------- #
+# Scalar oracles: the loops the kernels replaced, over public API only
+# --------------------------------------------------------------------- #
+def oracle_children(sampler, vertices, count, rng):
+    """``sampler.sample_children`` one block row at a time, with scalar code.
+
+    uniform / top-k / full must equal it exactly (uniform consuming ``rng``
+    identically); weighted / importance draw by inverse CDF, sharing nothing
+    with the alias tables, and must match it distributionally.
+    """
+    vertices = np.asarray(vertices, dtype=np.int64)
+    block, rows = sampler.provider.frontier_block(vertices)
+    children = np.repeat(vertices[:, None], count, axis=1)
+    for i, (v, row) in enumerate(zip(vertices.tolist(), rows.tolist())):
+        nbrs = block.neighbors(row)
+        if nbrs.size == 0:
+            continue  # self-padded
+        if isinstance(sampler, UniformNeighborSampler):
+            children[i] = nbrs[rng.integers(nbrs.size, size=count)]
+        elif isinstance(sampler, TopKNeighborSampler):
+            order = np.lexsort((nbrs, -block.weights_of(row)))
+            children[i] = np.resize(nbrs[order[:count]], count)
+        elif isinstance(sampler, FullNeighborSampler):
+            children[i] = np.resize(nbrs[: sampler.max_fanout], count)
+        else:
+            if isinstance(sampler, ImportanceNeighborSampler):
+                p = sampler.inclusion_probability(v)
+            else:
+                w = sampler.current_weights(v)
+                p = w / w.sum()
+            children[i] = nbrs[rng.choice(nbrs.size, size=count, p=p)]
+    return children, children == vertices[:, None]
+
+
+def oracle_negatives(loose, anchors, neg_num, rng, max_retries=10):
+    """Strict negatives by per-slot scalar rejection.
+
+    ``loose`` is the same sampler built with ``strict=False``: it supplies
+    the first draw and every single-slot redraw.
+    """
+    out = loose.sample(anchors, neg_num, rng)
+    for i, anchor in enumerate(anchors.tolist()):
+        forbidden = set(loose.graph.out_neighbors(anchor).tolist()) | {anchor}
+        for j in range(neg_num):
+            tries = 0
+            while int(out[i, j]) in forbidden and tries < max_retries:
+                out[i, j] = loose.sample(anchors[i : i + 1], 1, rng)[0, 0]
+                tries += 1
+    return out
+
+
+def oracle_walks(graph, starts, length, rng, weighted=False):
+    """``random_walks`` one walk and one scalar step at a time."""
+    walks = []
+    for start in np.asarray(starts).tolist():
+        walk = [start]
+        for _ in range(length):
+            nbrs = graph.out_neighbors(walk[-1])
+            if nbrs.size == 0:
+                break
+            if weighted:
+                w = graph.out_weights(walk[-1])
+                walk.append(int(nbrs[rng.choice(nbrs.size, p=w / w.sum())]))
+            else:
+                walk.append(int(nbrs[rng.integers(nbrs.size)]))
+        walks.append(np.asarray(walk, dtype=np.int64))
+    return walks
+
+
+# --------------------------------------------------------------------- #
+# Strategies: random ragged adjacency behind either provider shape
+# --------------------------------------------------------------------- #
+@st.composite
+def ragged_graphs(draw, min_vertices=2, max_vertices=10):
+    """Directed multigraph with empty rows, self-loops and tied weights."""
+    n = draw(st.integers(min_vertices, max_vertices))
+    degrees = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    rng = make_rng(draw(st.integers(0, 2**16)))
+    src = np.repeat(np.arange(n), degrees)
+    dst = rng.integers(0, n, size=src.size)
+    weights = rng.integers(1, 4, size=src.size).astype(np.float64)
+    return Graph(n, src, dst, weights=weights, directed=True)
+
+
+@st.composite
+def ragged_frontiers(draw):
+    """``(graph, provider, frontier)``: the frontier repeats ids; the provider
+    is the whole-graph snapshot or a store packing a sub-block with ``ids``."""
+    graph = draw(ragged_graphs())
+    n = graph.n_vertices
+    frontier = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    if draw(st.booleans()):
+        provider = StoreProvider(make_store(graph, 2, seed=0), from_part=0)
+    else:
+        provider = GraphProvider(graph)
+    return graph, provider, np.asarray(frontier, dtype=np.int64)
+
+
+def _draw_counts(draw_fn, graph, frontier, count, rounds, rng):
+    """``(parent, child)`` frequencies of ``rounds`` frontier expansions."""
+    n = graph.n_vertices
+    acc = np.zeros((n, n), dtype=np.int64)
+    for _ in range(rounds):
+        children, _ = draw_fn(frontier, count, rng)
+        np.add.at(acc, (np.repeat(frontier, count), children.ravel()), 1)
+    return acc.ravel()
 
 
 # --------------------------------------------------------------------- #
@@ -209,7 +317,7 @@ class TestGroupedAlias:
 class TestSampleChildren:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_shapes_and_membership(self, small_powerlaw, rng, kind):
-        sampler = _sampler(kind, small_powerlaw, "batched")
+        sampler = _sampler(kind, small_powerlaw)
         vs = np.array([0, 5, 17, 300], dtype=np.int64)
         children, pad = sampler.sample_children(vs, 7, rng)
         assert children.shape == pad.shape == (4, 7)
@@ -224,69 +332,70 @@ class TestSampleChildren:
                 assert set(int(c) for c in row) <= allowed
             assert np.array_equal(prow, row == v)
 
-    @pytest.mark.parametrize("backend", ["batched", "reference"])
-    def test_uniform_matches_per_row_oracle_exactly(self, small_powerlaw, backend):
+    # The id survives from when a reference arm shipped beside the kernel.
+    @pytest.mark.parametrize("kind", ["uniform"], ids=["batched"])
+    @settings(max_examples=60, deadline=None)
+    @given(case=ragged_frontiers(), count=st.integers(1, 9))
+    def test_uniform_matches_per_row_oracle_exactly(self, kind, case, count):
         # The broadcast draw consumes the stream like one scalar call per
         # non-empty row, in frontier order: not merely the same law.
-        vs = make_rng(4).integers(0, small_powerlaw.n_vertices, size=400)
-        got, _ = _sampler("uniform", small_powerlaw, backend).sample_children(
-            vs, 7, make_rng(21)
-        )
-        rng = make_rng(21)
-        for v, kids in zip(vs.tolist(), got):
-            row = small_powerlaw.out_neighbors(v)
-            want = row[rng.integers(row.size, size=7)] if row.size else v
-            assert np.array_equal(kids, np.broadcast_to(want, (7,)))
+        graph, provider, frontier = case
+        sampler = _sampler(kind, graph, provider)
+        rng_k, rng_o = make_rng(21), make_rng(21)
+        got, gp = sampler.sample_children(frontier, count, rng_k)
+        want, wp = oracle_children(sampler, frontier, count, rng_o)
+        assert np.array_equal(got, want) and np.array_equal(gp, wp)
+        assert rng_k.bit_generator.state == rng_o.bit_generator.state
 
     @pytest.mark.parametrize("kind", ["topk", "full"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=ragged_frontiers(),
+        count=st.integers(1, 9),
+        max_fanout=st.integers(1, 8),
+    )
     def test_deterministic_kinds_match_reference_exactly(
-        self, small_powerlaw, rng, kind
+        self, kind, case, count, max_fanout
     ):
-        vs = np.arange(small_powerlaw.n_vertices, dtype=np.int64)
-        got, gp = _sampler(kind, small_powerlaw, "batched").sample_children(
-            vs, 6, rng
-        )
-        want, wp = _sampler(kind, small_powerlaw, "reference").sample_children(
-            vs, 6, rng
-        )
-        assert np.array_equal(got, want)
-        assert np.array_equal(gp, wp)
+        graph, provider, frontier = case
+        sampler = _sampler(kind, graph, provider, max_fanout=max_fanout)
+        rng_k, rng_o = make_rng(3), make_rng(3)
+        got, gp = sampler.sample_children(frontier, count, rng_k)
+        want, wp = oracle_children(sampler, frontier, count, rng_o)
+        assert np.array_equal(got, want) and np.array_equal(gp, wp)
+        # Neither side draws: fan-out > degree tiles, it does not resample.
+        assert rng_k.bit_generator.state == rng_o.bit_generator.state
 
     @pytest.mark.parametrize("kind", ["weighted", "importance"])
-    def test_stochastic_kinds_chi_square_equivalent(self, small_powerlaw, kind):
-        degrees = small_powerlaw.out_degrees()
-        parents = np.argsort(degrees)[-12:].astype(np.int64)
-        counts = {}
-        for seed, backend in ((1, "batched"), (2, "reference")):
-            sampler = _sampler(kind, small_powerlaw, backend)
-            rng = make_rng(seed)
-            acc = np.zeros(
-                (parents.size, small_powerlaw.n_vertices), dtype=np.int64
-            )
-            for _ in range(300):
-                children, _ = sampler.sample_children(parents, 8, rng)
-                for i, kids in enumerate(children):
-                    acc[i] += np.bincount(
-                        kids, minlength=small_powerlaw.n_vertices
-                    )
-            counts[backend] = acc.ravel()
-        _, p = chi_square_homogeneity(counts["batched"], counts["reference"])
-        assert p > P_FLOOR, f"{kind} backends diverge (p={p:.2e})"
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(case=ragged_frontiers(), count=st.integers(1, 9))
+    def test_stochastic_kinds_chi_square_equivalent(self, kind, case, count):
+        graph, provider, frontier = case
+        sampler = _sampler(kind, graph, provider)
+        if kind == "weighted":
+            # A trained row: kernel and oracle both read the updated weights.
+            v = int(frontier[0])
+            size = sampler.current_weights(v).size
+            sampler.backward(v, np.linspace(-2.0, 2.0, size), lr=1.0)
+        kernel = _draw_counts(
+            sampler.sample_children, graph, frontier, count, 150, make_rng(1)
+        )
+        oracle = _draw_counts(
+            lambda vs, c, rng: oracle_children(sampler, vs, c, rng),
+            graph, frontier, count, 150, make_rng(2),
+        )
+        _, p = chi_square_homogeneity(kernel, oracle)
+        assert p > P_FLOOR, f"{kind} kernel diverges from the oracle (p={p:.2e})"
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_same_seed_determinism(self, small_powerlaw, kind):
         vs = np.array([3, 14, 15, 92, 653], dtype=np.int64)
-        a, _ = _sampler(kind, small_powerlaw, "batched").sample_children(
-            vs, 9, make_rng(99)
-        )
-        b, _ = _sampler(kind, small_powerlaw, "batched").sample_children(
-            vs, 9, make_rng(99)
-        )
+        a, _ = _sampler(kind, small_powerlaw).sample_children(vs, 9, make_rng(99))
+        b, _ = _sampler(kind, small_powerlaw).sample_children(vs, 9, make_rng(99))
         assert np.array_equal(a, b)
 
     def test_multi_hop_sample_uses_batched_kernels(self, small_powerlaw):
-        sampler = _sampler("uniform", small_powerlaw, "batched")
-        assert sampler.backend == "batched"
+        sampler = _sampler("uniform", small_powerlaw)
         out = sampler.sample(np.array([1, 2, 3]), [4, 2], make_rng(0))
         assert out.layers[1].size == 12 and out.layers[2].size == 24
         assert len(out.pad_masks) == 2
@@ -301,7 +410,7 @@ class TestSampleChildren:
             weights=np.array([1.0, 1.0]),
             directed=True,
         )
-        sampler = UniformNeighborSampler(GraphProvider(g), backend="batched")
+        sampler = UniformNeighborSampler(GraphProvider(g))
         children, pad = sampler.sample_children(
             np.array([0, 1]), 3, make_rng(0)
         )
@@ -309,20 +418,13 @@ class TestSampleChildren:
         assert np.all(children[1] == 0) and not np.any(pad[1])
 
     def test_weight_update_moves_batched_distribution(self, tiny_graph):
-        sampler = WeightedNeighborSampler(
-            GraphProvider(tiny_graph), backend="batched"
-        )
+        sampler = WeightedNeighborSampler(GraphProvider(tiny_graph))
         rng = make_rng(5)
         sampler.sample_children(np.array([0]), 4, rng)  # builds the table
         # Push vertex 0's mass almost entirely onto neighbor 2.
         sampler.backward(0, np.array([-40.0, 40.0]), lr=1.0)
         children, _ = sampler.sample_children(np.array([0]), 400, rng)
         assert np.mean(children == 2) > 0.97
-
-    def test_invalid_backend_rejected(self, tiny_graph):
-        for backend in ("turbo", "auto"):
-            with pytest.raises(SamplingError):
-                UniformNeighborSampler(GraphProvider(tiny_graph), backend=backend)
 
 
 # --------------------------------------------------------------------- #
@@ -334,7 +436,7 @@ class TestDynamicRefresh:
 
         def run():
             provider = dyn.provider(0)
-            sampler = UniformNeighborSampler(provider, backend="batched")
+            sampler = UniformNeighborSampler(provider)
             seeds = np.arange(48, dtype=np.int64)
             before = sampler.sample(seeds, [6, 3], make_rng(3))
             provider.advance(2)
@@ -371,51 +473,77 @@ class TestDynamicRefresh:
 # Batched negatives and walks
 # --------------------------------------------------------------------- #
 class TestBatchedNegativesAndWalks:
-    def test_strict_negatives_avoid_true_edges(self, small_powerlaw):
-        anchors = np.argsort(small_powerlaw.out_degrees())[-8:].astype(np.int64)
-        sampler = UniformNegativeSampler(
-            small_powerlaw, strict=True, backend="batched"
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        graph=ragged_graphs(min_vertices=3, max_vertices=12),
+        degree_biased=st.booleans(),
+        data=st.data(),
+    )
+    def test_strict_negatives_avoid_true_edges(self, graph, degree_biased, data):
+        # A forbidden id survives only when the retry budget runs out — and
+        # with 200 retries it only does where the pool offers nothing else.
+        n = graph.n_vertices
+        ids = st.integers(0, n - 1)
+        pool = np.asarray(
+            data.draw(st.lists(ids, min_size=1, max_size=n, unique=True)),
+            dtype=np.int64,
         )
-        out = sampler.sample(anchors, 32, make_rng(2))
-        for anchor, row in zip(anchors, out):
-            forbidden = set(
-                int(u) for u in small_powerlaw.out_neighbors(int(anchor))
-            )
-            forbidden.add(int(anchor))
-            hits = sum(1 for c in row if int(c) in forbidden)
-            # max_retries rounds make a surviving collision overwhelmingly
-            # unlikely on a 1000-vertex pool.
-            assert hits == 0
+        anchors = np.asarray(
+            data.draw(st.lists(ids, min_size=1, max_size=6)), dtype=np.int64
+        )
+        cls = DegreeBiasedNegativeSampler if degree_biased else UniformNegativeSampler
+        sampler = cls(graph, vertices=pool, strict=True)
+        sampler.max_retries = 200
+        out = sampler.sample(anchors, 8, make_rng(2))
+        assert out.shape == (anchors.size, 8) and np.isin(out, pool).all()
+        for anchor, row in zip(anchors.tolist(), out):
+            forbidden = set(graph.out_neighbors(anchor).tolist()) | {anchor}
+            if not set(pool.tolist()) <= forbidden:
+                assert not forbidden & set(row.tolist())
 
     def test_strict_backends_distributionally_equivalent(self, small_powerlaw):
         anchors = np.array([3, 14, 15], dtype=np.int64)
-        counts = {}
-        for seed, backend in ((4, "batched"), (5, "reference")):
-            sampler = DegreeBiasedNegativeSampler(
-                small_powerlaw, strict=True, backend=backend
-            )
+        strict = DegreeBiasedNegativeSampler(small_powerlaw, strict=True)
+        loose = DegreeBiasedNegativeSampler(small_powerlaw)
+        counts = []
+        for seed, draw in (
+            (4, strict.sample),
+            (5, lambda a, k, rng: oracle_negatives(loose, a, k, rng, strict.max_retries)),
+        ):
             acc = np.zeros(small_powerlaw.n_vertices, dtype=np.int64)
             rng = make_rng(seed)
             for _ in range(60):
                 acc += np.bincount(
-                    sampler.sample(anchors, 40, rng).ravel(),
+                    draw(anchors, 40, rng).ravel(),
                     minlength=small_powerlaw.n_vertices,
                 )
-            counts[backend] = acc
-        _, p = chi_square_homogeneity(counts["batched"], counts["reference"])
+            counts.append(acc)
+        _, p = chi_square_homogeneity(*counts)
         assert p > P_FLOOR
 
-    def test_batched_walks_follow_edges_and_truncate(self, tiny_graph):
-        walks = random_walks(
-            tiny_graph, np.array([0, 1, 5]), 6, make_rng(1), backend="batched"
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=ragged_graphs(),
+        weighted=st.booleans(),
+        length=st.integers(1, 8),
+        data=st.data(),
+    )
+    def test_batched_walks_follow_edges_and_truncate(
+        self, graph, weighted, length, data
+    ):
+        starts = np.asarray(
+            data.draw(
+                st.lists(st.integers(0, graph.n_vertices - 1), min_size=1, max_size=8)
+            ),
+            dtype=np.int64,
         )
-        assert len(walks) == 3
-        assert walks[2].tolist() == [5]  # sink start: truncated immediately
+        walks = random_walks(graph, starts, length, make_rng(1), weighted=weighted)
+        assert [int(w[0]) for w in walks] == starts.tolist()
         for walk in walks:
             for a, b in zip(walk[:-1], walk[1:]):
-                assert int(b) in set(
-                    int(u) for u in tiny_graph.out_neighbors(int(a))
-                )
+                assert int(b) in graph.out_neighbors(int(a))
+            # Only a sink ends a walk early.
+            assert walk.size == length + 1 or graph.out_degree(int(walk[-1])) == 0
 
     def test_batched_walks_deterministic_and_weighted(self, tiny_graph):
         a = random_walks(tiny_graph, np.array([0, 1]), 8, make_rng(6))
@@ -425,12 +553,7 @@ class TestBatchedNegativesAndWalks:
         firsts = [
             int(
                 random_walks(
-                    tiny_graph,
-                    np.array([0]),
-                    1,
-                    make_rng(seed),
-                    weighted=True,
-                    backend="batched",
+                    tiny_graph, np.array([0]), 1, make_rng(seed), weighted=True
                 )[0][1]
             )
             for seed in range(300)
@@ -439,39 +562,37 @@ class TestBatchedNegativesAndWalks:
         assert 0.55 < frac2 < 0.8  # expected 2/3
 
     def test_walk_backends_step_distribution_match(self, small_powerlaw):
-        start = int(np.argmax(small_powerlaw.out_degrees()))
-        counts = {}
-        for seed, backend in ((8, "batched"), (9, "reference")):
-            rng = make_rng(seed)
-            acc = np.zeros(small_powerlaw.n_vertices, dtype=np.int64)
-            for _ in range(800):
-                walk = random_walks(
-                    small_powerlaw, np.array([start]), 1, rng, backend=backend
-                )[0]
-                if walk.size > 1:
-                    acc[int(walk[1])] += 1
-            counts[backend] = acc
-        _, p = chi_square_homogeneity(counts["batched"], counts["reference"])
-        assert p > P_FLOOR
+        # Weighted arm: a 40-spoke star whose edge weights run 1..80.
+        hub, spokes = np.zeros(40, dtype=np.int64), np.arange(1, 41)
+        star = Graph(
+            41,
+            np.concatenate([hub, spokes]),
+            np.concatenate([spokes, hub]),
+            weights=np.arange(1.0, 81.0),
+        )
+        for graph, start, weighted in (
+            (small_powerlaw, int(np.argmax(small_powerlaw.out_degrees())), False),
+            (star, 0, True),
+        ):
+            counts = []
+            for seed, walker in ((8, random_walks), (9, oracle_walks)):
+                walks = walker(
+                    graph, np.full(800, start), 2, make_rng(seed), weighted=weighted
+                )
+                counts.append(
+                    np.bincount(
+                        np.concatenate([w[1:] for w in walks]),
+                        minlength=graph.n_vertices,
+                    )
+                )
+            _, p = chi_square_homogeneity(*counts)
+            assert p > P_FLOOR, f"weighted={weighted}: p={p:.2e}"
 
 
 # --------------------------------------------------------------------- #
-# Providers and auto backend
+# Providers
 # --------------------------------------------------------------------- #
 class TestBackendSelection:
-    def test_default_backend_is_batched_on_every_provider(self, small_powerlaw):
-        store = make_store(small_powerlaw, 2, seed=0)
-        degrees = small_powerlaw.out_degrees()
-        for provider in (GraphProvider(small_powerlaw), StoreProvider(store, 0)):
-            samplers = [
-                UniformNeighborSampler(provider),
-                WeightedNeighborSampler(provider),
-                TopKNeighborSampler(provider),
-                ImportanceNeighborSampler(provider, degrees),
-                FullNeighborSampler(provider),
-            ]
-            assert all(s.backend == "batched" for s in samplers)
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_store_sample_reads_only_frontier_rows(self, small_powerlaw, seed):
         # No whole-graph read hides behind the batched kernels: what a
@@ -616,7 +737,7 @@ class TestStoreBackedBlocks:
     def test_samplers_follow_edge_churn(self, kind):
         graph = make_dataset("taobao-small-sim", scale=0.1, seed=0)
         store = make_store(graph, 2, seed=0)
-        sampler = _sampler(kind, graph, "batched", StoreProvider(store, 0))
+        sampler = _sampler(kind, graph, StoreProvider(store, 0))
         hubs = np.argsort(graph.out_degrees())[-6:].astype(np.int64)
         rng = make_rng(3)
         sampler.sample(hubs, [16, 2], rng)
