@@ -11,7 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import EmbeddingModel, unit_rows
+from repro.algorithms.base import (
+    EmbeddingModel,
+    node_features,
+    pair_batches,
+    train_steps,
+    unit_rows,
+    walk_pairs,
+)
 from repro.errors import TrainingError
 from repro.graph.graph import Graph
 from repro.nn.layers import Dense, Sequential
@@ -19,7 +26,6 @@ from repro.nn.loss import mse, skipgram_negative_loss
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.sampling.negative import DegreeBiasedNegativeSampler
-from repro.sampling.randomwalk import random_walks, walk_context_pairs
 from repro.utils.rng import make_rng
 
 
@@ -56,12 +62,10 @@ class ANRL(EmbeddingModel):
         self._embeddings: np.ndarray | None = None
 
     def fit(self, graph: Graph) -> "ANRL":
-        feats = getattr(graph, "vertex_features", None)
-        if feats is None:
+        if getattr(graph, "vertex_features", None) is None:
             raise TrainingError("ANRL needs vertex attributes")
         rng = make_rng(self.seed)
-        x = np.asarray(feats, dtype=np.float64)
-        x = (x - x.mean(axis=0)) / (x.std(axis=0) + 1e-9)
+        x = node_features(graph, rng, 0)
         # Neighbor-enhancement target: mean attribute vector of neighbors.
         target = np.zeros_like(x)
         for v in range(graph.n_vertices):
@@ -81,27 +85,19 @@ class ANRL(EmbeddingModel):
         params = encoder.parameters() + decoder.parameters() + context.parameters()
         optimizer = Adam(params, lr=self.lr)
 
-        starts = np.tile(graph.vertices(), self.walks_per_vertex)
-        rng.shuffle(starts)
-        centers, contexts = walk_context_pairs(
-            random_walks(graph, starts, self.walk_length, rng), self.window
-        )
+        pairs = walk_pairs(graph, rng, self.walks_per_vertex, self.walk_length, self.window)
         neg_sampler = DegreeBiasedNegativeSampler(graph)
+
+        def loss_fn(c_ids: np.ndarray, u_ids: np.ndarray, neg_ids: np.ndarray) -> Tensor:
+            z = encoder(Tensor(x[c_ids]))
+            sg = skipgram_negative_loss(z, context(u_ids), context(neg_ids))
+            recon = mse(decoder(z), target[c_ids])
+            return sg + recon * self.recon_weight
+
         for _ in range(self.epochs):
-            perm = rng.permutation(centers.size)
-            for lo in range(0, centers.size, self.batch_size):
-                idx = perm[lo : lo + self.batch_size]
-                c_ids, u_ids = centers[idx], contexts[idx]
-                neg_ids = neg_sampler.sample(c_ids, self.neg_num, rng).reshape(-1)
-                optimizer.zero_grad()
-                z = encoder(Tensor(x[c_ids]))
-                sg = skipgram_negative_loss(z, context(u_ids), context(neg_ids))
-                recon = mse(decoder(z), target[c_ids])
-                (sg + recon * self.recon_weight).backward()
-                optimizer.step()
+            batches = pair_batches(
+                pairs, neg_sampler, rng, self.batch_size, self.neg_num
+            )
+            train_steps(batches, loss_fn, optimizer)
         self._embeddings = unit_rows(encoder(Tensor(x)).numpy())
         return self
-
-    def embeddings(self) -> np.ndarray:
-        self._require_fitted()
-        return self._embeddings

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.base import train_steps
 from repro.errors import TrainingError
 from repro.nn import functional as F
 from repro.nn.layers import Dense
@@ -90,17 +91,18 @@ class DAE(_InteractionModel):
         dec = Dense(self.dim, n_items, rng)
         params = enc1.parameters() + enc2.parameters() + dec.parameters()
         optimizer = Adam(params, lr=self.lr)
+
+        def loss_fn(rows: np.ndarray) -> Tensor:
+            noisy = rows * (rng.random(rows.shape) >= self.corruption)
+            return bce_with_logits(dec(enc2(enc1(Tensor(noisy)))), rows)
+
         for _ in range(self.epochs):
             perm = rng.permutation(n_users)
-            for lo in range(0, n_users, self.batch_size):
-                rows = x[perm[lo : lo + self.batch_size]]
-                noisy = rows * (rng.random(rows.shape) >= self.corruption)
-                optimizer.zero_grad()
-                z = enc2(enc1(Tensor(noisy)))
-                logits = dec(z)
-                loss = bce_with_logits(logits, rows)
-                loss.backward()
-                optimizer.step()
+            batches = (
+                (x[perm[lo : lo + self.batch_size]],)
+                for lo in range(0, n_users, self.batch_size)
+            )
+            train_steps(batches, loss_fn, optimizer)
         self._user_emb = enc2(enc1(Tensor(x))).numpy()
         self._item_emb = dec.weight.numpy().T  # (n_items, dim)
         return self
@@ -132,19 +134,22 @@ class BetaVAE(_InteractionModel):
             + dec.parameters()
         )
         optimizer = Adam(params, lr=self.lr)
+
+        def loss_fn(rows: np.ndarray) -> Tensor:
+            hidden = enc(Tensor(rows))
+            mu = mu_layer(hidden)
+            logvar = lv_layer(hidden)
+            eps = rng.standard_normal(mu.shape)
+            z = mu + F.exp(logvar * 0.5) * Tensor(eps)
+            return bce_with_logits(dec(z), rows) + gaussian_kl(mu, logvar) * self.beta
+
         for _ in range(self.epochs):
             perm = rng.permutation(n_users)
-            for lo in range(0, n_users, self.batch_size):
-                rows = x[perm[lo : lo + self.batch_size]]
-                optimizer.zero_grad()
-                hidden = enc(Tensor(rows))
-                mu = mu_layer(hidden)
-                logvar = lv_layer(hidden)
-                eps = rng.standard_normal(mu.shape)
-                z = mu + F.exp(logvar * 0.5) * Tensor(eps)
-                loss = bce_with_logits(dec(z), rows) + gaussian_kl(mu, logvar) * self.beta
-                loss.backward()
-                optimizer.step()
+            batches = (
+                (x[perm[lo : lo + self.batch_size]],)
+                for lo in range(0, n_users, self.batch_size)
+            )
+            train_steps(batches, loss_fn, optimizer)
         self._user_emb = mu_layer(enc(Tensor(x))).numpy()
         self._item_emb = dec.weight.numpy().T
         return self

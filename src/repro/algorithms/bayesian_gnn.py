@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import EmbeddingModel, unit_rows
+from repro.algorithms.base import EmbeddingModel, train_steps, unit_rows
 from repro.algorithms.deepwalk import DeepWalk
 from repro.errors import TrainingError
 from repro.graph.ahg import AttributedHeterogeneousGraph
@@ -94,10 +94,7 @@ class BayesianGNN(EmbeddingModel):
         optimizer = Adam(params, lr=self.lr)
         ht = Tensor(h)
 
-        for _ in range(self.steps):
-            v1 = rng.integers(0, n, size=self.batch_pairs)
-            v2 = rng.integers(0, n, size=self.batch_pairs)
-            optimizer.zero_grad()
+        def loss_fn(v1: np.ndarray, v2: np.ndarray) -> Tensor:
             corrected = ht + delta
             z1 = f(corrected.gather_rows(v1))
             z2 = f(corrected.gather_rows(v2))
@@ -105,8 +102,17 @@ class BayesianGNN(EmbeddingModel):
             pair_nll = mse(z1 - z2, target)
             # Gaussian prior on delta: ||delta_v||^2 / (2 s_v^2).
             prior = ((delta * delta) * (1.0 / (2 * s**2)).reshape(-1, 1)).mean()
-            (pair_nll + prior * self.prior_strength).backward()
-            optimizer.step()
+            return pair_nll + prior * self.prior_strength
+
+        # Entity pairs, drawn one batch per step.
+        pair_ids = (
+            (
+                rng.integers(0, n, size=self.batch_pairs),
+                rng.integers(0, n, size=self.batch_pairs),
+            )
+            for _ in range(self.steps)
+        )
+        train_steps(pair_ids, loss_fn, optimizer)
 
         mu = delta.numpy()
         self._corrected_prior = unit_rows(h + mu)  # h_v + mu_v
@@ -122,10 +128,6 @@ class BayesianGNN(EmbeddingModel):
             "BayesianGNN is a correction model: call fit_correction(task_"
             "embeddings, kg, entity_ids)"
         )
-
-    def embeddings(self) -> np.ndarray:
-        self._require_fitted()
-        return self._embeddings
 
     def corrected_prior(self) -> np.ndarray:
         """The corrected knowledge-graph embedding ``h_v + mu_v``."""

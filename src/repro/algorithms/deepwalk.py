@@ -11,15 +11,13 @@ import numpy as np
 
 from repro.algorithms.base import (
     EmbeddingModel,
-    default_optimizer,
-    train_skipgram,
+    skipgram_embeddings,
     train_skipgram_kv,
     unit_rows,
 )
 from repro.errors import TrainingError
 from repro.graph.graph import Graph
 from repro.nn.init import embedding_init
-from repro.nn.layers import Embedding
 from repro.sampling.negative import DegreeBiasedNegativeSampler
 from repro.sampling.randomwalk import random_walks, walk_context_pairs
 from repro.utils.rng import make_rng
@@ -82,20 +80,9 @@ class DeepWalk(EmbeddingModel):
         pairs = walk_context_pairs(self._walks(graph, rng), self.window)
         if self.backend == "kv":
             return self._fit_kv(graph, rng, pairs)
-        center = Embedding(graph.n_vertices, self.dim, rng)
-        context = Embedding(graph.n_vertices, self.dim, rng)
-        optimizer = default_optimizer(center.parameters() + context.parameters(), self.lr)
-        self.final_loss = train_skipgram(
-            pairs,
-            center_fn=center,
-            context_fn=context,
-            optimizer=optimizer,
-            negative_sampler=DegreeBiasedNegativeSampler(graph),
-            rng=rng,
-            epochs=self.epochs,
-            neg_num=self.neg_num,
+        self._embeddings, self.final_loss = skipgram_embeddings(
+            pairs, graph, self.dim, rng, self.epochs, self.neg_num, self.lr
         )
-        self._embeddings = unit_rows(center.table.numpy())
         return self
 
     def _fit_kv(
@@ -115,18 +102,16 @@ class DeepWalk(EmbeddingModel):
 
         n = graph.n_vertices
         store = make_store(graph, self.kv_workers, seed=self.seed)
-        center = EmbeddingKVStore(
-            store, n, self.dim, name=f"{self.name}.center",
-            optimizer="adam", lr=self.lr,
-            staleness=self.kv_staleness,
-            init=embedding_init((n, self.dim), rng),
-        )
-        context = EmbeddingKVStore(
-            store, n, self.dim, name=f"{self.name}.context",
-            optimizer="adam", lr=self.lr,
-            staleness=self.kv_staleness,
-            init=embedding_init((n, self.dim), rng),
-        )
+
+        def table(role: str) -> EmbeddingKVStore:
+            return EmbeddingKVStore(
+                store, n, self.dim, name=f"{self.name}.{role}",
+                optimizer="adam", lr=self.lr,
+                staleness=self.kv_staleness,
+                init=embedding_init((n, self.dim), rng),
+            )
+
+        center, context = table("center"), table("context")
         self.final_loss = train_skipgram_kv(
             pairs,
             kv_center=center,
@@ -139,7 +124,3 @@ class DeepWalk(EmbeddingModel):
         self.kv_store = store
         self._embeddings = unit_rows(center.materialize())
         return self
-
-    def embeddings(self) -> np.ndarray:
-        self._require_fitted()
-        return self._embeddings

@@ -65,10 +65,6 @@ class TNE(EmbeddingModel):
         self._embeddings = unit_rows(self.snapshot_embeddings[-1])
         return self
 
-    def embeddings(self) -> np.ndarray:
-        self._require_fitted()
-        return self._embeddings
-
 
 class DANE(EmbeddingModel):
     """Spectral structure (+ attribute) embedding averaged over snapshots."""
@@ -97,7 +93,3 @@ class DANE(EmbeddingModel):
             aligned.append(emb * signs)
         self._embeddings = unit_rows(np.mean(aligned, axis=0))
         return self
-
-    def embeddings(self) -> np.ndarray:
-        self._require_fitted()
-        return self._embeddings

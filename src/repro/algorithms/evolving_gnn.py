@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import EmbeddingModel, unit_rows
+from repro.algorithms.base import EmbeddingModel, train_steps, unit_rows
 from repro.algorithms.graphsage import GraphSAGE
 from repro.errors import TrainingError
 from repro.graph.dynamic import DynamicGraph
@@ -113,8 +113,7 @@ class EvolvingGNN(EmbeddingModel):
         )
         optimizer = Adam(params, lr=self.lr)
 
-        for _ in range(self.head_epochs):
-            optimizer.zero_grad()
+        def loss_fn() -> Tensor:
             h = gru.init_state(n)
             loss = None
             for t in range(len(dyn_feats) - 1):
@@ -128,8 +127,11 @@ class EvolvingGNN(EmbeddingModel):
                 term = recon + kl * self.kl_weight
                 loss = term if loss is None else loss + term
             assert loss is not None
-            loss.backward()
-            optimizer.step()
+            return loss
+
+        # Full-batch training: every step sees all trajectories, so the
+        # batches carry nothing.
+        train_steps([()] * self.head_epochs, loss_fn, optimizer)
 
         # Final state after consuming the whole trajectory.
         h = gru.init_state(n)
@@ -146,7 +148,3 @@ class EvolvingGNN(EmbeddingModel):
             axis=1,
         )
         return self
-
-    def embeddings(self) -> np.ndarray:
-        self._require_fitted()
-        return self._embeddings

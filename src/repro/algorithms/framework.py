@@ -19,7 +19,14 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from repro.algorithms.base import EmbeddingModel, unit_rows
+from repro.algorithms.base import (
+    EmbeddingModel,
+    edge_batches,
+    node_features,
+    steps_per_epoch,
+    train_steps,
+    unit_rows,
+)
 from repro.errors import TrainingError
 from repro.graph.graph import Graph
 from repro.nn import functional as F
@@ -37,8 +44,6 @@ from repro.sampling.neighborhood import (
     UniformNeighborSampler,
     WeightedNeighborSampler,
 )
-from repro.sampling.negative import DegreeBiasedNegativeSampler
-from repro.sampling.traverse import EdgeTraverseSampler
 from repro.utils.rng import make_rng
 
 _SAMPLERS = {
@@ -166,7 +171,6 @@ class GNNFramework(EmbeddingModel):
         batch_size: int = 512,
         neg_num: int = 5,
         lr: float = 0.01,
-        resample_each_epoch: bool = True,
         max_steps_per_epoch: int = 40,
         early_stop_patience: int = 0,
         early_stop_min_delta: float = 1e-3,
@@ -187,7 +191,6 @@ class GNNFramework(EmbeddingModel):
         self.batch_size = batch_size
         self.neg_num = neg_num
         self.lr = lr
-        self.resample_each_epoch = resample_each_epoch
         self.max_steps_per_epoch = max_steps_per_epoch
         # Early stopping (paper §7, future work #3): terminate training
         # when no epoch improves the mean loss by min_delta for patience
@@ -210,20 +213,6 @@ class GNNFramework(EmbeddingModel):
             return _SAMPLERS[self.sampler](provider)
         except KeyError:
             raise TrainingError(f"unknown sampler plugin {self.sampler!r}") from None
-
-    def _features(self, graph: Graph) -> np.ndarray:
-        feats = getattr(graph, "vertex_features", None)
-        if feats is not None:
-            out = np.asarray(feats, dtype=np.float64)
-            # Standardize: discrete attribute codes become usable signals.
-            mu = out.mean(axis=0, keepdims=True)
-            sd = out.std(axis=0, keepdims=True) + 1e-9
-            return (out - mu) / sd
-        # Featureless graphs get degree + random projection features.
-        rng = make_rng(self.seed)
-        deg = np.log1p(graph.out_degrees()).reshape(-1, 1)
-        rand = rng.normal(size=(graph.n_vertices, min(self.dim, 16)))
-        return np.concatenate([deg, rand], axis=1)
 
     def _sample_hop_tables(
         self, graph: Graph, sampler, rng: np.random.Generator
@@ -249,7 +238,7 @@ class GNNFramework(EmbeddingModel):
         rng = make_rng(self.seed)
         prof = self.profiler
         stage = prof.stage if prof is not None else (lambda name: nullcontext())
-        features = self._features(graph)
+        features = node_features(graph, make_rng(self.seed), min(self.dim, 16))
         sampler = self._make_sampler(graph)
         encoder = _GNNEncoder(
             in_dim=features.shape[1],
@@ -263,14 +252,12 @@ class GNNFramework(EmbeddingModel):
         encoder.profiler = prof
         self._encoder = encoder
         optimizer = Adam(encoder.parameters(), lr=self.lr)
-        edge_sampler = EdgeTraverseSampler(graph)
-        neg_sampler = DegreeBiasedNegativeSampler(graph)
         feat_tensor = Tensor(features)
         #: Deterministic per-fit block accounting: steps trained on blocks,
         #: feature rows gathered, and vertex rows across all block levels.
         self.block_stats = {"steps": 0, "input_rows": 0, "total_rows": 0}
-        #: Full-graph mode's block, redrawn per epoch under
-        #: ``resample_each_epoch``; minibatch mode builds it once at the end.
+        #: Full-graph mode's block, redrawn every epoch; minibatch mode
+        #: builds it once at the end.
         graph_block: "KHopBlock | None" = None
         if self.minibatch_blocks:
             hop_nums = [self.fanout] * self.kmax
@@ -292,39 +279,30 @@ class GNNFramework(EmbeddingModel):
             def step_block(*batch_ids: np.ndarray) -> KHopBlock:
                 return graph_block
 
-        steps = min(self.max_steps_per_epoch, max(1, graph.n_edges // self.batch_size))
+        def loss_fn(src: np.ndarray, dst: np.ndarray, negs: np.ndarray) -> Tensor:
+            block = step_block(src, dst, negs)
+            h = encoder(feat_tensor, block)
+            return skipgram_negative_loss(
+                h.gather_rows(block.seed_positions(src)),
+                h.gather_rows(block.seed_positions(dst)),
+                h.gather_rows(block.seed_positions(negs)),
+            )
+
+        steps = steps_per_epoch(graph, self.batch_size, self.max_steps_per_epoch)
+        batches = edge_batches(
+            graph, rng, steps * self.epochs, self.batch_size, self.neg_num
+        )
         self.loss_history = []
         self.stopped_early = False
         best_loss = float("inf")
         stall = 0
-        for epoch in range(self.epochs):
-            if not self.minibatch_blocks and (
-                epoch == 0 or self.resample_each_epoch
-            ):
+        for _ in range(self.epochs):
+            if not self.minibatch_blocks:
                 with stage("sample"):
                     graph_block = self._all_vertex_block(graph, sampler, rng)
-            epoch_losses = []
-            for _ in range(steps):
-                with prof.step() if prof is not None else nullcontext():
-                    with stage("sample"):
-                        src, dst = edge_sampler.sample(self.batch_size, rng)
-                        negs = neg_sampler.sample(
-                            src, self.neg_num, rng
-                        ).reshape(-1)
-                    optimizer.zero_grad()
-                    block = step_block(src, dst, negs)
-                    h = encoder(feat_tensor, block)
-                    loss = skipgram_negative_loss(
-                        h.gather_rows(block.seed_positions(src)),
-                        h.gather_rows(block.seed_positions(dst)),
-                        h.gather_rows(block.seed_positions(negs)),
-                    )
-                    with stage("backward"):
-                        loss.backward()
-                    with stage("optimizer"):
-                        optimizer.step()
-                epoch_losses.append(loss.item())
-            epoch_loss = float(np.mean(epoch_losses))
+            epoch_loss = float(
+                np.mean(train_steps(batches, loss_fn, optimizer, steps, prof))
+            )
             self.loss_history.append(epoch_loss)
             if self.early_stop_patience > 0:
                 if epoch_loss < best_loss - self.early_stop_min_delta:
@@ -344,7 +322,3 @@ class GNNFramework(EmbeddingModel):
         with no_grad():
             self._embeddings = unit_rows(encoder(feat_tensor, graph_block).numpy())
         return self
-
-    def embeddings(self) -> np.ndarray:
-        self._require_fitted()
-        return self._embeddings

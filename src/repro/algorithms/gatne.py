@@ -17,7 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import EmbeddingModel, unit_rows
+from repro.algorithms.base import (
+    EmbeddingModel,
+    node_features,
+    pair_batches,
+    train_steps,
+    unit_rows,
+    walk_pairs,
+)
 from repro.errors import TrainingError
 from repro.graph.ahg import AttributedHeterogeneousGraph
 from repro.nn import functional as F
@@ -27,7 +34,6 @@ from repro.nn.loss import skipgram_negative_loss
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.sampling.negative import DegreeBiasedNegativeSampler
-from repro.sampling.randomwalk import random_walks, walk_context_pairs
 from repro.utils.rng import make_rng
 
 
@@ -95,10 +101,8 @@ class GATNE(EmbeddingModel):
             Tensor(xavier_uniform((self.edge_dim, self.dim), rng), requires_grad=True)
             for _ in range(t_count)
         ]
-        feats = getattr(graph, "vertex_features", None)
-        if feats is not None:
-            x = np.asarray(feats, dtype=np.float64)
-            self._features = (x - x.mean(axis=0)) / (x.std(axis=0) + 1e-9)
+        if getattr(graph, "vertex_features", None) is not None:
+            self._features = node_features(graph, rng, 0)
             self._attr_proj = Tensor(
                 xavier_uniform((self._features.shape[1], self.dim), rng),
                 requires_grad=True,
@@ -153,29 +157,22 @@ class GATNE(EmbeddingModel):
         optimizer = Adam(self._parameters(), lr=self.lr)
         neg_sampler = DegreeBiasedNegativeSampler(graph)
 
+        def loss_fn(c_ids: np.ndarray, u_ids: np.ndarray, negs: np.ndarray) -> Tensor:
+            # ti: the edge-type layer being walked
+            return skipgram_negative_loss(
+                self._embed(c_ids, ti), self._context(u_ids), self._context(negs)
+            )
+
         for _ in range(self.epochs):
             for ti, etype in enumerate(self._etypes):
                 layer = graph.edge_type_subgraph(etype)
-                starts = np.tile(layer.vertices(), self.walks_per_vertex)
-                rng.shuffle(starts)
-                centers, contexts = walk_context_pairs(
-                    random_walks(layer, starts, self.walk_length, rng), self.window
-                )
-                if centers.size == 0:
+                pairs = walk_pairs(layer, rng, self.walks_per_vertex, self.walk_length, self.window)
+                if pairs[0].size == 0:
                     continue
-                perm = rng.permutation(centers.size)
-                for lo in range(0, centers.size, self.batch_size):
-                    idx = perm[lo : lo + self.batch_size]
-                    c_ids, u_ids = centers[idx], contexts[idx]
-                    negs = neg_sampler.sample(c_ids, self.neg_num, rng).reshape(-1)
-                    optimizer.zero_grad()
-                    loss = skipgram_negative_loss(
-                        self._embed(c_ids, ti),
-                        self._context(u_ids),
-                        self._context(negs),
-                    )
-                    loss.backward()
-                    optimizer.step()
+                batches = pair_batches(
+                    pairs, neg_sampler, rng, self.batch_size, self.neg_num
+                )
+                train_steps(batches, loss_fn, optimizer)
 
         all_ids = graph.vertices()
         per_type = []
@@ -186,10 +183,6 @@ class GATNE(EmbeddingModel):
         # Final embedding: concatenation of h_{v,c} across edge types.
         self._embeddings = unit_rows(np.concatenate(per_type, axis=1))
         return self
-
-    def embeddings(self) -> np.ndarray:
-        self._require_fitted()
-        return self._embeddings
 
     def type_embeddings(self, edge_type: str) -> np.ndarray:
         """The edge-type-specific embedding h_{v,c}."""

@@ -19,15 +19,19 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.algorithms.base import EmbeddingModel, unit_rows
+from repro.algorithms.base import (
+    EmbeddingModel,
+    edge_batches,
+    node_features,
+    train_steps,
+    unit_rows,
+)
 from repro.graph.graph import Graph
 from repro.nn import functional as F
 from repro.nn.layers import Dense
 from repro.nn.loss import skipgram_negative_loss
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
-from repro.sampling.negative import DegreeBiasedNegativeSampler
-from repro.sampling.traverse import EdgeTraverseSampler
 from repro.utils.rng import make_rng
 
 
@@ -66,16 +70,6 @@ class GCN(EmbeddingModel):
         self.seed = seed
         self._embeddings: np.ndarray | None = None
 
-    def _features(self, graph: Graph, rng: np.random.Generator) -> np.ndarray:
-        feats = getattr(graph, "vertex_features", None)
-        if feats is not None:
-            x = np.asarray(feats, dtype=np.float64)
-            return (x - x.mean(axis=0)) / (x.std(axis=0) + 1e-9)
-        deg = np.log1p(graph.out_degrees()).reshape(-1, 1)
-        return np.concatenate(
-            [deg, rng.normal(size=(graph.n_vertices, 15))], axis=1
-        )
-
     def _propagate(
         self, a_hat: sp.csr_matrix, x: Tensor, rng: np.random.Generator
     ) -> Tensor:
@@ -85,32 +79,25 @@ class GCN(EmbeddingModel):
 
     def fit(self, graph: Graph) -> "GCN":
         rng = make_rng(self.seed)
-        x = self._features(graph, rng)
+        x = node_features(graph, rng, 15)
         a_hat = normalized_adjacency(graph)
         self._w0 = Dense(x.shape[1], self.hidden, rng)
         self._w1 = Dense(self.hidden, self.dim, rng)
         params = self._w0.parameters() + self._w1.parameters()
         optimizer = Adam(params, lr=self.lr)
-        edges = EdgeTraverseSampler(graph)
-        negs = DegreeBiasedNegativeSampler(graph)
         xt = Tensor(x)
-        for _ in range(self.steps):
-            src, dst = edges.sample(self.batch_size, rng)
-            neg_ids = negs.sample(src, self.neg_num, rng).reshape(-1)
-            optimizer.zero_grad()
+
+        def loss_fn(src: np.ndarray, dst: np.ndarray, neg_ids: np.ndarray) -> Tensor:
             h = F.l2_normalize(self._propagate(a_hat, xt, rng))
-            loss = skipgram_negative_loss(
+            return skipgram_negative_loss(
                 h.gather_rows(src), h.gather_rows(dst), h.gather_rows(neg_ids)
             )
-            loss.backward()
-            optimizer.step()
+
+        batches = edge_batches(graph, rng, self.steps, self.batch_size, self.neg_num)
+        train_steps(batches, loss_fn, optimizer)
         h = F.l2_normalize(self._propagate(a_hat, xt, rng))
         self._embeddings = unit_rows(h.numpy())
         return self
-
-    def embeddings(self) -> np.ndarray:
-        self._require_fitted()
-        return self._embeddings
 
 
 class FastGCN(GCN):

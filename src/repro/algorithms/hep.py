@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import EmbeddingModel, unit_rows
+from repro.algorithms.base import EmbeddingModel, edge_batches, train_steps, unit_rows
 from repro.errors import TrainingError
 from repro.graph.ahg import AttributedHeterogeneousGraph
 from repro.nn.init import xavier_uniform
@@ -29,8 +29,6 @@ from repro.nn.layers import Embedding
 from repro.nn.loss import skipgram_negative_loss
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
-from repro.sampling.negative import DegreeBiasedNegativeSampler
-from repro.sampling.traverse import EdgeTraverseSampler
 from repro.utils.rng import make_rng
 
 
@@ -134,8 +132,6 @@ class HEP(EmbeddingModel):
         ]
         params = emb.parameters() + recon
         optimizer = Adam(params, lr=self.lr)
-        edges = EdgeTraverseSampler(graph)
-        negs = DegreeBiasedNegativeSampler(graph)
         # Pre-index neighbors by type for the EP term.
         vertex_types = graph.vertex_types
         self.peak_batch_rows = 0
@@ -178,10 +174,7 @@ class HEP(EmbeddingModel):
                     rows[heavy] = t_indices[flat]
             return valid, rows
 
-        for _ in range(self.steps):
-            src, dst = edges.sample(self.batch_size, rng)
-            neg_ids = negs.sample(src, self.neg_num, rng).reshape(-1)
-            optimizer.zero_grad()
+        def loss_fn(src: np.ndarray, dst: np.ndarray, neg_ids: np.ndarray) -> Tensor:
             # Supervised link loss (L_SL).
             loss = skipgram_negative_loss(emb(src), emb(dst), emb(neg_ids))
             # Embedding-propagation loss (L_EP) over the batch sources.
@@ -210,17 +203,13 @@ class HEP(EmbeddingModel):
             for w in recon:
                 term = (w * w).sum()
                 reg = term if reg is None else reg + term
-            loss = loss + reg * self.beta
-            loss.backward()
-            optimizer.step()
             self.peak_batch_rows = max(self.peak_batch_rows, batch_rows)
+            return loss + reg * self.beta
 
+        batches = edge_batches(graph, rng, self.steps, self.batch_size, self.neg_num)
+        train_steps(batches, loss_fn, optimizer)
         self._embeddings = unit_rows(emb.table.numpy())
         return self
-
-    def embeddings(self) -> np.ndarray:
-        self._require_fitted()
-        return self._embeddings
 
 
 class AHEP(HEP):

@@ -16,7 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import EmbeddingModel, unit_rows
+from repro.algorithms.base import (
+    EmbeddingModel,
+    edge_batches,
+    node_features,
+    train_steps,
+    unit_rows,
+)
 from repro.algorithms.gcn import normalized_adjacency
 from repro.errors import TrainingError
 from repro.graph.graph import Graph
@@ -25,8 +31,6 @@ from repro.nn.layers import Dense
 from repro.nn.loss import skipgram_negative_loss
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
-from repro.sampling.negative import DegreeBiasedNegativeSampler
-from repro.sampling.traverse import EdgeTraverseSampler
 from repro.utils.rng import make_rng
 
 
@@ -56,14 +60,6 @@ class HierarchicalGNN(EmbeddingModel):
         self.seed = seed
         self._embeddings: np.ndarray | None = None
 
-    def _features(self, graph: Graph, rng: np.random.Generator) -> np.ndarray:
-        feats = getattr(graph, "vertex_features", None)
-        if feats is not None:
-            x = np.asarray(feats, dtype=np.float64)
-            return (x - x.mean(axis=0)) / (x.std(axis=0) + 1e-9)
-        deg = np.log1p(graph.out_degrees()).reshape(-1, 1)
-        return np.concatenate([deg, rng.normal(size=(graph.n_vertices, 15))], axis=1)
-
     def fit(self, graph: Graph) -> "HierarchicalGNN":
         if graph.n_vertices > 8000:
             raise TrainingError(
@@ -71,7 +67,7 @@ class HierarchicalGNN(EmbeddingModel):
                 "limited to 8000 vertices here"
             )
         rng = make_rng(self.seed)
-        x = self._features(graph, rng)
+        x = node_features(graph, rng, 15)
         a_hat = normalized_adjacency(graph)
         half = self.dim // 2
         embed0 = Dense(x.shape[1], half, rng, "relu")
@@ -79,8 +75,6 @@ class HierarchicalGNN(EmbeddingModel):
         embed1 = Dense(half, half, rng, "relu")
         params = embed0.parameters() + pool0.parameters() + embed1.parameters()
         optimizer = Adam(params, lr=self.lr)
-        edges = EdgeTraverseSampler(graph)
-        negs = DegreeBiasedNegativeSampler(graph)
         xt = Tensor(x)
 
         def forward() -> Tensor:
@@ -96,20 +90,13 @@ class HierarchicalGNN(EmbeddingModel):
             up = s0 @ z1
             return F.l2_normalize(F.concat([z0, up], axis=-1))
 
-        for _ in range(self.steps):
-            src, dst = edges.sample(self.batch_size, rng)
-            neg_ids = negs.sample(src, self.neg_num, rng).reshape(-1)
-            optimizer.zero_grad()
+        def loss_fn(src: np.ndarray, dst: np.ndarray, neg_ids: np.ndarray) -> Tensor:
             h = forward()
-            loss = skipgram_negative_loss(
+            return skipgram_negative_loss(
                 h.gather_rows(src), h.gather_rows(dst), h.gather_rows(neg_ids)
             )
-            loss.backward()
-            optimizer.step()
 
+        batches = edge_batches(graph, rng, self.steps, self.batch_size, self.neg_num)
+        train_steps(batches, loss_fn, optimizer)
         self._embeddings = unit_rows(forward().numpy())
         return self
-
-    def embeddings(self) -> np.ndarray:
-        self._require_fitted()
-        return self._embeddings

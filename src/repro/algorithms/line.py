@@ -8,17 +8,18 @@ embedding concatenates the two halves.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
-from repro.algorithms.base import EmbeddingModel, unit_rows
+from repro.algorithms.base import EmbeddingModel, edge_batches, train_steps, unit_rows
 from repro.errors import TrainingError
 from repro.graph.graph import Graph
 from repro.nn.init import embedding_init
 from repro.nn.layers import Embedding
 from repro.nn.loss import skipgram_negative_loss
 from repro.nn.optim import Adam
-from repro.sampling.negative import DegreeBiasedNegativeSampler
-from repro.sampling.traverse import EdgeTraverseSampler
+from repro.nn.tensor import Tensor
 from repro.utils.rng import make_rng
 
 
@@ -71,8 +72,11 @@ class LINE(EmbeddingModel):
         rng = make_rng(self.seed)
         half = self.dim // 2
         n = graph.n_vertices
+        batches = edge_batches(
+            graph, rng, self.steps, self.batch_size, self.neg_num, weighted=True
+        )
         if self.backend == "kv":
-            return self._fit_kv(graph, rng, half, n)
+            return self._fit_kv(graph, rng, half, n, batches)
         first = Embedding(n, half, rng)
         second = Embedding(n, half, rng)
         second_ctx = Embedding(n, half, rng)
@@ -80,29 +84,26 @@ class LINE(EmbeddingModel):
             first.parameters() + second.parameters() + second_ctx.parameters(),
             lr=self.lr,
         )
-        edges = EdgeTraverseSampler(graph, weighted=True)
-        negs = DegreeBiasedNegativeSampler(graph)
-        for _ in range(self.steps):
-            src, dst = edges.sample(self.batch_size, rng)
-            neg_ids = negs.sample(src, self.neg_num, rng).reshape(-1)
-            optimizer.zero_grad()
+
+        def loss_fn(src: np.ndarray, dst: np.ndarray, neg_ids: np.ndarray) -> Tensor:
             # 1st order: symmetric affinity between endpoint embeddings.
             loss1 = skipgram_negative_loss(first(src), first(dst), first(neg_ids))
             # 2nd order: source embedding vs context-role destination.
             loss2 = skipgram_negative_loss(
                 second(src), second_ctx(dst), second_ctx(neg_ids)
             )
-            (loss1 + loss2).backward()
-            optimizer.step()
+            return loss1 + loss2
+
+        train_steps(batches, loss_fn, optimizer)
         self._embeddings = unit_rows(
             np.concatenate([first.table.numpy(), second.table.numpy()], axis=1)
         )
         return self
 
     def _fit_kv(
-        self, graph: Graph, rng: np.random.Generator, half: int, n: int
+        self, graph: Graph, rng: np.random.Generator, half: int, n: int, batches: Iterator
     ) -> "LINE":
-        """Edge-sampled training against parameter-server tables."""
+        """The dense path's ``batches`` against parameter-server tables."""
         from repro.storage.cluster import make_store
         from repro.storage.embedding import EmbeddingKVStore
 
@@ -117,11 +118,7 @@ class LINE(EmbeddingModel):
             )
 
         first, second, second_ctx = table("first"), table("second"), table("ctx")
-        edges = EdgeTraverseSampler(graph, weighted=True)
-        negs = DegreeBiasedNegativeSampler(graph)
-        for _ in range(self.steps):
-            src, dst = edges.sample(self.batch_size, rng)
-            neg_ids = negs.sample(src, self.neg_num, rng).reshape(-1)
+        for src, dst, neg_ids in batches:
             mb_first = first.minibatch(src, dst, neg_ids)
             mb_second = second.minibatch(src)
             mb_ctx = second_ctx.minibatch(dst, neg_ids)
@@ -142,7 +139,3 @@ class LINE(EmbeddingModel):
             np.concatenate([first.materialize(), second.materialize()], axis=1)
         )
         return self
-
-    def embeddings(self) -> np.ndarray:
-        self._require_fitted()
-        return self._embeddings

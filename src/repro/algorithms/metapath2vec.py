@@ -9,16 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import (
-    EmbeddingModel,
-    default_optimizer,
-    train_skipgram,
-    unit_rows,
-)
+from repro.algorithms.base import EmbeddingModel, skipgram_embeddings
 from repro.errors import TrainingError
 from repro.graph.ahg import AttributedHeterogeneousGraph
-from repro.nn.layers import Embedding
-from repro.sampling.negative import DegreeBiasedNegativeSampler
 from repro.sampling.randomwalk import metapath_walks, walk_context_pairs
 from repro.utils.rng import make_rng
 
@@ -72,24 +65,7 @@ class Metapath2Vec(EmbeddingModel):
         pairs = walk_context_pairs([w for w in walks if w.size > 1], self.window)
         if pairs[0].size == 0:
             raise TrainingError("metapath walks produced no context pairs")
-        center = Embedding(graph.n_vertices, self.dim, rng)
-        context = Embedding(graph.n_vertices, self.dim, rng)
-        optimizer = default_optimizer(
-            center.parameters() + context.parameters(), self.lr
+        self._embeddings, _ = skipgram_embeddings(
+            pairs, graph, self.dim, rng, self.epochs, self.neg_num, self.lr
         )
-        train_skipgram(
-            pairs,
-            center_fn=center,
-            context_fn=context,
-            optimizer=optimizer,
-            negative_sampler=DegreeBiasedNegativeSampler(graph),
-            rng=rng,
-            epochs=self.epochs,
-            neg_num=self.neg_num,
-        )
-        self._embeddings = unit_rows(center.table.numpy())
         return self
-
-    def embeddings(self) -> np.ndarray:
-        self._require_fitted()
-        return self._embeddings

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import EmbeddingModel, unit_rows
+from repro.algorithms.base import EmbeddingModel, pair_batches, train_steps, unit_rows, walk_pairs
 from repro.errors import TrainingError
 from repro.graph.graph import Graph
 from repro.nn import functional as F
@@ -25,7 +25,6 @@ from repro.nn.layers import Embedding
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.sampling.negative import DegreeBiasedNegativeSampler
-from repro.sampling.randomwalk import random_walks, walk_context_pairs
 from repro.utils.rng import make_rng
 
 
@@ -74,44 +73,38 @@ class MixtureGNN(EmbeddingModel):
             params += s.parameters()
         optimizer = Adam(params, lr=self.lr)
 
-        starts = np.tile(graph.vertices(), self.walks_per_vertex)
-        rng.shuffle(starts)
-        centers, contexts = walk_context_pairs(
-            random_walks(graph, starts, self.walk_length, rng), self.window
-        )
-        if centers.size == 0:
+        pairs = walk_pairs(graph, rng, self.walks_per_vertex, self.walk_length, self.window)
+        if pairs[0].size == 0:
             raise TrainingError("no walk context pairs — graph too sparse")
         neg_sampler = DegreeBiasedNegativeSampler(graph)
 
+        def loss_fn(c_ids: np.ndarray, u_ids: np.ndarray, negs: np.ndarray) -> Tensor:
+            b = c_ids.size
+            pi = F.softmax(prior_logits.gather_rows(c_ids), axis=-1)  # (b, K)
+            ctx = context(u_ids)
+            neg = context(negs)
+            tiled_idx = np.repeat(np.arange(b), self.neg_num)
+            total = None
+            for k, sense in enumerate(senses):
+                z = sense(c_ids)  # (b, d)
+                pos_score = (z * ctx).sum(axis=1)
+                neg_score = (z.gather_rows(tiled_idx) * neg).sum(axis=1)
+                # Per-pair SGNS log-likelihood under sense k.
+                ll = F.log_sigmoid(pos_score) + F.log_sigmoid(
+                    -neg_score
+                ).reshape(b, self.neg_num).sum(axis=1)
+                onehot = np.zeros((1, self.n_senses))
+                onehot[0, k] = 1.0
+                pi_k = (pi * onehot).sum(axis=1)  # (b,)
+                weighted = pi_k * ll
+                total = weighted if total is None else total + weighted
+            return -total.mean()
+
         for _ in range(self.epochs):
-            perm = rng.permutation(centers.size)
-            for lo in range(0, centers.size, self.batch_size):
-                idx = perm[lo : lo + self.batch_size]
-                c_ids, u_ids = centers[idx], contexts[idx]
-                b = c_ids.size
-                negs = neg_sampler.sample(c_ids, self.neg_num, rng).reshape(-1)
-                optimizer.zero_grad()
-                pi = F.softmax(prior_logits.gather_rows(c_ids), axis=-1)  # (b, K)
-                ctx = context(u_ids)
-                neg = context(negs)
-                tiled_idx = np.repeat(np.arange(b), self.neg_num)
-                total = None
-                for k, sense in enumerate(senses):
-                    z = sense(c_ids)  # (b, d)
-                    pos_score = (z * ctx).sum(axis=1)
-                    neg_score = (z.gather_rows(tiled_idx) * neg).sum(axis=1)
-                    # Per-pair SGNS log-likelihood under sense k.
-                    ll = F.log_sigmoid(pos_score) + F.log_sigmoid(
-                        -neg_score
-                    ).reshape(b, self.neg_num).sum(axis=1)
-                    onehot = np.zeros((1, self.n_senses))
-                    onehot[0, k] = 1.0
-                    pi_k = (pi * onehot).sum(axis=1)  # (b,)
-                    weighted = pi_k * ll
-                    total = weighted if total is None else total + weighted
-                loss = -total.mean()
-                loss.backward()
-                optimizer.step()
+            batches = pair_batches(
+                pairs, neg_sampler, rng, self.batch_size, self.neg_num
+            )
+            train_steps(batches, loss_fn, optimizer)
 
         # Final embedding: prior-weighted mixture of the sense vectors.
         pi = F.softmax(Tensor(prior_logits.data), axis=-1).numpy()  # (n, K)
@@ -122,10 +115,6 @@ class MixtureGNN(EmbeddingModel):
         self._context_table = context.table.numpy()
         self._mixture_table = np.einsum("ndk,nk->nd", stacked, pi)
         return self
-
-    def embeddings(self) -> np.ndarray:
-        self._require_fitted()
-        return self._embeddings
 
     def sense_embeddings(self) -> "list[np.ndarray]":
         """The K per-sense embedding tables."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import EmbeddingModel, unit_rows
+from repro.algorithms.base import EmbeddingModel, pair_batches, train_steps, unit_rows, walk_pairs
 from repro.errors import TrainingError
 from repro.graph.ahg import AttributedHeterogeneousGraph
 from repro.nn.init import xavier_uniform
@@ -20,7 +20,6 @@ from repro.nn.loss import skipgram_negative_loss
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.sampling.negative import DegreeBiasedNegativeSampler
-from repro.sampling.randomwalk import random_walks, walk_context_pairs
 from repro.utils.rng import make_rng
 
 
@@ -86,29 +85,20 @@ class MNE(EmbeddingModel):
         optimizer = Adam(params, lr=self.lr)
         neg_sampler = DegreeBiasedNegativeSampler(graph)
 
-        def center_fn(t: str, ids: np.ndarray) -> Tensor:
-            return common(ids) + (extras[t](ids) @ lifts[t]) * self.mix_weight
+        def loss_fn(c_ids: np.ndarray, u_ids: np.ndarray, negs: np.ndarray) -> Tensor:
+            # The type-t view of the centers (t: the layer being walked).
+            center = common(c_ids) + (extras[t](c_ids) @ lifts[t]) * self.mix_weight
+            return skipgram_negative_loss(center, context(u_ids), context(negs))
 
         for _ in range(self.epochs):
             for t, g in layers:
-                starts = np.tile(g.vertices(), self.walks_per_vertex)
-                rng.shuffle(starts)
-                centers, contexts = walk_context_pairs(
-                    random_walks(g, starts, self.walk_length, rng), self.window
-                )
-                if centers.size == 0:
+                pairs = walk_pairs(g, rng, self.walks_per_vertex, self.walk_length, self.window)
+                if pairs[0].size == 0:
                     continue
-                perm = rng.permutation(centers.size)
-                for lo in range(0, centers.size, self.batch_size):
-                    idx = perm[lo : lo + self.batch_size]
-                    c_ids, u_ids = centers[idx], contexts[idx]
-                    negs = neg_sampler.sample(c_ids, self.neg_num, rng).reshape(-1)
-                    optimizer.zero_grad()
-                    loss = skipgram_negative_loss(
-                        center_fn(t, c_ids), context(u_ids), context(negs)
-                    )
-                    loss.backward()
-                    optimizer.step()
+                batches = pair_batches(
+                    pairs, neg_sampler, rng, self.batch_size, self.neg_num
+                )
+                train_steps(batches, loss_fn, optimizer)
 
         self._type_embeddings = {
             t: unit_rows(
@@ -122,10 +112,6 @@ class MNE(EmbeddingModel):
             np.mean(np.stack(list(self._type_embeddings.values())), axis=0)
         )
         return self
-
-    def embeddings(self) -> np.ndarray:
-        self._require_fitted()
-        return self._embeddings
 
     def type_embeddings(self, edge_type: str) -> np.ndarray:
         """The per-edge-type view of the embeddings."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import EmbeddingModel, unit_rows
+from repro.algorithms.base import EmbeddingModel, pair_batches, train_steps, unit_rows, walk_pairs
 from repro.errors import TrainingError
 from repro.graph.ahg import AttributedHeterogeneousGraph
 from repro.nn import functional as F
@@ -23,7 +23,6 @@ from repro.nn.loss import skipgram_negative_loss
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.sampling.negative import DegreeBiasedNegativeSampler
-from repro.sampling.randomwalk import random_walks, walk_context_pairs
 from repro.utils.rng import make_rng
 
 
@@ -81,48 +80,38 @@ class MVE(EmbeddingModel):
 
         per_view_pairs = []
         for _, g in views:
-            starts = np.tile(g.vertices(), self.walks_per_vertex)
-            rng.shuffle(starts)
-            pairs = walk_context_pairs(
-                random_walks(g, starts, self.walk_length, rng), self.window
-            )
+            pairs = walk_pairs(g, rng, self.walks_per_vertex, self.walk_length, self.window)
             per_view_pairs.append(pairs)
         neg_sampler = DegreeBiasedNegativeSampler(graph)
 
+        def loss_fn(c_ids: np.ndarray, u_ids: np.ndarray, negs: np.ndarray) -> Tensor:
+            delta = deltas[vi](c_ids)  # vi: the view being trained
+            z = base(c_ids) + delta
+            sg = skipgram_negative_loss(z, context(u_ids), context(negs))
+            # Collaboration: deviations stay small, so every view's
+            # gradient flows into the shared base.
+            collab = (delta * delta).mean()
+            # Attention training: the attention-combined embedding
+            # must also explain this view's contexts, so the
+            # per-vertex view weights learn which views to trust.
+            weights = F.softmax(attn.gather_rows(c_ids), axis=-1)
+            combined = base(c_ids)
+            for vj, d in enumerate(deltas):
+                onehot = np.zeros((1, n_views))
+                onehot[0, vj] = 1.0
+                w_col = (weights * onehot).sum(axis=1, keepdims=True)
+                combined = combined + d(c_ids) * w_col
+            sg_comb = skipgram_negative_loss(combined, context(u_ids), context(negs))
+            return sg + sg_comb * 0.5 + collab * self.collaboration
+
         for _ in range(self.epochs):
-            for vi, (centers, contexts) in enumerate(per_view_pairs):
-                if centers.size == 0:
+            for vi, pairs in enumerate(per_view_pairs):
+                if pairs[0].size == 0:
                     continue
-                perm = rng.permutation(centers.size)
-                for lo in range(0, centers.size, self.batch_size):
-                    idx = perm[lo : lo + self.batch_size]
-                    c_ids, u_ids = centers[idx], contexts[idx]
-                    negs = neg_sampler.sample(c_ids, self.neg_num, rng).reshape(-1)
-                    optimizer.zero_grad()
-                    delta = deltas[vi](c_ids)
-                    z = base(c_ids) + delta
-                    sg = skipgram_negative_loss(
-                        z, context(u_ids), context(negs)
-                    )
-                    # Collaboration: deviations stay small, so every view's
-                    # gradient flows into the shared base.
-                    collab = (delta * delta).mean()
-                    # Attention training: the attention-combined embedding
-                    # must also explain this view's contexts, so the
-                    # per-vertex view weights learn which views to trust.
-                    weights = F.softmax(attn.gather_rows(c_ids), axis=-1)
-                    combined = base(c_ids)
-                    for vj, d in enumerate(deltas):
-                        onehot = np.zeros((1, n_views))
-                        onehot[0, vj] = 1.0
-                        w_col = (weights * onehot).sum(axis=1, keepdims=True)
-                        combined = combined + d(c_ids) * w_col
-                    sg_comb = skipgram_negative_loss(
-                        combined, context(u_ids), context(negs)
-                    )
-                    loss = sg + sg_comb * 0.5 + collab * self.collaboration
-                    loss.backward()
-                    optimizer.step()
+                batches = pair_batches(
+                    pairs, neg_sampler, rng, self.batch_size, self.neg_num
+                )
+                train_steps(batches, loss_fn, optimizer)
 
         final_weights = F.softmax(Tensor(attn.data), axis=-1).numpy()  # (n, V)
         base_table = base.table.numpy()
@@ -136,10 +125,6 @@ class MVE(EmbeddingModel):
             for v, (t, _) in enumerate(views)
         }
         return self
-
-    def embeddings(self) -> np.ndarray:
-        self._require_fitted()
-        return self._embeddings
 
     def type_embeddings(self, edge_type: str) -> np.ndarray:
         """The per-view (edge-type) embedding ``base + delta_v``."""

@@ -55,7 +55,3 @@ class NetMF(EmbeddingModel):
         m = np.log(np.maximum(m, 1.0))
         self._embeddings = unit_rows(svd_embed(sp.csr_matrix(m), self.dim))
         return self
-
-    def embeddings(self) -> np.ndarray:
-        self._require_fitted()
-        return self._embeddings

@@ -85,9 +85,7 @@ class PMNE(EmbeddingModel):
         """Cross-layer walks: stay in the current layer with probability
         ``window_stay``, otherwise jump to a random layer where the vertex
         has edges, then step within the chosen layer."""
-        from repro.algorithms.base import default_optimizer, train_skipgram
-        from repro.nn.layers import Embedding
-        from repro.sampling.negative import DegreeBiasedNegativeSampler
+        from repro.algorithms.base import skipgram_embeddings
         from repro.sampling.randomwalk import walk_context_pairs
         from repro.utils.rng import make_rng
 
@@ -127,20 +125,5 @@ class PMNE(EmbeddingModel):
                 walk.append(current)
             walks.append(np.asarray(walk, dtype=np.int64))
         pairs = walk_context_pairs(walks, window)
-        center = Embedding(graph.n_vertices, self.dim, rng)
-        context = Embedding(graph.n_vertices, self.dim, rng)
-        optimizer = default_optimizer(center.parameters() + context.parameters())
-        train_skipgram(
-            pairs,
-            center_fn=center,
-            context_fn=context,
-            optimizer=optimizer,
-            negative_sampler=DegreeBiasedNegativeSampler(graph),
-            rng=rng,
-            epochs=int(self.node2vec_kwargs.get("epochs", 2)),
-        )
-        return unit_rows(center.table.numpy())
-
-    def embeddings(self) -> np.ndarray:
-        self._require_fitted()
-        return self._embeddings
+        epochs = int(self.node2vec_kwargs.get("epochs", 2))
+        return skipgram_embeddings(pairs, graph, self.dim, rng, epochs)[0]

@@ -22,7 +22,14 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from repro.algorithms.base import EmbeddingModel, unit_rows
+from repro.algorithms.base import (
+    EmbeddingModel,
+    edge_batches,
+    node_features,
+    steps_per_epoch,
+    train_steps,
+    unit_rows,
+)
 from repro.errors import TrainingError
 from repro.graph.graph import Graph
 from repro.nn import functional as F
@@ -31,8 +38,6 @@ from repro.nn.loss import skipgram_negative_loss
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.sampling.kernels import CsrAdjacency
-from repro.sampling.negative import DegreeBiasedNegativeSampler
-from repro.sampling.traverse import EdgeTraverseSampler
 from repro.utils.rng import make_rng
 
 
@@ -93,18 +98,6 @@ class SIGN(EmbeddingModel):
         self._embeddings: np.ndarray | None = None
         self.loss_history: list[float] = []
 
-    def _features(self, graph: Graph) -> np.ndarray:
-        feats = getattr(graph, "vertex_features", None)
-        if feats is not None:
-            out = np.asarray(feats, dtype=np.float64)
-            mu = out.mean(axis=0, keepdims=True)
-            sd = out.std(axis=0, keepdims=True) + 1e-9
-            return (out - mu) / sd
-        rng = make_rng(self.seed)
-        deg = np.log1p(graph.out_degrees()).reshape(-1, 1)
-        rand = rng.normal(size=(graph.n_vertices, min(self.dim, 16)))
-        return np.concatenate([deg, rand], axis=1)
-
     def _head(self, z: Tensor) -> Tensor:
         return F.l2_normalize(self._out(F.relu(self._hidden(z))))
 
@@ -116,47 +109,39 @@ class SIGN(EmbeddingModel):
         # r ragged segment-means, paid once (bucketed as "sample" — it is
         # the neighborhood-collection cost of this model).
         with stage("sample"):
-            features = self._features(graph)
+            features = node_features(
+                graph, make_rng(self.seed), min(self.dim, 16)
+            )
             csr = CsrAdjacency.from_graph(graph)
             z_all = Tensor(propagate_sign(features, csr, self.hops))
         self._hidden = Dense(z_all.shape[1], self.hidden_dim, rng)
         self._out = Dense(self.hidden_dim, self.dim, rng)
         optimizer = Adam(self._hidden.parameters() + self._out.parameters(), lr=self.lr)
-        edge_sampler = EdgeTraverseSampler(graph)
-        neg_sampler = DegreeBiasedNegativeSampler(graph)
 
-        steps = min(self.max_steps_per_epoch, max(1, graph.n_edges // self.batch_size))
-        self.loss_history = []
-        for _ in range(self.epochs):
-            epoch_losses = []
-            for _ in range(steps):
-                with prof.step() if prof is not None else nullcontext():
-                    with stage("sample"):
-                        src, dst = edge_sampler.sample(self.batch_size, rng)
-                        negs = neg_sampler.sample(src, self.neg_num, rng).reshape(-1)
-                        seeds = np.unique(np.concatenate([src, dst, negs]))
-                        pos = np.searchsorted(seeds, np.concatenate([src, dst, negs]))
-                    optimizer.zero_grad()
-                    with stage("materialize"):
-                        z = z_all.gather_rows(seeds)
-                    with stage("combine"):
-                        h = self._head(z)
-                    b = src.size
-                    loss = skipgram_negative_loss(
-                        h.gather_rows(pos[:b]),
-                        h.gather_rows(pos[b : 2 * b]),
-                        h.gather_rows(pos[2 * b :]),
-                    )
-                    with stage("backward"):
-                        loss.backward()
-                    with stage("optimizer"):
-                        optimizer.step()
-                epoch_losses.append(loss.item())
-            self.loss_history.append(float(np.mean(epoch_losses)))
+        def loss_fn(src: np.ndarray, dst: np.ndarray, negs: np.ndarray) -> Tensor:
+            with stage("sample"):
+                batch_ids = np.concatenate([src, dst, negs])
+                seeds = np.unique(batch_ids)
+                pos = np.searchsorted(seeds, batch_ids)
+            with stage("materialize"):
+                z = z_all.gather_rows(seeds)
+            with stage("combine"):
+                h = self._head(z)
+            b = src.size
+            return skipgram_negative_loss(
+                h.gather_rows(pos[:b]),
+                h.gather_rows(pos[b : 2 * b]),
+                h.gather_rows(pos[2 * b :]),
+            )
+
+        steps = steps_per_epoch(graph, self.batch_size, self.max_steps_per_epoch)
+        batches = edge_batches(
+            graph, rng, steps * self.epochs, self.batch_size, self.neg_num
+        )
+        self.loss_history = [
+            float(np.mean(train_steps(batches, loss_fn, optimizer, steps, prof)))
+            for _ in range(self.epochs)
+        ]
 
         self._embeddings = unit_rows(self._head(z_all).numpy())
         return self
-
-    def embeddings(self) -> np.ndarray:
-        self._require_fitted()
-        return self._embeddings

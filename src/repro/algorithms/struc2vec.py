@@ -12,16 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import (
-    EmbeddingModel,
-    default_optimizer,
-    train_skipgram,
-    unit_rows,
-)
+from repro.algorithms.base import EmbeddingModel, skipgram_embeddings, walk_pairs
 from repro.graph.graph import Graph
-from repro.nn.layers import Embedding
-from repro.sampling.negative import DegreeBiasedNegativeSampler
-from repro.sampling.randomwalk import random_walks, walk_context_pairs
 from repro.utils.rng import make_rng
 
 
@@ -97,27 +89,8 @@ class Struc2Vec(EmbeddingModel):
             weights=np.maximum(np.asarray(w_list), 1e-9),
             directed=True,
         )
-        starts = np.tile(aux.vertices(), self.walks_per_vertex)
-        rng.shuffle(starts)
-        pairs = walk_context_pairs(
-            random_walks(aux, starts, self.walk_length, rng, weighted=True),
-            self.window,
+        pairs = walk_pairs(
+            aux, rng, self.walks_per_vertex, self.walk_length, self.window, weighted=True
         )
-        center = Embedding(n, self.dim, rng)
-        context = Embedding(n, self.dim, rng)
-        optimizer = default_optimizer(center.parameters() + context.parameters())
-        train_skipgram(
-            pairs,
-            center_fn=center,
-            context_fn=context,
-            optimizer=optimizer,
-            negative_sampler=DegreeBiasedNegativeSampler(aux),
-            rng=rng,
-            epochs=self.epochs,
-        )
-        self._embeddings = unit_rows(center.table.numpy())
+        self._embeddings, _ = skipgram_embeddings(pairs, aux, self.dim, rng, self.epochs)
         return self
-
-    def embeddings(self) -> np.ndarray:
-        self._require_fitted()
-        return self._embeddings

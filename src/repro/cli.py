@@ -93,7 +93,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("dataset", help=".npz dataset path")
     p_tr.add_argument("output", help="output .npz embeddings path")
     p_tr.add_argument("--dim", type=int, default=64)
-    p_tr.add_argument("--epochs", type=int, default=2)
+    p_tr.add_argument(
+        "--epochs", type=int, default=2,
+        help="training epochs of deepwalk, node2vec, graphsage, sign, gatne "
+        "and mixture-gnn (line, hierarchical-gnn, netmf and auto run a "
+        "fixed schedule and do not read it; default: 2)",
+    )
     p_tr.add_argument("--seed", type=int, default=0)
     p_tr.add_argument(
         "--holdout",
@@ -236,6 +241,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
     ):
         if not ok:
             raise TrainingError(f"{flag} must be {want}, got {value}")
+    # A flag the chosen model would silently ignore is an error, not a no-op.
+    kv_models = ("deepwalk", "node2vec", "line")
+    for flag, is_set, models in (
+        ("--backend kv", args.backend == "kv", kv_models),
+        ("--kv-workers", args.kv_workers != 4, kv_models),
+        ("--kv-staleness", args.kv_staleness != 0, kv_models),
+        ("--minibatch-blocks", args.minibatch_blocks, ("graphsage",)),
+    ):
+        if is_set and args.model not in models:
+            raise TrainingError(
+                f"{flag} applies to {'/'.join(models)} only, not {args.model}"
+            )
     # Built before the dataset is read: a model's own argument checks (LINE's
     # even dim) fail as cheaply as the ones above.
     model = factories[args.model](args)

@@ -50,6 +50,10 @@ KIND_NEIGHBORS = "neighbors"
 KIND_ATTRS = "attrs"
 _KINDS = frozenset({KIND_NEIGHBORS, KIND_ATTRS})
 
+#: Simulated µs an issuer waits on a dropped or timed-out request before
+#: rescheduling it.
+TIMEOUT_US = 500.0
+
 
 @dataclass(frozen=True)
 class Request:
@@ -172,12 +176,9 @@ class RpcRuntime:
         metrics: "MetricsRegistry | None" = None,
         health: "HealthTracker | None" = None,
         inbox_capacity: int = 1024,
-        timeout_us: float = 500.0,
         max_batch_size: int = 0,
         tracer: "Tracer | None" = None,
     ) -> None:
-        if timeout_us < 0:
-            raise RuntimeConfigError(f"timeout_us must be >= 0, got {timeout_us}")
         if max_batch_size < 0:
             raise RuntimeConfigError(
                 f"max_batch_size must be >= 0 (0 = unbounded), got {max_batch_size}"
@@ -204,7 +205,6 @@ class RpcRuntime:
         if isinstance(faults, FaultPlan):
             faults = FaultInjector(faults)
         self.faults: "FaultInjector | None" = faults
-        self.timeout_us = timeout_us
         self.max_batch_size = max_batch_size
         self.inboxes = [
             Inbox(inbox_capacity, part=p) for p in range(len(store.servers))
@@ -304,7 +304,7 @@ class RpcRuntime:
 
         Deliveries are ordered by ``(ready time, submission sequence)`` on
         the virtual clock. Drops and timeouts consume an attempt and are
-        rescheduled after ``timeout_us`` plus the retry policy's backoff;
+        rescheduled after :data:`TIMEOUT_US` plus the retry policy's backoff;
         a request that exhausts its attempt budget yields a failed
         :class:`Response` (the store decides between failover and raising).
         """
@@ -329,7 +329,7 @@ class RpcRuntime:
                 self._schedule(
                     heap,
                     replace(req, attempt=req.attempt + 1),
-                    ready_us + self.timeout_us + backoff,
+                    ready_us + TIMEOUT_US + backoff,
                 )
             return [responses[req.req_id] for req in requests]
 
@@ -360,7 +360,7 @@ class RpcRuntime:
             return Response(
                 req_id=req.req_id,
                 ok=False,
-                latency_us=ready_us + self.timeout_us - submit_us,
+                latency_us=ready_us + TIMEOUT_US - submit_us,
                 attempts=req.attempt,
                 error=(
                     f"{req.kind} request to server {req.dst_part}: "
@@ -375,7 +375,7 @@ class RpcRuntime:
             tracer.record_span(
                 "rpc.attempt",
                 ready_us,
-                ready_us + self.timeout_us,
+                ready_us + TIMEOUT_US,
                 part=req.dst_part,
                 kind=req.kind,
                 attempt=req.attempt,
@@ -387,7 +387,7 @@ class RpcRuntime:
             return Response(
                 req_id=req.req_id,
                 ok=False,
-                latency_us=ready_us + self.timeout_us - submit_us,
+                latency_us=ready_us + TIMEOUT_US - submit_us,
                 attempts=req.attempt,
                 error=(
                     f"{req.kind} request to server {req.dst_part} "

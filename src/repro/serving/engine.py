@@ -55,6 +55,10 @@ from repro.utils.lru import LRUCache
 from repro.utils.rng import make_rng
 
 
+#: Width of the seeded stand-in base vectors (``base_vectors=None``).
+_BASE_DIM = 16
+
+
 @dataclass
 class ServingConfig:
     """Knobs of the serving engine (defaults sized to the cost model)."""
@@ -74,10 +78,6 @@ class ServingConfig:
     #: Per-user embedding cache entries (0 disables the cached tier: every
     #: cached-class read escalates to a recompute — the cacheless baseline).
     embed_cache_capacity: int = 512
-    #: Width of the base/serving embedding vectors.
-    embed_dim: int = 16
-    #: Whether a recompute installs its result for later cached reads.
-    fresh_fills_cache: bool = True
 
     def __post_init__(self) -> None:
         if not self.hop_nums or any(h < 1 for h in self.hop_nums):
@@ -129,7 +129,7 @@ class ServingEngine:
         self._rng = make_rng(seed)
         n = store.graph.n_vertices
         if base_vectors is None:
-            raw = self._rng.normal(size=(n, self.config.embed_dim))
+            raw = self._rng.normal(size=(n, _BASE_DIM))
             base_vectors = raw / (
                 np.linalg.norm(raw, axis=1, keepdims=True) + 1e-12
             )
@@ -206,7 +206,7 @@ class ServingEngine:
         if not cache_hit:
             vector, cost_us = self._recompute(req.user)
             self.clock.advance(cost_us)
-            if self.config.fresh_fills_cache and self.config.embed_cache_capacity:
+            if self.config.embed_cache_capacity:
                 self.embed_cache.put(req.user, vector)
         return self.clock.now_us, cache_hit
 

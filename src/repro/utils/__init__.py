@@ -1,11 +1,11 @@
 """Shared utilities: seeded RNG, alias sampling, LRU cache, power-law tools,
-timing/cost accounting and plain-text table rendering."""
+cost accounting and plain-text table rendering."""
 
 from repro.utils.alias import AliasTable
 from repro.utils.lru import LRUCache
 from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.tables import format_table
-from repro.utils.timer import CostAccumulator, Timer
+from repro.utils.timer import CostAccumulator
 
 __all__ = [
     "AliasTable",
@@ -14,5 +14,4 @@ __all__ = [
     "spawn_rngs",
     "format_table",
     "CostAccumulator",
-    "Timer",
 ]

@@ -1,51 +1,19 @@
-"""Wall-clock timing and simulated-cost accounting.
+"""Simulated-cost accounting.
 
 The paper's system experiments (Figures 7–9, Tables 4–5) were measured on an
-Alibaba production cluster. We reproduce them on one machine by combining:
-
-* :class:`Timer` — real wall-clock measurement of our pure-Python operators
-  (meaningful where the paper's claim is about *recomputation avoided*, e.g.
-  Table 5's operator cache), and
-* :class:`CostAccumulator` — exact event counting (local reads, remote RPCs,
-  cache hits, bytes moved) converted to modelled time through a calibratable
-  per-event cost table. The *shape* of every storage-layer result depends only
-  on these counts, which we measure exactly.
+Alibaba production cluster. We reproduce them on one machine with
+:class:`CostAccumulator` — exact event counting (local reads, remote RPCs,
+cache hits, bytes moved) converted to modelled time through a calibratable
+per-event cost table. The *shape* of every storage-layer result depends only
+on these counts, which we measure exactly. (Wall-clock columns, where a
+claim is about recomputation avoided, are taken by the benchmarks
+themselves with ``time.perf_counter``.)
 """
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass, field
-
-
-class Timer:
-    """Context-manager wall-clock timer with an accumulating total.
-
-    >>> t = Timer()
-    >>> with t:
-    ...     pass
-    >>> t.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self.laps = 0
-        self._start = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.elapsed += time.perf_counter() - self._start
-        self.laps += 1
-
-    @property
-    def mean(self) -> float:
-        """Mean seconds per lap (0.0 before the first lap)."""
-        return self.elapsed / self.laps if self.laps else 0.0
 
 
 @dataclass

@@ -300,3 +300,67 @@ def test_interactions_from_dict():
     assert x.shape == (3, 4)
     assert x[0, 1] == 1.0 and x[0, 2] == 1.0 and x[2, 0] == 1.0
     assert x.sum() == 3.0
+
+
+# --------------------------------------------------------------------- #
+# Every gradient-trained model: the one embeddings() accessor
+# --------------------------------------------------------------------- #
+#: name -> (factory, fit input, embedding width). Spectral / selection models
+#: (NetMF, TNE, DANE, AutoGNN) train no parameters by gradient; DAE / BetaVAE
+#: expose user/item tables instead of ``embeddings()``.
+_NOT_GRADIENT_TRAINED = {
+    "EmbeddingModel", "AutoGNN", "NetMF", "TNE", "DANE", "DAE", "BetaVAE",
+}
+_ZOO = {
+    "GNNFramework": (lambda A: A.GNNFramework(dim=8, fanout=3, epochs=1, max_steps_per_epoch=2), "amazon", 8),
+    "DeepWalk": (lambda A: A.DeepWalk(dim=8, epochs=1, walks_per_vertex=1), "amazon", 8),
+    "Node2Vec": (lambda A: A.Node2Vec(dim=8, epochs=1, walks_per_vertex=1), "amazon", 8),
+    "LINE": (lambda A: A.LINE(dim=8, steps=3, batch_size=64), "amazon", 8),
+    "Metapath2Vec": (lambda A: A.Metapath2Vec(dim=8, epochs=1, walks_per_vertex=1), "amazon", 8),
+    "ANRL": (lambda A: A.ANRL(dim=8, hidden=8, epochs=1, walks_per_vertex=1), "amazon", 8),
+    "PMNE": (lambda A: A.PMNE("network", dim=8, epochs=1, walks_per_vertex=1), "amazon", 8),
+    "MVE": (lambda A: A.MVE(dim=8, epochs=1, walks_per_vertex=1), "amazon", 8),
+    "MNE": (lambda A: A.MNE(dim=8, epochs=1, walks_per_vertex=1), "amazon", 8),
+    "Struc2Vec": (lambda A: A.Struc2Vec(dim=8, hops=1, knn=3, epochs=1, walks_per_vertex=1), "amazon", 8),
+    "GCN": (lambda A: A.GCN(dim=8, hidden=8, steps=2, batch_size=64), "amazon", 8),
+    "FastGCN": (lambda A: A.FastGCN(sample_size=32, dim=8, hidden=8, steps=2, batch_size=64), "amazon", 8),
+    "ASGCN": (lambda A: A.ASGCN(sample_size=32, dim=8, hidden=8, steps=2, batch_size=64), "amazon", 8),
+    "GraphSAGE": (lambda A: A.GraphSAGE(dim=8, fanout=3, epochs=1, max_steps_per_epoch=2, minibatch_blocks=True), "amazon", 8),
+    "SIGN": (lambda A: A.SIGN(dim=8, epochs=1, max_steps_per_epoch=2), "amazon", 8),
+    "HEP": (lambda A: A.HEP(dim=8, steps=2, batch_size=64), "amazon", 8),
+    "AHEP": (lambda A: A.AHEP(dim=8, steps=2, batch_size=64), "amazon", 8),
+    "GATNE": (lambda A: A.GATNE(dim=8, epochs=1, walks_per_vertex=1), "amazon", None),
+    "MixtureGNN": (lambda A: A.MixtureGNN(dim=8, n_senses=2, epochs=1, walks_per_vertex=1), "amazon", 8),
+    "HierarchicalGNN": (lambda A: A.HierarchicalGNN(dim=8, n_clusters=4, steps=2, batch_size=64), "amazon", 8),
+    "EvolvingGNN": (lambda A: A.EvolvingGNN(dim=8, dynamics_dim=4, sage_epochs=1, head_epochs=2), "dynamic", 8 + 4 + 4 + 4),
+    "BayesianGNN": (lambda A: A.BayesianGNN(dim=8, prior_walk_epochs=1, steps=3, batch_pairs=32), "kg", 5),
+}
+
+
+def test_accessor_table_covers_every_gradient_trained_model():
+    import repro.algorithms as A
+
+    assert set(_ZOO) == set(A.__all__) - _NOT_GRADIENT_TRAINED
+
+
+@pytest.mark.parametrize("name", sorted(_ZOO))
+def test_embeddings_accessor_unfitted_raises_fitted_returns(name, small_amazon, tiny_dynamic):
+    import repro.algorithms as A
+
+    factory, kind, width = _ZOO[name]
+    model = factory(A)
+    with pytest.raises(TrainingError, match="not fitted"):
+        model.embeddings()
+    if kind == "kg":
+        kg, _, _ = knowledge_graph(40, n_brands=5, n_categories=4, seed=0)
+        model.fit_correction(np.zeros((40, 5)), kg, np.arange(40))
+        n = 40
+    else:
+        graph = small_amazon if kind == "amazon" else tiny_dynamic
+        assert model.fit(graph) is model
+        n = graph.n_vertices
+    emb = model.embeddings()
+    assert emb is model.embeddings()  # an accessor, not a recomputation
+    assert emb.ndim == 2 and emb.shape[0] == n and np.isfinite(emb).all()
+    if width is not None:
+        assert emb.shape[1] == width

@@ -3,11 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.base import default_optimizer, train_skipgram, unit_rows
+from repro.algorithms.base import (
+    edge_batches,
+    pair_batches,
+    train_skipgram,
+    train_steps,
+    unit_rows,
+)
 from repro.errors import OperatorError, TrainingError
 from repro.nn.init import embedding_init, he_uniform, xavier_uniform
 from repro.nn.layers import Dense, Embedding
+from repro.nn.optim import Adam
+from repro.runtime import StageProfiler
 from repro.sampling.negative import DegreeBiasedNegativeSampler
+from repro.sampling.traverse import EdgeTraverseSampler
 from repro.utils.rng import make_rng
 
 
@@ -26,7 +35,7 @@ def test_train_skipgram_reduces_loss(tiny_graph):
     src, dst, _ = tiny_graph.edge_array()
     pairs = (np.tile(src, 40), np.tile(dst, 40))
     sampler = DegreeBiasedNegativeSampler(tiny_graph)
-    opt = default_optimizer(center.parameters() + context.parameters(), lr=0.05)
+    opt = Adam(center.parameters() + context.parameters(), lr=0.05)
     first = train_skipgram(
         pairs, center, context, opt, sampler, rng, epochs=1, batch_size=64
     )
@@ -41,7 +50,7 @@ def test_train_skipgram_validates_pairs(tiny_graph):
     center = Embedding(6, 4, rng)
     context = Embedding(6, 4, rng)
     sampler = DegreeBiasedNegativeSampler(tiny_graph)
-    opt = default_optimizer(center.parameters() + context.parameters())
+    opt = Adam(center.parameters() + context.parameters(), lr=0.025)
     with pytest.raises(TrainingError):
         train_skipgram(
             (np.array([0]), np.array([0, 1])), center, context, opt, sampler, rng
@@ -51,6 +60,115 @@ def test_train_skipgram_validates_pairs(tiny_graph):
             (np.array([], dtype=np.int64), np.array([], dtype=np.int64)),
             center, context, opt, sampler, rng,
         )
+
+
+# --------------------------------------------------------------------- #
+# The step driver and its two batch sources
+# --------------------------------------------------------------------- #
+class _RecordingStep:
+    """An optimizer and a loss that only write down the order of calls."""
+
+    def __init__(self):
+        self.log = []
+
+    def zero_grad(self):
+        self.log.append("zero_grad")
+
+    def step(self):
+        self.log.append("step")
+
+    def backward(self):
+        self.log.append("backward")
+
+    def item(self):
+        return float(self.log.count("step"))
+
+
+def _rng_drawing_source(rng, n_batches, states):
+    """A source sharing ``rng`` with the loss: one draw per batch, the state
+    right after it written to ``states``."""
+    for _ in range(n_batches):
+        draw = rng.integers(1 << 30)
+        states.append(rng.bit_generator.state)
+        yield (draw,)
+
+
+def test_train_steps_order_and_lazy_source():
+    rng = make_rng(3)
+    rec = _RecordingStep()
+    after_draw, seen_in_loss = [], []
+
+    def loss_fn(draw):
+        rec.log.append("loss_fn")
+        seen_in_loss.append(rng.bit_generator.state)
+        rng.integers(1 << 30)  # the loss consumes the shared stream too
+        return rec
+
+    losses = train_steps(_rng_drawing_source(rng, 4, after_draw), loss_fn, rec)
+    assert rec.log == ["zero_grad", "loss_fn", "backward", "step"] * 4
+    assert losses == [1.0, 2.0, 3.0, 4.0]  # one loss per step
+    # Batch k is drawn after step k-1's loss ran, never up front: the state
+    # the loss sees is the one its own batch's draw left behind.
+    assert seen_in_loss == after_draw
+    eager = make_rng(3)
+    eager_states = []
+    list(_rng_drawing_source(eager, 4, eager_states))
+    assert eager_states[1:] != after_draw[1:]
+
+
+def test_train_steps_empty_source_never_touches_the_optimizer():
+    rec = _RecordingStep()
+    assert train_steps(iter(()), lambda: rec, rec) == []
+    assert rec.log == []
+
+
+def test_train_steps_takes_steps_batches_and_leaves_the_rest_undrawn():
+    rng = make_rng(0)
+    rec = _RecordingStep()
+    states = []
+    source = _rng_drawing_source(rng, 5, states)
+    profiler = StageProfiler()
+    losses = train_steps(source, lambda draw: rec, rec, steps=2, profiler=profiler)
+    assert len(losses) == 2 and len(states) == 2
+    assert profiler.metrics.counter("train.steps").value == 2
+    for stage in ("sample", "backward", "optimizer"):
+        assert profiler.metrics.histogram(f"train.stage.{stage}_us").count == 2
+    assert len(train_steps(source, lambda draw: rec, rec)) == 3  # the rest
+
+
+def test_pair_batches_are_the_shuffled_sliced_epoch(tiny_graph):
+    """The epoch loop ``train_skipgram`` used to carry: permutation, slices
+    of ``batch_size`` (ragged last one), negatives per slice."""
+    src, dst, _ = tiny_graph.edge_array()
+    centers, contexts = np.tile(src, 3), np.tile(dst, 3)  # 21 pairs
+    sampler = DegreeBiasedNegativeSampler(tiny_graph)
+    rng, oracle = make_rng(11), make_rng(11)
+    got = list(pair_batches((centers, contexts), sampler, rng, batch_size=8, neg_num=3))
+    perm = oracle.permutation(centers.size)
+    want = []
+    for lo in range(0, centers.size, 8):
+        idx = perm[lo : lo + 8]
+        negs = sampler.sample(centers[idx], 3, oracle).reshape(-1)
+        want.append((centers[idx], contexts[idx], negs))
+    assert [b[0].size for b in got] == [8, 8, 5]
+    assert all(np.array_equal(g, w) for gb, wb in zip(got, want) for g, w in zip(gb, wb))
+    assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+def test_edge_batches_weighted_are_lines_traverse_loop(tiny_graph):
+    """``weighted=True`` is LINE's loop: edges by weight, negatives around src."""
+    rng, oracle = make_rng(5), make_rng(5)
+    got = list(edge_batches(tiny_graph, rng, 4, batch_size=6, neg_num=2, weighted=True))
+    edges = EdgeTraverseSampler(tiny_graph, weighted=True)
+    negs = DegreeBiasedNegativeSampler(tiny_graph)
+    assert len(got) == 4
+    for src, dst, neg_ids in got:
+        want_src, want_dst = edges.sample(6, oracle)
+        assert np.array_equal(src, want_src) and np.array_equal(dst, want_dst)
+        assert np.array_equal(neg_ids, negs.sample(want_src, 2, oracle).reshape(-1))
+    assert rng.bit_generator.state == oracle.bit_generator.state
+    uniform = next(edge_batches(tiny_graph, make_rng(5), 1, batch_size=6, neg_num=2))
+    assert not np.array_equal(uniform[0], got[0][0])
 
 
 @pytest.mark.parametrize(

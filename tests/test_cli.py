@@ -56,11 +56,22 @@ def test_train_unknown_model(tmp_path, capsys):
         ("deepwalk", ["--holdout", "-0.1"], "--holdout must be in [0, 1), got -0.1"),
         ("deepwalk", ["--kv-workers", "0"], "--kv-workers must be >= 1, got 0"),
         ("deepwalk", ["--kv-staleness", "-1"], "--kv-staleness must be >= 0, got -1"),
+        # Flags the chosen model would silently ignore (with --epochs 7 the
+        # netmf case exited 0 and wrote embeddings before).
+        ("netmf", ["--backend", "kv", "--epochs", "7"],
+         "--backend kv applies to deepwalk/node2vec/line only, not netmf"),
+        ("gatne", ["--kv-workers", "2"],
+         "--kv-workers applies to deepwalk/node2vec/line only, not gatne"),
+        ("graphsage", ["--kv-staleness", "2"],
+         "--kv-staleness applies to deepwalk/node2vec/line only, not graphsage"),
+        ("sign", ["--minibatch-blocks"],
+         "--minibatch-blocks applies to graphsage only, not sign"),
     ],
     ids=[
         "dim=0-deepwalk", "dim=0-graphsage", "dim=0-netmf", "dim=-1", "dim=1-line",
         "epochs=0", "seed=-1", "holdout=1.0", "holdout=-0.1", "kv-workers=0",
-        "kv-staleness=-1",
+        "kv-staleness=-1", "backend-kv-netmf", "kv-workers-gatne",
+        "kv-staleness-graphsage", "minibatch-blocks-sign",
     ],
 )
 def test_train_bad_flag_is_one_error_line(model, flags, message, tmp_path, capsys):
@@ -72,6 +83,22 @@ def test_train_bad_flag_is_one_error_line(model, flags, message, tmp_path, capsy
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ") and message in line
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "model,flags,says",
+    [
+        ("deepwalk", ["--backend", "kv", "--kv-workers", "2"], "kv backend: 2 embedding servers"),
+        ("graphsage", ["--minibatch-blocks"], "embeddings from graphsage"),
+    ],
+    ids=["deepwalk-kv", "graphsage-minibatch"],
+)
+def test_train_accepts_the_flags_its_model_takes(model, flags, says, tmp_path, capsys):
+    ds = str(tmp_path / "g.npz")
+    main(["dataset", "amazon-sim", ds, "--scale", "0.1"])
+    out = tmp_path / "e.npz"
+    assert main(["train", model, ds, str(out), "--dim", "8", "--epochs", "1", *flags]) == 0
+    assert says in capsys.readouterr().out and out.exists()
 
 
 def test_evaluate_shape_mismatch(tmp_path, capsys):

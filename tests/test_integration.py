@@ -12,7 +12,6 @@ from repro.ops import (
 )
 from repro.sampling import (
     DegreeBiasedNegativeSampler,
-    GraphProvider,
     SamplingPipeline,
     StoreProvider,
     UniformNeighborSampler,

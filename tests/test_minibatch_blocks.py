@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import SIGN, GNNFramework
+from repro.algorithms.base import node_features
 from repro.algorithms.framework import _GNNEncoder
 from repro.algorithms.hep import hep_neighbor_rows, typed_adjacency
 from repro.algorithms.sign import propagate_sign
@@ -29,7 +30,7 @@ COMBINERS = ["concat", "sum", "gru"]
 @pytest.fixture(scope="module")
 def taobao_setup(small_taobao):
     model = GNNFramework(dim=16, kmax=2, fanout=4)
-    features = model._features(small_taobao)
+    features = node_features(small_taobao, make_rng(model.seed), 16)
     sampler = UniformNeighborSampler(GraphProvider(small_taobao))
     tables = model._sample_hop_tables(small_taobao, sampler, make_rng(3))
     return small_taobao, features, sampler, tables
@@ -240,10 +241,10 @@ def test_minibatch_batch_stream_matches_full_graph(small_taobao):
         rng = make_rng(model.seed)
         # Replay exactly what fit() consumes from the main stream before
         # the first batch draw.
-        model._features(small_taobao)
+        features = node_features(small_taobao, make_rng(model.seed), 8)
         sampler = model._make_sampler(small_taobao)
         _GNNEncoder(
-            in_dim=model._features(small_taobao).shape[1],
+            in_dim=features.shape[1],
             hidden_dim=model.hidden_dim, out_dim=model.dim, kmax=model.kmax,
             aggregator=model.aggregator, combiner=model.combiner, rng=rng,
         )

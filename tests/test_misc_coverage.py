@@ -10,6 +10,7 @@ from repro.storage.cluster import make_store
 
 def test_framework_parameters_actually_train(small_amazon):
     """Every encoder parameter must receive gradient and move."""
+    from repro.algorithms.base import node_features
     from repro.algorithms.framework import GNNFramework
 
     model = GNNFramework(dim=12, kmax=1, fanout=4, epochs=1, max_steps_per_epoch=3, seed=0)
@@ -21,7 +22,7 @@ def test_framework_parameters_actually_train(small_amazon):
     rng = np.random.default_rng(0)
     from repro.nn.tensor import Tensor
 
-    feats = model._features(small_amazon)
+    feats = node_features(small_amazon, rng, 12)
     block = model._all_vertex_block(small_amazon, model._make_sampler(small_amazon), rng)
     h = encoder(Tensor(feats), block)
     (h * h).sum().backward()

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import repro.algorithms.framework as framework
 import repro.nn.tensor as tensor_module
 from repro.algorithms import GNNFramework
+from repro.algorithms.base import node_features
 from repro.algorithms.framework import _GNNEncoder
 from repro.algorithms.graphsage import GraphSAGE
 from repro.errors import OperatorError
@@ -381,7 +382,7 @@ def test_empty_index_and_empty_block_level():
 # ---------------------------------------------------------------------- #
 def test_block_step_leaves_constant_features_off_the_tape(small_taobao, monkeypatch):
     model = GNNFramework(dim=16, kmax=2, fanout=4)
-    features = Tensor(model._features(small_taobao))
+    features = Tensor(node_features(small_taobao, make_rng(0), 16))
     sampler = UniformNeighborSampler(GraphProvider(small_taobao))
     block = build_block(np.arange(0, 90, 3), sampler, [4, 4], make_rng(2))
     encoder = _GNNEncoder(

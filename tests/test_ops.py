@@ -218,3 +218,77 @@ def test_executor_validations(small_powerlaw):
     deep = MinibatchExecutor(features, provider, sampler, agg2, comb2, [2, 2])
     with pytest.raises(OperatorError):
         deep.embed_batch_cached(np.array([0]), gen, MaterializationCache(1))
+
+
+# --------------------------------------------------------------------- #
+# MaterializationCache: parity with the dict-based reference semantics
+# --------------------------------------------------------------------- #
+class _DictReference:
+    """The pre-vectorization implementation, verbatim semantics."""
+
+    def __init__(self, max_hop):
+        self._store = [dict() for _ in range(max_hop + 1)]
+        self.hits = 0
+        self.misses = 0
+
+    def lookup(self, hop, vertices):
+        store = self._store[hop]
+        mask = np.array([int(v) in store for v in vertices], dtype=bool)
+        self.hits += int(mask.sum())
+        self.misses += int((~mask).sum())
+        return mask, [int(v) for v in vertices[~mask]]
+
+    def get_rows(self, hop, vertices):
+        store = self._store[hop]
+        return np.stack([store[int(v)] for v in vertices])
+
+    def update(self, hop, vertices, values):
+        store = self._store[hop]
+        for v, row in zip(vertices, values):
+            store[int(v)] = row
+
+
+def test_materialization_cache_parity_with_reference():
+    rng = make_rng(5)
+    ref = _DictReference(2)
+    vec = MaterializationCache(2)
+    for step in range(40):
+        hop = int(rng.integers(1, 3))
+        batch = rng.integers(0, 50, size=int(rng.integers(1, 12)))
+        mask_r, missing_r = ref.lookup(hop, batch)
+        mask_v, missing_v = vec.lookup(hop, batch)
+        assert np.array_equal(mask_r, mask_v)
+        assert missing_r == missing_v
+        assert (ref.hits, ref.misses) == (vec.hits, vec.misses)
+        if missing_r:
+            miss = np.asarray(missing_r, dtype=np.int64)
+            rows = rng.normal(size=(miss.size, 4))
+            ref.update(hop, miss, rows)
+            vec.update(hop, miss, rows)
+        present = batch[mask_r] if mask_r.any() else None
+        if present is not None and present.size:
+            assert np.array_equal(
+                ref.get_rows(hop, present), vec.get_rows(hop, present)
+            )
+
+
+def test_materialization_cache_update_last_write_wins():
+    vec = MaterializationCache(1)
+    verts = np.array([4, 9, 4, 2, 9])
+    rows = np.arange(10, dtype=np.float64).reshape(5, 2)
+    vec.update(1, verts, rows)
+    ref = _DictReference(1)
+    ref.update(1, verts, rows)
+    for v in (4, 9, 2):
+        assert np.array_equal(
+            vec.get_rows(1, np.array([v])), ref.get_rows(1, np.array([v]))
+        )
+
+
+def test_materialization_cache_missing_vertex_message():
+    vec = MaterializationCache(1)
+    vec.update(1, np.array([3]), np.zeros((1, 2)))
+    with pytest.raises(OperatorError, match="vertex 5 not materialized at hop 1"):
+        vec.get_rows(1, np.array([3, 5]))
+    with pytest.raises(OperatorError):
+        MaterializationCache(1).get_rows(1, np.array([0]))

@@ -182,3 +182,55 @@ def test_no_kernel_ships_a_second_implementation_switch():
                     or (param == "method" and label not in exact_definition)
                 ]
     assert offenders == []
+
+
+def test_retired_options_are_not_parameters_or_fields_of_anything():
+    """Four values no caller ever set are constants now."""
+    import dataclasses
+    import inspect
+
+    from repro.algorithms import SIGN, GNNFramework, GraphSAGE
+    from repro.runtime import RpcRuntime
+    from repro.serving import ServingConfig, ServingEngine
+
+    retired = {"timeout_us", "embed_dim", "fresh_fills_cache", "resample_each_epoch"}
+    for cls in (RpcRuntime, ServingConfig, ServingEngine, GNNFramework, GraphSAGE, SIGN):
+        assert not retired & set(inspect.signature(cls).parameters), cls
+        assert not retired & {a for a in vars(cls) if not a.startswith("__")}, cls
+    assert not retired & {f.name for f in dataclasses.fields(ServingConfig)}
+    assert not retired & set(vars(ServingConfig()))
+    assert not retired & set(vars(GNNFramework()))
+
+
+def test_the_zoo_has_one_training_loop_one_feature_builder_one_accessor():
+    """``algorithms/base.py`` owns the step (``zero_grad`` -> loss ->
+    ``backward`` -> ``step``), the ``vertex_features`` standardization and the
+    ``embeddings()`` accessor; a model that grows its own copy fails here."""
+    import ast
+    import pathlib
+
+    import repro.algorithms
+
+    offenders = []
+    for path in sorted(pathlib.Path(repro.algorithms.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr == "zero_grad" and path.name != "base.py":
+                    offenders.append(f"{path.name}:{node.lineno} calls zero_grad()")
+            if isinstance(node, ast.ClassDef) and node.name not in ("EmbeddingModel", "AutoGNN"):
+                for fn in node.body:
+                    if not (isinstance(fn, ast.FunctionDef) and fn.name == "embeddings"):
+                        continue
+                    last = fn.body[-1]
+                    if (
+                        isinstance(last, ast.Return)
+                        and isinstance(last.value, ast.Attribute)
+                        and last.value.attr == "_embeddings"
+                    ):
+                        offenders.append(f"{path.name}: {node.name}.embeddings is the default")
+            if isinstance(node, ast.FunctionDef) and node.name != "node_features":
+                src = ast.unparse(node)
+                if "vertex_features" in src and ".std(axis=0" in src:
+                    offenders.append(f"{path.name}: {node.name} standardizes vertex_features")
+    assert offenders == []

@@ -11,8 +11,10 @@ from repro.errors import (
     RuntimeConfigError,
 )
 from repro.runtime import (
+    Batch,
     FaultInjector,
     FaultPlan,
+    RequestBatcher,
     RetryPolicy,
     RpcRuntime,
 )
@@ -314,3 +316,44 @@ def test_stress_many_steps_with_faults_complete():
     assert metrics.histogram("rpc.latency_us").count == metrics.counter(
         "rpc.completed"
     ).value
+
+
+def test_execute_empty_requests():
+    store = make_store(_graph(), 2, seed=0)
+    runtime = RpcRuntime(store)
+    store.attach_runtime(runtime)
+    assert runtime.execute([]) == []
+
+
+# --------------------------------------------------------------------- #
+# Vectorized read path: plan_grouped against the per-read planner it replaced
+# --------------------------------------------------------------------- #
+def plan_per_read(max_batch_size, kind, reads):
+    """``RequestBatcher.plan`` as it was: one ``(vertex, owner)`` pair at a
+    time, deduplicating per destination — the oracle for ``plan_grouped``."""
+    by_dest = {}
+    for vertex, owner in reads:
+        group = by_dest.setdefault(owner, [])
+        if vertex not in group:
+            group.append(vertex)
+    batches = []
+    for owner, vertices in by_dest.items():
+        step = max_batch_size or len(vertices)
+        for i in range(0, len(vertices), step):
+            batches.append(Batch(owner, kind, tuple(vertices[i : i + step])))
+    return batches
+
+
+@pytest.mark.parametrize("max_batch", [0, 3])
+def test_plan_grouped_matches_plan(max_batch):
+    rng = make_rng(9)
+    for _ in range(20):
+        n = int(rng.integers(0, 30))
+        vertices = rng.choice(1000, size=n, replace=False)
+        owners = rng.integers(0, 5, size=n)
+        reads = list(zip(vertices.tolist(), owners.tolist()))
+        a = plan_per_read(max_batch, "neighbors", reads)
+        b = RequestBatcher(max_batch).plan_grouped("neighbors", vertices, owners)
+        assert a == b
+    with pytest.raises(RuntimeConfigError):
+        RequestBatcher(max_batch_size=-1)

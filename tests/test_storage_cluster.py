@@ -5,6 +5,7 @@ import functools
 import numpy as np
 import pytest
 
+from repro.data import make_dataset
 from repro.errors import ReadUnavailableError, RetryExhaustedError, StorageError
 from repro.graph.dynamic import EdgeEvent
 from repro.obs import AccessRecorder
@@ -14,6 +15,7 @@ from repro.runtime import (
     MetricsRegistry,
     RetryPolicy,
     RpcRuntime,
+    Tracer,
 )
 from repro.runtime.rpc import KIND_ATTRS, KIND_NEIGHBORS
 from repro.sampling import StoreProvider, UniformNeighborSampler
@@ -600,3 +602,39 @@ def test_bulk_arms_match_per_vertex_dispatch(small_powerlaw, policy, scenario):
         assert counters["health.suspect_routes"] > 0
         assert counters["health.probes"] > 0
         assert counters["health.recoveries"] > 0
+
+
+# --------------------------------------------------------------------- #
+# _resolve_read: ledger determinism and id validation on the batched path
+# --------------------------------------------------------------------- #
+def _graph(scale=0.15):
+    return make_dataset("taobao-small-sim", scale=scale, seed=0)
+
+
+def test_resolve_read_ledger_event_order_deterministic():
+    graph = _graph()
+    rows = []
+    for _ in range(2):
+        store = make_store(
+            graph,
+            4,
+            cache_policy=ImportanceCachePolicy(),
+            cache_budget_fraction=0.1,
+            seed=7,
+        )
+        tracer = Tracer(seed=7)
+        store.attach_runtime(RpcRuntime(store, tracer=tracer))
+        rng = make_rng(7)
+        for _ in range(3):
+            batch = rng.integers(0, graph.n_vertices, size=96)
+            store.get_neighbors_batch(batch, from_part=0)
+        rows.append(list(tracer.ledger_rows))
+    assert rows[0] == rows[1]
+    events = [r for r in rows[0]]
+    assert events, "expected ledger events from the batched reads"
+
+
+def test_resolve_read_rejects_out_of_range_batch():
+    store = make_store(_graph(scale=0.1), 2, seed=0)
+    with pytest.raises(Exception, match="unknown vertex"):
+        store.get_neighbors_batch([0, 1, 10**9], from_part=0)

@@ -1,28 +1,10 @@
-"""Timer, CostAccumulator, table formatting, RNG helpers."""
+"""CostAccumulator, table formatting, RNG helpers."""
 
-import time
-
-import numpy as np
 import pytest
 
 from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.tables import format_table
-from repro.utils.timer import CostAccumulator, Timer
-
-
-def test_timer_accumulates():
-    t = Timer()
-    with t:
-        time.sleep(0.01)
-    with t:
-        time.sleep(0.01)
-    assert t.laps == 2
-    assert t.elapsed >= 0.02
-    assert t.mean == pytest.approx(t.elapsed / 2)
-
-
-def test_timer_mean_before_laps():
-    assert Timer().mean == 0.0
+from repro.utils.timer import CostAccumulator
 
 
 def test_cost_accumulator_pricing():
