@@ -51,10 +51,8 @@ def _executor(graph, rng) -> MinibatchExecutor:
         make_combiner("concat", f, DIM, DIM, rng),
         make_combiner("concat", DIM, DIM, DIM, rng),
     ]
-    provider = GraphProvider(graph)
-    return MinibatchExecutor(
-        features, provider, UniformNeighborSampler(provider), aggs, combs, FANOUTS
-    )
+    sampler = UniformNeighborSampler(GraphProvider(graph))
+    return MinibatchExecutor(features, sampler, aggs, combs, FANOUTS)
 
 
 def _run(smoke: bool) -> ExperimentReport:
@@ -73,7 +71,7 @@ def _run(smoke: bool) -> ExperimentReport:
             ex.embed_batch_uncached(batch, srng)
         uncached_ms = (time.perf_counter() - start) / MEASURE_BATCHES * 1000
 
-        cache = MaterializationCache(2)
+        cache = MaterializationCache(2, graph.n_vertices)
         for _ in range(WARMUP_BATCHES):
             ex.embed_batch_cached(srng.integers(0, graph.n_vertices, BATCH), srng, cache)
         start = time.perf_counter()

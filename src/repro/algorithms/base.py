@@ -49,6 +49,15 @@ class EmbeddingModel:
         self._require_fitted()
         return self._embeddings
 
+    def type_embeddings(self, edge_type: str) -> np.ndarray:
+        """The edge-type-specific view ``h_{v,c}`` a multiplex model (GATNE,
+        MNE, MVE) keeps beside the overall embedding."""
+        self._require_fitted()
+        try:
+            return getattr(self, "_type_embeddings", {})[edge_type]
+        except KeyError:
+            raise TrainingError(f"no embeddings for edge type {edge_type!r}") from None
+
     def _require_fitted(self, attr: str = "_embeddings") -> None:
         if getattr(self, attr, None) is None:
             raise TrainingError(f"{type(self).__name__} is not fitted yet")
@@ -212,6 +221,14 @@ def skipgram_embeddings(
         pairs, center, context, optimizer, sampler, rng, epochs=epochs, neg_num=neg_num
     )
     return unit_rows(center.table.numpy()), loss
+
+
+def embedding_backend(backend: str) -> str:
+    """``backend`` if it names where the embedding tables live: ``dense`` (in
+    process) or ``kv`` (an :class:`~repro.storage.embedding.EmbeddingKVStore`)."""
+    if backend not in ("dense", "kv"):
+        raise TrainingError(f"unknown embedding backend {backend!r} (dense or kv)")
+    return backend
 
 
 def train_skipgram_kv(

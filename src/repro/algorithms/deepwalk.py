@@ -11,11 +11,11 @@ import numpy as np
 
 from repro.algorithms.base import (
     EmbeddingModel,
+    embedding_backend,
     skipgram_embeddings,
     train_skipgram_kv,
     unit_rows,
 )
-from repro.errors import TrainingError
 from repro.graph.graph import Graph
 from repro.nn.init import embedding_init
 from repro.sampling.negative import DegreeBiasedNegativeSampler
@@ -50,10 +50,6 @@ class DeepWalk(EmbeddingModel):
         kv_workers: int = 4,
         kv_staleness: int = 0,
     ) -> None:
-        if backend not in ("dense", "kv"):
-            raise TrainingError(
-                f"unknown embedding backend {backend!r} (dense or kv)"
-            )
         self.dim = dim
         self.walks_per_vertex = walks_per_vertex
         self.walk_length = walk_length
@@ -62,7 +58,7 @@ class DeepWalk(EmbeddingModel):
         self.neg_num = neg_num
         self.lr = lr
         self.seed = seed
-        self.backend = backend
+        self.backend = embedding_backend(backend)
         self.kv_workers = kv_workers
         self.kv_staleness = kv_staleness
         #: The distributed store a ``backend="kv"`` fit trained against.

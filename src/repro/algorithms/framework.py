@@ -113,7 +113,7 @@ class _GNNEncoder(Module):
             with self._stage("materialize"):
                 h_self = h.gather_rows(block.self_index[k])
             with self._stage("aggregate"):
-                h_neigh = self.aggregators[k].forward_block(h, block.child_index[k])
+                h_neigh = self.aggregators[k](h, block.child_index[k])
             with self._stage("combine"):
                 h = self.combiners[k](h_self, h_neigh)
                 h = F.l2_normalize(h)  # Algorithm 1 line 7

@@ -183,11 +183,3 @@ class GATNE(EmbeddingModel):
         # Final embedding: concatenation of h_{v,c} across edge types.
         self._embeddings = unit_rows(np.concatenate(per_type, axis=1))
         return self
-
-    def type_embeddings(self, edge_type: str) -> np.ndarray:
-        """The edge-type-specific embedding h_{v,c}."""
-        self._require_fitted()
-        try:
-            return self._type_embeddings[edge_type]
-        except KeyError:
-            raise TrainingError(f"no embeddings for edge type {edge_type!r}") from None

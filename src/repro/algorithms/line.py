@@ -12,7 +12,13 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.algorithms.base import EmbeddingModel, edge_batches, train_steps, unit_rows
+from repro.algorithms.base import (
+    EmbeddingModel,
+    edge_batches,
+    embedding_backend,
+    train_steps,
+    unit_rows,
+)
 from repro.errors import TrainingError
 from repro.graph.graph import Graph
 from repro.nn.init import embedding_init
@@ -51,17 +57,13 @@ class LINE(EmbeddingModel):
     ) -> None:
         if dim % 2:
             raise TrainingError("LINE splits dim across two orders; use an even dim")
-        if backend not in ("dense", "kv"):
-            raise TrainingError(
-                f"unknown embedding backend {backend!r} (dense or kv)"
-            )
         self.dim = dim
         self.steps = steps
         self.batch_size = batch_size
         self.neg_num = neg_num
         self.lr = lr
         self.seed = seed
-        self.backend = backend
+        self.backend = embedding_backend(backend)
         self.kv_workers = kv_workers
         self.kv_staleness = kv_staleness
         #: The distributed store a ``backend="kv"`` fit trained against.

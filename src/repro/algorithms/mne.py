@@ -112,11 +112,3 @@ class MNE(EmbeddingModel):
             np.mean(np.stack(list(self._type_embeddings.values())), axis=0)
         )
         return self
-
-    def type_embeddings(self, edge_type: str) -> np.ndarray:
-        """The per-edge-type view of the embeddings."""
-        self._require_fitted()
-        try:
-            return self._type_embeddings[edge_type]
-        except KeyError:
-            raise TrainingError(f"no embeddings for edge type {edge_type!r}") from None

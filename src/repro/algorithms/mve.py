@@ -125,11 +125,3 @@ class MVE(EmbeddingModel):
             for v, (t, _) in enumerate(views)
         }
         return self
-
-    def type_embeddings(self, edge_type: str) -> np.ndarray:
-        """The per-view (edge-type) embedding ``base + delta_v``."""
-        self._require_fitted()
-        try:
-            return self._type_embeddings[edge_type]
-        except KeyError:
-            raise TrainingError(f"no embeddings for view {edge_type!r}") from None

@@ -3,9 +3,10 @@
 Activations, row-wise softmax/log-softmax, concatenation/stacking, dropout,
 L2 row normalization (Algorithm 1 line 7's embedding normalization),
 numerically stable log-sigmoid for the skip-gram losses, and the segment
-kernels of the AGGREGATE step — fixed-size (``*_rows_segmented``) and
-ragged CSR-style (``segment_*`` over an offsets array, each one
-``ufunc.reduceat`` sweep over the concatenated rows).
+kernels of the AGGREGATE step: fixed-width (``*_rows_segmented``), the
+fused gather-reduce over a child table (``gather_sum_rows``) and the two
+numpy-level ragged reductions SIGN's offline propagation uses
+(``segment_{sum,mean}_np`` over CSR offsets).
 """
 
 from __future__ import annotations
@@ -274,136 +275,33 @@ def max_rows_segmented(x: Tensor, segment_size: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------- #
-# Ragged (CSR-style) segment kernels
+# Ragged (CSR-style) segment kernels, numpy level
 # ---------------------------------------------------------------------- #
-def _check_segments(x: Tensor, offsets: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """Validate ``(n, d)`` input and its CSR offsets; return (offsets, sizes)."""
-    if x.ndim != 2:
-        raise OperatorError(f"segment kernels need (n, d) input, got shape {x.shape}")
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets.ndim != 1 or offsets.size < 1:
-        raise OperatorError("segment offsets must be a non-empty 1-D array")
-    if offsets[0] != 0 or np.any(np.diff(offsets) < 0):
-        raise OperatorError("segment offsets must be monotone from 0")
-    if offsets[-1] != x.shape[0]:
-        raise OperatorError(
-            f"segment offsets cover {offsets[-1]} rows, tensor has {x.shape[0]}"
-        )
-    return offsets, np.diff(offsets)
+def segment_sum_np(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Ragged segment sum (no autograd): rows ``offsets[i]:offsets[i+1]`` of
+    ``(n, d)`` sum to row ``i`` of ``(B, d)``; empty segments yield zero rows.
 
+    The offline SpMM precompute (SIGN): with ``x = features[csr.indices]``
+    and ``offsets = csr.indptr`` this is one sparse-matrix row reduction.
 
-def _reduceat(
-    ufunc: np.ufunc, data: np.ndarray, offsets: np.ndarray, fill: float = 0.0
-) -> np.ndarray:
-    """Per-segment ``ufunc`` reduction; empty segments come out as ``fill``.
-
-    ``np.add.reduceat`` has two sharp edges this wrapper files off: an
-    index pair with ``start == end`` returns ``data[start]`` instead of the
-    identity, and a start equal to ``len(data)`` (trailing empty segments)
-    is out of range. Reducing only at the non-empty starts is exact —
-    consecutive non-empty starts are separated precisely by one segment's
-    rows, because the empty segments between them are zero-width.
+    ``np.add.reduceat`` has two sharp edges filed off here: an index pair
+    with ``start == end`` returns ``data[start]`` instead of the identity,
+    and a start equal to ``len(data)`` (trailing empty segments) is out of
+    range. Reducing only at the non-empty starts is exact — consecutive
+    non-empty starts are separated precisely by one segment's rows, because
+    the empty segments between them are zero-width.
     """
+    data = np.asarray(x, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.int64)
     sizes = np.diff(offsets)
-    out = np.full((sizes.size,) + data.shape[1:], fill, dtype=np.float64)
+    out = np.zeros((sizes.size,) + data.shape[1:])
     nonempty = sizes > 0
     if nonempty.any():
-        out[nonempty] = ufunc.reduceat(data, offsets[:-1][nonempty], axis=0)
+        out[nonempty] = np.add.reduceat(data, offsets[:-1][nonempty], axis=0)
     return out
 
 
-def segment_sum_np(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Numpy-level ragged segment sum (no autograd): ``(n, d) -> (B, d)``.
-
-    Shared by the autograd wrapper below and the offline SpMM precompute
-    (SIGN): with ``x = features[csr.indices]`` and ``offsets = csr.indptr``
-    this is one sparse-matrix row reduction.
-    """
-    return _reduceat(np.add, np.asarray(x, dtype=np.float64), offsets)
-
-
 def segment_mean_np(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Numpy-level ragged segment mean; empty segments yield zero rows."""
-    offsets = np.asarray(offsets, dtype=np.int64)
-    sizes = np.diff(offsets)
+    """Ragged segment mean (no autograd); empty segments yield zero rows."""
+    sizes = np.diff(np.asarray(offsets, dtype=np.int64))
     return segment_sum_np(x, offsets) / np.maximum(sizes, 1)[:, None]
-
-
-def segment_sum(x: Tensor, offsets: np.ndarray) -> Tensor:
-    """Ragged segment sum: rows ``offsets[i]:offsets[i+1]`` sum to row ``i``.
-
-    The un-padded AGGREGATE kernel: neighbor states concatenated in CSR
-    order reduce per target vertex whatever each vertex's degree is. Empty
-    segments produce zero rows (a vertex with no neighbors aggregates
-    nothing).
-    """
-    offsets, sizes = _check_segments(x, offsets)
-    out = segment_sum_np(x.data, offsets)
-
-    def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray]]":
-        return [(x, np.repeat(g, sizes, axis=0))]
-
-    return Tensor(out, _parents=(x,), _backward=backward)
-
-
-def segment_mean(x: Tensor, offsets: np.ndarray) -> Tensor:
-    """Ragged segment mean; empty segments yield zero rows."""
-    offsets, sizes = _check_segments(x, offsets)
-    counts = np.maximum(sizes, 1).astype(np.float64)
-    out = segment_sum_np(x.data, offsets) / counts[:, None]
-
-    def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray]]":
-        return [(x, np.repeat(g / counts[:, None], sizes, axis=0))]
-
-    return Tensor(out, _parents=(x,), _backward=backward)
-
-
-def segment_max(x: Tensor, offsets: np.ndarray) -> Tensor:
-    """Ragged segment max; empty segments yield zero rows.
-
-    Gradients flow to the *first* maximal row per (segment, column) —
-    ``np.argmax`` semantics, matching :func:`max_rows_segmented`.
-    """
-    offsets, sizes = _check_segments(x, offsets)
-    n, d = x.shape
-    seg_ids = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-    out = _reduceat(np.maximum, x.data, offsets, fill=-np.inf)
-    out[sizes == 0] = 0.0
-    # First maximal position per (segment, column), for the backward scatter.
-    pos = np.arange(n, dtype=np.int64) - offsets[seg_ids]
-    hit = x.data == out[seg_ids]
-    candidate = np.where(hit, pos[:, None], n)
-    first = _reduceat(np.minimum, candidate, offsets, fill=n).astype(np.int64)
-
-    def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray]]":
-        full = np.zeros_like(x.data)
-        nz = sizes > 0
-        if nz.any():
-            rows = (offsets[:-1][nz][:, None] + first[nz]).ravel()
-            cols = np.tile(np.arange(d, dtype=np.int64), int(nz.sum()))
-            np.add.at(full, (rows, cols), g[nz].ravel())
-        return [(x, full)]
-
-    return Tensor(out, _parents=(x,), _backward=backward)
-
-
-def segment_softmax(x: Tensor, offsets: np.ndarray) -> Tensor:
-    """Within-segment softmax along the rows: output has ``x``'s shape.
-
-    Each column is normalized independently inside its segment — the
-    attention-weight kernel for ragged neighbor lists (scores shaped
-    ``(n, 1)`` normalize per target vertex). Empty segments contribute no
-    rows; single-row segments come out as 1.
-    """
-    offsets, sizes = _check_segments(x, offsets)
-    seg_ids = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-    mx = _reduceat(np.maximum, x.data, offsets, fill=0.0)
-    e = np.exp(x.data - mx[seg_ids])
-    denom = _reduceat(np.add, e, offsets, fill=1.0)
-    s = e / denom[seg_ids]
-
-    def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray]]":
-        dot = _reduceat(np.add, g * s, offsets)
-        return [(x, s * (g - dot[seg_ids]))]
-
-    return Tensor(s, _parents=(x,), _backward=backward)

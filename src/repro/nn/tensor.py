@@ -488,47 +488,3 @@ class Tensor:
             return [(self, full)]
 
         return Tensor(self.data[index], _parents=(self,), _backward=backward)
-
-    def scatter_rows(self, index: np.ndarray, rows: "Tensor") -> "Tensor":
-        """Out-of-place row overwrite: ``out = self; out[index] = rows``.
-
-        ``index`` must hold *unique* row ids (duplicate targets would make
-        the overwrite order-dependent). The complement rows pass ``self``
-        through untouched, so the backward splits the upstream gradient:
-        ``rows`` receives ``g[index]``, ``self`` receives ``g`` with the
-        overwritten rows zeroed. This is the state-merge primitive of the
-        ragged LSTM aggregator (only still-active segments advance).
-        """
-        index = np.asarray(index, dtype=np.int64)
-        if index.size != np.unique(index).size:
-            raise OperatorError("scatter_rows needs unique row indices")
-        rows = Tensor._coerce(rows)
-        if rows.shape != (index.size,) + self.shape[1:]:
-            raise OperatorError(
-                f"scatter_rows got {rows.shape} rows for {index.size} indices "
-                f"of a {self.shape} tensor"
-            )
-        data = self.data.copy()
-        data[index] = rows.data
-
-        def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray]]":
-            grads = []
-            if self.needs_grad:
-                keep = g.copy()
-                keep[index] = 0.0
-                grads.append((self, keep))
-            if rows.needs_grad:
-                grads.append((rows, g[index]))
-            return grads
-
-        return Tensor(data, _parents=(self, rows), _backward=backward)
-
-    def slice_rows(self, start: int, stop: int) -> "Tensor":
-        """Contiguous row slice with zero-padded backward."""
-
-        def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray]]":
-            full = np.zeros_like(self.data)
-            full[start:stop] = g
-            return [(self, full)]
-
-        return Tensor(self.data[start:stop], _parents=(self,), _backward=backward)

@@ -40,27 +40,28 @@ def register_combiner(cls: type) -> type:
 
 
 class Aggregator(Module):
-    """AGGREGATE: maps ``(batch*fanout, d_in)`` neighbor states to
-    ``(batch, d_out)``.
+    """AGGREGATE: ``forward(h, child_index) -> (B, d_out)``.
 
-    Two entries, one contract. ``forward(neighbor_states, fanout)`` takes
-    the neighbor rows already gathered (fixed ``int`` fanout or ragged
-    offsets). ``forward_block(h, child_index)`` takes a block level's
-    states and its ``(batch, fanout)`` child-position table and must equal
-    ``forward(h.gather_rows(child_index.reshape(-1)), fanout)`` bit for
-    bit; that gather is the default, which aggregators transforming each
-    neighbor row keep, while pure reductions override it with a fused
-    gather-reduce that never materialises the neighbor matrix.
+    ``h`` holds a level's ``(n, d_in)`` states and ``child_index`` is the
+    ``(B, fanout)`` table of sampled-neighbor positions inside it — what
+    every sampler draws and :class:`~repro.sampling.blocks.KHopBlock`
+    carries per hop. Row ``b`` of the output aggregates ``h[child_index[b]]``.
+    Call the aggregator (``agg(h, child_index)``): the call checks the table
+    once for every plugin, ``forward`` assumes it.
     """
 
     name = "abstract"
     out_multiplier = 1  # out_dim = out_multiplier * hidden (informational)
 
-    def forward_block(self, h: Tensor, child_index: np.ndarray) -> Tensor:
-        """AGGREGATE each ``child_index`` row's picks out of ``h``."""
-        return self.forward(
-            h.gather_rows(child_index.reshape(-1)), child_index.shape[1]
-        )
+    def __call__(self, h: Tensor, child_index: np.ndarray) -> Tensor:
+        """``forward`` behind the one check every aggregator shares."""
+        table = np.asarray(child_index)
+        if table.ndim != 2 or table.dtype.kind not in "iu" or table.shape[1] < 1:
+            raise OperatorError(
+                "child table must be a 2-D integer (B, fanout >= 1) array, "
+                f"got shape {table.shape} of {table.dtype}"
+            )
+        return self.forward(h, table)
 
 
 class Combiner(Module):

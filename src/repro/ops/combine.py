@@ -16,7 +16,7 @@ from repro.nn import functional as F
 from repro.nn.layers import Dense
 from repro.nn.rnn import GRUCell
 from repro.nn.tensor import Tensor
-from repro.ops.base import Combiner, register_combiner
+from repro.ops.base import COMBINER_REGISTRY, Combiner, register_combiner
 
 
 @register_combiner
@@ -81,8 +81,6 @@ def make_combiner(
     rng: np.random.Generator,
 ) -> Combiner:
     """Instantiate a registered combiner by name."""
-    from repro.ops.base import COMBINER_REGISTRY
-
     try:
         cls = COMBINER_REGISTRY[name]
     except KeyError:

@@ -11,8 +11,9 @@ implement the comparison of Table 5:
   from the :class:`MaterializationCache` across batches ("the stored vector
   ĥ^(k) is updated by ĥ_v^(k)").
 
-Both run the *same* operator plugins, so the measured gap is purely the
-eliminated recomputation.
+Both run the *same* operator plugins through the entry the training encoder
+uses — ``comb(h_self, agg(h, child_index))`` — so the measured gap is
+purely the eliminated recomputation.
 """
 
 from __future__ import annotations
@@ -20,125 +21,107 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import OperatorError
-from repro.nn.tensor import Tensor
-from repro.sampling.base import NeighborProvider
+from repro.nn.tensor import Tensor, _check_row_ids
+from repro.sampling.blocks import _relabel
 from repro.sampling.neighborhood import _ExpandingSampler
 
 
 class MaterializationCache:
     """Per-hop store of the newest ``ĥ^(k)`` vector of each vertex.
 
-    Array-backed: each hop holds a *sorted* int64 key array plus a
-    position array indexing into an append-only contiguous row buffer, so
-    lookups are one ``np.isin``, gathers one ``np.searchsorted`` + fancy
-    index, and updates overwrite existing rows in place / append new ones
-    (buffer grown geometrically) — no per-vertex Python dict traffic on
-    the training hot path, and no full-matrix rebuild per update.
+    A direct-address table: per hop an ``int64`` slot per vertex id (-1 =
+    absent) pointing into an append-only contiguous row buffer (grown
+    geometrically), so a lookup is one index and a compare, a gather one
+    index, and an update assigns slots and rows — nothing is searched,
+    sorted or rebuilt.
     """
 
-    def __init__(self, max_hop: int) -> None:
+    def __init__(self, max_hop: int, n_vertices: int) -> None:
         if max_hop < 1:
             raise OperatorError("materialization cache needs max_hop >= 1")
+        if n_vertices < 1:
+            raise OperatorError(f"materialization cache needs vertices, got {n_vertices}")
         self.max_hop = max_hop
-        self._keys: list[np.ndarray] = [
-            np.zeros(0, dtype=np.int64) for _ in range(max_hop + 1)
-        ]
-        self._pos: list[np.ndarray] = [
-            np.zeros(0, dtype=np.int64) for _ in range(max_hop + 1)
-        ]
-        self._buf: "list[np.ndarray | None]" = [None] * (max_hop + 1)
-        self._len: list[int] = [0] * (max_hop + 1)
+        self.n_vertices = n_vertices
+        # Hop k lives at index k - 1: hop 0 is the feature matrix.
+        self._slot = np.full((max_hop, n_vertices), -1, dtype=np.int64)
+        self._rows: "list[np.ndarray | None]" = [None] * max_hop
+        self._used = [0] * max_hop
         self.hits = 0
         self.misses = 0
 
-    def lookup(self, hop: int, vertices: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """Split ``vertices`` into (cached mask, missing list) for ``hop``."""
+    def _ids(self, hop: int, vertices: np.ndarray) -> np.ndarray:
+        """``vertices`` as int64 ids, after the hop and range checks."""
+        if not 1 <= hop <= self.max_hop:
+            raise OperatorError(f"hop {hop} outside [1, {self.max_hop}]")
         verts = np.asarray(vertices, dtype=np.int64)
-        keys = self._keys[hop]
-        if keys.size:
-            mask = np.isin(verts, keys)
-        else:
-            mask = np.zeros(verts.shape, dtype=bool)
-        self.hits += int(mask.sum())
-        self.misses += int((~mask).sum())
-        missing = [int(v) for v in verts[~mask]]
-        return mask, missing
+        _check_row_ids(verts, self.n_vertices)
+        return verts
+
+    def lookup(self, hop: int, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Split ``vertices`` into (cached mask, missing ids) for ``hop``."""
+        verts = self._ids(hop, vertices)
+        mask = self._slot[hop - 1][verts] >= 0
+        hits = int(mask.sum())
+        self.hits += hits
+        self.misses += verts.size - hits
+        return mask, verts[~mask]
 
     def get_rows(self, hop: int, vertices: np.ndarray) -> np.ndarray:
         """Stacked cached rows (every vertex must be present)."""
-        verts = np.asarray(vertices, dtype=np.int64)
-        keys = self._keys[hop]
-        if keys.size == 0:
-            if verts.size == 0:
-                raise OperatorError(f"nothing materialized at hop {hop}")
+        verts = self._ids(hop, vertices)
+        slots = self._slot[hop - 1][verts]
+        if (slots < 0).any():
             raise OperatorError(
-                f"vertex {int(verts.flat[0])} not materialized at hop {hop}"
+                f"vertex {int(verts[slots < 0][0])} not materialized at hop {hop}"
             )
-        idx = np.searchsorted(keys, verts)
-        idx_clipped = np.minimum(idx, keys.size - 1)
-        present = keys[idx_clipped] == verts
-        if not present.all():
-            first = verts[~present][0]
-            raise OperatorError(
-                f"vertex {int(first)} not materialized at hop {hop}"
-            )
-        return self._buf[hop][self._pos[hop][idx_clipped]]
+        if self._rows[hop - 1] is None:
+            raise OperatorError(f"nothing materialized at hop {hop}")
+        return self._rows[hop - 1][slots]
 
     def update(self, hop: int, vertices: np.ndarray, values: np.ndarray) -> None:
         """Store/refresh the hop-``hop`` vectors of ``vertices``."""
-        if len(vertices) != len(values):
-            raise OperatorError("vertices/values length mismatch")
-        verts = np.asarray(vertices, dtype=np.int64).reshape(-1)
+        verts = self._ids(hop, vertices).reshape(-1)
         vals = np.asarray(values)
+        buf = self._rows[hop - 1]
+        if (
+            vals.ndim != 2
+            or vals.shape[0] != verts.size
+            or (buf is not None and vals.shape[1] != buf.shape[1])
+        ):
+            width = "d" if buf is None else buf.shape[1]
+            raise OperatorError(
+                f"hop {hop} update needs ({verts.size}, {width}) values, "
+                f"got shape {vals.shape}"
+            )
         if verts.size == 0:
             return
         # Last write wins for repeated vertices, matching per-vertex dict
         # assignment order: unique over the reversed array keeps each
-        # vertex's *last* occurrence.
+        # vertex's *last* occurrence. (numpy promises no order for repeated
+        # fancy-assignment targets, so the repeats must go first.)
         uniq, rev_idx = np.unique(verts[::-1], return_index=True)
         new_rows = vals[verts.size - 1 - rev_idx]
-        keys = self._keys[hop]
-        if self._buf[hop] is None:
-            cap = max(64, 2 * uniq.size)
-            self._buf[hop] = np.empty(
-                (cap,) + new_rows.shape[1:], dtype=new_rows.dtype
-            )
-        buf = self._buf[hop]
-        idx = np.searchsorted(keys, uniq)
-        idx_clipped = np.minimum(idx, max(keys.size - 1, 0))
-        present = (
-            (keys[idx_clipped] == uniq)
-            if keys.size
-            else np.zeros(uniq.shape, dtype=bool)
-        )
-        if present.any():
-            buf[self._pos[hop][idx_clipped[present]]] = new_rows[present]
-        absent = ~present
-        n_new = int(absent.sum())
-        if n_new:
-            used = self._len[hop]
-            if used + n_new > buf.shape[0]:
-                cap = max(2 * buf.shape[0], used + n_new)
-                grown = np.empty((cap,) + buf.shape[1:], dtype=buf.dtype)
+        slots = self._slot[hop - 1][uniq]
+        fresh = slots < 0
+        used = self._used[hop - 1]
+        end = used + int(fresh.sum())
+        if buf is None or end > buf.shape[0]:
+            cap = max(64, 2 * end)
+            grown = np.empty((cap, vals.shape[1]), dtype=vals.dtype)
+            if used:
                 grown[:used] = buf[:used]
-                self._buf[hop] = buf = grown
-            buf[used : used + n_new] = new_rows[absent]
-            ins = idx[absent]
-            self._keys[hop] = np.insert(keys, ins, uniq[absent])
-            self._pos[hop] = np.insert(
-                self._pos[hop],
-                ins,
-                np.arange(used, used + n_new, dtype=np.int64),
-            )
-            self._len[hop] = used + n_new
+            self._rows[hop - 1] = buf = grown
+        slots[fresh] = np.arange(used, end)
+        self._slot[hop - 1][uniq] = slots
+        buf[slots] = new_rows
+        self._used[hop - 1] = end
 
     def invalidate(self) -> None:
         """Drop everything (call after a parameter update in training)."""
-        for hop in range(self.max_hop + 1):
-            self._keys[hop] = np.zeros(0, dtype=np.int64)
-            self._pos[hop] = np.zeros(0, dtype=np.int64)
-            self._buf[hop] = None
-            self._len[hop] = 0
+        self._slot.fill(-1)
+        self._rows = [None] * self.max_hop
+        self._used = [0] * self.max_hop
 
     @property
     def hit_rate(self) -> float:
@@ -154,8 +137,6 @@ class MinibatchExecutor:
     ----------
     features:
         ``(n, f)`` input features (``h^(0) = x_v``).
-    provider:
-        Adjacency source for sampling.
     sampler:
         A neighborhood sampler (any :class:`_ExpandingSampler`).
     aggregators, combiners:
@@ -168,7 +149,6 @@ class MinibatchExecutor:
     def __init__(
         self,
         features: np.ndarray,
-        provider: NeighborProvider,
         sampler: _ExpandingSampler,
         aggregators: "list[object]",
         combiners: "list[object]",
@@ -179,12 +159,21 @@ class MinibatchExecutor:
         if any(f < 1 for f in fanouts):
             raise OperatorError(f"fanouts must be positive, got {fanouts}")
         self.features = np.asarray(features, dtype=np.float64)
-        self.provider = provider
         self.sampler = sampler
         self.aggregators = list(aggregators)
         self.combiners = list(combiners)
         self.fanouts = list(fanouts)
         self.kmax = len(fanouts)
+
+    def _seeds(self, batch: np.ndarray) -> np.ndarray:
+        """The batch as int64 seed ids, checked before anything is drawn."""
+        batch = np.asarray(batch, dtype=np.int64)
+        if batch.ndim != 1 or batch.size == 0:
+            raise OperatorError(
+                f"batch must be a non-empty 1-D id array, got shape {batch.shape}"
+            )
+        _check_row_ids(batch, self.features.shape[0])
+        return batch
 
     # ------------------------------------------------------------------ #
     # Uncached: full-multiplicity recomputation
@@ -193,8 +182,7 @@ class MinibatchExecutor:
         self, batch: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """h^(kmax) per seed, recomputing every tree occurrence."""
-        batch = np.asarray(batch, dtype=np.int64)
-        sample = self.sampler.sample(batch, self.fanouts, rng)
+        sample = self.sampler.sample(self._seeds(batch), self.fanouts, rng)
         layers = sample.layers  # multiplicity arrays, layer j size B*prod(f_1..f_j)
         # states[j] holds h^(k) rows for layer j at the current k.
         states = [Tensor(self.features[layer]) for layer in layers]
@@ -203,9 +191,11 @@ class MinibatchExecutor:
             comb = self.combiners[k - 1]
             new_states = []
             for j in range(len(layers) - k):
-                fanout = self.fanouts[j]
-                h_neigh = agg(states[j + 1], fanout)
-                new_states.append(comb(states[j], h_neigh))
+                # Tree level j+1 lists level j's children in order: the
+                # child table is the identity.
+                n, fanout = layers[j].size, self.fanouts[j]
+                children = np.arange(n * fanout).reshape(n, fanout)
+                new_states.append(comb(states[j], agg(states[j + 1], children)))
             states = new_states
         return states[0].numpy()
 
@@ -223,7 +213,7 @@ class MinibatchExecutor:
         Sampled neighbor sets are shared across the mini-batch: each
         distinct vertex gets one neighbor sample per hop level.
         """
-        batch = np.asarray(batch, dtype=np.int64)
+        batch = self._seeds(batch)
         if cache.max_hop < self.kmax:
             raise OperatorError(
                 f"cache depth {cache.max_hop} < executor kmax {self.kmax}"
@@ -231,37 +221,25 @@ class MinibatchExecutor:
         # Top-down pruning pass: at each hop, only cache-missing vertices
         # sample children; their children become the next hop's demand. A
         # warm cache therefore skips both sampling and compute.
-        missing_at: dict[int, np.ndarray] = {}
-        children_at: dict[int, np.ndarray] = {}
+        plan = []
         demand = np.unique(batch)
         for k in range(self.kmax, 0, -1):
             _, missing = cache.lookup(k, demand)
-            missing_arr = np.asarray(missing, dtype=np.int64)
-            missing_at[k] = missing_arr
-            if missing_arr.size:
-                fanout = self.fanouts[self.kmax - k]
-                kids, _ = self.sampler.sample_children(missing_arr, fanout, rng)
-                kids = kids.reshape(-1)
-            else:
-                kids = np.zeros(0, dtype=np.int64)
-            children_at[k] = kids
-            demand = np.unique(np.concatenate([missing_arr, kids]))
+            if missing.size == 0:
+                break  # warm from here down: nothing to draw or compute
+            kids, _ = self.sampler.sample_children(
+                missing, self.fanouts[self.kmax - k], rng
+            )
+            demand = np.unique(np.concatenate([missing, kids.reshape(-1)]))
+            plan.append((k, missing, kids, demand))
 
-        def rows_for(hop: int, vertices: np.ndarray) -> np.ndarray:
-            if hop == 0:
-                return self.features[vertices]
-            return cache.get_rows(hop, vertices)
-
-        # Bottom-up compute of exactly the missing vectors.
-        for k in range(1, self.kmax + 1):
-            missing_arr = missing_at[k]
-            if missing_arr.size == 0:
-                continue
-            fanout = self.fanouts[self.kmax - k]
-            h_children = Tensor(rows_for(k - 1, children_at[k]))
-            h_self = Tensor(rows_for(k - 1, missing_arr))
+        # Bottom-up compute of exactly the missing vectors, one block hop
+        # each: the level's previous-hop rows are gathered once.
+        for k, missing, kids, level in reversed(plan):
+            h = Tensor(self.features[level] if k == 1 else cache.get_rows(k - 1, level))
+            self_index, child_index = _relabel(level, missing, kids)
             agg = self.aggregators[k - 1]
             comb = self.combiners[k - 1]
-            h_new = comb(h_self, agg(h_children, fanout)).numpy()
-            cache.update(k, missing_arr, h_new)
+            h_new = comb(h.gather_rows(self_index), agg(h, child_index))
+            cache.update(k, missing, h_new.numpy())
         return cache.get_rows(self.kmax, batch)

@@ -12,14 +12,11 @@ power-law, so only a tiny vertex fraction clears any threshold — that is the
 entire economic argument for this cache, and :func:`plan_importance_cache`
 implements Algorithm 2 (lines 5–9) on top of it.
 
-k-hop counts come in two flavours:
-
-* ``method="multiplicity"`` (default) counts k-hop *walks* via sparse
-  matrix-vector products — vectorized, O(k·m), and exactly the quantity whose
-  power-law tail Theorem 1's proof manipulates;
-* ``method="exact"`` counts distinct k-hop neighbors by per-vertex BFS —
-  O(n·d^k), intended for small graphs and for tests validating that the two
-  flavours agree in ranking.
+k-hop counts are k-hop *walk* counts via sparse matrix-vector products —
+vectorized, O(k·m), and exactly the quantity whose power-law tail Theorem
+1's proof manipulates. (The distinct-neighbor count by per-vertex BFS,
+O(n·d^k), is the oracle in ``tests/test_storage_importance.py`` that checks
+the two agree in ranking.)
 """
 
 from __future__ import annotations
@@ -41,78 +38,39 @@ def _out_csr_matrix(graph: Graph) -> sp.csr_matrix:
     )
 
 
-def khop_degrees(
-    graph: Graph, k: int, method: str = "multiplicity"
-) -> tuple[np.ndarray, np.ndarray]:
+def khop_degrees(graph: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(D_i^(k), D_o^(k))`` for every vertex.
 
-    See the module docstring for the two methods. For undirected graphs the
-    two vectors coincide by symmetry.
+    Cumulative walk counts over 1..k hops (Algorithm 2 caches the union of
+    1..k-hop out-neighborhoods, so this counts the within-k neighborhood,
+    with walk multiplicity). For undirected graphs the two vectors coincide
+    by symmetry.
     """
     if k < 1:
         raise StorageError(f"hop count k must be >= 1, got {k}")
-    if method == "multiplicity":
-        # Cumulative walk counts over 1..k hops (Algorithm 2 caches the
-        # union of 1..k-hop out-neighborhoods, so both methods count the
-        # within-k neighborhood; this one with walk multiplicity).
-        a = _out_csr_matrix(graph)
-        at = a.T.tocsr()
-        ones = np.ones(graph.n_vertices, dtype=np.float64)
-        d_out = np.zeros_like(ones)
-        step = ones.copy()
-        for _ in range(k):
-            step = a @ step
-            d_out += step
-        d_in = np.zeros_like(ones)
-        step = ones.copy()
-        for _ in range(k):
-            step = at @ step
-            d_in += step
-        return d_in, d_out
-    if method == "exact":
-        d_out = np.array(
-            [_exact_khop_count(graph, v, k, forward=True) for v in range(graph.n_vertices)],
-            dtype=np.float64,
-        )
-        if graph.directed:
-            d_in = np.array(
-                [
-                    _exact_khop_count(graph, v, k, forward=False)
-                    for v in range(graph.n_vertices)
-                ],
-                dtype=np.float64,
-            )
-        else:
-            d_in = d_out.copy()
-        return d_in, d_out
-    raise StorageError(f"unknown k-hop method {method!r}")
-
-
-def _exact_khop_count(graph: Graph, v: int, k: int, forward: bool) -> int:
-    """Number of distinct vertices reachable from ``v`` in 1..k hops."""
-    frontier = {v}
-    seen = {v}
+    a = _out_csr_matrix(graph)
+    at = a.T.tocsr()
+    ones = np.ones(graph.n_vertices, dtype=np.float64)
+    d_out = np.zeros_like(ones)
+    step = ones.copy()
     for _ in range(k):
-        nxt: set[int] = set()
-        for u in frontier:
-            nbrs = graph.out_neighbors(u) if forward else graph.in_neighbors(u)
-            nxt.update(int(w) for w in nbrs)
-        frontier = nxt - seen
-        seen |= nxt
-        if not frontier:
-            break
-    return len(seen) - 1
+        step = a @ step
+        d_out += step
+    d_in = np.zeros_like(ones)
+    step = ones.copy()
+    for _ in range(k):
+        step = at @ step
+        d_in += step
+    return d_in, d_out
 
 
-def importance_scores(
-    graph: Graph, k: int, method: str = "multiplicity"
-) -> np.ndarray:
+def importance_scores(graph: Graph, k: int) -> np.ndarray:
     """Imp^(k)(v) = D_i^(k)(v) / D_o^(k)(v) per vertex (Eq. 1).
 
     Vertices with zero k-hop out-neighborhood get importance 0 — they have
     nothing to cache, so they must never clear a positive threshold.
     """
-    d_in, d_out = khop_degrees(graph, k, method=method)
+    d_in, d_out = khop_degrees(graph, k)
     scores = np.zeros(graph.n_vertices, dtype=np.float64)
     nonzero = d_out > 0
     scores[nonzero] = d_in[nonzero] / d_out[nonzero]

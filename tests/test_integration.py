@@ -50,16 +50,14 @@ def test_executor_over_distributed_store():
     store = make_store(graph, 2, seed=0)
     rng = make_rng(2)
     features = rng.normal(size=(graph.n_vertices, 8))
-    provider = StoreProvider(store, from_part=0)
     ex = MinibatchExecutor(
         features,
-        provider,
-        UniformNeighborSampler(provider),
+        UniformNeighborSampler(StoreProvider(store, from_part=0)),
         [make_aggregator("mean", 8, 8, rng)],
         [make_combiner("concat", 8, 8, 8, rng)],
         [4],
     )
-    cache = MaterializationCache(1)
+    cache = MaterializationCache(1, graph.n_vertices)
     out = ex.embed_batch_cached(np.arange(16), rng, cache)
     assert out.shape == (16, 8)
     assert np.isfinite(out).all()

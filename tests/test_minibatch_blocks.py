@@ -1,4 +1,4 @@
-"""Minibatch k-hop blocks, ragged aggregators, SIGN, and the hep gather."""
+"""Minibatch k-hop blocks, SIGN, and the hep gather."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from repro.data import train_test_split_edges
 from repro.errors import SamplingError
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
-from repro.ops.aggregate import make_aggregator
 from repro.sampling import (
     GraphProvider,
     UniformNeighborSampler,
@@ -22,6 +21,7 @@ from repro.sampling import (
 from repro.sampling.kernels import CsrAdjacency
 from repro.tasks import evaluate_link_prediction
 from repro.utils.rng import make_rng
+from tests.test_ops import fixed_reduce
 
 AGGREGATORS = ["mean", "sum", "maxpool", "lstm", "attention"]
 COMBINERS = ["concat", "sum", "gru"]
@@ -96,7 +96,7 @@ def hop_table_forward(encoder, features, hop_tables):
     h = features if encoder.input_proj is None else encoder.input_proj(features)
     for k, table in enumerate(hop_tables):
         neigh = h.gather_rows(table.reshape(-1))  # (n*fanout, d)
-        h_neigh = encoder.aggregators[k](neigh, table.shape[1])
+        h_neigh = fixed_reduce(encoder.aggregators[k], neigh, table.shape[1])
         h = F.l2_normalize(encoder.combiners[k](h, h_neigh))
     return h
 
@@ -278,46 +278,6 @@ def test_minibatch_quality_within_noise(small_taobao):
         ).roc_auc
     assert aucs[True] > 60.0
     assert abs(aucs[True] - aucs[False]) < 12.0
-
-
-# ---------------------------------------------------------------------- #
-# Ragged aggregators
-# ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("name", AGGREGATORS)
-def test_aggregator_ragged_matches_fixed_on_uniform_segments(name):
-    x = Tensor(make_rng(2).normal(size=(24, 6)), requires_grad=True)
-    agg = make_aggregator(name, 6, 5, make_rng(1))
-    fixed = agg(x, 4)
-    ragged = agg(x, np.arange(0, 25, 4))
-    np.testing.assert_allclose(fixed.numpy(), ragged.numpy(), atol=1e-12)
-
-
-@pytest.mark.parametrize("name", AGGREGATORS)
-def test_aggregator_ragged_segments_grads_flow(name):
-    offsets = np.array([0, 3, 3, 8, 10, 17, 24])  # one empty segment
-    x = Tensor(make_rng(2).normal(size=(24, 6)), requires_grad=True)
-    agg = make_aggregator(name, 6, 5, make_rng(1))
-    out = agg(x, offsets)
-    assert out.shape == (6, 5)
-    out.sum().backward()
-    assert x.grad is not None and np.isfinite(x.grad).all()
-    # The empty segment received no input rows, so no gradient flows out
-    # of it — but some neighbor rows must carry gradient.
-    assert np.abs(x.grad).sum() > 0
-
-
-def test_lstm_ragged_matches_per_segment_reference():
-    from repro.ops.aggregate import LSTMAggregator
-
-    offsets = np.array([0, 2, 5, 5, 9])
-    x = make_rng(8).normal(size=(9, 3))
-    agg = LSTMAggregator(3, 4, make_rng(1))
-    out = agg(Tensor(x), offsets).numpy()
-    for b, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-        h, c = agg.cell.init_state(1)
-        for row in range(lo, hi):
-            h, c = agg.cell(Tensor(x[row : row + 1]), h, c)
-        np.testing.assert_allclose(out[b], h.numpy()[0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------- #

@@ -97,14 +97,13 @@ def test_materialization_cache_misses_after_invalidate(small_powerlaw):
 
     rng = make_rng(0)
     features = rng.normal(size=(small_powerlaw.n_vertices, 4))
-    provider = GraphProvider(small_powerlaw)
     ex = MinibatchExecutor(
-        features, provider, UniformNeighborSampler(provider),
+        features, UniformNeighborSampler(GraphProvider(small_powerlaw)),
         [make_aggregator("mean", 4, 4, rng)],
         [make_combiner("concat", 4, 4, 4, rng)],
         [3],
     )
-    cache = MaterializationCache(1)
+    cache = MaterializationCache(1, small_powerlaw.n_vertices)
     batch = np.arange(16)
     ex.embed_batch_cached(batch, rng, cache)
     hits_before = cache.hits

@@ -99,11 +99,6 @@ def test_gather_rows_accumulates():
     assert np.allclose(a.grad[1], 0.0)
 
 
-def test_slice_rows_gradient():
-    a = _param(5, 2)
-    check_gradients(lambda: (a.slice_rows(1, 4) ** 2).sum(), [a])
-
-
 def test_grad_accumulates_across_backwards():
     a = _param(3)
     (a.sum()).backward()

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import OperatorError
+from repro.graph import Graph
+from repro.nn import functional as F
 from repro.nn.gradcheck import check_gradients
 from repro.nn.tensor import Tensor
 from repro.ops import (
@@ -19,57 +24,135 @@ from repro.utils.rng import make_rng
 
 rng = make_rng(21)
 
+AGGREGATORS = ["mean", "sum", "maxpool", "lstm", "attention"]
 
-@pytest.mark.parametrize("name", ["mean", "sum", "maxpool", "lstm", "attention"])
+
+def fixed_reduce(agg, rows: Tensor, fanout: int) -> Tensor:
+    """Oracle: AGGREGATE over already-gathered ``(B * fanout, d)`` neighbor
+    rows, composed of the fixed-width kernels with ``agg``'s own parameters.
+
+    ``agg(h, table)`` must equal ``fixed_reduce(agg,
+    h.gather_rows(table.reshape(-1)), table.shape[1])`` bit for bit, values
+    and gradients: gather-then-reduce is what the fused entry replaced.
+    """
+    n = rows.shape[0]
+    batch = n // fanout
+    if agg.name == "mean":
+        return agg.dense(F.mean_rows_segmented(rows, fanout))
+    if agg.name == "sum":
+        return agg.dense(F.sum_rows_segmented(rows, fanout))
+    if agg.name == "maxpool":
+        return agg.post(F.max_rows_segmented(agg.pre(rows), fanout))
+    if agg.name == "lstm":
+        h, c = agg.cell.init_state(batch)
+        for step in range(fanout):
+            h, c = agg.cell(rows.gather_rows(np.arange(batch) * fanout + step), h, c)
+        return h
+    assert agg.name == "attention"
+    transformed = agg.transform(rows)
+    raw = agg.score(F.tanh(transformed))
+    weights = F.softmax(raw.reshape(batch, fanout), axis=-1).reshape(n, 1)
+    return F.sum_rows_segmented(transformed * weights, fanout)
+
+
+@pytest.mark.parametrize("name", AGGREGATORS)
 def test_aggregator_shapes(name):
     agg = make_aggregator(name, 6, 4, rng)
-    x = Tensor(make_rng(0).normal(size=(12, 6)))  # batch 3, fanout 4
-    out = agg(x, 4)
-    assert out.shape == (3, 4)
+    h = Tensor(make_rng(0).normal(size=(12, 6)))
+    assert agg(h, np.arange(12).reshape(3, 4)).shape == (3, 4)
+    # The table addresses a level, it does not have to cover it.
+    assert agg(h, np.array([[11, 0], [5, 5]])).shape == (2, 4)
 
 
 @pytest.mark.parametrize("name", ["mean", "sum", "maxpool", "attention"])
 def test_aggregator_gradients(name):
     agg = make_aggregator(name, 3, 2, rng)
-    x = Tensor(make_rng(1).normal(size=(4, 3)))
-    check_gradients(lambda: (agg(x, 2) ** 2).sum(), agg.parameters(), atol=1e-4)
+    h = Tensor(make_rng(1).normal(size=(4, 3)), requires_grad=True)
+    table = np.array([[0, 1], [3, 3], [2, 0]])
+    check_gradients(lambda: (agg(h, table) ** 2).sum(), [h] + agg.parameters(), atol=1e-4)
 
 
 def test_lstm_aggregator_gradient():
     agg = make_aggregator("lstm", 3, 2, rng)
-    x = Tensor(make_rng(2).normal(size=(4, 3)))
-    check_gradients(lambda: (agg(x, 2) ** 2).sum(), agg.parameters(), atol=1e-4)
+    h = Tensor(make_rng(2).normal(size=(4, 3)), requires_grad=True)
+    table = np.array([[0, 1], [3, 3], [2, 0]])
+    check_gradients(lambda: (agg(h, table) ** 2).sum(), [h] + agg.parameters(), atol=1e-4)
+
+
+@pytest.mark.parametrize("name", AGGREGATORS)
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 12), batch=st.integers(1, 9), fanout=st.integers(1, 11),
+    d=st.integers(2, 5), seed=st.integers(0, 2**16),
+)
+def test_aggregator_equals_gather_then_reduce(name, n, batch, fanout, d, seed):
+    """The one entry against the rows+fanout composition it replaced.
+
+    ``d >= 2``: over one column numpy's strided ``add.reduce`` collapses to
+    its contiguous pairwise loop, which groups a fanout >= 8 sum differently
+    from the SpMM's sequential one (both correct, one ulp apart).
+    """
+    gen = make_rng(seed)
+    table = gen.integers(0, n, size=(batch, fanout))
+    table[0] = table[0, 0]  # one vertex filling a whole child row
+    own = np.arange(min(batch, n))
+    table[own, 0] = own  # self-referencing: row b picks position b
+    data = gen.normal(size=(n, d))
+
+    def run(forward):
+        agg = make_aggregator(name, d, 3, make_rng(seed + 1))
+        h = Tensor(data, requires_grad=True)
+        out = forward(agg, h)
+        (out**2).sum().backward()
+        return [out.numpy(), h.grad] + [p.grad for p in agg.parameters()]
+
+    fused = run(lambda agg, h: agg(h, table))
+    oracle = run(lambda agg, h: fixed_reduce(agg, h.gather_rows(table.reshape(-1)), fanout))
+    for got, want in zip(fused, oracle):
+        assert np.array_equal(got, want)
 
 
 def test_mean_aggregator_is_permutation_invariant():
     agg = make_aggregator("mean", 3, 4, rng)
-    x = make_rng(3).normal(size=(4, 3))
-    out1 = agg(Tensor(x), 4).numpy()
-    out2 = agg(Tensor(x[::-1].copy()), 4).numpy()
+    h = Tensor(make_rng(3).normal(size=(4, 3)))
+    out1 = agg(h, np.array([[0, 1, 2, 3]])).numpy()
+    out2 = agg(h, np.array([[3, 2, 1, 0]])).numpy()
     np.testing.assert_allclose(out1, out2, atol=1e-12)
 
 
 def test_maxpool_duplicate_neighbors_are_idempotent():
-    # Max over {a, a} equals max over {a}: duplicated rows change nothing.
+    # Max over {a, a} equals max over {a}: duplicated picks change nothing.
     agg = make_aggregator("maxpool", 2, 3, rng)
-    row = np.array([[1.5, -0.5]])
-    single = agg(Tensor(np.repeat(row, 2, axis=0)), 2).numpy()
-    quad = agg(Tensor(np.repeat(row, 4, axis=0)), 4).numpy()
+    h = Tensor(np.array([[1.5, -0.5]]))
+    single = agg(h, np.zeros((1, 2), dtype=np.int64)).numpy()
+    quad = agg(h, np.zeros((1, 4), dtype=np.int64)).numpy()
     np.testing.assert_allclose(single, quad, atol=1e-12)
 
 
 def test_maxpool_permutation_invariant():
     agg = make_aggregator("maxpool", 2, 3, rng)
-    x = make_rng(30).normal(size=(4, 2))
-    out1 = agg(Tensor(x), 4).numpy()
-    out2 = agg(Tensor(x[::-1].copy()), 4).numpy()
+    h = Tensor(make_rng(30).normal(size=(4, 2)))
+    out1 = agg(h, np.array([[0, 1, 2, 3]])).numpy()
+    out2 = agg(h, np.array([[3, 2, 1, 0]])).numpy()
     np.testing.assert_allclose(out1, out2, atol=1e-12)
 
 
-def test_fanout_divisibility_checked():
-    agg = make_aggregator("lstm", 3, 2, rng)
-    with pytest.raises(OperatorError):
-        agg(Tensor(np.zeros((5, 3))), 2)
+@pytest.mark.parametrize(
+    "table,shape",
+    [
+        (np.zeros((3, 0), dtype=np.int64), r"\(3, 0\)"),  # zero-width: no neighbor
+        (np.array([0, 1, 2]), r"\(3,\)"),  # 1-D
+        (np.zeros((2, 2, 2), dtype=np.int64), r"\(2, 2, 2\)"),
+        (np.array([[0.0, 1.0]]), r"\(1, 2\) of float64"),  # not integer
+    ],
+    ids=["zero_width", "one_dim", "three_dim", "float"],
+)
+@pytest.mark.parametrize("name", AGGREGATORS)
+def test_aggregator_rejects_malformed_table(name, table, shape):
+    agg = make_aggregator(name, 3, 2, rng)
+    h = Tensor(np.ones((4, 3)))
+    with np.errstate(all="raise"), pytest.raises(OperatorError, match=shape):
+        agg(h, table)
 
 
 @pytest.mark.parametrize("name", ["sum", "concat", "gru"])
@@ -104,7 +187,7 @@ def test_combiner_gradients():
 
 
 def test_registries_populated():
-    assert {"mean", "sum", "maxpool", "lstm", "attention"} <= set(AGGREGATOR_REGISTRY)
+    assert set(AGGREGATORS) <= set(AGGREGATOR_REGISTRY)
     assert {"sum", "concat", "gru"} <= set(COMBINER_REGISTRY)
 
 
@@ -118,70 +201,122 @@ def test_unknown_plugin_names():
 # --------------------------------------------------------------------- #
 # Materialization cache
 # --------------------------------------------------------------------- #
-def _executor(graph, dim=8, fanouts=(4, 4)):
+def _executor(graph, dim=8, fanouts=(4, 4), aggregator="mean"):
     gen = make_rng(8)
     f = 6
     features = make_rng(9).normal(size=(graph.n_vertices, f))
     aggs = [
-        make_aggregator("mean", f, dim, gen),
-        make_aggregator("mean", dim, dim, gen),
+        make_aggregator(aggregator, f, dim, gen),
+        make_aggregator(aggregator, dim, dim, gen),
     ]
     combs = [
         make_combiner("concat", f, dim, dim, gen),
         make_combiner("concat", dim, dim, dim, gen),
     ]
-    provider = GraphProvider(graph)
-    return MinibatchExecutor(
-        features, provider, UniformNeighborSampler(provider), aggs, combs, list(fanouts)
-    )
+    sampler = UniformNeighborSampler(GraphProvider(graph))
+    return MinibatchExecutor(features, sampler, aggs, combs, list(fanouts))
 
 
 def test_cache_lookup_update_roundtrip():
-    cache = MaterializationCache(2)
+    cache = MaterializationCache(2, 10)
     ids = np.array([3, 5])
     vals = np.array([[1.0, 2.0], [3.0, 4.0]])
     cache.update(1, ids, vals)
     mask, missing = cache.lookup(1, np.array([3, 5, 7]))
     assert mask.tolist() == [True, True, False]
-    assert missing == [7]
+    assert missing.tolist() == [7]
     np.testing.assert_array_equal(cache.get_rows(1, ids), vals)
 
 
 def test_cache_get_missing_raises():
-    cache = MaterializationCache(1)
+    cache = MaterializationCache(1, 4)
     with pytest.raises(OperatorError):
         cache.get_rows(1, np.array([0]))
 
 
 def test_cache_invalidate():
-    cache = MaterializationCache(1)
+    cache = MaterializationCache(1, 4)
     cache.update(1, np.array([0]), np.zeros((1, 2)))
     cache.invalidate()
     with pytest.raises(OperatorError):
         cache.get_rows(1, np.array([0]))
+    assert not cache.lookup(1, np.array([0]))[0].any()
 
 
 def test_cache_validations():
     with pytest.raises(OperatorError):
-        MaterializationCache(0)
-    cache = MaterializationCache(1)
+        MaterializationCache(0, 4)
+    with pytest.raises(OperatorError):
+        MaterializationCache(1, 0)
+    cache = MaterializationCache(1, 4)
     with pytest.raises(OperatorError):
         cache.update(1, np.array([0, 1]), np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda c: c.lookup(5, np.array([0])), r"hop 5 outside \[1, 2\]"),
+        (lambda c: c.get_rows(3, np.array([0])), r"hop 3 outside \[1, 2\]"),
+        # Hop 0 is the feature matrix: nothing to materialize there.
+        (lambda c: c.update(0, np.array([0]), np.zeros((1, 2))), r"hop 0 outside \[1, 2\]"),
+        (lambda c: c.lookup(1, np.array([0, 6])), r"row ids span \[0, 6\], outside \[0, 6\)"),
+        (lambda c: c.get_rows(1, np.array([-1])), r"row ids span \[-1, -1\], outside \[0, 6\)"),
+        (lambda c: c.update(2, np.array([9]), np.zeros((1, 2))), r"row ids span \[9, 9\], outside \[0, 6\)"),
+        (lambda c: c.update(1, np.array([0, 1]), np.zeros(2)), r"\(2, 2\) values, got shape \(2,\)"),
+        (lambda c: c.update(1, np.array([0]), np.zeros((1, 3))), r"\(1, 2\) values, got shape \(1, 3\)"),
+        (lambda c: c.update(2, np.array([0, 1]), np.zeros((3, 2))), r"\(2, d\) values, got shape \(3, 2\)"),
+    ],
+    ids=[
+        "lookup_deep_hop", "get_rows_deep_hop", "update_hop_zero", "lookup_id_high",
+        "get_rows_id_negative", "update_id_high", "update_1d_values",
+        "update_row_width", "update_length",
+    ],
+)
+def test_cache_typed_errors_leave_it_untouched(call, message):
+    cache = MaterializationCache(2, 6)
+    held = np.array([[1.0, 2.0], [3.0, 4.0]])
+    cache.update(1, np.array([2, 4]), held)
+    cache.lookup(1, np.array([2, 3]))
+    with pytest.raises(OperatorError, match=message):
+        call(cache)
+    assert (cache.hits, cache.misses) == (1, 1)
+    np.testing.assert_array_equal(cache.get_rows(1, np.array([2, 4])), held)
 
 
 def test_cached_and_uncached_same_shape(small_powerlaw):
     ex = _executor(small_powerlaw)
     batch = make_rng(10).integers(0, small_powerlaw.n_vertices, 16)
     out_u = ex.embed_batch_uncached(batch, make_rng(11))
-    cache = MaterializationCache(2)
+    cache = MaterializationCache(2, small_powerlaw.n_vertices)
     out_c = ex.embed_batch_cached(batch, make_rng(11), cache)
     assert out_u.shape == out_c.shape == (16, 8)
     assert np.isfinite(out_u).all() and np.isfinite(out_c).all()
 
 
+@pytest.mark.parametrize("name", AGGREGATORS)
+def test_cached_equals_uncached_when_every_draw_is_forced(name):
+    """Out-degree 1 everywhere and equal fanouts: the expansion tree and the
+    deduplicated expansion must pick the same children, so the two Table-5
+    recursions compute the same vectors (duplicates and all)."""
+    n = 30
+    dst = make_rng(2).permutation(n)
+    graph = Graph(n, np.arange(n), dst, directed=True)
+    ex = _executor(graph, fanouts=(3, 3), aggregator=name)
+    batch = np.array([4, 9, 4, 0, 29, 9])
+    cache = MaterializationCache(2, n)
+    out_u = ex.embed_batch_uncached(batch, make_rng(1))
+    cold = ex.embed_batch_cached(batch, make_rng(1), cache)
+    warm = ex.embed_batch_cached(batch, make_rng(1), cache)
+    # Not bitwise: the tree's matmuls see each row at other positions.
+    np.testing.assert_allclose(cold, out_u, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(warm, cold)
+    assert np.abs(out_u).sum() > 0
+
+
 def test_cache_hit_rate_rises_across_batches(small_powerlaw):
     ex = _executor(small_powerlaw)
-    cache = MaterializationCache(2)
+    cache = MaterializationCache(2, small_powerlaw.n_vertices)
     gen = make_rng(12)
     ex.embed_batch_cached(gen.integers(0, 1000, 64), gen, cache)
     first_rate = cache.hit_rate
@@ -192,7 +327,7 @@ def test_cache_hit_rate_rises_across_batches(small_powerlaw):
 
 def test_warm_cache_returns_consistent_rows(small_powerlaw):
     ex = _executor(small_powerlaw)
-    cache = MaterializationCache(2)
+    cache = MaterializationCache(2, small_powerlaw.n_vertices)
     gen = make_rng(13)
     batch = np.arange(32)
     first = ex.embed_batch_cached(batch, gen, cache)
@@ -203,92 +338,147 @@ def test_warm_cache_returns_consistent_rows(small_powerlaw):
 
 def test_executor_validations(small_powerlaw):
     gen = make_rng(14)
-    features = np.zeros((small_powerlaw.n_vertices, 4))
-    provider = GraphProvider(small_powerlaw)
-    sampler = UniformNeighborSampler(provider)
+    n = small_powerlaw.n_vertices
+    features = np.zeros((n, 4))
+    sampler = UniformNeighborSampler(GraphProvider(small_powerlaw))
     agg = [make_aggregator("mean", 4, 4, gen)]
     comb = [make_combiner("concat", 4, 4, 4, gen)]
     with pytest.raises(OperatorError):
-        MinibatchExecutor(features, provider, sampler, agg, comb, [2, 2])
+        MinibatchExecutor(features, sampler, agg, comb, [2, 2])
     with pytest.raises(OperatorError):
-        MinibatchExecutor(features, provider, sampler, agg, comb, [0])
+        MinibatchExecutor(features, sampler, agg, comb, [0])
     # A cache shallower than the executor's kmax is rejected.
     agg2 = agg + [make_aggregator("mean", 4, 4, gen)]
     comb2 = comb + [make_combiner("concat", 4, 4, 4, gen)]
-    deep = MinibatchExecutor(features, provider, sampler, agg2, comb2, [2, 2])
+    deep = MinibatchExecutor(features, sampler, agg2, comb2, [2, 2])
     with pytest.raises(OperatorError):
-        deep.embed_batch_cached(np.array([0]), gen, MaterializationCache(1))
+        deep.embed_batch_cached(np.array([0]), gen, MaterializationCache(1, n))
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+@pytest.mark.parametrize(
+    "batch,message",
+    [
+        ([3, 1000], r"row ids span \[3, 1000\], outside \[0, 1000\)"),
+        ([-1, 3], r"row ids span \[-1, 3\], outside \[0, 1000\)"),
+        ([[1, 2], [3, 4]], r"got shape \(2, 2\)"),
+        ([], r"got shape \(0,\)"),
+    ],
+    ids=["id_high", "id_negative", "two_dim", "empty"],
+)
+def test_executor_rejects_bad_batch_before_any_draw(small_powerlaw, cached, batch, message):
+    ex = _executor(small_powerlaw)
+    cache = MaterializationCache(2, small_powerlaw.n_vertices)
+    gen = make_rng(3)
+    before = gen.bit_generator.state
+    with pytest.raises(OperatorError, match=message):
+        if cached:
+            ex.embed_batch_cached(np.array(batch, dtype=np.int64), gen, cache)
+        else:
+            ex.embed_batch_uncached(np.array(batch, dtype=np.int64), gen)
+    assert gen.bit_generator.state == before
+    assert (cache.hits, cache.misses) == (0, 0)
 
 
 # --------------------------------------------------------------------- #
-# MaterializationCache: parity with the dict-based reference semantics
+# MaterializationCache against a dict[(hop, vertex)] -> row model
 # --------------------------------------------------------------------- #
-class _DictReference:
-    """The pre-vectorization implementation, verbatim semantics."""
+class CacheMachine(RuleBasedStateMachine):
+    """Any interleaving of the four operations — duplicate ids inside one
+    update, re-updates of held ids, growth past the first 64-row buffer —
+    leaves the rows, the hit / miss counters and ``hit_rate`` what a dict
+    written one vertex at a time would hold."""
 
-    def __init__(self, max_hop):
-        self._store = [dict() for _ in range(max_hop + 1)]
-        self.hits = 0
-        self.misses = 0
+    N, HOPS, D = 150, 2, 3
+    hops = st.integers(1, HOPS)
+    ids = st.lists(st.integers(0, N - 1), max_size=50)
 
-    def lookup(self, hop, vertices):
-        store = self._store[hop]
-        mask = np.array([int(v) in store for v in vertices], dtype=bool)
-        self.hits += int(mask.sum())
-        self.misses += int((~mask).sum())
-        return mask, [int(v) for v in vertices[~mask]]
+    def __init__(self):
+        super().__init__()
+        self.cache = MaterializationCache(self.HOPS, self.N)
+        self.model: dict = {}
+        self.hits = self.misses = 0
+        self.written = 0
 
-    def get_rows(self, hop, vertices):
-        store = self._store[hop]
-        return np.stack([store[int(v)] for v in vertices])
+    @rule(hop=hops, verts=ids)
+    def update(self, hop, verts):
+        rows = self.written + np.arange(len(verts) * self.D, dtype=float).reshape(-1, self.D)
+        self.written += rows.size
+        self.cache.update(hop, np.array(verts, dtype=np.int64), rows)
+        for v, row in zip(verts, rows):
+            self.model[hop, v] = row  # in order: the last write wins
 
-    def update(self, hop, vertices, values):
-        store = self._store[hop]
-        for v, row in zip(vertices, values):
-            store[int(v)] = row
+    @rule(hop=hops, verts=ids)
+    def lookup(self, hop, verts):
+        verts = np.array(verts, dtype=np.int64)
+        held = np.array([(hop, int(v)) in self.model for v in verts], dtype=bool)
+        mask, missing = self.cache.lookup(hop, verts)
+        np.testing.assert_array_equal(mask, held)
+        np.testing.assert_array_equal(missing, verts[~held])
+        self.hits += int(held.sum())
+        self.misses += int((~held).sum())
+
+    @rule(hop=hops, data=st.data())
+    def get_rows(self, hop, data):
+        held = sorted(v for h, v in self.model if h == hop)
+        if not held:
+            with pytest.raises(OperatorError):
+                self.cache.get_rows(hop, np.array([0]))
+            return
+        verts = data.draw(st.lists(st.sampled_from(held), min_size=1, max_size=20))
+        np.testing.assert_array_equal(
+            self.cache.get_rows(hop, np.array(verts)),
+            np.stack([self.model[hop, v] for v in verts]),
+        )
+        absent = sorted(set(range(self.N)) - set(held))
+        with pytest.raises(OperatorError, match=f"vertex {absent[0]} not materialized"):
+            self.cache.get_rows(hop, np.array([held[0], absent[0]]))
+
+    @rule()
+    def invalidate(self):
+        self.cache.invalidate()
+        self.model.clear()
+
+    @invariant()
+    def counters_agree(self):
+        assert (self.cache.hits, self.cache.misses) == (self.hits, self.misses)
+        total = self.hits + self.misses
+        assert self.cache.hit_rate == (self.hits / total if total else 0.0)
 
 
 def test_materialization_cache_parity_with_reference():
-    rng = make_rng(5)
-    ref = _DictReference(2)
-    vec = MaterializationCache(2)
-    for step in range(40):
-        hop = int(rng.integers(1, 3))
-        batch = rng.integers(0, 50, size=int(rng.integers(1, 12)))
-        mask_r, missing_r = ref.lookup(hop, batch)
-        mask_v, missing_v = vec.lookup(hop, batch)
-        assert np.array_equal(mask_r, mask_v)
-        assert missing_r == missing_v
-        assert (ref.hits, ref.misses) == (vec.hits, vec.misses)
-        if missing_r:
-            miss = np.asarray(missing_r, dtype=np.int64)
-            rows = rng.normal(size=(miss.size, 4))
-            ref.update(hop, miss, rows)
-            vec.update(hop, miss, rows)
-        present = batch[mask_r] if mask_r.any() else None
-        if present is not None and present.size:
-            assert np.array_equal(
-                ref.get_rows(hop, present), vec.get_rows(hop, present)
-            )
+    from hypothesis.stateful import run_state_machine_as_test
+
+    run_state_machine_as_test(
+        CacheMachine,
+        settings=settings(max_examples=60, stateful_step_count=25, deadline=None),
+    )
+
+
+def test_materialization_cache_grows_and_keeps_held_rows():
+    cache = MaterializationCache(1, 500)
+    first = np.arange(10)
+    cache.update(1, first, np.tile(first[:, None], (1, 2)).astype(float))
+    more = np.arange(5, 400)  # overlaps the held ids, far past 64 rows
+    cache.update(1, more, np.tile(-more[:, None], (1, 2)).astype(float))
+    np.testing.assert_array_equal(cache.get_rows(1, first[:5])[:, 0], first[:5])
+    np.testing.assert_array_equal(cache.get_rows(1, more)[:, 0], -more)
 
 
 def test_materialization_cache_update_last_write_wins():
-    vec = MaterializationCache(1)
+    cache = MaterializationCache(1, 10)
     verts = np.array([4, 9, 4, 2, 9])
     rows = np.arange(10, dtype=np.float64).reshape(5, 2)
-    vec.update(1, verts, rows)
-    ref = _DictReference(1)
-    ref.update(1, verts, rows)
-    for v in (4, 9, 2):
-        assert np.array_equal(
-            vec.get_rows(1, np.array([v])), ref.get_rows(1, np.array([v]))
-        )
+    cache.update(1, verts, rows)
+    np.testing.assert_array_equal(
+        cache.get_rows(1, np.array([4, 9, 2])), rows[[2, 4, 3]]
+    )
 
 
 def test_materialization_cache_missing_vertex_message():
-    vec = MaterializationCache(1)
-    vec.update(1, np.array([3]), np.zeros((1, 2)))
+    cache = MaterializationCache(1, 10)
+    cache.update(1, np.array([3]), np.zeros((1, 2)))
     with pytest.raises(OperatorError, match="vertex 5 not materialized at hop 1"):
-        vec.get_rows(1, np.array([3, 5]))
+        cache.get_rows(1, np.array([3, 5]))
     with pytest.raises(OperatorError):
-        MaterializationCache(1).get_rows(1, np.array([0]))
+        MaterializationCache(1, 10).get_rows(1, np.array([0]))

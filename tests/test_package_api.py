@@ -149,15 +149,15 @@ def test_cli_importable():
 
 
 def test_no_kernel_ships_a_second_implementation_switch():
-    """One shipped implementation per kernel: no ``backend`` / ``batched``
-    parameter, and no ``method`` outside the two functions that define the
-    paper's exact k-hop count beside its walk-count approximation. The
-    scalar oracles live in the test modules that compare against them.
-    (``repro.algorithms``' dense/kv ``backend`` picks where embedding tables
-    live — both sides have callers — and is outside this guard's scope.)"""
+    """One shipped implementation per kernel: no ``backend`` / ``batched`` /
+    ``method`` parameter anywhere. The scalar oracles — the exact k-hop BFS
+    beside ``khop_degrees``' walk count included — live in the test modules
+    that compare against them. (``repro.algorithms``' dense/kv ``backend``
+    picks where embedding tables live — both sides have callers — and is
+    outside this guard's scope.)"""
     import inspect
 
-    exact_definition = {"khop_degrees", "importance_scores"}
+    walked = set()
     offenders = []
     for module in ("repro.sampling", "repro.nn.functional", "repro.ops", "repro.storage"):
         mod = importlib.import_module(module)
@@ -175,13 +175,41 @@ def test_no_kernel_ships_a_second_implementation_switch():
                     params = inspect.signature(fn).parameters
                 except (TypeError, ValueError):  # builtins without a signature
                     continue
+                walked.add(label)
                 offenders += [
                     f"{module}.{label}({param}=)"
                     for param in params
-                    if param in ("backend", "batched")
-                    or (param == "method" and label not in exact_definition)
+                    if param in ("backend", "batched", "method")
                 ]
     assert offenders == []
+    assert {"khop_degrees", "importance_scores", "MeanAggregator.forward"} <= walked
+
+
+def test_aggregate_has_one_calling_convention():
+    """``agg(h, child_index)`` is the only AGGREGATE entry: no second
+    "already gathered" entry, no ragged arm, none of the autograd kernels
+    and tensor ops only that arm called, no dead executor argument."""
+    import inspect
+    import re
+
+    import repro.nn.functional as F
+    from repro.nn.tensor import Tensor
+    from repro.ops import AGGREGATOR_REGISTRY, MinibatchExecutor
+
+    for name, cls in AGGREGATOR_REGISTRY.items():
+        methods = {n for n, v in vars(cls).items() if inspect.isfunction(v)}
+        assert methods == {"__init__", "forward"}, name
+        assert list(inspect.signature(cls.forward).parameters) == [
+            "self", "h", "child_index",
+        ], name
+    for module in ("base", "aggregate", "combine", "materialize"):
+        for cls in vars(importlib.import_module(f"repro.ops.{module}")).values():
+            if inspect.isclass(cls):
+                assert not hasattr(cls, "forward_block"), cls
+    ragged = re.compile(r"segment_(sum|mean|max|softmax)")
+    assert [n for n in vars(F) if ragged.fullmatch(n)] == []
+    assert not {"scatter_rows", "slice_rows"} & set(vars(Tensor))
+    assert "provider" not in inspect.signature(MinibatchExecutor.__init__).parameters
 
 
 def test_retired_options_are_not_parameters_or_fields_of_anything():
@@ -205,7 +233,8 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
 def test_the_zoo_has_one_training_loop_one_feature_builder_one_accessor():
     """``algorithms/base.py`` owns the step (``zero_grad`` -> loss ->
     ``backward`` -> ``step``), the ``vertex_features`` standardization and the
-    ``embeddings()`` accessor; a model that grows its own copy fails here."""
+    ``embeddings()`` / ``type_embeddings()`` accessors; a model that grows its
+    own copy fails here."""
     import ast
     import pathlib
 
@@ -229,8 +258,74 @@ def test_the_zoo_has_one_training_loop_one_feature_builder_one_accessor():
                         and last.value.attr == "_embeddings"
                     ):
                         offenders.append(f"{path.name}: {node.name}.embeddings is the default")
+            if (
+                isinstance(node, ast.FunctionDef)
+                and node.name == "type_embeddings"
+                and path.name != "base.py"
+            ):
+                offenders.append(f"{path.name}:{node.lineno} defines type_embeddings")
             if isinstance(node, ast.FunctionDef) and node.name != "node_features":
                 src = ast.unparse(node)
                 if "vertex_features" in src and ".std(axis=0" in src:
                     offenders.append(f"{path.name}: {node.name} standardizes vertex_features")
+    assert offenders == []
+
+
+def test_no_unused_imports():
+    """pyflakes' F401, offline: ``ruff`` is not installable in every
+    environment these tests run in, and a refactor's commonest lint failure
+    is the import it stranded. File-level scoping (a name imported anywhere
+    in a file and read anywhere in it counts as used); ``__all__``,
+    ``__init__.py`` re-exports, quoted annotations and ``# noqa`` are
+    honoured."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+
+    def annotation_names(node, used):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                used.add(sub.id)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                try:
+                    annotation_names(ast.parse(sub.value, mode="eval"), used)
+                except SyntaxError:
+                    pass
+
+    offenders = []
+    for top in ("src", "tests", "benchmarks"):
+        for path in sorted((root / top).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            lines = path.read_text().splitlines()
+            imported, used = {}, set()
+            for node in ast.walk(ast.parse("\n".join(lines))):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    if getattr(node, "module", None) == "__future__":
+                        continue
+                    for alias in node.names:
+                        flagged = {lines[n - 1] for n in (node.lineno, alias.lineno, node.end_lineno)}
+                        if alias.name != "*" and not any("noqa" in line for line in flagged):
+                            bound = alias.asname or alias.name.split(".")[0]
+                            imported.setdefault(bound, alias.lineno)
+                elif isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.arg) and node.annotation is not None:
+                    annotation_names(node.annotation, used)
+                elif isinstance(node, ast.FunctionDef) and node.returns is not None:
+                    annotation_names(node.returns, used)
+                elif isinstance(node, ast.AnnAssign):
+                    annotation_names(node.annotation, used)
+                elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+                ):
+                    used.update(
+                        c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)
+                    )
+            offenders += [
+                f"{path.relative_to(root)}:{line}: {name} imported but unused"
+                for name, line in imported.items()
+                if name not in used
+            ]
     assert offenders == []

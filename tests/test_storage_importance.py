@@ -14,6 +14,26 @@ from repro.storage.importance import (
 from repro.utils.powerlaw import gini_coefficient, tail_mass
 
 
+def exact_khop_degrees(graph: Graph, k: int):
+    """Oracle: ``(D_i^(k), D_o^(k))`` as *distinct* vertices reachable in
+    1..k hops (the paper's Definition), by per-vertex BFS — O(n·d^k)."""
+
+    def count(v: int, neighbors) -> int:
+        frontier, seen = {v}, {v}
+        for _ in range(k):
+            nxt = {int(w) for u in frontier for w in neighbors(u)}
+            frontier = nxt - seen
+            seen |= nxt
+        return len(seen) - 1
+
+    everyone = range(graph.n_vertices)
+    d_out = np.array([count(v, graph.out_neighbors) for v in everyone], dtype=np.float64)
+    if not graph.directed:
+        return d_out.copy(), d_out
+    d_in = np.array([count(v, graph.in_neighbors) for v in everyone], dtype=np.float64)
+    return d_in, d_out
+
+
 def _path_graph() -> Graph:
     # 0 -> 1 -> 2 -> 3
     return Graph(4, np.array([0, 1, 2]), np.array([1, 2, 3]), directed=True)
@@ -32,22 +52,27 @@ def test_khop_multiplicity_path():
 def test_khop_exact_counts_distinct():
     # Star: 0 -> {1, 2, 3}, 1 -> 2. Exact 2-hop out of 0 is {1,2,3} = 3.
     g = Graph(4, np.array([0, 0, 0, 1]), np.array([1, 2, 3, 2]), directed=True)
-    d_in, d_out = khop_degrees(g, 2, method="exact")
+    d_in, d_out = exact_khop_degrees(g, 2)
     assert d_out[0] == 3  # distinct vertices, 2 counted once
-    d_in_m, d_out_m = khop_degrees(g, 2, method="multiplicity")
+    d_in_m, d_out_m = khop_degrees(g, 2)
     assert d_out_m[0] == 4  # walks: 0-1,0-2,0-3,0-1-2
 
 
 def test_khop_exact_undirected_symmetric(tiny_undirected):
-    d_in, d_out = khop_degrees(tiny_undirected, 2, method="exact")
+    d_in, d_out = exact_khop_degrees(tiny_undirected, 2)
     np.testing.assert_array_equal(d_in, d_out)
+    # The shipped walk counts coincide too, by the same symmetry.
+    np.testing.assert_array_equal(*khop_degrees(tiny_undirected, 2))
 
 
 def test_khop_validations(tiny_graph):
     with pytest.raises(StorageError):
         khop_degrees(tiny_graph, 0)
-    with pytest.raises(StorageError):
-        khop_degrees(tiny_graph, 1, method="bogus")
+    # One shipped count: the exact BFS is this module's oracle, not an option.
+    with pytest.raises(TypeError):
+        khop_degrees(tiny_graph, 2, method="exact")
+    with pytest.raises(TypeError):
+        importance_scores(tiny_graph, 2, method="exact")
 
 
 def test_importance_zero_when_no_out():
@@ -59,8 +84,9 @@ def test_importance_zero_when_no_out():
 
 
 def test_importance_methods_correlate(small_powerlaw):
-    mult = importance_scores(small_powerlaw, 2, method="multiplicity")
-    exact = importance_scores(small_powerlaw, 2, method="exact")
+    mult = importance_scores(small_powerlaw, 2)
+    d_in, d_out = exact_khop_degrees(small_powerlaw, 2)
+    exact = np.divide(d_in, d_out, out=np.zeros_like(d_in), where=d_out > 0)
     # Rankings agree strongly even though counting semantics differ.
     from scipy.stats import spearmanr
 
