@@ -267,8 +267,9 @@ class GNNFramework(EmbeddingModel):
 
             def step_block(*batch_ids: np.ndarray) -> KHopBlock:
                 with stage("sample"):
-                    seeds = np.unique(np.concatenate(batch_ids))
-                    block = build_block(seeds, sampler, hop_nums, block_rng)
+                    block = build_block(
+                        np.concatenate(batch_ids), sampler, hop_nums, block_rng
+                    )
                     self.block_stats["steps"] += 1
                     self.block_stats["input_rows"] += block.n_input_rows
                     self.block_stats["total_rows"] += block.total_rows()

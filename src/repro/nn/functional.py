@@ -1,9 +1,11 @@
 """Differentiable functions over :class:`~repro.nn.tensor.Tensor`.
 
-Activations, row-wise softmax/log-softmax, concatenation/stacking, dropout,
-L2 row normalization (Algorithm 1 line 7's embedding normalization),
-numerically stable log-sigmoid for the skip-gram losses, and the segment
-kernels of the AGGREGATE step: fixed-width (``*_rows_segmented``), the
+Activations (each a numpy-level pair in :data:`ACTIVATIONS`, shared with the
+fused :func:`dense` node a ``Dense`` layer records), row-wise
+softmax/log-softmax, concatenation/stacking, dropout, L2 row normalization
+(Algorithm 1 line 7's embedding normalization), numerically stable
+log-sigmoid for the skip-gram losses, and the segment kernels of the
+AGGREGATE step: fixed-width (``*_rows_segmented``), the
 fused gather-reduce over a child table (``gather_sum_rows``) and the two
 numpy-level ragged reductions SIGN's offline propagation uses
 (``segment_{sum,mean}_np`` over CSR offsets).
@@ -14,57 +16,109 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import OperatorError
-from repro.nn.tensor import Tensor, selection_matrix
+from repro.nn.tensor import Tensor, _unbroadcast, selection_matrix
+
+
+def _sigmoid_np(x: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
+    """Numerically stable logistic sigmoid; ``out`` may alias ``x``."""
+    if out is None:
+        out = np.empty_like(x)
+    pos = x >= 0
+    tail = np.exp(x[~pos])
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    out[~pos] = tail / (1.0 + tail)
+    return out
+
+
+def _leaky_relu_pair(slope: float) -> "tuple[object, object]":
+    if slope < 0:
+        # y > 0 must mean x > 0: the derivative is read off the output.
+        raise OperatorError(f"leaky_relu slope must be >= 0, got {slope}")
+    return (
+        lambda x, out=None: np.multiply(x, np.where(x > 0, 1.0, slope), out=out),
+        lambda g, y: g * np.where(y > 0, 1.0, slope),
+    )
+
+
+#: name -> ``(apply, chain)``, each activation written once at numpy level.
+#: ``apply(x, out)`` computes ``y = act(x)`` into ``out`` (a fresh array when
+#: None; ``out`` may be ``x`` itself) and ``chain(g, y)`` is ``g * act'(x)``
+#: with the derivative read off the output ``y``. The standalone ops below
+#: and the fused :func:`dense` node share them.
+ACTIVATIONS = {
+    "linear": (lambda x, out=None: x, lambda g, y: g),
+    # x * (x > 0), not maximum(x, 0): negatives come out as -0.0.
+    "relu": (
+        lambda x, out=None: np.multiply(x, x > 0, out=out),
+        lambda g, y: g * (y > 0),
+    ),
+    "tanh": (
+        lambda x, out=None: np.tanh(x, out=out),
+        lambda g, y: g * (1.0 - y * y),
+    ),
+    "sigmoid": (_sigmoid_np, lambda g, y: g * y * (1.0 - y)),
+    "leaky_relu": _leaky_relu_pair(0.01),
+}
+
+
+def _activation(pair: "tuple[object, object]", x: Tensor) -> Tensor:
+    apply, chain = pair
+    y = apply(x.data)
+    return Tensor(y, _parents=(x,), _backward=lambda g: [(x, chain(g, y))])
 
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(x, 0)."""
-    mask = x.data > 0
-    return Tensor(
-        x.data * mask,
-        _parents=(x,),
-        _backward=lambda g: [(x, g * mask)],
-    )
+    return _activation(ACTIVATIONS["relu"], x)
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    """Leaky ReLU with negative-side ``slope``."""
-    mask = x.data > 0
-    factor = np.where(mask, 1.0, slope)
-    return Tensor(
-        x.data * factor,
-        _parents=(x,),
-        _backward=lambda g: [(x, g * factor)],
-    )
+    """Leaky ReLU with negative-side ``slope`` (non-negative)."""
+    return _activation(_leaky_relu_pair(slope), x)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic sigmoid (numerically stable)."""
-    s = _sigmoid_np(x.data)
-    return Tensor(
-        s,
-        _parents=(x,),
-        _backward=lambda g: [(x, g * s * (1.0 - s))],
-    )
-
-
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return _activation(ACTIVATIONS["sigmoid"], x)
 
 
 def tanh(x: Tensor) -> Tensor:
     """Hyperbolic tangent."""
-    t = np.tanh(x.data)
-    return Tensor(
-        t,
-        _parents=(x,),
-        _backward=lambda g: [(x, g * (1.0 - t * t))],
-    )
+    return _activation(ACTIVATIONS["tanh"], x)
+
+
+def dense(
+    x: Tensor, weight: Tensor, bias: "Tensor | None" = None, activation: str = "linear"
+) -> Tensor:
+    """``act(x @ weight + bias)`` as one tape node and one output array.
+
+    The bias is added and the activation applied in place on the matmul's
+    result; the closure delivers the gradients of ``x``, ``weight`` and
+    ``bias`` with the formulas — and in the order — the composed
+    ``matmul -> add -> activation`` chain would, bit for bit. ``x`` is 1-D
+    or 2-D for a backward pass (any rank >= 1 forward-only).
+    """
+    if activation not in ACTIVATIONS:
+        raise OperatorError(f"unknown activation {activation!r}")
+    apply, chain = ACTIVATIONS[activation]
+    if x.ndim < 1 or weight.ndim != 2:
+        raise OperatorError(
+            f"dense needs >= 1-D input and a 2-D weight, got ranks {x.ndim} and {weight.ndim}"
+        )
+    out = x.data @ weight.data
+    if bias is not None:
+        out += bias.data
+    out = apply(out, out)
+
+    def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray]]":
+        g = chain(g, out)
+        grads = Tensor._matmul_backward(x, weight, g)
+        if bias is not None and bias.needs_grad:
+            grads.append((bias, _unbroadcast(g, bias.shape)))
+        return grads
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor(out, _parents=parents, _backward=backward)
 
 
 def exp(x: Tensor) -> Tensor:
@@ -178,8 +232,12 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
     out = x.data / norm
 
     def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray]]":
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return [(x, (g - out * dot) / norm)]
+        tmp = g * out
+        dot = tmp.sum(axis=axis, keepdims=True)
+        np.multiply(out, dot, out=tmp)
+        np.subtract(g, tmp, out=tmp)
+        tmp /= norm
+        return [(x, tmp)]
 
     return Tensor(out, _parents=(x,), _backward=backward)
 

@@ -64,17 +64,9 @@ def _collect(value: object) -> "list[Tensor]":
     return []
 
 
-_ACTIVATIONS = {
-    "linear": lambda x: x,
-    "relu": F.relu,
-    "tanh": F.tanh,
-    "sigmoid": F.sigmoid,
-    "leaky_relu": F.leaky_relu,
-}
-
-
 class Dense(Module):
-    """Fully connected layer ``y = act(x @ W + b)``."""
+    """Fully connected layer ``y = act(x @ W + b)``, one tape node per call
+    (:func:`repro.nn.functional.dense`)."""
 
     def __init__(
         self,
@@ -84,7 +76,7 @@ class Dense(Module):
         activation: str = "linear",
         bias: bool = True,
     ) -> None:
-        if activation not in _ACTIVATIONS:
+        if activation not in F.ACTIVATIONS:
             raise OperatorError(f"unknown activation {activation!r}")
         init = he_uniform if activation in ("relu", "leaky_relu") else xavier_uniform
         self.weight = Tensor(init((in_dim, out_dim), rng), requires_grad=True, name="W")
@@ -94,10 +86,7 @@ class Dense(Module):
         self.activation = activation
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return _ACTIVATIONS[self.activation](out)
+        return F.dense(x, self.weight, self.bias, self.activation)
 
 
 class Embedding(Module):

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import OperatorError
 from repro.nn.tensor import Tensor, _check_row_ids
-from repro.sampling.blocks import _relabel
+from repro.sampling.blocks import compact_level
 from repro.sampling.neighborhood import _ExpandingSampler
 
 
@@ -222,7 +222,8 @@ class MinibatchExecutor:
         # sample children; their children become the next hop's demand. A
         # warm cache therefore skips both sampling and compute.
         plan = []
-        demand = np.unique(batch)
+        n_vertices = self.features.shape[0]
+        demand, _ = compact_level(n_vertices, batch)
         for k in range(self.kmax, 0, -1):
             _, missing = cache.lookup(k, demand)
             if missing.size == 0:
@@ -230,14 +231,15 @@ class MinibatchExecutor:
             kids, _ = self.sampler.sample_children(
                 missing, self.fanouts[self.kmax - k], rng
             )
-            demand = np.unique(np.concatenate([missing, kids.reshape(-1)]))
-            plan.append((k, missing, kids, demand))
+            demand, (self_index, child_index) = compact_level(
+                n_vertices, missing, kids
+            )
+            plan.append((k, missing, demand, self_index, child_index))
 
         # Bottom-up compute of exactly the missing vectors, one block hop
         # each: the level's previous-hop rows are gathered once.
-        for k, missing, kids, level in reversed(plan):
+        for k, missing, level, self_index, child_index in reversed(plan):
             h = Tensor(self.features[level] if k == 1 else cache.get_rows(k - 1, level))
-            self_index, child_index = _relabel(level, missing, kids)
             agg = self.aggregators[k - 1]
             comb = self.combiners[k - 1]
             h_new = comb(h.gather_rows(self_index), agg(h, child_index))

@@ -1,6 +1,6 @@
 """Format validators for the observability exporters.
 
-Three checkers, each returning a list of human-readable problems (empty
+Four checkers, each returning a list of human-readable problems (empty
 list means the payload is valid):
 
 * :func:`check_prometheus_text` — Prometheus text exposition format 0.0.4
@@ -15,24 +15,31 @@ list means the payload is valid):
 * :func:`check_experiment_payload` — the ``benchmarks/_common.py`` result
   contract (``{experiment_id, title, records: [{label, measured,
   paper}]}``) that ``repro bench-compare`` and the committed baselines
-  share.
+  share;
+* :func:`check_trajectory` — a committed ``BENCH_<pr>.json`` perf record:
+  every ``BENCHMARK.json`` workload and end-to-end metric present, every run
+  labelled, parent/change runs paired by seed, and each ``summary``
+  recomputed from ``runs``.
 
 Also runnable as a script (used by CI)::
 
     python tests/format_checkers.py report.json out/trace.json out/metrics.prom
     python tests/format_checkers.py --results benchmarks/results/*.json
+    python tests/format_checkers.py --trajectory BENCH_*.json
 
 Without ``--results``, a ``.json`` file carrying an ``experiment_id`` is
 checked as an experiment payload, any other ``.json`` as a Chrome trace
 and everything else as Prometheus text; with it, every file is checked as
-an experiment payload. Exits non-zero and prints the problems when any
-file fails.
+an experiment payload (``--trajectory``: as a perf record). Exits non-zero
+and prints the problems when any file fails.
 """
 
 from __future__ import annotations
 
 import json
+import pathlib
 import re
+import statistics
 
 _METRIC_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -249,11 +256,87 @@ def check_experiment_payload(payload: "dict | str") -> "list[str]":
     return problems
 
 
-def _check_file(path: str, as_results: bool = False) -> "list[str]":
+def check_trajectory(payload: "dict | str") -> "list[str]":
+    """Validate one ``BENCH_<pr>.json`` point of the perf trajectory.
+
+    The workloads and end-to-end metrics are the ones ``BENCHMARK.json``
+    declares. Per workload every ``runs`` entry carries ``seed``, ``side``
+    (``parent`` / ``change``), ``ran_first``, ``correct`` and the metrics;
+    a seed's two runs are a pair, exactly one of which ran first. The
+    ``summary`` of each metric — per side ``median`` / ``q1`` / ``q3``
+    (``statistics.quantiles(n=4)``) / ``n``, ``change_lower_pairs``,
+    ``change_higher_pairs``, ``pairs`` and ``median_change_over_parent`` —
+    is recomputed from ``runs`` and must equal what the file states.
+    """
+    if isinstance(payload, str):
+        try:
+            payload = json.loads(payload)
+        except json.JSONDecodeError as exc:
+            return [f"not valid JSON: {exc}"]
+    if not isinstance(payload, dict) or not isinstance(payload.get("workloads"), dict):
+        return ["top level must be a JSON object with a workloads object"]
+    declared = json.loads(
+        (pathlib.Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text()
+    )
+    metrics = [m["name"] for m in declared["end_to_end"]]
+    problems: list[str] = []
+    names = [w["name"] for w in declared["workloads"]]
+    if sorted(payload["workloads"]) != sorted(names):
+        problems.append(f"workloads are {sorted(payload['workloads'])}, expected {sorted(names)}")
+    for name, entry in payload["workloads"].items():
+        problems += [f"{name}: {p}" for p in _check_workload_entry(entry, metrics)]
+    return problems
+
+
+def _check_workload_entry(entry: dict, metrics: "list[str]") -> "list[str]":
+    runs, summary = entry.get("runs"), entry.get("summary")
+    if not isinstance(runs, list) or not isinstance(summary, dict):
+        return ["needs a runs list and a summary object"]
+    by_seed: dict = {}
+    for i, run in enumerate(runs):
+        missing = [k for k in ("seed", "side", "ran_first", "correct", *metrics) if k not in run]
+        if missing or run["side"] not in ("parent", "change"):
+            return [f"run {i} lacks {missing} or has a bad side"]
+        if by_seed.setdefault(run["seed"], {}).setdefault(run["side"], run) is not run:
+            return [f"seed {run['seed']} has two {run['side']} runs"]
+    if any(sum(run["side"] == side for run in runs) < 2 for side in ("parent", "change")):
+        return ["quartiles need at least two runs a side"]
+    problems = []
+    pairs = [p for p in by_seed.values() if len(p) == 2]
+    if any(p["parent"]["ran_first"] == p["change"]["ran_first"] for p in pairs):
+        problems.append("a pair needs exactly one side with ran_first")
+    for metric in metrics:
+        want = _summarize(runs, pairs, metric)
+        got = summary.get(metric, {})
+        diff = sorted(k for k in want if got.get(k) != want[k])
+        if diff:
+            problems.append(f"summary[{metric}] disagrees with its runs on {diff}")
+    return problems
+
+
+def _summarize(runs: "list[dict]", pairs: "list[dict]", metric: str) -> dict:
+    """One metric's summary block, from the runs alone."""
+    out: dict = {}
+    for side in ("parent", "change"):
+        values = [run[metric] for run in runs if run["side"] == side]
+        q1, _, q3 = statistics.quantiles(values, n=4)
+        out[side] = {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
+    out["change_lower_pairs"] = sum(p["change"][metric] < p["parent"][metric] for p in pairs)
+    out["change_higher_pairs"] = sum(p["change"][metric] > p["parent"][metric] for p in pairs)
+    out["pairs"] = len(pairs)
+    out["median_change_over_parent"] = out["change"]["median"] / out["parent"]["median"]
+    return out
+
+
+def _check_file(
+    path: str, as_results: bool = False, as_trajectory: bool = False
+) -> "list[str]":
     with open(path, encoding="utf-8") as f:
         text = f.read()
     if as_results:
         return check_experiment_payload(text)
+    if as_trajectory:
+        return check_trajectory(text)
     if path.endswith(".json"):
         try:
             is_payload = "experiment_id" in json.loads(text)
@@ -266,12 +349,15 @@ def _check_file(path: str, as_results: bool = False) -> "list[str]":
 if __name__ == "__main__":
     import sys
 
-    targets = sys.argv[1:]
-    as_results = "--results" in targets
-    targets = [t for t in targets if t != "--results"]
+    flags = {"--results", "--trajectory"} & set(sys.argv[1:])
+    targets = [t for t in sys.argv[1:] if t not in flags]
     failed = False
     for target in targets:
-        errors = _check_file(target, as_results=as_results)
+        errors = _check_file(
+            target,
+            as_results="--results" in flags,
+            as_trajectory="--trajectory" in flags,
+        )
         if errors:
             failed = True
             print(f"{target}: INVALID")

@@ -343,6 +343,33 @@ def test_format_checkers_script_accepts_every_report_artifact(report_run, tmp_pa
     assert _check_file(str(out_dir / "trace.json"), as_results=True) != []
 
 
+def test_committed_perf_trajectory_recomputes_from_its_runs():
+    """Every ``BENCH_<pr>.json`` summary is a function of its listed runs."""
+    import copy
+    import json
+    import pathlib
+
+    from tests.format_checkers import check_trajectory
+
+    files = sorted(pathlib.Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))
+    assert len(files) >= 5
+    for path in files:
+        assert check_trajectory(path.read_text(encoding="utf-8")) == [], path.name
+    good = json.loads(files[-1].read_text(encoding="utf-8"))
+    edited = copy.deepcopy(good)
+    edited["workloads"]["train_gnn"]["runs"][0]["host_cost_cu"] *= 0.5
+    assert any("summary[host_cost_cu]" in p for p in check_trajectory(edited))
+    edited = copy.deepcopy(good)
+    for run in edited["workloads"]["store_rw"]["runs"]:
+        run["ran_first"] = True
+    del edited["workloads"]["serve_mixed"]
+    del edited["workloads"]["build_store"]["runs"][3]["correct"]
+    problems = "\n".join(check_trajectory(edited))
+    for expected in ("workloads are", "ran_first", "lacks ['correct']"):
+        assert expected in problems
+    assert check_trajectory("not json") and check_trajectory({"workloads": []})
+
+
 def test_placement_bench_json_contract(tmp_path):
     from tests.conftest import bench_payload
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import SIGN, GNNFramework
 from repro.algorithms.base import node_features
@@ -10,6 +12,7 @@ from repro.algorithms.hep import hep_neighbor_rows, typed_adjacency
 from repro.algorithms.sign import propagate_sign
 from repro.data import train_test_split_edges
 from repro.errors import SamplingError
+from repro.graph import Graph
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.sampling import (
@@ -76,12 +79,110 @@ def test_block_validation(taobao_setup):
         build_block(np.array([], dtype=np.int64), sampler, [4], make_rng(0))
     with pytest.raises(SamplingError):
         build_block(np.array([1]), sampler, [], make_rng(0))
-    block = build_block_from_tables(np.array([3, 7]), tables)
-    with pytest.raises(SamplingError):
-        block.seed_positions(np.array([4]))  # not a seed
+    block = build_block_from_tables(np.array([3, 7, 1]), tables)
     np.testing.assert_array_equal(
-        block.seed_positions(np.array([7, 3])), [1, 0]
+        block.seed_positions(np.array([7, 3, 7])), [2, 1, 2]
     )
+    assert block.seed_positions(np.array([[1], [7]])).tolist() == [[0], [2]]
+    assert block.seed_positions([]).shape == (0,)
+    for outside in ([4], [-1], [8], [10**9], [3, 0]):  # non-seed, below, above
+        with pytest.raises(SamplingError, match="outside the block's seed set"):
+            block.seed_positions(np.array(outside))
+    # A float is not an id: 1.5 used to truncate to seed 1's row.
+    for not_ids in (np.array([1.5]), np.array([3.0]), np.array([True])):
+        with pytest.raises(SamplingError, match="outside the block's seed set"):
+            block.seed_positions(not_ids)
+
+
+def test_block_builders_reject_bad_ids_before_any_draw(taobao_setup):
+    """Every id is checked against ``[0, n_vertices)`` before it addresses a
+    table: out-of-range seeds were an ``IndexError`` from inside the sampler
+    kernel (live) or a block holding vertex -1 (tables), an out-of-range
+    hop-table entry a block holding vertex 10**6."""
+    graph, _, sampler, tables = taobao_setup
+    n = graph.n_vertices
+    for bad in ([-1], [n], [n + 5, 3], [[1, 2], [3, 4]]):
+        rng = make_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(SamplingError):
+            build_block(np.array(bad), sampler, [4, 4], rng)
+        assert rng.bit_generator.state == before
+        with pytest.raises(SamplingError):
+            build_block_from_tables(np.array(bad), tables)
+    poisoned = [tables[0], tables[1].copy()]
+    poisoned[1][0, 0] = 10**6
+    with pytest.raises(SamplingError, match=r"outside \[0, \d+\)"):
+        build_block_from_tables(np.array([0, 1]), poisoned)
+    poisoned[1][0, 0] = -1
+    with pytest.raises(SamplingError, match=r"outside \[0, \d+\)"):
+        build_block_from_tables(np.array([0, 1]), poisoned)
+    for malformed in ([tables[0], tables[1][:-1]], [tables[0][:, :0]], [tables[0][0]]):
+        with pytest.raises(SamplingError, match="hop tables must be"):
+            build_block_from_tables(np.array([0]), malformed)
+
+
+# ---------------------------------------------------------------------- #
+# Direct-address level construction == the sort-and-search builder
+# ---------------------------------------------------------------------- #
+def sorted_block(seeds, hop_nums, sample_hop):
+    """Oracle: the builder ``compact_level`` replaced — each level is
+    ``np.unique`` of the level above plus its children, each index table a
+    binary search of the sorted level."""
+    kmax = len(hop_nums)
+    layers = [None] * kmax + [np.unique(np.asarray(seeds, dtype=np.int64))]
+    children_at = [None] * kmax
+    for k in range(kmax - 1, -1, -1):
+        children_at[k] = sample_hop(k, layers[k + 1])
+        layers[k] = np.unique(np.concatenate([layers[k + 1], children_at[k].ravel()]))
+    self_index = [np.searchsorted(layers[k], layers[k + 1]) for k in range(kmax)]
+    child_index = [np.searchsorted(layers[k], children_at[k]) for k in range(kmax)]
+    return layers, self_index, child_index
+
+
+def _assert_block_equals(block, oracle):
+    for got_level, want_level in zip(
+        (block.layers, block.self_index, block.child_index), oracle
+    ):
+        assert len(got_level) == len(want_level)
+        for got, want in zip(got_level, want_level):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_blocks_equal_sorted_oracle_on_random_multigraphs(data):
+    n = data.draw(st.integers(1, 40), label="n")
+    vertex = st.integers(0, n - 1)
+    # A multigraph: parallel edges, self-loops and vertices with no out-edges.
+    edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n), label="edges")
+    src, dst = (np.array(col, dtype=np.int64) for col in (zip(*edges) if edges else ((), ())))
+    sampler = UniformNeighborSampler(GraphProvider(Graph(n, src, dst)))
+    hop_nums = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3), label="hops")
+    seeds = np.array(data.draw(st.lists(vertex, min_size=1, max_size=2 * n), label="seeds"))
+    seed = data.draw(st.integers(0, 2**16), label="rng")
+
+    rng, oracle_rng = make_rng(seed), make_rng(seed)
+    live = build_block(seeds, sampler, hop_nums, rng)
+    _assert_block_equals(live, sorted_block(
+        seeds, hop_nums,
+        lambda k, frontier: sampler.sample_children(frontier, hop_nums[k], oracle_rng)[0],
+    ))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    everyone = np.arange(n, dtype=np.int64)
+    tables = [sampler.sample_children(everyone, h, rng)[0] for h in hop_nums]
+    looked_up = build_block_from_tables(seeds, tables)
+    _assert_block_equals(
+        looked_up, sorted_block(seeds, hop_nums, lambda k, frontier: tables[k][frontier])
+    )
+
+    query = np.repeat(seeds, 2)
+    make_rng(seed + 1).shuffle(query)
+    for block in (live, looked_up):
+        want = np.searchsorted(block.seeds, query)
+        got = block.seed_positions(query)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------- #

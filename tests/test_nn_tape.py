@@ -27,6 +27,7 @@ from repro.nn import functional as F
 from repro.nn import loss as L
 from repro.nn import no_grad
 from repro.nn.gradcheck import check_gradients
+from repro.nn.layers import Dense
 from repro.nn.tensor import SparseGrad, Tensor
 from repro.ops.aggregate import make_aggregator
 from repro.sampling import GraphProvider, UniformNeighborSampler, build_block
@@ -103,12 +104,13 @@ OPS = {
     "matmul_12": (2, lambda a, b: b + a.sum(axis=1) @ b),
     "matmul_11": (2, lambda a, b: a * (a.sum(axis=0) @ b.sum(axis=0))),
     "concat": (2, lambda a, b: F.concat([a, b], axis=1) @ W_2DD),
+    "dense": (3, lambda a, b, c: F.dense(a, b.T @ W_ND, c.sum(axis=0), "tanh")),
     "stack": (2, lambda a, b: F.stack([a, b], axis=0).sum(axis=0)),
 }
 OP_NAMES = sorted(OPS)
 # Every differentiable op of tensor.py / functional.py / loss.py: an op
 # added to (or dropped from) src/ changes this count on purpose.
-assert len(OPS) == 45  # 51 before the ragged autograd kernels left src/
+assert len(OPS) == 46  # 45 + the fused dense node
 
 
 def _run(leaf_data, trainable, program):
@@ -326,6 +328,100 @@ def test_fused_aggregator_gradcheck(name):
 
 
 # ---------------------------------------------------------------------- #
+# The fused dense node: bit-equal to the chain of public ops it replaced
+# ---------------------------------------------------------------------- #
+_COMPOSED = {
+    "linear": lambda t: t,
+    "relu": F.relu,
+    "tanh": F.tanh,
+    "sigmoid": F.sigmoid,
+    "leaky_relu": F.leaky_relu,
+}
+
+
+def composed_dense(x, weight, bias, activation):
+    """Oracle: ``act(x @ W + b)`` as three tape nodes."""
+    out = x @ weight
+    if bias is not None:
+        out = out + bias
+    return _COMPOSED[activation](out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    activation=st.sampled_from(sorted(_COMPOSED)), bias=st.booleans(),
+    rows=st.one_of(st.none(), st.integers(0, 7)), in_dim=st.integers(1, 5),
+    out_dim=st.integers(1, 5), strided=st.booleans(), x_trains=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_dense_bit_equal_to_composed_ops(
+    activation, bias, rows, in_dim, out_dim, strided, x_trains, seed
+):
+    rng = make_rng(seed)
+    layer = Dense(in_dim, out_dim, rng, activation=activation, bias=bias)
+    if bias:
+        layer.bias.data[:] = rng.normal(size=out_dim)
+    x_data = rng.normal(size=in_dim if rows is None else (rows, in_dim))
+    out_shape = (out_dim,) if rows is None else (rows, out_dim)
+    g = rng.normal(size=out_shape[:-1] + (2 * out_dim,))[..., ::2] if strided else rng.normal(size=out_shape)
+
+    def run(forward):
+        params = [Tensor(p.data.copy(), requires_grad=True) for p in layer.parameters()]
+        x = Tensor(x_data.copy(), requires_grad=x_trains)
+        out = forward(x, params[0], params[1] if bias else None, activation)
+        with np.errstate(all="ignore"):
+            out.backward(g)
+        return out, [x] + params
+
+    (fused, fused_leaves), (chain, chain_leaves) = run(F.dense), run(composed_dense)
+    assert fused.numpy().tobytes() == chain.numpy().tobytes()
+    assert [p for p in fused._parents] == fused_leaves  # one node: x, W, b in that order
+    for got, want in zip(fused_leaves, chain_leaves):
+        assert (got.grad is None) == (want.grad is None)
+        if want.grad is not None:
+            assert got.grad.shape == want.grad.shape
+            assert got.grad.tobytes() == want.grad.tobytes()
+    # The layer is the fused node and nothing else.
+    assert layer(Tensor(x_data)).numpy().tobytes() == fused.numpy().tobytes()
+
+
+def test_dense_shared_across_calls_accumulates_in_chain_order():
+    """Three uses of one layer in one graph: the weight's and the bias's
+    gradients are sums of three terms, so the order nodes deliver in shows."""
+    rng = make_rng(8)
+    datas = [rng.normal(size=(N, D)) for _ in range(3)]
+
+    def grads(forward):
+        w = Tensor(W_2DD[:D].copy(), requires_grad=True)
+        b = Tensor(W_ND[0].copy(), requires_grad=True)
+        h = Tensor(datas[0], requires_grad=True)
+        total = None
+        for data in datas:
+            h = forward(h * Tensor(data), w, b, "tanh")
+            total = h if total is None else total + h
+        (total * W_ND).sum().backward()
+        return w.grad, b.grad
+
+    for got, want in zip(grads(F.dense), grads(composed_dense)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_dense_rank_and_activation_errors():
+    layer = Dense(D, 3, make_rng(0), activation="relu")
+    cube = Tensor(np.ones((2, N, D)), requires_grad=True)
+    out = layer(cube)  # forward-only works at any rank >= 1 ...
+    assert out.shape == (2, N, 3)
+    with pytest.raises(OperatorError, match="unsupported matmul operand ranks"):
+        out.backward(np.ones(out.shape))  # ... backward keeps its rank limit
+    with pytest.raises(OperatorError):
+        layer(Tensor(np.float64(2.0)))
+    with pytest.raises(OperatorError, match="unknown activation"):
+        F.dense(Tensor(W_ND), layer.weight, None, "swish")
+    with pytest.raises(OperatorError, match="slope"):
+        F.leaky_relu(Tensor(W_ND), -0.1)  # the derivative is read off the output
+
+
+# ---------------------------------------------------------------------- #
 # Index bounds: nothing unchecked reaches a scipy kernel
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("bad", [[-1, 0], [0, N], [N + 5]])
@@ -398,6 +494,28 @@ def test_block_step_leaves_constant_features_off_the_tape(small_taobao, monkeypa
     assert feats._backward is None and self0._backward is None
     assert src2.needs_grad and self1._backward is not None
     assert all(p.grad is not None for p in encoder.parameters())
+
+
+def test_tape_nodes_per_graphsage_block_step(small_taobao, monkeypatch):
+    taped = []
+    real_init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        taped.append(bool(self._parents))
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    steps = 3
+    GraphSAGE(
+        dim=12, kmax=2, fanout=2, epochs=1, max_steps_per_epoch=steps,
+        batch_size=8, neg_num=2, minibatch_blocks=True, seed=3,
+    ).fit(small_taobao)
+    # Per step: hop 0 tapes 4 nodes (its gathers, SpMM and divide read
+    # constants: AGGREGATE's dense, concat, COMBINE's dense, normalize), hop
+    # 1 all 7, the seed-row gathers 3 and the skip-gram loss 14. Each of the
+    # four Dense calls is one node; as matmul -> add -> activation it was
+    # three, 36 a step.
+    assert sum(taped) == 28 * steps
 
 
 def test_row_scatter_adds_per_graphsage_block_step(small_taobao, monkeypatch):

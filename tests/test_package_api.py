@@ -271,6 +271,39 @@ def test_the_zoo_has_one_training_loop_one_feature_builder_one_accessor():
     assert offenders == []
 
 
+def test_block_levels_are_built_without_a_sort_or_a_search():
+    """A level is deduplicated and relabeled by direct addressing, in one
+    body (``sampling.blocks.compact_level``): neither the block builders,
+    the trainer's step nor the cached Table-5 recursion may call
+    ``np.unique`` / ``np.searchsorted`` again. (``MaterializationCache.
+    update``'s reversed ``unique`` is last-write-wins, a different job.)"""
+    import ast
+    import pathlib
+
+    import repro
+
+    src = pathlib.Path(repro.__file__).parent
+
+    def calls(tree):
+        return sorted(
+            node.func.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("unique", "searchsorted")
+        )
+
+    assert calls(ast.parse((src / "sampling" / "blocks.py").read_text())) == []
+    assert calls(ast.parse((src / "algorithms" / "framework.py").read_text())) == []
+    materialize = ast.parse((src / "ops" / "materialize.py").read_text())
+    by_name = {
+        node.name: node for node in ast.walk(materialize) if isinstance(node, ast.FunctionDef)
+    }
+    assert calls(by_name["embed_batch_cached"]) == []
+    assert calls(materialize) == ["unique"]  # MaterializationCache.update's
+    assert calls(by_name["update"]) == ["unique"]
+
+
 def test_no_unused_imports():
     """pyflakes' F401, offline: ``ruff`` is not installable in every
     environment these tests run in, and a refactor's commonest lint failure
