@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from operator import itemgetter
 
 from repro.errors import ReproError
 from repro.runtime.metrics import MetricsRegistry, _series_key
@@ -71,7 +72,10 @@ class TimeSeriesSampler:
         self.tick_us = float(tick_us)
         self.capacity = int(capacity)
         self.percentiles = tuple(float(p) for p in percentiles)
-        self.series: "dict[str, deque]" = {}
+        self._suffixes = tuple(f":p{p:g}" for p in self.percentiles)
+        #: ``(name, frozen labels, suffix)`` -> ring; exports name a ring by
+        #: its rendered series key plus the suffix.
+        self.series: "dict[tuple, deque]" = {}
         self.n_samples = 0
         # First sample lands on the first boundary strictly ahead of the
         # clock's position at construction time.
@@ -82,7 +86,8 @@ class TimeSeriesSampler:
     # ------------------------------------------------------------------ #
     # Sampling
     # ------------------------------------------------------------------ #
-    def _ring(self, key: str) -> deque:
+    def _ring(self, metric: "object", suffix: str = "") -> deque:
+        key = (metric.name, metric.labels, suffix)
         ring = self.series.get(key)
         if ring is None:
             ring = self.series[key] = deque(maxlen=self.capacity)
@@ -90,16 +95,25 @@ class TimeSeriesSampler:
 
     def _snapshot(self, t_us: float) -> None:
         for c in self.metrics.counters():
-            self._ring(_series_key(c.name, c.labels)).append((t_us, c.value))
+            self._ring(c).append((t_us, c.value))
         for g in self.metrics.gauges():
-            self._ring(_series_key(g.name, g.labels)).append((t_us, g.value))
+            self._ring(g).append((t_us, g.value))
         for h in self.metrics.histograms():
-            key = _series_key(h.name, h.labels)
-            self._ring(f"{key}:count").append((t_us, h.count))
+            self._ring(h, ":count").append((t_us, h.count))
             values = h.percentiles(self.percentiles)
-            for p, value in zip(self.percentiles, values):
-                self._ring(f"{key}:p{p:g}").append((t_us, value))
+            for suffix, value in zip(self._suffixes, values):
+                self._ring(h, suffix).append((t_us, value))
         self.n_samples += 1
+
+    def _named(self) -> "list[tuple[str, deque]]":
+        """``(export name, ring)`` for every series, sorted by name."""
+        return sorted(
+            (
+                (_series_key(name, labels) + suffix, ring)
+                for (name, labels, suffix), ring in self.series.items()
+            ),
+            key=itemgetter(0),
+        )
 
     def poll(self) -> bool:
         """Sample if the clock has crossed the next tick; returns whether.
@@ -135,19 +149,12 @@ class TimeSeriesSampler:
             "tick_us": self.tick_us,
             "capacity": self.capacity,
             "n_samples": self.n_samples,
-            "series": {
-                key: [[t, v] for t, v in self.series[key]]
-                for key in sorted(self.series)
-            },
+            "series": {key: [[t, v] for t, v in ring] for key, ring in self._named()},
         }
 
     def to_csv(self) -> str:
         """``t_us,series,value`` rows, time-major then series-sorted."""
-        rows = [
-            (t, key, v)
-            for key in sorted(self.series)
-            for t, v in self.series[key]
-        ]
+        rows = [(t, key, v) for key, ring in self._named() for t, v in ring]
         rows.sort(key=lambda r: (r[0], r[1]))
         lines = ["t_us,series,value"]
         for t, key, v in rows:
@@ -161,8 +168,8 @@ class TimeSeriesSampler:
         payload's ``traceEvents`` to see metrics tracks under the spans.
         """
         events: "list[dict]" = []
-        for key in sorted(self.series):
-            for t, v in self.series[key]:
+        for key, ring in self._named():
+            for t, v in ring:
                 events.append(
                     {
                         "name": key,

@@ -9,7 +9,9 @@ store and the sampling pipeline share.
 Metrics may carry **labels** (``counter("server.served", labels={"part":
 "2"})``): each label set is its own time series under one family name,
 which is how the per-server and per-edge-type breakdowns export to
-Prometheus (:mod:`repro.runtime.export`).
+Prometheus (:mod:`repro.runtime.export`). A series *is* its name plus its
+frozen label tuple; the rendered ``name{k=v,...}`` string only orders and
+names series in exports, and a repeated lookup costs one dict probe.
 
 Everything is plain Python and deterministic: histograms keep their raw
 observations (the simulation's scales are small), so percentiles are exact
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.utils.tables import format_table
 
@@ -37,10 +40,17 @@ def _freeze_labels(labels: "dict[str, object] | None") -> "LabelSet":
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
+def _escape(text: str) -> str:
+    """``text`` with the separators of a rendered label set escaped."""
+    return text.replace("\\", "\\\\").replace(",", "\\,").replace("=", "\\=")
+
+
 def _series_key(name: str, labels: "LabelSet") -> str:
+    """``name{k=v,...}`` — distinct label sets never render alike."""
     if not labels:
         return name
-    return name + "{" + ",".join(f"{k}={v}" for k, v in labels) + "}"
+    body = ",".join(f"{_escape(k)}={_escape(v)}" for k, v in labels)
+    return name + "{" + body + "}"
 
 
 @dataclass
@@ -184,10 +194,36 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
+        #: Per kind: ``(name, frozen labels)`` -> ``(rendered key, series)``.
+        self._tables: "dict[type, dict[tuple, tuple[str, object]]]" = {
+            Counter: {}, Gauge: {}, Histogram: {}
+        }
+        #: A call site's ``(kind, name, *keys, *str(values))`` -> series:
+        #: a repeated lookup neither sorts nor renders its labels.
+        self._memo: "dict[tuple, object]" = {}
         self._clock: "object | None" = None
+
+    def _series(
+        self, kind: type, name: str, labels: "dict[str, object] | None"
+    ) -> object:
+        key = (kind, name, *labels, *map(str, labels.values())) if labels else (kind, name)
+        series = self._memo.get(key)
+        if series is None:
+            frozen = _freeze_labels(labels)
+            table = self._tables[kind]
+            entry = table.get((name, frozen))
+            if entry is None:
+                entry = (_series_key(name, frozen), kind(name, labels=frozen))
+                table[(name, frozen)] = entry
+            series = entry[1]
+            # Values enter the key as their str, so 1, 1.0 and True stay
+            # three series; keys enter raw, so only str keys are memoised.
+            if all(type(k) is str for k in labels or ()):
+                self._memo[key] = series
+        return series
+
+    def _ordered(self, kind: type) -> "list[tuple[str, object]]":
+        return sorted(self._tables[kind].values(), key=itemgetter(0))
 
     def bind_clock(self, clock: "object | None") -> None:
         """Default clock for :meth:`timer` (None unbinds -> wall-clock).
@@ -203,43 +239,31 @@ class MetricsRegistry:
         self, name: str, labels: "dict[str, object] | None" = None
     ) -> Counter:
         """The counter series ``(name, labels)`` (created on first use)."""
-        frozen = _freeze_labels(labels)
-        key = _series_key(name, frozen)
-        if key not in self._counters:
-            self._counters[key] = Counter(name, labels=frozen)
-        return self._counters[key]
+        return self._series(Counter, name, labels)
 
     def gauge(
         self, name: str, labels: "dict[str, object] | None" = None
     ) -> Gauge:
         """The gauge series ``(name, labels)`` (created on first use)."""
-        frozen = _freeze_labels(labels)
-        key = _series_key(name, frozen)
-        if key not in self._gauges:
-            self._gauges[key] = Gauge(name, labels=frozen)
-        return self._gauges[key]
+        return self._series(Gauge, name, labels)
 
     def histogram(
         self, name: str, labels: "dict[str, object] | None" = None
     ) -> Histogram:
         """The histogram series ``(name, labels)`` (created on first use)."""
-        frozen = _freeze_labels(labels)
-        key = _series_key(name, frozen)
-        if key not in self._histograms:
-            self._histograms[key] = Histogram(name, labels=frozen)
-        return self._histograms[key]
+        return self._series(Histogram, name, labels)
 
     def counters(self) -> "list[Counter]":
         """All counter series, ordered by series key."""
-        return [self._counters[k] for k in sorted(self._counters)]
+        return [c for _, c in self._ordered(Counter)]
 
     def gauges(self) -> "list[Gauge]":
         """All gauge series, ordered by series key."""
-        return [self._gauges[k] for k in sorted(self._gauges)]
+        return [g for _, g in self._ordered(Gauge)]
 
     def histograms(self) -> "list[Histogram]":
         """All histogram series, ordered by series key."""
-        return [self._histograms[k] for k in sorted(self._histograms)]
+        return [h for _, h in self._ordered(Histogram)]
 
     def timer(self, name: str, clock: "object | None" = None) -> SpanTimer:
         """A span timer feeding the histogram named ``name``.
@@ -259,9 +283,9 @@ class MetricsRegistry:
         this between runs so series from a previous configuration cannot
         leak into the next report. The bound clock is kept.
         """
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
+        for table in self._tables.values():
+            table.clear()
+        self._memo.clear()
 
     def summary_rows(self) -> "list[list]":
         """Rows of ``[name, type, count/value, mean, p50, p95, p99]``, sorted.
@@ -271,17 +295,13 @@ class MetricsRegistry:
         the registry without re-deriving percentiles.
         """
         rows: list[list] = []
-        for name in sorted(self._counters):
-            rows.append(
-                [name, "counter", self._counters[name].value, "", "", "", ""]
-            )
-        for name in sorted(self._gauges):
-            g = self._gauges[name]
+        for name, c in self._ordered(Counter):
+            rows.append([name, "counter", c.value, "", "", "", ""])
+        for name, g in self._ordered(Gauge):
             rows.append(
                 [name, "gauge", g.value, "", "", f"hw={g.high_water:.4g}", ""]
             )
-        for name in sorted(self._histograms):
-            h = self._histograms[name]
+        for name, h in self._ordered(Histogram):
             p50, p95, p99 = h.percentiles((50, 95, 99))
             rows.append(
                 [

@@ -74,12 +74,28 @@ class CsrAdjacency:
     def from_rows(
         cls, rows: "list[np.ndarray]", ids: "np.ndarray | None" = None
     ) -> "CsrAdjacency":
-        """Pack per-vertex neighbor rows into a uniformly weighted block."""
+        """Pack per-vertex neighbor rows into a uniformly weighted block.
+
+        The arrays are built here to the constructor's invariants, so they
+        are set directly (``degrees`` *is* the row lengths); only ``ids``,
+        which the caller supplies, is checked.
+        """
         counts = np.fromiter(map(len, rows), np.int64, len(rows))
-        indptr = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-        return cls(indptr, indices, np.ones(indices.size, dtype=np.float64), ids)
+        if ids is not None and ids.shape != counts.shape:
+            raise SamplingError("CSR ids must name every row")
+        block = cls.__new__(cls)
+        block.indptr = np.zeros(counts.size + 1, dtype=np.int64)
+        counts.cumsum(out=block.indptr[1:])
+        block.indices = (
+            np.concatenate(rows).astype(np.int64, copy=False)
+            if rows
+            else np.zeros(0, dtype=np.int64)
+        )
+        block.weights = np.ones(block.indices.size, dtype=np.float64)
+        block.degrees = counts
+        block.ids = ids
+        block._ranked = None
+        return block
 
     @property
     def n_vertices(self) -> int:
@@ -145,7 +161,12 @@ class CsrAdjacency:
 
         The broadcast draw consumes ``rng`` exactly like one
         ``rng.integers(degree, size=count)`` per non-empty row, in order.
+        When no row is empty that draw is the whole answer: no pad scaffold.
         """
+        degrees = self.degrees[rows]
+        if degrees.all():
+            slot = rng.integers(0, degrees[:, None], size=(rows.size, count))
+            return self.indices[self.indptr[rows][:, None] + slot]
         out, nz = self._pad_empty(rows, count, pad_ids)
         if nz.any():
             rs = rows[nz]

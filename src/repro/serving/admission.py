@@ -79,6 +79,11 @@ class AdmissionController:
             cls: BoundedQueue(capacities.get(cls, 64))
             for cls in REQUEST_CLASSES
         }
+        # Peek order of next_request: the cached class first, so it wins an
+        # exact arrival tie.
+        self._peek_order = [self.queues[CLASS_CACHED]] + [
+            q for cls, q in self.queues.items() if cls != CLASS_CACHED
+        ]
         self.metrics = metrics
         self.shed = {cls: 0 for cls in REQUEST_CLASSES}
         self.expired = {cls: 0 for cls in REQUEST_CLASSES}
@@ -116,10 +121,8 @@ class AdmissionController:
         arrival times and queue contents are.
         """
         best: "ServeRequest | None" = None
-        for cls in (CLASS_CACHED,) + tuple(
-            c for c in REQUEST_CLASSES if c != CLASS_CACHED
-        ):
-            head = self.queues[cls].head()
+        for queue in self._peek_order:
+            head = queue.head()
             if head is None:
                 continue
             if best is None or head.arrival_us < best.arrival_us:

@@ -157,7 +157,9 @@ class ServingEngine:
 
         The minibatch shape of the Algorithm-1 forward: deepest hop first,
         each level's children are mean-pooled per parent, combined with the
-        parent's own base vector and re-normalized.
+        parent's own base vector and re-normalized. The pool and the norm
+        are the reductions ``ndarray.mean`` and ``np.linalg.norm`` run, bit
+        for bit, without their dispatch layers.
         """
         base = self.base_vectors
         layers = context.layers
@@ -166,9 +168,9 @@ class ServingEngine:
         for k in range(context.n_hops, 0, -1):
             fanout = context.hop_nums[k - 1]
             parents = layers[k - 1]
-            pooled = vecs.reshape(parents.size, fanout, d).mean(axis=1)
+            pooled = vecs.reshape(parents.size, fanout, d).sum(axis=1) / fanout
             combined = 0.5 * base[parents] + 0.5 * pooled
-            norms = np.linalg.norm(combined, axis=1, keepdims=True) + 1e-12
+            norms = np.sqrt((combined * combined).sum(axis=1, keepdims=True)) + 1e-12
             vecs = combined / norms
         return vecs[0]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import make_dataset
+from repro.obs import TimeSeriesSampler
 from repro.runtime import MetricsRegistry, RpcRuntime, VirtualClock
 from repro.sampling import (
     DegreeBiasedNegativeSampler,
@@ -121,6 +122,43 @@ def test_labeled_metrics_are_distinct_series():
     assert g1 is g2
     labeled = [c for c in reg.counters() if c.labels]
     assert len(labeled) == 2
+
+
+def test_label_sets_that_render_alike_stay_distinct_series():
+    # Unescaped, both label sets rendered "x{a=1,b=2}" and shared a series.
+    reg = MetricsRegistry()
+    glued = reg.counter("x", labels={"a": "1,b=2"})
+    split = reg.counter("x", labels={"a": "1", "b": "2"})
+    assert glued is not split
+    glued.inc(3)
+    split.inc(5)
+    assert glued.labels == (("a", "1,b=2"),)
+    assert split.labels == (("a", "1"), ("b", "2"))
+    assert reg.counter("x", labels={"b": 2, "a": 1}) is split
+    names = [row[0] for row in reg.summary_rows()]
+    assert len(set(names)) == len(names) == 2
+    # Values are identified by their rendering: 1 and "1" are one series,
+    # 1, 1.0 and True (one dict key) are three.
+    assert reg.gauge("g", labels={"p": 1}) is reg.gauge("g", labels={"p": "1"})
+    assert len({id(reg.gauge("g", labels={"p": v})) for v in (1, 1.0, True)}) == 3
+    assert reg.gauge("k", labels={1: "v"}) is not reg.gauge("k", labels={True: "v"})
+    # The time-series rings keep the two apart too, under distinct names.
+    clock = VirtualClock()
+    series = TimeSeriesSampler(reg, clock, tick_us=10.0)
+    clock.advance(10.0)
+    series.poll()
+    rows = series.to_dict()["series"]
+    assert sorted(v[0][1] for k, v in rows.items() if k.startswith("x{")) == [3, 5]
+
+
+def test_lookup_memo_is_dropped_with_the_series():
+    reg = MetricsRegistry()
+    before = reg.counter("c", labels={"part": 0})
+    before.inc()
+    reg.reset()
+    after = reg.counter("c", labels={"part": 0})
+    assert after is not before and after.value == 0
+    assert reg.counters() == [after]
 
 
 def test_registry_bind_clock_drives_timers():

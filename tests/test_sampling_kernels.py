@@ -4,9 +4,11 @@ one draw path every provider (in-memory or store-backed) runs."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data import dynamic_taobao, make_dataset
@@ -137,10 +139,13 @@ def oracle_walks(graph, starts, length, rng, weighted=False):
 # Strategies: random ragged adjacency behind either provider shape
 # --------------------------------------------------------------------- #
 @st.composite
-def ragged_graphs(draw, min_vertices=2, max_vertices=10):
-    """Directed multigraph with empty rows, self-loops and tied weights."""
+def ragged_graphs(draw, min_vertices=2, max_vertices=10, sink=False):
+    """Directed multigraph with empty rows, self-loops and tied weights
+    (``sink``: the last row is empty and the first is not)."""
     n = draw(st.integers(min_vertices, max_vertices))
     degrees = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    if sink:
+        degrees[0], degrees[-1] = max(degrees[0], 1), 0
     rng = make_rng(draw(st.integers(0, 2**16)))
     src = np.repeat(np.arange(n), degrees)
     dst = rng.integers(0, n, size=src.size)
@@ -193,6 +198,48 @@ class TestCsrAdjacency:
         assert np.array_equal(a.indices, b.indices)
         assert np.all(b.weights == 1.0)  # packed rows are uniformly weighted
         assert CsrAdjacency.from_rows([]).n_vertices == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(0, 5), max_size=8),
+        seed=st.integers(0, 2**16),
+        named=st.booleans(),
+    )
+    def test_from_rows_equals_validated_constructor(self, lengths, seed, named):
+        # from_rows sets its fields without re-validating them; the checked
+        # constructor over the same arrays is its oracle, dtypes included.
+        rng = make_rng(seed)
+        rows = [rng.integers(0, 50, size=k) for k in lengths]
+        ids = 3 * np.arange(len(rows), dtype=np.int64) if named else None
+        packed = CsrAdjacency.from_rows(rows, ids)
+        indptr = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+        indices = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+        checked = CsrAdjacency(indptr, indices, np.ones(indices.size), ids)
+        for field in ("indptr", "indices", "weights", "degrees"):
+            got, want = getattr(packed, field), getattr(checked, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), field
+        assert packed.ids is checked.ids
+        assert np.array_equal(packed.ranked(), checked.ranked())
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        frontier=st.one_of(
+            st.just([]),
+            st.lists(st.integers(0, 40), min_size=1, max_size=1),
+            st.lists(st.integers(0, 40), min_size=2, max_size=60),
+        )
+    )
+    @example(frontier=[7, 3, 7, 7, 0, 3])
+    def test_frontier_dedup_equals_np_unique(self, frontier):
+        class EchoStore:
+            def get_neighbors_batch(self, ids, from_part):
+                return {v: np.zeros(0, dtype=np.int64) for v in ids.tolist()}
+
+        frontier = np.asarray(frontier, dtype=np.int64)
+        block, rows = StoreProvider(EchoStore(), 0).frontier_block(frontier)
+        ids, inverse = np.unique(frontier, return_inverse=True)
+        assert block.ids.dtype == ids.dtype and np.array_equal(block.ids, ids)
+        assert rows.dtype == inverse.dtype and np.array_equal(rows, inverse)
 
     def test_block_rows_are_named_by_ids(self, tiny_graph):
         whole = CsrAdjacency.from_graph(tiny_graph)
@@ -346,6 +393,47 @@ class TestSampleChildren:
         want, wp = oracle_children(sampler, frontier, count, rng_o)
         assert np.array_equal(got, want) and np.array_equal(gp, wp)
         assert rng_k.bit_generator.state == rng_o.bit_generator.state
+
+    @pytest.mark.parametrize("via_store", [False, True], ids=["graph", "store"])
+    @settings(max_examples=40, deadline=None)
+    @given(graph=ragged_graphs(sink=True), count=st.integers(1, 9), data=st.data())
+    def test_pad_free_uniform_arm_equals_padded_arm(self, via_store, graph, count, data):
+        # A frontier of non-empty rows skips the pad scaffold; adding a sink
+        # takes the padded arm, whose draw for the other rows is the same
+        # call. Both must equal the oracle and each other, rng state included.
+        sink = graph.n_vertices - 1
+        busy = np.flatnonzero(graph.out_degrees() > 0).tolist()
+        frontier = np.asarray(
+            data.draw(st.lists(st.sampled_from(busy), min_size=1, max_size=12)),
+            dtype=np.int64,
+        )
+        provider = (
+            StoreProvider(make_store(graph, 2, seed=0), from_part=0)
+            if via_store
+            else GraphProvider(graph)
+        )
+        sampler = UniformNeighborSampler(provider)
+        padded_calls = []
+        pad_empty = CsrAdjacency._pad_empty
+
+        def spy(block, *args):
+            padded_calls.append(True)
+            return pad_empty(block, *args)
+
+        draws = {}
+        for arm, vertices in (("pad-free", frontier), ("padded", np.append(frontier, sink))):
+            rng_k, rng_o = make_rng(21), make_rng(21)
+            padded_calls.clear()
+            with mock.patch.object(CsrAdjacency, "_pad_empty", spy):
+                got, _ = sampler.sample_children(vertices, count, rng_k)
+            assert bool(padded_calls) == (arm == "padded")
+            want, _ = oracle_children(sampler, vertices, count, rng_o)
+            assert np.array_equal(got, want)
+            assert rng_k.bit_generator.state == rng_o.bit_generator.state
+            draws[arm] = got, rng_k.bit_generator.state
+        (free, free_state), (padded, padded_state) = draws["pad-free"], draws["padded"]
+        assert np.array_equal(free, padded[:-1]) and np.all(padded[-1] == sink)
+        assert free_state == padded_state
 
     @pytest.mark.parametrize("kind", ["topk", "full"])
     @settings(max_examples=60, deadline=None)

@@ -3,6 +3,10 @@ SLO reports and ``repro bench serving_slo``."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -26,6 +30,7 @@ from repro.serving import (
 from repro.serving.requests import OUTCOME_OK, OUTCOME_SHED, ServeRequest
 from repro.storage import ImportanceCachePolicy
 from repro.storage.cluster import make_store
+from tests.conftest import python_calls
 
 
 @pytest.fixture
@@ -300,6 +305,44 @@ class TestServingEngine:
         assert {sp.attrs["outcome"] for sp in spans} <= set(
             ("ok", "late", "shed", "deadline")
         )
+
+    def test_seeded_run_matches_pinned_digests(self, small_taobao, users):
+        # "Bit-identical" for the fresh path, pinned: a rewrite of sampling,
+        # packing, aggregation or the metric lookups that moves one request
+        # record, one SLO number or one bit of a cached embedding fails.
+        engine = _engine(small_taobao, seed=7)
+        records = engine.run(
+            _open(users, seed=7, rps=4000.0, fresh_fraction=0.3)
+        )
+        slo = json.dumps(build_slo_report(records).to_dict(), sort_keys=True)
+        trace = "\n".join(
+            f"{r.req_id},{int(r.user)},{r.cls},{r.outcome},{r.arrival_us.hex()},"
+            f"{r.end_us.hex()},{r.queue_us.hex()},{r.service_us.hex()},{r.cache_hit}"
+            for r in records
+        )
+        vectors = hashlib.sha256()
+        for user in engine.embed_cache.keys():
+            vectors.update(f"{int(user)}:".encode())
+            vectors.update(np.ascontiguousarray(engine.embed_cache.peek(user)).tobytes())
+        assert (len(records), len(engine.embed_cache)) == (388, 125)
+        assert hashlib.sha256(slo.encode()).hexdigest()[:16] == "06d0edba1dea03d6"
+        assert hashlib.sha256(trace.encode()).hexdigest()[:16] == "64bd25b2e9ab54f0"
+        assert vectors.hexdigest()[:16] == "0620b614d11d1e0b"
+
+    def test_fresh_path_python_call_ceiling(self, small_taobao, users):
+        # Gate the per-request toll on a count, not a clock: the Python
+        # calls under repro/ for a fixed batch of fresh requests (sample,
+        # pack, draw, aggregate, admission, records, metrics). The ceiling
+        # is today's count; a per-call cost that creeps back trips it.
+        engine = _engine(small_taobao, seed=7)
+        workload = _open(
+            users, seed=7, rps=1000.0, duration_us=40_000.0, fresh_fraction=1.0
+        )
+        calls = python_calls(partial(engine.run, workload), under="/repro/")
+        records = engine.records
+        assert len(records) == 42
+        assert all(r.cls == CLASS_FRESH and r.outcome == OUTCOME_OK for r in records)
+        assert 0 < calls <= 8362
 
     def test_config_validation(self, small_taobao):
         with pytest.raises(ServingError):
