@@ -12,9 +12,10 @@ the paper asserts qualitatively:
 
 from __future__ import annotations
 
-import time
+from functools import partial
 
 from repro.bench import Experiment, ExperimentReport
+from repro.bench.timing import assert_faster, time_arms
 from repro.data import make_dataset
 from repro.storage.attributes import SeparateAttributeStore
 from repro.storage.buckets import RequestFlowBuckets, synthetic_trace
@@ -35,23 +36,23 @@ def _run_partition(smoke: bool) -> ExperimentReport:
     report = ExperimentReport(
         "ablation_partition", "Partition strategies at 8 workers"
     )
-    for partitioner in (
+    partitioners = (
         MetisPartitioner(seed=0),
         EdgeCutPartitioner(),
         VertexCutPartitioner(),
         TwoDimPartitioner(),
         StreamingPartitioner(),
-    ):
-        start = time.perf_counter()
+    )
+    timings = time_arms({p.name: partial(p.partition, graph, 8) for p in partitioners}, 3)
+    for partitioner in partitioners:
         assignment = partitioner.partition(graph, 8)
-        elapsed = time.perf_counter() - start
         report.add(
             partitioner.name,
             {
                 "edge_cut": round(assignment.edge_cut_fraction(), 3),
                 "balance": round(assignment.balance(), 3),
                 "replication": round(assignment.replication_factor(), 2),
-                "time_s": round(elapsed, 3),
+                **timings[partitioner.name].columns("time_s", per_s=1, digits=3),
             },
         )
     report.note("METIS/streaming minimize the cut; hash methods are cheapest")
@@ -130,33 +131,36 @@ def _run_alias(smoke: bool) -> ExperimentReport:
     report = ExperimentReport(
         "ablation_alias", "Weighted sampling: alias vs linear scan"
     )
+    timings = {}
     for n in (1_000, 10_000, 100_000):
         weights = rng.random(n) + 0.01
         draws = 20_000
         table = AliasTable(weights)
-        start = time.perf_counter()
-        table.draw_batch(rng, draws)
-        alias_ms = (time.perf_counter() - start) * 1000
         probs = weights / weights.sum()
-        start = time.perf_counter()
-        rng.choice(n, size=draws, p=probs)  # numpy's linear-CDF sampler
-        linear_ms = (time.perf_counter() - start) * 1000
+        timings[n] = t = time_arms(
+            {
+                "alias": lambda: table.draw_batch(rng, draws),
+                "linear": lambda: rng.choice(n, size=draws, p=probs),  # numpy's linear CDF
+            },
+            7,
+        )
         report.add(
             f"n={n}",
             {
-                "alias_ms": round(alias_ms, 2),
-                "linear_ms": round(linear_ms, 2),
-                "speedup": round(linear_ms / alias_ms, 1),
+                **t["alias"].columns("alias_ms"),
+                **t["linear"].columns("linear_ms"),
+                "speedup": round(t["linear"].median / t["alias"].median, 1),
             },
         )
-    report.note("alias draw cost is flat in n; CDF sampling grows")
+    report.note("alias draw cost is flat in n; CDF sampling grows (median, IQR of 7 rounds)")
+    report.meta = {"timings": timings}
     return report
 
 
 def _check_alias(report: ExperimentReport, smoke: bool) -> None:
-    rows = [r.measured for r in report.records]
     # Alias time is roughly flat; the largest-n case must win clearly.
-    assert rows[-1]["alias_ms"] < rows[-1]["linear_ms"]
+    largest = report.meta["timings"][100_000]
+    assert_faster(largest["linear"], largest["alias"], 1.0)
 
 
 def _run_fanout(smoke: bool) -> ExperimentReport:

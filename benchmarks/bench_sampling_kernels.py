@@ -8,7 +8,8 @@ fan-outs 10x5, 64-seed batches):
   its broadcast kernel and through :func:`_expand_per_row` — one scalar
   ``rng.integers`` per frontier row over the same adjacency block, kept
   here for this comparison only. Same seed, same draws (asserted);
-  min-of-repeats wall-clock, acceptance bar >= 3x. The other four samplers
+  wall-clock median and IQR of interleaved passes, acceptance bar >= 3x
+  (through :func:`~repro.bench.timing.assert_faster`). The other four samplers
   report kernel throughput; their equivalence to scalar oracles is tier-1
   (``tests/test_sampling_kernels.py``), where it runs on every PR.
 * **Determinism survives.** Same seed, same output — including straight
@@ -23,13 +24,13 @@ fan-outs 10x5, 64-seed batches):
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.bench import Experiment, ExperimentReport
+from repro.bench.timing import assert_faster, time_arms
 from repro.data import dynamic_taobao, make_dataset
 from repro.sampling import (
+    CsrAdjacency,
     FullNeighborSampler,
     GraphProvider,
     ImportanceNeighborSampler,
@@ -82,17 +83,15 @@ def _batches(graph, steps: int) -> "list[np.ndarray]":
     ]
 
 
-def _time_expansion(expand, batches: "list[np.ndarray]", repeats: int) -> float:
-    """Min wall-clock seconds for one full pass of ``expand(batch, rng)``."""
-    expand(batches[0], make_rng(SEED))  # warm-up: snapshot + tables
-    best = float("inf")
-    for _ in range(repeats):
+def _expansion_pass(expand, batches: "list[np.ndarray]"):
+    """One same-seed pass of ``expand(batch, rng)`` over ``batches``."""
+
+    def run() -> None:
         rng = make_rng(SEED)
-        t0 = time.perf_counter()
         for batch in batches:
             expand(batch, rng)
-        best = min(best, time.perf_counter() - t0)
-    return best
+
+    return run
 
 
 def _context_rows(steps: int) -> int:
@@ -127,37 +126,21 @@ def _determinism(graph) -> "tuple[bool, bool]":
     return static_ok, refresh_ok
 
 
-def _alias_exactness_and_build(graph, repeats: int) -> "tuple[float, float, float]":
-    """(max |implied - normalized weights|, per-list build s, grouped build s)."""
-    from repro.sampling import CsrAdjacency
-
-    csr = CsrAdjacency.from_graph(graph)
-    grouped = GroupedAliasTable(csr.weights, csr.indptr)
-    implied = grouped.probabilities()
+def _alias_max_prob_error(csr) -> float:
+    """max |implied - normalized weights| over the grouped alias slots."""
+    implied = GroupedAliasTable(csr.weights, csr.indptr).probabilities()
     expected = np.zeros_like(implied)
     for v in range(csr.n_vertices):
         w = csr.weights_of(v)
         if w.size:
             expected[csr.indptr[v] : csr.indptr[v + 1]] = w / w.sum()
-    max_diff = float(np.max(np.abs(implied - expected))) if implied.size else 0.0
-
-    nonzero = [v for v in range(csr.n_vertices) if csr.degrees[v] > 0]
-    best_ref = best_grp = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for v in nonzero:
-            AliasTable(csr.weights_of(v))
-        best_ref = min(best_ref, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        GroupedAliasTable(csr.weights, csr.indptr)
-        best_grp = min(best_grp, time.perf_counter() - t0)
-    return max_diff, best_ref, best_grp
+    return float(np.max(np.abs(implied - expected))) if implied.size else 0.0
 
 
 def _run(smoke: bool) -> ExperimentReport:
     graph = make_dataset("taobao-small-sim", scale=0.3, seed=0)
     steps = SMOKE_STEPS if smoke else STEPS
-    repeats = 2 if smoke else 5
+    rounds = 2 if smoke else 7
     report = ExperimentReport(
         "sampling_kernels",
         "CSR sampling kernels on the 2-hop workload "
@@ -169,29 +152,33 @@ def _run(smoke: bool) -> ExperimentReport:
     rows = _context_rows(steps)
     samplers = _samplers(graph)
     provider = samplers["uniform"].provider
-    loop_s = _time_expansion(
-        lambda batch, rng: _expand_per_row(provider, batch, rng), batches, repeats
-    )
+    expansions = {"per-row loop": lambda batch, rng: _expand_per_row(provider, batch, rng)}
+    for name, sampler in samplers.items():
+        expansions[name] = lambda batch, rng, s=sampler: s.sample(batch, HOP_NUMS, rng)
+    for expand in expansions.values():
+        expand(batches[0], make_rng(SEED))  # warm-up: snapshot + tables
     same_draws = all(
         np.array_equal(x, y)
         for x, y in zip(
-            samplers["uniform"].sample(batches[0], HOP_NUMS, make_rng(SEED)).layers,
-            _expand_per_row(provider, batches[0], make_rng(SEED)),
+            expansions["uniform"](batches[0], make_rng(SEED)).layers,
+            expansions["per-row loop"](batches[0], make_rng(SEED)),
         )
     )
-    for name, sampler in samplers.items():
-        seconds = _time_expansion(
-            lambda batch, rng: sampler.sample(batch, HOP_NUMS, rng), batches, repeats
-        )
+    timings = time_arms(
+        {name: _expansion_pass(expand, batches) for name, expand in expansions.items()},
+        rounds,
+    )
+    loop = timings["per-row loop"]
+    for name in samplers:
+        t = timings[name]
         measured = {
-            "kernel_ms": round(seconds * 1e3, 2),
-            "kernel_krows_per_s": round(rows / seconds / 1e3, 1),
+            **t.columns("kernel_ms"),
+            "kernel_krows_per_s": round(rows / t.median / 1e3, 1),
         }
         if name == "uniform":
-            uniform_speedup = loop_s / seconds
             measured.update(
-                per_row_loop_ms=round(loop_s * 1e3, 2),
-                speedup=round(uniform_speedup, 2),
+                **loop.columns("per_row_loop_ms"),
+                speedup=round(loop.median / t.median, 2),
                 same_draws=same_draws,
             )
         report.add(f"2-hop expansion: {name}", measured)
@@ -202,24 +189,33 @@ def _run(smoke: bool) -> ExperimentReport:
         {"identical": static_ok, "after_dynamic_refresh": refresh_ok},
     )
 
-    max_diff, ref_build_s, grp_build_s = _alias_exactness_and_build(graph, repeats)
+    csr = CsrAdjacency.from_graph(graph)
+    max_diff = _alias_max_prob_error(csr)
+    nonzero = [v for v in range(csr.n_vertices) if csr.degrees[v] > 0]
+    build = time_arms(
+        {
+            "per-list": lambda: [AliasTable(csr.weights_of(v)) for v in nonzero],
+            "grouped": lambda: GroupedAliasTable(csr.weights, csr.indptr),
+        },
+        rounds,
+    )
     report.add(
         "grouped alias construction",
         {
             "max_prob_error": f"{max_diff:.2e}",
-            "per_list_build_ms": round(ref_build_s * 1e3, 2),
-            "grouped_build_ms": round(grp_build_s * 1e3, 2),
-            "build_speedup": round(ref_build_s / max(grp_build_s, 1e-12), 2),
+            **build["per-list"].columns("per_list_build_ms"),
+            **build["grouped"].columns("grouped_build_ms"),
+            "build_speedup": round(build["per-list"].median / build["grouped"].median, 2),
         },
     )
 
     report.note(
-        "expansion timings are wall-clock min-of-repeats over identical "
-        "same-seed batch sequences; the per-row loop draws the uniform "
-        "sampler's children one frontier row at a time on the same block"
+        f"timings are wall-clock median and IQR of {rounds} interleaved rounds "
+        "over identical same-seed batch sequences; the per-row loop draws the "
+        "uniform sampler's children one frontier row at a time on the same block"
     )
     report.meta = {
-        "uniform_speedup": uniform_speedup,
+        "uniform": (loop, timings["uniform"]),
         "uniform_same_draws": same_draws,
         "deterministic": static_ok,
         "refresh_deterministic": refresh_ok,
@@ -241,11 +237,8 @@ def _check(report: ExperimentReport, smoke: bool) -> None:
         "grouped alias probabilities drifted from the normalized weights"
     )
     if smoke:
-        return  # two repeats of six batches do not time anything
-    assert meta["uniform_speedup"] >= MIN_UNIFORM_SPEEDUP, (
-        f"uniform 2-hop expansion speedup {meta['uniform_speedup']:.2f}x "
-        f"under the {MIN_UNIFORM_SPEEDUP}x bar"
-    )
+        return  # two rounds of six batches do not time anything
+    assert_faster(*meta["uniform"], MIN_UNIFORM_SPEEDUP)
 
 
 EXPERIMENTS = (Experiment("sampling_kernels", _run, _check),)

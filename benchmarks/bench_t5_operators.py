@@ -9,11 +9,12 @@ and cached execution paths of the MinibatchExecutor at steady state.
 
 from __future__ import annotations
 
-import time
+import itertools
 
 import numpy as np
 
 from repro.bench import Experiment, ExperimentReport, MetricRule
+from repro.bench.timing import assert_faster, time_arms
 from repro.data import make_dataset
 from repro.ops import (
     MaterializationCache,
@@ -33,6 +34,7 @@ FANOUTS = [10, 10]
 DIM = 32
 WARMUP_BATCHES = 12
 MEASURE_BATCHES = 4
+ROUNDS = 12
 
 
 def _executor(graph, rng) -> MinibatchExecutor:
@@ -59,6 +61,7 @@ def _run(smoke: bool) -> ExperimentReport:
     report = ExperimentReport(
         "t5", "Operator time per mini-batch: uncached vs materialization cache"
     )
+    timings = {}
     for name, scale in (("taobao-small-sim", 0.6), ("taobao-large-sim", 0.35)):
         graph = make_dataset(name, scale=scale, seed=0)
         rng = make_rng(0)
@@ -66,41 +69,49 @@ def _run(smoke: bool) -> ExperimentReport:
         srng = make_rng(5)
         batches = [srng.integers(0, graph.n_vertices, BATCH) for _ in range(MEASURE_BATCHES)]
 
-        start = time.perf_counter()
+        # The seeded hit rate is read after one pass of each arm (the cached
+        # one behind its warm-up); the timed rounds then cycle the batches.
         for batch in batches:
             ex.embed_batch_uncached(batch, srng)
-        uncached_ms = (time.perf_counter() - start) / MEASURE_BATCHES * 1000
-
         cache = MaterializationCache(2, graph.n_vertices)
         for _ in range(WARMUP_BATCHES):
             ex.embed_batch_cached(srng.integers(0, graph.n_vertices, BATCH), srng, cache)
-        start = time.perf_counter()
         for batch in batches:
             ex.embed_batch_cached(batch, srng, cache)
-        cached_ms = (time.perf_counter() - start) / MEASURE_BATCHES * 1000
-
+        hit_rate = cache.hit_rate
+        uncached, cached = itertools.cycle(batches), itertools.cycle(batches)
+        timings[name] = t = time_arms(
+            {
+                "uncached": lambda: ex.embed_batch_uncached(next(uncached), srng),
+                "cached": lambda: ex.embed_batch_cached(next(cached), srng, cache),
+            },
+            ROUNDS,
+        )
         report.add(
             name,
             {
-                "uncached_ms": round(uncached_ms, 2),
-                "cached_ms": round(cached_ms, 2),
-                "speedup": round(uncached_ms / cached_ms, 1),
-                "hit_rate": round(cache.hit_rate, 3),
+                **t["uncached"].columns("uncached_ms"),
+                **t["cached"].columns("cached_ms"),
+                "speedup": round(t["uncached"].median / t["cached"].median, 1),
+                "hit_rate": round(hit_rate, 3),
             },
             paper=PAPER[name],
         )
     report.note(
         f"batch={BATCH}, fanouts={FANOUTS}, d={DIM}; cached path measured at "
-        f"steady state after {WARMUP_BATCHES} warm-up batches"
+        f"steady state after {WARMUP_BATCHES} warm-up batches; *_ms median and "
+        f"IQR of {ROUNDS} interleaved single-batch rounds"
     )
+    report.meta = {"timings": timings}
     return report
 
 
 def _check(report: ExperimentReport, smoke: bool) -> None:
     for rec in report.records:
-        # Order-of-magnitude contract: the cache wins by a large factor.
-        assert rec.measured["speedup"] > 4.0, rec.label
         assert rec.measured["hit_rate"] > 0.4, rec.label
+    for arms in report.meta["timings"].values():
+        # Order-of-magnitude contract: the cache wins by a large factor.
+        assert_faster(arms["uncached"], arms["cached"], 4.0)
 
 
 EXPERIMENTS = (

@@ -6,8 +6,8 @@ regenerates as :class:`Experiment` records (id, ``run``, ``check``,
 declarations: the pytest collector ``benchmarks/test_experiments.py``,
 ``repro bench`` and ``repro bench-compare``. This package holds what they
 share — the declaration and its loader, the report carrying measured
-values next to the paper's, the results files, and the gate that bands a
-fresh run against the committed one.
+values next to the paper's, the results files, the gate that bands a
+fresh run against the committed one, and the timing protocol (``timing``).
 """
 
 from repro.bench.gate import (

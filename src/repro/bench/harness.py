@@ -184,10 +184,10 @@ def run_experiment(
 
     The one path every consumer takes (the pytest collector, ``repro
     bench``, ``repro bench-compare``); results are on disk before ``check``
-    can fail, so a red run leaves its table behind. A failed assertion is
-    re-raised as :class:`CheckFailedError` naming the experiment and the
-    asserting line — the scripts are not test modules, so pytest does not
-    rewrite their bare ``assert``s into messages.
+    can fail, so a red run leaves its table behind. A failed ``assert`` or
+    ``assert_faster`` is re-raised as :class:`CheckFailedError` naming the
+    experiment (and the asserting line — the scripts are not test modules,
+    so pytest does not rewrite their bare ``assert``s into messages).
     """
     report = experiment.run(smoke)
     if report.experiment_id != experiment.id:
@@ -205,4 +205,6 @@ def run_experiment(
             f"{experiment.id}: check failed: "
             + (f"{exc} ({where})" if str(exc) else where)
         ) from exc
+    except CheckFailedError as exc:
+        raise CheckFailedError(f"{experiment.id}: check failed: {exc}") from exc
     return report

@@ -11,8 +11,8 @@ cross partitions (:mod:`~repro.obs.workload`).
 Everything here is read-side: the only hooks on hot paths are the
 ``runtime.recorder`` / ``runtime.timeseries`` attributes of the
 :class:`~repro.runtime.rpc.RpcRuntime`, ``None`` when off, which keep
-disabled runs at one ``is not None`` check per read
-(``benchmarks/bench_obs_overhead.py`` measures it). All reports
+disabled runs at one ``is not None`` check per read (experiment
+``instrument_overhead`` counts the calls it makes). All reports
 are plain dicts with stable ordering — two same-seed runs compare equal
 with ``==``.
 """

@@ -15,7 +15,7 @@ each request); a sample is taken only when the clock has crossed the next
 tick boundary — stamped *at the boundary*, so two same-seed runs produce
 bit-identical series no matter how often either polls. ``None`` there
 means off: un-instrumented runs pay one ``is not None`` check per batch
-(see ``benchmarks/bench_obs_overhead.py``).
+(see the ``instrument_overhead`` experiment).
 
 Exports: plain dict (:meth:`to_dict`), CSV rows (:meth:`to_csv`) and
 Chrome trace-event counter (``ph: "C"``) events that render as time-series

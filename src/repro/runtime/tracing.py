@@ -21,8 +21,8 @@ over many requests. This module gives the simulation the same substrate:
 
 Tracing is **opt-in and pay-for-what-you-use**: the shared
 :data:`NULL_TRACER` answers every call with no-ops, so the instrumented
-hot paths cost one attribute check when tracing is off
-(``benchmarks/bench_trace_overhead.py`` holds the line at <2%).
+hot paths cost one attribute check when tracing is off (experiment
+``instrument_overhead`` counts the calls they make).
 
 Exporters (Chrome trace-event JSON for Perfetto, Prometheus text
 exposition) live in :mod:`repro.runtime.export`.

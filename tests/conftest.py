@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bench.timing import python_calls  # noqa: F401  (re-exported to the tests)
 from repro.data import amazon_graph, taobao_graph
 from repro.graph import Graph, GraphBuilder
 from repro.utils.rng import make_rng
@@ -72,26 +73,6 @@ def small_amazon():
 
 #: The ``repro report`` invocation the CLI / obs tests share (2 steps -> 2 traces).
 REPORT_ARGV = ["report", "--scale", "0.1", "--steps", "2", "--workers", "3", "--seed", "0"]
-
-
-def python_calls(fn, under: str) -> int:
-    """Python-level calls made in files whose path contains ``under`` while
-    ``fn`` runs — the guard that a per-vertex loop cannot come back unnoticed."""
-    import sys
-
-    calls = 0
-
-    def profiler(frame, event, arg):
-        nonlocal calls
-        if event == "call" and under in frame.f_code.co_filename:
-            calls += 1
-
-    sys.setprofile(profiler)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return calls
 
 
 def run_cli(argv: "list[str]") -> str:

@@ -1,6 +1,6 @@
 """The six in-house models: behavioral contracts from the paper."""
 
-import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from repro.algorithms import (
     HierarchicalGNN,
     MixtureGNN,
 )
+from repro.bench.timing import assert_faster, time_arms
 from repro.data import dynamic_taobao, knowledge_graph, train_test_split_edges
 from repro.errors import TrainingError
 from repro.tasks import evaluate_link_prediction
@@ -57,24 +58,12 @@ def test_ahep_faster_and_lighter_than_hep():
     # dim=512 puts the cap-proportional row gather firmly in charge
     # (~2x separation); at dim=128 the per-vertex Python bookkeeping --
     # identical across both models -- swamps it and the comparison is a
-    # coin flip. Min-of-repeats absorbs GC pauses and scheduler noise.
-    def best_fit_s(make_model):
-        best = float("inf")
-        for _ in range(2):
-            model = make_model()
-            t0 = time.perf_counter()
-            model.fit(dense)
-            best = min(best, time.perf_counter() - t0)
-        return model, best
-
-    hep, hep_time = best_fit_s(
-        lambda: HEP(dim=512, steps=6, neighbor_cap=64, batch_size=256, seed=0)
-    )
-    ahep, ahep_time = best_fit_s(
-        lambda: AHEP(dim=512, steps=6, neighbor_cap=4, batch_size=256, seed=0)
-    )
+    # coin flip.
+    hep = HEP(dim=512, steps=6, neighbor_cap=64, batch_size=256, seed=0)
+    ahep = AHEP(dim=512, steps=6, neighbor_cap=4, batch_size=256, seed=0)
+    timings = time_arms({"hep": partial(hep.fit, dense), "ahep": partial(ahep.fit, dense)}, 5)
     assert ahep.peak_batch_rows < hep.peak_batch_rows
-    assert ahep_time < hep_time
+    assert_faster(timings["hep"], timings["ahep"], 1.0)
 
 
 def test_ahep_quality_close_to_hep(amazon_split):

@@ -437,7 +437,7 @@ class TestRegressionGate:
         # The whole in-process path for the cheapest gated experiment: a
         # fresh smoke run vs the committed smoke baseline must pass clean.
         report = compare_suite(
-            select_experiments(load_experiments(_BENCH_DIR), ["trace_overhead"]),
+            select_experiments(load_experiments(_BENCH_DIR), ["instrument_overhead"]),
             baseline_dir=results_dir(_BENCH_DIR, smoke=True),
             out_dir=str(tmp_path),
             smoke=True,
@@ -445,11 +445,11 @@ class TestRegressionGate:
         assert report["ok"] is True, render_compare(report)
         (res,) = report["results"]
         assert res["n_checked"] >= 3
-        assert (tmp_path / "trace_overhead.json").exists()
+        assert (tmp_path / "instrument_overhead.json").exists()
 
     def test_missing_baseline_fails_suite(self, tmp_path):
         report = compare_suite(
-            select_experiments(load_experiments(_BENCH_DIR), ["trace_overhead"]),
+            select_experiments(load_experiments(_BENCH_DIR), ["instrument_overhead"]),
             baseline_dir=str(tmp_path / "nowhere"),
             out_dir=str(tmp_path / "out"),
             smoke=True,

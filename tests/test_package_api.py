@@ -362,3 +362,44 @@ def test_no_unused_imports():
                 if name not in used
             ]
     assert offenders == []
+
+
+def test_only_the_timing_helper_reads_the_clock():
+    """Every wall-clock number the experiments and tests take goes through
+    ``repro.bench.timing``: no experiment script or test calls or imports a
+    clock of the ``time`` module itself. (``benchmarks/perf/`` keeps its own
+    calibrated protocol.)"""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    clocks = {
+        f"{name}{suffix}"
+        for name in ("perf_counter", "process_time", "time", "monotonic")
+        for suffix in ("", "_ns")
+    }
+    offenders = []
+    for path in [*(root / "benchmarks").glob("bench_*.py"), *(root / "tests").glob("*.py")]:
+        tree = ast.parse(path.read_text())
+        aliases = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "time"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "time":
+                offenders += [
+                    f"{path.name}:{node.lineno} imports time.{a.name}"
+                    for a in node.names
+                    if a.name in clocks or a.name == "*"
+                ]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+                and node.attr in clocks
+            ):
+                offenders.append(f"{path.name}:{node.lineno} reads time.{node.attr}")
+    assert offenders == []
