@@ -26,12 +26,12 @@ from repro.utils.lru import LRUCache
 class NeighborCache:
     """Per-server cache of remote vertices' out-neighbor arrays.
 
-    When bound to a :class:`~repro.storage.replicas.ReplicaRegistry` (via
-    :meth:`bind`), the cache keeps the registry's vertex -> holder index in
-    sync: pins and demand-fill admissions register, invalidations and LRU
-    evictions deregister. Failover and health-aware routing use the
-    registry plus :meth:`peek` — which never touches the hit/miss counters,
-    so availability probes cannot corrupt ``cache_hit_rate()``.
+    The cache is the only record of what it holds: the cluster's
+    :class:`~repro.storage.replicas.ReplicaRegistry` is a view over the
+    caches' membership (``vertex in cache``). Failover and health-aware
+    routing read replicas through :meth:`peek`, which never touches the
+    hit/miss counters, so availability probes cannot corrupt
+    ``cache_hit_rate()``.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -42,32 +42,19 @@ class NeighborCache:
         self._lru = LRUCache(capacity)
         self.hits = 0
         self.misses = 0
-        self._registry = None  # ReplicaRegistry | None
-        self._part: int | None = None
 
     def __len__(self) -> int:
         return len(self._pinned) + len(self._lru)
 
-    def bind(self, registry, part: int) -> None:
-        """Attach a replica registry and register current contents."""
-        self._registry = registry
-        self._part = part
-        registry.register_many([*self._pinned, *self._lru.keys()], part)
-
-    def _register(self, vertex: int) -> None:
-        if self._registry is not None:
-            self._registry.register(vertex, self._part)
-
-    def _deregister(self, vertex: int) -> None:
-        if self._registry is not None:
-            self._registry.deregister(vertex, self._part)
+    def __contains__(self, vertex: int) -> bool:
+        """Whether any copy of ``vertex`` is held (no accounting, no recency)."""
+        return vertex in self._pinned or vertex in self._lru
 
     def pin(self, vertex: int, neighbors: np.ndarray) -> None:
         """Permanently cache ``vertex``'s neighbors (up to capacity)."""
         if vertex not in self._pinned and len(self._pinned) >= self.capacity:
             raise StorageError("neighbor cache pin capacity exhausted")
         self._pinned[vertex] = np.asarray(neighbors, dtype=np.int64)
-        self._register(vertex)
 
     def get(self, vertex: int) -> np.ndarray | None:
         """Cached neighbor array of ``vertex``, or None on a miss."""
@@ -128,11 +115,7 @@ class NeighborCache:
         policies) survives, because demotion is a capacity decision, not a
         staleness one.
         """
-        if self._pinned.pop(vertex, None) is None:
-            return False
-        if self._lru.peek(vertex) is None:
-            self._deregister(vertex)
-        return True
+        return self._pinned.pop(vertex, None) is not None
 
     @property
     def pinned_count(self) -> int:
@@ -148,6 +131,10 @@ class NeighborCache:
         """Sorted ids of all pinned entries (deterministic scan order)."""
         return tuple(sorted(self._pinned))
 
+    def cached_vertices(self) -> tuple[int, ...]:
+        """Sorted ids of every entry, pinned or demand-filled."""
+        return tuple(sorted({*self._pinned, *self._lru.keys()}))
+
     def admit(self, vertex: int, neighbors: np.ndarray) -> None:
         """Offer a fetched entry for demand-filled (LRU) caching.
 
@@ -155,36 +142,20 @@ class NeighborCache:
         policy relies on it entirely.
         """
         if self._lru.capacity > 0 and vertex not in self._pinned:
-            evicted = self._lru.put(vertex, np.asarray(neighbors, dtype=np.int64))
-            self._register(vertex)
-            # A vertex evicted from the LRU side may still be pinned (mixed
-            # caches): its replica is not gone.
-            if evicted is not None and evicted not in self._pinned:
-                self._deregister(evicted)
+            self._lru.put(vertex, np.asarray(neighbors, dtype=np.int64))
 
     def admit_many(self, rows: "dict[int, np.ndarray]") -> None:
         """:meth:`admit` for each ``vertex -> row`` of ``rows`` in order.
 
         The store hands a whole neighbors response here, so the rows are
-        taken as served (int64 arrays), not re-coerced. The registry is
-        told once per batch, by what the LRU side holds afterwards: every
-        eviction is deregistered first, then the batch's surviving ids are
-        registered — all of them, or the last ``capacity`` when the batch
-        overflows the cache and evicts its own head — so an id evicted and
-        re-admitted, or admitted and evicted, inside one batch ends up as
-        the scalar sequence would leave it.
+        taken as served (int64 arrays), not re-coerced.
         """
         lru = self._lru
         if lru.capacity == 0:
             return
         if self._pinned:
             rows = {v: row for v, row in rows.items() if v not in self._pinned}
-        evicted = lru.put_many(rows)
-        if self._registry is not None:
-            if self._pinned:
-                evicted = [v for v in evicted if v not in self._pinned]
-            self._registry.deregister_many(evicted, self._part)
-            self._registry.register_many(list(rows)[-lru.capacity :], self._part)
+        lru.put_many(rows)
 
     def invalidate(self, vertex: int) -> None:
         """Drop any cached copy of ``vertex``'s neighbors (after an update).
@@ -192,10 +163,21 @@ class NeighborCache:
         Pinned entries are dropped too: a stale pinned row is worse than a
         miss.
         """
-        pinned = self._pinned.pop(vertex, None) is not None
-        dropped = self._lru.delete(vertex)
-        if pinned or dropped:
-            self._deregister(vertex)
+        self._pinned.pop(vertex, None)
+        self._lru.delete(vertex)
+
+    def invalidate_many(self, vertices: "list[int]") -> "list[int]":
+        """:meth:`invalidate` each of ``vertices``; returns the ones that were pinned.
+
+        The write path's call: the returned ids, in input order, are the
+        entries to re-pin with their fresh rows.
+        """
+        pinned = self._pinned
+        was_pinned = (
+            [v for v in vertices if pinned.pop(v, None) is not None] if pinned else []
+        )
+        self._lru.delete_many(vertices)
+        return was_pinned
 
     @property
     def supports_batch_probe(self) -> bool:

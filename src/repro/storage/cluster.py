@@ -69,6 +69,10 @@ from repro.storage.server import GraphServer
 from repro.utils.rng import make_rng
 from repro.utils.timer import CostAccumulator
 
+#: What a vertex id may be (``bool`` excepted): anything else is rejected
+#: before it can be truncated into an int64 row or alias another id.
+_INTEGER = (int, np.integer)
+
 
 class DistributedGraphStore:
     """A cluster of :class:`GraphServer` shards with accounted routing."""
@@ -110,12 +114,9 @@ class DistributedGraphStore:
             )
             self.shard_build_seconds.append(time.perf_counter() - start)
 
-        # The replica registry tracks which servers hold which cached
-        # vertices; servers keep it in sync through their caches (pins and
-        # admissions register, invalidations and evictions deregister).
-        self.replicas = ReplicaRegistry(assignment.n_parts)
-        for server in self.servers:
-            server.bind_replica_registry(self.replicas)
+        #: Which servers hold which cached vertices: a view read off the
+        #: caches, never maintained beside them.
+        self.replicas = ReplicaRegistry(self.servers)
 
         #: When True, a neighbors read that no healthy server or replica
         #: can serve degrades to an empty row (``EV_DEGRADED_READ``)
@@ -220,14 +221,13 @@ class DistributedGraphStore:
     def _replica_peek(self, vertex: int, exclude_part: int) -> "np.ndarray | None":
         """A healthy replica's copy of ``vertex``'s neighbors, or None.
 
-        Resolved through the replica registry (one dict lookup, not a scan
-        over servers) and read with ``peek`` so availability probes never
-        touch any cache's hit/miss counters.
+        The servers are asked in part order, each with ``peek``, so
+        availability probes never touch any cache's hit/miss counters.
         """
-        for p in self.replicas.holders(vertex):
+        for p, server in enumerate(self.servers):
             if p == exclude_part or p in self._failed:
                 continue
-            row = self.servers[p].neighbor_cache.peek(vertex)
+            row = server.neighbor_cache.peek(vertex)
             if row is not None:
                 return row
         return None
@@ -285,8 +285,8 @@ class DistributedGraphStore:
 
         The ledger is charged per arm (``record(event, times=n)``): the
         contract is the per-span event *counts*, not the order events were
-        recorded in. Cache recency, hit/miss counters, the replica registry
-        and everything the runtime keeps are exactly what resolving the
+        recorded in. Cache recency and contents, hit/miss counters and
+        everything the runtime keeps are exactly what resolving the
         batch one vertex at a time would leave.
         """
         if kind not in (KIND_NEIGHBORS, KIND_ATTRS):
@@ -529,54 +529,82 @@ class DistributedGraphStore:
     def apply_edge_events(self, events: "list") -> int:
         """Apply a batch of :class:`~repro.graph.dynamic.EdgeEvent` updates.
 
-        Additions/removals are routed to the source vertex's owning shard;
-        every cached copy of the touched vertex's neighbor list — found
-        through the replica registry, so only its holders are visited — is
-        invalidated so subsequent reads observe the new adjacency. Servers
+        Additions/removals are routed to the source vertex's owning shard,
+        which rebuilds each touched row once per batch, applying that
+        source's events in order. Every cached copy of a changed vertex's
+        neighbor list is then invalidated — one ``invalidate_many`` per
+        server — so subsequent reads observe the new adjacency. Servers
         that held the vertex as a *pinned* (importance-selected) entry are
-        re-pinned with the fresh adjacency — a hot vertex keeps its replica
-        set, and therefore its failover coverage, across updates (one
-        ``replica_refresh`` push plus per-item shipping per holder).
+        re-pinned with the fresh adjacency: a hot vertex keeps its replica
+        set, and therefore its failover coverage, across updates.
         Demand-filled (LRU) copies are dropped only; they re-fill on the
-        next access. A ``remove`` that matches no arc is charged its
-        ``edge_ingested`` (the shard did process the message) and touches
-        nothing else. Returns the number of applied events. An event naming
-        an unknown vertex (``src`` or ``dst``) raises :class:`StorageError`
-        before it mutates anything; events ahead of it in the batch stay
-        applied. Note: the immutable analytical snapshot (``self.graph``) is
-        not mutated — this is the serving path.
+        next access. The ledger is charged as if each event were pushed on
+        its own: one ``edge_ingested`` per valid event and, per non-owner
+        pinned holder, one ``replica_refresh`` plus the row's then size in
+        ``item_shipped`` per event that changed the row. A ``remove`` that
+        matches no arc is charged its ``edge_ingested`` (the shard did
+        process the message) and touches nothing else. Returns the number
+        of applied events. An event with a non-integer or unknown ``src`` /
+        ``dst``, or whose owner is down, raises :class:`StorageError`; the
+        events ahead of it in the batch are applied first, it and the rest
+        are not. Note: the immutable analytical snapshot (``self.graph``)
+        is not mutated — this is the serving path.
         """
-        applied = 0
         n_vertices = self.graph.n_vertices
+        vertex_to_part = self.assignment.vertex_to_part
+        failed = self._failed
+        ops: "dict[int, list[tuple[str, int]]]" = {}
+        n_valid = 0
+        error = None
         for ev in events:
-            src = ev.src
-            owner = self.owner(src)
-            if not 0 <= ev.dst < n_vertices:
-                raise StorageError(f"unknown vertex {ev.dst} in {ev}")
-            if owner in self._failed:
-                raise StorageError(
-                    f"cannot apply update: owner worker {owner} is down"
+            src, dst = ev.src, ev.dst
+            if isinstance(src, bool) or isinstance(dst, bool) or not (
+                isinstance(src, _INTEGER) and isinstance(dst, _INTEGER)
+            ):
+                error = StorageError(f"non-integer vertex id in {ev}")
+                break
+            if not 0 <= src < n_vertices:
+                error = StorageError(f"unknown vertex {src}")
+                break
+            if not 0 <= dst < n_vertices:
+                error = StorageError(f"unknown vertex {dst} in {ev}")
+                break
+            if failed and int(vertex_to_part[src]) in failed:
+                error = StorageError(
+                    f"cannot apply update: owner worker {int(vertex_to_part[src])} is down"
                 )
-            server = self.servers[owner]
-            self.ledger.record(EV_EDGE_INGESTED)
-            if ev.kind == "add":
-                server.add_local_edge(src, ev.dst)
-            elif not server.remove_local_edge(src, ev.dst):
-                # Nothing changed: every cached copy is still exact.
-                continue
-            applied += 1
-            # Only registered holders can have a copy to drop (the registry
-            # audit invariant), so the other servers are not visited.
-            for p in self.replicas.holders(src):
-                cache = self.servers[p].neighbor_cache
-                pinned = cache.is_pinned(src)
-                cache.invalidate(src)
-                if pinned:
-                    fresh = server.local_neighbors(src)
-                    cache.pin(src, fresh)
+                break
+            ops.setdefault(int(src), []).append((ev.kind, int(dst)))
+            n_valid += 1
+        if n_valid:
+            self.ledger.record(EV_EDGE_INGESTED, times=n_valid)
+
+        # src -> (owner, row size after each event that changed the row).
+        changed: "dict[int, tuple[int, list[int]]]" = {}
+        applied = 0
+        srcs = list(ops)
+        for src, owner in zip(srcs, vertex_to_part[srcs].tolist()):
+            sizes = self.servers[owner].edit_row(src, ops[src])
+            if sizes:
+                changed[src] = (owner, sizes)
+                applied += len(sizes)
+        refreshes = shipped = 0
+        if changed:
+            touched = list(changed)
+            for p, server in enumerate(self.servers):
+                cache = server.neighbor_cache
+                for src in cache.invalidate_many(touched):
+                    owner, sizes = changed[src]
+                    cache.pin(src, self.servers[owner].local_neighbors(src))
                     if p != owner:
-                        self.ledger.record(EV_REPLICA_REFRESH)
-                        self.ledger.record(EV_ITEM_SHIPPED, times=int(fresh.size))
+                        refreshes += len(sizes)
+                        shipped += sum(sizes)
+        if refreshes:
+            self.ledger.record(EV_REPLICA_REFRESH, times=refreshes)
+        if shipped:
+            self.ledger.record(EV_ITEM_SHIPPED, times=shipped)
+        if error is not None:
+            raise error
         return applied
 
     def commit_migration(self, vertex: int, new_part: int) -> int:
@@ -588,8 +616,8 @@ class DistributedGraphStore:
         reads before it route to the old owner's (still-installed) shard,
         reads after it to the new owner's. The new owner's cached replica
         of the vertex, if any, is dropped: owned rows are served from the
-        shard, and a lingering registry entry would advertise a failover
-        copy on the very server whose failure it should cover.
+        shard, and a lingering copy would advertise a failover replica on
+        the very server whose failure it should cover.
         """
         if not 0 <= new_part < self.n_workers:
             raise StorageError(f"unknown worker {new_part}")

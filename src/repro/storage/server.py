@@ -6,7 +6,8 @@ copied out of the graph's CSR as *one* contiguous slice (one gather for the
 neighbor ids, one for the weights) and every row is served as a view of that
 slice, so a row read is one dict lookup. Writes — streaming edge updates and
 vertex migration — never edit a row in place: they replace the touched
-vertex's row with a fresh array, so a row handed out (or pinned as a
+vertex's row with a fresh array (one per write batch, see
+:meth:`GraphServer.edit_row`), so a row handed out (or pinned as a
 replica) earlier keeps the contents it had.
 
 Attributes live in a :class:`SeparateAttributeStore` (the IV/IE indices with
@@ -55,31 +56,7 @@ class GraphServer:
             vertex_cache_capacity=attr_cache_capacity,
             edge_cache_capacity=attr_cache_capacity,
         )
-        self._replica_registry = None  # ReplicaRegistry | None
-        self._neighbor_cache = NeighborCache(0)
-
-    @property
-    def neighbor_cache(self) -> NeighborCache:
-        """This server's neighbor cache (assignment rebinds the registry)."""
-        return self._neighbor_cache
-
-    @neighbor_cache.setter
-    def neighbor_cache(self, cache: NeighborCache) -> None:
-        self._neighbor_cache = cache
-        if self._replica_registry is not None:
-            self._replica_registry.drop_part(self.part_id)
-            cache.bind(self._replica_registry, self.part_id)
-
-    def bind_replica_registry(self, registry) -> None:
-        """Keep ``registry`` in sync with this server's cache contents.
-
-        Current contents register immediately; future cache swaps (policy
-        changes, manual replica installs) rebind automatically through the
-        :attr:`neighbor_cache` setter.
-        """
-        self._replica_registry = registry
-        registry.drop_part(self.part_id)
-        self._neighbor_cache.bind(registry, self.part_id)
+        self.neighbor_cache = NeighborCache(0)
 
     def __repr__(self) -> str:
         return (
@@ -128,46 +105,40 @@ class GraphServer:
                 f"server {self.part_id} does not own vertex {vertex}"
             ) from None
 
-    def add_local_edge(self, src: int, dst: int, weight: float = 1.0) -> None:
-        """Append an out-edge to an owned vertex's adjacency row.
+    def edit_row(self, vertex: int, ops: "list[tuple[str, int]]") -> "list[int]":
+        """Apply ``(kind, dst)`` edits to an owned vertex's row, in order.
 
-        The streaming-update path: new behaviour events land on the source
-        vertex's owning shard without a rebuild.
+        The streaming-update path: ``"add"`` appends a unit-weight arc to
+        ``dst``, ``"remove"`` drops the first ``vertex -> dst`` arc and is a
+        no-op when there is none. The edits run on plain lists and the row
+        is installed once, as fresh arrays, only if one of them changed it.
+        Returns the row's size after each edit that changed it.
         """
-        if not self.owns(src):
+        try:
+            row = self._adjacency[vertex]
+        except KeyError:
             raise StorageError(
-                f"server {self.part_id} cannot ingest edge of foreign vertex {src}"
-            )
-        if weight <= 0:
-            raise StorageError(f"edge weight must be positive, got {weight}")
-        row = self._adjacency[src]
-        n = row.size
-        grown = np.empty(n + 1, dtype=np.int64)
-        grown[:n] = row
-        grown[n] = dst
-        weights = np.empty(n + 1, dtype=np.float64)
-        weights[:n] = self._adj_weights[src]
-        weights[n] = weight
-        self._adjacency[src] = grown
-        self._adj_weights[src] = weights
-        self._n_local_edges += 1
-
-    def remove_local_edge(self, src: int, dst: int) -> bool:
-        """Drop the first ``src -> dst`` arc; returns whether one existed."""
-        if not self.owns(src):
-            raise StorageError(
-                f"server {self.part_id} cannot touch foreign vertex {src}"
-            )
-        row = self._adjacency[src]
-        hits = (row == dst).nonzero()[0]
-        if hits.size == 0:
-            return False
-        i = hits[0]
-        weights = self._adj_weights[src]
-        self._adjacency[src] = np.concatenate((row[:i], row[i + 1 :]))
-        self._adj_weights[src] = np.concatenate((weights[:i], weights[i + 1 :]))
-        self._n_local_edges -= 1
-        return True
+                f"server {self.part_id} cannot edit the row of foreign vertex {vertex}"
+            ) from None
+        dsts = row.tolist()
+        weights = self._adj_weights[vertex].tolist()
+        sizes: "list[int]" = []
+        for kind, dst in ops:
+            if kind == "add":
+                dsts.append(dst)
+                weights.append(1.0)
+            else:
+                try:
+                    i = dsts.index(dst)
+                except ValueError:
+                    continue
+                del dsts[i], weights[i]
+            sizes.append(len(dsts))
+        if sizes:
+            self._adjacency[vertex] = np.array(dsts, dtype=np.int64)
+            self._adj_weights[vertex] = np.array(weights, dtype=np.float64)
+            self._n_local_edges += len(dsts) - row.size
+        return sizes
 
     def ingest_vertex(
         self,

@@ -69,8 +69,7 @@ class LRUCache:
     def put(self, key: Hashable, value: Any) -> Hashable | None:
         """Insert/refresh ``key``; evicts the least recently used entry.
 
-        Returns the evicted key (callers maintaining external indices —
-        e.g. the replica registry — deregister it), or None.
+        Returns the evicted key, or None.
         """
         if self.capacity == 0:
             return None
@@ -83,25 +82,25 @@ class LRUCache:
             return evicted
         return None
 
-    def put_many(self, items: "dict[Hashable, Any]") -> "list[Hashable]":
-        """:meth:`put` for each item in order; returns the evicted keys in order.
+    def put_many(self, items: "dict[Hashable, Any]") -> None:
+        """:meth:`put` for each item in order.
 
         A batch larger than the capacity evicts its own earlier entries, as
         the scalar sequence would.
         """
         capacity = self.capacity
         if capacity == 0:
-            return []
+            return
         store = self._store
-        evicted: "list[Hashable]" = []
+        evicted = 0
         for key, value in items.items():
             if key in store:
                 store.move_to_end(key)
             store[key] = value
             if len(store) > capacity:
-                evicted.append(store.popitem(last=False)[0])
-        self.evictions += len(evicted)
-        return evicted
+                store.popitem(last=False)
+                evicted += 1
+        self.evictions += evicted
 
     def peek(self, key: Hashable, default: Any = None) -> Any:
         """Return the cached value without touching recency or statistics."""
@@ -117,6 +116,13 @@ class LRUCache:
             del self._store[key]
             return True
         return False
+
+    def delete_many(self, keys: "list[Hashable]") -> None:
+        """:meth:`delete` each of ``keys`` (absent ones skipped)."""
+        store = self._store
+        if store:
+            for key in keys:
+                store.pop(key, None)
 
     def clear(self) -> None:
         """Drop all entries but keep the accumulated statistics."""

@@ -49,12 +49,14 @@ def test_server_edge_mutation_guards(small_powerlaw):
     v = 0
     owner = store.owner(v)
     foreign = store.servers[(owner + 1) % 2]
-    with pytest.raises(StorageError):
-        foreign.add_local_edge(v, 1)
-    with pytest.raises(StorageError):
-        foreign.remove_local_edge(v, 1)
-    with pytest.raises(StorageError):
-        store.servers[owner].add_local_edge(v, 1, weight=0.0)
+    for ops in ([("add", 1)], [("remove", 1)], []):
+        with pytest.raises(StorageError):
+            foreign.edit_row(v, ops)
+    # A batch that changes nothing installs nothing: the row object stays.
+    row = store.servers[owner].local_neighbors(v)
+    absent = next(u for u in range(small_powerlaw.n_vertices) if u not in row.tolist())
+    assert store.servers[owner].edit_row(v, [("remove", absent)]) == []
+    assert store.servers[owner].local_neighbors(v) is row
 
 
 def test_server_n_local_edges(small_powerlaw):

@@ -139,11 +139,15 @@ def test_migration_gain_and_cost():
 # ---------------------------------------------------------------------- #
 # Replica index exactness under churn
 # ---------------------------------------------------------------------- #
-def _registry_contents(store):
+def _public_contents(store):
+    """What each cache answers for, through pinned_vertices() and peek."""
+    n = store.graph.n_vertices
     out = {}
     for part, server in enumerate(store.servers):
         cache = server.neighbor_cache
-        out[part] = set(cache.pinned_vertices()) | set(cache._lru.keys())
+        out[part] = set(cache.pinned_vertices()) | {
+            v for v in range(n) if cache.peek(v) is not None
+        }
     return out
 
 
@@ -166,8 +170,10 @@ def test_replica_registry_exact_after_placement_churn(small_powerlaw):
         controller.poll()
     totals = controller.totals()
     assert totals["epochs"] > 0
-    audit = store.replicas.audit(_registry_contents(store))
-    assert audit == {"missing": [], "stale": []}
+    contents = _public_contents(store)
+    assert store.replicas.audit(contents) == {"missing": [], "stale": []}
+    for v in range(small_powerlaw.n_vertices):
+        assert store.replicas.holders(v) == tuple(p for p in range(4) if v in contents[p])
 
 
 # ---------------------------------------------------------------------- #

@@ -1,7 +1,7 @@
 """ReplicaRegistry and HealthTracker units, plus the routing regressions.
 
-Covers the registry's two-way index (register/deregister/drop_part and the
-cache bindings that maintain it), the suspect/recover/probe state machine,
+Covers the registry as a view of the caches (``holders`` equals what the
+caches answer for after any churn), the suspect/recover/probe state machine,
 and two regressions the unified read path fixed:
 
 * failover probes must not count as cache lookups (they used to inflate
@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.data import powerlaw_graph
 from repro.errors import RuntimeConfigError, StorageError
 from repro.graph.dynamic import EdgeEvent
 from repro.runtime import RpcRuntime
@@ -32,71 +35,91 @@ from repro.storage.replicas import ReplicaRegistry
 
 
 # --------------------------------------------------------------------- #
-# ReplicaRegistry
+# ReplicaRegistry: a view of the caches
 # --------------------------------------------------------------------- #
-def test_registry_register_and_holders():
-    reg = ReplicaRegistry(3)
-    reg.register(7, 0)
-    reg.register(7, 2)
-    reg.register(7, 2)  # idempotent
-    assert reg.holders(7) == (0, 2)
-    assert reg.replica_count(7) == 2
-    assert reg.held_by(2) == (7,)
-    assert 7 in reg and 8 not in reg
-    assert reg.n_tracked == 1
-
-
-def test_registry_deregister_cleans_up():
-    reg = ReplicaRegistry(2)
-    reg.register(1, 0)
-    reg.deregister(1, 1)  # never held there: no-op
-    assert reg.holders(1) == (0,)
-    reg.deregister(1, 0)
-    assert reg.holders(1) == ()
-    assert 1 not in reg
-    assert reg.n_tracked == 0
-
-
-def test_registry_drop_part():
-    reg = ReplicaRegistry(2)
-    for v in (1, 2, 3):
-        reg.register(v, 0)
-    reg.register(2, 1)
-    reg.drop_part(0)
-    assert reg.held_by(0) == ()
-    assert reg.holders(2) == (1,)
-    assert reg.holders(1) == () and reg.holders(3) == ()
-    assert reg.n_tracked == 1
-
-
-def test_registry_validates_parts():
+def test_registry_validates_parts(small_powerlaw):
     with pytest.raises(StorageError):
-        ReplicaRegistry(0)
-    reg = ReplicaRegistry(2)
+        ReplicaRegistry([])
+    reg = make_store(small_powerlaw, 2, seed=0).replicas
     for bad in (-1, 2):
         with pytest.raises(StorageError):
-            reg.register(0, bad)
+            reg.held_by(bad)
         with pytest.raises(StorageError):
-            reg.deregister(0, bad)
+            reg.audit({bad: set()})
 
 
-def test_cache_bindings_maintain_registry(small_powerlaw):
-    """Pins, demand fills, evictions and invalidations all sync the index."""
-    reg = ReplicaRegistry(1)
-    cache = NeighborCache(2)
-    cache.bind(reg, 0)
-    cache.pin(5, np.array([1, 2]))
-    assert reg.holders(5) == (0,)
-    cache.admit(6, np.array([3]))
-    cache.admit(7, np.array([4]))
-    assert reg.holders(6) == (0,) and reg.holders(7) == (0,)
-    cache.admit(8, np.array([5]))  # evicts 6 (LRU capacity 2)
-    assert reg.holders(6) == ()
-    assert reg.holders(8) == (0,)
-    cache.invalidate(5)
-    assert reg.holders(5) == ()
-    cache.invalidate(99)  # never cached: registry untouched, no error
-    assert reg.n_tracked == 2
+_CHURN_GRAPH = powerlaw_graph(48, alpha=2.1, max_degree=12, seed=2)
+_V = st.integers(0, 47)
+_PART = st.integers(0, 2)
+_CHURN_OPS = st.one_of(
+    st.tuples(st.just("pin"), _PART, _V),
+    st.tuples(st.just("unpin"), _PART, _V),
+    st.tuples(st.just("invalidate"), _PART, _V),
+    st.tuples(st.just("admit_many"), _PART, st.lists(_V, max_size=8, unique=True)),
+    st.tuples(st.just("invalidate_many"), _PART, st.lists(_V, max_size=8)),
+    st.tuples(
+        st.just("set_cache_policy"),
+        st.sampled_from(["importance", "random", "lru"]),
+        st.integers(0, 10),
+    ),
+    st.tuples(st.just("commit_migration"), _PART, _V),
+)
+
+
+def _public_holders(store, vertex):
+    """Parts whose cache answers for ``vertex`` through its public surface."""
+    return tuple(
+        p
+        for p, server in enumerate(store.servers)
+        if vertex in server.neighbor_cache.pinned_vertices()
+        or server.neighbor_cache.peek(vertex) is not None
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(_CHURN_OPS, max_size=25))
+def test_holders_equal_cache_contents_under_churn(ops):
+    """Whatever moves the caches, ``holders`` reads them: no upkeep to miss."""
+    from repro.storage.cache import LRUCachePolicy, RandomCachePolicy
+
+    policies = {
+        "importance": ImportanceCachePolicy,
+        "random": RandomCachePolicy,
+        "lru": LRUCachePolicy,
+    }
+    store = make_store(
+        _CHURN_GRAPH, 3, cache_policy=LRUCachePolicy(), cache_budget_fraction=0.1, seed=0
+    )
+    for step, (op, a, b) in enumerate(ops):
+        if op == "set_cache_policy":
+            store.set_cache_policy(policies[a](), budget=b)
+            continue
+        cache = store.servers[a].neighbor_cache
+        if op == "pin":
+            try:
+                cache.pin(b, np.array([step], dtype=np.int64))
+            except StorageError:  # pin capacity exhausted
+                pass
+        elif op == "admit_many":
+            cache.admit_many({v: np.array([v, step], dtype=np.int64) for v in b})
+        elif op == "commit_migration":
+            old = store.owner(b)
+            if old != a:
+                neighbors, weights, _ = store.servers[old].release_vertex(b)
+                store.servers[a].ingest_vertex(b, neighbors, weights)
+                assert store.commit_migration(b, a) == old
+        else:
+            getattr(cache, op)(b)
+        truth = {v: _public_holders(store, v) for v in range(48)}
+        reg = store.replicas
+        assert {v: reg.holders(v) for v in range(48)} == truth
+        assert all(reg.replica_count(v) == len(truth[v]) for v in range(48))
+        assert all((v in reg) == bool(truth[v]) for v in range(48))
+        assert reg.n_tracked == sum(1 for parts in truth.values() if parts)
+        for p in range(3):
+            assert reg.held_by(p) == tuple(v for v in range(48) if p in truth[v])
+        contents = {p: {v for v in range(48) if p in truth[v]} for p in range(3)}
+        assert reg.audit(contents) == {"missing": [], "stale": []}
 
 
 def test_store_installs_caches_into_registry(small_powerlaw):

@@ -4,8 +4,11 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.data import make_dataset
+from repro.bench.timing import python_calls
+from repro.data import make_dataset, powerlaw_graph
 from repro.errors import ReadUnavailableError, RetryExhaustedError, StorageError
 from repro.graph.dynamic import EdgeEvent
 from repro.obs import AccessRecorder
@@ -41,6 +44,7 @@ from repro.storage.costmodel import (
     EV_ITEM_SHIPPED,
     EV_LOCAL_READ,
     EV_REMOTE_RPC,
+    EV_REPLICA_REFRESH,
     EV_SUSPECT_ROUTE,
 )
 from repro.storage.partition.hashcut import EdgeCutPartitioner
@@ -208,21 +212,32 @@ def test_build_ledger_matches_the_row_at_a_time_build(small_powerlaw):
 
 def test_apply_edge_events_rejects_unknown_dst(small_powerlaw):
     """An out-of-range dst used to land in the shard row and fail far away
-    (``unknown vertex -3`` from a later sampler read)."""
+    (``unknown vertex -3`` from a later sampler read); a float dst was
+    truncated into the int64 row, and a float or bool src escaped as a bare
+    ``IndexError`` / ``TypeError`` (``True`` would alias vertex 1)."""
     store = make_store(small_powerlaw, 4, seed=0)
     n = small_powerlaw.n_vertices
-    for bad in (EdgeEvent(0, 1, n + 5, "add"), EdgeEvent(0, 1, -3, "remove")):
+    bads = (
+        EdgeEvent(0, 1, n + 5, "add"),
+        EdgeEvent(0, 1, -3, "remove"),
+        EdgeEvent(0, 1, 2.5, "add"),
+        EdgeEvent(0, 1, np.float64(2.0), "add"),
+        EdgeEvent(0, 3.5, 1, "add"),
+        EdgeEvent(0, True, 1, "add"),
+    )
+    for bad in bads:
         with pytest.raises(StorageError) as exc:
-            store.apply_edge_events([EdgeEvent(0, 0, 7, "add"), bad])
+            store.apply_edge_events([EdgeEvent(0, 0, 7, "add"), bad, EdgeEvent(0, 0, 8)])
         assert str(bad) in str(exc.value)
-    # The valid event ahead of each bad one applied; the bad ones touched nothing.
-    assert store.ledger.count(EV_EDGE_INGESTED) == 2
+    # The valid event ahead of each bad one applied; the bad ones and every
+    # event after them touched nothing.
+    assert store.ledger.count(EV_EDGE_INGESTED) == len(bads)
     np.testing.assert_array_equal(
         store.servers[store.owner(1)].local_neighbors(1), small_powerlaw.out_neighbors(1)
     )
     np.testing.assert_array_equal(
         store.servers[store.owner(0)].local_neighbors(0),
-        np.append(small_powerlaw.out_neighbors(0), [7, 7]),
+        np.append(small_powerlaw.out_neighbors(0), [7] * len(bads)),
     )
     sampler = UniformNeighborSampler(StoreProvider(store, 0))
     sampler.sample(np.array([0, 1]), [3], make_rng(0))
@@ -257,6 +272,46 @@ def test_cache_hit_rate_property(small_powerlaw):
 # --------------------------------------------------------------------- #
 # The bulk-arm read path against the per-vertex dispatch it replaced
 # --------------------------------------------------------------------- #
+def per_event_apply(store, events):
+    """The per-event write loop the store used to run.
+
+    Kept here as the oracle for ``apply_edge_events``: each event is
+    validated, charged and applied to its row on its own, then every holder
+    of the source is visited — its copy invalidated, a pinned one re-pinned
+    with the fresh row and, off the owner, charged one refresh push.
+    """
+    applied = 0
+    n_vertices = store.graph.n_vertices
+    for ev in events:
+        if not all(
+            isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            for x in (ev.src, ev.dst)
+        ):
+            raise StorageError(f"non-integer vertex id in {ev}")
+        src = int(ev.src)
+        owner = store.owner(src)
+        if not 0 <= ev.dst < n_vertices:
+            raise StorageError(f"unknown vertex {ev.dst} in {ev}")
+        if owner in store.failed_workers:
+            raise StorageError(f"cannot apply update: owner worker {owner} is down")
+        server = store.servers[owner]
+        store.ledger.record(EV_EDGE_INGESTED)
+        if not server.edit_row(src, [(ev.kind, int(ev.dst))]):
+            continue  # a remove that matched no arc: every copy is still exact
+        applied += 1
+        for p in store.replicas.holders(src):
+            cache = store.servers[p].neighbor_cache
+            pinned = cache.is_pinned(src)
+            cache.invalidate(src)
+            if pinned:
+                fresh = server.local_neighbors(src)
+                cache.pin(src, fresh)
+                if p != owner:
+                    store.ledger.record(EV_REPLICA_REFRESH)
+                    store.ledger.record(EV_ITEM_SHIPPED, times=int(fresh.size))
+    return applied
+
+
 def per_vertex_dispatch(store, kind, vertices, from_part, runtime, read_span):
     """The ordered per-vertex dispatch loop the store used to run.
 
@@ -428,7 +483,33 @@ def _parity_store(graph, feats, policy, scenario, per_vertex):
     store.attach_runtime(runtime)
     if per_vertex:
         store._resolve_read_traced = functools.partial(per_vertex_dispatch, store)
+        store.apply_edge_events = functools.partial(per_event_apply, store)
     return store
+
+
+def _nonzero_ledger(store):
+    # The per-event loop can record ``item_shipped`` zero times (a refresh
+    # of a row emptied by removes), which leaves a zero key behind.
+    return {event: n for event, n in store.ledger.counts.items() if n}
+
+
+def _shard_state(store):
+    """Every shard's rows, weights and edge count, as comparable bytes."""
+    out = []
+    for server in store.servers:
+        owned = sorted(server._adjacency)
+        rows = [server.local_neighbors(v) for v in owned]
+        weights = [server.local_weights(v) for v in owned]
+        out.append(
+            (
+                server.n_local_edges,
+                tuple(owned),
+                tuple(row.size for row in rows),
+                np.concatenate(rows or [np.zeros(0, np.int64)]).tobytes(),
+                np.concatenate(weights or [np.zeros(0)]).tobytes(),
+            )
+        )
+    return out
 
 
 def _observable_state(store):
@@ -439,7 +520,8 @@ def _observable_state(store):
         p: set(c.pinned_vertices()) | set(c._lru.keys()) for p, c in enumerate(caches)
     }
     return {
-        "ledger": dict(store.ledger.counts),
+        "ledger": _nonzero_ledger(store),
+        "shards": _shard_state(store),
         "caches": [
             (c.hits, c.misses, c._lru.keys(), c._lru.evictions, c.pinned_vertices())
             for c in caches
@@ -602,6 +684,120 @@ def test_bulk_arms_match_per_vertex_dispatch(small_powerlaw, policy, scenario):
         assert counters["health.suspect_routes"] > 0
         assert counters["health.probes"] > 0
         assert counters["health.recoveries"] > 0
+
+
+# --------------------------------------------------------------------- #
+# apply_edge_events: one rebuild per touched row vs the per-event loop
+# --------------------------------------------------------------------- #
+_WRITE_GRAPH = powerlaw_graph(160, alpha=2.1, max_degree=30, seed=4)
+_BAD_EVENTS = (
+    EdgeEvent(0, 1, 160, "add"),
+    EdgeEvent(0, 2, -1, "remove"),
+    EdgeEvent(0, 160, 3),
+    EdgeEvent(0, 4, 2.5),
+    EdgeEvent(0, 1.0, 5),
+    EdgeEvent(0, False, 6, "remove"),
+)
+
+
+def _write_state(store):
+    caches = [s.neighbor_cache for s in store.servers]
+    return {
+        "ledger": _nonzero_ledger(store),
+        "shards": _shard_state(store),
+        "caches": [
+            (c.pinned_vertices(), c._lru.keys(), [c.peek(v).tolist() for v in c.cached_vertices()])
+            for c in caches
+        ],
+        "held_by": [store.replicas.held_by(p) for p in range(N_PARTS)],
+    }
+
+
+@st.composite
+def _write_batches(draw, hot):
+    """Event batches over a few hot sources: repeated srcs, add-then-remove
+    of one dst, removes of present and absent arcs, maybe one bad event."""
+    events = []
+    for _ in range(draw(st.integers(0, 14))):
+        src = draw(st.sampled_from(hot))
+        row = _WRITE_GRAPH.out_neighbors(src).tolist()
+        dst = draw(st.sampled_from(row) if row and draw(st.booleans()) else st.integers(0, 159))
+        shape = draw(st.sampled_from(["add", "remove", "add_remove"]))
+        if shape == "add_remove":
+            events += [EdgeEvent(0, src, dst, "add"), EdgeEvent(0, src, dst, "remove")]
+        else:
+            events.append(EdgeEvent(0, src, dst, shape))
+    if draw(st.booleans()):
+        events.insert(draw(st.integers(0, len(events))), draw(st.sampled_from(_BAD_EVENTS)))
+    return events
+
+
+def _importance_twins():
+    stores = [
+        make_store(
+            _WRITE_GRAPH,
+            N_PARTS,
+            cache_policy=ImportanceCachePolicy(),
+            cache_budget_fraction=0.1,
+            seed=0,
+        )
+        for _ in range(2)
+    ]
+    stores[1].apply_edge_events = functools.partial(per_event_apply, stores[1])
+    return stores
+
+
+_PINNED = _importance_twins()[0].servers[0].neighbor_cache.pinned_vertices()
+_HOT = sorted(_PINNED[:6]) + [v for v in range(40) if v not in _PINNED][:6]
+
+
+@settings(max_examples=120, deadline=None)
+@given(batches=st.lists(_write_batches(_HOT), min_size=1, max_size=3))
+def test_batched_writes_match_the_per_event_loop(batches):
+    bulk, oracle = _importance_twins()
+    for events in batches:
+        outcomes = []
+        for store in (bulk, oracle):
+            try:
+                outcomes.append(store.apply_edge_events(events))
+            except StorageError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        state = _write_state(bulk)
+        assert state == _write_state(oracle)
+        for server in bulk.servers:  # every pin holds its owner's current row
+            for v in server.neighbor_cache.pinned_vertices():
+                row = bulk.servers[bulk.owner(v)].local_neighbors(v)
+                np.testing.assert_array_equal(server.neighbor_cache.peek(v), row)
+
+
+def test_write_batch_python_call_ceiling():
+    # Gate the write path on a count, not a clock: the Python calls under
+    # repro/ for one 128-event batch on a warm LRU store. The per-event loop
+    # made 891; the count is per touched row and per server, not per event.
+    graph = make_dataset("taobao-small-sim", scale=0.3, seed=0)
+    n = graph.n_vertices
+    store = make_store(
+        graph, 4, cache_policy=LRUCachePolicy(), cache_budget_fraction=0.1, seed=0
+    )
+    store.attach_runtime(RpcRuntime(store))
+    rng = make_rng(0)
+    for part in range(4):
+        store.get_neighbors_batch(rng.integers(0, n, size=512), from_part=part)
+    hot = rng.integers(0, n, size=32).tolist()
+    events = []
+    for j, src in enumerate(rng.choice(hot, size=128).tolist()):
+        row = graph.out_neighbors(src)
+        if j % 2 and row.size:
+            events.append(EdgeEvent(0, src, int(row[rng.integers(row.size)]), "remove"))
+        else:
+            events.append(EdgeEvent(0, src, int(rng.integers(n)), "add"))
+    applied = []
+    calls = python_calls(
+        lambda: applied.append(store.apply_edge_events(events)), under="/repro/"
+    )
+    assert applied == [123] and store.ledger.count(EV_EDGE_INGESTED) == 128
+    assert 0 < calls <= 43
 
 
 # --------------------------------------------------------------------- #

@@ -1,12 +1,16 @@
 """The columnar shard against its dict-of-rows oracle, and bulk cache ops.
 
 ``OracleServer`` is the ``GraphServer`` body as it was before the shard
-became one CSR slice — one ``np.array`` copy per owned row. A hypothesis
-state machine drives both through every mutator and compares the whole
-public surface after each step; ``pin_loop_cache`` is ``make_cache`` as it
-was, one ``pin`` per selected vertex, the oracle for the bulk install; the
-scalar ``get`` / ``admit`` are the oracle for ``get_many`` / ``admit_many``.
+became one CSR slice — one ``np.array`` copy per owned row, edited one arc
+at a time. A hypothesis state machine drives both through every mutator
+(a batch of row edits against the scalar add/remove sequence) and compares
+the whole public surface after each step; ``pin_loop_cache`` is
+``make_cache`` as it was, one ``pin`` per selected vertex, the oracle for
+the bulk install; the scalar ``get`` / ``admit`` / ``invalidate`` are the
+oracle for ``get_many`` / ``admit_many`` / ``invalidate_many``.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -107,20 +111,20 @@ class ShardMachine(RuleBasedStateMachine):
         return self.servers[part], self.oracles[part]
 
     @rule(data=st.data())
-    def add_edge(self, data):
+    def edit_row(self, data):
+        # Removes name any dst: present once, a duplicate arc, or absent.
         src = data.draw(st.integers(0, self.n - 1))
-        dst = data.draw(st.integers(0, self.n - 1))
-        weight = float(data.draw(st.integers(1, 5)))
-        for shard in self._pair(src):
-            shard.add_local_edge(src, dst, weight)
-
-    @rule(data=st.data())
-    def remove_edge(self, data):
-        # Any dst: present once, present as a duplicate arc, or absent.
-        src = data.draw(st.integers(0, self.n - 1))
-        dst = data.draw(st.integers(0, self.n - 1))
+        kind = st.sampled_from(["add", "remove"])
+        ops = data.draw(st.lists(st.tuples(kind, st.integers(0, self.n - 1)), max_size=6))
         server, oracle = self._pair(src)
-        assert server.remove_local_edge(src, dst) == oracle.remove_local_edge(src, dst)
+        sizes = []
+        for kind, dst in ops:
+            if kind == "add":
+                oracle.add_local_edge(src, dst)
+            elif not oracle.remove_local_edge(src, dst):
+                continue
+            sizes.append(oracle.rows[src].size)
+        assert server.edit_row(src, ops) == sizes
 
     @rule(data=st.data(), and_back=st.booleans())
     def migrate(self, data, and_back):
@@ -147,8 +151,9 @@ class ShardMachine(RuleBasedStateMachine):
         for server in self.servers:
             if server.part_id != self.owner[vertex]:
                 for write in (
-                    lambda: server.add_local_edge(vertex, 0),
-                    lambda: server.remove_local_edge(vertex, 0),
+                    lambda: server.edit_row(vertex, [("add", 0)]),
+                    lambda: server.edit_row(vertex, [("remove", 0)]),
+                    lambda: server.edit_row(vertex, []),
                     lambda: server.release_vertex(vertex),
                 ):
                     with pytest.raises(StorageError):
@@ -284,19 +289,25 @@ _IDS = st.integers(0, 11)
 _CACHE_OPS = st.one_of(
     st.tuples(st.just("get_many"), st.lists(_IDS, max_size=10)),  # duplicates too
     st.tuples(st.just("admit_many"), st.lists(_IDS, max_size=10, unique=True)),
+    st.tuples(st.just("invalidate_many"), st.lists(_IDS, max_size=6)),
     st.tuples(st.sampled_from(["pin", "unpin", "invalidate"]), _IDS),
 )
 
 
-def _cache_state(cache, registry):
+def _cache_state(cache):
+    # The cache seen as part 1 of a two-server view (part 0 holds nothing).
+    registry = ReplicaRegistry(
+        [SimpleNamespace(neighbor_cache=NeighborCache(0)), SimpleNamespace(neighbor_cache=cache)]
+    )
     lru = cache._lru
+    held = {v for v in range(12) if cache.peek(v) is not None}
     return (
         cache.pinned_vertices(),
         lru.keys(),
         (cache.hits, cache.misses, lru.hits, lru.misses, lru.evictions),
         registry.held_by(1),
         [registry.holders(v) for v in range(12)],
-        registry.audit({1: set(cache.pinned_vertices()) | set(lru.keys())}),
+        registry.audit({1: held}),
     )
 
 
@@ -307,13 +318,10 @@ def _cache_state(cache, registry):
     ops=st.lists(_CACHE_OPS, max_size=30),
 )
 def test_bulk_cache_ops_equal_their_scalar_sequence(capacity, pin_only, ops):
-    caches = []
-    for _ in range(2):
-        cache = make_pinned_cache(capacity) if pin_only else NeighborCache(capacity)
-        registry = ReplicaRegistry(2)
-        cache.bind(registry, 1)
-        caches.append((cache, registry))
-    (bulk, bulk_reg), (scalar, scalar_reg) = caches
+    bulk, scalar = (
+        make_pinned_cache(capacity) if pin_only else NeighborCache(capacity)
+        for _ in range(2)
+    )
     for step, (op, arg) in enumerate(ops):
         if op == "get_many":
             hits, misses = bulk.get_many(arg)
@@ -329,6 +337,13 @@ def test_bulk_cache_ops_equal_their_scalar_sequence(capacity, pin_only, ops):
             bulk.admit_many(rows)
             for v, row in rows.items():
                 scalar.admit(v, row)
+        elif op == "invalidate_many":
+            was_pinned = []
+            for v in arg:
+                if scalar.is_pinned(v):
+                    was_pinned.append(v)
+                scalar.invalidate(v)
+            assert bulk.invalidate_many(arg) == was_pinned
         else:
             row = np.array([step], dtype=np.int64)
             outcomes = []
@@ -339,8 +354,8 @@ def test_bulk_cache_ops_equal_their_scalar_sequence(capacity, pin_only, ops):
                 except StorageError as exc:  # pin capacity exhausted
                     outcomes.append(str(exc))
             assert outcomes[0] == outcomes[1]
-        state = _cache_state(bulk, bulk_reg)
-        assert state == _cache_state(scalar, scalar_reg)
+        state = _cache_state(bulk)
+        assert state == _cache_state(scalar)
         assert state[-1] == {"missing": [], "stale": []}
 
 
