@@ -71,19 +71,8 @@ class ReproRuntimeError(ReproError, RuntimeError):
 
 
 class RuntimeConfigError(ReproRuntimeError):
-    """A runtime component (fault plan, retry policy, inbox) was misconfigured."""
-
-
-class InboxOverflowError(ReproRuntimeError):
-    """A server's bounded inbox rejected a request (backpressure signal)."""
-
-    def __init__(self, part: int, capacity: int) -> None:
-        super().__init__(
-            f"inbox of server {part} is full (capacity {capacity}); "
-            "the issuer must drain responses before submitting more"
-        )
-        self.part = part
-        self.capacity = capacity
+    """A runtime component (fault plan, retry policy, request kind, metric)
+    was misconfigured or misused."""
 
 
 class RetryExhaustedError(ReproRuntimeError):

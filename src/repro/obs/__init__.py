@@ -33,7 +33,6 @@ from repro.obs.workload import (
     cache_efficacy,
     fit_zipf,
     ledger_event_totals,
-    mine_windowed,
     mine_workload,
     render_workload_report,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "critical_path",
     "fit_zipf",
     "ledger_event_totals",
-    "mine_windowed",
     "mine_workload",
     "render_analysis",
     "render_critical_path",

@@ -118,12 +118,15 @@ class WindowedAccessRecorder(AccessRecorder):
 
     Cumulative counters can't see a hot set *shift* — a vertex read a
     million times an hour ago outranks everything read this second. The
-    placement controller instead consumes this recorder's decayed view:
-    each :meth:`roll` (one decision epoch) multiplies every decayed weight
-    by ``decay`` and folds in the window just ended, so a key untouched for
-    ``k`` windows carries ``decay**k`` of its old weight. The cumulative
-    base-class view is untouched — existing miners and reports see exactly
-    the counts a plain :class:`AccessRecorder` would have.
+    placement controller instead consumes this recorder's decayed view, the
+    two maps it reads: ``decayed_issuer_reads`` (every route) and
+    ``decayed_remote_reads`` (reads that left the issuer), both keyed by
+    ``(vertex, issuer)``. Each :meth:`roll` (one decision epoch) multiplies
+    every decayed weight by ``decay`` and folds in the window just ended, so
+    a key untouched for ``k`` windows carries ``decay**k`` of its old
+    weight. The cumulative base-class view is untouched — existing miners
+    and reports see exactly the counts a plain :class:`AccessRecorder`
+    would have.
     """
 
     def __init__(self, decay: float = 0.5) -> None:
@@ -135,22 +138,15 @@ class WindowedAccessRecorder(AccessRecorder):
     def reset(self) -> None:
         super().reset()
         # Current (un-rolled) window, raw counts.
-        self._win_vertex: Counter = Counter()
         self._win_issuer: Counter = Counter()  # (vertex, issuer) all routes
         self._win_remote: Counter = Counter()  # (vertex, issuer) remote only
-        self._win_traffic: Counter = Counter()
         # Decayed accumulators, folded on roll().
-        self.decayed_vertex_reads: "dict[int, float]" = {}
         self.decayed_issuer_reads: "dict[tuple[int, int], float]" = {}
         self.decayed_remote_reads: "dict[tuple[int, int], float]" = {}
-        self.decayed_traffic: "dict[tuple[int, int], float]" = {}
-        self.windows_rolled = 0
 
     def record(self, vertex: int, owner: int, issuer: int, route: str) -> None:
         super().record(vertex, owner, issuer, route)
-        self._win_vertex[vertex] += 1
         self._win_issuer[(vertex, issuer)] += 1
-        self._win_traffic[(issuer, owner)] += 1
         if route in REMOTE_ROUTES:
             self._win_remote[(vertex, issuer)] += 1
 
@@ -168,55 +164,8 @@ class WindowedAccessRecorder(AccessRecorder):
 
     def roll(self) -> None:
         """Close the current window: decay history, fold the window in."""
-        self._fold(self.decayed_vertex_reads, self._win_vertex, self.decay)
         self._fold(self.decayed_issuer_reads, self._win_issuer, self.decay)
         self._fold(self.decayed_remote_reads, self._win_remote, self.decay)
-        self._fold(self.decayed_traffic, self._win_traffic, self.decay)
-        self.windows_rolled += 1
-
-
-def mine_windowed(recorder: WindowedAccessRecorder, top_k: int = 20) -> dict:
-    """Recency-weighted twin of :func:`mine_workload`.
-
-    Hot vertices and the traffic matrix are ranked by decayed weight (the
-    state after the most recent :meth:`WindowedAccessRecorder.roll`), so a
-    rotated hot set displaces the old one within a few windows instead of
-    never. Weights are rounded to 6 places; sorted keys keep the report
-    ``==``-comparable across same-seed runs.
-    """
-    decayed = recorder.decayed_vertex_reads
-    total = sum(decayed.values())
-    report: dict = {
-        "windows_rolled": int(recorder.windows_rolled),
-        "decay": recorder.decay,
-        "decayed_total": round(total, 6),
-        "unique_vertices": len(decayed),
-    }
-    if total <= 0.0:
-        report.update({"hot_vertices": [], "parts": [], "traffic_matrix": []})
-        return report
-    hot = sorted(decayed.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
-    report["hot_vertices"] = [
-        {
-            "vertex": int(v),
-            "weight": round(w, 6),
-            "share": round(w / total, 6),
-            "owner": int(recorder.vertex_owner[v]),
-        }
-        for v, w in hot
-    ]
-    parts = sorted({p for pair in recorder.decayed_traffic for p in pair})
-    index = {p: i for i, p in enumerate(parts)}
-    matrix = [[0.0] * len(parts) for _ in parts]
-    for (issuer, owner), w in recorder.decayed_traffic.items():
-        matrix[index[issuer]][index[owner]] += w
-    report["parts"] = [int(p) for p in parts]
-    report["traffic_matrix"] = [
-        [round(cell, 6) for cell in row] for row in matrix
-    ]
-    local = sum(matrix[i][i] for i in range(len(parts)))
-    report["local_share"] = round(local / total, 6)
-    return report
 
 
 # ---------------------------------------------------------------------- #

@@ -6,10 +6,9 @@ per destination, failures are expected and retried, and everything is
 observable. This package brings those three concerns to the cluster
 simulation:
 
-* :mod:`repro.runtime.rpc` — request/response envelopes, bounded per-server
-  inboxes and a deterministic virtual-clock scheduler;
-* :mod:`repro.runtime.batching` — per-destination coalescing of neighbor and
-  attribute reads (one ``remote_rpc`` charge per batch, duplicates deduped);
+* :mod:`repro.runtime.rpc` — request/response envelopes, the one planner
+  that turns a read's remote arm into one request per owning server
+  (``RpcRuntime.plan``) and a deterministic virtual-clock scheduler;
 * :mod:`repro.runtime.faults` — seeded drop/timeout/slow-server injection
   plus a capped-exponential-backoff retry policy;
 * :mod:`repro.runtime.metrics` — counters, gauges, latency histograms and
@@ -26,7 +25,6 @@ entry points (``get_neighbors_batch`` / ``get_attrs_batch``) through an
 ``StoreProvider.frontier_block`` — one deduplicated batch read per hop.
 """
 
-from repro.runtime.batching import Batch, RequestBatcher
 from repro.runtime.export import chrome_trace, prometheus_text, write_chrome_trace
 from repro.runtime.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.runtime.health import (
@@ -44,7 +42,6 @@ from repro.runtime.metrics import (
 from repro.runtime.rpc import (
     KIND_ATTRS,
     KIND_NEIGHBORS,
-    Inbox,
     Request,
     Response,
     RpcRuntime,
@@ -59,8 +56,6 @@ from repro.runtime.tracing import (
 )
 
 __all__ = [
-    "Batch",
-    "RequestBatcher",
     "Span",
     "Tracer",
     "NULL_TRACER",
@@ -80,7 +75,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "SpanTimer",
-    "Inbox",
     "Request",
     "Response",
     "RpcRuntime",

@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass, field
 from operator import itemgetter
 
+from repro.errors import RuntimeConfigError
 from repro.utils.tables import format_table
 
 #: Frozen ``((key, value), ...)`` form of a label dict.
@@ -64,7 +65,7 @@ class Counter:
     def inc(self, n: int = 1) -> None:
         """Add ``n`` (must be non-negative) to the counter."""
         if n < 0:
-            raise ValueError(f"counter increment must be >= 0, got {n}")
+            raise RuntimeConfigError(f"counter increment must be >= 0, got {n}")
         self.value += n
 
 
@@ -150,7 +151,7 @@ class Histogram:
         """
         for p in ps:
             if not 0.0 <= p <= 100.0:
-                raise ValueError(f"percentile must be in [0, 100], got {p}")
+                raise RuntimeConfigError(f"percentile must be in [0, 100], got {p}")
         if not self.samples:
             return [0.0 for _ in ps]
         if self._sorted is None:

@@ -1,13 +1,14 @@
-"""The simulated RPC layer: envelopes, inboxes and a virtual-clock scheduler.
+"""The simulated RPC layer: envelopes, the request planner and a
+virtual-clock scheduler.
 
 Cross-server reads in the cluster simulation used to be synchronous function
 calls. This module gives them the shape of real traffic:
 
-* every read crosses the wire as an explicit :class:`Request` and comes back
-  as a :class:`Response`;
-* each server has a bounded :class:`Inbox`; submitting past its capacity
-  raises :class:`~repro.errors.InboxOverflowError` (backpressure is a real
-  production failure mode, not an afterthought);
+* a read's remote arm becomes wire requests in one place,
+  :meth:`RpcRuntime.plan` — one :class:`Request` per owning server (the
+  paper's §3 storage layer batches a worker's reads per server);
+* every request crosses the wire explicitly and comes back as a
+  :class:`Response`;
 * a deterministic event loop orders deliveries on a :class:`VirtualClock`
   (simulated microseconds) — requests to different servers overlap, retries
   are rescheduled after a timeout plus capped exponential backoff, and two
@@ -17,19 +18,18 @@ Latency is *modelled*, not measured: a successful delivery costs the cost
 model's ``remote_rpc_us`` plus per-item shipping, scaled by the destination's
 slow-server factor. The cost ledger (Figures 8–9 semantics) is charged by the
 store per successful batch; this layer's metrics cover everything else —
-attempts, drops, timeouts, retries, queue depths and latency percentiles.
+attempts, drops, timeouts, retries and latency percentiles.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import InboxOverflowError, RuntimeConfigError
+from repro.errors import RuntimeConfigError
 from repro.runtime.faults import (
     OUTCOME_OK,
     FaultInjector,
@@ -57,7 +57,8 @@ TIMEOUT_US = 500.0
 
 @dataclass(frozen=True)
 class Request:
-    """One cross-server request envelope (a deduplicated key batch).
+    """One cross-server request envelope (a deduplicated key batch), minted
+    by :meth:`RpcRuntime.plan`.
 
     ``vertices`` carries the batch's keys (graph vertices or embedding row
     ids); ``body`` is an optional opaque payload shipped *with* the request
@@ -89,7 +90,6 @@ class Response:
     payload: "dict[int, np.ndarray]" = field(default_factory=dict)
     meta: "dict[int, object]" = field(default_factory=dict)
     n_items: int = 0
-    latency_us: float = 0.0
     attempts: int = 1
     error: "str | None" = None
 
@@ -116,48 +116,13 @@ class VirtualClock:
         self._now_us = max(self._now_us, t_us)
 
 
-class Inbox:
-    """Bounded FIFO request queue of one server."""
-
-    def __init__(self, capacity: int, part: int) -> None:
-        if capacity < 1:
-            raise RuntimeConfigError(f"inbox capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.part = part
-        self._queue: "deque[int]" = deque()
-        self.high_water = 0
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def push(self, req_id: int) -> None:
-        """Enqueue a request id; raises when the inbox is full."""
-        if len(self._queue) >= self.capacity:
-            raise InboxOverflowError(self.part, self.capacity)
-        self._queue.append(req_id)
-        self.high_water = max(self.high_water, len(self._queue))
-
-    def pop(self, req_id: int) -> None:
-        """Dequeue ``req_id`` (FIFO when it is at the head, by id otherwise —
-        retries re-enter the queue out of arrival order)."""
-        try:
-            if self._queue and self._queue[0] == req_id:
-                self._queue.popleft()
-            else:
-                self._queue.remove(req_id)
-        except ValueError:
-            raise RuntimeConfigError(
-                f"request {req_id} is not queued on server {self.part}"
-            ) from None
-
-
 class RpcRuntime:
     """Mediates every cross-server read of a :class:`DistributedGraphStore`.
 
-    The runtime owns the virtual clock, one bounded inbox per server, the
-    fault injector, the retry policy and the metrics registry. The store's
-    batch entry points build deduplicated :class:`Request` batches (see
-    :mod:`repro.runtime.batching`) and hand them to :meth:`execute`.
+    The runtime owns the virtual clock, the fault injector, the retry
+    policy and the metrics registry. A caller turns the remote arm of a
+    read into wire requests with :meth:`plan` (one :class:`Request` per
+    owning server) and runs them with :meth:`execute`.
 
     The runtime is also the one carrier of the read/serve-path instruments:
     ``tracer`` (constructor argument, :data:`NULL_TRACER` when off) plus the
@@ -175,14 +140,8 @@ class RpcRuntime:
         retry: "RetryPolicy | None" = None,
         metrics: "MetricsRegistry | None" = None,
         health: "HealthTracker | None" = None,
-        inbox_capacity: int = 1024,
-        max_batch_size: int = 0,
         tracer: "Tracer | None" = None,
     ) -> None:
-        if max_batch_size < 0:
-            raise RuntimeConfigError(
-                f"max_batch_size must be >= 0 (0 = unbounded), got {max_batch_size}"
-            )
         self.store = store
         self.clock = VirtualClock()
         self.metrics = metrics or MetricsRegistry()
@@ -205,17 +164,13 @@ class RpcRuntime:
         if isinstance(faults, FaultPlan):
             faults = FaultInjector(faults)
         self.faults: "FaultInjector | None" = faults
-        self.max_batch_size = max_batch_size
-        self.inboxes = [
-            Inbox(inbox_capacity, part=p) for p in range(len(store.servers))
-        ]
         self._next_req_id = 0
         self._seq = 0
         #: kind -> handler(request) -> (payload, meta, n_items). Services
         #: (the embedding KV store) extend the runtime with new verbs
         #: without touching the scheduler: registered kinds get the same
-        #: inboxes, fault injection, retries, clock accounting and metrics
-        #: as the built-in graph reads.
+        #: fault injection, retries, clock accounting and metrics as the
+        #: built-in graph reads.
         self._services: "dict[str, object]" = {}
 
     # ------------------------------------------------------------------ #
@@ -235,48 +190,45 @@ class RpcRuntime:
             raise RuntimeConfigError(f"service kind {kind!r} already registered")
         self._services[kind] = handler
 
-    def make_request(
+    def plan(
         self,
         kind: str,
         src_part: int,
-        dst_part: int,
-        vertices: "tuple[int, ...]",
-        body: "object | None" = None,
-    ) -> Request:
-        """Mint a request envelope with a fresh id.
+        vertices: "np.ndarray | list[int]",
+        owners: "np.ndarray | list[int]",
+        rows: "np.ndarray | None" = None,
+    ) -> "list[Request]":
+        """One request per owning server for already-deduplicated keys.
 
-        ``vertices`` are plain ints (a planned :class:`Batch`'s tuple is
-        used as is, not re-coerced element by element).
+        ``vertices`` / ``owners`` are aligned, with no repeated key (every
+        caller dedups its batch up front). Destinations come in
+        first-appearance order, each keeps its keys in input order, and the
+        requests take consecutive ids in that order. ``rows``, aligned with
+        ``vertices``, ships each destination's slice as ``Request.body``.
         """
         if kind not in _KINDS and kind not in self._services:
             raise RuntimeConfigError(f"unknown request kind {kind!r}")
-        if not vertices:
-            raise RuntimeConfigError("a request must carry at least one vertex")
-        req = Request(
-            req_id=self._next_req_id,
-            kind=kind,
-            src_part=src_part,
-            dst_part=dst_part,
-            vertices=tuple(vertices),
-            body=body,
-        )
-        self._next_req_id += 1
-        return req
+        vertices = np.asarray(vertices, dtype=np.int64)
+        owners = np.asarray(owners, dtype=np.int64)
+        requests: "list[Request]" = []
+        for dest in dict.fromkeys(owners.tolist()):  # first-appearance order
+            mask = owners == dest
+            requests.append(
+                Request(
+                    req_id=self._next_req_id,
+                    kind=kind,
+                    src_part=src_part,
+                    dst_part=dest,
+                    vertices=tuple(vertices[mask].tolist()),
+                    body=None if rows is None else rows[mask],
+                )
+            )
+            self._next_req_id += 1
+        return requests
 
     # ------------------------------------------------------------------ #
     # The deterministic event loop
     # ------------------------------------------------------------------ #
-    def _schedule(
-        self,
-        heap: "list[tuple[float, int, Request]]",
-        req: Request,
-        ready_us: float,
-    ) -> None:
-        self.inboxes[req.dst_part].push(req.req_id)
-        self._seq += 1
-        heapq.heappush(heap, (ready_us, self._seq, req))
-        self.metrics.gauge("inbox.depth", labels={"part": req.dst_part}).inc()
-
     def _serve(self, req: Request) -> "tuple[dict[int, np.ndarray], dict[int, bool], int]":
         """Execute ``req`` on its destination shard.
 
@@ -314,7 +266,8 @@ class RpcRuntime:
             submit_us = self.clock.now_us
             heap: "list[tuple[float, int, Request]]" = []
             for req in requests:
-                self._schedule(heap, req, submit_us)
+                self._seq += 1
+                heapq.heappush(heap, (submit_us, self._seq, req))
                 self.metrics.counter("rpc.requests").inc()
                 self.metrics.histogram("rpc.batch_size").observe(len(req.vertices))
             responses: "dict[int, Response]" = {}
@@ -326,10 +279,14 @@ class RpcRuntime:
                     continue
                 self.metrics.counter("rpc.retries").inc()
                 backoff = self.retry.backoff_us(req.attempt)
-                self._schedule(
+                self._seq += 1
+                heapq.heappush(
                     heap,
-                    replace(req, attempt=req.attempt + 1),
-                    ready_us + TIMEOUT_US + backoff,
+                    (
+                        ready_us + TIMEOUT_US + backoff,
+                        self._seq,
+                        replace(req, attempt=req.attempt + 1),
+                    ),
                 )
             return [responses[req.req_id] for req in requests]
 
@@ -340,8 +297,6 @@ class RpcRuntime:
         tracer = self.tracer
         cost = self.store.cost_model
         self.clock.advance_to(ready_us)
-        self.inboxes[req.dst_part].pop(req.req_id)
-        self.metrics.gauge("inbox.depth", labels={"part": req.dst_part}).dec()
         # Fail-stop membership is authoritative: a request addressed to
         # a worker the store has declared down fails immediately — no
         # retries (the server will never answer), no fault roll. The
@@ -360,7 +315,6 @@ class RpcRuntime:
             return Response(
                 req_id=req.req_id,
                 ok=False,
-                latency_us=ready_us + TIMEOUT_US - submit_us,
                 attempts=req.attempt,
                 error=(
                     f"{req.kind} request to server {req.dst_part}: "
@@ -387,7 +341,6 @@ class RpcRuntime:
             return Response(
                 req_id=req.req_id,
                 ok=False,
-                latency_us=ready_us + TIMEOUT_US - submit_us,
                 attempts=req.attempt,
                 error=(
                     f"{req.kind} request to server {req.dst_part} "
@@ -431,6 +384,5 @@ class RpcRuntime:
             payload=payload,
             meta=meta,
             n_items=n_items,
-            latency_us=latency,
             attempts=req.attempt,
         )

@@ -60,7 +60,6 @@ from repro.storage.costmodel import (
     EV_VERTEX_MIGRATED,
     CostModel,
 )
-from repro.runtime.batching import RequestBatcher
 from repro.runtime.rpc import KIND_ATTRS, KIND_NEIGHBORS, RpcRuntime
 from repro.storage.partition.base import PartitionAssignment, Partitioner
 from repro.storage.partition.hashcut import EdgeCutPartitioner
@@ -134,7 +133,6 @@ class DistributedGraphStore:
             self._install_caches(cache_policy, self._cache_budget)
         self._failed: set[int] = set()
         self.runtime: "RpcRuntime | None" = None
-        self._batcher = RequestBatcher()
 
     # ------------------------------------------------------------------ #
     # Cache installation
@@ -208,7 +206,6 @@ class DistributedGraphStore:
         if runtime.store is not self:
             raise StorageError("runtime was constructed for a different store")
         self.runtime = runtime
-        self._batcher.max_batch_size = runtime.max_batch_size
         if runtime.tracer.enabled:
             runtime.tracer.bind_ledger(self.ledger)
 
@@ -385,16 +382,10 @@ class DistributedGraphStore:
         if not missed:
             return results
         with runtime.tracer.span("batch.plan", kind=kind) as plan_span:
-            batches = self._batcher.plan_grouped(
-                kind,
-                np.asarray(missed, dtype=np.int64),
-                np.asarray([owner_of[v] for v in missed], dtype=np.int64),
+            requests = runtime.plan(
+                kind, from_part, missed, [owner_of[v] for v in missed]
             )
-            plan_span.annotate(reads=len(missed), batches=len(batches))
-        requests = [
-            runtime.make_request(b.kind, from_part, b.dst_part, b.vertices)
-            for b in batches
-        ]
+            plan_span.annotate(reads=len(missed), batches=len(requests))
         demand_fill = (
             neighbors
             and self.cache_policy is not None

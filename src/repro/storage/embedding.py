@@ -14,8 +14,9 @@ the simulated cluster:
   single-process reference.
 * :class:`EmbeddingKVStore` — the client face. ``pull``/``push`` ride the
   :class:`~repro.runtime.rpc.RpcRuntime` as registered service kinds
-  (``emb.pull/<name>``, ``emb.push/<name>``): the same inboxes, fault
-  injection, retries, virtual-clock accounting and metrics as graph reads.
+  (``emb.pull/<name>``, ``emb.push/<name>``): the same request planner,
+  fault injection, retries, virtual-clock accounting and metrics as graph
+  reads.
   Reads follow the store's ``_resolve_read`` conventions — dedup up front,
   local rows answered directly, remote rows coalesced into one request per
   owning server, ledger events recorded client-side in deterministic order.
@@ -48,7 +49,6 @@ from repro.errors import RetryExhaustedError, StorageError
 from repro.nn.init import embedding_init
 from repro.nn.optim import SparseAdagrad, SparseAdam
 from repro.nn.tensor import SparseGrad, Tensor
-from repro.runtime.batching import RequestBatcher
 from repro.storage.costmodel import (
     EV_EMB_CACHE_HIT,
     EV_EMB_LOCAL_ROW,
@@ -210,7 +210,6 @@ class EmbeddingKVStore:
         self.kind_push = f"emb.push/{name}"
         self.runtime.register_service(self.kind_pull, self._serve_pull)
         self.runtime.register_service(self.kind_push, self._serve_push)
-        self._batcher = RequestBatcher(self.runtime.max_batch_size)
 
         if init is None:
             init = embedding_init((n_rows, dim), make_rng(seed), scale=scale)
@@ -351,15 +350,9 @@ class EmbeddingKVStore:
         )
         if not remote_v:
             return rows
-        batches = self._batcher.plan_grouped(
-            self.kind_pull,
-            np.asarray(remote_v, dtype=np.int64),
-            np.asarray(remote_owner, dtype=np.int64),
+        requests = self.runtime.plan(
+            self.kind_pull, from_part, remote_v, remote_owner
         )
-        requests = [
-            self.runtime.make_request(b.kind, from_part, b.dst_part, b.vertices)
-            for b in batches
-        ]
         for req, resp in zip(requests, self.runtime.execute(requests)):
             if not resp.ok:
                 raise RetryExhaustedError(
@@ -413,23 +406,15 @@ class EmbeddingKVStore:
                     uniq[local] // self.n_parts, summed[local]
                 )
                 store.ledger.record(EV_EMB_ROW_UPDATE, times=n_local)
-            remote_ids = uniq[~local]
-            if remote_ids.size:
-                batches = self._batcher.plan_grouped(
-                    self.kind_push, remote_ids, owners[~local]
+            if n_local < uniq.size:
+                remote = ~local
+                requests = self.runtime.plan(
+                    self.kind_push,
+                    from_part,
+                    uniq[remote],
+                    owners[remote],
+                    rows=summed[remote],
                 )
-                requests = []
-                for b in batches:
-                    slots = np.searchsorted(uniq, np.asarray(b.vertices))
-                    requests.append(
-                        self.runtime.make_request(
-                            b.kind,
-                            from_part,
-                            b.dst_part,
-                            b.vertices,
-                            body=summed[slots],
-                        )
-                    )
                 for req, resp in zip(requests, self.runtime.execute(requests)):
                     if not resp.ok:
                         raise RetryExhaustedError(

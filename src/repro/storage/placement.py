@@ -333,10 +333,9 @@ class PlacementController:
         with runtime.tracer.span(
             "placement.migrate", src=src, dst=dst, vertices=len(vertices)
         ):
-            fetch = runtime.make_request(
-                KIND_MIGRATE_FETCH, dst, src, tuple(vertices)
-            )
-            (resp,) = runtime.execute([fetch])
+            owners = [src] * len(vertices)
+            fetch = runtime.plan(KIND_MIGRATE_FETCH, dst, vertices, owners)
+            (resp,) = runtime.execute(fetch)
             if not resp.ok:
                 metrics.counter("placement.migrate_aborted").inc(len(vertices))
                 return 0, 0
@@ -350,10 +349,8 @@ class PlacementController:
             for v in vertices:
                 weights, attr = resp.meta[v]
                 target.ingest_vertex(v, resp.payload[v], weights, attr)
-            release = runtime.make_request(
-                KIND_MIGRATE_RELEASE, dst, src, tuple(vertices)
-            )
-            (ack,) = runtime.execute([release])
+            release = runtime.plan(KIND_MIGRATE_RELEASE, dst, vertices, owners)
+            (ack,) = runtime.execute(release)
             if not ack.ok:
                 # The release provably never executed (faults roll before
                 # serving): the old owner still holds every row. Roll the

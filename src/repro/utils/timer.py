@@ -15,6 +15,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.errors import StorageError
+
 
 @dataclass
 class CostAccumulator:
@@ -38,7 +40,7 @@ class CostAccumulator:
     def record(self, event: str, times: int = 1) -> None:
         """Record ``times`` occurrences of ``event``."""
         if times < 0:
-            raise ValueError(f"cannot record a negative count: {times}")
+            raise StorageError(f"cannot record a negative count: {times}")
         self.counts[event] += times
         if self.trace_hook is not None:
             self.trace_hook(event, times)

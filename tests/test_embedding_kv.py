@@ -207,7 +207,7 @@ def test_service_registry_rejects_collisions(graph):
     with pytest.raises(RuntimeConfigError):
         EmbeddingKVStore(store, N_ROWS, DIM, name="t")  # kinds already taken
     with pytest.raises(RuntimeConfigError):
-        store.runtime.make_request("emb.pull/nope", 0, 1, (1,))
+        store.runtime.plan("emb.pull/nope", 0, [1], [1])
 
 
 # --------------------------------------------------------------------- #

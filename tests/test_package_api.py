@@ -69,7 +69,7 @@ def test_top_level_import():
         ),
         (
             "repro.runtime",
-            ["RpcRuntime", "Request", "Response", "VirtualClock", "Inbox",
+            ["RpcRuntime", "Request", "Response", "VirtualClock",
              "FaultPlan", "RetryPolicy", "HealthTracker", "MetricsRegistry",
              "Tracer", "NULL_TRACER", "StageProfiler", "chrome_trace",
              "prometheus_text", "write_chrome_trace"],
@@ -115,6 +115,28 @@ def test_instruments_ride_the_runtime_not_constructor_arguments():
     assert "timeseries" not in inspect.signature(GNNFramework.__init__).parameters
     # execute() owns the event loop: nothing to submit to or drain.
     assert not {"submit", "drain", "inflight"} & set(vars(RpcRuntime))
+
+
+def test_request_planner_is_one_runtime_method():
+    """A read's remote arm becomes wire requests in ``RpcRuntime.plan`` alone:
+    no batch-planner class, no second minting call, no per-server inbox and
+    none of the knobs, errors and fields only those carried."""
+    import dataclasses
+    import inspect
+
+    import repro.errors
+    import repro.runtime
+    from repro.runtime import Response, RpcRuntime
+
+    assert not {"Inbox", "Batch", "RequestBatcher"} & set(vars(repro.runtime))
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.runtime.batching")
+    assert not hasattr(RpcRuntime, "make_request")
+    assert not {"inbox_capacity", "max_batch_size"} & set(
+        inspect.signature(RpcRuntime).parameters
+    )
+    assert not hasattr(repro.errors, "InboxOverflowError")
+    assert "latency_us" not in {f.name for f in dataclasses.fields(Response)}
 
 
 def test_overlap_layer_is_retired(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import StorageError
 from repro.graph.dynamic import EdgeEvent
-from repro.obs import AccessRecorder, WindowedAccessRecorder, mine_windowed
+from repro.obs import AccessRecorder, WindowedAccessRecorder
 from repro.runtime import FaultPlan, RpcRuntime
 from repro.storage import CostModel, ImportanceCachePolicy
 from repro.storage.cluster import make_store
@@ -54,7 +54,8 @@ def test_windowed_recorder_tracks_hot_set_shift():
     rec.roll()
     # Cumulatively equal, but recency says vertex 2 is the hot one now.
     assert rec.vertex_reads[1] == rec.vertex_reads[2] == 10
-    assert rec.decayed_vertex_reads[2] > rec.decayed_vertex_reads[1]
+    assert rec.decayed_issuer_reads[(2, 2)] > rec.decayed_issuer_reads[(1, 2)]
+    assert rec.decayed_issuer_reads[(1, 2)] == 5.0
     assert rec.decayed_remote_reads[(2, 2)] == 10.0
     assert rec.decayed_remote_reads[(1, 2)] == 5.0  # one half-life
 
@@ -64,35 +65,14 @@ def test_windowed_recorder_prunes_dead_entries():
     rec.record(7, owner=0, issuer=1, route="remote")
     for _ in range(10):
         rec.roll()
-    assert 7 not in rec.decayed_vertex_reads  # decayed below the floor
+    assert (7, 1) not in rec.decayed_issuer_reads  # decayed below the floor
+    assert (7, 1) not in rec.decayed_remote_reads
     assert rec.vertex_reads[7] == 1  # cumulative view never forgets
 
 
 def test_windowed_recorder_validates_decay():
     with pytest.raises(Exception):
         WindowedAccessRecorder(decay=1.0)
-
-
-def test_mine_windowed_ranks_by_recency():
-    rec = WindowedAccessRecorder(decay=0.5)
-    for _ in range(20):
-        rec.record(1, owner=0, issuer=1, route="remote")
-    rec.roll()
-    for _ in range(15):
-        rec.record(2, owner=1, issuer=0, route="remote")
-    rec.roll()
-    report = mine_windowed(rec, top_k=5)
-    assert report["hot_vertices"][0]["vertex"] == 2
-    assert report["windows_rolled"] == 2
-    # Same-stream determinism: plain dict equality.
-    rec2 = WindowedAccessRecorder(decay=0.5)
-    for _ in range(20):
-        rec2.record(1, owner=0, issuer=1, route="remote")
-    rec2.roll()
-    for _ in range(15):
-        rec2.record(2, owner=1, issuer=0, route="remote")
-    rec2.roll()
-    assert mine_windowed(rec2, top_k=5) == report
 
 
 # ---------------------------------------------------------------------- #

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import make_dataset
+from repro.errors import RuntimeConfigError
 from repro.obs import TimeSeriesSampler
 from repro.runtime import MetricsRegistry, RpcRuntime, VirtualClock
 from repro.sampling import (
@@ -29,7 +30,7 @@ def test_counter_increments_and_rejects_negative():
     c.inc(4)
     assert c.value == 5
     assert reg.counter("reqs") is c  # get-or-create returns the same object
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeConfigError):
         c.inc(-1)
 
 
@@ -51,7 +52,7 @@ def test_histogram_percentiles_are_exact_nearest_rank():
     assert h.percentile(95) == 100
     assert h.percentile(0) == 10
     assert h.percentile(100) == 100
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeConfigError):
         h.percentile(101)
 
 

@@ -5,20 +5,18 @@ import pytest
 
 from repro.data import make_dataset
 from repro.errors import (
-    InboxOverflowError,
     ReproRuntimeError,
     RetryExhaustedError,
     RuntimeConfigError,
 )
 from repro.runtime import (
-    Batch,
     FaultInjector,
     FaultPlan,
-    RequestBatcher,
+    Request,
     RetryPolicy,
     RpcRuntime,
 )
-from repro.runtime.rpc import KIND_NEIGHBORS, Inbox
+from repro.runtime.rpc import KIND_NEIGHBORS
 from repro.sampling import CsrAdjacency, StoreProvider, UniformNeighborSampler
 from repro.storage.cache import NeighborCache
 from repro.storage.cluster import make_store
@@ -253,40 +251,21 @@ def test_fault_plan_validation():
 
 
 # --------------------------------------------------------------------- #
-# Envelopes, inboxes, batcher
+# Envelopes and the request planner
 # --------------------------------------------------------------------- #
-def test_inbox_bounded_and_fifo():
-    inbox = Inbox(capacity=2, part=0)
-    inbox.push(1)
-    inbox.push(2)
-    assert len(inbox) == 2 and inbox.high_water == 2
-    with pytest.raises(InboxOverflowError):
-        inbox.push(3)
-    inbox.pop(1)
-    inbox.pop(2)
-    with pytest.raises(RuntimeConfigError):
-        inbox.pop(99)
-
-
-def test_runtime_rejects_oversized_submission():
+def test_plan_validation():
     graph = _graph()
-    store = make_store(graph, 2, seed=0)
-    store.attach_runtime(RpcRuntime(store, inbox_capacity=1, max_batch_size=1))
-    with pytest.raises(InboxOverflowError):
-        store.get_neighbors_batch(np.arange(graph.n_vertices), from_part=0)
-
-
-def test_make_request_validation():
-    graph = _graph()
-    store = make_store(graph, 2, seed=0)
+    store = make_store(graph, 3, seed=0)
     runtime = RpcRuntime(store)
     with pytest.raises(RuntimeConfigError):
-        runtime.make_request("bogus", 0, 1, (1,))
-    with pytest.raises(RuntimeConfigError):
-        runtime.make_request(KIND_NEIGHBORS, 0, 1, ())
-    first = runtime.make_request(KIND_NEIGHBORS, 0, 1, (1,))
-    second = runtime.make_request(KIND_NEIGHBORS, 0, 1, (2,))
-    assert second.req_id == first.req_id + 1
+        runtime.plan("bogus", 0, [1], [1])
+    assert runtime.plan(KIND_NEIGHBORS, 0, [], []) == []
+    requests = runtime.plan(KIND_NEIGHBORS, 0, [5, 3, 9, 4], [2, 1, 2, 1])
+    # One request per owner, in first-appearance order, with consecutive ids.
+    assert [r.dst_part for r in requests] == [2, 1]
+    assert [r.vertices for r in requests] == [(5, 9), (3, 4)]
+    assert [r.req_id for r in requests] == [0, 1]
+    assert runtime.plan(KIND_NEIGHBORS, 0, [7], [1])[0].req_id == 2
 
 
 def test_attach_runtime_rejects_foreign_store():
@@ -326,34 +305,40 @@ def test_execute_empty_requests():
 
 
 # --------------------------------------------------------------------- #
-# Vectorized read path: plan_grouped against the per-read planner it replaced
+# Vectorized read path: plan against the per-read planner it replaced
 # --------------------------------------------------------------------- #
-def plan_per_read(max_batch_size, kind, reads):
-    """``RequestBatcher.plan`` as it was: one ``(vertex, owner)`` pair at a
-    time, deduplicating per destination — the oracle for ``plan_grouped``."""
+def plan_per_read(kind, src_part, reads, first_id=0):
+    """The planner as it once was: one ``(vertex, owner)`` pair at a time,
+    deduplicating per destination — the oracle for ``RpcRuntime.plan``."""
     by_dest = {}
     for vertex, owner in reads:
         group = by_dest.setdefault(owner, [])
         if vertex not in group:
             group.append(vertex)
-    batches = []
-    for owner, vertices in by_dest.items():
-        step = max_batch_size or len(vertices)
-        for i in range(0, len(vertices), step):
-            batches.append(Batch(owner, kind, tuple(vertices[i : i + step])))
-    return batches
+    return [
+        Request(first_id + i, kind, src_part, owner, tuple(vertices))
+        for i, (owner, vertices) in enumerate(by_dest.items())
+    ]
 
 
-@pytest.mark.parametrize("max_batch", [0, 3])
-def test_plan_grouped_matches_plan(max_batch):
+@pytest.mark.parametrize("src_part", [0, 3])
+def test_plan_grouped_matches_plan(src_part):
+    """The grouped planner against the per-read one, from two requesters."""
+    runtime = RpcRuntime(make_store(_graph(), 5, seed=0))
     rng = make_rng(9)
     for _ in range(20):
         n = int(rng.integers(0, 30))
         vertices = rng.choice(1000, size=n, replace=False)
         owners = rng.integers(0, 5, size=n)
         reads = list(zip(vertices.tolist(), owners.tolist()))
-        a = plan_per_read(max_batch, "neighbors", reads)
-        b = RequestBatcher(max_batch).plan_grouped("neighbors", vertices, owners)
-        assert a == b
-    with pytest.raises(RuntimeConfigError):
-        RequestBatcher(max_batch_size=-1)
+        expected = plan_per_read(KIND_NEIGHBORS, src_part, reads, runtime._next_req_id)
+        assert runtime.plan(KIND_NEIGHBORS, src_part, vertices, owners) == expected
+        # ``rows`` ships each destination's slice, as the KV push's
+        # per-request ``searchsorted`` over the sorted key array did.
+        order = np.argsort(vertices)
+        keys, key_owners = vertices[order], owners[order]
+        rows = rng.normal(size=(n, 3))
+        planned = runtime.plan(KIND_NEIGHBORS, src_part, keys, key_owners, rows=rows)
+        for req in planned:
+            assert req.body.tobytes() == rows[np.searchsorted(keys, req.vertices)].tobytes()
+        assert sum(len(req.vertices) for req in planned) == n

@@ -342,7 +342,8 @@ class TestServingEngine:
         records = engine.records
         assert len(records) == 42
         assert all(r.cls == CLASS_FRESH and r.outcome == OUTCOME_OK for r in records)
-        assert 0 < calls <= 8362
+        # 8 307 before the RPC runtime dropped its per-server inboxes.
+        assert 0 < calls <= 7607
 
     def test_config_validation(self, small_taobao):
         with pytest.raises(ServingError):

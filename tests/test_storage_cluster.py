@@ -393,16 +393,8 @@ def per_vertex_dispatch(store, kind, vertices, from_part, runtime, read_span):
     if not remote_v:
         return results
     with runtime.tracer.span("batch.plan", kind=kind) as plan_span:
-        batches = store._batcher.plan_grouped(
-            kind,
-            np.asarray(remote_v, dtype=np.int64),
-            np.asarray(remote_owner, dtype=np.int64),
-        )
-        plan_span.annotate(reads=len(remote_v), batches=len(batches))
-    requests = [
-        runtime.make_request(b.kind, from_part, b.dst_part, b.vertices)
-        for b in batches
-    ]
+        requests = runtime.plan(kind, from_part, remote_v, remote_owner)
+        plan_span.annotate(reads=len(remote_v), batches=len(requests))
     for req, resp in zip(requests, runtime.execute(requests)):
         if resp.ok:
             store.ledger.record(EV_REMOTE_RPC)

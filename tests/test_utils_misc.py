@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import StorageError
 from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.tables import format_table
 from repro.utils.timer import CostAccumulator
@@ -28,7 +29,7 @@ def test_cost_accumulator_merge_reset():
 
 
 def test_cost_accumulator_rejects_negative():
-    with pytest.raises(ValueError):
+    with pytest.raises(StorageError):
         CostAccumulator().record("x", -1)
 
 
