@@ -11,11 +11,13 @@ unsupervised link objective against each other on taobao-small-sim:
 * ``sign``      — no per-step sampling at all: offline row-normalized
   SpMM powers (ragged ``segment_mean_np`` over the CSR) + an MLP head.
 
-Reported per arm: wall-clock per training step (median and IQR of the
-per-step samples the profiler keeps), the mean per-step stage breakdown
-(sample / materialize / aggregate / combine / backward / optimizer; means,
-so the stages add up), deterministic block-size accounting, and held-out
-link-prediction AUC so the speed column can't hide a quality regression.
+Reported per arm, read off the profiler's spans: wall-clock per training
+step and forward+backward time per step (median and IQR over the steps;
+each step's stage spans are grouped under their ``train.step`` parent), the
+mean per-step stage breakdown (sample / materialize / aggregate / combine /
+backward / optimizer; means, so the stages add up), deterministic
+block-size accounting, and held-out link-prediction AUC so the speed column
+can't hide a quality regression.
 
 Acceptance (full run): minibatch blocks cut the per-step cost >= 10x at
 n >= 10k / batch 512 / kmax 2, with AUC within noise of the full path.
@@ -40,28 +42,38 @@ NEG_NUM = 5
 DIM = 64
 SEED = 0
 
+#: Forward+backward stages — the cost the block path attacks (sampling
+#: and optimizer are shared-shape work).
+FWD_BWD = ("materialize", "aggregate", "combine", "backward")
+
 
 def _stage_ms(prof: StageProfiler) -> "dict[str, float]":
     """Mean per-step milliseconds of each canonical training stage."""
-    steps = max(int(prof.metrics.counter("train.steps").value), 1)
+    steps = max(len(prof.step_us()), 1)
     totals = prof.stage_totals()
     return {name: totals[name] / steps / 1000.0 for name in TRAIN_STAGES}
 
 
 def _step_timing(prof: StageProfiler) -> Timing:
-    """The per-step wall-clock samples the profiler's step timer kept."""
-    return Timing([us / 1e6 for us in prof.metrics.histogram("train.step_us").samples])
+    """Every step span's wall-clock duration."""
+    return Timing([us / 1e6 for us in prof.step_us()])
+
+
+def _fwd_bwd_timing(prof: StageProfiler) -> Timing:
+    """Per step, the summed durations of its forward+backward stage spans."""
+    spans = prof.tracer.spans
+    per_step = {sp.span_id: 0.0 for sp in spans if sp.name == "train.step"}
+    names = {f"train.{name}" for name in FWD_BWD}
+    for sp in spans:
+        if sp.name in names and sp.parent_id in per_step:
+            per_step[sp.parent_id] += sp.duration_us
+    return Timing([us / 1e6 for us in per_step.values()])
 
 
 def _auc(model, split) -> float:
     return evaluate_link_prediction(
         model.embeddings(), split, per_type_average=False
     ).roc_auc
-
-
-#: Forward+backward stages — the cost the block path attacks (sampling
-#: and optimizer are shared-shape work).
-FWD_BWD = ("materialize", "aggregate", "combine", "backward")
 
 
 def _run(smoke: bool) -> ExperimentReport:
@@ -77,7 +89,7 @@ def _run(smoke: bool) -> ExperimentReport:
     )
 
     step = {}
-    fwdbwd_ms = {}
+    fwd_bwd = {}
     aucs = {}
     for label, minibatch in (("full", False), ("minibatch", True)):
         prof = StageProfiler()
@@ -89,11 +101,11 @@ def _run(smoke: bool) -> ExperimentReport:
         model.fit(split.train_graph)
         stages = _stage_ms(prof)
         step[label] = _step_timing(prof)
-        fwdbwd_ms[label] = sum(stages[name] for name in FWD_BWD)
+        fwd_bwd[label] = _fwd_bwd_timing(prof)
         aucs[label] = _auc(model, split)
         measured = {
             **step[label].columns("step_ms"),
-            "fwd_bwd_ms": round(fwdbwd_ms[label], 2),
+            **fwd_bwd[label].columns("fwd_bwd_ms"),
             "steps": len(step[label].samples_s),
             "auc": round(aucs[label], 2),
         }
@@ -119,7 +131,7 @@ def _run(smoke: bool) -> ExperimentReport:
     aucs["sign"] = _auc(sign, split)
     measured = {
         **step["sign"].columns("step_ms"),
-        "fwd_bwd_ms": round(sum(stages[name] for name in FWD_BWD), 2),
+        **_fwd_bwd_timing(prof).columns("fwd_bwd_ms"),
         "steps": len(step["sign"].samples_s),
         "auc": round(aucs["sign"], 2),
     }
@@ -129,7 +141,9 @@ def _run(smoke: bool) -> ExperimentReport:
     report.add(
         "speedup",
         {
-            "fwd_bwd_minibatch_vs_full": f"{fwdbwd_ms['full'] / fwdbwd_ms['minibatch']:.1f}x",
+            "fwd_bwd_minibatch_vs_full": (
+                f"{fwd_bwd['full'].median / fwd_bwd['minibatch'].median:.1f}x"
+            ),
             "step_minibatch_vs_full": f"{step['full'].median / step['minibatch'].median:.1f}x",
             "step_sign_vs_full": f"{step['full'].median / step['sign'].median:.1f}x",
             "auc_gap_minibatch": round(abs(aucs["full"] - aucs["minibatch"]), 2),
@@ -141,8 +155,8 @@ def _run(smoke: bool) -> ExperimentReport:
         "full-graph embeds all n vertices per step, minibatch embeds only "
         "the batch's k-hop block (final all-vertex pass excluded from "
         "per-step stages), SIGN trades all per-step sampling for offline "
-        "segment-mean SpMM powers; step_ms is the median and IQR over steps, "
-        "the stage columns per-step means"
+        "segment-mean SpMM powers; step_ms and fwd_bwd_ms are the median and "
+        "IQR over steps, the stage columns per-step means"
     )
     report.meta = {"step": step, "aucs": aucs}
     return report

@@ -15,7 +15,6 @@ The KV trainers keep their own pull → loss → push step over the same sources
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from itertools import repeat
 from typing import Callable, Iterable, Iterator
 
@@ -29,6 +28,7 @@ from repro.nn.layers import Embedding
 from repro.nn.loss import skipgram_negative_loss
 from repro.nn.optim import Adam, Optimizer
 from repro.nn.tensor import Tensor
+from repro.runtime.tracing import NULL_PROFILER, StageProfiler
 from repro.sampling.negative import DegreeBiasedNegativeSampler
 from repro.sampling.randomwalk import random_walks, walk_context_pairs
 from repro.sampling.traverse import EdgeTraverseSampler
@@ -139,7 +139,7 @@ def train_steps(
     loss_fn: Callable[..., Tensor],
     optimizer: Optimizer,
     steps: "int | None" = None,
-    profiler: "object | None" = None,
+    profiler: "StageProfiler | None" = None,
 ) -> list[float]:
     """The one training step — pull a batch, ``zero_grad``, ``loss_fn(*batch)``,
     ``backward``, ``optimizer.step`` — over ``steps`` batches of the source
@@ -151,9 +151,8 @@ def train_steps(
     source empty counts as a step.
     """
     if profiler is None:
-        step, stage = nullcontext, lambda name: nullcontext()
-    else:
-        step, stage = profiler.step, profiler.stage
+        profiler = NULL_PROFILER
+    step, stage = profiler.step, profiler.stage
     batches = iter(batches)
     losses = []
     for _ in repeat(None) if steps is None else range(steps):

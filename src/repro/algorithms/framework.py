@@ -15,8 +15,6 @@ in-house GNNs are all configurations or subclasses of this machinery.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 
 from repro.algorithms.base import (
@@ -36,6 +34,7 @@ from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor, no_grad
 from repro.ops.aggregate import make_aggregator
 from repro.ops.combine import make_combiner
+from repro.runtime.tracing import NULL_PROFILER, StageProfiler
 from repro.sampling.base import GraphProvider
 from repro.sampling.blocks import KHopBlock, build_block, build_block_from_tables
 from repro.sampling.neighborhood import (
@@ -68,9 +67,9 @@ class _GNNEncoder(Module):
     ) -> None:
         from repro.nn.layers import Dense
 
-        #: Optional StageProfiler bucketing forward into materialize /
-        #: aggregate / combine stage spans (set by GNNFramework.fit).
-        self.profiler = None
+        #: StageProfiler bucketing forward into materialize / aggregate /
+        #: combine stage spans (set by GNNFramework.fit).
+        self.profiler = NULL_PROFILER
         self.input_proj = None
         if combiner in ("gru", "sum"):
             # Width-preserving combiners need the input already at the
@@ -89,11 +88,6 @@ class _GNNEncoder(Module):
         ]
         self.kmax = kmax
 
-    def _stage(self, name: str):
-        if self.profiler is None:
-            return nullcontext()
-        return self.profiler.stage(name)
-
     def forward(self, features: Tensor, block: KHopBlock) -> Tensor:
         """Embed a :class:`~repro.sampling.blocks.KHopBlock`'s seeds.
 
@@ -105,16 +99,17 @@ class _GNNEncoder(Module):
         a minibatch block and the all-vertex block (every level
         ``arange(n)``) give ulp-identical rows for the same hop tables.
         """
-        with self._stage("materialize"):
+        stage = self.profiler.stage
+        with stage("materialize"):
             h = features.gather_rows(block.layers[0])
         if self.input_proj is not None:
             h = self.input_proj(h)
         for k in range(block.n_hops):
-            with self._stage("materialize"):
+            with stage("materialize"):
                 h_self = h.gather_rows(block.self_index[k])
-            with self._stage("aggregate"):
+            with stage("aggregate"):
                 h_neigh = self.aggregators[k](h, block.child_index[k])
-            with self._stage("combine"):
+            with stage("combine"):
                 h = self.combiners[k](h_self, h_neigh)
                 h = F.l2_normalize(h)  # Algorithm 1 line 7
         return h
@@ -140,8 +135,8 @@ class GNNFramework(EmbeddingModel):
     profiler:
         Optional :class:`~repro.runtime.tracing.StageProfiler`; when set,
         every training step is bucketed into sample / materialize /
-        aggregate / combine / backward / optimizer stage spans and
-        histograms (``profiler.render()`` shows which stage dominates).
+        aggregate / combine / backward / optimizer stage spans
+        (``profiler.render()`` shows which stage dominates).
     minibatch_blocks:
         Selects how each step's :class:`~repro.sampling.blocks.KHopBlock`
         is built. False (default, the paper's full-graph Algorithm 1): one
@@ -175,7 +170,7 @@ class GNNFramework(EmbeddingModel):
         early_stop_patience: int = 0,
         early_stop_min_delta: float = 1e-3,
         seed: int = 0,
-        profiler: "object | None" = None,
+        profiler: "StageProfiler | None" = None,
         minibatch_blocks: bool = False,
     ) -> None:
         if kmax < 1:
@@ -198,7 +193,7 @@ class GNNFramework(EmbeddingModel):
         self.early_stop_patience = early_stop_patience
         self.early_stop_min_delta = early_stop_min_delta
         self.seed = seed
-        self.profiler = profiler
+        self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.minibatch_blocks = minibatch_blocks
         self.stopped_early = False
         self._embeddings: np.ndarray | None = None
@@ -236,8 +231,7 @@ class GNNFramework(EmbeddingModel):
 
     def fit(self, graph: Graph) -> "GNNFramework":
         rng = make_rng(self.seed)
-        prof = self.profiler
-        stage = prof.stage if prof is not None else (lambda name: nullcontext())
+        stage = self.profiler.stage
         features = node_features(graph, make_rng(self.seed), min(self.dim, 16))
         sampler = self._make_sampler(graph)
         encoder = _GNNEncoder(
@@ -249,7 +243,7 @@ class GNNFramework(EmbeddingModel):
             combiner=self.combiner,
             rng=rng,
         )
-        encoder.profiler = prof
+        encoder.profiler = self.profiler
         self._encoder = encoder
         optimizer = Adam(encoder.parameters(), lr=self.lr)
         feat_tensor = Tensor(features)
@@ -302,7 +296,7 @@ class GNNFramework(EmbeddingModel):
                 with stage("sample"):
                     graph_block = self._all_vertex_block(graph, sampler, rng)
             epoch_loss = float(
-                np.mean(train_steps(batches, loss_fn, optimizer, steps, prof))
+                np.mean(train_steps(batches, loss_fn, optimizer, steps, self.profiler))
             )
             self.loss_history.append(epoch_loss)
             if self.early_stop_patience > 0:
@@ -317,7 +311,7 @@ class GNNFramework(EmbeddingModel):
 
         # The final all-vertex embedding pass runs unprofiled: stage totals
         # stay pure per-training-step cost, comparable across modes.
-        encoder.profiler = None
+        encoder.profiler = NULL_PROFILER
         if graph_block is None:
             graph_block = self._all_vertex_block(graph, sampler, rng)
         with no_grad():

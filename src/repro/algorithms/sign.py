@@ -18,8 +18,6 @@ full-graph vs minibatch-block cost comparison in
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 
 from repro.algorithms.base import (
@@ -37,6 +35,7 @@ from repro.nn.layers import Dense
 from repro.nn.loss import skipgram_negative_loss
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
+from repro.runtime.tracing import NULL_PROFILER, StageProfiler
 from repro.sampling.kernels import CsrAdjacency
 from repro.utils.rng import make_rng
 
@@ -81,7 +80,7 @@ class SIGN(EmbeddingModel):
         lr: float = 0.01,
         max_steps_per_epoch: int = 40,
         seed: int = 0,
-        profiler: "object | None" = None,
+        profiler: "StageProfiler | None" = None,
     ) -> None:
         if hops < 1:
             raise TrainingError(f"hops must be >= 1, got {hops}")
@@ -94,7 +93,7 @@ class SIGN(EmbeddingModel):
         self.lr = lr
         self.max_steps_per_epoch = max_steps_per_epoch
         self.seed = seed
-        self.profiler = profiler
+        self.profiler = profiler if profiler is not None else NULL_PROFILER
         self._embeddings: np.ndarray | None = None
         self.loss_history: list[float] = []
 
@@ -103,8 +102,7 @@ class SIGN(EmbeddingModel):
 
     def fit(self, graph: Graph) -> "SIGN":
         rng = make_rng(self.seed)
-        prof = self.profiler
-        stage = prof.stage if prof is not None else (lambda name: nullcontext())
+        stage = self.profiler.stage
         # Offline phase: the whole SAMPLE/AGGREGATE pipeline collapses into
         # r ragged segment-means, paid once (bucketed as "sample" — it is
         # the neighborhood-collection cost of this model).
@@ -139,7 +137,7 @@ class SIGN(EmbeddingModel):
             graph, rng, steps * self.epochs, self.batch_size, self.neg_num
         )
         self.loss_history = [
-            float(np.mean(train_steps(batches, loss_fn, optimizer, steps, prof)))
+            float(np.mean(train_steps(batches, loss_fn, optimizer, steps, self.profiler)))
             for _ in range(self.epochs)
         ]
 

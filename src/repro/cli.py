@@ -374,11 +374,10 @@ def _run_sampled_workload(args: argparse.Namespace, instrumented: bool = False):
 _REPORT_LEGEND = """\
 clocks: every number above is a count or simulated microseconds; nothing is
 wall-clock. The virtual clock advances on RPC service time and retry waits
-only; rpc.* histograms and the trace are read off it. The cost ledger is a
-separate account (event count x cost-model price: local and cached reads
-included, waits and overlap not), so the two totals differ by design. The
-pipeline.*_us stage histograms share the clock-bound registry, so the
-clock-free traverse / negative stages read 0."""
+only; rpc.* histograms and every span of the trace (the pipeline.* stage
+times included) are read off it. The cost ledger is a separate account
+(event count x cost-model price: local and cached reads included, waits and
+overlap not), so the two totals differ by design."""
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -478,7 +477,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "cost ledger\n" + store.ledger.summary(),
         f"trace: {volume['events']} events, {volume['traces']} traces, "
         f"{volume['spans']} spans ({volume['dropped_spans']} dropped past "
-        f"max_spans), {volume['ledger_rows']} ledger rows correlated\n"
+        f"max_spans), {volume['ledger_rows']} ledger rows on the stored spans\n"
         + tracer.render_tree(),
         render_analysis(cp),
         runtime.metrics.render(),

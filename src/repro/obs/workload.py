@@ -8,9 +8,9 @@ stream and the miners over it:
 
 * :class:`AccessRecorder` — rides the runtime as ``runtime.recorder``
   (``None`` = off); the store feeds it one call per resolved read,
-  ``(vertex, owner, issuer, route)``, the serving engine one per finished
-  request. Counters only — no clock reads, no allocation beyond the
-  `Counter` cells.
+  ``(vertex, owner, issuer, route)``. Counters only — no clock reads, no
+  allocation beyond the `Counter` cells. (A served request is its
+  :class:`~repro.serving.requests.ServeRecord`; the recorder keeps no copy.)
 * :func:`mine_workload` — per-vertex access-frequency table (top-k hot
   list), partition-to-partition traffic matrix, locality share and a
   Zipf-skew fit of the frequency spectrum (:func:`fit_zipf`, reusing
@@ -47,7 +47,7 @@ ROUTES = (
 
 
 class AccessRecorder:
-    """Per-vertex access stream the store and serving engine feed.
+    """Per-vertex access stream the store's read path feeds.
 
     ``record`` is called once per resolved read with the vertex, its owning
     partition, the issuing partition and the route the store's read path
@@ -71,11 +71,6 @@ class AccessRecorder:
         self.route_reads: Counter = Counter()
         #: (issuer, owner) -> reads; the diagonal is local traffic.
         self.traffic: Counter = Counter()
-        #: serving-side request stream (optional).
-        self.user_requests: Counter = Counter()
-        self.class_outcomes: Counter = Counter()
-        self.serve_cache_hits = 0
-        self.serve_cache_misses = 0
 
     # ------------------------------------------------------------------ #
     # Hooks
@@ -87,16 +82,6 @@ class AccessRecorder:
         self.traffic[(issuer, owner)] += 1
         if owner != issuer:
             self.cross_part_reads[vertex] += 1
-
-    def record_request(
-        self, user: int, cls: str, outcome: str, cache_hit: bool
-    ) -> None:
-        self.user_requests[user] += 1
-        self.class_outcomes[(cls, outcome)] += 1
-        if cache_hit:
-            self.serve_cache_hits += 1
-        else:
-            self.serve_cache_misses += 1
 
     @property
     def total_reads(self) -> int:
@@ -232,8 +217,6 @@ def mine_workload(recorder: AccessRecorder, top_k: int = 20) -> dict:
         "routes": {r: int(recorder.route_reads.get(r, 0)) for r in ROUTES},
     }
     if total == 0:
-        # Serving-only recorders (engine hook without a store hook) still
-        # carry request stats, so fall through to the serving block below.
         report.update(
             {
                 "hot_vertices": [],
@@ -243,7 +226,6 @@ def mine_workload(recorder: AccessRecorder, top_k: int = 20) -> dict:
                 "zipf": None,
             }
         )
-        report["serving"] = _mine_serving(recorder)
         return report
 
     hot = sorted(
@@ -273,28 +255,7 @@ def mine_workload(recorder: AccessRecorder, top_k: int = 20) -> dict:
     report["traffic_matrix"] = matrix
     report["local_share"] = round(local / total, 6)
     report["zipf"] = fit_zipf(list(recorder.vertex_reads.values()))
-
-    report["serving"] = _mine_serving(recorder)
     return report
-
-
-def _mine_serving(recorder: AccessRecorder) -> "dict | None":
-    """The serving-tier sub-report, or None when no requests were seen."""
-    if not recorder.user_requests:
-        return None
-    served = recorder.serve_cache_hits + recorder.serve_cache_misses
-    return {
-        "requests": int(sum(recorder.user_requests.values())),
-        "unique_users": len(recorder.user_requests),
-        "outcomes": {
-            f"{cls}/{outcome}": int(c)
-            for (cls, outcome), c in sorted(recorder.class_outcomes.items())
-        },
-        "embed_cache_hit_rate": round(recorder.serve_cache_hits / served, 6)
-        if served
-        else 0.0,
-        "user_zipf": fit_zipf(list(recorder.user_requests.values())),
-    }
 
 
 def cache_efficacy(
@@ -363,7 +324,7 @@ def ledger_event_totals(tracer: "object") -> dict:
     """Event totals from ``tracer.ledger_rows``.
 
     Rows are ``[t_us, trace_id, span_id, event, times]`` (the ledger↔trace
-    cross-reference PR 3 introduced); this aggregates them into
+    cross-reference, read off the stored spans); this aggregates them into
     ``{event: total_times}`` for joining against the recorder's view.
     """
     totals: Counter = Counter()
@@ -412,16 +373,6 @@ def render_workload_report(
         lines.append("      " + " ".join(f"{p:>8}" for p in parts))
         for p, row in zip(parts, report["traffic_matrix"]):
             lines.append(f"{p:>5} " + " ".join(f"{c:>8}" for c in row))
-    serving = report.get("serving")
-    if serving:
-        lines.append("--- serving ---")
-        lines.append(
-            f"requests: {serving['requests']}  "
-            f"unique users: {serving['unique_users']}  "
-            f"embed-cache hit rate: {serving['embed_cache_hit_rate']:.1%}"
-        )
-        for key, c in serving["outcomes"].items():
-            lines.append(f"  {key}: {c}")
     if efficacy:
         lines.append("--- cache efficacy (vs §4 cost model) ---")
         lines.append(

@@ -11,11 +11,12 @@ simulation:
   (``RpcRuntime.plan``) and a deterministic virtual-clock scheduler;
 * :mod:`repro.runtime.faults` — seeded drop/timeout/slow-server injection
   plus a capped-exponential-backoff retry policy;
-* :mod:`repro.runtime.metrics` — counters, gauges, latency histograms and
-  span timers behind one registry (with per-server / per-edge-type labels);
+* :mod:`repro.runtime.metrics` — counters, gauges and latency histograms
+  behind one registry (with per-server / per-edge-type labels);
 * :mod:`repro.runtime.tracing` — deterministic trace/span infrastructure
-  over the whole read path, ledger<->trace correlation and the training
-  stage profiler;
+  over the whole read path. Spans are the one timing record: the
+  ledger<->trace correlation table and the training stage profile are
+  group-bys over them;
 * :mod:`repro.runtime.export` — Chrome trace-event JSON (Perfetto) and
   Prometheus text exposition.
 
@@ -37,7 +38,6 @@ from repro.runtime.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    SpanTimer,
 )
 from repro.runtime.rpc import (
     KIND_ATTRS,
@@ -48,6 +48,7 @@ from repro.runtime.rpc import (
     VirtualClock,
 )
 from repro.runtime.tracing import (
+    NULL_PROFILER,
     NULL_TRACER,
     TRAIN_STAGES,
     Span,
@@ -60,6 +61,7 @@ __all__ = [
     "Tracer",
     "NULL_TRACER",
     "StageProfiler",
+    "NULL_PROFILER",
     "TRAIN_STAGES",
     "chrome_trace",
     "prometheus_text",
@@ -74,7 +76,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SpanTimer",
     "Request",
     "Response",
     "RpcRuntime",

@@ -2,9 +2,10 @@
 
 Production graph platforms expose their serving behaviour through counters
 (requests, retries, drops), gauges (queue depths) and latency histograms;
-this module provides the same three primitives plus span-style timers, all
-behind a single :class:`MetricsRegistry` that the runtime, the distributed
-store and the sampling pipeline share.
+this module provides the same three primitives behind a single
+:class:`MetricsRegistry` that the runtime, the distributed store and the
+sampling pipeline share. Stage *times* are not metrics: they are tracer
+spans (:mod:`repro.runtime.tracing`).
 
 Metrics may carry **labels** (``counter("server.served", labels={"part":
 "2"})``): each label set is its own time series under one family name,
@@ -15,16 +16,14 @@ names series in exports, and a repeated lookup costs one dict probe.
 
 Everything is plain Python and deterministic: histograms keep their raw
 observations (the simulation's scales are small), so percentiles are exact
-— and with a bound :class:`~repro.runtime.rpc.VirtualClock`
-(:meth:`MetricsRegistry.bind_clock`) span timers measure simulated
-microseconds, so two runs with the same seed produce bit-identical
-summaries. Wall-clock is the explicit fallback for non-simulated paths.
+and two runs with the same seed produce bit-identical summaries. The
+registry reads no clock; its latency histograms are observed in the
+virtual-clock microseconds their callers computed.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -82,22 +81,6 @@ class Gauge:
         """Set the current value, updating the high-water mark."""
         self.value = float(value)
         self.high_water = max(self.high_water, self.value)
-
-    def add(self, delta: float) -> None:
-        """Shift the current value by ``delta`` (may be negative).
-
-        Call-site sugar so queue-depth style gauges never hand-roll the
-        read-modify-write ``set(g.value + 1)`` pattern.
-        """
-        self.set(self.value + float(delta))
-
-    def inc(self, n: float = 1.0) -> None:
-        """Increase the value by ``n``."""
-        self.add(n)
-
-    def dec(self, n: float = 1.0) -> None:
-        """Decrease the value by ``n``."""
-        self.add(-n)
 
 
 @dataclass
@@ -162,31 +145,6 @@ class Histogram:
         ]
 
 
-class SpanTimer:
-    """Context manager that times a span and observes it into a histogram.
-
-    With a virtual ``clock`` (anything exposing ``now_us``) the span measures
-    simulated microseconds; without one it measures wall-clock microseconds.
-    """
-
-    def __init__(self, histogram: Histogram, clock: "object | None" = None) -> None:
-        self._histogram = histogram
-        self._clock = clock
-        self._start = 0.0
-
-    def _now_us(self) -> float:
-        if self._clock is not None:
-            return float(self._clock.now_us)
-        return time.perf_counter() * 1e6
-
-    def __enter__(self) -> "SpanTimer":
-        self._start = self._now_us()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self._histogram.observe(self._now_us() - self._start)
-
-
 class MetricsRegistry:
     """Get-or-create registry of counters, gauges and histograms.
 
@@ -202,7 +160,6 @@ class MetricsRegistry:
         #: A call site's ``(kind, name, *keys, *str(values))`` -> series:
         #: a repeated lookup neither sorts nor renders its labels.
         self._memo: "dict[tuple, object]" = {}
-        self._clock: "object | None" = None
 
     def _series(
         self, kind: type, name: str, labels: "dict[str, object] | None"
@@ -225,16 +182,6 @@ class MetricsRegistry:
 
     def _ordered(self, kind: type) -> "list[tuple[str, object]]":
         return sorted(self._tables[kind].values(), key=itemgetter(0))
-
-    def bind_clock(self, clock: "object | None") -> None:
-        """Default clock for :meth:`timer` (None unbinds -> wall-clock).
-
-        The RPC runtime binds its :class:`~repro.runtime.rpc.VirtualClock`
-        here so every span timer sharing its registry — the sampling
-        pipeline's stage spans included — measures deterministic simulated
-        microseconds instead of wall-clock.
-        """
-        self._clock = clock
 
     def counter(
         self, name: str, labels: "dict[str, object] | None" = None
@@ -266,23 +213,12 @@ class MetricsRegistry:
         """All histogram series, ordered by series key."""
         return [h for _, h in self._ordered(Histogram)]
 
-    def timer(self, name: str, clock: "object | None" = None) -> SpanTimer:
-        """A span timer feeding the histogram named ``name``.
-
-        An explicit ``clock`` wins; otherwise the registry's bound clock
-        (see :meth:`bind_clock`); otherwise wall-clock.
-        """
-        return SpanTimer(
-            self.histogram(name),
-            clock=clock if clock is not None else self._clock,
-        )
-
     def reset(self) -> None:
         """Drop every metric (names are forgotten, not just zeroed).
 
         Benchmark harnesses that re-create stores inside one process call
         this between runs so series from a previous configuration cannot
-        leak into the next report. The bound clock is kept.
+        leak into the next report.
         """
         for table in self._tables.values():
             table.clear()

@@ -145,14 +145,10 @@ class RpcRuntime:
         self.store = store
         self.clock = VirtualClock()
         self.metrics = metrics or MetricsRegistry()
-        # Span timers sharing this registry (e.g. the sampling pipeline's
-        # stage spans) measure deterministic simulated time by default.
-        self.metrics.bind_clock(self.clock)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if self.tracer.enabled and self.tracer.clock is None:
             self.tracer.clock = self.clock
-        #: Fed one ``record`` per resolved read and one ``record_request``
-        #: per finished serving request; ``None`` = off.
+        #: Fed one ``record`` per resolved read; ``None`` = off.
         self.recorder: "object | None" = None
         #: Polled once per resolved read batch and per finished serving
         #: request, so snapshots advance with the clock; ``None`` = off.

@@ -17,7 +17,7 @@ over many requests. This module gives the simulation the same substrate:
   the cost-ledger hook (see :meth:`Tracer.bind_ledger`);
 * :class:`StageProfiler` — buckets each training step of the Algorithm-1
   framework into sample / materialize / aggregate / combine / backward /
-  optimizer stages (span + histogram per stage).
+  optimizer stage spans; its tables are group-bys over those spans.
 
 Tracing is **opt-in and pay-for-what-you-use**: the shared
 :data:`NULL_TRACER` answers every call with no-ops, so the instrumented
@@ -33,7 +33,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.runtime.metrics import MetricsRegistry
 from repro.utils.tables import format_table
 
 #: Canonical training-step stages bucketed by :class:`StageProfiler`.
@@ -153,12 +152,6 @@ class Tracer:
         self.spans: "list[Span]" = []
         #: Spans discarded because :attr:`spans` already held ``max_spans``.
         self.dropped = 0
-        #: ``[t_us, trace_id, span_id, event, times]`` rows stamped by the
-        #: cost-ledger hook — the ledger<->trace correlation table. One row
-        #: per ``record`` call, carrying its ``times``: the store charges a
-        #: read batch per arm, so the contract is the sum of ``times`` per
-        #: (span, event), not the number or order of rows.
-        self.ledger_rows: "list[list]" = []
         self._stack: "list[Span]" = []
         self._next_trace = 0
         self._next_span = 0
@@ -264,22 +257,34 @@ class Tracer:
         """Stamp this tracer's ids onto ``accumulator``'s recorded events.
 
         Every :meth:`~repro.utils.timer.CostAccumulator.record` call made
-        while a span is open lands both on the span (as a ``ledger:<event>``
-        event) and in :attr:`ledger_rows` — the cross-reference between the
-        cost ledger's Figure 8–9 accounting and the trace. A call with
-        ``times=n`` is one row worth ``n`` events.
+        while a span is open lands on that span as a ``ledger:<event>``
+        event carrying its ``times``; :attr:`ledger_rows` reads them back.
         """
         if self.enabled:
             accumulator.trace_hook = self.on_ledger_event
 
     def on_ledger_event(self, event: str, times: int) -> None:
         """Ledger hook target; correlates one ``record`` call with a span."""
-        if not self._stack:
-            return
-        sp = self._stack[-1]
-        t = self._now_us()
-        sp.events.append([t, f"ledger:{event}", times])
-        self.ledger_rows.append([t, sp.trace_id, sp.span_id, event, times])
+        if self._stack:
+            self._stack[-1].events.append([self._now_us(), f"ledger:{event}", times])
+
+    @property
+    def ledger_rows(self) -> "list[list]":
+        """The ledger<->trace correlation table, read off the stored spans.
+
+        One ``[t_us, trace_id, span_id, event, times]`` row per ``record``
+        call, in span-open order, then record order within a span. The
+        store charges a read batch per arm, so the contract is the sum of
+        ``times`` per (span, event), not the number or order of rows. A
+        span dropped past ``max_spans`` takes its rows with it (``dropped``
+        counts it; the ledger keeps every count), so the table is bounded.
+        """
+        return [
+            [t, sp.trace_id, sp.span_id, name[len("ledger:"):], times]
+            for sp in self.spans
+            for t, name, times in sp.events
+            if name.startswith("ledger:")
+        ]
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -324,10 +329,9 @@ class Tracer:
         return "\n".join(lines)
 
     def reset(self) -> None:
-        """Drop all spans, rows and id counters (replays start fresh)."""
+        """Drop all spans and id counters (replays start fresh)."""
         self.spans.clear()
         self.dropped = 0
-        self.ledger_rows.clear()
         self._stack.clear()
         self._next_trace = 0
         self._next_span = 0
@@ -339,96 +343,66 @@ class Tracer:
 NULL_TRACER = Tracer(enabled=False)
 
 
-class _CompoundContext:
-    """Enters several context managers as one (exit in reverse order)."""
-
-    __slots__ = ("_ctxs",)
-
-    def __init__(self, *ctxs: object) -> None:
-        self._ctxs = ctxs
-
-    def __enter__(self) -> "_CompoundContext":
-        for ctx in self._ctxs:
-            ctx.__enter__()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        for ctx in reversed(self._ctxs):
-            ctx.__exit__(*exc)
-
-
 class StageProfiler:
     """Buckets training steps into the canonical Algorithm-1 stages.
 
-    Each stage runs under a span (``train.<stage>``) and a histogram
-    (``train.stage.<stage>_us``); :meth:`step` wraps one optimizer step
-    (``train.step_us`` + the ``train.steps`` counter). Attach one to a
+    Each stage runs under a ``train.<stage>`` span and :meth:`step` wraps
+    one optimizer step in a ``train.step`` span, all on one tracer; the
+    totals, the per-step times and :meth:`render` ("which stage dominates
+    a step") are group-bys over those spans. Attach one to a
     :class:`~repro.algorithms.framework.GNNFramework` via its ``profiler``
-    argument; :meth:`render` then answers "which stage dominates a step".
+    argument.
 
-    Training stages do real computation, so the default is wall-clock
-    timing; pass ``clock`` (or bind one on ``metrics``) for deterministic
-    simulated timings in tests.
+    Training stages do real computation, so the default tracer is on the
+    wall clock; pass a ``Tracer(clock=...)`` for deterministic simulated
+    timings in tests.
     """
 
-    def __init__(
-        self,
-        metrics: "MetricsRegistry | None" = None,
-        tracer: "Tracer | None" = None,
-        clock: "object | None" = None,
-    ) -> None:
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._clock = clock
+    def __init__(self, tracer: "Tracer | None" = None) -> None:
+        self.tracer = tracer if tracer is not None else Tracer()
 
-    def stage(self, name: str) -> _CompoundContext:
+    def stage(self, name: str) -> "Span | _NullSpan":
         """Context manager timing one stage of the current step."""
-        return _CompoundContext(
-            self.tracer.span(f"train.{name}"),
-            self.metrics.timer(f"train.stage.{name}_us", clock=self._clock),
-        )
+        return self.tracer.span(f"train.{name}")
 
-    def step(self) -> _CompoundContext:
+    def step(self) -> "Span | _NullSpan":
         """Context manager wrapping one whole training step."""
-        self.metrics.counter("train.steps").inc()
-        return _CompoundContext(
-            self.tracer.span("train.step"),
-            self.metrics.timer("train.step_us", clock=self._clock),
-        )
+        return self.tracer.span("train.step")
+
+    def _durations(self, name: str) -> "list[float]":
+        return [sp.duration_us for sp in self.tracer.spans if sp.name == name]
+
+    def step_us(self) -> "list[float]":
+        """Duration of every step, in order."""
+        return self._durations("train.step")
 
     def stage_totals(self) -> "dict[str, float]":
         """Total microseconds per stage (stages never hit report 0.0)."""
-        totals: "dict[str, float]" = {}
-        for name in TRAIN_STAGES:
-            totals[name] = self.metrics.histogram(f"train.stage.{name}_us").total
-        return totals
+        return {
+            name: sum(self._durations(f"train.{name}"), 0.0) for name in TRAIN_STAGES
+        }
 
     def render(self) -> str:
         """Per-stage table: calls, total ms and share of accounted time."""
         totals = self.stage_totals()
         accounted = sum(totals.values()) or 1.0
-        rows = []
-        for name in TRAIN_STAGES:
-            h = self.metrics.histogram(f"train.stage.{name}_us")
-            rows.append(
-                [
-                    name,
-                    h.count,
-                    round(totals[name] / 1000.0, 3),
-                    f"{totals[name] / accounted:.1%}",
-                ]
-            )
-        steps = self.metrics.counter("train.steps").value
-        rows.append(
+        rows = [
             [
-                "(step total)",
-                steps,
-                round(self.metrics.histogram("train.step_us").total / 1000.0, 3),
-                "",
+                name,
+                len(self._durations(f"train.{name}")),
+                round(totals[name] / 1000.0, 3),
+                f"{totals[name] / accounted:.1%}",
             ]
-        )
+            for name in TRAIN_STAGES
+        ]
+        steps = self.step_us()
+        rows.append(["(step total)", len(steps), round(sum(steps) / 1000.0, 3), ""])
         return format_table(
             ["stage", "calls", "total_ms", "share"],
             rows,
             title="training stage profile",
         )
+
+
+#: Shared disabled profiler: what ``profiler=None`` means in every trainer.
+NULL_PROFILER = StageProfiler(NULL_TRACER)

@@ -15,11 +15,11 @@ the stitched result comes back in batch order.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.runtime.tracing import NULL_TRACER
 from repro.sampling.base import Sampler, check_batch_size
 from repro.sampling.neighborhood import NeighborhoodSample
 
@@ -41,18 +41,17 @@ class TrainingBatch:
 class SamplingPipeline:
     """Composes the three sampler families into one stage.
 
-    When a :class:`~repro.runtime.metrics.MetricsRegistry` is supplied, each
-    stage runs inside a span timer (``pipeline.traverse_us`` /
-    ``pipeline.neighborhood_us`` / ``pipeline.negative_us``), the
-    ``pipeline.batches`` counter tracks produced batches and
-    ``pipeline.seeds`` counts sampled seeds labeled by the traverse
-    sampler's edge/vertex type. With a registry whose clock is bound to the
-    RPC runtime's virtual clock, the stage timers are deterministic.
-
     When a :class:`~repro.runtime.tracing.Tracer` is supplied, every
     :meth:`sample` call roots one trace (``pipeline.sample``) with one
-    child span per stage — the store, batcher and RPC spans opened further
-    down the read path nest under them.
+    child span per stage (``pipeline.traverse`` / ``pipeline.neighborhood``
+    / ``pipeline.negative``) — those spans are the stage times, and the
+    store, planner and RPC spans opened further down the read path nest
+    under them.
+
+    When a :class:`~repro.runtime.metrics.MetricsRegistry` is supplied, the
+    ``pipeline.batches`` counter tracks produced batches and
+    ``pipeline.seeds`` counts sampled seeds labeled by the traverse
+    sampler's edge/vertex type.
     """
 
     def __init__(
@@ -72,17 +71,7 @@ class SamplingPipeline:
         self.hop_nums = list(hop_nums)
         self.neg_num = neg_num
         self.metrics = metrics
-        self.tracer = tracer
-
-    def _span(self, name: str):
-        if self.metrics is None:
-            return nullcontext()
-        return self.metrics.timer(name)
-
-    def _trace_span(self, name: str, **attrs: object):
-        if self.tracer is None:
-            return nullcontext()
-        return self.tracer.span(name, **attrs)
+        self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def _seed_type(self) -> str:
         """Label value for per-type seed accounting (``edge_type`` label)."""
@@ -94,22 +83,17 @@ class SamplingPipeline:
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> TrainingBatch:
         """Produce one :class:`TrainingBatch` of ``batch_size`` seeds."""
-        with self._trace_span(
+        tracer = self.tracer
+        with tracer.span(
             "pipeline.sample", batch_size=batch_size, hop_nums=str(self.hop_nums)
         ):
-            with self._trace_span("pipeline.traverse"), self._span(
-                "pipeline.traverse_us"
-            ):
+            with tracer.span("pipeline.traverse"):
                 vertices = self.traverse.sample(batch_size, rng)
                 if isinstance(vertices, tuple):  # edge traverse: source endpoints
                     vertices = vertices[0]
-            with self._trace_span("pipeline.neighborhood"), self._span(
-                "pipeline.neighborhood_us"
-            ):
+            with tracer.span("pipeline.neighborhood"):
                 context = self.neighborhood.sample(vertices, self.hop_nums, rng)
-            with self._trace_span("pipeline.negative"), self._span(
-                "pipeline.negative_us"
-            ):
+            with tracer.span("pipeline.negative"):
                 negatives = self.negative.sample(vertices, self.neg_num, rng)
             if self.metrics is not None:
                 self.metrics.counter("pipeline.batches").inc()

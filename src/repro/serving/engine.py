@@ -97,9 +97,9 @@ class ServingEngine:
     fault-free one when absent) so serving, sampling and RPC all advance
     one virtual clock and feed one metrics registry — and one set of
     instruments: per finished request the engine records a
-    ``serve.request`` span on ``runtime.tracer``, feeds
-    ``runtime.recorder.record_request`` and polls ``runtime.timeseries``
-    (each skipped when off). ``base_vectors``
+    ``serve.request`` span on ``runtime.tracer`` and polls
+    ``runtime.timeseries`` (each skipped when off); the request itself is
+    its :class:`ServeRecord`. ``base_vectors``
     supplies the per-vertex embeddings the fresh path aggregates — pass a
     trained model's table, or let the engine derive a seeded stand-in.
     """
@@ -260,8 +260,6 @@ class ServingEngine:
                 outcome=outcome,
                 cache_hit=cache_hit,
             )
-        if runtime.recorder is not None:
-            runtime.recorder.record_request(req.user, req.cls, outcome, cache_hit)
         if runtime.timeseries is not None:
             runtime.timeseries.poll()
         if self.placement is not None:

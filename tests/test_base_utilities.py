@@ -130,9 +130,16 @@ def test_train_steps_takes_steps_batches_and_leaves_the_rest_undrawn():
     profiler = StageProfiler()
     losses = train_steps(source, lambda draw: rec, rec, steps=2, profiler=profiler)
     assert len(losses) == 2 and len(states) == 2
-    assert profiler.metrics.counter("train.steps").value == 2
-    for stage in ("sample", "backward", "optimizer"):
-        assert profiler.metrics.histogram(f"train.stage.{stage}_us").count == 2
+    assert len(profiler.step_us()) == 2
+    # Each step span holds its pull, backward and optimizer stage spans.
+    spans = profiler.tracer.spans
+    for step in (sp for sp in spans if sp.name == "train.step"):
+        assert [sp.name for sp in spans if sp.parent_id == step.span_id] == [
+            "train.sample", "train.backward", "train.optimizer"
+        ]
+    totals = profiler.stage_totals()
+    assert all(totals[stage] > 0.0 for stage in ("sample", "backward", "optimizer"))
+    assert totals["materialize"] == totals["aggregate"] == totals["combine"] == 0.0
     assert len(train_steps(source, lambda draw: rec, rec)) == 3  # the rest
 
 

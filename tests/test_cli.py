@@ -165,7 +165,7 @@ def test_report_prints_workload_metrics_and_ledger(report_text):
     assert "report: sampled workload" in out
     assert "runtime metrics" in out
     assert "rpc.completed" in out
-    assert "pipeline.neighborhood_us" in out
+    assert "pipeline.batches" in out
     assert "cost ledger" in out
     assert "remote_rpc" in out and "TOTAL" in out
     assert "pipeline.sample" in out  # the rendered span tree
@@ -173,7 +173,7 @@ def test_report_prints_workload_metrics_and_ledger(report_text):
     assert "0 dropped past max_spans" in out
     assert "time series:" in out
     # The legend says which clock the numbers are on.
-    assert "nothing is\nwall-clock" in out and "stages read 0" in out
+    assert "nothing is\nwall-clock" in out and "stage\ntimes included" in out
 
 
 @pytest.mark.parametrize(

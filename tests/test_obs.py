@@ -67,11 +67,6 @@ from repro.sampling import (
     UniformNeighborSampler,
     VertexTraverseSampler,
 )
-from repro.serving import (
-    ServingEngine,
-    constant_rate,
-    OpenLoopWorkload,
-)
 from repro.storage import ImportanceCachePolicy
 from repro.storage.cluster import make_store
 from repro.utils.rng import make_rng
@@ -317,28 +312,6 @@ class TestWorkloadMining:
         assert "cache efficacy" in render_workload_report(
             mine_workload(rec), eff
         )
-
-    def test_serving_requests_are_mined(self):
-        from repro.data import make_dataset
-
-        graph = make_dataset("taobao-small-sim", scale=0.1, seed=7)
-        store = make_store(
-            graph, 2,
-            cache_policy=ImportanceCachePolicy(),
-            cache_budget_fraction=0.1, seed=7,
-        )
-        store.attach_runtime(RpcRuntime(store))
-        rec = store.runtime.recorder = AccessRecorder()
-        engine = ServingEngine(store, seed=7)
-        users = graph.vertices_of_type("user")
-        workload = OpenLoopWorkload(
-            users, duration_us=50_000.0, rate=constant_rate(400.0), seed=7
-        )
-        engine.run(workload)
-        report = mine_workload(rec)
-        assert report["serving"] is not None
-        assert sum(report["serving"]["outcomes"].values()) > 0
-        assert 0.0 <= report["serving"]["embed_cache_hit_rate"] <= 1.0
 
 
 # --------------------------------------------------------------------- #

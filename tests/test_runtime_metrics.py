@@ -6,7 +6,7 @@ import pytest
 from repro.data import make_dataset
 from repro.errors import RuntimeConfigError
 from repro.obs import TimeSeriesSampler
-from repro.runtime import MetricsRegistry, RpcRuntime, VirtualClock
+from repro.runtime import MetricsRegistry, RpcRuntime, Tracer, VirtualClock
 from repro.sampling import (
     DegreeBiasedNegativeSampler,
     SamplingPipeline,
@@ -82,32 +82,15 @@ def test_empty_histogram_is_safe():
     assert h.percentile(50) == 0.0
 
 
-def test_span_timer_with_virtual_clock():
-    reg = MetricsRegistry()
-    clock = VirtualClock()
-    with reg.timer("span_us", clock=clock):
-        clock.advance(250.0)
-    assert reg.histogram("span_us").samples == [250.0]
-
-
-def test_span_timer_wall_clock():
-    reg = MetricsRegistry()
-    with reg.timer("span_us"):
-        pass
-    assert reg.histogram("span_us").count == 1
-    assert reg.histogram("span_us").samples[0] >= 0.0
-
-
-def test_gauge_add_inc_dec():
+def test_gauge_set_moves_the_value_and_only_raises_the_high_water():
     g = MetricsRegistry().gauge("queue")
-    g.inc()
-    g.inc(2)
-    assert g.value == 3.0
-    g.dec()
-    assert g.value == 2.0
-    g.add(-2)
-    assert g.value == 0.0
+    assert (g.value, g.high_water) == (0.0, 0.0)
+    for value in (2, 3, 0, 1, -4):
+        g.set(value)
+        assert g.value == float(value)
     assert g.high_water == 3.0
+    g.set(7.5)
+    assert (g.value, g.high_water) == (7.5, 7.5)
 
 
 def test_labeled_metrics_are_distinct_series():
@@ -160,26 +143,6 @@ def test_lookup_memo_is_dropped_with_the_series():
     after = reg.counter("c", labels={"part": 0})
     assert after is not before and after.value == 0
     assert reg.counters() == [after]
-
-
-def test_registry_bind_clock_drives_timers():
-    reg = MetricsRegistry()
-    clock = VirtualClock()
-    reg.bind_clock(clock)
-    with reg.timer("span_us"):
-        clock.advance(42.0)
-    assert reg.histogram("span_us").samples == [42.0]
-    # An explicit clock wins over the bound one.
-    other = VirtualClock()
-    with reg.timer("span_us", clock=other):
-        other.advance(7.0)
-        clock.advance(1000.0)
-    assert reg.histogram("span_us").samples == [42.0, 7.0]
-    # reset() keeps the binding: benchmark reruns stay deterministic.
-    reg.reset()
-    with reg.timer("span_us"):
-        clock.advance(5.0)
-    assert reg.histogram("span_us").samples == [5.0]
 
 
 def test_registry_render_and_reset():
@@ -236,7 +199,8 @@ def test_runtime_metrics_agree_with_cost_ledger():
 def test_pipeline_spans_and_counters():
     graph = make_dataset("taobao-small-sim", scale=0.1, seed=0)
     store = make_store(graph, 2, seed=0)
-    runtime = RpcRuntime(store)
+    tracer = Tracer(seed=0)
+    runtime = RpcRuntime(store, tracer=tracer)
     store.attach_runtime(runtime)
     pipeline = SamplingPipeline(
         traverse=VertexTraverseSampler(graph, vertex_type="user"),
@@ -245,18 +209,25 @@ def test_pipeline_spans_and_counters():
         hop_nums=[4, 4],
         neg_num=5,
         metrics=runtime.metrics,
+        tracer=tracer,
     )
     rng = make_rng(0)
     for _ in range(3):
         pipeline.sample(16, rng)
     metrics = runtime.metrics
     assert metrics.counter("pipeline.batches").value == 3
-    for span in (
-        "pipeline.traverse_us",
-        "pipeline.neighborhood_us",
-        "pipeline.negative_us",
-    ):
-        assert metrics.histogram(span).count == 3
+    assert metrics.counter("pipeline.seeds", labels={"edge_type": "user"}).value == 48
+    # The stage times are spans, one per stage per batch under its root;
+    # the registry keeps no timing series of its own.
+    roots = [sp for sp in tracer.spans if sp.name == "pipeline.sample"]
+    assert len(roots) == 3
+    for root in roots:
+        stages = [sp.name for sp in tracer.trace_spans(root.trace_id)
+                  if sp.parent_id == root.span_id]
+        assert stages == [
+            "pipeline.traverse", "pipeline.neighborhood", "pipeline.negative"
+        ]
+    assert not [h for h in metrics.histograms() if h.name.startswith("pipeline.")]
     # The neighborhood stage reads through the runtime: RPC metrics landed
     # in the same registry.
     assert metrics.counter("rpc.completed").value > 0

@@ -293,7 +293,6 @@ class TestServingEngine:
             runtime.metrics, runtime.clock, tick_us=5_000.0
         )
         records = engine.run(_open(users, duration_us=50_000.0))
-        assert sum(recorder.user_requests.values()) == len(records)
         assert recorder.total_reads > 0  # the store fed the same recorder
         assert sampler.n_samples > 0
         served = engine.metrics.counter(

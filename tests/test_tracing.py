@@ -2,11 +2,13 @@
 stage profiling and the two exporters."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
 from tests.format_checkers import check_chrome_trace, check_prometheus_text
+from repro.algorithms import SIGN, GNNFramework, GraphSAGE
 from repro.data import make_dataset
 from repro.runtime import (
     NULL_TRACER,
@@ -39,6 +41,7 @@ from repro.storage.costmodel import (
     EV_REMOTE_RPC,
 )
 from repro.utils.rng import make_rng
+from repro.utils.timer import CostAccumulator
 
 
 def _graph(seed=0):
@@ -308,39 +311,55 @@ def test_exception_unwinding_closes_dangling_spans():
 def test_spans_past_max_spans_are_counted_not_silently_lost():
     clock = VirtualClock()
     tracer = Tracer(clock=clock, seed=0, max_spans=3)
+    ledger = CostAccumulator()
+    tracer.bind_ledger(ledger)
     with tracer.span("root"):
+        ledger.record("local_read", times=2)
         for _ in range(3):
             with tracer.span("child"):
                 clock.advance(1.0)
+                ledger.record("remote_rpc")
         tracer.record_span("late", 0.0, 1.0)
+        ledger.record("cache_hit", times=4)
     assert len(tracer.spans) == 3
     assert tracer.dropped == 2
+    # The correlation table is a view of the stored spans: the third child
+    # was dropped, and so was its row; the ledger itself keeps every count.
+    stored = {sp.span_id for sp in tracer.spans}
+    rows = tracer.ledger_rows
+    assert [(r[3], r[4]) for r in rows] == [
+        ("local_read", 2), ("cache_hit", 4), ("remote_rpc", 1), ("remote_rpc", 1),
+    ]
+    assert {r[2] for r in rows} <= stored
+    assert ledger.counts == {"local_read": 2, "remote_rpc": 3, "cache_hit": 4}
     payload = chrome_trace(tracer)
     assert payload["otherData"]["dropped_spans"] == 2
+    assert payload["otherData"]["n_ledger_rows"] == len(rows) == 4
     assert check_chrome_trace(payload) == []
     tracer.reset()
-    assert tracer.dropped == 0
+    assert tracer.dropped == 0 and tracer.ledger_rows == []
 
 
 # --------------------------------------------------------------------- #
 # Stage profiler
 # --------------------------------------------------------------------- #
 def test_stage_profiler_buckets_graphsage_training():
-    from repro.algorithms import GraphSAGE
-
     profiler = StageProfiler()
     model = GraphSAGE(
         dim=8, kmax=2, fanout=3, epochs=1, batch_size=32,
         max_steps_per_epoch=3, seed=0, profiler=profiler,
     )
     model.fit(_graph())
-    assert profiler.metrics.counter("train.steps").value == 3
+    spans = profiler.tracer.spans
+    steps = profiler.step_us()
+    assert len(steps) == 3 and all(us > 0.0 for us in steps)
+    assert steps == [sp.duration_us for sp in spans if sp.name == "train.step"]
     totals = profiler.stage_totals()
-    assert set(totals) == set(TRAIN_STAGES)
+    assert list(totals) == list(TRAIN_STAGES)
     for name in TRAIN_STAGES:
-        h = profiler.metrics.histogram(f"train.stage.{name}_us")
-        assert h.count > 0, f"stage {name} never ran"
-    assert profiler.metrics.histogram("train.step_us").count == 3
+        durations = [sp.duration_us for sp in spans if sp.name == f"train.{name}"]
+        assert durations, f"stage {name} never ran"
+        assert totals[name] == sum(durations)
     table = profiler.render()
     for name in TRAIN_STAGES:
         assert name in table
@@ -348,8 +367,6 @@ def test_stage_profiler_buckets_graphsage_training():
 
 
 def test_stage_profiler_spans_nest_under_steps():
-    from repro.algorithms import GraphSAGE
-
     tracer = Tracer(seed=0)  # wall-clock: training is real computation
     profiler = StageProfiler(tracer=tracer)
     GraphSAGE(
@@ -371,12 +388,41 @@ def test_stage_profiler_spans_nest_under_steps():
         )
 
 
+#: The three profiled trainers, each cut to two epochs of three steps.
+_TRAINERS = {
+    "graphsage-blocks": partial(GraphSAGE, kmax=2, fanout=3, minibatch_blocks=True),
+    "gnn-framework": partial(GNNFramework, kmax=2, fanout=3),
+    "sign": partial(SIGN, hops=2),
+}
+
+
+@pytest.mark.parametrize("trainer", sorted(_TRAINERS))
+def test_a_profiled_fit_equals_an_unprofiled_one_bit_for_bit(trainer):
+    make = partial(
+        _TRAINERS[trainer], dim=8, epochs=2, batch_size=32, max_steps_per_epoch=3, seed=1
+    )
+    graph = _graph()
+    profiler = StageProfiler()
+    plain, profiled = make().fit(graph), make(profiler=profiler).fit(graph)
+    assert len(profiler.step_us()) == 6
+    assert np.asarray(plain.loss_history).tobytes() == np.asarray(
+        profiled.loss_history
+    ).tobytes()
+    assert plain.embeddings().tobytes() == profiled.embeddings().tobytes()
+    assert getattr(plain, "block_stats", None) == getattr(profiled, "block_stats", None)
+
+
 def test_stage_profiler_with_virtual_clock_is_deterministic():
     clock = VirtualClock()
-    profiler = StageProfiler(clock=clock)
-    with profiler.stage("sample"):
-        clock.advance(125.0)
-    assert profiler.stage_totals()["sample"] == 125.0
+    profiler = StageProfiler(Tracer(clock=clock))
+    with profiler.step():
+        with profiler.stage("sample"):
+            clock.advance(125.0)
+        clock.advance(5.0)
+    assert profiler.stage_totals() == {
+        name: 125.0 if name == "sample" else 0.0 for name in TRAIN_STAGES
+    }
+    assert profiler.step_us() == [130.0]
 
 
 # --------------------------------------------------------------------- #
