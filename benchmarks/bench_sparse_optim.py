@@ -1,13 +1,14 @@
-"""Sparse-optimizer step cost: dense Adam vs SparseAdam on embedding tables.
+"""Embedding step cost: Adam on a dense vs a row-sparse table gradient.
 
-The dense-Adam path scatters a minibatch gradient into an O(V x d) dense
-array and walks the whole table every step; the sparse path consumes the
-``(ids, grad_rows)`` gradient recorded by ``gather_rows`` and touches only
-the batch's rows. At AliGraph scale (1e9+ vertices) the dense step is
-simply not runnable; this bench measures the crossover on tables that fit
-in one process, plus the modelled cost of the same workload through the
-partitioned parameter-server KV store (batched, deduplicated pulls and
-pushes over the RPC runtime).
+Both arms run the one :class:`~repro.nn.optim.Adam`. The dense arm's table
+scatters a minibatch gradient into an O(V x d) dense array and the step
+walks the whole table; the row-sparse arm's table (``accumulates_sparse``)
+keeps the ``(ids, grad_rows)`` gradient ``gather_rows`` records, and the
+step touches only the batch's rows. At AliGraph scale (1e9+ vertices) the
+dense step is simply not runnable; this bench measures the crossover on
+tables that fit in one process, plus the modelled cost of the same
+workload through the partitioned parameter-server KV store (batched,
+deduplicated pulls and pushes over the RPC runtime).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from repro.data import powerlaw_graph
 from repro.bench import Experiment, ExperimentReport
 from repro.bench.timing import assert_faster, time_arms
-from repro.nn.optim import Adam, SparseAdam
+from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.storage import EmbeddingKVStore
 from repro.storage.cluster import make_store
@@ -41,12 +42,12 @@ def _init(n_rows: int) -> np.ndarray:
 def _trainer(n_rows: int, steps: int, sparse: bool):
     """``(step, table)``: each ``step()`` trains the table on the next batch.
 
-    Dense Adam is fed the scattered minibatch gradient; SparseAdam the
+    Adam is fed the scattered minibatch gradient, or with ``sparse`` the
     row-sparse ``(ids, grad_rows)`` gradient ``gather_rows`` records.
     """
     t = Tensor(_init(n_rows), requires_grad=True)
     t.accumulates_sparse = sparse
-    opt = (SparseAdam if sparse else Adam)([t], lr=0.05)
+    opt = Adam([t], lr=0.05)
     batches = iter(_batches(n_rows, steps))
 
     def step() -> None:
@@ -61,9 +62,7 @@ def _kv_trainer(n_rows: int, steps: int, n_workers: int = 4):
     """The same workload through the parameter-server KV store."""
     graph = powerlaw_graph(min(n_rows, 2000), alpha=2.3, max_degree=30, seed=0)
     store = make_store(graph, n_workers, seed=0)
-    kv = EmbeddingKVStore(
-        store, n_rows, DIM, optimizer="adam", lr=0.05, init=_init(n_rows)
-    )
+    kv = EmbeddingKVStore(store, _init(n_rows), lr=0.05)
     batches = iter(_batches(n_rows, steps))
 
     def step() -> None:
@@ -78,7 +77,7 @@ def _kv_trainer(n_rows: int, steps: int, n_workers: int = 4):
 def _run(smoke: bool) -> ExperimentReport:
     report = ExperimentReport(
         "sparse_optim",
-        "Embedding step cost: dense Adam vs sparse row updates "
+        "Embedding step cost: Adam on a dense vs a row-sparse gradient "
         f"({BATCH}-row batches, dim {DIM})",
     )
     sizes = [10_000] if smoke else [10_000, 100_000, 1_000_000]
@@ -91,7 +90,7 @@ def _run(smoke: bool) -> ExperimentReport:
         # stale yet): touched rows must be bit-identical. Beyond step 1
         # the trajectories legitimately diverge — dense Adam drags every
         # momentum-carrying row on every step, which is the bug the
-        # sparse pair fixes. The untimed first step also allocates the
+        # row-sparse step fixes. The untimed first step also allocates the
         # optimizer state.
         dense()
         sparse()
@@ -125,8 +124,9 @@ def _run(smoke: bool) -> ExperimentReport:
         },
     )
     report.note(
-        "dense Adam walks the whole table per step (O(V*d)); SparseAdam "
-        "updates only the batch's rows with per-row bias correction. The "
+        "one Adam on both arms: a dense table gradient walks the whole table "
+        "per step (O(V*d)); a row-sparse one updates only the batch's rows "
+        "with per-row bias correction. The "
         "kv arm runs the identical workload through the hash-partitioned "
         "parameter server (one pull + one push round-trip per shard per "
         "step) and stays bit-identical to the in-process sparse run. "

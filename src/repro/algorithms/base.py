@@ -26,7 +26,7 @@ from repro.errors import TrainingError
 from repro.graph.graph import Graph
 from repro.nn.layers import Embedding
 from repro.nn.loss import skipgram_negative_loss
-from repro.nn.optim import Adam, Optimizer
+from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.runtime.tracing import NULL_PROFILER, StageProfiler
 from repro.sampling.negative import DegreeBiasedNegativeSampler
@@ -137,7 +137,7 @@ def edge_batches(
 def train_steps(
     batches: Iterable[tuple],
     loss_fn: Callable[..., Tensor],
-    optimizer: Optimizer,
+    optimizer: Adam,
     steps: "int | None" = None,
     profiler: "StageProfiler | None" = None,
 ) -> list[float]:
@@ -175,7 +175,7 @@ def train_skipgram(
     pairs: tuple[np.ndarray, np.ndarray],
     center_fn: Callable[[np.ndarray], Tensor],
     context_fn: Callable[[np.ndarray], Tensor],
-    optimizer: Optimizer,
+    optimizer: Adam,
     negative_sampler: DegreeBiasedNegativeSampler,
     rng: np.random.Generator,
     epochs: int = 2,
@@ -247,7 +247,7 @@ def train_skipgram_kv(
     Each step pulls the deduplicated union of the ids a table needs **once**
     (one coalesced request per remote shard), runs the loss over the pulled
     block, and pushes the coalesced row gradients back — the server applies
-    the sparse optimizer update, so untouched rows are never written.
+    Adam's row-sparse step, so untouched rows are never written.
     """
     last_loss = float("inf")
     for _ in range(epochs):

@@ -30,7 +30,7 @@ class DeepWalk(EmbeddingModel):
     ``backend="kv"`` trains the same pairs against a partitioned
     :class:`~repro.storage.embedding.EmbeddingKVStore` over ``kv_workers``
     simulated servers — batched deduplicated pulls, row-sparse pushes,
-    server-side sparse-Adam updates — leaving the fitted store on
+    server-side row-sparse Adam updates — leaving the fitted store on
     :attr:`kv_store` for inspection (ledger, metrics, RPC counts).
     """
 
@@ -101,10 +101,9 @@ class DeepWalk(EmbeddingModel):
 
         def table(role: str) -> EmbeddingKVStore:
             return EmbeddingKVStore(
-                store, n, self.dim, name=f"{self.name}.{role}",
-                optimizer="adam", lr=self.lr,
+                store, embedding_init((n, self.dim), rng),
+                name=f"{self.name}.{role}", lr=self.lr,
                 staleness=self.kv_staleness,
-                init=embedding_init((n, self.dim), rng),
             )
 
         center, context = table("center"), table("context")

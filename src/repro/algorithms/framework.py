@@ -212,12 +212,11 @@ class GNNFramework(EmbeddingModel):
     def _sample_hop_tables(
         self, graph: Graph, sampler, rng: np.random.Generator
     ) -> "list[np.ndarray]":
-        tables = []
         all_vertices = np.arange(graph.n_vertices, dtype=np.int64)
-        for _ in range(self.kmax):
-            table, _ = sampler.sample_children(all_vertices, self.fanout, rng)
-            tables.append(table)
-        return tables
+        return [
+            sampler.sample_children(all_vertices, self.fanout, rng)
+            for _ in range(self.kmax)
+        ]
 
     def _all_vertex_block(
         self, graph: Graph, sampler, rng: np.random.Generator

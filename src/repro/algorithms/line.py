@@ -37,7 +37,7 @@ class LINE(EmbeddingModel):
     :class:`~repro.storage.embedding.EmbeddingKVStore` tables over
     ``kv_workers`` simulated servers: each step pulls every table's
     deduplicated id union once and pushes row-sparse gradients back, the
-    servers applying sparse-Adam in place. The fitted store stays on
+    servers applying Adam's row-sparse step in place. The fitted store stays on
     :attr:`kv_store`. The default stays the dense in-process path.
     """
 
@@ -113,10 +113,9 @@ class LINE(EmbeddingModel):
 
         def table(name: str) -> EmbeddingKVStore:
             return EmbeddingKVStore(
-                store, n, half, name=f"line.{name}",
-                optimizer="adam", lr=self.lr,
+                store, embedding_init((n, half), rng),
+                name=f"line.{name}", lr=self.lr,
                 staleness=self.kv_staleness,
-                init=embedding_init((n, half), rng),
             )
 
         first, second, second_ctx = table("first"), table("second"), table("ctx")

@@ -5,8 +5,9 @@ package is the from-scratch substitute: a :class:`Tensor` with reverse-mode
 autodiff whose tape records only what reaches a trainable leaf (and nothing
 under :func:`no_grad`), the layers the in-house models need (dense,
 embedding, GRU/LSTM, self-attention), losses (BCE, CE, skip-gram with
-negative sampling, VAE ELBO) and optimizers (SGD/Adam/Adagrad). Everything
-is float64 numpy — small-graph scale, gradient-checkable, deterministic.
+negative sampling, VAE ELBO) and one optimizer (Adam, taking dense or
+row-sparse gradients). Everything is float64 numpy — small-graph scale,
+gradient-checkable, deterministic.
 """
 
 from repro.nn import functional
@@ -19,7 +20,7 @@ from repro.nn.loss import (
     mse,
     skipgram_negative_loss,
 )
-from repro.nn.optim import SGD, Adagrad, Adam, SparseAdagrad, SparseAdam
+from repro.nn.optim import Adam
 from repro.nn.rnn import GRUCell, LSTMCell
 from repro.nn.tensor import SparseGrad, Tensor, no_grad
 
@@ -35,11 +36,7 @@ __all__ = [
     "Sequential",
     "GRUCell",
     "LSTMCell",
-    "SGD",
     "Adam",
-    "Adagrad",
-    "SparseAdam",
-    "SparseAdagrad",
     "SparseGrad",
     "xavier_uniform",
     "he_uniform",

@@ -92,10 +92,9 @@ class Dense(Module):
 class Embedding(Module):
     """Lookup table of ``n`` rows by ``dim`` columns.
 
-    With ``sparse=True`` lookups accumulate a row-sparse gradient
-    (``table.sparse_grad``) instead of a dense O(n x dim) array; pair with
-    :class:`~repro.nn.optim.SparseAdam` / :class:`~repro.nn.optim.SparseAdagrad`
-    so optimizer steps touch only the rows of the batch.
+    Lookups accumulate a dense gradient; set ``table.accumulates_sparse``
+    for a row-sparse one, which :class:`~repro.nn.optim.Adam` then steps
+    on the batch's rows only.
     """
 
     def __init__(
@@ -104,12 +103,10 @@ class Embedding(Module):
         dim: int,
         rng: np.random.Generator,
         scale: float | None = None,
-        sparse: bool = False,
     ) -> None:
         self.table = Tensor(
             embedding_init((n, dim), rng, scale=scale), requires_grad=True, name="E"
         )
-        self.table.accumulates_sparse = sparse
 
     @property
     def n(self) -> int:

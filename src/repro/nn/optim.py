@@ -1,12 +1,12 @@
-"""Optimizers: SGD (with momentum), Adam, Adagrad — plus the row-sparse
-:class:`SparseAdam` / :class:`SparseAdagrad` used by embedding training.
+"""The optimizer: one :class:`Adam` for dense weights and row-sparse tables.
 
-The dense optimizers walk every parameter element per step, which is fine
-for model weights but O(table) for embedding tables whose minibatch touches
-a few hundred rows. The sparse pair consumes the ``(ids, grad_rows)``
-gradients accumulated by :meth:`~repro.nn.tensor.Tensor.gather_rows` on
-``accumulates_sparse`` leaves and updates **only the touched rows**, with
-per-row step counters for bias correction.
+Each parameter's update follows the gradient it carries. A dense ``grad``
+(model weights, in-process embedding tables) gets the textbook Adam step
+over every element. A row-sparse ``sparse_grad`` — the ``(ids, grad_rows)``
+entries :meth:`~repro.nn.tensor.Tensor.gather_rows` accumulates on
+``accumulates_sparse`` leaves — updates **only the touched rows**, with
+per-row step counters for bias correction. One optimizer therefore owns an
+encoder's dense weights and its embedding tables in a single list.
 """
 
 from __future__ import annotations
@@ -15,6 +15,10 @@ import numpy as np
 
 from repro.errors import TrainingError
 from repro.nn.tensor import Tensor
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 def _rowwise(values: np.ndarray, ndim: int) -> np.ndarray:
@@ -26,7 +30,7 @@ def _bias_correction(beta: float, counts: np.ndarray) -> np.ndarray:
     """``1 - beta**t`` per row, via Python-scalar pow per unique count.
 
     numpy's vectorized pow rounds differently from libm's in the last ulp,
-    which would break the bit-for-bit match with dense :class:`Adam`'s
+    which would break the bit-for-bit match with the dense branch's
     ``beta ** self._t``. A minibatch's rows share at most a handful of
     distinct step counts, so scalar pow per unique count costs nothing.
     """
@@ -37,16 +41,37 @@ def _bias_correction(beta: float, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-class Optimizer:
-    """Base optimizer over a fixed parameter list."""
+class Adam:
+    """Adam with bias correction over a fixed parameter list.
 
-    def __init__(self, params: "list[Tensor]", lr: float) -> None:
+    **Dense gradients** share one step count, advanced once per
+    :meth:`step`. Once a row of a dense parameter's first moment is
+    non-zero, the update keeps moving that row every step even when its
+    gradient is exactly zero: stale momentum drags it, and the step costs
+    O(parameter).
+
+    **Row-sparse gradients** (``accumulates_sparse`` leaves) update only the
+    touched rows. Each row has its own step count, advanced only when the
+    row is touched, and its moment decay is lazy: a row skipped for ``k``
+    steps keeps its moments frozen and decays them once on its next touch.
+    Untouched rows are bit-identical across a step, and a row touched on
+    every step moves bit-identically to the dense update.
+
+    A leaf carrying both kinds at once is an error.
+    """
+
+    def __init__(self, params: "list[Tensor]", lr: float = 1e-2) -> None:
         if lr <= 0:
             raise TrainingError(f"learning rate must be positive, got {lr}")
         if not params:
             raise TrainingError("optimizer got an empty parameter list")
         self.params = params
         self.lr = lr
+        self._m = [np.zeros_like(p.data) for p in params]
+        self._v = [np.zeros_like(p.data) for p in params]
+        self._t = 0
+        #: Per-row step counts, allocated on a leaf's first row-sparse step.
+        self._row_t: "list[np.ndarray | None]" = [None] * len(params)
 
     def zero_grad(self) -> None:
         """Clear every parameter's gradient."""
@@ -54,193 +79,40 @@ class Optimizer:
             p.zero_grad()
 
     def step(self) -> None:
-        """Apply one update from the accumulated gradients."""
-        raise NotImplementedError
+        """Apply one update from the accumulated gradients.
 
-
-class SGD(Optimizer):
-    """Vanilla / momentum SGD."""
-
-    def __init__(
-        self, params: "list[Tensor]", lr: float = 0.1, momentum: float = 0.0
-    ) -> None:
-        super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise TrainingError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
-            else:
-                p.data -= self.lr * p.grad
-
-
-class Adam(Optimizer):
-    """Adam with bias correction.
-
-    .. note:: **Dense-vs-sparse semantics.** Once a row of ``_m`` is
-       non-zero, this dense update keeps moving that row *every* step even
-       when its gradient is exactly zero (the momentum term decays through
-       ``m *= beta1`` but stays non-zero, and the bias-corrected update is
-       applied to the whole table). For an embedding table where each
-       minibatch touches a tiny fraction of rows, that means stale momentum
-       drags every untouched user's embedding on every step — and the step
-       itself costs O(table), not O(batch). :class:`SparseAdam` implements
-       the per-row semantics (untouched rows are bit-identical across a
-       step; momentum decay is applied lazily, only when a row is next
-       touched) and is what embedding training should use.
-    """
-
-    def __init__(
-        self,
-        params: "list[Tensor]",
-        lr: float = 1e-2,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
-        super().__init__(params, lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self._m = [np.zeros_like(p.data) for p in params]
-        self._v = [np.zeros_like(p.data) for p in params]
-        self._t = 0
-
-    def step(self) -> None:
+        Raises :class:`~repro.errors.TrainingError` before anything changes
+        when a parameter carries both a dense and a row-sparse gradient.
+        """
+        for p in self.params:
+            if p.sparse_grad and p.grad is not None:
+                raise TrainingError(
+                    f"{p!r} carries both a dense and a row-sparse gradient"
+                )
         self._t += 1
-        b1t = 1.0 - self.beta1**self._t
-        b2t = 1.0 - self.beta2**self._t
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
-                continue
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (p.grad**2)
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        b1t = 1.0 - BETA1**self._t
+        b2t = 1.0 - BETA2**self._t
+        for i, (p, m, v) in enumerate(zip(self.params, self._m, self._v)):
+            if p.sparse_grad:
+                self._step_rows(i, p, m, v)
+            elif p.grad is not None:
+                m *= BETA1
+                m += (1.0 - BETA1) * p.grad
+                v *= BETA2
+                v += (1.0 - BETA2) * (p.grad**2)
+                p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
 
-
-class Adagrad(Optimizer):
-    """Adagrad — the classic choice for sparse embedding tables."""
-
-    def __init__(
-        self, params: "list[Tensor]", lr: float = 0.1, eps: float = 1e-8
-    ) -> None:
-        super().__init__(params, lr)
-        self.eps = eps
-        self._accum = [np.zeros_like(p.data) for p in params]
-
-    def step(self) -> None:
-        for p, acc in zip(self.params, self._accum):
-            if p.grad is None:
-                continue
-            acc += p.grad**2
-            p.data -= self.lr * p.grad / (np.sqrt(acc) + self.eps)
-
-
-def _touched(p: Tensor) -> "tuple[np.ndarray | None, np.ndarray] | None":
-    """The rows a parameter's gradient touches this step.
-
-    Returns ``(ids, grad_rows)`` — ``ids is None`` meaning *all* rows (a
-    dense gradient, e.g. a Dense layer riding in the same parameter list) —
-    or None when the parameter has no gradient at all. A sparse gradient
-    wins when both are present (a table that was only gathered never has a
-    dense gradient; mixing the two on one leaf is not supported).
-    """
-    if p.sparse_grad is not None and len(p.sparse_grad):
-        ids, rows = p.sparse_grad.coalesce()
-        return ids, rows
-    if p.grad is not None:
-        return None, p.grad
-    return None
-
-
-class SparseAdam(Optimizer):
-    """Adam that updates only the rows touched by the batch.
-
-    Maintains the same first/second-moment state as :class:`Adam` but keyed
-    per row: each row has its own step counter ``t`` (incremented only when
-    the row is touched) driving its bias correction, and momentum decay is
-    **lazy** — a row skipped for ``k`` steps keeps its moments frozen and
-    decays them once on its next touch, rather than being dragged ``k``
-    times by stale momentum as the dense update does. Untouched rows are
-    bit-identical across a step. For rows touched on every step the update
-    is bit-identical to dense :class:`Adam` (same operation order).
-
-    Parameters with plain dense gradients are updated over all rows (their
-    per-row counters advance together), so one optimizer can own a mixed
-    embedding + dense parameter list.
-    """
-
-    def __init__(
-        self,
-        params: "list[Tensor]",
-        lr: float = 1e-2,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
-        super().__init__(params, lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self._m = [np.zeros_like(p.data) for p in params]
-        self._v = [np.zeros_like(p.data) for p in params]
-        self._t = [np.zeros(p.data.shape[0] if p.data.ndim else 1, dtype=np.int64)
-                   for p in params]
-
-    def step(self) -> None:
-        for p, m, v, t in zip(self.params, self._m, self._v, self._t):
-            grad = _touched(p)
-            if grad is None:
-                continue
-            ids, g = grad
-            if ids is None:
-                ids = slice(None)
-            t[ids] += 1
-            b1t = _rowwise(_bias_correction(self.beta1, t[ids]), g.ndim)
-            b2t = _rowwise(_bias_correction(self.beta2, t[ids]), g.ndim)
-            m_rows = self.beta1 * m[ids] + (1.0 - self.beta1) * g
-            v_rows = self.beta2 * v[ids] + (1.0 - self.beta2) * (g**2)
-            m[ids] = m_rows
-            v[ids] = v_rows
-            p.data[ids] -= self.lr * (m_rows / b1t) / (
-                np.sqrt(v_rows / b2t) + self.eps
-            )
-
-
-class SparseAdagrad(Optimizer):
-    """Adagrad that updates only the rows touched by the batch.
-
-    Adagrad has no momentum, so its touched-row math is bit-identical to
-    dense :class:`Adagrad` across *any* step sequence — the accumulator of
-    an untouched row gains exactly zero either way. What the sparse form
-    fixes is cost: the step is O(touched rows), not O(table).
-    """
-
-    def __init__(
-        self, params: "list[Tensor]", lr: float = 0.1, eps: float = 1e-8
-    ) -> None:
-        super().__init__(params, lr)
-        self.eps = eps
-        self._accum = [np.zeros_like(p.data) for p in params]
-
-    def step(self) -> None:
-        for p, acc in zip(self.params, self._accum):
-            grad = _touched(p)
-            if grad is None:
-                continue
-            ids, g = grad
-            if ids is None:
-                ids = slice(None)
-            acc_rows = acc[ids] + g**2
-            acc[ids] = acc_rows
-            p.data[ids] -= self.lr * g / (np.sqrt(acc_rows) + self.eps)
+    def _step_rows(self, i: int, p: Tensor, m: np.ndarray, v: np.ndarray) -> None:
+        """Update the rows parameter ``i``'s row-sparse gradient touches."""
+        ids, g = p.sparse_grad.coalesce()
+        t = self._row_t[i]
+        if t is None:
+            t = self._row_t[i] = np.zeros(p.data.shape[0], dtype=np.int64)
+        t[ids] += 1
+        b1t = _rowwise(_bias_correction(BETA1, t[ids]), g.ndim)
+        b2t = _rowwise(_bias_correction(BETA2, t[ids]), g.ndim)
+        m_rows = BETA1 * m[ids] + (1.0 - BETA1) * g
+        v_rows = BETA2 * v[ids] + (1.0 - BETA2) * (g**2)
+        m[ids] = m_rows
+        v[ids] = v_rows
+        p.data[ids] -= self.lr * (m_rows / b1t) / (np.sqrt(v_rows / b2t) + EPS)

@@ -228,7 +228,7 @@ class MinibatchExecutor:
             _, missing = cache.lookup(k, demand)
             if missing.size == 0:
                 break  # warm from here down: nothing to draw or compute
-            kids, _ = self.sampler.sample_children(
+            kids = self.sampler.sample_children(
                 missing, self.fanouts[self.kmax - k], rng
             )
             demand, (self_index, child_index) = compact_level(

@@ -179,8 +179,7 @@ def build_block(
         raise SamplingError(f"hop_nums must be positive, got {hop_nums}")
 
     def sample_hop(k: int, frontier: np.ndarray) -> np.ndarray:
-        children, _ = sampler.sample_children(frontier, hop_nums[k], rng)
-        return children
+        return sampler.sample_children(frontier, hop_nums[k], rng)
 
     return _assemble(seeds, hop_nums, sampler.provider.n_vertices, sample_hop)
 

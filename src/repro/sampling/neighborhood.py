@@ -32,7 +32,7 @@ exactly as long as the provider keeps handing back that block object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,20 +49,12 @@ class NeighborhoodSample:
     ``layers[0]`` is the seed batch; ``layers[k]`` holds the hop-k context,
     flattened so that the ``hop_nums[k-1]`` samples for ``layers[k-1][i]``
     sit at ``layers[k][i * hop_nums[k-1] : (i+1) * hop_nums[k-1]]``.
-
-    ``pad_masks[k-1]`` (aligned with ``layers[k]``) records the *self-loop
-    contract*: an entry is True exactly when the sampled child equals its
-    parent vertex. Vertices with no neighbors are padded by repeating
-    themselves, so all their entries are True — but a genuine self-loop
-    edge draw is marked True as well. The mask therefore answers "does this
-    slot aggregate the parent's own features?", not "was this slot
-    synthesized?"; downstream consumers (e.g. mean aggregation that wants
-    to discount padding) treat the two cases identically.
+    Vertices with no neighbors are padded by repeating themselves, so a
+    slot equal to its parent is either padding or a genuine self-loop draw.
     """
 
     layers: list[np.ndarray]
     hop_nums: list[int]
-    pad_masks: list[np.ndarray] = field(default_factory=list)
 
     @property
     def batch_size(self) -> int:
@@ -112,21 +104,18 @@ class _ExpandingSampler(Sampler):
 
     def sample_children(
         self, vertices: np.ndarray, count: int, rng: np.random.Generator
-    ) -> "tuple[np.ndarray, np.ndarray]":
+    ) -> np.ndarray:
         """Draw ``count`` children for every frontier vertex — one call.
 
-        Returns ``(children, pad_mask)``, both of shape
-        ``(len(vertices), count)``. ``pad_mask`` marks entries equal to
-        their parent (the self-loop contract of :class:`NeighborhoodSample`);
-        vertices without neighbors are padded with themselves. One provider
-        read for the whole frontier, then a handful of numpy kernel calls.
+        Returns the ``(len(vertices), count)`` children table; vertices
+        without neighbors are padded with themselves. One provider read for
+        the whole frontier, then a handful of numpy kernel calls.
         """
         if count < 1:
             raise SamplingError(f"fan-out must be positive, got {count}")
         vertices = np.atleast_1d(np.asarray(vertices, dtype=np.int64))
         block, rows = self.provider.frontier_block(vertices)
-        children = self._draw(block, rows, vertices, count, rng)
-        return children, children == vertices[:, None]
+        return self._draw(block, rows, vertices, count, rng)
 
     def sample(
         self,
@@ -141,12 +130,9 @@ class _ExpandingSampler(Sampler):
         if not hop_nums or any(h < 1 for h in hop_nums):
             raise SamplingError(f"hop_nums must be positive, got {hop_nums}")
         layers = [batch]
-        pad_masks: list[np.ndarray] = []
         for fanout in hop_nums:
-            children, pad = self.sample_children(layers[-1], fanout, rng)
-            layers.append(children.reshape(-1))
-            pad_masks.append(pad.reshape(-1))
-        return NeighborhoodSample(layers=layers, hop_nums=list(hop_nums), pad_masks=pad_masks)
+            layers.append(self.sample_children(layers[-1], fanout, rng).reshape(-1))
+        return NeighborhoodSample(layers=layers, hop_nums=list(hop_nums))
 
 
 class UniformNeighborSampler(_ExpandingSampler):

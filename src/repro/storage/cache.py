@@ -118,11 +118,6 @@ class NeighborCache:
         return self._pinned.pop(vertex, None) is not None
 
     @property
-    def pinned_count(self) -> int:
-        """Number of pinned entries currently held."""
-        return len(self._pinned)
-
-    @property
     def free_pin_slots(self) -> int:
         """Pin capacity still available (promotion headroom)."""
         return max(0, self.capacity - len(self._pinned))

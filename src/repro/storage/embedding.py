@@ -8,10 +8,9 @@ the simulated cluster:
 
 * :class:`EmbeddingShard` — one server's slice of a table (``owner = id %
   n_parts``, ``local = id // n_parts``) plus its optimizer state. Updates
-  are applied with the *same* :class:`~repro.nn.optim.SparseAdam` /
-  :class:`~repro.nn.optim.SparseAdagrad` code the in-process dense path
-  uses, so a KV training run's touched rows are bit-identical to the
-  single-process reference.
+  are applied by the *same* :class:`~repro.nn.optim.Adam` row-sparse step
+  an in-process ``accumulates_sparse`` table takes, so a KV training run's
+  touched rows are bit-identical to the single-process reference.
 * :class:`EmbeddingKVStore` — the client face. ``pull``/``push`` ride the
   :class:`~repro.runtime.rpc.RpcRuntime` as registered service kinds
   (``emb.pull/<name>``, ``emb.push/<name>``): the same request planner,
@@ -46,8 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import RetryExhaustedError, StorageError
-from repro.nn.init import embedding_init
-from repro.nn.optim import SparseAdagrad, SparseAdam
+from repro.nn.optim import Adam
 from repro.nn.tensor import SparseGrad, Tensor
 from repro.storage.costmodel import (
     EV_EMB_CACHE_HIT,
@@ -56,12 +54,6 @@ from repro.storage.costmodel import (
     EV_ITEM_SHIPPED,
     EV_REMOTE_RPC,
 )
-from repro.utils.rng import make_rng
-
-#: Optimizers a shard can apply server-side. Both update only touched rows
-#: and match their in-process sparse counterparts bit-for-bit (they *are*
-#: the same code).
-_OPTIMIZERS = {"adam": SparseAdam, "adagrad": SparseAdagrad}
 
 
 class EmbeddingShard:
@@ -69,18 +61,12 @@ class EmbeddingShard:
 
     The shard owns every row whose global id hashes to its partition
     (``id % n_parts == part``) at local index ``id // n_parts``. Pushes are
-    applied by the shard's own sparse optimizer — gradients never leave the
-    server as dense tables, and untouched rows are never written.
+    applied by the shard's own :class:`~repro.nn.optim.Adam` on its
+    row-sparse leaf — gradients never leave the server as dense tables, and
+    untouched rows are never written.
     """
 
-    def __init__(
-        self,
-        part: int,
-        rows: np.ndarray,
-        optimizer: str,
-        lr: float,
-        opt_kwargs: "dict | None" = None,
-    ) -> None:
+    def __init__(self, part: int, rows: np.ndarray, lr: float) -> None:
         self.part = part
         self.param = Tensor(rows, requires_grad=True, name=f"shard{part}")
         self.param.accumulates_sparse = True
@@ -88,9 +74,7 @@ class EmbeddingShard:
         #: the row. The staleness bound is stated against these.
         self.versions = np.zeros(rows.shape[0], dtype=np.int64)
         self.applied_pushes = 0
-        self._opt = _OPTIMIZERS[optimizer](
-            [self.param], lr=lr, **(opt_kwargs or {})
-        )
+        self._opt = Adam([self.param], lr=lr)
 
     @property
     def rows(self) -> np.ndarray:
@@ -102,7 +86,7 @@ class EmbeddingShard:
         return self.param.data[local_ids].copy()
 
     def apply(self, local_ids: np.ndarray, grad_rows: np.ndarray) -> None:
-        """Apply one coalesced gradient batch through the sparse optimizer.
+        """Apply one coalesced gradient batch through the row-sparse step.
 
         ``local_ids`` must be unique (the client coalesces before
         shipping); the optimizer state advances exactly as the in-process
@@ -170,6 +154,8 @@ class EmbeddingKVStore:
     One instance is one named table; its pull/push verbs register on the
     graph store's runtime as service kinds ``emb.pull/<name>`` and
     ``emb.push/<name>`` (create the KV *after* attaching a custom runtime).
+    ``init`` is the initial ``(n_rows, dim)`` table, which fixes the shape;
+    shards step their rows with :class:`~repro.nn.optim.Adam` at ``lr``.
     ``staleness`` bounds how many push rounds old a cached row may be
     served; ``0`` (the default) means reads are exact.
     """
@@ -177,31 +163,21 @@ class EmbeddingKVStore:
     def __init__(
         self,
         store: "object",
-        n_rows: int,
-        dim: int,
+        init: np.ndarray,
         name: str = "emb",
-        optimizer: str = "adam",
         lr: float = 1e-2,
-        opt_kwargs: "dict | None" = None,
         staleness: int = 0,
-        init: "np.ndarray | None" = None,
-        scale: "float | None" = None,
-        seed: int = 0,
     ) -> None:
-        if n_rows < 1 or dim < 1:
+        init = np.asarray(init, dtype=np.float64)
+        if init.ndim != 2 or min(init.shape) < 1:
             raise StorageError(
-                f"embedding table needs n_rows, dim >= 1, got ({n_rows}, {dim})"
-            )
-        if optimizer not in _OPTIMIZERS:
-            raise StorageError(
-                f"unknown embedding optimizer {optimizer!r} "
-                f"(choose from {sorted(_OPTIMIZERS)})"
+                f"embedding table needs a 2-D init with n_rows, dim >= 1, "
+                f"got shape {init.shape}"
             )
         if staleness < 0:
             raise StorageError(f"staleness bound must be >= 0, got {staleness}")
         self.store = store
-        self.n_rows = n_rows
-        self.dim = dim
+        self.n_rows, self.dim = init.shape
         self.name = name
         self.staleness = staleness
         self.runtime = store._ensure_runtime()
@@ -211,18 +187,8 @@ class EmbeddingKVStore:
         self.runtime.register_service(self.kind_pull, self._serve_pull)
         self.runtime.register_service(self.kind_push, self._serve_push)
 
-        if init is None:
-            init = embedding_init((n_rows, dim), make_rng(seed), scale=scale)
-        else:
-            init = np.asarray(init, dtype=np.float64)
-            if init.shape != (n_rows, dim):
-                raise StorageError(
-                    f"init table shape {init.shape} != ({n_rows}, {dim})"
-                )
         self.shards = [
-            EmbeddingShard(
-                p, init[p :: self.n_parts].copy(), optimizer, lr, opt_kwargs
-            )
+            EmbeddingShard(p, init[p :: self.n_parts].copy(), lr)
             for p in range(self.n_parts)
         ]
         #: Per-issuer pull caches: ``from_part -> {global id -> (row copy,

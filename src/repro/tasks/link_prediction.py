@@ -45,10 +45,6 @@ class LinkPredictionResult:
     pr_auc: float
     f1: float
 
-    def as_row(self) -> tuple[float, float, float]:
-        """The (ROC-AUC, PR-AUC, F1) row for result tables."""
-        return (self.roc_auc, self.pr_auc, self.f1)
-
 
 def evaluate_link_prediction_typed(
     type_embeddings: "dict[int, np.ndarray]",

@@ -65,19 +65,6 @@ def _upper_gamma_cf(s: float, x: float) -> float:
     return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
 
 
-def gammainc_lower(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x), for s > 0, x >= 0."""
-    if s <= 0:
-        raise ReproError(f"gamma shape must be positive, got {s}")
-    if x < 0:
-        raise ReproError(f"gamma argument must be non-negative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < s + 1.0:
-        return _lower_gamma_series(s, x)
-    return 1.0 - _upper_gamma_cf(s, x)
-
-
 def chi2_sf(stat: float, df: int) -> float:
     """Chi-square survival function P(X >= stat) with ``df`` degrees."""
     if df < 1:

@@ -8,7 +8,8 @@ import pytest
 
 from repro.data import powerlaw_graph
 from repro.errors import RetryExhaustedError, RuntimeConfigError, StorageError
-from repro.nn.optim import SparseAdam
+from repro.nn.init import embedding_init
+from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.runtime.faults import FaultPlan
 from repro.runtime.rpc import RpcRuntime
@@ -24,11 +25,15 @@ def graph():
     return powerlaw_graph(N_ROWS, alpha=2.3, max_degree=20, seed=7)
 
 
+def _init():
+    return embedding_init((N_ROWS, DIM), make_rng(3))
+
+
 def _kv(graph, **kwargs):
     store = make_store(graph, WORKERS, seed=0)
-    defaults = dict(optimizer="adam", lr=0.05, seed=3)
+    defaults = dict(lr=0.05)
     defaults.update(kwargs)
-    return store, EmbeddingKVStore(store, N_ROWS, DIM, name="t", **defaults)
+    return store, EmbeddingKVStore(store, _init(), name="t", **defaults)
 
 
 # --------------------------------------------------------------------- #
@@ -111,11 +116,11 @@ def test_minibatch_lookup_outside_pull_raises(graph):
 # --------------------------------------------------------------------- #
 def test_kv_training_bit_identical_to_inprocess_sparse(graph):
     """minibatch/lookup/push through the RPC runtime produces the exact
-    table an in-process SparseAdam run produces: same rows, same bits."""
+    table an in-process row-sparse Adam run produces: same rows, same bits."""
     store, kv = _kv(graph)
     ref = Tensor(kv.materialize(), requires_grad=True)
     ref.accumulates_sparse = True
-    opt = SparseAdam([ref], lr=0.05)
+    opt = Adam([ref], lr=0.05)
 
     rng = make_rng(0)
     for _ in range(15):
@@ -131,20 +136,6 @@ def test_kv_training_bit_identical_to_inprocess_sparse(graph):
     assert store.runtime.metrics.counter("rpc.requests").value > 0
 
 
-def test_kv_adagrad_backend(graph):
-    store, kv = _kv(graph, optimizer="adagrad", lr=0.2)
-    before = kv.materialize()
-    kv.push(np.array([3]), np.ones((1, DIM)))
-    expected = before[3] - 0.2 * 1.0 / (np.sqrt(1.0) + 1e-8)
-    np.testing.assert_allclose(kv.materialize()[3], expected, atol=1e-12)
-
-
-def test_unknown_optimizer_rejected(graph):
-    store = make_store(graph, WORKERS, seed=0)
-    with pytest.raises(StorageError):
-        EmbeddingKVStore(store, N_ROWS, DIM, optimizer="sgd")
-
-
 # --------------------------------------------------------------------- #
 # Faults, retries, determinism
 # --------------------------------------------------------------------- #
@@ -157,7 +148,7 @@ def _faulty_run(graph, drop_rate=0.2, timeout_rate=0.1, seed=5, steps=10):
         ),
     )
     store.attach_runtime(runtime)
-    kv = EmbeddingKVStore(store, N_ROWS, DIM, optimizer="adam", lr=0.05, seed=3)
+    kv = EmbeddingKVStore(store, _init(), lr=0.05)
     rng = make_rng(1)
     for _ in range(steps):
         ids = rng.integers(0, N_ROWS, size=16)
@@ -205,7 +196,7 @@ def test_service_registry_rejects_collisions(graph):
     with pytest.raises(RuntimeConfigError):
         store.runtime.register_service("neighbors", lambda req: None)
     with pytest.raises(RuntimeConfigError):
-        EmbeddingKVStore(store, N_ROWS, DIM, name="t")  # kinds already taken
+        EmbeddingKVStore(store, _init(), name="t")  # kinds already taken
     with pytest.raises(RuntimeConfigError):
         store.runtime.plan("emb.pull/nope", 0, [1], [1])
 
@@ -265,7 +256,14 @@ def test_own_pushes_invalidate_own_cache(graph):
 def test_staleness_validation(graph):
     store = make_store(graph, WORKERS, seed=0)
     with pytest.raises(StorageError):
-        EmbeddingKVStore(store, N_ROWS, DIM, staleness=-1)
+        EmbeddingKVStore(store, _init(), staleness=-1)
+
+
+@pytest.mark.parametrize("shape", [(N_ROWS,), (0, DIM), (N_ROWS, 0), (2, 3, 4)])
+def test_init_shape_validation(graph, shape):
+    store = make_store(graph, WORKERS, seed=0)
+    with pytest.raises(StorageError):
+        EmbeddingKVStore(store, np.zeros(shape))
 
 
 # --------------------------------------------------------------------- #

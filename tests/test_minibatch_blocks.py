@@ -166,12 +166,12 @@ def test_blocks_equal_sorted_oracle_on_random_multigraphs(data):
     live = build_block(seeds, sampler, hop_nums, rng)
     _assert_block_equals(live, sorted_block(
         seeds, hop_nums,
-        lambda k, frontier: sampler.sample_children(frontier, hop_nums[k], oracle_rng)[0],
+        lambda k, frontier: sampler.sample_children(frontier, hop_nums[k], oracle_rng),
     ))
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     everyone = np.arange(n, dtype=np.int64)
-    tables = [sampler.sample_children(everyone, h, rng)[0] for h in hop_nums]
+    tables = [sampler.sample_children(everyone, h, rng) for h in hop_nums]
     looked_up = build_block_from_tables(seeds, tables)
     _assert_block_equals(
         looked_up, sorted_block(seeds, hop_nums, lambda k, frontier: tables[k][frontier])
@@ -210,7 +210,7 @@ def _hop_table_variants(graph, sampler, tables):
     for fanouts in ([3, 5], [10, 3]):
         rng = make_rng(sum(fanouts))
         everyone = np.arange(graph.n_vertices, dtype=np.int64)
-        yield [sampler.sample_children(everyone, f, rng)[0] for f in fanouts]
+        yield [sampler.sample_children(everyone, f, rng) for f in fanouts]
     repeated = [t.copy() for t in tables]
     for table in repeated:
         table[:, 1] = table[:, 0]

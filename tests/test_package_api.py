@@ -60,7 +60,7 @@ def test_top_level_import():
         (
             "repro.nn",
             ["Tensor", "Dense", "Embedding", "GRUCell", "LSTMCell", "Adam",
-             "SGD", "bce_with_logits", "skipgram_negative_loss"],
+             "bce_with_logits", "skipgram_negative_loss"],
         ),
         (
             "repro.graph",
@@ -281,6 +281,37 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
     assert not retired & {f.name for f in dataclasses.fields(ServingConfig)}
     assert not retired & set(vars(ServingConfig()))
     assert not retired & set(vars(GNNFramework()))
+
+
+def test_one_optimizer_takes_dense_and_row_sparse_gradients():
+    """``Adam(params, lr)`` is the only optimizer class: no SGD, no Adagrad,
+    no sparse twin and no base class; no knob that only chose between them,
+    and none of the helpers nothing called."""
+    import dataclasses
+    import inspect
+
+    import repro.nn
+    import repro.nn.optim
+    from repro.nn import Adam, Embedding
+    from repro.sampling.neighborhood import NeighborhoodSample
+    from repro.storage import EmbeddingKVStore
+    from repro.storage.cache import NeighborCache
+    from repro.tasks.link_prediction import LinkPredictionResult
+    from repro.utils import stats
+
+    retired = {"SGD", "Adagrad", "SparseAdam", "SparseAdagrad", "Optimizer"}
+    assert not retired & set(vars(repro.nn))
+    assert not retired & set(vars(repro.nn.optim))
+    assert [n for n, v in vars(repro.nn.optim).items() if inspect.isclass(v)
+            and v.__module__ == "repro.nn.optim"] == ["Adam"]
+    assert list(inspect.signature(Adam).parameters) == ["params", "lr"]
+    assert "sparse" not in inspect.signature(Embedding).parameters
+    kv_params = set(inspect.signature(EmbeddingKVStore).parameters)
+    assert not {"n_rows", "dim", "optimizer", "opt_kwargs", "scale", "seed"} & kv_params
+    assert not hasattr(stats, "gammainc_lower")
+    assert not hasattr(NeighborCache, "pinned_count")
+    assert not hasattr(LinkPredictionResult, "as_row")
+    assert "pad_masks" not in {f.name for f in dataclasses.fields(NeighborhoodSample)}
 
 
 def test_the_zoo_has_one_training_loop_one_feature_builder_one_accessor():

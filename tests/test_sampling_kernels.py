@@ -97,7 +97,7 @@ def oracle_children(sampler, vertices, count, rng):
                 w = sampler.current_weights(v)
                 p = w / w.sum()
             children[i] = nbrs[rng.choice(nbrs.size, size=count, p=p)]
-    return children, children == vertices[:, None]
+    return children
 
 
 def oracle_negatives(loose, anchors, neg_num, rng, max_retries=10):
@@ -172,7 +172,7 @@ def _draw_counts(draw_fn, graph, frontier, count, rounds, rng):
     n = graph.n_vertices
     acc = np.zeros((n, n), dtype=np.int64)
     for _ in range(rounds):
-        children, _ = draw_fn(frontier, count, rng)
+        children = draw_fn(frontier, count, rng)
         np.add.at(acc, (np.repeat(frontier, count), children.ravel()), 1)
     return acc.ravel()
 
@@ -366,18 +366,17 @@ class TestSampleChildren:
     def test_shapes_and_membership(self, small_powerlaw, rng, kind):
         sampler = _sampler(kind, small_powerlaw)
         vs = np.array([0, 5, 17, 300], dtype=np.int64)
-        children, pad = sampler.sample_children(vs, 7, rng)
-        assert children.shape == pad.shape == (4, 7)
-        for row, prow, v in zip(children, pad, vs):
+        children = sampler.sample_children(vs, 7, rng)
+        assert children.shape == (4, 7)
+        for row, v in zip(children, vs):
             nbrs = set(int(u) for u in small_powerlaw.out_neighbors(v))
             allowed = nbrs | {int(v)} if not nbrs else nbrs | (
                 {int(v)} if int(v) in nbrs else set()
             )
             if not nbrs:
-                assert np.all(row == v) and np.all(prow)
+                assert np.all(row == v)
             else:
                 assert set(int(c) for c in row) <= allowed
-            assert np.array_equal(prow, row == v)
 
     # The id survives from when a reference arm shipped beside the kernel.
     @pytest.mark.parametrize("kind", ["uniform"], ids=["batched"])
@@ -389,9 +388,9 @@ class TestSampleChildren:
         graph, provider, frontier = case
         sampler = _sampler(kind, graph, provider)
         rng_k, rng_o = make_rng(21), make_rng(21)
-        got, gp = sampler.sample_children(frontier, count, rng_k)
-        want, wp = oracle_children(sampler, frontier, count, rng_o)
-        assert np.array_equal(got, want) and np.array_equal(gp, wp)
+        got = sampler.sample_children(frontier, count, rng_k)
+        want = oracle_children(sampler, frontier, count, rng_o)
+        assert np.array_equal(got, want)
         assert rng_k.bit_generator.state == rng_o.bit_generator.state
 
     @pytest.mark.parametrize("via_store", [False, True], ids=["graph", "store"])
@@ -425,9 +424,9 @@ class TestSampleChildren:
             rng_k, rng_o = make_rng(21), make_rng(21)
             padded_calls.clear()
             with mock.patch.object(CsrAdjacency, "_pad_empty", spy):
-                got, _ = sampler.sample_children(vertices, count, rng_k)
+                got = sampler.sample_children(vertices, count, rng_k)
             assert bool(padded_calls) == (arm == "padded")
-            want, _ = oracle_children(sampler, vertices, count, rng_o)
+            want = oracle_children(sampler, vertices, count, rng_o)
             assert np.array_equal(got, want)
             assert rng_k.bit_generator.state == rng_o.bit_generator.state
             draws[arm] = got, rng_k.bit_generator.state
@@ -448,9 +447,9 @@ class TestSampleChildren:
         graph, provider, frontier = case
         sampler = _sampler(kind, graph, provider, max_fanout=max_fanout)
         rng_k, rng_o = make_rng(3), make_rng(3)
-        got, gp = sampler.sample_children(frontier, count, rng_k)
-        want, wp = oracle_children(sampler, frontier, count, rng_o)
-        assert np.array_equal(got, want) and np.array_equal(gp, wp)
+        got = sampler.sample_children(frontier, count, rng_k)
+        want = oracle_children(sampler, frontier, count, rng_o)
+        assert np.array_equal(got, want)
         # Neither side draws: fan-out > degree tiles, it does not resample.
         assert rng_k.bit_generator.state == rng_o.bit_generator.state
 
@@ -478,19 +477,19 @@ class TestSampleChildren:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_same_seed_determinism(self, small_powerlaw, kind):
         vs = np.array([3, 14, 15, 92, 653], dtype=np.int64)
-        a, _ = _sampler(kind, small_powerlaw).sample_children(vs, 9, make_rng(99))
-        b, _ = _sampler(kind, small_powerlaw).sample_children(vs, 9, make_rng(99))
+        a = _sampler(kind, small_powerlaw).sample_children(vs, 9, make_rng(99))
+        b = _sampler(kind, small_powerlaw).sample_children(vs, 9, make_rng(99))
         assert np.array_equal(a, b)
 
     def test_multi_hop_sample_uses_batched_kernels(self, small_powerlaw):
         sampler = _sampler("uniform", small_powerlaw)
         out = sampler.sample(np.array([1, 2, 3]), [4, 2], make_rng(0))
         assert out.layers[1].size == 12 and out.layers[2].size == 24
-        assert len(out.pad_masks) == 2
+        assert out.n_hops == 2
 
     def test_genuine_self_loop_marks_pad(self):
-        # Vertex 0's only edge is a self-loop: every draw equals the parent
-        # and is flagged by the pad mask (the documented contract).
+        # Vertex 0's only edge is a self-loop: every draw equals the parent,
+        # exactly as the padding of a neighborless vertex does.
         g = Graph(
             2,
             np.array([0, 1]),
@@ -499,9 +498,9 @@ class TestSampleChildren:
             directed=True,
         )
         sampler = UniformNeighborSampler(GraphProvider(g))
-        children, pad = sampler.sample_children(
-            np.array([0, 1]), 3, make_rng(0)
-        )
+        parents = np.array([0, 1])
+        children = sampler.sample_children(parents, 3, make_rng(0))
+        pad = children == parents[:, None]
         assert np.all(children[0] == 0) and np.all(pad[0])
         assert np.all(children[1] == 0) and not np.any(pad[1])
 
@@ -511,7 +510,7 @@ class TestSampleChildren:
         sampler.sample_children(np.array([0]), 4, rng)  # builds the table
         # Push vertex 0's mass almost entirely onto neighbor 2.
         sampler.backward(0, np.array([-40.0, 40.0]), lr=1.0)
-        children, _ = sampler.sample_children(np.array([0]), 400, rng)
+        children = sampler.sample_children(np.array([0]), 400, rng)
         assert np.mean(children == 2) > 0.97
 
 
@@ -792,7 +791,7 @@ class TestStoreBackedBlocks:
             for batch in batches:
                 a = via_store.sample(batch, [5, 3], rng_s)
                 b = via_graph.sample(batch, [5, 3], rng_g)
-                for x, y in zip(a.layers + a.pad_masks, b.layers + b.pad_masks):
+                for x, y in zip(a.layers, b.layers):
                     assert np.array_equal(x, y)
             assert store.runtime.metrics.counter("rpc.retries").value > 0
 
@@ -838,7 +837,7 @@ class TestStoreBackedBlocks:
             events.append(EdgeEvent(0, hub, newcomer, "add"))
         store.apply_edge_events(events)
         # Used to die here with a bare IndexError from a stale alias table.
-        children, _ = sampler.sample_children(hubs, 64, rng)
+        children = sampler.sample_children(hubs, 64, rng)
         seen_newcomer = False
         for hub, kids in zip(hubs.tolist(), children):
             current = set(store.neighbors(hub, from_part=0).tolist())

@@ -36,13 +36,12 @@ def test_isolated_vertex_pads_self(tiny_graph, rng):
     sampler = UniformNeighborSampler(GraphProvider(tiny_graph))
     out = sampler.sample(np.array([5]), [4], rng)  # 5 has no out-edges
     assert set(out.layers[1].tolist()) == {5}
-    assert out.pad_masks[0].all()
 
 
 def test_pad_mask_false_for_real_neighbors(tiny_graph, rng):
     sampler = UniformNeighborSampler(GraphProvider(tiny_graph))
     out = sampler.sample(np.array([0]), [4], rng)
-    assert not out.pad_masks[0].any()
+    assert not (out.hop(1) == out.layers[0][:, None]).any()
 
 
 def test_all_vertices_collects_unique(tiny_graph, rng):

@@ -1,9 +1,10 @@
-"""Sparse-gradient autograd path and the row-sparse optimizers.
+"""Sparse-gradient autograd path and Adam's row-sparse step.
 
-Covers the dense-Adam stale-momentum fix: sparse optimizers must update
-only the rows a batch touches (untouched rows bit-identical across a
-step), and their touched-row math must match the dense reference
-bit-for-bit where the semantics coincide.
+Covers the dense-Adam stale-momentum fix: a row-sparse gradient must update
+only the rows a batch touches (untouched rows bit-identical across a step),
+its touched-row math must match the dense step bit-for-bit where the
+semantics coincide, and one optimizer must own dense weights and row-sparse
+tables together.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.layers import Embedding
-from repro.nn.optim import Adagrad, Adam, SparseAdagrad, SparseAdam
+from repro.errors import TrainingError
+from repro.nn.layers import Dense, Embedding
+from repro.nn.optim import Adam
 from repro.nn.tensor import SparseGrad, Tensor
 from repro.utils.rng import make_rng
 
@@ -87,8 +89,9 @@ def test_sparse_grad_coalesce_empty_raises():
 
 def test_embedding_sparse_flag():
     rng = make_rng(0)
-    emb = Embedding(40, 6, rng, sparse=True)
-    assert emb.table.accumulates_sparse
+    emb = Embedding(40, 6, rng)
+    assert not emb.table.accumulates_sparse
+    emb.table.accumulates_sparse = True
     (emb(np.array([4, 4, 9])) ** 2).sum().backward()
     assert emb.table.grad is None
     ids, _ = emb.table.sparse_grad.coalesce()
@@ -98,11 +101,10 @@ def test_embedding_sparse_flag():
 # --------------------------------------------------------------------- #
 # Untouched rows are frozen (the stale-momentum regression)
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("cls", [SparseAdam, SparseAdagrad])
-def test_untouched_rows_bit_identical(cls):
+def test_untouched_rows_bit_identical():
     t = _sparse_table(100, 8, seed=1)
     before = t.data.copy()
-    opt = cls([t], lr=0.1)
+    opt = Adam([t], lr=0.1)
     touched = np.array([2, 40, 97])
     for _ in range(5):
         opt.zero_grad()
@@ -113,9 +115,24 @@ def test_untouched_rows_bit_identical(cls):
     assert not np.array_equal(t.data[touched], before[touched])
 
 
+def test_adam_moves_exactly_the_touched_rows_of_a_row_sparse_table():
+    """A table whose gradient lives in ``sparse_grad`` is stepped, not
+    skipped: three steps on two rows move those two rows and no other."""
+    t = _sparse_table(10, 4, seed=2)
+    before = t.data.copy()
+    opt = Adam([t], lr=0.1)
+    for _ in range(3):
+        opt.zero_grad()
+        _backward_rows(t, np.array([3, 7]))
+        assert t.grad is None
+        opt.step()
+    moved = np.flatnonzero((t.data != before).any(axis=1))
+    assert moved.tolist() == [3, 7]
+
+
 def test_dense_adam_moves_untouched_rows():
-    """The documented dense behaviour the sparse pair fixes: once momentum
-    is non-zero, dense Adam drags zero-gradient rows on every step."""
+    """The documented dense behaviour the row-sparse step fixes: once
+    momentum is non-zero, dense Adam drags zero-gradient rows every step."""
     t = Tensor(make_rng(0).normal(size=(10, 4)), requires_grad=True)
     opt = Adam([t], lr=0.1)
     t.grad = np.zeros_like(t.data)
@@ -128,11 +145,50 @@ def test_dense_adam_moves_untouched_rows():
     assert not np.array_equal(t.data[3], after_first[3])
 
 
+def test_both_gradient_kinds_on_one_leaf_raise_before_any_change():
+    """A leaf carrying a dense and a row-sparse gradient is refused before
+    any parameter, moment or step count moves, the valid leaves included."""
+    rng = make_rng(4)
+    layer = Dense(3, 2, rng)
+    table = _sparse_table(6, 3, seed=5)
+    params = layer.parameters() + [table]
+    opt = Adam(params, lr=0.1)
+    opt.zero_grad()
+    (layer(table.gather_rows(np.array([0, 4]))) ** 2).sum().backward()
+    opt.step()  # non-zero moments and per-row counts to protect
+
+    opt.zero_grad()
+    (layer(table.gather_rows(np.array([1, 4]))) ** 2).sum().backward()
+    table.grad = np.ones_like(table.data)
+    snapshot = (
+        [p.data.copy() for p in params],
+        [m.copy() for m in opt._m],
+        [v.copy() for v in opt._v],
+        opt._t,
+        [None if t is None else t.copy() for t in opt._row_t],
+    )
+    with pytest.raises(TrainingError):
+        opt.step()
+    datas, ms, vs, step_count, row_ts = snapshot
+    for before, p in zip(datas, params):
+        np.testing.assert_array_equal(p.data, before)
+    for before, m in zip(ms, opt._m):
+        np.testing.assert_array_equal(m, before)
+    for before, v in zip(vs, opt._v):
+        np.testing.assert_array_equal(v, before)
+    assert opt._t == step_count
+    for before, t in zip(row_ts, opt._row_t):
+        assert (before is None) == (t is None)
+        if t is not None:
+            np.testing.assert_array_equal(t, before)
+
+
 # --------------------------------------------------------------------- #
 # Dense <-> sparse parity where semantics coincide
 # --------------------------------------------------------------------- #
 def test_sparse_adam_full_touch_matches_dense_bitwise():
-    """Rows touched every step: per-row t == global t, updates identical."""
+    """Rows touched every step: per-row t == shared t, so the dense-gradient
+    and row-sparse-gradient steps of one Adam move the table identically."""
     rng = make_rng(7)
     n, d = 12, 5
     init = rng.normal(size=(n, d))
@@ -142,7 +198,7 @@ def test_sparse_adam_full_touch_matches_dense_bitwise():
     dense_opt = Adam([dense], lr=0.05)
     sparse = Tensor(init.copy(), requires_grad=True)
     sparse.accumulates_sparse = True
-    sparse_opt = SparseAdam([sparse], lr=0.05)
+    sparse_opt = Adam([sparse], lr=0.05)
 
     for step in range(10):
         g = make_rng(100 + step).normal(size=(n, d))
@@ -155,46 +211,12 @@ def test_sparse_adam_full_touch_matches_dense_bitwise():
     np.testing.assert_array_equal(dense.data, sparse.data)
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    n=st.integers(2, 20),
-    d=st.integers(1, 6),
-    steps=st.integers(1, 6),
-)
-def test_sparse_adagrad_matches_dense_any_pattern(seed, n, d, steps):
-    """Adagrad has no momentum: touched rows are bit-identical to the dense
-    update under ANY step pattern, untouched rows frozen."""
-    rng = make_rng(seed)
-    init = rng.normal(size=(n, d))
-
-    dense = Tensor(init.copy(), requires_grad=True)
-    dense_opt = Adagrad([dense], lr=0.2)
-    sparse = Tensor(init.copy(), requires_grad=True)
-    sparse.accumulates_sparse = True
-    sparse_opt = SparseAdagrad([sparse], lr=0.2)
-
-    for _ in range(steps):
-        k = int(rng.integers(1, n + 1))
-        ids = rng.choice(n, size=k, replace=False)
-        ids.sort()
-        g = rng.normal(size=(k, d))
-        full = np.zeros((n, d))
-        full[ids] = g
-        dense.grad = full
-        dense_opt.step()
-        sparse.zero_grad()
-        sparse.sparse_grad = SparseGrad(sparse.data.shape)
-        sparse.sparse_grad.append(ids, g)
-        sparse_opt.step()
-    np.testing.assert_array_equal(dense.data, sparse.data)
-
-
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_sparse_adam_touched_rows_match_per_row_reference(seed):
-    """Property: SparseAdam equals a scalar per-row Adam reference with
-    per-row step counts, to float64 round-off, under random touch patterns."""
+    """Property: the row-sparse step equals a scalar per-row Adam reference
+    with per-row step counts, to float64 round-off, under random touch
+    patterns."""
     rng = make_rng(seed)
     n, d = 8, 3
     init = rng.normal(size=(n, d))
@@ -206,7 +228,7 @@ def test_sparse_adam_touched_rows_match_per_row_reference(seed):
 
     sparse = Tensor(init.copy(), requires_grad=True)
     sparse.accumulates_sparse = True
-    opt = SparseAdam([sparse], lr=lr)
+    opt = Adam([sparse], lr=lr)
 
     for _ in range(5):
         k = int(rng.integers(1, n + 1))
@@ -226,49 +248,50 @@ def test_sparse_adam_touched_rows_match_per_row_reference(seed):
     np.testing.assert_allclose(sparse.data, ref, rtol=0, atol=1e-12)
 
 
-def test_sparse_optimizers_handle_dense_grads_too():
-    """A Dense-layer parameter in the same list updates over all rows."""
-    t = Tensor(make_rng(2).normal(size=(6, 4)), requires_grad=True)
-    opt = SparseAdagrad([t], lr=0.1)
-    t.grad = np.ones_like(t.data)
-    before = t.data.copy()
-    opt.step()
-    assert not np.array_equal(t.data, before)
-    assert np.all(t.data < before)
+# --------------------------------------------------------------------- #
+# One optimizer over dense weights and row-sparse tables
+# --------------------------------------------------------------------- #
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 20),
+    d=st.integers(1, 5),
+    dense_steps=st.lists(st.booleans(), min_size=1, max_size=6),
+)
+def test_one_adam_over_a_mixed_list_equals_two_over_its_halves(
+    seed, n, d, dense_steps
+):
+    """An encoder's ``Dense`` weights and a row-sparse table stepped by one
+    Adam move bit-identically to the same pair stepped by an Adam each,
+    under random touch patterns and with steps where the ``Dense`` layer is
+    not in the loss (so it has no gradient)."""
 
+    def build():
+        layer = Dense(d, 2, make_rng(seed), activation="tanh")
+        table = _sparse_table(n, d, seed=seed + 1)
+        return layer, table
 
-def test_skipgram_sparse_vs_dense_training_parity():
-    """End-to-end: sparse-Embedding + SparseAdagrad training equals the
-    identical model trained with dense gradients + dense Adagrad."""
-    from repro.nn.loss import skipgram_negative_loss
+    joint_layer, joint_table = build()
+    joint = [Adam(joint_layer.parameters() + [joint_table], lr=0.05)]
+    split_layer, split_table = build()
+    split = [Adam(split_layer.parameters(), lr=0.05), Adam([split_table], lr=0.05)]
 
-    rng = make_rng(11)
-    n, d = 30, 8
-    init_c = rng.normal(size=(n, d))
-    init_u = rng.normal(size=(n, d))
+    rng = make_rng(seed + 2)
+    for use_dense in dense_steps:
+        ids = rng.integers(0, n, size=int(rng.integers(1, 2 * n)))
+        for layer, table, opts in (
+            (joint_layer, joint_table, joint),
+            (split_layer, split_table, split),
+        ):
+            for opt in opts:
+                opt.zero_grad()
+            rows = table.gather_rows(ids)
+            out = layer(rows) if use_dense else rows
+            (out * out).sum().backward()
+            assert table.grad is None
+            for opt in opts:
+                opt.step()
 
-    def run(sparse: bool):
-        r = make_rng(5)
-        c = Tensor(init_c.copy(), requires_grad=True)
-        u = Tensor(init_u.copy(), requires_grad=True)
-        c.accumulates_sparse = u.accumulates_sparse = sparse
-        cls = SparseAdagrad if sparse else Adagrad
-        opt = cls([c, u], lr=0.1)
-        for _ in range(8):
-            centers = r.integers(0, n, size=16)
-            contexts = r.integers(0, n, size=16)
-            negs = r.integers(0, n, size=16 * 3)
-            opt.zero_grad()
-            loss = skipgram_negative_loss(
-                c.gather_rows(centers),
-                u.gather_rows(contexts),
-                u.gather_rows(negs),
-            )
-            loss.backward()
-            opt.step()
-        return c.data, u.data
-
-    c_sparse, u_sparse = run(sparse=True)
-    c_dense, u_dense = run(sparse=False)
-    np.testing.assert_array_equal(c_sparse, c_dense)
-    np.testing.assert_array_equal(u_sparse, u_dense)
+    np.testing.assert_array_equal(joint_table.data, split_table.data)
+    for a, b in zip(joint_layer.parameters(), split_layer.parameters()):
+        np.testing.assert_array_equal(a.data, b.data)
