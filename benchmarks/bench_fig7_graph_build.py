@@ -15,7 +15,7 @@ fraction of a millisecond at this scale), not asserted and not gated.
 
 from __future__ import annotations
 
-from repro.bench import Experiment, ExperimentReport, MetricRule
+from repro.bench import Experiment, ExperimentReport
 from repro.data import make_dataset
 from repro.storage.cluster import build_distributed
 from repro.storage.costmodel import CostModel
@@ -93,13 +93,7 @@ EXPERIMENTS = (
         _check,
         # The modelled build is ledger prices times partition edge counts:
         # exact at the fixed seed. wall_critical_path_ms is wall-clock and
-        # deliberately unruled.
-        (
-            MetricRule(
-                r":(build_s|ingest_s|max_worker_edges)$",
-                rel_tol=0.0,
-                direction="both",
-            ),
-        ),
+        # deliberately ungated.
+        (r":(build_s|ingest_s|max_worker_edges)$",),
     ),
 )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench import Experiment, ExperimentReport, MetricRule
+from repro.bench import Experiment, ExperimentReport
 from repro.data import make_dataset
 from repro.storage.importance import importance_scores
 
@@ -60,6 +60,6 @@ EXPERIMENTS = (
         "fig8",
         _run,
         _check,
-        (MetricRule(r":cached_pct$", rel_tol=0.0, direction="both"),),
+        (r":cached_pct$",),
     ),
 )

@@ -29,7 +29,7 @@ vertex set (negatives alone seed ~25% of it) and the win is only ~3x.
 from __future__ import annotations
 
 from repro.algorithms import SIGN, GNNFramework
-from repro.bench import Experiment, ExperimentReport, MetricRule
+from repro.bench import Experiment, ExperimentReport
 from repro.bench.timing import Timing, assert_faster
 from repro.data import make_dataset, train_test_split_edges
 from repro.runtime.tracing import TRAIN_STAGES, StageProfiler
@@ -180,16 +180,10 @@ EXPERIMENTS = (
         _check,
         # Deterministic at a fixed seed: step counts, block sizes and
         # held-out AUC. The step_ms / stage_ms wall-clock columns (and the
-        # speedup ratios derived from them) are deliberately unruled.
+        # speedup ratios derived from them) are deliberately ungated.
         (
-            MetricRule(r":steps$", rel_tol=0.0, direction="both"),
-            MetricRule(
-                r":(input|block)_rows_per_step$",
-                rel_tol=0.05,
-                direction="both",
-                abs_tol=2.0,
-            ),
-            MetricRule(r":auc$", rel_tol=0.10, direction="lower_is_worse"),
+            r":(steps|input_rows_per_step|block_rows_per_step)$",
+            r":(auc|auc_gap_minibatch|auc_gap_sign)$",
         ),
     ),
 )

@@ -23,7 +23,7 @@ import os
 from functools import partial
 
 import repro
-from repro.bench import Experiment, ExperimentReport, MetricRule
+from repro.bench import Experiment, ExperimentReport
 from repro.bench.timing import python_calls, time_arms
 from repro.data import make_dataset
 from repro.obs import AccessRecorder, TimeSeriesSampler
@@ -150,11 +150,12 @@ EXPERIMENTS = (
         "instrument_overhead",
         _run,
         _check,
+        # py_calls_per_batch is exact on one interpreter but not across
+        # the two CI runs: Python 3.12 inlines comprehensions, 3.10 calls
+        # them, so it is left ungated.
         (
-            MetricRule(
-                r":(spans|ledger_rows|traces|reads_recorded|ts_samples|series)$",
-                rel_tol=0.05, direction="both", abs_tol=2.0,
-            ),
+            r":(spans|ledger_rows|traces|reads_recorded|ts_samples|series"
+            r"|unique_vertices)$",
         ),
     ),
 )

@@ -26,7 +26,7 @@ tier").
 
 from __future__ import annotations
 
-from repro.bench import Experiment, ExperimentReport, MetricRule
+from repro.bench import Experiment, ExperimentReport
 from repro.data import make_dataset
 from repro.serving import (
     CLASS_CACHED,
@@ -238,10 +238,10 @@ EXPERIMENTS = (
         _check,
         # Every cell is virtual-clock microseconds or a seeded count.
         (
-            MetricRule(r":p(50|95|99)_us$", rel_tol=0.10),
-            MetricRule(r":in_deadline_rps$", rel_tol=0.10, direction="lower_is_worse"),
-            MetricRule(r":(requests|ok)$", rel_tol=0.05, direction="both", abs_tol=2.0),
-            MetricRule(r":(shed|expired)$", rel_tol=0.25, abs_tol=5.0),
+            r":p(50|95|99)_us$",
+            r":(requests|ok|shed|expired|shed_plus_expired)$",
+            r":(in_deadline|goodput|full_stack_goodput)_rps$",
+            r":(cacheless|full_stack)_us$",
         ),
     ),
 )

@@ -2,20 +2,19 @@
 
 Each ``benchmarks/bench_*.py`` script declares the tables and figures it
 regenerates as :class:`Experiment` records (id, ``run``, ``check``,
-``rules``) and nothing else runs them but three consumers of those
+``exact``) and nothing else runs them but three consumers of those
 declarations: the pytest collector ``benchmarks/test_experiments.py``,
 ``repro bench`` and ``repro bench-compare``. This package holds what they
 share — the declaration and its loader, the report carrying measured
-values next to the paper's, the results files, the gate that bands a
-fresh run against the committed one, and the timing protocol (``timing``).
+values next to the paper's, the results files, the gate that compares a
+fresh run's deterministic columns with the committed one's, and the
+timing protocol (``timing``).
 """
 
 from repro.bench.gate import (
-    MetricRule,
     compare_payloads,
     compare_suite,
     flatten_payload,
-    inject_latency,
     render_compare,
 )
 from repro.bench.harness import (
@@ -33,11 +32,9 @@ __all__ = [
     "Experiment",
     "ExperimentRecord",
     "ExperimentReport",
-    "MetricRule",
     "compare_payloads",
     "compare_suite",
     "flatten_payload",
-    "inject_latency",
     "load_experiments",
     "load_result",
     "render_compare",

@@ -108,17 +108,17 @@ class Experiment:
     ``results/<id>.json``. ``run(smoke)`` measures and returns the report
     (``smoke`` asks for the CI-sized workload where the experiment has
     one; the others have a single size and ignore it). ``check(report,
-    smoke)`` asserts the acceptance bars and paper claims. ``rules`` are
-    the :class:`~repro.bench.gate.MetricRule` bands over the deterministic
-    columns that ``bench-compare`` holds against the committed results of
-    the same id; without rules the experiment is run and checked but never
-    gated.
+    smoke)`` asserts the acceptance bars and paper claims. ``exact`` are
+    regexes searched against ``"<record label>:<measured key>"`` that name
+    the deterministic columns ``bench-compare`` holds ``==`` to the
+    committed results of the same id; without them the experiment is run
+    and checked but never gated.
     """
 
     id: str
     run: "Callable[[bool], ExperimentReport]"
     check: "Callable[[ExperimentReport, bool], None]"
-    rules: tuple = ()
+    exact: "tuple[str, ...]" = ()
 
 
 def load_experiments(bench_dir: str) -> "list[Experiment]":

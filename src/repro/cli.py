@@ -183,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bc = sub.add_parser(
         "bench-compare",
         help="re-run the gated experiments and compare against their "
-        "committed results; exit 1 on regression",
+        "committed results; exit 1 when any gated value differs",
     )
     _add_bench_args(p_bc, "a temp dir")
     p_bc.add_argument(
@@ -194,11 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bc.add_argument(
         "--only", nargs="+", default=None, metavar="ID",
         help="restrict the gate to these experiment ids",
-    )
-    p_bc.add_argument(
-        "--inject-latency-pct", type=float, default=0.0,
-        help="self-test: inflate fresh higher-is-worse metrics by this "
-        "percentage so the gate must trip",
     )
 
     p_ev = sub.add_parser("evaluate", help="link-prediction metrics of embeddings")
@@ -534,13 +529,12 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
     )
 
     bench_dir, experiments = _declared_experiments(args)
-    gated = [e for e in experiments if e.rules]
+    gated = [e for e in experiments if e.exact]
     report = compare_suite(
         select_experiments(gated, args.only) if args.only else gated,
         baseline_dir=args.baseline_dir or results_dir(bench_dir, args.smoke),
         out_dir=args.out_dir or tempfile.mkdtemp(prefix="repro-bench-compare-"),
         smoke=args.smoke,
-        inject_latency_pct=args.inject_latency_pct,
     )
     if args.json:
         print(json.dumps(report, indent=1))

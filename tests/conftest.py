@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -86,6 +90,21 @@ def run_cli(argv: "list[str]") -> str:
     with contextlib.redirect_stdout(buf):
         assert main(argv) == 0
     return buf.getvalue()
+
+
+#: The directory of the ``bench_*.py`` experiment scripts.
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmarks")
+
+
+def bench_script(name: str):
+    """Import ``benchmarks/<name>.py`` the way ``load_experiments`` does.
+
+    The scripts import one another by name, so their directory goes on
+    ``sys.path``.
+    """
+    if BENCH_DIR not in sys.path:
+        sys.path.insert(0, BENCH_DIR)
+    return importlib.import_module(name)
 
 
 def bench_payload(experiment_id: str, out_dir) -> dict:

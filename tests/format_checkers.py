@@ -12,10 +12,10 @@ list means the payload is valid):
 * :func:`check_chrome_trace` — Chrome trace-event JSON object format (the
   subset Perfetto needs to load a trace: ``traceEvents`` with complete
   ``"X"``, instant ``"i"`` and counter ``"C"`` events);
-* :func:`check_experiment_payload` — the ``benchmarks/_common.py`` result
-  contract (``{experiment_id, title, records: [{label, measured,
-  paper}]}``) that ``repro bench-compare`` and the committed baselines
-  share;
+* :func:`check_experiment_payload` — the result contract of
+  ``ExperimentReport.to_payload`` in ``repro.bench.harness``
+  (``{experiment_id, title, records: [{label, measured, paper}]}``) that
+  ``repro bench-compare`` and the committed baselines share;
 * :func:`check_trajectory` — a committed ``BENCH_<pr>.json`` perf record:
   every ``BENCHMARK.json`` workload and end-to-end metric present, every run
   labelled, parent/change runs paired by seed, and each ``summary``
@@ -205,8 +205,9 @@ def check_chrome_trace(payload: "dict | str") -> "list[str]":
 def check_experiment_payload(payload: "dict | str") -> "list[str]":
     """Validate a benchmark result bundle against the shared contract.
 
-    The contract (``benchmarks/_common.py`` writers, ``repro
-    bench-compare`` and the CLI ``--json`` emitters): a JSON object with
+    The contract (``ExperimentReport.to_payload`` in
+    ``repro.bench.harness``, read by ``repro bench-compare`` and printed
+    by the CLI ``--json`` emitters): a JSON object with
     string ``experiment_id`` and ``title`` plus a ``records`` list whose
     entries each carry a string ``label``, a ``measured`` value (number or
     flat dict of scalars) and a ``paper`` value of the same shape.

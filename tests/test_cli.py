@@ -282,7 +282,7 @@ def test_bench_compare_smoke_is_a_real_switch(capsys):
         assert main(["bench-compare", "--only", "fig7", "--json", *flags]) == 0
         (result,) = json.loads(capsys.readouterr().out)["results"]
         checked[bool(flags)] = result["n_checked"]
-    # 2 datasets x 5 worker counts x 3 banded columns vs 1 x 2 x 3.
+    # 2 datasets x 5 worker counts x 3 gated columns vs 1 x 2 x 3.
     assert checked == {False: 30, True: 6}
 
 

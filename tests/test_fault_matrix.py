@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench.fault_matrix import FaultMatrixCell, run_fault_matrix
 from repro.data import powerlaw_graph
 from repro.errors import (
     ReadUnavailableError,
@@ -31,9 +30,12 @@ from repro.storage.costmodel import (
     EV_REMOTE_RPC,
 )
 from repro.utils.rng import make_rng
+from tests.conftest import bench_script
 
 N_WORKERS = 3
 SEED = 11
+FaultMatrixCell = bench_script("bench_fault_matrix").FaultMatrixCell
+run_fault_matrix = bench_script("bench_fault_matrix").run_fault_matrix
 
 
 @pytest.fixture(scope="module")

@@ -9,13 +9,18 @@ dictionaries, no tolerance).
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import inspect
 import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
 
-from tests.conftest import REPORT_ARGV
+from tests.conftest import BENCH_DIR, REPORT_ARGV
 from tests.format_checkers import (
     check_chrome_trace,
     check_experiment_payload,
@@ -23,11 +28,9 @@ from tests.format_checkers import (
 )
 from repro.bench import (
     Experiment,
-    MetricRule,
     compare_payloads,
     compare_suite,
     flatten_payload,
-    inject_latency,
     load_experiments,
     load_result,
     render_compare,
@@ -317,17 +320,11 @@ class TestWorkloadMining:
 # --------------------------------------------------------------------- #
 # Regression gate
 # --------------------------------------------------------------------- #
-_BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmarks")
-
 _SPEC = Experiment(
     id="toy",
-    run=None,  # the band tests below compare payloads, they never run it
+    run=None,  # the comparison tests below never run it
     check=None,
-    rules=(
-        MetricRule(r":p99_us$", rel_tol=0.10, direction="higher_is_worse"),
-        MetricRule(r":rps$", rel_tol=0.10, direction="lower_is_worse"),
-        MetricRule(r":count$", rel_tol=0.0, direction="both", abs_tol=2.0),
-    ),
+    exact=(r":p99_us$", r":rps$", r":count$"),
 )
 
 
@@ -341,6 +338,26 @@ def _payload(p99=1000.0, rps=500.0, count=100):
             {"label": "vol", "measured": {"count": count}, "paper": {}},
         ],
     }
+
+
+def _gated_experiments() -> "list[Experiment]":
+    return [e for e in load_experiments(BENCH_DIR) if e.exact]
+
+
+def _nudged(value):
+    """The smallest changes to a gated value: ±1 on an int, ±1 ulp on a float."""
+    if isinstance(value, int):
+        return [value + 1, value - 1]
+    return [math.nextafter(value, math.inf), math.nextafter(value, -math.inf)]
+
+
+def _perturbations():
+    """One (experiment, committed smoke payload) per gated experiment."""
+    smoke_dir = results_dir(BENCH_DIR, smoke=True)
+    return [
+        pytest.param(e, load_result(smoke_dir, e.id), id=e.id)
+        for e in _gated_experiments()
+    ]
 
 
 class TestRegressionGate:
@@ -362,67 +379,111 @@ class TestRegressionGate:
     def test_identical_payloads_pass(self):
         result = compare_payloads(_payload(), _payload(), _SPEC)
         assert result["ok"] is True
-        assert all(m["status"] == "ok" for m in result["rows"])
-
-    def test_latency_regression_detected_direction_aware(self):
-        # +20% p99 is a regression; -20% is an improvement, not a failure.
-        worse = compare_payloads(_payload(), _payload(p99=1200.0), _SPEC)
-        assert worse["ok"] is False
-        assert any(m["status"] == "regression" for m in worse["rows"])
-        better = compare_payloads(_payload(), _payload(p99=800.0), _SPEC)
-        assert better["ok"] is True
-        assert any(m["status"] == "improved" for m in better["rows"])
-
-    def test_throughput_drop_detected(self):
-        result = compare_payloads(_payload(), _payload(rps=400.0), _SPEC)
-        assert result["ok"] is False
-
-    def test_abs_tolerance_band(self):
-        # count rule: rel_tol 0, abs_tol 2 — a drift of 2 passes, 3 fails.
-        assert compare_payloads(_payload(), _payload(count=102), _SPEC)["ok"]
-        assert not compare_payloads(_payload(), _payload(count=103), _SPEC)["ok"]
+        assert result["n_checked"] == 3
+        assert result["diffs"] == []
 
     def test_missing_metric_is_a_failure(self):
         fresh = _payload()
         fresh["records"] = fresh["records"][:2]  # drop the count record
         result = compare_payloads(_payload(), fresh, _SPEC)
         assert result["ok"] is False
-        assert any(m["status"] == "missing" for m in result["rows"])
+        assert result["diffs"] == [("vol:count", 100.0, None)]
 
-    def test_inject_latency_trips_the_gate(self):
-        injected = inject_latency(_payload(), 20.0, _SPEC)
-        assert injected["records"][0]["measured"]["p99_us"] == 1200.0
-        # Only higher-is-worse metrics are inflated.
-        assert injected["records"][1]["measured"]["rps"] == 500.0
-        result = compare_payloads(_payload(), injected, _SPEC)
-        assert result["ok"] is False
-        assert "regression" in render_compare(
-            {"ok": False, "results": [result]}
+    @pytest.mark.parametrize("experiment, baseline", _perturbations())
+    def test_any_change_to_a_gated_value_fails(self, experiment, baseline):
+        # The committed smoke payload against itself with one gated value
+        # nudged by the smallest step its type has, or dropped: each must
+        # fail and name that key. No experiment runs.
+        assert compare_payloads(baseline, baseline, experiment)["ok"]
+        nudged_keys = []
+        for i, rec in enumerate(baseline["records"]):
+            measured = rec["measured"]
+            if not isinstance(measured, dict):
+                continue
+            for key, value in measured.items():
+                flat_key = f"{rec['label']}:{key}"
+                if isinstance(value, bool) or not any(
+                    re.search(p, flat_key) for p in experiment.exact
+                ):
+                    continue
+                nudged_keys.append(flat_key)
+                variants = [
+                    {**measured, key: nudged} for nudged in _nudged(value)
+                ]
+                variants.append({k: v for k, v in measured.items() if k != key})
+                for variant in variants:
+                    fresh = copy.deepcopy(baseline)
+                    fresh["records"][i]["measured"] = variant
+                    result = compare_payloads(baseline, fresh, experiment)
+                    assert not result["ok"], (flat_key, variant.get(key))
+                    assert [d[0] for d in result["diffs"]] == [flat_key]
+                    assert flat_key in render_compare(
+                        {"ok": False, "results": [result]}
+                    )
+        gated = compare_payloads(baseline, baseline, experiment)["n_checked"]
+        assert len(nudged_keys) == gated > 0
+
+    @pytest.mark.parametrize("smoke", [True, False], ids=["smoke", "full"])
+    def test_every_exact_pattern_matches_a_committed_key(self, smoke):
+        # A renamed column would leave its pattern matching nothing.
+        directory = results_dir(BENCH_DIR, smoke=smoke)
+        dead = [
+            (e.id, pattern)
+            for e in _gated_experiments()
+            for pattern in e.exact
+            if not any(
+                re.search(pattern, key)
+                for key in flatten_payload(load_result(directory, e.id))
+            )
+        ]
+        assert dead == []
+
+    def test_band_surfaces_are_retired(self):
+        # The gate is four functions and a display constant: no rule
+        # class, no direction table, no injection hook, no tolerance.
+        import repro.bench
+        import repro.bench.gate as gate
+
+        own = sorted(
+            name
+            for name, value in vars(gate).items()
+            if getattr(value, "__module__", None) == gate.__name__
+            and not name.startswith("_")
         )
-
-    def test_rule_validation(self):
-        with pytest.raises(ReproError):
-            MetricRule(r"x", rel_tol=-0.1, direction="both")
-        with pytest.raises(ReproError):
-            MetricRule(r"x", rel_tol=0.1, direction="sideways")
+        assert own == [
+            "compare_payloads", "compare_suite", "flatten_payload", "render_compare",
+        ]
+        assert [n for n in vars(gate) if n.isupper()] == ["SHOWN_DIFFS"]
+        for module in (repro.bench, gate, repro.bench.harness):
+            source = inspect.getsource(module)
+            assert not {"rel_tol", "abs_tol", "direction"} & set(
+                re.findall(r"\w+", source)
+            )
+        assert set(inspect.signature(compare_suite).parameters) == {
+            "experiments", "baseline_dir", "out_dir", "smoke",
+        }
+        assert [f.name for f in dataclasses.fields(Experiment)] == [
+            "id", "run", "check", "exact",
+        ]
 
     def test_end_to_end_single_bench_compare(self, tmp_path):
         # The whole in-process path for the cheapest gated experiment: a
         # fresh smoke run vs the committed smoke baseline must pass clean.
         report = compare_suite(
-            select_experiments(load_experiments(_BENCH_DIR), ["instrument_overhead"]),
-            baseline_dir=results_dir(_BENCH_DIR, smoke=True),
+            select_experiments(load_experiments(BENCH_DIR), ["instrument_overhead"]),
+            baseline_dir=results_dir(BENCH_DIR, smoke=True),
             out_dir=str(tmp_path),
             smoke=True,
         )
         assert report["ok"] is True, render_compare(report)
         (res,) = report["results"]
         assert res["n_checked"] >= 3
+        assert res["diffs"] == []
         assert (tmp_path / "instrument_overhead.json").exists()
 
     def test_missing_baseline_fails_suite(self, tmp_path):
         report = compare_suite(
-            select_experiments(load_experiments(_BENCH_DIR), ["instrument_overhead"]),
+            select_experiments(load_experiments(BENCH_DIR), ["instrument_overhead"]),
             baseline_dir=str(tmp_path / "nowhere"),
             out_dir=str(tmp_path / "out"),
             smoke=True,
@@ -432,7 +493,7 @@ class TestRegressionGate:
 
     def test_suite_specs_scripts_and_baselines_line_up(self, monkeypatch):
         # One declaration per committed result: ids unique and one to one
-        # with results/*.json; an experiment is gated (has rules) exactly
+        # with results/*.json; an experiment is gated (has exact patterns) exactly
         # when a results/smoke/<id>.json baseline carries its id; and
         # declaring costs nothing — importing every script builds no dataset.
         import glob
@@ -454,15 +515,15 @@ class TestRegressionGate:
             monkeypatch.delitem(sys.modules, name)  # restored on teardown
         monkeypatch.setattr(repro.data, "make_dataset", no_dataset)
         try:
-            experiments = load_experiments(_BENCH_DIR)
+            experiments = load_experiments(BENCH_DIR)
         finally:
             for name in loaded_scripts():
                 del sys.modules[name]  # the copies bound to ``no_dataset``
         ids = [e.id for e in experiments]
         assert len(set(ids)) == len(ids)
-        assert sorted(ids) == stems(results_dir(_BENCH_DIR, smoke=False))
-        gated = sorted(e.id for e in experiments if e.rules)
-        smoke_dir = results_dir(_BENCH_DIR, smoke=True)
+        assert sorted(ids) == stems(results_dir(BENCH_DIR, smoke=False))
+        gated = sorted(e.id for e in experiments if e.exact)
+        smoke_dir = results_dir(BENCH_DIR, smoke=True)
         assert gated == stems(smoke_dir)
         for stem in gated:
             assert load_result(smoke_dir, stem)["experiment_id"] == stem

@@ -82,7 +82,7 @@ def test_top_level_import():
         ),
         (
             "repro.bench",
-            ["Experiment", "ExperimentRecord", "ExperimentReport", "MetricRule",
+            ["Experiment", "ExperimentRecord", "ExperimentReport",
              "load_experiments", "run_experiment", "compare_suite"],
         ),
     ],

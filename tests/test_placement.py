@@ -461,7 +461,10 @@ def test_serving_engine_polls_placement(small_taobao):
 
 
 def test_placement_comparison_needs_two_workers(small_powerlaw):
-    from repro.bench.placement import PlacementWorkload, run_placement_comparison
+    from tests.conftest import bench_script
 
+    placement = bench_script("bench_placement")
     with pytest.raises(StorageError, match="needs >= 2 workers"):
-        run_placement_comparison(small_powerlaw, PlacementWorkload(n_workers=1))
+        placement.run_placement_comparison(
+            small_powerlaw, placement.PlacementWorkload(n_workers=1)
+        )
