@@ -234,16 +234,14 @@ class Graph:
         """The raw out-CSR ``(indptr, indices, weights)`` arrays."""
         return self._indptr, self._indices, self._weights
 
-    def csr_slice(
-        self, vertices: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def csr_slice(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Copy of the out-rows of ``vertices`` as one contiguous CSR slice.
 
-        Returns ``(offsets, indices, weights)``: row ``i`` of the slice —
-        ``indices[offsets[i]:offsets[i + 1]]`` and the aligned weights — is
-        the out-row of ``vertices[i]``. The arrays are fresh copies (one
-        gather each), so a shard or replica built from them shares no
-        memory with the graph.
+        Returns ``(offsets, indices)``: row ``i`` of the slice,
+        ``indices[offsets[i]:offsets[i + 1]]``, is the out-neighbor row of
+        ``vertices[i]`` (edge weights are not copied). ``indices`` is a
+        fresh gather, so a shard or replica built from it shares no memory
+        with the graph.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         unknown = (vertices < 0) | (vertices >= self._n)
@@ -258,7 +256,7 @@ class Graph:
         take = np.repeat(starts - offsets[:-1], degrees) + np.arange(
             offsets[-1], dtype=np.int64
         )
-        return offsets, self._indices[take], self._weights[take]
+        return offsets, self._indices[take]
 
     def subgraph(self, vertices: np.ndarray) -> tuple["Graph", np.ndarray]:
         """Induced subgraph on ``vertices``.

@@ -145,8 +145,10 @@ class StoreProvider(NeighborProvider):
 
     Every read is routed (and priced) by the store: local shard, neighbor
     cache, or remote RPC. ``from_part`` identifies the issuing worker.
-    Weights are uniform — shipping weight vectors is a cost the paper's
-    samplers avoid by using cached/dynamic local weights.
+    The store holds and serves no edge weights, so every weight is 1: a
+    ``WeightedNeighborSampler`` over this provider draws uniformly unless
+    ``backward`` has overridden a row, and an ``ImportanceNeighborSampler``
+    is unaffected (it weights by degree scores of the block's ``indices``).
 
     A frontier is deduplicated (sorted unique ids) and fetched with **one**
     ``store.get_neighbors_batch`` read — one coalesced RPC per destination

@@ -14,7 +14,7 @@ from repro.storage.cache import (
     LRUCachePolicy,
     NeighborCache,
     RandomCachePolicy,
-    make_cache,
+    make_caches,
     make_pinned_cache,
 )
 from repro.storage.cluster import DistributedGraphStore, build_distributed
@@ -46,7 +46,7 @@ __all__ = [
     "ImportanceCachePolicy",
     "RandomCachePolicy",
     "LRUCachePolicy",
-    "make_cache",
+    "make_caches",
     "make_pinned_cache",
     "CostModel",
     "GraphServer",

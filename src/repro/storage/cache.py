@@ -211,21 +211,33 @@ class CachePolicy:
 
 
 class ImportanceCachePolicy(CachePolicy):
-    """Pin the top-``budget`` vertices by Imp^(k) (the paper's strategy)."""
+    """Pin the top-``budget`` vertices by Imp^(k) (the paper's strategy).
+
+    The ranking is computed once per graph and hop: a :class:`Graph` has no
+    mutators, so every server's and every budget's selection is a prefix of
+    the one (read-only) ranking.
+    """
 
     name = "importance"
 
     def __init__(self, hop: int = 2) -> None:
         self.hop = hop
+        self._ranked: "tuple[Graph, int, np.ndarray] | None" = None
 
     def select(
         self, graph: Graph, budget: int, rng: np.random.Generator
     ) -> np.ndarray:
         if budget <= 0:
             return np.zeros(0, dtype=np.int64)
-        scores = importance_scores(graph, self.hop)
-        top = np.argsort(scores, kind="stable")[::-1][:budget]
-        return top[scores[top] > 0].astype(np.int64)
+        memo = self._ranked
+        if memo is None or memo[0] is not graph or memo[1] != self.hop:
+            scores = importance_scores(graph, self.hop)
+            order = np.argsort(scores, kind="stable")[::-1]
+            # Scores are >= 0, so the positive ones form the ranking's head.
+            ranked = order[scores[order] > 0].astype(np.int64, copy=False)
+            ranked.flags.writeable = False
+            memo = self._ranked = (graph, self.hop, ranked)
+        return memo[2][:budget]
 
 
 class RandomCachePolicy(CachePolicy):
@@ -262,29 +274,42 @@ class LRUCachePolicy(CachePolicy):
         return np.zeros(0, dtype=np.int64)
 
 
-def make_cache(
+def make_caches(
     policy: CachePolicy,
     graph: Graph,
     budget: int,
     rng: np.random.Generator,
-) -> NeighborCache:
-    """Build a :class:`NeighborCache` under ``policy`` with ``budget`` slots.
+    n_caches: int,
+) -> "list[NeighborCache]":
+    """``n_caches`` neighbor caches under ``policy``, ``budget`` slots each.
 
-    A pinned policy's selection is installed in bulk: the selected rows are
-    copied out of the graph as one block and pinned as views of it.
+    Each cache asks ``policy`` for its own selection, in turn. A selection
+    is installed in bulk: the selected rows are copied out of the graph as
+    one block and pinned as views of it. A cache whose selection equals the
+    previous one's pins the same row views (pins are replaced, never edited
+    in place) in a pin table of its own.
     """
     if policy.demand_filled:
-        return NeighborCache(budget)
-    cache = make_pinned_cache(budget)
-    selected = np.asarray(policy.select(graph, budget, rng), dtype=np.int64)
-    offsets, indices, _ = graph.csr_slice(selected)
-    bounds = offsets.tolist()
-    cache._pinned = {
-        v: indices[a:b] for v, a, b in zip(selected.tolist(), bounds, bounds[1:])
-    }
-    if len(cache._pinned) > budget:
-        raise StorageError("neighbor cache pin capacity exhausted")
-    return cache
+        return [NeighborCache(budget) for _ in range(n_caches)]
+    caches: "list[NeighborCache]" = []
+    previous = np.zeros(0, dtype=np.int64)
+    pinned: "dict[int, np.ndarray]" = {}
+    for _ in range(n_caches):
+        selected = np.asarray(policy.select(graph, budget, rng), dtype=np.int64)
+        if not np.array_equal(selected, previous):
+            offsets, indices = graph.csr_slice(selected)
+            bounds = offsets.tolist()
+            pinned = {
+                v: indices[a:b]
+                for v, a, b in zip(selected.tolist(), bounds, bounds[1:])
+            }
+            previous = selected
+        if len(pinned) > budget:
+            raise StorageError("neighbor cache pin capacity exhausted")
+        cache = make_pinned_cache(budget)
+        cache._pinned = dict(pinned)
+        caches.append(cache)
+    return caches
 
 
 def make_pinned_cache(capacity: int) -> NeighborCache:

@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.errors import ReadUnavailableError, RetryExhaustedError, StorageError
 from repro.graph.graph import Graph
-from repro.storage.cache import CachePolicy, make_cache
+from repro.storage.cache import CachePolicy, make_caches
 from repro.storage.costmodel import (
     EV_ATTR_CACHE_HIT,
     EV_ATTR_DECODE,
@@ -143,9 +143,13 @@ class DistributedGraphStore:
         The paper caches an important vertex's out-neighbors "on each
         partition it occurs" — operationally, every server can then resolve
         that vertex locally, so we install the selected set on all servers.
+        A deterministic policy's selection (importance) is ranked and
+        sliced out of the graph once for all of them; a randomized one
+        draws each server's set from the store rng in part order.
         """
-        for server in self.servers:
-            server.neighbor_cache = make_cache(policy, self.graph, budget, self._rng)
+        caches = make_caches(policy, self.graph, budget, self._rng, len(self.servers))
+        for server, cache in zip(self.servers, caches):
+            server.neighbor_cache = cache
 
     def set_cache_policy(self, policy: CachePolicy, budget: int) -> None:
         """Swap the neighbor-cache policy at runtime (used by Figure 9)."""

@@ -147,21 +147,20 @@ class PlacementController:
     # Migration protocol handlers (run on the *old owner* via the runtime)
     # ------------------------------------------------------------------ #
     def _serve_fetch(self, req) -> "tuple[dict, dict, int]":
-        """Phase 1: read out adjacency, weights and attrs of each vertex."""
+        """Phase 1: read out the neighbor row and attrs of each vertex."""
         server = self.store.servers[req.dst_part]
         payload: "dict[int, np.ndarray]" = {}
         meta: "dict[int, object]" = {}
         n_items = 0
         for v in req.vertices:
             row = server.local_neighbors(v)
-            weights = server.local_weights(v)
             attr = (
                 server.attrs.get_vertex_attr(v)
                 if server.attrs.has_vertex_attr(v)
                 else None
             )
             payload[v] = row
-            meta[v] = (weights, attr)
+            meta[v] = attr
             n_items += int(row.size) + (int(attr.size) if attr is not None else 0)
         return payload, meta, n_items
 
@@ -347,8 +346,7 @@ class PlacementController:
             # releases: every instant has a server holding the data.
             target = store.servers[dst]
             for v in vertices:
-                weights, attr = resp.meta[v]
-                target.ingest_vertex(v, resp.payload[v], weights, attr)
+                target.ingest_vertex(v, resp.payload[v], resp.meta[v])
             release = runtime.plan(KIND_MIGRATE_RELEASE, dst, vertices, owners)
             (ack,) = runtime.execute(release)
             if not ack.ok:

@@ -2,9 +2,10 @@
 
 A :class:`GraphServer` owns a set of vertices and the out-adjacency rows of
 their edges. The shard is columnar: at construction the owned rows are
-copied out of the graph's CSR as *one* contiguous slice (one gather for the
-neighbor ids, one for the weights) and every row is served as a view of that
-slice, so a row read is one dict lookup. Writes — streaming edge updates and
+copied out of the graph's CSR as *one* contiguous slice of neighbor ids (one
+gather) and every row is served as a view of that slice, so a row read is one
+dict lookup. A shard holds neighbor ids only, never edge weights: no reader
+asks a store for them. Writes — streaming edge updates and
 vertex migration — never edit a row in place: they replace the touched
 vertex's row with a fresh array (one per write batch, see
 :meth:`GraphServer.edit_row`), so a row handed out (or pinned as a
@@ -38,18 +39,14 @@ class GraphServer:
     ) -> None:
         self.part_id = part_id
         # The copy is what makes the shard a real shard — reads of non-owned
-        # vertices cannot be served from here. The vertex -> row-view maps
-        # are built eagerly: a lazily sliced row would move the slicing into
-        # the first read of every vertex.
+        # vertices cannot be served from here. The vertex -> row-view map is
+        # built eagerly: a lazily sliced row would move the slicing into the
+        # first read of every vertex.
         owned = np.asarray(owned_vertices, dtype=np.int64)
-        offsets, indices, weights = graph.csr_slice(owned)
+        offsets, indices = graph.csr_slice(owned)
         bounds = offsets.tolist()
-        rows = list(zip(owned.tolist(), bounds, bounds[1:]))
         self._adjacency: dict[int, np.ndarray] = {
-            v: indices[a:b] for v, a, b in rows
-        }
-        self._adj_weights: dict[int, np.ndarray] = {
-            v: weights[a:b] for v, a, b in rows
+            v: indices[a:b] for v, a, b in zip(owned.tolist(), bounds, bounds[1:])
         }
         self._n_local_edges: int = bounds[-1]
         self.attrs = SeparateAttributeStore(
@@ -96,22 +93,13 @@ class GraphServer:
                 f"server {self.part_id} does not own vertex {exc.args[0]}"
             ) from None
 
-    def local_weights(self, vertex: int) -> np.ndarray:
-        """Edge weights aligned with :meth:`local_neighbors`."""
-        try:
-            return self._adj_weights[vertex]
-        except KeyError:
-            raise StorageError(
-                f"server {self.part_id} does not own vertex {vertex}"
-            ) from None
-
     def edit_row(self, vertex: int, ops: "list[tuple[str, int]]") -> "list[int]":
         """Apply ``(kind, dst)`` edits to an owned vertex's row, in order.
 
-        The streaming-update path: ``"add"`` appends a unit-weight arc to
-        ``dst``, ``"remove"`` drops the first ``vertex -> dst`` arc and is a
-        no-op when there is none. The edits run on plain lists and the row
-        is installed once, as fresh arrays, only if one of them changed it.
+        The streaming-update path: ``"add"`` appends an arc to ``dst``,
+        ``"remove"`` drops the first ``vertex -> dst`` arc and is a no-op
+        when there is none. The edits run on a plain list and the row is
+        installed once, as a fresh array, only if one of them changed it.
         Returns the row's size after each edit that changed it.
         """
         try:
@@ -121,22 +109,18 @@ class GraphServer:
                 f"server {self.part_id} cannot edit the row of foreign vertex {vertex}"
             ) from None
         dsts = row.tolist()
-        weights = self._adj_weights[vertex].tolist()
         sizes: "list[int]" = []
         for kind, dst in ops:
             if kind == "add":
                 dsts.append(dst)
-                weights.append(1.0)
             else:
                 try:
-                    i = dsts.index(dst)
+                    dsts.remove(dst)
                 except ValueError:
                     continue
-                del dsts[i], weights[i]
             sizes.append(len(dsts))
         if sizes:
             self._adjacency[vertex] = np.array(dsts, dtype=np.int64)
-            self._adj_weights[vertex] = np.array(weights, dtype=np.float64)
             self._n_local_edges += len(dsts) - row.size
         return sizes
 
@@ -144,10 +128,9 @@ class GraphServer:
         self,
         vertex: int,
         neighbors: np.ndarray,
-        weights: np.ndarray,
         attr: "np.ndarray | None" = None,
     ) -> None:
-        """Take ownership of a migrated vertex (adjacency + optional attrs).
+        """Take ownership of a migrated vertex (neighbor row + optional attrs).
 
         The migration protocol installs here *before* the old owner
         releases, so every instant has at least one server able to serve
@@ -160,22 +143,13 @@ class GraphServer:
                 f"server {self.part_id} already owns vertex {vertex}"
             )
         neighbors = np.asarray(neighbors, dtype=np.int64)
-        weights = np.asarray(weights, dtype=np.float64)
-        if neighbors.size != weights.size:
-            raise StorageError(
-                f"vertex {vertex}: {neighbors.size} neighbors vs "
-                f"{weights.size} weights"
-            )
         self._adjacency[vertex] = neighbors
-        self._adj_weights[vertex] = weights
         self._n_local_edges += neighbors.size
         if attr is not None:
             self.attrs.put_vertex_attr(vertex, attr)
 
-    def release_vertex(
-        self, vertex: int
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray | None]":
-        """Surrender ownership of ``vertex``; returns (neighbors, weights, attr).
+    def release_vertex(self, vertex: int) -> "tuple[np.ndarray, np.ndarray | None]":
+        """Surrender ownership of ``vertex``; returns ``(neighbors, attr)``.
 
         Idempotence for the RPC layer lives in the caller (the ownership
         handler treats "not owned" as an already-applied release); here a
@@ -187,10 +161,8 @@ class GraphServer:
                 f"server {self.part_id} does not own vertex {vertex}"
             )
         neighbors = self._adjacency.pop(vertex)
-        weights = self._adj_weights.pop(vertex)
         self._n_local_edges -= neighbors.size
-        attr = self.attrs.remove_vertex_attr(vertex)
-        return neighbors, weights, attr
+        return neighbors, self.attrs.remove_vertex_attr(vertex)
 
     def ingest_vertex_attr(self, vertex: int, vector: np.ndarray) -> None:
         """Store an owned vertex's attribute row in the IV index."""

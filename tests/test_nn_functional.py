@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import OperatorError
 from repro.nn import functional as F
-from repro.nn.gradcheck import check_gradients
+from tests.gradcheck import check_gradients
 from repro.nn.tensor import Tensor
 from repro.utils.rng import make_rng
 

@@ -19,7 +19,7 @@ from repro.nn import (
     skipgram_negative_loss,
 )
 from repro.nn.attention import SelfAttention
-from repro.nn.gradcheck import check_gradients
+from tests.gradcheck import check_gradients
 from repro.nn.rnn import GRUCell, LSTMCell, lstm_over_sequence
 from repro.utils.rng import make_rng
 

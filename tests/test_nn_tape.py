@@ -26,7 +26,7 @@ from repro.errors import OperatorError
 from repro.nn import functional as F
 from repro.nn import loss as L
 from repro.nn import no_grad
-from repro.nn.gradcheck import check_gradients
+from tests.gradcheck import check_gradients
 from repro.nn.layers import Dense
 from repro.nn.tensor import SparseGrad, Tensor
 from repro.ops.aggregate import make_aggregator

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import OperatorError
-from repro.nn.gradcheck import check_gradients
+from tests.gradcheck import check_gradients
 from repro.nn.tensor import Tensor
 from repro.utils.rng import make_rng
 

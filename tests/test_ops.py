@@ -9,7 +9,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.errors import OperatorError
 from repro.graph import Graph
 from repro.nn import functional as F
-from repro.nn.gradcheck import check_gradients
+from tests.gradcheck import check_gradients
 from repro.nn.tensor import Tensor
 from repro.ops import (
     AGGREGATOR_REGISTRY,

@@ -164,19 +164,45 @@ def test_server_ingest_release_roundtrip(small_powerlaw):
     v = 0
     src = store.owner(v)
     dst = (src + 1) % 4
-    row, weights, attr = store.servers[src].release_vertex(v)
+    row, attr = store.servers[src].release_vertex(v)
     np.testing.assert_array_equal(
         np.sort(row), np.sort(small_powerlaw.out_neighbors(v))
     )
     assert not store.servers[src].owns(v)
-    store.servers[dst].ingest_vertex(v, row, weights, attr)
+    store.servers[dst].ingest_vertex(v, row, attr)
     assert store.servers[dst].owns(v)
     np.testing.assert_array_equal(store.servers[dst].local_neighbors(v), row)
     # Double-ingest and releasing a non-owned vertex both refuse.
     with pytest.raises(StorageError):
-        store.servers[dst].ingest_vertex(v, row, weights, attr)
+        store.servers[dst].ingest_vertex(v, row, attr)
     with pytest.raises(StorageError):
         store.servers[src].release_vertex(v)
+
+
+def test_migration_moves_row_and_attr_bytes(small_powerlaw):
+    # The two-phase protocol (fetch, ingest, release, commit) ships a
+    # vertex's neighbor row and attribute row, nothing else.
+    store = make_store(small_powerlaw, 4, seed=0)
+    feats = make_rng(1).standard_normal((small_powerlaw.n_vertices, 6))
+    for v in range(small_powerlaw.n_vertices):
+        store.servers[store.owner(v)].ingest_vertex_attr(v, feats[v])
+    controller = attach_placement(store)
+    old, new = store.servers[0], store.servers[2]
+    moved = [v for v in range(small_powerlaw.n_vertices) if store.owner(v) == 0][:3]
+    before = {
+        v: (old.local_neighbors(v).tobytes(), old.local_vertex_attr(v).tobytes())
+        for v in moved
+    }
+    n_items = sum(old.local_neighbors(v).size + feats[v].size for v in moved)
+    edges = old.n_local_edges + new.n_local_edges
+    assert controller._migrate_batch(0, 2, moved) == (len(moved), n_items)
+    for v in moved:
+        assert store.owner(v) == 2 and new.owns(v) and not old.owns(v)
+        assert not old.attrs.has_vertex_attr(v)
+        after = (new.local_neighbors(v).tobytes(), new.local_vertex_attr(v).tobytes())
+        assert after == before[v]
+    assert old.n_local_edges + new.n_local_edges == edges
+    assert store.ledger.count(EV_VERTEX_MIGRATED) == len(moved)
 
 
 def test_commit_migration_flips_owner_and_edges(small_powerlaw):
@@ -184,8 +210,8 @@ def test_commit_migration_flips_owner_and_edges(small_powerlaw):
     v = 5
     src = store.owner(v)
     dst = (src + 2) % 4
-    row, weights, attr = store.servers[src].release_vertex(v)
-    store.servers[dst].ingest_vertex(v, row, weights, attr)
+    row, attr = store.servers[src].release_vertex(v)
+    store.servers[dst].ingest_vertex(v, row, attr)
     assert store.commit_migration(v, dst) == src
     assert store.owner(v) == dst
     assert store.ledger.count(EV_VERTEX_MIGRATED) == 1

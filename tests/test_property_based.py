@@ -192,7 +192,7 @@ def test_metrics_invariant_under_monotone_transform(data):
 )
 @settings(max_examples=25, deadline=None)
 def test_tensor_expression_gradients(a_data, b_data):
-    from repro.nn.gradcheck import check_gradients
+    from tests.gradcheck import check_gradients
 
     a = Tensor(a_data, requires_grad=True)
     b = Tensor(b_data, requires_grad=True)

@@ -105,8 +105,8 @@ def test_holders_equal_cache_contents_under_churn(ops):
         elif op == "commit_migration":
             old = store.owner(b)
             if old != a:
-                neighbors, weights, _ = store.servers[old].release_vertex(b)
-                store.servers[a].ingest_vertex(b, neighbors, weights)
+                neighbors, _ = store.servers[old].release_vertex(b)
+                store.servers[a].ingest_vertex(b, neighbors)
                 assert store.commit_migration(b, a) == old
         else:
             getattr(cache, op)(b)

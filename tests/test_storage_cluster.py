@@ -486,19 +486,17 @@ def _nonzero_ledger(store):
 
 
 def _shard_state(store):
-    """Every shard's rows, weights and edge count, as comparable bytes."""
+    """Every shard's rows and edge count, as comparable bytes."""
     out = []
     for server in store.servers:
         owned = sorted(server._adjacency)
         rows = [server.local_neighbors(v) for v in owned]
-        weights = [server.local_weights(v) for v in owned]
         out.append(
             (
                 server.n_local_edges,
                 tuple(owned),
                 tuple(row.size for row in rows),
                 np.concatenate(rows or [np.zeros(0, np.int64)]).tobytes(),
-                np.concatenate(weights or [np.zeros(0)]).tobytes(),
             )
         )
     return out

@@ -1,4 +1,4 @@
-"""Importance metric, k-hop degrees, Algorithm 2 and Theorems 1–2."""
+"""Importance metric, k-hop degrees, Algorithm 2, Theorems 1–2 and the cache's one ranking."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,15 @@ import pytest
 from repro.data import powerlaw_graph
 from repro.errors import StorageError
 from repro.graph import Graph
+from repro.storage import ImportanceCachePolicy, RandomCachePolicy
+from repro.storage.cluster import make_store
 from repro.storage.importance import (
     importance_scores,
     khop_degrees,
     plan_importance_cache,
 )
 from repro.utils.powerlaw import gini_coefficient, tail_mass
+from repro.utils.rng import make_rng
 
 
 def exact_khop_degrees(graph: Graph, k: int):
@@ -144,3 +147,75 @@ def test_theorem2_importance_heavy_tailed():
     assert gini_coefficient(scores) > 0.6
     # The top decile carries most of the importance mass.
     assert tail_mass(scores, 0.1) > 0.5
+
+
+# --------------------------------------------------------------------- #
+# The importance cache ranks once per graph, whatever the server count
+# --------------------------------------------------------------------- #
+@pytest.fixture
+def counted_scores(monkeypatch):
+    """``repro.storage.cache.importance_scores``, counting its calls."""
+    import repro.storage.cache as cache_module
+
+    calls = []
+
+    def counting(graph, k):
+        calls.append((graph, k))
+        return importance_scores(graph, k)
+
+    monkeypatch.setattr(cache_module, "importance_scores", counting)
+    return calls
+
+
+def test_importance_ranking_runs_once_per_graph(small_powerlaw, counted_scores):
+    policy = ImportanceCachePolicy()
+    store = make_store(
+        small_powerlaw, 4, cache_policy=policy, cache_budget_fraction=0.1, seed=0
+    )
+    assert len(counted_scores) == 1  # one ranking for four servers
+    store.set_cache_policy(policy, budget=small_powerlaw.n_vertices // 20)
+    assert len(counted_scores) == 1  # another budget is a shorter prefix
+    other = powerlaw_graph(300, alpha=2.3, max_degree=30, seed=4)
+    make_store(other, 2, cache_policy=policy, cache_budget_fraction=0.1, seed=0)
+    assert len(counted_scores) == 2 and counted_scores[1][0] is other
+
+
+def test_importance_caches_pin_one_set_independently(small_powerlaw):
+    store = make_store(
+        small_powerlaw, 4, cache_policy=ImportanceCachePolicy(),
+        cache_budget_fraction=0.1, seed=0,
+    )
+    caches = [s.neighbor_cache for s in store.servers]
+    pinned = caches[0].pinned_vertices()
+    assert pinned and all(c.pinned_vertices() == pinned for c in caches)
+    # The rows are the graph's, and are the same selection as a fresh rank.
+    scores = importance_scores(small_powerlaw, 2)
+    top = np.argsort(scores, kind="stable")[::-1][: int(0.1 * small_powerlaw.n_vertices)]
+    assert pinned == tuple(sorted(top[scores[top] > 0].tolist()))
+    for v in pinned:
+        np.testing.assert_array_equal(caches[3].peek(v), small_powerlaw.out_neighbors(v))
+    # Each server owns its pin table: a demotion on one leaves the others.
+    v = pinned[0]
+    assert caches[0].unpin(v)
+    assert not caches[0].is_pinned(v)
+    assert all(c.is_pinned(v) for c in caches[1:])
+    assert store.replicas.holders(v) == (1, 2, 3)
+
+
+def test_importance_ranking_is_read_only(small_powerlaw):
+    selected = ImportanceCachePolicy().select(small_powerlaw, 10, make_rng(0))
+    with pytest.raises(ValueError):
+        selected[0] = -1
+
+
+def test_random_caches_differ_per_server_and_repeat_per_seed(small_powerlaw):
+    def pinned_sets(seed):
+        store = make_store(
+            small_powerlaw, 4, cache_policy=RandomCachePolicy(),
+            cache_budget_fraction=0.1, seed=seed,
+        )
+        return [s.neighbor_cache.pinned_vertices() for s in store.servers]
+
+    sets = pinned_sets(7)
+    assert len(set(sets)) == len(sets)
+    assert pinned_sets(7) == sets

@@ -5,7 +5,7 @@ became one CSR slice — one ``np.array`` copy per owned row, edited one arc
 at a time. A hypothesis state machine drives both through every mutator
 (a batch of row edits against the scalar add/remove sequence) and compares
 the whole public surface after each step; ``pin_loop_cache`` is
-``make_cache`` as it was, one ``pin`` per selected vertex, the oracle for
+the cache install as it was, one ``pin`` per selected vertex, the oracle for
 the bulk install; the scalar ``get`` / ``admit`` / ``invalidate`` are the
 oracle for ``get_many`` / ``admit_many`` / ``invalidate_many``.
 """
@@ -23,7 +23,7 @@ from repro.errors import StorageError
 from repro.graph import Graph
 from repro.runtime import RpcRuntime
 from repro.storage import ImportanceCachePolicy, LRUCachePolicy, RandomCachePolicy
-from repro.storage.cache import NeighborCache, make_cache, make_pinned_cache
+from repro.storage.cache import NeighborCache, make_caches, make_pinned_cache
 from repro.storage.cluster import build_distributed, make_store
 from repro.storage.costmodel import EV_CACHE_FILL, EV_CACHE_HIT
 from repro.storage.partition import EdgeCutPartitioner
@@ -43,10 +43,6 @@ class OracleServer:
             int(v): np.array(graph.out_neighbors(int(v)), dtype=np.int64)
             for v in owned_vertices
         }
-        self.weights = {
-            int(v): np.array(graph.out_weights(int(v)), dtype=np.float64)
-            for v in owned_vertices
-        }
 
     def owns(self, vertex):
         return vertex in self.rows
@@ -55,23 +51,21 @@ class OracleServer:
     def n_local_edges(self):
         return sum(row.size for row in self.rows.values())
 
-    def add_local_edge(self, src, dst, weight=1.0):
+    def add_local_edge(self, src, dst):
         self.rows[src] = np.append(self.rows[src], np.int64(dst))
-        self.weights[src] = np.append(self.weights[src], float(weight))
 
     def remove_local_edge(self, src, dst):
         hits = np.flatnonzero(self.rows[src] == dst)
         if hits.size == 0:
             return False
         self.rows[src] = np.delete(self.rows[src], hits[0])
-        self.weights[src] = np.delete(self.weights[src], hits[0])
         return True
 
-    def ingest_vertex(self, vertex, neighbors, weights):
-        self.rows[vertex], self.weights[vertex] = neighbors, weights
+    def ingest_vertex(self, vertex, neighbors):
+        self.rows[vertex] = neighbors
 
     def release_vertex(self, vertex):
-        return self.rows.pop(vertex), self.weights.pop(vertex)
+        return self.rows.pop(vertex)
 
 
 @st.composite
@@ -135,13 +129,12 @@ class ShardMachine(RuleBasedStateMachine):
             return
         for source, target in [(home, away), (away, home)][: 1 + and_back]:
             with pytest.raises(StorageError):  # never two owners at once
-                self.servers[source].ingest_vertex(
-                    vertex, np.zeros(0, np.int64), np.zeros(0)
-                )
-            neighbors, weights, _ = self.servers[source].release_vertex(vertex)
-            self.servers[target].ingest_vertex(vertex, neighbors, weights)
+                self.servers[source].ingest_vertex(vertex, np.zeros(0, np.int64))
+            neighbors, attr = self.servers[source].release_vertex(vertex)
+            assert attr is None
+            self.servers[target].ingest_vertex(vertex, neighbors)
             self.oracles[target].ingest_vertex(
-                vertex, *self.oracles[source].release_vertex(vertex)
+                vertex, self.oracles[source].release_vertex(vertex)
             )
             self.owner[vertex] = target
 
@@ -168,16 +161,12 @@ class ShardMachine(RuleBasedStateMachine):
             for v in range(self.n):
                 assert server.owns(v) == oracle.owns(v) == (self.owner[v] == server.part_id)
                 if not server.owns(v):
-                    for read in (server.local_neighbors, server.local_weights):
-                        with pytest.raises(StorageError):
-                            read(v)
+                    with pytest.raises(StorageError):
+                        server.local_neighbors(v)
                     continue
-                for row, want in (
-                    (server.local_neighbors(v), oracle.rows[v]),
-                    (server.local_weights(v), oracle.weights[v]),
-                ):
-                    assert row.dtype == want.dtype and np.array_equal(row, want)
-                    self.handed_out.setdefault(id(row), (row, row.copy()))
+                row, want = server.local_neighbors(v), oracle.rows[v]
+                assert row.dtype == want.dtype and np.array_equal(row, want)
+                self.handed_out.setdefault(id(row), (row, row.copy()))
 
 
 TestShardMachine = ShardMachine.TestCase
@@ -197,7 +186,6 @@ def test_built_rows_equal_the_graph(directed):
         for v in range(graph.n_vertices):
             server = store.servers[store.owner(v)]
             np.testing.assert_array_equal(server.local_neighbors(v), graph.out_neighbors(v))
-            np.testing.assert_array_equal(server.local_weights(v), graph.out_weights(v))
         # Mirrored arcs count on both endpoints' shards when undirected.
         assert sum(s.n_local_edges for s in store.servers) == graph.csr_arrays()[1].size
 
@@ -214,7 +202,7 @@ def test_shard_rows_are_copies_of_the_graph(small_powerlaw):
 # Bulk cache install vs the per-vertex pin loop
 # --------------------------------------------------------------------- #
 def pin_loop_cache(policy, graph, budget, rng):
-    """``make_cache`` as it was: one ``pin`` per selected vertex."""
+    """One server's cache install as it was: one ``pin`` per selected vertex."""
     cache = NeighborCache(budget)
     if policy.demand_filled:
         return cache
@@ -279,7 +267,7 @@ def test_bulk_install_rejects_an_oversized_selection(small_powerlaw):
             return np.arange(budget + 1, dtype=np.int64)
 
     with pytest.raises(StorageError, match="capacity"):
-        make_cache(Greedy(), small_powerlaw, 10, make_rng(0))
+        make_caches(Greedy(), small_powerlaw, 10, make_rng(0), 1)
 
 
 # --------------------------------------------------------------------- #
