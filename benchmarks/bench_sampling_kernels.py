@@ -114,7 +114,7 @@ def _determinism(graph) -> "tuple[bool, bool]":
     dyn = dynamic_taobao(n_vertices=400, n_timestamps=3, seed=SEED)
 
     def expand_after_refresh():
-        provider = dyn.provider(0)
+        provider = dyn.provider()
         sampler = UniformNeighborSampler(provider)
         seeds = np.arange(0, 64, dtype=np.int64)
         sampler.sample(seeds, HOP_NUMS, make_rng(SEED))  # builds the t=0 snapshot

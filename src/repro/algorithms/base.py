@@ -49,17 +49,8 @@ class EmbeddingModel:
         self._require_fitted()
         return self._embeddings
 
-    def type_embeddings(self, edge_type: str) -> np.ndarray:
-        """The edge-type-specific view ``h_{v,c}`` a multiplex model (GATNE,
-        MNE, MVE) keeps beside the overall embedding."""
-        self._require_fitted()
-        try:
-            return getattr(self, "_type_embeddings", {})[edge_type]
-        except KeyError:
-            raise TrainingError(f"no embeddings for edge type {edge_type!r}") from None
-
-    def _require_fitted(self, attr: str = "_embeddings") -> None:
-        if getattr(self, attr, None) is None:
+    def _require_fitted(self) -> None:
+        if getattr(self, "_embeddings", None) is None:
             raise TrainingError(f"{type(self).__name__} is not fitted yet")
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import EmbeddingModel, train_steps, unit_rows
+from repro.algorithms.base import EmbeddingModel, train_steps
 from repro.algorithms.deepwalk import DeepWalk
 from repro.errors import TrainingError
 from repro.graph.ahg import AttributedHeterogeneousGraph
@@ -57,7 +57,6 @@ class BayesianGNN(EmbeddingModel):
         self.lr = lr
         self.seed = seed
         self._embeddings: np.ndarray | None = None
-        self._corrected_prior: np.ndarray | None = None
 
     def fit_correction(
         self,
@@ -115,7 +114,6 @@ class BayesianGNN(EmbeddingModel):
         train_steps(pair_ids, loss_fn, optimizer)
 
         mu = delta.numpy()
-        self._corrected_prior = unit_rows(h + mu)  # h_v + mu_v
         # f_phi(h_v + mu_v): the corrected task-specific embedding (paper's
         # output). Pairwise-difference training leaves a global shift free,
         # so center it before use.
@@ -128,8 +126,3 @@ class BayesianGNN(EmbeddingModel):
             "BayesianGNN is a correction model: call fit_correction(task_"
             "embeddings, kg, entity_ids)"
         )
-
-    def corrected_prior(self) -> np.ndarray:
-        """The corrected knowledge-graph embedding ``h_v + mu_v``."""
-        self._require_fitted("_corrected_prior")
-        return self._corrected_prior

@@ -136,7 +136,7 @@ class GNNFramework(EmbeddingModel):
         Optional :class:`~repro.runtime.tracing.StageProfiler`; when set,
         every training step is bucketed into sample / materialize /
         aggregate / combine / backward / optimizer stage spans
-        (``profiler.render()`` shows which stage dominates).
+        (``profiler.stage_totals()`` shows which stage dominates).
     minibatch_blocks:
         Selects how each step's :class:`~repro.sampling.blocks.KHopBlock`
         is built. False (default, the paper's full-graph Algorithm 1): one

@@ -72,7 +72,6 @@ class GATNE(EmbeddingModel):
         self.lr = lr
         self.seed = seed
         self._embeddings: np.ndarray | None = None
-        self._type_embeddings: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
     def _build(self, graph: AttributedHeterogeneousGraph, rng: np.random.Generator):
@@ -175,11 +174,7 @@ class GATNE(EmbeddingModel):
                 train_steps(batches, loss_fn, optimizer)
 
         all_ids = graph.vertices()
-        per_type = []
-        for ti, etype in enumerate(self._etypes):
-            h = self._embed(all_ids, ti).numpy()
-            self._type_embeddings[etype] = unit_rows(h)
-            per_type.append(self._type_embeddings[etype])
+        per_type = [unit_rows(self._embed(all_ids, ti).numpy()) for ti in range(len(self._etypes))]
         # Final embedding: concatenation of h_{v,c} across edge types.
         self._embeddings = unit_rows(np.concatenate(per_type, axis=1))
         return self

@@ -110,16 +110,10 @@ class MixtureGNN(EmbeddingModel):
         pi = F.softmax(Tensor(prior_logits.data), axis=-1).numpy()  # (n, K)
         stacked = np.stack([s.table.numpy() for s in senses], axis=2)  # (n,d,K)
         self._embeddings = unit_rows(np.einsum("ndk,nk->nd", stacked, pi))
-        self._sense_tables = [s.table.numpy() for s in senses]
         self._sense_priors = pi
         self._context_table = context.table.numpy()
         self._mixture_table = np.einsum("ndk,nk->nd", stacked, pi)
         return self
-
-    def sense_embeddings(self) -> "list[np.ndarray]":
-        """The K per-sense embedding tables."""
-        self._require_fitted()
-        return self._sense_tables
 
     def context_embeddings(self) -> np.ndarray:
         """The (un-normalized) context-role table.

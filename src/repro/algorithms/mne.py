@@ -54,7 +54,6 @@ class MNE(EmbeddingModel):
         self.lr = lr
         self.seed = seed
         self._embeddings: np.ndarray | None = None
-        self._type_embeddings: dict[str, np.ndarray] = {}
 
     def fit(self, graph: AttributedHeterogeneousGraph) -> "MNE":
         if not isinstance(graph, AttributedHeterogeneousGraph):
@@ -100,7 +99,7 @@ class MNE(EmbeddingModel):
                 )
                 train_steps(batches, loss_fn, optimizer)
 
-        self._type_embeddings = {
+        per_type = {
             t: unit_rows(
                 common.table.numpy()
                 + self.mix_weight * (extras[t].table.numpy() @ lifts[t].numpy())
@@ -109,6 +108,6 @@ class MNE(EmbeddingModel):
         }
         # Overall embedding: mean of the per-type views.
         self._embeddings = unit_rows(
-            np.mean(np.stack(list(self._type_embeddings.values())), axis=0)
+            np.mean(np.stack(list(per_type.values())), axis=0)
         )
         return self

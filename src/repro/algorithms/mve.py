@@ -55,7 +55,6 @@ class MVE(EmbeddingModel):
         self.lr = lr
         self.seed = seed
         self._embeddings: np.ndarray | None = None
-        self._type_embeddings: dict[str, np.ndarray] = {}
 
     def fit(self, graph: AttributedHeterogeneousGraph) -> "MVE":
         if not isinstance(graph, AttributedHeterogeneousGraph):
@@ -120,8 +119,4 @@ class MVE(EmbeddingModel):
             delta_tables[v] * final_weights[:, v : v + 1] for v in range(n_views)
         )
         self._embeddings = unit_rows(weighted)
-        self._type_embeddings = {
-            t: unit_rows(base_table + delta_tables[v])
-            for v, (t, _) in enumerate(views)
-        }
         return self

@@ -23,13 +23,16 @@ from repro.utils.rng import make_rng
 PRODUCT_ATTR_DIM = 8
 
 
+#: Generator shape of ``amazon_graph`` (no dataset varies it).
+COVIEW_PER_PRODUCT = 7.0  # co-view arcs drawn per product
+COBUY_FRACTION = 0.35  # share of co-view pairs that are also co-bought
+INTRA_COMMUNITY = 0.85  # chance a co-view stays inside the product's community
+ZIPF = 1.0  # exponent of product popularity
+
+
 def amazon_graph(
     n_products: int = 2000,
     n_communities: int = 20,
-    coview_per_product: float = 7.0,
-    cobuy_fraction: float = 0.35,
-    intra_community: float = 0.85,
-    zipf: float = 1.0,
     seed: int = 0,
 ) -> AttributedHeterogeneousGraph:
     """Generate the Amazon-like multiplex product graph (undirected)."""
@@ -45,15 +48,15 @@ def amazon_graph(
         community = np.arange(n_products) % n_communities
         members = [np.flatnonzero(community == c) for c in range(n_communities)]
 
-    popularity = (np.arange(1, n_products + 1, dtype=np.float64)) ** -zipf
+    popularity = (np.arange(1, n_products + 1, dtype=np.float64)) ** -ZIPF
     rng.shuffle(popularity)
 
-    n_coview = int(coview_per_product * n_products)
+    n_coview = int(COVIEW_PER_PRODUCT * n_products)
     src = np.empty(n_coview, dtype=np.int64)
     dst = np.empty(n_coview, dtype=np.int64)
     all_probs = popularity / popularity.sum()
     src[:] = rng.choice(n_products, size=n_coview, p=all_probs)
-    intra = rng.random(n_coview) < intra_community
+    intra = rng.random(n_coview) < INTRA_COMMUNITY
     for i in range(n_coview):
         if intra[i]:
             pool = members[community[src[i]]]
@@ -66,7 +69,7 @@ def amazon_graph(
 
     # Co-buy: a sparser subset of co-view pairs plus a little noise, so the
     # two layers are correlated multiplex views of the same communities.
-    n_cobuy = int(cobuy_fraction * src.size)
+    n_cobuy = int(COBUY_FRACTION * src.size)
     idx = rng.choice(src.size, size=n_cobuy, replace=False)
     buy_src, buy_dst = src[idx].copy(), dst[idx].copy()
     n_noise = max(1, n_cobuy // 10)

@@ -11,8 +11,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.data.amazon import amazon_graph
-from repro.data.dynamic import dynamic_taobao
-from repro.data.synthetic import powerlaw_graph, taobao_graph
+from repro.data.synthetic import taobao_graph
 from repro.errors import DatasetError
 
 
@@ -40,20 +39,10 @@ def _amazon(scale: float, seed: int):
     return amazon_graph(n_products=int(2000 * scale), seed=seed)
 
 
-def _dynamic(scale: float, seed: int):
-    return dynamic_taobao(n_vertices=int(800 * scale), seed=seed)
-
-
-def _powerlaw(scale: float, seed: int):
-    return powerlaw_graph(n=int(5000 * scale), seed=seed)
-
-
 DATASETS: dict[str, Callable[[float, int], object]] = {
     "taobao-small-sim": _taobao_small,
     "taobao-large-sim": _taobao_large,
     "amazon-sim": _amazon,
-    "dynamic-taobao-sim": _dynamic,
-    "powerlaw": _powerlaw,
 }
 
 

@@ -24,10 +24,13 @@ from repro.graph.graph import Graph
 from repro.utils.rng import make_rng
 
 
+#: Mean out-degree of the base snapshot G(1).
+BASE_MEAN_DEGREE = 6.0
+
+
 def dynamic_taobao(
     n_vertices: int = 800,
     n_timestamps: int = 6,
-    base_mean_degree: float = 6.0,
     normal_adds_per_step: int = 150,
     burst_events_per_step: int = 1,
     burst_size: int = 40,
@@ -40,7 +43,7 @@ def dynamic_taobao(
     rng = make_rng(seed)
 
     # Base snapshot: preferential-attachment style directed graph.
-    n_base = int(base_mean_degree * n_vertices)
+    n_base = int(BASE_MEAN_DEGREE * n_vertices)
     popularity = (np.arange(1, n_vertices + 1, dtype=np.float64)) ** -1.0
     rng.shuffle(popularity)
     probs = popularity / popularity.sum()

@@ -42,22 +42,34 @@ def _zipf_ranks(n: int, size: int, exponent: float, rng: np.random.Generator) ->
     return rng.choice(n, size=size, p=weights)
 
 
+#: Shape of the attribute rows: distinct profiles per population, and values
+#: per discrete column ("many vertices share the tag 'man'").
+PROFILE_FRACTION = 0.15
+ATTR_VOCAB = 4
+
+#: Generator shape of ``taobao_graph`` (no dataset varies it).
+ITEM_ITEM_FRACTION = 0.4  # share of item-side arcs that go item -> item
+DEGREE_ALPHA = 4.0  # power-law exponent of per-vertex out-degree
+ITEM_ZIPF = 1.5  # Zipf exponent of item popularity within a group
+N_INTERESTS = 20  # interest groups (categories), at most n_items // 2
+INTEREST_AFFINITY = 0.85  # chance a behaviour arc lands in a preferred group
+
+
 def _discrete_attributes(
     count: int,
     dim: int,
     vocab: int,
     rng: np.random.Generator,
-    profile_fraction: float = 0.15,
 ) -> np.ndarray:
     """Attribute rows drawn from a Zipf pool of profile archetypes.
 
     Real catalog/user attributes repeat heavily ("many vertices share the
     tag 'man'"); we model that by generating a pool of distinct profile rows
-    (``profile_fraction`` of the population) and assigning vertices to
+    (``PROFILE_FRACTION`` of the population) and assigning vertices to
     profiles with Zipf popularity — so whole rows collide, which is exactly
     what the separate attribute store's deduplication exploits.
     """
-    n_profiles = max(2, int(profile_fraction * count))
+    n_profiles = max(2, int(PROFILE_FRACTION * count))
     profiles = rng.integers(0, vocab, size=(n_profiles, dim)).astype(np.float32)
     assignment = _zipf_ranks(n_profiles, count, 1.0, rng)
     return profiles[assignment]
@@ -68,26 +80,20 @@ def taobao_graph(
     n_items: int = 1200,
     mean_user_degree: float = 8.0,
     mean_item_out_degree: float = 6.0,
-    item_item_fraction: float = 0.4,
-    degree_alpha: float = 4.0,
-    item_zipf: float = 1.5,
-    n_interests: int = 20,
-    interest_affinity: float = 0.85,
-    attr_vocab: int = 4,
     seed: int = 0,
 ) -> AttributedHeterogeneousGraph:
     """Generate a Taobao-like AHG (directed).
 
-    Items belong to ``n_interests`` interest groups (categories) and each
-    user has two preferred groups; with probability ``interest_affinity`` a
+    Items belong to ``N_INTERESTS`` interest groups (categories) and each
+    user has two preferred groups; with probability ``INTEREST_AFFINITY`` a
     behaviour edge lands inside a preferred group. This affinity structure
     is what makes link prediction *learnable* (as it is on the real
     e-commerce graph) while the degree machinery below controls the storage
     experiments:
 
     * **user -> item** behaviour arcs: user out-degree is power-law
-      (``degree_alpha``, rescaled to ``mean_user_degree``), item choice is
-      Zipf(``item_zipf``) popularity within the chosen group — so item
+      (``DEGREE_ALPHA``, rescaled to ``mean_user_degree``), item choice is
+      Zipf(``ITEM_ZIPF``) popularity within the chosen group — so item
       in-degree is power-law;
     * **item -> item** co-occurrence arcs (type ``item_item``), mostly
       intra-group;
@@ -104,20 +110,18 @@ def taobao_graph(
     tag) and user attribute rows 0–1 carry the preferred groups, so
     attribute-aware methods can genuinely exploit them.
 
-    Parameters mirror the knobs that matter to the experiments; the named
-    dataset registry (``repro.data.datasets``) fixes them for
-    ``taobao-small-sim`` and ``taobao-large-sim``.
+    The sizes and mean degrees are the parameters; the named dataset
+    registry (``repro.data.datasets``) fixes them for ``taobao-small-sim``
+    and ``taobao-large-sim``. The shape constants above are shared by both.
     """
     if n_users < 1 or n_items < 2:
         raise DatasetError("need at least 1 user and 2 items")
-    if not 0.0 <= interest_affinity <= 1.0:
-        raise DatasetError("interest_affinity must be in [0, 1]")
     rng = make_rng(seed)
-    n_interests = max(1, min(n_interests, n_items // 2))
+    n_interests = max(1, min(N_INTERESTS, n_items // 2))
 
     def scaled_powerlaw(count: int, mean: float) -> np.ndarray:
         max_deg = max(4, int(mean * 12))
-        deg = sample_power_law_degrees(count, degree_alpha, 1, max_deg, rng)
+        deg = sample_power_law_degrees(count, DEGREE_ALPHA, 1, max_deg, rng)
         scale = mean / max(deg.mean(), 1e-9)
         return np.maximum(1, np.round(deg * scale)).astype(np.int64)
 
@@ -146,13 +150,13 @@ def taobao_graph(
             count = int(mask.sum())
             if count:
                 pool = group_items[g]
-                out[mask] = pool[_zipf_ranks(pool.size, count, item_zipf, rng)]
+                out[mask] = pool[_zipf_ranks(pool.size, count, ITEM_ZIPF, rng)]
         return out
 
     user_deg = scaled_powerlaw(n_users, mean_user_degree)
     src_users = np.repeat(np.arange(n_users, dtype=np.int64), user_deg)
     n_ui = src_users.size
-    in_pref = rng.random(n_ui) < interest_affinity
+    in_pref = rng.random(n_ui) < INTEREST_AFFINITY
     pref_pick = user_pref[src_users, rng.integers(0, 2, size=n_ui)]
     random_group = _zipf_ranks(n_interests, n_ui, 1.0, rng)
     groups = np.where(in_pref, pref_pick, random_group)
@@ -165,11 +169,11 @@ def taobao_graph(
     )
     n_io = io_src.size
     src_groups = item_group[io_src - n_users]
-    to_item = rng.random(n_io) < item_item_fraction
+    to_item = rng.random(n_io) < ITEM_ITEM_FRACTION
     io_dst = np.empty(n_io, dtype=np.int64)
     # item -> item: mostly within the source item's group.
     ii_groups = np.where(
-        rng.random(n_io) < interest_affinity,
+        rng.random(n_io) < INTEREST_AFFINITY,
         src_groups,
         _zipf_ranks(n_interests, n_io, 1.0, rng),
     )
@@ -222,10 +226,10 @@ def taobao_graph(
     attr_dim = max(USER_ATTR_DIM, ITEM_ATTR_DIM)
     features = np.zeros((n, attr_dim), dtype=np.float32)
     features[:n_users, :USER_ATTR_DIM] = _discrete_attributes(
-        n_users, USER_ATTR_DIM, attr_vocab, rng
+        n_users, USER_ATTR_DIM, ATTR_VOCAB, rng
     )
     features[n_users:, :ITEM_ATTR_DIM] = _discrete_attributes(
-        n_items, ITEM_ATTR_DIM, attr_vocab, rng
+        n_items, ITEM_ATTR_DIM, ATTR_VOCAB, rng
     )
     # Interest tags occupy the leading attribute slots as one-hot/multi-hot
     # indicators (an ordinal group id would be useless to linear attribute
@@ -252,7 +256,6 @@ def taobao_graph(
 def powerlaw_graph(
     n: int,
     alpha: float = 2.1,
-    min_degree: int = 1,
     max_degree: int | None = None,
     directed: bool = True,
     preferential: bool = True,
@@ -268,7 +271,7 @@ def powerlaw_graph(
         raise DatasetError("need at least 2 vertices")
     rng = make_rng(seed)
     max_degree = max_degree or max(4, n // 10)
-    degrees = sample_power_law_degrees(n, alpha, min_degree, max_degree, rng)
+    degrees = sample_power_law_degrees(n, alpha, 1, max_degree, rng)
     src = np.repeat(np.arange(n, dtype=np.int64), degrees)
     if preferential:
         pool = np.repeat(np.arange(n, dtype=np.int64), degrees)

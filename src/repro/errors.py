@@ -23,15 +23,6 @@ class VertexNotFoundError(GraphError):
         self.vertex = vertex
 
 
-class EdgeNotFoundError(GraphError):
-    """An edge was requested that does not exist in the graph."""
-
-    def __init__(self, src: int, dst: int) -> None:
-        super().__init__(f"edge ({src!r}, {dst!r}) not found in graph")
-        self.src = src
-        self.dst = dst
-
-
 class SchemaError(GraphError):
     """Vertex/edge type or attribute schema violated (AHG constraints)."""
 

@@ -2,14 +2,12 @@
 (AHGs, paper §2) and dynamic snapshot sequences, with CSR adjacency."""
 
 from repro.graph.ahg import AttributedHeterogeneousGraph
-from repro.graph.builder import GraphBuilder
 from repro.graph.dynamic import DynamicGraph, EdgeEvent
 from repro.graph.graph import Graph
 
 __all__ = [
     "Graph",
     "AttributedHeterogeneousGraph",
-    "GraphBuilder",
     "DynamicGraph",
     "EdgeEvent",
 ]

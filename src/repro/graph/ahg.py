@@ -23,7 +23,7 @@ class AttributedHeterogeneousGraph(Graph):
     vertex_types:
         Integer type code per vertex, indexing ``vertex_type_names``.
     edge_types:
-        Integer type code per edge (aligned with the builder's edge order),
+        Integer type code per edge (aligned with ``src`` / ``dst``),
         indexing ``edge_type_names``.
     vertex_features:
         ``(n, f_v)`` float matrix: the attribute vector ``x_v`` per vertex.
@@ -84,8 +84,6 @@ class AttributedHeterogeneousGraph(Graph):
                 raise SchemaError("edge_features must have one row per edge")
         self.edge_features = edge_features
 
-        self._etype_csr: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
     def __repr__(self) -> str:
         return (
             f"AHG(n={self.n_vertices}, m={self.n_edges}, "
@@ -112,38 +110,6 @@ class AttributedHeterogeneousGraph(Graph):
     def vertices_of_type(self, name: str) -> np.ndarray:
         """All vertex ids whose type is ``name``."""
         return np.flatnonzero(self.vertex_types == self.vertex_type_code(name))
-
-    def vertex_feature(self, v: int) -> np.ndarray:
-        """The attribute vector ``x_v``; zeros if the AHG has no features."""
-        self._check_vertex(v)
-        if self.vertex_features is None:
-            return np.zeros(0, dtype=np.float32)
-        return self.vertex_features[v]
-
-    # ------------------------------------------------------------------ #
-    # Per-edge-type adjacency
-    # ------------------------------------------------------------------ #
-    def _etype_adjacency(self, code: int) -> tuple[np.ndarray, np.ndarray]:
-        """Lazily built CSR over only the edges of type ``code``."""
-        if code not in self._etype_csr:
-            # Filter CSR positions by the edge type of the underlying edge.
-            mask = self.edge_types[self._csr_eid] == code
-            indices = self._indices[mask]
-            src_counts = np.zeros(self.n_vertices + 1, dtype=np.int64)
-            # Recover CSR row of each kept position from indptr.
-            rows = (
-                np.repeat(np.arange(self.n_vertices), np.diff(self._indptr))[mask]
-            )
-            np.add.at(src_counts, rows + 1, 1)
-            np.cumsum(src_counts, out=src_counts)
-            self._etype_csr[code] = (src_counts, indices)
-        return self._etype_csr[code]
-
-    def out_neighbors_by_type(self, v: int, edge_type: str) -> np.ndarray:
-        """Out-neighbors of ``v`` restricted to edges of ``edge_type``."""
-        self._check_vertex(v)
-        indptr, indices = self._etype_adjacency(self.edge_type_code(edge_type))
-        return indices[indptr[v] : indptr[v + 1]]
 
     def edge_type_subgraph(self, edge_type: str) -> Graph:
         """A plain :class:`Graph` over only the edges of ``edge_type``.

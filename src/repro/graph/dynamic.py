@@ -69,8 +69,8 @@ class DynamicGraph:
         """Events on the transition from snapshot ``t`` to ``t+1``."""
         return [ev for ev in self.events if ev.timestamp == t]
 
-    def provider(self, t: int = 0) -> "object":
-        """A versioned :class:`~repro.sampling.base.SnapshotProvider` at ``t``.
+    def provider(self) -> "object":
+        """A versioned :class:`~repro.sampling.base.SnapshotProvider` at snapshot 0.
 
         ``provider.advance(t')`` moves it to another snapshot and bumps its
         version, which makes any batched sampler bound to it rebuild its
@@ -78,7 +78,7 @@ class DynamicGraph:
         """
         from repro.sampling.base import SnapshotProvider
 
-        return SnapshotProvider(self, t)
+        return SnapshotProvider(self)
 
     def burst_fraction(self) -> float:
         """Fraction of 'add' events labelled as bursts."""

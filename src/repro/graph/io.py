@@ -1,9 +1,6 @@
-"""Graph serialization: TSV edge lists + npz attribute bundles.
-
-AliGraph "supports various kinds of raw data from different file systems";
-here we provide the two formats the build benchmark (Figure 7) ingests:
-a plain ``src\\tdst\\tweight[\\tetype]`` edge-list file and an ``.npz``
-side-car with vertex types and feature matrices.
+"""Graph serialization: one ``.npz`` bundle per attributed heterogeneous
+graph (structure, vertex / edge types and feature matrices) — the format the
+CLI's ``dataset`` command writes and every other command reads.
 """
 
 from __future__ import annotations
@@ -14,79 +11,6 @@ import numpy as np
 
 from repro.errors import DatasetError
 from repro.graph.ahg import AttributedHeterogeneousGraph
-from repro.graph.builder import GraphBuilder
-from repro.graph.graph import Graph
-
-
-def write_edge_list(graph: Graph, path: str) -> None:
-    """Write ``graph`` as a TSV edge list (with edge types for AHGs)."""
-    is_ahg = isinstance(graph, AttributedHeterogeneousGraph)
-    src, dst, w = graph.edge_array()
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"# n_vertices={graph.n_vertices} directed={int(graph.directed)}\n")
-        for i in range(src.size):
-            line = f"{src[i]}\t{dst[i]}\t{w[i]:.6g}"
-            if is_ahg:
-                line += f"\t{graph.edge_type_names[graph.edge_types[i]]}"
-            f.write(line + "\n")
-
-
-def read_edge_list(path: str) -> Graph:
-    """Read a TSV edge list written by :func:`write_edge_list`.
-
-    Returns a plain :class:`Graph` (edge types, if present, are preserved
-    through a builder — use :func:`read_edge_list_ahg` to keep them).
-    """
-    builder, n_vertices, directed = _read_into_builder(path)
-    graph = builder.build()
-    if graph.n_vertices < n_vertices:
-        # Re-pad: isolated vertices do not appear in the edge list.
-        src, dst, w = graph.edge_array()
-        graph = Graph(n_vertices, src, dst, weights=w, directed=directed)
-    return graph
-
-
-def read_edge_list_ahg(path: str) -> AttributedHeterogeneousGraph:
-    """Read a typed TSV edge list as an AHG (vertex types all 'default')."""
-    builder, _, _ = _read_into_builder(path)
-    return builder.build_ahg()
-
-
-def _read_into_builder(path: str) -> tuple[GraphBuilder, int, bool]:
-    if not os.path.exists(path):
-        raise DatasetError(f"edge list file not found: {path}")
-    n_vertices = 0
-    directed = True
-    builder: GraphBuilder | None = None
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    key, _, value = token.partition("=")
-                    if key == "n_vertices":
-                        n_vertices = int(value)
-                    elif key == "directed":
-                        directed = bool(int(value))
-                continue
-            if builder is None:
-                builder = GraphBuilder(directed=directed)
-                for v in range(n_vertices):
-                    builder.add_vertex(v)
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise DatasetError(f"{path}:{lineno}: malformed edge line {line!r}")
-            u, v = int(parts[0]), int(parts[1])
-            weight = float(parts[2]) if len(parts) > 2 else 1.0
-            etype = parts[3] if len(parts) > 3 else "default"
-            builder.add_edge(u, v, weight=weight, etype=etype)
-    if builder is None:
-        builder = GraphBuilder(directed=directed)
-        for v in range(n_vertices):
-            builder.add_vertex(v)
-    return builder, n_vertices, directed
 
 
 def save_ahg(graph: AttributedHeterogeneousGraph, path: str) -> None:

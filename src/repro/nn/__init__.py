@@ -4,7 +4,7 @@ The paper trains its models on TensorFlow atop the AliGraph runtime; this
 package is the from-scratch substitute: a :class:`Tensor` with reverse-mode
 autodiff whose tape records only what reaches a trainable leaf (and nothing
 under :func:`no_grad`), the layers the in-house models need (dense,
-embedding, GRU/LSTM, self-attention), losses (BCE, CE, skip-gram with
+embedding, GRU/LSTM), losses (BCE, CE, skip-gram with
 negative sampling, VAE ELBO) and one optimizer (Adam, taking dense or
 row-sparse gradients). Everything is float64 numpy — small-graph scale,
 gradient-checkable, deterministic.
@@ -12,7 +12,7 @@ gradient-checkable, deterministic.
 
 from repro.nn import functional
 from repro.nn.init import he_uniform, xavier_uniform
-from repro.nn.layers import Dense, Dropout, Embedding, LayerNorm, Module, Sequential
+from repro.nn.layers import Dense, Embedding, Module, Sequential
 from repro.nn.loss import (
     bce_with_logits,
     cross_entropy,
@@ -31,8 +31,6 @@ __all__ = [
     "Module",
     "Dense",
     "Embedding",
-    "Dropout",
-    "LayerNorm",
     "Sequential",
     "GRUCell",
     "LSTMCell",

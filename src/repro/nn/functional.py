@@ -2,7 +2,7 @@
 
 Activations (each a numpy-level pair in :data:`ACTIVATIONS`, shared with the
 fused :func:`dense` node a ``Dense`` layer records), row-wise
-softmax/log-softmax, concatenation/stacking, dropout, L2 row normalization
+softmax/log-softmax, concatenation, L2 row normalization
 (Algorithm 1 line 7's embedding normalization), numerically stable
 log-sigmoid for the skip-gram losses, and the segment kernels of the
 AGGREGATE step: fixed-width (``*_rows_segmented``), the
@@ -30,16 +30,6 @@ def _sigmoid_np(x: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
     return out
 
 
-def _leaky_relu_pair(slope: float) -> "tuple[object, object]":
-    if slope < 0:
-        # y > 0 must mean x > 0: the derivative is read off the output.
-        raise OperatorError(f"leaky_relu slope must be >= 0, got {slope}")
-    return (
-        lambda x, out=None: np.multiply(x, np.where(x > 0, 1.0, slope), out=out),
-        lambda g, y: g * np.where(y > 0, 1.0, slope),
-    )
-
-
 #: name -> ``(apply, chain)``, each activation written once at numpy level.
 #: ``apply(x, out)`` computes ``y = act(x)`` into ``out`` (a fresh array when
 #: None; ``out`` may be ``x`` itself) and ``chain(g, y)`` is ``g * act'(x)``
@@ -57,7 +47,6 @@ ACTIVATIONS = {
         lambda g, y: g * (1.0 - y * y),
     ),
     "sigmoid": (_sigmoid_np, lambda g, y: g * y * (1.0 - y)),
-    "leaky_relu": _leaky_relu_pair(0.01),
 }
 
 
@@ -70,16 +59,6 @@ def _activation(pair: "tuple[object, object]", x: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(x, 0)."""
     return _activation(ACTIVATIONS["relu"], x)
-
-
-def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    """Leaky ReLU with negative-side ``slope`` (non-negative)."""
-    return _activation(_leaky_relu_pair(slope), x)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    """Logistic sigmoid (numerically stable)."""
-    return _activation(ACTIVATIONS["sigmoid"], x)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -125,16 +104,6 @@ def exp(x: Tensor) -> Tensor:
     """Elementwise exponential."""
     e = np.exp(x.data)
     return Tensor(e, _parents=(x,), _backward=lambda g: [(x, g * e)])
-
-
-def log(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Elementwise natural log with an epsilon floor."""
-    safe = np.maximum(x.data, eps)
-    return Tensor(
-        np.log(safe),
-        _parents=(x,),
-        _backward=lambda g: [(x, g / safe)],
-    )
 
 
 def log_sigmoid(x: Tensor) -> Tensor:
@@ -192,37 +161,6 @@ def concat(tensors: "list[Tensor]", axis: int = -1) -> Tensor:
 
     return Tensor(
         np.concatenate(datas, axis=axis), _parents=tuple(tensors), _backward=backward
-    )
-
-
-def stack(tensors: "list[Tensor]", axis: int = 0) -> Tensor:
-    """Stack along a new ``axis``."""
-    if not tensors:
-        raise OperatorError("stack needs at least one tensor")
-
-    def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray]]":
-        return [
-            (t, np.take(g, i, axis=axis)) for i, t in enumerate(tensors)
-        ]
-
-    return Tensor(
-        np.stack([t.data for t in tensors], axis=axis),
-        _parents=tuple(tensors),
-        _backward=backward,
-    )
-
-
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout: identity at eval time."""
-    if not 0.0 <= rate < 1.0:
-        raise OperatorError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return Tensor(
-        x.data * keep,
-        _parents=(x,),
-        _backward=lambda g: [(x, g * keep)],
     )
 
 

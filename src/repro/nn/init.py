@@ -5,13 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 
-def xavier_uniform(
-    shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0
-) -> np.ndarray:
+def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Glorot/Xavier uniform init for tanh/sigmoid/linear layers."""
     fan_in = shape[0] if len(shape) >= 1 else 1
     fan_out = shape[1] if len(shape) >= 2 else shape[0]
-    limit = gain * np.sqrt(6.0 / (fan_in + fan_out))
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
 

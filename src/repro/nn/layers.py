@@ -1,9 +1,8 @@
 """Layers: parameter containers and the building blocks of the models.
 
 :class:`Module` gives recursive parameter collection; :class:`Dense`,
-:class:`Embedding`, :class:`Dropout`, :class:`LayerNorm` and
-:class:`Sequential` are the blocks every GNN in the algorithm layer is
-assembled from.
+:class:`Embedding` and :class:`Sequential` are the blocks every GNN in the
+algorithm layer is assembled from.
 """
 
 from __future__ import annotations
@@ -29,15 +28,6 @@ class Module:
                     seen.add(id(p))
                     params.append(p)
         return params
-
-    def zero_grad(self) -> None:
-        """Clear gradients of every parameter."""
-        for p in self.parameters():
-            p.zero_grad()
-
-    def n_parameters(self) -> int:
-        """Total scalar parameter count."""
-        return sum(p.data.size for p in self.parameters())
 
     def __call__(self, *args: object, **kwargs: object) -> Tensor:
         return self.forward(*args, **kwargs)
@@ -78,7 +68,7 @@ class Dense(Module):
     ) -> None:
         if activation not in F.ACTIVATIONS:
             raise OperatorError(f"unknown activation {activation!r}")
-        init = he_uniform if activation in ("relu", "leaky_relu") else xavier_uniform
+        init = he_uniform if activation == "relu" else xavier_uniform
         self.weight = Tensor(init((in_dim, out_dim), rng), requires_grad=True, name="W")
         self.bias = (
             Tensor(np.zeros(out_dim), requires_grad=True, name="b") if bias else None
@@ -108,46 +98,8 @@ class Embedding(Module):
             embedding_init((n, dim), rng, scale=scale), requires_grad=True, name="E"
         )
 
-    @property
-    def n(self) -> int:
-        """Number of rows."""
-        return self.table.shape[0]
-
-    @property
-    def dim(self) -> int:
-        """Embedding width."""
-        return self.table.shape[1]
-
     def forward(self, index: np.ndarray) -> Tensor:
         return self.table.gather_rows(index)
-
-
-class Dropout(Module):
-    """Inverted dropout with its own RNG stream."""
-
-    def __init__(self, rate: float, rng: np.random.Generator) -> None:
-        self.rate = rate
-        self._rng = rng
-        self.training = True
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.rate, self._rng, training=self.training)
-
-
-class LayerNorm(Module):
-    """Layer normalization over the last axis."""
-
-    def __init__(self, dim: int, eps: float = 1e-5) -> None:
-        self.gamma = Tensor(np.ones(dim), requires_grad=True, name="gamma")
-        self.beta = Tensor(np.zeros(dim), requires_grad=True, name="beta")
-        self.eps = eps
-
-    def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered * ((var + self.eps) ** -0.5)
-        return normed * self.gamma + self.beta
 
 
 class Sequential(Module):

@@ -60,17 +60,3 @@ class LSTMCell(Module):
         """All-zero initial (h, c)."""
         zeros = np.zeros((batch, self.hidden_dim))
         return Tensor(zeros.copy()), Tensor(zeros.copy())
-
-
-def lstm_over_sequence(
-    cell: LSTMCell, steps: "list[Tensor]"
-) -> Tensor:
-    """Run ``cell`` over a list of ``(batch, d)`` steps; return final h.
-
-    The order-invariance trick GraphSAGE uses (random neighbor order) is the
-    caller's responsibility.
-    """
-    h, c = cell.init_state(steps[0].shape[0])
-    for x in steps:
-        h, c = cell(x, h, c)
-    return h

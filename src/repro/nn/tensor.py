@@ -148,14 +148,6 @@ class SparseGrad:
                 )
         return uniq, summed
 
-    def to_dense(self) -> np.ndarray:
-        """The equivalent dense gradient (tests / dense fallbacks only)."""
-        full = np.zeros(self.shape)
-        if self._entries:
-            ids, rows = self.coalesce()
-            full[ids] = rows
-        return full
-
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
@@ -242,10 +234,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         """The raw array (no copy)."""
         return self.data
-
-    def detach(self) -> "Tensor":
-        """A view on the same data, cut out of the autograd graph."""
-        return Tensor(self.data, requires_grad=False)
 
     # ------------------------------------------------------------------ #
     # Autograd machinery

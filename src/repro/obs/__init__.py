@@ -23,7 +23,6 @@ from repro.obs.critical_path import (
     classify_span,
     critical_path,
     render_analysis,
-    render_critical_path,
 )
 from repro.obs.timeseries import TimeSeriesSampler
 from repro.obs.workload import (
@@ -32,7 +31,6 @@ from repro.obs.workload import (
     WindowedAccessRecorder,
     cache_efficacy,
     fit_zipf,
-    ledger_event_totals,
     mine_workload,
     render_workload_report,
 )
@@ -48,9 +46,7 @@ __all__ = [
     "classify_span",
     "critical_path",
     "fit_zipf",
-    "ledger_event_totals",
     "mine_workload",
     "render_analysis",
-    "render_critical_path",
     "render_workload_report",
 ]

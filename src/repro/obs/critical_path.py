@@ -137,12 +137,18 @@ def _segment_totals(index: _TraceIndex) -> "dict[str, float]":
     return totals
 
 
-def analyze(tracer: Tracer, tail_pct: float = 99.0) -> dict:
+#: The tail an analysis isolates (nearest-rank percentile of latency), and
+#: the slowest traces a rendering lists.
+TAIL_PCT = 99.0
+MAX_TRACES = 5
+
+
+def analyze(tracer: Tracer) -> dict:
     """Aggregate "where does the time (and the tail) live" across traces.
 
     Per trace the root span's duration is the request latency and each
     span's self time lands in its segment bucket. The tail set is every
-    trace whose latency is >= the nearest-rank ``tail_pct`` percentile of
+    trace whose latency is >= the nearest-rank ``TAIL_PCT`` percentile of
     latencies, so ``segments_tail`` answers "where does p99 live" while
     ``segments_total`` covers the whole run.
     """
@@ -168,7 +174,7 @@ def analyze(tracer: Tracer, tail_pct: float = 99.0) -> dict:
     if not per_trace:
         return {
             "n_traces": 0,
-            "tail_pct": float(tail_pct),
+            "tail_pct": TAIL_PCT,
             "tail_threshold_us": 0.0,
             "n_tail": 0,
             "latency_us": {"p50": 0.0, "p95": 0.0, "p99": 0.0},
@@ -184,7 +190,7 @@ def analyze(tracer: Tracer, tail_pct: float = 99.0) -> dict:
         # Nearest-rank, same convention as Histogram.percentiles.
         return latencies[max(1, math.ceil(p / 100.0 * n)) - 1]
 
-    threshold = rank(float(tail_pct))
+    threshold = rank(TAIL_PCT)
     tail = [t for t in per_trace if t["latency_us"] >= threshold]
 
     def sum_segments(traces: "list[dict]") -> "dict[str, float]":
@@ -196,7 +202,7 @@ def analyze(tracer: Tracer, tail_pct: float = 99.0) -> dict:
 
     return {
         "n_traces": n,
-        "tail_pct": float(tail_pct),
+        "tail_pct": TAIL_PCT,
         "tail_threshold_us": round(threshold, 3),
         "n_tail": len(tail),
         "latency_us": {
@@ -210,7 +216,7 @@ def analyze(tracer: Tracer, tail_pct: float = 99.0) -> dict:
     }
 
 
-def render_analysis(report: dict, max_traces: int = 5) -> str:
+def render_analysis(report: dict) -> str:
     """Human-readable rendering of :func:`analyze` output."""
     lines = ["=== critical-path analysis ==="]
     if report["n_traces"] == 0:
@@ -241,7 +247,7 @@ def render_analysis(report: dict, max_traces: int = 5) -> str:
         )
     slowest = sorted(
         report["traces"], key=lambda t: (-t["latency_us"], t["trace_id"])
-    )[:max_traces]
+    )[:MAX_TRACES]
     lines.append(f"--- slowest {len(slowest)} traces ---")
     for t in slowest:
         segs = " ".join(
@@ -251,21 +257,5 @@ def render_analysis(report: dict, max_traces: int = 5) -> str:
         )
         lines.append(
             f"{t['trace_id']}  {t['root']:<18} {t['latency_us']:>10.1f}us  {segs}"
-        )
-    return "\n".join(lines)
-
-
-def render_critical_path(tracer: Tracer, trace_id: "str | None" = None) -> str:
-    """Render one trace's critical path (the first trace by default)."""
-    traces = tracer.traces()
-    if not traces:
-        return "(no traces recorded)"
-    trace_id = trace_id or traces[0]
-    path = critical_path(tracer, trace_id)
-    lines = [f"critical path of trace {trace_id} ({len(path)} spans)"]
-    for depth, row in enumerate(path):
-        lines.append(
-            f"{'  ' * depth}- {row['span']} [{row['segment']}] "
-            f"{row['duration_us']:.1f}us (self {row['self_us']:.1f}us)"
         )
     return "\n".join(lines)

@@ -31,6 +31,9 @@ from operator import itemgetter
 from repro.errors import ReproError
 from repro.runtime.metrics import MetricsRegistry, _series_key
 
+#: Histogram percentiles captured per snapshot.
+PERCENTILES = (50.0, 95.0, 99.0)
+
 
 class TimeSeriesSampler:
     """Snapshots a :class:`MetricsRegistry` on virtual-clock tick crossings.
@@ -50,9 +53,9 @@ class TimeSeriesSampler:
         function of (workload, seed, tick).
     capacity:
         Ring-buffer length per series; the oldest samples fall off first.
-    percentiles:
-        Histogram percentiles captured per snapshot (p50/p95/p99 default,
-        matching every latency table in the repo).
+
+    Histograms are captured as their count and :data:`PERCENTILES`
+    (p50/p95/p99, matching every latency table in the repo).
     """
 
     def __init__(
@@ -61,7 +64,6 @@ class TimeSeriesSampler:
         clock: "object",
         tick_us: float = 1000.0,
         capacity: int = 4096,
-        percentiles: "tuple[float, ...]" = (50.0, 95.0, 99.0),
     ) -> None:
         if tick_us <= 0:
             raise ReproError(f"tick_us must be > 0, got {tick_us}")
@@ -71,8 +73,7 @@ class TimeSeriesSampler:
         self.clock = clock
         self.tick_us = float(tick_us)
         self.capacity = int(capacity)
-        self.percentiles = tuple(float(p) for p in percentiles)
-        self._suffixes = tuple(f":p{p:g}" for p in self.percentiles)
+        self._suffixes = tuple(f":p{p:g}" for p in PERCENTILES)
         #: ``(name, frozen labels, suffix)`` -> ring; exports name a ring by
         #: its rendered series key plus the suffix.
         self.series: "dict[tuple, deque]" = {}
@@ -100,7 +101,7 @@ class TimeSeriesSampler:
             self._ring(g).append((t_us, g.value))
         for h in self.metrics.histograms():
             self._ring(h, ":count").append((t_us, h.count))
-            values = h.percentiles(self.percentiles)
+            values = h.percentiles(PERCENTILES)
             for suffix, value in zip(self._suffixes, values):
                 self._ring(h, suffix).append((t_us, value))
         self.n_samples += 1
@@ -139,19 +140,6 @@ class TimeSeriesSampler:
     # ------------------------------------------------------------------ #
     # Export
     # ------------------------------------------------------------------ #
-    def to_dict(self) -> dict:
-        """JSON-ready payload: config plus ``{series: [[t_us, value], ...]}``.
-
-        Series are key-sorted and rows time-ordered, so same-seed runs
-        compare equal as whole dicts.
-        """
-        return {
-            "tick_us": self.tick_us,
-            "capacity": self.capacity,
-            "n_samples": self.n_samples,
-            "series": {key: [[t, v] for t, v in ring] for key, ring in self._named()},
-        }
-
     def to_csv(self) -> str:
         """``t_us,series,value`` rows, time-major then series-sorted."""
         rows = [(t, key, v) for key, ring in self._named() for t, v in ring]

@@ -19,8 +19,6 @@ stream and the miners over it:
   top-``k`` cache under the §4 cost model: what the run actually paid per
   route versus what an oracle holding the ``k`` hottest cross-partition
   vertices would have paid.
-* :func:`ledger_event_totals` — event totals from the tracer's ledger
-  cross-reference rows (``tracer.ledger_rows``), for joining the two views.
 
 Every report is a plain dict with sorted keys/rows: two same-seed runs
 compare equal with ``==``.
@@ -258,12 +256,13 @@ def mine_workload(recorder: AccessRecorder, top_k: int = 20) -> dict:
     return report
 
 
-def cache_efficacy(
-    recorder: AccessRecorder,
-    cost_model: "object",
-    capacities: "tuple[int, ...]" = (16, 64, 256, 1024),
-) -> dict:
-    """Score the observed cache against the clairvoyant top-``k`` cache.
+#: Oracle cache sizes :func:`cache_efficacy` scores.
+CAPACITIES = (16, 64, 256, 1024)
+
+
+def cache_efficacy(recorder: AccessRecorder, cost_model: "object") -> dict:
+    """Score the observed cache against the clairvoyant top-``k`` cache
+    (one row per ``k`` in :data:`CAPACITIES`).
 
     Under the §4 cost model, every cross-partition read costs
     ``remote_rpc_us`` unless a cache answers it for ``cache_hit_us``. The
@@ -287,7 +286,7 @@ def cache_efficacy(
     observed_us = observed_hits * hit_us + observed_remote * remote_us
 
     rows = []
-    for k in capacities:
+    for k in CAPACITIES:
         saved_reads = sum(c for _, c in cross[: int(k)])
         oracle_us = saved_reads * hit_us + (cross_total - saved_reads) * remote_us
         rows.append(
@@ -318,19 +317,6 @@ def cache_efficacy(
         },
         "oracle": rows,
     }
-
-
-def ledger_event_totals(tracer: "object") -> dict:
-    """Event totals from ``tracer.ledger_rows``.
-
-    Rows are ``[t_us, trace_id, span_id, event, times]`` (the ledger↔trace
-    cross-reference, read off the stored spans); this aggregates them into
-    ``{event: total_times}`` for joining against the recorder's view.
-    """
-    totals: Counter = Counter()
-    for _, _, _, event, times in tracer.ledger_rows:
-        totals[event] += int(times)
-    return {event: int(totals[event]) for event in sorted(totals)}
 
 
 # ---------------------------------------------------------------------- #

@@ -67,11 +67,9 @@ class MaxPoolAggregator(Aggregator):
         in_dim: int,
         out_dim: int,
         rng: np.random.Generator,
-        pool_dim: int | None = None,
     ) -> None:
-        pool_dim = pool_dim or out_dim
-        self.pre = Dense(in_dim, pool_dim, rng, activation="relu")
-        self.post = Dense(pool_dim, out_dim, rng)
+        self.pre = Dense(in_dim, out_dim, rng, activation="relu")
+        self.post = Dense(out_dim, out_dim, rng)
 
     def forward(self, h: Tensor, child_index: np.ndarray) -> Tensor:
         transformed = self.pre(h.gather_rows(child_index.reshape(-1)))

@@ -117,12 +117,6 @@ class MaterializationCache:
         buf[slots] = new_rows
         self._used[hop - 1] = end
 
-    def invalidate(self) -> None:
-        """Drop everything (call after a parameter update in training)."""
-        self._slot.fill(-1)
-        self._rows = [None] * self.max_hop
-        self._used = [0] * self.max_hop
-
     @property
     def hit_rate(self) -> float:
         """Lookup hit fraction since construction."""

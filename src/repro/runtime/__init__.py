@@ -26,7 +26,7 @@ entry points (``get_neighbors_batch`` / ``get_attrs_batch``) through an
 ``StoreProvider.frontier_block`` — one deduplicated batch read per hop.
 """
 
-from repro.runtime.export import chrome_trace, prometheus_text, write_chrome_trace
+from repro.runtime.export import chrome_trace, prometheus_text
 from repro.runtime.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.runtime.health import (
     STATE_HEALTHY,
@@ -65,7 +65,6 @@ __all__ = [
     "TRAIN_STAGES",
     "chrome_trace",
     "prometheus_text",
-    "write_chrome_trace",
     "FaultInjector",
     "FaultPlan",
     "RetryPolicy",

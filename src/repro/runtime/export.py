@@ -19,7 +19,6 @@ Both formats are validated in CI by ``tests/format_checkers.py``.
 
 from __future__ import annotations
 
-import json
 import re
 
 from repro.runtime.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -180,11 +179,3 @@ def chrome_trace(tracer: Tracer) -> dict:
             "dropped_spans": tracer.dropped,
         },
     }
-
-
-def write_chrome_trace(tracer: Tracer, path: str) -> dict:
-    """Serialize :func:`chrome_trace` to ``path``; returns the payload."""
-    payload = chrome_trace(tracer)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=1)
-    return payload

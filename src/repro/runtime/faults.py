@@ -55,16 +55,6 @@ class FaultPlan:
         # Normalize to a frozenset so the plan is hashable/replayable.
         object.__setattr__(self, "slow_parts", frozenset(self.slow_parts))
 
-    @property
-    def fault_free(self) -> bool:
-        """Whether this plan can never perturb a request."""
-        return (
-            self.drop_rate == 0.0
-            and self.timeout_rate == 0.0
-            and (not self.slow_parts or self.slow_factor == 1.0)
-        )
-
-
 class FaultInjector:
     """Rolls delivery outcomes from a seeded stream, per attempt."""
 
@@ -86,11 +76,6 @@ class FaultInjector:
     def service_factor(self, part: int) -> float:
         """Service-time multiplier of server ``part`` (1.0 when healthy)."""
         return self.plan.slow_factor if part in self.plan.slow_parts else 1.0
-
-    def reset(self) -> None:
-        """Rewind the fault stream to the start of the plan's seed."""
-        self._rng = make_rng(self.plan.seed)
-
 
 @dataclass(frozen=True)
 class RetryPolicy:

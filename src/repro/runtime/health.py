@@ -70,11 +70,6 @@ class HealthTracker:
         if not 0 <= part < self.n_parts:
             raise RuntimeConfigError(f"unknown part {part} (have {self.n_parts})")
 
-    def state(self, part: int) -> str:
-        """Current health state of ``part``."""
-        self._check_part(part)
-        return self._state[part]
-
     def is_suspect(self, part: int) -> bool:
         """Whether ``part`` is currently suspected."""
         self._check_part(part)
@@ -126,14 +121,6 @@ class HealthTracker:
             self.metrics.counter("health.probes").inc()
             return True
         return False
-
-    def reset(self) -> None:
-        """Forget all streaks and suspicions (states back to healthy)."""
-        self._fail_streak = [0] * self.n_parts
-        self._ok_streak = [0] * self.n_parts
-        self._state = [STATE_HEALTHY] * self.n_parts
-        self._routed_around = [0] * self.n_parts
-        self._update_gauge()
 
     def __repr__(self) -> str:
         suspects = sorted(self.suspect_parts)

@@ -213,17 +213,6 @@ class MetricsRegistry:
         """All histogram series, ordered by series key."""
         return [h for _, h in self._ordered(Histogram)]
 
-    def reset(self) -> None:
-        """Drop every metric (names are forgotten, not just zeroed).
-
-        Benchmark harnesses that re-create stores inside one process call
-        this between runs so series from a previous configuration cannot
-        leak into the next report.
-        """
-        for table in self._tables.values():
-            table.clear()
-        self._memo.clear()
-
     def summary_rows(self) -> "list[list]":
         """Rows of ``[name, type, count/value, mean, p50, p95, p99]``, sorted.
 
@@ -253,10 +242,10 @@ class MetricsRegistry:
             )
         return rows
 
-    def render(self, title: str = "runtime metrics") -> str:
+    def render(self) -> str:
         """Aligned plain-text summary table of every registered metric."""
         return format_table(
             ["metric", "type", "count/value", "mean", "p50", "p95", "p99"],
             self.summary_rows(),
-            title=title,
+            title="runtime metrics",
         )

@@ -17,7 +17,7 @@ over many requests. This module gives the simulation the same substrate:
   the cost-ledger hook (see :meth:`Tracer.bind_ledger`);
 * :class:`StageProfiler` — buckets each training step of the Algorithm-1
   framework into sample / materialize / aggregate / combine / backward /
-  optimizer stage spans; its tables are group-bys over those spans.
+  optimizer stage spans; its totals are group-bys over those spans.
 
 Tracing is **opt-in and pay-for-what-you-use**: the shared
 :data:`NULL_TRACER` answers every call with no-ops, so the instrumented
@@ -33,7 +33,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.utils.tables import format_table
 
 #: Canonical training-step stages bucketed by :class:`StageProfiler`.
 TRAIN_STAGES = (
@@ -81,19 +80,6 @@ class Span:
         """Record a timestamped event on this span."""
         t = self._tracer._now_us() if self._tracer is not None else self.start_us
         self.events.append([t, name, value])
-
-    def to_dict(self) -> dict:
-        """JSON-ready representation (tracer back-reference dropped)."""
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "start_us": self.start_us,
-            "end_us": self.end_us,
-            "attrs": dict(self.attrs),
-            "events": [list(ev) for ev in self.events],
-        }
 
     # Context-manager protocol: entering pushes the span on its tracer's
     # stack, exiting closes it. Spans are minted by Tracer.span().
@@ -241,15 +227,6 @@ class Tracer:
         else:
             self.dropped += 1
 
-    def current(self) -> "Span | None":
-        """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
-
-    def event(self, name: str, value: object = 1) -> None:
-        """Timestamped event on the current span (no-op without one)."""
-        if self.enabled and self._stack:
-            self._stack[-1].event(name, value)
-
     # ------------------------------------------------------------------ #
     # Ledger correlation
     # ------------------------------------------------------------------ #
@@ -300,12 +277,12 @@ class Tracer:
         """All spans of one trace, in open order."""
         return [sp for sp in self.spans if sp.trace_id == trace_id]
 
-    def render_tree(self, trace_id: "str | None" = None) -> str:
-        """Plain-text span tree of one trace (the first by default)."""
+    def render_tree(self) -> str:
+        """Plain-text span tree of the first trace."""
         traces = self.traces()
         if not traces:
             return "(no traces recorded)"
-        trace_id = trace_id or traces[0]
+        trace_id = traces[0]
         spans = self.trace_spans(trace_id)
         children: "dict[str | None, list[Span]]" = {}
         for sp in spans:
@@ -328,15 +305,6 @@ class Tracer:
         walk(None, 1)
         return "\n".join(lines)
 
-    def reset(self) -> None:
-        """Drop all spans and id counters (replays start fresh)."""
-        self.spans.clear()
-        self.dropped = 0
-        self._stack.clear()
-        self._next_trace = 0
-        self._next_span = 0
-
-
 #: Shared disabled tracer: the default wired into every runtime. All of
 #: its methods are no-ops (``enabled`` is False), so untraced hot paths
 #: pay only the call into them.
@@ -348,8 +316,8 @@ class StageProfiler:
 
     Each stage runs under a ``train.<stage>`` span and :meth:`step` wraps
     one optimizer step in a ``train.step`` span, all on one tracer; the
-    totals, the per-step times and :meth:`render` ("which stage dominates
-    a step") are group-bys over those spans. Attach one to a
+    totals and the per-step times ("which stage dominates a step") are
+    group-bys over those spans. Attach one to a
     :class:`~repro.algorithms.framework.GNNFramework` via its ``profiler``
     argument.
 
@@ -381,28 +349,6 @@ class StageProfiler:
         return {
             name: sum(self._durations(f"train.{name}"), 0.0) for name in TRAIN_STAGES
         }
-
-    def render(self) -> str:
-        """Per-stage table: calls, total ms and share of accounted time."""
-        totals = self.stage_totals()
-        accounted = sum(totals.values()) or 1.0
-        rows = [
-            [
-                name,
-                len(self._durations(f"train.{name}")),
-                round(totals[name] / 1000.0, 3),
-                f"{totals[name] / accounted:.1%}",
-            ]
-            for name in TRAIN_STAGES
-        ]
-        steps = self.step_us()
-        rows.append(["(step total)", len(steps), round(sum(steps) / 1000.0, 3), ""])
-        return format_table(
-            ["stage", "calls", "total_ms", "share"],
-            rows,
-            title="training stage profile",
-        )
-
 
 #: Shared disabled profiler: what ``profiler=None`` means in every trainer.
 NULL_PROFILER = StageProfiler(NULL_TRACER)

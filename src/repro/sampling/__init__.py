@@ -15,11 +15,7 @@ from repro.sampling.base import (
 )
 from repro.sampling.blocks import KHopBlock, build_block, build_block_from_tables
 from repro.sampling.kernels import CsrAdjacency
-from repro.sampling.negative import (
-    DegreeBiasedNegativeSampler,
-    TypeAwareNegativeSampler,
-    UniformNegativeSampler,
-)
+from repro.sampling.negative import DegreeBiasedNegativeSampler
 from repro.sampling.neighborhood import (
     FullNeighborSampler,
     ImportanceNeighborSampler,
@@ -50,9 +46,7 @@ __all__ = [
     "TopKNeighborSampler",
     "ImportanceNeighborSampler",
     "FullNeighborSampler",
-    "UniformNegativeSampler",
     "DegreeBiasedNegativeSampler",
-    "TypeAwareNegativeSampler",
     "SamplingPipeline",
     "TrainingBatch",
     "random_walks",

@@ -108,7 +108,8 @@ class GraphProvider(NeighborProvider):
         return self.graph.out_neighbors(vertex)
 
     def weights(self, vertex: int) -> np.ndarray:
-        return self.graph.out_weights(vertex)
+        indptr, _, weights = self.graph.csr_arrays()
+        return weights[indptr[vertex] : indptr[vertex + 1]]
 
     @property
     def n_vertices(self) -> int:
@@ -125,10 +126,10 @@ class SnapshotProvider(GraphProvider):
     dynamic graphs at all.
     """
 
-    def __init__(self, dynamic_graph: "object", t: int = 0) -> None:
-        super().__init__(dynamic_graph.snapshot(int(t)))
+    def __init__(self, dynamic_graph: "object") -> None:
+        super().__init__(dynamic_graph.snapshot(0))
         self.dynamic_graph = dynamic_graph
-        self.t = int(t)
+        self.t = 0
 
     def advance(self, t: int) -> "SnapshotProvider":
         """Rebind to snapshot ``t`` (no-op when already there)."""

@@ -102,11 +102,6 @@ class CsrAdjacency:
         """Rows in the block."""
         return int(self.indptr.size - 1)
 
-    @property
-    def n_slots(self) -> int:
-        """Total packed adjacency entries."""
-        return int(self.indices.size)
-
     def row_of(self, vertex: int) -> int:
         """The row holding ``vertex``'s adjacency, or -1 when it has none."""
         if self.ids is None:
@@ -190,19 +185,15 @@ class CsrAdjacency:
         return out
 
     def sample_ranked(
-        self,
-        rows: np.ndarray,
-        count: int,
-        max_take: "int | None" = None,
-        pad_ids: "np.ndarray | None" = None,
+        self, rows: np.ndarray, count: int, pad_ids: "np.ndarray | None" = None
     ) -> np.ndarray:
         """Deterministic heaviest-``count`` fan-out, cyclically tiled.
 
-        Each row yields its ``min(count, deg, max_take)`` top-ranked
-        neighbors repeated cyclically to ``count`` — the batched form of the
-        top-k sampler's ``np.tile`` contract.
+        Each row yields its ``min(count, deg)`` top-ranked neighbors
+        repeated cyclically to ``count`` — the batched form of the top-k
+        sampler's ``np.tile`` contract.
         """
-        return self._gather_cyclic(self.ranked(), rows, count, max_take, pad_ids)
+        return self._gather_cyclic(self.ranked(), rows, count, None, pad_ids)
 
     def sample_leading(
         self,

@@ -57,24 +57,9 @@ class NeighborhoodSample:
     hop_nums: list[int]
 
     @property
-    def batch_size(self) -> int:
-        """Seed batch size."""
-        return int(self.layers[0].size)
-
-    @property
     def n_hops(self) -> int:
         """Number of expanded hops."""
         return len(self.layers) - 1
-
-    def hop(self, k: int) -> np.ndarray:
-        """Hop-k layer reshaped to ``(len(layers[k-1]), hop_nums[k-1])``."""
-        if not 1 <= k <= self.n_hops:
-            raise SamplingError(f"hop {k} out of range [1, {self.n_hops}]")
-        return self.layers[k].reshape(self.layers[k - 1].size, self.hop_nums[k - 1])
-
-    def all_vertices(self) -> np.ndarray:
-        """Unique vertex ids appearing anywhere in the sample."""
-        return np.unique(np.concatenate(self.layers))
 
 
 class _ExpandingSampler(Sampler):
@@ -246,8 +231,6 @@ class ImportanceNeighborSampler(_AliasSampler):
 
     Samples neighbor ``u`` of ``v`` with probability proportional to
     ``deg(u)^beta`` (``beta=1`` emphasizes hubs; FastGCN's q(u) ∝ deg).
-    ``inclusion_probability`` exposes the per-draw probabilities so callers
-    can build unbiased (importance-weighted) aggregations.
     """
 
     name = "neighborhood_importance"
@@ -264,14 +247,6 @@ class ImportanceNeighborSampler(_AliasSampler):
             raise SamplingError("degrees must be a 1-D vector")
         self.beta = beta
         self._scores = np.power(np.maximum(degrees, 1.0), beta)
-
-    def inclusion_probability(self, vertex: int) -> np.ndarray:
-        """p(u | v) over ``v``'s neighbor list (sums to 1)."""
-        nbrs = self.provider.neighbors(vertex)
-        if nbrs.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        scores = self._scores[nbrs]
-        return scores / scores.sum()
 
     def _slot_weights(self, block: CsrAdjacency) -> np.ndarray:
         return self._scores[block.indices]

@@ -19,11 +19,8 @@ from repro.utils.alias import AliasTable
 
 
 class VertexTraverseSampler(Sampler):
-    """Samples vertex batches, optionally restricted by vertex type/partition.
-
-    ``weighting`` is ``"uniform"`` or ``"degree"`` (degree-proportional via
-    an alias table, the common choice for skip-gram centers).
-    """
+    """Samples vertex batches uniformly, optionally restricted by vertex
+    type/partition."""
 
     name = "traverse_vertex"
 
@@ -32,11 +29,8 @@ class VertexTraverseSampler(Sampler):
         graph: Graph,
         vertex_type: str | None = None,
         vertices: np.ndarray | None = None,
-        weighting: str = "uniform",
     ) -> None:
         super().__init__()
-        if weighting not in ("uniform", "degree"):
-            raise SamplingError(f"unknown weighting {weighting!r}")
         self.graph = graph
         self.vertex_type = vertex_type
         if vertices is not None:
@@ -49,28 +43,11 @@ class VertexTraverseSampler(Sampler):
             self._pool = graph.vertices()
         if self._pool.size == 0:
             raise SamplingError("traverse sampler has an empty vertex pool")
-        self._alias: AliasTable | None = None
-        if weighting == "degree":
-            degrees = graph.out_degrees()[self._pool].astype(np.float64) + 1.0
-            self._alias = AliasTable(degrees)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``batch_size`` vertex ids (with replacement)."""
         check_batch_size(batch_size)
-        if self._alias is not None:
-            idx = self._alias.draw_batch(rng, batch_size)
-        else:
-            idx = rng.integers(self._pool.size, size=batch_size)
-        return self._pool[idx]
-
-    def epoch_batches(
-        self, batch_size: int, rng: np.random.Generator
-    ) -> "list[np.ndarray]":
-        """Shuffle the pool once and cut it into batches (one epoch)."""
-        check_batch_size(batch_size)
-        perm = rng.permutation(self._pool)
-        return [perm[i : i + batch_size] for i in range(0, perm.size, batch_size)]
-
+        return self._pool[rng.integers(self._pool.size, size=batch_size)]
 
 class EdgeTraverseSampler(Sampler):
     """Samples edge batches ``(src, dst)``, optionally of one edge type.
@@ -101,11 +78,6 @@ class EdgeTraverseSampler(Sampler):
         self._dst = dst
         self._alias = AliasTable(w) if weighted else None
 
-    @property
-    def n_edges(self) -> int:
-        """Edges in this sampler's pool."""
-        return int(self._src.size)
-
     def sample(
         self, batch_size: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -116,14 +88,3 @@ class EdgeTraverseSampler(Sampler):
         else:
             idx = rng.integers(self._src.size, size=batch_size)
         return self._src[idx], self._dst[idx]
-
-    def epoch_batches(
-        self, batch_size: int, rng: np.random.Generator
-    ) -> "list[tuple[np.ndarray, np.ndarray]]":
-        """Shuffle all edges once and cut into batches (one epoch)."""
-        check_batch_size(batch_size)
-        perm = rng.permutation(self._src.size)
-        return [
-            (self._src[perm[i : i + batch_size]], self._dst[perm[i : i + batch_size]])
-            for i in range(0, perm.size, batch_size)
-        ]

@@ -36,7 +36,7 @@ Quickstart::
         users=graph.vertices_of_type("user"), duration_us=2_000_000,
         rate=diurnal_rate(200, 800, burst_multiplier=3.0), seed=7,
     )
-    print(build_slo_report(engine.run(workload)).render())
+    print(build_slo_report(engine.run(workload)).to_dict())
 """
 
 from repro.serving.admission import AdmissionController, BoundedQueue

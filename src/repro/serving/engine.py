@@ -147,7 +147,6 @@ class ServingEngine:
         self.admission = AdmissionController(
             self.config.queue_capacities, metrics=self.metrics
         )
-        self.records: "list[ServeRecord]" = []
 
     # ------------------------------------------------------------------ #
     # Fresh inference: sample through the store, aggregate bottom-up
@@ -235,7 +234,6 @@ class ServingEngine:
             service_us=service_us,
             cache_hit=cache_hit,
         )
-        self.records.append(rec)
         self.metrics.counter(
             "serving.requests", labels={"class": req.cls}
         ).inc()
@@ -267,7 +265,7 @@ class ServingEngine:
         return rec
 
     def run(self, workload) -> "list[ServeRecord]":
-        """Drive ``workload`` to exhaustion; returns the request trace.
+        """Drive ``workload`` to exhaustion; returns this run's request trace.
 
         ``workload`` provides ``initial_arrivals()`` and ``on_done(record)``
         (see :mod:`repro.serving.loadgen`). Arrivals and the single service
@@ -288,10 +286,11 @@ class ServingEngine:
                 seq += 1
 
         push(workload.initial_arrivals())
-        out_start = len(self.records)
+        records: "list[ServeRecord]" = []
         server_free_us = self.clock.now_us
 
         def finish(rec: ServeRecord) -> None:
+            records.append(rec)
             push(workload.on_done(rec))
 
         while heap or self.admission.depth:
@@ -342,4 +341,4 @@ class ServingEngine:
                         service_us=0.0,
                     )
                 )
-        return self.records[out_start:]
+        return records

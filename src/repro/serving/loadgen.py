@@ -52,19 +52,18 @@ def constant_rate(rps: float):
     return lambda t_us: rps
 
 
-def diurnal_rate(
-    base_rps: float,
-    peak_rps: float,
-    period_us: float = 4_000_000.0,
-    burst_at: float = 0.6,
-    burst_width: float = 0.05,
-    burst_multiplier: float = 1.0,
-):
+#: The diurnal shape's period, and its burst window as fractions of it.
+PERIOD_US = 4_000_000.0
+BURST_AT = 0.6
+BURST_WIDTH = 0.05
+
+
+def diurnal_rate(base_rps: float, peak_rps: float, burst_multiplier: float = 1.0):
     """The diurnal-burst shape: day/night sinusoid plus a flash burst.
 
     Rate swings sinusoidally between ``base_rps`` (trough) and ``peak_rps``
-    (crest) with period ``period_us``; within the window starting at
-    fraction ``burst_at`` of each period and lasting ``burst_width`` of it,
+    (crest) with period ``PERIOD_US``; within the window starting at
+    fraction ``BURST_AT`` of each period and lasting ``BURST_WIDTH`` of it,
     the rate is additionally multiplied by ``burst_multiplier`` (a flash
     sale / celebrity event spike). ``burst_multiplier=1`` disables the
     burst.
@@ -73,19 +72,17 @@ def diurnal_rate(
         raise ServingError(
             f"need 0 < base_rps <= peak_rps, got {base_rps}, {peak_rps}"
         )
-    if period_us <= 0:
-        raise ServingError(f"period must be positive, got {period_us}")
     if burst_multiplier < 1.0:
         raise ServingError(
             f"burst multiplier must be >= 1, got {burst_multiplier}"
         )
 
     def rate(t_us: float) -> float:
-        phase = (t_us % period_us) / period_us
+        phase = (t_us % PERIOD_US) / PERIOD_US
         mid = (base_rps + peak_rps) / 2.0
         swing = (peak_rps - base_rps) / 2.0
         r = mid + swing * math.sin(2.0 * math.pi * (phase - 0.25))
-        if burst_at <= phase < burst_at + burst_width:
+        if BURST_AT <= phase < BURST_AT + BURST_WIDTH:
             r *= burst_multiplier
         return r
 

@@ -8,8 +8,8 @@ load was shed or expired?". :func:`build_slo_report` folds a request trace
 returns) into exactly those rows, using the registry's exact nearest-rank
 percentiles so the numbers match every other latency table in the repo.
 
-Reports are plain data (:meth:`SLOReport.to_dict` is JSON-ready), render
-as an aligned table, and are **bit-comparable**: the determinism tests and
+Reports are plain data (:meth:`SLOReport.to_dict` is JSON-ready) and are
+**bit-comparable**: the determinism tests and
 the serving bench assert equality of whole reports across same-seed runs.
 """
 
@@ -25,7 +25,6 @@ from repro.serving.requests import (
     OUTCOME_SHED,
     REQUEST_CLASSES,
 )
-from repro.utils.tables import format_table
 
 
 @dataclass
@@ -86,10 +85,6 @@ class SLOReport:
             return 0.0
         return sum(r.ok for r in self.classes) / (self.duration_us / 1e6)
 
-    @property
-    def total_requests(self) -> int:
-        return sum(r.requests for r in self.classes)
-
     def to_dict(self) -> dict:
         """JSON-ready payload (the determinism comparison unit)."""
         return {
@@ -97,39 +92,6 @@ class SLOReport:
             "goodput_rps": round(self.goodput_rps, 6),
             "classes": [r.to_dict() for r in self.classes],
         }
-
-    def render(self, title: str = "serving SLO report") -> str:
-        """Aligned per-class table plus a goodput footer."""
-        rows = []
-        for r in self.classes:
-            rows.append(
-                [
-                    r.cls,
-                    r.requests,
-                    r.ok,
-                    r.late,
-                    r.shed,
-                    r.expired,
-                    r.cache_hits,
-                    round(r.p50_us, 1),
-                    round(r.p95_us, 1),
-                    round(r.p99_us, 1),
-                ]
-            )
-        table = format_table(
-            [
-                "class", "requests", "ok", "late", "shed", "expired",
-                "cache_hits", "p50 us", "p95 us", "p99 us",
-            ],
-            rows,
-            title=title,
-        )
-        secs = self.duration_us / 1e6
-        return (
-            f"{table}\n  goodput: {self.goodput_rps:.1f} in-deadline "
-            f"answers/s over {secs:.3f} simulated seconds"
-        )
-
 
 def build_slo_report(
     records: "list",

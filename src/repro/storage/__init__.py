@@ -33,7 +33,6 @@ from repro.storage.importance import (
 from repro.storage.placement import (
     PlacementConfig,
     PlacementController,
-    attach_placement,
 )
 from repro.storage.replicas import ReplicaRegistry
 from repro.storage.server import GraphServer
@@ -62,5 +61,4 @@ __all__ = [
     "plan_importance_cache",
     "PlacementConfig",
     "PlacementController",
-    "attach_placement",
 ]

@@ -73,22 +73,14 @@ class RequestFlowBuckets:
         return max(sum(r.service_us for r in q) for q in queues)
 
     def locked_makespan_us(
-        self,
-        requests: "list[Request]",
-        n_cores: int | None = None,
-        lock_overhead_us: float = 0.8,
-        writer_exclusive: bool = True,
+        self, requests: "list[Request]", lock_overhead_us: float = 0.8
     ) -> float:
         """Makespan of the lock-based alternative on the same trace.
 
-        ``n_cores`` cores share one locked structure: every request pays the
-        lock overhead, and with ``writer_exclusive`` updates serialize
-        globally (readers-writer lock) while reads split across cores.
+        As many cores as buckets share one locked structure: every request
+        pays the lock overhead, and updates serialize globally (a
+        readers-writer lock) while reads split across the cores.
         """
-        if n_cores is None:
-            n_cores = self.n_buckets
-        if n_cores < 1:
-            raise StorageError("need at least one core")
         if not requests:
             return 0.0
         read_us = sum(
@@ -97,32 +89,17 @@ class RequestFlowBuckets:
         update_us = sum(
             r.service_us + lock_overhead_us for r in requests if r.kind == "update"
         )
-        if writer_exclusive:
-            # Updates hold the write lock exclusively; reads parallelize.
-            return update_us + read_us / n_cores
-        return (read_us + update_us) / n_cores
-
-    def speedup(
-        self, requests: "list[Request]", lock_overhead_us: float = 0.8
-    ) -> float:
-        """locked / lock-free makespan ratio (>1 means buckets win)."""
-        lock_free = self.lock_free_makespan_us(requests)
-        if lock_free == 0.0:
-            return 1.0
-        return self.locked_makespan_us(
-            requests, lock_overhead_us=lock_overhead_us
-        ) / lock_free
-
+        # Updates hold the write lock exclusively; reads parallelize.
+        return update_us + read_us / self.n_buckets
 
 def synthetic_trace(
     n_vertices: int,
     n_requests: int,
     update_fraction: float,
     rng: np.random.Generator,
-    read_service_us: float = 1.0,
-    update_service_us: float = 2.0,
 ) -> list[Request]:
-    """A uniform random request trace for the buckets ablation."""
+    """A uniform random request trace for the buckets ablation (a read
+    costs 1 µs of service, an update 2 µs)."""
     if not 0.0 <= update_fraction <= 1.0:
         raise StorageError("update_fraction must be within [0, 1]")
     vertices = rng.integers(0, n_vertices, size=n_requests)
@@ -131,7 +108,7 @@ def synthetic_trace(
         Request(
             vertex=int(v),
             kind="update" if u else "read",
-            service_us=update_service_us if u else read_service_us,
+            service_us=2.0 if u else 1.0,
         )
         for v, u in zip(vertices, is_update)
     ]

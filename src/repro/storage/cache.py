@@ -56,22 +56,10 @@ class NeighborCache:
             raise StorageError("neighbor cache pin capacity exhausted")
         self._pinned[vertex] = np.asarray(neighbors, dtype=np.int64)
 
-    def get(self, vertex: int) -> np.ndarray | None:
-        """Cached neighbor array of ``vertex``, or None on a miss."""
-        if vertex in self._pinned:
-            self.hits += 1
-            return self._pinned[vertex]
-        value = self._lru.get(vertex)
-        if value is not None:
-            self.hits += 1
-            return value
-        self.misses += 1
-        return None
-
     def get_many(
         self, vertices: "list[int]"
     ) -> "tuple[dict[int, np.ndarray], list[int]]":
-        """:meth:`get` for each of ``vertices`` in order, in one call.
+        """Look up each of ``vertices`` in order, in one call.
 
         Returns ``(hits, misses)``: the cached rows by vertex and the ids
         not held, in input order. This is the store's cache arm: pinned
@@ -130,20 +118,14 @@ class NeighborCache:
         """Sorted ids of every entry, pinned or demand-filled."""
         return tuple(sorted({*self._pinned, *self._lru.keys()}))
 
-    def admit(self, vertex: int, neighbors: np.ndarray) -> None:
-        """Offer a fetched entry for demand-filled (LRU) caching.
+    def admit_many(self, rows: "dict[int, np.ndarray]") -> None:
+        """Offer each fetched ``vertex -> row`` of ``rows``, in order, for
+        demand-filled (LRU) caching.
 
         Pinned policies set LRU capacity to 0, making this a no-op; the LRU
-        policy relies on it entirely.
-        """
-        if self._lru.capacity > 0 and vertex not in self._pinned:
-            self._lru.put(vertex, np.asarray(neighbors, dtype=np.int64))
-
-    def admit_many(self, rows: "dict[int, np.ndarray]") -> None:
-        """:meth:`admit` for each ``vertex -> row`` of ``rows`` in order.
-
-        The store hands a whole neighbors response here, so the rows are
-        taken as served (int64 arrays), not re-coerced.
+        policy relies on it entirely. The store hands a whole neighbors
+        response here, so the rows are taken as served (int64 arrays), not
+        re-coerced.
         """
         lru = self._lru
         if lru.capacity == 0:
@@ -185,12 +167,6 @@ class NeighborCache:
         contents per access.
         """
         return self._lru.capacity == 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from this cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class CachePolicy:

@@ -688,11 +688,14 @@ def make_store(
     )
 
 
+#: Coordination barriers one distributed build charges (Figure 7).
+COORDINATION_ROUNDS = 3
+
+
 def build_distributed(
     graph: Graph,
     n_workers: int,
     cost_model: CostModel | None = None,
-    coordination_rounds: int = 3,
 ) -> tuple[DistributedGraphStore, BuildReport]:
     """Simulate the distributed build of Figure 7.
 
@@ -713,14 +716,14 @@ def build_distributed(
     per_worker_edges = tuple(assignment.edge_counts().tolist())
     for edges in per_worker_edges:
         ledger.record(EV_EDGE_INGESTED, times=edges)
-    ledger.record(EV_COORDINATION, times=coordination_rounds)
+    ledger.record(EV_COORDINATION, times=COORDINATION_ROUNDS)
 
     report = BuildReport(
         n_workers=n_workers,
         n_edges=graph.n_edges,
         per_worker_edges=per_worker_edges,
         ingest_seconds=max(per_worker_edges) * cost_model.edge_ingest_us / 1e6,
-        coordination_seconds=coordination_rounds * cost_model.coordination_us / 1e6,
+        coordination_seconds=COORDINATION_ROUNDS * cost_model.coordination_us / 1e6,
         per_worker_seconds=tuple(store.shard_build_seconds),
         critical_path_seconds=max(store.shard_build_seconds),
     )

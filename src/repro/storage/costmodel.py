@@ -77,11 +77,6 @@ class CostModel:
     replica_drop_us: float = 0.5
     vertex_migrate_us: float = 5.0
     migration_rpc_us: float = 100.0
-    #: Expected refreshes per read for a cached vertex — the paper's §4
-    #: cache-maintenance term. A replica is "worth keeping" while the saved
-    #: remote reads outweigh refresh pushes; at the defaults the break-even
-    #: importance works out to the paper's τ = 0.2 threshold.
-    cache_churn_ratio: float = 0.199
 
     def cost_table(self) -> dict[str, float]:
         """Event-name -> µs mapping consumed by :class:`CostAccumulator`."""
@@ -107,19 +102,6 @@ class CostModel:
             EV_VERTEX_MIGRATED: self.vertex_migrate_us,
             EV_MIGRATION_RPC: self.migration_rpc_us,
         }
-
-    def importance_threshold(self) -> float:
-        """Minimum §4 importance at which caching a vertex pays off.
-
-        A replica of ``v`` saves ``remote_rpc_us - cache_hit_us`` per read
-        but costs ``replica_refresh_us`` per upstream churn event; with
-        churn arriving at ``cache_churn_ratio`` events per read, break-even
-        sits at ``churn * refresh / (rpc - hit)``. At the default prices
-        this lands exactly on the paper's τ = 0.2 (rounded to 9 places to
-        absorb float noise so parity with the historical constant is exact).
-        """
-        saving = self.remote_rpc_us - self.cache_hit_us
-        return round(self.cache_churn_ratio * self.replica_refresh_us / saving, 9)
 
     def replication_gain_us(
         self, remote_reads: float, out_degree: int, refreshes: float = 0.0

@@ -76,15 +76,6 @@ class EmbeddingShard:
         self.applied_pushes = 0
         self._opt = Adam([self.param], lr=lr)
 
-    @property
-    def rows(self) -> np.ndarray:
-        """The shard's ``(n_local, dim)`` row block (live view)."""
-        return self.param.data
-
-    def read(self, local_ids: np.ndarray) -> np.ndarray:
-        """Copies of the requested local rows."""
-        return self.param.data[local_ids].copy()
-
     def apply(self, local_ids: np.ndarray, grad_rows: np.ndarray) -> None:
         """Apply one coalesced gradient batch through the row-sparse step.
 
@@ -432,24 +423,3 @@ class EmbeddingKVStore:
         for p, shard in enumerate(self.shards):
             out[p :: self.n_parts] = shard.param.data
         return out
-
-    def row_versions(self) -> np.ndarray:
-        """Authoritative per-row versions, gathered from every shard."""
-        out = np.empty(self.n_rows, dtype=np.int64)
-        for p, shard in enumerate(self.shards):
-            out[p :: self.n_parts] = shard.versions
-        return out
-
-    def cached_version_lag(self) -> int:
-        """Max (authoritative - cached) version over live cache entries.
-
-        The staleness bound asserts this never exceeds :attr:`staleness`
-        for entries the cache would still serve.
-        """
-        lag = 0
-        versions = self.row_versions()
-        for cache in self._caches.values():
-            for g, (_, ver, rnd) in cache.items():
-                if self._round - rnd <= self.staleness:
-                    lag = max(lag, int(versions[g]) - ver)
-        return lag

@@ -101,36 +101,16 @@ class CachePlan:
             return 0.0
         return self.all_cached_vertices().size / n_vertices
 
-    def max_cached_hop(self, vertex: int) -> int:
-        """Deepest hop at which ``vertex`` is cached (0 = not cached)."""
-        deepest = 0
-        for k, ids in self.cached_by_hop.items():
-            if np.any(ids == vertex):
-                deepest = max(deepest, k)
-        return deepest
-
-
 def plan_importance_cache(
     graph: Graph,
+    thresholds: "list[float] | float",
     max_hop: int = 2,
-    thresholds: "list[float] | float | None" = None,
-    cost_model: "object | None" = None,
 ) -> CachePlan:
     """Algorithm 2 lines 5–9: select vertices with Imp^(k) >= tau_k.
 
-    ``thresholds`` is either one value reused for every hop or a list with
-    one tau_k per hop. When None (the default), tau comes from the §4 cost
-    model's break-even point — ``CostModel.importance_threshold()`` — which
-    equals the paper's 0.2 at the default prices, so default behaviour is
-    unchanged while the knob is now the *prices*, not a second constant.
-    ``cost_model`` overrides the model used for that derivation.
+    ``thresholds`` is the caller's tau: one value reused for every hop or a
+    list with one tau_k per hop (the paper uses 0.2; Figure 8 sweeps it).
     """
-    if thresholds is None:
-        if cost_model is None:
-            from repro.storage.costmodel import CostModel
-
-            cost_model = CostModel()
-        thresholds = float(cost_model.importance_threshold())  # type: ignore[attr-defined]
     if isinstance(thresholds, (int, float)):
         taus = [float(thresholds)] * max_hop
     else:

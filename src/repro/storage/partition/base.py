@@ -160,8 +160,3 @@ def get_partitioner(name: str, **kwargs: object) -> Partitioner:
         known = ", ".join(sorted(_REGISTRY))
         raise PartitionError(f"unknown partitioner {name!r} (known: {known})") from None
     return cls(**kwargs)  # type: ignore[arg-type]
-
-
-def available_partitioners() -> list[str]:
-    """Names of all registered partition strategies."""
-    return sorted(_REGISTRY)

@@ -24,6 +24,12 @@ from repro.storage.partition.base import (
 )
 from repro.utils.rng import make_rng
 
+COARSEN_TO = 100
+REFINE_PASSES = 4
+#: Allowed imbalance, max part weight / ideal (METIS defaults to ~1.03;
+#: looser here since the graphs are small).
+BALANCE_SLACK = 1.1
+
 
 class _Level:
     """One coarsening level: weighted adjacency + projection map."""
@@ -188,30 +194,14 @@ def _refine(
 class MetisPartitioner(Partitioner):
     """Multilevel partitioner in the METIS family.
 
-    Parameters
-    ----------
-    coarsen_to:
-        Stop coarsening once the graph has at most ``max(coarsen_to,
-        20 * n_parts)`` vertices.
-    refine_passes:
-        Boundary refinement sweeps per uncoarsening level.
-    balance_slack:
-        Allowed imbalance: max part weight / ideal (METIS default ~1.03;
-        we default looser since graphs here are small).
+    Coarsening stops at ``max(COARSEN_TO, 20 * n_parts)`` vertices; each
+    uncoarsening level gets ``REFINE_PASSES`` boundary refinement sweeps
+    under ``BALANCE_SLACK``.
     """
 
     name = "metis"
 
-    def __init__(
-        self,
-        coarsen_to: int = 100,
-        refine_passes: int = 4,
-        balance_slack: float = 1.1,
-        seed: int = 0,
-    ) -> None:
-        self.coarsen_to = coarsen_to
-        self.refine_passes = refine_passes
-        self.balance_slack = balance_slack
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
 
     def partition(self, graph: Graph, n_parts: int) -> PartitionAssignment:
@@ -227,7 +217,7 @@ class MetisPartitioner(Partitioner):
             fine_to_coarse=None,
         )
         levels = [finest]
-        floor = max(self.coarsen_to, 20 * n_parts)
+        floor = max(COARSEN_TO, 20 * n_parts)
         while levels[-1].n > floor:
             coarser = _coarsen(levels[-1], rng)
             if coarser.n >= levels[-1].n * 0.95:
@@ -236,12 +226,12 @@ class MetisPartitioner(Partitioner):
 
         part = _initial_partition(levels[-1], n_parts, rng)
         part = _refine(
-            levels[-1], part, n_parts, self.refine_passes, self.balance_slack
+            levels[-1], part, n_parts, REFINE_PASSES, BALANCE_SLACK
         )
         # Project back through the levels, refining at each.
         for level in reversed(levels[1:]):
             assert level.fine_to_coarse is not None
             finer = levels[levels.index(level) - 1]
             part = part[level.fine_to_coarse]
-            part = _refine(finer, part, n_parts, self.refine_passes, self.balance_slack)
+            part = _refine(finer, part, n_parts, REFINE_PASSES, BALANCE_SLACK)
         return PartitionAssignment(graph, n_parts, part)

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import StorageError
 from repro.obs.workload import WindowedAccessRecorder
 from repro.storage.cache import make_pinned_cache
 from repro.storage.cluster import DistributedGraphStore
@@ -421,13 +420,3 @@ class PlacementController:
             f"promoted={t['promoted']}, demoted={t['demoted']}, "
             f"migrated={t['migrated']})"
         )
-
-
-def attach_placement(
-    store: DistributedGraphStore,
-    config: "PlacementConfig | None" = None,
-) -> PlacementController:
-    """Convenience: stand up a controller (and its recorder) on ``store``."""
-    if not isinstance(store, DistributedGraphStore):
-        raise StorageError("placement needs a DistributedGraphStore")
-    return PlacementController(store, config=config)

@@ -37,29 +37,10 @@ class ReplicaRegistry:
         if not 0 <= part < self.n_parts:
             raise StorageError(f"unknown part {part} (have {self.n_parts})")
 
-    def holders(self, vertex: int) -> "tuple[int, ...]":
-        """Parts holding a replica of ``vertex``, ascending."""
-        vertex = int(vertex)
-        return tuple(
-            p for p, server in enumerate(self._servers) if vertex in server.neighbor_cache
-        )
-
-    def replica_count(self, vertex: int) -> int:
-        """Number of servers holding a replica of ``vertex``."""
-        return len(self.holders(vertex))
-
     def held_by(self, part: int) -> "tuple[int, ...]":
         """Vertices ``part``'s cache holds, sorted (deterministic)."""
         self._check_part(part)
         return self._servers[part].neighbor_cache.cached_vertices()
-
-    @property
-    def n_tracked(self) -> int:
-        """Distinct vertices with at least one replica."""
-        held: "set[int]" = set()
-        for part in range(self.n_parts):
-            held.update(self.held_by(part))
-        return len(held)
 
     def audit(self, contents_by_part: "dict[int, set[int]]") -> "dict[str, list]":
         """Diff the view against contents read through the public surface.
@@ -86,4 +67,4 @@ class ReplicaRegistry:
         return any(vertex in server.neighbor_cache for server in self._servers)
 
     def __repr__(self) -> str:
-        return f"ReplicaRegistry(parts={self.n_parts}, tracked={self.n_tracked})"
+        return f"ReplicaRegistry(parts={self.n_parts})"

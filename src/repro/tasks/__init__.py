@@ -1,25 +1,13 @@
 """Downstream evaluation tasks and metrics (paper §5.2.1).
 
 Link prediction with ROC-AUC / PR-AUC / F1 (averaged across edge types),
-recommendation hit-recall HR@K, and multi-class edge classification with
-micro/macro F1 — the four metric families of the paper's evaluation.
+recommendation hit-recall HR@K, and node classification with micro/macro
+F1 — the metric families of the paper's evaluation.
 """
 
-from repro.tasks.classification import (
-    evaluate_edge_classification,
-    evaluate_node_classification,
-)
-from repro.tasks.edge_embeddings import (
-    edge_embedding,
-    neighborhood_subgraph_embedding,
-    subgraph_embedding,
-    whole_graph_embedding,
-)
-from repro.tasks.link_prediction import (
-    evaluate_link_prediction,
-    evaluate_link_prediction_typed,
-    score_pairs,
-)
+from repro.tasks.classification import evaluate_node_classification
+from repro.tasks.edge_embeddings import subgraph_embedding
+from repro.tasks.link_prediction import evaluate_link_prediction, score_pairs
 from repro.tasks.metrics import (
     f1_score,
     hit_recall_at_k,
@@ -39,12 +27,7 @@ __all__ = [
     "macro_f1",
     "score_pairs",
     "evaluate_link_prediction",
-    "evaluate_link_prediction_typed",
     "evaluate_recommendation",
-    "evaluate_edge_classification",
     "evaluate_node_classification",
-    "edge_embedding",
     "subgraph_embedding",
-    "neighborhood_subgraph_embedding",
-    "whole_graph_embedding",
 ]

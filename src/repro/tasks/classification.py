@@ -1,10 +1,5 @@
-"""Multi-class link (edge) classification: the Table 11 task.
-
-The Evolving GNN experiment classifies future links into classes (no link /
-normal link / burst link) from endpoint embeddings; micro and macro F1 are
-reported. A one-vs-rest logistic head is trained on edge features built from
-the embeddings (hadamard product — the standard LP feature map).
-"""
+"""Node classification: a softmax head over frozen vertex embeddings,
+scored by micro and macro F1."""
 
 from __future__ import annotations
 
@@ -19,18 +14,16 @@ from repro.tasks.metrics import macro_f1, micro_f1
 from repro.utils.rng import make_rng
 
 
-def edge_features(embeddings: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Hadamard edge features ``h_u * h_v`` per pair."""
-    pairs = np.asarray(pairs, dtype=np.int64)
-    return embeddings[pairs[:, 0]] * embeddings[pairs[:, 1]]
+#: The probe's schedule: the train share of a random split, then epochs of
+#: full-batch Adam at one learning rate.
+TRAIN_FRACTION = 0.7
+EPOCHS = 150
+LR = 0.05
 
 
 def evaluate_node_classification(
     embeddings: np.ndarray,
     labels: np.ndarray,
-    train_fraction: float = 0.7,
-    epochs: int = 150,
-    lr: float = 0.05,
     seed: int = 0,
 ) -> tuple[float, float]:
     """Node classification from embeddings: (micro, macro) F1 in %.
@@ -41,21 +34,18 @@ def evaluate_node_classification(
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (embeddings.shape[0],):
         raise ReproError("one label per embedding row required")
-    if not 0.0 < train_fraction < 1.0:
-        raise ReproError("train_fraction must be in (0, 1)")
     classes = np.unique(labels)
     if classes.size < 2:
         raise ReproError("need at least two label classes")
     rng = make_rng(seed)
     perm = rng.permutation(labels.size)
-    cut = max(1, int(train_fraction * labels.size))
+    # Two classes mean two labels at least, so both sides are non-empty.
+    cut = max(1, int(TRAIN_FRACTION * labels.size))
     train_idx, test_idx = perm[:cut], perm[cut:]
-    if test_idx.size == 0:
-        raise ReproError("train_fraction leaves no test examples")
     head = Dense(embeddings.shape[1], int(classes.max()) + 1, rng)
-    opt = Adam(head.parameters(), lr=lr)
+    opt = Adam(head.parameters(), lr=LR)
     xt = Tensor(embeddings[train_idx])
-    for _ in range(epochs):
+    for _ in range(EPOCHS):
         opt.zero_grad()
         loss = cross_entropy(head(xt), labels[train_idx])
         loss.backward()
@@ -64,38 +54,4 @@ def evaluate_node_classification(
     return (
         100.0 * micro_f1(pred, labels[test_idx]),
         100.0 * macro_f1(pred, labels[test_idx]),
-    )
-
-
-def evaluate_edge_classification(
-    embeddings: np.ndarray,
-    train_pairs: np.ndarray,
-    train_labels: np.ndarray,
-    test_pairs: np.ndarray,
-    test_labels: np.ndarray,
-    n_classes: int,
-    epochs: int = 120,
-    lr: float = 0.05,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Train a softmax head on edge features; return (micro, macro) F1 in %."""
-    if n_classes < 2:
-        raise ReproError("need at least two classes")
-    train_labels = np.asarray(train_labels, dtype=np.int64)
-    test_labels = np.asarray(test_labels, dtype=np.int64)
-    x_train = edge_features(embeddings, train_pairs)
-    x_test = edge_features(embeddings, test_pairs)
-    rng = make_rng(seed)
-    head = Dense(x_train.shape[1], n_classes, rng)
-    opt = Adam(head.parameters(), lr=lr)
-    xt = Tensor(x_train)
-    for _ in range(epochs):
-        opt.zero_grad()
-        loss = cross_entropy(head(xt), train_labels)
-        loss.backward()
-        opt.step()
-    pred = head(Tensor(x_test)).numpy().argmax(axis=1)
-    return (
-        100.0 * micro_f1(pred, test_labels),
-        100.0 * macro_f1(pred, test_labels),
     )

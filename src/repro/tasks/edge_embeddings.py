@@ -1,13 +1,8 @@
-"""Edge-level and subgraph-level embeddings (paper §7, future work #1).
+"""Subgraph-level embeddings (paper §7, future work #1).
 
 The paper's embeddings are vertex-level; its stated future work extends to
-"edge-level and subgraph-level embeddings". This module provides both:
-
-* edge embeddings via the standard binary operators over endpoint vectors
-  (node2vec's hadamard / average / weighted-L1 / weighted-L2, plus concat);
-* subgraph embeddings via permutation-invariant pooling (mean / max /
-  degree-weighted) over the member vertices, with the induced-subgraph
-  helper for pooling a vertex set's neighborhood closure.
+"subgraph-level embeddings". A vertex set is embedded by mean pooling over
+its members — permutation-invariant, and the pooling the examples use.
 """
 
 from __future__ import annotations
@@ -15,102 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ReproError
-from repro.graph.graph import Graph
-
-EDGE_OPERATORS = ("hadamard", "average", "l1", "l2", "concat")
-POOLING = ("mean", "max", "degree")
 
 
-def edge_embedding(
-    vertex_embeddings: np.ndarray,
-    pairs: np.ndarray,
-    operator: str = "hadamard",
-) -> np.ndarray:
-    """Embed each ``(u, v)`` pair with a binary operator over endpoints.
-
-    ``hadamard`` is the strongest LP feature map in the node2vec study and
-    the default everywhere in this library; ``concat`` doubles the width
-    but keeps endpoint-specific signal (used when direction matters).
-    """
-    pairs = np.asarray(pairs, dtype=np.int64)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ReproError(f"pairs must be (k, 2), got {pairs.shape}")
-    u = vertex_embeddings[pairs[:, 0]]
-    v = vertex_embeddings[pairs[:, 1]]
-    if operator == "hadamard":
-        return u * v
-    if operator == "average":
-        return 0.5 * (u + v)
-    if operator == "l1":
-        return np.abs(u - v)
-    if operator == "l2":
-        return (u - v) ** 2
-    if operator == "concat":
-        return np.concatenate([u, v], axis=1)
-    raise ReproError(
-        f"unknown edge operator {operator!r} (known: {', '.join(EDGE_OPERATORS)})"
-    )
-
-
-def subgraph_embedding(
-    vertex_embeddings: np.ndarray,
-    vertices: np.ndarray,
-    pooling: str = "mean",
-    graph: "Graph | None" = None,
-) -> np.ndarray:
-    """Pool a vertex set into one vector.
-
-    ``degree`` pooling weights members by out-degree (hubs describe their
-    community more than leaves) and needs ``graph``.
-    """
+def subgraph_embedding(vertex_embeddings: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Pool a vertex set into one vector: the mean of its members' rows."""
     vertices = np.asarray(vertices, dtype=np.int64)
     if vertices.size == 0:
         raise ReproError("cannot embed an empty subgraph")
-    rows = vertex_embeddings[vertices]
-    if pooling == "mean":
-        return rows.mean(axis=0)
-    if pooling == "max":
-        return rows.max(axis=0)
-    if pooling == "degree":
-        if graph is None:
-            raise ReproError("degree pooling needs the graph")
-        weights = graph.out_degrees()[vertices].astype(np.float64) + 1.0
-        weights /= weights.sum()
-        return weights @ rows
-    raise ReproError(
-        f"unknown pooling {pooling!r} (known: {', '.join(POOLING)})"
-    )
-
-
-def neighborhood_subgraph_embedding(
-    vertex_embeddings: np.ndarray,
-    graph: Graph,
-    center: int,
-    hops: int = 1,
-    pooling: str = "mean",
-) -> np.ndarray:
-    """Embed the ``hops``-hop neighborhood closure around ``center``."""
-    if hops < 0:
-        raise ReproError(f"hops must be non-negative, got {hops}")
-    frontier = {int(center)}
-    members = {int(center)}
-    for _ in range(hops):
-        nxt: set[int] = set()
-        for v in frontier:
-            nxt.update(int(u) for u in graph.out_neighbors(v))
-        frontier = nxt - members
-        members |= nxt
-    return subgraph_embedding(
-        vertex_embeddings, np.asarray(sorted(members)), pooling=pooling, graph=graph
-    )
-
-
-def whole_graph_embedding(
-    vertex_embeddings: np.ndarray,
-    graph: Graph,
-    pooling: str = "degree",
-) -> np.ndarray:
-    """One vector for the entire graph (the paper's furthest future goal)."""
-    return subgraph_embedding(
-        vertex_embeddings, graph.vertices(), pooling=pooling, graph=graph
-    )
+    return vertex_embeddings[vertices].mean(axis=0)

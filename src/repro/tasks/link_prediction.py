@@ -1,7 +1,7 @@
 """Link-prediction evaluation over vertex embeddings.
 
 Given embeddings ``H`` and a :class:`~repro.data.splits.LinkSplit`, scores
-each candidate pair with the dot product (or cosine) of its endpoint
+each candidate pair with the dot product of its endpoint
 embeddings and reports ROC-AUC / PR-AUC / F1, averaged across edge types as
 the paper's protocol requires ("each metric is averaged among different
 types of edges").
@@ -18,23 +18,15 @@ from repro.errors import ReproError
 from repro.tasks.metrics import f1_score, pr_auc, roc_auc
 
 
-def score_pairs(
-    embeddings: np.ndarray, pairs: np.ndarray, method: str = "dot"
-) -> np.ndarray:
-    """Similarity score per ``(u, v)`` row of ``pairs``."""
+def score_pairs(embeddings: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Dot-product score per ``(u, v)`` row of ``pairs``."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     pairs = np.asarray(pairs, dtype=np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ReproError(f"pairs must be (k, 2), got {pairs.shape}")
     u = embeddings[pairs[:, 0]]
     v = embeddings[pairs[:, 1]]
-    if method == "dot":
-        return np.sum(u * v, axis=1)
-    if method == "cosine":
-        nu = np.linalg.norm(u, axis=1) + 1e-12
-        nv = np.linalg.norm(v, axis=1) + 1e-12
-        return np.sum(u * v, axis=1) / (nu * nv)
-    raise ReproError(f"unknown scoring method {method!r}")
+    return np.sum(u * v, axis=1)
 
 
 @dataclass(frozen=True)
@@ -46,48 +38,9 @@ class LinkPredictionResult:
     f1: float
 
 
-def evaluate_link_prediction_typed(
-    type_embeddings: "dict[int, np.ndarray]",
-    split: LinkSplit,
-    method: str = "dot",
-) -> LinkPredictionResult:
-    """Per-type evaluation with *type-specific* embeddings.
-
-    Multiplex models (GATNE, MNE, MVE) learn one embedding per edge type;
-    the GATNE evaluation protocol scores each test edge of type ``c`` with
-    the type-c embedding and averages metrics across types.
-    ``type_embeddings`` maps edge-type code -> (n, d) matrix.
-    """
-    k = split.test_neg.shape[0] // split.test_pos.shape[0]
-    rows = []
-    for etype in np.unique(split.test_types):
-        emb = type_embeddings.get(int(etype))
-        if emb is None:
-            continue
-        mask = split.test_types == etype
-        if mask.sum() < 2:
-            continue
-        pos = score_pairs(emb, split.test_pos[mask], method)
-        neg = score_pairs(emb, split.test_neg[np.repeat(mask, k)], method)
-        scores = np.concatenate([pos, neg])
-        labels = np.concatenate([np.ones(pos.size), np.zeros(neg.size)])
-        rows.append(
-            (
-                100.0 * roc_auc(scores, labels),
-                100.0 * pr_auc(scores, labels),
-                100.0 * f1_score(scores, labels),
-            )
-        )
-    if not rows:
-        raise ReproError("no edge type had both embeddings and test pairs")
-    arr = np.asarray(rows)
-    return LinkPredictionResult(*(float(x) for x in arr.mean(axis=0)))
-
-
 def evaluate_link_prediction(
     embeddings: np.ndarray,
     split: LinkSplit,
-    method: str = "dot",
     per_type_average: bool = True,
 ) -> LinkPredictionResult:
     """Evaluate embeddings on a link split.
@@ -96,8 +49,8 @@ def evaluate_link_prediction(
     present in the test set and averaged (the paper's protocol); types whose
     test set lacks positives or negatives are skipped.
     """
-    pos_scores = score_pairs(embeddings, split.test_pos, method)
-    neg_scores = score_pairs(embeddings, split.test_neg, method)
+    pos_scores = score_pairs(embeddings, split.test_pos)
+    neg_scores = score_pairs(embeddings, split.test_neg)
     k = split.test_neg.shape[0] // split.test_pos.shape[0]
 
     def _metrics(p: np.ndarray, n: np.ndarray) -> tuple[float, float, float]:

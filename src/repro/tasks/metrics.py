@@ -75,18 +75,14 @@ def pr_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(np.sum((recall - prev_recall) * precision))
 
 
-def f1_score(
-    scores: np.ndarray, labels: np.ndarray, threshold: float | None = None
-) -> float:
-    """Binary F1; with ``threshold=None`` picks the score-maximizing cut.
+def f1_score(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Binary F1 at the score-maximizing cut.
 
     Embedding methods produce uncalibrated scores, so the standard protocol
     (used by the GATNE paper this evaluation follows) reports the best F1
     over thresholds.
     """
     scores, labels = _validate_binary(scores, labels)
-    if threshold is not None:
-        return _f1_at(scores >= threshold, labels)
     order = np.argsort(-scores, kind="mergesort")
     sorted_scores = scores[order]
     sorted_labels = labels[order].astype(np.float64)
@@ -99,17 +95,6 @@ def f1_score(
     denom = precision + recall
     f1 = np.where(denom > 0, 2 * precision * recall / np.maximum(denom, 1e-12), 0.0)
     return float(f1.max())
-
-
-def _f1_at(pred: np.ndarray, labels: np.ndarray) -> float:
-    tp = float(np.sum(pred & labels))
-    fp = float(np.sum(pred & ~labels))
-    fn = float(np.sum(~pred & labels))
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2 * precision * recall / (precision + recall)
 
 
 def hit_recall_at_k(

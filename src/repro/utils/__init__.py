@@ -3,7 +3,7 @@ cost accounting and plain-text table rendering."""
 
 from repro.utils.alias import AliasTable
 from repro.utils.lru import LRUCache
-from repro.utils.rng import make_rng, spawn_rngs
+from repro.utils.rng import make_rng
 from repro.utils.tables import format_table
 from repro.utils.timer import CostAccumulator
 
@@ -11,7 +11,6 @@ __all__ = [
     "AliasTable",
     "LRUCache",
     "make_rng",
-    "spawn_rngs",
     "format_table",
     "CostAccumulator",
 ]

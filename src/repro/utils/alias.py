@@ -173,13 +173,6 @@ class AliasTable:
     def __len__(self) -> int:
         return self._n
 
-    def draw(self, rng: np.random.Generator) -> int:
-        """Draw a single index in O(1)."""
-        i = int(rng.integers(self._n))
-        if rng.random() < self._prob[i]:
-            return i
-        return int(self._alias[i])
-
     def draw_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` indices as a vectorized batch."""
         if size < 0:
@@ -250,12 +243,6 @@ class GroupedAliasTable:
         flat = self._indptr[groups][:, None] + slot
         keep = rng.random((groups.size, count)) < self._prob[flat]
         return np.where(keep, flat, self._alias[flat])
-
-    def draw_group(
-        self, group: int, size: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """``size`` flat slot indices from one group (vectorized batch)."""
-        return self.draw_for_groups(np.array([group]), size, rng)[0]
 
     def update_group(self, group: int, weights: np.ndarray) -> None:
         """Rebuild one group's slots in place (dynamic sampling weights).

@@ -31,14 +31,14 @@ class LRUCache:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._store
 
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        """Return the cached value (refreshing recency) or ``default``."""
+    def get(self, key: Hashable) -> Any:
+        """Return the cached value (refreshing recency) or None."""
         if key in self._store:
             self._store.move_to_end(key)
             self.hits += 1
             return self._store[key]
         self.misses += 1
-        return default
+        return None
 
     def get_many(
         self, keys: "list[Hashable]"
@@ -102,9 +102,9 @@ class LRUCache:
                 evicted += 1
         self.evictions += evicted
 
-    def peek(self, key: Hashable, default: Any = None) -> Any:
-        """Return the cached value without touching recency or statistics."""
-        return self._store.get(key, default)
+    def peek(self, key: Hashable) -> Any:
+        """Return the cached value (or None) without touching recency or statistics."""
+        return self._store.get(key)
 
     def keys(self) -> "tuple[Hashable, ...]":
         """Currently cached keys, least recently used first."""
@@ -123,19 +123,3 @@ class LRUCache:
         if store:
             for key in keys:
                 store.pop(key, None)
-
-    def clear(self) -> None:
-        """Drop all entries but keep the accumulated statistics."""
-        self._store.clear()
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss/eviction counters."""
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 if none yet)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -3,9 +3,9 @@
 The caching design of AliGraph rests on two theorems: if the in/out degree
 distributions are power laws then (1) k-hop neighborhood sizes and (2) the
 importance metric Imp^(k) are power laws too, so only a tiny vertex fraction
-is worth caching. This module provides the tooling to *verify those theorems
-empirically* on generated graphs (used by tests and the Figure 8 bench) and to
-sample power-law degree sequences for the synthetic Taobao substrate.
+is worth caching. This module samples power-law degree sequences for the
+synthetic Taobao substrate and fits a sample's exponent by maximum likelihood
+(the check that a generated graph is heavy-tailed).
 """
 
 from __future__ import annotations
@@ -45,23 +45,6 @@ def fit_power_law(values: np.ndarray, xmin: float = 1.0) -> PowerLawFit:
     return PowerLawFit(alpha=float(alpha), xmin=xmin, n_tail=int(tail.size))
 
 
-def tail_mass(values: np.ndarray, top_fraction: float) -> float:
-    """Fraction of the total mass carried by the top ``top_fraction`` values.
-
-    A heavy-tailed (power-law-ish) sample concentrates most of its mass in a
-    tiny head — e.g. the top 10% of vertices carrying >50% of total degree.
-    Tests use this as a robust, assumption-light heavy-tail check.
-    """
-    if not 0.0 < top_fraction <= 1.0:
-        raise ValueError(f"top_fraction must be in (0, 1], got {top_fraction}")
-    values = np.sort(np.asarray(values, dtype=np.float64))[::-1]
-    total = values.sum()
-    if total <= 0:
-        return 0.0
-    k = max(1, int(round(top_fraction * values.size)))
-    return float(values[:k].sum() / total)
-
-
 def sample_power_law_degrees(
     n: int,
     alpha: float,
@@ -90,19 +73,3 @@ def sample_power_law_degrees(
     # Inverse CDF of the truncated Pareto on [lo, hi).
     samples = (lo**exp + u * (hi**exp - lo**exp)) ** (1.0 / exp)
     return np.minimum(np.floor(samples).astype(np.int64), max_degree)
-
-
-def gini_coefficient(values: np.ndarray) -> float:
-    """Gini coefficient of a non-negative sample (0 = uniform, →1 = skewed).
-
-    Another assumption-light skewness measure used by the theorem tests:
-    power-law importance scores should have a high Gini.
-    """
-    values = np.sort(np.asarray(values, dtype=np.float64))
-    if np.any(values < 0):
-        raise ValueError("gini requires non-negative values")
-    n = values.size
-    if n == 0 or values.sum() == 0:
-        return 0.0
-    index = np.arange(1, n + 1)
-    return float((2.0 * np.sum(index * values) / (n * values.sum())) - (n + 1.0) / n)

@@ -1,8 +1,8 @@
 """Deterministic random number generation helpers.
 
 Every stochastic component in the library takes either a seed or a
-:class:`numpy.random.Generator`. These helpers normalize the two and derive
-independent child generators so that experiments are reproducible end to end.
+:class:`numpy.random.Generator`; :func:`make_rng` normalizes the two so that
+experiments are reproducible end to end.
 """
 
 from __future__ import annotations
@@ -22,15 +22,3 @@ def make_rng(seed: "int | np.random.Generator | None" = None) -> np.random.Gener
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` statistically independent child generators.
-
-    Used to hand one stream to each simulated graph server / sampler so that
-    adding a worker does not perturb the streams of the others.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    seeds = rng.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]

@@ -1,12 +1,10 @@
 """Small self-contained statistics helpers for sampler equivalence checks.
 
-The sampling kernels are validated *distributionally* against the scalar
-oracles in ``tests/test_sampling_kernels.py`` (the two consume RNG streams
-differently, so bit-equality is only required of the uniform and
-deterministic samplers). The tests need chi-square p-values for that; to keep the repo dependency-
-free these are computed here from scratch via the regularized incomplete
-gamma function (series + continued-fraction forms, Numerical Recipes style)
-rather than pulling in scipy.
+Chi-square p-values — :func:`chi_square_gof` behind the workload miner's
+Zipf fit, and the sampler equivalence tests in
+``tests/test_sampling_kernels.py`` — are computed here from scratch via the
+regularized incomplete gamma function (series + continued-fraction forms,
+Numerical Recipes style) rather than pulling in scipy.
 
 The module also hosts the seeded :class:`ZipfSampler` — the hot-key skew
 generator behind the serving tier's load shapes (and a reusable building
@@ -148,31 +146,3 @@ class ZipfSampler:
             raise ReproError(f"sample size must be >= 0, got {size}")
         idx = np.searchsorted(self._cdf, rng.random(size), side="right")
         return self.population[idx]
-
-
-def chi_square_homogeneity(
-    counts_a: np.ndarray, counts_b: np.ndarray
-) -> "tuple[float, float]":
-    """Two-sample test: were ``counts_a`` and ``counts_b`` drawn alike?
-
-    Standard 2×k contingency chi-square; cells empty in both samples are
-    dropped. Returns ``(statistic, p_value)``.
-    """
-    counts_a = np.asarray(counts_a, dtype=np.float64)
-    counts_b = np.asarray(counts_b, dtype=np.float64)
-    if counts_a.shape != counts_b.shape or counts_a.ndim != 1:
-        raise ReproError("count vectors must be aligned and 1-D")
-    live = (counts_a + counts_b) > 0
-    a, b = counts_a[live], counts_b[live]
-    na, nb = a.sum(), b.sum()
-    if na <= 0 or nb <= 0:
-        raise ReproError("both samples need at least one observation")
-    pooled = (a + b) / (na + nb)
-    stat = float(
-        np.sum((a - na * pooled) ** 2 / (na * pooled))
-        + np.sum((b - nb * pooled) ** 2 / (nb * pooled))
-    )
-    df = int(live.sum()) - 1
-    if df < 1:
-        return stat, 1.0
-    return stat, chi2_sf(stat, df)

@@ -57,18 +57,6 @@ class CostAccumulator:
         """Total modelled time in milliseconds."""
         return self.modelled_micros() / 1000.0
 
-    def merge(self, other: "CostAccumulator") -> "CostAccumulator":
-        """Fold another accumulator's counts into this one (returns self).
-
-        Per-server runtime ledgers combine into a cluster-wide view this
-        way; prices missing from this accumulator's table are adopted from
-        ``other`` so the merged modelled time stays complete.
-        """
-        self.counts.update(other.counts)
-        for event, price in other.costs.items():
-            self.costs.setdefault(event, price)
-        return self
-
     def summary(self) -> str:
         """Readable per-event breakdown: count, unit price, modelled time.
 

@@ -11,8 +11,80 @@ import pytest
 
 from repro.bench.timing import python_calls  # noqa: F401  (re-exported to the tests)
 from repro.data import amazon_graph, taobao_graph
-from repro.graph import Graph, GraphBuilder
+from repro.graph import AttributedHeterogeneousGraph, Graph
 from repro.utils.rng import make_rng
+
+
+def tail_mass(values: np.ndarray, top_fraction: float) -> float:
+    """Fraction of the total mass carried by the top ``top_fraction`` values.
+
+    A heavy-tailed (power-law-ish) sample concentrates most of its mass in a
+    tiny head — e.g. the top 10% of vertices carrying >50% of total degree.
+    Tests use this as a robust, assumption-light heavy-tail check.
+    """
+    if not 0.0 < top_fraction <= 1.0:
+        raise ValueError(f"top_fraction must be in (0, 1], got {top_fraction}")
+    values = np.sort(np.asarray(values, dtype=np.float64))[::-1]
+    total = values.sum()
+    if total <= 0:
+        return 0.0
+    k = max(1, int(round(top_fraction * values.size)))
+    return float(values[:k].sum() / total)
+
+
+def gini_coefficient(values: np.ndarray) -> float:
+    """Gini coefficient of a non-negative sample (0 = uniform, →1 = skewed).
+
+    Another assumption-light skewness measure used by the theorem tests:
+    power-law importance scores should have a high Gini.
+    """
+    values = np.sort(np.asarray(values, dtype=np.float64))
+    if np.any(values < 0):
+        raise ValueError("gini requires non-negative values")
+    n = values.size
+    if n == 0 or values.sum() == 0:
+        return 0.0
+    index = np.arange(1, n + 1)
+    return float((2.0 * np.sum(index * values) / (n * values.sum())) - (n + 1.0) / n)
+
+
+def cache_get(cache, vertex: int):
+    """Scalar lookup on a ``NeighborCache``: the oracle its ``get_many`` must
+    equal (pinned side first, then the LRU side, which moves recency)."""
+    if vertex in cache._pinned:
+        cache.hits += 1
+        return cache._pinned[vertex]
+    row = cache._lru.get(vertex)
+    if row is None:
+        cache.misses += 1
+    else:
+        cache.hits += 1
+    return row
+
+
+def cache_admit(cache, vertex: int, row: np.ndarray) -> None:
+    """Scalar demand fill on a ``NeighborCache`` (the ``admit_many`` oracle)."""
+    if cache._lru.capacity > 0 and vertex not in cache._pinned:
+        cache._lru.put(vertex, np.asarray(row, dtype=np.int64))
+
+
+def replica_holders(registry, vertex: int) -> "tuple[int, ...]":
+    """Parts whose cache holds ``vertex``, ascending, read off the registry."""
+    return tuple(p for p in range(registry.n_parts) if vertex in registry.held_by(p))
+
+
+def out_weights(graph, vertex: int) -> np.ndarray:
+    """Edge weights aligned with ``graph.out_neighbors(vertex)``."""
+    indptr, _, weights = graph.csr_arrays()
+    return weights[indptr[vertex] : indptr[vertex + 1]]
+
+
+def in_neighbors(graph, vertex: int) -> np.ndarray:
+    """In-neighbor ids of ``vertex`` in edge order (the out-row when undirected)."""
+    if not graph.directed:
+        return graph.out_neighbors(vertex)
+    src, dst, _ = graph.edge_array()
+    return src[dst == vertex]
 
 
 @pytest.fixture
@@ -42,17 +114,20 @@ def tiny_undirected() -> Graph:
 @pytest.fixture
 def tiny_ahg():
     """2 users, 3 items, 2 behaviour edge types + item_item."""
-    b = GraphBuilder(directed=True)
-    for i in range(2):
-        b.add_vertex(f"u{i}", "user", features=np.array([float(i), 1.0]))
-    for i in range(3):
-        b.add_vertex(f"i{i}", "item", features=np.array([float(i), 2.0, 3.0]))
-    b.add_edge("u0", "i0", etype="click")
-    b.add_edge("u0", "i1", etype="buy")
-    b.add_edge("u1", "i1", etype="click")
-    b.add_edge("u1", "i2", etype="click")
-    b.add_edge("i0", "i1", etype="item_item")
-    return b.build_ahg()
+    # u0=0, u1=1, i0=2, i1=3, i2=4; features zero-padded to width 3.
+    return AttributedHeterogeneousGraph(
+        n_vertices=5,
+        src=np.array([0, 0, 1, 1, 2]),
+        dst=np.array([2, 3, 3, 4, 3]),
+        vertex_types=np.array([0, 0, 1, 1, 1]),
+        edge_types=np.array([0, 1, 0, 0, 2]),
+        vertex_type_names=["user", "item"],
+        edge_type_names=["click", "buy", "item_item"],
+        directed=True,
+        vertex_features=np.array(
+            [[0, 1, 0], [1, 1, 0], [0, 2, 3], [1, 2, 3], [2, 2, 3]], dtype=np.float32
+        ),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -150,17 +150,6 @@ def test_mne_beats_random(amazon_split):
     assert _auc(model, amazon_split) > 65.0
 
 
-def test_mne_type_embeddings(small_amazon):
-    model = MNE(dim=16, epochs=1, walks_per_vertex=2, walk_length=6)
-    model.fit(small_amazon)
-    co_view = model.type_embeddings("co_view")
-    co_buy = model.type_embeddings("co_buy")
-    assert co_view.shape == co_buy.shape
-    assert not np.allclose(co_view, co_buy)
-    with pytest.raises(TrainingError):
-        model.type_embeddings("returns")
-
-
 def test_struc2vec_groups_roles():
     """Hub vertices of two disjoint stars embed closer to each other than
     to leaves — the structural-identity property."""

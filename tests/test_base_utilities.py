@@ -12,7 +12,7 @@ from repro.algorithms.base import (
 )
 from repro.errors import OperatorError, TrainingError
 from repro.nn.init import embedding_init, he_uniform, xavier_uniform
-from repro.nn.layers import Dense, Embedding
+from repro.nn.layers import Embedding
 from repro.nn.optim import Adam
 from repro.runtime import StageProfiler
 from repro.sampling.negative import DegreeBiasedNegativeSampler
@@ -196,12 +196,6 @@ def test_embedding_init_scale():
     assert np.abs(w).max() <= 0.5 / 20 + 1e-12
     w2 = embedding_init((100, 20), rng, scale=0.1)
     assert np.abs(w2).max() <= 0.1
-
-
-def test_n_parameters_counts_scalars():
-    rng = make_rng(0)
-    layer = Dense(4, 3, rng)
-    assert layer.n_parameters() == 4 * 3 + 3
 
 
 def test_register_plugins_require_names():

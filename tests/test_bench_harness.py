@@ -8,9 +8,7 @@ import pytest
 
 from repro.bench import Experiment, ExperimentReport, run_experiment
 from repro.bench.timing import Timing, assert_faster, time_arms
-from repro.data import train_test_split_edges
 from repro.errors import CheckFailedError, ReproError
-from repro.tasks import evaluate_link_prediction_typed
 
 
 def test_report_renders_measured_and_paper():
@@ -105,31 +103,6 @@ def test_a_failed_wall_clock_claim_names_its_experiment(tmp_path):
     assert (tmp_path / "toy.json").exists()
 
 
-def test_typed_evaluation_uses_per_type_embeddings(small_amazon):
-    split = train_test_split_edges(small_amazon, 0.2, seed=0)
-    n = small_amazon.n_vertices
-    rng = np.random.default_rng(0)
-    # Type 0 gets a perfect adjacency embedding; type 1 gets noise: the
-    # averaged metric must land strictly between the two extremes.
-    perfect = np.zeros((n, n))
-    src, dst, _ = small_amazon.edge_array()
-    perfect[src, dst] = 1.0
-    perfect[dst, src] = 1.0
-    noise = rng.normal(size=(n, n))
-    result = evaluate_link_prediction_typed({0: perfect, 1: noise}, split)
-    assert 55.0 < result.roc_auc < 95.0
-
-
-def test_typed_evaluation_skips_missing_types(small_amazon):
-    split = train_test_split_edges(small_amazon, 0.2, seed=0)
-    rng = np.random.default_rng(1)
-    emb = rng.normal(size=(small_amazon.n_vertices, 4))
-    only_type0 = evaluate_link_prediction_typed({0: emb}, split)
-    assert 0.0 <= only_type0.roc_auc <= 100.0
-    with pytest.raises(ReproError):
-        evaluate_link_prediction_typed({99: emb}, split)
-
-
 def test_mixture_context_embeddings_shapes(small_amazon):
     from repro.algorithms import MixtureGNN
 
@@ -141,14 +114,3 @@ def test_mixture_context_embeddings_shapes(small_amazon):
     mix = model.mixture_embeddings()
     norm = mix / np.maximum(np.linalg.norm(mix, axis=1, keepdims=True), 1e-12)
     np.testing.assert_allclose(model.embeddings(), norm, atol=1e-9)
-
-
-def test_mve_type_embeddings(small_amazon):
-    from repro.algorithms import MVE
-    from repro.errors import TrainingError
-
-    model = MVE(dim=12, epochs=1, walks_per_vertex=2)
-    model.fit(small_amazon)
-    assert model.type_embeddings("co_view").shape == (small_amazon.n_vertices, 12)
-    with pytest.raises(TrainingError):
-        model.type_embeddings("returns")

@@ -154,10 +154,6 @@ def test_node_classification_validations():
         evaluate_node_classification(
             np.zeros((4, 2)), np.zeros(4, dtype=int)
         )  # single class
-    with pytest.raises(ReproError):
-        evaluate_node_classification(
-            np.zeros((4, 2)), np.array([0, 1, 0, 1]), train_fraction=1.5
-        )
 
 
 def test_report_prints_workload_metrics_and_ledger(report_text):

@@ -14,7 +14,7 @@ from repro.data import (
     train_test_split_edges,
 )
 from repro.errors import DatasetError
-from repro.utils.powerlaw import tail_mass
+from tests.conftest import tail_mass
 
 
 def test_taobao_schema(small_taobao):
@@ -158,8 +158,6 @@ def test_registry_names():
         "taobao-small-sim",
         "taobao-large-sim",
         "amazon-sim",
-        "dynamic-taobao-sim",
-        "powerlaw",
     ):
         assert name in DATASETS
 

@@ -29,6 +29,29 @@ def _init():
     return embedding_init((N_ROWS, DIM), make_rng(3))
 
 
+def row_versions(kv) -> np.ndarray:
+    """Authoritative per-row versions, gathered from every shard."""
+    out = np.empty(kv.n_rows, dtype=np.int64)
+    for p, shard in enumerate(kv.shards):
+        out[p :: kv.n_parts] = shard.versions
+    return out
+
+
+def cached_version_lag(kv) -> int:
+    """Max (authoritative - cached) version over the cache entries a pull
+    would still serve: the quantity the staleness bound holds down."""
+    versions = row_versions(kv)
+    return max(
+        (
+            int(versions[g]) - ver
+            for cache in kv._caches.values()
+            for g, (_, ver, rnd) in cache.items()
+            if kv._round - rnd <= kv.staleness
+        ),
+        default=0,
+    )
+
+
 def _kv(graph, **kwargs):
     store = make_store(graph, WORKERS, seed=0)
     defaults = dict(lr=0.05)
@@ -81,7 +104,7 @@ def test_push_updates_only_touched_rows(graph):
     untouched = np.setdiff1d(np.arange(N_ROWS), ids)
     np.testing.assert_array_equal(after[untouched], before[untouched])
     assert not np.array_equal(after[ids], before[ids])
-    versions = kv.row_versions()
+    versions = row_versions(kv)
     assert versions[ids].tolist() == [1, 1, 1]
     assert versions[untouched].sum() == 0
 
@@ -93,7 +116,7 @@ def test_push_coalesces_duplicate_ids(graph):
     store2, kv2 = _kv(graph)
     kv2.push(np.array([9]), np.full((1, DIM), 2.0))
     np.testing.assert_array_equal(kv.materialize(), kv2.materialize())
-    assert kv.row_versions()[9] == 1
+    assert row_versions(kv)[9] == 1
 
 
 def test_push_validates_shapes(graph):
@@ -177,7 +200,7 @@ def test_faults_do_not_change_applied_updates(graph):
     s_clean, kv_clean = _faulty_run(graph, drop_rate=0.0, timeout_rate=0.0)
     assert s_faulty.runtime.metrics.counter("rpc.retries").value > 0
     np.testing.assert_array_equal(kv_faulty.materialize(), kv_clean.materialize())
-    np.testing.assert_array_equal(kv_faulty.row_versions(), kv_clean.row_versions())
+    np.testing.assert_array_equal(row_versions(kv_faulty), row_versions(kv_clean))
 
 
 def test_failed_shard_raises_retry_exhausted(graph):
@@ -211,7 +234,7 @@ def test_staleness_zero_reads_are_exact(graph):
     kv.push(np.array([5]), np.ones((1, DIM)))  # unrelated push ages the cache
     again = kv.pull(row)
     np.testing.assert_array_equal(first, again)
-    assert kv.cached_version_lag() == 0
+    assert cached_version_lag(kv) == 0
 
 
 def test_bounded_staleness_serves_and_bounds_lag(graph):
@@ -234,8 +257,8 @@ def test_bounded_staleness_serves_and_bounds_lag(graph):
         ).value
         == 1
     )
-    assert kv.cached_version_lag() <= 2
-    assert kv.row_versions()[1] == 2
+    assert cached_version_lag(kv) <= 2
+    assert row_versions(kv)[1] == 2
 
     kv.push(np.array([5]), np.ones((1, DIM)), from_part=0)  # age now 3
     fresh_read = kv.pull(row, from_part=2)  # past bound: refetch

@@ -1,5 +1,5 @@
 """Extension features (paper §7 future work + operational hardening):
-edge/subgraph embeddings, early stopping, AutoGNN, worker failure handling
+subgraph embeddings, early stopping, AutoGNN, worker failure handling
 and streaming updates."""
 
 import numpy as np
@@ -17,85 +17,26 @@ from repro.storage.costmodel import (
     EV_ITEM_SHIPPED,
     EV_REPLICA_REFRESH,
 )
-from repro.tasks.edge_embeddings import (
-    edge_embedding,
-    neighborhood_subgraph_embedding,
-    subgraph_embedding,
-    whole_graph_embedding,
-)
+from repro.tasks.edge_embeddings import subgraph_embedding
+from tests.conftest import replica_holders
 
 
 # --------------------------------------------------------------------- #
-# Edge / subgraph embeddings
+# Subgraph embeddings
 # --------------------------------------------------------------------- #
 @pytest.fixture
 def emb():
     return np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 1.0]])
 
 
-def test_edge_operators(emb):
-    pairs = np.array([[0, 1]])
-    np.testing.assert_allclose(edge_embedding(emb, pairs, "hadamard"), [[3.0, 8.0]])
-    np.testing.assert_allclose(edge_embedding(emb, pairs, "average"), [[2.0, 3.0]])
-    np.testing.assert_allclose(edge_embedding(emb, pairs, "l1"), [[2.0, 2.0]])
-    np.testing.assert_allclose(edge_embedding(emb, pairs, "l2"), [[4.0, 4.0]])
-    np.testing.assert_allclose(
-        edge_embedding(emb, pairs, "concat"), [[1.0, 2.0, 3.0, 4.0]]
-    )
+def test_subgraph_pooling(emb):
+    np.testing.assert_allclose(subgraph_embedding(emb, np.array([0, 1])), [2.0, 3.0])
+    np.testing.assert_allclose(subgraph_embedding(emb, [2]), [0.0, 1.0])
 
 
-def test_edge_operator_validation(emb):
-    with pytest.raises(ReproError):
-        edge_embedding(emb, np.array([[0, 1]]), "xor")
-    with pytest.raises(ReproError):
-        edge_embedding(emb, np.array([0, 1]))
-
-
-def test_symmetric_operators_are_symmetric(emb):
-    fwd = np.array([[0, 1]])
-    rev = np.array([[1, 0]])
-    for op in ("hadamard", "average", "l1", "l2"):
-        np.testing.assert_allclose(
-            edge_embedding(emb, fwd, op), edge_embedding(emb, rev, op)
-        )
-    assert not np.allclose(
-        edge_embedding(emb, fwd, "concat"), edge_embedding(emb, rev, "concat")
-    )
-
-
-def test_subgraph_pooling(emb, tiny_graph):
-    ids = np.array([0, 1])
-    np.testing.assert_allclose(subgraph_embedding(emb, ids, "mean"), [2.0, 3.0])
-    np.testing.assert_allclose(subgraph_embedding(emb, ids, "max"), [3.0, 4.0])
-    weighted = subgraph_embedding(emb, ids, "degree", graph=tiny_graph)
-    # Vertex 0 has out-degree 2, vertex 1 has 1: weights 3/5 and 2/5.
-    np.testing.assert_allclose(weighted, [3 / 5 * 1 + 2 / 5 * 3, 3 / 5 * 2 + 2 / 5 * 4])
-
-
-def test_subgraph_validations(emb, tiny_graph):
+def test_subgraph_validations(emb):
     with pytest.raises(ReproError):
         subgraph_embedding(emb, np.array([], dtype=np.int64))
-    with pytest.raises(ReproError):
-        subgraph_embedding(emb, np.array([0]), "degree")  # graph missing
-    with pytest.raises(ReproError):
-        subgraph_embedding(emb, np.array([0]), "sum")
-
-
-def test_neighborhood_subgraph(tiny_graph):
-    rng = np.random.default_rng(0)
-    emb6 = rng.normal(size=(6, 3))
-    zero_hop = neighborhood_subgraph_embedding(emb6, tiny_graph, center=0, hops=0)
-    np.testing.assert_allclose(zero_hop, emb6[0])
-    one_hop = neighborhood_subgraph_embedding(emb6, tiny_graph, center=0, hops=1)
-    np.testing.assert_allclose(one_hop, emb6[[0, 1, 2]].mean(axis=0))
-    with pytest.raises(ReproError):
-        neighborhood_subgraph_embedding(emb6, tiny_graph, center=0, hops=-1)
-
-
-def test_whole_graph_embedding(tiny_graph):
-    emb6 = np.random.default_rng(1).normal(size=(6, 3))
-    vec = whole_graph_embedding(emb6, tiny_graph)
-    assert vec.shape == (3,)
 
 
 # --------------------------------------------------------------------- #
@@ -289,7 +230,7 @@ def test_remove_absent_edge_keeps_cached_copies(small_powerlaw, policy):
     assert store.ledger.count(EV_REPLICA_REFRESH) == 0
     assert store.ledger.count(EV_ITEM_SHIPPED) == 0
     assert cache.peek(u) is row
-    assert store.replicas.holders(u) != ()
+    assert replica_holders(store.replicas, u) != ()
 
 
 def test_update_invalidates_caches(small_powerlaw):

@@ -25,16 +25,6 @@ def test_vertices_of_type(tiny_ahg):
     assert set(users) & set(items) == set()
 
 
-def test_out_neighbors_by_type(tiny_ahg):
-    u0 = 0
-    clicks = tiny_ahg.out_neighbors_by_type(u0, "click")
-    buys = tiny_ahg.out_neighbors_by_type(u0, "buy")
-    assert clicks.size == 1
-    assert buys.size == 1
-    all_nbrs = set(tiny_ahg.out_neighbors(u0).tolist())
-    assert set(clicks.tolist()) | set(buys.tolist()) == all_nbrs
-
-
 def test_edge_type_subgraph(tiny_ahg):
     sub = tiny_ahg.edge_type_subgraph("click")
     assert sub.n_edges == 3
@@ -44,8 +34,8 @@ def test_edge_type_subgraph(tiny_ahg):
 def test_feature_padding(tiny_ahg):
     # User features are 2-d padded to the 3-d item width.
     assert tiny_ahg.vertex_features.shape == (5, 3)
-    assert tiny_ahg.vertex_feature(0)[2] == 0.0  # padded slot
-    assert tiny_ahg.vertex_feature(2)[2] == 3.0
+    assert tiny_ahg.vertex_features[0, 2] == 0.0  # padded slot
+    assert tiny_ahg.vertex_features[2, 2] == 3.0
 
 
 def test_describe(tiny_ahg):
@@ -114,18 +104,4 @@ def test_no_features_returns_empty(tiny_graph):
         vertex_type_names=["a", "b"],
         edge_type_names=["e"],
     )
-    assert ahg.vertex_feature(0).size == 0
-
-
-def test_undirected_ahg_type_adjacency():
-    ahg = AttributedHeterogeneousGraph(
-        3, np.array([0, 1]), np.array([1, 2]),
-        vertex_types=np.array([0, 1, 0]),
-        edge_types=np.array([0, 1]),
-        vertex_type_names=["a", "b"],
-        edge_type_names=["x", "y"],
-        directed=False,
-    )
-    # Edge (0,1) is type x; mirrored adjacency keeps the type on both sides.
-    assert ahg.out_neighbors_by_type(1, "x").tolist() == [0]
-    assert ahg.out_neighbors_by_type(1, "y").tolist() == [2]
+    assert ahg.vertex_features is None

@@ -1,90 +1,10 @@
-"""GraphBuilder id interning and edge-list / npz round trips."""
+"""The ``.npz`` AHG bundle: round trip and a missing file."""
 
 import numpy as np
 import pytest
 
-from repro.errors import DatasetError, GraphError
-from repro.graph import GraphBuilder
-from repro.graph.io import (
-    load_ahg,
-    read_edge_list,
-    read_edge_list_ahg,
-    save_ahg,
-    write_edge_list,
-)
-
-
-def test_builder_interns_external_ids():
-    b = GraphBuilder()
-    b.add_edge("x", "y")
-    b.add_edge("y", "z")
-    assert b.n_vertices == 3
-    assert b.internal_id("x") == 0
-    assert b.internal_id("z") == 2
-    assert b.external_ids() == ["x", "y", "z"]
-
-
-def test_builder_unknown_external_id():
-    b = GraphBuilder()
-    with pytest.raises(GraphError):
-        b.internal_id("nope")
-
-
-def test_builder_rejects_nonpositive_weight():
-    b = GraphBuilder()
-    with pytest.raises(GraphError):
-        b.add_edge("a", "b", weight=0.0)
-
-
-def test_builder_plain_graph():
-    b = GraphBuilder(directed=False)
-    b.add_edges([("a", "b"), ("b", "c")])
-    g = b.build()
-    assert g.n_vertices == 3
-    assert g.n_edges == 2
-    assert not g.directed
-
-
-def test_builder_revisiting_vertex_updates(tiny_ahg):
-    b = GraphBuilder()
-    b.add_vertex("v", "user", features=np.array([1.0]))
-    b.add_vertex("v", "item", features=np.array([2.0]))
-    b.add_edge("v", "w")
-    g = b.build_ahg()
-    assert g.vertex_type_names[g.vertex_types[0]] == "item"
-    assert g.vertex_feature(0)[0] == 2.0
-
-
-def test_builder_default_type_for_untyped():
-    b = GraphBuilder()
-    b.add_vertex("typed", "user")
-    b.add_edge("typed", "untyped")
-    g = b.build_ahg()
-    assert "default" in g.vertex_type_names
-
-
-def test_edge_list_roundtrip(tmp_path, tiny_graph):
-    path = str(tmp_path / "g.tsv")
-    write_edge_list(tiny_graph, path)
-    g2 = read_edge_list(path)
-    assert g2.n_vertices == tiny_graph.n_vertices
-    assert g2.n_edges == tiny_graph.n_edges
-    assert g2.directed == tiny_graph.directed
-    for u, v, w in tiny_graph.edges():
-        assert g2.edge_weight(u, v) == pytest.approx(w)
-
-
-def test_edge_list_roundtrip_ahg(tmp_path, tiny_ahg):
-    path = str(tmp_path / "ahg.tsv")
-    write_edge_list(tiny_ahg, path)
-    g2 = read_edge_list_ahg(path)
-    assert g2.n_edges == tiny_ahg.n_edges
-    assert set(g2.edge_type_names) == set(tiny_ahg.edge_type_names)
-
-
-def test_read_missing_file():
-    with pytest.raises(DatasetError):
-        read_edge_list("/nonexistent/file.tsv")
+from repro.errors import DatasetError
+from repro.graph.io import load_ahg, save_ahg
 
 
 def test_npz_roundtrip(tmp_path, tiny_ahg):
@@ -102,14 +22,3 @@ def test_npz_roundtrip(tmp_path, tiny_ahg):
 def test_npz_missing_file():
     with pytest.raises(DatasetError):
         load_ahg("/nonexistent/file.npz")
-
-
-def test_edge_list_preserves_isolated_vertices(tmp_path):
-    b = GraphBuilder()
-    for i in range(5):
-        b.add_vertex(i)
-    b.add_edge(0, 1)
-    g = b.build()
-    path = str(tmp_path / "iso.tsv")
-    write_edge_list(g, path)
-    assert read_edge_list(path).n_vertices == 5

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.algorithms import GATNE, DeepWalk, GraphSAGE
-from repro.data import make_dataset, train_test_split_edges
+from repro.data import make_dataset, powerlaw_graph, train_test_split_edges
 from repro.ops import (
     MaterializationCache,
     MinibatchExecutor,
@@ -46,7 +46,7 @@ def test_distributed_sampling_pipeline_end_to_end():
 
 def test_executor_over_distributed_store():
     """Operator layer runs against the distributed store transparently."""
-    graph = make_dataset("powerlaw", scale=0.2, seed=1)
+    graph = powerlaw_graph(1000, seed=1)
     store = make_store(graph, 2, seed=0)
     rng = make_rng(2)
     features = rng.normal(size=(graph.n_vertices, 8))

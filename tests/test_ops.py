@@ -234,15 +234,6 @@ def test_cache_get_missing_raises():
         cache.get_rows(1, np.array([0]))
 
 
-def test_cache_invalidate():
-    cache = MaterializationCache(1, 4)
-    cache.update(1, np.array([0]), np.zeros((1, 2)))
-    cache.invalidate()
-    with pytest.raises(OperatorError):
-        cache.get_rows(1, np.array([0]))
-    assert not cache.lookup(1, np.array([0]))[0].any()
-
-
 def test_cache_validations():
     with pytest.raises(OperatorError):
         MaterializationCache(0, 4)
@@ -433,11 +424,6 @@ class CacheMachine(RuleBasedStateMachine):
         absent = sorted(set(range(self.N)) - set(held))
         with pytest.raises(OperatorError, match=f"vertex {absent[0]} not materialized"):
             self.cache.get_rows(hop, np.array([held[0], absent[0]]))
-
-    @rule()
-    def invalidate(self):
-        self.cache.invalidate()
-        self.model.clear()
 
     @invariant()
     def counters_agree(self):

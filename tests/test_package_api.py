@@ -34,8 +34,7 @@ def test_top_level_import():
             "repro.sampling",
             ["VertexTraverseSampler", "EdgeTraverseSampler",
              "UniformNeighborSampler", "WeightedNeighborSampler",
-             "DegreeBiasedNegativeSampler", "TypeAwareNegativeSampler",
-             "SamplingPipeline", "random_walks", "node2vec_walks",
+             "DegreeBiasedNegativeSampler", "SamplingPipeline", "random_walks", "node2vec_walks",
              "metapath_walks"],
         ),
         (
@@ -47,10 +46,8 @@ def test_top_level_import():
         (
             "repro.tasks",
             ["roc_auc", "pr_auc", "f1_score", "hit_recall_at_k",
-             "evaluate_link_prediction", "evaluate_link_prediction_typed",
-             "evaluate_recommendation", "evaluate_edge_classification",
-             "evaluate_node_classification", "edge_embedding",
-             "subgraph_embedding"],
+             "evaluate_link_prediction", "evaluate_recommendation",
+             "evaluate_node_classification", "subgraph_embedding"],
         ),
         (
             "repro.data",
@@ -64,15 +61,14 @@ def test_top_level_import():
         ),
         (
             "repro.graph",
-            ["Graph", "AttributedHeterogeneousGraph", "GraphBuilder",
-             "DynamicGraph", "EdgeEvent"],
+            ["Graph", "AttributedHeterogeneousGraph", "DynamicGraph", "EdgeEvent"],
         ),
         (
             "repro.runtime",
             ["RpcRuntime", "Request", "Response", "VirtualClock",
              "FaultPlan", "RetryPolicy", "HealthTracker", "MetricsRegistry",
              "Tracer", "NULL_TRACER", "StageProfiler", "chrome_trace",
-             "prometheus_text", "write_chrome_trace"],
+             "prometheus_text"],
         ),
         (
             "repro.obs",
@@ -266,7 +262,8 @@ def test_aggregate_has_one_calling_convention():
 
 
 def test_retired_options_are_not_parameters_or_fields_of_anything():
-    """Four values no caller ever set are constants now."""
+    """Values no caller ever set are constants now, and code no program ran
+    is gone."""
     import dataclasses
     import inspect
 
@@ -281,6 +278,167 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
     assert not retired & {f.name for f in dataclasses.fields(ServingConfig)}
     assert not retired & set(vars(ServingConfig()))
     assert not retired & set(vars(GNNFramework()))
+
+    # The usage census's first pass: what no program ran left, and what no
+    # program set became a constant. (owner, names it must not have.)
+    import importlib.util
+
+    import repro.graph.io
+    import repro.nn.functional as F
+    import repro.nn.rnn
+    import repro.obs
+    import repro.runtime.export
+    import repro.sampling.negative
+    import repro.storage.partition.base
+    import repro.storage.placement
+    import repro.tasks
+    import repro.utils.powerlaw
+    import repro.utils.rng
+    import repro.utils.stats
+    from repro import errors
+    from repro.algorithms.base import EmbeddingModel
+    from repro.algorithms.bayesian_gnn import BayesianGNN
+    from repro.algorithms.mixture_gnn import MixtureGNN
+    from repro.data import amazon_graph, dynamic_taobao, powerlaw_graph, taobao_graph
+    from repro.graph import AttributedHeterogeneousGraph, Graph
+    from repro.nn import Embedding, Module, SparseGrad, Tensor
+    from repro.nn.init import xavier_uniform
+    from repro.obs import TimeSeriesSampler, analyze, render_analysis
+    from repro.ops import MaterializationCache, MaxPoolAggregator
+    from repro.runtime import FaultPlan, HealthTracker, MetricsRegistry, StageProfiler, Tracer
+    from repro.runtime.faults import FaultInjector
+    from repro.runtime.tracing import Span
+    from repro.sampling import (
+        CsrAdjacency,
+        DegreeBiasedNegativeSampler,
+        EdgeTraverseSampler,
+        ImportanceNeighborSampler,
+        NeighborhoodSample,
+        VertexTraverseSampler,
+    )
+    from repro.serving.slo import SLOReport
+    from repro.storage import CostModel, EmbeddingKVStore, plan_importance_cache
+    from repro.storage.buckets import RequestFlowBuckets, synthetic_trace
+    from repro.storage.cache import NeighborCache
+    from repro.storage.cluster import build_distributed
+    from repro.storage.embedding import EmbeddingShard
+    from repro.storage.importance import CachePlan
+    from repro.storage.partition import MetisPartitioner
+    from repro.storage.replicas import ReplicaRegistry
+    from repro.tasks import evaluate_link_prediction, f1_score, score_pairs, subgraph_embedding
+    from repro.utils.alias import AliasTable, GroupedAliasTable
+    from repro.utils.lru import LRUCache
+    from repro.utils.timer import CostAccumulator
+
+    gone = [
+        (repro.graph, {"GraphBuilder"}),
+        (repro.graph.io, {"write_edge_list", "read_edge_list", "read_edge_list_ahg"}),
+        (Graph, {"edge_weight", "out_weights", "out_edge_ids", "in_degree", "in_neighbors",
+                 "edges", "out_degree", "neighbors", "subgraph", "adjacency_matrix"}),
+        (AttributedHeterogeneousGraph, {"vertex_feature", "out_neighbors_by_type"}),
+        (errors, {"EdgeNotFoundError"}),
+        (repro.tasks, {"edge_embedding", "neighborhood_subgraph_embedding",
+                       "whole_graph_embedding", "evaluate_edge_classification",
+                       "evaluate_link_prediction_typed"}),
+        (subgraph_embedding, {"pooling", "graph"}),
+        (score_pairs, {"method"}),
+        (evaluate_link_prediction, {"method"}),
+        (f1_score, {"threshold"}),
+        (EmbeddingModel, {"type_embeddings"}),
+        (EmbeddingModel._require_fitted, {"attr"}),
+        (MixtureGNN, {"sense_embeddings"}),
+        (BayesianGNN, {"corrected_prior"}),
+        (repro.sampling.negative, {"UniformNegativeSampler", "TypeAwareNegativeSampler"}),
+        (DegreeBiasedNegativeSampler, {"_reject"}),
+        (DegreeBiasedNegativeSampler.__init__, {"strict"}),
+        (repro.nn, {"Dropout", "LayerNorm"}),
+        (F, {"dropout", "stack", "log", "sigmoid", "leaky_relu"}),
+        (repro.nn.rnn, {"lstm_over_sequence"}),
+        (SparseGrad, {"to_dense"}),
+        (Tensor, {"detach"}),
+        (Module, {"n_parameters", "zero_grad"}),
+        (Embedding, {"n", "dim"}),
+        (xavier_uniform, {"gain"}),
+        (plan_importance_cache, {"cost_model"}),
+        (CostModel, {"cache_churn_ratio", "importance_threshold"}),
+        (CachePlan, {"max_cached_hop"}),
+        (build_distributed, {"coordination_rounds"}),
+        (LRUCache, {"clear", "reset_stats", "hit_rate"}),
+        (LRUCache.get, {"default"}),
+        (LRUCache.peek, {"default"}),
+        (NeighborCache, {"get", "admit", "hit_rate"}),
+        (ReplicaRegistry, {"holders", "replica_count", "n_tracked"}),
+        (CostAccumulator, {"merge"}),
+        (EmbeddingKVStore, {"row_versions", "cached_version_lag"}),
+        (EmbeddingShard, {"rows", "read"}),
+        (MaterializationCache, {"invalidate"}),
+        (CsrAdjacency, {"n_slots"}),
+        (Tracer, {"reset", "current", "event"}),
+        (Tracer.render_tree, {"trace_id"}),
+        (Span, {"to_dict"}),
+        (StageProfiler, {"render"}),
+        (MetricsRegistry, {"reset"}),
+        (MetricsRegistry.render, {"title"}),
+        (HealthTracker, {"reset", "state"}),
+        (FaultInjector, {"reset"}),
+        (FaultPlan, {"fault_free"}),
+        (repro.utils.rng, {"spawn_rngs"}),
+        (TimeSeriesSampler, {"to_dict"}),
+        (TimeSeriesSampler.__init__, {"percentiles"}),
+        (repro.obs, {"ledger_event_totals", "render_critical_path"}),
+        (analyze, {"tail_pct"}),
+        (render_analysis, {"max_traces"}),
+        (repro.storage.placement, {"attach_placement"}),
+        (repro.runtime.export, {"write_chrome_trace"}),
+        (RequestFlowBuckets, {"speedup"}),
+        (RequestFlowBuckets.locked_makespan_us, {"n_cores", "writer_exclusive"}),
+        (synthetic_trace, {"read_service_us", "update_service_us"}),
+        (EdgeTraverseSampler, {"epoch_batches", "n_edges"}),
+        (VertexTraverseSampler, {"epoch_batches"}),
+        (NeighborhoodSample, {"batch_size", "hop", "all_vertices"}),
+        (ImportanceNeighborSampler, {"inclusion_probability"}),
+        (SLOReport, {"render", "total_requests"}),
+        (repro.storage.partition.base, {"available_partitioners"}),
+        (MetisPartitioner.__init__, {"coarsen_to", "refine_passes", "balance_slack"}),
+        (MaxPoolAggregator.__init__, {"pool_dim"}),
+        (repro.utils.powerlaw, {"tail_mass", "gini_coefficient"}),
+        (repro.utils.stats, {"chi_square_homogeneity"}),
+        (AliasTable, {"draw"}),
+        (GroupedAliasTable, {"draw_group"}),
+        (amazon_graph, {"coview_per_product", "cobuy_fraction", "intra_community", "zipf"}),
+        (dynamic_taobao, {"base_mean_degree"}),
+        (taobao_graph, {"item_item_fraction", "degree_alpha", "item_zipf", "n_interests",
+                        "interest_affinity", "attr_vocab"}),
+        (powerlaw_graph, {"min_degree"}),
+    ]
+    for owner, names in gone:
+        have = set(dir(owner))
+        if inspect.isfunction(owner):
+            have |= set(inspect.signature(owner).parameters)
+        assert not names & have, (owner, names & have)
+    assert importlib.util.find_spec("repro.nn.attention") is None
+    assert importlib.util.find_spec("repro.graph.builder") is None
+
+
+def test_census_allow_list_names_existing_defs_with_one_reason():
+    """Every ``tests/census.json`` entry names a def, or a defaulted parameter
+    of one, under ``src/repro`` (read with ``ast``; nothing runs) and carries
+    one of the four reasons."""
+    import json
+    import pathlib
+
+    from tests.census import REASON_PATTERN, all_defs
+
+    allowed = json.loads((pathlib.Path(__file__).parent / "census.json").read_text())
+    assert set(allowed) == {"functions", "parameters"}
+    defs = all_defs()
+    for key, reason in allowed["functions"].items():
+        assert key in defs, f"no def {key}"
+        assert REASON_PATTERN.fullmatch(reason), (key, reason)
+    for entry, reason in allowed["parameters"].items():
+        key, _, param = entry.rstrip(")").partition("(")
+        assert param in defs.get(key, ()), f"no defaulted parameter {entry}"
+        assert REASON_PATTERN.fullmatch(reason), (entry, reason)
 
 
 def test_one_optimizer_takes_dense_and_row_sparse_gradients():
@@ -317,8 +475,7 @@ def test_one_optimizer_takes_dense_and_row_sparse_gradients():
 def test_the_zoo_has_one_training_loop_one_feature_builder_one_accessor():
     """``algorithms/base.py`` owns the step (``zero_grad`` -> loss ->
     ``backward`` -> ``step``), the ``vertex_features`` standardization and the
-    ``embeddings()`` / ``type_embeddings()`` accessors; a model that grows its
-    own copy fails here."""
+    ``embeddings()`` accessor; a model that grows its own copy fails here."""
     import ast
     import pathlib
 
@@ -342,12 +499,6 @@ def test_the_zoo_has_one_training_loop_one_feature_builder_one_accessor():
                         and last.value.attr == "_embeddings"
                     ):
                         offenders.append(f"{path.name}: {node.name}.embeddings is the default")
-            if (
-                isinstance(node, ast.FunctionDef)
-                and node.name == "type_embeddings"
-                and path.name != "base.py"
-            ):
-                offenders.append(f"{path.name}:{node.lineno} defines type_embeddings")
             if isinstance(node, ast.FunctionDef) and node.name != "node_features":
                 src = ast.unparse(node)
                 if "vertex_features" in src and ".std(axis=0" in src:

@@ -16,13 +16,9 @@ from repro.storage.costmodel import (
     EV_REPLICA_INSTALL,
     EV_VERTEX_MIGRATED,
 )
-from repro.storage.importance import plan_importance_cache
-from repro.storage.placement import (
-    PlacementConfig,
-    PlacementController,
-    attach_placement,
-)
+from repro.storage.placement import PlacementConfig, PlacementController
 from repro.utils.rng import make_rng
+from tests.conftest import replica_holders
 
 
 # ---------------------------------------------------------------------- #
@@ -78,25 +74,6 @@ def test_windowed_recorder_validates_decay():
 # ---------------------------------------------------------------------- #
 # Cost-model gates
 # ---------------------------------------------------------------------- #
-def test_importance_threshold_matches_legacy_default():
-    # The static importance cache used a hand-picked 0.2 threshold; the
-    # cost model must derive exactly that value at default parameters.
-    assert CostModel().importance_threshold() == 0.2
-
-
-def test_plan_importance_cache_costmodel_parity(small_powerlaw):
-    derived = plan_importance_cache(small_powerlaw, max_hop=2)
-    legacy = plan_importance_cache(small_powerlaw, max_hop=2, thresholds=0.2)
-    assert derived.thresholds == legacy.thresholds
-    np.testing.assert_array_equal(
-        derived.all_cached_vertices(), legacy.all_cached_vertices()
-    )
-    for hop in derived.cached_by_hop:
-        np.testing.assert_array_equal(
-            derived.cached_by_hop[hop], legacy.cached_by_hop[hop]
-        )
-
-
 def test_replication_gain_signs():
     cm = CostModel()
     # Many remote reads of a small row: clearly worth a replica.
@@ -137,7 +114,7 @@ def test_replica_registry_exact_after_placement_churn(small_powerlaw):
         cache_policy=ImportanceCachePolicy(), cache_budget_fraction=0.05,
         seed=0,
     )
-    controller = attach_placement(
+    controller = PlacementController(
         store,
         PlacementConfig(epoch_us=500.0, min_decision_weight=0.3,
                         migrate_dominance=1.5),
@@ -153,7 +130,7 @@ def test_replica_registry_exact_after_placement_churn(small_powerlaw):
     contents = _public_contents(store)
     assert store.replicas.audit(contents) == {"missing": [], "stale": []}
     for v in range(small_powerlaw.n_vertices):
-        assert store.replicas.holders(v) == tuple(p for p in range(4) if v in contents[p])
+        assert replica_holders(store.replicas, v) == tuple(p for p in range(4) if v in contents[p])
 
 
 # ---------------------------------------------------------------------- #
@@ -186,7 +163,7 @@ def test_migration_moves_row_and_attr_bytes(small_powerlaw):
     feats = make_rng(1).standard_normal((small_powerlaw.n_vertices, 6))
     for v in range(small_powerlaw.n_vertices):
         store.servers[store.owner(v)].ingest_vertex_attr(v, feats[v])
-    controller = attach_placement(store)
+    controller = PlacementController(store)
     old, new = store.servers[0], store.servers[2]
     moved = [v for v in range(small_powerlaw.n_vertices) if store.owner(v) == 0][:3]
     before = {
@@ -244,7 +221,7 @@ def _drive(store, controller, reads, rng):
 
 def test_controller_promotes_hot_remote_vertex(small_powerlaw):
     store = make_store(small_powerlaw, 4, seed=0)
-    controller = attach_placement(
+    controller = PlacementController(
         store,
         PlacementConfig(epoch_us=300.0, min_decision_weight=0.5,
                         migrate_per_epoch=0),  # promotion only
@@ -274,7 +251,7 @@ def test_controller_demotes_cooled_replicas(small_powerlaw):
     store = make_store(small_powerlaw, 4, seed=0)
     config = PlacementConfig(epoch_us=300.0, min_decision_weight=0.5,
                              migrate_per_epoch=0, decay=0.3)
-    controller = attach_placement(store, config)
+    controller = PlacementController(store, config)
     v = 0
     issuer = (store.owner(v) + 1) % 4
     _drive(store, controller, [(v, issuer)] * 60, None)
@@ -290,7 +267,7 @@ def test_controller_demotes_cooled_replicas(small_powerlaw):
 
 def test_controller_migrates_to_dominant_reader(small_powerlaw):
     store = make_store(small_powerlaw, 4, seed=0)
-    controller = attach_placement(
+    controller = PlacementController(
         store,
         PlacementConfig(epoch_us=300.0, min_decision_weight=0.5,
                         migrate_dominance=1.5, promote_per_epoch=0),
@@ -312,7 +289,7 @@ def test_controller_migrates_to_dominant_reader(small_powerlaw):
 
 def test_one_controller_per_runtime(small_powerlaw):
     store = make_store(small_powerlaw, 4, seed=0)
-    attach_placement(store)
+    PlacementController(store)
     with pytest.raises(Exception):
         PlacementController(store)
 
@@ -323,22 +300,17 @@ def test_controller_adopts_or_installs_the_runtime_recorder(small_taobao):
     runtime = RpcRuntime(store)
     store.attach_runtime(runtime)
     mine = runtime.recorder = WindowedAccessRecorder(decay=0.25)
-    assert attach_placement(store).recorder is mine
+    assert PlacementController(store).recorder is mine
     # ... anything else (nothing, or a plain recorder) is replaced by one.
     for plain in (None, AccessRecorder()):
         store = make_store(small_taobao, 2, seed=0)
         runtime = RpcRuntime(store)
         store.attach_runtime(runtime)
         runtime.recorder = plain
-        controller = attach_placement(store, PlacementConfig(decay=0.3))
+        controller = PlacementController(store, PlacementConfig(decay=0.3))
         assert isinstance(runtime.recorder, WindowedAccessRecorder)
         assert controller.recorder is runtime.recorder
         assert controller.recorder.decay == 0.3
-
-
-def test_attach_placement_rejects_non_store():
-    with pytest.raises(StorageError):
-        attach_placement(object())
 
 
 # ---------------------------------------------------------------------- #
@@ -360,7 +332,7 @@ def test_reads_correct_and_balanced_through_migrations(small_powerlaw):
     store = make_store(small_powerlaw, 4, seed=0)
     config = PlacementConfig(epoch_us=400.0, min_decision_weight=0.3,
                              migrate_dominance=1.5)
-    controller = attach_placement(store, config)
+    controller = PlacementController(store, config)
     for v, issuer in _shifting_reads(small_powerlaw.n_vertices, 3, 300, 11):
         got = store.get_neighbors_batch((v,), issuer)[v]
         np.testing.assert_array_equal(
@@ -381,7 +353,7 @@ def test_reads_correct_and_balanced_through_migrations(small_powerlaw):
 def test_epoch_reports_bit_identical_same_seed(small_powerlaw):
     def run():
         store = make_store(small_powerlaw, 4, seed=0)
-        controller = attach_placement(
+        controller = PlacementController(
             store,
             PlacementConfig(epoch_us=400.0, min_decision_weight=0.3,
                             migrate_dominance=1.5),
@@ -398,7 +370,7 @@ def test_epoch_reports_bit_identical_same_seed(small_powerlaw):
 
 def test_updates_route_to_migrated_owner(small_powerlaw):
     store = make_store(small_powerlaw, 4, seed=0)
-    controller = attach_placement(
+    controller = PlacementController(
         store,
         PlacementConfig(epoch_us=300.0, min_decision_weight=0.5,
                         migrate_dominance=1.5, promote_per_epoch=0),
@@ -424,7 +396,7 @@ def test_migration_exactly_once_under_faults(small_powerlaw):
         store, faults=FaultPlan(drop_rate=0.3, seed=9)
     )
     store.attach_runtime(runtime)
-    controller = attach_placement(
+    controller = PlacementController(
         store,
         PlacementConfig(epoch_us=400.0, min_decision_weight=0.3,
                         migrate_dominance=1.5),
@@ -450,7 +422,7 @@ def test_migrate_items_respect_token_budget(small_powerlaw):
         epoch_us=400.0, min_decision_weight=0.3, migrate_dominance=1.5,
         migrate_items_per_epoch=64, migrate_burst_items=64,
     )
-    controller = attach_placement(store, config)
+    controller = PlacementController(store, config)
     for v, issuer in _shifting_reads(small_powerlaw.n_vertices, 3, 300, 13):
         store.get_neighbors_batch((v,), issuer)
         controller.poll()
@@ -468,7 +440,7 @@ def test_serving_engine_polls_placement(small_taobao):
     from repro.serving import ClosedLoopWorkload, ServingEngine
 
     store = make_store(small_taobao, 4, seed=0)
-    controller = attach_placement(
+    controller = PlacementController(
         store, PlacementConfig(epoch_us=2_000.0, min_decision_weight=0.3)
     )
     engine = ServingEngine(store, placement=controller, seed=0)

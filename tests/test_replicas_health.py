@@ -1,6 +1,6 @@
 """ReplicaRegistry and HealthTracker units, plus the routing regressions.
 
-Covers the registry as a view of the caches (``holders`` equals what the
+Covers the registry as a view of the caches (``held_by`` equals what the
 caches answer for after any churn), the suspect/recover/probe state machine,
 and two regressions the unified read path fixed:
 
@@ -22,7 +22,7 @@ from repro.data import powerlaw_graph
 from repro.errors import RuntimeConfigError, StorageError
 from repro.graph.dynamic import EdgeEvent
 from repro.runtime import RpcRuntime
-from repro.runtime.health import STATE_HEALTHY, HealthTracker
+from repro.runtime.health import HealthTracker
 from repro.runtime.metrics import MetricsRegistry
 from repro.storage.cache import ImportanceCachePolicy, NeighborCache
 from repro.storage.cluster import make_store
@@ -32,6 +32,7 @@ from repro.storage.costmodel import (
     EV_SUSPECT_ROUTE,
 )
 from repro.storage.replicas import ReplicaRegistry
+from tests.conftest import replica_holders
 
 
 # --------------------------------------------------------------------- #
@@ -112,10 +113,7 @@ def test_holders_equal_cache_contents_under_churn(ops):
             getattr(cache, op)(b)
         truth = {v: _public_holders(store, v) for v in range(48)}
         reg = store.replicas
-        assert {v: reg.holders(v) for v in range(48)} == truth
-        assert all(reg.replica_count(v) == len(truth[v]) for v in range(48))
         assert all((v in reg) == bool(truth[v]) for v in range(48))
-        assert reg.n_tracked == sum(1 for parts in truth.values() if parts)
         for p in range(3):
             assert reg.held_by(p) == tuple(v for v in range(48) if p in truth[v])
         contents = {p: {v for v in range(48) if p in truth[v]} for p in range(3)}
@@ -133,11 +131,11 @@ def test_store_installs_caches_into_registry(small_powerlaw):
     pinned = set(store.servers[0].neighbor_cache._pinned)
     assert pinned
     for v in pinned:
-        assert store.replicas.holders(v) == (0, 1, 2)
+        assert replica_holders(store.replicas, v) == (0, 1, 2)
     # Swapping one server's cache drops its old registrations.
     store.servers[1].neighbor_cache = NeighborCache(0)
     for v in pinned:
-        assert store.replicas.holders(v) == (0, 2)
+        assert replica_holders(store.replicas, v) == (0, 2)
 
 
 # --------------------------------------------------------------------- #
@@ -147,7 +145,7 @@ def test_health_suspects_after_consecutive_failures():
     h = HealthTracker(2, suspect_after=3)
     h.record_failure(1)
     h.record_failure(1)
-    assert h.state(1) == STATE_HEALTHY
+    assert not h.is_suspect(1)
     h.record_failure(1)
     assert h.is_suspect(1)
     assert h.suspect_parts == frozenset({1})
@@ -162,7 +160,7 @@ def test_health_success_resets_failure_streak():
     h.record_success(0)  # interleaved success: streak back to zero
     h.record_failure(0)
     h.record_failure(0)
-    assert h.state(0) == STATE_HEALTHY
+    assert not h.is_suspect(0)
 
 
 def test_health_recovers_after_consecutive_successes():
@@ -175,7 +173,7 @@ def test_health_recovers_after_consecutive_successes():
     h.record_success(0)
     assert h.is_suspect(0)
     h.record_success(0)
-    assert h.state(0) == STATE_HEALTHY
+    assert not h.is_suspect(0)
     assert h.metrics.counter("health.recoveries").value == 1
     assert h.metrics.gauge("health.suspect_parts").value == 0
 
@@ -201,8 +199,6 @@ def test_health_reset_and_validation():
         h.record_failure(5)
     h.record_failure(0)
     assert h.is_suspect(0)
-    h.reset()
-    assert h.suspect_parts == frozenset()
 
 
 def test_runtime_feeds_health_tracker(small_powerlaw):
@@ -212,7 +208,7 @@ def test_runtime_feeds_health_tracker(small_powerlaw):
     store.attach_runtime(runtime)
     v = next(u for u in range(1000) if store.owner(u) == 1)
     store.neighbors(v, from_part=0)
-    assert runtime.health.state(1) == STATE_HEALTHY
+    assert not runtime.health.is_suspect(1)
     assert runtime.health.metrics is runtime.metrics
 
 
@@ -270,7 +266,7 @@ def test_suspect_recovers_through_probes(small_powerlaw):
     assert runtime.health.is_suspect(1)
     for v in vs:  # probe_every=1: every read probes straight through
         store.neighbors(v, from_part=0)
-    assert runtime.health.state(1) == STATE_HEALTHY
+    assert not runtime.health.is_suspect(1)
 
 
 # --------------------------------------------------------------------- #
@@ -328,7 +324,7 @@ def _importance_store(graph):
 def test_update_repins_fresh_adjacency_everywhere(small_powerlaw):
     store = _importance_store(small_powerlaw)
     v = next(iter(store.servers[0].neighbor_cache._pinned))
-    assert store.replicas.holders(v) == (0, 1, 2)
+    assert replica_holders(store.replicas, v) == (0, 1, 2)
     owner = store.owner(v)
     fresh_dst = next(
         u for u in range(1000) if u not in small_powerlaw.out_neighbors(v)
@@ -341,7 +337,7 @@ def test_update_repins_fresh_adjacency_everywhere(small_powerlaw):
         assert server.neighbor_cache.is_pinned(v)
         np.testing.assert_array_equal(server.neighbor_cache.peek(v), expected)
     # The replica set survived the update wholesale.
-    assert store.replicas.holders(v) == (0, 1, 2)
+    assert replica_holders(store.replicas, v) == (0, 1, 2)
     # Refresh pushes are charged for every non-owner holder.
     assert store.ledger.count(EV_REPLICA_REFRESH) == 2
 
@@ -378,9 +374,9 @@ def test_update_does_not_repin_lru_copies(small_powerlaw):
         if store.owner(u) == 1 and small_powerlaw.out_neighbors(u).size
     )
     store.neighbors(v, from_part=0)  # demand-fills the issuer's LRU
-    assert store.replicas.holders(v) == (0,)
+    assert replica_holders(store.replicas, v) == (0,)
     store.apply_edge_events([EdgeEvent(timestamp=0, src=v, dst=int(v))])
-    assert store.replicas.holders(v) == ()
+    assert replica_holders(store.replicas, v) == ()
     assert not store.servers[0].neighbor_cache.is_pinned(v)
     assert store.ledger.count(EV_REPLICA_REFRESH) == 0
 

@@ -27,7 +27,6 @@ from repro.sampling import (
     UniformNeighborSampler,
     WeightedNeighborSampler,
 )
-from repro.sampling.negative import DegreeBiasedNegativeSampler, UniformNegativeSampler
 from repro.sampling.randomwalk import random_walks
 from repro.storage.cache import ImportanceCachePolicy, LRUCachePolicy
 from repro.storage.cluster import make_store
@@ -39,15 +38,34 @@ from repro.storage.costmodel import (
 )
 from repro.utils.alias import AliasTable, GroupedAliasTable, build_alias_arrays
 from repro.utils.rng import make_rng
-from repro.utils.stats import (
-    ZipfSampler,
-    chi_square_gof,
-    chi_square_homogeneity,
-    zipf_probs,
-)
-from tests.conftest import python_calls
+from repro.utils.stats import ZipfSampler, chi2_sf, chi_square_gof, zipf_probs
+from tests.conftest import out_weights, python_calls
 
 P_FLOOR = 1e-4  # equivalence tests: H0 true, so p is uniform on [0, 1]
+
+
+def chi_square_homogeneity(counts_a, counts_b) -> "tuple[float, float]":
+    """Two-sample test: were ``counts_a`` and ``counts_b`` drawn alike?
+
+    Standard 2×k contingency chi-square; cells empty in both samples are
+    dropped. Returns ``(statistic, p_value)``.
+    """
+    counts_a = np.asarray(counts_a, dtype=np.float64)
+    counts_b = np.asarray(counts_b, dtype=np.float64)
+    assert counts_a.shape == counts_b.shape and counts_a.ndim == 1
+    live = (counts_a + counts_b) > 0
+    a, b = counts_a[live], counts_b[live]
+    na, nb = a.sum(), b.sum()
+    assert na > 0 and nb > 0, "both samples need at least one observation"
+    pooled = (a + b) / (na + nb)
+    stat = float(
+        np.sum((a - na * pooled) ** 2 / (na * pooled))
+        + np.sum((b - nb * pooled) ** 2 / (nb * pooled))
+    )
+    df = int(live.sum()) - 1
+    if df < 1:
+        return stat, 1.0
+    return stat, chi2_sf(stat, df)
 
 
 def _sampler(kind: str, graph: Graph, provider=None, max_fanout: int = 512):
@@ -92,29 +110,13 @@ def oracle_children(sampler, vertices, count, rng):
             children[i] = np.resize(nbrs[: sampler.max_fanout], count)
         else:
             if isinstance(sampler, ImportanceNeighborSampler):
-                p = sampler.inclusion_probability(v)
+                scores = sampler._scores[nbrs]
+                p = scores / scores.sum()
             else:
                 w = sampler.current_weights(v)
                 p = w / w.sum()
             children[i] = nbrs[rng.choice(nbrs.size, size=count, p=p)]
     return children
-
-
-def oracle_negatives(loose, anchors, neg_num, rng, max_retries=10):
-    """Strict negatives by per-slot scalar rejection.
-
-    ``loose`` is the same sampler built with ``strict=False``: it supplies
-    the first draw and every single-slot redraw.
-    """
-    out = loose.sample(anchors, neg_num, rng)
-    for i, anchor in enumerate(anchors.tolist()):
-        forbidden = set(loose.graph.out_neighbors(anchor).tolist()) | {anchor}
-        for j in range(neg_num):
-            tries = 0
-            while int(out[i, j]) in forbidden and tries < max_retries:
-                out[i, j] = loose.sample(anchors[i : i + 1], 1, rng)[0, 0]
-                tries += 1
-    return out
 
 
 def oracle_walks(graph, starts, length, rng, weighted=False):
@@ -127,7 +129,7 @@ def oracle_walks(graph, starts, length, rng, weighted=False):
             if nbrs.size == 0:
                 break
             if weighted:
-                w = graph.out_weights(walk[-1])
+                w = out_weights(graph, walk[-1])
                 walk.append(int(nbrs[rng.choice(nbrs.size, p=w / w.sum())]))
             else:
                 walk.append(int(nbrs[rng.integers(nbrs.size)]))
@@ -186,9 +188,9 @@ class TestCsrAdjacency:
         assert csr.n_vertices == tiny_graph.n_vertices
         for v in range(tiny_graph.n_vertices):
             assert np.array_equal(csr.neighbors(v), tiny_graph.out_neighbors(v))
-            assert np.array_equal(csr.weights_of(v), tiny_graph.out_weights(v))
+            assert np.array_equal(csr.weights_of(v), out_weights(tiny_graph, v))
         assert np.array_equal(csr.degrees, tiny_graph.out_degrees())
-        assert csr.n_slots == int(tiny_graph.out_degrees().sum())
+        assert csr.indices.size == int(tiny_graph.out_degrees().sum())
 
     def test_from_rows_equals_from_graph(self, tiny_graph):
         a = CsrAdjacency.from_graph(tiny_graph)
@@ -326,7 +328,7 @@ class TestGroupedAlias:
             implied /= w.size
             got = grouped.probabilities()[s:e]
             assert np.allclose(got, implied, atol=1e-12)
-            draws = grouped.draw_group(g, 4000, rng) - s
+            draws = grouped.draw_for_groups(np.array([g]), 4000, rng)[0] - s
             counts = np.bincount(draws, minlength=w.size)
             _, p = chi_square_gof(counts, w / w.sum())
             assert p > P_FLOOR
@@ -522,7 +524,7 @@ class TestDynamicRefresh:
         dyn = dynamic_taobao(n_vertices=300, n_timestamps=3, seed=11)
 
         def run():
-            provider = dyn.provider(0)
+            provider = dyn.provider()
             sampler = UniformNeighborSampler(provider)
             seeds = np.arange(48, dtype=np.int64)
             before = sampler.sample(seeds, [6, 3], make_rng(3))
@@ -535,7 +537,7 @@ class TestDynamicRefresh:
             assert np.array_equal(x, y)
         # And the refreshed draws respect the *new* snapshot's adjacency.
         g2 = dyn.snapshot(2)
-        kids = a1.hop(1)
+        kids = a1.layers[1].reshape(48, -1)
         for v, row in zip(np.arange(48), kids):
             nbrs = set(int(u) for u in g2.out_neighbors(int(v)))
             for c in row:
@@ -543,7 +545,7 @@ class TestDynamicRefresh:
 
     def test_alias_table_cached_per_snapshot_object(self):
         dyn = dynamic_taobao(n_vertices=300, n_timestamps=3, seed=11)
-        provider = dyn.provider(0)
+        provider = dyn.provider()
         sampler = WeightedNeighborSampler(provider)
         seeds = np.arange(32, dtype=np.int64)
         sampler.sample_children(seeds, 4, make_rng(0))
@@ -560,54 +562,6 @@ class TestDynamicRefresh:
 # Batched negatives and walks
 # --------------------------------------------------------------------- #
 class TestBatchedNegativesAndWalks:
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(
-        graph=ragged_graphs(min_vertices=3, max_vertices=12),
-        degree_biased=st.booleans(),
-        data=st.data(),
-    )
-    def test_strict_negatives_avoid_true_edges(self, graph, degree_biased, data):
-        # A forbidden id survives only when the retry budget runs out — and
-        # with 200 retries it only does where the pool offers nothing else.
-        n = graph.n_vertices
-        ids = st.integers(0, n - 1)
-        pool = np.asarray(
-            data.draw(st.lists(ids, min_size=1, max_size=n, unique=True)),
-            dtype=np.int64,
-        )
-        anchors = np.asarray(
-            data.draw(st.lists(ids, min_size=1, max_size=6)), dtype=np.int64
-        )
-        cls = DegreeBiasedNegativeSampler if degree_biased else UniformNegativeSampler
-        sampler = cls(graph, vertices=pool, strict=True)
-        sampler.max_retries = 200
-        out = sampler.sample(anchors, 8, make_rng(2))
-        assert out.shape == (anchors.size, 8) and np.isin(out, pool).all()
-        for anchor, row in zip(anchors.tolist(), out):
-            forbidden = set(graph.out_neighbors(anchor).tolist()) | {anchor}
-            if not set(pool.tolist()) <= forbidden:
-                assert not forbidden & set(row.tolist())
-
-    def test_strict_backends_distributionally_equivalent(self, small_powerlaw):
-        anchors = np.array([3, 14, 15], dtype=np.int64)
-        strict = DegreeBiasedNegativeSampler(small_powerlaw, strict=True)
-        loose = DegreeBiasedNegativeSampler(small_powerlaw)
-        counts = []
-        for seed, draw in (
-            (4, strict.sample),
-            (5, lambda a, k, rng: oracle_negatives(loose, a, k, rng, strict.max_retries)),
-        ):
-            acc = np.zeros(small_powerlaw.n_vertices, dtype=np.int64)
-            rng = make_rng(seed)
-            for _ in range(60):
-                acc += np.bincount(
-                    draw(anchors, 40, rng).ravel(),
-                    minlength=small_powerlaw.n_vertices,
-                )
-            counts.append(acc)
-        _, p = chi_square_homogeneity(*counts)
-        assert p > P_FLOOR
-
     @settings(max_examples=60, deadline=None)
     @given(
         graph=ragged_graphs(),
@@ -630,7 +584,7 @@ class TestBatchedNegativesAndWalks:
             for a, b in zip(walk[:-1], walk[1:]):
                 assert int(b) in graph.out_neighbors(int(a))
             # Only a sink ends a walk early.
-            assert walk.size == length + 1 or graph.out_degree(int(walk[-1])) == 0
+            assert walk.size == length + 1 or graph.out_degrees()[int(walk[-1])] == 0
 
     def test_batched_walks_deterministic_and_weighted(self, tiny_graph):
         a = random_walks(tiny_graph, np.array([0, 1]), 8, make_rng(6))
@@ -734,14 +688,14 @@ class TestBackendSelection:
 
     def test_snapshot_provider_exposes_versioned_csr(self):
         dyn = dynamic_taobao(n_vertices=200, n_timestamps=3, seed=1)
-        provider = SnapshotProvider(dyn, 0)
+        provider = SnapshotProvider(dyn)
         frontier = np.array([3, 1, 3], dtype=np.int64)
         v0, rows = provider.frontier_block(frontier)
         assert rows is frontier and v0.ids is None  # whole graph, row == id
         assert provider.frontier_block(frontier)[0] is v0
         provider.advance(1)
         v1, _ = provider.frontier_block(frontier)
-        assert v1 is not v0 and v1.n_slots == dyn.snapshot(1).n_edges
+        assert v1 is not v0 and v1.indices.size == dyn.snapshot(1).n_edges
         provider.advance(1)  # no-op
         assert provider.frontier_block(frontier)[0] is v1
 
@@ -807,7 +761,7 @@ class TestStoreBackedBlocks:
         victim = int(graph.out_neighbors(hub)[0])
         store.apply_edge_events([EdgeEvent(0, hub, victim, "remove")])
         fresh = store.neighbors(hub, from_part=0)
-        assert fresh.size == graph.out_degree(hub) - 1
+        assert fresh.size == graph.out_degrees()[hub] - 1
         assert np.array_equal(provider.neighbors(hub), fresh)
         # ... and weights() is one priced read, not neighbors() plus another.
         def reads() -> int:

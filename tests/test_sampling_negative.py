@@ -1,32 +1,28 @@
-"""NEGATIVE samplers: shapes, bias, strict rejection, type-awareness."""
+"""NEGATIVE sampling: shapes, pool restriction, degree bias."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SamplingError
-from repro.sampling import (
-    DegreeBiasedNegativeSampler,
-    TypeAwareNegativeSampler,
-    UniformNegativeSampler,
-)
+from repro.sampling import DegreeBiasedNegativeSampler
 from repro.utils.rng import make_rng
 
 
 def test_shape(tiny_graph, rng):
-    sampler = UniformNegativeSampler(tiny_graph)
+    sampler = DegreeBiasedNegativeSampler(tiny_graph)
     out = sampler.sample(np.array([0, 1]), 4, rng)
     assert out.shape == (2, 4)
 
 
 def test_uniform_covers_pool(tiny_graph):
-    sampler = UniformNegativeSampler(tiny_graph)
+    sampler = DegreeBiasedNegativeSampler(tiny_graph, power=0.0)
     rng = make_rng(0)
     out = sampler.sample(np.zeros(2000, dtype=np.int64), 1, rng)
     assert set(np.unique(out)) == set(range(6))
 
 
 def test_restricted_pool(tiny_graph, rng):
-    sampler = UniformNegativeSampler(tiny_graph, vertices=np.array([3, 4]))
+    sampler = DegreeBiasedNegativeSampler(tiny_graph, vertices=np.array([3, 4]))
     out = sampler.sample(np.array([0]), 50, rng)
     assert set(np.unique(out)) <= {3, 4}
 
@@ -52,50 +48,15 @@ def test_negative_power_rejected(tiny_graph):
         DegreeBiasedNegativeSampler(tiny_graph, power=-1.0)
 
 
-def test_strict_avoids_true_neighbors(tiny_graph):
-    sampler = UniformNegativeSampler(tiny_graph, strict=True)
-    rng = make_rng(3)
-    anchors = np.array([0] * 100)
-    out = sampler.sample(anchors, 2, rng)
-    forbidden = set(tiny_graph.out_neighbors(0).tolist()) | {0}
-    collision_rate = np.mean([int(v) in forbidden for v in out.reshape(-1)])
-    assert collision_rate < 0.05  # bounded retries allow rare leftovers
-
-
 def test_non_strict_allows_collisions(tiny_graph):
-    sampler = UniformNegativeSampler(tiny_graph, strict=False)
+    sampler = DegreeBiasedNegativeSampler(tiny_graph)
     rng = make_rng(4)
     out = sampler.sample(np.array([0] * 500), 2, rng)
     forbidden = set(tiny_graph.out_neighbors(0).tolist())
     assert any(int(v) in forbidden for v in out.reshape(-1))
 
 
-def test_type_aware_respects_requested_type(tiny_ahg, rng):
-    sampler = TypeAwareNegativeSampler(tiny_ahg)
-    out = sampler.sample(np.array([0, 1]), 5, rng, vertex_type="item")
-    items = set(tiny_ahg.vertices_of_type("item").tolist())
-    assert set(out.reshape(-1).tolist()) <= items
-
-
-def test_type_aware_defaults_to_anchor_type(tiny_ahg, rng):
-    sampler = TypeAwareNegativeSampler(tiny_ahg)
-    users = tiny_ahg.vertices_of_type("user")
-    out = sampler.sample(users, 3, rng)
-    assert set(out.reshape(-1).tolist()) <= set(users.tolist())
-
-
-def test_type_aware_unknown_type(tiny_ahg, rng):
-    sampler = TypeAwareNegativeSampler(tiny_ahg)
-    with pytest.raises(SamplingError):
-        sampler.sample(np.array([0]), 2, rng, vertex_type="brand")
-
-
-def test_type_aware_needs_ahg(tiny_graph):
-    with pytest.raises(SamplingError):
-        TypeAwareNegativeSampler(tiny_graph)
-
-
 def test_neg_num_validation(tiny_graph, rng):
-    sampler = UniformNegativeSampler(tiny_graph)
+    sampler = DegreeBiasedNegativeSampler(tiny_graph)
     with pytest.raises(SamplingError):
         sampler.sample(np.array([0]), 0, rng)

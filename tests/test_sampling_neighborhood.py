@@ -20,10 +20,7 @@ def test_layer_shapes(tiny_graph, rng):
     sampler = UniformNeighborSampler(GraphProvider(tiny_graph))
     out = sampler.sample(np.array([0, 1, 4]), [3, 2], rng)
     assert [l.size for l in out.layers] == [3, 9, 18]
-    assert out.batch_size == 3
     assert out.n_hops == 2
-    assert out.hop(1).shape == (3, 3)
-    assert out.hop(2).shape == (9, 2)
 
 
 def test_samples_are_neighbors(tiny_graph, rng):
@@ -41,21 +38,7 @@ def test_isolated_vertex_pads_self(tiny_graph, rng):
 def test_pad_mask_false_for_real_neighbors(tiny_graph, rng):
     sampler = UniformNeighborSampler(GraphProvider(tiny_graph))
     out = sampler.sample(np.array([0]), [4], rng)
-    assert not (out.hop(1) == out.layers[0][:, None]).any()
-
-
-def test_all_vertices_collects_unique(tiny_graph, rng):
-    sampler = UniformNeighborSampler(GraphProvider(tiny_graph))
-    out = sampler.sample(np.array([0, 0]), [2], rng)
-    vs = out.all_vertices()
-    assert np.unique(vs).size == vs.size
-
-
-def test_hop_bounds(tiny_graph, rng):
-    sampler = UniformNeighborSampler(GraphProvider(tiny_graph))
-    out = sampler.sample(np.array([0]), [2], rng)
-    with pytest.raises(SamplingError):
-        out.hop(2)
+    assert not (out.layers[1] == out.layers[0][0]).any()
 
 
 def test_empty_batch_rejected(tiny_graph, rng):
@@ -111,12 +94,11 @@ def test_importance_sampler_prefers_high_degree(small_powerlaw):
     sampler = ImportanceNeighborSampler(provider, degrees, beta=1.0)
     rng = make_rng(2)
     hub_parent = int(np.argmax(degrees))
-    probs = sampler.inclusion_probability(hub_parent)
     nbrs = provider.neighbors(hub_parent)
-    # Probability must be degree-ranked.
-    order = np.argsort(degrees[nbrs])
-    assert probs[order[-1]] >= probs[order[0]]
-    np.testing.assert_allclose(probs.sum(), 1.0)
+    drawn = sampler.sample(np.array([hub_parent]), [4000], rng).layers[1]
+    # Draws lean to high-degree neighbors: above the uniform mean degree.
+    assert set(drawn.tolist()) <= set(nbrs.tolist())
+    assert degrees[drawn].mean() > degrees[nbrs].mean()
 
 
 def test_full_sampler_covers_neighbors(tiny_graph, rng):

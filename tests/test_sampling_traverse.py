@@ -32,26 +32,6 @@ def test_vertex_type_needs_ahg(tiny_graph):
         VertexTraverseSampler(tiny_graph, vertex_type="user")
 
 
-def test_degree_weighting_prefers_hubs(small_powerlaw, rng):
-    sampler = VertexTraverseSampler(small_powerlaw, weighting="degree")
-    batch = sampler.sample(20_000, rng)
-    degrees = small_powerlaw.out_degrees()
-    sampled_mean_degree = degrees[batch].mean()
-    assert sampled_mean_degree > degrees.mean() * 1.5
-
-
-def test_unknown_weighting(tiny_graph):
-    with pytest.raises(SamplingError):
-        VertexTraverseSampler(tiny_graph, weighting="zipf")
-
-
-def test_vertex_epoch_batches_cover_pool(tiny_graph, rng):
-    sampler = VertexTraverseSampler(tiny_graph)
-    batches = sampler.epoch_batches(4, rng)
-    seen = np.concatenate(batches)
-    assert np.sort(seen).tolist() == list(range(6))
-
-
 def test_edge_sample_returns_real_edges(tiny_graph, rng):
     sampler = EdgeTraverseSampler(tiny_graph)
     src, dst = sampler.sample(50, rng)
@@ -61,11 +41,10 @@ def test_edge_sample_returns_real_edges(tiny_graph, rng):
 
 def test_edge_type_filter(tiny_ahg, rng):
     sampler = EdgeTraverseSampler(tiny_ahg, edge_type="click")
-    assert sampler.n_edges == 3
+    assert sampler._src.size == 3
     src, dst = sampler.sample(20, rng)
-    click_targets = set()
-    for u in tiny_ahg.vertices_of_type("user"):
-        click_targets |= set(tiny_ahg.out_neighbors_by_type(int(u), "click").tolist())
+    _, all_dst, _ = tiny_ahg.edge_array()
+    click_targets = set(all_dst[tiny_ahg.edge_types == tiny_ahg.edge_type_code("click")].tolist())
     assert set(dst.tolist()) <= click_targets
 
 
@@ -81,13 +60,6 @@ def test_weighted_edges_prefer_heavy(tiny_graph, rng):
     heavy = np.mean((src == 4) & (dst == 5))
     light = np.mean((src == 0) & (dst == 1))
     assert heavy > light * 3
-
-
-def test_edge_epoch_batches_cover_all(tiny_graph, rng):
-    sampler = EdgeTraverseSampler(tiny_graph)
-    batches = sampler.epoch_batches(3, rng)
-    total = sum(s.size for s, _ in batches)
-    assert total == tiny_graph.n_edges
 
 
 def test_batch_size_validation(tiny_graph, rng):

@@ -49,6 +49,7 @@ from repro.storage.costmodel import (
 )
 from repro.storage.partition.hashcut import EdgeCutPartitioner
 from repro.utils.rng import make_rng
+from tests.conftest import cache_admit, cache_get, replica_holders
 
 
 def test_local_read_accounted(small_powerlaw):
@@ -299,7 +300,7 @@ def per_event_apply(store, events):
         if not server.edit_row(src, [(ev.kind, int(ev.dst))]):
             continue  # a remove that matched no arc: every copy is still exact
         applied += 1
-        for p in store.replicas.holders(src):
+        for p in replica_holders(store.replicas, src):
             cache = store.servers[p].neighbor_cache
             pinned = cache.is_pinned(src)
             cache.invalidate(src)
@@ -359,7 +360,7 @@ def per_vertex_dispatch(store, kind, vertices, from_part, runtime, read_span):
                 )
             continue
         if kind == KIND_NEIGHBORS:
-            cached = nb_cache.get(v)
+            cached = cache_get(nb_cache, v)
             if cached is not None:
                 store.ledger.record(EV_CACHE_HIT)
                 if rec is not None:
@@ -407,7 +408,7 @@ def per_vertex_dispatch(store, kind, vertices, from_part, runtime, read_span):
                 for v, row in resp.payload.items():
                     results[v] = row
                     if demand_fill:
-                        issuer.neighbor_cache.admit(v, row)
+                        cache_admit(issuer.neighbor_cache, v, row)
                         store.ledger.record(EV_CACHE_FILL)
             else:
                 for v, row in resp.payload.items():
@@ -606,7 +607,7 @@ def test_bulk_arms_match_per_vertex_dispatch(small_powerlaw, policy, scenario):
                         v
                         for v in batch.tolist()
                         if owners[v] != down
-                        or any(p != down for p in bulk.replicas.holders(v))
+                        or any(p != down for p in replica_holders(bulk.replicas, v))
                     ],
                     dtype=np.int64,
                 )

@@ -13,7 +13,7 @@ from repro.storage.importance import (
     khop_degrees,
     plan_importance_cache,
 )
-from repro.utils.powerlaw import gini_coefficient, tail_mass
+from tests.conftest import gini_coefficient, in_neighbors, replica_holders, tail_mass
 from repro.utils.rng import make_rng
 
 
@@ -33,7 +33,9 @@ def exact_khop_degrees(graph: Graph, k: int):
     d_out = np.array([count(v, graph.out_neighbors) for v in everyone], dtype=np.float64)
     if not graph.directed:
         return d_out.copy(), d_out
-    d_in = np.array([count(v, graph.in_neighbors) for v in everyone], dtype=np.float64)
+    d_in = np.array(
+        [count(v, lambda u: in_neighbors(graph, u)) for v in everyone], dtype=np.float64
+    )
     return d_in, d_out
 
 
@@ -115,14 +117,6 @@ def test_plan_threshold_count_validation(small_powerlaw):
         plan_importance_cache(small_powerlaw, max_hop=2, thresholds=[0.1])
 
 
-def test_plan_max_cached_hop(small_powerlaw):
-    plan = plan_importance_cache(small_powerlaw, max_hop=2, thresholds=0.1)
-    cached = plan.cached_by_hop[2]
-    if cached.size:
-        assert plan.max_cached_hop(int(cached[0])) >= 1
-    assert plan.max_cached_hop(-1) == 0
-
-
 def test_empty_plan():
     from repro.storage.importance import CachePlan
 
@@ -199,7 +193,7 @@ def test_importance_caches_pin_one_set_independently(small_powerlaw):
     assert caches[0].unpin(v)
     assert not caches[0].is_pinned(v)
     assert all(c.is_pinned(v) for c in caches[1:])
-    assert store.replicas.holders(v) == (1, 2, 3)
+    assert replica_holders(store.replicas, v) == (1, 2, 3)
 
 
 def test_importance_ranking_is_read_only(small_powerlaw):

@@ -31,7 +31,7 @@ from repro.storage.replicas import ReplicaRegistry
 from repro.storage.server import GraphServer
 from repro.utils.lru import LRUCache
 from repro.utils.rng import make_rng
-from tests.conftest import python_calls
+from tests.conftest import cache_admit, cache_get, python_calls, replica_holders
 
 
 class OracleServer:
@@ -294,7 +294,7 @@ def _cache_state(cache):
         lru.keys(),
         (cache.hits, cache.misses, lru.hits, lru.misses, lru.evictions),
         registry.held_by(1),
-        [registry.holders(v) for v in range(12)],
+        [replica_holders(registry, v) for v in range(12)],
         registry.audit({1: held}),
     )
 
@@ -313,7 +313,7 @@ def test_bulk_cache_ops_equal_their_scalar_sequence(capacity, pin_only, ops):
     for step, (op, arg) in enumerate(ops):
         if op == "get_many":
             hits, misses = bulk.get_many(arg)
-            one_by_one = [(v, scalar.get(v)) for v in arg]
+            one_by_one = [(v, cache_get(scalar, v)) for v in arg]
             assert misses == [v for v, row in one_by_one if row is None]
             assert hits.keys() == {v for v, row in one_by_one if row is not None}
             for v, row in one_by_one:
@@ -324,7 +324,7 @@ def test_bulk_cache_ops_equal_their_scalar_sequence(capacity, pin_only, ops):
             rows = {v: np.array([v, step], dtype=np.int64) for v in arg}
             bulk.admit_many(rows)
             for v, row in rows.items():
-                scalar.admit(v, row)
+                cache_admit(scalar, v, row)
         elif op == "invalidate_many":
             was_pinned = []
             for v in arg:

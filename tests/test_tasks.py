@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ReproError
 from repro.tasks import (
-    evaluate_edge_classification,
     evaluate_link_prediction,
     evaluate_recommendation,
     f1_score,
@@ -66,13 +65,6 @@ def test_f1_constant_scores_is_all_positive_f1():
     assert f1_score(np.ones(4), labels) == pytest.approx(2 / 3)
 
 
-def test_f1_fixed_threshold():
-    scores = np.array([0.2, 0.6, 0.7, 0.4])
-    labels = np.array([0, 1, 1, 0])
-    assert f1_score(scores, labels, threshold=0.5) == 1.0
-    assert f1_score(scores, labels, threshold=0.1) == pytest.approx(2 / 3)
-
-
 def test_binary_metric_validations():
     with pytest.raises(ReproError):
         roc_auc(np.ones(3), np.ones(3))  # single class
@@ -118,13 +110,10 @@ def test_multiclass_validations():
 # --------------------------------------------------------------------- #
 # Link prediction
 # --------------------------------------------------------------------- #
-def test_score_pairs_dot_and_cosine():
+def test_score_pairs_dot():
     emb = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
     pairs = np.array([[0, 1], [0, 2]])
-    np.testing.assert_allclose(score_pairs(emb, pairs, "dot"), [2.0, 0.0])
-    np.testing.assert_allclose(score_pairs(emb, pairs, "cosine"), [1.0, 0.0], atol=1e-9)
-    with pytest.raises(ReproError):
-        score_pairs(emb, pairs, "euclid")
+    np.testing.assert_allclose(score_pairs(emb, pairs), [2.0, 0.0])
     with pytest.raises(ReproError):
         score_pairs(emb, np.array([0, 1]))
 
@@ -203,34 +192,3 @@ def test_recommendation_validations():
         evaluate_recommendation(np.eye(2), np.eye(2), {}, {}, ks=[1])
     with pytest.raises(ReproError):
         evaluate_recommendation(np.eye(2), np.eye(2), {}, {0: {0}}, ks=[0])
-
-
-# --------------------------------------------------------------------- #
-# Edge classification
-# --------------------------------------------------------------------- #
-def test_edge_classification_learns_separable():
-    rng = np.random.default_rng(2)
-    n = 60
-    emb = np.zeros((n, 4))
-    emb[: n // 2, 0] = 1.0  # class-A vertices
-    emb[n // 2 :, 1] = 1.0  # class-B vertices
-    # Edges within A -> label 0, within B -> label 1.
-    a_pairs = rng.integers(0, n // 2, size=(80, 2))
-    b_pairs = rng.integers(n // 2, n, size=(80, 2))
-    pairs = np.concatenate([a_pairs, b_pairs])
-    labels = np.array([0] * 80 + [1] * 80)
-    idx = rng.permutation(160)
-    train, test = idx[:120], idx[120:]
-    micro, macro = evaluate_edge_classification(
-        emb, pairs[train], labels[train], pairs[test], labels[test], n_classes=2
-    )
-    assert micro > 95.0
-    assert macro > 95.0
-
-
-def test_edge_classification_validation():
-    with pytest.raises(ReproError):
-        evaluate_edge_classification(
-            np.eye(2), np.zeros((1, 2), dtype=int), np.array([0]),
-            np.zeros((1, 2), dtype=int), np.array([0]), n_classes=1,
-        )

