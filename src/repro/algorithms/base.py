@@ -10,13 +10,20 @@ NEGATIVE) — and one step driver, :func:`train_steps` (``zero_grad`` →
 The sources are generators and the driver pulls batch *k+1* only after step
 *k*: a ``loss_fn`` may draw from the same ``rng`` (FastGCN's support sets,
 AHEP's importance redraws), and that interleaving is what a seed reproduces.
-The KV trainers keep their own pull → loss → push step over the same sources.
+
+A model whose tables may live on the parameter server (DeepWalk, node2vec,
+LINE) gets them from a *table store* and runs the same driver: the store
+pulls a step's rows as the batch is drawn (:meth:`KVTables.pulled`; a no-op
+for :class:`DenseTables`), the loss reads them through the store's
+``lookups``, and its ``optimizer.step()`` is Adam's step or the pushes.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import repeat
-from typing import Callable, Iterable, Iterator
+from numbers import Integral
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +31,7 @@ from scipy.sparse.linalg import svds
 
 from repro.errors import TrainingError
 from repro.graph.graph import Graph
+from repro.nn.init import embedding_init
 from repro.nn.layers import Embedding
 from repro.nn.loss import skipgram_negative_loss
 from repro.nn.optim import Adam
@@ -162,33 +170,146 @@ def train_steps(
     return losses
 
 
+#: A table store's tables: ``(role, dim, reads)`` each, ``reads`` the
+#: positions in a batch of the id arrays the loss looks the table up with.
+TableSpec = Sequence[tuple[str, int, tuple[int, ...]]]
+
+
+class DenseTables:
+    """The in-process table store: one :class:`Embedding` per table and one
+    :class:`Adam` over all of them. Batches pass :meth:`pulled` untouched and
+    a lookup is the layer's forward."""
+
+    def __init__(
+        self, graph: Graph, rng: np.random.Generator, lr: float, spec: TableSpec
+    ) -> None:
+        self.lookups = [Embedding(graph.n_vertices, dim, rng) for _, dim, _ in spec]
+        self.optimizer = Adam([p for t in self.lookups for p in t.parameters()], lr=lr)
+
+    def pulled(self, batches: Iterable[tuple]) -> Iterable[tuple]:
+        return batches
+
+    def rows(self, table: int) -> np.ndarray:
+        """Table ``table``'s ``(n, dim)`` values."""
+        return self.lookups[table].table.numpy()
+
+
+class KVTables:
+    """The parameter-server table store: one
+    :class:`~repro.storage.embedding.EmbeddingKVStore` per table on ``store``.
+
+    As each batch is drawn, :meth:`pulled` pulls every table's rows once —
+    the deduplicated union of the id arrays it ``reads``, in table order —
+    and a lookup reads the pulled block. ``optimizer.step()`` pushes each
+    table's coalesced row gradients back, in table order; the servers apply
+    Adam's row-sparse step, so untouched rows are never written.
+    """
+
+    def __init__(
+        self,
+        store: "object",
+        rng: np.random.Generator,
+        lr: float,
+        spec: TableSpec,
+        staleness: int,
+    ) -> None:
+        from repro.storage.embedding import EmbeddingKVStore
+
+        n = store.graph.n_vertices
+        self.kv_tables = [
+            EmbeddingKVStore(
+                store, embedding_init((n, dim), rng), name=name, lr=lr,
+                staleness=staleness,
+            )
+            for name, dim, _ in spec
+        ]
+        self._reads = [reads for _, _, reads in spec]
+        self.lookups = [partial(self._lookup, t) for t in range(len(spec))]
+        self.optimizer = self
+        self._pulled = []
+
+    def pulled(self, batches: Iterable[tuple]) -> Iterator[tuple]:
+        for batch in batches:
+            self._pulled = [
+                table.minibatch(*(batch[i] for i in reads))
+                for table, reads in zip(self.kv_tables, self._reads)
+            ]
+            yield batch
+
+    def _lookup(self, table: int, ids: np.ndarray) -> Tensor:
+        return self._pulled[table].lookup(ids)
+
+    def zero_grad(self) -> None:
+        """Nothing to clear: each step looks up a freshly pulled block."""
+
+    def step(self) -> None:
+        for minibatch in self._pulled:
+            minibatch.push()
+
+    def rows(self, table: int) -> np.ndarray:
+        """Table ``table``'s ``(n, dim)`` values, gathered from its shards."""
+        return self.kv_tables[table].materialize()
+
+
+class TableStoreModel(EmbeddingModel):
+    """A model whose embedding tables live where ``backend`` says: ``dense``
+    keeps them in process (:class:`DenseTables`), ``kv`` on a parameter
+    server of ``kv_workers`` simulated servers that serves rows at most
+    ``kv_staleness`` push rounds old (:class:`KVTables`). A ``kv`` fit leaves
+    its store on :attr:`kv_store` (ledger, metrics, RPC counts)."""
+
+    def _place_tables(self, backend: str, kv_workers: int, kv_staleness: int) -> None:
+        if backend not in ("dense", "kv"):
+            raise TrainingError(f"unknown embedding backend {backend!r} (dense or kv)")
+        if not isinstance(kv_workers, Integral) or kv_workers < 1:
+            raise TrainingError(f"kv_workers must be an integer >= 1, got {kv_workers!r}")
+        if not isinstance(kv_staleness, Integral) or kv_staleness < 0:
+            raise TrainingError(f"kv_staleness must be an integer >= 0, got {kv_staleness!r}")
+        self.backend = backend
+        self.kv_workers = kv_workers
+        self.kv_staleness = kv_staleness
+        #: The distributed store a ``backend="kv"`` fit trained against.
+        self.kv_store = None
+
+    def _table_store(
+        self, graph: Graph, rng: np.random.Generator, lr: float, spec: TableSpec
+    ) -> "DenseTables | KVTables":
+        """The tables of ``spec`` in the store ``backend`` names; a ``kv``
+        table is named ``<model name>.<role>``. Both stores draw the initial
+        rows from ``rng`` in table order, so they start from identical values."""
+        if self.backend == "dense":
+            return DenseTables(graph, rng, lr, spec)
+        from repro.storage.cluster import make_store
+
+        self.kv_store = make_store(graph, self.kv_workers, seed=self.seed)
+        named = [(f"{self.name}.{role}", dim, reads) for role, dim, reads in spec]
+        return KVTables(self.kv_store, rng, lr, named, self.kv_staleness)
+
+
 def train_skipgram(
     pairs: tuple[np.ndarray, np.ndarray],
-    center_fn: Callable[[np.ndarray], Tensor],
-    context_fn: Callable[[np.ndarray], Tensor],
-    optimizer: Adam,
+    tables: "DenseTables | KVTables",
     negative_sampler: DegreeBiasedNegativeSampler,
     rng: np.random.Generator,
     epochs: int = 2,
     batch_size: int = 1024,
     neg_num: int = 5,
 ) -> float:
-    """SGNS training shared across the walk-based models.
+    """SGNS over a center and a context table of either store.
 
-    ``center_fn(ids)``/``context_fn(ids)`` map id arrays to embedding
-    tensors — models compose arbitrary structure inside them. Returns the
-    final epoch's mean batch loss (for convergence assertions in tests).
+    Returns the final epoch's mean batch loss (for convergence assertions in
+    tests).
     """
+    center, context = tables.lookups
 
     def loss_fn(c_ids: np.ndarray, u_ids: np.ndarray, neg_ids: np.ndarray) -> Tensor:
-        return skipgram_negative_loss(
-            center_fn(c_ids), context_fn(u_ids), context_fn(neg_ids)
-        )
+        return skipgram_negative_loss(center(c_ids), context(u_ids), context(neg_ids))
 
     last_loss = float("inf")
     for _ in range(epochs):
         batches = pair_batches(pairs, negative_sampler, rng, batch_size, neg_num)
-        last_loss = float(np.mean(train_steps(batches, loss_fn, optimizer)))
+        losses = train_steps(tables.pulled(batches), loss_fn, tables.optimizer)
+        last_loss = float(np.mean(losses))
     return last_loss
 
 
@@ -200,65 +321,19 @@ def skipgram_embeddings(
     epochs: int,
     neg_num: int = 5,
     lr: float = 0.025,
+    place: Callable[..., "DenseTables | KVTables"] = DenseTables,
 ) -> tuple[np.ndarray, float]:
     """Plain SGNS over ``pairs`` with degree-biased negatives from ``graph``:
-    the unit-row center table and the final epoch's mean loss."""
-    center = Embedding(graph.n_vertices, dim, rng)
-    context = Embedding(graph.n_vertices, dim, rng)
-    optimizer = Adam(center.parameters() + context.parameters(), lr=lr)
-    sampler = DegreeBiasedNegativeSampler(graph)
-    loss = train_skipgram(
-        pairs, center, context, optimizer, sampler, rng, epochs=epochs, neg_num=neg_num
-    )
-    return unit_rows(center.table.numpy()), loss
+    the unit-row center table and the final epoch's mean loss.
 
-
-def embedding_backend(backend: str) -> str:
-    """``backend`` if it names where the embedding tables live: ``dense`` (in
-    process) or ``kv`` (an :class:`~repro.storage.embedding.EmbeddingKVStore`)."""
-    if backend not in ("dense", "kv"):
-        raise TrainingError(f"unknown embedding backend {backend!r} (dense or kv)")
-    return backend
-
-
-def train_skipgram_kv(
-    pairs: tuple[np.ndarray, np.ndarray],
-    kv_center: "object",
-    kv_context: "object",
-    negative_sampler: DegreeBiasedNegativeSampler,
-    rng: np.random.Generator,
-    epochs: int = 2,
-    batch_size: int = 1024,
-    neg_num: int = 5,
-    from_part: int = 0,
-) -> float:
-    """SGNS against :class:`~repro.storage.embedding.EmbeddingKVStore` tables:
-    :func:`train_skipgram`'s batches at the same seed.
-
-    Each step pulls the deduplicated union of the ids a table needs **once**
-    (one coalesced request per remote shard), runs the loss over the pulled
-    block, and pushes the coalesced row gradients back — the server applies
-    Adam's row-sparse step, so untouched rows are never written.
+    ``place(graph, rng, lr, spec)`` builds the table store; the center
+    table reads a batch's centers, the context table its contexts and
+    negatives.
     """
-    last_loss = float("inf")
-    for _ in range(epochs):
-        losses = []
-        for c_ids, u_ids, neg_ids in pair_batches(
-            pairs, negative_sampler, rng, batch_size, neg_num
-        ):
-            mb_center = kv_center.minibatch(c_ids, from_part=from_part)
-            mb_context = kv_context.minibatch(u_ids, neg_ids, from_part=from_part)
-            loss = skipgram_negative_loss(
-                mb_center.lookup(c_ids),
-                mb_context.lookup(u_ids),
-                mb_context.lookup(neg_ids),
-            )
-            loss.backward()
-            mb_center.push()
-            mb_context.push()
-            losses.append(loss.item())
-        last_loss = float(np.mean(losses))
-    return last_loss
+    tables = place(graph, rng, lr, (("center", dim, (0,)), ("context", dim, (1, 2))))
+    sampler = DegreeBiasedNegativeSampler(graph)
+    loss = train_skipgram(pairs, tables, sampler, rng, epochs=epochs, neg_num=neg_num)
+    return unit_rows(tables.rows(0)), loss
 
 
 def unit_rows(matrix: np.ndarray) -> np.ndarray:

@@ -9,29 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import (
-    EmbeddingModel,
-    embedding_backend,
-    skipgram_embeddings,
-    train_skipgram_kv,
-    unit_rows,
-)
+from repro.algorithms.base import TableStoreModel, skipgram_embeddings
 from repro.graph.graph import Graph
-from repro.nn.init import embedding_init
-from repro.sampling.negative import DegreeBiasedNegativeSampler
 from repro.sampling.randomwalk import random_walks, walk_context_pairs
 from repro.utils.rng import make_rng
 
 
-class DeepWalk(EmbeddingModel):
+class DeepWalk(TableStoreModel):
     """Random-walk skip-gram embeddings.
 
-    ``backend="dense"`` (the default) trains in process with dense tables;
-    ``backend="kv"`` trains the same pairs against a partitioned
-    :class:`~repro.storage.embedding.EmbeddingKVStore` over ``kv_workers``
-    simulated servers — batched deduplicated pulls, row-sparse pushes,
-    server-side row-sparse Adam updates — leaving the fitted store on
-    :attr:`kv_store` for inspection (ledger, metrics, RPC counts).
+    The center and context tables live where ``backend`` says (see
+    :class:`~repro.algorithms.base.TableStoreModel`): in process, or on a
+    parameter server of ``kv_workers`` simulated servers. Both stores run the
+    same pairs, loss and step.
     """
 
     name = "deepwalk"
@@ -58,11 +48,7 @@ class DeepWalk(EmbeddingModel):
         self.neg_num = neg_num
         self.lr = lr
         self.seed = seed
-        self.backend = embedding_backend(backend)
-        self.kv_workers = kv_workers
-        self.kv_staleness = kv_staleness
-        #: The distributed store a ``backend="kv"`` fit trained against.
-        self.kv_store = None
+        self._place_tables(backend, kv_workers, kv_staleness)
         self._embeddings: np.ndarray | None = None
         self.final_loss = float("inf")
 
@@ -74,48 +60,8 @@ class DeepWalk(EmbeddingModel):
     def fit(self, graph: Graph) -> "DeepWalk":
         rng = make_rng(self.seed)
         pairs = walk_context_pairs(self._walks(graph, rng), self.window)
-        if self.backend == "kv":
-            return self._fit_kv(graph, rng, pairs)
         self._embeddings, self.final_loss = skipgram_embeddings(
-            pairs, graph, self.dim, rng, self.epochs, self.neg_num, self.lr
+            pairs, graph, self.dim, rng, self.epochs, self.neg_num, self.lr,
+            place=self._table_store,
         )
-        return self
-
-    def _fit_kv(
-        self,
-        graph: Graph,
-        rng: np.random.Generator,
-        pairs: tuple[np.ndarray, np.ndarray],
-    ) -> "DeepWalk":
-        """Train against parameter-server tables on a simulated cluster.
-
-        Tables are initialized by the same ``embedding_init`` draws, in the
-        same order, as the dense path's :class:`Embedding` layers, so the
-        two backends start from identical values.
-        """
-        from repro.storage.cluster import make_store
-        from repro.storage.embedding import EmbeddingKVStore
-
-        n = graph.n_vertices
-        store = make_store(graph, self.kv_workers, seed=self.seed)
-
-        def table(role: str) -> EmbeddingKVStore:
-            return EmbeddingKVStore(
-                store, embedding_init((n, self.dim), rng),
-                name=f"{self.name}.{role}", lr=self.lr,
-                staleness=self.kv_staleness,
-            )
-
-        center, context = table("center"), table("context")
-        self.final_loss = train_skipgram_kv(
-            pairs,
-            kv_center=center,
-            kv_context=context,
-            negative_sampler=DegreeBiasedNegativeSampler(graph),
-            rng=rng,
-            epochs=self.epochs,
-            neg_num=self.neg_num,
-        )
-        self.kv_store = store
-        self._embeddings = unit_rows(center.materialize())
         return self

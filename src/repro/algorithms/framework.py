@@ -167,8 +167,6 @@ class GNNFramework(EmbeddingModel):
         neg_num: int = 5,
         lr: float = 0.01,
         max_steps_per_epoch: int = 40,
-        early_stop_patience: int = 0,
-        early_stop_min_delta: float = 1e-3,
         seed: int = 0,
         profiler: "StageProfiler | None" = None,
         minibatch_blocks: bool = False,
@@ -187,15 +185,9 @@ class GNNFramework(EmbeddingModel):
         self.neg_num = neg_num
         self.lr = lr
         self.max_steps_per_epoch = max_steps_per_epoch
-        # Early stopping (paper §7, future work #3): terminate training
-        # when no epoch improves the mean loss by min_delta for patience
-        # consecutive epochs. 0 disables.
-        self.early_stop_patience = early_stop_patience
-        self.early_stop_min_delta = early_stop_min_delta
         self.seed = seed
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.minibatch_blocks = minibatch_blocks
-        self.stopped_early = False
         self._embeddings: np.ndarray | None = None
         self.loss_history: list[float] = []
 
@@ -287,26 +279,12 @@ class GNNFramework(EmbeddingModel):
             graph, rng, steps * self.epochs, self.batch_size, self.neg_num
         )
         self.loss_history = []
-        self.stopped_early = False
-        best_loss = float("inf")
-        stall = 0
         for _ in range(self.epochs):
             if not self.minibatch_blocks:
                 with stage("sample"):
                     graph_block = self._all_vertex_block(graph, sampler, rng)
-            epoch_loss = float(
-                np.mean(train_steps(batches, loss_fn, optimizer, steps, self.profiler))
-            )
-            self.loss_history.append(epoch_loss)
-            if self.early_stop_patience > 0:
-                if epoch_loss < best_loss - self.early_stop_min_delta:
-                    best_loss = epoch_loss
-                    stall = 0
-                else:
-                    stall += 1
-                    if stall >= self.early_stop_patience:
-                        self.stopped_early = True
-                        break
+            losses = train_steps(batches, loss_fn, optimizer, steps, self.profiler)
+            self.loss_history.append(float(np.mean(losses)))
 
         # The final all-vertex embedding pass runs unprofiled: stage totals
         # stay pure per-training-step cost, comparable across modes.

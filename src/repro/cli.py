@@ -248,6 +248,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
             raise TrainingError(
                 f"{flag} applies to {'/'.join(models)} only, not {args.model}"
             )
+        if is_set and flag.startswith("--kv-") and args.backend != "kv":
+            raise TrainingError(f"{flag} applies to --backend kv only")
     # Built before the dataset is read: a model's own argument checks (LINE's
     # even dim) fail as cheaply as the ones above.
     model = factories[args.model](args)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.base import (
+    DenseTables,
     edge_batches,
     pair_batches,
     train_skipgram,
@@ -12,8 +13,6 @@ from repro.algorithms.base import (
 )
 from repro.errors import OperatorError, TrainingError
 from repro.nn.init import embedding_init, he_uniform, xavier_uniform
-from repro.nn.layers import Embedding
-from repro.nn.optim import Adam
 from repro.runtime import StageProfiler
 from repro.sampling.negative import DegreeBiasedNegativeSampler
 from repro.sampling.traverse import EdgeTraverseSampler
@@ -27,38 +26,30 @@ def test_unit_rows_normalizes_and_keeps_zeros():
     np.testing.assert_allclose(out[1], [0.0, 0.0])
 
 
+SKIPGRAM_TABLES = (("center", 8, (0,)), ("context", 8, (1, 2)))
+
+
 def test_train_skipgram_reduces_loss(tiny_graph):
     rng = make_rng(0)
-    n = tiny_graph.n_vertices
-    center = Embedding(n, 8, rng)
-    context = Embedding(n, 8, rng)
+    tables = DenseTables(tiny_graph, rng, 0.05, SKIPGRAM_TABLES)
     src, dst, _ = tiny_graph.edge_array()
     pairs = (np.tile(src, 40), np.tile(dst, 40))
     sampler = DegreeBiasedNegativeSampler(tiny_graph)
-    opt = Adam(center.parameters() + context.parameters(), lr=0.05)
-    first = train_skipgram(
-        pairs, center, context, opt, sampler, rng, epochs=1, batch_size=64
-    )
-    final = train_skipgram(
-        pairs, center, context, opt, sampler, rng, epochs=3, batch_size=64
-    )
+    first = train_skipgram(pairs, tables, sampler, rng, epochs=1, batch_size=64)
+    final = train_skipgram(pairs, tables, sampler, rng, epochs=3, batch_size=64)
     assert final < first
 
 
 def test_train_skipgram_validates_pairs(tiny_graph):
     rng = make_rng(0)
-    center = Embedding(6, 4, rng)
-    context = Embedding(6, 4, rng)
+    tables = DenseTables(tiny_graph, rng, 0.025, SKIPGRAM_TABLES)
     sampler = DegreeBiasedNegativeSampler(tiny_graph)
-    opt = Adam(center.parameters() + context.parameters(), lr=0.025)
     with pytest.raises(TrainingError):
-        train_skipgram(
-            (np.array([0]), np.array([0, 1])), center, context, opt, sampler, rng
-        )
+        train_skipgram((np.array([0]), np.array([0, 1])), tables, sampler, rng)
     with pytest.raises(TrainingError):
         train_skipgram(
             (np.array([], dtype=np.int64), np.array([], dtype=np.int64)),
-            center, context, opt, sampler, rng,
+            tables, sampler, rng,
         )
 
 

@@ -66,12 +66,18 @@ def test_train_unknown_model(tmp_path, capsys):
          "--kv-staleness applies to deepwalk/node2vec/line only, not graphsage"),
         ("sign", ["--minibatch-blocks"],
          "--minibatch-blocks applies to graphsage only, not sign"),
+        # The kv knobs of a model trained in process.
+        ("deepwalk", ["--kv-workers", "2", "--kv-staleness", "3"],
+         "--kv-workers applies to --backend kv only"),
+        ("line", ["--backend", "dense", "--kv-staleness", "3"],
+         "--kv-staleness applies to --backend kv only"),
     ],
     ids=[
         "dim=0-deepwalk", "dim=0-graphsage", "dim=0-netmf", "dim=-1", "dim=1-line",
         "epochs=0", "seed=-1", "holdout=1.0", "holdout=-0.1", "kv-workers=0",
         "kv-staleness=-1", "backend-kv-netmf", "kv-workers-gatne",
-        "kv-staleness-graphsage", "minibatch-blocks-sign",
+        "kv-staleness-graphsage", "minibatch-blocks-sign", "kv-flags-dense-deepwalk",
+        "kv-staleness-dense-line",
     ],
 )
 def test_train_bad_flag_is_one_error_line(model, flags, message, tmp_path, capsys):
@@ -353,7 +359,11 @@ def test_committed_perf_trajectory_recomputes_from_its_runs():
         assert check_trajectory(path.read_text(encoding="utf-8")) == [], path.name
     good = json.loads(files[-1].read_text(encoding="utf-8"))
     edited = copy.deepcopy(good)
-    edited["workloads"]["train_gnn"]["runs"][0]["host_cost_cu"] *= 0.5
+    # Every run of one side: a single run may sit where no quartile or pair
+    # order reads it, and then the summary would rightly stay the same.
+    for run in edited["workloads"]["train_gnn"]["runs"]:
+        if run["side"] == "change":
+            run["host_cost_cu"] *= 0.5
     assert any("summary[host_cost_cu]" in p for p in check_trajectory(edited))
     edited = copy.deepcopy(good)
     for run in edited["workloads"]["store_rw"]["runs"]:

@@ -336,10 +336,148 @@ def test_line_kv_backend_trains(graph):
 
 
 def test_unknown_backend_rejected():
-    from repro.algorithms import DeepWalk, LINE
+    """Where the tables live is checked at construction, before any walk or
+    rng draw, and always as a ``TrainingError``."""
+    from repro.algorithms import LINE, DeepWalk, Node2Vec
     from repro.errors import TrainingError
 
-    with pytest.raises(TrainingError):
-        DeepWalk(backend="remote")
-    with pytest.raises(TrainingError):
-        LINE(backend="remote")
+    for kwargs in (
+        dict(backend="remote"),
+        dict(backend="kv", kv_workers=2.5),
+        dict(backend="kv", kv_workers=0),
+        dict(backend="kv", kv_staleness=-1),
+        dict(backend="kv", kv_staleness=0.5),
+    ):
+        for cls in (DeepWalk, Node2Vec, LINE):
+            with pytest.raises(TrainingError):
+                cls(**kwargs)
+
+
+# --------------------------------------------------------------------- #
+# Oracle: the parameter-server training loops the models ran before they
+# shared ``train_steps`` with the in-process tables, kept verbatim.
+# --------------------------------------------------------------------- #
+def _oracle_tables(model, graph, rng, dim, roles):
+    store = make_store(graph, model.kv_workers, seed=model.seed)
+    return store, [
+        EmbeddingKVStore(
+            store, embedding_init((graph.n_vertices, dim), rng),
+            name=f"{model.name}.{role}", lr=model.lr,
+            staleness=model.kv_staleness,
+        )
+        for role in roles
+    ]
+
+
+def _train_skipgram_kv(
+    pairs, kv_center, kv_context, negative_sampler, rng, epochs, neg_num,
+    batch_size=1024, from_part=0,
+):
+    from repro.algorithms.base import pair_batches
+    from repro.nn.loss import skipgram_negative_loss
+
+    last_loss = float("inf")
+    for _ in range(epochs):
+        losses = []
+        for c_ids, u_ids, neg_ids in pair_batches(
+            pairs, negative_sampler, rng, batch_size, neg_num
+        ):
+            mb_center = kv_center.minibatch(c_ids, from_part=from_part)
+            mb_context = kv_context.minibatch(u_ids, neg_ids, from_part=from_part)
+            loss = skipgram_negative_loss(
+                mb_center.lookup(c_ids),
+                mb_context.lookup(u_ids),
+                mb_context.lookup(neg_ids),
+            )
+            loss.backward()
+            mb_center.push()
+            mb_context.push()
+            losses.append(loss.item())
+        last_loss = float(np.mean(losses))
+    return last_loss
+
+
+def _skipgram_kv_oracle(model, graph):
+    """DeepWalk / node2vec on parameter-server tables: (store, tables,
+    embeddings, final loss)."""
+    from repro.algorithms.base import unit_rows
+    from repro.sampling.negative import DegreeBiasedNegativeSampler
+    from repro.sampling.randomwalk import walk_context_pairs
+
+    rng = make_rng(model.seed)
+    pairs = walk_context_pairs(model._walks(graph, rng), model.window)
+    store, tables = _oracle_tables(model, graph, rng, model.dim, ("center", "context"))
+    center, context = tables
+    loss = _train_skipgram_kv(
+        pairs, center, context, DegreeBiasedNegativeSampler(graph), rng,
+        model.epochs, model.neg_num,
+    )
+    return store, tables, unit_rows(center.materialize()), loss
+
+
+def _line_kv_oracle(model, graph):
+    """LINE on parameter-server tables: (store, tables, embeddings, None)."""
+    from repro.algorithms.base import edge_batches, unit_rows
+    from repro.nn.loss import skipgram_negative_loss
+
+    rng = make_rng(model.seed)
+    batches = edge_batches(
+        graph, rng, model.steps, model.batch_size, model.neg_num, weighted=True
+    )
+    store, tables = _oracle_tables(
+        model, graph, rng, model.dim // 2, ("first", "second", "ctx")
+    )
+    first, second, second_ctx = tables
+    for src, dst, neg_ids in batches:
+        mb_first = first.minibatch(src, dst, neg_ids)
+        mb_second = second.minibatch(src)
+        mb_ctx = second_ctx.minibatch(dst, neg_ids)
+        loss1 = skipgram_negative_loss(
+            mb_first.lookup(src), mb_first.lookup(dst), mb_first.lookup(neg_ids)
+        )
+        loss2 = skipgram_negative_loss(
+            mb_second.lookup(src), mb_ctx.lookup(dst), mb_ctx.lookup(neg_ids)
+        )
+        (loss1 + loss2).backward()
+        mb_first.push()
+        mb_second.push()
+        mb_ctx.push()
+    emb = unit_rows(np.concatenate([first.materialize(), second.materialize()], axis=1))
+    return store, tables, emb, None
+
+
+@pytest.mark.parametrize(
+    "model_name,kwargs,oracle",
+    [
+        ("DeepWalk", dict(walks_per_vertex=2, walk_length=6, kv_staleness=1),
+         _skipgram_kv_oracle),
+        ("Node2Vec", dict(walks_per_vertex=2, walk_length=6, kv_staleness=2),
+         _skipgram_kv_oracle),
+        ("LINE", dict(steps=12, batch_size=32, kv_staleness=2), _line_kv_oracle),
+    ],
+    ids=["deepwalk", "node2vec", "line"],
+)
+def test_kv_fit_matches_the_pull_push_loop_bit_for_bit(graph, model_name, kwargs, oracle):
+    """A ``backend="kv"`` fit runs ``train_steps`` over the parameter-server
+    table store; the hand-written pull → loss → backward → push loop it
+    replaced gives the same tables, loss, ledger, RPC count and clock."""
+    import repro.algorithms
+
+    cls = getattr(repro.algorithms, model_name)
+    kwargs = dict(dim=8, seed=5, backend="kv", kv_workers=3, **kwargs)
+    model = cls(**kwargs).fit(graph)
+    store, tables, emb, loss = oracle(cls(**kwargs), graph)
+
+    assert model.embeddings().tobytes() == emb.tobytes()
+    if loss is not None:
+        assert model.final_loss == loss
+    runtime = model.kv_store.runtime
+    for table in tables:
+        fitted = runtime._services[table.kind_pull].__self__
+        assert fitted.materialize().tobytes() == table.materialize().tobytes()
+        assert fitted.staleness == model.kv_staleness
+    assert model.kv_store.ledger.counts == store.ledger.counts
+    requests = runtime.metrics.counter("rpc.requests").value
+    assert requests > 0
+    assert requests == store.runtime.metrics.counter("rpc.requests").value
+    assert runtime.clock.now_us == store.runtime.clock.now_us

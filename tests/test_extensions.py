@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms.automl import AutoGNN, default_candidates
-from repro.algorithms.framework import GNNFramework
 from repro.errors import ReproError, StorageError, TrainingError
 from repro.graph.dynamic import EdgeEvent
 from repro.storage import ImportanceCachePolicy, LRUCachePolicy
@@ -37,29 +36,6 @@ def test_subgraph_pooling(emb):
 def test_subgraph_validations(emb):
     with pytest.raises(ReproError):
         subgraph_embedding(emb, np.array([], dtype=np.int64))
-
-
-# --------------------------------------------------------------------- #
-# Early stopping
-# --------------------------------------------------------------------- #
-def test_early_stop_triggers(small_amazon):
-    model = GNNFramework(
-        dim=12, kmax=1, fanout=4, epochs=30, max_steps_per_epoch=3,
-        early_stop_patience=2, early_stop_min_delta=10.0,  # impossible bar
-        seed=0,
-    )
-    model.fit(small_amazon)
-    assert model.stopped_early
-    assert len(model.loss_history) < 30
-
-
-def test_early_stop_disabled_by_default(small_amazon):
-    model = GNNFramework(
-        dim=12, kmax=1, fanout=4, epochs=3, max_steps_per_epoch=3, seed=0
-    )
-    model.fit(small_amazon)
-    assert not model.stopped_early
-    assert len(model.loss_history) == 3
 
 
 # --------------------------------------------------------------------- #

@@ -271,7 +271,10 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
     from repro.runtime import RpcRuntime
     from repro.serving import ServingConfig, ServingEngine
 
-    retired = {"timeout_us", "embed_dim", "fresh_fills_cache", "resample_each_epoch"}
+    retired = {
+        "timeout_us", "embed_dim", "fresh_fills_cache", "resample_each_epoch",
+        "early_stop_patience", "early_stop_min_delta", "stopped_early",
+    }
     for cls in (RpcRuntime, ServingConfig, ServingEngine, GNNFramework, GraphSAGE, SIGN):
         assert not retired & set(inspect.signature(cls).parameters), cls
         assert not retired & {a for a in vars(cls) if not a.startswith("__")}, cls
@@ -474,8 +477,9 @@ def test_one_optimizer_takes_dense_and_row_sparse_gradients():
 
 def test_the_zoo_has_one_training_loop_one_feature_builder_one_accessor():
     """``algorithms/base.py`` owns the step (``zero_grad`` -> loss ->
-    ``backward`` -> ``step``), the ``vertex_features`` standardization and the
-    ``embeddings()`` accessor; a model that grows its own copy fails here."""
+    ``backward`` -> ``step``, for in-process and parameter-server tables
+    alike), the ``vertex_features`` standardization and the ``embeddings()``
+    accessor; a model that grows its own copy fails here."""
     import ast
     import pathlib
 
@@ -484,10 +488,18 @@ def test_the_zoo_has_one_training_loop_one_feature_builder_one_accessor():
     offenders = []
     for path in sorted(pathlib.Path(repro.algorithms.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
+        in_step = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "train_steps"
+            for node in ast.walk(fn)
+        }
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 if node.func.attr == "zero_grad" and path.name != "base.py":
                     offenders.append(f"{path.name}:{node.lineno} calls zero_grad()")
+                if node.func.attr == "backward" and id(node) not in in_step:
+                    offenders.append(f"{path.name}:{node.lineno} calls backward()")
             if isinstance(node, ast.ClassDef) and node.name not in ("EmbeddingModel", "AutoGNN"):
                 for fn in node.body:
                     if not (isinstance(fn, ast.FunctionDef) and fn.name == "embeddings"):
