@@ -17,10 +17,10 @@ from repro.bench import Experiment, ExperimentReport
 from repro.bench.timing import assert_faster, time_arms
 from repro.data import make_dataset
 from repro.ops import (
+    ConcatCombiner,
     MaterializationCache,
     MinibatchExecutor,
     make_aggregator,
-    make_combiner,
 )
 from repro.sampling import GraphProvider, UniformNeighborSampler
 from repro.utils.rng import make_rng
@@ -50,8 +50,8 @@ def _executor(graph, rng) -> MinibatchExecutor:
         make_aggregator("mean", DIM, DIM, rng),
     ]
     combs = [
-        make_combiner("concat", f, DIM, DIM, rng),
-        make_combiner("concat", DIM, DIM, DIM, rng),
+        ConcatCombiner(f, DIM, DIM, rng),
+        ConcatCombiner(DIM, DIM, DIM, rng),
     ]
     sampler = UniformNeighborSampler(GraphProvider(graph))
     return MinibatchExecutor(features, sampler, aggs, combs, FANOUTS)

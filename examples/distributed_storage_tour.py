@@ -41,7 +41,7 @@ def main() -> None:
 
     # --- Importance-based caching (Eq. 1 / Algorithm 2). ---------------- #
     scores = importance_scores(graph, k=2)
-    plan = plan_importance_cache(graph, max_hop=2, thresholds=0.2)
+    plan = plan_importance_cache(graph, thresholds=0.2)
     print(
         f"\nImp^(2) >= 0.2 selects {plan.cache_fraction(graph.n_vertices):.1%} "
         f"of vertices (median importance {np.median(scores):.3f})"

@@ -17,7 +17,6 @@ from repro.algorithms.dynamic_baselines import DANE, TNE
 from repro.algorithms.evolving_gnn import EvolvingGNN
 from repro.algorithms.framework import GNNFramework
 from repro.algorithms.gatne import GATNE
-from repro.algorithms.gcn import ASGCN, FastGCN, GCN
 from repro.algorithms.graphsage import GraphSAGE
 from repro.algorithms.hep import AHEP, HEP
 from repro.algorithms.hierarchical_gnn import HierarchicalGNN
@@ -30,7 +29,6 @@ from repro.algorithms.netmf import NetMF
 from repro.algorithms.node2vec import Node2Vec
 from repro.algorithms.pmne import PMNE
 from repro.algorithms.sign import SIGN
-from repro.algorithms.struc2vec import Struc2Vec
 
 __all__ = [
     "EmbeddingModel",
@@ -45,10 +43,6 @@ __all__ = [
     "PMNE",
     "MVE",
     "MNE",
-    "Struc2Vec",
-    "GCN",
-    "FastGCN",
-    "ASGCN",
     "GraphSAGE",
     "SIGN",
     "HEP",

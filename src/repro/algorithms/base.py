@@ -8,8 +8,8 @@ NEGATIVE) — and one step driver, :func:`train_steps` (``zero_grad`` →
 ``loss_fn`` → ``backward`` → ``optimizer.step``).
 
 The sources are generators and the driver pulls batch *k+1* only after step
-*k*: a ``loss_fn`` may draw from the same ``rng`` (FastGCN's support sets,
-AHEP's importance redraws), and that interleaving is what a seed reproduces.
+*k*: a ``loss_fn`` may draw from the same ``rng`` (AHEP's importance
+redraws), and that interleaving is what a seed reproduces.
 
 A model whose tables may live on the parameter server (DeepWalk, node2vec,
 LINE) gets them from a *table store* and runs the same driver: the store
@@ -84,13 +84,12 @@ def walk_pairs(
     walks_per_vertex: int,
     walk_length: int,
     window: int,
-    weighted: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Skip-gram ``(centers, contexts)`` from ``walks_per_vertex`` shuffled
     random walks per vertex."""
     starts = np.tile(graph.vertices(), walks_per_vertex)
     rng.shuffle(starts)
-    walks = random_walks(graph, starts, walk_length, rng, weighted=weighted)
+    walks = random_walks(graph, starts, walk_length, rng)
     return walk_context_pairs(walks, window)
 
 

@@ -7,13 +7,15 @@ normalize; after ``kmax`` hops the final vectors are the embeddings.
 :class:`GNNFramework` runs this over a
 :class:`~repro.sampling.blocks.KHopBlock` — the all-vertex block (every
 vertex each hop, exactly the paper's pseudocode) or a per-step minibatch
-block — with pluggable sampler / aggregator / combiner names, trained end
-to end with an unsupervised link objective (neighbors score high, sampled
-negatives low). GraphSAGE, GCN-flavoured models and the
-in-house GNNs are all configurations or subclasses of this machinery.
+block — with pluggable sampler and aggregator names and GraphSAGE's concat
+COMBINE, trained end to end with an unsupervised link objective (neighbors
+score high, sampled negatives low). GraphSAGE and the in-house GNNs are
+configurations or subclasses of this machinery.
 """
 
 from __future__ import annotations
+
+from numbers import Integral
 
 import numpy as np
 
@@ -33,7 +35,8 @@ from repro.nn.loss import skipgram_negative_loss
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor, no_grad
 from repro.ops.aggregate import make_aggregator
-from repro.ops.combine import make_combiner
+from repro.ops.base import AGGREGATOR_REGISTRY
+from repro.ops.combine import ConcatCombiner
 from repro.runtime.tracing import NULL_PROFILER, StageProfiler
 from repro.sampling.base import GraphProvider
 from repro.sampling.blocks import KHopBlock, build_block, build_block_from_tables
@@ -62,28 +65,18 @@ class _GNNEncoder(Module):
         out_dim: int,
         kmax: int,
         aggregator: str,
-        combiner: str,
         rng: np.random.Generator,
     ) -> None:
-        from repro.nn.layers import Dense
-
         #: StageProfiler bucketing forward into materialize / aggregate /
         #: combine stage spans (set by GNNFramework.fit).
         self.profiler = NULL_PROFILER
-        self.input_proj = None
-        if combiner in ("gru", "sum"):
-            # Width-preserving combiners need the input already at the
-            # working width: project features up front and keep one width.
-            self.input_proj = Dense(in_dim, out_dim, rng)
-            dims = [out_dim] * (kmax + 1)
-        else:
-            dims = [in_dim] + [hidden_dim] * (kmax - 1) + [out_dim]
+        dims = [in_dim] + [hidden_dim] * (kmax - 1) + [out_dim]
         self.aggregators = [
             make_aggregator(aggregator, dims[k], dims[k + 1], rng)
             for k in range(kmax)
         ]
         self.combiners = [
-            make_combiner(combiner, dims[k], dims[k + 1], dims[k + 1], rng)
+            ConcatCombiner(dims[k], dims[k + 1], dims[k + 1], rng)
             for k in range(kmax)
         ]
         self.kmax = kmax
@@ -93,7 +86,7 @@ class _GNNEncoder(Module):
 
         Hop k hands the aggregator the level-k states and the block's
         relabeled ``(B, hop_nums[k])`` child table (a fused gather-reduce
-        for mean / sum), gathers each level-(k+1) vertex's own state and
+        for mean), gathers each level-(k+1) vertex's own state and
         combines the two. Every op is row-wise, so an output row depends
         only on that vertex's draws:
         a minibatch block and the all-vertex block (every level
@@ -102,8 +95,6 @@ class _GNNEncoder(Module):
         stage = self.profiler.stage
         with stage("materialize"):
             h = features.gather_rows(block.layers[0])
-        if self.input_proj is not None:
-            h = self.input_proj(h)
         for k in range(block.n_hops):
             with stage("materialize"):
                 h_self = h.gather_rows(block.self_index[k])
@@ -126,9 +117,9 @@ class GNNFramework(EmbeddingModel):
         Hops of neighborhood aggregation.
     fanout:
         Neighbors sampled per vertex per hop (the SAMPLE step).
-    aggregator, combiner:
-        Plugin names from the operator registries (``mean``, ``maxpool``,
-        ``lstm``, ``attention``, ``sum`` / ``concat``, ``sum``, ``gru``).
+    aggregator:
+        AGGREGATE plugin name from the operator registry: ``mean`` or
+        ``maxpool``. Every hop combines with GraphSAGE's concat.
     sampler:
         Neighborhood sampler plugin: ``uniform``, ``weighted``, ``topk`` or
         ``importance``.
@@ -159,7 +150,6 @@ class GNNFramework(EmbeddingModel):
         kmax: int = 2,
         fanout: int = 8,
         aggregator: str = "mean",
-        combiner: str = "concat",
         sampler: str = "uniform",
         hidden_dim: int | None = None,
         epochs: int = 5,
@@ -173,11 +163,18 @@ class GNNFramework(EmbeddingModel):
     ) -> None:
         if kmax < 1:
             raise TrainingError(f"kmax must be >= 1, got {kmax}")
+        if not isinstance(fanout, Integral) or fanout < 1:
+            raise TrainingError(f"fanout must be an integer >= 1, got {fanout!r}")
+        if aggregator not in AGGREGATOR_REGISTRY:
+            known = ", ".join(sorted(AGGREGATOR_REGISTRY))
+            raise TrainingError(f"unknown aggregator {aggregator!r} (known: {known})")
+        if sampler not in _SAMPLERS and sampler != "importance":
+            known = ", ".join(sorted([*_SAMPLERS, "importance"]))
+            raise TrainingError(f"unknown sampler plugin {sampler!r} (known: {known})")
         self.dim = dim
         self.kmax = kmax
         self.fanout = fanout
         self.aggregator = aggregator
-        self.combiner = combiner
         self.sampler = sampler
         self.hidden_dim = hidden_dim or dim
         self.epochs = epochs
@@ -196,10 +193,7 @@ class GNNFramework(EmbeddingModel):
         provider = GraphProvider(graph)
         if self.sampler == "importance":
             return ImportanceNeighborSampler(provider, graph.out_degrees())
-        try:
-            return _SAMPLERS[self.sampler](provider)
-        except KeyError:
-            raise TrainingError(f"unknown sampler plugin {self.sampler!r}") from None
+        return _SAMPLERS[self.sampler](provider)
 
     def _sample_hop_tables(
         self, graph: Graph, sampler, rng: np.random.Generator
@@ -231,7 +225,6 @@ class GNNFramework(EmbeddingModel):
             out_dim=self.dim,
             kmax=self.kmax,
             aggregator=self.aggregator,
-            combiner=self.combiner,
             rng=rng,
         )
         encoder.profiler = self.profiler

@@ -2,7 +2,7 @@
 
 The canonical sampled-neighborhood GNN and the paper's running example of a
 method built on the framework (§4.1): node-wise uniform SAMPLE, a choice of
-AGGREGATE (weighted element-wise mean by default, max-pooling or LSTM
+AGGREGATE (weighted element-wise mean by default, max-pooling
 optional) and the concat COMBINE, trained with the unsupervised objective.
 Implemented directly as a thin configuration of :class:`GNNFramework`.
 """
@@ -30,7 +30,6 @@ class GraphSAGE(GNNFramework):
             kmax=kmax,
             fanout=fanout,
             aggregator=aggregator,
-            combiner="concat",
             sampler="uniform",
             **kwargs,
         )

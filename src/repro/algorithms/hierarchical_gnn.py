@@ -15,6 +15,7 @@ guarded by a size check — since assignments are inherently dense.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.algorithms.base import (
     EmbeddingModel,
@@ -23,7 +24,6 @@ from repro.algorithms.base import (
     train_steps,
     unit_rows,
 )
-from repro.algorithms.gcn import normalized_adjacency
 from repro.errors import TrainingError
 from repro.graph.graph import Graph
 from repro.nn import functional as F
@@ -32,6 +32,17 @@ from repro.nn.loss import skipgram_negative_loss
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.utils.rng import make_rng
+
+
+def normalized_adjacency(graph: Graph) -> sp.csr_matrix:
+    """``D^-1/2 (A + A^T + I) D^-1/2`` (symmetrized, renormalization trick)."""
+    n = graph.n_vertices
+    indptr, indices, weights = graph.csr_arrays()
+    a = sp.csr_matrix((weights, indices, indptr), shape=(n, n))
+    a = a + a.T + sp.identity(n, format="csr")
+    degree = np.asarray(a.sum(axis=1)).ravel()
+    d_inv_sqrt = sp.diags(1.0 / np.sqrt(np.maximum(degree, 1e-12)))
+    return (d_inv_sqrt @ a @ d_inv_sqrt).tocsr()
 
 
 class HierarchicalGNN(EmbeddingModel):

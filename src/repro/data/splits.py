@@ -3,7 +3,7 @@
 Following the paper's evaluation protocol ("we randomly extract a portion of
 the data as the training data and reserve the remaining part as test data"),
 :func:`train_test_split_edges` hides a fraction of edges from the training
-graph and pairs each held-out positive with sampled negatives. For AHGs the
+graph and pairs each held-out positive with one sampled negative. For AHGs the
 split is stratified by edge type (metrics are "averaged among different
 types of edges") and the vertex/edge type structure is preserved in the
 training graph.
@@ -56,7 +56,6 @@ def _rebuild(graph: Graph, keep: np.ndarray) -> Graph:
             weights=w[keep],
             directed=graph.directed,
             vertex_features=graph.vertex_features,
-            edge_features=None,
         )
     return Graph(graph.n_vertices, src[keep], dst[keep], weights=w[keep], directed=graph.directed)
 
@@ -64,19 +63,16 @@ def _rebuild(graph: Graph, keep: np.ndarray) -> Graph:
 def train_test_split_edges(
     graph: Graph,
     test_fraction: float = 0.2,
-    negatives_per_positive: int = 1,
     seed: int = 0,
 ) -> LinkSplit:
-    """Hide ``test_fraction`` of edges and sample matched negatives.
+    """Hide ``test_fraction`` of edges and sample one matched negative each.
 
-    Negatives corrupt the destination of each positive with a uniformly
+    A negative corrupts the destination of its positive with a uniformly
     random vertex that is not a current neighbor of the source (rejection
     with a bounded retry, as in standard LP protocols).
     """
     if not 0.0 < test_fraction < 1.0:
         raise DatasetError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    if negatives_per_positive < 1:
-        raise DatasetError("need at least one negative per positive")
     rng = make_rng(seed)
     m = graph.n_edges
     if m < 5:
@@ -96,22 +92,18 @@ def train_test_split_edges(
     neighbor_sets = [
         set(int(u) for u in graph.out_neighbors(v)) for v in range(graph.n_vertices)
     ]
-    negs = np.empty((n_test * negatives_per_positive, 2), dtype=np.int64)
-    row = 0
-    for (u, _), __ in zip(test_pos, range(n_test)):
-        u = int(u)
-        for _ in range(negatives_per_positive):
+    negs = np.empty((n_test, 2), dtype=np.int64)
+    for row, u in enumerate(test_pos[:, 0].tolist()):
+        candidate = int(rng.integers(graph.n_vertices))
+        tries = 0
+        while (candidate in neighbor_sets[u] or candidate == u) and tries < 20:
             candidate = int(rng.integers(graph.n_vertices))
-            tries = 0
-            while (candidate in neighbor_sets[u] or candidate == u) and tries < 20:
-                candidate = int(rng.integers(graph.n_vertices))
-                tries += 1
-            negs[row] = (u, candidate)
-            row += 1
+            tries += 1
+        negs[row] = (u, candidate)
 
     return LinkSplit(
         train_graph=_rebuild(graph, keep),
         test_pos=test_pos,
         test_neg=negs,
-        test_types=np.repeat(test_types, 1),
+        test_types=test_types,
     )

@@ -258,14 +258,12 @@ def powerlaw_graph(
     alpha: float = 2.1,
     max_degree: int | None = None,
     directed: bool = True,
-    preferential: bool = True,
     seed: int = 0,
 ) -> Graph:
     """A plain power-law graph for storage/sampling experiments.
 
-    Out-degrees are power-law; with ``preferential`` the destinations are
-    degree-proportional (so in-degrees are power-law too — the regime of
-    Theorems 1–2), otherwise uniform.
+    Out-degrees are power-law and destinations are degree-proportional, so
+    in-degrees are power-law too — the regime of Theorems 1–2.
     """
     if n < 2:
         raise DatasetError("need at least 2 vertices")
@@ -273,10 +271,7 @@ def powerlaw_graph(
     max_degree = max_degree or max(4, n // 10)
     degrees = sample_power_law_degrees(n, alpha, 1, max_degree, rng)
     src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    if preferential:
-        pool = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        dst = pool[rng.integers(pool.size, size=src.size)]
-    else:
-        dst = rng.integers(0, n, size=src.size)
+    pool = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    dst = pool[rng.integers(pool.size, size=src.size)]
     keep = src != dst
     return Graph(n, src[keep], dst[keep], directed=directed)

@@ -3,8 +3,9 @@
 An AHG is the tuple ``(V, E, W, T_V, T_E, A_V, A_E)``: a weighted graph plus
 vertex/edge type mapping functions and attribute mapping functions. The paper
 requires ``|F_V| >= 2`` and/or ``|F_E| >= 2`` for heterogeneity; we model
-types as small integer codes with a name table and attributes as dense
-float32 feature rows (``x_{v,i}`` / ``w_{e,i}``).
+types as small integer codes with a name table and vertex attributes as
+dense float32 feature rows (``x_{v,i}``). No model the paper evaluates reads
+edge attributes ``A_E``, so none are stored.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ class AttributedHeterogeneousGraph(Graph):
     vertex_features:
         ``(n, f_v)`` float matrix: the attribute vector ``x_v`` per vertex.
         Heterogeneous widths are zero-padded to the common width.
-    edge_features:
-        Optional ``(m, f_e)`` float matrix of per-edge attributes ``w_e``.
     """
 
     def __init__(
@@ -44,7 +43,6 @@ class AttributedHeterogeneousGraph(Graph):
         weights: np.ndarray | None = None,
         directed: bool = True,
         vertex_features: np.ndarray | None = None,
-        edge_features: np.ndarray | None = None,
     ) -> None:
         super().__init__(n_vertices, src, dst, weights=weights, directed=directed)
         vertex_types = np.asarray(vertex_types, dtype=np.int64)
@@ -77,12 +75,6 @@ class AttributedHeterogeneousGraph(Graph):
             if vertex_features.shape[0] != n_vertices:
                 raise SchemaError("vertex_features must have one row per vertex")
         self.vertex_features = vertex_features
-
-        if edge_features is not None:
-            edge_features = np.asarray(edge_features, dtype=np.float32)
-            if edge_features.shape[0] != self.n_edges:
-                raise SchemaError("edge_features must have one row per edge")
-        self.edge_features = edge_features
 
     def __repr__(self) -> str:
         return (

@@ -1,6 +1,6 @@
 """Graph serialization: one ``.npz`` bundle per attributed heterogeneous
-graph (structure, vertex / edge types and feature matrices) — the format the
-CLI's ``dataset`` command writes and every other command reads.
+graph (structure, vertex / edge types and the vertex feature matrix) — the
+format the CLI's ``dataset`` command writes and every other command reads.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ def save_ahg(graph: AttributedHeterogeneousGraph, path: str) -> None:
     }
     if graph.vertex_features is not None:
         payload["vertex_features"] = graph.vertex_features
-    if graph.edge_features is not None:
-        payload["edge_features"] = graph.edge_features
     np.savez_compressed(path, **payload)
 
 
@@ -40,7 +38,6 @@ def load_ahg(path: str) -> AttributedHeterogeneousGraph:
         raise DatasetError(f"AHG bundle not found: {path}")
     with np.load(path, allow_pickle=False) as data:
         vertex_features = data["vertex_features"] if "vertex_features" in data else None
-        edge_features = data["edge_features"] if "edge_features" in data else None
         return AttributedHeterogeneousGraph(
             n_vertices=int(data["n_vertices"][0]),
             src=data["src"],
@@ -52,5 +49,4 @@ def load_ahg(path: str) -> AttributedHeterogeneousGraph:
             weights=data["weights"],
             directed=bool(data["directed"][0]),
             vertex_features=vertex_features,
-            edge_features=edge_features,
         )

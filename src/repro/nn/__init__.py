@@ -4,7 +4,7 @@ The paper trains its models on TensorFlow atop the AliGraph runtime; this
 package is the from-scratch substitute: a :class:`Tensor` with reverse-mode
 autodiff whose tape records only what reaches a trainable leaf (and nothing
 under :func:`no_grad`), the layers the in-house models need (dense,
-embedding, GRU/LSTM), losses (BCE, CE, skip-gram with
+embedding, GRU), losses (BCE, CE, skip-gram with
 negative sampling, VAE ELBO) and one optimizer (Adam, taking dense or
 row-sparse gradients). Everything is float64 numpy — small-graph scale,
 gradient-checkable, deterministic.
@@ -21,7 +21,7 @@ from repro.nn.loss import (
     skipgram_negative_loss,
 )
 from repro.nn.optim import Adam
-from repro.nn.rnn import GRUCell, LSTMCell
+from repro.nn.rnn import GRUCell
 from repro.nn.tensor import SparseGrad, Tensor, no_grad
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "Embedding",
     "Sequential",
     "GRUCell",
-    "LSTMCell",
     "Adam",
     "SparseGrad",
     "xavier_uniform",

@@ -183,8 +183,8 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
 def sparse_matmul(matrix: "object", x: Tensor) -> Tensor:
     """``A @ x`` for a fixed (non-trainable) scipy sparse ``A``.
 
-    The GCN family propagates through a constant normalized adjacency; only
-    ``x`` receives gradients: ``dL/dx = A^T @ g``.
+    A fixed propagation matrix (a normalized adjacency, a block's
+    selection matrix); only ``x`` receives gradients: ``dL/dx = A^T @ g``.
     """
     out = matrix @ x.data
 
@@ -200,8 +200,8 @@ def gather_sum_rows(x: Tensor, table: np.ndarray) -> Tensor:
     AGGREGATE over a k-hop block as one SpMM: ``table`` is the block's
     ``(B, fanout)`` child-position table and the ``(B * fanout, d)``
     neighbor matrix is never materialised, forward or backward. Equal bit
-    for bit to ``sum_rows_segmented(x.gather_rows(table.reshape(-1)),
-    fanout)`` — see :func:`~repro.nn.tensor.selection_matrix` for why.
+    for bit to gathering those rows and summing each fanout-row segment —
+    see :func:`~repro.nn.tensor.selection_matrix` for why.
     """
     if x.ndim != 2:
         raise OperatorError(f"gather_sum_rows needs (n, d) input, got shape {x.shape}")
@@ -225,27 +225,6 @@ def mean_rows_segmented(x: Tensor, segment_size: int) -> Tensor:
     def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray]]":
         expanded = np.repeat(g / segment_size, segment_size, axis=0)
         return [(x, expanded)]
-
-    return Tensor(out, _parents=(x,), _backward=backward)
-
-
-def sum_rows_segmented(x: Tensor, segment_size: int) -> Tensor:
-    """Sum over fixed-size row segments: ``(B*s, d) -> (B, d)``.
-
-    The un-normalized AGGREGATE: one reduction kernel, no round trip
-    through a mean (summing as ``mean * s`` costs a second elementwise
-    pass and a divide/multiply of avoidable float error).
-    """
-    n, d = x.shape
-    if n % segment_size != 0:
-        raise OperatorError(
-            f"row count {n} not divisible by segment size {segment_size}"
-        )
-    batch = n // segment_size
-    out = x.data.reshape(batch, segment_size, d).sum(axis=1)
-
-    def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray]]":
-        return [(x, np.repeat(g, segment_size, axis=0))]
 
     return Tensor(out, _parents=(x,), _backward=backward)
 

@@ -1,9 +1,4 @@
-"""Recurrent cells: GRU and LSTM.
-
-Used three ways in the algorithm layer: the LSTM AGGREGATE operator
-(GraphSAGE-LSTM), the GRU COMBINE operator, and the RNN half of the
-Evolving GNN's dynamics predictor.
-"""
+"""The recurrent cell of the Evolving GNN's dynamics predictor (a GRU)."""
 
 from __future__ import annotations
 
@@ -34,29 +29,3 @@ class GRUCell(Module):
     def init_state(self, batch: int) -> Tensor:
         """All-zero initial hidden state."""
         return Tensor(np.zeros((batch, self.hidden_dim)))
-
-
-class LSTMCell(Module):
-    """Long short-term memory cell returning ``(h', c')``."""
-
-    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
-        self.hidden_dim = hidden_dim
-        self.f_gate = Dense(input_dim + hidden_dim, hidden_dim, rng, "sigmoid")
-        self.i_gate = Dense(input_dim + hidden_dim, hidden_dim, rng, "sigmoid")
-        self.o_gate = Dense(input_dim + hidden_dim, hidden_dim, rng, "sigmoid")
-        self.g_gate = Dense(input_dim + hidden_dim, hidden_dim, rng, "tanh")
-
-    def forward(self, x: Tensor, h: Tensor, c: Tensor) -> "tuple[Tensor, Tensor]":
-        xh = F.concat([x, h], axis=-1)
-        f = self.f_gate(xh)
-        i = self.i_gate(xh)
-        o = self.o_gate(xh)
-        g = self.g_gate(xh)
-        c_new = f * c + i * g
-        h_new = o * F.tanh(c_new)
-        return h_new, c_new
-
-    def init_state(self, batch: int) -> "tuple[Tensor, Tensor]":
-        """All-zero initial (h, c)."""
-        zeros = np.zeros((batch, self.hidden_dim))
-        return Tensor(zeros.copy()), Tensor(zeros.copy())

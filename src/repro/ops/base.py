@@ -1,4 +1,4 @@
-"""Operator plugin registries.
+"""The AGGREGATE plugin registry.
 
 Mirrors the paper's design: AGGREGATE and COMBINE "are plugins of AliGraph,
 which can be implemented independently"; a typical operator has forward and
@@ -18,7 +18,6 @@ from repro.nn.layers import Module
 from repro.nn.tensor import Tensor
 
 AGGREGATOR_REGISTRY: dict[str, type] = {}
-COMBINER_REGISTRY: dict[str, type] = {}
 
 
 def register_aggregator(cls: type) -> type:
@@ -27,15 +26,6 @@ def register_aggregator(cls: type) -> type:
     if not name:
         raise OperatorError("aggregators must define a class attribute 'name'")
     AGGREGATOR_REGISTRY[name] = cls
-    return cls
-
-
-def register_combiner(cls: type) -> type:
-    """Class decorator adding a COMBINE implementation to the registry."""
-    name = getattr(cls, "name", None)
-    if not name:
-        raise OperatorError("combiners must define a class attribute 'name'")
-    COMBINER_REGISTRY[name] = cls
     return cls
 
 
@@ -62,10 +52,3 @@ class Aggregator(Module):
                 f"got shape {table.shape} of {table.dtype}"
             )
         return self.forward(h, table)
-
-
-class Combiner(Module):
-    """COMBINE: merges ``(batch, d_self)`` with ``(batch, d_neigh)`` into
-    ``(batch, d_out)``."""
-
-    name = "abstract"

@@ -1,9 +1,9 @@
 """AliGraph sampling layer (paper §3.3).
 
 Three sampler families — TRAVERSE, NEIGHBORHOOD, NEGATIVE — behind a plugin
-interface with forward *and* backward (dynamic weight updates registered like
-operator gradients), plus random-walk generators and the Figure 5 pipeline
-that stitches the three families into one training-sample stage.
+interface, plus random-walk generators and the Figure 5 pipeline that
+stitches the three families into one training-sample stage. Every entry point
+checks its vertex ids and batch sizes before it draws.
 """
 
 from repro.sampling.base import (

@@ -1,13 +1,10 @@
-"""Sampler plugin interface and neighbor providers.
+"""Sampler plugin interface, neighbor providers and the shared input checks.
 
 Samplers are plugins (paper: "we treat all samplers as plugins. Each of them
-can be implemented independently") with two halves:
-
-* ``sample(...)`` — the forward computation;
-* ``backward(feedback)`` — the update path. The paper implements dynamic
-  sampling weights "in a sampler's backward computation, just like gradient
-  back propagation of an operator": callers register an update function and
-  feed it feedback; weighted samplers use it to adjust their distributions.
+can be implemented independently"); each exposes its forward computation,
+``sample(...)``. The paper's sampler backward — dynamic sampling weights
+updated "just like gradient back propagation of an operator" — is not used
+by any configuration it evaluates and is not implemented here.
 
 Neighborhood samplers read adjacency through a :class:`NeighborProvider`, so
 the same sampler runs against a plain in-memory :class:`Graph` or against the
@@ -17,11 +14,16 @@ call to a remote graph server". A provider answers a whole frontier with one
 ragged :class:`~repro.sampling.kernels.CsrAdjacency` block, and every
 sampler draws on that block with the same kernels whichever provider built
 it.
+
+Every public entry point that takes vertex ids or a batch size checks them
+with :func:`check_vertex_ids` / :func:`check_batch_size` before it draws, so
+a malformed input raises :class:`SamplingError` and leaves the caller's
+``rng`` untouched.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from numbers import Integral
 
 import numpy as np
 
@@ -35,30 +37,12 @@ class Sampler:
 
     name = "abstract"
 
-    def __init__(self) -> None:
-        self._update_fn: Callable[..., None] | None = None
-
-    def register_update_fn(self, fn: Callable[..., None]) -> None:
-        """Register the backward (weight update) function of this sampler."""
-        self._update_fn = fn
-
-    def backward(self, *args: object, **kwargs: object) -> None:
-        """Run the registered update function (no-op when none registered).
-
-        Synchronous vs asynchronous application is the training loop's
-        choice (paper: "the updating mode ... is due to the training
-        algorithm"); here backward applies immediately when called.
-        """
-        if self._update_fn is not None:
-            self._update_fn(*args, **kwargs)
-
 
 class NeighborProvider:
     """Adjacency access abstraction consumed by neighborhood samplers.
 
     :meth:`frontier_block` answers "give me this frontier's rows as one
-    ragged block" and is all a sampler's draw path reads;
-    :meth:`neighbors` / :meth:`weights` are the per-vertex accessors.
+    ragged block" and is all a sampler's draw path reads.
     """
 
     def frontier_block(
@@ -71,14 +55,6 @@ class NeighborProvider:
         contents have not changed, so samplers may keep tables derived from
         it; a new object invalidates them.
         """
-        raise NotImplementedError
-
-    def neighbors(self, vertex: int) -> np.ndarray:
-        """Out-neighbor ids of ``vertex``."""
-        raise NotImplementedError
-
-    def weights(self, vertex: int) -> np.ndarray:
-        """Edge weights aligned with :meth:`neighbors`."""
         raise NotImplementedError
 
     @property
@@ -103,13 +79,6 @@ class GraphProvider(NeighborProvider):
         if self._snapshot is None:
             self._snapshot = CsrAdjacency.from_graph(self.graph)
         return self._snapshot, frontier
-
-    def neighbors(self, vertex: int) -> np.ndarray:
-        return self.graph.out_neighbors(vertex)
-
-    def weights(self, vertex: int) -> np.ndarray:
-        indptr, _, weights = self.graph.csr_arrays()
-        return weights[indptr[vertex] : indptr[vertex + 1]]
 
     @property
     def n_vertices(self) -> int:
@@ -147,9 +116,9 @@ class StoreProvider(NeighborProvider):
     Every read is routed (and priced) by the store: local shard, neighbor
     cache, or remote RPC. ``from_part`` identifies the issuing worker.
     The store holds and serves no edge weights, so every weight is 1: a
-    ``WeightedNeighborSampler`` over this provider draws uniformly unless
-    ``backward`` has overridden a row, and an ``ImportanceNeighborSampler``
-    is unaffected (it weights by degree scores of the block's ``indices``).
+    ``WeightedNeighborSampler`` over this provider draws uniformly, and an
+    ``ImportanceNeighborSampler`` is unaffected (it weights by degree
+    scores of the block's ``indices``).
 
     A frontier is deduplicated (sorted unique ids) and fetched with **one**
     ``store.get_neighbors_batch`` read — one coalesced RPC per destination
@@ -181,10 +150,8 @@ class StoreProvider(NeighborProvider):
         return CsrAdjacency.from_rows(packed, ids), rows
 
     def neighbors(self, vertex: int) -> np.ndarray:
+        """Out-neighbor ids of ``vertex``: one unbatched store read."""
         return self.store.neighbors(vertex, from_part=self.from_part)
-
-    def weights(self, vertex: int) -> np.ndarray:
-        return np.ones(self.neighbors(vertex).size, dtype=np.float64)
 
     @property
     def n_vertices(self) -> int:
@@ -192,6 +159,20 @@ class StoreProvider(NeighborProvider):
 
 
 def check_batch_size(batch_size: int) -> None:
-    """Shared validation for sampler batch sizes."""
-    if batch_size < 1:
-        raise SamplingError(f"batch size must be positive, got {batch_size}")
+    """Shared validation for sampler batch sizes: a positive integer."""
+    if not isinstance(batch_size, Integral) or batch_size < 1:
+        raise SamplingError(f"batch size must be a positive integer, got {batch_size!r}")
+
+
+def check_vertex_ids(ids: np.ndarray, n: int) -> np.ndarray:
+    """``ids`` as an int64 vector; :class:`SamplingError` unless it is a 1-D
+    integer array whose every id lies in ``[0, n)``."""
+    ids = np.asarray(ids)
+    if ids.ndim != 1 or ids.dtype.kind not in "iu":
+        raise SamplingError(
+            f"vertex ids must be a 1-D integer array, got shape {ids.shape} of {ids.dtype}"
+        )
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        bad = ids[(ids < 0) | (ids >= n)]
+        raise SamplingError(f"vertex ids must lie in [0, {n}), got {bad[:5].tolist()}")
+    return ids.astype(np.int64, copy=False)

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SamplingError
+from repro.sampling.base import check_vertex_ids
 
 
 @dataclass
@@ -172,10 +173,12 @@ def build_block(
     ``sample_children(vertices, count, rng)`` API; each hop is one
     vectorized draw over the deduped frontier (one neighbor set per unique
     vertex per level — the per-vertex hop-table semantics of the
-    all-vertex block, scoped to this one). Seeds outside the sampler's
-    graph raise :class:`SamplingError` before anything is drawn.
+    all-vertex block, scoped to this one). Seeds that are not a 1-D integer
+    array of ids in the sampler's graph raise :class:`SamplingError` before
+    anything is drawn.
     """
-    if not hop_nums or any(h < 1 for h in hop_nums):
+    seeds = check_vertex_ids(seeds, sampler.provider.n_vertices)
+    if not hop_nums or min(hop_nums) < 1:
         raise SamplingError(f"hop_nums must be positive, got {hop_nums}")
 
     def sample_hop(k: int, frontier: np.ndarray) -> np.ndarray:

@@ -102,13 +102,6 @@ class CsrAdjacency:
         """Rows in the block."""
         return int(self.indptr.size - 1)
 
-    def row_of(self, vertex: int) -> int:
-        """The row holding ``vertex``'s adjacency, or -1 when it has none."""
-        if self.ids is None:
-            return vertex if 0 <= vertex < self.n_vertices else -1
-        row = int(np.searchsorted(self.ids, vertex))
-        return row if row < self.ids.size and self.ids[row] == vertex else -1
-
     def neighbors(self, row: int) -> np.ndarray:
         """Row ``row``'s packed neighbor slice (a view)."""
         return self.indices[self.indptr[row] : self.indptr[row + 1]]

@@ -13,30 +13,23 @@ import numpy as np
 
 from repro.errors import SamplingError
 from repro.graph.graph import Graph
-from repro.sampling.base import Sampler, check_batch_size
+from repro.sampling.base import Sampler, check_batch_size, check_vertex_ids
 from repro.utils.alias import AliasTable
 
 
 class DegreeBiasedNegativeSampler(Sampler):
-    """Unigram^power negatives (word2vec noise distribution, power=0.75)."""
+    """Unigram^0.75 negatives (word2vec's noise distribution)."""
 
     name = "negative_degree"
 
-    def __init__(
-        self,
-        graph: Graph,
-        power: float = 0.75,
-        vertices: np.ndarray | None = None,
-    ) -> None:
-        super().__init__()
+    def __init__(self, graph: Graph, vertices: np.ndarray | None = None) -> None:
         pool = np.array(vertices, dtype=np.int64) if vertices is not None else graph.vertices()
         if pool.size == 0:
             raise SamplingError("negative sampler has an empty vertex pool")
-        if power < 0:
-            raise SamplingError(f"power must be non-negative, got {power}")
         self.pool = pool
+        self.n_vertices = graph.n_vertices
         degrees = graph.out_degrees()[pool].astype(np.float64)
-        self._alias = AliasTable(np.power(degrees + 1.0, power))
+        self._alias = AliasTable(np.power(degrees + 1.0, 0.75))
 
     def sample(
         self,
@@ -50,7 +43,7 @@ class DegreeBiasedNegativeSampler(Sampler):
         real graph scale such collisions are vanishingly rare, which is why
         negative sampling is cheap (Table 4).
         """
-        anchors = np.asarray(anchors, dtype=np.int64)
+        anchors = check_vertex_ids(anchors, self.n_vertices)
         check_batch_size(neg_num)
         size = anchors.size * neg_num
         return self.pool[self._alias.draw_batch(rng, size)].reshape(anchors.size, neg_num)

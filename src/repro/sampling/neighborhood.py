@@ -7,15 +7,13 @@ the paper's Table 1:
 
 * :class:`UniformNeighborSampler` — GraphSAGE's node-wise uniform sampling;
 * :class:`WeightedNeighborSampler` — edge-weight proportional draws through
-  alias tables, with *dynamic weights*: ``backward`` nudges per-edge sampling
-  weights like a gradient step (the paper's trainable sampler);
+  alias tables;
 * :class:`TopKNeighborSampler` — deterministic heaviest-k (AHEP-style
   importance pruning);
 * :class:`ImportanceNeighborSampler` — degree-proportional importance
-  sampling in the FastGCN/AS-GCN family, with inclusion-probability
-  weights exposed for variance correction;
-* :class:`FullNeighborSampler` — no sampling (exact GCN), with a fan-out cap
-  as a safety valve on power-law hubs.
+  sampling (the proposal of the layer-wise samplers in Table 1);
+* :class:`FullNeighborSampler` — no sampling (the exact neighborhood), with
+  a fan-out cap as a safety valve on power-law hubs.
 
 Every sampler runs one flow behind the public
 :meth:`_ExpandingSampler.sample_children` API, whatever provider it reads:
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SamplingError
-from repro.sampling.base import NeighborProvider, Sampler
+from repro.sampling.base import NeighborProvider, Sampler, check_vertex_ids
 from repro.sampling.kernels import CsrAdjacency
 from repro.utils.alias import GroupedAliasTable
 
@@ -70,7 +68,6 @@ class _ExpandingSampler(Sampler):
     """
 
     def __init__(self, provider: NeighborProvider) -> None:
-        super().__init__()
         self.provider = provider
 
     def _draw(
@@ -109,10 +106,10 @@ class _ExpandingSampler(Sampler):
         rng: np.random.Generator,
     ) -> NeighborhoodSample:
         """Expand ``batch`` by ``hop_nums`` fan-outs per hop."""
-        batch = np.asarray(batch, dtype=np.int64)
+        batch = check_vertex_ids(batch, self.provider.n_vertices)
         if batch.size == 0:
             raise SamplingError("cannot expand an empty batch")
-        if not hop_nums or any(h < 1 for h in hop_nums):
+        if not hop_nums or min(hop_nums) < 1:
             raise SamplingError(f"hop_nums must be positive, got {hop_nums}")
         layers = [batch]
         for fanout in hop_nums:
@@ -145,7 +142,7 @@ class _AliasSampler(_ExpandingSampler):
         self._table_block: CsrAdjacency | None = None
 
     def _slot_weights(self, block: CsrAdjacency) -> np.ndarray:
-        """Fresh per-slot sampling weights of ``block`` (the table owns them)."""
+        """Per-slot sampling weights of ``block`` (the table only reads them)."""
         raise NotImplementedError
 
     def _table_for(self, block: CsrAdjacency) -> GroupedAliasTable:
@@ -161,55 +158,12 @@ class _AliasSampler(_ExpandingSampler):
 
 
 class WeightedNeighborSampler(_AliasSampler):
-    """Edge-weight proportional sampling with dynamic (trainable) weights.
-
-    ``backward`` adjusts one vertex's weights — the paper's "register a
-    gradient function for the sampler" mechanism. Adjusted weights are kept
-    per vertex and laid over every block's own weights when its alias table
-    is built (an adjustment whose length no longer matches the vertex's row
-    is ignored: the row changed under it); a table already built is patched
-    in place, one group per update.
-    """
+    """Edge-weight proportional sampling: each block's own edge weights."""
 
     name = "neighborhood_weighted"
 
-    def __init__(self, provider: NeighborProvider) -> None:
-        super().__init__(provider)
-        self._weights: dict[int, np.ndarray] = {}
-        self.register_update_fn(self._apply_weight_update)
-
-    def current_weights(self, vertex: int) -> np.ndarray:
-        """The (possibly updated) sampling weights of ``vertex``'s edges."""
-        weights = self._weights.get(vertex)
-        if weights is None:
-            weights = np.array(self.provider.weights(vertex), dtype=np.float64)
-        return weights
-
-    def _apply_weight_update(
-        self, vertex: int, grads: np.ndarray, lr: float = 0.1
-    ) -> None:
-        """Gradient-like multiplicative update of ``vertex``'s edge weights."""
-        weights = self.current_weights(vertex)
-        grads = np.asarray(grads, dtype=np.float64)
-        if grads.shape != weights.shape:
-            raise SamplingError(
-                f"gradient shape {grads.shape} does not match the "
-                f"{weights.shape} weights of vertex {vertex}"
-            )
-        updated = np.maximum(weights * np.exp(lr * grads), 1e-12)
-        self._weights[vertex] = updated
-        if self._table_block is not None:
-            row = self._table_block.row_of(vertex)
-            if row >= 0 and self._table.group_size(row) == updated.size:
-                self._table.update_group(row, updated)
-
     def _slot_weights(self, block: CsrAdjacency) -> np.ndarray:
-        weights = block.weights.copy()
-        for vertex, override in self._weights.items():
-            row = block.row_of(vertex)
-            if row >= 0 and override.size == block.degrees[row]:
-                weights[block.indptr[row] : block.indptr[row + 1]] = override
-        return weights
+        return block.weights
 
 
 class TopKNeighborSampler(_ExpandingSampler):
@@ -227,26 +181,20 @@ class TopKNeighborSampler(_ExpandingSampler):
 
 
 class ImportanceNeighborSampler(_AliasSampler):
-    """Degree-proportional importance sampling (FastGCN/AS-GCN family).
+    """Degree-proportional importance sampling.
 
     Samples neighbor ``u`` of ``v`` with probability proportional to
-    ``deg(u)^beta`` (``beta=1`` emphasizes hubs; FastGCN's q(u) ∝ deg).
+    ``deg(u)`` (degrees below 1 count as 1), which emphasizes hubs.
     """
 
     name = "neighborhood_importance"
 
-    def __init__(
-        self,
-        provider: NeighborProvider,
-        degrees: np.ndarray,
-        beta: float = 1.0,
-    ):
+    def __init__(self, provider: NeighborProvider, degrees: np.ndarray):
         super().__init__(provider)
         degrees = np.asarray(degrees, dtype=np.float64)
         if degrees.ndim != 1:
             raise SamplingError("degrees must be a 1-D vector")
-        self.beta = beta
-        self._scores = np.power(np.maximum(degrees, 1.0), beta)
+        self._scores = np.maximum(degrees, 1.0)
 
     def _slot_weights(self, block: CsrAdjacency) -> np.ndarray:
         return self._scores[block.indices]

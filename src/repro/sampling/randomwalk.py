@@ -13,8 +13,8 @@ import numpy as np
 from repro.errors import SamplingError
 from repro.graph.ahg import AttributedHeterogeneousGraph
 from repro.graph.graph import Graph
+from repro.sampling.base import check_vertex_ids
 from repro.sampling.kernels import CsrAdjacency
-from repro.utils.alias import GroupedAliasTable
 
 
 def random_walks(
@@ -22,19 +22,16 @@ def random_walks(
     starts: np.ndarray,
     length: int,
     rng: np.random.Generator,
-    weighted: bool = False,
 ) -> "list[np.ndarray]":
-    """Uniform (or weight-proportional) walks of ``length`` steps per start.
+    """Uniform walks of ``length`` steps per start.
 
     All walks step in lock-step over a CSR snapshot — one vectorized draw
-    per step for the whole frontier of alive walks (weighted steps go
-    through one grouped alias table spanning every adjacency list).
+    per step for the whole frontier of alive walks.
     """
     if length < 1:
         raise SamplingError(f"walk length must be positive, got {length}")
-    starts = np.atleast_1d(np.asarray(starts, dtype=np.int64))
+    starts = check_vertex_ids(starts, graph.n_vertices)
     csr = CsrAdjacency.from_graph(graph)
-    table = GroupedAliasTable(csr.weights, csr.indptr) if weighted else None
     m = starts.size
     out = np.empty((m, length + 1), dtype=np.int64)
     out[:, 0] = starts
@@ -46,12 +43,8 @@ def random_walks(
         if idx.size == 0:
             break
         vs = current[idx]
-        if weighted:
-            flat = table.draw_for_groups(vs, 1, rng)[:, 0]
-            nxt = csr.indices[flat]
-        else:
-            slot = rng.integers(0, csr.degrees[vs])
-            nxt = csr.indices[csr.indptr[vs] + slot]
+        slot = rng.integers(0, csr.degrees[vs])
+        nxt = csr.indices[csr.indptr[vs] + slot]
         out[idx, step] = nxt
         current[idx] = nxt
         lengths[idx] += 1

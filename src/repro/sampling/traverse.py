@@ -30,7 +30,6 @@ class VertexTraverseSampler(Sampler):
         vertex_type: str | None = None,
         vertices: np.ndarray | None = None,
     ) -> None:
-        super().__init__()
         self.graph = graph
         self.vertex_type = vertex_type
         if vertices is not None:
@@ -50,28 +49,17 @@ class VertexTraverseSampler(Sampler):
         return self._pool[rng.integers(self._pool.size, size=batch_size)]
 
 class EdgeTraverseSampler(Sampler):
-    """Samples edge batches ``(src, dst)``, optionally of one edge type.
+    """Samples edge batches ``(src, dst)`` over every edge of the graph.
 
-    Mirrors Figure 5's ``s1.sample(edge_type, batch_size)``: GNN training on
-    link tasks seeds each step with a batch of positive edges.
+    Mirrors Figure 5's ``s1.sample(edge_type, batch_size)`` without the
+    type filter: GNN training on link tasks seeds each step with a batch of
+    positive edges.
     """
 
     name = "traverse_edge"
 
-    def __init__(
-        self,
-        graph: Graph,
-        edge_type: str | None = None,
-        weighted: bool = False,
-    ) -> None:
-        super().__init__()
-        self.edge_type = edge_type
+    def __init__(self, graph: Graph, weighted: bool = False) -> None:
         src, dst, w = graph.edge_array()
-        if edge_type is not None:
-            if not isinstance(graph, AttributedHeterogeneousGraph):
-                raise SamplingError("edge_type filtering needs an AHG")
-            mask = graph.edge_types == graph.edge_type_code(edge_type)
-            src, dst, w = src[mask], dst[mask], w[mask]
         if src.size == 0:
             raise SamplingError("traverse sampler has an empty edge pool")
         self._src = src

@@ -5,13 +5,13 @@ payloads: each vertex/edge row stores only an integer handle into a
 deduplicating attribute index (``IV`` for vertices, ``IE`` for edges). The
 two stated reasons are (1) attributes are 1–3 orders of magnitude larger than
 an 8-byte id, and (2) attribute values overlap heavily across vertices
-("many vertices share the tag 'man'"). An LRU cache fronts each index to
+("many vertices share the tag 'man'"). An LRU cache fronts the index to
 absorb the extra indirection.
 
 :class:`AttributeIndex` is the deduplicating store; :class:`SeparateAttributeStore`
-wires two of them (vertices + edges) behind LRU caches and accounts the space
-saved versus inline storage: ``O(n·N_D·N_L)`` inline vs
-``O(n·N_D + N_A·N_L)`` separated.
+puts the vertex index ``IV`` behind an LRU cache and accounts the space saved
+versus inline storage: ``O(n·N_D·N_L)`` inline vs ``O(n·N_D + N_A·N_L)``
+separated. No graph here carries edge attributes, so there is no ``IE``.
 """
 
 from __future__ import annotations
@@ -72,25 +72,18 @@ class AttributeIndex:
 
 
 class SeparateAttributeStore:
-    """Vertex + edge attribute indices behind LRU caches (IV and IE).
+    """The vertex attribute index behind an LRU cache (IV).
 
     Parameters
     ----------
-    vertex_cache_capacity, edge_cache_capacity:
-        Entries each LRU cache may hold (0 disables caching).
+    vertex_cache_capacity:
+        Entries the LRU cache may hold (0 disables caching).
     """
 
-    def __init__(
-        self,
-        vertex_cache_capacity: int = 1024,
-        edge_cache_capacity: int = 1024,
-    ) -> None:
+    def __init__(self, vertex_cache_capacity: int = 1024) -> None:
         self.iv = AttributeIndex()
-        self.ie = AttributeIndex()
         self.iv_cache = LRUCache(vertex_cache_capacity)
-        self.ie_cache = LRUCache(edge_cache_capacity)
         self._vertex_handle: dict[int, int] = {}
-        self._edge_handle: dict[int, int] = {}
         self._inline_bytes = 0  # what inline storage would have cost
 
     # ------------------------------------------------------------------ #
@@ -103,15 +96,8 @@ class SeparateAttributeStore:
         self._inline_bytes += np.asarray(vector, dtype=np.float32).nbytes
         return handle
 
-    def put_edge_attr(self, edge_id: int, vector: np.ndarray) -> int:
-        """Intern edge ``edge_id``'s attribute row; returns its handle."""
-        handle = self.ie.intern_vector(np.asarray(vector))
-        self._edge_handle[edge_id] = handle
-        self._inline_bytes += np.asarray(vector, dtype=np.float32).nbytes
-        return handle
-
     # ------------------------------------------------------------------ #
-    # Reads (through the LRU caches)
+    # Reads (through the LRU cache)
     # ------------------------------------------------------------------ #
     def get_vertex_attr(self, vertex: int) -> np.ndarray:
         """Attribute row of ``vertex``, served from the IV cache if hot."""
@@ -122,17 +108,6 @@ class SeparateAttributeStore:
             return cached
         value = self.iv.lookup_vector(self._vertex_handle[vertex])
         self.iv_cache.put(vertex, value)
-        return value
-
-    def get_edge_attr(self, edge_id: int) -> np.ndarray:
-        """Attribute row of edge ``edge_id``, served from the IE cache if hot."""
-        if edge_id not in self._edge_handle:
-            raise StorageError(f"edge {edge_id} has no stored attributes")
-        cached = self.ie_cache.get(edge_id)
-        if cached is not None:
-            return cached
-        value = self.ie.lookup_vector(self._edge_handle[edge_id])
-        self.ie_cache.put(edge_id, value)
         return value
 
     def has_vertex_attr(self, vertex: int) -> bool:
@@ -160,8 +135,7 @@ class SeparateAttributeStore:
     # ------------------------------------------------------------------ #
     def separated_bytes(self) -> int:
         """Bytes used by separate storage: handles + deduped payloads."""
-        handles = (len(self._vertex_handle) + len(self._edge_handle)) * HANDLE_BYTES
-        return handles + self.iv.stored_bytes() + self.ie.stored_bytes()
+        return len(self._vertex_handle) * HANDLE_BYTES + self.iv.stored_bytes()
 
     def inline_bytes(self) -> int:
         """Bytes inline storage would use (every row repeats its payload)."""

@@ -21,6 +21,9 @@ import numpy as np
 
 from repro.errors import StorageError
 
+#: What the lock-based alternative pays per request to take its lock (µs).
+LOCK_OVERHEAD_US = 0.8
+
 
 @dataclass(frozen=True)
 class Request:
@@ -72,22 +75,20 @@ class RequestFlowBuckets:
             return 0.0
         return max(sum(r.service_us for r in q) for q in queues)
 
-    def locked_makespan_us(
-        self, requests: "list[Request]", lock_overhead_us: float = 0.8
-    ) -> float:
+    def locked_makespan_us(self, requests: "list[Request]") -> float:
         """Makespan of the lock-based alternative on the same trace.
 
         As many cores as buckets share one locked structure: every request
-        pays the lock overhead, and updates serialize globally (a
+        pays :data:`LOCK_OVERHEAD_US`, and updates serialize globally (a
         readers-writer lock) while reads split across the cores.
         """
         if not requests:
             return 0.0
         read_us = sum(
-            r.service_us + lock_overhead_us for r in requests if r.kind == "read"
+            r.service_us + LOCK_OVERHEAD_US for r in requests if r.kind == "read"
         )
         update_us = sum(
-            r.service_us + lock_overhead_us for r in requests if r.kind == "update"
+            r.service_us + LOCK_OVERHEAD_US for r in requests if r.kind == "update"
         )
         # Updates hold the write lock exclusively; reads parallelize.
         return update_us + read_us / self.n_buckets

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import StorageError
 from repro.graph.graph import Graph
-from repro.storage.importance import importance_scores
+from repro.storage.importance import MAX_HOP, importance_scores
 from repro.utils.lru import LRUCache
 
 
@@ -187,18 +187,18 @@ class CachePolicy:
 
 
 class ImportanceCachePolicy(CachePolicy):
-    """Pin the top-``budget`` vertices by Imp^(k) (the paper's strategy).
+    """Pin the top-``budget`` vertices by Imp^(k) at Algorithm 2's depth
+    ``k =`` :data:`~repro.storage.importance.MAX_HOP` (the paper's strategy).
 
-    The ranking is computed once per graph and hop: a :class:`Graph` has no
+    The ranking is computed once per graph: a :class:`Graph` has no
     mutators, so every server's and every budget's selection is a prefix of
     the one (read-only) ranking.
     """
 
     name = "importance"
 
-    def __init__(self, hop: int = 2) -> None:
-        self.hop = hop
-        self._ranked: "tuple[Graph, int, np.ndarray] | None" = None
+    def __init__(self) -> None:
+        self._ranked: "tuple[Graph, np.ndarray] | None" = None
 
     def select(
         self, graph: Graph, budget: int, rng: np.random.Generator
@@ -206,14 +206,14 @@ class ImportanceCachePolicy(CachePolicy):
         if budget <= 0:
             return np.zeros(0, dtype=np.int64)
         memo = self._ranked
-        if memo is None or memo[0] is not graph or memo[1] != self.hop:
-            scores = importance_scores(graph, self.hop)
+        if memo is None or memo[0] is not graph:
+            scores = importance_scores(graph, MAX_HOP)
             order = np.argsort(scores, kind="stable")[::-1]
             # Scores are >= 0, so the positive ones form the ranking's head.
             ranked = order[scores[order] > 0].astype(np.int64, copy=False)
             ranked.flags.writeable = False
-            memo = self._ranked = (graph, self.hop, ranked)
-        return memo[2][:budget]
+            memo = self._ranked = (graph, ranked)
+        return memo[1][:budget]
 
 
 class RandomCachePolicy(CachePolicy):

@@ -24,7 +24,7 @@ EV_CACHE_HIT = "cache_hit"  # neighbor served from a NeighborCache
 EV_REMOTE_RPC = "remote_rpc"  # one round trip to another server
 EV_ITEM_SHIPPED = "item_shipped"  # one vertex id serialized over the wire
 EV_ATTR_DECODE = "attr_decode"  # one attribute payload decoded
-EV_ATTR_CACHE_HIT = "attr_cache_hit"  # attribute served from IV/IE cache
+EV_ATTR_CACHE_HIT = "attr_cache_hit"  # attribute served from the IV cache
 EV_CACHE_FILL = "cache_fill"  # demand-filled cache admission (LRU)
 EV_EDGE_INGESTED = "edge_ingested"  # one edge processed during build
 EV_COORDINATION = "coordination"  # per-build-round coordination barrier

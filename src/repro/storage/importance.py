@@ -29,6 +29,10 @@ import scipy.sparse as sp
 from repro.errors import StorageError
 from repro.graph.graph import Graph
 
+#: How deep Algorithm 2 caches: the 1..2-hop out-neighborhoods, the depth of
+#: the paper's two-hop GNNs.
+MAX_HOP = 2
+
 
 def _out_csr_matrix(graph: Graph) -> sp.csr_matrix:
     indptr, indices, _ = graph.csr_arrays()
@@ -101,26 +105,23 @@ class CachePlan:
             return 0.0
         return self.all_cached_vertices().size / n_vertices
 
-def plan_importance_cache(
-    graph: Graph,
-    thresholds: "list[float] | float",
-    max_hop: int = 2,
-) -> CachePlan:
-    """Algorithm 2 lines 5–9: select vertices with Imp^(k) >= tau_k.
+def plan_importance_cache(graph: Graph, thresholds: "list[float] | float") -> CachePlan:
+    """Algorithm 2 lines 5–9: select vertices with Imp^(k) >= tau_k for
+    ``k = 1 ..`` :data:`MAX_HOP`.
 
     ``thresholds`` is the caller's tau: one value reused for every hop or a
     list with one tau_k per hop (the paper uses 0.2; Figure 8 sweeps it).
     """
     if isinstance(thresholds, (int, float)):
-        taus = [float(thresholds)] * max_hop
+        taus = [float(thresholds)] * MAX_HOP
     else:
         taus = [float(t) for t in thresholds]
-    if len(taus) != max_hop:
+    if len(taus) != MAX_HOP:
         raise StorageError(
-            f"need one threshold per hop: got {len(taus)} for max_hop={max_hop}"
+            f"need one threshold per hop: got {len(taus)} for max_hop={MAX_HOP}"
         )
-    plan = CachePlan(max_hop=max_hop, thresholds=taus)
-    for k in range(1, max_hop + 1):
+    plan = CachePlan(max_hop=MAX_HOP, thresholds=taus)
+    for k in range(1, MAX_HOP + 1):
         scores = importance_scores(graph, k)
         plan.cached_by_hop[k] = np.flatnonzero(scores >= taus[k - 1]).astype(np.int64)
     return plan

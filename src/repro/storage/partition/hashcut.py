@@ -25,9 +25,9 @@ from repro.storage.partition.base import (
 )
 
 
-def _mix_hash(values: np.ndarray, salt: int) -> np.ndarray:
+def _mix_hash(values: np.ndarray) -> np.ndarray:
     """Cheap deterministic integer mixer (splitmix64 finalizer)."""
-    x = values.astype(np.uint64) + np.uint64(salt) + np.uint64(0x9E3779B97F4A7C15)
+    x = values.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return x ^ (x >> np.uint64(31))
@@ -39,13 +39,10 @@ class EdgeCutPartitioner(Partitioner):
 
     name = "edge_cut"
 
-    def __init__(self, salt: int = 0) -> None:
-        self.salt = salt
-
     def partition(self, graph: Graph, n_parts: int) -> PartitionAssignment:
         self._validate(graph, n_parts)
         vids = np.arange(graph.n_vertices, dtype=np.int64)
-        parts = (_mix_hash(vids, self.salt) % np.uint64(n_parts)).astype(np.int64)
+        parts = (_mix_hash(vids) % np.uint64(n_parts)).astype(np.int64)
         return PartitionAssignment(graph, n_parts, parts)
 
 

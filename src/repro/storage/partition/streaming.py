@@ -18,41 +18,25 @@ from repro.storage.partition.base import (
     Partitioner,
     register_partitioner,
 )
-from repro.utils.rng import make_rng
+
+#: Capacity multiplier: each of ``p`` parts may hold ``SLACK * n / p`` vertices.
+SLACK = 1.1
 
 
 @register_partitioner
 class StreamingPartitioner(Partitioner):
     """One-pass LDG partitioner.
 
-    Parameters
-    ----------
-    order:
-        Stream order of vertices: ``"natural"`` (id order), ``"random"`` or
-        ``"bfs"`` (breadth-first from vertex 0, the friendliest order for
-        LDG in the original paper).
-    slack:
-        Capacity multiplier: each part may hold ``slack * n / p`` vertices.
+    Vertices stream in breadth-first order from vertex 0 (the friendliest
+    order for LDG in the original paper), and each part may hold
+    :data:`SLACK` ``* n / p`` vertices.
     """
 
     name = "streaming"
 
-    def __init__(self, order: str = "bfs", slack: float = 1.1, seed: int = 0) -> None:
-        if order not in ("natural", "random", "bfs"):
-            raise ValueError(f"unknown stream order {order!r}")
-        if slack < 1.0:
-            raise ValueError(f"slack must be >= 1.0, got {slack}")
-        self.order = order
-        self.slack = slack
-        self.seed = seed
-
     def _stream_order(self, graph: Graph) -> np.ndarray:
+        """BFS order over (possibly several) components."""
         n = graph.n_vertices
-        if self.order == "natural":
-            return np.arange(n, dtype=np.int64)
-        if self.order == "random":
-            return make_rng(self.seed).permutation(n).astype(np.int64)
-        # BFS order over (possibly several) components.
         seen = np.zeros(n, dtype=bool)
         order: list[int] = []
         for root in range(n):
@@ -73,7 +57,7 @@ class StreamingPartitioner(Partitioner):
     def partition(self, graph: Graph, n_parts: int) -> PartitionAssignment:
         self._validate(graph, n_parts)
         n = graph.n_vertices
-        capacity = max(1.0, self.slack * n / n_parts)
+        capacity = max(1.0, SLACK * n / n_parts)
         part_of = -np.ones(n, dtype=np.int64)
         sizes = np.zeros(n_parts, dtype=np.float64)
         for v in self._stream_order(graph):

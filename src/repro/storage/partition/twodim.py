@@ -43,16 +43,9 @@ class TwoDimPartitioner(Partitioner):
 
     name = "2d"
 
-    def __init__(self, grid: "tuple[int, int] | None" = None) -> None:
-        self.grid = grid
-
     def partition(self, graph: Graph, n_parts: int) -> PartitionAssignment:
         self._validate(graph, n_parts)
-        pr, pc = self.grid if self.grid is not None else squarest_grid(n_parts)
-        if pr * pc != n_parts:
-            raise PartitionError(
-                f"grid {pr}x{pc} does not match n_parts={n_parts}"
-            )
+        pr, pc = squarest_grid(n_parts)
         n = graph.n_vertices
         row_block = np.minimum(
             (np.arange(n, dtype=np.int64) * pr) // max(n, 1), pr - 1

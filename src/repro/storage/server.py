@@ -11,8 +11,8 @@ vertex's row with a fresh array (one per write batch, see
 :meth:`GraphServer.edit_row`), so a row handed out (or pinned as a
 replica) earlier keeps the contents it had.
 
-Attributes live in a :class:`SeparateAttributeStore` (the IV/IE indices with
-LRU fronts) and a :class:`NeighborCache` holds important *remote* vertices'
+Attributes live in a :class:`SeparateAttributeStore` (the IV index behind
+an LRU front) and a :class:`NeighborCache` holds important *remote* vertices'
 neighbor lists. All cross-server traffic is mediated — and accounted — by
 :class:`repro.storage.cluster.DistributedGraphStore`.
 """
@@ -49,10 +49,7 @@ class GraphServer:
             v: indices[a:b] for v, a, b in zip(owned.tolist(), bounds, bounds[1:])
         }
         self._n_local_edges: int = bounds[-1]
-        self.attrs = SeparateAttributeStore(
-            vertex_cache_capacity=attr_cache_capacity,
-            edge_cache_capacity=attr_cache_capacity,
-        )
+        self.attrs = SeparateAttributeStore(vertex_cache_capacity=attr_cache_capacity)
         self.neighbor_cache = NeighborCache(0)
 
     def __repr__(self) -> str:

@@ -207,10 +207,6 @@ class GroupedAliasTable:
         """Total slots across all groups."""
         return int(self._weights.size)
 
-    def group_size(self, group: int) -> int:
-        """Number of slots in ``group``."""
-        return int(self._sizes[group])
-
     def probabilities(self) -> np.ndarray:
         """The implied per-slot draw probabilities (sums to 1 per group).
 
@@ -243,25 +239,3 @@ class GroupedAliasTable:
         flat = self._indptr[groups][:, None] + slot
         keep = rng.random((groups.size, count)) < self._prob[flat]
         return np.where(keep, flat, self._alias[flat])
-
-    def update_group(self, group: int, weights: np.ndarray) -> None:
-        """Rebuild one group's slots in place (dynamic sampling weights).
-
-        The paper's trainable sampler nudges one vertex's edge weights per
-        backward step; rebuilding only that group keeps the flat table
-        valid without touching the other ``n_groups - 1`` distributions.
-        """
-        if not 0 <= group < self.n_groups:
-            raise SamplingError(f"alias group {group} out of range")
-        weights = np.asarray(weights, dtype=np.float64)
-        start, end = int(self._indptr[group]), int(self._indptr[group + 1])
-        if weights.shape != (end - start,):
-            raise SamplingError(
-                f"group {group} holds {end - start} slots, got {weights.shape}"
-            )
-        prob, alias = build_alias_arrays(
-            weights, np.array([0, weights.size], dtype=np.int64)
-        )
-        self._weights[start:end] = weights
-        self._prob[start:end] = prob
-        self._alias[start:end] = alias + start

@@ -44,8 +44,9 @@ PACKAGE = os.path.join(SRC, "repro")
 ALLOW_LIST = os.path.join(HERE, "census.json")
 
 #: The one reason an allow-listed entry may carry (``planned`` names the
-#: ROADMAP item that will call it).
-REASON_PATTERN = re.compile(r"(safety|protocol|paper|planned: item \d+)")
+#: ROADMAP item that will call it; ``fixture`` marks a parameter that only
+#: test fixtures set, and some ``tests/*.py`` call must pass it by keyword).
+REASON_PATTERN = re.compile(r"(safety|protocol|fixture|planned: item \d+)")
 
 _GENERATOR_FLAGS = 0x20 | 0x80 | 0x100 | 0x200  # generator, coroutine, iterable / async gen
 _DATASET = "taobao-small-sim"

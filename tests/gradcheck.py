@@ -1,8 +1,10 @@
-"""Numerical gradient checking for the autograd engine.
+"""Numerical gradient checking for the autograd engine, and reference ops.
 
 Central-difference verification used by the test suite on every op and
 layer: build a scalar loss from tensors, compare ``backward()`` gradients to
-finite differences.
+finite differences. :func:`sum_rows_segmented` is the gather-then-reduce
+oracle that the fused ``F.gather_sum_rows`` and the ragged
+``F.segment_sum_np`` are checked against.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.errors import OperatorError
 from repro.nn.tensor import Tensor
 
 
@@ -59,3 +62,17 @@ def check_gradients(
             err_msg=f"gradient mismatch for {p!r}",
         )
     return errors
+
+
+def sum_rows_segmented(x: Tensor, segment_size: int) -> Tensor:
+    """Sum over fixed-size row segments, ``(B*s, d) -> (B, d)``, as a reshape
+    and one numpy reduction; the gradient repeats each output row ``s`` times."""
+    n, d = x.shape
+    if n % segment_size != 0:
+        raise OperatorError(f"row count {n} not divisible by segment size {segment_size}")
+    out = x.data.reshape(n // segment_size, segment_size, d).sum(axis=1)
+
+    def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray]]":
+        return [(x, np.repeat(g, segment_size, axis=0))]
+
+    return Tensor(out, _parents=(x,), _backward=backward)

@@ -13,7 +13,6 @@ from repro.algorithms import (
     Metapath2Vec,
     NetMF,
     Node2Vec,
-    Struc2Vec,
 )
 from repro.data import train_test_split_edges
 from repro.errors import TrainingError
@@ -148,18 +147,3 @@ def test_mve_beats_random(amazon_split):
 def test_mne_beats_random(amazon_split):
     model = MNE(dim=16, epochs=1, walks_per_vertex=2, walk_length=6)
     assert _auc(model, amazon_split) > 65.0
-
-
-def test_struc2vec_groups_roles():
-    """Hub vertices of two disjoint stars embed closer to each other than
-    to leaves — the structural-identity property."""
-    from repro.graph import Graph
-
-    # Two stars with hubs 0 and 10.
-    src = np.concatenate([np.zeros(9), np.full(9, 10)]).astype(np.int64)
-    dst = np.concatenate([np.arange(1, 10), np.arange(11, 20)]).astype(np.int64)
-    g = Graph(20, src, dst, directed=False)
-    emb = Struc2Vec(dim=8, knn=3, epochs=2, walks_per_vertex=4).fit(g).embeddings()
-    hub_sim = emb[0] @ emb[10]
-    leaf_sim = emb[0] @ emb[1]
-    assert hub_sim > leaf_sim

@@ -1,10 +1,10 @@
-"""GNN framework and the GCN family."""
+"""GNN framework, GraphSAGE and the normalized adjacency."""
 
 import numpy as np
 import pytest
 
-from repro.algorithms import ASGCN, GCN, FastGCN, GNNFramework, GraphSAGE
-from repro.algorithms.gcn import normalized_adjacency
+from repro.algorithms import GNNFramework, GraphSAGE
+from repro.algorithms.hierarchical_gnn import normalized_adjacency
 from repro.data import train_test_split_edges
 from repro.errors import TrainingError
 from repro.tasks import evaluate_link_prediction
@@ -35,39 +35,22 @@ def test_normalized_adjacency_properties(small_amazon):
     assert top <= 1.0 + 1e-9
 
 
-def test_gcn_beats_random(amazon_split):
-    assert _auc(GCN(dim=16, steps=50), amazon_split) > 65.0
-
-
-def test_gcn_training_reduces_loss(small_amazon):
-    # Smoke: embeddings are finite unit rows.
-    emb = GCN(dim=16, steps=30).fit(small_amazon).embeddings()
-    assert np.isfinite(emb).all()
-    np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-6)
-
-
-def test_fastgcn_and_asgcn_run(amazon_split):
-    assert _auc(FastGCN(dim=16, steps=40, sample_size=100), amazon_split) > 55.0
-    assert _auc(ASGCN(dim=16, steps=40, sample_size=100), amazon_split) > 55.0
-
-
-def test_fastgcn_sampling_differs_from_gcn(small_amazon):
-    full = GCN(dim=16, steps=15, seed=2).fit(small_amazon).embeddings()
-    fast = FastGCN(dim=16, steps=15, sample_size=60, seed=2).fit(small_amazon).embeddings()
-    assert not np.allclose(full, fast)
-
-
 def test_framework_kmax_validation():
-    with pytest.raises(TrainingError):
-        GNNFramework(kmax=0)
+    """A bad setting is refused at construction, before ``fit`` reads or
+    standardises any feature."""
+    for config in ({"kmax": 0}, {"fanout": 0}, {"fanout": -2}, {"fanout": 2.5},
+                   {"aggregator": "bogus"}):
+        for model in (GNNFramework, GraphSAGE):
+            with pytest.raises(TrainingError):
+                model(**config)
 
 
-def test_framework_unknown_sampler(small_amazon):
-    with pytest.raises(TrainingError):
-        GNNFramework(sampler="psychic", epochs=1).fit(small_amazon)
+def test_framework_unknown_sampler():
+    with pytest.raises(TrainingError, match="psychic"):
+        GNNFramework(sampler="psychic", epochs=1)
 
 
-@pytest.mark.parametrize("aggregator", ["mean", "maxpool", "attention"])
+@pytest.mark.parametrize("aggregator", ["mean", "maxpool"])
 def test_framework_aggregator_plugins(small_amazon, aggregator):
     model = GNNFramework(
         dim=12, kmax=1, fanout=4, aggregator=aggregator,
@@ -75,16 +58,6 @@ def test_framework_aggregator_plugins(small_amazon, aggregator):
     )
     emb = model.fit(small_amazon).embeddings()
     assert emb.shape == (small_amazon.n_vertices, 12)
-    assert np.isfinite(emb).all()
-
-
-@pytest.mark.parametrize("combiner", ["concat", "gru"])
-def test_framework_combiner_plugins(small_amazon, combiner):
-    model = GNNFramework(
-        dim=12, kmax=1, fanout=4, combiner=combiner,
-        epochs=1, max_steps_per_epoch=5,
-    )
-    emb = model.fit(small_amazon).embeddings()
     assert np.isfinite(emb).all()
 
 
@@ -113,7 +86,6 @@ def test_framework_loss_history_recorded(small_amazon):
 
 def test_graphsage_is_framework_config(amazon_split):
     model = GraphSAGE(dim=16, epochs=3, max_steps_per_epoch=15)
-    assert model.combiner == "concat"
     assert model.sampler == "uniform"
     assert _auc(model, amazon_split) > 65.0
 

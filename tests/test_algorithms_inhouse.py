@@ -289,10 +289,6 @@ _ZOO = {
     "PMNE": (lambda A: A.PMNE("network", dim=8, epochs=1, walks_per_vertex=1), "amazon", 8),
     "MVE": (lambda A: A.MVE(dim=8, epochs=1, walks_per_vertex=1), "amazon", 8),
     "MNE": (lambda A: A.MNE(dim=8, epochs=1, walks_per_vertex=1), "amazon", 8),
-    "Struc2Vec": (lambda A: A.Struc2Vec(dim=8, hops=1, knn=3, epochs=1, walks_per_vertex=1), "amazon", 8),
-    "GCN": (lambda A: A.GCN(dim=8, hidden=8, steps=2, batch_size=64), "amazon", 8),
-    "FastGCN": (lambda A: A.FastGCN(sample_size=32, dim=8, hidden=8, steps=2, batch_size=64), "amazon", 8),
-    "ASGCN": (lambda A: A.ASGCN(sample_size=32, dim=8, hidden=8, steps=2, batch_size=64), "amazon", 8),
     "GraphSAGE": (lambda A: A.GraphSAGE(dim=8, fanout=3, epochs=1, max_steps_per_epoch=2, minibatch_blocks=True), "amazon", 8),
     "SIGN": (lambda A: A.SIGN(dim=8, epochs=1, max_steps_per_epoch=2), "amazon", 8),
     "HEP": (lambda A: A.HEP(dim=8, steps=2, batch_size=64), "amazon", 8),

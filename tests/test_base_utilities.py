@@ -190,15 +190,13 @@ def test_embedding_init_scale():
 
 
 def test_register_plugins_require_names():
-    from repro.ops.base import register_aggregator, register_combiner
+    from repro.ops.base import register_aggregator
 
     class Nameless:
         name = ""
 
     with pytest.raises(OperatorError):
         register_aggregator(Nameless)
-    with pytest.raises(OperatorError):
-        register_combiner(Nameless)
 
 
 def test_partition_registry_rejects_abstract():

@@ -14,6 +14,8 @@ from repro.data import (
     train_test_split_edges,
 )
 from repro.errors import DatasetError
+from repro.graph import Graph
+from repro.utils.rng import make_rng
 from tests.conftest import tail_mass
 
 
@@ -100,8 +102,11 @@ def test_powerlaw_graph_shapes():
 
 
 def test_powerlaw_preferential_makes_indegree_heavy():
-    pref = powerlaw_graph(2000, preferential=True, seed=2)
-    unif = powerlaw_graph(2000, preferential=False, seed=2)
+    """Degree-proportional destinations: a heavier in-degree tail than the
+    same sources with uniformly drawn destinations."""
+    pref = powerlaw_graph(2000, seed=2)
+    src, _, _ = pref.edge_array()
+    unif = Graph(2000, src, make_rng(2).integers(0, 2000, size=src.size))
     assert tail_mass(pref.in_degrees().astype(float), 0.05) > tail_mass(
         unif.in_degrees().astype(float), 0.05
     )
@@ -192,13 +197,13 @@ def test_split_preserves_ahg(small_amazon):
     assert split.test_types.shape == (split.n_test,)
 
 
-def test_split_multiple_negatives(small_amazon):
-    split = train_test_split_edges(small_amazon, 0.1, negatives_per_positive=3, seed=4)
-    assert split.test_neg.shape[0] == 3 * split.n_test
+def test_split_one_negative_per_positive(small_amazon):
+    split = train_test_split_edges(small_amazon, 0.1, seed=4)
+    assert split.test_neg.shape == split.test_pos.shape
+    # Each negative corrupts its own positive's destination.
+    np.testing.assert_array_equal(split.test_neg[:, 0], split.test_pos[:, 0])
 
 
 def test_split_validation(small_amazon):
     with pytest.raises(DatasetError):
         train_test_split_edges(small_amazon, 0.0)
-    with pytest.raises(DatasetError):
-        train_test_split_edges(small_amazon, 0.2, negatives_per_positive=0)

@@ -5,10 +5,10 @@ import numpy as np
 from repro.algorithms import GATNE, DeepWalk, GraphSAGE
 from repro.data import make_dataset, powerlaw_graph, train_test_split_edges
 from repro.ops import (
+    ConcatCombiner,
     MaterializationCache,
     MinibatchExecutor,
     make_aggregator,
-    make_combiner,
 )
 from repro.sampling import (
     DegreeBiasedNegativeSampler,
@@ -54,7 +54,7 @@ def test_executor_over_distributed_store():
         features,
         UniformNeighborSampler(StoreProvider(store, from_part=0)),
         [make_aggregator("mean", 8, 8, rng)],
-        [make_combiner("concat", 8, 8, 8, rng)],
+        [ConcatCombiner(8, 8, 8, rng)],
         [4],
     )
     cache = MaterializationCache(1, graph.n_vertices)

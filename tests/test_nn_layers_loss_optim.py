@@ -17,7 +17,7 @@ from repro.nn import (
     skipgram_negative_loss,
 )
 from tests.gradcheck import check_gradients
-from repro.nn.rnn import GRUCell, LSTMCell
+from repro.nn.rnn import GRUCell
 from repro.utils.rng import make_rng
 
 rng = make_rng(11)
@@ -75,20 +75,6 @@ def test_gru_state_evolution_and_grad():
     h2 = cell(x, h)
     assert h2.shape == (2, 5)
     check_gradients(lambda: (cell(x, cell.init_state(2)) ** 2).sum(), cell.parameters(), atol=1e-4)
-
-
-def test_lstm_over_sequence():
-    cell = LSTMCell(3, 4, rng)
-    steps = [Tensor(rng.normal(size=(2, 3))) for _ in range(3)]
-
-    def final_h():
-        h, c = cell.init_state(2)
-        for x in steps:
-            h, c = cell(x, h, c)
-        return h
-
-    assert final_h().shape == (2, 4)
-    check_gradients(lambda: (final_h() ** 2).sum(), cell.parameters(), atol=1e-4)
 
 
 def test_bce_matches_reference():

@@ -26,7 +26,7 @@ from repro.errors import OperatorError
 from repro.nn import functional as F
 from repro.nn import loss as L
 from repro.nn import no_grad
-from tests.gradcheck import check_gradients
+from tests.gradcheck import check_gradients, sum_rows_segmented
 from repro.nn.layers import Dense
 from repro.nn.tensor import SparseGrad, Tensor
 from repro.ops.aggregate import make_aggregator
@@ -76,7 +76,6 @@ OPS = {
     "sparse_matmul": (1, lambda x: F.sparse_matmul(A_SPARSE, x)),
     "gather_sum_rows": (1, lambda x: F.gather_sum_rows(x, TABLE)),
     "mean_rows_segmented": (1, _segmented(F.mean_rows_segmented)),
-    "sum_rows_segmented": (1, _segmented(F.sum_rows_segmented)),
     "max_rows_segmented": (1, _segmented(F.max_rows_segmented)),
     # loss.py
     "bce_with_logits": (1, lambda x: x * L.bce_with_logits(x, TARGETS)),
@@ -105,7 +104,7 @@ OPS = {
 OP_NAMES = sorted(OPS)
 # Every differentiable op of tensor.py / functional.py / loss.py: an op
 # added to (or dropped from) src/ changes this count on purpose.
-assert len(OPS) == 41  # 40 + the fused dense node
+assert len(OPS) == 40  # 39 + the fused dense node
 
 
 def _run(leaf_data, trainable, program):
@@ -293,7 +292,7 @@ def test_gather_sum_rows_bitwise_equals_gather_then_reduce(fanout, strided):
     pairs = {
         "sum": (
             lambda x: F.gather_sum_rows(x, table),
-            lambda x: F.sum_rows_segmented(x.gather_rows(table.reshape(-1)), fanout),
+            lambda x: sum_rows_segmented(x.gather_rows(table.reshape(-1)), fanout),
         ),
         # True divide by the count: what MeanAggregator does.
         "mean": (
@@ -313,7 +312,7 @@ def test_gather_sum_rows_gradcheck():
     check_gradients(lambda: ((F.gather_sum_rows(x, TABLE) / S) ** 2).sum(), [x])
 
 
-@pytest.mark.parametrize("name", ["mean", "sum"])
+@pytest.mark.parametrize("name", ["mean"])
 def test_fused_aggregator_gradcheck(name):
     agg = make_aggregator(name, D, 5, make_rng(1))
     h = Tensor(make_rng(2).normal(size=(N, D)), requires_grad=True)
@@ -447,7 +446,7 @@ def test_empty_index_and_empty_block_level():
     assert pooled.shape == (0, D)
     pooled.backward(np.zeros((0, D)))
     np.testing.assert_array_equal(x.grad, np.zeros((N, D)))
-    for name in ("mean", "sum", "maxpool", "lstm", "attention"):
+    for name in ("mean", "maxpool"):
         agg = make_aggregator(name, D, 3, make_rng(0))
         assert agg(x, empty_table).shape == (0, 3)
     # Children drawn from a level that holds no rows are all out of range.
@@ -465,7 +464,7 @@ def test_block_step_leaves_constant_features_off_the_tape(small_taobao, monkeypa
     block = build_block(np.arange(0, 90, 3), sampler, [4, 4], make_rng(2))
     encoder = _GNNEncoder(
         in_dim=features.shape[1], hidden_dim=16, out_dim=16, kmax=2,
-        aggregator="mean", combiner="concat", rng=make_rng(1),
+        aggregator="mean", rng=make_rng(1),
     )
     gathers = []
     real_gather = Tensor.gather_rows

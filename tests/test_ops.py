@@ -1,4 +1,4 @@
-"""Operator layer: aggregators, combiners, registries, materialization."""
+"""Operator layer: aggregators, the concat combiner, the registry, materialization."""
 
 import numpy as np
 import pytest
@@ -13,18 +13,17 @@ from tests.gradcheck import check_gradients
 from repro.nn.tensor import Tensor
 from repro.ops import (
     AGGREGATOR_REGISTRY,
-    COMBINER_REGISTRY,
+    ConcatCombiner,
     MaterializationCache,
     MinibatchExecutor,
     make_aggregator,
-    make_combiner,
 )
 from repro.sampling import GraphProvider, UniformNeighborSampler
 from repro.utils.rng import make_rng
 
 rng = make_rng(21)
 
-AGGREGATORS = ["mean", "sum", "maxpool", "lstm", "attention"]
+AGGREGATORS = ["mean", "maxpool"]
 
 
 def fixed_reduce(agg, rows: Tensor, fanout: int) -> Tensor:
@@ -35,24 +34,10 @@ def fixed_reduce(agg, rows: Tensor, fanout: int) -> Tensor:
     h.gather_rows(table.reshape(-1)), table.shape[1])`` bit for bit, values
     and gradients: gather-then-reduce is what the fused entry replaced.
     """
-    n = rows.shape[0]
-    batch = n // fanout
     if agg.name == "mean":
         return agg.dense(F.mean_rows_segmented(rows, fanout))
-    if agg.name == "sum":
-        return agg.dense(F.sum_rows_segmented(rows, fanout))
-    if agg.name == "maxpool":
-        return agg.post(F.max_rows_segmented(agg.pre(rows), fanout))
-    if agg.name == "lstm":
-        h, c = agg.cell.init_state(batch)
-        for step in range(fanout):
-            h, c = agg.cell(rows.gather_rows(np.arange(batch) * fanout + step), h, c)
-        return h
-    assert agg.name == "attention"
-    transformed = agg.transform(rows)
-    raw = agg.score(F.tanh(transformed))
-    weights = F.softmax(raw.reshape(batch, fanout), axis=-1).reshape(n, 1)
-    return F.sum_rows_segmented(transformed * weights, fanout)
+    assert agg.name == "maxpool"
+    return agg.post(F.max_rows_segmented(agg.pre(rows), fanout))
 
 
 @pytest.mark.parametrize("name", AGGREGATORS)
@@ -64,17 +49,10 @@ def test_aggregator_shapes(name):
     assert agg(h, np.array([[11, 0], [5, 5]])).shape == (2, 4)
 
 
-@pytest.mark.parametrize("name", ["mean", "sum", "maxpool", "attention"])
+@pytest.mark.parametrize("name", AGGREGATORS)
 def test_aggregator_gradients(name):
     agg = make_aggregator(name, 3, 2, rng)
     h = Tensor(make_rng(1).normal(size=(4, 3)), requires_grad=True)
-    table = np.array([[0, 1], [3, 3], [2, 0]])
-    check_gradients(lambda: (agg(h, table) ** 2).sum(), [h] + agg.parameters(), atol=1e-4)
-
-
-def test_lstm_aggregator_gradient():
-    agg = make_aggregator("lstm", 3, 2, rng)
-    h = Tensor(make_rng(2).normal(size=(4, 3)), requires_grad=True)
     table = np.array([[0, 1], [3, 3], [2, 0]])
     check_gradients(lambda: (agg(h, table) ** 2).sum(), [h] + agg.parameters(), atol=1e-4)
 
@@ -155,47 +133,34 @@ def test_aggregator_rejects_malformed_table(name, table, shape):
         agg(h, table)
 
 
-@pytest.mark.parametrize("name", ["sum", "concat", "gru"])
+@pytest.mark.parametrize("name", ["concat"])
 def test_combiner_shapes(name):
-    comb = make_combiner(name, 4, 4, 4, rng)
+    comb = {"concat": ConcatCombiner}[name](4, 4, 4, rng)
     h_self = Tensor(make_rng(4).normal(size=(3, 4)))
     h_neigh = Tensor(make_rng(5).normal(size=(3, 4)))
     assert comb(h_self, h_neigh).shape == (3, 4)
 
 
 def test_concat_combiner_mixed_dims():
-    comb = make_combiner("concat", 4, 6, 5, rng)
+    comb = ConcatCombiner(4, 6, 5, rng)
     out = comb(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 6))))
     assert out.shape == (2, 5)
 
 
-def test_sum_combiner_dim_check():
-    with pytest.raises(OperatorError):
-        make_combiner("sum", 4, 6, 5, rng)
-
-
-def test_gru_combiner_state_dim_check():
-    with pytest.raises(OperatorError):
-        make_combiner("gru", 4, 4, 6, rng)
-
-
 def test_combiner_gradients():
-    comb = make_combiner("concat", 3, 3, 3, rng)
+    comb = ConcatCombiner(3, 3, 3, rng)
     a = Tensor(make_rng(6).normal(size=(2, 3)))
     b = Tensor(make_rng(7).normal(size=(2, 3)))
     check_gradients(lambda: (comb(a, b) ** 2).sum(), comb.parameters(), atol=1e-4)
 
 
 def test_registries_populated():
-    assert set(AGGREGATORS) <= set(AGGREGATOR_REGISTRY)
-    assert {"sum", "concat", "gru"} <= set(COMBINER_REGISTRY)
+    assert set(AGGREGATORS) == set(AGGREGATOR_REGISTRY)
 
 
 def test_unknown_plugin_names():
     with pytest.raises(OperatorError):
         make_aggregator("median", 2, 2, rng)
-    with pytest.raises(OperatorError):
-        make_combiner("xor", 2, 2, 2, rng)
 
 
 # --------------------------------------------------------------------- #
@@ -210,8 +175,8 @@ def _executor(graph, dim=8, fanouts=(4, 4), aggregator="mean"):
         make_aggregator(aggregator, dim, dim, gen),
     ]
     combs = [
-        make_combiner("concat", f, dim, dim, gen),
-        make_combiner("concat", dim, dim, dim, gen),
+        ConcatCombiner(f, dim, dim, gen),
+        ConcatCombiner(dim, dim, dim, gen),
     ]
     sampler = UniformNeighborSampler(GraphProvider(graph))
     return MinibatchExecutor(features, sampler, aggs, combs, list(fanouts))
@@ -333,14 +298,14 @@ def test_executor_validations(small_powerlaw):
     features = np.zeros((n, 4))
     sampler = UniformNeighborSampler(GraphProvider(small_powerlaw))
     agg = [make_aggregator("mean", 4, 4, gen)]
-    comb = [make_combiner("concat", 4, 4, 4, gen)]
+    comb = [ConcatCombiner(4, 4, 4, gen)]
     with pytest.raises(OperatorError):
         MinibatchExecutor(features, sampler, agg, comb, [2, 2])
     with pytest.raises(OperatorError):
         MinibatchExecutor(features, sampler, agg, comb, [0])
     # A cache shallower than the executor's kmax is rejected.
     agg2 = agg + [make_aggregator("mean", 4, 4, gen)]
-    comb2 = comb + [make_combiner("concat", 4, 4, 4, gen)]
+    comb2 = comb + [ConcatCombiner(4, 4, 4, gen)]
     deep = MinibatchExecutor(features, sampler, agg2, comb2, [2, 2])
     with pytest.raises(OperatorError):
         deep.embed_batch_cached(np.array([0]), gen, MaterializationCache(1, n))

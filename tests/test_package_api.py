@@ -21,8 +21,7 @@ def test_top_level_import():
             ["GATNE", "GraphSAGE", "AutoGNN", "EvolvingGNN", "BayesianGNN",
              "MixtureGNN", "HierarchicalGNN", "HEP", "AHEP", "DeepWalk",
              "Node2Vec", "LINE", "NetMF", "Metapath2Vec", "ANRL", "PMNE",
-             "MVE", "MNE", "Struc2Vec", "GCN", "FastGCN", "ASGCN", "TNE",
-             "DANE", "DAE", "BetaVAE"],
+             "MVE", "MNE", "TNE", "DANE", "DAE", "BetaVAE"],
         ),
         (
             "repro.storage",
@@ -39,8 +38,7 @@ def test_top_level_import():
         ),
         (
             "repro.ops",
-            ["MeanAggregator", "MaxPoolAggregator", "LSTMAggregator",
-             "AttentionAggregator", "ConcatCombiner", "GRUCombiner",
+            ["MeanAggregator", "MaxPoolAggregator", "ConcatCombiner",
              "MaterializationCache", "MinibatchExecutor"],
         ),
         (
@@ -56,7 +54,7 @@ def test_top_level_import():
         ),
         (
             "repro.nn",
-            ["Tensor", "Dense", "Embedding", "GRUCell", "LSTMCell", "Adam",
+            ["Tensor", "Dense", "Embedding", "GRUCell", "Adam",
              "bce_with_logits", "skipgram_negative_loss"],
         ),
         (
@@ -273,7 +271,7 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
 
     retired = {
         "timeout_us", "embed_dim", "fresh_fills_cache", "resample_each_epoch",
-        "early_stop_patience", "early_stop_min_delta", "stopped_early",
+        "early_stop_patience", "early_stop_min_delta", "stopped_early", "combiner",
     }
     for cls in (RpcRuntime, ServingConfig, ServingEngine, GNNFramework, GraphSAGE, SIGN):
         assert not retired & set(inspect.signature(cls).parameters), cls
@@ -286,10 +284,13 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
     # program set became a constant. (owner, names it must not have.)
     import importlib.util
 
+    import repro.algorithms
     import repro.graph.io
     import repro.nn.functional as F
     import repro.nn.rnn
     import repro.obs
+    import repro.ops
+    import repro.ops.base
     import repro.runtime.export
     import repro.sampling.negative
     import repro.storage.partition.base
@@ -299,10 +300,16 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
     import repro.utils.rng
     import repro.utils.stats
     from repro import errors
-    from repro.algorithms.base import EmbeddingModel
+    from repro.algorithms.base import EmbeddingModel, walk_pairs
     from repro.algorithms.bayesian_gnn import BayesianGNN
     from repro.algorithms.mixture_gnn import MixtureGNN
-    from repro.data import amazon_graph, dynamic_taobao, powerlaw_graph, taobao_graph
+    from repro.data import (
+        amazon_graph,
+        dynamic_taobao,
+        powerlaw_graph,
+        taobao_graph,
+        train_test_split_edges,
+    )
     from repro.graph import AttributedHeterogeneousGraph, Graph
     from repro.nn import Embedding, Module, SparseGrad, Tensor
     from repro.nn.init import xavier_uniform
@@ -315,18 +322,35 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
         CsrAdjacency,
         DegreeBiasedNegativeSampler,
         EdgeTraverseSampler,
+        GraphProvider,
         ImportanceNeighborSampler,
         NeighborhoodSample,
+        NeighborProvider,
+        Sampler,
+        StoreProvider,
         VertexTraverseSampler,
+        WeightedNeighborSampler,
+        random_walks,
     )
     from repro.serving.slo import SLOReport
-    from repro.storage import CostModel, EmbeddingKVStore, plan_importance_cache
+    from repro.storage import (
+        CostModel,
+        EmbeddingKVStore,
+        ImportanceCachePolicy,
+        plan_importance_cache,
+    )
+    from repro.storage.attributes import SeparateAttributeStore
     from repro.storage.buckets import RequestFlowBuckets, synthetic_trace
     from repro.storage.cache import NeighborCache
     from repro.storage.cluster import build_distributed
     from repro.storage.embedding import EmbeddingShard
     from repro.storage.importance import CachePlan
-    from repro.storage.partition import MetisPartitioner
+    from repro.storage.partition import (
+        EdgeCutPartitioner,
+        MetisPartitioner,
+        StreamingPartitioner,
+        TwoDimPartitioner,
+    )
     from repro.storage.replicas import ReplicaRegistry
     from repro.tasks import evaluate_link_prediction, f1_score, score_pairs, subgraph_embedding
     from repro.utils.alias import AliasTable, GroupedAliasTable
@@ -339,6 +363,7 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
         (Graph, {"edge_weight", "out_weights", "out_edge_ids", "in_degree", "in_neighbors",
                  "edges", "out_degree", "neighbors", "subgraph", "adjacency_matrix"}),
         (AttributedHeterogeneousGraph, {"vertex_feature", "out_neighbors_by_type"}),
+        (AttributedHeterogeneousGraph.__init__, {"edge_features"}),
         (errors, {"EdgeNotFoundError"}),
         (repro.tasks, {"edge_embedding", "neighborhood_subgraph_embedding",
                        "whole_graph_embedding", "evaluate_edge_classification",
@@ -353,16 +378,16 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
         (BayesianGNN, {"corrected_prior"}),
         (repro.sampling.negative, {"UniformNegativeSampler", "TypeAwareNegativeSampler"}),
         (DegreeBiasedNegativeSampler, {"_reject"}),
-        (DegreeBiasedNegativeSampler.__init__, {"strict"}),
-        (repro.nn, {"Dropout", "LayerNorm"}),
-        (F, {"dropout", "stack", "log", "sigmoid", "leaky_relu"}),
-        (repro.nn.rnn, {"lstm_over_sequence"}),
+        (DegreeBiasedNegativeSampler.__init__, {"strict", "power"}),
+        (repro.nn, {"Dropout", "LayerNorm", "LSTMCell"}),
+        (F, {"dropout", "stack", "log", "sigmoid", "leaky_relu", "sum_rows_segmented"}),
+        (repro.nn.rnn, {"lstm_over_sequence", "LSTMCell"}),
         (SparseGrad, {"to_dense"}),
         (Tensor, {"detach"}),
         (Module, {"n_parameters", "zero_grad"}),
         (Embedding, {"n", "dim"}),
         (xavier_uniform, {"gain"}),
-        (plan_importance_cache, {"cost_model"}),
+        (plan_importance_cache, {"cost_model", "max_hop"}),
         (CostModel, {"cache_churn_ratio", "importance_threshold"}),
         (CachePlan, {"max_cached_hop"}),
         (build_distributed, {"coordination_rounds"}),
@@ -375,7 +400,7 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
         (EmbeddingKVStore, {"row_versions", "cached_version_lag"}),
         (EmbeddingShard, {"rows", "read"}),
         (MaterializationCache, {"invalidate"}),
-        (CsrAdjacency, {"n_slots"}),
+        (CsrAdjacency, {"n_slots", "row_of"}),
         (Tracer, {"reset", "current", "event"}),
         (Tracer.render_tree, {"trace_id"}),
         (Span, {"to_dict"}),
@@ -394,12 +419,15 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
         (repro.storage.placement, {"attach_placement"}),
         (repro.runtime.export, {"write_chrome_trace"}),
         (RequestFlowBuckets, {"speedup"}),
-        (RequestFlowBuckets.locked_makespan_us, {"n_cores", "writer_exclusive"}),
+        (RequestFlowBuckets.locked_makespan_us,
+         {"n_cores", "writer_exclusive", "lock_overhead_us"}),
         (synthetic_trace, {"read_service_us", "update_service_us"}),
-        (EdgeTraverseSampler, {"epoch_batches", "n_edges"}),
+        (EdgeTraverseSampler, {"epoch_batches", "n_edges", "edge_type"}),
+        (EdgeTraverseSampler.__init__, {"edge_type"}),
         (VertexTraverseSampler, {"epoch_batches"}),
         (NeighborhoodSample, {"batch_size", "hop", "all_vertices"}),
-        (ImportanceNeighborSampler, {"inclusion_probability"}),
+        (ImportanceNeighborSampler, {"inclusion_probability", "beta"}),
+        (ImportanceNeighborSampler.__init__, {"beta"}),
         (SLOReport, {"render", "total_requests"}),
         (repro.storage.partition.base, {"available_partitioners"}),
         (MetisPartitioner.__init__, {"coarsen_to", "refine_passes", "balance_slack"}),
@@ -407,41 +435,80 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
         (repro.utils.powerlaw, {"tail_mass", "gini_coefficient"}),
         (repro.utils.stats, {"chi_square_homogeneity"}),
         (AliasTable, {"draw"}),
-        (GroupedAliasTable, {"draw_group"}),
+        (GroupedAliasTable, {"draw_group", "update_group", "group_size"}),
         (amazon_graph, {"coview_per_product", "cobuy_fraction", "intra_community", "zipf"}),
         (dynamic_taobao, {"base_mean_degree"}),
         (taobao_graph, {"item_item_fraction", "degree_alpha", "item_zipf", "n_interests",
                         "interest_affinity", "attr_vocab"}),
-        (powerlaw_graph, {"min_degree"}),
+        (powerlaw_graph, {"min_degree", "preferential"}),
+        # The code the paper names only to mark N.A. / O.O.M., and the §3.3
+        # sampler backward and §3.4 operator variants no evaluated
+        # configuration uses.
+        (repro.algorithms, {"GCN", "FastGCN", "ASGCN", "Struc2Vec"}),
+        (repro.ops, {"SumAggregator", "LSTMAggregator", "AttentionAggregator",
+                     "SumCombiner", "GRUCombiner", "make_combiner", "COMBINER_REGISTRY"}),
+        (repro.ops.base, {"Combiner", "register_combiner", "COMBINER_REGISTRY"}),
+        (Sampler, {"register_update_fn", "backward"}),
+        (WeightedNeighborSampler(GraphProvider(Graph(2, [0], [1]))),
+         {"current_weights", "_apply_weight_update", "_weights"}),
+        (NeighborProvider, {"neighbors", "weights"}),
+        (GraphProvider, {"neighbors", "weights"}),
+        (StoreProvider, {"weights"}),
+        (SeparateAttributeStore(), {"ie", "ie_cache", "put_edge_attr", "get_edge_attr",
+                                    "edge_cache_capacity"}),
+        (random_walks, {"weighted"}),
+        (walk_pairs, {"weighted"}),
+        (train_test_split_edges, {"negatives_per_positive"}),
+        (ImportanceCachePolicy(), {"hop"}),
+        (EdgeCutPartitioner(), {"salt"}),
+        (StreamingPartitioner(), {"order", "slack", "seed"}),
+        (TwoDimPartitioner(), {"grid"}),
     ]
     for owner, names in gone:
         have = set(dir(owner))
         if inspect.isfunction(owner):
             have |= set(inspect.signature(owner).parameters)
+        elif not (inspect.isclass(owner) or inspect.ismodule(owner)):
+            have |= set(inspect.signature(type(owner)).parameters)  # an instance
         assert not names & have, (owner, names & have)
-    assert importlib.util.find_spec("repro.nn.attention") is None
-    assert importlib.util.find_spec("repro.graph.builder") is None
+    for module in ("repro.nn.attention", "repro.graph.builder", "repro.algorithms.gcn",
+                   "repro.algorithms.struc2vec"):
+        assert importlib.util.find_spec(module) is None, module
 
 
 def test_census_allow_list_names_existing_defs_with_one_reason():
     """Every ``tests/census.json`` entry names a def, or a defaulted parameter
     of one, under ``src/repro`` (read with ``ast``; nothing runs) and carries
-    one of the four reasons."""
+    one of the four reasons. A ``fixture`` parameter is passed by keyword to
+    its function by some call in ``tests/*.py``."""
+    import ast
     import json
     import pathlib
 
     from tests.census import REASON_PATTERN, all_defs
 
-    allowed = json.loads((pathlib.Path(__file__).parent / "census.json").read_text())
+    here = pathlib.Path(__file__).parent
+    allowed = json.loads((here / "census.json").read_text())
     assert set(allowed) == {"functions", "parameters"}
     defs = all_defs()
     for key, reason in allowed["functions"].items():
         assert key in defs, f"no def {key}"
         assert REASON_PATTERN.fullmatch(reason), (key, reason)
+    # (function name, keyword) of every call in the test files.
+    passed = set()
+    for path in here.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                passed |= {(name, kw.arg) for kw in node.keywords}
     for entry, reason in allowed["parameters"].items():
         key, _, param = entry.rstrip(")").partition("(")
         assert param in defs.get(key, ()), f"no defaulted parameter {entry}"
         assert REASON_PATTERN.fullmatch(reason), (entry, reason)
+        if reason == "fixture":
+            qualname = key.split(":")[1].removesuffix(".__init__")
+            assert (qualname.split(".")[-1], param) in passed, f"no test call sets {entry}"
 
 
 def test_one_optimizer_takes_dense_and_row_sparse_gradients():

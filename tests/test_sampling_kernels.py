@@ -30,12 +30,7 @@ from repro.sampling import (
 from repro.sampling.randomwalk import random_walks
 from repro.storage.cache import ImportanceCachePolicy, LRUCachePolicy
 from repro.storage.cluster import make_store
-from repro.storage.costmodel import (
-    EV_CACHE_HIT,
-    EV_ITEM_SHIPPED,
-    EV_LOCAL_READ,
-    EV_REMOTE_RPC,
-)
+from repro.storage.costmodel import EV_ITEM_SHIPPED
 from repro.utils.alias import AliasTable, GroupedAliasTable, build_alias_arrays
 from repro.utils.rng import make_rng
 from repro.utils.stats import ZipfSampler, chi2_sf, chi_square_gof, zipf_probs
@@ -113,13 +108,13 @@ def oracle_children(sampler, vertices, count, rng):
                 scores = sampler._scores[nbrs]
                 p = scores / scores.sum()
             else:
-                w = sampler.current_weights(v)
+                w = block.weights_of(row)
                 p = w / w.sum()
             children[i] = nbrs[rng.choice(nbrs.size, size=count, p=p)]
     return children
 
 
-def oracle_walks(graph, starts, length, rng, weighted=False):
+def oracle_walks(graph, starts, length, rng):
     """``random_walks`` one walk and one scalar step at a time."""
     walks = []
     for start in np.asarray(starts).tolist():
@@ -128,11 +123,7 @@ def oracle_walks(graph, starts, length, rng, weighted=False):
             nbrs = graph.out_neighbors(walk[-1])
             if nbrs.size == 0:
                 break
-            if weighted:
-                w = out_weights(graph, walk[-1])
-                walk.append(int(nbrs[rng.choice(nbrs.size, p=w / w.sum())]))
-            else:
-                walk.append(int(nbrs[rng.integers(nbrs.size)]))
+            walk.append(int(nbrs[rng.integers(nbrs.size)]))
         walks.append(np.asarray(walk, dtype=np.int64))
     return walks
 
@@ -245,13 +236,12 @@ class TestCsrAdjacency:
 
     def test_block_rows_are_named_by_ids(self, tiny_graph):
         whole = CsrAdjacency.from_graph(tiny_graph)
-        assert whole.row_of(4) == 4 and whole.row_of(6) == -1
+        assert whole.ids is None  # row v is vertex v
         ids = np.array([1, 4], dtype=np.int64)
         block = CsrAdjacency.from_rows(
             [tiny_graph.out_neighbors(1), tiny_graph.out_neighbors(4)], ids
         )
-        assert block.row_of(4) == 1 and block.row_of(1) == 0
-        assert block.row_of(0) == block.row_of(3) == block.row_of(9) == -1
+        assert block.ids is ids
         assert np.array_equal(block.neighbors(1), [0, 5])
         with pytest.raises(SamplingError):
             CsrAdjacency.from_rows([tiny_graph.out_neighbors(1)], ids)
@@ -332,16 +322,6 @@ class TestGroupedAlias:
             counts = np.bincount(draws, minlength=w.size)
             _, p = chi_square_gof(counts, w / w.sum())
             assert p > P_FLOOR
-
-    def test_update_group_redirects_mass(self, rng):
-        weights = np.array([1.0, 1.0, 1.0, 1.0, 9.0])
-        indptr = np.array([0, 2, 5])
-        table = GroupedAliasTable(weights, indptr)
-        table.update_group(1, np.array([0.0, 0.0, 1.0]))
-        draws = table.draw_for_groups(np.array([1]), 500, rng)
-        assert np.all(draws == 4)  # flat slot of the only surviving weight
-        # group 0 untouched
-        assert np.allclose(table.probabilities()[:2], 0.5)
 
     def test_empty_group_draw_rejected(self, rng):
         table = GroupedAliasTable(np.array([1.0, 2.0]), np.array([0, 2, 2]))
@@ -461,11 +441,6 @@ class TestSampleChildren:
     def test_stochastic_kinds_chi_square_equivalent(self, kind, case, count):
         graph, provider, frontier = case
         sampler = _sampler(kind, graph, provider)
-        if kind == "weighted":
-            # A trained row: kernel and oracle both read the updated weights.
-            v = int(frontier[0])
-            size = sampler.current_weights(v).size
-            sampler.backward(v, np.linspace(-2.0, 2.0, size), lr=1.0)
         kernel = _draw_counts(
             sampler.sample_children, graph, frontier, count, 150, make_rng(1)
         )
@@ -505,15 +480,6 @@ class TestSampleChildren:
         pad = children == parents[:, None]
         assert np.all(children[0] == 0) and np.all(pad[0])
         assert np.all(children[1] == 0) and not np.any(pad[1])
-
-    def test_weight_update_moves_batched_distribution(self, tiny_graph):
-        sampler = WeightedNeighborSampler(GraphProvider(tiny_graph))
-        rng = make_rng(5)
-        sampler.sample_children(np.array([0]), 4, rng)  # builds the table
-        # Push vertex 0's mass almost entirely onto neighbor 2.
-        sampler.backward(0, np.array([-40.0, 40.0]), lr=1.0)
-        children = sampler.sample_children(np.array([0]), 400, rng)
-        assert np.mean(children == 2) > 0.97
 
 
 # --------------------------------------------------------------------- #
@@ -565,20 +531,17 @@ class TestBatchedNegativesAndWalks:
     @settings(max_examples=60, deadline=None)
     @given(
         graph=ragged_graphs(),
-        weighted=st.booleans(),
         length=st.integers(1, 8),
         data=st.data(),
     )
-    def test_batched_walks_follow_edges_and_truncate(
-        self, graph, weighted, length, data
-    ):
+    def test_batched_walks_follow_edges_and_truncate(self, graph, length, data):
         starts = np.asarray(
             data.draw(
                 st.lists(st.integers(0, graph.n_vertices - 1), min_size=1, max_size=8)
             ),
             dtype=np.int64,
         )
-        walks = random_walks(graph, starts, length, make_rng(1), weighted=weighted)
+        walks = random_walks(graph, starts, length, make_rng(1))
         assert [int(w[0]) for w in walks] == starts.tolist()
         for walk in walks:
             for a, b in zip(walk[:-1], walk[1:]):
@@ -586,48 +549,24 @@ class TestBatchedNegativesAndWalks:
             # Only a sink ends a walk early.
             assert walk.size == length + 1 or graph.out_degrees()[int(walk[-1])] == 0
 
-    def test_batched_walks_deterministic_and_weighted(self, tiny_graph):
+    def test_batched_walks_deterministic(self, tiny_graph):
         a = random_walks(tiny_graph, np.array([0, 1]), 8, make_rng(6))
         b = random_walks(tiny_graph, np.array([0, 1]), 8, make_rng(6))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
-        # Weighted first step from 0: neighbor 2 (w=2) vs 1 (w=1).
-        firsts = [
-            int(
-                random_walks(
-                    tiny_graph, np.array([0]), 1, make_rng(seed), weighted=True
-                )[0][1]
-            )
-            for seed in range(300)
-        ]
-        frac2 = np.mean(np.asarray(firsts) == 2)
-        assert 0.55 < frac2 < 0.8  # expected 2/3
 
     def test_walk_backends_step_distribution_match(self, small_powerlaw):
-        # Weighted arm: a 40-spoke star whose edge weights run 1..80.
-        hub, spokes = np.zeros(40, dtype=np.int64), np.arange(1, 41)
-        star = Graph(
-            41,
-            np.concatenate([hub, spokes]),
-            np.concatenate([spokes, hub]),
-            weights=np.arange(1.0, 81.0),
-        )
-        for graph, start, weighted in (
-            (small_powerlaw, int(np.argmax(small_powerlaw.out_degrees())), False),
-            (star, 0, True),
-        ):
-            counts = []
-            for seed, walker in ((8, random_walks), (9, oracle_walks)):
-                walks = walker(
-                    graph, np.full(800, start), 2, make_rng(seed), weighted=weighted
+        graph = small_powerlaw
+        start = int(np.argmax(graph.out_degrees()))
+        counts = []
+        for seed, walker in ((8, random_walks), (9, oracle_walks)):
+            walks = walker(graph, np.full(800, start), 2, make_rng(seed))
+            counts.append(
+                np.bincount(
+                    np.concatenate([w[1:] for w in walks]), minlength=graph.n_vertices
                 )
-                counts.append(
-                    np.bincount(
-                        np.concatenate([w[1:] for w in walks]),
-                        minlength=graph.n_vertices,
-                    )
-                )
-            _, p = chi_square_homogeneity(*counts)
-            assert p > P_FLOOR, f"weighted={weighted}: p={p:.2e}"
+            )
+        _, p = chi_square_homogeneity(*counts)
+        assert p > P_FLOOR, f"p={p:.2e}"
 
 
 # --------------------------------------------------------------------- #
@@ -763,16 +702,6 @@ class TestStoreBackedBlocks:
         fresh = store.neighbors(hub, from_part=0)
         assert fresh.size == graph.out_degrees()[hub] - 1
         assert np.array_equal(provider.neighbors(hub), fresh)
-        # ... and weights() is one priced read, not neighbors() plus another.
-        def reads() -> int:
-            return sum(
-                store.ledger.count(ev)
-                for ev in (EV_LOCAL_READ, EV_CACHE_HIT, EV_REMOTE_RPC)
-            )
-
-        before = reads()
-        assert provider.weights(hub).shape == fresh.shape
-        assert reads() == before + 1
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_samplers_follow_edge_churn(self, kind):

@@ -1,17 +1,22 @@
-"""NEIGHBORHOOD samplers: alignment, padding, weighting, dynamic updates."""
+"""NEIGHBORHOOD samplers: alignment, padding, weighting, input checks."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SamplingError
 from repro.sampling import (
+    DegreeBiasedNegativeSampler,
+    EdgeTraverseSampler,
     FullNeighborSampler,
     GraphProvider,
     ImportanceNeighborSampler,
     StoreProvider,
     TopKNeighborSampler,
     UniformNeighborSampler,
+    VertexTraverseSampler,
     WeightedNeighborSampler,
+    build_block,
+    random_walks,
 )
 from repro.utils.rng import make_rng
 
@@ -60,21 +65,6 @@ def test_weighted_respects_weights(tiny_graph):
     assert abs(frac2 - 2.0 / 3.0) < 0.03
 
 
-def test_dynamic_weight_update_shifts_distribution(tiny_graph):
-    sampler = WeightedNeighborSampler(GraphProvider(tiny_graph))
-    rng = make_rng(1)
-    # Push all weight toward neighbor index 0 (vertex 1).
-    sampler.backward(0, np.array([50.0, -50.0]), lr=0.1)
-    out = sampler.sample(np.array([0] * 500), [1], rng)
-    assert np.mean(out.layers[1] == 1) > 0.95
-
-
-def test_dynamic_update_shape_checked(tiny_graph):
-    sampler = WeightedNeighborSampler(GraphProvider(tiny_graph))
-    with pytest.raises(SamplingError):
-        sampler.backward(0, np.array([1.0, 2.0, 3.0]))
-
-
 def test_topk_deterministic(tiny_graph, rng):
     sampler = TopKNeighborSampler(GraphProvider(tiny_graph))
     # Vertex 0: weights 1->1, 2->2; top-1 must be vertex 2.
@@ -91,10 +81,10 @@ def test_topk_cycles_when_fanout_exceeds_degree(tiny_graph, rng):
 def test_importance_sampler_prefers_high_degree(small_powerlaw):
     provider = GraphProvider(small_powerlaw)
     degrees = small_powerlaw.out_degrees()
-    sampler = ImportanceNeighborSampler(provider, degrees, beta=1.0)
+    sampler = ImportanceNeighborSampler(provider, degrees)
     rng = make_rng(2)
     hub_parent = int(np.argmax(degrees))
-    nbrs = provider.neighbors(hub_parent)
+    nbrs = small_powerlaw.out_neighbors(hub_parent)
     drawn = sampler.sample(np.array([hub_parent]), [4000], rng).layers[1]
     # Draws lean to high-degree neighbors: above the uniform mean degree.
     assert set(drawn.tolist()) <= set(nbrs.tolist())
@@ -132,5 +122,58 @@ def test_store_provider_weights_uniform(small_powerlaw):
     store = make_store(small_powerlaw, 2, seed=0)
     provider = StoreProvider(store, from_part=0)
     v = int(np.argmax(small_powerlaw.out_degrees()))
-    w = provider.weights(v)
-    assert np.all(w == 1.0)
+    block, rows = provider.frontier_block(np.array([v]))
+    w = block.weights_of(int(rows[0]))
+    assert w.size == small_powerlaw.out_degrees()[v] and np.all(w == 1.0)
+
+
+# Every public entry point that takes vertex ids (or a batch size) refuses a
+# malformed one before it draws: a typed error, and the caller's rng as it was.
+_BY_PROVIDER = {
+    "sample": lambda g, p: lambda ids, rng: UniformNeighborSampler(p).sample(ids, [3], rng),
+    "build_block": lambda g, p: lambda ids, rng: build_block(
+        ids, UniformNeighborSampler(p), [3], rng
+    ),
+}
+_ON_GRAPH = {
+    "random_walks": lambda g: lambda ids, rng: random_walks(g, ids, 3, rng),
+    "negatives": lambda g: lambda ids, rng: DegreeBiasedNegativeSampler(g).sample(ids, 2, rng),
+    "vertex_traverse": lambda g: lambda size, rng: VertexTraverseSampler(g).sample(size, rng),
+    "edge_traverse": lambda g: lambda size, rng: EdgeTraverseSampler(g).sample(size, rng),
+}
+_MALFORMED = {
+    "float": lambda n: np.array([1.5, 2.0]),
+    "negative": lambda n: np.array([-1]),
+    "ge_n": lambda n: np.array([n]),
+    "2d": lambda n: np.array([[1, 2]]),
+}
+_CASES = [
+    (entry, bad, provider)
+    for entry in _BY_PROVIDER
+    for bad in _MALFORMED
+    for provider in ("graph", "store")
+] + [(entry, bad, "graph") for entry in ("random_walks", "negatives") for bad in _MALFORMED]
+_CASES += [(entry, "float", "graph") for entry in ("vertex_traverse", "edge_traverse")]
+
+
+@pytest.mark.parametrize("entry,bad,provider", _CASES)
+def test_entry_points_reject_malformed_vertex_ids(small_taobao, entry, bad, provider):
+    from repro.storage.cluster import make_store
+
+    graph = small_taobao
+    if entry in _BY_PROVIDER:
+        source = (
+            GraphProvider(graph)
+            if provider == "graph"
+            else StoreProvider(make_store(graph, 2, seed=0), from_part=0)
+        )
+        call = _BY_PROVIDER[entry](graph, source)
+    else:
+        call = _ON_GRAPH[entry](graph)
+    # The traverse samplers take a batch size: 2.5 of anything is malformed.
+    arg = 2.5 if entry.endswith("traverse") else _MALFORMED[bad](graph.n_vertices)
+    rng = make_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(SamplingError):
+        call(arg, rng)
+    assert rng.bit_generator.state == state

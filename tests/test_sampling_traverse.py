@@ -39,20 +39,6 @@ def test_edge_sample_returns_real_edges(tiny_graph, rng):
         assert tiny_graph.has_edge(int(u), int(v))
 
 
-def test_edge_type_filter(tiny_ahg, rng):
-    sampler = EdgeTraverseSampler(tiny_ahg, edge_type="click")
-    assert sampler._src.size == 3
-    src, dst = sampler.sample(20, rng)
-    _, all_dst, _ = tiny_ahg.edge_array()
-    click_targets = set(all_dst[tiny_ahg.edge_types == tiny_ahg.edge_type_code("click")].tolist())
-    assert set(dst.tolist()) <= click_targets
-
-
-def test_edge_type_filter_needs_ahg(tiny_graph):
-    with pytest.raises(SamplingError):
-        EdgeTraverseSampler(tiny_graph, edge_type="click")
-
-
 def test_weighted_edges_prefer_heavy(tiny_graph, rng):
     # Weights 1..7; edge (4,5) has weight 7, edge (0,1) weight 1.
     sampler = EdgeTraverseSampler(tiny_graph, weighted=True)

@@ -64,14 +64,6 @@ def test_store_roundtrip():
     assert not store.has_vertex_attr(1)
 
 
-def test_store_edge_attrs():
-    store = SeparateAttributeStore()
-    store.put_edge_attr(7, np.array([3.0]))
-    np.testing.assert_array_equal(store.get_edge_attr(7), [3.0])
-    with pytest.raises(StorageError):
-        store.get_edge_attr(8)
-
-
 def test_store_missing_vertex():
     with pytest.raises(StorageError):
         SeparateAttributeStore().get_vertex_attr(0)

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.errors import StorageError
-from repro.storage.buckets import Request, RequestFlowBuckets, synthetic_trace
+from repro.storage.buckets import (
+    LOCK_OVERHEAD_US,
+    Request,
+    RequestFlowBuckets,
+    synthetic_trace,
+)
 from repro.utils.rng import make_rng
 
 
@@ -37,15 +42,15 @@ def test_lock_free_makespan_is_busiest_bucket():
 def test_locked_makespan_serializes_updates():
     buckets = RequestFlowBuckets(10, 4)
     trace = [Request(i, kind="update", service_us=2.0) for i in range(8)]
-    locked = buckets.locked_makespan_us(trace, lock_overhead_us=1.0)
-    assert locked == pytest.approx(8 * 3.0)  # all exclusive
+    locked = buckets.locked_makespan_us(trace)
+    assert locked == pytest.approx(8 * (2.0 + LOCK_OVERHEAD_US))  # all exclusive
 
 
 def test_locked_reads_parallelize():
     buckets = RequestFlowBuckets(10, 4)
     trace = [Request(i, kind="read", service_us=2.0) for i in range(8)]
-    locked = buckets.locked_makespan_us(trace, lock_overhead_us=0.0)
-    assert locked == pytest.approx(8 * 2.0 / 4)
+    locked = buckets.locked_makespan_us(trace)
+    assert locked == pytest.approx(8 * (2.0 + LOCK_OVERHEAD_US) / 4)
 
 
 def test_speedup_gt_one_with_updates():

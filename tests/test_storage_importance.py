@@ -100,21 +100,21 @@ def test_importance_methods_correlate(small_powerlaw):
 
 
 def test_plan_thresholds_monotone(small_powerlaw):
-    low = plan_importance_cache(small_powerlaw, max_hop=2, thresholds=0.05)
-    high = plan_importance_cache(small_powerlaw, max_hop=2, thresholds=0.45)
+    low = plan_importance_cache(small_powerlaw, thresholds=0.05)
+    high = plan_importance_cache(small_powerlaw, thresholds=0.45)
     assert low.cache_fraction(1000) >= high.cache_fraction(1000)
     assert set(high.all_cached_vertices()) <= set(low.all_cached_vertices())
 
 
 def test_plan_per_hop_thresholds(small_powerlaw):
-    plan = plan_importance_cache(small_powerlaw, max_hop=2, thresholds=[0.1, 0.3])
+    plan = plan_importance_cache(small_powerlaw, thresholds=[0.1, 0.3])
     assert plan.thresholds == [0.1, 0.3]
     assert 1 in plan.cached_by_hop and 2 in plan.cached_by_hop
 
 
 def test_plan_threshold_count_validation(small_powerlaw):
     with pytest.raises(StorageError):
-        plan_importance_cache(small_powerlaw, max_hop=2, thresholds=[0.1])
+        plan_importance_cache(small_powerlaw, thresholds=[0.1])
 
 
 def test_empty_plan():
@@ -127,7 +127,7 @@ def test_empty_plan():
 
 def test_theorem1_khop_degrees_heavy_tailed():
     """Theorem 1: power-law degrees imply heavy-tailed k-hop counts."""
-    g = powerlaw_graph(3000, alpha=2.1, max_degree=300, preferential=True, seed=11)
+    g = powerlaw_graph(3000, alpha=2.1, max_degree=300, seed=11)
     for k in (1, 2):
         d_in, d_out = khop_degrees(g, k)
         assert tail_mass(d_in, 0.1) > 0.5, f"k={k} in-counts not heavy-tailed"
@@ -136,7 +136,7 @@ def test_theorem1_khop_degrees_heavy_tailed():
 
 def test_theorem2_importance_heavy_tailed():
     """Theorem 2: importance is heavy-tailed -> few vertices worth caching."""
-    g = powerlaw_graph(3000, alpha=2.1, max_degree=300, preferential=True, seed=11)
+    g = powerlaw_graph(3000, alpha=2.1, max_degree=300, seed=11)
     scores = importance_scores(g, 2)
     assert gini_coefficient(scores) > 0.6
     # The top decile carries most of the importance mass.
