@@ -129,19 +129,21 @@ def _run_workload(
         for fanout in hop_nums:
             uniq, mult = np.unique(frontier, return_counts=True)
             weight = dict(zip(uniq.tolist(), mult.tolist()))
-            rows = store.get_neighbors_batch(frontier, from_part=from_part)
+            block = store.get_neighbors_batch(frontier, from_part=from_part)
             reads += int(frontier.size)
             # A degraded read comes back as an empty row for a vertex the
             # analytical snapshot knows has neighbors (the workload never
             # mutates the graph, so the snapshot is ground truth).
+            empty = block.ids[np.diff(block.offsets) == 0].tolist()
             degraded += sum(
-                weight[v]
-                for v, row in rows.items()
-                if row.size == 0 and graph.out_neighbors(v).size > 0
+                weight[v] for v in empty if graph.out_neighbors(v).size > 0
+            )
+            rows = dict(
+                zip(block.ids.tolist(), np.split(block.indices, block.offsets[1:-1]))
             )
             nxt = [
                 rng.choice(row, size=fanout, replace=True)
-                for row in (rows[int(v)] for v in uniq)
+                for row in (rows[v] for v in uniq.tolist())
                 if row.size
             ]
             if not nxt:

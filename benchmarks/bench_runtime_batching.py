@@ -35,7 +35,10 @@ class _PerVertexProvider(StoreProvider):
     def frontier_block(self, frontier):
         ids, rows = np.unique(frontier, return_inverse=True)
         fetched = {v: self.neighbors(v) for v in frontier.tolist()}
-        return CsrAdjacency.from_rows([fetched[v] for v in ids.tolist()], ids), rows
+        packed = [fetched[v] for v in ids.tolist()]
+        indptr = np.concatenate([[0], np.cumsum([row.size for row in packed])])
+        indices = np.concatenate(packed)
+        return CsrAdjacency(indptr, indices, np.ones(indices.size)), rows
 
 
 def _run_workload(batched: bool, faults: "FaultPlan | None" = None):

@@ -42,6 +42,7 @@ from repro.runtime.tracing import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.storage.cluster import DistributedGraphStore
+    from repro.storage.server import RowBlock
 
 #: Request kinds served by the graph store itself. Further kinds are added
 #: per-runtime by registered services (:meth:`RpcRuntime.register_service`),
@@ -79,6 +80,8 @@ class Request:
 class Response:
     """The answer to a :class:`Request` (or its typed failure).
 
+    ``payload`` is a :class:`~repro.storage.server.RowBlock` for a
+    neighbors read and maps each key to its row for every other kind.
     ``meta`` carries per-key scalars next to the payload rows: the IV-cache
     flag for attribute reads, the row version for embedding pulls.
     ``n_items`` is the item count the serving side summed over the payload —
@@ -87,7 +90,7 @@ class Response:
 
     req_id: int
     ok: bool
-    payload: "dict[int, np.ndarray]" = field(default_factory=dict)
+    payload: "RowBlock | dict[int, np.ndarray]" = field(default_factory=dict)
     meta: "dict[int, object]" = field(default_factory=dict)
     n_items: int = 0
     attempts: int = 1
@@ -225,26 +228,29 @@ class RpcRuntime:
     # ------------------------------------------------------------------ #
     # The deterministic event loop
     # ------------------------------------------------------------------ #
-    def _serve(self, req: Request) -> "tuple[dict[int, np.ndarray], dict[int, bool], int]":
+    def _serve(self, req: Request) -> "tuple[object, dict[int, bool], int]":
         """Execute ``req`` on its destination shard.
 
-        Returns ``(payload, meta, n_items)``; for attribute reads ``meta``
-        maps each vertex to whether its row was already in the IV cache
-        (the store charges decode vs cache-hit events from it). Registered
-        service kinds dispatch to their handler instead.
+        Returns ``(payload, meta, n_items)``. A neighbors payload is the
+        shard's :class:`~repro.storage.server.RowBlock` for the request's
+        vertices, and ``n_items`` its edge count; an attribute payload maps
+        each vertex to its row, and ``meta`` says whether that row was
+        already in the IV cache (the store charges decode vs cache-hit
+        events from it). Registered service kinds dispatch to their handler
+        instead.
         """
         handler = self._services.get(req.kind)
         if handler is not None:
             return handler(req)
         server = self.store.servers[req.dst_part]
-        meta: "dict[int, bool]" = {}
         if req.kind == KIND_NEIGHBORS:
-            payload = server.local_rows(req.vertices)
-        else:
-            payload = {}
-            for v in req.vertices:
-                meta[v] = v in server.attrs.iv_cache
-                payload[v] = server.local_vertex_attr(v)
+            block = server.local_rows(req.vertices)
+            return block, {}, int(block.offsets[-1])
+        payload = {}
+        meta: "dict[int, bool]" = {}
+        for v in req.vertices:
+            meta[v] = v in server.attrs.iv_cache
+            payload[v] = server.local_vertex_attr(v)
         return payload, meta, sum(map(len, payload.values()))
 
     def execute(self, requests: "list[Request]") -> "list[Response]":

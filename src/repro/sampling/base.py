@@ -122,9 +122,10 @@ class StoreProvider(NeighborProvider):
 
     A frontier is deduplicated (sorted unique ids) and fetched with **one**
     ``store.get_neighbors_batch`` read — one coalesced RPC per destination
-    server via the runtime — then packed into a block of exactly those
-    rows. Nothing is kept between calls, so a row is never older than the
-    read that fetched it.
+    server via the runtime. The read answers with the rows of exactly those
+    ids, in that order, as one ragged block, and its arrays become the
+    kernels' block as they are: nothing is re-packed. Nothing is kept
+    between calls, so a row is never older than the read that fetched it.
     """
 
     def __init__(self, store: "object", from_part: int) -> None:
@@ -145,9 +146,9 @@ class StoreProvider(NeighborProvider):
         ids = ordered[first]
         rows = np.empty(ordered.size, dtype=np.intp)
         rows[perm] = first.cumsum() - 1
-        fetched = self.store.get_neighbors_batch(ids, from_part=self.from_part)
-        packed = [fetched[v] for v in ids.tolist()]
-        return CsrAdjacency.from_rows(packed, ids), rows
+        block = self.store.get_neighbors_batch(ids, from_part=self.from_part)
+        indices = block.indices
+        return CsrAdjacency(block.offsets, indices, np.ones(indices.size)), rows
 
     def neighbors(self, vertex: int) -> np.ndarray:
         """Out-neighbor ids of ``vertex``: one unbatched store read."""

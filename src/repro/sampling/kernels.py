@@ -17,9 +17,9 @@ expands in a handful of numpy kernel calls:
 A block is whatever a :class:`~repro.sampling.base.NeighborProvider` hands
 back for a frontier: in-memory providers give their whole-graph snapshot
 (zero-copy off a :class:`Graph`, row ``v`` is vertex ``v``), the distributed
-store gives the rows of one priced batched read of the deduplicated
-frontier (row ``i`` is vertex ``ids[i]``). The kernels only ever see block
-rows; neighbor ids inside a block are always global.
+store gives the ragged block of one priced batched read of the deduplicated
+frontier, as the store packed it. The kernels only ever see block rows;
+neighbor ids inside a block are always global.
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ class CsrAdjacency:
     """Immutable ragged block of adjacency rows in CSR layout.
 
     ``indices[indptr[r]:indptr[r+1]]`` are the out-neighbors (global ids) of
-    row ``r`` and ``weights`` the aligned edge weights. ``ids`` names the
-    vertex each row belongs to — sorted and unique — and is ``None`` for a
-    whole-graph snapshot, where row ``v`` is vertex ``v``. The per-row
-    descending-weight ranking used by the deterministic samplers is built
-    lazily and cached.
+    row ``r`` and ``weights`` the aligned edge weights. Which vertex a row
+    belongs to is the provider's business: row ``v`` of a whole-graph
+    snapshot is vertex ``v``, and a frontier block comes with the row of
+    each frontier vertex. The per-row descending-weight ranking used by the
+    deterministic samplers is built lazily and cached.
     """
 
     def __init__(
@@ -45,23 +45,19 @@ class CsrAdjacency:
         indptr: np.ndarray,
         indices: np.ndarray,
         weights: np.ndarray,
-        ids: "np.ndarray | None" = None,
     ) -> None:
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.weights = np.asarray(weights, dtype=np.float64)
-        self.ids = ids
         if self.indptr.ndim != 1 or self.indptr.size < 1:
             raise SamplingError("CSR indptr must be a non-empty 1-D array")
-        self.degrees = np.diff(self.indptr)
-        if self.indptr[0] != 0 or np.any(self.degrees < 0):
+        self.degrees = self.indptr[1:] - self.indptr[:-1]
+        if self.indptr[0] != 0 or (self.degrees < 0).any():
             raise SamplingError("CSR indptr must be monotone from 0")
         if self.indices.shape != self.weights.shape or self.indices.ndim != 1:
             raise SamplingError("CSR indices/weights must be aligned 1-D arrays")
         if self.indptr[-1] != self.indices.size:
             raise SamplingError("CSR indptr does not cover the indices array")
-        if ids is not None and ids.shape != (self.indptr.size - 1,):
-            raise SamplingError("CSR ids must name every row")
         self._ranked: np.ndarray | None = None
 
     @classmethod
@@ -69,33 +65,6 @@ class CsrAdjacency:
         """Zero-copy snapshot of an in-memory :class:`Graph`'s out-CSR."""
         indptr, indices, weights = graph.csr_arrays()
         return cls(indptr, indices, weights)
-
-    @classmethod
-    def from_rows(
-        cls, rows: "list[np.ndarray]", ids: "np.ndarray | None" = None
-    ) -> "CsrAdjacency":
-        """Pack per-vertex neighbor rows into a uniformly weighted block.
-
-        The arrays are built here to the constructor's invariants, so they
-        are set directly (``degrees`` *is* the row lengths); only ``ids``,
-        which the caller supplies, is checked.
-        """
-        counts = np.fromiter(map(len, rows), np.int64, len(rows))
-        if ids is not None and ids.shape != counts.shape:
-            raise SamplingError("CSR ids must name every row")
-        block = cls.__new__(cls)
-        block.indptr = np.zeros(counts.size + 1, dtype=np.int64)
-        counts.cumsum(out=block.indptr[1:])
-        block.indices = (
-            np.concatenate(rows).astype(np.int64, copy=False)
-            if rows
-            else np.zeros(0, dtype=np.int64)
-        )
-        block.weights = np.ones(block.indices.size, dtype=np.float64)
-        block.degrees = counts
-        block.ids = ids
-        block._ranked = None
-        return block
 
     @property
     def n_vertices(self) -> int:

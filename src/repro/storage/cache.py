@@ -15,12 +15,19 @@ LRU fills on access. Figure 9 compares the three at equal capacity.
 
 from __future__ import annotations
 
+from itertools import repeat, starmap
+from operator import getitem
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.errors import StorageError
 from repro.graph.graph import Graph
 from repro.storage.importance import MAX_HOP, importance_scores
 from repro.utils.lru import LRUCache
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.storage.server import RowBlock
 
 
 class NeighborCache:
@@ -73,7 +80,7 @@ class NeighborCache:
         if hits:
             vertices = [v for v in vertices if v not in pinned]
         found, misses = self._lru.get_many(vertices)
-        hits.update(found)
+        hits.update(zip(found, starmap(getitem, found.values())))
         self.hits += n_lookups - len(misses)
         self.misses += len(misses)
         return hits, misses
@@ -89,7 +96,8 @@ class NeighborCache:
         value = self._pinned.get(vertex)
         if value is not None:
             return value
-        return self._lru.peek(vertex)
+        entry = self._lru.peek(vertex)
+        return None if entry is None else entry[0][entry[1]]
 
     def is_pinned(self, vertex: int) -> bool:
         """Whether ``vertex`` is held as a pinned (policy-selected) entry."""
@@ -118,21 +126,27 @@ class NeighborCache:
         """Sorted ids of every entry, pinned or demand-filled."""
         return tuple(sorted({*self._pinned, *self._lru.keys()}))
 
-    def admit_many(self, rows: "dict[int, np.ndarray]") -> None:
-        """Offer each fetched ``vertex -> row`` of ``rows``, in order, for
-        demand-filled (LRU) caching.
+    def admit_many(self, block: "RowBlock") -> None:
+        """Offer each row of a fetched ``block``, in order, for demand-filled
+        (LRU) caching.
 
         Pinned policies set LRU capacity to 0, making this a no-op; the LRU
         policy relies on it entirely. The store hands a whole neighbors
-        response here, so the rows are taken as served (int64 arrays), not
-        re-coerced.
+        response here. An LRU entry is the response's indices and the row's
+        slice, cut when the row is read: a fill makes no array per row (a
+        copy per row costs more than the rest of the fill), and at most
+        ``capacity`` responses outlive their read this way.
         """
         lru = self._lru
         if lru.capacity == 0:
             return
-        if self._pinned:
-            rows = {v: row for v, row in rows.items() if v not in self._pinned}
-        lru.put_many(rows)
+        bounds = block.offsets.tolist()
+        rows = zip(
+            block.ids.tolist(),
+            zip(repeat(block.indices), map(slice, bounds, bounds[1:])),
+        )
+        pinned = self._pinned
+        lru.put_many({v: row for v, row in rows if v not in pinned} if pinned else dict(rows))
 
     def invalidate(self, vertex: int) -> None:
         """Drop any cached copy of ``vertex``'s neighbors (after an update).

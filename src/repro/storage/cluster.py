@@ -37,11 +37,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from repro.errors import ReadUnavailableError, RetryExhaustedError, StorageError
-from repro.graph.graph import Graph
+from repro.graph.graph import FEW_ROWS, Graph, pack_rows, split_rows, take_rows
 from repro.storage.cache import CachePolicy, make_caches
 from repro.storage.costmodel import (
     EV_ATTR_CACHE_HIT,
@@ -64,12 +65,13 @@ from repro.runtime.rpc import KIND_ATTRS, KIND_NEIGHBORS, RpcRuntime
 from repro.storage.partition.base import PartitionAssignment, Partitioner
 from repro.storage.partition.hashcut import EdgeCutPartitioner
 from repro.storage.replicas import ReplicaRegistry
-from repro.storage.server import GraphServer
+from repro.storage.server import GraphServer, RowBlock
 from repro.utils.rng import make_rng
 from repro.utils.timer import CostAccumulator
 
 #: What a vertex id may be (``bool`` excepted): anything else is rejected
-#: before it can be truncated into an int64 row or alias another id.
+#: before it can be truncated into an int64 row or alias another id. A read
+#: batch holds to the same rule through its dtype kind.
 _INTEGER = (int, np.integer)
 
 
@@ -133,6 +135,9 @@ class DistributedGraphStore:
             self._install_caches(cache_policy, self._cache_budget)
         self._failed: set[int] = set()
         self.runtime: "RpcRuntime | None" = None
+        # Scratch for putting a read's blocks in request order: a merge
+        # writes the entries of its ids, then reads them.
+        self._position = np.empty(graph.n_vertices, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # Cache installation
@@ -167,7 +172,11 @@ class DistributedGraphStore:
 
     def owner(self, vertex: int) -> int:
         """The worker owning ``vertex``."""
-        if not 0 <= vertex < self.graph.n_vertices:
+        if (
+            isinstance(vertex, bool)
+            or not isinstance(vertex, _INTEGER)
+            or not 0 <= vertex < self.graph.n_vertices
+        ):
             raise StorageError(f"unknown vertex {vertex}")
         return int(self.assignment.vertex_to_part[vertex])
 
@@ -268,21 +277,25 @@ class DistributedGraphStore:
 
     def _resolve_read(
         self, kind: str, vertices: "np.ndarray | list[int]", from_part: int
-    ) -> "dict[int, np.ndarray]":
-        """Resolve a deduplicated read batch as seen by ``from_part``.
+    ) -> "RowBlock | dict[int, np.ndarray]":
+        """Resolve a read batch as seen by ``from_part``.
 
-        The batch is classified once and each arm is served in bulk, in
-        this order: vertices the issuer owns read its shard (local); the
+        The ids (a 1-D integer batch, ``bool`` excepted) and the issuer are
+        checked before anything is charged. The batch is deduplicated to
+        first-seen order, classified once and each arm is served in bulk,
+        in this order: vertices the issuer owns read its shard (local); the
         rest probe the issuer's neighbor cache in batch order; misses whose
         owner is fail-stopped fail over to a replica and misses whose owner
         is suspect route to one (with probing) — the only per-vertex arm,
         entered only when such an owner exists; what is left goes remote
         via the runtime, one coalesced request per owning server, and a
-        successful response is absorbed whole (results, shipping charge,
+        successful response is absorbed whole (rows, shipping charge,
         demand fill). RPC failures past the retry budget fall back to
         replica failover per vertex and raise
         :class:`~repro.errors.RetryExhaustedError` when no replica holds
-        the data (or degrade, see ``degraded_reads``).
+        the data (or degrade, see ``degraded_reads``). A neighbors read
+        answers with one :class:`RowBlock` in batch order, an attribute
+        read with a dict of rows by vertex.
 
         The ledger is charged per arm (``record(event, times=n)``): the
         contract is the per-span event *counts*, not the order events were
@@ -292,8 +305,18 @@ class DistributedGraphStore:
         """
         if kind not in (KIND_NEIGHBORS, KIND_ATTRS):
             raise StorageError(f"unknown read kind {kind!r}")
-        if not 0 <= from_part < self.n_workers:
+        if (
+            isinstance(from_part, bool)
+            or not isinstance(from_part, _INTEGER)
+            or not 0 <= from_part < len(self.servers)
+        ):
             raise StorageError(f"unknown worker {from_part}")
+        arr = np.asarray(vertices)
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+            raise StorageError(
+                f"vertex ids must be a 1-D batch of integers, got {arr.dtype} "
+                f"of shape {arr.shape}"
+            )
         if from_part in self._failed:
             raise StorageError(f"issuing worker {from_part} is down")
         runtime = self._ensure_runtime()
@@ -301,7 +324,7 @@ class DistributedGraphStore:
             "store.resolve_read", kind=kind, issuer=from_part
         ) as read_span:
             results = self._resolve_read_traced(
-                kind, vertices, from_part, runtime, read_span
+                kind, arr.astype(np.int64, copy=False), from_part, runtime, read_span
             )
         if runtime.timeseries is not None:
             runtime.timeseries.poll()
@@ -310,46 +333,57 @@ class DistributedGraphStore:
     def _resolve_read_traced(
         self,
         kind: str,
-        vertices: "np.ndarray | list[int]",
+        vertices: np.ndarray,
         from_part: int,
         runtime: RpcRuntime,
         read_span: "object",
-    ) -> "dict[int, np.ndarray]":
+    ) -> "RowBlock | dict[int, np.ndarray]":
         neighbors = kind == KIND_NEIGHBORS
         issuer = self.servers[from_part]
         ledger = self.ledger
         rec = runtime.recorder
 
         # Dedup to first-seen order (what a dict keeps), so every arm below
-        # — cache recency, fills, request payloads — sees a stable order;
-        # validate the ids with array ops.
-        arr = np.asarray(vertices, dtype=np.int64).reshape(-1)
-        ids = list(dict.fromkeys(arr.tolist()))
-        uniq = arr if len(ids) == arr.size else np.array(ids, dtype=np.int64)
-        oob = (uniq < 0) | (uniq >= self.graph.n_vertices)
-        if oob.any():
-            raise StorageError(f"unknown vertex {int(uniq[oob][0])}")
+        # — cache recency, fills, request payloads — sees a stable order,
+        # then split the batch into the issuer's own vertices (local arm)
+        # and the rest (cache arm). A few ids take plain lists; a large
+        # batch takes array ops (np.unique keeps each id's first index).
+        # ``uniq`` becomes the answer's ids: never the caller's array.
+        n = self.graph.n_vertices
+        vertex_to_part = self.assignment.vertex_to_part
+        if vertices.size > FEW_ROWS:
+            uniq = vertices[np.sort(np.unique(vertices, return_index=True)[1])]
+            unknown = (uniq < 0) | (uniq >= n)
+            if unknown.any():
+                raise StorageError(f"unknown vertex {int(uniq[unknown][0])}")
+            is_local = vertex_to_part[uniq] == from_part
+            local, foreign = uniq[is_local].tolist(), uniq[~is_local].tolist()
+        else:
+            ids = list(dict.fromkeys(vertices.tolist()))
+            if ids and (min(ids) < 0 or max(ids) >= n):
+                bad = next(v for v in ids if not 0 <= v < n)
+                raise StorageError(f"unknown vertex {bad}")
+            uniq = np.array(ids, dtype=np.int64)
+            owners = vertex_to_part[uniq].tolist()
+            local = [v for v, p in zip(ids, owners) if p == from_part]
+            foreign = [v for v, p in zip(ids, owners) if p != from_part]
 
-        # Classify once, on plain lists (small reads dominate serving, and
-        # a handful of mask ops costs more than the ids they sort): owned
-        # by the issuer -> local arm, everything else -> cache arm.
-        owner_of = dict(zip(ids, self.assignment.vertex_to_part[uniq].tolist()))
-        local = [v for v in ids if owner_of[v] == from_part]
-        foreign = [v for v in ids if owner_of[v] != from_part]
-
+        # A neighbors read collects blocks (the local arm, each response)
+        # and single rows (cache hits, routed and failover reads).
+        blocks: "list[RowBlock]" = []
+        rows: "dict[int, np.ndarray]" = {}
         if neighbors:
-            results = issuer.local_rows(local)
             if local:
+                blocks.append(issuer.local_rows(local))
                 ledger.record(EV_LOCAL_READ, times=len(local))
         else:
             # The IV-LRU front moves per access, so attribute rows decode
             # one by one.
-            results = {}
             for v in local:
                 if not issuer.attrs.has_vertex_attr(v):
                     raise StorageError(f"vertex {v} has no attributes stored")
                 was_cached = v in issuer.attrs.iv_cache
-                results[v] = issuer.local_vertex_attr(v)
+                rows[v] = issuer.local_vertex_attr(v)
                 ledger.record(EV_ATTR_CACHE_HIT if was_cached else EV_ATTR_DECODE)
         if rec is not None:
             for v in local:
@@ -359,35 +393,34 @@ class DistributedGraphStore:
         if neighbors and foreign:
             hits, missed = issuer.neighbor_cache.get_many(foreign)
             if hits:
-                results.update(hits)
+                rows.update(hits)
                 ledger.record(EV_CACHE_HIT, times=len(hits))
                 if rec is not None:
                     for v in hits:
-                        rec.record(v, owner_of[v], from_part, "cache_hit")
+                        rec.record(v, int(vertex_to_part[v]), from_part, "cache_hit")
 
         # Only a fail-stopped or suspect owner needs per-vertex routing
         # (attribute rows have no replicas to route a suspect's reads to).
         if missed and (
             self._failed or (neighbors and runtime.health.suspect_parts)
         ):
-            missed = self._route_around(
-                kind, missed, owner_of, from_part, runtime, results
-            )
+            missed = self._route_around(kind, missed, from_part, runtime, rows)
         if not neighbors:
-            for v in missed:
-                if not self.servers[owner_of[v]].attrs.has_vertex_attr(v):
+            for v, owner in zip(missed, vertex_to_part[missed].tolist()):
+                if not self.servers[owner].attrs.has_vertex_attr(v):
                     raise StorageError(f"vertex {v} has no attributes stored")
 
         read_span.annotate(
-            vertices=len(ids),
-            resolved_local=len(results),
+            vertices=uniq.size,
+            resolved_local=len(rows) + (len(local) if neighbors else 0),
             remote=len(missed),
         )
         if not missed:
-            return results
+            return self._in_request_order(uniq, blocks, rows) if neighbors else rows
         with runtime.tracer.span("batch.plan", kind=kind) as plan_span:
+            missed = np.array(missed, dtype=np.int64)
             requests = runtime.plan(
-                kind, from_part, missed, [owner_of[v] for v in missed]
+                kind, from_part, missed, self.assignment.vertex_to_part[missed]
             )
             plan_span.annotate(reads=len(missed), batches=len(requests))
         demand_fill = (
@@ -399,7 +432,7 @@ class DistributedGraphStore:
             if not resp.ok:
                 for v in req.vertices:
                     try:
-                        results[v] = self._failover_read(v, from_part, kind)
+                        rows[v] = self._failover_read(v, from_part, kind)
                     except ReadUnavailableError as exc:
                         raise RetryExhaustedError(
                             f"{kind} of vertex {v}: {resp.error}, "
@@ -408,29 +441,69 @@ class DistributedGraphStore:
                         ) from exc
                 continue
             payload = resp.payload
-            results.update(payload)
             ledger.record(EV_REMOTE_RPC)
             if rec is not None:
-                for v in payload:
+                for v in req.vertices:
                     rec.record(v, req.dst_part, from_part, "remote")
             if neighbors:
+                blocks.append(payload)
                 ledger.record(EV_ITEM_SHIPPED, times=resp.n_items)
                 if demand_fill:
                     issuer.neighbor_cache.admit_many(payload)
-                    ledger.record(EV_CACHE_FILL, times=len(payload))
+                    ledger.record(EV_CACHE_FILL, times=len(req.vertices))
             else:
+                rows.update(payload)
                 iv_hits = sum(resp.meta.values())
                 if iv_hits:
                     ledger.record(EV_ATTR_CACHE_HIT, times=iv_hits)
                 if iv_hits < len(payload):
                     ledger.record(EV_ATTR_DECODE, times=len(payload) - iv_hits)
-        return results
+        return self._in_request_order(uniq, blocks, rows) if neighbors else rows
+
+    def _in_request_order(
+        self,
+        uniq: np.ndarray,
+        blocks: "list[RowBlock]",
+        rows: "dict[int, np.ndarray]",
+    ) -> RowBlock:
+        """The read's rows as one block in the order of ``uniq``, which
+        ``blocks`` (each in request order) and ``rows`` partition.
+
+        A block that answered the whole read is the answer. A few rows are
+        packed row by row; more are gathered once, by position, out of the
+        blocks and the single rows laid end to end.
+        """
+        if len(blocks) == 1 and not rows:
+            return blocks[0]
+        if uniq.size <= FEW_ROWS or not blocks:
+            for block in blocks:
+                rows.update(zip(block.ids.tolist(), split_rows(block.offsets, block.indices)))
+            return RowBlock(uniq, *pack_rows([rows[v] for v in uniq.tolist()]))
+        ids, starts, indices, base = [], [], [], 0
+        for block in blocks:
+            ids.append(block.ids)
+            starts.append(block.offsets[:-1] + base)
+            indices.append(block.indices)
+            base += block.indices.size
+        # The single rows follow, each its own piece; the last start is the end.
+        ids.append(np.fromiter(rows, np.int64, len(rows)))
+        row_starts = accumulate(map(len, rows.values()), initial=base)
+        starts.append(np.fromiter(row_starts, np.int64, len(rows) + 1))
+        indices.extend(rows.values())
+        ids = np.concatenate(ids)
+        position = self._position
+        position[ids] = np.arange(ids.size)
+        bounds = np.concatenate(starts)
+        order = position[uniq]
+        offsets, indices = take_rows(
+            bounds[:-1][order], bounds[1:][order], np.concatenate(indices)
+        )
+        return RowBlock(uniq, offsets, indices)
 
     def _route_around(
         self,
         kind: str,
         missed: "list[int]",
-        owner_of: "dict[int, int]",
         from_part: int,
         runtime: RpcRuntime,
         results: "dict[int, np.ndarray]",
@@ -446,8 +519,7 @@ class DistributedGraphStore:
         health = runtime.health
         rec = runtime.recorder
         remote: "list[int]" = []
-        for v in missed:
-            owner = owner_of[v]
+        for v, owner in zip(missed, self.assignment.vertex_to_part[missed].tolist()):
             if owner in self._failed:
                 results[v] = self._failover_read(v, from_part, kind)
                 continue
@@ -475,9 +547,7 @@ class DistributedGraphStore:
         of vertices owned by failed workers fail over to any healthy cache
         replica (or raise when none exists).
         """
-        return self._resolve_read(KIND_NEIGHBORS, (vertex,), from_part)[
-            int(vertex)
-        ]
+        return self._resolve_read(KIND_NEIGHBORS, (vertex,), from_part).indices
 
     def vertex_attr(self, vertex: int, from_part: int) -> np.ndarray:
         """Attribute row of ``vertex`` as seen by worker ``from_part``.
@@ -491,16 +561,19 @@ class DistributedGraphStore:
 
     def get_neighbors_batch(
         self, vertices: "np.ndarray | list[int]", from_part: int
-    ) -> "dict[int, np.ndarray]":
+    ) -> RowBlock:
         """Out-neighbors of a vertex batch as seen by worker ``from_part``.
 
-        Routing per vertex is identical to :meth:`neighbors` (same shared
-        path), but all remote misses coalesce into one deduplicated
-        request per owning server through the runtime: the ledger charges
-        one ``remote_rpc`` per batch plus per-item shipping. A batch whose
-        retries are exhausted falls back to a per-vertex failover read and
-        raises :class:`~repro.errors.RetryExhaustedError` when no replica
-        holds the vertex.
+        Answers with one :class:`RowBlock`: ``ids`` is the batch with
+        repeats dropped, in first-seen order, and row ``i`` of the block is
+        ``ids[i]``'s out-neighbors. Routing per vertex is identical to
+        :meth:`neighbors` (same shared path), but all remote misses
+        coalesce into one deduplicated request per owning server through
+        the runtime: the ledger charges one ``remote_rpc`` per batch plus
+        per-item shipping. A batch whose retries are exhausted falls back
+        to a per-vertex failover read and raises
+        :class:`~repro.errors.RetryExhaustedError` when no replica holds
+        the vertex.
         """
         return self._resolve_read(KIND_NEIGHBORS, vertices, from_part)
 
@@ -590,7 +663,8 @@ class DistributedGraphStore:
                 cache = server.neighbor_cache
                 for src in cache.invalidate_many(touched):
                     owner, sizes = changed[src]
-                    cache.pin(src, self.servers[owner].local_neighbors(src))
+                    # A copy: a view would keep the owner's whole row array alive.
+                    cache.pin(src, self.servers[owner].local_neighbors(src).copy())
                     if p != owner:
                         refreshes += len(sizes)
                         shipped += sum(sizes)

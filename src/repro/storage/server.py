@@ -1,15 +1,17 @@
 """One simulated graph server: a partition's shard plus its caches (§3.2).
 
 A :class:`GraphServer` owns a set of vertices and the out-adjacency rows of
-their edges. The shard is columnar: at construction the owned rows are
-copied out of the graph's CSR as *one* contiguous slice of neighbor ids (one
-gather) and every row is served as a view of that slice, so a row read is one
-dict lookup. A shard holds neighbor ids only, never edge weights: no reader
-asks a store for them. Writes — streaming edge updates and
-vertex migration — never edit a row in place: they replace the touched
-vertex's row with a fresh array (one per write batch, see
-:meth:`GraphServer.edit_row`), so a row handed out (or pinned as a
-replica) earlier keeps the contents it had.
+their edges. The shard is columnar: one array of neighbor ids, seeded at
+construction with the owned rows copied out of the graph's CSR (one
+gather), and a vertex-indexed span table saying where each owned row lies
+in it. A batch read gathers its rows out of that array in a handful of
+array ops and answers with a :class:`RowBlock`; no row is held as an array
+object of its own. A shard holds neighbor ids only, never edge weights: no
+reader asks a store for them. Writes — streaming edge updates and vertex
+migration — never edit a row in place: the new row is appended past every
+row handed out and the span re-pointed (a full array is copied into a
+larger one, one mostly of dead rows is compacted into a fresh one), so a
+row handed out (or pinned as a replica) earlier keeps the contents it had.
 
 Attributes live in a :class:`SeparateAttributeStore` (the IV index behind
 an LRU front) and a :class:`NeighborCache` holds important *remote* vertices'
@@ -19,12 +21,25 @@ neighbor lists. All cross-server traffic is mediated — and accounted — by
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.errors import StorageError
-from repro.graph.graph import Graph
+from repro.graph.graph import FEW_ROWS, Graph, pack_rows, take_rows
 from repro.storage.attributes import SeparateAttributeStore
 from repro.storage.cache import NeighborCache
+
+
+class RowBlock(NamedTuple):
+    """Neighbor rows of distinct vertices as one ragged block: row ``i``,
+    ``indices[offsets[i]:offsets[i + 1]]``, is the out-neighbors of
+    ``ids[i]`` (all int64). What a shard read, a neighbors RPC and a store
+    read answer with."""
+
+    ids: np.ndarray
+    offsets: np.ndarray
+    indices: np.ndarray
 
 
 class GraphServer:
@@ -39,28 +54,32 @@ class GraphServer:
     ) -> None:
         self.part_id = part_id
         # The copy is what makes the shard a real shard — reads of non-owned
-        # vertices cannot be served from here. The vertex -> row-view map is
-        # built eagerly: a lazily sliced row would move the slicing into the
-        # first read of every vertex.
+        # vertices cannot be served from here.
         owned = np.asarray(owned_vertices, dtype=np.int64)
-        offsets, indices = graph.csr_slice(owned)
-        bounds = offsets.tolist()
-        self._adjacency: dict[int, np.ndarray] = {
-            v: indices[a:b] for v, a, b in zip(owned.tolist(), bounds, bounds[1:])
-        }
-        self._n_local_edges: int = bounds[-1]
+        offsets, self._indices = graph.csr_slice(owned)
+        self._n = graph.n_vertices
+        # v's row is _indices[_start[v + 1]:_stop[v + 1]]; _start is -1 where
+        # v is not owned here. Both ends pad, so a lookup clipped to the
+        # table answers "not owned" for any id outside [0, n): none wraps.
+        self._start = np.full(self._n + 2, -1, dtype=np.int64)
+        self._stop = np.zeros(self._n + 2, dtype=np.int64)
+        self._start[owned + 1] = offsets[:-1]
+        self._stop[owned + 1] = offsets[1:]
+        #: Cells of _indices written so far, live rows and replaced ones.
+        self._used = self._n_local_edges = int(offsets[-1])
         self.attrs = SeparateAttributeStore(vertex_cache_capacity=attr_cache_capacity)
         self.neighbor_cache = NeighborCache(0)
 
     def __repr__(self) -> str:
+        owned = int(np.count_nonzero(self._start >= 0))
         return (
-            f"GraphServer(part={self.part_id}, vertices={len(self._adjacency)}, "
+            f"GraphServer(part={self.part_id}, vertices={owned}, "
             f"cache={len(self.neighbor_cache)})"
         )
 
     def owns(self, vertex: int) -> bool:
         """Whether this server is the owner of ``vertex``."""
-        return vertex in self._adjacency
+        return 0 <= vertex < self._n and self._start[vertex + 1] >= 0
 
     @property
     def n_local_edges(self) -> int:
@@ -69,43 +88,54 @@ class GraphServer:
 
     def local_neighbors(self, vertex: int) -> np.ndarray:
         """Out-neighbors of an owned vertex (raises if not owned)."""
-        try:
-            return self._adjacency[vertex]
-        except KeyError:
-            raise StorageError(
-                f"server {self.part_id} does not own vertex {vertex}"
-            ) from None
+        if not self.owns(vertex):
+            raise StorageError(f"server {self.part_id} does not own vertex {vertex}")
+        return self._indices[self._start[vertex + 1] : self._stop[vertex + 1]]
 
-    def local_rows(self, vertices: "list[int]") -> "dict[int, np.ndarray]":
-        """Out-neighbor rows of a batch of owned vertices, by vertex.
+    def local_rows(self, vertices: "np.ndarray | list[int]") -> RowBlock:
+        """Out-neighbor rows of distinct owned vertices, as one block.
 
-        :meth:`local_neighbors` for the whole batch in one call; raises the
-        same error, naming the first vertex this shard does not own.
+        The block's rows follow ``vertices``. Raises the error
+        :meth:`local_neighbors` raises, naming the first vertex this shard
+        does not own.
         """
-        adjacency = self._adjacency
-        try:
-            return {v: adjacency[v] for v in vertices}
-        except KeyError as exc:
+        ids = np.asarray(vertices, dtype=np.int64)
+        if ids.size <= FEW_ROWS:  # a few rows: look each up, one pack
+            rows = []
+            for v in ids.tolist():
+                start = self._start.item(v + 1) if 0 <= v < self._n else -1
+                if start < 0:
+                    raise StorageError(f"server {self.part_id} does not own vertex {v}")
+                rows.append(self._indices[start : self._stop.item(v + 1)])
+            if len(rows) == 1:  # a block never shares memory with the shard
+                return RowBlock(ids, np.array([0, rows[0].size]), rows[0].copy())
+            return RowBlock(ids, *pack_rows(rows))
+        slots = ids + 1
+        starts = np.take(self._start, slots, mode="clip")
+        if ids.size and starts.min() < 0:
             raise StorageError(
-                f"server {self.part_id} does not own vertex {exc.args[0]}"
-            ) from None
+                f"server {self.part_id} does not own vertex {int(ids[starts < 0][0])}"
+            )
+        return RowBlock(ids, *take_rows(starts, self._stop[slots], self._indices))
 
     def edit_row(self, vertex: int, ops: "list[tuple[str, int]]") -> "list[int]":
         """Apply ``(kind, dst)`` edits to an owned vertex's row, in order.
 
         The streaming-update path: ``"add"`` appends an arc to ``dst``,
         ``"remove"`` drops the first ``vertex -> dst`` arc and is a no-op
-        when there is none. The edits run on a plain list and the row is
-        installed once, as a fresh array, only if one of them changed it.
-        Returns the row's size after each edit that changed it.
+        when there is none. The edits run on a plain list and the new row
+        is written once, only if one of them changed it. Returns the row's
+        size after each edit that changed it.
         """
-        try:
-            row = self._adjacency[vertex]
-        except KeyError:
+        # The lookup is spelled out, not delegated to owns(): a write batch
+        # makes one Python call per touched row.
+        start = self._start.item(vertex + 1) if 0 <= vertex < self._n else -1
+        if start < 0:
             raise StorageError(
                 f"server {self.part_id} cannot edit the row of foreign vertex {vertex}"
-            ) from None
-        dsts = row.tolist()
+            )
+        stop = self._stop.item(vertex + 1)
+        dsts = self._indices[start:stop].tolist()
         sizes: "list[int]" = []
         for kind, dst in ops:
             if kind == "add":
@@ -117,9 +147,30 @@ class GraphServer:
                     continue
             sizes.append(len(dsts))
         if sizes:
-            self._adjacency[vertex] = np.array(dsts, dtype=np.int64)
-            self._n_local_edges += len(dsts) - row.size
+            # Append past every row handed out; a full array is copied into
+            # a larger one, so views of the old array keep their contents.
+            used, end = self._used, self._used + len(dsts)
+            if end > self._indices.size:
+                spare = np.empty(max(used, len(dsts)), dtype=np.int64)
+                self._indices = np.concatenate((self._indices[:used], spare))
+            self._indices[used:end] = dsts
+            self._start[vertex + 1] = used
+            self._stop[vertex + 1] = end
+            self._used = end
+            self._n_local_edges += len(dsts) - (stop - start)
+            if self._used > 2 * self._n_local_edges:
+                self._compact()
         return sizes
+
+    def _compact(self) -> None:
+        """Move the live rows into a fresh array once replaced ones dominate."""
+        slots = np.flatnonzero(self._start >= 0)
+        offsets, self._indices = take_rows(
+            self._start[slots], self._stop[slots], self._indices
+        )
+        self._start[slots] = offsets[:-1]
+        self._stop[slots] = offsets[1:]
+        self._used = int(offsets[-1])
 
     def ingest_vertex(
         self,
@@ -132,16 +183,18 @@ class GraphServer:
         The migration protocol installs here *before* the old owner
         releases, so every instant has at least one server able to serve
         the row. Re-ingesting an owned vertex is an error — the controller
-        must never double-commit.
+        must never double-commit. The row is written as adds to an empty
+        one.
         """
         vertex = int(vertex)
+        if not 0 <= vertex < self._n:
+            raise StorageError(f"server {self.part_id} cannot ingest unknown vertex {vertex}")
         if self.owns(vertex):
             raise StorageError(
                 f"server {self.part_id} already owns vertex {vertex}"
             )
-        neighbors = np.asarray(neighbors, dtype=np.int64)
-        self._adjacency[vertex] = neighbors
-        self._n_local_edges += neighbors.size
+        self._start[vertex + 1] = self._stop[vertex + 1] = self._used
+        self.edit_row(vertex, [("add", dst) for dst in np.asarray(neighbors).tolist()])
         if attr is not None:
             self.attrs.put_vertex_attr(vertex, attr)
 
@@ -153,11 +206,8 @@ class GraphServer:
         foreign release is an error so unit misuse surfaces loudly.
         """
         vertex = int(vertex)
-        if not self.owns(vertex):
-            raise StorageError(
-                f"server {self.part_id} does not own vertex {vertex}"
-            )
-        neighbors = self._adjacency.pop(vertex)
+        neighbors = self.local_neighbors(vertex)
+        self._start[vertex + 1] = -1
         self._n_local_edges -= neighbors.size
         return neighbors, self.attrs.remove_vertex_attr(vertex)
 

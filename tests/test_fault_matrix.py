@@ -30,7 +30,7 @@ from repro.storage.costmodel import (
     EV_REMOTE_RPC,
 )
 from repro.utils.rng import make_rng
-from tests.conftest import bench_script
+from tests.conftest import bench_script, block_rows
 
 N_WORKERS = 3
 SEED = 11
@@ -83,7 +83,8 @@ def _pin_replica(store: DistributedGraphStore, part: int, vertex: int):
 def test_healthy_neighbors_scalar_equals_batch(fm_graph):
     scalar, batch = _fresh_store(fm_graph), _fresh_store(fm_graph)
     vertices = list(range(40))
-    rows = batch.get_neighbors_batch(vertices, from_part=0)
+    rows = block_rows(batch.get_neighbors_batch(vertices, from_part=0))
+    assert list(rows) == vertices
     for v in vertices:
         np.testing.assert_array_equal(
             rows[v], scalar.neighbors(v, from_part=0)
@@ -117,7 +118,7 @@ def test_single_vertex_reads_emit_identical_events(fm_graph):
         scalar, batch = _fresh_store(fm_graph), _fresh_store(fm_graph)
         if kind == "neighbors":
             a = scalar.neighbors(v, from_part=0)
-            b = batch.get_neighbors_batch([v], from_part=0)[v]
+            b = batch.get_neighbors_batch([v], from_part=0).indices
         else:
             a = scalar.vertex_attr(v, from_part=0)
             b = batch.get_attrs_batch([v], from_part=0)[v]
@@ -139,7 +140,7 @@ def test_failed_owner_neighbors_failover_parity(fm_graph):
         _pin_replica(store, part=1, vertex=v)
         store.fail_worker(victim)
     a = scalar.neighbors(v, from_part=0)
-    b = batch.get_neighbors_batch([v], from_part=0)[v]
+    b = batch.get_neighbors_batch([v], from_part=0).indices
     np.testing.assert_array_equal(a, fm_graph.out_neighbors(v))
     np.testing.assert_array_equal(a, b)
     assert _events(scalar) == _events(batch)
@@ -239,7 +240,7 @@ def test_retry_exhausted_falls_over_to_replica_parity(fm_graph):
     for store in (scalar, batch):
         _pin_replica(store, replica_part, v)
     a = scalar.neighbors(v, from_part=0)
-    b = batch.get_neighbors_batch([v], from_part=0)[v]
+    b = batch.get_neighbors_batch([v], from_part=0).indices
     np.testing.assert_array_equal(a, fm_graph.out_neighbors(v))
     np.testing.assert_array_equal(a, b)
     assert _events(scalar) == _events(batch)
@@ -263,7 +264,7 @@ def test_degraded_reads_parity_and_attrs_never_degrade(fm_graph):
         store.fail_worker(victim)
     scalar, batch = stores
     a = scalar.neighbors(v, from_part=0)
-    b = batch.get_neighbors_batch([v], from_part=0)[v]
+    b = batch.get_neighbors_batch([v], from_part=0).indices
     assert a.size == 0 and b.size == 0
     assert scalar.ledger.count(EV_DEGRADED_READ) == 1
     assert _events(scalar) == _events(batch)

@@ -32,7 +32,7 @@ from repro.storage.costmodel import (
     EV_SUSPECT_ROUTE,
 )
 from repro.storage.replicas import ReplicaRegistry
-from tests.conftest import replica_holders
+from tests.conftest import pack_block, replica_holders
 
 
 # --------------------------------------------------------------------- #
@@ -102,7 +102,9 @@ def test_holders_equal_cache_contents_under_churn(ops):
             except StorageError:  # pin capacity exhausted
                 pass
         elif op == "admit_many":
-            cache.admit_many({v: np.array([v, step], dtype=np.int64) for v in b})
+            cache.admit_many(
+                pack_block(b, {v: np.array([v, step], dtype=np.int64) for v in b})
+            )
         elif op == "commit_migration":
             old = store.owner(b)
             if old != a:

@@ -22,6 +22,7 @@ from repro.storage.cache import NeighborCache
 from repro.storage.cluster import make_store
 from repro.storage.costmodel import EV_ITEM_SHIPPED, EV_REMOTE_RPC
 from repro.utils.rng import make_rng
+from tests.conftest import block_rows, pack_block
 
 
 def _graph():
@@ -38,7 +39,8 @@ class PerVertexProvider(StoreProvider):
     def frontier_block(self, frontier):
         ids, rows = np.unique(frontier, return_inverse=True)
         fetched = {v: self.neighbors(v) for v in frontier.tolist()}
-        return CsrAdjacency.from_rows([fetched[v] for v in ids.tolist()], ids), rows
+        block = pack_block(ids, fetched)
+        return CsrAdjacency(block.offsets, block.indices, np.ones(block.indices.size)), rows
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 23, 99])
@@ -70,8 +72,8 @@ def test_get_neighbors_batch_matches_pointwise_reads():
     store_a = make_store(graph, 3, seed=0)
     store_b = make_store(graph, 3, seed=0)
     vertices = np.arange(60)
-    batch = store_b.get_neighbors_batch(vertices, from_part=1)
-    assert set(batch) == set(int(v) for v in vertices)
+    batch = block_rows(store_b.get_neighbors_batch(vertices, from_part=1))
+    assert list(batch) == vertices.tolist()
     for v in vertices:
         assert np.array_equal(batch[int(v)], store_a.neighbors(int(v), from_part=1))
     assert store_b.ledger.count(EV_REMOTE_RPC) <= store_b.n_workers - 1
@@ -104,7 +106,8 @@ def test_batch_read_deduplicates_repeated_vertices():
     )
     batch = store.get_neighbors_batch([v, v, v, v], from_part=0)
     assert store.ledger.count(EV_REMOTE_RPC) == 1
-    assert np.array_equal(batch[v], store.servers[store.owner(v)].local_neighbors(v))
+    assert batch.ids.tolist() == [v]
+    assert np.array_equal(batch.indices, store.servers[store.owner(v)].local_neighbors(v))
 
 
 # --------------------------------------------------------------------- #
@@ -190,7 +193,7 @@ def test_retry_exhaustion_falls_over_to_cache_replica():
     healthy = next(p for p in range(4) if p not in (0, store.owner(v)))
     store.servers[healthy].neighbor_cache = replica
     batch = store.get_neighbors_batch([v], from_part=0)
-    assert np.array_equal(batch[v], row)
+    assert np.array_equal(batch.indices, row)
     from repro.storage.costmodel import EV_FAILOVER_READ
 
     assert store.ledger.count(EV_FAILOVER_READ) == 1

@@ -31,6 +31,7 @@ from repro.sampling.randomwalk import random_walks
 from repro.storage.cache import ImportanceCachePolicy, LRUCachePolicy
 from repro.storage.cluster import make_store
 from repro.storage.costmodel import EV_ITEM_SHIPPED
+from repro.storage.server import RowBlock
 from repro.utils.alias import AliasTable, GroupedAliasTable, build_alias_arrays
 from repro.utils.rng import make_rng
 from repro.utils.stats import ZipfSampler, chi2_sf, chi_square_gof, zipf_probs
@@ -183,36 +184,18 @@ class TestCsrAdjacency:
         assert np.array_equal(csr.degrees, tiny_graph.out_degrees())
         assert csr.indices.size == int(tiny_graph.out_degrees().sum())
 
-    def test_from_rows_equals_from_graph(self, tiny_graph):
+    def test_store_block_equals_from_graph(self, tiny_graph):
+        # A store read of every vertex is the whole graph's CSR, uniformly
+        # weighted: the store's block reaches the kernels as it was packed.
         a = CsrAdjacency.from_graph(tiny_graph)
-        rows = [tiny_graph.out_neighbors(v) for v in range(tiny_graph.n_vertices)]
-        b = CsrAdjacency.from_rows(rows)
+        store = make_store(tiny_graph, 2, seed=0)
+        b, rows = StoreProvider(store, 0).frontier_block(
+            np.arange(tiny_graph.n_vertices, dtype=np.int64)
+        )
+        assert np.array_equal(rows, np.arange(tiny_graph.n_vertices))
         assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.indices, b.indices)
-        assert np.all(b.weights == 1.0)  # packed rows are uniformly weighted
-        assert CsrAdjacency.from_rows([]).n_vertices == 0
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        lengths=st.lists(st.integers(0, 5), max_size=8),
-        seed=st.integers(0, 2**16),
-        named=st.booleans(),
-    )
-    def test_from_rows_equals_validated_constructor(self, lengths, seed, named):
-        # from_rows sets its fields without re-validating them; the checked
-        # constructor over the same arrays is its oracle, dtypes included.
-        rng = make_rng(seed)
-        rows = [rng.integers(0, 50, size=k) for k in lengths]
-        ids = 3 * np.arange(len(rows), dtype=np.int64) if named else None
-        packed = CsrAdjacency.from_rows(rows, ids)
-        indptr = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
-        indices = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-        checked = CsrAdjacency(indptr, indices, np.ones(indices.size), ids)
-        for field in ("indptr", "indices", "weights", "degrees"):
-            got, want = getattr(packed, field), getattr(checked, field)
-            assert got.dtype == want.dtype and np.array_equal(got, want), field
-        assert packed.ids is checked.ids
-        assert np.array_equal(packed.ranked(), checked.ranked())
+        assert np.all(b.weights == 1.0)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -224,27 +207,21 @@ class TestCsrAdjacency:
     )
     @example(frontier=[7, 3, 7, 7, 0, 3])
     def test_frontier_dedup_equals_np_unique(self, frontier):
+        asked = []
+
         class EchoStore:
             def get_neighbors_batch(self, ids, from_part):
-                return {v: np.zeros(0, dtype=np.int64) for v in ids.tolist()}
+                asked.append(ids)
+                empty = np.zeros(ids.size + 1, dtype=np.int64)
+                return RowBlock(ids, empty, np.zeros(0, dtype=np.int64))
 
         frontier = np.asarray(frontier, dtype=np.int64)
         block, rows = StoreProvider(EchoStore(), 0).frontier_block(frontier)
         ids, inverse = np.unique(frontier, return_inverse=True)
-        assert block.ids.dtype == ids.dtype and np.array_equal(block.ids, ids)
+        (read,) = asked
+        assert read.dtype == ids.dtype and np.array_equal(read, ids)
+        assert block.n_vertices == ids.size
         assert rows.dtype == inverse.dtype and np.array_equal(rows, inverse)
-
-    def test_block_rows_are_named_by_ids(self, tiny_graph):
-        whole = CsrAdjacency.from_graph(tiny_graph)
-        assert whole.ids is None  # row v is vertex v
-        ids = np.array([1, 4], dtype=np.int64)
-        block = CsrAdjacency.from_rows(
-            [tiny_graph.out_neighbors(1), tiny_graph.out_neighbors(4)], ids
-        )
-        assert block.ids is ids
-        assert np.array_equal(block.neighbors(1), [0, 5])
-        with pytest.raises(SamplingError):
-            CsrAdjacency.from_rows([tiny_graph.out_neighbors(1)], ids)
 
     def test_validation_rejects_bad_indptr(self):
         with pytest.raises(SamplingError):
@@ -274,9 +251,7 @@ class TestCsrAdjacency:
         out = csr.sample_uniform(np.array([5]), 4, rng)  # 5 is a sink
         assert np.array_equal(out, np.full((1, 4), 5))
         # A frontier block pads with the vertex's global id, not its row.
-        block = CsrAdjacency.from_rows(
-            [tiny_graph.out_neighbors(5)], np.array([5], dtype=np.int64)
-        )
+        block = CsrAdjacency(np.zeros(2, dtype=np.int64), np.zeros(0), np.zeros(0))
         rows, pad = np.array([0]), np.array([5])
         for out in (
             block.sample_uniform(rows, 3, rng, pad),
@@ -630,7 +605,8 @@ class TestBackendSelection:
         provider = SnapshotProvider(dyn)
         frontier = np.array([3, 1, 3], dtype=np.int64)
         v0, rows = provider.frontier_block(frontier)
-        assert rows is frontier and v0.ids is None  # whole graph, row == id
+        # The whole graph, row == id.
+        assert rows is frontier and v0.n_vertices == dyn.snapshot(0).n_vertices
         assert provider.frontier_block(frontier)[0] is v0
         provider.advance(1)
         v1, _ = provider.frontier_block(frontier)

@@ -39,6 +39,7 @@ from repro.storage.costmodel import (
     EV_CACHE_FILL,
     EV_CACHE_HIT,
     EV_COORDINATION,
+    EV_DEGRADED_READ,
     EV_EDGE_INGESTED,
     EV_FAILOVER_READ,
     EV_ITEM_SHIPPED,
@@ -49,7 +50,8 @@ from repro.storage.costmodel import (
 )
 from repro.storage.partition.hashcut import EdgeCutPartitioner
 from repro.utils.rng import make_rng
-from tests.conftest import cache_admit, cache_get, replica_holders
+from repro.storage.server import RowBlock
+from tests.conftest import block_rows, cache_admit, cache_get, pack_block, replica_holders
 
 
 def test_local_read_accounted(small_powerlaw):
@@ -321,13 +323,7 @@ def per_vertex_dispatch(store, kind, vertices, from_part, runtime, read_span):
     ``ledger.record`` calls, in batch order.
     """
     health = runtime.health
-    issuer = store.servers[from_part]
-    nb_cache = issuer.neighbor_cache
-    demand_fill = (
-        kind == KIND_NEIGHBORS
-        and store.cache_policy is not None
-        and store.cache_policy.demand_filled
-    )
+    nb_cache = store.servers[from_part].neighbor_cache
     rec = runtime.recorder
     arr = np.asarray(vertices, dtype=np.int64).reshape(-1)
     if arr.size:
@@ -391,8 +387,20 @@ def per_vertex_dispatch(store, kind, vertices, from_part, runtime, read_span):
     read_span.annotate(
         vertices=int(uniq.size), resolved_local=len(results), remote=len(remote_v)
     )
-    if not remote_v:
-        return results
+    if remote_v:
+        _per_vertex_remote(store, kind, from_part, runtime, remote_v, remote_owner, results)
+    return pack_block(uniq, results) if kind == KIND_NEIGHBORS else results
+
+
+def _per_vertex_remote(store, kind, from_part, runtime, remote_v, remote_owner, results):
+    """The remote arm of :func:`per_vertex_dispatch`, one row at a time."""
+    issuer = store.servers[from_part]
+    demand_fill = (
+        kind == KIND_NEIGHBORS
+        and store.cache_policy is not None
+        and store.cache_policy.demand_filled
+    )
+    rec = runtime.recorder
     with runtime.tracer.span("batch.plan", kind=kind) as plan_span:
         requests = runtime.plan(kind, from_part, remote_v, remote_owner)
         plan_span.annotate(reads=len(remote_v), batches=len(requests))
@@ -400,12 +408,14 @@ def per_vertex_dispatch(store, kind, vertices, from_part, runtime, read_span):
         if resp.ok:
             store.ledger.record(EV_REMOTE_RPC)
             if rec is not None:
-                for v in resp.payload:
+                for v in req.vertices:
                     rec.record(v, req.dst_part, from_part, "remote")
             if kind == KIND_NEIGHBORS:
-                shipped = sum(int(row.size) for row in resp.payload.values())
+                rows = block_rows(resp.payload)
+                assert list(rows) == list(req.vertices)
+                shipped = sum(int(row.size) for row in rows.values())
                 store.ledger.record(EV_ITEM_SHIPPED, times=shipped)
-                for v, row in resp.payload.items():
+                for v, row in rows.items():
                     results[v] = row
                     if demand_fill:
                         cache_admit(issuer.neighbor_cache, v, row)
@@ -426,7 +436,6 @@ def per_vertex_dispatch(store, kind, vertices, from_part, runtime, read_span):
                         "and no healthy replica holds it",
                         resp.attempts,
                     ) from exc
-    return results
 
 
 N_PARTS = 4
@@ -487,17 +496,18 @@ def _nonzero_ledger(store):
 
 
 def _shard_state(store):
-    """Every shard's rows and edge count, as comparable bytes."""
+    """Every shard's rows and edge count, as comparable bytes, read through
+    the public shard calls."""
     out = []
     for server in store.servers:
-        owned = sorted(server._adjacency)
-        rows = [server.local_neighbors(v) for v in owned]
+        owned = [v for v in range(store.graph.n_vertices) if server.owns(v)]
+        block = server.local_rows(owned)
         out.append(
             (
                 server.n_local_edges,
                 tuple(owned),
-                tuple(row.size for row in rows),
-                np.concatenate(rows or [np.zeros(0, np.int64)]).tobytes(),
+                block.offsets.tobytes(),
+                block.indices.tobytes(),
             )
         )
     return out
@@ -550,7 +560,11 @@ def _both(stores, call):
     if kind_a != "ok":
         assert a == b
         return kind_a
-    if isinstance(a, dict):
+    if isinstance(a, RowBlock):
+        for got, want in zip(a, b):
+            assert got.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+    elif isinstance(a, dict):
         assert a.keys() == b.keys()
         for v in a:
             np.testing.assert_array_equal(a[v], b[v])
@@ -612,8 +626,8 @@ def test_bulk_arms_match_per_vertex_dispatch(small_powerlaw, policy, scenario):
                     dtype=np.int64,
                 )
             out = _both(stores, lambda s: s.get_neighbors_batch(batch, from_part=issuer))
-            if isinstance(out, dict):
-                assert set(out) == set(batch.tolist())
+            if isinstance(out, RowBlock):
+                assert out.ids.tolist() == list(dict.fromkeys(batch.tolist()))
             else:
                 seen_errors.add(out)
             check()
@@ -825,3 +839,108 @@ def test_resolve_read_rejects_out_of_range_batch():
     store = make_store(_graph(scale=0.1), 2, seed=0)
     with pytest.raises(Exception, match="unknown vertex"):
         store.get_neighbors_batch([0, 1, 10**9], from_part=0)
+
+
+# --------------------------------------------------------------------- #
+# Read entry: malformed ids are rejected before anything moves
+# --------------------------------------------------------------------- #
+_MALFORMED_READS = {
+    "float_batch": lambda s: s.get_neighbors_batch(np.array([1.5, 2.7]), 0),
+    "bool_batch": lambda s: s.get_neighbors_batch([True], 0),
+    "bool_vertex": lambda s: s.neighbors(True, 0),
+    "float_vertex": lambda s: s.neighbors(1.9, 0),
+    "2d_batch": lambda s: s.get_neighbors_batch(np.array([[1, 2], [3, 4]]), 0),
+    "object_batch": lambda s: s.get_neighbors_batch([1, None], 0),
+    "float_attr_batch": lambda s: s.get_attrs_batch(np.array([1.0]), 0),
+    "bool_attr_vertex": lambda s: s.vertex_attr(True, 0),
+    "float_owner": lambda s: s.owner(1.5),
+    "float_issuer": lambda s: s.get_neighbors_batch([1, 2], from_part=0.5),
+    "bool_issuer": lambda s: s.neighbors(1, from_part=True),
+}
+
+
+@pytest.mark.parametrize("read", sorted(_MALFORMED_READS))
+def test_malformed_ids_are_rejected_before_any_charge(read):
+    graph = make_dataset("taobao-small-sim", scale=0.1, seed=1)
+    store = make_store(
+        graph, 2, cache_policy=LRUCachePolicy(), cache_budget_fraction=0.2, seed=0
+    )
+    store.attach_runtime(RpcRuntime(store))
+    for v in range(graph.n_vertices):
+        store.servers[store.owner(v)].ingest_vertex_attr(v, np.ones(2))
+    store.get_neighbors_batch(np.arange(0, 60, 3), from_part=0)  # warm the LRU
+
+    def state():
+        caches = [s.neighbor_cache for s in store.servers]
+        return (
+            dict(store.ledger.counts),
+            [(c.hits, c.misses, c._lru.keys()) for c in caches],
+            store.runtime.metrics.render(),
+        )
+
+    before = state()
+    with pytest.raises(StorageError):
+        _MALFORMED_READS[read](store)
+    assert state() == before
+
+
+# --------------------------------------------------------------------- #
+# The read contract: one block, rows in first-seen order of the request
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("arm", ["pinned", "lru", "failover", "suspect", "degraded"])
+def test_read_block_follows_the_deduplicated_request(small_powerlaw, arm):
+    graph = small_powerlaw
+    n, down, issuer = graph.n_vertices, 2, 0
+    store = make_store(
+        graph,
+        N_PARTS,
+        cache_policy=LRUCachePolicy() if arm == "lru" else RandomCachePolicy(),
+        cache_budget_fraction=0.3,
+        seed=1,
+        degraded_reads=arm == "degraded",
+    )
+    runtime = RpcRuntime(store, health=HealthTracker(N_PARTS, suspect_after=1))
+    store.attach_runtime(runtime)
+    rng = make_rng(5)
+    # Empty rows: one written empty by removes, plus any the graph has.
+    hollow = int(np.argmax(graph.out_degrees()))
+    store.apply_edge_events(
+        [EdgeEvent(0, hollow, int(u), "remove") for u in graph.out_neighbors(hollow)]
+    )
+    empty = np.flatnonzero(graph.out_degrees() == 0)[:3].tolist() + [hollow]
+    if arm in ("failover", "degraded"):
+        store.fail_worker(down)
+    if arm == "suspect":
+        runtime.health.record_failure(down)
+
+    def expected(v):
+        owner = store.owner(v)
+        if owner not in store.failed_workers:
+            return store.servers[owner].local_neighbors(v)
+        copies = [s.neighbor_cache.peek(v) for s in store.servers if s.part_id != owner]
+        return next((c for c in copies if c is not None), np.zeros(0, np.int64))
+
+    for _ in range(3):
+        batch = np.concatenate([rng.integers(0, n, size=300), empty])
+        batch = np.concatenate([batch, batch[::3]])
+        rng.shuffle(batch)
+        if arm == "failover":  # drop what no replica covers: those raise
+            batch = np.array(
+                [v for v in batch.tolist() if expected(v).size or store.owner(v) != down],
+                dtype=np.int64,
+            )
+        block = store.get_neighbors_batch(batch, from_part=issuer)
+        assert block.ids.tolist() == list(dict.fromkeys(batch.tolist()))
+        assert block.offsets[0] == 0 and block.offsets[-1] == block.indices.size
+        assert all(a.dtype == np.int64 for a in block)
+        for v, row in block_rows(block).items():
+            np.testing.assert_array_equal(row, expected(v))
+    event = {
+        "pinned": EV_CACHE_HIT,
+        "lru": EV_CACHE_HIT,
+        "failover": EV_FAILOVER_READ,
+        "suspect": EV_SUSPECT_ROUTE,
+        "degraded": EV_DEGRADED_READ,
+    }[arm]
+    assert store.ledger.count(event) > 0
+    assert store.ledger.count(EV_LOCAL_READ) > 0 and store.ledger.count(EV_REMOTE_RPC) > 0

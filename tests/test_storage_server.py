@@ -31,7 +31,14 @@ from repro.storage.replicas import ReplicaRegistry
 from repro.storage.server import GraphServer
 from repro.utils.lru import LRUCache
 from repro.utils.rng import make_rng
-from tests.conftest import cache_admit, cache_get, python_calls, replica_holders
+from tests.conftest import (
+    block_rows,
+    cache_admit,
+    cache_get,
+    pack_block,
+    python_calls,
+    replica_holders,
+)
 
 
 class OracleServer:
@@ -158,6 +165,18 @@ class ShardMachine(RuleBasedStateMachine):
             assert np.array_equal(row, then), "a row handed out earlier changed"
         for server, oracle in zip(self.servers, self.oracles):
             assert server.n_local_edges == oracle.n_local_edges
+            # The row table is clipped, never wrapped: ids outside [0, n).
+            for outside in (-1, -2, self.n):
+                assert not server.owns(outside)
+                with pytest.raises(StorageError):
+                    server.local_rows([outside])
+            owned = sorted(oracle.rows)
+            block = server.local_rows(owned)
+            assert block.ids.tolist() == owned
+            want = pack_block(owned, oracle.rows)
+            for got, expect in zip(block, want):
+                assert got.dtype == expect.dtype and np.array_equal(got, expect)
+            self.handed_out.setdefault(id(block.indices), (block.indices, want.indices))
             for v in range(self.n):
                 assert server.owns(v) == oracle.owns(v) == (self.owner[v] == server.part_id)
                 if not server.owns(v):
@@ -317,12 +336,13 @@ def test_bulk_cache_ops_equal_their_scalar_sequence(capacity, pin_only, ops):
             assert misses == [v for v, row in one_by_one if row is None]
             assert hits.keys() == {v for v, row in one_by_one if row is not None}
             for v, row in one_by_one:
-                assert row is None or hits[v] is row
+                if row is not None:
+                    np.testing.assert_array_equal(hits[v], row)
         elif op == "admit_many":
-            # One row object per id for both caches: identity shows whose
-            # copy a later get returns.
+            # Each row holds its id and the admitting step: its value shows
+            # whose copy a later get returns.
             rows = {v: np.array([v, step], dtype=np.int64) for v in arg}
-            bulk.admit_many(rows)
+            bulk.admit_many(pack_block(arg, rows))
             for v, row in rows.items():
                 cache_admit(scalar, v, row)
         elif op == "invalidate_many":
@@ -352,15 +372,85 @@ def test_local_rows_matches_local_neighbors(small_powerlaw):
     server = store.servers[0]
     owned = [v for v in range(60) if server.owns(v)]
     foreign = next(v for v in range(60) if not server.owns(v))
-    rows = server.local_rows(owned)
-    assert list(rows) == owned
-    assert all(rows[v] is server.local_neighbors(v) for v in owned)
-    assert server.local_rows([]) == {}
+    # Rewritten rows (an edit, a migration in) sit between slice rows.
+    server.edit_row(owned[1], [("add", 0)])
+    server.ingest_vertex(foreign, np.array([7, 8], dtype=np.int64))
+    batch = owned[:4] + [foreign] + owned[4:]
+    rows = block_rows(server.local_rows(batch))
+    assert list(rows) == batch
+    for v in batch:
+        want = server.local_neighbors(v)
+        assert rows[v].dtype == want.dtype and np.array_equal(rows[v], want)
+    empty = server.local_rows([])
+    assert empty.ids.size == empty.indices.size == 0 and empty.offsets.tolist() == [0]
+    server.release_vertex(foreign)
     with pytest.raises(StorageError) as scalar:
         server.local_neighbors(foreign)
     with pytest.raises(StorageError) as bulk:
         server.local_rows(owned[:3] + [foreign] + owned[3:])
     assert str(bulk.value) == str(scalar.value) and str(foreign) in str(bulk.value)
+
+
+def test_ids_outside_the_graph_are_owned_by_no_shard(small_powerlaw):
+    # The row table is indexed by vertex id: -1 must not read the last
+    # vertex's entry, nor n one past the end.
+    store = make_store(small_powerlaw, 2, seed=0)
+    n = small_powerlaw.n_vertices
+    for server in store.servers:
+        for outside in (-1, -n, n, n + 1):
+            assert not server.owns(outside)
+            with pytest.raises(StorageError):
+                server.local_neighbors(outside)
+            with pytest.raises(StorageError):
+                server.local_rows([outside])
+            with pytest.raises(StorageError):
+                server.edit_row(outside, [("add", 0)])
+            with pytest.raises(StorageError):  # nor may a migration land there
+                server.ingest_vertex(outside, np.array([0], dtype=np.int64))
+            assert not server.owns(outside)
+
+
+def test_rows_handed_out_keep_their_contents(small_powerlaw):
+    # A write replaces a row, never edits it: rows read before an edit or a
+    # release (one row, or a batch block) read the same afterwards.
+    store = make_store(small_powerlaw, 2, seed=0)
+    server = store.servers[0]
+    owned = [v for v in range(small_powerlaw.n_vertices) if server.owns(v)][:6]
+    single = {v: server.local_neighbors(v) for v in owned}
+    block = server.local_rows(owned)
+    then = {v: row.copy() for v, row in single.items()}
+    then_block = [array.copy() for array in block]
+    server.edit_row(owned[0], [("add", owned[1]), ("add", owned[2])])
+    server.edit_row(owned[1], [("remove", int(single[owned[1]][0]))] if single[owned[1]].size else [])
+    server.release_vertex(owned[2])
+    for v, row in single.items():
+        assert np.array_equal(row, then[v])
+    for array, was in zip(block, then_block):
+        assert np.array_equal(array, was)
+    assert server.local_neighbors(owned[0]).tolist() == then[owned[0]].tolist() + owned[1:3]
+
+
+def test_migrating_away_and_back_restores_the_vertex(small_powerlaw):
+    store = make_store(small_powerlaw, 2, seed=0)
+    home, away = store.servers
+    v = next(
+        u for u in range(small_powerlaw.n_vertices)
+        if home.owns(u) and small_powerlaw.out_neighbors(u).size
+    )
+    edges = (home.n_local_edges, away.n_local_edges)
+    degree = small_powerlaw.out_neighbors(v).size
+    neighbors, _ = home.release_vertex(v)
+    away.ingest_vertex(v, neighbors)
+    assert not home.owns(v) and away.owns(v)
+    assert (home.n_local_edges, away.n_local_edges) == (edges[0] - degree, edges[1] + degree)
+    neighbors, _ = away.release_vertex(v)
+    home.ingest_vertex(v, neighbors)
+    assert home.owns(v) and not away.owns(v)
+    assert (home.n_local_edges, away.n_local_edges) == edges
+    np.testing.assert_array_equal(home.local_neighbors(v), small_powerlaw.out_neighbors(v))
+    np.testing.assert_array_equal(home.local_rows([v]).indices, small_powerlaw.out_neighbors(v))
+    with pytest.raises(StorageError):
+        away.local_neighbors(v)
 
 
 def test_batch_read_makes_no_call_per_vertex():

@@ -218,7 +218,7 @@ def test_failover_read_is_stamped_onto_the_trace():
     healthy = next(p for p in range(4) if p not in (0, store.owner(v)))
     store.servers[healthy].neighbor_cache = replica
     batch = store.get_neighbors_batch([v], from_part=0)
-    assert np.array_equal(batch[v], row)
+    assert np.array_equal(batch.indices, row)
     failover_rows = [r for r in tracer.ledger_rows if r[3] == EV_FAILOVER_READ]
     assert len(failover_rows) == store.ledger.count(EV_FAILOVER_READ) == 1
     exhausted = [
