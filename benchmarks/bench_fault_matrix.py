@@ -138,9 +138,7 @@ def _run_workload(
             degraded += sum(
                 weight[v] for v in empty if graph.out_neighbors(v).size > 0
             )
-            rows = dict(
-                zip(block.ids.tolist(), np.split(block.indices, block.offsets[1:-1]))
-            )
+            rows = dict(zip(block.ids.tolist(), np.split(block.indices, block.offsets[1:-1])))
             nxt = [
                 rng.choice(row, size=fanout, replace=True)
                 for row in (rows[v] for v in uniq.tolist())

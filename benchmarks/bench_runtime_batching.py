@@ -19,6 +19,7 @@ from repro.runtime import FaultPlan, RpcRuntime
 from repro.sampling import CsrAdjacency, StoreProvider, UniformNeighborSampler
 from repro.storage.cluster import make_store
 from repro.storage.costmodel import EV_REMOTE_RPC
+from repro.storage.rows import pack_rows
 from repro.utils.rng import make_rng
 
 N_WORKERS = 4
@@ -35,9 +36,7 @@ class _PerVertexProvider(StoreProvider):
     def frontier_block(self, frontier):
         ids, rows = np.unique(frontier, return_inverse=True)
         fetched = {v: self.neighbors(v) for v in frontier.tolist()}
-        packed = [fetched[v] for v in ids.tolist()]
-        indptr = np.concatenate([[0], np.cumsum([row.size for row in packed])])
-        indices = np.concatenate(packed)
+        indptr, indices = pack_rows([fetched[v] for v in ids.tolist()])
         return CsrAdjacency(indptr, indices, np.ones(indices.size)), rows
 
 

@@ -12,8 +12,6 @@ requires.
 
 from __future__ import annotations
 
-from itertools import accumulate
-
 import numpy as np
 
 from repro.errors import GraphError, VertexNotFoundError
@@ -164,39 +162,13 @@ def take_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``indices[starts[i]:stops[i]]``, packed as one CSR ``(offsets, values)``.
 
-    The values are a fresh array. A few rows are sliced one by one, since
-    below :data:`FEW_ROWS` that beats the gather's fixed cost.
+    The values are a fresh array.
     """
-    if starts.size <= FEW_ROWS:
-        return pack_rows(_slices(indices, starts.tolist(), stops.tolist()))
     degrees = stops - starts
     offsets = np.zeros(degrees.size + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
+    degrees.cumsum(out=offsets[1:])
     # Slot j of row i sits at starts[i] + j in the source and at
     # offsets[i] + j in the result: one shifted arange gathers them all.
-    take = np.repeat(starts - offsets[:-1], degrees) + np.arange(
-        offsets[-1], dtype=np.int64
-    )
+    take = (starts - offsets[:-1]).repeat(degrees)
+    take += np.arange(take.size)
     return offsets, indices[take]
-
-
-def pack_rows(rows: "list[np.ndarray]") -> tuple[np.ndarray, np.ndarray]:
-    """Int64 ``rows`` as one CSR ``(offsets, values)``: one concatenate."""
-    offsets = np.fromiter(accumulate(map(len, rows), initial=0), np.int64, len(rows) + 1)
-    values = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-    return offsets, values
-
-
-def split_rows(offsets: np.ndarray, indices: np.ndarray) -> "list[np.ndarray]":
-    """The rows of the CSR ``(offsets, indices)``, as views of ``indices``."""
-    bounds = offsets.tolist()
-    return _slices(indices, bounds, bounds[1:])
-
-
-def _slices(array: np.ndarray, starts: "list[int]", stops: "list[int]") -> list:
-    return list(map(array.__getitem__, map(slice, starts, stops)))
-
-
-#: Up to this many rows, slicing rows one by one and packing them beats a
-#: vectorised gather's fixed cost of a dozen array calls.
-FEW_ROWS = 16

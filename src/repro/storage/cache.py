@@ -15,19 +15,15 @@ LRU fills on access. Figure 9 compares the three at equal capacity.
 
 from __future__ import annotations
 
-from itertools import repeat, starmap
-from operator import getitem
-from typing import TYPE_CHECKING
+from itertools import filterfalse
 
 import numpy as np
 
 from repro.errors import StorageError
 from repro.graph.graph import Graph
 from repro.storage.importance import MAX_HOP, importance_scores
-from repro.utils.lru import LRUCache
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.storage.server import RowBlock
+from repro.storage.rows import RowArena, RowBlock, concat_blocks, pack_rows
+from repro.utils.lru import IdLRU
 
 
 class NeighborCache:
@@ -38,7 +34,9 @@ class NeighborCache:
     caches' membership (``vertex in cache``). Failover and health-aware
     routing read replicas through :meth:`peek`, which never touches the
     hit/miss counters, so availability probes cannot corrupt
-    ``cache_hit_rate()``.
+    ``cache_hit_rate()``. Pinned rows are arrays by vertex; the LRU side
+    orders vertex ids only and keeps their rows in a
+    :class:`~repro.storage.rows.RowArena`.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -46,7 +44,8 @@ class NeighborCache:
             raise StorageError(f"cache capacity must be non-negative: {capacity}")
         self.capacity = capacity
         self._pinned: dict[int, np.ndarray] = {}
-        self._lru = LRUCache(capacity)
+        self._lru = IdLRU(capacity)
+        self._rows = RowArena()
         self.hits = 0
         self.misses = 0
 
@@ -63,27 +62,30 @@ class NeighborCache:
             raise StorageError("neighbor cache pin capacity exhausted")
         self._pinned[vertex] = np.asarray(neighbors, dtype=np.int64)
 
-    def get_many(
-        self, vertices: "list[int]"
-    ) -> "tuple[dict[int, np.ndarray], list[int]]":
+    def get_many(self, vertices: "list[int]") -> "tuple[RowBlock, list[int]]":
         """Look up each of ``vertices`` in order, in one call.
 
-        Returns ``(hits, misses)``: the cached rows by vertex and the ids
-        not held, in input order. This is the store's cache arm: pinned
-        entries answer first (they never move), the rest go through the LRU
-        side in order, so recency, ``hits`` and ``misses`` end up exactly as
-        the scalar sequence would leave them.
+        Returns ``(hits, misses)``: the cached rows as one block (pinned
+        hits first, then LRU hits, each in input order) and the ids not
+        held, in input order. This is the store's cache arm: pinned entries
+        answer first (they never move), the rest go through the LRU side in
+        order, so recency, ``hits`` and ``misses`` end up exactly as the
+        scalar sequence would leave them.
         """
         n_lookups = len(vertices)
         pinned = self._pinned
-        hits = {v: pinned[v] for v in vertices if v in pinned} if pinned else {}
-        if hits:
-            vertices = [v for v in vertices if v not in pinned]
+        hit_ids = list(filter(pinned.__contains__, vertices)) if pinned else []
+        if hit_ids:
+            vertices = list(filterfalse(pinned.__contains__, vertices))
         found, misses = self._lru.get_many(vertices)
-        hits.update(zip(found, starmap(getitem, found.values())))
+        block = RowBlock(found, *self._rows.take(found)) if found.size else None
+        if hit_ids or block is None:  # pinned rows answer first
+            rows = list(map(pinned.__getitem__, hit_ids))
+            held = RowBlock(np.array(hit_ids, dtype=np.int64), *pack_rows(rows))
+            block = held if block is None else concat_blocks([held, block])
         self.hits += n_lookups - len(misses)
         self.misses += len(misses)
-        return hits, misses
+        return block, misses
 
     def peek(self, vertex: int) -> np.ndarray | None:
         """Cached neighbor array without hit/miss accounting or recency.
@@ -96,8 +98,7 @@ class NeighborCache:
         value = self._pinned.get(vertex)
         if value is not None:
             return value
-        entry = self._lru.peek(vertex)
-        return None if entry is None else entry[0][entry[1]]
+        return self._rows.row(vertex) if vertex in self._lru else None
 
     def is_pinned(self, vertex: int) -> bool:
         """Whether ``vertex`` is held as a pinned (policy-selected) entry."""
@@ -126,27 +127,24 @@ class NeighborCache:
         """Sorted ids of every entry, pinned or demand-filled."""
         return tuple(sorted({*self._pinned, *self._lru.keys()}))
 
-    def admit_many(self, block: "RowBlock") -> None:
+    def admit_many(self, block: RowBlock) -> None:
         """Offer each row of a fetched ``block``, in order, for demand-filled
         (LRU) caching.
 
         Pinned policies set LRU capacity to 0, making this a no-op; the LRU
         policy relies on it entirely. The store hands a whole neighbors
-        response here. An LRU entry is the response's indices and the row's
-        slice, cut when the row is read: a fill makes no array per row (a
-        copy per row costs more than the rest of the fill), and at most
-        ``capacity`` responses outlive their read this way.
+        response here. Its rows are copied into the cache's own arena, so
+        a cached row never keeps the response it came in alive; an evicted
+        or invalidated row's cells are reclaimed when the arena next moves.
         """
         lru = self._lru
         if lru.capacity == 0:
             return
-        bounds = block.offsets.tolist()
-        rows = zip(
-            block.ids.tolist(),
-            zip(repeat(block.indices), map(slice, bounds, bounds[1:])),
-        )
-        pinned = self._pinned
-        lru.put_many({v: row for v, row in rows if v not in pinned} if pinned else dict(rows))
+        ids = block.ids
+        if self._pinned:
+            ids = np.fromiter(filterfalse(self._pinned.__contains__, ids.tolist()), np.int64)
+        lru.put_many(ids)
+        self._rows.put(*block, live=lru.keys)
 
     def invalidate(self, vertex: int) -> None:
         """Drop any cached copy of ``vertex``'s neighbors (after an update).
@@ -155,7 +153,7 @@ class NeighborCache:
         miss.
         """
         self._pinned.pop(vertex, None)
-        self._lru.delete(vertex)
+        self._lru.delete_many([vertex])
 
     def invalidate_many(self, vertices: "list[int]") -> "list[int]":
         """:meth:`invalidate` each of ``vertices``; returns the ones that were pinned.
@@ -310,5 +308,5 @@ def make_pinned_cache(capacity: int) -> NeighborCache:
     rather than by a :class:`CachePolicy`.
     """
     cache = NeighborCache(capacity)
-    cache._lru = LRUCache(0)
+    cache._lru = IdLRU(0)
     return cache

@@ -37,12 +37,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from repro.errors import ReadUnavailableError, RetryExhaustedError, StorageError
-from repro.graph.graph import FEW_ROWS, Graph, pack_rows, split_rows, take_rows
+from repro.graph.graph import Graph, take_rows
 from repro.storage.cache import CachePolicy, make_caches
 from repro.storage.costmodel import (
     EV_ATTR_CACHE_HIT,
@@ -65,9 +64,15 @@ from repro.runtime.rpc import KIND_ATTRS, KIND_NEIGHBORS, RpcRuntime
 from repro.storage.partition.base import PartitionAssignment, Partitioner
 from repro.storage.partition.hashcut import EdgeCutPartitioner
 from repro.storage.replicas import ReplicaRegistry
-from repro.storage.server import GraphServer, RowBlock
+from repro.storage.rows import RowBlock, concat_blocks, pack_rows
+from repro.storage.server import GraphServer
 from repro.utils.rng import make_rng
 from repro.utils.timer import CostAccumulator
+
+#: A read of up to this many ids dedups and classifies them on Python lists,
+#: a larger one with array ops: each side loses on the other's reads
+#: (``serve_mixed`` averages 2.9 ids, ``store_rw`` reads 2 048; DESIGN §7).
+FEW_ROWS = 16
 
 #: What a vertex id may be (``bool`` excepted): anything else is rejected
 #: before it can be truncated into an int64 row or alias another id. A read
@@ -346,9 +351,9 @@ class DistributedGraphStore:
         # Dedup to first-seen order (what a dict keeps), so every arm below
         # — cache recency, fills, request payloads — sees a stable order,
         # then split the batch into the issuer's own vertices (local arm)
-        # and the rest (cache arm). A few ids take plain lists; a large
-        # batch takes array ops (np.unique keeps each id's first index).
-        # ``uniq`` becomes the answer's ids: never the caller's array.
+        # and the rest (cache arm), on lists or arrays by size (FEW_ROWS;
+        # np.unique keeps each id's first index). ``uniq`` becomes the
+        # answer's ids: never the caller's array.
         n = self.graph.n_vertices
         vertex_to_part = self.assignment.vertex_to_part
         if vertices.size > FEW_ROWS:
@@ -368,8 +373,8 @@ class DistributedGraphStore:
             local = [v for v, p in zip(ids, owners) if p == from_part]
             foreign = [v for v, p in zip(ids, owners) if p != from_part]
 
-        # A neighbors read collects blocks (the local arm, each response)
-        # and single rows (cache hits, routed and failover reads).
+        # A neighbors read collects blocks (the local arm, the cache hits,
+        # each response) and single rows (routed and failover reads).
         blocks: "list[RowBlock]" = []
         rows: "dict[int, np.ndarray]" = {}
         if neighbors:
@@ -392,11 +397,11 @@ class DistributedGraphStore:
         missed = foreign
         if neighbors and foreign:
             hits, missed = issuer.neighbor_cache.get_many(foreign)
-            if hits:
-                rows.update(hits)
-                ledger.record(EV_CACHE_HIT, times=len(hits))
+            if hits.ids.size:
+                blocks.append(hits)
+                ledger.record(EV_CACHE_HIT, times=hits.ids.size)
                 if rec is not None:
-                    for v in hits:
+                    for v in hits.ids.tolist():
                         rec.record(v, int(vertex_to_part[v]), from_part, "cache_hit")
 
         # Only a fail-stopped or suspect owner needs per-vertex routing
@@ -412,93 +417,74 @@ class DistributedGraphStore:
 
         read_span.annotate(
             vertices=uniq.size,
-            resolved_local=len(rows) + (len(local) if neighbors else 0),
+            resolved_local=uniq.size - len(missed),
             remote=len(missed),
         )
-        if not missed:
-            return self._in_request_order(uniq, blocks, rows) if neighbors else rows
-        with runtime.tracer.span("batch.plan", kind=kind) as plan_span:
-            missed = np.array(missed, dtype=np.int64)
-            requests = runtime.plan(
-                kind, from_part, missed, self.assignment.vertex_to_part[missed]
-            )
-            plan_span.annotate(reads=len(missed), batches=len(requests))
         demand_fill = (
             neighbors
             and self.cache_policy is not None
             and self.cache_policy.demand_filled
         )
-        for req, resp in zip(requests, runtime.execute(requests)):
-            if not resp.ok:
-                for v in req.vertices:
-                    try:
-                        rows[v] = self._failover_read(v, from_part, kind)
-                    except ReadUnavailableError as exc:
-                        raise RetryExhaustedError(
-                            f"{kind} of vertex {v}: {resp.error}, "
-                            "and no healthy replica holds it",
-                            resp.attempts,
-                        ) from exc
-                continue
-            payload = resp.payload
-            ledger.record(EV_REMOTE_RPC)
-            if rec is not None:
-                for v in req.vertices:
-                    rec.record(v, req.dst_part, from_part, "remote")
-            if neighbors:
-                blocks.append(payload)
-                ledger.record(EV_ITEM_SHIPPED, times=resp.n_items)
-                if demand_fill:
-                    issuer.neighbor_cache.admit_many(payload)
-                    ledger.record(EV_CACHE_FILL, times=len(req.vertices))
-            else:
-                rows.update(payload)
-                iv_hits = sum(resp.meta.values())
-                if iv_hits:
-                    ledger.record(EV_ATTR_CACHE_HIT, times=iv_hits)
-                if iv_hits < len(payload):
-                    ledger.record(EV_ATTR_DECODE, times=len(payload) - iv_hits)
-        return self._in_request_order(uniq, blocks, rows) if neighbors else rows
-
-    def _in_request_order(
-        self,
-        uniq: np.ndarray,
-        blocks: "list[RowBlock]",
-        rows: "dict[int, np.ndarray]",
-    ) -> RowBlock:
-        """The read's rows as one block in the order of ``uniq``, which
-        ``blocks`` (each in request order) and ``rows`` partition.
-
-        A block that answered the whole read is the answer. A few rows are
-        packed row by row; more are gathered once, by position, out of the
-        blocks and the single rows laid end to end.
-        """
-        if len(blocks) == 1 and not rows:
+        shipped: "list[RowBlock]" = []
+        if missed:
+            with runtime.tracer.span("batch.plan", kind=kind) as plan_span:
+                missed = np.array(missed, dtype=np.int64)
+                requests = runtime.plan(
+                    kind, from_part, missed, self.assignment.vertex_to_part[missed]
+                )
+                plan_span.annotate(reads=len(missed), batches=len(requests))
+            for req, resp in zip(requests, runtime.execute(requests)):
+                if not resp.ok:
+                    for v in req.vertices:
+                        try:
+                            rows[v] = self._failover_read(v, from_part, kind)
+                        except ReadUnavailableError as exc:
+                            if demand_fill and shipped:  # what came back first still fills
+                                issuer.neighbor_cache.admit_many(concat_blocks(shipped))
+                            raise RetryExhaustedError(
+                                f"{kind} of vertex {v}: {resp.error}, "
+                                "and no healthy replica holds it",
+                                resp.attempts,
+                            ) from exc
+                    continue
+                payload = resp.payload
+                ledger.record(EV_REMOTE_RPC)
+                if rec is not None:
+                    for v in req.vertices:
+                        rec.record(v, req.dst_part, from_part, "remote")
+                if neighbors:
+                    shipped.append(payload)
+                    ledger.record(EV_ITEM_SHIPPED, times=resp.n_items)
+                    if demand_fill:
+                        ledger.record(EV_CACHE_FILL, times=len(req.vertices))
+                else:
+                    rows.update(payload)
+                    iv_hits = sum(resp.meta.values())
+                    if iv_hits:
+                        ledger.record(EV_ATTR_CACHE_HIT, times=iv_hits)
+                    if iv_hits < len(payload):
+                        ledger.record(EV_ATTR_DECODE, times=len(payload) - iv_hits)
+        if not neighbors:
+            return rows
+        if shipped:
+            # The responses' rows, in request order, fill the cache at once.
+            shipped = shipped[0] if len(shipped) == 1 else concat_blocks(shipped)
+            blocks.append(shipped)
+            if demand_fill:
+                issuer.neighbor_cache.admit_many(shipped)
+        if rows:
+            ids = np.fromiter(rows, np.int64, len(rows))
+            blocks.append(RowBlock(ids, *pack_rows(list(rows.values()))))
+        # The arms' blocks partition the read: the answer is the one block
+        # already in first-seen order, or one gather out of all of them.
+        if len(blocks) == 1 and np.array_equal(blocks[0].ids, uniq):
             return blocks[0]
-        if uniq.size <= FEW_ROWS or not blocks:
-            for block in blocks:
-                rows.update(zip(block.ids.tolist(), split_rows(block.offsets, block.indices)))
-            return RowBlock(uniq, *pack_rows([rows[v] for v in uniq.tolist()]))
-        ids, starts, indices, base = [], [], [], 0
-        for block in blocks:
-            ids.append(block.ids)
-            starts.append(block.offsets[:-1] + base)
-            indices.append(block.indices)
-            base += block.indices.size
-        # The single rows follow, each its own piece; the last start is the end.
-        ids.append(np.fromiter(rows, np.int64, len(rows)))
-        row_starts = accumulate(map(len, rows.values()), initial=base)
-        starts.append(np.fromiter(row_starts, np.int64, len(rows) + 1))
-        indices.extend(rows.values())
-        ids = np.concatenate(ids)
+        block = concat_blocks(blocks)
         position = self._position
-        position[ids] = np.arange(ids.size)
-        bounds = np.concatenate(starts)
+        position[block.ids] = np.arange(block.ids.size)
         order = position[uniq]
-        offsets, indices = take_rows(
-            bounds[:-1][order], bounds[1:][order], np.concatenate(indices)
-        )
-        return RowBlock(uniq, offsets, indices)
+        offsets = block.offsets
+        return RowBlock(uniq, *take_rows(offsets[:-1][order], offsets[1:][order], block.indices))
 
     def _route_around(
         self,
@@ -651,11 +637,17 @@ class DistributedGraphStore:
         changed: "dict[int, tuple[int, list[int]]]" = {}
         applied = 0
         srcs = list(ops)
-        for src, owner in zip(srcs, vertex_to_part[srcs].tolist()):
-            sizes = self.servers[owner].edit_row(src, ops[src])
-            if sizes:
-                changed[src] = (owner, sizes)
-                applied += len(sizes)
+        owners = dict(zip(srcs, vertex_to_part[srcs].tolist()))
+        by_owner: "dict[int, dict[int, list[tuple[str, int]]]]" = {}
+        for src, owner in owners.items():
+            by_owner.setdefault(owner, {})[src] = ops[src]
+        sizes_of: "dict[int, list[int]]" = {}
+        for owner, owner_ops in by_owner.items():
+            sizes_of.update(self.servers[owner].edit_rows(owner_ops))
+        for src in srcs:
+            if src in sizes_of:
+                changed[src] = (owners[src], sizes_of[src])
+                applied += len(sizes_of[src])
         refreshes = shipped = 0
         if changed:
             touched = list(changed)

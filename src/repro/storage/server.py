@@ -1,17 +1,16 @@
 """One simulated graph server: a partition's shard plus its caches (§3.2).
 
 A :class:`GraphServer` owns a set of vertices and the out-adjacency rows of
-their edges. The shard is columnar: one array of neighbor ids, seeded at
-construction with the owned rows copied out of the graph's CSR (one
-gather), and a vertex-indexed span table saying where each owned row lies
-in it. A batch read gathers its rows out of that array in a handful of
-array ops and answers with a :class:`RowBlock`; no row is held as an array
-object of its own. A shard holds neighbor ids only, never edge weights: no
-reader asks a store for them. Writes — streaming edge updates and vertex
-migration — never edit a row in place: the new row is appended past every
-row handed out and the span re-pointed (a full array is copied into a
-larger one, one mostly of dead rows is compacted into a fresh one), so a
-row handed out (or pinned as a replica) earlier keeps the contents it had.
+their edges. The shard is columnar: a :class:`~repro.storage.rows.RowArena`
+seeded at construction with the owned rows copied out of the graph's CSR
+(one gather), with no row held as an array object of its own. A batch read
+gathers its rows in a handful of array ops and answers with a
+:class:`~repro.storage.rows.RowBlock`. A shard holds neighbor ids only,
+never edge weights: no reader asks a store for them. Writes — streaming
+edge updates and vertex migration — never edit a row in place: a write
+batch gathers its rows, edits them as lists and appends the changed ones
+in one go, so a row handed out (or pinned as a replica) earlier keeps the
+contents it had.
 
 Attributes live in a :class:`SeparateAttributeStore` (the IV index behind
 an LRU front) and a :class:`NeighborCache` holds important *remote* vertices'
@@ -21,25 +20,15 @@ neighbor lists. All cross-server traffic is mediated — and accounted — by
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from itertools import accumulate, chain
 
 import numpy as np
 
 from repro.errors import StorageError
-from repro.graph.graph import FEW_ROWS, Graph, pack_rows, take_rows
+from repro.graph.graph import Graph
 from repro.storage.attributes import SeparateAttributeStore
 from repro.storage.cache import NeighborCache
-
-
-class RowBlock(NamedTuple):
-    """Neighbor rows of distinct vertices as one ragged block: row ``i``,
-    ``indices[offsets[i]:offsets[i + 1]]``, is the out-neighbors of
-    ``ids[i]`` (all int64). What a shard read, a neighbors RPC and a store
-    read answer with."""
-
-    ids: np.ndarray
-    offsets: np.ndarray
-    indices: np.ndarray
+from repro.storage.rows import RowArena, RowBlock
 
 
 class GraphServer:
@@ -56,30 +45,22 @@ class GraphServer:
         # The copy is what makes the shard a real shard — reads of non-owned
         # vertices cannot be served from here.
         owned = np.asarray(owned_vertices, dtype=np.int64)
-        offsets, self._indices = graph.csr_slice(owned)
+        block = RowBlock(owned, *graph.csr_slice(owned))
         self._n = graph.n_vertices
-        # v's row is _indices[_start[v + 1]:_stop[v + 1]]; _start is -1 where
-        # v is not owned here. Both ends pad, so a lookup clipped to the
-        # table answers "not owned" for any id outside [0, n): none wraps.
-        self._start = np.full(self._n + 2, -1, dtype=np.int64)
-        self._stop = np.zeros(self._n + 2, dtype=np.int64)
-        self._start[owned + 1] = offsets[:-1]
-        self._stop[owned + 1] = offsets[1:]
-        #: Cells of _indices written so far, live rows and replaced ones.
-        self._used = self._n_local_edges = int(offsets[-1])
+        self._rows = RowArena(self._n, block)
+        self._n_local_edges: int = block.indices.size
         self.attrs = SeparateAttributeStore(vertex_cache_capacity=attr_cache_capacity)
         self.neighbor_cache = NeighborCache(0)
 
     def __repr__(self) -> str:
-        owned = int(np.count_nonzero(self._start >= 0))
         return (
-            f"GraphServer(part={self.part_id}, vertices={owned}, "
+            f"GraphServer(part={self.part_id}, edges={self._n_local_edges}, "
             f"cache={len(self.neighbor_cache)})"
         )
 
     def owns(self, vertex: int) -> bool:
         """Whether this server is the owner of ``vertex``."""
-        return 0 <= vertex < self._n and self._start[vertex + 1] >= 0
+        return self._rows.has(vertex)
 
     @property
     def n_local_edges(self) -> int:
@@ -88,9 +69,9 @@ class GraphServer:
 
     def local_neighbors(self, vertex: int) -> np.ndarray:
         """Out-neighbors of an owned vertex (raises if not owned)."""
-        if not self.owns(vertex):
+        if not self._rows.has(vertex):
             raise StorageError(f"server {self.part_id} does not own vertex {vertex}")
-        return self._indices[self._start[vertex + 1] : self._stop[vertex + 1]]
+        return self._rows.row(vertex)
 
     def local_rows(self, vertices: "np.ndarray | list[int]") -> RowBlock:
         """Out-neighbor rows of distinct owned vertices, as one block.
@@ -100,77 +81,56 @@ class GraphServer:
         does not own.
         """
         ids = np.asarray(vertices, dtype=np.int64)
-        if ids.size <= FEW_ROWS:  # a few rows: look each up, one pack
-            rows = []
-            for v in ids.tolist():
-                start = self._start.item(v + 1) if 0 <= v < self._n else -1
-                if start < 0:
-                    raise StorageError(f"server {self.part_id} does not own vertex {v}")
-                rows.append(self._indices[start : self._stop.item(v + 1)])
-            if len(rows) == 1:  # a block never shares memory with the shard
-                return RowBlock(ids, np.array([0, rows[0].size]), rows[0].copy())
-            return RowBlock(ids, *pack_rows(rows))
-        slots = ids + 1
-        starts = np.take(self._start, slots, mode="clip")
-        if ids.size and starts.min() < 0:
+        try:
+            return RowBlock(ids, *self._rows.take(ids))
+        except KeyError as exc:
             raise StorageError(
-                f"server {self.part_id} does not own vertex {int(ids[starts < 0][0])}"
-            )
-        return RowBlock(ids, *take_rows(starts, self._stop[slots], self._indices))
+                f"server {self.part_id} does not own vertex {exc.args[0]}"
+            ) from None
 
-    def edit_row(self, vertex: int, ops: "list[tuple[str, int]]") -> "list[int]":
-        """Apply ``(kind, dst)`` edits to an owned vertex's row, in order.
+    def edit_rows(
+        self, ops: "dict[int, list[tuple[str, int]]]"
+    ) -> "dict[int, list[int]]":
+        """Apply each owned vertex's ``(kind, dst)`` edits to its row, in order.
 
         The streaming-update path: ``"add"`` appends an arc to ``dst``,
         ``"remove"`` drops the first ``vertex -> dst`` arc and is a no-op
-        when there is none. The edits run on a plain list and the new row
-        is written once, only if one of them changed it. Returns the row's
-        size after each edit that changed it.
+        when there is none. The rows are read in one gather, edited as
+        plain lists, and the changed ones written back in one append.
+        Returns, for each vertex one of whose edits changed its row, the
+        row's size after each such edit. A vertex this shard does not own
+        raises before any row changes.
         """
-        # The lookup is spelled out, not delegated to owns(): a write batch
-        # makes one Python call per touched row.
-        start = self._start.item(vertex + 1) if 0 <= vertex < self._n else -1
-        if start < 0:
+        try:
+            offsets, values = self._rows.take(np.fromiter(ops, np.int64, len(ops)))
+        except KeyError as exc:
             raise StorageError(
-                f"server {self.part_id} cannot edit the row of foreign vertex {vertex}"
-            )
-        stop = self._stop.item(vertex + 1)
-        dsts = self._indices[start:stop].tolist()
-        sizes: "list[int]" = []
-        for kind, dst in ops:
-            if kind == "add":
-                dsts.append(dst)
-            else:
-                try:
-                    dsts.remove(dst)
-                except ValueError:
-                    continue
-            sizes.append(len(dsts))
-        if sizes:
-            # Append past every row handed out; a full array is copied into
-            # a larger one, so views of the old array keep their contents.
-            used, end = self._used, self._used + len(dsts)
-            if end > self._indices.size:
-                spare = np.empty(max(used, len(dsts)), dtype=np.int64)
-                self._indices = np.concatenate((self._indices[:used], spare))
-            self._indices[used:end] = dsts
-            self._start[vertex + 1] = used
-            self._stop[vertex + 1] = end
-            self._used = end
-            self._n_local_edges += len(dsts) - (stop - start)
-            if self._used > 2 * self._n_local_edges:
-                self._compact()
-        return sizes
-
-    def _compact(self) -> None:
-        """Move the live rows into a fresh array once replaced ones dominate."""
-        slots = np.flatnonzero(self._start >= 0)
-        offsets, self._indices = take_rows(
-            self._start[slots], self._stop[slots], self._indices
-        )
-        self._start[slots] = offsets[:-1]
-        self._stop[slots] = offsets[1:]
-        self._used = int(offsets[-1])
+                f"server {self.part_id} cannot edit the row of foreign vertex {exc.args[0]}"
+            ) from None
+        bounds, cells = offsets.tolist(), values.tolist()
+        changed: "dict[int, list[int]]" = {}
+        rows: "list[list[int]]" = []
+        for (vertex, edits), a, b in zip(ops.items(), bounds, bounds[1:]):
+            dsts = cells[a:b]
+            sizes: "list[int]" = []
+            for kind, dst in edits:
+                if kind == "add":
+                    dsts.append(dst)
+                else:
+                    try:
+                        dsts.remove(dst)
+                    except ValueError:
+                        continue
+                sizes.append(len(dsts))
+            if sizes:
+                changed[vertex] = sizes
+                rows.append(dsts)
+                self._n_local_edges += len(dsts) - (b - a)
+        if changed:
+            offsets = np.fromiter(accumulate(map(len, rows), initial=0), np.int64, len(rows) + 1)
+            values = np.fromiter(chain.from_iterable(rows), np.int64, offsets[-1])
+            self._rows.put(np.fromiter(changed, np.int64, len(changed)), offsets, values)
+        return changed
 
     def ingest_vertex(
         self,
@@ -183,8 +143,7 @@ class GraphServer:
         The migration protocol installs here *before* the old owner
         releases, so every instant has at least one server able to serve
         the row. Re-ingesting an owned vertex is an error — the controller
-        must never double-commit. The row is written as adds to an empty
-        one.
+        must never double-commit.
         """
         vertex = int(vertex)
         if not 0 <= vertex < self._n:
@@ -193,8 +152,9 @@ class GraphServer:
             raise StorageError(
                 f"server {self.part_id} already owns vertex {vertex}"
             )
-        self._start[vertex + 1] = self._stop[vertex + 1] = self._used
-        self.edit_row(vertex, [("add", dst) for dst in np.asarray(neighbors).tolist()])
+        row = np.array(neighbors, dtype=np.int64)
+        self._rows.put(np.array([vertex]), np.array([0, row.size]), row)
+        self._n_local_edges += row.size
         if attr is not None:
             self.attrs.put_vertex_attr(vertex, attr)
 
@@ -207,7 +167,7 @@ class GraphServer:
         """
         vertex = int(vertex)
         neighbors = self.local_neighbors(vertex)
-        self._start[vertex + 1] = -1
+        self._rows.drop([vertex])
         self._n_local_edges -= neighbors.size
         return neighbors, self.attrs.remove_vertex_attr(vertex)
 

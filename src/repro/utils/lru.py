@@ -1,14 +1,17 @@
-"""A small LRU cache with hit/miss accounting.
+"""Small LRU caches with hit/miss accounting.
 
 Used by the storage layer in two places the paper calls out explicitly:
-(1) the caches fronting the vertex/edge attribute indices IV and IE, and
-(2) the LRU neighbor-caching baseline of Figure 9.
+(1) the caches fronting the vertex/edge attribute indices IV and IE
+(:class:`LRUCache`), and (2) the LRU neighbor-caching baseline of Figure 9
+(:class:`IdLRU`, whose rows live in the cache's row arena).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from typing import Any, Hashable
+
+import numpy as np
 
 from repro.errors import StorageError
 
@@ -40,32 +43,6 @@ class LRUCache:
         self.misses += 1
         return None
 
-    def get_many(
-        self, keys: "list[Hashable]"
-    ) -> "tuple[dict[Hashable, Any], list[Hashable]]":
-        """:meth:`get` for each of ``keys`` in order, in one call.
-
-        Returns ``(found, missing)``: the cached values by key and the keys
-        not held, in input order. Recency moves and the hit/miss counters
-        end up exactly as the scalar sequence would leave them.
-        """
-        store = self._store
-        found: "dict[Hashable, Any]" = {}
-        missing: "list[Hashable]" = []
-        if store:
-            touch = store.move_to_end
-            for key in keys:
-                if key in store:
-                    touch(key)
-                    found[key] = store[key]
-                else:
-                    missing.append(key)
-        else:
-            missing.extend(keys)
-        self.hits += len(keys) - len(missing)
-        self.misses += len(missing)
-        return found, missing
-
     def put(self, key: Hashable, value: Any) -> Hashable | None:
         """Insert/refresh ``key``; evicts the least recently used entry.
 
@@ -82,26 +59,6 @@ class LRUCache:
             return evicted
         return None
 
-    def put_many(self, items: "dict[Hashable, Any]") -> None:
-        """:meth:`put` for each item in order.
-
-        A batch larger than the capacity evicts its own earlier entries, as
-        the scalar sequence would.
-        """
-        capacity = self.capacity
-        if capacity == 0:
-            return
-        store = self._store
-        evicted = 0
-        for key, value in items.items():
-            if key in store:
-                store.move_to_end(key)
-            store[key] = value
-            if len(store) > capacity:
-                store.popitem(last=False)
-                evicted += 1
-        self.evictions += evicted
-
     def peek(self, key: Hashable) -> Any:
         """Return the cached value (or None) without touching recency or statistics."""
         return self._store.get(key)
@@ -117,9 +74,79 @@ class LRUCache:
             return True
         return False
 
-    def delete_many(self, keys: "list[Hashable]") -> None:
-        """:meth:`delete` each of ``keys`` (absent ones skipped)."""
-        store = self._store
-        if store:
-            for key in keys:
-                store.pop(key, None)
+
+class IdLRU:
+    """LRU bookkeeping for non-negative integer ids, kept in one array.
+
+    A held id carries a recency stamp, a tick that grows with every use: a
+    batch of uses stamps its ids in order and eviction drops the lowest
+    stamps, so membership, order and counters end up as an
+    :class:`LRUCache` would leave them after the same uses one at a time.
+    It keeps no values (its owner does), and a batch costs a handful of
+    array calls whatever its size.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 0:
+            raise StorageError(f"LRU capacity must be non-negative, got {capacity}")
+        self.capacity = capacity
+        # The last slot stays 0, so a lookup clipped to the table misses.
+        self._stamp = np.zeros(1, dtype=np.int64)
+        self._tick = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._stamp))
+
+    def __contains__(self, key: int) -> bool:
+        return 0 <= key < self._stamp.size and self._stamp.item(key) > 0
+
+    def keys(self) -> "tuple[int, ...]":
+        """Held ids, least recently used first."""
+        held = self._stamp.nonzero()[0]
+        return tuple(held[self._stamp[held].argsort()].tolist())
+
+    def get_many(self, keys: "list[int]") -> "tuple[np.ndarray, list[int]]":
+        """Use each of ``keys`` in order; returns the held ones and the
+        missing ones, each in input order."""
+        if not self.capacity:
+            self.misses += len(keys)
+            return np.zeros(0, dtype=np.int64), list(keys)
+        keys = np.array(keys, dtype=np.int64)
+        held = self._stamp.take(keys, mode="clip") > 0
+        found = keys[held]
+        self._stamp[found] = self._tick + 1 + held.nonzero()[0]
+        self._tick += keys.size
+        missing = keys[~held].tolist()
+        self.hits += found.size
+        self.misses += len(missing)
+        return found, missing
+
+    def put_many(self, keys: np.ndarray) -> None:
+        """Insert or refresh each of the distinct ``keys`` in order, then
+        evict the least recently used ids beyond capacity."""
+        if self.capacity == 0 or not keys.size:
+            return
+        if keys.size > 1 and (self._stamp.take(keys, mode="clip") > 0).any():
+            # A held id may be evicted before its turn comes: one by one.
+            for key in keys.tolist():
+                self.put_many(np.array([key]))
+            return
+        top = int(keys.max()) + 2
+        if top > self._stamp.size:
+            grow = max(self._stamp.size, top - self._stamp.size)
+            self._stamp = np.concatenate((self._stamp, np.zeros(grow, dtype=np.int64)))
+        self._stamp[keys] = self._tick + 1 + np.arange(keys.size)
+        self._tick += keys.size
+        held = self._stamp.nonzero()[0]
+        extra = held.size - self.capacity
+        if extra > 0:
+            oldest = self._stamp[held].argpartition(extra - 1)[:extra]
+            self._stamp[held[oldest]] = 0
+            self.evictions += extra
+
+    def delete_many(self, keys: "list[int]") -> None:
+        """Drop each of ``keys`` that is held (no stat changes)."""
+        self._stamp.put(np.asarray(keys, dtype=np.int64), 0, mode="clip")

@@ -12,7 +12,7 @@ import pytest
 from repro.bench.timing import python_calls  # noqa: F401  (re-exported to the tests)
 from repro.data import amazon_graph, taobao_graph
 from repro.graph import AttributedHeterogeneousGraph, Graph
-from repro.storage.server import RowBlock
+from repro.storage.rows import RowBlock, pack_rows
 from repro.utils.rng import make_rng
 
 
@@ -55,18 +55,20 @@ def cache_get(cache, vertex: int):
     if vertex in cache._pinned:
         cache.hits += 1
         return cache._pinned[vertex]
-    entry = cache._lru.get(vertex)  # (indices, slice): see NeighborCache.admit_many
-    if entry is None:
+    found, _ = cache._lru.get_many([vertex])  # moves recency
+    if not found.size:
         cache.misses += 1
         return None
     cache.hits += 1
-    return entry[0][entry[1]]
+    return cache._rows.row(vertex)
 
 
 def cache_admit(cache, vertex: int, row: np.ndarray) -> None:
     """Scalar demand fill on a ``NeighborCache`` (the ``admit_many`` oracle)."""
     if cache._lru.capacity > 0 and vertex not in cache._pinned:
-        cache._lru.put(vertex, (np.asarray(row, dtype=np.int64), slice(None)))
+        cache._lru.put_many(np.array([vertex]))
+        row = np.asarray(row, dtype=np.int64)
+        cache._rows.put(np.array([vertex]), np.array([0, row.size]), row, live=cache._lru.keys)
 
 
 def block_rows(block) -> "dict[int, np.ndarray]":
@@ -81,10 +83,7 @@ def pack_block(ids, rows: "dict[int, np.ndarray]") -> RowBlock:
     """The ``RowBlock`` a neighbors read of ``ids`` (deduplicated, in
     first-seen order) must equal, packed from its rows by vertex."""
     ids = np.asarray(ids, dtype=np.int64)
-    ordered = [np.asarray(rows[v], dtype=np.int64) for v in ids.tolist()]
-    offsets = np.concatenate([[0], np.cumsum([row.size for row in ordered])]).astype(np.int64)
-    indices = np.concatenate(ordered) if ordered else np.zeros(0, dtype=np.int64)
-    return RowBlock(ids, offsets, indices)
+    return RowBlock(ids, *pack_rows([np.asarray(rows[v], dtype=np.int64) for v in ids.tolist()]))
 
 
 def replica_holders(registry, vertex: int) -> "tuple[int, ...]":

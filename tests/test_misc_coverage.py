@@ -51,12 +51,12 @@ def test_server_edge_mutation_guards(small_powerlaw):
     foreign = store.servers[(owner + 1) % 2]
     for ops in ([("add", 1)], [("remove", 1)], []):
         with pytest.raises(StorageError):
-            foreign.edit_row(v, ops)
+            foreign.edit_rows({v: ops})
     # A batch that changes nothing installs nothing: the row is still read
     # out of the shard's slice, not out of a fresh override array.
     row = store.servers[owner].local_neighbors(v)
     absent = next(u for u in range(small_powerlaw.n_vertices) if u not in row.tolist())
-    assert store.servers[owner].edit_row(v, [("remove", absent)]) == []
+    assert store.servers[owner].edit_rows({v: [("remove", absent)]}).get(v, []) == []
     assert np.shares_memory(store.servers[owner].local_neighbors(v), row)
 
 

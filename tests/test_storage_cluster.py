@@ -299,7 +299,7 @@ def per_event_apply(store, events):
             raise StorageError(f"cannot apply update: owner worker {owner} is down")
         server = store.servers[owner]
         store.ledger.record(EV_EDGE_INGESTED)
-        if not server.edit_row(src, [(ev.kind, int(ev.dst))]):
+        if not server.edit_rows({src: [(ev.kind, int(ev.dst))]}).get(src, []):
             continue  # a remove that matched no arc: every copy is still exact
         applied += 1
         for p in replica_holders(store.replicas, src):

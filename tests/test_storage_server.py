@@ -29,7 +29,7 @@ from repro.storage.costmodel import EV_CACHE_FILL, EV_CACHE_HIT
 from repro.storage.partition import EdgeCutPartitioner
 from repro.storage.replicas import ReplicaRegistry
 from repro.storage.server import GraphServer
-from repro.utils.lru import LRUCache
+from repro.utils.lru import IdLRU
 from repro.utils.rng import make_rng
 from tests.conftest import (
     block_rows,
@@ -125,7 +125,7 @@ class ShardMachine(RuleBasedStateMachine):
             elif not oracle.remove_local_edge(src, dst):
                 continue
             sizes.append(oracle.rows[src].size)
-        assert server.edit_row(src, ops) == sizes
+        assert server.edit_rows({src: ops}).get(src, []) == sizes
 
     @rule(data=st.data(), and_back=st.booleans())
     def migrate(self, data, and_back):
@@ -151,9 +151,9 @@ class ShardMachine(RuleBasedStateMachine):
         for server in self.servers:
             if server.part_id != self.owner[vertex]:
                 for write in (
-                    lambda: server.edit_row(vertex, [("add", 0)]),
-                    lambda: server.edit_row(vertex, [("remove", 0)]),
-                    lambda: server.edit_row(vertex, []),
+                    lambda: server.edit_rows({vertex: [("add", 0)]}),
+                    lambda: server.edit_rows({vertex: [("remove", 0)]}),
+                    lambda: server.edit_rows({vertex: []}),
                     lambda: server.release_vertex(vertex),
                 ):
                     with pytest.raises(StorageError):
@@ -227,7 +227,7 @@ def pin_loop_cache(policy, graph, budget, rng):
         return cache
     for v in policy.select(graph, budget, rng):
         cache.pin(int(v), graph.out_neighbors(int(v)))
-    cache._lru = LRUCache(0)
+    cache._lru = IdLRU(0)
     return cache
 
 
@@ -331,7 +331,8 @@ def test_bulk_cache_ops_equal_their_scalar_sequence(capacity, pin_only, ops):
     )
     for step, (op, arg) in enumerate(ops):
         if op == "get_many":
-            hits, misses = bulk.get_many(arg)
+            block, misses = bulk.get_many(arg)
+            hits = block_rows(block)
             one_by_one = [(v, cache_get(scalar, v)) for v in arg]
             assert misses == [v for v, row in one_by_one if row is None]
             assert hits.keys() == {v for v, row in one_by_one if row is not None}
@@ -367,13 +368,34 @@ def test_bulk_cache_ops_equal_their_scalar_sequence(capacity, pin_only, ops):
         assert state[-1] == {"missing": [], "stale": []}
 
 
+def test_cached_rows_never_keep_their_response_alive():
+    # Demand fill copies admitted rows into the cache's own arena: no
+    # cached row shares memory with the block it came in, and the arena
+    # stays within a constant factor of the rows held (at most 8 rows of
+    # under 20 ids here) plus the largest batch, however many blocks pass.
+    rng = make_rng(0)
+    cache = NeighborCache(8)
+    largest = 0
+    for _ in range(300):
+        ids = rng.choice(1000, size=50, replace=False)
+        rows = {int(v): rng.integers(0, 1000, size=int(rng.integers(0, 20))) for v in ids}
+        block = pack_block(ids, rows)
+        cache.admit_many(block)
+        largest = max(largest, block.indices.size)
+        for v in cache.cached_vertices():
+            assert not np.shares_memory(cache.peek(v), block.indices)
+            assert np.array_equal(cache.peek(v), rows.get(v, cache.peek(v)))
+    assert len(cache) == 8
+    assert cache._rows._cells.size <= 2 * 8 * 19 + 4 * largest
+
+
 def test_local_rows_matches_local_neighbors(small_powerlaw):
     store = make_store(small_powerlaw, 3, seed=0)
     server = store.servers[0]
     owned = [v for v in range(60) if server.owns(v)]
     foreign = next(v for v in range(60) if not server.owns(v))
     # Rewritten rows (an edit, a migration in) sit between slice rows.
-    server.edit_row(owned[1], [("add", 0)])
+    server.edit_rows({owned[1]: [("add", 0)]})
     server.ingest_vertex(foreign, np.array([7, 8], dtype=np.int64))
     batch = owned[:4] + [foreign] + owned[4:]
     rows = block_rows(server.local_rows(batch))
@@ -404,7 +426,7 @@ def test_ids_outside_the_graph_are_owned_by_no_shard(small_powerlaw):
             with pytest.raises(StorageError):
                 server.local_rows([outside])
             with pytest.raises(StorageError):
-                server.edit_row(outside, [("add", 0)])
+                server.edit_rows({outside: [("add", 0)]})
             with pytest.raises(StorageError):  # nor may a migration land there
                 server.ingest_vertex(outside, np.array([0], dtype=np.int64))
             assert not server.owns(outside)
@@ -420,8 +442,9 @@ def test_rows_handed_out_keep_their_contents(small_powerlaw):
     block = server.local_rows(owned)
     then = {v: row.copy() for v, row in single.items()}
     then_block = [array.copy() for array in block]
-    server.edit_row(owned[0], [("add", owned[1]), ("add", owned[2])])
-    server.edit_row(owned[1], [("remove", int(single[owned[1]][0]))] if single[owned[1]].size else [])
+    server.edit_rows({owned[0]: [("add", owned[1]), ("add", owned[2])]})
+    if single[owned[1]].size:
+        server.edit_rows({owned[1]: [("remove", int(single[owned[1]][0]))]})
     server.release_vertex(owned[2])
     for v, row in single.items():
         assert np.array_equal(row, then[v])

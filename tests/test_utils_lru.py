@@ -1,9 +1,12 @@
-"""LRUCache: eviction order, stats, capacity edge cases."""
+"""LRUCache: eviction order, stats, capacity edge cases; IdLRU against it."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StorageError
-from repro.utils.lru import LRUCache
+from repro.utils.lru import IdLRU, LRUCache
 
 
 def test_put_get_roundtrip():
@@ -69,3 +72,43 @@ def test_len_tracks_entries():
     for i in range(5):
         cache.put(i, i)
     assert len(cache) == 3
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("get"), st.lists(st.integers(0, 15), max_size=12)),
+        st.tuples(st.just("put"), st.lists(st.integers(0, 15), max_size=12, unique=True)),
+        st.tuples(st.just("delete"), st.lists(st.integers(0, 40), max_size=6)),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.integers(0, 6), ops=_OPS)
+def test_id_lru_equals_lru_cache_one_use_at_a_time(capacity, ops):
+    # A batch of uses stamps its ids in order; eviction takes the oldest
+    # stamps, and a batch that refreshes a held id goes one by one, so
+    # membership, order and every counter match the scalar sequence.
+    ids, scalar = IdLRU(capacity), LRUCache(capacity)
+    for op, keys in ops:
+        if op == "get":
+            found, missing = ids.get_many(keys)
+            want = [(k, scalar.get(k) is not None) for k in keys]
+            assert found.tolist() == [k for k, hit in want if hit]
+            assert missing == [k for k, hit in want if not hit]
+        elif op == "put":
+            ids.put_many(np.array(keys, dtype=np.int64))
+            for k in keys:
+                scalar.put(k, k)
+        else:
+            ids.delete_many(keys)
+            for k in keys:
+                scalar.delete(k)
+        assert ids.keys() == scalar.keys() and len(ids) == len(scalar)
+        assert (ids.hits, ids.misses, ids.evictions) == (
+            scalar.hits,
+            scalar.misses,
+            scalar.evictions,
+        )
+        assert all((k in ids) == (k in scalar) for k in range(-1, 42))
