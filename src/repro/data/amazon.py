@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import DatasetError
 from repro.graph.ahg import AttributedHeterogeneousGraph
-from repro.utils.rng import make_rng
+from repro.utils.rng import choice_cdf, make_rng
 
 PRODUCT_ATTR_DIM = 8
 
@@ -35,7 +35,11 @@ def amazon_graph(
     n_communities: int = 20,
     seed: int = 0,
 ) -> AttributedHeterogeneousGraph:
-    """Generate the Amazon-like multiplex product graph (undirected)."""
+    """Generate the Amazon-like multiplex product graph (undirected).
+
+    Co-view destinations are drawn in batch under the contract of
+    ``repro.data`` (oracle: ``loop_amazon_graph`` in ``tests/test_data.py``).
+    """
     if n_products < n_communities * 2:
         raise DatasetError("need at least two products per community")
     rng = make_rng(seed)
@@ -52,18 +56,18 @@ def amazon_graph(
     rng.shuffle(popularity)
 
     n_coview = int(COVIEW_PER_PRODUCT * n_products)
-    src = np.empty(n_coview, dtype=np.int64)
-    dst = np.empty(n_coview, dtype=np.int64)
     all_probs = popularity / popularity.sum()
-    src[:] = rng.choice(n_products, size=n_coview, p=all_probs)
+    src = rng.choice(n_products, size=n_coview, p=all_probs)
     intra = rng.random(n_coview) < INTRA_COMMUNITY
-    for i in range(n_coview):
-        if intra[i]:
-            pool = members[community[src[i]]]
-            local = popularity[pool]
-            dst[i] = rng.choice(pool, p=local / local.sum())
-        else:
-            dst[i] = rng.choice(n_products, p=all_probs)
+    # One uniform per arc: an intra arc looks it up in its community's CDF,
+    # any other arc in the global one.
+    u = rng.random(n_coview)
+    dst = choice_cdf(popularity).searchsorted(u, side="right")
+    intra_community = np.where(intra, community[src], -1)
+    for c, pool in enumerate(members):
+        arcs = intra_community == c
+        cdf = choice_cdf(popularity[pool])
+        dst[arcs] = pool[cdf.searchsorted(u[arcs], side="right")]
     keep = src != dst
     src, dst = src[keep], dst[keep]
 

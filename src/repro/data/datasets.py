@@ -8,6 +8,8 @@ paper's storage-size ratio between Taobao-small and Taobao-large (Table 3).
 
 from __future__ import annotations
 
+from math import inf
+from numbers import Integral, Real
 from typing import Callable
 
 from repro.data.amazon import amazon_graph
@@ -47,9 +49,12 @@ DATASETS: dict[str, Callable[[float, int], object]] = {
 
 
 def make_dataset(name: str, scale: float = 1.0, seed: int = 0):
-    """Instantiate a named dataset at ``scale`` with ``seed``."""
-    if scale <= 0:
-        raise DatasetError(f"scale must be positive, got {scale}")
+    """Instantiate a named dataset at ``scale`` (a finite positive real)
+    with ``seed`` (a non-negative integer); ``DatasetError`` otherwise."""
+    if isinstance(scale, bool) or not isinstance(scale, Real) or not 0 < scale < inf:
+        raise DatasetError(f"scale must be a finite positive number, got {scale!r}")
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise DatasetError(f"seed must be a non-negative integer, got {seed!r}")
     try:
         factory = DATASETS[name]
     except KeyError:

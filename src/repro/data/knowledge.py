@@ -30,7 +30,9 @@ def knowledge_graph(
     item's brand and category id. Brands nest inside categories (each brand
     belongs to one category), matching real catalog taxonomies. Pass
     ``category_of`` to align the KG with an existing behaviour graph's
-    community structure.
+    community structure. The brands are drawn in batch under the contract
+    of ``repro.data`` (oracle: ``loop_knowledge_graph`` in
+    ``tests/test_data.py``).
     """
     if n_items < 1 or n_brands < 1 or n_categories < 1:
         raise DatasetError("need positive item/brand/category counts")
@@ -42,11 +44,14 @@ def knowledge_graph(
         category_of = np.asarray(category_of, dtype=np.int64) % n_categories
         if category_of.shape != (n_items,):
             raise DatasetError("category_of must have one entry per item")
-    # Each item gets a brand from its own category (fallback: any brand).
-    brand_of = np.empty(n_items, dtype=np.int64)
-    for i in range(n_items):
-        candidates = np.flatnonzero(brand_category == category_of[i])
-        brand_of[i] = rng.choice(candidates) if candidates.size else rng.integers(n_brands)
+    # Each item gets a brand from its own category (fallback: any brand):
+    # one bounded draw per item, all in one broadcast call.
+    by_category = np.argsort(brand_category, kind="stable")
+    n_candidates = np.bincount(brand_category, minlength=n_categories)
+    first = np.cumsum(n_candidates) - n_candidates
+    has = n_candidates[category_of] > 0
+    brand_of = rng.integers(0, np.where(has, n_candidates[category_of], n_brands))
+    brand_of[has] = by_category[first[category_of[has]] + brand_of[has]]
 
     # Vertex layout: items, then brands, then categories.
     item_ids = np.arange(n_items, dtype=np.int64)

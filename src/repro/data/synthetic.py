@@ -23,7 +23,7 @@ from repro.errors import DatasetError
 from repro.graph.ahg import AttributedHeterogeneousGraph
 from repro.graph.graph import Graph
 from repro.utils.powerlaw import sample_power_law_degrees
-from repro.utils.rng import make_rng
+from repro.utils.rng import choice_cdf, make_rng
 
 #: The four behaviour edge types of the Taobao graph (Figure 2).
 BEHAVIOUR_TYPES = ("click", "collect", "cart", "buy")
@@ -113,6 +113,8 @@ def taobao_graph(
     The sizes and mean degrees are the parameters; the named dataset
     registry (``repro.data.datasets``) fixes them for ``taobao-small-sim``
     and ``taobao-large-sim``. The shape constants above are shared by both.
+    Interactor picks are drawn in batch under the contract of ``repro.data``
+    (oracle: ``loop_taobao_graph`` in ``tests/test_data.py``).
     """
     if n_users < 1 or n_items < 2:
         raise DatasetError("need at least 1 user and 2 items")
@@ -136,11 +138,6 @@ def taobao_graph(
     # keeps *global* item popularity strongly skewed even though choice is
     # within-group — the skew Figures 8-9 depend on.
     user_pref = _zipf_ranks(n_interests, 2 * n_users, 1.0, rng).reshape(n_users, 2)
-    # Users who prefer each group (for item->user arcs).
-    prefers_group = [
-        np.flatnonzero((user_pref[:, 0] == g) | (user_pref[:, 1] == g))
-        for g in range(n_interests)
-    ]
 
     def pick_items(groups: np.ndarray) -> np.ndarray:
         """One item per requested group, Zipf-popular within the group."""
@@ -184,9 +181,11 @@ def taobao_graph(
     # row stays the independent power law drawn above — not the item's
     # in-degree — which is what keeps Imp^(2) = D_i/D_o spread out for the
     # Figure 8 knee.
-    interactors: list[list[int]] = [[] for _ in range(n_items)]
-    for u, i in zip(src_users, dst_items - n_users):
-        interactors[i].append(int(u))
+    # Interactor lists in arc order: a stable sort of the arcs by item.
+    dst_item = dst_items - n_users
+    interactors = src_users[np.argsort(dst_item, kind="stable")]
+    n_interactors = np.bincount(dst_item, minlength=n_items)
+    first = np.cumsum(n_interactors) - n_interactors
     # Per-user "visibility" — an independent Zipf weight deciding which
     # interactors make it into the bounded engagement rows. Independence
     # from user activity keeps user in-degree an independent power law,
@@ -195,17 +194,20 @@ def taobao_graph(
     visibility = (np.arange(1, n_users + 1, dtype=np.float64)) ** -1.2
     rng.shuffle(visibility)
     iu_idx = np.flatnonzero(~to_item)
-    iu_dst = np.empty(iu_idx.size, dtype=np.int64)
-    fallback = _zipf_ranks(n_users, iu_idx.size, 0.8, rng)
-    for j, e in enumerate(iu_idx):
-        pool = interactors[int(io_src[e]) - n_users]
-        if pool:
-            weights = visibility[pool]
-            iu_dst[j] = pool[
-                int(rng.choice(len(pool), p=weights / weights.sum()))
-            ]
-        else:
-            iu_dst[j] = fallback[j]
+    # An item with no interactors falls back to a Zipf-popular user.
+    iu_dst = _zipf_ranks(n_users, iu_idx.size, 0.8, rng)
+    # The rest draw one visibility-weighted interactor each; io_src is
+    # sorted, so an item's arcs are contiguous and share one CDF.
+    iu_item = io_src[iu_idx] - n_users
+    drawn = n_interactors[iu_item] > 0
+    u = rng.random(int(drawn.sum()))
+    picks = np.empty(u.size, dtype=np.int64)
+    items, starts = np.unique(iu_item[drawn], return_index=True)
+    for i, lo, hi in zip(items, starts, [*starts[1:], u.size]):
+        pool = interactors[first[i] : first[i] + n_interactors[i]]
+        cdf = choice_cdf(visibility[pool])
+        picks[lo:hi] = pool[cdf.searchsorted(u[lo:hi], side="right")]
+    iu_dst[drawn] = picks
     io_dst[iu_idx] = iu_dst
     io_types = np.where(
         to_item,

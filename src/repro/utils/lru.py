@@ -59,14 +59,6 @@ class LRUCache:
             return evicted
         return None
 
-    def peek(self, key: Hashable) -> Any:
-        """Return the cached value (or None) without touching recency or statistics."""
-        return self._store.get(key)
-
-    def keys(self) -> "tuple[Hashable, ...]":
-        """Currently cached keys, least recently used first."""
-        return tuple(self._store.keys())
-
     def delete(self, key: Hashable) -> bool:
         """Remove ``key`` if present (no stat changes); returns whether it was."""
         if key in self._store:

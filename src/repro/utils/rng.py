@@ -22,3 +22,15 @@ def make_rng(seed: "int | np.random.Generator | None" = None) -> np.random.Gener
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def choice_cdf(weights: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice(n, p=weights / weights.sum())`` searches.
+
+    ``cdf.searchsorted(rng.random(k), side="right")`` draws the same ``k``
+    indices, from the same stream, as ``k`` such ``choice`` calls: build one
+    per pool, then draw a whole batch from it.
+    """
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf

@@ -207,3 +207,341 @@ def test_split_one_negative_per_positive(small_amazon):
 def test_split_validation(small_amazon):
     with pytest.raises(DatasetError):
         train_test_split_edges(small_amazon, 0.0)
+
+
+def test_make_dataset_rejects_malformed_scale_and_seed():
+    """Every malformed ``scale`` / ``seed`` is a ``DatasetError``, raised
+    before the generator runs (so before any draw)."""
+    for scale in (float("nan"), float("inf"), -float("inf"), "1", True, 0, -1.0, None):
+        with pytest.raises(DatasetError, match="scale"):
+            make_dataset("amazon-sim", scale=scale)
+    for seed in (1.5, "x", -1, True, None, np.float64(2.0)):
+        with pytest.raises(DatasetError, match="seed"):
+            make_dataset("amazon-sim", scale=0.05, seed=seed)
+    # numpy scalars of the right kind are accepted.
+    graph = make_dataset("amazon-sim", scale=np.float64(0.05), seed=np.int64(3))
+    assert graph.n_vertices == 100
+
+
+# --------------------------------------------------------------------------- #
+# Per-element oracles: the three generators as they were before their draws
+# were batched, loops verbatim. The batched generators in ``repro.data`` must
+# return the same arrays and leave the generator in the same state.
+# --------------------------------------------------------------------------- #
+
+
+def loop_taobao_graph(
+    n_users=4000, n_items=1200, mean_user_degree=8.0, mean_item_out_degree=6.0, seed=0
+):
+    from repro.data.synthetic import (
+        ATTR_VOCAB,
+        BEHAVIOUR_PROBS,
+        BEHAVIOUR_TYPES,
+        DEGREE_ALPHA,
+        INTEREST_AFFINITY,
+        ITEM_ATTR_DIM,
+        ITEM_ITEM_FRACTION,
+        ITEM_ZIPF,
+        N_INTERESTS,
+        USER_ATTR_DIM,
+        _discrete_attributes,
+        _zipf_ranks,
+    )
+    from repro.graph.ahg import AttributedHeterogeneousGraph
+    from repro.utils.powerlaw import sample_power_law_degrees
+
+    rng = make_rng(seed)
+    n_interests = max(1, min(N_INTERESTS, n_items // 2))
+
+    def scaled_powerlaw(count, mean):
+        max_deg = max(4, int(mean * 12))
+        deg = sample_power_law_degrees(count, DEGREE_ALPHA, 1, max_deg, rng)
+        scale = mean / max(deg.mean(), 1e-9)
+        return np.maximum(1, np.round(deg * scale)).astype(np.int64)
+
+    item_group = rng.integers(0, n_interests, size=n_items)
+    group_items = [np.flatnonzero(item_group == g) for g in range(n_interests)]
+    if any(g.size == 0 for g in group_items):
+        item_group = np.arange(n_items) % n_interests
+        group_items = [np.flatnonzero(item_group == g) for g in range(n_interests)]
+    user_pref = _zipf_ranks(n_interests, 2 * n_users, 1.0, rng).reshape(n_users, 2)
+
+    def pick_items(groups):
+        out = np.empty(groups.size, dtype=np.int64)
+        for g in range(n_interests):
+            mask = groups == g
+            count = int(mask.sum())
+            if count:
+                pool = group_items[g]
+                out[mask] = pool[_zipf_ranks(pool.size, count, ITEM_ZIPF, rng)]
+        return out
+
+    user_deg = scaled_powerlaw(n_users, mean_user_degree)
+    src_users = np.repeat(np.arange(n_users, dtype=np.int64), user_deg)
+    n_ui = src_users.size
+    in_pref = rng.random(n_ui) < INTEREST_AFFINITY
+    pref_pick = user_pref[src_users, rng.integers(0, 2, size=n_ui)]
+    random_group = _zipf_ranks(n_interests, n_ui, 1.0, rng)
+    groups = np.where(in_pref, pref_pick, random_group)
+    dst_items = pick_items(groups) + n_users
+    etype_idx = rng.choice(len(BEHAVIOUR_TYPES), size=n_ui, p=BEHAVIOUR_PROBS)
+
+    item_out_deg = scaled_powerlaw(n_items, mean_item_out_degree)
+    io_src = np.repeat(
+        np.arange(n_users, n_users + n_items, dtype=np.int64), item_out_deg
+    )
+    n_io = io_src.size
+    src_groups = item_group[io_src - n_users]
+    to_item = rng.random(n_io) < ITEM_ITEM_FRACTION
+    io_dst = np.empty(n_io, dtype=np.int64)
+    ii_groups = np.where(
+        rng.random(n_io) < INTEREST_AFFINITY,
+        src_groups,
+        _zipf_ranks(n_interests, n_io, 1.0, rng),
+    )
+    io_dst[to_item] = pick_items(ii_groups[to_item]) + n_users
+    interactors: list[list[int]] = [[] for _ in range(n_items)]
+    for u, i in zip(src_users, dst_items - n_users):
+        interactors[i].append(int(u))
+    visibility = (np.arange(1, n_users + 1, dtype=np.float64)) ** -1.2
+    rng.shuffle(visibility)
+    iu_idx = np.flatnonzero(~to_item)
+    iu_dst = np.empty(iu_idx.size, dtype=np.int64)
+    fallback = _zipf_ranks(n_users, iu_idx.size, 0.8, rng)
+    for j, e in enumerate(iu_idx):
+        pool = interactors[int(io_src[e]) - n_users]
+        if pool:
+            weights = visibility[pool]
+            iu_dst[j] = pool[
+                int(rng.choice(len(pool), p=weights / weights.sum()))
+            ]
+        else:
+            iu_dst[j] = fallback[j]
+    io_dst[iu_idx] = iu_dst
+    io_types = np.where(
+        to_item,
+        len(BEHAVIOUR_TYPES),
+        rng.choice(len(BEHAVIOUR_TYPES), size=n_io, p=BEHAVIOUR_PROBS),
+    ).astype(np.int64)
+    keep = io_src != io_dst
+    io_src, io_dst, io_types = io_src[keep], io_dst[keep], io_types[keep]
+
+    src = np.concatenate([src_users, io_src])
+    dst = np.concatenate([dst_items, io_dst])
+    edge_types = np.concatenate([etype_idx, io_types])
+
+    n = n_users + n_items
+    vertex_types = np.concatenate(
+        [np.zeros(n_users, dtype=np.int64), np.ones(n_items, dtype=np.int64)]
+    )
+    attr_dim = max(USER_ATTR_DIM, ITEM_ATTR_DIM)
+    features = np.zeros((n, attr_dim), dtype=np.float32)
+    features[:n_users, :USER_ATTR_DIM] = _discrete_attributes(
+        n_users, USER_ATTR_DIM, ATTR_VOCAB, rng
+    )
+    features[n_users:, :ITEM_ATTR_DIM] = _discrete_attributes(
+        n_items, ITEM_ATTR_DIM, ATTR_VOCAB, rng
+    )
+    tag_dims = min(n_interests, 20)
+    features[:, :tag_dims] = 0.0
+    features[np.arange(n_users), user_pref[:, 0] % tag_dims] = 1.0
+    features[np.arange(n_users), user_pref[:, 1] % tag_dims] = 1.0
+    features[n_users + np.arange(n_items), item_group % tag_dims] = 1.0
+
+    return AttributedHeterogeneousGraph(
+        n_vertices=n,
+        src=src,
+        dst=dst,
+        vertex_types=vertex_types,
+        edge_types=edge_types,
+        vertex_type_names=["user", "item"],
+        edge_type_names=list(BEHAVIOUR_TYPES) + ["item_item"],
+        directed=True,
+        vertex_features=features,
+    )
+
+
+def loop_amazon_graph(n_products=2000, n_communities=20, seed=0):
+    from repro.data.amazon import COBUY_FRACTION, COVIEW_PER_PRODUCT, INTRA_COMMUNITY
+    from repro.data.amazon import PRODUCT_ATTR_DIM, ZIPF
+    from repro.graph.ahg import AttributedHeterogeneousGraph
+
+    rng = make_rng(seed)
+    community = rng.integers(0, n_communities, size=n_products)
+    members = [np.flatnonzero(community == c) for c in range(n_communities)]
+    if any(m.size < 2 for m in members):
+        community = np.arange(n_products) % n_communities
+        members = [np.flatnonzero(community == c) for c in range(n_communities)]
+
+    popularity = (np.arange(1, n_products + 1, dtype=np.float64)) ** -ZIPF
+    rng.shuffle(popularity)
+
+    n_coview = int(COVIEW_PER_PRODUCT * n_products)
+    src = np.empty(n_coview, dtype=np.int64)
+    dst = np.empty(n_coview, dtype=np.int64)
+    all_probs = popularity / popularity.sum()
+    src[:] = rng.choice(n_products, size=n_coview, p=all_probs)
+    intra = rng.random(n_coview) < INTRA_COMMUNITY
+    for i in range(n_coview):
+        if intra[i]:
+            pool = members[community[src[i]]]
+            local = popularity[pool]
+            dst[i] = rng.choice(pool, p=local / local.sum())
+        else:
+            dst[i] = rng.choice(n_products, p=all_probs)
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+
+    n_cobuy = int(COBUY_FRACTION * src.size)
+    idx = rng.choice(src.size, size=n_cobuy, replace=False)
+    buy_src, buy_dst = src[idx].copy(), dst[idx].copy()
+    n_noise = max(1, n_cobuy // 10)
+    noise_src = rng.choice(n_products, size=n_noise, p=all_probs)
+    noise_dst = rng.choice(n_products, size=n_noise, p=all_probs)
+    keep_noise = noise_src != noise_dst
+    buy_src = np.concatenate([buy_src, noise_src[keep_noise]])
+    buy_dst = np.concatenate([buy_dst, noise_dst[keep_noise]])
+
+    full_src = np.concatenate([src, buy_src])
+    full_dst = np.concatenate([dst, buy_dst])
+    edge_types = np.concatenate(
+        [np.zeros(src.size, dtype=np.int64), np.ones(buy_src.size, dtype=np.int64)]
+    )
+    features = np.zeros(
+        (n_products, n_communities + PRODUCT_ATTR_DIM - 1), dtype=np.float32
+    )
+    features[np.arange(n_products), community] = 1.0
+    tail = n_communities
+    features[:, tail + 0] = rng.integers(0, 50, size=n_products)
+    features[:, tail + 1] = rng.integers(0, 10, size=n_products)
+    features[:, tail + 2] = rng.integers(0, 5, size=n_products)
+    features[:, tail + 3 :] = rng.integers(
+        0, 4, size=(n_products, PRODUCT_ATTR_DIM - 4)
+    )
+    return AttributedHeterogeneousGraph(
+        n_vertices=n_products,
+        src=full_src,
+        dst=full_dst,
+        vertex_types=np.zeros(n_products, dtype=np.int64),
+        edge_types=edge_types,
+        vertex_type_names=["item"],
+        edge_type_names=["co_view", "co_buy"],
+        directed=False,
+        vertex_features=features,
+    )
+
+
+def loop_knowledge_graph(n_items, n_brands=40, n_categories=12, category_of=None, seed=0):
+    from repro.graph.ahg import AttributedHeterogeneousGraph
+
+    rng = make_rng(seed)
+    brand_category = rng.integers(0, n_categories, size=n_brands)
+    if category_of is None:
+        category_of = rng.integers(0, n_categories, size=n_items)
+    else:
+        category_of = np.asarray(category_of, dtype=np.int64) % n_categories
+    brand_of = np.empty(n_items, dtype=np.int64)
+    for i in range(n_items):
+        candidates = np.flatnonzero(brand_category == category_of[i])
+        brand_of[i] = rng.choice(candidates) if candidates.size else rng.integers(n_brands)
+
+    item_ids = np.arange(n_items, dtype=np.int64)
+    brand_ids = n_items + np.arange(n_brands, dtype=np.int64)
+    cat_ids = n_items + n_brands + np.arange(n_categories, dtype=np.int64)
+    src = np.concatenate([item_ids, item_ids, brand_ids])
+    dst = np.concatenate(
+        [brand_ids[brand_of], cat_ids[category_of], cat_ids[brand_category]]
+    )
+    edge_types = np.concatenate(
+        [
+            np.zeros(n_items, dtype=np.int64),
+            np.ones(n_items, dtype=np.int64),
+            np.full(n_brands, 2, dtype=np.int64),
+        ]
+    )
+    vertex_types = np.concatenate(
+        [
+            np.zeros(n_items, dtype=np.int64),
+            np.ones(n_brands, dtype=np.int64),
+            np.full(n_categories, 2, dtype=np.int64),
+        ]
+    )
+    kg = AttributedHeterogeneousGraph(
+        n_vertices=n_items + n_brands + n_categories,
+        src=src,
+        dst=dst,
+        vertex_types=vertex_types,
+        edge_types=edge_types,
+        vertex_type_names=["item", "brand", "category"],
+        edge_type_names=["has_brand", "in_category", "brand_in_category"],
+        directed=False,
+    )
+    return kg, brand_of, category_of
+
+
+#: case -> (batched generator, its loop oracle, keyword arguments).
+GENERATOR_CASES = {
+    # 5 users cannot interact with 30 items: some items have no interactors.
+    "taobao-fallback": (taobao_graph, loop_taobao_graph, dict(n_users=5, n_items=30)),
+    # n_items < 40: six groups for twelve items, re-dealt round-robin.
+    "taobao-redeal": (taobao_graph, loop_taobao_graph, dict(n_users=20, n_items=12)),
+    "taobao-large-sim": (
+        taobao_graph,
+        loop_taobao_graph,
+        dict(n_users=13000, n_items=1400, mean_user_degree=17.5),
+    ),
+    "amazon-40": (amazon_graph, loop_amazon_graph, dict(n_products=40)),
+    "amazon-2000": (amazon_graph, loop_amazon_graph, dict(n_products=2000)),
+    # Three brands over twelve categories: most categories have none.
+    "kg-brandless": (
+        knowledge_graph,
+        loop_knowledge_graph,
+        dict(n_items=300, n_brands=3, n_categories=12),
+    ),
+    "kg-aligned": (
+        knowledge_graph,
+        loop_knowledge_graph,
+        dict(n_items=300, n_brands=40, category_of=np.arange(300) % 7),
+    ),
+}
+
+
+def _graph_arrays(graph):
+    src, dst, _ = graph.edge_array()
+    return [src, dst, graph.edge_types, graph.vertex_types, graph.vertex_features]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 351])
+@pytest.mark.parametrize("case", list(GENERATOR_CASES))
+def test_batched_generators_match_the_loops(case, seed):
+    batched, loop, kwargs = GENERATOR_CASES[case]
+    rng_got, rng_want = make_rng(seed), make_rng(seed)
+    got, want = batched(seed=rng_got, **kwargs), loop(seed=rng_want, **kwargs)
+    if isinstance(got, tuple):  # the knowledge graph, brand_of, category_of
+        (got, *got_extra), (want, *want_extra) = got, want
+    else:
+        got_extra = want_extra = []
+    for a, b in zip(_graph_arrays(got) + got_extra, _graph_arrays(want) + want_extra):
+        if b is None:
+            assert a is None
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 7, 351])
+def test_generator_cases_reach_every_branch(seed):
+    """The oracle cases exercise the branches they are named for."""
+    g = taobao_graph(n_users=5, n_items=30, seed=seed)
+    src, dst, _ = g.edge_array()
+    from_users = np.bincount(dst[src < 5] - 5, minlength=30)
+    to_users = np.bincount(src[(src >= 5) & (dst < 5)] - 5, minlength=30)
+    assert ((from_users == 0) & (to_users > 0)).any()  # the fallback
+    assert ((from_users > 0) & (to_users > 0)).any()  # the weighted draw
+    g = taobao_graph(n_users=20, n_items=12, seed=seed)
+    tags = g.vertex_features[20:, :6].argmax(axis=1)
+    np.testing.assert_array_equal(tags, np.arange(12) % 6)  # round-robin
+    _, brand_of, category_of = knowledge_graph(300, n_brands=3, n_categories=12, seed=seed)
+    brand_category = make_rng(seed).integers(0, 12, size=3)
+    assert (brand_category[brand_of] != category_of).any()  # any-brand fallback

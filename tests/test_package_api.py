@@ -391,9 +391,8 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
         (CostModel, {"cache_churn_ratio", "importance_threshold"}),
         (CachePlan, {"max_cached_hop"}),
         (build_distributed, {"coordination_rounds"}),
-        (LRUCache, {"clear", "reset_stats", "hit_rate"}),
+        (LRUCache, {"clear", "reset_stats", "hit_rate", "peek", "keys"}),
         (LRUCache.get, {"default"}),
-        (LRUCache.peek, {"default"}),
         (NeighborCache, {"get", "admit", "hit_rate"}),
         (ReplicaRegistry, {"holders", "replica_count", "n_tracked"}),
         (CostAccumulator, {"merge"}),

@@ -317,9 +317,9 @@ class TestServingEngine:
             for r in records
         )
         vectors = hashlib.sha256()
-        for user in engine.embed_cache.keys():
+        for user, vector in engine.embed_cache._store.items():  # LRU order
             vectors.update(f"{int(user)}:".encode())
-            vectors.update(np.ascontiguousarray(engine.embed_cache.peek(user)).tobytes())
+            vectors.update(np.ascontiguousarray(vector).tobytes())
         assert (len(records), len(engine.embed_cache)) == (388, 125)
         assert hashlib.sha256(slo.encode()).hexdigest()[:16] == "06d0edba1dea03d6"
         assert hashlib.sha256(trace.encode()).hexdigest()[:16] == "64bd25b2e9ab54f0"

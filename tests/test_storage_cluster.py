@@ -528,7 +528,7 @@ def _observable_state(store):
             for c in caches
         ],
         "iv_fronts": [
-            (s.attrs.iv_cache.keys(), s.attrs.iv_cache.hits, s.attrs.iv_cache.misses)
+            (tuple(s.attrs.iv_cache._store), s.attrs.iv_cache.hits, s.attrs.iv_cache.misses)
             for s in store.servers
         ],
         "audit": store.replicas.audit(contents),
