@@ -22,12 +22,15 @@ from repro.nn import functional as F
 from repro.nn.layers import Dense
 from repro.nn.loss import bce_with_logits, gaussian_kl
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import DTYPE, Tensor
 from repro.utils.rng import make_rng
 
 
 class _InteractionModel:
-    """Shared scaffolding over the (n_users, n_items) interaction matrix."""
+    """Shared scaffolding over the (n_users, n_items) interaction matrix.
+
+    The user and item vectors train on the float32 tape and are handed out
+    in float64, as every model's embeddings are."""
 
     def __init__(
         self,
@@ -84,7 +87,7 @@ class DAE(_InteractionModel):
 
     def fit(self, interactions: np.ndarray) -> "DAE":
         rng = make_rng(self.seed)
-        x = np.asarray(interactions, dtype=np.float64)
+        x = np.asarray(interactions, dtype=DTYPE)
         n_users, n_items = x.shape
         enc1 = Dense(n_items, self.hidden, rng, "tanh")
         enc2 = Dense(self.hidden, self.dim, rng)
@@ -103,8 +106,8 @@ class DAE(_InteractionModel):
                 for lo in range(0, n_users, self.batch_size)
             )
             train_steps(batches, loss_fn, optimizer)
-        self._user_emb = enc2(enc1(Tensor(x))).numpy()
-        self._item_emb = dec.weight.numpy().T  # (n_items, dim)
+        self._user_emb = enc2(enc1(Tensor(x))).numpy().astype(np.float64)
+        self._item_emb = dec.weight.numpy().T.astype(np.float64)  # (n_items, dim)
         return self
 
 
@@ -121,7 +124,7 @@ class BetaVAE(_InteractionModel):
 
     def fit(self, interactions: np.ndarray) -> "BetaVAE":
         rng = make_rng(self.seed)
-        x = np.asarray(interactions, dtype=np.float64)
+        x = np.asarray(interactions, dtype=DTYPE)
         n_users, n_items = x.shape
         enc = Dense(n_items, self.hidden, rng, "tanh")
         mu_layer = Dense(self.hidden, self.dim, rng)
@@ -150,6 +153,6 @@ class BetaVAE(_InteractionModel):
                 for lo in range(0, n_users, self.batch_size)
             )
             train_steps(batches, loss_fn, optimizer)
-        self._user_emb = mu_layer(enc(Tensor(x))).numpy()
-        self._item_emb = dec.weight.numpy().T
+        self._user_emb = mu_layer(enc(Tensor(x))).numpy().astype(np.float64)
+        self._item_emb = dec.weight.numpy().T.astype(np.float64)
         return self

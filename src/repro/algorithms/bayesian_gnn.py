@@ -24,7 +24,7 @@ from repro.graph.ahg import AttributedHeterogeneousGraph
 from repro.nn.layers import Dense
 from repro.nn.loss import mse
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import DTYPE, Tensor
 from repro.utils.rng import make_rng
 
 
@@ -69,7 +69,7 @@ class BayesianGNN(EmbeddingModel):
         ``entity_ids[i]`` is the KG vertex id of task entity ``i`` (rows of
         ``task_embeddings``).
         """
-        task_embeddings = np.asarray(task_embeddings, dtype=np.float64)
+        task_embeddings = np.asarray(task_embeddings, dtype=DTYPE)
         entity_ids = np.asarray(entity_ids, dtype=np.int64)
         if task_embeddings.shape[0] != entity_ids.size:
             raise TrainingError("one KG entity id per task embedding row")
@@ -116,8 +116,8 @@ class BayesianGNN(EmbeddingModel):
         mu = delta.numpy()
         # f_phi(h_v + mu_v): the corrected task-specific embedding (paper's
         # output). Pairwise-difference training leaves a global shift free,
-        # so center it before use.
-        z = f(Tensor(h + mu)).numpy()
+        # so center it before use, in float64 like every model's embeddings.
+        z = f(Tensor(h + mu)).numpy().astype(np.float64)
         self._embeddings = z - z.mean(axis=0, keepdims=True)
         return self
 

@@ -36,14 +36,19 @@ def knowledge_graph(
     """
     if n_items < 1 or n_brands < 1 or n_categories < 1:
         raise DatasetError("need positive item/brand/category counts")
+    if category_of is not None:
+        category_of = np.asarray(category_of)
+        if category_of.shape != (n_items,):
+            raise DatasetError("category_of must have one entry per item")
+        if category_of.dtype.kind not in "iu" or not (
+            (category_of >= 0) & (category_of < n_categories)
+        ).all():
+            raise DatasetError(f"category_of must hold integer ids in [0, {n_categories})")
+        category_of = category_of.astype(np.int64)
     rng = make_rng(seed)
     brand_category = rng.integers(0, n_categories, size=n_brands)
     if category_of is None:
         category_of = rng.integers(0, n_categories, size=n_items)
-    else:
-        category_of = np.asarray(category_of, dtype=np.int64) % n_categories
-        if category_of.shape != (n_items,):
-            raise DatasetError("category_of must have one entry per item")
     # Each item gets a brand from its own category (fallback: any brand):
     # one bounded draw per item, all in one broadcast call.
     by_category = np.argsort(brand_category, kind="stable")

@@ -6,8 +6,9 @@ autodiff whose tape records only what reaches a trainable leaf (and nothing
 under :func:`no_grad`), the layers the in-house models need (dense,
 embedding, GRU), losses (BCE, CE, skip-gram with
 negative sampling, VAE ELBO) and one optimizer (Adam, taking dense or
-row-sparse gradients). Everything is float64 numpy — small-graph scale,
-gradient-checkable, deterministic.
+row-sparse gradients). Everything on the tape is numpy in one dtype,
+:data:`DTYPE` (float32, as TensorFlow trains; tests pin it to float64 to
+gradient-check) — small-graph scale, deterministic.
 """
 
 from repro.nn import functional
@@ -22,9 +23,10 @@ from repro.nn.loss import (
 )
 from repro.nn.optim import Adam
 from repro.nn.rnn import GRUCell
-from repro.nn.tensor import SparseGrad, Tensor, no_grad
+from repro.nn.tensor import DTYPE, SparseGrad, Tensor, no_grad
 
 __all__ = [
+    "DTYPE",
     "Tensor",
     "no_grad",
     "functional",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import OperatorError
-from repro.nn.tensor import Tensor, _unbroadcast, selection_matrix
+from repro.nn.tensor import DTYPE, Tensor, _unbroadcast, selection_matrix
 
 
 def _sigmoid_np(x: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
@@ -266,10 +266,10 @@ def segment_sum_np(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     non-empty starts are separated precisely by one segment's rows, because
     the empty segments between them are zero-width.
     """
-    data = np.asarray(x, dtype=np.float64)
+    data = np.asarray(x, dtype=DTYPE)
     offsets = np.asarray(offsets, dtype=np.int64)
     sizes = np.diff(offsets)
-    out = np.zeros((sizes.size,) + data.shape[1:])
+    out = np.zeros((sizes.size,) + data.shape[1:], dtype=DTYPE)
     nonempty = sizes > 0
     if nonempty.any():
         out[nonempty] = np.add.reduceat(data, offsets[:-1][nonempty], axis=0)
@@ -279,4 +279,4 @@ def segment_sum_np(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def segment_mean_np(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Ragged segment mean (no autograd); empty segments yield zero rows."""
     sizes = np.diff(np.asarray(offsets, dtype=np.int64))
-    return segment_sum_np(x, offsets) / np.maximum(sizes, 1)[:, None]
+    return segment_sum_np(x, offsets) / np.maximum(sizes, 1).astype(DTYPE)[:, None]

@@ -12,7 +12,7 @@ import numpy as np
 from repro.errors import OperatorError
 from repro.nn import functional as F
 from repro.nn.init import embedding_init, he_uniform, xavier_uniform
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import DTYPE, Tensor
 
 
 class Module:
@@ -71,7 +71,7 @@ class Dense(Module):
         init = he_uniform if activation == "relu" else xavier_uniform
         self.weight = Tensor(init((in_dim, out_dim), rng), requires_grad=True, name="W")
         self.bias = (
-            Tensor(np.zeros(out_dim), requires_grad=True, name="b") if bias else None
+            Tensor(np.zeros(out_dim, dtype=DTYPE), requires_grad=True, name="b") if bias else None
         )
         self.activation = activation
 

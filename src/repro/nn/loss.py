@@ -13,12 +13,12 @@ import numpy as np
 
 from repro.errors import OperatorError
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import DTYPE, Tensor
 
 
 def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean binary cross-entropy on raw logits (numerically stable)."""
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = np.asarray(targets, dtype=DTYPE)
     if targets.shape != logits.shape:
         raise OperatorError(
             f"target shape {targets.shape} != logits shape {logits.shape}"
@@ -52,7 +52,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 def mse(pred: Tensor, target: np.ndarray) -> Tensor:
     """Mean squared error against a constant target."""
-    target = np.asarray(target, dtype=np.float64)
+    target = np.asarray(target, dtype=DTYPE)
     diff = pred - Tensor(target)
     return (diff * diff).mean()
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import DTYPE, Tensor
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -33,9 +33,11 @@ def _bias_correction(beta: float, counts: np.ndarray) -> np.ndarray:
     which would break the bit-for-bit match with the dense branch's
     ``beta ** self._t``. A minibatch's rows share at most a handful of
     distinct step counts, so scalar pow per unique count costs nothing.
+    The result is :data:`~repro.nn.tensor.DTYPE`, the dtype the dense
+    branch's Python-float correction is divided in.
     """
     counts = np.asarray(counts)
-    out = np.empty(counts.shape, dtype=np.float64)
+    out = np.empty(counts.shape, dtype=DTYPE)
     for c in np.unique(counts):
         out[counts == c] = 1.0 - beta ** int(c)
     return out

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.layers import Dense, Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import DTYPE, Tensor
 
 
 class GRUCell(Module):
@@ -28,4 +28,4 @@ class GRUCell(Module):
 
     def init_state(self, batch: int) -> Tensor:
         """All-zero initial hidden state."""
-        return Tensor(np.zeros((batch, self.hidden_dim)))
+        return Tensor(np.zeros((batch, self.hidden_dim), dtype=DTYPE))

@@ -1,7 +1,7 @@
 """Reverse-mode autograd tensor.
 
-A :class:`Tensor` wraps a float64 numpy array plus the closure needed to
-backpropagate through the op that produced it. ``backward()`` runs a
+A :class:`Tensor` wraps a :data:`DTYPE` numpy array plus the closure needed
+to backpropagate through the op that produced it. ``backward()`` runs a
 topological sort and accumulates gradients into every ``requires_grad``
 leaf. Broadcasting is supported on elementwise ops; gradients are
 un-broadcast (summed) back to the operand shapes.
@@ -14,6 +14,12 @@ never reach the tape, and the n-ary closures skip an operand that does not
 need one. The decision is taken once, when the op's output is constructed:
 flipping ``requires_grad`` on a leaf *after* ops were built from it is not
 supported. Under :func:`no_grad` no op records anything.
+
+**One compute dtype.** Everything that reaches the tape — data, gradients,
+row-sparse entries, selection operators, optimizer moments — is
+:data:`DTYPE`, float32 as TensorFlow trains. numpy and scipy promote
+float32 × float64 to float64, so build every new array with
+``dtype=DTYPE``: one float64 operand upcasts the tape from there on.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import OperatorError
+
+#: The dtype of every array on the tape (module docstring).
+DTYPE = np.float32
 
 #: False inside :func:`no_grad`: ops record no parents and no closure.
 _recording = True
@@ -47,12 +56,22 @@ def no_grad() -> Iterator[None]:
         _recording = previous
 
 
-def _check_row_ids(ids: np.ndarray, n_rows: int) -> None:
-    """Reject row ids outside ``[0, n_rows)`` — scipy's kernels never do."""
+def _check_row_ids(ids: "np.ndarray | list", n_rows: int) -> np.ndarray:
+    """``ids`` as int64 row ids into ``n_rows`` rows.
+
+    Rejects non-integer and bool ids (an int64 cast would truncate ``0.7``
+    to row 0 and read ``True`` as row 1) and ids outside ``[0, n_rows)`` —
+    scipy's kernels never check either.
+    """
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise OperatorError(f"row ids must be integers, got dtype {ids.dtype}")
+    ids = ids.astype(np.int64, copy=False)
     if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
         raise OperatorError(
             f"row ids span [{ids.min()}, {ids.max()}], outside [0, {n_rows})"
         )
+    return ids
 
 
 def selection_matrix(table: np.ndarray, n_rows: int) -> sparse.csr_matrix:
@@ -68,19 +87,19 @@ def selection_matrix(table: np.ndarray, n_rows: int) -> sparse.csr_matrix:
     so the operator must never be canonicalised (``sum_duplicates`` or
     sorted indices regroup the additions).
     """
-    table = np.asarray(table, dtype=np.int64)
+    table = np.asarray(table)
     if table.ndim != 2:
         raise OperatorError(f"row-id table must be 2-D, got shape {table.shape}")
-    _check_row_ids(table, n_rows)
+    table = _check_row_ids(table, n_rows)
     batch, width = table.shape
     indptr = np.arange(batch + 1, dtype=np.int64) * width
     return sparse.csr_matrix(
-        (np.ones(table.size), table.reshape(-1), indptr), shape=(batch, n_rows)
+        (np.ones(table.size, dtype=DTYPE), table.reshape(-1), indptr), shape=(batch, n_rows)
     )
 
 
 def _scatter_add_rows(index: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
-    """``out[index[i]] += rows[i]`` into a fresh ``(n_rows, d)`` array.
+    """``out[index[i]] += rows[i]`` into a fresh ``(n_rows, ...)`` array.
 
     ``sel.T @ rows`` for the one-pick-per-row :func:`selection_matrix` of
     ``index``, built directly in its transposed (CSC) form: repeated ids
@@ -89,7 +108,7 @@ def _scatter_add_rows(index: np.ndarray, rows: np.ndarray, n_rows: int) -> np.nd
     """
     m = index.size
     sel_t = sparse.csc_matrix(
-        (np.ones(m), index, np.arange(m + 1, dtype=np.int64)), shape=(n_rows, m)
+        (np.ones(m, dtype=DTYPE), index, np.arange(m + 1, dtype=np.int64)), shape=(n_rows, m)
     )
     return sel_t @ rows
 
@@ -118,7 +137,7 @@ class SparseGrad:
     def append(self, ids: np.ndarray, rows: np.ndarray) -> None:
         """Record one lookup's contribution (ids may repeat)."""
         self._entries.append(
-            (np.asarray(ids, dtype=np.int64), np.asarray(rows, dtype=np.float64))
+            (np.asarray(ids, dtype=np.int64), np.asarray(rows, dtype=DTYPE))
         )
 
     def coalesce(self) -> "tuple[np.ndarray, np.ndarray]":
@@ -135,17 +154,10 @@ class SparseGrad:
         if not self._entries:
             raise OperatorError("coalesce() on an empty sparse gradient")
         uniq = np.unique(np.concatenate([e[0] for e in self._entries]))
-        first_rows = self._entries[0][1]
-        d = first_rows.shape[1] if first_rows.ndim == 2 else 0
-        summed = np.zeros((uniq.size, d) if d else uniq.size)
+        row_shape = self._entries[0][1].shape[1:]
+        summed = np.zeros((uniq.size,) + row_shape, dtype=DTYPE)
         for ids, rows in self._entries:
-            inverse = np.searchsorted(uniq, ids)
-            if d:
-                summed += _scatter_add_rows(inverse, rows, uniq.size)
-            else:
-                summed += np.bincount(
-                    inverse, weights=rows, minlength=uniq.size
-                )
+            summed += _scatter_add_rows(np.searchsorted(uniq, ids), rows, uniq.size)
         return uniq, summed
 
 
@@ -186,7 +198,7 @@ class Tensor:
         _backward: "Callable[[np.ndarray], None] | None" = None,
         name: str = "",
     ) -> None:
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=DTYPE)
         self.grad: np.ndarray | None = None
         #: Row-sparse gradient accumulated by ``gather_rows`` when
         #: :attr:`accumulates_sparse` is set on this leaf (embedding tables).
@@ -257,7 +269,7 @@ class Tensor:
                 )
             grad = np.ones_like(self.data)
         else:
-            grad = np.asarray(grad, dtype=np.float64)
+            grad = np.asarray(grad, dtype=DTYPE)
             if grad.shape != self.data.shape:
                 raise OperatorError(
                     f"gradient shape {grad.shape} != tensor shape {self.data.shape}"
@@ -459,8 +471,7 @@ class Tensor:
         optimizers consume it directly. ``index`` must lie in ``[0,
         n_rows)``: negative ids do not wrap.
         """
-        index = np.asarray(index, dtype=np.int64)
-        _check_row_ids(index, self.data.shape[0])
+        index = _check_row_ids(index, self.data.shape[0])
 
         def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray | None]]":
             if self.accumulates_sparse and self.requires_grad:
@@ -468,11 +479,6 @@ class Tensor:
                     self.sparse_grad = SparseGrad(self.data.shape)
                 self.sparse_grad.append(index, g)
                 return [(self, None)]
-            n = self.data.shape[0]
-            if self.data.ndim == 2:
-                full = _scatter_add_rows(index, g, n)
-            else:
-                full = np.bincount(index, weights=g, minlength=n)
-            return [(self, full)]
+            return [(self, _scatter_add_rows(index, g, self.data.shape[0]))]
 
         return Tensor(self.data[index], _parents=(self,), _backward=backward)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import OperatorError
-from repro.nn.tensor import Tensor, _check_row_ids
+from repro.nn.tensor import DTYPE, Tensor, _check_row_ids
 from repro.sampling.blocks import compact_level
 from repro.sampling.neighborhood import _ExpandingSampler
 
@@ -54,9 +54,7 @@ class MaterializationCache:
         """``vertices`` as int64 ids, after the hop and range checks."""
         if not 1 <= hop <= self.max_hop:
             raise OperatorError(f"hop {hop} outside [1, {self.max_hop}]")
-        verts = np.asarray(vertices, dtype=np.int64)
-        _check_row_ids(verts, self.n_vertices)
-        return verts
+        return _check_row_ids(vertices, self.n_vertices)
 
     def lookup(self, hop: int, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Split ``vertices`` into (cached mask, missing ids) for ``hop``."""
@@ -152,7 +150,7 @@ class MinibatchExecutor:
             raise OperatorError("need one aggregator/combiner/fanout per hop")
         if any(f < 1 for f in fanouts):
             raise OperatorError(f"fanouts must be positive, got {fanouts}")
-        self.features = np.asarray(features, dtype=np.float64)
+        self.features = np.asarray(features, dtype=DTYPE)
         self.sampler = sampler
         self.aggregators = list(aggregators)
         self.combiners = list(combiners)
@@ -161,13 +159,12 @@ class MinibatchExecutor:
 
     def _seeds(self, batch: np.ndarray) -> np.ndarray:
         """The batch as int64 seed ids, checked before anything is drawn."""
-        batch = np.asarray(batch, dtype=np.int64)
+        batch = np.asarray(batch)
         if batch.ndim != 1 or batch.size == 0:
             raise OperatorError(
                 f"batch must be a non-empty 1-D id array, got shape {batch.shape}"
             )
-        _check_row_ids(batch, self.features.shape[0])
-        return batch
+        return _check_row_ids(batch, self.features.shape[0])
 
     # ------------------------------------------------------------------ #
     # Uncached: full-multiplicity recomputation

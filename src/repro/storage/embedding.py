@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.errors import RetryExhaustedError, StorageError
 from repro.nn.optim import Adam
-from repro.nn.tensor import SparseGrad, Tensor
+from repro.nn.tensor import DTYPE, SparseGrad, Tensor
 from repro.storage.costmodel import (
     EV_EMB_CACHE_HIT,
     EV_EMB_LOCAL_ROW,
@@ -145,7 +145,8 @@ class EmbeddingKVStore:
     One instance is one named table; its pull/push verbs register on the
     graph store's runtime as service kinds ``emb.pull/<name>`` and
     ``emb.push/<name>`` (create the KV *after* attaching a custom runtime).
-    ``init`` is the initial ``(n_rows, dim)`` table, which fixes the shape;
+    ``init`` is the initial ``(n_rows, dim)`` table, which fixes the shape
+    (rows are held in :data:`~repro.nn.tensor.DTYPE`, as in-process tables);
     shards step their rows with :class:`~repro.nn.optim.Adam` at ``lr``.
     ``staleness`` bounds how many push rounds old a cached row may be
     served; ``0`` (the default) means reads are exact.
@@ -159,7 +160,7 @@ class EmbeddingKVStore:
         lr: float = 1e-2,
         staleness: int = 0,
     ) -> None:
-        init = np.asarray(init, dtype=np.float64)
+        init = np.asarray(init, dtype=DTYPE)
         if init.ndim != 2 or min(init.shape) < 1:
             raise StorageError(
                 f"embedding table needs a 2-D init with n_rows, dim >= 1, "
@@ -217,7 +218,7 @@ class EmbeddingKVStore:
         """
         shard = self.shards[req.dst_part]
         ids = np.asarray(req.vertices, dtype=np.int64)
-        grad_rows = np.asarray(req.body, dtype=np.float64)
+        grad_rows = np.asarray(req.body, dtype=DTYPE)
         if grad_rows.shape != (ids.size, self.dim):
             raise StorageError(
                 f"push body shape {grad_rows.shape} != ({ids.size}, {self.dim})"
@@ -254,14 +255,14 @@ class EmbeddingKVStore:
         """
         arr = self._validate(ids)
         if arr.size == 0:
-            return np.empty((0, self.dim))
+            return np.empty((0, self.dim), dtype=DTYPE)
         with self.runtime.tracer.span(
             "emb.pull", table=self.name, issuer=from_part
         ) as span:
             uniq, first_idx = np.unique(arr, return_index=True)
             uniq = uniq[np.argsort(first_idx, kind="stable")]
             rows = self._pull_unique(uniq, from_part, span)
-        out = np.empty((arr.size, self.dim))
+        out = np.empty((arr.size, self.dim), dtype=DTYPE)
         pos = {int(g): i for i, g in enumerate(uniq.tolist())}
         for i, g in enumerate(arr.tolist()):
             out[i] = rows[pos[g]]
@@ -273,7 +274,7 @@ class EmbeddingKVStore:
         store = self.store
         metrics = self.runtime.metrics
         cache = self._caches.setdefault(from_part, {})
-        rows = np.empty((uniq.size, self.dim))
+        rows = np.empty((uniq.size, self.dim), dtype=DTYPE)
         owners = uniq % self.n_parts
         remote_v: "list[int]" = []
         remote_owner: "list[int]" = []
@@ -340,7 +341,7 @@ class EmbeddingKVStore:
         pushed ids in the pull cache.
         """
         arr = self._validate(ids)
-        grad_rows = np.asarray(grad_rows, dtype=np.float64)
+        grad_rows = np.asarray(grad_rows, dtype=DTYPE)
         if grad_rows.shape != (arr.size, self.dim):
             raise StorageError(
                 f"grad shape {grad_rows.shape} != ({arr.size}, {self.dim})"
@@ -419,7 +420,7 @@ class EmbeddingKVStore:
     # ------------------------------------------------------------------ #
     def materialize(self) -> np.ndarray:
         """The full ``(n_rows, dim)`` table, gathered from every shard."""
-        out = np.empty((self.n_rows, self.dim))
+        out = np.empty((self.n_rows, self.dim), dtype=DTYPE)
         for p, shard in enumerate(self.shards):
             out[p :: self.n_parts] = shard.param.data
         return out

@@ -14,6 +14,7 @@ from repro.data import amazon_graph, taobao_graph
 from repro.graph import AttributedHeterogeneousGraph, Graph
 from repro.storage.rows import RowBlock, pack_rows
 from repro.utils.rng import make_rng
+from tests.gradcheck import float64_dtype
 
 
 def tail_mass(values: np.ndarray, top_fraction: float) -> float:
@@ -103,6 +104,14 @@ def in_neighbors(graph, vertex: int) -> np.ndarray:
         return graph.out_neighbors(vertex)
     src, dst, _ = graph.edge_array()
     return src[dst == vertex]
+
+
+@pytest.fixture
+def float64_tape():
+    """Run the test with ``repro.nn``'s tape in float64: gradient checks and
+    the oracles that are only exact in float64 (see ``tests/gradcheck.py``)."""
+    with float64_dtype():
+        yield
 
 
 @pytest.fixture

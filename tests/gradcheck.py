@@ -5,16 +5,51 @@ layer: build a scalar loss from tensors, compare ``backward()`` gradients to
 finite differences. :func:`sum_rows_segmented` is the gather-then-reduce
 oracle that the fused ``F.gather_sum_rows`` and the ragged
 ``F.segment_sum_np`` are checked against.
+
+Finite differences at ``eps = 1e-6`` need float64: the tape's float32
+``DTYPE`` resolves about 1e-7 of a value. A gradient check therefore runs
+under the ``float64_tape`` fixture (``tests/conftest.py``), which pins
+:data:`~repro.nn.tensor.DTYPE` to float64 through :func:`float64_dtype`
+(a hypothesis test enters that context in its body instead);
+:func:`check_gradients` refuses a parameter of any other dtype rather
+than loosening its tolerances.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import sys
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 import numpy as np
 
 from repro.errors import OperatorError
+from repro.nn import tensor as tensor_module
 from repro.nn.tensor import Tensor
+
+
+def _bound_to(dtype: type) -> list:
+    """Every loaded ``repro`` module whose ``DTYPE`` is ``dtype``."""
+    return [
+        module for name, module in list(sys.modules.items())
+        if name.startswith("repro") and getattr(module, "DTYPE", None) is dtype
+    ]
+
+
+@contextmanager
+def float64_dtype() -> Iterator[None]:
+    """Run the enclosed code with the tape in float64: ``DTYPE`` is set in
+    every loaded ``repro`` module that bound it (``from repro.nn.tensor
+    import DTYPE``). On exit every ``repro`` module holding float64 gets the
+    tape's dtype back, a module first imported inside included."""
+    current = tensor_module.DTYPE
+    for module in _bound_to(current):
+        module.DTYPE = np.float64
+    try:
+        yield
+    finally:
+        for module in _bound_to(np.float64):
+            module.DTYPE = current
 
 
 def numerical_gradient(
@@ -48,6 +83,9 @@ def check_gradients(
     any mismatch (so pytest failure messages carry the exact deltas).
     """
     for p in params:
+        assert p.data.dtype == np.float64, (
+            f"gradient check of {p!r} in {p.data.dtype}: use the float64_tape fixture"
+        )
         p.zero_grad()
     loss = fn()
     loss.backward()

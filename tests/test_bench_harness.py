@@ -110,7 +110,8 @@ def test_mixture_context_embeddings_shapes(small_amazon):
     model.fit(small_amazon)
     assert model.context_embeddings().shape == (small_amazon.n_vertices, 12)
     assert model.mixture_embeddings().shape == (small_amazon.n_vertices, 12)
-    # The normalized embedding is the unit version of the mixture table.
-    mix = model.mixture_embeddings()
+    # The normalized embedding is the unit version of the mixture table,
+    # normalised in float64 as every model's embeddings are.
+    mix = model.mixture_embeddings().astype(np.float64)
     norm = mix / np.maximum(np.linalg.norm(mix, axis=1, keepdims=True), 1e-12)
     np.testing.assert_allclose(model.embeddings(), norm, atol=1e-9)

@@ -223,6 +223,25 @@ def test_make_dataset_rejects_malformed_scale_and_seed():
     assert graph.n_vertices == 100
 
 
+def test_knowledge_graph_rejects_malformed_category_ids():
+    """A float, bool, negative or out-of-range ``category_of`` id is a
+    ``DatasetError`` before any draw: a float was truncated and a negative or
+    too-large id wrapped (``[0.7, -1, 5]`` over 4 categories read ``[0 3 1]``)."""
+    for bad in ([0.7, -1, 5], [0.0, 1.0, 2.0], [True, False, True], [0, -1, 2],
+                [0, 1, 4], np.array([0, 1, 2], dtype=np.float32)):
+        rng = make_rng(5)
+        before = rng.bit_generator.state
+        with pytest.raises(DatasetError, match="category_of"):
+            knowledge_graph(3, n_brands=2, n_categories=4, category_of=bad, seed=rng)
+        assert rng.bit_generator.state == before
+    with pytest.raises(DatasetError, match="one entry per item"):
+        knowledge_graph(3, n_categories=4, category_of=[0, 1])
+    _, _, cat_of = knowledge_graph(
+        3, n_categories=4, category_of=np.array([3, 0, 2], dtype=np.uint8)
+    )
+    assert cat_of.dtype == np.int64 and cat_of.tolist() == [3, 0, 2]
+
+
 # --------------------------------------------------------------------------- #
 # Per-element oracles: the three generators as they were before their draws
 # were batched, loops verbatim. The batched generators in ``repro.data`` must

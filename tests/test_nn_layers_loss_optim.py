@@ -23,6 +23,7 @@ from repro.utils.rng import make_rng
 rng = make_rng(11)
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_dense_shapes_and_grad():
     layer = Dense(4, 3, rng, "relu")
     x = Tensor(rng.normal(size=(5, 4)))
@@ -41,6 +42,7 @@ def test_dense_unknown_activation():
         Dense(2, 2, rng, "swish")
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_embedding_lookup_and_grad():
     emb = Embedding(6, 4, rng)
     idx = np.array([1, 1, 5])
@@ -68,6 +70,7 @@ def test_module_dedups_shared_params():
     assert len(Twice().parameters()) == 2
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_gru_state_evolution_and_grad():
     cell = GRUCell(3, 5, rng)
     x = Tensor(rng.normal(size=(2, 3)))
@@ -108,6 +111,7 @@ def test_cross_entropy_matches_log_softmax_reference():
     assert cross_entropy(Tensor(logits), labels).item() == pytest.approx(expected)
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_cross_entropy_gradcheck():
     rng = make_rng(9)
     logits = Tensor(rng.normal(size=(5, 4)), requires_grad=True)

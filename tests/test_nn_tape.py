@@ -26,9 +26,9 @@ from repro.errors import OperatorError
 from repro.nn import functional as F
 from repro.nn import loss as L
 from repro.nn import no_grad
-from tests.gradcheck import check_gradients, sum_rows_segmented
+from tests.gradcheck import check_gradients, float64_dtype, sum_rows_segmented
 from repro.nn.layers import Dense
-from repro.nn.tensor import SparseGrad, Tensor
+from repro.nn.tensor import DTYPE, SparseGrad, Tensor
 from repro.ops.aggregate import make_aggregator
 from repro.sampling import GraphProvider, UniformNeighborSampler, build_block
 from repro.utils.rng import make_rng
@@ -254,11 +254,13 @@ def test_gather_rows_backward_bit_equal_to_flat_bincount(n, m, d, seed, strided)
     rng = make_rng(seed)
     index = rng.integers(0, n, size=m)
     g = _noncontiguous(rng, (m, d)) if strided else rng.normal(size=(m, d))
-    x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
-    x.gather_rows(index).backward(g)
+    with float64_dtype():  # bincount accumulates in float64 only
+        x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+        x.gather_rows(index).backward(g)
     assert x.grad.tobytes() == flat_bincount_scatter(index, g, n).tobytes()
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_sparse_grad_coalesce_bit_equal_to_flat_bincount():
     rng = make_rng(4)
     sparse = SparseGrad((50, 6))
@@ -270,6 +272,30 @@ def test_sparse_grad_coalesce_bit_equal_to_flat_bincount():
     uniq, summed = sparse.coalesce()
     assert summed.tobytes() == dense[uniq].tobytes()
     assert not dense[np.setdiff1d(np.arange(50), uniq)].any()
+
+
+@pytest.mark.parametrize("d", [0, 1, 6], ids=["1-D", "d1", "d6"])
+def test_row_scatter_add_in_dtype_bit_equal_to_add_at(d):
+    """In the tape's dtype each lookup's scatter-add accumulates as ``np.add.at``
+    does (repeats in index order from zero, in DTYPE) and lookups add up in
+    order, in the dense backward and the coalesced sparse entries alike."""
+    rng = make_rng(11)
+    n, shape = 30, (d,) if d else ()
+    expected = np.zeros((n,) + shape, dtype=DTYPE)
+    dense = Tensor(np.zeros((n,) + shape), requires_grad=True)
+    sparse = SparseGrad(dense.shape)
+    for m in (25, 3, 40):
+        index = rng.integers(0, n, size=m)
+        g = rng.normal(size=(m,) + shape).astype(DTYPE)
+        dense.gather_rows(index).backward(g)
+        sparse.append(index, g)
+        part = np.zeros_like(expected)
+        np.add.at(part, index, g)
+        expected += part
+    assert dense.grad.dtype == DTYPE
+    assert dense.grad.tobytes() == expected.tobytes()
+    uniq, summed = sparse.coalesce()
+    assert summed.dtype == DTYPE and summed.tobytes() == expected[uniq].tobytes()
 
 
 @pytest.mark.parametrize("strided", [False, True], ids=["contiguous_g", "strided_g"])
@@ -306,12 +332,14 @@ def test_gather_sum_rows_bitwise_equals_gather_then_reduce(fanout, strided):
         assert np.array_equal(grad, ref_grad)
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_gather_sum_rows_gradcheck():
     x = Tensor(make_rng(1).normal(size=(N, D)), requires_grad=True)
     check_gradients(lambda: (F.gather_sum_rows(x, TABLE) ** 2).sum(), [x])
     check_gradients(lambda: ((F.gather_sum_rows(x, TABLE) / S) ** 2).sum(), [x])
 
 
+@pytest.mark.usefixtures("float64_tape")
 @pytest.mark.parametrize("name", ["mean"])
 def test_fused_aggregator_gradcheck(name):
     agg = make_aggregator(name, D, 5, make_rng(1))

@@ -15,41 +15,48 @@ def _param(*shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_add_broadcast_gradient():
     a = _param(3, 4)
     b = _param(4)
     check_gradients(lambda: ((a + b) ** 2).sum(), [a, b])
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_mul_gradient():
     a = _param(3, 4)
     b = _param(3, 4)
     check_gradients(lambda: (a * b).sum(), [a, b])
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_sub_neg_gradient():
     a = _param(2, 3)
     b = _param(2, 3)
     check_gradients(lambda: ((a - b) * (a - b)).sum(), [a, b])
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_div_gradient():
     a = _param(3)
     b = Tensor(np.array([2.0, 3.0, 4.0]), requires_grad=True)
     check_gradients(lambda: (a / b).sum(), [a, b])
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_pow_gradient():
     a = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
     check_gradients(lambda: (a**3).sum(), [a])
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_matmul_2d_gradient():
     a = _param(3, 4)
     b = _param(4, 2)
     check_gradients(lambda: (a @ b).sum(), [a, b])
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_matmul_vec_gradient():
     a = _param(4)
     b = _param(4, 2)
@@ -59,17 +66,20 @@ def test_matmul_vec_gradient():
     check_gradients(lambda: (c @ d).sum(), [c, d])
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_matmul_dot_gradient():
     a = _param(5)
     b = _param(5)
     check_gradients(lambda: a @ b, [a, b])
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_transpose_gradient():
     a = _param(3, 4)
     check_gradients(lambda: (a.T @ a).sum(), [a])
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_sum_axis_gradients():
     a = _param(3, 4)
     check_gradients(lambda: (a.sum(axis=0) ** 2).sum(), [a])
@@ -77,16 +87,19 @@ def test_sum_axis_gradients():
     check_gradients(lambda: a.sum(), [a])
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_mean_gradient():
     a = _param(4, 2)
     check_gradients(lambda: (a.mean(axis=0) ** 2).sum(), [a])
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_reshape_gradient():
     a = _param(6)
     check_gradients(lambda: (a.reshape(2, 3) ** 2).sum(), [a])
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_gather_rows_accumulates():
     a = _param(4, 3)
     idx = np.array([0, 0, 2])
@@ -128,6 +141,7 @@ def test_backward_explicit_grad_shape():
         (a * 2).backward(np.ones(4))
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_diamond_graph_gradient():
     """A value used twice must receive the sum of both path gradients."""
     a = _param(3)
@@ -137,6 +151,7 @@ def test_diamond_graph_gradient():
     assert np.allclose(a.grad, 5.0)
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_numpy_scalar_coercion():
     a = _param(3)
     out = 2.0 * a + np.ones(3)
@@ -144,6 +159,7 @@ def test_numpy_scalar_coercion():
     check_gradients(lambda: (2.0 * a + np.ones(3)).sum(), [a])
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_rsub_rdiv():
     a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     check_gradients(lambda: ((3.0 - a) ** 2).sum(), [a])

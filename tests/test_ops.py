@@ -49,6 +49,7 @@ def test_aggregator_shapes(name):
     assert agg(h, np.array([[11, 0], [5, 5]])).shape == (2, 4)
 
 
+@pytest.mark.usefixtures("float64_tape")
 @pytest.mark.parametrize("name", AGGREGATORS)
 def test_aggregator_gradients(name):
     agg = make_aggregator(name, 3, 2, rng)
@@ -147,6 +148,7 @@ def test_concat_combiner_mixed_dims():
     assert out.shape == (2, 5)
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_combiner_gradients():
     comb = ConcatCombiner(3, 3, 3, rng)
     a = Tensor(make_rng(6).normal(size=(2, 3)))

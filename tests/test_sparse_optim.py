@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from repro.errors import TrainingError
 from repro.nn.layers import Dense, Embedding
 from repro.nn.optim import Adam
-from repro.nn.tensor import SparseGrad, Tensor
+from repro.nn.tensor import DTYPE, SparseGrad, Tensor
 from repro.utils.rng import make_rng
+from tests.gradcheck import float64_dtype
 
 
 def _sparse_table(n: int, d: int, seed: int = 0) -> Tensor:
@@ -204,7 +205,7 @@ def test_sparse_adam_full_touch_matches_dense_bitwise():
     sparse_opt = Adam([sparse], lr=0.05)
 
     for step in range(10):
-        g = make_rng(100 + step).normal(size=(n, d))
+        g = make_rng(100 + step).normal(size=(n, d)).astype(DTYPE)
         dense.grad = g.copy()
         dense_opt.step()
         sparse.zero_grad()
@@ -220,35 +221,36 @@ def test_sparse_adam_touched_rows_match_per_row_reference(seed):
     """Property: the row-sparse step equals a scalar per-row Adam reference
     with per-row step counts, to float64 round-off, under random touch
     patterns."""
-    rng = make_rng(seed)
-    n, d = 8, 3
-    init = rng.normal(size=(n, d))
-    t_counts = np.zeros(n, dtype=np.int64)
-    m = np.zeros((n, d))
-    v = np.zeros((n, d))
-    ref = init.copy()
-    lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+    with float64_dtype():  # the scalar reference steps in float64
+        rng = make_rng(seed)
+        n, d = 8, 3
+        init = rng.normal(size=(n, d))
+        t_counts = np.zeros(n, dtype=np.int64)
+        m = np.zeros((n, d))
+        v = np.zeros((n, d))
+        ref = init.copy()
+        lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
 
-    sparse = Tensor(init.copy(), requires_grad=True)
-    sparse.accumulates_sparse = True
-    opt = Adam([sparse], lr=lr)
+        sparse = Tensor(init.copy(), requires_grad=True)
+        sparse.accumulates_sparse = True
+        opt = Adam([sparse], lr=lr)
 
-    for _ in range(5):
-        k = int(rng.integers(1, n + 1))
-        ids = np.sort(rng.choice(n, size=k, replace=False))
-        g = rng.normal(size=(k, d))
-        sparse.zero_grad()
-        sparse.sparse_grad = SparseGrad(sparse.data.shape)
-        sparse.sparse_grad.append(ids, g)
-        opt.step()
-        for j, row in enumerate(ids):
-            t_counts[row] += 1
-            m[row] = b1 * m[row] + (1 - b1) * g[j]
-            v[row] = b2 * v[row] + (1 - b2) * g[j] ** 2
-            mhat = m[row] / (1 - b1 ** t_counts[row])
-            vhat = v[row] / (1 - b2 ** t_counts[row])
-            ref[row] -= lr * mhat / (np.sqrt(vhat) + eps)
-    np.testing.assert_allclose(sparse.data, ref, rtol=0, atol=1e-12)
+        for _ in range(5):
+            k = int(rng.integers(1, n + 1))
+            ids = np.sort(rng.choice(n, size=k, replace=False))
+            g = rng.normal(size=(k, d))
+            sparse.zero_grad()
+            sparse.sparse_grad = SparseGrad(sparse.data.shape)
+            sparse.sparse_grad.append(ids, g)
+            opt.step()
+            for j, row in enumerate(ids):
+                t_counts[row] += 1
+                m[row] = b1 * m[row] + (1 - b1) * g[j]
+                v[row] = b2 * v[row] + (1 - b2) * g[j] ** 2
+                mhat = m[row] / (1 - b1 ** t_counts[row])
+                vhat = v[row] / (1 - b2 ** t_counts[row])
+                ref[row] -= lr * mhat / (np.sqrt(vhat) + eps)
+        np.testing.assert_allclose(sparse.data, ref, rtol=0, atol=1e-12)
 
 
 # --------------------------------------------------------------------- #
