@@ -164,6 +164,9 @@ def take_rows(
 
     The values are a fresh array.
     """
+    if starts.size == 1:  # one row is one slice: no index arithmetic
+        a, b = starts.item(), stops.item()
+        return np.array([0, b - a]), indices[a:b].copy()
     degrees = stops - starts
     offsets = np.zeros(degrees.size + 1, dtype=np.int64)
     degrees.cumsum(out=offsets[1:])

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -56,22 +57,24 @@ _KINDS = frozenset({KIND_NEIGHBORS, KIND_ATTRS})
 TIMEOUT_US = 500.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Request:
     """One cross-server request envelope (a deduplicated key batch), minted
     by :meth:`RpcRuntime.plan`.
 
     ``vertices`` carries the batch's keys (graph vertices or embedding row
-    ids); ``body`` is an optional opaque payload shipped *with* the request
-    — the embedding store's push verb uses it for the gradient rows. It
-    rides through retries untouched (``dataclasses.replace`` keeps it).
+    ids) as one int64 array; ``body`` is an optional opaque payload shipped
+    *with* the request — the embedding store's push verb uses it for the
+    gradient rows. Both ride through retries untouched
+    (``dataclasses.replace`` keeps them). Requests compare by identity: an
+    array field has no single truth value to compare by.
     """
 
     req_id: int
     kind: str
     src_part: int
     dst_part: int
-    vertices: "tuple[int, ...]"
+    vertices: np.ndarray
     attempt: int = 1
     body: "object | None" = None
 
@@ -171,6 +174,15 @@ class RpcRuntime:
         #: fault injection, retries, clock accounting and metrics as the
         #: built-in graph reads.
         self._services: "dict[str, object]" = {}
+        self._served: "dict[int, object]" = {}  # part -> its server.served
+
+    # The hot-path instruments, each bound on first use (``server.served``
+    # per part too): a runtime registers the series a lookup per use would.
+    _requests = cached_property(lambda self: self.metrics.counter("rpc.requests"))
+    _batch_size = cached_property(lambda self: self.metrics.histogram("rpc.batch_size"))
+    _attempts = cached_property(lambda self: self.metrics.counter("rpc.attempts"))
+    _completed = cached_property(lambda self: self.metrics.counter("rpc.completed"))
+    _latency_us = cached_property(lambda self: self.metrics.histogram("rpc.latency_us"))
 
     # ------------------------------------------------------------------ #
     # Request construction
@@ -218,7 +230,7 @@ class RpcRuntime:
                     kind=kind,
                     src_part=src_part,
                     dst_part=dest,
-                    vertices=tuple(vertices[mask].tolist()),
+                    vertices=vertices[mask],
                     body=None if rows is None else rows[mask],
                 )
             )
@@ -248,7 +260,7 @@ class RpcRuntime:
             return block, {}, int(block.offsets[-1])
         payload = {}
         meta: "dict[int, bool]" = {}
-        for v in req.vertices:
+        for v in req.vertices.tolist():
             meta[v] = v in server.attrs.iv_cache
             payload[v] = server.local_vertex_attr(v)
         return payload, meta, sum(map(len, payload.values()))
@@ -270,8 +282,8 @@ class RpcRuntime:
             for req in requests:
                 self._seq += 1
                 heapq.heappush(heap, (submit_us, self._seq, req))
-                self.metrics.counter("rpc.requests").inc()
-                self.metrics.histogram("rpc.batch_size").observe(len(req.vertices))
+                self._requests.inc()
+                self._batch_size.observe(req.vertices.size)
             responses: "dict[int, Response]" = {}
             while heap:
                 ready_us, _, req = heapq.heappop(heap)
@@ -323,7 +335,7 @@ class RpcRuntime:
                     "server is down (fail-stop)"
                 ),
             )
-        self.metrics.counter("rpc.attempts").inc()
+        self._attempts.inc()
         outcome = self.faults.roll() if self.faults is not None else OUTCOME_OK
         if outcome != OUTCOME_OK:
             self.health.record_failure(req.dst_part)
@@ -365,18 +377,20 @@ class RpcRuntime:
         done_us = ready_us + service_us
         self.clock.advance_to(done_us)
         latency = done_us - submit_us
-        self.metrics.counter("rpc.completed").inc()
-        self.metrics.counter(
-            "server.served", labels={"part": req.dst_part}
-        ).inc()
-        self.metrics.histogram("rpc.latency_us").observe(latency)
+        self._completed.inc()
+        part = req.dst_part
+        served = self._served.get(part) or self._served.setdefault(
+            part, self.metrics.counter("server.served", labels={"part": part})
+        )
+        served.inc()
+        self._latency_us.observe(latency)
         tracer.record_span(
             "rpc.request",
             ready_us,
             done_us,
             part=req.dst_part,
             kind=req.kind,
-            vertices=len(req.vertices),
+            vertices=req.vertices.size,
             attempt=req.attempt,
             latency_us=latency,
         )

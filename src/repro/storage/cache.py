@@ -15,14 +15,12 @@ LRU fills on access. Figure 9 compares the three at equal capacity.
 
 from __future__ import annotations
 
-from itertools import filterfalse
-
 import numpy as np
 
 from repro.errors import StorageError
 from repro.graph.graph import Graph
 from repro.storage.importance import MAX_HOP, importance_scores
-from repro.storage.rows import RowArena, RowBlock, concat_blocks, pack_rows
+from repro.storage.rows import RowArena, RowBlock, concat_blocks
 from repro.utils.lru import IdLRU
 
 
@@ -34,35 +32,51 @@ class NeighborCache:
     caches' membership (``vertex in cache``). Failover and health-aware
     routing read replicas through :meth:`peek`, which never touches the
     hit/miss counters, so availability probes cannot corrupt
-    ``cache_hit_rate()``. Pinned rows are arrays by vertex; the LRU side
-    orders vertex ids only and keeps their rows in a
-    :class:`~repro.storage.rows.RowArena`.
+    ``cache_hit_rate()``. Both sides keep their rows in a
+    :class:`~repro.storage.rows.RowArena`: the pinned arena's span table is
+    the pinned side's membership test, and the LRU side orders vertex ids
+    in an :class:`~repro.utils.lru.IdLRU`.
     """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 0:
             raise StorageError(f"cache capacity must be non-negative: {capacity}")
         self.capacity = capacity
-        self._pinned: dict[int, np.ndarray] = {}
+        self._pinned = RowArena()
+        self._n_pinned = 0
         self._lru = IdLRU(capacity)
         self._rows = RowArena()
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._pinned) + len(self._lru)
+        return self._n_pinned + len(self._lru)
 
     def __contains__(self, vertex: int) -> bool:
         """Whether any copy of ``vertex`` is held (no accounting, no recency)."""
-        return vertex in self._pinned or vertex in self._lru
+        return self._pinned.has(vertex) or vertex in self._lru
 
     def pin(self, vertex: int, neighbors: np.ndarray) -> None:
-        """Permanently cache ``vertex``'s neighbors (up to capacity)."""
-        if vertex not in self._pinned and len(self._pinned) >= self.capacity:
-            raise StorageError("neighbor cache pin capacity exhausted")
-        self._pinned[vertex] = np.asarray(neighbors, dtype=np.int64)
+        """Permanently cache a copy of ``vertex``'s neighbors (up to capacity).
 
-    def get_many(self, vertices: "list[int]") -> "tuple[RowBlock, list[int]]":
+        ``vertex`` must be a non-negative integer and ``neighbors`` a 1-D
+        batch of integers: anything else raises before the cache changes.
+        """
+        if isinstance(vertex, bool) or not isinstance(vertex, (int, np.integer)) or vertex < 0:
+            raise StorageError(f"cannot pin vertex {vertex!r}")
+        row = np.asarray(neighbors)
+        if row.ndim != 1 or (row.size and row.dtype.kind not in "iu"):
+            raise StorageError(f"cannot pin neighbors {row!r}: not a 1-D batch of integers")
+        held = self._pinned.has(vertex)
+        if not held and self._n_pinned >= self.capacity:
+            raise StorageError("neighbor cache pin capacity exhausted")
+        row = row.astype(np.int64, copy=False)
+        self._pinned.put(np.array([vertex], dtype=np.int64), np.array([0, row.size]), row)
+        self._n_pinned += not held
+
+    def get_many(
+        self, vertices: "np.ndarray | list[int]"
+    ) -> "tuple[RowBlock, np.ndarray]":
         """Look up each of ``vertices`` in order, in one call.
 
         Returns ``(hits, misses)``: the cached rows as one block (pinned
@@ -72,19 +86,21 @@ class NeighborCache:
         order, so recency, ``hits`` and ``misses`` end up exactly as the
         scalar sequence would leave them.
         """
-        n_lookups = len(vertices)
-        pinned = self._pinned
-        hit_ids = list(filter(pinned.__contains__, vertices)) if pinned else []
-        if hit_ids:
-            vertices = list(filterfalse(pinned.__contains__, vertices))
-        found, misses = self._lru.get_many(vertices)
-        block = RowBlock(found, *self._rows.take(found)) if found.size else None
-        if hit_ids or block is None:  # pinned rows answer first
-            rows = list(map(pinned.__getitem__, hit_ids))
-            held = RowBlock(np.array(hit_ids, dtype=np.int64), *pack_rows(rows))
-            block = held if block is None else concat_blocks([held, block])
-        self.hits += n_lookups - len(misses)
-        self.misses += len(misses)
+        ids = np.asarray(vertices, dtype=np.int64)
+        n_lookups = ids.size
+        held = ids[:0]
+        if self._n_pinned:
+            pinned = self._pinned.held(ids)
+            held, ids = ids[pinned], ids[~pinned]
+        found, misses = self._lru.get_many(ids)
+        block = RowBlock(held, np.zeros(1, dtype=np.int64), held)  # nothing held yet
+        if held.size:  # pinned rows answer first
+            block = RowBlock(held, *self._pinned.take(held))
+        if found.size:
+            lru = RowBlock(found, *self._rows.take(found))
+            block = concat_blocks([block, lru]) if held.size else lru
+        self.hits += n_lookups - misses.size
+        self.misses += misses.size
         return block, misses
 
     def peek(self, vertex: int) -> np.ndarray | None:
@@ -95,14 +111,13 @@ class NeighborCache:
         hit-rate statistics (they model the *owner's* locality, not the
         cluster's failures).
         """
-        value = self._pinned.get(vertex)
-        if value is not None:
-            return value
+        if self._pinned.has(vertex):
+            return self._pinned.row(vertex)
         return self._rows.row(vertex) if vertex in self._lru else None
 
     def is_pinned(self, vertex: int) -> bool:
         """Whether ``vertex`` is held as a pinned (policy-selected) entry."""
-        return vertex in self._pinned
+        return self._pinned.has(vertex)
 
     def unpin(self, vertex: int) -> bool:
         """Release a pinned entry (placement demotion); True if it was held.
@@ -112,20 +127,24 @@ class NeighborCache:
         policies) survives, because demotion is a capacity decision, not a
         staleness one.
         """
-        return self._pinned.pop(vertex, None) is not None
+        held = self._pinned.has(vertex)
+        if held:
+            self._pinned.drop([vertex])
+            self._n_pinned -= 1
+        return held
 
     @property
     def free_pin_slots(self) -> int:
         """Pin capacity still available (promotion headroom)."""
-        return max(0, self.capacity - len(self._pinned))
+        return max(0, self.capacity - self._n_pinned)
 
     def pinned_vertices(self) -> tuple[int, ...]:
         """Sorted ids of all pinned entries (deterministic scan order)."""
-        return tuple(sorted(self._pinned))
+        return tuple(self._pinned.ids().tolist())
 
     def cached_vertices(self) -> tuple[int, ...]:
         """Sorted ids of every entry, pinned or demand-filled."""
-        return tuple(sorted({*self._pinned, *self._lru.keys()}))
+        return tuple(sorted({*self.pinned_vertices(), *self._lru.keys()}))
 
     def admit_many(self, block: RowBlock) -> None:
         """Offer each row of a fetched ``block``, in order, for demand-filled
@@ -141,8 +160,8 @@ class NeighborCache:
         if lru.capacity == 0:
             return
         ids = block.ids
-        if self._pinned:
-            ids = np.fromiter(filterfalse(self._pinned.__contains__, ids.tolist()), np.int64)
+        if self._n_pinned:
+            ids = ids[~self._pinned.held(ids)]
         lru.put_many(ids)
         self._rows.put(*block, live=lru.keys)
 
@@ -152,7 +171,7 @@ class NeighborCache:
         Pinned entries are dropped too: a stale pinned row is worse than a
         miss.
         """
-        self._pinned.pop(vertex, None)
+        self.unpin(vertex)
         self._lru.delete_many([vertex])
 
     def invalidate_many(self, vertices: "list[int]") -> "list[int]":
@@ -161,10 +180,12 @@ class NeighborCache:
         The write path's call: the returned ids, in input order, are the
         entries to re-pin with their fresh rows.
         """
-        pinned = self._pinned
-        was_pinned = (
-            [v for v in vertices if pinned.pop(v, None) is not None] if pinned else []
-        )
+        was_pinned: "list[int]" = []
+        if self._n_pinned:
+            ids = np.asarray(vertices, dtype=np.int64)
+            was_pinned = list(dict.fromkeys(ids[self._pinned.held(ids)].tolist()))
+            self._pinned.drop(was_pinned)
+            self._n_pinned -= len(was_pinned)
         self._lru.delete_many(vertices)
         return was_pinned
 
@@ -273,29 +294,25 @@ def make_caches(
 
     Each cache asks ``policy`` for its own selection, in turn. A selection
     is installed in bulk: the selected rows are copied out of the graph as
-    one block and pinned as views of it. A cache whose selection equals the
-    previous one's pins the same row views (pins are replaced, never edited
-    in place) in a pin table of its own.
+    one block, which seeds the cache's pinned arena without a copy. A
+    cache whose selection equals the previous one's is seeded from the same
+    block, with span tables of its own (a cell is never written twice, so
+    one cache's pins and unpins never show in another).
     """
     if policy.demand_filled:
         return [NeighborCache(budget) for _ in range(n_caches)]
     caches: "list[NeighborCache]" = []
-    previous = np.zeros(0, dtype=np.int64)
-    pinned: "dict[int, np.ndarray]" = {}
+    previous = block = None
     for _ in range(n_caches):
         selected = np.asarray(policy.select(graph, budget, rng), dtype=np.int64)
-        if not np.array_equal(selected, previous):
-            offsets, indices = graph.csr_slice(selected)
-            bounds = offsets.tolist()
-            pinned = {
-                v: indices[a:b]
-                for v, a, b in zip(selected.tolist(), bounds, bounds[1:])
-            }
-            previous = selected
-        if len(pinned) > budget:
+        if selected.size > budget:
             raise StorageError("neighbor cache pin capacity exhausted")
+        if not np.array_equal(selected, previous):
+            block = RowBlock(selected, *graph.csr_slice(selected))
+            previous = selected
         cache = make_pinned_cache(budget)
-        cache._pinned = dict(pinned)
+        cache._pinned = RowArena(graph.n_vertices, block)
+        cache._n_pinned = selected.size
         caches.append(cache)
     return caches
 

@@ -69,9 +69,10 @@ from repro.storage.server import GraphServer
 from repro.utils.rng import make_rng
 from repro.utils.timer import CostAccumulator
 
-#: A read of up to this many ids dedups and classifies them on Python lists,
-#: a larger one with array ops: each side loses on the other's reads
-#: (``serve_mixed`` averages 2.9 ids, ``store_rw`` reads 2 048; DESIGN §7).
+#: A read of up to this many ids range-checks and dedups them on a list, a
+#: larger one with the store's scratch table: each costs the other's reads
+#: about 8 % (table on every ``serve_mixed`` read, whose reads are all at
+#: most 16 ids; list on every ``sample_store`` read, all larger; DESIGN §7).
 FEW_ROWS = 16
 
 #: What a vertex id may be (``bool`` excepted): anything else is rejected
@@ -140,8 +141,8 @@ class DistributedGraphStore:
             self._install_caches(cache_policy, self._cache_budget)
         self._failed: set[int] = set()
         self.runtime: "RpcRuntime | None" = None
-        # Scratch for putting a read's blocks in request order: a merge
-        # writes the entries of its ids, then reads them.
+        # Vertex-indexed scratch for a read's dedup and block merge: each
+        # use writes the entries of its ids, then reads them.
         self._position = np.empty(graph.n_vertices, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
@@ -348,54 +349,57 @@ class DistributedGraphStore:
         ledger = self.ledger
         rec = runtime.recorder
 
-        # Dedup to first-seen order (what a dict keeps), so every arm below
-        # — cache recency, fills, request payloads — sees a stable order,
-        # then split the batch into the issuer's own vertices (local arm)
-        # and the rest (cache arm), on lists or arrays by size (FEW_ROWS;
-        # np.unique keeps each id's first index). ``uniq`` becomes the
-        # answer's ids: never the caller's array.
+        # Range-check the ids and dedup them to first-seen order (what a
+        # dict keeps), so every arm below — cache recency, fills, request
+        # payloads — sees a stable order: a small batch on a list, a larger
+        # one, once checked, by keeping each id's first position in the
+        # scratch table (FEW_ROWS). ``uniq`` becomes the answer's ids: never
+        # the caller's array. Then split it into the issuer's own vertices
+        # (local arm) and the rest (cache arm).
         n = self.graph.n_vertices
         vertex_to_part = self.assignment.vertex_to_part
-        if vertices.size > FEW_ROWS:
-            uniq = vertices[np.sort(np.unique(vertices, return_index=True)[1])]
-            unknown = (uniq < 0) | (uniq >= n)
-            if unknown.any():
-                raise StorageError(f"unknown vertex {int(uniq[unknown][0])}")
-            is_local = vertex_to_part[uniq] == from_part
-            local, foreign = uniq[is_local].tolist(), uniq[~is_local].tolist()
-        else:
+        few = vertices.size <= FEW_ROWS
+        if few:
             ids = list(dict.fromkeys(vertices.tolist()))
-            if ids and (min(ids) < 0 or max(ids) >= n):
-                bad = next(v for v in ids if not 0 <= v < n)
-                raise StorageError(f"unknown vertex {bad}")
+            low, high = (min(ids), max(ids)) if ids else (0, 0)
+        else:
+            low, high = vertices.min(), vertices.max()
+        if low < 0 or high >= n:
+            bad = vertices[(vertices < 0) | (vertices >= n)][0]
+            raise StorageError(f"unknown vertex {int(bad)}")
+        if few:
             uniq = np.array(ids, dtype=np.int64)
-            owners = vertex_to_part[uniq].tolist()
-            local = [v for v, p in zip(ids, owners) if p == from_part]
-            foreign = [v for v, p in zip(ids, owners) if p != from_part]
+        else:
+            first, seen = self._position, np.arange(vertices.size)
+            first[vertices] = vertices.size
+            np.minimum.at(first, vertices, seen)
+            uniq = vertices[first[vertices] == seen]
+        is_local = vertex_to_part[uniq] == from_part
+        local, foreign = uniq[is_local], uniq[~is_local]
 
         # A neighbors read collects blocks (the local arm, the cache hits,
         # each response) and single rows (routed and failover reads).
         blocks: "list[RowBlock]" = []
         rows: "dict[int, np.ndarray]" = {}
         if neighbors:
-            if local:
+            if local.size:
                 blocks.append(issuer.local_rows(local))
-                ledger.record(EV_LOCAL_READ, times=len(local))
+                ledger.record(EV_LOCAL_READ, times=local.size)
         else:
             # The IV-LRU front moves per access, so attribute rows decode
             # one by one.
-            for v in local:
+            for v in local.tolist():
                 if not issuer.attrs.has_vertex_attr(v):
                     raise StorageError(f"vertex {v} has no attributes stored")
                 was_cached = v in issuer.attrs.iv_cache
                 rows[v] = issuer.local_vertex_attr(v)
                 ledger.record(EV_ATTR_CACHE_HIT if was_cached else EV_ATTR_DECODE)
         if rec is not None:
-            for v in local:
+            for v in local.tolist():
                 rec.record(v, from_part, from_part, "local")
 
         missed = foreign
-        if neighbors and foreign:
+        if neighbors and foreign.size:
             hits, missed = issuer.neighbor_cache.get_many(foreign)
             if hits.ids.size:
                 blocks.append(hits)
@@ -406,12 +410,12 @@ class DistributedGraphStore:
 
         # Only a fail-stopped or suspect owner needs per-vertex routing
         # (attribute rows have no replicas to route a suspect's reads to).
-        if missed and (
+        if missed.size and (
             self._failed or (neighbors and runtime.health.suspect_parts)
         ):
             missed = self._route_around(kind, missed, from_part, runtime, rows)
         if not neighbors:
-            for v, owner in zip(missed, vertex_to_part[missed].tolist()):
+            for v, owner in zip(missed.tolist(), vertex_to_part[missed].tolist()):
                 if not self.servers[owner].attrs.has_vertex_attr(v):
                     raise StorageError(f"vertex {v} has no attributes stored")
 
@@ -426,16 +430,13 @@ class DistributedGraphStore:
             and self.cache_policy.demand_filled
         )
         shipped: "list[RowBlock]" = []
-        if missed:
+        if missed.size:
             with runtime.tracer.span("batch.plan", kind=kind) as plan_span:
-                missed = np.array(missed, dtype=np.int64)
-                requests = runtime.plan(
-                    kind, from_part, missed, self.assignment.vertex_to_part[missed]
-                )
-                plan_span.annotate(reads=len(missed), batches=len(requests))
+                requests = runtime.plan(kind, from_part, missed, vertex_to_part[missed])
+                plan_span.annotate(reads=missed.size, batches=len(requests))
             for req, resp in zip(requests, runtime.execute(requests)):
                 if not resp.ok:
-                    for v in req.vertices:
+                    for v in req.vertices.tolist():
                         try:
                             rows[v] = self._failover_read(v, from_part, kind)
                         except ReadUnavailableError as exc:
@@ -450,13 +451,13 @@ class DistributedGraphStore:
                 payload = resp.payload
                 ledger.record(EV_REMOTE_RPC)
                 if rec is not None:
-                    for v in req.vertices:
+                    for v in req.vertices.tolist():
                         rec.record(v, req.dst_part, from_part, "remote")
                 if neighbors:
                     shipped.append(payload)
                     ledger.record(EV_ITEM_SHIPPED, times=resp.n_items)
                     if demand_fill:
-                        ledger.record(EV_CACHE_FILL, times=len(req.vertices))
+                        ledger.record(EV_CACHE_FILL, times=req.vertices.size)
                 else:
                     rows.update(payload)
                     iv_hits = sum(resp.meta.values())
@@ -466,12 +467,10 @@ class DistributedGraphStore:
                         ledger.record(EV_ATTR_DECODE, times=len(payload) - iv_hits)
         if not neighbors:
             return rows
-        if shipped:
+        if demand_fill and shipped:
             # The responses' rows, in request order, fill the cache at once.
-            shipped = shipped[0] if len(shipped) == 1 else concat_blocks(shipped)
-            blocks.append(shipped)
-            if demand_fill:
-                issuer.neighbor_cache.admit_many(shipped)
+            issuer.neighbor_cache.admit_many(concat_blocks(shipped))
+        blocks.extend(shipped)
         if rows:
             ids = np.fromiter(rows, np.int64, len(rows))
             blocks.append(RowBlock(ids, *pack_rows(list(rows.values()))))
@@ -489,11 +488,11 @@ class DistributedGraphStore:
     def _route_around(
         self,
         kind: str,
-        missed: "list[int]",
+        missed: np.ndarray,
         from_part: int,
         runtime: RpcRuntime,
         results: "dict[int, np.ndarray]",
-    ) -> "list[int]":
+    ) -> np.ndarray:
         """Serve what a troubled owner's vertices can get from replicas.
 
         The scalar arm of the read path, in batch order (``should_probe``
@@ -505,7 +504,7 @@ class DistributedGraphStore:
         health = runtime.health
         rec = runtime.recorder
         remote: "list[int]" = []
-        for v, owner in zip(missed, self.assignment.vertex_to_part[missed].tolist()):
+        for v, owner in zip(missed.tolist(), self.assignment.vertex_to_part[missed].tolist()):
             if owner in self._failed:
                 results[v] = self._failover_read(v, from_part, kind)
                 continue
@@ -523,7 +522,7 @@ class DistributedGraphStore:
                     results[v] = row
                     continue
             remote.append(v)
-        return remote
+        return np.array(remote, dtype=np.int64)
 
     def neighbors(self, vertex: int, from_part: int) -> np.ndarray:
         """Out-neighbors of ``vertex`` as seen by worker ``from_part``.
@@ -655,8 +654,7 @@ class DistributedGraphStore:
                 cache = server.neighbor_cache
                 for src in cache.invalidate_many(touched):
                     owner, sizes = changed[src]
-                    # A copy: a view would keep the owner's whole row array alive.
-                    cache.pin(src, self.servers[owner].local_neighbors(src).copy())
+                    cache.pin(src, self.servers[owner].local_neighbors(src))
                     if p != owner:
                         refreshes += len(sizes)
                         shipped += sum(sizes)

@@ -199,15 +199,10 @@ class EmbeddingKVStore:
     def _serve_pull(self, req: "object") -> "tuple[dict, dict, int]":
         """Serve a pull on the destination shard: rows + versions."""
         shard = self.shards[req.dst_part]
-        payload: "dict[int, np.ndarray]" = {}
-        meta: "dict[int, object]" = {}
-        n_items = 0
-        for gid in req.vertices:
-            li = gid // self.n_parts
-            payload[gid] = shard.param.data[li].copy()
-            meta[gid] = int(shard.versions[li])
-            n_items += self.dim
-        return payload, meta, n_items
+        ids, local = req.vertices.tolist(), req.vertices // self.n_parts
+        payload = dict(zip(ids, shard.param.data[local]))  # rows of one fresh gather
+        meta = dict(zip(ids, shard.versions[local].tolist()))
+        return payload, meta, len(ids) * self.dim
 
     def _serve_push(self, req: "object") -> "tuple[dict, dict, int]":
         """Apply a pushed gradient batch on the destination shard.
@@ -217,17 +212,14 @@ class EmbeddingKVStore:
         pushes apply exactly once.
         """
         shard = self.shards[req.dst_part]
-        ids = np.asarray(req.vertices, dtype=np.int64)
+        ids = req.vertices
         grad_rows = np.asarray(req.body, dtype=DTYPE)
         if grad_rows.shape != (ids.size, self.dim):
             raise StorageError(
                 f"push body shape {grad_rows.shape} != ({ids.size}, {self.dim})"
             )
         shard.apply(ids // self.n_parts, grad_rows)
-        meta = {
-            int(gid): int(shard.versions[gid // self.n_parts])
-            for gid in req.vertices
-        }
+        meta = dict(zip(ids.tolist(), shard.versions[ids // self.n_parts].tolist()))
         return {}, meta, int(grad_rows.size)
 
     # ------------------------------------------------------------------ #

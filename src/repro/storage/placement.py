@@ -151,7 +151,7 @@ class PlacementController:
         payload: "dict[int, np.ndarray]" = {}
         meta: "dict[int, object]" = {}
         n_items = 0
-        for v in req.vertices:
+        for v in req.vertices.tolist():
             row = server.local_neighbors(v)
             attr = (
                 server.attrs.get_vertex_attr(v)
@@ -166,12 +166,10 @@ class PlacementController:
     def _serve_release(self, req) -> "tuple[dict, dict, int]":
         """Phase 2: the old owner surrenders the rows (idempotent ack)."""
         server = self.store.servers[req.dst_part]
-        payload = {
-            int(v): np.zeros(0, dtype=np.int64) for v in req.vertices
-        }
-        for v in req.vertices:
-            if server.owns(int(v)):
-                server.release_vertex(int(v))
+        payload = {v: np.zeros(0, dtype=np.int64) for v in req.vertices.tolist()}
+        for v in payload:
+            if server.owns(v):
+                server.release_vertex(v)
         return payload, {}, 0
 
     # ------------------------------------------------------------------ #

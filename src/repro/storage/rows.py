@@ -69,6 +69,14 @@ class RowArena:
         """Whether ``vertex`` has a row here."""
         return 0 <= vertex < self._start.size - 2 and self._start.item(vertex + 1) >= 0
 
+    def held(self, ids: np.ndarray) -> np.ndarray:
+        """Whether each of ``ids`` has a row here, as one boolean mask."""
+        return self._start.take(ids + 1, mode="clip") >= 0
+
+    def ids(self) -> np.ndarray:
+        """The ids with a row, ascending."""
+        return (self._start >= 0).nonzero()[0] - 1
+
     def row(self, vertex: int) -> np.ndarray:
         """``vertex``'s row, as a view (the caller checks :meth:`has`)."""
         return self._cells[self._start.item(vertex + 1) : self._stop.item(vertex + 1)]
@@ -106,7 +114,7 @@ class RowArena:
         slots = ids + 1
         if self._used + values.size > self._cells.size:
             start[slots] = -1  # their old rows need no move
-            kept = (start >= 0).nonzero()[0] if live is None else np.fromiter(live(), np.int64) + 1
+            kept = (self.ids() if live is None else np.fromiter(live(), np.int64)) + 1
             kept = kept[start[kept] >= 0]
             bounds, cells = take_rows(start[kept], stop[kept], self._cells)
             # Room for the live rows to double and for a few more batches.

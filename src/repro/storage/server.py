@@ -9,12 +9,11 @@ gathers its rows in a handful of array ops and answers with a
 never edge weights: no reader asks a store for them. Writes — streaming
 edge updates and vertex migration — never edit a row in place: a write
 batch gathers its rows, edits them as lists and appends the changed ones
-in one go, so a row handed out (or pinned as a replica) earlier keeps the
-contents it had.
+in one go, so a row handed out earlier keeps the contents it had.
 
 Attributes live in a :class:`SeparateAttributeStore` (the IV index behind
 an LRU front) and a :class:`NeighborCache` holds important *remote* vertices'
-neighbor lists. All cross-server traffic is mediated — and accounted — by
+neighbor lists as rows of arenas of its own (a pin copies the row). All cross-server traffic is mediated — and accounted — by
 :class:`repro.storage.cluster.DistributedGraphStore`.
 """
 

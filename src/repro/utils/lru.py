@@ -100,20 +100,20 @@ class IdLRU:
         held = self._stamp.nonzero()[0]
         return tuple(held[self._stamp[held].argsort()].tolist())
 
-    def get_many(self, keys: "list[int]") -> "tuple[np.ndarray, list[int]]":
+    def get_many(self, keys: "np.ndarray | list[int]") -> "tuple[np.ndarray, np.ndarray]":
         """Use each of ``keys`` in order; returns the held ones and the
         missing ones, each in input order."""
+        keys = np.asarray(keys, dtype=np.int64)
         if not self.capacity:
-            self.misses += len(keys)
-            return np.zeros(0, dtype=np.int64), list(keys)
-        keys = np.array(keys, dtype=np.int64)
+            self.misses += keys.size
+            return keys[:0], keys
         held = self._stamp.take(keys, mode="clip") > 0
         found = keys[held]
         self._stamp[found] = self._tick + 1 + held.nonzero()[0]
         self._tick += keys.size
-        missing = keys[~held].tolist()
+        missing = keys[~held]
         self.hits += found.size
-        self.misses += len(missing)
+        self.misses += missing.size
         return found, missing
 
     def put_many(self, keys: np.ndarray) -> None:

@@ -53,9 +53,9 @@ def gini_coefficient(values: np.ndarray) -> float:
 def cache_get(cache, vertex: int):
     """Scalar lookup on a ``NeighborCache``: the oracle its ``get_many`` must
     equal (pinned side first, then the LRU side, which moves recency)."""
-    if vertex in cache._pinned:
+    if cache.is_pinned(vertex):
         cache.hits += 1
-        return cache._pinned[vertex]
+        return cache.peek(vertex)
     found, _ = cache._lru.get_many([vertex])  # moves recency
     if not found.size:
         cache.misses += 1
@@ -66,7 +66,7 @@ def cache_get(cache, vertex: int):
 
 def cache_admit(cache, vertex: int, row: np.ndarray) -> None:
     """Scalar demand fill on a ``NeighborCache`` (the ``admit_many`` oracle)."""
-    if cache._lru.capacity > 0 and vertex not in cache._pinned:
+    if cache._lru.capacity > 0 and not cache.is_pinned(vertex):
         cache._lru.put_many(np.array([vertex]))
         row = np.asarray(row, dtype=np.int64)
         cache._rows.put(np.array([vertex]), np.array([0, row.size]), row, live=cache._lru.keys)

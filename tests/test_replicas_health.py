@@ -130,7 +130,7 @@ def test_store_installs_caches_into_registry(small_powerlaw):
         cache_budget_fraction=0.05,
         seed=0,
     )
-    pinned = set(store.servers[0].neighbor_cache._pinned)
+    pinned = set(store.servers[0].neighbor_cache.pinned_vertices())
     assert pinned
     for v in pinned:
         assert replica_holders(store.replicas, v) == (0, 1, 2)
@@ -325,7 +325,7 @@ def _importance_store(graph):
 
 def test_update_repins_fresh_adjacency_everywhere(small_powerlaw):
     store = _importance_store(small_powerlaw)
-    v = next(iter(store.servers[0].neighbor_cache._pinned))
+    v = store.servers[0].neighbor_cache.pinned_vertices()[0]
     assert replica_holders(store.replicas, v) == (0, 1, 2)
     owner = store.owner(v)
     fresh_dst = next(
@@ -346,7 +346,7 @@ def test_update_repins_fresh_adjacency_everywhere(small_powerlaw):
 
 def test_update_keeps_failover_coverage(small_powerlaw):
     store = _importance_store(small_powerlaw)
-    v = next(iter(store.servers[0].neighbor_cache._pinned))
+    v = store.servers[0].neighbor_cache.pinned_vertices()[0]
     owner = store.owner(v)
     fresh_dst = next(
         u for u in range(1000) if u not in small_powerlaw.out_neighbors(v)

@@ -262,7 +262,8 @@ def test_plan_validation():
     requests = runtime.plan(KIND_NEIGHBORS, 0, [5, 3, 9, 4], [2, 1, 2, 1])
     # One request per owner, in first-appearance order, with consecutive ids.
     assert [r.dst_part for r in requests] == [2, 1]
-    assert [r.vertices for r in requests] == [(5, 9), (3, 4)]
+    assert [r.vertices.tolist() for r in requests] == [[5, 9], [3, 4]]
+    assert all(r.vertices.dtype == np.int64 for r in requests)
     assert [r.req_id for r in requests] == [0, 1]
     assert runtime.plan(KIND_NEIGHBORS, 0, [7], [1])[0].req_id == 2
 
@@ -306,16 +307,23 @@ def test_execute_empty_requests():
 # --------------------------------------------------------------------- #
 # Vectorized read path: plan against the per-read planner it replaced
 # --------------------------------------------------------------------- #
+def envelope(req):
+    """A request's fields, its key array as a list (requests compare by
+    identity)."""
+    return (req.req_id, req.kind, req.src_part, req.dst_part, req.vertices.tolist(), req.attempt)
+
+
 def plan_per_read(kind, src_part, reads, first_id=0):
     """The planner as it once was: one ``(vertex, owner)`` pair at a time,
-    deduplicating per destination — the oracle for ``RpcRuntime.plan``."""
+    deduplicating per destination — the oracle for ``RpcRuntime.plan``,
+    as :func:`envelope` tuples."""
     by_dest = {}
     for vertex, owner in reads:
         group = by_dest.setdefault(owner, [])
         if vertex not in group:
             group.append(vertex)
     return [
-        Request(first_id + i, kind, src_part, owner, tuple(vertices))
+        envelope(Request(first_id + i, kind, src_part, owner, np.array(vertices, dtype=np.int64)))
         for i, (owner, vertices) in enumerate(by_dest.items())
     ]
 
@@ -331,7 +339,8 @@ def test_plan_grouped_matches_plan(src_part):
         owners = rng.integers(0, 5, size=n)
         reads = list(zip(vertices.tolist(), owners.tolist()))
         expected = plan_per_read(KIND_NEIGHBORS, src_part, reads, runtime._next_req_id)
-        assert runtime.plan(KIND_NEIGHBORS, src_part, vertices, owners) == expected
+        planned = runtime.plan(KIND_NEIGHBORS, src_part, vertices, owners)
+        assert [envelope(req) for req in planned] == expected
         # ``rows`` ships each destination's slice, as the KV push's
         # per-request ``searchsorted`` over the sorted key array did.
         order = np.argsort(vertices)

@@ -408,11 +408,11 @@ def _per_vertex_remote(store, kind, from_part, runtime, remote_v, remote_owner, 
         if resp.ok:
             store.ledger.record(EV_REMOTE_RPC)
             if rec is not None:
-                for v in req.vertices:
+                for v in req.vertices.tolist():
                     rec.record(v, req.dst_part, from_part, "remote")
             if kind == KIND_NEIGHBORS:
                 rows = block_rows(resp.payload)
-                assert list(rows) == list(req.vertices)
+                assert list(rows) == req.vertices.tolist()
                 shipped = sum(int(row.size) for row in rows.values())
                 store.ledger.record(EV_ITEM_SHIPPED, times=shipped)
                 for v, row in rows.items():
@@ -427,7 +427,7 @@ def _per_vertex_remote(store, kind, from_part, runtime, remote_v, remote_owner, 
                         EV_ATTR_CACHE_HIT if resp.meta.get(v) else EV_ATTR_DECODE
                     )
         else:
-            for v in req.vertices:
+            for v in req.vertices.tolist():
                 try:
                     results[v] = store._failover_read(v, from_part, kind)
                 except ReadUnavailableError as exc:

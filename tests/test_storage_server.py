@@ -6,8 +6,9 @@ at a time. A hypothesis state machine drives both through every mutator
 (a batch of row edits against the scalar add/remove sequence) and compares
 the whole public surface after each step; ``pin_loop_cache`` is
 the cache install as it was, one ``pin`` per selected vertex, the oracle for
-the bulk install; the scalar ``get`` / ``admit`` / ``invalidate`` are the
-oracle for ``get_many`` / ``admit_many`` / ``invalidate_many``.
+the bulk install; ``DictCache``, the neighbor cache as it was (pinned rows
+in a dict of arrays), fed one vertex at a time, is the oracle for
+``get_many`` / ``admit_many`` / ``invalidate_many`` and the pin arena.
 """
 
 from types import SimpleNamespace
@@ -29,12 +30,10 @@ from repro.storage.costmodel import EV_CACHE_FILL, EV_CACHE_HIT
 from repro.storage.partition import EdgeCutPartitioner
 from repro.storage.replicas import ReplicaRegistry
 from repro.storage.server import GraphServer
-from repro.utils.lru import IdLRU
+from repro.utils.lru import IdLRU, LRUCache
 from repro.utils.rng import make_rng
 from tests.conftest import (
     block_rows,
-    cache_admit,
-    cache_get,
     pack_block,
     python_calls,
     replica_holders,
@@ -290,8 +289,68 @@ def test_bulk_install_rejects_an_oversized_selection(small_powerlaw):
 
 
 # --------------------------------------------------------------------- #
-# Bulk cache reads / admissions vs the same ids fed one by one
+# Bulk cache reads / admissions vs the same ids fed one by one, on the
+# cache as it was: pinned rows in a dict of arrays
 # --------------------------------------------------------------------- #
+class DictCache:
+    """The neighbor cache before its pinned side became arena rows: pinned
+    rows in a dict of arrays by vertex, demand-filled ones in an
+    ``LRUCache``, every operation one vertex at a time."""
+
+    def __init__(self, capacity, pin_only, pinned=None):
+        self.capacity = capacity
+        self.pinned = dict(pinned or {})
+        self.lru = LRUCache(0 if pin_only else capacity)
+        self.hits = self.misses = 0
+
+    def __len__(self):
+        return len(self.pinned) + len(self.lru)
+
+    def __contains__(self, vertex):
+        return vertex in self.pinned or vertex in self.lru
+
+    def get(self, vertex):
+        row = self.pinned.get(vertex)
+        if row is None:
+            row = self.lru.get(vertex)
+        self.hits += row is not None
+        self.misses += row is None
+        return row
+
+    def admit(self, vertex, row):
+        if self.lru.capacity and vertex not in self.pinned:
+            self.lru.put(vertex, row)
+
+    def pin(self, vertex, row):
+        if vertex not in self.pinned and len(self.pinned) >= self.capacity:
+            raise StorageError("neighbor cache pin capacity exhausted")
+        self.pinned[vertex] = np.array(row, dtype=np.int64)
+
+    def unpin(self, vertex):
+        return self.pinned.pop(vertex, None) is not None
+
+    def invalidate(self, vertex):
+        self.pinned.pop(vertex, None)
+        self.lru.delete(vertex)
+
+    def is_pinned(self, vertex):
+        return vertex in self.pinned
+
+    def peek(self, vertex):
+        row = self.pinned.get(vertex)
+        return row if row is not None else self.lru._store.get(vertex)
+
+    @property
+    def free_pin_slots(self):
+        return max(0, self.capacity - len(self.pinned))
+
+    def pinned_vertices(self):
+        return tuple(sorted(self.pinned))
+
+    def cached_vertices(self):
+        return tuple(sorted({*self.pinned, *self.lru._store}))
+
+
 _IDS = st.integers(0, 11)
 _CACHE_OPS = st.one_of(
     st.tuples(st.just("get_many"), st.lists(_IDS, max_size=10)),  # duplicates too
@@ -299,42 +358,74 @@ _CACHE_OPS = st.one_of(
     st.tuples(st.just("invalidate_many"), st.lists(_IDS, max_size=6)),
     st.tuples(st.sampled_from(["pin", "unpin", "invalidate"]), _IDS),
 )
+#: Twelve vertices whose rows seed the pinned caches ``make_caches`` builds.
+_SEED_GRAPH = powerlaw_graph(12, alpha=2.3, max_degree=6, seed=4)
 
 
-def _cache_state(cache):
+class _Fixed(RandomCachePolicy):
+    def __init__(self, selected):
+        self.selected = np.array(selected, dtype=np.int64)
+
+    def select(self, graph, budget, rng):
+        return self.selected
+
+
+def _cache_state(cache, lru_order, lru_counts):
     # The cache seen as part 1 of a two-server view (part 0 holds nothing).
     registry = ReplicaRegistry(
         [SimpleNamespace(neighbor_cache=NeighborCache(0)), SimpleNamespace(neighbor_cache=cache)]
     )
-    lru = cache._lru
+    rows = [cache.peek(v) for v in range(-1, 13)]
     held = {v for v in range(12) if cache.peek(v) is not None}
     return (
         cache.pinned_vertices(),
-        lru.keys(),
-        (cache.hits, cache.misses, lru.hits, lru.misses, lru.evictions),
+        cache.cached_vertices(),
+        lru_order,
+        (cache.hits, cache.misses, *lru_counts),
+        (len(cache), cache.free_pin_slots),
+        [(v in cache, cache.is_pinned(v)) for v in range(-1, 13)],
+        [None if row is None else row.tolist() for row in rows],
         registry.held_by(1),
         [replica_holders(registry, v) for v in range(12)],
         registry.audit({1: held}),
     )
 
 
+def _bulk_state(cache):
+    lru = cache._lru
+    return _cache_state(cache, lru.keys(), (lru.hits, lru.misses, lru.evictions))
+
+
+def _oracle_state(cache):
+    lru = cache.lru
+    return _cache_state(cache, tuple(lru._store), (lru.hits, lru.misses, lru.evictions))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     capacity=st.integers(0, 4),
     pin_only=st.booleans(),
+    seeded=st.lists(_IDS, max_size=4, unique=True),
     ops=st.lists(_CACHE_OPS, max_size=30),
 )
-def test_bulk_cache_ops_equal_their_scalar_sequence(capacity, pin_only, ops):
-    bulk, scalar = (
-        make_pinned_cache(capacity) if pin_only else NeighborCache(capacity)
-        for _ in range(2)
-    )
+def test_bulk_cache_ops_equal_their_scalar_sequence(capacity, pin_only, seeded, ops):
+    # A non-empty ``seeded`` selection builds two pinned caches through
+    # ``make_caches`` (one block, two span tables) and drives the second.
+    if seeded and len(seeded) <= capacity:
+        sibling, bulk = make_caches(_Fixed(seeded), _SEED_GRAPH, capacity, make_rng(0), 2)
+        pinned = {v: _SEED_GRAPH.out_neighbors(v) for v in seeded}
+        scalar = DictCache(capacity, pin_only=True, pinned=pinned)
+    else:
+        sibling = None
+        bulk = make_pinned_cache(capacity) if pin_only else NeighborCache(capacity)
+        scalar = DictCache(capacity, pin_only)
+    before = sibling and _bulk_state(sibling)
     for step, (op, arg) in enumerate(ops):
         if op == "get_many":
             block, misses = bulk.get_many(arg)
             hits = block_rows(block)
-            one_by_one = [(v, cache_get(scalar, v)) for v in arg]
-            assert misses == [v for v, row in one_by_one if row is None]
+            one_by_one = [(v, scalar.get(v)) for v in arg]
+            assert misses.tolist() == [v for v, row in one_by_one if row is None]
             assert hits.keys() == {v for v, row in one_by_one if row is not None}
             for v, row in one_by_one:
                 if row is not None:
@@ -345,7 +436,7 @@ def test_bulk_cache_ops_equal_their_scalar_sequence(capacity, pin_only, ops):
             rows = {v: np.array([v, step], dtype=np.int64) for v in arg}
             bulk.admit_many(pack_block(arg, rows))
             for v, row in rows.items():
-                cache_admit(scalar, v, row)
+                scalar.admit(v, row)
         elif op == "invalidate_many":
             was_pinned = []
             for v in arg:
@@ -363,9 +454,25 @@ def test_bulk_cache_ops_equal_their_scalar_sequence(capacity, pin_only, ops):
                 except StorageError as exc:  # pin capacity exhausted
                     outcomes.append(str(exc))
             assert outcomes[0] == outcomes[1]
-        state = _cache_state(bulk)
-        assert state == _cache_state(scalar)
+        state = _bulk_state(bulk)
+        assert state == _oracle_state(scalar)
         assert state[-1] == {"missing": [], "stale": []}
+    if sibling is not None:  # the shared block never shows another's edits
+        assert _bulk_state(sibling) == before
+
+
+def test_pin_rejects_malformed_ids_before_changing_anything():
+    cache = make_pinned_cache(4)
+    cache.pin(1, np.array([5, 6]))
+    before = _bulk_state(cache)
+    for vertex, neighbors in ((3, [0.7, 2.9]), (-1, [2]), (True, [2]), (2.5, [2])):
+        with pytest.raises(StorageError, match="cannot pin"):
+            cache.pin(vertex, neighbors)
+        assert _bulk_state(cache) == before
+    # The padding slot a key of -1 would have hit still makes clipped
+    # lookups miss.
+    block, misses = cache.get_many([-1, 1, 12, 10**6])
+    assert block.ids.tolist() == [1] and misses.tolist() == [-1, 12, 10**6]
 
 
 def test_cached_rows_never_keep_their_response_alive():

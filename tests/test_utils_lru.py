@@ -96,7 +96,7 @@ def test_id_lru_equals_lru_cache_one_use_at_a_time(capacity, ops):
             found, missing = ids.get_many(keys)
             want = [(k, scalar.get(k) is not None) for k in keys]
             assert found.tolist() == [k for k, hit in want if hit]
-            assert missing == [k for k, hit in want if not hit]
+            assert missing.tolist() == [k for k, hit in want if not hit]
         elif op == "put":
             ids.put_many(np.array(keys, dtype=np.int64))
             for k in keys:
