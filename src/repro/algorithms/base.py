@@ -217,16 +217,12 @@ class KVTables:
         rng: np.random.Generator,
         lr: float,
         spec: TableSpec,
-        staleness: int,
     ) -> None:
         from repro.storage.embedding import EmbeddingKVStore
 
         n = store.graph.n_vertices
         self.kv_tables = [
-            EmbeddingKVStore(
-                store, embedding_init((n, dim), rng), name=name, lr=lr,
-                staleness=staleness,
-            )
+            EmbeddingKVStore(store, embedding_init((n, dim), rng), name=name, lr=lr)
             for name, dim, _ in spec
         ]
         self._reads = [reads for _, _, reads in spec]
@@ -260,20 +256,16 @@ class KVTables:
 class TableStoreModel(EmbeddingModel):
     """A model whose embedding tables live where ``backend`` says: ``dense``
     keeps them in process (:class:`DenseTables`), ``kv`` on a parameter
-    server of ``kv_workers`` simulated servers that serves rows at most
-    ``kv_staleness`` push rounds old (:class:`KVTables`). A ``kv`` fit leaves
-    its store on :attr:`kv_store` (ledger, metrics, RPC counts)."""
+    server of ``kv_workers`` simulated servers (:class:`KVTables`). A ``kv``
+    fit leaves its store on :attr:`kv_store` (ledger, metrics, RPC counts)."""
 
-    def _place_tables(self, backend: str, kv_workers: int, kv_staleness: int) -> None:
+    def _place_tables(self, backend: str, kv_workers: int) -> None:
         if backend not in ("dense", "kv"):
             raise TrainingError(f"unknown embedding backend {backend!r} (dense or kv)")
         if not isinstance(kv_workers, Integral) or kv_workers < 1:
             raise TrainingError(f"kv_workers must be an integer >= 1, got {kv_workers!r}")
-        if not isinstance(kv_staleness, Integral) or kv_staleness < 0:
-            raise TrainingError(f"kv_staleness must be an integer >= 0, got {kv_staleness!r}")
         self.backend = backend
         self.kv_workers = kv_workers
-        self.kv_staleness = kv_staleness
         #: The distributed store a ``backend="kv"`` fit trained against.
         self.kv_store = None
 
@@ -289,7 +281,7 @@ class TableStoreModel(EmbeddingModel):
 
         self.kv_store = make_store(graph, self.kv_workers, seed=self.seed)
         named = [(f"{self.name}.{role}", dim, reads) for role, dim, reads in spec]
-        return KVTables(self.kv_store, rng, lr, named, self.kv_staleness)
+        return KVTables(self.kv_store, rng, lr, named)
 
 
 def train_skipgram(

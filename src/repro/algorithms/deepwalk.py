@@ -38,7 +38,6 @@ class DeepWalk(TableStoreModel):
         seed: int = 0,
         backend: str = "dense",
         kv_workers: int = 4,
-        kv_staleness: int = 0,
     ) -> None:
         self.dim = dim
         self.walks_per_vertex = walks_per_vertex
@@ -48,7 +47,7 @@ class DeepWalk(TableStoreModel):
         self.neg_num = neg_num
         self.lr = lr
         self.seed = seed
-        self._place_tables(backend, kv_workers, kv_staleness)
+        self._place_tables(backend, kv_workers)
         self._embeddings: np.ndarray | None = None
         self.final_loss = float("inf")
 

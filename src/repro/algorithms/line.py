@@ -45,7 +45,6 @@ class LINE(TableStoreModel):
         seed: int = 0,
         backend: str = "dense",
         kv_workers: int = 4,
-        kv_staleness: int = 0,
     ) -> None:
         if dim % 2:
             raise TrainingError("LINE splits dim across two orders; use an even dim")
@@ -55,7 +54,7 @@ class LINE(TableStoreModel):
         self.neg_num = neg_num
         self.lr = lr
         self.seed = seed
-        self._place_tables(backend, kv_workers, kv_staleness)
+        self._place_tables(backend, kv_workers)
         self._embeddings: np.ndarray | None = None
 
     def fit(self, graph: Graph) -> "LINE":

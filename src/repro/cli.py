@@ -47,7 +47,6 @@ def _model_factories():
         return {
             "backend": getattr(a, "backend", "dense"),
             "kv_workers": getattr(a, "kv_workers", 4),
-            "kv_staleness": getattr(a, "kv_staleness", 0),
         }
 
     return {
@@ -119,11 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument(
         "--kv-workers", type=int, default=4,
         help="embedding servers of the kv backend (default: 4)",
-    )
-    p_tr.add_argument(
-        "--kv-staleness", type=int, default=0,
-        help="bounded-staleness window of kv pulls, in push rounds "
-        "(default: 0 = exact reads)",
     )
 
     p_rp = sub.add_parser(
@@ -232,7 +226,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         ("--seed", args.seed, args.seed >= 0, ">= 0"),
         ("--holdout", args.holdout, 0 <= args.holdout < 1, "in [0, 1)"),
         ("--kv-workers", args.kv_workers, args.kv_workers >= 1, ">= 1"),
-        ("--kv-staleness", args.kv_staleness, args.kv_staleness >= 0, ">= 0"),
     ):
         if not ok:
             raise TrainingError(f"{flag} must be {want}, got {value}")
@@ -241,7 +234,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     for flag, is_set, models in (
         ("--backend kv", args.backend == "kv", kv_models),
         ("--kv-workers", args.kv_workers != 4, kv_models),
-        ("--kv-staleness", args.kv_staleness != 0, kv_models),
         ("--minibatch-blocks", args.minibatch_blocks, ("graphsage",)),
     ):
         if is_set and args.model not in models:

@@ -84,16 +84,17 @@ class Response:
     """The answer to a :class:`Request` (or its typed failure).
 
     ``payload`` is a :class:`~repro.storage.server.RowBlock` for a
-    neighbors read and maps each key to its row for every other kind.
+    neighbors read, a ``(k, dim)`` row array aligned with the request's keys
+    for an embedding pull, and maps each key to its row for the other kinds.
     ``meta`` carries per-key scalars next to the payload rows: the IV-cache
-    flag for attribute reads, the row version for embedding pulls.
+    flag for attribute reads.
     ``n_items`` is the item count the serving side summed over the payload —
     what priced the response's shipping time on the virtual clock.
     """
 
     req_id: int
     ok: bool
-    payload: "RowBlock | dict[int, np.ndarray]" = field(default_factory=dict)
+    payload: "RowBlock | np.ndarray | dict[int, np.ndarray]" = field(default_factory=dict)
     meta: "dict[int, object]" = field(default_factory=dict)
     n_items: int = 0
     attempts: int = 1

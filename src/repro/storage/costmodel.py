@@ -37,8 +37,6 @@ EV_DEGRADED_READ = "degraded_read"  # unavailable read answered with an
 EV_REPLICA_REFRESH = "replica_refresh"  # fresh adjacency pushed to one
 # replica holder after a streaming edge update (re-pin)
 EV_EMB_LOCAL_ROW = "emb_row_local"  # embedding row pulled from the local shard
-EV_EMB_CACHE_HIT = "emb_cache_hit"  # embedding row served from the staleness
-# cache (no RPC, possibly a bounded number of versions behind)
 EV_EMB_ROW_UPDATE = "emb_row_update"  # one embedding row updated in place by
 # a pushed sparse gradient (server-side optimizer application)
 EV_REPLICA_INSTALL = "replica_install"  # adjacency row pinned on a non-owner
@@ -71,7 +69,6 @@ class CostModel:
     degraded_read_us: float = 0.5
     replica_refresh_us: float = 100.0
     emb_row_local_us: float = 0.8
-    emb_cache_hit_us: float = 0.3
     emb_row_update_us: float = 0.6
     replica_install_us: float = 100.0
     replica_drop_us: float = 0.5
@@ -95,7 +92,6 @@ class CostModel:
             EV_DEGRADED_READ: self.degraded_read_us,
             EV_REPLICA_REFRESH: self.replica_refresh_us,
             EV_EMB_LOCAL_ROW: self.emb_row_local_us,
-            EV_EMB_CACHE_HIT: self.emb_cache_hit_us,
             EV_EMB_ROW_UPDATE: self.emb_row_update_us,
             EV_REPLICA_INSTALL: self.replica_install_us,
             EV_REPLICA_DROP: self.replica_drop_us,

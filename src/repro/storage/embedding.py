@@ -19,15 +19,13 @@ the simulated cluster:
   Reads follow the store's ``_resolve_read`` conventions — dedup up front,
   local rows answered directly, remote rows coalesced into one request per
   owning server, ledger events recorded client-side in deterministic order.
-* **Versions and bounded staleness** — every row carries a version bumped
-  on each applied update. The client keeps a pull cache tagged with a
-  *push-round* clock (incremented per :meth:`EmbeddingKVStore.push`); an
-  entry is served while it is at most ``staleness`` rounds old. A row's
-  version advances at most once per round it is touched, so a cache hit is
-  never more than ``staleness`` versions behind the shard — ``staleness=0``
-  still allows exact hits within the current round. Pushed rows are
-  invalidated eagerly (write-invalidate), so a worker never reads its own
-  writes stale.
+* **Columnar pulls** — one owner mask splits a pull's distinct ids: the
+  issuer's own rows are one gather from its shard, and each remote server
+  answers a ``(k, dim)`` row array aligned with its request's ids, which
+  scatters back by position. The client keeps no cache, so every read is
+  exact.
+* **Versions** — every row carries a version bumped on each applied
+  update: the audit that a retried push applied exactly once.
 * **Failure semantics** — embedding rows have no replicas: a pull or push
   that exhausts the retry budget raises
   :class:`~repro.errors.RetryExhaustedError`. Transient drops and timeouts
@@ -48,7 +46,6 @@ from repro.errors import RetryExhaustedError, StorageError
 from repro.nn.optim import Adam
 from repro.nn.tensor import DTYPE, SparseGrad, Tensor
 from repro.storage.costmodel import (
-    EV_EMB_CACHE_HIT,
     EV_EMB_LOCAL_ROW,
     EV_EMB_ROW_UPDATE,
     EV_ITEM_SHIPPED,
@@ -71,7 +68,7 @@ class EmbeddingShard:
         self.param = Tensor(rows, requires_grad=True, name=f"shard{part}")
         self.param.accumulates_sparse = True
         #: Per-row update counter: bumped once per applied push touching
-        #: the row. The staleness bound is stated against these.
+        #: the row, so a push applied twice shows.
         self.versions = np.zeros(rows.shape[0], dtype=np.int64)
         self.applied_pushes = 0
         self._opt = Adam([self.param], lr=lr)
@@ -116,7 +113,7 @@ class EmbeddingMinibatch:
 
     def lookup(self, ids: np.ndarray) -> Tensor:
         """Differentiable rows for ``ids`` (must be within the minibatch)."""
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        ids = self._kv._validate(ids, self._from_part)
         idx = np.searchsorted(self.ids, ids)
         idx = np.minimum(idx, self.ids.size - 1) if self.ids.size else idx
         if self.ids.size == 0 or not np.array_equal(self.ids[idx], ids):
@@ -148,8 +145,6 @@ class EmbeddingKVStore:
     ``init`` is the initial ``(n_rows, dim)`` table, which fixes the shape
     (rows are held in :data:`~repro.nn.tensor.DTYPE`, as in-process tables);
     shards step their rows with :class:`~repro.nn.optim.Adam` at ``lr``.
-    ``staleness`` bounds how many push rounds old a cached row may be
-    served; ``0`` (the default) means reads are exact.
     """
 
     def __init__(
@@ -158,7 +153,6 @@ class EmbeddingKVStore:
         init: np.ndarray,
         name: str = "emb",
         lr: float = 1e-2,
-        staleness: int = 0,
     ) -> None:
         init = np.asarray(init, dtype=DTYPE)
         if init.ndim != 2 or min(init.shape) < 1:
@@ -166,12 +160,9 @@ class EmbeddingKVStore:
                 f"embedding table needs a 2-D init with n_rows, dim >= 1, "
                 f"got shape {init.shape}"
             )
-        if staleness < 0:
-            raise StorageError(f"staleness bound must be >= 0, got {staleness}")
         self.store = store
         self.n_rows, self.dim = init.shape
         self.name = name
-        self.staleness = staleness
         self.runtime = store._ensure_runtime()
         self.n_parts = store.n_workers
         self.kind_pull = f"emb.pull/{name}"
@@ -183,26 +174,15 @@ class EmbeddingKVStore:
             EmbeddingShard(p, init[p :: self.n_parts].copy(), lr)
             for p in range(self.n_parts)
         ]
-        #: Per-issuer pull caches: ``from_part -> {global id -> (row copy,
-        #: version at pull, push round at pull)}``. A worker's own pushes
-        #: invalidate its own cache (read-your-writes); other workers may
-        #: keep serving their cached copy until it ages past ``staleness``
-        #: rounds — that age is exactly the version lag bound, because a
-        #: row's version advances at most once per push round.
-        self._caches: "dict[int, dict[int, tuple[np.ndarray, int, int]]]" = {}
-        #: Push-round clock: bumped once per :meth:`push` call.
-        self._round = 0
 
     # ------------------------------------------------------------------ #
     # Server side (runtime service handlers)
     # ------------------------------------------------------------------ #
-    def _serve_pull(self, req: "object") -> "tuple[dict, dict, int]":
-        """Serve a pull on the destination shard: rows + versions."""
-        shard = self.shards[req.dst_part]
-        ids, local = req.vertices.tolist(), req.vertices // self.n_parts
-        payload = dict(zip(ids, shard.param.data[local]))  # rows of one fresh gather
-        meta = dict(zip(ids, shard.versions[local].tolist()))
-        return payload, meta, len(ids) * self.dim
+    def _serve_pull(self, req: "object") -> "tuple[np.ndarray, dict, int]":
+        """Serve a pull on the destination shard: a ``(k, dim)`` row array
+        aligned with ``req.vertices``."""
+        rows = self.shards[req.dst_part].param.data[req.vertices // self.n_parts]
+        return rows, {}, int(rows.size)
 
     def _serve_push(self, req: "object") -> "tuple[dict, dict, int]":
         """Apply a pushed gradient batch on the destination shard.
@@ -219,14 +199,24 @@ class EmbeddingKVStore:
                 f"push body shape {grad_rows.shape} != ({ids.size}, {self.dim})"
             )
         shard.apply(ids // self.n_parts, grad_rows)
-        meta = dict(zip(ids.tolist(), shard.versions[ids // self.n_parts].tolist()))
-        return {}, meta, int(grad_rows.size)
+        return {}, {}, int(grad_rows.size)
 
     # ------------------------------------------------------------------ #
     # Client side
     # ------------------------------------------------------------------ #
-    def _validate(self, ids: np.ndarray) -> np.ndarray:
-        arr = np.asarray(ids, dtype=np.int64).reshape(-1)
+    def _validate(self, ids: "np.ndarray | list[int]", from_part: int) -> np.ndarray:
+        """``ids`` as int64, once they are known to be a 1-D batch of this
+        table's rows and ``from_part`` one of its shards: the one check a
+        pull, push or lookup makes before anything is recorded or sent."""
+        arr = np.asarray(ids)
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+            raise StorageError(f"embedding ids must be a 1-D batch of integers, got {arr!r}")
+        if from_part not in range(self.n_parts):
+            raise StorageError(
+                f"unknown issuing worker {from_part!r} "
+                f"(table {self.name!r} has {self.n_parts} shards)"
+            )
+        arr = arr.astype(np.int64, copy=False)
         if arr.size:
             oob = (arr < 0) | (arr >= self.n_rows)
             if oob.any():
@@ -239,84 +229,57 @@ class EmbeddingKVStore:
     def pull(self, ids: "np.ndarray | list[int]", from_part: int = 0) -> np.ndarray:
         """Rows for ``ids`` (duplicates allowed), aligned with the input.
 
-        Routing per unique id, in order: locally-owned shard row, staleness
-        cache, remote — remote ids coalesce into one request per owning
-        server. Ledger events mirror the graph read path: one
-        ``remote_rpc`` per batch plus ``item_shipped`` per scalar, with
-        ``emb_row_local`` / ``emb_cache_hit`` for the RPC-free arms.
+        The distinct ids are pulled once, in first-seen order, and map back
+        to the input through the inverse index.
         """
-        arr = self._validate(ids)
-        if arr.size == 0:
-            return np.empty((0, self.dim), dtype=DTYPE)
+        arr = self._validate(ids, from_part)
+        uniq, first, inverse = np.unique(arr, return_index=True, return_inverse=True)
+        order = first.argsort()  # first-seen order; its argsort inverts it
+        return self._pull_unique(uniq[order], from_part)[order.argsort()[inverse]]
+
+    def _pull_unique(self, uniq: np.ndarray, from_part: int) -> np.ndarray:
+        """Rows for the distinct ids ``uniq``, aligned with it.
+
+        One owner mask splits the ids: the issuer's own rows are one gather
+        from its shard, and the remote ones coalesce into one request per
+        owning server, whose row array scatters back by position. Ledger
+        events mirror the graph read path: ``emb_row_local`` per local row,
+        one ``remote_rpc`` per request plus ``item_shipped`` per scalar.
+        """
+        rows = np.empty((uniq.size, self.dim), dtype=DTYPE)
+        if not uniq.size:
+            return rows
+        ledger = self.store.ledger
         with self.runtime.tracer.span(
             "emb.pull", table=self.name, issuer=from_part
         ) as span:
-            uniq, first_idx = np.unique(arr, return_index=True)
-            uniq = uniq[np.argsort(first_idx, kind="stable")]
-            rows = self._pull_unique(uniq, from_part, span)
-        out = np.empty((arr.size, self.dim), dtype=DTYPE)
-        pos = {int(g): i for i, g in enumerate(uniq.tolist())}
-        for i, g in enumerate(arr.tolist()):
-            out[i] = rows[pos[g]]
-        return out
-
-    def _pull_unique(
-        self, uniq: np.ndarray, from_part: int, span: "object"
-    ) -> np.ndarray:
-        store = self.store
-        metrics = self.runtime.metrics
-        cache = self._caches.setdefault(from_part, {})
-        rows = np.empty((uniq.size, self.dim), dtype=DTYPE)
-        owners = uniq % self.n_parts
-        remote_v: "list[int]" = []
-        remote_owner: "list[int]" = []
-        remote_slot: "dict[int, int]" = {}
-        cache_hits = 0
-        for i, (g, owner) in enumerate(zip(uniq.tolist(), owners.tolist())):
-            if owner == from_part:
-                store.ledger.record(EV_EMB_LOCAL_ROW)
-                rows[i] = self.shards[owner].param.data[g // self.n_parts]
-                continue
-            entry = cache.get(g)
-            if entry is not None and self._round - entry[2] <= self.staleness:
-                store.ledger.record(EV_EMB_CACHE_HIT)
-                rows[i] = entry[0]
-                cache_hits += 1
-                continue
-            remote_v.append(g)
-            remote_owner.append(owner)
-            remote_slot[g] = i
-        span.annotate(
-            rows=int(uniq.size),
-            local=int(uniq.size) - len(remote_v) - cache_hits,
-            cache_hits=cache_hits,
-            remote=len(remote_v),
-        )
-        metrics.counter("emb.pull.rows", labels={"table": self.name}).inc(
-            int(uniq.size)
-        )
-        metrics.counter("emb.pull.cache_hits", labels={"table": self.name}).inc(
-            cache_hits
-        )
-        if not remote_v:
-            return rows
-        requests = self.runtime.plan(
-            self.kind_pull, from_part, remote_v, remote_owner
-        )
-        for req, resp in zip(requests, self.runtime.execute(requests)):
-            if not resp.ok:
-                raise RetryExhaustedError(
-                    f"pull of table {self.name!r} row {req.vertices[0]}: "
-                    f"{resp.error}, and embedding rows have no replicas",
-                    resp.attempts,
-                )
-            store.ledger.record(EV_REMOTE_RPC)
-            store.ledger.record(
-                EV_ITEM_SHIPPED, times=len(resp.payload) * self.dim
+            owners = uniq % self.n_parts
+            local = owners == from_part
+            n_local = int(np.count_nonzero(local))
+            span.annotate(rows=int(uniq.size), local=n_local, remote=int(uniq.size) - n_local)
+            self.runtime.metrics.counter(
+                "emb.pull.rows", labels={"table": self.name}
+            ).inc(int(uniq.size))
+            if n_local:
+                ledger.record(EV_EMB_LOCAL_ROW, times=n_local)
+                rows[local] = self.shards[from_part].param.data[uniq[local] // self.n_parts]
+            if n_local == uniq.size:
+                return rows
+            remote = (~local).nonzero()[0]
+            remote_owners = owners[remote]
+            requests = self.runtime.plan(
+                self.kind_pull, from_part, uniq[remote], remote_owners
             )
-            for g, row in resp.payload.items():
-                rows[remote_slot[g]] = row
-                cache[g] = (row, int(resp.meta[g]), self._round)
+            for req, resp in zip(requests, self.runtime.execute(requests)):
+                if not resp.ok:
+                    raise RetryExhaustedError(
+                        f"pull of table {self.name!r} row {req.vertices[0]}: "
+                        f"{resp.error}, and embedding rows have no replicas",
+                        resp.attempts,
+                    )
+                ledger.record(EV_REMOTE_RPC)
+                ledger.record(EV_ITEM_SHIPPED, times=int(resp.payload.size))
+                rows[remote[remote_owners == req.dst_part]] = resp.payload
         return rows
 
     def push(
@@ -329,10 +292,9 @@ class EmbeddingKVStore:
 
         Locally-owned rows update in place; remote rows ship as one
         request per owning server with the gradient block as the request
-        body. Advances the push-round clock and write-invalidates the
-        pushed ids in the pull cache.
+        body.
         """
-        arr = self._validate(ids)
+        arr = self._validate(ids, from_part)
         grad_rows = np.asarray(grad_rows, dtype=DTYPE)
         if grad_rows.shape != (arr.size, self.dim):
             raise StorageError(
@@ -382,11 +344,6 @@ class EmbeddingKVStore:
             self.runtime.metrics.counter(
                 "emb.push.rows", labels={"table": self.name}
             ).inc(int(uniq.size))
-            self._round += 1
-            issuer_cache = self._caches.get(from_part)
-            if issuer_cache:
-                for g in uniq.tolist():
-                    issuer_cache.pop(g, None)
 
     def minibatch(
         self, *id_arrays: "np.ndarray | list[int]", from_part: int = 0
@@ -398,14 +355,9 @@ class EmbeddingKVStore:
         coalesced pull per remote shard, regardless of how many id arrays
         (centers, contexts, negatives) the loss touches.
         """
-        parts = [self._validate(a) for a in id_arrays]
-        ids = (
-            np.unique(np.concatenate(parts))
-            if parts
-            else np.empty(0, dtype=np.int64)
-        )
-        rows = self.pull(ids, from_part=from_part)
-        return EmbeddingMinibatch(self, ids, rows, from_part)
+        parts = [self._validate(a, from_part) for a in id_arrays]
+        ids = np.unique(np.concatenate(parts)) if parts else np.empty(0, np.int64)
+        return EmbeddingMinibatch(self, ids, self._pull_unique(ids, from_part), from_part)
 
     # ------------------------------------------------------------------ #
     # Inspection (tests, evaluation, checkpointing)

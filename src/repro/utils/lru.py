@@ -75,15 +75,16 @@ class IdLRU:
     stamps, so membership, order and counters end up as an
     :class:`LRUCache` would leave them after the same uses one at a time.
     It keeps no values (its owner does), and a batch costs a handful of
-    array calls whatever its size.
+    array calls whatever its size. Id ``k``'s stamp sits at slot ``k + 1``:
+    the table is padded at both ends and lookups clip, so no id outside it,
+    negative ones included, is ever found.
     """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 0:
             raise StorageError(f"LRU capacity must be non-negative, got {capacity}")
         self.capacity = capacity
-        # The last slot stays 0, so a lookup clipped to the table misses.
-        self._stamp = np.zeros(1, dtype=np.int64)
+        self._stamp = np.zeros(2, dtype=np.int64)
         self._tick = 0
         self.hits = 0
         self.misses = 0
@@ -93,12 +94,12 @@ class IdLRU:
         return int(np.count_nonzero(self._stamp))
 
     def __contains__(self, key: int) -> bool:
-        return 0 <= key < self._stamp.size and self._stamp.item(key) > 0
+        return 0 <= key < self._stamp.size - 2 and self._stamp.item(key + 1) > 0
 
     def keys(self) -> "tuple[int, ...]":
         """Held ids, least recently used first."""
         held = self._stamp.nonzero()[0]
-        return tuple(held[self._stamp[held].argsort()].tolist())
+        return tuple((held[self._stamp[held].argsort()] - 1).tolist())
 
     def get_many(self, keys: "np.ndarray | list[int]") -> "tuple[np.ndarray, np.ndarray]":
         """Use each of ``keys`` in order; returns the held ones and the
@@ -107,9 +108,9 @@ class IdLRU:
         if not self.capacity:
             self.misses += keys.size
             return keys[:0], keys
-        held = self._stamp.take(keys, mode="clip") > 0
+        held = self._stamp.take(keys + 1, mode="clip") > 0
         found = keys[held]
-        self._stamp[found] = self._tick + 1 + held.nonzero()[0]
+        self._stamp[found + 1] = self._tick + 1 + held.nonzero()[0]
         self._tick += keys.size
         missing = keys[~held]
         self.hits += found.size
@@ -121,16 +122,17 @@ class IdLRU:
         evict the least recently used ids beyond capacity."""
         if self.capacity == 0 or not keys.size:
             return
-        if keys.size > 1 and (self._stamp.take(keys, mode="clip") > 0).any():
+        slots = keys + 1
+        if keys.size > 1 and (self._stamp.take(slots, mode="clip") > 0).any():
             # A held id may be evicted before its turn comes: one by one.
             for key in keys.tolist():
                 self.put_many(np.array([key]))
             return
-        top = int(keys.max()) + 2
+        top = int(keys.max()) + 3
         if top > self._stamp.size:
             grow = max(self._stamp.size, top - self._stamp.size)
             self._stamp = np.concatenate((self._stamp, np.zeros(grow, dtype=np.int64)))
-        self._stamp[keys] = self._tick + 1 + np.arange(keys.size)
+        self._stamp[slots] = self._tick + 1 + np.arange(keys.size)
         self._tick += keys.size
         held = self._stamp.nonzero()[0]
         extra = held.size - self.capacity
@@ -141,4 +143,4 @@ class IdLRU:
 
     def delete_many(self, keys: "list[int]") -> None:
         """Drop each of ``keys`` that is held (no stat changes)."""
-        self._stamp.put(np.asarray(keys, dtype=np.int64), 0, mode="clip")
+        self._stamp.put(np.asarray(keys, dtype=np.int64) + 1, 0, mode="clip")

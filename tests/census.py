@@ -275,7 +275,7 @@ def programs(tmp: str) -> "list[tuple[str, list[str]]]":
         runs.append(("cli", ["train", model, data, emb] + train))
     for model in ("deepwalk", "node2vec", "line"):
         runs.append(("cli", ["train", model, data, emb, "--backend", "kv",
-                             "--kv-workers", "2", "--kv-staleness", "1"] + train))
+                             "--kv-workers", "2"] + train))
     runs.append(("cli", ["train", "graphsage", data, emb, "--minibatch-blocks",
                          "--holdout", "0.2", "--seed", "3"] + train))
     runs.append(("cli", ["evaluate", emb, data, "--holdout", "0.2", "--seed", "3"]))

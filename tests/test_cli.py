@@ -55,29 +55,22 @@ def test_train_unknown_model(tmp_path, capsys):
         ("deepwalk", ["--holdout", "1.0"], "--holdout must be in [0, 1), got 1.0"),
         ("deepwalk", ["--holdout", "-0.1"], "--holdout must be in [0, 1), got -0.1"),
         ("deepwalk", ["--kv-workers", "0"], "--kv-workers must be >= 1, got 0"),
-        ("deepwalk", ["--kv-staleness", "-1"], "--kv-staleness must be >= 0, got -1"),
         # Flags the chosen model would silently ignore (with --epochs 7 the
         # netmf case exited 0 and wrote embeddings before).
         ("netmf", ["--backend", "kv", "--epochs", "7"],
          "--backend kv applies to deepwalk/node2vec/line only, not netmf"),
         ("gatne", ["--kv-workers", "2"],
          "--kv-workers applies to deepwalk/node2vec/line only, not gatne"),
-        ("graphsage", ["--kv-staleness", "2"],
-         "--kv-staleness applies to deepwalk/node2vec/line only, not graphsage"),
         ("sign", ["--minibatch-blocks"],
          "--minibatch-blocks applies to graphsage only, not sign"),
         # The kv knobs of a model trained in process.
-        ("deepwalk", ["--kv-workers", "2", "--kv-staleness", "3"],
-         "--kv-workers applies to --backend kv only"),
-        ("line", ["--backend", "dense", "--kv-staleness", "3"],
-         "--kv-staleness applies to --backend kv only"),
+        ("deepwalk", ["--kv-workers", "2"], "--kv-workers applies to --backend kv only"),
     ],
     ids=[
         "dim=0-deepwalk", "dim=0-graphsage", "dim=0-netmf", "dim=-1", "dim=1-line",
         "epochs=0", "seed=-1", "holdout=1.0", "holdout=-0.1", "kv-workers=0",
-        "kv-staleness=-1", "backend-kv-netmf", "kv-workers-gatne",
-        "kv-staleness-graphsage", "minibatch-blocks-sign", "kv-flags-dense-deepwalk",
-        "kv-staleness-dense-line",
+        "backend-kv-netmf", "kv-workers-gatne", "minibatch-blocks-sign",
+        "kv-flags-dense-deepwalk",
     ],
 )
 def test_train_bad_flag_is_one_error_line(model, flags, message, tmp_path, capsys):

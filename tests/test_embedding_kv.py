@@ -1,7 +1,9 @@
-"""The parameter-server embedding KV store: pull/push, batching, staleness,
+"""The parameter-server embedding KV store: pull/push, batching, id checks,
 faults, and end-to-end parity with the in-process sparse training path."""
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -35,21 +37,6 @@ def row_versions(kv) -> np.ndarray:
     for p, shard in enumerate(kv.shards):
         out[p :: kv.n_parts] = shard.versions
     return out
-
-
-def cached_version_lag(kv) -> int:
-    """Max (authoritative - cached) version over the cache entries a pull
-    would still serve: the quantity the staleness bound holds down."""
-    versions = row_versions(kv)
-    return max(
-        (
-            int(versions[g]) - ver
-            for cache in kv._caches.values()
-            for g, (_, ver, rnd) in cache.items()
-            if kv._round - rnd <= kv.staleness
-        ),
-        default=0,
-    )
 
 
 def _kv(graph, **kwargs):
@@ -90,6 +77,44 @@ def test_pull_validates_ids(graph):
     with pytest.raises(StorageError):
         kv.pull(np.array([-1]))
     assert kv.pull(np.array([], dtype=np.int64)).shape == (0, DIM)
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        lambda kv, mb: kv.pull([0.7, 2.9]),
+        lambda kv, mb: kv.pull([True]),
+        lambda kv, mb: kv.pull(np.array([[1, 2]])),
+        lambda kv, mb: kv.pull(np.int64(1)),
+        lambda kv, mb: kv.pull([1], from_part=WORKERS + 5),
+        lambda kv, mb: kv.pull([1], from_part=-1),
+        lambda kv, mb: kv.push([1.5], np.ones((1, DIM))),
+        lambda kv, mb: kv.push([1], np.ones((1, DIM)), from_part=WORKERS),
+        lambda kv, mb: kv.minibatch([1, 2], [3.0]),
+        lambda kv, mb: kv.minibatch([1, 2], from_part=WORKERS),
+        lambda kv, mb: mb.lookup([3.9]),
+        lambda kv, mb: mb.lookup([False]),
+    ],
+    ids=[
+        "pull-float", "pull-bool", "pull-2d", "pull-scalar", "pull-issuer",
+        "pull-negative-issuer", "push-float", "push-issuer", "minibatch-float",
+        "minibatch-issuer", "lookup-float", "lookup-bool",
+    ],
+)
+def test_malformed_ids_and_issuers_are_rejected_before_anything_moves(graph, verb):
+    """A non-integer, bool or non-1-D id batch, or an issuer the table has no
+    shard for, raises ``StorageError`` before any ledger event, RPC or
+    version bump; nothing is truncated onto a real row."""
+    store, kv = _kv(graph)
+    mb = kv.minibatch([0, 3])
+    ledger, requests = dict(store.ledger.counts), store.runtime._next_req_id
+    table = kv.materialize()
+    with pytest.raises(StorageError):
+        verb(kv, mb)
+    assert dict(store.ledger.counts) == ledger
+    assert store.runtime._next_req_id == requests
+    assert kv.materialize().tobytes() == table.tobytes()
+    assert row_versions(kv).sum() == 0
 
 
 # --------------------------------------------------------------------- #
@@ -207,7 +232,7 @@ def test_failed_shard_raises_retry_exhausted(graph):
     store, kv = _kv(graph)
     kv.pull(np.arange(8))  # warm path works
     store.fail_worker(1)
-    victim = np.array([9])  # owner = 9 % 4 = 1; not in the pull cache
+    victim = np.array([9])  # owner = 9 % 4 = 1
     with pytest.raises(RetryExhaustedError):
         kv.pull(victim)
     with pytest.raises(RetryExhaustedError):
@@ -225,61 +250,22 @@ def test_service_registry_rejects_collisions(graph):
 
 
 # --------------------------------------------------------------------- #
-# Versions and bounded staleness
+# Reads are exact
 # --------------------------------------------------------------------- #
 def test_staleness_zero_reads_are_exact(graph):
-    _, kv = _kv(graph, staleness=0)
-    row = np.array([1])  # owned by shard 1, remote to issuer 0
-    first = kv.pull(row)
-    kv.push(np.array([5]), np.ones((1, DIM)))  # unrelated push ages the cache
-    again = kv.pull(row)
-    np.testing.assert_array_equal(first, again)
-    assert cached_version_lag(kv) == 0
-
-
-def test_bounded_staleness_serves_and_bounds_lag(graph):
-    """Worker 2 caches a row; worker 0 pushes to it. Within the staleness
-    window worker 2 reads its cached (stale) copy; the version lag never
-    exceeds the bound; past the window the read refetches fresh bits."""
-    store, kv = _kv(graph, staleness=2)
-    row = np.array([1])  # owned by shard 1: remote to both workers 0 and 2
-    cached = kv.pull(row, from_part=2)
-    for _ in range(2):  # 2 push rounds touch the row (worker 0's writes)
-        kv.push(row, np.ones((1, DIM)), from_part=0)
-    authoritative = kv.materialize()[1]
-    assert not np.array_equal(cached[0], authoritative)
-
-    stale_read = kv.pull(row, from_part=2)  # age 2 <= bound 2: cache hit
-    np.testing.assert_array_equal(stale_read, cached)
-    assert (
-        store.runtime.metrics.counter(
-            "emb.pull.cache_hits", labels={"table": "t"}
-        ).value
-        == 1
-    )
-    assert cached_version_lag(kv) <= 2
-    assert row_versions(kv)[1] == 2
-
-    kv.push(np.array([5]), np.ones((1, DIM)), from_part=0)  # age now 3
-    fresh_read = kv.pull(row, from_part=2)  # past bound: refetch
-    np.testing.assert_array_equal(fresh_read[0], authoritative)
-
-
-def test_own_pushes_invalidate_own_cache(graph):
-    """Read-your-writes: a worker's push drops its cached copy even when a
-    large staleness bound would otherwise allow serving it."""
-    _, kv = _kv(graph, staleness=10)
-    row = np.array([1])
-    kv.pull(row, from_part=0)
+    """Reads are never stale: a pull answers the shard's current row, so
+    another worker's push to it shows at once, and an unrelated push leaves
+    it alone."""
+    _, kv = _kv(graph)
+    row = np.array([1])  # owned by shard 1: remote to workers 0 and 2
+    first = kv.pull(row, from_part=2)
+    kv.push(np.array([5]), np.ones((1, DIM)), from_part=0)
+    np.testing.assert_array_equal(kv.pull(row, from_part=2), first)
     kv.push(row, np.ones((1, DIM)), from_part=0)
-    read = kv.pull(row, from_part=0)
-    np.testing.assert_array_equal(read[0], kv.materialize()[1])
-
-
-def test_staleness_validation(graph):
-    store = make_store(graph, WORKERS, seed=0)
-    with pytest.raises(StorageError):
-        EmbeddingKVStore(store, _init(), staleness=-1)
+    again = kv.pull(row, from_part=2)
+    assert not np.array_equal(again, first)
+    np.testing.assert_array_equal(again[0], kv.materialize()[1])
+    assert row_versions(kv)[1] == 1
 
 
 @pytest.mark.parametrize("shape", [(N_ROWS,), (0, DIM), (N_ROWS, 0), (2, 3, 4)])
@@ -345,8 +331,6 @@ def test_unknown_backend_rejected():
         dict(backend="remote"),
         dict(backend="kv", kv_workers=2.5),
         dict(backend="kv", kv_workers=0),
-        dict(backend="kv", kv_staleness=-1),
-        dict(backend="kv", kv_staleness=0.5),
     ):
         for cls in (DeepWalk, Node2Vec, LINE):
             with pytest.raises(TrainingError):
@@ -363,7 +347,6 @@ def _oracle_tables(model, graph, rng, dim, roles):
         EmbeddingKVStore(
             store, embedding_init((graph.n_vertices, dim), rng),
             name=f"{model.name}.{role}", lr=model.lr,
-            staleness=model.kv_staleness,
         )
         for role in roles
     ]
@@ -449,11 +432,9 @@ def _line_kv_oracle(model, graph):
 @pytest.mark.parametrize(
     "model_name,kwargs,oracle",
     [
-        ("DeepWalk", dict(walks_per_vertex=2, walk_length=6, kv_staleness=1),
-         _skipgram_kv_oracle),
-        ("Node2Vec", dict(walks_per_vertex=2, walk_length=6, kv_staleness=2),
-         _skipgram_kv_oracle),
-        ("LINE", dict(steps=12, batch_size=32, kv_staleness=2), _line_kv_oracle),
+        ("DeepWalk", dict(walks_per_vertex=2, walk_length=6), _skipgram_kv_oracle),
+        ("Node2Vec", dict(walks_per_vertex=2, walk_length=6), _skipgram_kv_oracle),
+        ("LINE", dict(steps=12, batch_size=32), _line_kv_oracle),
     ],
     ids=["deepwalk", "node2vec", "line"],
 )
@@ -475,9 +456,65 @@ def test_kv_fit_matches_the_pull_push_loop_bit_for_bit(graph, model_name, kwargs
     for table in tables:
         fitted = runtime._services[table.kind_pull].__self__
         assert fitted.materialize().tobytes() == table.materialize().tobytes()
-        assert fitted.staleness == model.kv_staleness
     assert model.kv_store.ledger.counts == store.ledger.counts
     requests = runtime.metrics.counter("rpc.requests").value
     assert requests > 0
     assert requests == store.runtime.metrics.counter("rpc.requests").value
     assert runtime.clock.now_us == store.runtime.clock.now_us
+
+
+# --------------------------------------------------------------------- #
+# Pinned behaviour: the kv fits and the faulty run, hashed
+# --------------------------------------------------------------------- #
+def _feed(digest, *parts):
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            digest.update(f"{part.dtype.str}{part.shape}".encode())
+            digest.update(np.ascontiguousarray(part).tobytes())
+        else:
+            digest.update(repr(part).encode())
+
+
+@pytest.mark.parametrize(
+    "model_name,kwargs,expected",
+    [
+        ("DeepWalk", dict(walks_per_vertex=2, walk_length=6), "cfffb4eb0606392f"),
+        ("Node2Vec", dict(walks_per_vertex=2, walk_length=6), "2cb16711db64822a"),
+        ("LINE", dict(steps=12, batch_size=32), "0226b6fda85698fc"),
+    ],
+    ids=["deepwalk", "node2vec", "line"],
+)
+def test_kv_fit_matches_pinned_digest(graph, model_name, kwargs, expected):
+    """A ``backend="kv"`` fit's embeddings, ledger counts, RPC count and
+    virtual clock, hashed: a rewrite of the pull / push path that moves any
+    of them by a bit fails."""
+    import repro.algorithms
+
+    cls = getattr(repro.algorithms, model_name)
+    model = cls(dim=8, seed=5, backend="kv", kv_workers=3, **kwargs).fit(graph)
+    runtime = model.kv_store.runtime
+    digest = hashlib.sha256()
+    _feed(
+        digest,
+        model.embeddings(),
+        sorted(model.kv_store.ledger.counts.items()),
+        runtime.metrics.counter("rpc.requests").value,
+        runtime.clock.now_us,
+    )
+    assert digest.hexdigest()[:16] == expected
+
+
+def test_faulty_run_matches_pinned_digest(graph):
+    """The faulty run's trained table, row versions, ledger counts, retries
+    and clock, hashed: retried pulls and pushes still apply exactly once."""
+    store, kv = _faulty_run(graph)
+    digest = hashlib.sha256()
+    _feed(
+        digest,
+        kv.materialize(),
+        row_versions(kv),
+        sorted(store.ledger.counts.items()),
+        store.runtime.metrics.counter("rpc.retries").value,
+        store.runtime.clock.now_us,
+    )
+    assert digest.hexdigest()[:16] == "71e7c1611874eae0"

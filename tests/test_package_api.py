@@ -293,6 +293,7 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
     import repro.ops.base
     import repro.runtime.export
     import repro.sampling.negative
+    import repro.storage.costmodel
     import repro.storage.partition.base
     import repro.storage.placement
     import repro.tasks
@@ -388,7 +389,8 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
         (Embedding, {"n", "dim"}),
         (xavier_uniform, {"gain"}),
         (plan_importance_cache, {"cost_model", "max_hop"}),
-        (CostModel, {"cache_churn_ratio", "importance_threshold"}),
+        (CostModel, {"cache_churn_ratio", "importance_threshold", "emb_cache_hit_us"}),
+        (repro.storage.costmodel, {"EV_EMB_CACHE_HIT"}),
         (CachePlan, {"max_cached_hop"}),
         (build_distributed, {"coordination_rounds"}),
         (LRUCache, {"clear", "reset_stats", "hit_rate", "peek", "keys"}),
@@ -470,6 +472,16 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
         elif not (inspect.isclass(owner) or inspect.ismodule(owner)):
             have |= set(inspect.signature(type(owner)).parameters)  # an instance
         assert not names & have, (owner, names & have)
+    # The parameter server keeps no client cache, so no knob bounds its age.
+    from repro.algorithms import LINE, DeepWalk, Node2Vec
+    from repro.algorithms.base import KVTables
+
+    assert not [
+        owner
+        for owner in (EmbeddingKVStore, KVTables, DeepWalk, Node2Vec, LINE)
+        if {"staleness", "kv_staleness"}
+        & ({*inspect.signature(owner).parameters} | {*vars(owner)})
+    ]
     for module in ("repro.nn.attention", "repro.graph.builder", "repro.algorithms.gcn",
                    "repro.algorithms.struc2vec"):
         assert importlib.util.find_spec(module) is None, module

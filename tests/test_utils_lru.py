@@ -76,9 +76,9 @@ def test_len_tracks_entries():
 
 _OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("get"), st.lists(st.integers(0, 15), max_size=12)),
+        st.tuples(st.just("get"), st.lists(st.integers(-3, 15), max_size=12)),
         st.tuples(st.just("put"), st.lists(st.integers(0, 15), max_size=12, unique=True)),
-        st.tuples(st.just("delete"), st.lists(st.integers(0, 40), max_size=6)),
+        st.tuples(st.just("delete"), st.lists(st.integers(-3, 40), max_size=6)),
     ),
     max_size=25,
 )
@@ -112,3 +112,26 @@ def test_id_lru_equals_lru_cache_one_use_at_a_time(capacity, ops):
             scalar.evictions,
         )
         assert all((k in ids) == (k in scalar) for k in range(-1, 42))
+
+
+def test_negative_ids_are_never_held():
+    """A negative id clips onto the front pad, not onto id 0's slot: it is a
+    miss, it stamps nothing and it deletes nothing, also through the
+    neighbor cache's LRU side (no bare ``KeyError`` from the row arena)."""
+    from repro.storage.cache import NeighborCache
+    from tests.conftest import pack_block
+
+    lru = IdLRU(4)
+    lru.put_many(np.array([0, 2]))
+    found, missing = lru.get_many([-1])
+    assert (found.tolist(), missing.tolist()) == ([], [-1])
+    lru.delete_many([-1])
+    assert lru.keys() == (0, 2) and len(lru) == 2 and -1 not in lru
+    assert (lru.hits, lru.misses) == (0, 1)
+
+    cache = NeighborCache(4)
+    cache.admit_many(pack_block([0, 2], {0: [1, 2], 2: [0]}))
+    hits, misses = cache.get_many([-1])
+    assert hits.ids.tolist() == [] and misses.tolist() == [-1]
+    assert cache.cached_vertices() == (0, 2)
+    assert (cache.hits, cache.misses) == (0, 1)
