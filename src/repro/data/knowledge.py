@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import DatasetError
+from repro.errors import DatasetError, check_ids
 from repro.graph.ahg import AttributedHeterogeneousGraph
 from repro.utils.rng import make_rng
 
@@ -37,14 +37,9 @@ def knowledge_graph(
     if n_items < 1 or n_brands < 1 or n_categories < 1:
         raise DatasetError("need positive item/brand/category counts")
     if category_of is not None:
-        category_of = np.asarray(category_of)
+        category_of = check_ids(category_of, n_categories, DatasetError, "category_of")
         if category_of.shape != (n_items,):
             raise DatasetError("category_of must have one entry per item")
-        if category_of.dtype.kind not in "iu" or not (
-            (category_of >= 0) & (category_of < n_categories)
-        ).all():
-            raise DatasetError(f"category_of must hold integer ids in [0, {n_categories})")
-        category_of = category_of.astype(np.int64)
     rng = make_rng(seed)
     brand_category = rng.integers(0, n_categories, size=n_brands)
     if category_of is None:

@@ -1,10 +1,20 @@
-"""Exception hierarchy for the repro (AliGraph reproduction) library.
+"""Exception hierarchy for the repro (AliGraph reproduction) library, and
+the one id check.
 
 All library-raised exceptions derive from :class:`ReproError` so callers can
 catch everything coming out of this package with a single handler.
+
+Every layer that takes vertex, row or worker ids checks them with
+:func:`check_ids` (a batch) or :func:`check_id` (one id) and nothing else:
+an id is an integer (``bool`` excluded, since ``True`` would alias id 1, and
+a float would truncate into a row) in ``[0, n)``. The caller names the
+:class:`ReproError` subclass to raise, and checks before any rng draw,
+ledger event or state change.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class ReproError(Exception):
@@ -17,10 +27,6 @@ class GraphError(ReproError):
 
 class VertexNotFoundError(GraphError):
     """A vertex id was requested that does not exist in the graph."""
-
-    def __init__(self, vertex: int) -> None:
-        super().__init__(f"vertex {vertex!r} not found in graph")
-        self.vertex = vertex
 
 
 class SchemaError(GraphError):
@@ -97,3 +103,61 @@ class ServingError(ReproError):
 
 class CheckFailedError(ReproError):
     """An experiment's ``check`` rejected the report its ``run`` produced."""
+
+
+_BOOLS = frozenset((bool, np.bool_))
+
+#: Up to this many ids are bounded as Python ints, more by one reduction.
+_FEW_IDS = 16
+
+
+def check_ids(
+    ids: "np.ndarray | list",
+    n: "int | None",
+    error: "type[ReproError]",
+    what: str,
+    ndim: "int | None" = 1,
+) -> np.ndarray:
+    """``ids`` as int64 ids in ``[0, n)`` (``n=None``: any non-negative id).
+
+    Raises ``error`` unless ``ids`` has ``ndim`` dimensions (``None``: any)
+    and an integer dtype, with no ``bool`` among a list's elements; an
+    empty batch of any dtype passes. ``what`` names the ids in the message.
+    """
+    listed = ids if isinstance(ids, (list, tuple)) else ()
+    ids = np.asarray(ids)
+    if (
+        (ndim is not None and ids.ndim != ndim)
+        or (ids.size and ids.dtype.kind not in "iu")
+        or not _BOOLS.isdisjoint(map(type, listed))  # a bool among ints reads as 0 / 1
+    ):
+        rank = "an array" if ndim is None else f"a {ndim}-D array"
+        raise error(f"{what} must be {rank} of integers, got shape {ids.shape} of {ids.dtype}")
+    ids = ids.astype(np.int64, copy=False)
+    if ids.size > _FEW_IDS:
+        # Viewed unsigned, a negative id is larger than any bound: one reduction.
+        outside = ids.view(np.uint64).max() >= (1 << 63 if n is None else n)
+    else:  # a reduction's fixed cost exceeds bounding a few Python ints
+        few = ids.reshape(-1).tolist()
+        outside = bool(few) and (min(few) < 0 or (n is not None and max(few) >= n))
+    if outside:
+        raise error(
+            f"{what} span [{ids.min()}, {ids.max()}], outside [0, {'inf' if n is None else n})"
+        )
+    return ids
+
+
+def check_id(
+    value: int, n: "int | None", error: "type[ReproError]", what: str
+) -> int:
+    """``value`` as an ``int`` id in ``[0, n)``: :func:`check_ids` for one id."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or value < 0
+        or (n is not None and value >= n)
+    ):
+        raise error(
+            f"unknown {what} {value!r}: not an integer in [0, {'inf' if n is None else n})"
+        )
+    return int(value)

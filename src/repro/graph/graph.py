@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import GraphError, VertexNotFoundError
+from repro.errors import GraphError, VertexNotFoundError, check_id, check_ids
 
 
 class Graph:
@@ -43,14 +43,10 @@ class Graph:
     ) -> None:
         if n_vertices < 0:
             raise GraphError(f"n_vertices must be non-negative, got {n_vertices}")
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        if src.shape != dst.shape or src.ndim != 1:
+        src = check_ids(src, n_vertices, GraphError, "edge sources")
+        dst = check_ids(dst, n_vertices, GraphError, "edge targets")
+        if src.shape != dst.shape:
             raise GraphError("src and dst must be 1-D arrays of equal length")
-        if src.size and (src.min() < 0 or dst.min() < 0):
-            raise GraphError("vertex ids must be non-negative")
-        if src.size and (src.max() >= n_vertices or dst.max() >= n_vertices):
-            raise GraphError("edge endpoint exceeds n_vertices")
         if weights is None:
             weights = np.ones(src.size, dtype=np.float64)
         else:
@@ -110,13 +106,9 @@ class Graph:
     # ------------------------------------------------------------------ #
     # Adjacency access
     # ------------------------------------------------------------------ #
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self._n:
-            raise VertexNotFoundError(v)
-
     def out_neighbors(self, v: int) -> np.ndarray:
         """Out-neighbor ids of ``v`` (all neighbors when undirected)."""
-        self._check_vertex(v)
+        v = check_id(v, self._n, VertexNotFoundError, "vertex")
         return self._indices[self._indptr[v] : self._indptr[v + 1]]
 
     def out_degrees(self) -> np.ndarray:
@@ -131,9 +123,8 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the arc ``(u, v)`` exists (symmetric when undirected)."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(np.any(self.out_neighbors(u) == v))
+        row = self.out_neighbors(u)
+        return bool(np.any(row == check_id(v, self._n, VertexNotFoundError, "vertex")))
 
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The raw out-CSR ``(indptr, indices, weights)`` arrays."""
@@ -148,10 +139,7 @@ class Graph:
         fresh gather, so a shard or replica built from it shares no memory
         with the graph.
         """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        unknown = (vertices < 0) | (vertices >= self._n)
-        if unknown.any():
-            raise VertexNotFoundError(int(vertices[unknown][0]))
+        vertices = check_ids(vertices, self._n, VertexNotFoundError, "vertex ids")
         return take_rows(
             self._indptr[vertices], self._indptr[vertices + 1], self._indices
         )

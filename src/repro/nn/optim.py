@@ -96,7 +96,7 @@ class Adam:
         b2t = 1.0 - BETA2**self._t
         for i, (p, m, v) in enumerate(zip(self.params, self._m, self._v)):
             if p.sparse_grad:
-                self._step_rows(i, p, m, v)
+                self.step_rows(i, *p.sparse_grad.coalesce())
             elif p.grad is not None:
                 m *= BETA1
                 m += (1.0 - BETA1) * p.grad
@@ -104,9 +104,11 @@ class Adam:
                 v += (1.0 - BETA2) * (p.grad**2)
                 p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
 
-    def _step_rows(self, i: int, p: Tensor, m: np.ndarray, v: np.ndarray) -> None:
-        """Update the rows parameter ``i``'s row-sparse gradient touches."""
-        ids, g = p.sparse_grad.coalesce()
+    def step_rows(self, i: int, ids: np.ndarray, g: np.ndarray) -> None:
+        """Update parameter ``i``'s rows ``ids`` (distinct) by their gradient
+        rows ``g``: the row-sparse half of :meth:`step`, for a caller that
+        holds coalesced rows (a parameter-server shard)."""
+        p, m, v = self.params[i], self._m[i], self._v[i]
         t = self._row_t[i]
         if t is None:
             t = self._row_t[i] = np.zeros(p.data.shape[0], dtype=np.int64)

@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy import sparse
 
-from repro.errors import OperatorError
+from repro.errors import OperatorError, check_ids
 
 #: The dtype of every array on the tape (module docstring).
 DTYPE = np.float32
@@ -56,24 +56,6 @@ def no_grad() -> Iterator[None]:
         _recording = previous
 
 
-def _check_row_ids(ids: "np.ndarray | list", n_rows: int) -> np.ndarray:
-    """``ids`` as int64 row ids into ``n_rows`` rows.
-
-    Rejects non-integer and bool ids (an int64 cast would truncate ``0.7``
-    to row 0 and read ``True`` as row 1) and ids outside ``[0, n_rows)`` —
-    scipy's kernels never check either.
-    """
-    ids = np.asarray(ids)
-    if ids.size and ids.dtype.kind not in "iu":
-        raise OperatorError(f"row ids must be integers, got dtype {ids.dtype}")
-    ids = ids.astype(np.int64, copy=False)
-    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
-        raise OperatorError(
-            f"row ids span [{ids.min()}, {ids.max()}], outside [0, {n_rows})"
-        )
-    return ids
-
-
 def selection_matrix(table: np.ndarray, n_rows: int) -> sparse.csr_matrix:
     """The ``(B, n_rows)`` operator that sums each ``table`` row's picks.
 
@@ -87,10 +69,7 @@ def selection_matrix(table: np.ndarray, n_rows: int) -> sparse.csr_matrix:
     so the operator must never be canonicalised (``sum_duplicates`` or
     sorted indices regroup the additions).
     """
-    table = np.asarray(table)
-    if table.ndim != 2:
-        raise OperatorError(f"row-id table must be 2-D, got shape {table.shape}")
-    table = _check_row_ids(table, n_rows)
+    table = check_ids(table, n_rows, OperatorError, "row ids", ndim=2)
     batch, width = table.shape
     indptr = np.arange(batch + 1, dtype=np.int64) * width
     return sparse.csr_matrix(
@@ -471,7 +450,7 @@ class Tensor:
         optimizers consume it directly. ``index`` must lie in ``[0,
         n_rows)``: negative ids do not wrap.
         """
-        index = _check_row_ids(index, self.data.shape[0])
+        index = check_ids(index, self.data.shape[0], OperatorError, "row ids", ndim=None)
 
         def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray | None]]":
             if self.accumulates_sparse and self.requires_grad:

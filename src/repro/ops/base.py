@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import OperatorError
+from repro.errors import OperatorError, check_ids
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor
 
@@ -45,10 +45,7 @@ class Aggregator(Module):
 
     def __call__(self, h: Tensor, child_index: np.ndarray) -> Tensor:
         """``forward`` behind the one check every aggregator shares."""
-        table = np.asarray(child_index)
-        if table.ndim != 2 or table.dtype.kind not in "iu" or table.shape[1] < 1:
-            raise OperatorError(
-                "child table must be a 2-D integer (B, fanout >= 1) array, "
-                f"got shape {table.shape} of {table.dtype}"
-            )
+        table = check_ids(child_index, h.shape[0], OperatorError, "child table", ndim=2)
+        if table.shape[1] < 1:
+            raise OperatorError(f"child table must be (B, fanout >= 1), got shape {table.shape}")
         return self.forward(h, table)

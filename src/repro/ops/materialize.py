@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import OperatorError
-from repro.nn.tensor import DTYPE, Tensor, _check_row_ids
+from repro.errors import OperatorError, check_ids
+from repro.nn.tensor import DTYPE, Tensor
 from repro.sampling.blocks import compact_level
 from repro.sampling.neighborhood import _ExpandingSampler
 
@@ -54,7 +54,7 @@ class MaterializationCache:
         """``vertices`` as int64 ids, after the hop and range checks."""
         if not 1 <= hop <= self.max_hop:
             raise OperatorError(f"hop {hop} outside [1, {self.max_hop}]")
-        return _check_row_ids(vertices, self.n_vertices)
+        return check_ids(vertices, self.n_vertices, OperatorError, "row ids")
 
     def lookup(self, hop: int, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Split ``vertices`` into (cached mask, missing ids) for ``hop``."""
@@ -79,7 +79,7 @@ class MaterializationCache:
 
     def update(self, hop: int, vertices: np.ndarray, values: np.ndarray) -> None:
         """Store/refresh the hop-``hop`` vectors of ``vertices``."""
-        verts = self._ids(hop, vertices).reshape(-1)
+        verts = self._ids(hop, vertices)
         vals = np.asarray(values)
         buf = self._rows[hop - 1]
         if (
@@ -159,12 +159,10 @@ class MinibatchExecutor:
 
     def _seeds(self, batch: np.ndarray) -> np.ndarray:
         """The batch as int64 seed ids, checked before anything is drawn."""
-        batch = np.asarray(batch)
-        if batch.ndim != 1 or batch.size == 0:
-            raise OperatorError(
-                f"batch must be a non-empty 1-D id array, got shape {batch.shape}"
-            )
-        return _check_row_ids(batch, self.features.shape[0])
+        batch = check_ids(batch, self.features.shape[0], OperatorError, "row ids")
+        if batch.size == 0:
+            raise OperatorError(f"batch must be non-empty, got shape {batch.shape}")
+        return batch
 
     # ------------------------------------------------------------------ #
     # Uncached: full-multiplicity recomputation

@@ -18,7 +18,7 @@ whole state machine is deterministic: same fault seed, same transitions.
 
 from __future__ import annotations
 
-from repro.errors import RuntimeConfigError
+from repro.errors import RuntimeConfigError, check_id
 from repro.runtime.metrics import MetricsRegistry
 
 #: Health states of one server, as seen by the issuer side.
@@ -66,13 +66,9 @@ class HealthTracker:
         self._state = [STATE_HEALTHY] * n_parts
         self._routed_around = [0] * n_parts
 
-    def _check_part(self, part: int) -> None:
-        if not 0 <= part < self.n_parts:
-            raise RuntimeConfigError(f"unknown part {part} (have {self.n_parts})")
-
     def is_suspect(self, part: int) -> bool:
         """Whether ``part`` is currently suspected."""
-        self._check_part(part)
+        part = check_id(part, self.n_parts, RuntimeConfigError, "part")
         return self._state[part] == STATE_SUSPECT
 
     @property
@@ -87,7 +83,7 @@ class HealthTracker:
 
     def record_failure(self, part: int) -> None:
         """One failed delivery attempt to ``part`` (drop or timeout)."""
-        self._check_part(part)
+        part = check_id(part, self.n_parts, RuntimeConfigError, "part")
         self._ok_streak[part] = 0
         self._fail_streak[part] += 1
         if (
@@ -101,7 +97,7 @@ class HealthTracker:
 
     def record_success(self, part: int) -> None:
         """One successful delivery to ``part``."""
-        self._check_part(part)
+        part = check_id(part, self.n_parts, RuntimeConfigError, "part")
         self._fail_streak[part] = 0
         if self._state[part] != STATE_SUSPECT:
             return
@@ -115,7 +111,7 @@ class HealthTracker:
     def should_probe(self, part: int) -> bool:
         """Whether a read about to be routed around ``part`` should instead
         go through to it as a probe (every ``probe_every``-th such read)."""
-        self._check_part(part)
+        part = check_id(part, self.n_parts, RuntimeConfigError, "part")
         self._routed_around[part] += 1
         if self._routed_around[part] % self.probe_every == 0:
             self.metrics.counter("health.probes").inc()

@@ -1,4 +1,4 @@
-"""Sampler plugin interface, neighbor providers and the shared input checks.
+"""Sampler plugin interface, neighbor providers and the batch-size check.
 
 Samplers are plugins (paper: "we treat all samplers as plugins. Each of them
 can be implemented independently"); each exposes its forward computation,
@@ -14,11 +14,6 @@ call to a remote graph server". A provider answers a whole frontier with one
 ragged :class:`~repro.sampling.kernels.CsrAdjacency` block, and every
 sampler draws on that block with the same kernels whichever provider built
 it.
-
-Every public entry point that takes vertex ids or a batch size checks them
-with :func:`check_vertex_ids` / :func:`check_batch_size` before it draws, so
-a malformed input raises :class:`SamplingError` and leaves the caller's
-``rng`` untouched.
 """
 
 from __future__ import annotations
@@ -29,6 +24,7 @@ import numpy as np
 
 from repro.errors import SamplingError
 from repro.graph.graph import Graph
+from repro.sampling.blocks import compact_level
 from repro.sampling.kernels import CsrAdjacency
 
 
@@ -120,7 +116,8 @@ class StoreProvider(NeighborProvider):
     ``ImportanceNeighborSampler`` is unaffected (it weights by degree
     scores of the block's ``indices``).
 
-    A frontier is deduplicated (sorted unique ids) and fetched with **one**
+    A frontier is deduplicated by :func:`~repro.sampling.blocks.compact_level`
+    (sorted unique ids) and fetched with **one**
     ``store.get_neighbors_batch`` read — one coalesced RPC per destination
     server via the runtime. The read answers with the rows of exactly those
     ids, in that order, as one ragged block, and its arrays become the
@@ -136,16 +133,7 @@ class StoreProvider(NeighborProvider):
     def frontier_block(
         self, frontier: np.ndarray
     ) -> "tuple[CsrAdjacency, np.ndarray]":
-        # np.unique(frontier, return_inverse=True) without its wrapper
-        # layers: sort, flag each first occurrence, number the runs.
-        perm = frontier.argsort()
-        ordered = frontier[perm]
-        first = np.empty(ordered.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        ids = ordered[first]
-        rows = np.empty(ordered.size, dtype=np.intp)
-        rows[perm] = first.cumsum() - 1
+        ids, (rows,) = compact_level(self.store.graph.n_vertices, frontier)
         block = self.store.get_neighbors_batch(ids, from_part=self.from_part)
         indices = block.indices
         return CsrAdjacency(block.offsets, indices, np.ones(indices.size)), rows
@@ -163,17 +151,3 @@ def check_batch_size(batch_size: int) -> None:
     """Shared validation for sampler batch sizes: a positive integer."""
     if not isinstance(batch_size, Integral) or batch_size < 1:
         raise SamplingError(f"batch size must be a positive integer, got {batch_size!r}")
-
-
-def check_vertex_ids(ids: np.ndarray, n: int) -> np.ndarray:
-    """``ids`` as an int64 vector; :class:`SamplingError` unless it is a 1-D
-    integer array whose every id lies in ``[0, n)``."""
-    ids = np.asarray(ids)
-    if ids.ndim != 1 or ids.dtype.kind not in "iu":
-        raise SamplingError(
-            f"vertex ids must be a 1-D integer array, got shape {ids.shape} of {ids.dtype}"
-        )
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        bad = ids[(ids < 0) | (ids >= n)]
-        raise SamplingError(f"vertex ids must lie in [0, {n}), got {bad[:5].tolist()}")
-    return ids.astype(np.int64, copy=False)

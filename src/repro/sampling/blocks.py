@@ -15,9 +15,8 @@ above and its drawn children are marked in a boolean table indexed by vertex
 id, ``flatnonzero`` reads the level off it — sorted and unique by
 construction — ``arange`` is written into a position table at those ids, and
 ``self_index`` / ``child_index`` are lookups in it. Nothing is sorted or
-searched; the tables span the largest id in hand, live for one call and are
-kept nowhere. Ids are checked against ``[0, n_vertices)`` before a table is
-touched, because a negative id would mark the wrong slot.
+searched; the tables span the vertex ids, live for one call and are kept
+nowhere.
 
 Exactness contract: the encoder's per-hop ops (gather, fixed-fanout segment
 reduce, dense matmul, normalize) are all *row-wise*, so running them over
@@ -38,8 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import SamplingError
-from repro.sampling.base import check_vertex_ids
+from repro.errors import SamplingError, check_ids
 
 
 @dataclass
@@ -81,20 +79,12 @@ class KHopBlock:
 
     def seed_positions(self, vertices: np.ndarray) -> np.ndarray:
         """Block-local output rows of ``vertices`` (must all be seeds)."""
-        vertices = np.asarray(vertices)
-        if vertices.size and vertices.dtype.kind not in "iu":
-            raise SamplingError(
-                "vertices outside the block's seed set: ids must be integers, "
-                f"got {vertices.dtype}"
-            )
-        vertices = vertices.astype(np.int64, copy=False)
         seeds = self.seeds
+        vertices = check_ids(vertices, seeds[-1] + 1, SamplingError, "seed ids", ndim=None)
         position = np.full(seeds[-1] + 1, -1, dtype=np.int64)
         position[seeds] = np.arange(seeds.size)
-        pos = position[np.clip(vertices, 0, seeds[-1])]
-        # A miss reads -1 (the largest seed) and a clipped id reads an end
-        # of the range: neither is the vertex that was asked for.
-        if (seeds[pos] != vertices).any():
+        pos = position[vertices]
+        if (pos < 0).any():
             raise SamplingError("vertices outside the block's seed set")
         return pos
 
@@ -104,25 +94,23 @@ def compact_level(
 ) -> "tuple[np.ndarray, list[np.ndarray]]":
     """Dedupe ``id_arrays`` into one level and relabel each array into it.
 
-    Returns the sorted unique union of the (non-empty, ``int64``) arrays
-    and, per array, the positions of its ids inside that union, same shape.
-    The one place a level is deduplicated and relabeled: every hop and the
-    seed set of a :class:`KHopBlock`, and each hop of the materialization
-    executor's cached recursion.
+    Returns the sorted unique union of the (``int64``) arrays and, per
+    array, the positions of its ids inside that union, same shape. The one
+    place a level is deduplicated and relabeled: every hop and the seed set
+    of a :class:`KHopBlock`, each hop of the materialization executor's
+    cached recursion and each store-backed frontier. The ids are checked
+    before a table is touched, because a negative id would mark the wrong
+    slot.
     """
-    lo = min(int(ids.min()) for ids in id_arrays)
-    hi = max(int(ids.max()) for ids in id_arrays)
-    if lo < 0 or hi >= n_vertices:
-        raise SamplingError(
-            f"vertex ids span [{lo}, {hi}], outside [0, {n_vertices})"
-        )
-    present = np.zeros(hi + 1, dtype=bool)
+    for ids in id_arrays:
+        check_ids(ids, n_vertices, SamplingError, "vertex ids", ndim=None)
+    present = np.zeros(n_vertices, dtype=bool)
     for ids in id_arrays:
         present[ids] = True
     level = np.flatnonzero(present)
-    position = np.empty(hi + 1, dtype=np.int64)
+    position = np.empty(n_vertices, dtype=np.int64)
     position[level] = np.arange(level.size)
-    return level, [position[ids] for ids in id_arrays]
+    return level, list(map(position.__getitem__, id_arrays))
 
 
 def _assemble(
@@ -132,9 +120,7 @@ def _assemble(
     sample_hop,
 ) -> KHopBlock:
     """Shared top-down construction: ``sample_hop(k, frontier)`` per hop."""
-    seeds = np.asarray(seeds, dtype=np.int64)
-    if seeds.ndim != 1:
-        raise SamplingError(f"seeds must be a 1-D id array, got shape {seeds.shape}")
+    seeds = check_ids(seeds, n_vertices, SamplingError, "seed ids")
     if seeds.size == 0:
         raise SamplingError("cannot build a block from an empty seed set")
     kmax = len(hop_nums)
@@ -177,7 +163,6 @@ def build_block(
     array of ids in the sampler's graph raise :class:`SamplingError` before
     anything is drawn.
     """
-    seeds = check_vertex_ids(seeds, sampler.provider.n_vertices)
     if not hop_nums or min(hop_nums) < 1:
         raise SamplingError(f"hop_nums must be positive, got {hop_nums}")
 
@@ -200,16 +185,15 @@ def build_block_from_tables(
     """
     if not hop_tables:
         raise SamplingError("hop_tables must be non-empty")
-    tables = [np.asarray(table, dtype=np.int64) for table in hop_tables]
-    if any(
-        t.ndim != 2 or t.shape[0] != tables[0].shape[0] or t.shape[1] < 1
-        for t in tables
-    ):
+    tables = [np.asarray(table) for table in hop_tables]
+    n = tables[0].shape[0]
+    if any(t.ndim != 2 or t.shape[0] != n or t.shape[1] < 1 for t in tables):
         raise SamplingError(
             "hop tables must be (n_vertices, fanout >= 1) with one row count, "
             f"got shapes {[t.shape for t in tables]}"
         )
+    tables = [check_ids(t, n, SamplingError, "hop table entries", ndim=2) for t in tables]
     hop_nums = [t.shape[1] for t in tables]
     return _assemble(
-        seeds, hop_nums, tables[0].shape[0], lambda k, frontier: tables[k][frontier]
+        seeds, hop_nums, n, lambda k, frontier: tables[k][frontier]
     )

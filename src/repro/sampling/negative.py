@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import SamplingError
+from repro.errors import SamplingError, check_ids
 from repro.graph.graph import Graph
-from repro.sampling.base import Sampler, check_batch_size, check_vertex_ids
+from repro.sampling.base import Sampler, check_batch_size
 from repro.utils.alias import AliasTable
 
 
@@ -23,7 +23,10 @@ class DegreeBiasedNegativeSampler(Sampler):
     name = "negative_degree"
 
     def __init__(self, graph: Graph, vertices: np.ndarray | None = None) -> None:
-        pool = np.array(vertices, dtype=np.int64) if vertices is not None else graph.vertices()
+        if vertices is None:
+            pool = graph.vertices()
+        else:
+            pool = check_ids(vertices, graph.n_vertices, SamplingError, "vertex pool").copy()
         if pool.size == 0:
             raise SamplingError("negative sampler has an empty vertex pool")
         self.pool = pool
@@ -43,7 +46,7 @@ class DegreeBiasedNegativeSampler(Sampler):
         real graph scale such collisions are vanishingly rare, which is why
         negative sampling is cheap (Table 4).
         """
-        anchors = check_vertex_ids(anchors, self.n_vertices)
+        anchors = check_ids(anchors, self.n_vertices, SamplingError, "anchor ids")
         check_batch_size(neg_num)
         size = anchors.size * neg_num
         return self.pool[self._alias.draw_batch(rng, size)].reshape(anchors.size, neg_num)

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import SamplingError
-from repro.sampling.base import NeighborProvider, Sampler, check_vertex_ids
+from repro.errors import SamplingError, check_ids
+from repro.sampling.base import NeighborProvider, Sampler
 from repro.sampling.kernels import CsrAdjacency
 from repro.utils.alias import GroupedAliasTable
 
@@ -93,9 +93,15 @@ class _ExpandingSampler(Sampler):
         without neighbors are padded with themselves. One provider read for
         the whole frontier, then a handful of numpy kernel calls.
         """
+        vertices = check_ids(vertices, self.provider.n_vertices, SamplingError, "vertex ids")
         if count < 1:
             raise SamplingError(f"fan-out must be positive, got {count}")
-        vertices = np.atleast_1d(np.asarray(vertices, dtype=np.int64))
+        return self._children(vertices, count, rng)
+
+    def _children(
+        self, vertices: np.ndarray, count: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """:meth:`sample_children` on a frontier already checked."""
         block, rows = self.provider.frontier_block(vertices)
         return self._draw(block, rows, vertices, count, rng)
 
@@ -106,14 +112,14 @@ class _ExpandingSampler(Sampler):
         rng: np.random.Generator,
     ) -> NeighborhoodSample:
         """Expand ``batch`` by ``hop_nums`` fan-outs per hop."""
-        batch = check_vertex_ids(batch, self.provider.n_vertices)
+        batch = check_ids(batch, self.provider.n_vertices, SamplingError, "vertex ids")
         if batch.size == 0:
             raise SamplingError("cannot expand an empty batch")
         if not hop_nums or min(hop_nums) < 1:
             raise SamplingError(f"hop_nums must be positive, got {hop_nums}")
         layers = [batch]
         for fanout in hop_nums:
-            layers.append(self.sample_children(layers[-1], fanout, rng).reshape(-1))
+            layers.append(self._children(layers[-1], fanout, rng).reshape(-1))
         return NeighborhoodSample(layers=layers, hop_nums=list(hop_nums))
 
 

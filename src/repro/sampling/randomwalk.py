@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import SamplingError
+from repro.errors import SamplingError, check_ids
 from repro.graph.ahg import AttributedHeterogeneousGraph
 from repro.graph.graph import Graph
-from repro.sampling.base import check_vertex_ids
 from repro.sampling.kernels import CsrAdjacency
 
 
@@ -30,7 +29,7 @@ def random_walks(
     """
     if length < 1:
         raise SamplingError(f"walk length must be positive, got {length}")
-    starts = check_vertex_ids(starts, graph.n_vertices)
+    starts = check_ids(starts, graph.n_vertices, SamplingError, "start ids")
     csr = CsrAdjacency.from_graph(graph)
     m = starts.size
     out = np.empty((m, length + 1), dtype=np.int64)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import SamplingError
+from repro.errors import SamplingError, check_ids
 from repro.graph.ahg import AttributedHeterogeneousGraph
 from repro.graph.graph import Graph
 from repro.sampling.base import Sampler, check_batch_size
@@ -33,7 +33,7 @@ class VertexTraverseSampler(Sampler):
         self.graph = graph
         self.vertex_type = vertex_type
         if vertices is not None:
-            self._pool = np.asarray(vertices, dtype=np.int64)
+            self._pool = check_ids(vertices, graph.n_vertices, SamplingError, "vertex pool")
         elif vertex_type is not None:
             if not isinstance(graph, AttributedHeterogeneousGraph):
                 raise SamplingError("vertex_type filtering needs an AHG")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import StorageError
+from repro.errors import StorageError, check_id
 
 #: What the lock-based alternative pays per request to take its lock (µs).
 LOCK_OVERHEAD_US = 0.8
@@ -53,9 +53,7 @@ class RequestFlowBuckets:
 
     def bucket_of(self, vertex: int) -> int:
         """The bucket (== core) responsible for ``vertex``'s group."""
-        if not 0 <= vertex < self.n_vertices:
-            raise StorageError(f"unknown vertex {vertex}")
-        return vertex % self.n_buckets
+        return check_id(vertex, self.n_vertices, StorageError, "vertex") % self.n_buckets
 
     def route(self, requests: "list[Request]") -> list[list[Request]]:
         """Distribute a request trace into per-bucket FIFO queues."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import StorageError
+from repro.errors import StorageError, check_id, check_ids
 from repro.graph.graph import Graph
 from repro.storage.importance import MAX_HOP, importance_scores
 from repro.storage.rows import RowArena, RowBlock, concat_blocks
@@ -60,17 +60,13 @@ class NeighborCache:
         """Permanently cache a copy of ``vertex``'s neighbors (up to capacity).
 
         ``vertex`` must be a non-negative integer and ``neighbors`` a 1-D
-        batch of integers: anything else raises before the cache changes.
+        batch of them: anything else raises before the cache changes.
         """
-        if isinstance(vertex, bool) or not isinstance(vertex, (int, np.integer)) or vertex < 0:
-            raise StorageError(f"cannot pin vertex {vertex!r}")
-        row = np.asarray(neighbors)
-        if row.ndim != 1 or (row.size and row.dtype.kind not in "iu"):
-            raise StorageError(f"cannot pin neighbors {row!r}: not a 1-D batch of integers")
+        vertex = check_id(vertex, None, StorageError, "pinned vertex")
+        row = check_ids(neighbors, None, StorageError, "pinned neighbors")
         held = self._pinned.has(vertex)
         if not held and self._n_pinned >= self.capacity:
             raise StorageError("neighbor cache pin capacity exhausted")
-        row = row.astype(np.int64, copy=False)
         self._pinned.put(np.array([vertex], dtype=np.int64), np.array([0, row.size]), row)
         self._n_pinned += not held
 

@@ -40,7 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ReadUnavailableError, RetryExhaustedError, StorageError
+from repro.errors import (
+    ReadUnavailableError,
+    RetryExhaustedError,
+    StorageError,
+    check_id,
+    check_ids,
+)
 from repro.graph.graph import Graph, take_rows
 from repro.storage.cache import CachePolicy, make_caches
 from repro.storage.costmodel import (
@@ -69,16 +75,11 @@ from repro.storage.server import GraphServer
 from repro.utils.rng import make_rng
 from repro.utils.timer import CostAccumulator
 
-#: A read of up to this many ids range-checks and dedups them on a list, a
-#: larger one with the store's scratch table: each costs the other's reads
+#: A read of up to this many ids dedups them on a list, a larger one with
+#: the store's scratch table: each costs the other's reads
 #: about 8 % (table on every ``serve_mixed`` read, whose reads are all at
 #: most 16 ids; list on every ``sample_store`` read, all larger; DESIGN §7).
 FEW_ROWS = 16
-
-#: What a vertex id may be (``bool`` excepted): anything else is rejected
-#: before it can be truncated into an int64 row or alias another id. A read
-#: batch holds to the same rule through its dtype kind.
-_INTEGER = (int, np.integer)
 
 
 class DistributedGraphStore:
@@ -178,12 +179,7 @@ class DistributedGraphStore:
 
     def owner(self, vertex: int) -> int:
         """The worker owning ``vertex``."""
-        if (
-            isinstance(vertex, bool)
-            or not isinstance(vertex, _INTEGER)
-            or not 0 <= vertex < self.graph.n_vertices
-        ):
-            raise StorageError(f"unknown vertex {vertex}")
+        vertex = check_id(vertex, self.graph.n_vertices, StorageError, "vertex")
         return int(self.assignment.vertex_to_part[vertex])
 
     # ------------------------------------------------------------------ #
@@ -191,13 +187,11 @@ class DistributedGraphStore:
     # ------------------------------------------------------------------ #
     def fail_worker(self, part: int) -> None:
         """Take worker ``part`` offline: its shard stops serving reads."""
-        if not 0 <= part < self.n_workers:
-            raise StorageError(f"unknown worker {part}")
-        self._failed.add(part)
+        self._failed.add(check_id(part, self.n_workers, StorageError, "worker"))
 
     def restore_worker(self, part: int) -> None:
         """Bring a failed worker back (its shard is intact — fail-stop)."""
-        self._failed.discard(part)
+        self._failed.discard(check_id(part, self.n_workers, StorageError, "worker"))
 
     @property
     def failed_workers(self) -> "frozenset[int]":
@@ -311,18 +305,8 @@ class DistributedGraphStore:
         """
         if kind not in (KIND_NEIGHBORS, KIND_ATTRS):
             raise StorageError(f"unknown read kind {kind!r}")
-        if (
-            isinstance(from_part, bool)
-            or not isinstance(from_part, _INTEGER)
-            or not 0 <= from_part < len(self.servers)
-        ):
-            raise StorageError(f"unknown worker {from_part}")
-        arr = np.asarray(vertices)
-        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
-            raise StorageError(
-                f"vertex ids must be a 1-D batch of integers, got {arr.dtype} "
-                f"of shape {arr.shape}"
-            )
+        from_part = check_id(from_part, len(self.servers), StorageError, "worker")
+        vertices = check_ids(vertices, self.graph.n_vertices, StorageError, "vertex ids")
         if from_part in self._failed:
             raise StorageError(f"issuing worker {from_part} is down")
         runtime = self._ensure_runtime()
@@ -330,7 +314,7 @@ class DistributedGraphStore:
             "store.resolve_read", kind=kind, issuer=from_part
         ) as read_span:
             results = self._resolve_read_traced(
-                kind, arr.astype(np.int64, copy=False), from_part, runtime, read_span
+                kind, vertices, from_part, runtime, read_span
             )
         if runtime.timeseries is not None:
             runtime.timeseries.poll()
@@ -349,26 +333,16 @@ class DistributedGraphStore:
         ledger = self.ledger
         rec = runtime.recorder
 
-        # Range-check the ids and dedup them to first-seen order (what a
-        # dict keeps), so every arm below — cache recency, fills, request
-        # payloads — sees a stable order: a small batch on a list, a larger
-        # one, once checked, by keeping each id's first position in the
-        # scratch table (FEW_ROWS). ``uniq`` becomes the answer's ids: never
-        # the caller's array. Then split it into the issuer's own vertices
-        # (local arm) and the rest (cache arm).
-        n = self.graph.n_vertices
+        # Dedup the (checked) ids to first-seen order (what a dict keeps),
+        # so every arm below — cache recency, fills, request payloads — sees
+        # a stable order: a small batch on a list, a larger one by keeping
+        # each id's first position in the scratch table (FEW_ROWS). ``uniq``
+        # becomes the answer's ids: never the caller's array. Then split it
+        # into the issuer's own vertices (local arm) and the rest (cache
+        # arm).
         vertex_to_part = self.assignment.vertex_to_part
-        few = vertices.size <= FEW_ROWS
-        if few:
-            ids = list(dict.fromkeys(vertices.tolist()))
-            low, high = (min(ids), max(ids)) if ids else (0, 0)
-        else:
-            low, high = vertices.min(), vertices.max()
-        if low < 0 or high >= n:
-            bad = vertices[(vertices < 0) | (vertices >= n)][0]
-            raise StorageError(f"unknown vertex {int(bad)}")
-        if few:
-            uniq = np.array(ids, dtype=np.int64)
+        if vertices.size <= FEW_ROWS:
+            uniq = np.array(list(dict.fromkeys(vertices.tolist())), dtype=np.int64)
         else:
             first, seen = self._position, np.arange(vertices.size)
             first[vertices] = vertices.size
@@ -609,25 +583,28 @@ class DistributedGraphStore:
         ops: "dict[int, list[tuple[str, int]]]" = {}
         n_valid = 0
         error = None
-        for ev in events:
-            src, dst = ev.src, ev.dst
-            if isinstance(src, bool) or isinstance(dst, bool) or not (
-                isinstance(src, _INTEGER) and isinstance(dst, _INTEGER)
-            ):
-                error = StorageError(f"non-integer vertex id in {ev}")
-                break
-            if not 0 <= src < n_vertices:
-                error = StorageError(f"unknown vertex {src}")
-                break
-            if not 0 <= dst < n_vertices:
-                error = StorageError(f"unknown vertex {dst} in {ev}")
-                break
+        # One id check for the batch; only a failed one is retraced event
+        # by event, so the events ahead of the bad one still apply.
+        n_checked = len(events)
+        sources = [ev.src for ev in events]
+        try:
+            check_ids(sources + [ev.dst for ev in events], n_vertices, StorageError, "ids")
+        except StorageError:
+            for n_checked, ev in enumerate(events):
+                try:
+                    check_id(ev.src, n_vertices, StorageError, "vertex")
+                    check_id(ev.dst, n_vertices, StorageError, "vertex")
+                except StorageError as exc:
+                    error = StorageError(f"{exc} in {ev}")
+                    break
+        for ev, src in zip(events[:n_checked], sources):
+            src = int(src)
             if failed and int(vertex_to_part[src]) in failed:
                 error = StorageError(
                     f"cannot apply update: owner worker {int(vertex_to_part[src])} is down"
                 )
                 break
-            ops.setdefault(int(src), []).append((ev.kind, int(dst)))
+            ops.setdefault(src, []).append((ev.kind, int(ev.dst)))
             n_valid += 1
         if n_valid:
             self.ledger.record(EV_EDGE_INGESTED, times=n_valid)
@@ -678,15 +655,15 @@ class DistributedGraphStore:
         shard, and a lingering copy would advertise a failover replica on
         the very server whose failure it should cover.
         """
-        if not 0 <= new_part < self.n_workers:
-            raise StorageError(f"unknown worker {new_part}")
-        if not self.servers[new_part].owns(int(vertex)):
+        vertex = check_id(vertex, self.graph.n_vertices, StorageError, "vertex")
+        new_part = check_id(new_part, self.n_workers, StorageError, "worker")
+        if not self.servers[new_part].owns(vertex):
             raise StorageError(
                 f"cannot commit migration of vertex {vertex}: "
                 f"worker {new_part} has not ingested it"
             )
-        previous = self.assignment.reassign_vertex(int(vertex), new_part)
-        self.servers[new_part].neighbor_cache.invalidate(int(vertex))
+        previous = self.assignment.reassign_vertex(vertex, new_part)
+        self.servers[new_part].neighbor_cache.invalidate(vertex)
         self.ledger.record(EV_VERTEX_MIGRATED)
         return previous
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import RetryExhaustedError, StorageError
+from repro.errors import RetryExhaustedError, StorageError, check_id, check_ids
 from repro.nn.optim import Adam
 from repro.nn.tensor import DTYPE, SparseGrad, Tensor
 from repro.storage.costmodel import (
@@ -58,15 +58,15 @@ class EmbeddingShard:
 
     The shard owns every row whose global id hashes to its partition
     (``id % n_parts == part``) at local index ``id // n_parts``. Pushes are
-    applied by the shard's own :class:`~repro.nn.optim.Adam` on its
-    row-sparse leaf — gradients never leave the server as dense tables, and
-    untouched rows are never written.
+    applied by the shard's own :class:`~repro.nn.optim.Adam`, which steps
+    the pushed rows (:meth:`~repro.nn.optim.Adam.step_rows`) — gradients
+    never leave the server as dense tables, and untouched rows are never
+    written.
     """
 
     def __init__(self, part: int, rows: np.ndarray, lr: float) -> None:
         self.part = part
         self.param = Tensor(rows, requires_grad=True, name=f"shard{part}")
-        self.param.accumulates_sparse = True
         #: Per-row update counter: bumped once per applied push touching
         #: the row, so a push applied twice shows.
         self.versions = np.zeros(rows.shape[0], dtype=np.int64)
@@ -80,11 +80,7 @@ class EmbeddingShard:
         shipping); the optimizer state advances exactly as the in-process
         sparse path would for the same rows and gradients.
         """
-        sg = SparseGrad(self.param.data.shape)
-        sg.append(local_ids, grad_rows)
-        self.param.sparse_grad = sg
-        self._opt.step()
-        self.param.zero_grad()
+        self._opt.step_rows(0, local_ids, grad_rows)
         self.versions[local_ids] += 1
         self.applied_pushes += 1
 
@@ -132,7 +128,7 @@ class EmbeddingMinibatch:
             return 0
         local_ids, grad_rows = sg.coalesce()
         self.tensor.zero_grad()
-        self._kv.push(self.ids[local_ids], grad_rows, from_part=self._from_part)
+        self._kv._push_unique(self.ids[local_ids], grad_rows, self._from_part)
         return int(local_ids.size)
 
 
@@ -208,23 +204,8 @@ class EmbeddingKVStore:
         """``ids`` as int64, once they are known to be a 1-D batch of this
         table's rows and ``from_part`` one of its shards: the one check a
         pull, push or lookup makes before anything is recorded or sent."""
-        arr = np.asarray(ids)
-        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
-            raise StorageError(f"embedding ids must be a 1-D batch of integers, got {arr!r}")
-        if from_part not in range(self.n_parts):
-            raise StorageError(
-                f"unknown issuing worker {from_part!r} "
-                f"(table {self.name!r} has {self.n_parts} shards)"
-            )
-        arr = arr.astype(np.int64, copy=False)
-        if arr.size:
-            oob = (arr < 0) | (arr >= self.n_rows)
-            if oob.any():
-                raise StorageError(
-                    f"unknown embedding row {int(arr[oob][0])} "
-                    f"(table {self.name!r} has {self.n_rows} rows)"
-                )
-        return arr
+        check_id(from_part, self.n_parts, StorageError, "issuing worker")
+        return check_ids(ids, self.n_rows, StorageError, "embedding rows")
 
     def pull(self, ids: "np.ndarray | list[int]", from_part: int = 0) -> np.ndarray:
         """Rows for ``ids`` (duplicates allowed), aligned with the input.
@@ -302,13 +283,21 @@ class EmbeddingKVStore:
             )
         if arr.size == 0:
             return
+        sg = SparseGrad((self.n_rows, self.dim))
+        sg.append(arr, grad_rows)
+        self._push_unique(*sg.coalesce(), from_part)
+
+    def _push_unique(self, uniq: np.ndarray, summed: np.ndarray, from_part: int) -> None:
+        """Apply the gradient rows ``summed`` of the distinct ids ``uniq``.
+
+        The mirror of :meth:`_pull_unique`: the issuer's own rows step in
+        place and the remote ones ship as one request per owning server,
+        the gradient block as the request body.
+        """
         store = self.store
         with self.runtime.tracer.span(
             "emb.push", table=self.name, issuer=from_part
         ) as span:
-            sg = SparseGrad((self.n_rows, self.dim))
-            sg.append(arr, grad_rows)
-            uniq, summed = sg.coalesce()
             owners = uniq % self.n_parts
             local = owners == from_part
             n_local = int(local.sum())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import PartitionError
+from repro.errors import PartitionError, check_id, check_ids
 from repro.graph.graph import Graph
 
 
@@ -26,15 +26,11 @@ class PartitionAssignment:
         vertex_to_part: np.ndarray,
         edge_to_part: np.ndarray | None = None,
     ) -> None:
-        vertex_to_part = np.asarray(vertex_to_part, dtype=np.int64)
-        if vertex_to_part.shape != (graph.n_vertices,):
-            raise PartitionError("vertex_to_part must have one entry per vertex")
         if n_parts < 1:
             raise PartitionError(f"n_parts must be positive, got {n_parts}")
-        if vertex_to_part.size and (
-            vertex_to_part.min() < 0 or vertex_to_part.max() >= n_parts
-        ):
-            raise PartitionError("vertex part ids out of range")
+        vertex_to_part = check_ids(vertex_to_part, n_parts, PartitionError, "vertex part ids")
+        if vertex_to_part.shape != (graph.n_vertices,):
+            raise PartitionError("vertex_to_part must have one entry per vertex")
         self.graph = graph
         self.n_parts = n_parts
         self.vertex_to_part = vertex_to_part
@@ -96,8 +92,7 @@ class PartitionAssignment:
 
     def part_vertices(self, part: int) -> np.ndarray:
         """Vertex ids owned by ``part``."""
-        if not 0 <= part < self.n_parts:
-            raise PartitionError(f"part {part} out of range [0, {self.n_parts})")
+        part = check_id(part, self.n_parts, PartitionError, "part")
         return np.flatnonzero(self.vertex_to_part == part)
 
     def reassign_vertex(self, vertex: int, part: int) -> int:
@@ -106,11 +101,8 @@ class PartitionAssignment:
         Keeps the source-placement invariant: edges whose source is
         ``vertex`` follow it to the new part. Returns the previous owner.
         """
-        if not 0 <= part < self.n_parts:
-            raise PartitionError(f"part {part} out of range [0, {self.n_parts})")
-        vertex = int(vertex)
-        if not 0 <= vertex < self.graph.n_vertices:
-            raise PartitionError(f"vertex {vertex} out of range")
+        part = check_id(part, self.n_parts, PartitionError, "part")
+        vertex = check_id(vertex, self.graph.n_vertices, PartitionError, "vertex")
         previous = int(self.vertex_to_part[vertex])
         if previous == part:
             return previous

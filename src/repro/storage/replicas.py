@@ -12,7 +12,7 @@ wanted: on writes, failover and audits.
 
 from __future__ import annotations
 
-from repro.errors import StorageError
+from repro.errors import StorageError, check_id
 
 
 class ReplicaRegistry:
@@ -33,13 +33,9 @@ class ReplicaRegistry:
         """Number of servers viewed."""
         return len(self._servers)
 
-    def _check_part(self, part: int) -> None:
-        if not 0 <= part < self.n_parts:
-            raise StorageError(f"unknown part {part} (have {self.n_parts})")
-
     def held_by(self, part: int) -> "tuple[int, ...]":
         """Vertices ``part``'s cache holds, sorted (deterministic)."""
-        self._check_part(part)
+        part = check_id(part, self.n_parts, StorageError, "part")
         return self._servers[part].neighbor_cache.cached_vertices()
 
     def audit(self, contents_by_part: "dict[int, set[int]]") -> "dict[str, list]":
@@ -55,7 +51,6 @@ class ReplicaRegistry:
         missing: "list[tuple[int, int]]" = []
         stale: "list[tuple[int, int]]" = []
         for part in sorted(contents_by_part):
-            self._check_part(part)
             truth = {int(v) for v in contents_by_part[part]}
             indexed = set(self.held_by(part))
             missing.extend((v, part) for v in sorted(truth - indexed))

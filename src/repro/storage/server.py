@@ -23,7 +23,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from repro.errors import StorageError
+from repro.errors import StorageError, check_id
 from repro.graph.graph import Graph
 from repro.storage.attributes import SeparateAttributeStore
 from repro.storage.cache import NeighborCache
@@ -144,9 +144,7 @@ class GraphServer:
         the row. Re-ingesting an owned vertex is an error — the controller
         must never double-commit.
         """
-        vertex = int(vertex)
-        if not 0 <= vertex < self._n:
-            raise StorageError(f"server {self.part_id} cannot ingest unknown vertex {vertex}")
+        vertex = check_id(vertex, self._n, StorageError, "vertex")
         if self.owns(vertex):
             raise StorageError(
                 f"server {self.part_id} already owns vertex {vertex}"

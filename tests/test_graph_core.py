@@ -48,6 +48,16 @@ def test_vertex_bounds_checked(tiny_graph):
         tiny_graph.out_neighbors(6)
     with pytest.raises(VertexNotFoundError):
         tiny_graph.has_edge(-1, 0)
+    # A float or bool is not an id: out_neighbors raised a bare IndexError /
+    # TypeError on them, and csr_slice read vertex 2's / vertex 1's row.
+    with pytest.raises(VertexNotFoundError):
+        tiny_graph.out_neighbors(2.7)
+    with pytest.raises(VertexNotFoundError):
+        tiny_graph.out_neighbors(True)
+    with pytest.raises(VertexNotFoundError):
+        tiny_graph.csr_slice([2.7])
+    with pytest.raises(VertexNotFoundError):
+        tiny_graph.csr_slice(np.array([True]))
 
 
 def test_construction_validations():

@@ -84,12 +84,15 @@ def test_block_validation(taobao_setup):
     )
     assert block.seed_positions(np.array([[1], [7]])).tolist() == [[0], [2]]
     assert block.seed_positions([]).shape == (0,)
-    for outside in ([4], [-1], [8], [10**9], [3, 0]):  # non-seed, below, above
+    for outside in ([4], [3, 0]):  # not seeds, inside the seeds' id span
         with pytest.raises(SamplingError, match="outside the block's seed set"):
+            block.seed_positions(np.array(outside))
+    for outside in ([-1], [8], [10**9]):  # outside the seeds' id span
+        with pytest.raises(SamplingError, match=r"seed ids span \[.*\], outside \[0, 8\)"):
             block.seed_positions(np.array(outside))
     # A float is not an id: 1.5 used to truncate to seed 1's row.
     for not_ids in (np.array([1.5]), np.array([3.0]), np.array([True])):
-        with pytest.raises(SamplingError, match="outside the block's seed set"):
+        with pytest.raises(SamplingError, match="seed ids must be an array of integers"):
             block.seed_positions(not_ids)
 
 
@@ -100,7 +103,7 @@ def test_block_builders_reject_bad_ids_before_any_draw(taobao_setup):
     hop-table entry a block holding vertex 10**6."""
     graph, _, sampler, tables = taobao_setup
     n = graph.n_vertices
-    for bad in ([-1], [n], [n + 5, 3], [[1, 2], [3, 4]]):
+    for bad in ([-1], [n], [n + 5, 3], [[1, 2], [3, 4]], [2.7]):
         rng = make_rng(0)
         before = rng.bit_generator.state
         with pytest.raises(SamplingError):
@@ -108,6 +111,14 @@ def test_block_builders_reject_bad_ids_before_any_draw(taobao_setup):
         assert rng.bit_generator.state == before
         with pytest.raises(SamplingError):
             build_block_from_tables(np.array(bad), tables)
+    # The frontier API itself: 2.7 was drawn for as vertex 2, n was a bare
+    # IndexError from the kernel.
+    for bad in ([2.7], [n], [[1, 2], [3, 4]]):
+        rng = make_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(SamplingError):
+            sampler.sample_children(np.array(bad), 3, rng)
+        assert rng.bit_generator.state == before
     poisoned = [tables[0], tables[1].copy()]
     poisoned[1][0, 0] = 10**6
     with pytest.raises(SamplingError, match=r"outside \[0, \d+\)"):
@@ -115,6 +126,9 @@ def test_block_builders_reject_bad_ids_before_any_draw(taobao_setup):
     poisoned[1][0, 0] = -1
     with pytest.raises(SamplingError, match=r"outside \[0, \d+\)"):
         build_block_from_tables(np.array([0, 1]), poisoned)
+    # A float table was truncated: 1.7 looked up vertex 1.
+    with pytest.raises(SamplingError, match="hop table entries must be"):
+        build_block_from_tables(np.array([0, 1]), [tables[0] + 0.7, tables[1]])
     for malformed in ([tables[0], tables[1][:-1]], [tables[0][:, :0]], [tables[0][0]]):
         with pytest.raises(SamplingError, match="hop tables must be"):
             build_block_from_tables(np.array([0]), malformed)

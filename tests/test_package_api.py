@@ -550,6 +550,18 @@ def test_one_optimizer_takes_dense_and_row_sparse_gradients():
     assert not hasattr(stats, "gammainc_lower")
     assert not hasattr(NeighborCache, "pinned_count")
     assert not hasattr(LinkPredictionResult, "as_row")
+    # One id check (repro.errors.check_ids / check_id): no per-layer copy.
+    import repro.nn.tensor
+    import repro.sampling.base
+    from repro.graph import Graph
+    from repro.runtime.health import HealthTracker
+    from repro.storage.replicas import ReplicaRegistry
+
+    assert not hasattr(repro.sampling.base, "check_vertex_ids")
+    assert not hasattr(repro.nn.tensor, "_check_row_ids")
+    assert not hasattr(Graph, "_check_vertex")
+    assert not hasattr(HealthTracker, "_check_part")
+    assert not hasattr(ReplicaRegistry, "_check_part")
     assert "pad_masks" not in {f.name for f in dataclasses.fields(NeighborhoodSample)}
 
 
@@ -599,8 +611,9 @@ def test_the_zoo_has_one_training_loop_one_feature_builder_one_accessor():
 def test_block_levels_are_built_without_a_sort_or_a_search():
     """A level is deduplicated and relabeled by direct addressing, in one
     body (``sampling.blocks.compact_level``): neither the block builders,
-    the trainer's step nor the cached Table-5 recursion may call
-    ``np.unique`` / ``np.searchsorted`` again. (``MaterializationCache.
+    the trainer's step, the cached Table-5 recursion nor a store-backed
+    frontier may call ``np.unique`` / ``np.searchsorted`` / ``argsort``
+    again. (``MaterializationCache.
     update``'s reversed ``unique`` is last-write-wins, a different job.)"""
     import ast
     import pathlib
@@ -615,10 +628,11 @@ def test_block_levels_are_built_without_a_sort_or_a_search():
             for node in ast.walk(tree)
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("unique", "searchsorted")
+            and node.func.attr in ("unique", "searchsorted", "argsort")
         )
 
     assert calls(ast.parse((src / "sampling" / "blocks.py").read_text())) == []
+    assert calls(ast.parse((src / "sampling" / "base.py").read_text())) == []
     assert calls(ast.parse((src / "algorithms" / "framework.py").read_text())) == []
     materialize = ast.parse((src / "ops" / "materialize.py").read_text())
     by_name = {

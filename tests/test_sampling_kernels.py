@@ -210,6 +210,8 @@ class TestCsrAdjacency:
         asked = []
 
         class EchoStore:
+            graph = Graph(41, [], [])  # the frontier is range-checked first
+
             def get_neighbors_batch(self, ids, from_part):
                 asked.append(ids)
                 empty = np.zeros(ids.size + 1, dtype=np.int64)

@@ -140,6 +140,10 @@ _ON_GRAPH = {
     "negatives": lambda g: lambda ids, rng: DegreeBiasedNegativeSampler(g).sample(ids, 2, rng),
     "vertex_traverse": lambda g: lambda size, rng: VertexTraverseSampler(g).sample(size, rng),
     "edge_traverse": lambda g: lambda size, rng: EdgeTraverseSampler(g).sample(size, rng),
+    "vertex_pool": lambda g: lambda ids, rng: VertexTraverseSampler(g, vertices=ids).sample(3, rng),
+    "negative_pool": lambda g: lambda ids, rng: DegreeBiasedNegativeSampler(g, vertices=ids).sample(
+        np.array([0]), 2, rng
+    ),
 }
 _MALFORMED = {
     "float": lambda n: np.array([1.5, 2.0]),
@@ -154,6 +158,11 @@ _CASES = [
     for provider in ("graph", "store")
 ] + [(entry, bad, "graph") for entry in ("random_walks", "negatives") for bad in _MALFORMED]
 _CASES += [(entry, "float", "graph") for entry in ("vertex_traverse", "edge_traverse")]
+_CASES += [
+    (entry, bad, "graph")
+    for entry in ("vertex_pool", "negative_pool")
+    for bad in ("float", "negative", "ge_n")
+]
 
 
 @pytest.mark.parametrize("entry,bad,provider", _CASES)

@@ -286,15 +286,14 @@ def per_event_apply(store, events):
     applied = 0
     n_vertices = store.graph.n_vertices
     for ev in events:
-        if not all(
-            isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-            for x in (ev.src, ev.dst)
-        ):
-            raise StorageError(f"non-integer vertex id in {ev}")
+        for x in (ev.src, ev.dst):
+            integer = isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            if not (integer and 0 <= x < n_vertices):
+                raise StorageError(
+                    f"unknown vertex {x!r}: not an integer in [0, {n_vertices}) in {ev}"
+                )
         src = int(ev.src)
         owner = store.owner(src)
-        if not 0 <= ev.dst < n_vertices:
-            raise StorageError(f"unknown vertex {ev.dst} in {ev}")
         if owner in store.failed_workers:
             raise StorageError(f"cannot apply update: owner worker {owner} is down")
         server = store.servers[owner]
@@ -837,7 +836,8 @@ def test_resolve_read_ledger_event_order_deterministic():
 
 def test_resolve_read_rejects_out_of_range_batch():
     store = make_store(_graph(scale=0.1), 2, seed=0)
-    with pytest.raises(Exception, match="unknown vertex"):
+    outside = r"vertex ids span \[0, 1000000000\], outside \[0, \d+\)"
+    with pytest.raises(StorageError, match=outside):
         store.get_neighbors_batch([0, 1, 10**9], from_part=0)
 
 
@@ -856,7 +856,17 @@ _MALFORMED_READS = {
     "float_owner": lambda s: s.owner(1.5),
     "float_issuer": lambda s: s.get_neighbors_batch([1, 2], from_part=0.5),
     "bool_issuer": lambda s: s.neighbors(1, from_part=True),
+    "bool_failed_worker": lambda s: s.fail_worker(True),
+    "float_failed_worker": lambda s: s.fail_worker(1.5),
+    "bool_restored_worker": lambda s: s.restore_worker(True),
+    "bool_migration_target": lambda s: s.commit_migration(_owned_by_one(s), True),
+    "float_migration_target": lambda s: s.commit_migration(_owned_by_one(s), 1.5),
 }
+
+
+def _owned_by_one(store):
+    """A vertex worker 1 owns: moving it "to" ``True`` / ``1.5`` is moving it to 1."""
+    return int(np.flatnonzero(store.assignment.vertex_to_part == 1)[0])
 
 
 @pytest.mark.parametrize("read", sorted(_MALFORMED_READS))
@@ -876,6 +886,8 @@ def test_malformed_ids_are_rejected_before_any_charge(read):
             dict(store.ledger.counts),
             [(c.hits, c.misses, c._lru.keys()) for c in caches],
             store.runtime.metrics.render(),
+            store.failed_workers,
+            store.assignment.vertex_to_part.tolist(),
         )
 
     before = state()
