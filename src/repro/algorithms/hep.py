@@ -29,21 +29,24 @@ from repro.nn.layers import Embedding
 from repro.nn.loss import skipgram_negative_loss
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
+from repro.sampling.kernels import CsrAdjacency
+from repro.utils.alias import GroupedAliasTable
 from repro.utils.rng import make_rng
 
 
 def typed_adjacency(
     indptr: np.ndarray,
     indices: np.ndarray,
+    weights: np.ndarray,
     vertex_types: np.ndarray,
     n_types: int,
-) -> "list[tuple[np.ndarray, np.ndarray]]":
-    """Split one CSR adjacency into per-target-type CSRs, order-preserving.
+) -> "list[CsrAdjacency]":
+    """Split one CSR adjacency into one block per target type, order-preserving.
 
     Masking the flat ``indices`` by target type keeps both the row grouping
-    and the in-row neighbor order, so type ``c``'s neighbor list of vertex
-    ``v`` is ``t_indices[t_indptr[v]:t_indptr[v+1]]`` — the per-(vertex,
-    type) neighbor lists HEP's EP term reads, without any per-vertex loop.
+    and the in-row neighbor order, so row ``v`` of block ``c`` is vertex
+    ``v``'s type-``c`` neighbor list (``weights`` aligned) — the
+    per-(vertex, type) lists HEP's EP term reads, without any per-vertex loop.
     """
     n = indptr.size - 1
     row_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
@@ -54,30 +57,8 @@ def typed_adjacency(
         t_indptr = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)]
         )
-        out.append((t_indptr, indices[mask]))
+        out.append(CsrAdjacency(t_indptr, indices[mask], weights[mask]))
     return out
-
-
-def hep_neighbor_rows(
-    t_indptr: np.ndarray,
-    t_indices: np.ndarray,
-    vertices: np.ndarray,
-    cap: int,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """HEP's deterministic padded pick, batched: (valid, (n_valid, cap)).
-
-    Per valid vertex (non-empty typed list): the first ``cap`` neighbors,
-    cyclically tiled when the list is shorter — one gather via a modular
-    column index, id-identical to the old per-vertex ``_pad(typed[:cap])``.
-    """
-    vertices = np.asarray(vertices, dtype=np.int64)
-    deg = t_indptr[vertices + 1] - t_indptr[vertices]
-    valid = vertices[deg > 0]
-    if valid.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64)
-    take = np.minimum(deg[deg > 0], cap)
-    col = np.arange(cap, dtype=np.int64)
-    return valid, t_indices[t_indptr[valid][:, None] + col % take[:, None]]
 
 
 class HEP(EmbeddingModel):
@@ -137,41 +118,35 @@ class HEP(EmbeddingModel):
         self.peak_batch_rows = 0
 
         from repro.nn import functional as F
-        from repro.utils.alias import GroupedAliasTable
 
         indptr, indices, _ = graph.csr_arrays()
-        typed_csr = typed_adjacency(indptr, indices, vertex_types, n_types)
-        # AHEP redraw machinery: one grouped alias table per type over the
-        # variance-minimizing weights (neighbor degree + 1), built lazily —
-        # a whole batch of heavy rows then resamples in one kernel call.
+        # Block weights are AHEP's variance-minimizing importance (neighbor
+        # degree + 1); its grouped alias table per type is built lazily.
+        typed = typed_adjacency(
+            indptr, indices, degrees[indices] + 1.0, vertex_types, n_types
+        )
         grouped_alias: "list[GroupedAliasTable | None]" = [None] * n_types
 
         def typed_neighbor_table(
             vertices: np.ndarray, c: int
         ) -> tuple[np.ndarray, np.ndarray]:
-            """(valid vertices, (n_valid, cap) padded neighbor ids) for type c.
+            """(valid vertices, (n_valid, cap) neighbor ids) for type c.
 
             Cost — the gathered row count — is proportional to the cap,
-            which is the whole HEP-vs-AHEP trade. One batched cyclic gather
-            covers HEP rows and AHEP's small rows (first ``cap`` neighbors,
-            tiled when fewer — identical ids to the old per-vertex pad);
-            AHEP rows over the cap are overwritten by one grouped
-            importance draw (with replacement — standard importance
-            sampling) in O(n_heavy * cap).
+            which is the whole HEP-vs-AHEP trade. HEP takes each row's
+            first ``cap`` neighbors, tiled when fewer; AHEP redraws the
+            rows over the cap by importance (with replacement — standard
+            importance sampling) in O(n_heavy * cap).
             """
-            t_indptr, t_indices = typed_csr[c]
-            cap = self.neighbor_cap
-            valid, rows = hep_neighbor_rows(t_indptr, t_indices, vertices, cap)
-            if valid.size and self.adaptive_sampling:
-                vdeg = t_indptr[valid + 1] - t_indptr[valid]
-                heavy = vdeg > cap
+            block, cap = typed[c], self.neighbor_cap
+            valid = vertices[block.degrees[vertices] > 0]
+            rows = block.sample_leading(valid, cap)
+            if self.adaptive_sampling:
+                heavy = block.degrees[valid] > cap
                 if heavy.any():
                     if grouped_alias[c] is None:
-                        grouped_alias[c] = GroupedAliasTable(
-                            degrees[t_indices].astype(np.float64) + 1.0, t_indptr
-                        )
-                    flat = grouped_alias[c].draw_for_groups(valid[heavy], cap, rng)
-                    rows[heavy] = t_indices[flat]
+                        grouped_alias[c] = GroupedAliasTable(block.weights, block.indptr)
+                    rows[heavy] = block.sample_alias(valid[heavy], cap, rng, grouped_alias[c])
             return valid, rows
 
         def loss_fn(src: np.ndarray, dst: np.ndarray, neg_ids: np.ndarray) -> Tensor:

@@ -23,7 +23,14 @@ import sys
 import numpy as np
 
 from repro.data import make_dataset, train_test_split_edges
-from repro.errors import DatasetError, ReproError, SamplingError, TrainingError
+from repro.errors import (
+    CheckFailedError,
+    DatasetError,
+    ReproError,
+    RuntimeConfigError,
+    SamplingError,
+    TrainingError,
+)
 from repro.graph.io import load_ahg, save_ahg
 from repro.tasks import evaluate_link_prediction
 
@@ -286,6 +293,11 @@ def _build_sampled_workload(
     """
     if args.steps < 1:
         raise SamplingError(f"--steps must be >= 1, got {args.steps}")
+    if not 0 <= args.slow_workers < args.workers:
+        raise RuntimeConfigError(
+            f"--slow-workers must be in [0, {args.workers - 1}] (worker 0 "
+            f"issues the reads), got {args.slow_workers}"
+        )
     from repro.data import make_dataset as _make
     from repro.runtime import FaultPlan, RpcRuntime
     from repro.sampling import (
@@ -306,7 +318,7 @@ def _build_sampled_workload(
         cache_budget_fraction=0.1,
         seed=args.seed,
     )
-    slow = frozenset(range(1, min(1 + args.slow_workers, args.workers)))
+    slow = frozenset(range(1, 1 + args.slow_workers))
     faults = None
     if args.drop_rate > 0 or args.timeout_rate > 0 or slow:
         faults = FaultPlan(
@@ -332,6 +344,7 @@ def _build_sampled_workload(
 
 _REPORT_TICK_US = 500.0  # sampler tick of ``repro report``, simulated us
 _REPORT_TOP_K = 10  # hot vertices it lists
+_REPORT_SLOWEST = 5  # slowest traces it lists
 
 
 def _run_sampled_workload(args: argparse.Namespace, instrumented: bool = False):
@@ -369,50 +382,114 @@ times included) are read off it. The cost ledger is a separate account
 overlap not), so the two totals differ by design."""
 
 
+def _render_records(report) -> str:
+    """A report as plain tables: consecutive records with one key set share
+    a table; the notes follow as they are."""
+    import itertools
+
+    from repro.utils.tables import format_table
+
+    blocks = [f"[{report.experiment_id}] {report.title}"]
+    for keys, group in itertools.groupby(report.records, key=lambda r: tuple(r.measured)):
+        rows = [[r.label, *r.measured.values()] for r in group]
+        blocks.append(format_table(["label", *keys], rows))
+    return "\n\n".join(blocks + report.notes)
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     import json
     import os
 
     from repro.bench import ExperimentReport
-    from repro.obs import (
-        analyze,
-        cache_efficacy,
-        mine_workload,
-        render_analysis,
-        render_workload_report,
-    )
+    from repro.obs import analyze, cache_efficacy, mine_workload
     from repro.runtime import chrome_trace, prometheus_text
-    from repro.utils.tables import format_table
 
     graph, store, runtime, _ = _run_sampled_workload(args, instrumented=True)
-    tracer, sampler = runtime.tracer, runtime.timeseries
+    tracer, sampler, ledger = runtime.tracer, runtime.timeseries, store.ledger
     trace_payload = chrome_trace(tracer)
     trace_payload["traceEvents"].extend(sampler.chrome_counter_events())
     cp = analyze(tracer)
     mined = mine_workload(runtime.recorder, top_k=_REPORT_TOP_K)
     efficacy = cache_efficacy(runtime.recorder, store.cost_model)
+
+    report = ExperimentReport(
+        "cli_report", "instrumented sampled workload (repro report)"
+    )
     workload = {"vertices": graph.n_vertices}
     for key in ("workers", "steps", "batch_size", "drop_rate", "timeout_rate",
                 "slow_workers", "seed"):
         workload[key] = getattr(args, key)
-    clock = {
+    report.add("workload", workload)
+    report.add("clock", {
         "virtual_clock_us": round(runtime.clock.now_us, 3),
-        "ledger_modelled_us": round(store.ledger.modelled_micros(), 3),
-    }
-    volume = {
+        "ledger_modelled_us": round(ledger.modelled_micros(), 3),
+    })
+    report.add("ledger", {ev: int(n) for ev, n in sorted(ledger.counts.items())})
+    price = ledger.costs.get
+    for ev, n in sorted(ledger.counts.items(), key=lambda kv: (-price(kv[0], 0.0) * kv[1], kv[0])):
+        report.add(f"ledger {ev}", {
+            "count": int(n),
+            "us_per_event": price(ev, 0.0),
+            "modelled_us": round(price(ev, 0.0) * n, 3),
+        })
+    report.add("ledger total", {"count": int(sum(ledger.counts.values()))})
+    report.add("trace volume", {
         "events": len(trace_payload["traceEvents"]),
         "traces": len(tracer.traces()),
         "spans": len(tracer.spans),
         "dropped_spans": tracer.dropped,
         "ledger_rows": len(tracer.ledger_rows),
-    }
-    series = {
+    })
+    first = tracer.trace_spans(tracer.traces()[0]) if tracer.spans else []
+    depth: "dict[str, int]" = {}
+    for sp in first:  # spans open parent-first, so open order is the tree's
+        depth[sp.span_id] = depth.get(sp.parent_id, -1) + 1
+        report.add("  " * depth[sp.span_id] + sp.name, {
+            "start_us": round(sp.start_us, 3),
+            "duration_us": round(sp.duration_us, 3),
+            "ledger_events": sum(ev[1].startswith("ledger:") for ev in sp.events),
+            "attrs": " ".join(f"{k}={v}" for k, v in sp.attrs.items()),
+        })
+    report.add("trace latency", dict(cp["latency_us"]))
+    report.add("critical-path segments", dict(cp["segments_total"]))
+    report.add("critical-path tail segments", dict(cp["segments_tail"]))
+    report.add("critical-path tail", {
+        key: cp[key] for key in ("tail_pct", "tail_threshold_us", "n_tail")
+    })
+    slowest = sorted(cp["traces"], key=lambda t: (-t["latency_us"], t["trace_id"]))
+    for t in slowest[:_REPORT_SLOWEST]:
+        report.add(f"slow trace {t['trace_id']}", {
+            "root": t["root"], "latency_us": t["latency_us"], **t["segments"],
+        })
+    for name, kind, count, *stats in runtime.metrics.summary_rows():
+        measured = {"type": kind, "count": count}
+        if kind == "histogram":
+            measured.update(zip(("mean", "p50", "p95", "p99"), stats))
+        report.add(name, measured)
+    reads = ("total_reads", "unique_vertices", "local_share")
+    report.add("reads", {key: mined[key] for key in reads})
+    report.add("routes", dict(mined["routes"]))
+    if mined["zipf"]:
+        report.add("zipf", dict(mined["zipf"]))
+    for row in mined["hot_vertices"]:
+        report.add(f"hot vertex {row['vertex']}", dict(row))
+    for part, row in zip(mined["parts"], mined["traffic_matrix"]):
+        report.add(f"traffic from part {part}", {
+            f"to part {owner}": n for owner, n in zip(mined["parts"], row)
+        })
+    cross = ("cross_part_reads", "unique_cross_part_vertices", "uncached_us")
+    report.add("cache cross-partition", {key: efficacy[key] for key in cross})
+    report.add("cache observed", dict(efficacy["observed"]))
+    for row in efficacy["oracle"]:
+        report.add(f"cache oracle k={row['capacity']}", dict(row))
+    report.add("time series", {
         "tick_us": sampler.tick_us,
         "snapshots": sampler.n_samples,
         "series": len(sampler.series),
-    }
+    })
+    report.note(_REPORT_LEGEND)
 
-    wrote = None
+    wrote = []
     if args.out:
         side_files = {
             "trace.json": json.dumps(trace_payload, indent=1) + "\n",
@@ -423,59 +500,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
         for name, text in side_files.items():
             with open(os.path.join(args.out, name), "w", encoding="utf-8") as f:
                 f.write(text)
-        wrote = (
+        wrote.append(
             f"wrote {', '.join(side_files)} to {args.out} "
             "(open trace.json in https://ui.perfetto.dev)"
         )
-
     if args.json:
-        report = ExperimentReport(
-            "cli_report", "instrumented sampled workload (repro report)"
-        )
-        report.add("workload", workload)
-        report.add("clock", clock)
-        report.add(
-            "ledger", {ev: int(n) for ev, n in sorted(store.ledger.counts.items())}
-        )
-        report.add("trace volume", volume)
-        report.add("trace latency", dict(cp["latency_us"]))
-        report.add("critical-path segments", dict(cp["segments_total"]))
-        for name, kind, count, *stats in runtime.metrics.summary_rows():
-            measured = {"type": kind, "count": count}
-            if kind == "histogram":
-                measured.update(zip(("mean", "p50", "p95", "p99"), stats))
-            report.add(name, measured)
-        reads = ("total_reads", "unique_vertices", "local_share")
-        report.add("reads", {key: mined[key] for key in reads})
-        report.add("routes", dict(mined["routes"]))
-        if mined["zipf"]:
-            report.add("zipf", dict(mined["zipf"]))
-        report.add("cache observed", dict(efficacy["observed"]))
-        for row in efficacy["oracle"]:
-            report.add(f"cache oracle k={row['capacity']}", dict(row))
-        report.add("time series", series)
         print(json.dumps(report.to_payload(), indent=1))
-        return 0
-
-    sections = [
-        format_table(
-            ["quantity", "value"],
-            [[k.replace("_", " "), v] for k, v in {**workload, **clock}.items()],
-            title="report: sampled workload, every instrument on",
-        ),
-        "cost ledger\n" + store.ledger.summary(),
-        f"trace: {volume['events']} events, {volume['traces']} traces, "
-        f"{volume['spans']} spans ({volume['dropped_spans']} dropped past "
-        f"max_spans), {volume['ledger_rows']} ledger rows on the stored spans\n"
-        + tracer.render_tree(),
-        render_analysis(cp),
-        runtime.metrics.render(),
-        render_workload_report(mined, efficacy),
-        f"time series: {series['snapshots']} snapshots of {series['series']} "
-        f"series ({series['tick_us']:g}us tick, plus the end-of-run flush)",
-        _REPORT_LEGEND,
-    ]
-    print("\n\n".join(sections + ([wrote] if wrote else [])))
+    else:
+        print("\n\n".join([_render_records(report), *wrote]))
     return 0
 
 
@@ -502,13 +534,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("\n".join(e.id for e in experiments))
         return 0
     out_dir = args.out_dir or results_dir(bench_dir, args.smoke)
+    status = 0
     for experiment in select_experiments(experiments, args.ids):
-        report = run_experiment(experiment, args.smoke, out_dir)
+        try:
+            report = run_experiment(experiment, args.smoke, out_dir)
+        except CheckFailedError as exc:  # report the check, run the next id
+            print(f"error: {exc}", file=sys.stderr)
+            status = 1
+            continue
         if args.json:
             print(json.dumps(report.to_payload(), indent=1))
         else:
             report.print()
-    return 0
+    return status
 
 
 def _cmd_bench_compare(args: argparse.Namespace) -> int:

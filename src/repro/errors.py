@@ -121,11 +121,15 @@ def check_ids(
     """``ids`` as int64 ids in ``[0, n)`` (``n=None``: any non-negative id).
 
     Raises ``error`` unless ``ids`` has ``ndim`` dimensions (``None``: any)
-    and an integer dtype, with no ``bool`` among a list's elements; an
-    empty batch of any dtype passes. ``what`` names the ids in the message.
+    and an integer dtype, with no ``bool`` among a list's elements (a nested
+    list's included); an empty batch of any dtype passes. ``what`` names
+    the ids in the message.
     """
     listed = ids if isinstance(ids, (list, tuple)) else ()
     ids = np.asarray(ids)
+    if listed and ids.ndim > 1:  # scan a nested list's elements
+        for _ in range(ids.ndim - 1):
+            listed = [x for row in listed for x in row]
     if (
         (ndim is not None and ids.ndim != ndim)
         or (ids.size and ids.dtype.kind not in "iu")

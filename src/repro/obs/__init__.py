@@ -22,7 +22,6 @@ from repro.obs.critical_path import (
     analyze,
     classify_span,
     critical_path,
-    render_analysis,
 )
 from repro.obs.timeseries import TimeSeriesSampler
 from repro.obs.workload import (
@@ -32,7 +31,6 @@ from repro.obs.workload import (
     cache_efficacy,
     fit_zipf,
     mine_workload,
-    render_workload_report,
 )
 
 __all__ = [
@@ -47,6 +45,4 @@ __all__ = [
     "critical_path",
     "fit_zipf",
     "mine_workload",
-    "render_analysis",
-    "render_workload_report",
 ]

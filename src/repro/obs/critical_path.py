@@ -137,10 +137,8 @@ def _segment_totals(index: _TraceIndex) -> "dict[str, float]":
     return totals
 
 
-#: The tail an analysis isolates (nearest-rank percentile of latency), and
-#: the slowest traces a rendering lists.
+#: The tail an analysis isolates (nearest-rank percentile of latency).
 TAIL_PCT = 99.0
-MAX_TRACES = 5
 
 
 def analyze(tracer: Tracer) -> dict:
@@ -215,47 +213,3 @@ def analyze(tracer: Tracer) -> dict:
         "traces": per_trace,
     }
 
-
-def render_analysis(report: dict) -> str:
-    """Human-readable rendering of :func:`analyze` output."""
-    lines = ["=== critical-path analysis ==="]
-    if report["n_traces"] == 0:
-        lines.append("(no traces recorded)")
-        return "\n".join(lines)
-    lat = report["latency_us"]
-    lines.append(
-        f"traces: {report['n_traces']}  "
-        f"latency p50={lat['p50']:.1f}us p95={lat['p95']:.1f}us "
-        f"p99={lat['p99']:.1f}us"
-    )
-    lines.append(
-        f"tail: {report['n_tail']} traces >= "
-        f"p{report['tail_pct']:g} ({report['tail_threshold_us']:.1f}us)"
-    )
-    total_all = sum(report["segments_total"].values()) or 1.0
-    total_tail = sum(report["segments_tail"].values()) or 1.0
-    lines.append(
-        f"--- where does the time live (all vs p{report['tail_pct']:g} tail) ---"
-    )
-    lines.append(f"{'segment':<12} {'all_us':>12} {'all':>7} {'tail_us':>12} {'tail':>7}")
-    for seg in SEGMENTS:
-        a = report["segments_total"][seg]
-        t = report["segments_tail"][seg]
-        lines.append(
-            f"{seg:<12} {a:>12.1f} {a / total_all:>6.1%} "
-            f"{t:>12.1f} {t / total_tail:>6.1%}"
-        )
-    slowest = sorted(
-        report["traces"], key=lambda t: (-t["latency_us"], t["trace_id"])
-    )[:MAX_TRACES]
-    lines.append(f"--- slowest {len(slowest)} traces ---")
-    for t in slowest:
-        segs = " ".join(
-            f"{seg}={t['segments'][seg]:.0f}"
-            for seg in SEGMENTS
-            if t["segments"][seg] > 0
-        )
-        lines.append(
-            f"{t['trace_id']}  {t['root']:<18} {t['latency_us']:>10.1f}us  {segs}"
-        )
-    return "\n".join(lines)

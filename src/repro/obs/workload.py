@@ -317,64 +317,3 @@ def cache_efficacy(recorder: AccessRecorder, cost_model: "object") -> dict:
         },
         "oracle": rows,
     }
-
-
-# ---------------------------------------------------------------------- #
-# Rendering
-# ---------------------------------------------------------------------- #
-def render_workload_report(
-    report: dict, efficacy: "dict | None" = None
-) -> str:
-    """Human-readable rendering of :func:`mine_workload` output."""
-    lines = ["=== workload report ==="]
-    lines.append(
-        f"reads: {report['total_reads']}  "
-        f"unique vertices: {report['unique_vertices']}  "
-        f"local share: {report.get('local_share', 0.0):.1%}"
-    )
-    routes = report["routes"]
-    lines.append(
-        "routes: "
-        + "  ".join(f"{r}={routes[r]}" for r in ROUTES if routes.get(r))
-    )
-    zipf = report.get("zipf")
-    if zipf:
-        lines.append(
-            f"zipf fit: exponent={zipf['exponent']:.3f} "
-            f"top1={zipf['top1_share']:.1%} "
-            f"top10%={zipf['top10pct_share']:.1%} "
-            f"(chi2 p={zipf['p_value']:.3g})"
-        )
-    if report.get("hot_vertices"):
-        lines.append("--- hot vertices ---")
-        lines.append(f"{'vertex':>8} {'owner':>5} {'reads':>7} {'share':>7} {'xpart':>7}")
-        for row in report["hot_vertices"]:
-            lines.append(
-                f"{row['vertex']:>8} {row['owner']:>5} {row['reads']:>7} "
-                f"{row['share']:>6.2%} {row['cross_part']:>7}"
-            )
-    if report.get("parts"):
-        lines.append("--- traffic matrix (rows=issuer, cols=owner) ---")
-        parts = report["parts"]
-        lines.append("      " + " ".join(f"{p:>8}" for p in parts))
-        for p, row in zip(parts, report["traffic_matrix"]):
-            lines.append(f"{p:>5} " + " ".join(f"{c:>8}" for c in row))
-    if efficacy:
-        lines.append("--- cache efficacy (vs §4 cost model) ---")
-        lines.append(
-            f"cross-partition reads: {efficacy['cross_part_reads']}  "
-            f"uncached cost: {efficacy['uncached_us']:.0f}us"
-        )
-        obs = efficacy["observed"]
-        lines.append(
-            f"observed: hit rate {obs['hit_rate']:.1%}, "
-            f"cost {obs['modelled_us']:.0f}us "
-            f"({obs['saved_vs_uncached']:.1%} saved)"
-        )
-        for row in efficacy["oracle"]:
-            lines.append(
-                f"oracle k={row['capacity']:>5}: hit rate {row['hit_rate']:.1%}, "
-                f"cost {row['modelled_us']:.0f}us "
-                f"({row['saved_vs_uncached']:.1%} saved)"
-            )
-    return "\n".join(lines)

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from repro.errors import RuntimeConfigError
-from repro.utils.tables import format_table
 
 #: Frozen ``((key, value), ...)`` form of a label dict.
 LabelSet = "tuple[tuple[str, str], ...] | None"
@@ -241,11 +240,3 @@ class MetricsRegistry:
                 ]
             )
         return rows
-
-    def render(self) -> str:
-        """Aligned plain-text summary table of every registered metric."""
-        return format_table(
-            ["metric", "type", "count/value", "mean", "p50", "p95", "p99"],
-            self.summary_rows(),
-            title="runtime metrics",
-        )

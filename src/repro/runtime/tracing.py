@@ -277,33 +277,6 @@ class Tracer:
         """All spans of one trace, in open order."""
         return [sp for sp in self.spans if sp.trace_id == trace_id]
 
-    def render_tree(self) -> str:
-        """Plain-text span tree of the first trace."""
-        traces = self.traces()
-        if not traces:
-            return "(no traces recorded)"
-        trace_id = traces[0]
-        spans = self.trace_spans(trace_id)
-        children: "dict[str | None, list[Span]]" = {}
-        for sp in spans:
-            children.setdefault(sp.parent_id, []).append(sp)
-        lines = [f"trace {trace_id} ({len(spans)} spans)"]
-
-        def walk(parent_id: "str | None", depth: int) -> None:
-            for sp in children.get(parent_id, []):
-                attrs = " ".join(f"{k}={v}" for k, v in sp.attrs.items())
-                ledger = sum(1 for ev in sp.events if ev[1].startswith("ledger:"))
-                suffix = f" [{attrs}]" if attrs else ""
-                if ledger:
-                    suffix += f" ({ledger} ledger events)"
-                lines.append(
-                    f"{'  ' * depth}- {sp.name} "
-                    f"@{sp.start_us:.1f}us +{sp.duration_us:.1f}us{suffix}"
-                )
-                walk(sp.span_id, depth + 1)
-
-        walk(None, 1)
-        return "\n".join(lines)
 
 #: Shared disabled tracer: the default wired into every runtime. All of
 #: its methods are no-ops (``enabled`` is False), so untraced hot paths

@@ -57,29 +57,6 @@ class CostAccumulator:
         """Total modelled time in milliseconds."""
         return self.modelled_micros() / 1000.0
 
-    def summary(self) -> str:
-        """Readable per-event breakdown: count, unit price, modelled time.
-
-        Events are ordered by modelled-time contribution (heaviest first),
-        then alphabetically, with a total row — printable as-is by benchmarks
-        instead of ad-hoc dict poking.
-        """
-        lines = [f"{'event':<16} {'count':>10} {'us/event':>10} {'total_ms':>10}"]
-        rows = sorted(
-            self.counts.items(),
-            key=lambda kv: (-self.costs.get(kv[0], 0.0) * kv[1], kv[0]),
-        )
-        for event, n in rows:
-            price = self.costs.get(event, 0.0)
-            lines.append(
-                f"{event:<16} {n:>10} {price:>10.4g} {price * n / 1000.0:>10.4g}"
-            )
-        lines.append(
-            f"{'TOTAL':<16} {sum(self.counts.values()):>10} {'':>10} "
-            f"{self.modelled_millis():>10.4g}"
-        )
-        return "\n".join(lines)
-
     def __repr__(self) -> str:
         events = "+".join(f"{ev}:{n}" for ev, n in sorted(self.counts.items()))
         return (

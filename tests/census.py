@@ -19,7 +19,8 @@ one reason matching :data:`REASON_PATTERN`.
     python tests/census.py [--out FILE]   # run every program, write the census
     python tests/census.py --check        # ... and hold it to tests/census.json
 
-``--check`` fails on an entry the allow-list does not name, and on an
+``--check`` fails on a program that exits non-zero (listed first: its census
+is incomplete), on an entry the allow-list does not name, and on an
 allow-listed entry that a program now calls or sets (a stale entry).
 """
 
@@ -308,9 +309,11 @@ def _child_env() -> dict:
     return env
 
 
-def take_census(verbose: bool = True) -> dict:
-    """Run every program under the recorder; return the census."""
+def take_census(verbose: bool = True) -> "tuple[dict, list[str]]":
+    """Run every program under the recorder: the census, and one line per
+    program that exited non-zero (its census is then incomplete)."""
     called: "set[str]" = set()
+    failed: "list[str]" = []
     set_params: "set[str]" = set()
     with tempfile.TemporaryDirectory() as tmp:
         for i, (kind, argv) in enumerate(programs(tmp)):
@@ -327,6 +330,7 @@ def take_census(verbose: bool = True) -> dict:
             if proc.returncode != 0:
                 print(f"census: {kind} {argv} exited {proc.returncode}:\n{proc.stderr[-2000:]}",
                       file=sys.stderr)
+                failed.append(f"program exited {proc.returncode}: {kind} {' '.join(argv)}")
             with open(out, encoding="utf-8") as fh:
                 used = json.load(fh)
             called.update(used["called"])
@@ -339,7 +343,7 @@ def take_census(verbose: bool = True) -> dict:
         for param in params
         if f"{key}({param})" not in set_params and not is_model_hyperparameter(key)
     )
-    return {"functions": functions, "parameters": parameters}
+    return {"functions": functions, "parameters": parameters}, failed
 
 
 def check(census: dict, allowed: dict) -> "list[str]":
@@ -361,7 +365,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="exit 1 unless the census equals the allow-list's entries")
     args = parser.parse_args(argv)
-    census = take_census()
+    census, failed = take_census()
     text = json.dumps(census, indent=1) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -370,7 +374,7 @@ def main(argv: "list[str] | None" = None) -> int:
         sys.stdout.write(text)
     if args.check:
         with open(ALLOW_LIST, encoding="utf-8") as fh:
-            problems = check(census, json.load(fh))
+            problems = failed + check(census, json.load(fh))
         for problem in problems:
             print(problem)
         print(f"census: {len(census['functions'])} functions, "

@@ -157,16 +157,19 @@ def test_node_classification_validations():
 
 def test_report_prints_workload_metrics_and_ledger(report_text):
     out = report_text
-    assert "report: sampled workload" in out
-    assert "runtime metrics" in out
-    assert "rpc.completed" in out
-    assert "pipeline.batches" in out
-    assert "cost ledger" in out
-    assert "remote_rpc" in out and "TOTAL" in out
-    assert "pipeline.sample" in out  # the rendered span tree
-    assert "critical-path analysis" in out
-    assert "0 dropped past max_spans" in out
-    assert "time series:" in out
+    assert out.startswith("[cli_report] instrumented sampled workload")
+    assert "\nworkload " in out and "\nclock " in out
+    assert "\nrpc.completed " in out and "\npipeline.batches " in out
+    # The ledger priced per event (heaviest first) and its total count.
+    labels = [line.split(" | ")[0].rstrip() for line in out.splitlines()]
+    ledger = [label for label in labels if label.startswith("ledger ")]
+    assert ledger[0] == "ledger remote_rpc" and ledger[-1] == "ledger total"
+    assert "\npipeline.sample " in out  # the first trace's span tree
+    assert "\ncritical-path segments " in out and "\ncritical-path tail " in out
+    # No span dropped past max_spans: the trace volume's dropped_spans cell.
+    (volume,) = [line for line in out.splitlines() if line.startswith("trace volume ")]
+    assert [c.strip() for c in volume.split(" | ")][4] == "0"
+    assert "\ntime series " in out
     # The legend says which clock the numbers are on.
     assert "nothing is\nwall-clock" in out and "stage\ntimes included" in out
 
@@ -189,6 +192,10 @@ def test_commands_folded_into_report_are_gone(command, capsys):
     [
         (["report", "--steps", "0"], "--steps must be >= 1, got 0"),
         (["report", "--steps", "-1"], "--steps must be >= 1, got -1"),
+        (["report", "--workers", "2", "--slow-workers", "9"],
+         "--slow-workers must be in [0, 1] (worker 0 issues the reads), got 9"),
+        (["report", "--workers", "2", "--slow-workers", "-3"],
+         "--slow-workers must be in [0, 1] (worker 0 issues the reads), got -3"),
     ],
 )
 def test_bad_workload_sizes_exit_1_with_one_error_line(argv, message, capsys):
@@ -266,6 +273,49 @@ def test_bench_lists_runs_and_writes_by_size(toy_bench_dir, capsys):
 
     assert main([*bench, "nope"]) == 1
     assert "unknown experiment id(s) nope" in capsys.readouterr().err
+
+
+_TWO_TOYS = """
+from repro.bench import Experiment, ExperimentReport
+
+
+def _run(name):
+    def run(smoke):
+        report = ExperimentReport(name, name)
+        report.add("row", {"value": 1})
+        return report
+    return run
+
+
+def _refute(report, smoke):
+    assert False, "refuted"
+
+
+EXPERIMENTS = (
+    Experiment("first", _run("first"), _refute),
+    Experiment("second", _run("second"), lambda report, smoke: None),
+)
+"""
+
+
+def test_bench_runs_every_id_past_a_failed_check(tmp_path, monkeypatch, capsys):
+    """A failed check is printed and turns the exit code to 1, but the ids
+    after it still run and write their results."""
+    import sys
+
+    bench_dir = tmp_path / "bench"
+    bench_dir.mkdir()
+    (bench_dir / "bench_two_toys.py").write_text(_TWO_TOYS, encoding="utf-8")
+    monkeypatch.syspath_prepend(str(bench_dir))
+    try:
+        status = main(["bench", "--bench-dir", str(bench_dir), "first", "second"])
+    finally:
+        sys.modules.pop("bench_two_toys", None)
+    captured = capsys.readouterr()
+    assert status == 1
+    assert "error: first: check failed: refuted" in captured.err
+    assert "[second] second" in captured.out
+    assert (bench_dir / "results" / "second.json").exists()
 
 
 def test_bench_compare_smoke_is_a_real_switch(capsys):

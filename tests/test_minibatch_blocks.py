@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.algorithms import SIGN, GNNFramework
 from repro.algorithms.base import node_features
 from repro.algorithms.framework import _GNNEncoder
-from repro.algorithms.hep import hep_neighbor_rows, typed_adjacency
+from repro.algorithms.hep import typed_adjacency
 from repro.algorithms.sign import propagate_sign
 from repro.data import train_test_split_edges
 from repro.errors import SamplingError
@@ -426,17 +426,20 @@ def test_sign_link_prediction_quality(small_taobao):
 # ---------------------------------------------------------------------- #
 # HEP typed-neighbor gather (vectorization oracle)
 # ---------------------------------------------------------------------- #
-def test_hep_neighbor_rows_match_per_vertex_reference(small_taobao):
+def test_hep_typed_rows_match_per_vertex_reference(small_taobao):
+    """HEP's pick — per type block, ``sample_leading`` over the vertices
+    with a typed neighbor — against the per-vertex pad it batches."""
     graph = small_taobao
-    indptr, indices, _ = graph.csr_arrays()
+    indptr, indices, weights = graph.csr_arrays()
     vertex_types = graph.vertex_types
     n_types = len(graph.vertex_type_names)
     cap = 5
-    typed = typed_adjacency(indptr, indices, vertex_types, n_types)
+    typed = typed_adjacency(indptr, indices, weights, vertex_types, n_types)
     vertices = np.arange(graph.n_vertices, dtype=np.int64)
     for c in range(n_types):
-        t_indptr, t_indices = typed[c]
-        valid, rows = hep_neighbor_rows(t_indptr, t_indices, vertices, cap)
+        block = typed[c]
+        valid = vertices[block.degrees > 0]
+        rows = block.sample_leading(valid, cap)
         # Per-vertex reference: the old python-loop _pad(typed[:cap]).
         ref_valid, ref_rows = [], []
         for v in vertices:
@@ -451,3 +454,8 @@ def test_hep_neighbor_rows_match_per_vertex_reference(small_taobao):
             ref_rows.append(picked)
         np.testing.assert_array_equal(valid, np.asarray(ref_valid))
         np.testing.assert_array_equal(rows, np.stack(ref_rows))
+        # The weights ride with their neighbors.
+        for v in valid[:20]:
+            row = slice(indptr[v], indptr[v + 1])
+            typed_w = weights[row][vertex_types[indices[row]] == c]
+            np.testing.assert_array_equal(block.weights_of(v), typed_w)

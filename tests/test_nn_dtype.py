@@ -150,17 +150,21 @@ def test_models_trained_on_the_tape_hand_out_float64():
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize(
     "ids",
-    [[0.7, 2.9], np.array([0.0, 1.0]), [True, False], np.array([1, 0], dtype=bool)],
-    ids=["floats", "integral_floats", "bools", "bool_array"],
+    [[0.7, 2.9], np.array([0.0, 1.0]), [True, False], np.array([1, 0], dtype=bool),
+     [1, True]],
+    ids=["floats", "integral_floats", "bools", "bool_array", "bool_among_ints"],
 )
 def test_row_ids_must_be_integers(ids):
     x = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+    # One row of a (B, s) table; a list stays a list (``[[1, True]]``
+    # converts to an int table picking row 1 twice).
+    table = [ids] if isinstance(ids, list) else ids.reshape(1, -1)
     with pytest.raises(OperatorError, match="integers"):
         x.gather_rows(ids)
     with pytest.raises(OperatorError, match="integers"):
-        selection_matrix(np.asarray(ids).reshape(1, -1), 4)
+        selection_matrix(table, 4)
     with pytest.raises(OperatorError, match="integers"):
-        F.gather_sum_rows(x, np.asarray(ids).reshape(1, -1))
+        F.gather_sum_rows(x, table)
     with pytest.raises(OperatorError, match="integers"):
         MaterializationCache(1, 4).lookup(1, ids)
     assert x.grad is None and x.sparse_grad is None

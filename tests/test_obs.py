@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -49,8 +50,6 @@ from repro.obs import (
     critical_path,
     fit_zipf,
     mine_workload,
-    render_analysis,
-    render_workload_report,
 )
 from repro.runtime import (
     MetricsRegistry,
@@ -245,7 +244,8 @@ class TestCriticalPath:
                 report["segments_tail"][seg]
                 <= report["segments_total"][seg] + 1e-6
             )
-        assert "p99" in render_analysis(report)
+        # Nearest-rank p99 of latency is the tail threshold.
+        assert report["tail_threshold_us"] == report["latency_us"]["p99"]
 
     def test_analyze_empty_tracer(self):
         report = analyze(Tracer(seed=0))
@@ -298,7 +298,10 @@ class TestWorkloadMining:
         assert all(len(row) == n for row in report["traffic_matrix"])
         assert 0.0 <= report["local_share"] <= 1.0
         assert report["zipf"]["n_keys"] == report["unique_vertices"]
-        assert "hot vertices" in render_workload_report(report)
+        assert all(
+            set(h) == {"vertex", "reads", "share", "owner", "cross_part"}
+            for h in report["hot_vertices"]
+        )
 
     def test_mine_workload_empty(self):
         report = mine_workload(AccessRecorder())
@@ -313,9 +316,7 @@ class TestWorkloadMining:
         saved = [row["saved_vs_uncached"] for row in eff["oracle"]]
         # More capacity never saves less.
         assert saved == sorted(saved)
-        assert "cache efficacy" in render_workload_report(
-            mine_workload(rec), eff
-        )
+        assert eff["observed"]["modelled_us"] <= eff["uncached_us"]
 
 
 # --------------------------------------------------------------------- #
@@ -692,6 +693,21 @@ def test_instrumented_run_matches_uninstrumented(faults):
 # --------------------------------------------------------------------- #
 # CLI surface: `repro report` (one run, shared via the conftest fixtures)
 # --------------------------------------------------------------------- #
+def _text_rows(text: str) -> "list[tuple[str, dict[str, str]]]":
+    """``(label, {column: cell})`` per row of every table ``repro report`` prints."""
+    rows = []
+    for block in text.split("\n\n"):
+        header, *lines = block.splitlines()
+        if not header.startswith("label "):
+            continue
+        del lines[0]  # the rule under the header
+        columns = [h.strip() for h in header.split(" | ")[1:]]
+        for line in lines:
+            label, *cells = line.split(" | ")
+            rows.append((label.rstrip(), dict(zip(columns, (c.strip() for c in cells)))))
+    return rows
+
+
 class TestCli:
     @staticmethod
     def _measured(payload, label):
@@ -699,9 +715,85 @@ class TestCli:
         return rec["measured"]
 
     def test_workload_report_text(self, report_text):
-        assert "=== workload report ===" in report_text
-        assert "hot vertices" in report_text and "traffic" in report_text
-        assert "cache efficacy" in report_text
+        labels = [label for label, _ in _text_rows(report_text)]
+        assert "reads" in labels and "routes" in labels
+        assert any(label.startswith("hot vertex ") for label in labels)
+        assert "traffic from part 0" in labels
+        assert "cache observed" in labels and "cache oracle k=16" in labels
+
+    def test_text_renders_every_payload_record(self, report_run, report_text):
+        """Text and ``--json`` are two encodings of one report: the same
+        records in the same order, each cell the payload value formatted."""
+        payload, _ = report_run
+
+        def cell(value):
+            return f"{value:.4g}" if isinstance(value, float) else str(value)
+
+        assert _text_rows(report_text) == [
+            (r["label"], {key: cell(v) for key, v in r["measured"].items()})
+            for r in payload["records"]
+        ]
+        # The clock legend closes the text, line breaks kept.
+        assert "nothing is\nwall-clock" in report_text
+
+    def test_payload_carries_every_table_the_text_shows(self, report_run):
+        payload, _ = report_run
+        labels = [r["label"] for r in payload["records"]]
+        measured = functools.partial(self._measured, payload)
+        # Hot vertices and the traffic matrix (REPORT_ARGV: 3 workers).
+        hot = [measured(label) for label in labels if label.startswith("hot vertex ")]
+        assert 0 < len(hot) <= 10
+        assert [h["reads"] for h in hot] == sorted((h["reads"] for h in hot), reverse=True)
+        traffic = [measured(f"traffic from part {p}") for p in range(3)]
+        assert list(traffic[0]) == [f"to part {p}" for p in range(3)]
+        reads = measured("reads")["total_reads"]
+        assert sum(sum(row.values()) for row in traffic) == reads
+        cross = measured("cache cross-partition")
+        assert cross["cross_part_reads"] == reads - measured("routes")["local"]
+        # The p99 tail: its count, threshold and per-segment time.
+        tail = measured("critical-path tail")
+        assert tail["n_tail"] >= 1
+        assert tail["tail_threshold_us"] == measured("trace latency")["p99"]
+        total = measured("critical-path segments")
+        tail_segments = measured("critical-path tail segments")
+        assert list(tail_segments) == list(SEGMENTS)
+        assert all(tail_segments[seg] <= total[seg] for seg in SEGMENTS)
+        # The slowest traces, slowest first (two steps: two traces).
+        slow = [measured(label) for label in labels if label.startswith("slow trace ")]
+        assert len(slow) == 2 and slow[0]["latency_us"] == tail["tail_threshold_us"]
+        assert slow[0]["latency_us"] >= slow[1]["latency_us"]
+        # The ledger priced per event, heaviest first, and its total.
+        ledger = measured("ledger")
+        rows = [label for label in labels if label.startswith("ledger ")]
+        assert rows[0] == "ledger remote_rpc" and rows[-1] == "ledger total"
+        priced = [measured(f"ledger {ev}") for ev in ledger]
+        assert [row["count"] for row in priced] == list(ledger.values())
+        modelled = [row["modelled_us"] for row in priced]
+        assert math.isclose(sum(modelled), measured("clock")["ledger_modelled_us"])
+        assert measured("ledger total")["count"] == sum(ledger.values())
+
+    def test_span_tree_rows_show_the_read_path(self, report_run):
+        """The first trace's span tree: one row per span, the label its name
+        indented two spaces per level, ledger events counted per span."""
+        payload, _ = report_run
+        records = payload["records"]
+        start = 1 + [r["label"] for r in records].index("trace volume")
+        tree = []
+        for rec in records[start:]:
+            if set(rec["measured"]) != {"start_us", "duration_us", "ledger_events", "attrs"}:
+                break
+            tree.append(rec)
+        depth = {
+            r["label"].strip(): (len(r["label"]) - len(r["label"].lstrip())) // 2
+            for r in tree
+        }
+        assert depth["pipeline.sample"] == 0 and tree[0]["label"] == "pipeline.sample"
+        assert depth["pipeline.neighborhood"] == 1
+        assert depth["store.resolve_read"] == 2 and depth["rpc.execute"] == 3
+        assert depth["rpc.request"] == 4
+        assert "batch_size=64" in tree[0]["measured"]["attrs"]
+        ledger_events = sum(r["measured"]["ledger_events"] for r in tree)
+        assert 0 < ledger_events < self._measured(payload, "trace volume")["ledger_rows"]
 
     def test_workload_report_json(self, report_run):
         payload, _ = report_run

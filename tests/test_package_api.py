@@ -71,8 +71,7 @@ def test_top_level_import():
         (
             "repro.obs",
             ["AccessRecorder", "WindowedAccessRecorder", "TimeSeriesSampler",
-             "analyze", "mine_workload", "cache_efficacy", "fit_zipf",
-             "render_workload_report"],
+             "analyze", "mine_workload", "cache_efficacy", "fit_zipf"],
         ),
         (
             "repro.bench",
@@ -314,7 +313,7 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
     from repro.graph import AttributedHeterogeneousGraph, Graph
     from repro.nn import Embedding, Module, SparseGrad, Tensor
     from repro.nn.init import xavier_uniform
-    from repro.obs import TimeSeriesSampler, analyze, render_analysis
+    from repro.obs import TimeSeriesSampler, analyze
     from repro.ops import MaterializationCache, MaxPoolAggregator
     from repro.runtime import FaultPlan, HealthTracker, MetricsRegistry, StageProfiler, Tracer
     from repro.runtime.faults import FaultInjector
@@ -397,26 +396,28 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
         (LRUCache.get, {"default"}),
         (NeighborCache, {"get", "admit", "hit_rate"}),
         (ReplicaRegistry, {"holders", "replica_count", "n_tracked"}),
-        (CostAccumulator, {"merge"}),
+        (CostAccumulator, {"merge", "summary"}),
         (EmbeddingKVStore, {"row_versions", "cached_version_lag"}),
         (EmbeddingShard, {"rows", "read"}),
         (MaterializationCache, {"invalidate"}),
         (CsrAdjacency, {"n_slots", "row_of"}),
         (Tracer, {"reset", "current", "event"}),
-        (Tracer.render_tree, {"trace_id"}),
+        (Tracer, {"render_tree"}),
         (Span, {"to_dict"}),
         (StageProfiler, {"render"}),
         (MetricsRegistry, {"reset"}),
-        (MetricsRegistry.render, {"title"}),
+        (MetricsRegistry, {"render"}),
         (HealthTracker, {"reset", "state"}),
         (FaultInjector, {"reset"}),
         (FaultPlan, {"fault_free"}),
         (repro.utils.rng, {"spawn_rngs"}),
         (TimeSeriesSampler, {"to_dict"}),
         (TimeSeriesSampler.__init__, {"percentiles"}),
-        (repro.obs, {"ledger_event_totals", "render_critical_path"}),
+        (repro.obs, {"ledger_event_totals", "render_critical_path", "render_analysis",
+                     "render_workload_report"}),
         (analyze, {"tail_pct"}),
-        (render_analysis, {"max_traces"}),
+        (repro.obs.critical_path, {"render_analysis", "MAX_TRACES"}),
+        (repro.obs.workload, {"render_workload_report"}),
         (repro.storage.placement, {"attach_placement"}),
         (repro.runtime.export, {"write_chrome_trace"}),
         (RequestFlowBuckets, {"speedup"}),

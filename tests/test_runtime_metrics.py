@@ -135,16 +135,18 @@ def test_label_sets_that_render_alike_stay_distinct_series():
     assert sorted(v[0][1] for k, v in rows.items() if k.startswith("x{")) == [3, 5]
 
 
-def test_registry_render_and_reset():
+def test_summary_rows_cover_every_kind():
     reg = MetricsRegistry()
     reg.counter("a").inc(2)
     reg.gauge("b").set(7)
     reg.histogram("c").observe(1.0)
-    table = reg.render()
-    assert "runtime metrics" in table
-    assert "p99" in table  # SLO tables read the tail straight off the registry
-    for name, kind in (("a", "counter"), ("b", "gauge"), ("c", "histogram")):
-        assert name in table and kind in table
+    rows = reg.summary_rows()
+    assert [row[:3] for row in rows] == [
+        ["a", "counter", 2], ["b", "gauge", 7], ["c", "histogram", 1],
+    ]
+    assert rows[1][5] == "hw=7"
+    # SLO tables read the tail (p50 / p95 / p99) straight off the registry.
+    assert rows[2][3:] == [1.0, 1.0, 1.0, 1.0]
 
 
 def test_summary_rows_report_exact_tail_percentiles():
@@ -242,13 +244,10 @@ def test_cost_accumulator_summary_and_repr():
     acc = CostAccumulator(costs={"remote_rpc": 100.0, "local_read": 1.0})
     acc.record("remote_rpc", times=2)
     acc.record("local_read", times=5)
-    text = acc.summary()
-    lines = text.splitlines()
-    assert "event" in lines[0] and "total_ms" in lines[0]
-    # Heaviest contributor first, TOTAL last.
-    assert lines[1].split()[0] == "remote_rpc"
-    assert lines[-1].split()[0] == "TOTAL"
-    assert "0.205" in lines[-1]
+    assert acc.count("remote_rpc") == 2 and acc.count("bytes_sent") == 0
+    # Unpriced events are counted at no time: 2 x 100 us + 5 x 1 us.
+    acc.record("bytes_sent", times=64)
+    assert acc.modelled_micros() == 205.0 and acc.modelled_millis() == 0.205
     rep = repr(acc)
     assert "local_read:5" in rep and "remote_rpc:2" in rep and "ms" in rep
     assert repr(CostAccumulator()).startswith("CostAccumulator(empty")

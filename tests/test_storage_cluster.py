@@ -533,7 +533,7 @@ def _observable_state(store):
         "audit": store.replicas.audit(contents),
         "held_by": [store.replicas.held_by(p) for p in range(N_PARTS)],
         "clock": runtime.clock.now_us,
-        "metrics": runtime.metrics.render(),
+        "metrics": runtime.metrics.summary_rows(),
         "fault_rng": runtime.faults._rng.bit_generator.state,
         "store_rng": store._rng.bit_generator.state,
         "recorder": (
@@ -885,7 +885,7 @@ def test_malformed_ids_are_rejected_before_any_charge(read):
         return (
             dict(store.ledger.counts),
             [(c.hits, c.misses, c._lru.keys()) for c in caches],
-            store.runtime.metrics.render(),
+            store.runtime.metrics.summary_rows(),
             store.failed_workers,
             store.assignment.vertex_to_part.tolist(),
         )

@@ -439,12 +439,3 @@ def test_format_checkers_reject_garbage():
     assert check_chrome_trace("not json")
     assert check_chrome_trace({"traceEvents": [{"ph": "X"}]})
     assert check_chrome_trace({"no": "events"})
-
-
-def test_render_tree_shows_the_read_path():
-    tracer, _, _ = _traced_workload()
-    tree = tracer.render_tree()
-    assert tree.startswith("trace ")
-    for name in ("pipeline.sample", "store.resolve_read", "rpc.execute"):
-        assert name in tree
-    assert Tracer().render_tree() == "(no traces recorded)"
