@@ -22,6 +22,8 @@ from __future__ import annotations
 import os
 from functools import partial
 
+import numpy as np
+
 import repro
 from repro.bench import Experiment, ExperimentReport
 from repro.bench.timing import python_calls, time_arms
@@ -64,7 +66,7 @@ def _build(graph, arm: str) -> "tuple[SamplingPipeline, RpcRuntime]":
     if arm == "obs off":
         runtime.recorder = runtime.timeseries = None
     elif arm == "obs on":
-        runtime.recorder = AccessRecorder()
+        runtime.recorder = AccessRecorder(graph.n_vertices, N_WORKERS)
         runtime.timeseries = TimeSeriesSampler(
             runtime.metrics, runtime.clock, tick_us=TICK_US
         )
@@ -113,7 +115,7 @@ def _run(smoke: bool) -> ExperimentReport:
         },
         "obs on": {
             "reads_recorded": obs.recorder.total_reads,
-            "unique_vertices": len(obs.recorder.vertex_reads),
+            "unique_vertices": int(np.count_nonzero(obs.recorder.vertex_reads)),
             "ts_samples": obs.timeseries.n_samples,
             "series": len(obs.timeseries.series),
         },

@@ -108,12 +108,12 @@ def run_arm(
     store.attach_runtime(runtime)
     controller: "PlacementController | None" = None
     if adaptive:
-        # Installs its windowed recorder on the runtime.
+        # Installs its recorder on the runtime.
         controller = PlacementController(
             store, config=placement or PlacementConfig()
         )
     else:
-        runtime.recorder = AccessRecorder()
+        runtime.recorder = AccessRecorder(graph.n_vertices, workload.n_workers)
 
     latencies = np.zeros(len(schedule), dtype=np.float64)
     overhead_us = 0.0
@@ -133,10 +133,10 @@ def run_arm(
     measured = {
         "remote_rpcs": int(counts[EV_REMOTE_RPC]),
         "remote_reads": int(
-            sum(routes.get(r, 0) for r in ("remote", "failover", "suspect"))
+            sum(routes[r] for r in ("remote", "failover", "suspect"))
         ),
         "local_share": round(
-            (routes.get("local", 0) + routes.get("cache_hit", 0))
+            (routes["local"] + routes["cache_hit"])
             / total_reads,
             6,
         )

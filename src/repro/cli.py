@@ -361,7 +361,7 @@ def _run_sampled_workload(args: argparse.Namespace, instrumented: bool = False):
     tracer = Tracer(seed=args.seed) if instrumented else None
     graph, store, runtime, pipeline = _build_sampled_workload(args, tracer)
     if instrumented:
-        runtime.recorder = AccessRecorder()
+        runtime.recorder = AccessRecorder(graph.n_vertices, len(store.servers))
         runtime.timeseries = TimeSeriesSampler(
             runtime.metrics, runtime.clock, tick_us=_REPORT_TICK_US
         )

@@ -27,7 +27,6 @@ from repro.obs.timeseries import TimeSeriesSampler
 from repro.obs.workload import (
     ROUTES,
     AccessRecorder,
-    WindowedAccessRecorder,
     cache_efficacy,
     fit_zipf,
     mine_workload,
@@ -38,7 +37,6 @@ __all__ = [
     "ROUTES",
     "SEGMENTS",
     "TimeSeriesSampler",
-    "WindowedAccessRecorder",
     "analyze",
     "cache_efficacy",
     "classify_span",

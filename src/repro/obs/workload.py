@@ -7,9 +7,9 @@ RPCs", never "for which vertex" — so this module adds the missing per-key
 stream and the miners over it:
 
 * :class:`AccessRecorder` — rides the runtime as ``runtime.recorder``
-  (``None`` = off); the store feeds it one call per resolved read,
-  ``(vertex, owner, issuer, route)``. Counters only — no clock reads, no
-  allocation beyond the `Counter` cells. (A served request is its
+  (``None`` = off); the store feeds it one call per read arm,
+  ``(vertices, owners, issuer, route)``. Count arrays sized once — no
+  clock reads, no growth with the stream. (A served request is its
   :class:`~repro.serving.requests.ServeRecord`; the recorder keeps no copy.)
 * :func:`mine_workload` — per-vertex access-frequency table (top-k hot
   list), partition-to-partition traffic matrix, locality share and a
@@ -25,8 +25,6 @@ compare equal with ``==``.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import numpy as np
 
@@ -44,111 +42,93 @@ ROUTES = (
 )
 
 
-class AccessRecorder:
-    """Per-vertex access stream the store's read path feeds.
-
-    ``record`` is called once per resolved read with the vertex, its owning
-    partition, the issuing partition and the route the store's read path
-    chose (one of :data:`ROUTES`); a batch's reads arrive arm by arm (local,
-    cache hits, replica routes, remote), not in batch order. The recorder
-    only increments counters, so the stream adds a dict update per read
-    when installed and one ``is not None`` check per arm when not.
-    """
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        #: vertex -> total reads, regardless of route.
-        self.vertex_reads: Counter = Counter()
-        #: vertex -> reads where owner != issuer (what a cache could save).
-        self.cross_part_reads: Counter = Counter()
-        #: vertex -> owning partition (static under a fixed assignment).
-        self.vertex_owner: "dict[int, int]" = {}
-        #: route name -> reads.
-        self.route_reads: Counter = Counter()
-        #: (issuer, owner) -> reads; the diagonal is local traffic.
-        self.traffic: Counter = Counter()
-
-    # ------------------------------------------------------------------ #
-    # Hooks
-    # ------------------------------------------------------------------ #
-    def record(self, vertex: int, owner: int, issuer: int, route: str) -> None:
-        self.vertex_reads[vertex] += 1
-        self.vertex_owner[vertex] = owner
-        self.route_reads[route] += 1
-        self.traffic[(issuer, owner)] += 1
-        if owner != issuer:
-            self.cross_part_reads[vertex] += 1
-
-    @property
-    def total_reads(self) -> int:
-        return sum(self.route_reads.values())
-
-
 #: Routes that actually left the issuing server (a replica or migration
 #: could have saved them). ``cache_hit`` is excluded: those reads were
 #: already served locally.
 REMOTE_ROUTES = frozenset({"remote", "failover", "suspect"})
 
-#: Keys pruned from the decayed maps once their weight drops below this —
-#: keeps roll() cost proportional to the *recent* working set, not history.
+#: Decayed weights that fall below this on a roll are zeroed, so an entry
+#: nothing reads again leaves the placement scans' working set.
 _DECAY_EPS = 1e-6
 
 
-class WindowedAccessRecorder(AccessRecorder):
-    """Access recorder with exponentially-decayed per-window statistics.
+class AccessRecorder:
+    """Per-vertex access counts the store's read path feeds, one arm at a time.
 
-    Cumulative counters can't see a hot set *shift* — a vertex read a
-    million times an hour ago outranks everything read this second. The
-    placement controller instead consumes this recorder's decayed view, the
-    two maps it reads: ``decayed_issuer_reads`` (every route) and
-    ``decayed_remote_reads`` (reads that left the issuer), both keyed by
-    ``(vertex, issuer)``. Each :meth:`roll` (one decision epoch) multiplies
-    every decayed weight by ``decay`` and folds in the window just ended, so
-    a key untouched for ``k`` windows carries ``decay**k`` of its old
-    weight. The cumulative base-class view is untouched — existing miners
-    and reports see exactly the counts a plain :class:`AccessRecorder`
-    would have.
+    :meth:`record` takes one arm of a resolved read: its ids (distinct
+    within the read), their owning partitions, the issuing partition and
+    the route the read path chose (one of :data:`ROUTES`). The store makes
+    one call per bulk arm (local, cache hits, each remote response) and one
+    per vertex on the scalar arms (failover, suspect routing, degraded).
+    Every count lives in an array indexed by vertex (and issuer), so the
+    recorder holds ``O(n·p)`` memory for ``n`` vertices and ``p`` parts,
+    whatever the stream's length.
+
+    Two views, both fed by every call:
+
+    * cumulative — ``vertex_reads``, ``cross_part_reads`` (reads where the
+      owner is not the issuer) and ``vertex_owner`` (the last owner seen,
+      ``-1`` if never read) by vertex, the ``(issuer, owner)`` ``traffic``
+      matrix and ``route_reads`` by route; the miners read these.
+    * decayed — ``decayed_issuer_reads`` (every route) and
+      ``decayed_remote_reads`` (:data:`REMOTE_ROUTES`) by ``(vertex,
+      issuer)``. Reads count in the current window until :meth:`roll`
+      closes it, so an entry untouched for ``k`` rolls carries ``decay**k``
+      of its old weight. The placement controller reads these: cumulative
+      counts cannot see a hot set shift.
     """
 
-    def __init__(self, decay: float = 0.5) -> None:
-        if not 0.0 <= decay < 1.0:
-            raise ReproError(f"decay must be in [0, 1), got {decay}")
-        self.decay = float(decay)
-        super().__init__()
+    def __init__(self, n_vertices: int, n_parts: int) -> None:
+        self.n_parts = int(n_parts)
+        self.vertex_reads = np.zeros(n_vertices, dtype=np.int64)
+        self.cross_part_reads = np.zeros(n_vertices, dtype=np.int64)
+        self.vertex_owner = np.full(n_vertices, -1, dtype=np.int64)
+        #: ``(issuer, owner)`` -> reads; the diagonal is local traffic.
+        self.traffic = np.zeros((n_parts, n_parts), dtype=np.int64)
+        self.route_reads = dict.fromkeys(ROUTES, 0)
+        self._window_reads = np.zeros((n_vertices, n_parts), dtype=np.int64)
+        self._window_remote = np.zeros((n_vertices, n_parts), dtype=np.int64)
+        self.decayed_issuer_reads = np.zeros((n_vertices, n_parts))
+        self.decayed_remote_reads = np.zeros((n_vertices, n_parts))
 
-    def reset(self) -> None:
-        super().reset()
-        # Current (un-rolled) window, raw counts.
-        self._win_issuer: Counter = Counter()  # (vertex, issuer) all routes
-        self._win_remote: Counter = Counter()  # (vertex, issuer) remote only
-        # Decayed accumulators, folded on roll().
-        self.decayed_issuer_reads: "dict[tuple[int, int], float]" = {}
-        self.decayed_remote_reads: "dict[tuple[int, int], float]" = {}
-
-    def record(self, vertex: int, owner: int, issuer: int, route: str) -> None:
-        super().record(vertex, owner, issuer, route)
-        self._win_issuer[(vertex, issuer)] += 1
+    def record(
+        self,
+        vertices: "np.ndarray | int",
+        owners: "np.ndarray | int",
+        issuer: int,
+        route: str,
+    ) -> None:
+        """Count one arm: ``vertices`` (distinct) read by ``issuer`` over
+        ``route``, owned by ``owners`` (one per vertex, or one for all)."""
+        n = np.size(vertices)
+        self.vertex_reads[vertices] += 1
+        self.vertex_owner[vertices] = owners
+        self.route_reads[route] += n
+        self._window_reads[vertices, issuer] += 1
         if route in REMOTE_ROUTES:
-            self._win_remote[(vertex, issuer)] += 1
+            self._window_remote[vertices, issuer] += 1
+        if np.ndim(owners):
+            self.traffic[issuer] += np.bincount(owners, minlength=self.n_parts)
+            self.cross_part_reads[vertices[owners != issuer]] += 1
+        else:
+            self.traffic[issuer, owners] += n
+            if owners != issuer:
+                self.cross_part_reads[vertices] += 1
 
-    @staticmethod
-    def _fold(decayed: dict, window: Counter, decay: float) -> None:
-        for key in list(decayed):
-            weight = decayed[key] * decay
-            if weight < _DECAY_EPS:
-                del decayed[key]
-            else:
-                decayed[key] = weight
-        for key, count in window.items():
-            decayed[key] = decayed.get(key, 0.0) + float(count)
-        window.clear()
+    def roll(self, decay: float) -> None:
+        """Close the current window: decay history, then add the window in."""
+        for decayed, window in (
+            (self.decayed_issuer_reads, self._window_reads),
+            (self.decayed_remote_reads, self._window_remote),
+        ):
+            decayed *= decay
+            decayed[decayed < _DECAY_EPS] = 0.0
+            decayed += window
+            window.fill(0)
 
-    def roll(self) -> None:
-        """Close the current window: decay history, fold the window in."""
-        self._fold(self.decayed_issuer_reads, self._win_issuer, self.decay)
-        self._fold(self.decayed_remote_reads, self._win_remote, self.decay)
+    @property
+    def total_reads(self) -> int:
+        return sum(self.route_reads.values())
 
 
 # ---------------------------------------------------------------------- #
@@ -209,10 +189,11 @@ def mine_workload(recorder: AccessRecorder, top_k: int = 20) -> dict:
     rather than raising, so reports compose into pipelines.
     """
     total = recorder.total_reads
+    read = np.flatnonzero(recorder.vertex_reads)
     report: dict = {
         "total_reads": total,
-        "unique_vertices": len(recorder.vertex_reads),
-        "routes": {r: int(recorder.route_reads.get(r, 0)) for r in ROUTES},
+        "unique_vertices": int(read.size),
+        "routes": dict(recorder.route_reads),
     }
     if total == 0:
         report.update(
@@ -226,33 +207,33 @@ def mine_workload(recorder: AccessRecorder, top_k: int = 20) -> dict:
         )
         return report
 
-    hot = sorted(
-        recorder.vertex_reads.items(), key=lambda kv: (-kv[1], kv[0])
-    )[:top_k]
+    counts = recorder.vertex_reads[read]
+    # ``read`` ascends, so a stable sort on the counts breaks ties by id.
+    hot = read[np.argsort(-counts, kind="stable")[:top_k]]
     report["hot_vertices"] = [
         {
-            "vertex": int(v),
-            "reads": int(c),
+            "vertex": v,
+            "reads": c,
             "share": round(c / total, 6),
-            "owner": int(recorder.vertex_owner[v]),
-            "cross_part": int(recorder.cross_part_reads.get(v, 0)),
+            "owner": owner,
+            "cross_part": cross,
         }
-        for v, c in hot
+        for v, c, owner, cross in zip(
+            hot.tolist(),
+            recorder.vertex_reads[hot].tolist(),
+            recorder.vertex_owner[hot].tolist(),
+            recorder.cross_part_reads[hot].tolist(),
+        )
     ]
 
-    parts = sorted(
-        {p for pair in recorder.traffic for p in pair}
-        | set(recorder.vertex_owner.values())
-    )
-    index = {p: i for i, p in enumerate(parts)}
-    matrix = [[0] * len(parts) for _ in parts]
-    for (issuer, owner), c in recorder.traffic.items():
-        matrix[index[issuer]][index[owner]] += int(c)
-    local = sum(matrix[i][i] for i in range(len(parts)))
-    report["parts"] = [int(p) for p in parts]
-    report["traffic_matrix"] = matrix
-    report["local_share"] = round(local / total, 6)
-    report["zipf"] = fit_zipf(list(recorder.vertex_reads.values()))
+    # Every part that issued or owned a read: each read counts in the
+    # traffic matrix, so its row and column cover every owner seen.
+    traffic = recorder.traffic
+    parts = np.flatnonzero(traffic.any(axis=0) | traffic.any(axis=1))
+    report["parts"] = parts.tolist()
+    report["traffic_matrix"] = traffic[np.ix_(parts, parts)].tolist()
+    report["local_share"] = round(int(np.trace(traffic)) / total, 6)
+    report["zipf"] = fit_zipf(counts)
     return report
 
 
@@ -275,19 +256,18 @@ def cache_efficacy(recorder: AccessRecorder, cost_model: "object") -> dict:
     """
     remote_us = float(cost_model.remote_rpc_us)
     hit_us = float(cost_model.cache_hit_us)
-    cross = sorted(
-        recorder.cross_part_reads.items(), key=lambda kv: (-kv[1], kv[0])
-    )
-    cross_total = sum(c for _, c in cross)
+    cross = recorder.cross_part_reads
+    cross = np.sort(cross[cross > 0])[::-1]
+    cross_total = int(cross.sum())
     worst_us = cross_total * remote_us
 
-    observed_hits = int(recorder.route_reads.get("cache_hit", 0))
+    observed_hits = int(recorder.route_reads["cache_hit"])
     observed_remote = cross_total - observed_hits
     observed_us = observed_hits * hit_us + observed_remote * remote_us
 
     rows = []
     for k in CAPACITIES:
-        saved_reads = sum(c for _, c in cross[: int(k)])
+        saved_reads = int(cross[: int(k)].sum())
         oracle_us = saved_reads * hit_us + (cross_total - saved_reads) * remote_us
         rows.append(
             {
@@ -303,7 +283,7 @@ def cache_efficacy(recorder: AccessRecorder, cost_model: "object") -> dict:
         )
     return {
         "cross_part_reads": int(cross_total),
-        "unique_cross_part_vertices": len(cross),
+        "unique_cross_part_vertices": int(cross.size),
         "uncached_us": round(worst_us, 3),
         "observed": {
             "cache_hits": observed_hits,

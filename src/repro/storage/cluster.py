@@ -242,17 +242,14 @@ class DistributedGraphStore:
                 return row
         return None
 
-    def _read_unavailable(
-        self, vertex: int, kind: str, from_part: int = -1
-    ) -> np.ndarray:
+    def _read_unavailable(self, vertex: int, kind: str, from_part: int) -> np.ndarray:
         """Last resort for a read no server or replica can serve."""
         if self.degraded_reads and kind == KIND_NEIGHBORS:
             self.ledger.record(EV_DEGRADED_READ)
-            if self.runtime is not None:
-                self.runtime.metrics.counter("reads.degraded").inc()
-                rec = self.runtime.recorder
-                if rec is not None and from_part >= 0:
-                    rec.record(vertex, self.owner(vertex), from_part, "degraded")
+            self.runtime.metrics.counter("reads.degraded").inc()
+            rec = self.runtime.recorder
+            if rec is not None:
+                rec.record(vertex, self.owner(vertex), from_part, "degraded")
             return np.zeros(0, dtype=np.int64)
         raise ReadUnavailableError(vertex, self.owner(vertex), kind)
 
@@ -368,9 +365,8 @@ class DistributedGraphStore:
                 was_cached = v in issuer.attrs.iv_cache
                 rows[v] = issuer.local_vertex_attr(v)
                 ledger.record(EV_ATTR_CACHE_HIT if was_cached else EV_ATTR_DECODE)
-        if rec is not None:
-            for v in local.tolist():
-                rec.record(v, from_part, from_part, "local")
+        if rec is not None and local.size:
+            rec.record(local, from_part, from_part, "local")
 
         missed = foreign
         if neighbors and foreign.size:
@@ -379,8 +375,7 @@ class DistributedGraphStore:
                 blocks.append(hits)
                 ledger.record(EV_CACHE_HIT, times=hits.ids.size)
                 if rec is not None:
-                    for v in hits.ids.tolist():
-                        rec.record(v, int(vertex_to_part[v]), from_part, "cache_hit")
+                    rec.record(hits.ids, vertex_to_part[hits.ids], from_part, "cache_hit")
 
         # Only a fail-stopped or suspect owner needs per-vertex routing
         # (attribute rows have no replicas to route a suspect's reads to).
@@ -425,8 +420,7 @@ class DistributedGraphStore:
                 payload = resp.payload
                 ledger.record(EV_REMOTE_RPC)
                 if rec is not None:
-                    for v in req.vertices.tolist():
-                        rec.record(v, req.dst_part, from_part, "remote")
+                    rec.record(req.vertices, req.dst_part, from_part, "remote")
                 if neighbors:
                     shipped.append(payload)
                     ledger.record(EV_ITEM_SHIPPED, times=resp.n_items)

@@ -7,8 +7,8 @@ and which edges cross the cut). This module closes the observe → decide →
 migrate loop on the virtual clock:
 
 * a :class:`PlacementController` consumes the decayed per-vertex /
-  per-issuer statistics of a :class:`~repro.obs.workload.
-  WindowedAccessRecorder` once per decision epoch;
+  per-issuer statistics of an :class:`~repro.obs.workload.AccessRecorder`
+  once per decision epoch;
 * **replica promotion/demotion** prices each candidate with the §4 cost
   model (:meth:`CostModel.replication_gain_us`) instead of the static
   importance heuristic: pin where the modelled remote-read savings beat the
@@ -29,7 +29,8 @@ The fault model rolls drop/timeout *before* serving, so a release that
 fails after retries provably never executed: the controller rolls the
 staged copy back and the vertex simply stays put (exactly-once semantics).
 
-Everything is deterministic: candidate scans iterate sorted keys, ties
+Everything is deterministic: candidate scans visit ``(vertex, issuer)``
+entries in order, ties
 break on vertex id, and per-epoch reports are plain dicts — two same-seed
 runs produce bit-identical decision sequences.
 """
@@ -40,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.workload import WindowedAccessRecorder
+from repro.errors import StorageError
+from repro.obs.workload import AccessRecorder
 from repro.storage.cache import make_pinned_cache
 from repro.storage.cluster import DistributedGraphStore
 from repro.storage.costmodel import (
@@ -61,7 +63,8 @@ class PlacementConfig:
 
     #: Virtual-clock time between decision epochs.
     epoch_us: float = 20_000.0
-    #: Exponential decay per window for the recorder's recency weighting.
+    #: Exponential decay per window for the recorder's recency weighting,
+    #: in ``[0, 1)``.
     decay: float = 0.5
     #: Pin slots ensured on every server's neighbor cache so promotions
     #: have somewhere to land (servers with a larger policy cache keep it).
@@ -90,13 +93,17 @@ class PlacementConfig:
     #: the mean vertex count (same bound the partitioners target).
     balance_limit: float = 1.6
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.decay < 1.0:
+            raise StorageError(f"decay must be in [0, 1), got {self.decay}")
+
 
 class PlacementController:
     """Online placement decisions over a :class:`DistributedGraphStore`.
 
-    Construction adopts the :class:`WindowedAccessRecorder` riding the
-    store's runtime (``runtime.recorder``), installing one there when the
-    runtime carries none or a plain recorder, and registers the migration
+    Construction adopts the :class:`AccessRecorder` riding the store's
+    runtime (``runtime.recorder``), installing one there when the runtime
+    carries none, and registers the migration
     protocol verbs; :meth:`poll` — cheap enough to call per request — fires
     :meth:`run_epoch` whenever the virtual clock crosses the next epoch
     boundary. One controller per runtime: the protocol verbs cannot be
@@ -111,9 +118,11 @@ class PlacementController:
         self.store = store
         self.config = config or PlacementConfig()
         self.runtime = store._ensure_runtime()
-        if not isinstance(self.runtime.recorder, WindowedAccessRecorder):
-            self.runtime.recorder = WindowedAccessRecorder(decay=self.config.decay)
-        self.recorder: WindowedAccessRecorder = self.runtime.recorder
+        if self.runtime.recorder is None:
+            self.runtime.recorder = AccessRecorder(
+                store.graph.n_vertices, len(store.servers)
+            )
+        self.recorder: AccessRecorder = self.runtime.recorder
         self.runtime.register_service(KIND_MIGRATE_FETCH, self._serve_fetch)
         self.runtime.register_service(KIND_MIGRATE_RELEASE, self._serve_release)
         self._ensure_caches()
@@ -192,7 +201,7 @@ class PlacementController:
             self._tokens + float(cfg.migrate_items_per_epoch),
         )
         with self.runtime.tracer.span("placement.epoch", epoch=epoch):
-            self.recorder.roll()
+            self.recorder.roll(cfg.decay)
             demoted = self._demote_pass()
             migrated, migrate_items, aborted = self._migrate_pass()
             promoted = self._promote_pass()
@@ -227,7 +236,7 @@ class PlacementController:
                     return demoted
                 now_local = self.store.owner(v) == part
                 if not now_local:
-                    if weights.get((v, part), 0.0) * per_read >= keep_floor:
+                    if weights[v, part] * per_read >= keep_floor:
                         continue
                 cache.unpin(v)
                 self.store.ledger.record(EV_REPLICA_DROP)
@@ -235,19 +244,25 @@ class PlacementController:
                 demoted += 1
         return demoted
 
+    def _remote_weights(self) -> "zip":
+        """``(vertex, issuer, weight)`` of every nonzero decayed remote
+        weight at or above the decision floor, in ``(vertex, issuer)`` order."""
+        remote = self.recorder.decayed_remote_reads
+        floor = self.config.min_decision_weight
+        vertices, issuers = np.nonzero((remote != 0.0) & (remote >= floor))
+        return zip(
+            vertices.tolist(), issuers.tolist(), remote[vertices, issuers].tolist()
+        )
+
     # -- migration ----------------------------------------------------- #
     def _migrate_candidates(self) -> "list[tuple[float, int, int, int, int]]":
         """Ranked ``(gain, vertex, src, dst, items)`` migration candidates."""
         cfg = self.config
         cost = self.store.cost_model
-        remote = self.recorder.decayed_remote_reads
         all_reads = self.recorder.decayed_issuer_reads
         # Dominant remote reader per vertex (ties -> smaller part id).
         best: "dict[int, tuple[float, int]]" = {}
-        for (v, issuer) in sorted(remote):
-            w = remote[(v, issuer)]
-            if w < cfg.min_decision_weight:
-                continue
+        for v, issuer, w in self._remote_weights():
             cur = best.get(v)
             if cur is None or w > cur[0]:
                 best[v] = (w, issuer)
@@ -261,7 +276,7 @@ class PlacementController:
                 continue
             if target in self.store.failed_workers:
                 continue
-            w_owner = all_reads.get((v, owner), 0.0)
+            w_owner = float(all_reads[v, owner])
             if w_target < cfg.migrate_dominance * max(w_owner, 1e-12):
                 continue
             server = self.store.servers[owner]
@@ -366,12 +381,8 @@ class PlacementController:
         """Pin hot remote vertices where the §4 cost model says they pay."""
         cfg = self.config
         cost = self.store.cost_model
-        remote = self.recorder.decayed_remote_reads
         scored: "list[tuple[float, int, int]]" = []
-        for (v, issuer) in sorted(remote):
-            w = remote[(v, issuer)]
-            if w < cfg.min_decision_weight:
-                continue
+        for v, issuer, w in self._remote_weights():
             owner = self.store.owner(v)
             if owner == issuer or owner in self.store.failed_workers:
                 continue

@@ -1,7 +1,5 @@
 """The six in-house models: behavioral contracts from the paper."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,6 @@ from repro.algorithms import (
     HierarchicalGNN,
     MixtureGNN,
 )
-from repro.bench.timing import assert_faster, time_arms
 from repro.data import dynamic_taobao, knowledge_graph, train_test_split_edges
 from repro.errors import TrainingError
 from repro.tasks import evaluate_link_prediction
@@ -44,10 +41,12 @@ def test_hep_beats_random(amazon_split):
 
 
 def test_ahep_faster_and_lighter_than_hep():
-    """The Figure 10 contract: AHEP uses less time and memory per batch.
+    """The Figure 10 contract: AHEP touches fewer embedding rows per batch.
 
-    Run at a scale where neighbor-row gathering dominates (dense graph,
-    large cap/dim) so the timing claim is about real work, not noise.
+    The time half of the claim is a wall-clock race, so it lives in the
+    ``fig10`` experiment's check (AHEP at least 1.5x faster per batch),
+    which ``repro bench-compare --smoke`` runs; this test holds the
+    deterministic memory half.
     """
     from repro.data import taobao_graph
 
@@ -55,15 +54,9 @@ def test_ahep_faster_and_lighter_than_hep():
         n_users=300, n_items=100, mean_user_degree=40.0,
         mean_item_out_degree=20.0, seed=4,
     )
-    # dim=512 puts the cap-proportional row gather firmly in charge
-    # (~2x separation); at dim=128 the per-vertex Python bookkeeping --
-    # identical across both models -- swamps it and the comparison is a
-    # coin flip.
-    hep = HEP(dim=512, steps=6, neighbor_cap=64, batch_size=256, seed=0)
-    ahep = AHEP(dim=512, steps=6, neighbor_cap=4, batch_size=256, seed=0)
-    timings = time_arms({"hep": partial(hep.fit, dense), "ahep": partial(ahep.fit, dense)}, 5)
+    hep = HEP(dim=32, steps=6, neighbor_cap=64, batch_size=256, seed=0).fit(dense)
+    ahep = AHEP(dim=32, steps=6, neighbor_cap=4, batch_size=256, seed=0).fit(dense)
     assert ahep.peak_batch_rows < hep.peak_batch_rows
-    assert_faster(timings["hep"], timings["ahep"], 1.0)
 
 
 def test_ahep_quality_close_to_hep(amazon_split):

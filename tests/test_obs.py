@@ -20,7 +20,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tests import access_oracle
 from tests.conftest import BENCH_DIR, REPORT_ARGV
 from tests.format_checkers import (
     check_chrome_trace,
@@ -67,7 +70,7 @@ from repro.sampling import (
     UniformNeighborSampler,
     VertexTraverseSampler,
 )
-from repro.storage import ImportanceCachePolicy
+from repro.storage import CostModel, ImportanceCachePolicy
 from repro.storage.cluster import make_store
 from repro.utils.rng import make_rng
 
@@ -87,7 +90,7 @@ def _instrumented_workload(seed=0, steps=3, tick_us=500.0):
     tracer = Tracer(seed=seed)
     runtime = RpcRuntime(store, tracer=tracer)
     store.attach_runtime(runtime)
-    recorder = runtime.recorder = AccessRecorder()
+    recorder = runtime.recorder = AccessRecorder(graph.n_vertices, 4)
     sampler = runtime.timeseries = TimeSeriesSampler(
         runtime.metrics, runtime.clock, tick_us=tick_us
     )
@@ -254,21 +257,78 @@ class TestCriticalPath:
         assert all(v == 0.0 for v in report["segments_total"].values())
 
 
+def _nonzero(counts: np.ndarray) -> dict:
+    """The nonzero cells of a count array as a dict keyed like the oracle's
+    maps: a vertex id for a 1-D array, an index tuple otherwise."""
+    index = np.nonzero(counts)
+    keys = list(zip(*(i.tolist() for i in index)))
+    if counts.ndim == 1:
+        keys = [k for (k,) in keys]
+    return dict(zip(keys, counts[index].tolist()))
+
+
 # --------------------------------------------------------------------- #
 # Workload mining
 # --------------------------------------------------------------------- #
 class TestWorkloadMining:
     def test_recorder_routes_and_traffic(self):
-        rec = AccessRecorder()
-        rec.record(7, owner=1, issuer=0, route="remote")
-        rec.record(7, owner=1, issuer=0, route="remote")
-        rec.record(3, owner=0, issuer=0, route="local")
+        rec = AccessRecorder(10, 2)
+        rec.record(np.array([7, 4]), owners=np.array([1, 0]), issuer=0, route="cache_hit")
+        rec.record(7, owners=1, issuer=0, route="remote")
+        rec.record(np.array([3]), owners=0, issuer=0, route="local")
         assert rec.vertex_reads[7] == 2
-        assert rec.route_reads["remote"] == 2
-        assert rec.traffic[(0, 1)] == 2
-        assert rec.cross_part_reads[7] == 2  # per-vertex counter
-        assert 3 not in rec.cross_part_reads
-        assert rec.total_reads == 3
+        assert rec.route_reads == {
+            "local": 1, "cache_hit": 2, "remote": 1, "failover": 0, "suspect": 0, "degraded": 0
+        }
+        assert rec.traffic.tolist() == [[2, 2], [0, 0]]
+        assert rec.cross_part_reads.tolist() == [0, 0, 0, 0, 0, 0, 0, 2, 0, 0]
+        assert rec.vertex_owner[[3, 4, 7, 9]].tolist() == [0, 0, 1, -1]
+        assert rec.total_reads == 4
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_columnar_recorder_matches_per_vertex_oracle(self, data):
+        """Random arm streams with rolls interleaved: after every roll the
+        columnar recorder equals the per-vertex ``Counter`` oracle — the
+        cumulative maps, every nonzero decayed weight as the same float,
+        and both miners' reports."""
+        n, p = data.draw(st.integers(1, 24)), data.draw(st.integers(1, 4))
+        part = st.integers(0, p - 1)
+        rec, oracle = AccessRecorder(n, p), access_oracle.WindowedCounterRecorder()
+        for _ in range(data.draw(st.integers(1, 12))):
+            for _ in range(data.draw(st.integers(0, 6))):
+                ids = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+                issuer, route = data.draw(part), data.draw(st.sampled_from(ROUTES))
+                owners = data.draw(part | st.lists(part, min_size=len(ids), max_size=len(ids)))
+                if isinstance(owners, list):
+                    per_vertex, owners = owners, np.array(owners)
+                else:
+                    per_vertex = [owners] * len(ids)
+                if len(ids) == 1 and data.draw(st.booleans()):  # a scalar arm's call
+                    rec.record(ids[0], per_vertex[0], issuer, route)
+                else:
+                    rec.record(np.array(ids), owners, issuer, route)
+                for v, owner in zip(ids, per_vertex):
+                    oracle.record(v, owner, issuer, route)
+            decay = data.draw(st.sampled_from([0.0, 0.1, 0.5]) | st.floats(0.0, 1.0, exclude_max=True))
+            rec.roll(decay)
+            oracle.roll(decay)
+
+            assert _nonzero(rec.vertex_reads) == oracle.vertex_reads
+            assert _nonzero(rec.cross_part_reads) == oracle.cross_part_reads
+            assert _nonzero(rec.traffic) == oracle.traffic
+            assert rec.route_reads == {r: oracle.route_reads[r] for r in ROUTES}
+            seen = rec.vertex_owner >= 0
+            assert dict(zip(np.flatnonzero(seen).tolist(), rec.vertex_owner[seen].tolist())) == (
+                oracle.vertex_owner
+            )
+            assert _nonzero(rec.decayed_issuer_reads) == oracle.decayed_issuer_reads
+            assert _nonzero(rec.decayed_remote_reads) == oracle.decayed_remote_reads
+            top_k = data.draw(st.integers(1, 8))
+            assert mine_workload(rec, top_k) == access_oracle.mine_workload(oracle, top_k)
+            assert cache_efficacy(rec, CostModel()) == access_oracle.cache_efficacy(
+                oracle, CostModel()
+            )
 
     def test_fit_zipf_recovers_exponent(self):
         rng = make_rng(0)
@@ -304,7 +364,7 @@ class TestWorkloadMining:
         )
 
     def test_mine_workload_empty(self):
-        report = mine_workload(AccessRecorder())
+        report = mine_workload(AccessRecorder(10, 2))
         assert report["total_reads"] == 0
         assert report["hot_vertices"] == []
         assert report["zipf"] is None
@@ -312,7 +372,7 @@ class TestWorkloadMining:
     def test_cache_efficacy_oracle_dominates_observed(self):
         _, _, store, rec, _ = _instrumented_workload()
         eff = cache_efficacy(rec, store.cost_model)
-        assert eff["cross_part_reads"] == sum(rec.cross_part_reads.values())
+        assert eff["cross_part_reads"] == rec.cross_part_reads.sum()
         saved = [row["saved_vs_uncached"] for row in eff["oracle"]]
         # More capacity never saves less.
         assert saved == sorted(saved)

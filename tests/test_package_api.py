@@ -70,7 +70,7 @@ def test_top_level_import():
         ),
         (
             "repro.obs",
-            ["AccessRecorder", "WindowedAccessRecorder", "TimeSeriesSampler",
+            ["AccessRecorder", "TimeSeriesSampler",
              "analyze", "mine_workload", "cache_efficacy", "fit_zipf"],
         ),
         (
@@ -414,10 +414,11 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
         (TimeSeriesSampler, {"to_dict"}),
         (TimeSeriesSampler.__init__, {"percentiles"}),
         (repro.obs, {"ledger_event_totals", "render_critical_path", "render_analysis",
-                     "render_workload_report"}),
+                     "render_workload_report", "WindowedAccessRecorder"}),
         (analyze, {"tail_pct"}),
         (repro.obs.critical_path, {"render_analysis", "MAX_TRACES"}),
-        (repro.obs.workload, {"render_workload_report"}),
+        (repro.obs.workload, {"render_workload_report", "WindowedAccessRecorder"}),
+        (repro.obs.workload.AccessRecorder, {"reset", "_fold"}),
         (repro.storage.placement, {"attach_placement"}),
         (repro.runtime.export, {"write_chrome_trace"}),
         (RequestFlowBuckets, {"speedup"}),

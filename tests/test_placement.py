@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import StorageError
 from repro.graph.dynamic import EdgeEvent
-from repro.obs import AccessRecorder, WindowedAccessRecorder
+from repro.obs import AccessRecorder
 from repro.runtime import FaultPlan, RpcRuntime
 from repro.storage import CostModel, ImportanceCachePolicy
 from repro.storage.cluster import make_store
@@ -18,6 +18,7 @@ from repro.storage.costmodel import (
 )
 from repro.storage.placement import PlacementConfig, PlacementController
 from repro.utils.rng import make_rng
+from tests.access_oracle import CounterRecorder
 from tests.conftest import replica_holders
 
 
@@ -25,50 +26,58 @@ from tests.conftest import replica_holders
 # Windowed recorder
 # ---------------------------------------------------------------------- #
 def test_windowed_recorder_cumulative_view_matches_plain():
-    plain, windowed = AccessRecorder(), WindowedAccessRecorder(decay=0.5)
+    # Rolling the window leaves the cumulative view exactly what the plain
+    # per-vertex recorder counts.
+    rec, plain = AccessRecorder(50, 4), CounterRecorder()
     rng = make_rng(3)
     for _ in range(200):
         v = int(rng.integers(50))
         issuer = int(rng.integers(4))
         owner = int(rng.integers(4))
         route = "local" if issuer == owner else "remote"
+        rec.record(v, owner, issuer, route)
         plain.record(v, owner, issuer, route)
-        windowed.record(v, owner, issuer, route)
-    windowed.roll()
-    assert windowed.vertex_reads == plain.vertex_reads
-    assert windowed.route_reads == plain.route_reads
-    assert windowed.traffic == plain.traffic
+        if rng.random() < 0.1:
+            rec.roll(0.5)
+    read = np.flatnonzero(rec.vertex_reads)
+    assert dict(zip(read.tolist(), rec.vertex_reads[read].tolist())) == plain.vertex_reads
+    assert rec.route_reads == {r: plain.route_reads[r] for r in rec.route_reads}
+    assert {
+        (i, o): c for (i, o), c in np.ndenumerate(rec.traffic) if c
+    } == plain.traffic
 
 
 def test_windowed_recorder_tracks_hot_set_shift():
-    rec = WindowedAccessRecorder(decay=0.5)
+    rec = AccessRecorder(3, 3)
     for _ in range(10):
-        rec.record(1, owner=0, issuer=2, route="remote")
-    rec.roll()
+        rec.record(1, owners=0, issuer=2, route="remote")
+    rec.roll(0.5)
     for _ in range(10):
-        rec.record(2, owner=0, issuer=2, route="remote")
-    rec.roll()
+        rec.record(2, owners=0, issuer=2, route="remote")
+    rec.roll(0.5)
     # Cumulatively equal, but recency says vertex 2 is the hot one now.
     assert rec.vertex_reads[1] == rec.vertex_reads[2] == 10
-    assert rec.decayed_issuer_reads[(2, 2)] > rec.decayed_issuer_reads[(1, 2)]
-    assert rec.decayed_issuer_reads[(1, 2)] == 5.0
-    assert rec.decayed_remote_reads[(2, 2)] == 10.0
-    assert rec.decayed_remote_reads[(1, 2)] == 5.0  # one half-life
+    assert rec.decayed_issuer_reads[2, 2] > rec.decayed_issuer_reads[1, 2]
+    assert rec.decayed_issuer_reads[1, 2] == 5.0
+    assert rec.decayed_remote_reads[2, 2] == 10.0
+    assert rec.decayed_remote_reads[1, 2] == 5.0  # one half-life
 
 
 def test_windowed_recorder_prunes_dead_entries():
-    rec = WindowedAccessRecorder(decay=0.1)
-    rec.record(7, owner=0, issuer=1, route="remote")
+    rec = AccessRecorder(8, 2)
+    rec.record(7, owners=0, issuer=1, route="remote")
     for _ in range(10):
-        rec.roll()
-    assert (7, 1) not in rec.decayed_issuer_reads  # decayed below the floor
-    assert (7, 1) not in rec.decayed_remote_reads
+        rec.roll(0.1)
+    assert rec.decayed_issuer_reads[7, 1] == 0.0  # decayed below the floor
+    assert rec.decayed_remote_reads[7, 1] == 0.0
     assert rec.vertex_reads[7] == 1  # cumulative view never forgets
 
 
-def test_windowed_recorder_validates_decay():
-    with pytest.raises(Exception):
-        WindowedAccessRecorder(decay=1.0)
+def test_placement_config_validates_decay():
+    for decay in (1.0, -0.1):
+        with pytest.raises(StorageError, match="decay"):
+            PlacementConfig(decay=decay)
+    assert PlacementConfig(decay=0.0).decay == 0.0
 
 
 # ---------------------------------------------------------------------- #
@@ -295,22 +304,32 @@ def test_one_controller_per_runtime(small_powerlaw):
 
 
 def test_controller_adopts_or_installs_the_runtime_recorder(small_taobao):
-    # A windowed recorder already riding the runtime is adopted ...
+    # A recorder already riding the runtime is adopted ...
     store = make_store(small_taobao, 2, seed=0)
     runtime = RpcRuntime(store)
     store.attach_runtime(runtime)
-    mine = runtime.recorder = WindowedAccessRecorder(decay=0.25)
+    mine = runtime.recorder = AccessRecorder(small_taobao.n_vertices, 2)
     assert PlacementController(store).recorder is mine
-    # ... anything else (nothing, or a plain recorder) is replaced by one.
-    for plain in (None, AccessRecorder()):
-        store = make_store(small_taobao, 2, seed=0)
-        runtime = RpcRuntime(store)
-        store.attach_runtime(runtime)
-        runtime.recorder = plain
-        controller = PlacementController(store, PlacementConfig(decay=0.3))
-        assert isinstance(runtime.recorder, WindowedAccessRecorder)
-        assert controller.recorder is runtime.recorder
-        assert controller.recorder.decay == 0.3
+    # ... and one is installed only when there is none.
+    store = make_store(small_taobao, 2, seed=0)
+    controller = PlacementController(store)
+    assert controller.recorder is store.runtime.recorder
+    assert controller.recorder.decayed_issuer_reads.shape == (small_taobao.n_vertices, 2)
+
+
+def test_controller_keeps_counting_on_the_callers_recorder(small_taobao):
+    store = make_store(small_taobao, 2, seed=0)
+    runtime = RpcRuntime(store)
+    store.attach_runtime(runtime)
+    mine = runtime.recorder = AccessRecorder(small_taobao.n_vertices, 2)
+    ids = np.arange(300) % small_taobao.n_vertices
+    for v in ids[:100].tolist():
+        store.neighbors(v, from_part=0)
+    controller = PlacementController(store)
+    for v in ids[100:].tolist():
+        store.neighbors(v, from_part=0)
+    assert controller.recorder is mine and runtime.recorder is mine
+    assert mine.total_reads == 300
 
 
 # ---------------------------------------------------------------------- #

@@ -285,7 +285,7 @@ class TestServingEngine:
         tracer = Tracer(seed=0)
         engine = _engine(small_taobao, tracer=tracer)
         runtime = engine.runtime
-        recorder = runtime.recorder = AccessRecorder()
+        recorder = runtime.recorder = AccessRecorder(small_taobao.n_vertices, 2)
         sampler = runtime.timeseries = TimeSeriesSampler(
             runtime.metrics, runtime.clock, tick_us=5_000.0
         )

@@ -480,7 +480,7 @@ def _parity_store(graph, feats, policy, scenario, per_vertex):
             N_PARTS, suspect_after=2, recover_after=2, probe_every=3, metrics=metrics
         ),
     )
-    runtime.recorder = AccessRecorder()
+    runtime.recorder = AccessRecorder(graph.n_vertices, N_PARTS)
     store.attach_runtime(runtime)
     if per_vertex:
         store._resolve_read_traced = functools.partial(per_vertex_dispatch, store)
@@ -537,11 +537,13 @@ def _observable_state(store):
         "fault_rng": runtime.faults._rng.bit_generator.state,
         "store_rng": store._rng.bit_generator.state,
         "recorder": (
-            dict(rec.vertex_reads),
-            dict(rec.cross_part_reads),
-            dict(rec.route_reads),
-            dict(rec.traffic),
-            rec.vertex_owner,
+            rec.vertex_reads.tolist(),
+            rec.cross_part_reads.tolist(),
+            rec.route_reads,
+            rec.traffic.tolist(),
+            rec.vertex_owner.tolist(),
+            rec._window_reads.tolist(),
+            rec._window_remote.tolist(),
         ),
     }
 
