@@ -219,15 +219,20 @@ class ImportanceCachePolicy(CachePolicy):
     """Pin the top-``budget`` vertices by Imp^(k) at Algorithm 2's depth
     ``k =`` :data:`~repro.storage.importance.MAX_HOP` (the paper's strategy).
 
-    The ranking is computed once per graph: a :class:`Graph` has no
+    The scores are computed once per graph: a :class:`Graph` has no
     mutators, so every server's and every budget's selection is a prefix of
-    the one (read-only) ranking.
+    the one ranking — score descending, ties by id descending, positive
+    scores only (exactly ``np.argsort(scores, kind="stable")[::-1]`` with
+    the zeros dropped). Only the head a budget needs is ranked: every
+    vertex scoring at least the ``budget``-th largest score is a candidate,
+    and the candidates alone are sorted. A larger later budget ranks a
+    longer head from the memoized scores. The head is read-only.
     """
 
     name = "importance"
 
     def __init__(self) -> None:
-        self._ranked: "tuple[Graph, np.ndarray] | None" = None
+        self._ranked: "tuple[Graph, np.ndarray, np.ndarray] | None" = None
 
     def select(
         self, graph: Graph, budget: int, rng: np.random.Generator
@@ -236,13 +241,28 @@ class ImportanceCachePolicy(CachePolicy):
             return np.zeros(0, dtype=np.int64)
         memo = self._ranked
         if memo is None or memo[0] is not graph:
-            scores = importance_scores(graph, MAX_HOP)
-            order = np.argsort(scores, kind="stable")[::-1]
-            # Scores are >= 0, so the positive ones form the ranking's head.
-            ranked = order[scores[order] > 0].astype(np.int64, copy=False)
-            ranked.flags.writeable = False
-            memo = self._ranked = (graph, ranked)
-        return memo[1][:budget]
+            memo = (graph, importance_scores(graph, MAX_HOP), None)
+        _, scores, head = memo
+        if head is None or head.size < min(budget, np.count_nonzero(scores)):
+            head = _rank_head(scores, budget)
+            self._ranked = (graph, scores, head)
+        return head[:budget]
+
+
+def _rank_head(scores: np.ndarray, budget: int) -> np.ndarray:
+    """The ranking's head: every positive-score vertex scoring at least the
+    ``budget``-th largest score, by (score desc, id desc), read-only.
+
+    Ties at the cut are all kept, so the head is the full ranking's prefix
+    of its own length (at least ``budget``, or every positive score).
+    """
+    cut = 0.0
+    if budget < scores.size:
+        cut = np.partition(scores, scores.size - budget)[scores.size - budget]
+    candidates = np.flatnonzero(scores >= cut) if cut > 0 else np.flatnonzero(scores > 0)
+    head = candidates[np.lexsort((-candidates, -scores[candidates]))]
+    head.flags.writeable = False
+    return head
 
 
 class RandomCachePolicy(CachePolicy):

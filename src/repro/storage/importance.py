@@ -53,18 +53,16 @@ def khop_degrees(graph: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
     if k < 1:
         raise StorageError(f"hop count k must be >= 1, got {k}")
     a = _out_csr_matrix(graph)
-    at = a.T.tocsr()
     ones = np.ones(graph.n_vertices, dtype=np.float64)
-    d_out = np.zeros_like(ones)
-    step = ones.copy()
-    for _ in range(k):
-        step = a @ step
-        d_out += step
-    d_in = np.zeros_like(ones)
-    step = ones.copy()
-    for _ in range(k):
-        step = at @ step
-        d_in += step
+    d_in, d_out = np.zeros_like(ones), np.zeros_like(ones)
+    # In-walks go through the transpose *view* (a CSC matrix over the same
+    # arrays): no transposed copy is built. Counts are integers, exact in
+    # float64, so the summation order cannot move a bit.
+    for walks, matrix in ((d_out, a), (d_in, a.T)):
+        step = ones
+        for _ in range(k):
+            step = matrix @ step
+            walks += step
     return d_in, d_out
 
 

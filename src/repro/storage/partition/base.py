@@ -34,17 +34,29 @@ class PartitionAssignment:
         self.graph = graph
         self.n_parts = n_parts
         self.vertex_to_part = vertex_to_part
-        if edge_to_part is None:
-            # Source-vertex placement: edge (u, v) lives where u lives.
-            src, _, _ = graph.edge_array()
-            edge_to_part = vertex_to_part[src]
-        else:
+        if edge_to_part is not None:
             edge_to_part = np.asarray(edge_to_part, dtype=np.int64)
             if edge_to_part.shape != (graph.n_edges,):
                 raise PartitionError("edge_to_part must have one entry per edge")
-        self.edge_to_part = edge_to_part
-        # Lazily cached edge-source column for reassign_vertex.
-        self._edge_src: np.ndarray | None = None
+        #: An explicit placement (vertex-cut, 2-D), or None under source
+        #: placement, whose map is derived from ``vertex_to_part`` on read.
+        self._edge_to_part = edge_to_part
+
+    @property
+    def edge_to_part(self) -> np.ndarray:
+        """Part of each edge, in edge-array order.
+
+        Source placement stores no per-edge array: edge ``(u, v)`` lives
+        where ``u`` lives, so the map is ``vertex_to_part[src]``, gathered
+        on each read (a read-only copy: write placements through
+        :meth:`reassign_vertex`).
+        """
+        if self._edge_to_part is not None:
+            return self._edge_to_part
+        src, _, _ = self.graph.edge_array()
+        derived = self.vertex_to_part[src]
+        derived.flags.writeable = False
+        return derived
 
     # ------------------------------------------------------------------ #
     # Quality metrics
@@ -64,8 +76,20 @@ class PartitionAssignment:
         return np.bincount(self.vertex_to_part, minlength=self.n_parts)
 
     def edge_counts(self) -> np.ndarray:
-        """Edges per part (by edge placement)."""
-        return np.bincount(self.edge_to_part, minlength=self.n_parts)
+        """Edges per part (by edge placement).
+
+        Under source placement a part holds its vertices' out-edges, so
+        the count is a per-vertex sum, not a per-edge one.
+        """
+        if self._edge_to_part is not None:
+            return np.bincount(self._edge_to_part, minlength=self.n_parts)
+        graph = self.graph
+        if graph.directed:
+            out_edges = graph.out_degrees()
+        else:  # the CSR mirrors each edge; the edge array holds it once
+            out_edges = np.bincount(graph.edge_array()[0], minlength=graph.n_vertices)
+        counts = np.bincount(self.vertex_to_part, weights=out_edges, minlength=self.n_parts)
+        return counts.astype(np.int64)
 
     def balance(self) -> float:
         """max part size / mean part size (1.0 = perfectly balanced)."""
@@ -81,14 +105,12 @@ class PartitionAssignment:
         replicas) are excluded from the denominator.
         """
         src, dst, _ = self.graph.edge_array()
-        replicas: set[tuple[int, int]] = set()
-        touched: set[int] = set()
-        for u, v, p in zip(src, dst, self.edge_to_part):
-            replicas.add((int(u), int(p)))
-            replicas.add((int(v), int(p)))
-            touched.add(int(u))
-            touched.add(int(v))
-        return len(replicas) / len(touched) if touched else 1.0
+        if not src.size:
+            return 1.0
+        parts = self.edge_to_part
+        replicas = np.unique(np.concatenate([src, dst]) * self.n_parts + np.tile(parts, 2))
+        touched = np.unique(replicas // self.n_parts)
+        return replicas.size / touched.size
 
     def part_vertices(self, part: int) -> np.ndarray:
         """Vertex ids owned by ``part``."""
@@ -107,9 +129,9 @@ class PartitionAssignment:
         if previous == part:
             return previous
         self.vertex_to_part[vertex] = part
-        if self._edge_src is None:
-            self._edge_src, _, _ = self.graph.edge_array()
-        self.edge_to_part[self._edge_src == vertex] = part
+        if self._edge_to_part is not None:  # a derived map follows on its own
+            src, _, _ = self.graph.edge_array()
+            self._edge_to_part[src == vertex] = part
         return previous
 
 

@@ -20,8 +20,9 @@ one reason matching :data:`REASON_PATTERN`.
     python tests/census.py --check        # ... and hold it to tests/census.json
 
 ``--check`` fails on a program that exits non-zero (listed first: its census
-is incomplete), on an entry the allow-list does not name, and on an
-allow-listed entry that a program now calls or sets (a stale entry).
+is incomplete; the line names each check the program reported failed), on an
+entry the allow-list does not name, and on an allow-listed entry that a
+program now calls or sets (a stale entry).
 """
 
 from __future__ import annotations
@@ -309,6 +310,40 @@ def _child_env() -> dict:
     return env
 
 
+#: How much of a failed program's stdout and stderr (characters, the end of
+#: each) the census searches for the check that failed.
+OUTPUT_TAIL = 8000
+
+
+def run_child(kind: str, argv: "list[str]", out: str, cwd: str) -> "tuple[dict, str | None]":
+    """Run one program under the recorder in its own interpreter.
+
+    Returns what it used and, when it exited non-zero, its problem line,
+    which names every ``check failed`` line in the tail of the program's
+    output (``repro bench`` prints them to stderr, ``bench-compare`` to
+    stdout).
+    """
+    proc = subprocess.run(
+        [sys.executable, __file__, "--child", out, kind] + argv, env=_child_env(),
+        cwd=cwd, capture_output=True, text=True,
+    )
+    if not os.path.exists(out):
+        raise SystemExit(f"census: {kind} {argv} wrote nothing:\n{proc.stderr[-2000:]}")
+    problem = None
+    if proc.returncode != 0:
+        tail = proc.stdout[-OUTPUT_TAIL:] + "\n" + proc.stderr[-OUTPUT_TAIL:]
+        print(f"census: {kind} {argv} exited {proc.returncode}:\n{tail[-4000:]}",
+              file=sys.stderr)
+        problem = f"program exited {proc.returncode}: {kind} {' '.join(argv)}"
+        checks = dict.fromkeys(
+            line.strip() for line in tail.splitlines() if "check failed" in line
+        )
+        if checks:
+            problem += " -- " + "; ".join(checks)
+    with open(out, encoding="utf-8") as fh:
+        return json.load(fh), problem
+
+
 def take_census(verbose: bool = True) -> "tuple[dict, list[str]]":
     """Run every program under the recorder: the census, and one line per
     program that exited non-zero (its census is then incomplete)."""
@@ -317,22 +352,12 @@ def take_census(verbose: bool = True) -> "tuple[dict, list[str]]":
     set_params: "set[str]" = set()
     with tempfile.TemporaryDirectory() as tmp:
         for i, (kind, argv) in enumerate(programs(tmp)):
-            out = os.path.join(tmp, f"used{i}.json")
-            proc = subprocess.run(
-                [sys.executable, __file__, "--child", out, kind] + argv, env=_child_env(),
-                cwd=tmp, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-            )
+            used, problem = run_child(kind, argv, os.path.join(tmp, f"used{i}.json"), tmp)
             if verbose:
                 print("  " + " ".join([kind] + [os.path.basename(a) for a in argv[:3]]),
                       file=sys.stderr)
-            if not os.path.exists(out):
-                raise SystemExit(f"census: {kind} {argv} wrote nothing:\n{proc.stderr[-2000:]}")
-            if proc.returncode != 0:
-                print(f"census: {kind} {argv} exited {proc.returncode}:\n{proc.stderr[-2000:]}",
-                      file=sys.stderr)
-                failed.append(f"program exited {proc.returncode}: {kind} {' '.join(argv)}")
-            with open(out, encoding="utf-8") as fh:
-                used = json.load(fh)
+            if problem is not None:
+                failed.append(problem)
             called.update(used["called"])
             set_params.update(used["set"])
     defs = all_defs()

@@ -106,6 +106,19 @@ def in_neighbors(graph, vertex: int) -> np.ndarray:
     return src[dst == vertex]
 
 
+def draw_graph(data, max_n: int = 30) -> Graph:
+    """A hypothesis-drawn simple-graph input (``data`` is ``st.data()``):
+    directed or undirected, with parallel edges, self-loops and isolated
+    vertices, and small enough that many vertices tie on any score."""
+    from hypothesis import strategies as st
+
+    n = data.draw(st.integers(1, max_n), label="n")
+    vertex = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n), label="edges")
+    src, dst = (np.array(col, dtype=np.int64) for col in (zip(*edges) if edges else ((), ())))
+    return Graph(n, src, dst, directed=data.draw(st.booleans(), label="directed"))
+
+
 @pytest.fixture
 def float64_tape():
     """Run the test with ``repro.nn``'s tape in float64: gradient checks and

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import powerlaw_graph
 from repro.errors import StorageError
@@ -9,11 +12,18 @@ from repro.graph import Graph
 from repro.storage import ImportanceCachePolicy, RandomCachePolicy
 from repro.storage.cluster import make_store
 from repro.storage.importance import (
+    MAX_HOP,
     importance_scores,
     khop_degrees,
     plan_importance_cache,
 )
-from tests.conftest import gini_coefficient, in_neighbors, replica_holders, tail_mass
+from tests.conftest import (
+    draw_graph,
+    gini_coefficient,
+    in_neighbors,
+    replica_holders,
+    tail_mass,
+)
 from repro.utils.rng import make_rng
 
 
@@ -37,6 +47,34 @@ def exact_khop_degrees(graph: Graph, k: int):
         [count(v, lambda u: in_neighbors(graph, u)) for v in everyone], dtype=np.float64
     )
     return d_in, d_out
+
+
+def transposed_khop_degrees(graph: Graph, k: int):
+    """Oracle: the walk counts with the in-walks taken through an explicit
+    transposed CSR copy of the out-adjacency."""
+    indptr, indices, _ = graph.csr_arrays()
+    n = graph.n_vertices
+    a = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+    at = a.T.tocsr()
+    ones = np.ones(n, dtype=np.float64)
+    d_out = np.zeros_like(ones)
+    step = ones.copy()
+    for _ in range(k):
+        step = a @ step
+        d_out += step
+    d_in = np.zeros_like(ones)
+    step = ones.copy()
+    for _ in range(k):
+        step = at @ step
+        d_in += step
+    return d_in, d_out
+
+
+def stable_ranking(scores: np.ndarray) -> np.ndarray:
+    """Oracle: the importance ranking as one full stable sort, reversed
+    (score descending, ties by id descending), zero scores dropped."""
+    order = np.argsort(scores, kind="stable")[::-1]
+    return order[scores[order] > 0]
 
 
 def _path_graph() -> Graph:
@@ -213,3 +251,63 @@ def test_random_caches_differ_per_server_and_repeat_per_seed(small_powerlaw):
     sets = pinned_sets(7)
     assert len(set(sets)) == len(sets)
     assert pinned_sets(7) == sets
+
+
+# --------------------------------------------------------------------- #
+# Set-up ranks only the head it pins, and walks in-edges without a copy
+# --------------------------------------------------------------------- #
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_walks_and_ranking_equal_the_full_sort_oracles(data):
+    graph = draw_graph(data)
+    for k in (1, 2, 3):
+        for got, want in zip(khop_degrees(graph, k), transposed_khop_degrees(graph, k)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    ranking = stable_ranking(importance_scores(graph, MAX_HOP))
+    budgets = list(range(graph.n_vertices + 2))
+    # Each order on a fresh policy, then back again on the same one: the
+    # head is ranked from scratch, extended, and sliced.
+    for order in (budgets, budgets[::-1]):
+        policy = ImportanceCachePolicy()
+        for budget in order + order[::-1]:
+            selected = policy.select(graph, budget, make_rng(0))
+            assert selected.dtype == np.int64
+            assert np.array_equal(selected, ranking[:budget])
+            assert budget == 0 or not selected.flags.writeable
+
+
+def test_ranking_breaks_ties_by_descending_id():
+    ring = Graph(6, np.arange(6), (np.arange(6) + 1) % 6, directed=True)  # every score is 1
+    policy = ImportanceCachePolicy()
+    assert policy.select(ring, 2, make_rng(0)).tolist() == [5, 4]
+    assert policy.select(ring, 4, make_rng(0)).tolist() == [5, 4, 3, 2]
+
+
+def test_importance_store_setup_copies_no_transpose_and_sorts_no_full_array(
+    small_powerlaw, monkeypatch
+):
+    """``make_store`` with the importance policy converts no sparse matrix
+    to CSR (the in-walks read the transpose view) and sorts no array as
+    long as the vertex set (only the pinned head is ranked)."""
+    conversions, sorted_lengths = [], []
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+
+        def counting_tocsr(self, *args, _tocsr=cls.tocsr, **kwargs):
+            conversions.append(type(self).__name__)
+            return _tocsr(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "tocsr", counting_tocsr)
+    for name in ("argsort", "sort", "lexsort"):
+
+        def recording_sort(keys, *args, _sort=getattr(np, name), **kwargs):
+            sorted_lengths.append(np.shape(keys)[-1])
+            return _sort(keys, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, recording_sort)
+    store = make_store(
+        small_powerlaw, 4, cache_policy=ImportanceCachePolicy(),
+        cache_budget_fraction=0.1, seed=0,
+    )
+    assert store.servers[0].neighbor_cache.pinned_vertices()
+    assert conversions == []
+    assert sorted_lengths and max(sorted_lengths) < small_powerlaw.n_vertices // 2

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PartitionError
 from repro.graph import Graph
+from repro.storage.cluster import DistributedGraphStore
 from repro.storage.partition import (
     EdgeCutPartitioner,
     MetisPartitioner,
@@ -14,8 +17,27 @@ from repro.storage.partition import (
     VertexCutPartitioner,
     get_partitioner,
 )
+from repro.storage.partition.base import _REGISTRY
 from repro.storage.partition.streaming import SLACK
 from repro.storage.partition.twodim import squarest_grid
+from tests.conftest import draw_graph
+
+#: The partitioners that place edges themselves; every other one places an
+#: edge at its source's part.
+EXPLICIT_EDGE_MAPS = ("2d", "vertex_cut")
+
+
+def loop_replication_factor(assignment: PartitionAssignment) -> float:
+    """Oracle: replicas per non-isolated vertex, one edge at a time."""
+    src, dst, _ = assignment.graph.edge_array()
+    replicas: set[tuple[int, int]] = set()
+    touched: set[int] = set()
+    for u, v, p in zip(src, dst, assignment.edge_to_part):
+        replicas.add((int(u), int(p)))
+        replicas.add((int(v), int(p)))
+        touched.add(int(u))
+        touched.add(int(v))
+    return len(replicas) / len(touched) if touched else 1.0
 
 
 def _community_graph(seed: int = 0) -> Graph:
@@ -174,3 +196,48 @@ def test_crossing_edges_match_fraction(small_powerlaw):
     assert assignment.edge_cut_fraction() == pytest.approx(
         assignment.crossing_edges() / small_powerlaw.n_edges
     )
+
+
+def _assert_matches_edge_map(assignment: PartitionAssignment, edge_map: np.ndarray) -> None:
+    """The assignment's edge map, counts and replication against a per-edge
+    map kept beside it (the source-placement one being ``vertex_to_part[src]``)."""
+    np.testing.assert_array_equal(assignment.edge_to_part, edge_map)
+    counts = assignment.edge_counts()
+    want = np.bincount(edge_map, minlength=assignment.n_parts)
+    assert counts.dtype == want.dtype and np.array_equal(counts, want)
+    assert assignment.replication_factor() == loop_replication_factor(assignment)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_edge_maps_equal_the_per_edge_oracle_across_migrations(data):
+    graph = draw_graph(data)
+    name = data.draw(st.sampled_from(sorted(_REGISTRY)), label="partitioner")
+    n_parts = data.draw(st.integers(1, 4), label="n_parts")
+    assignment = get_partitioner(name).partition(graph, n_parts)
+    src, _, _ = graph.edge_array()
+    edge_map = assignment.edge_to_part.copy()
+    if name not in EXPLICIT_EDGE_MAPS:
+        np.testing.assert_array_equal(edge_map, assignment.vertex_to_part[src])
+    _assert_matches_edge_map(assignment, edge_map)
+
+    # Migrations through the store: the edges sourced at a moved vertex follow it.
+    store = DistributedGraphStore(graph, assignment)
+    owners = assignment.vertex_to_part.copy()
+    moves = st.tuples(st.integers(0, graph.n_vertices - 1), st.integers(0, n_parts - 1))
+    for v, part in data.draw(st.lists(moves, max_size=8), label="moves"):
+        previous = store.owner(v)
+        if previous != part:
+            row, attr = store.servers[previous].release_vertex(v)
+            store.servers[part].ingest_vertex(v, row, attr)
+            edge_map[src == v] = part
+        assert store.commit_migration(v, part) == previous == owners[v]
+        owners[v] = part
+    np.testing.assert_array_equal(assignment.vertex_to_part, owners)
+    _assert_matches_edge_map(assignment, edge_map)
+
+
+def test_source_placement_edge_map_is_read_only(small_powerlaw):
+    assignment = EdgeCutPartitioner().partition(small_powerlaw, 4)
+    with pytest.raises(ValueError):
+        assignment.edge_to_part[0] = 1
