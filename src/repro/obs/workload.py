@@ -58,8 +58,8 @@ class AccessRecorder:
     :meth:`record` takes one arm of a resolved read: its ids (distinct
     within the read), their owning partitions, the issuing partition and
     the route the read path chose (one of :data:`ROUTES`). The store makes
-    one call per bulk arm (local, cache hits, each remote response) and one
-    per vertex on the scalar arms (failover, suspect routing, degraded).
+    one call per arm (local, cache hits, each remote response, failover,
+    suspect routing, degraded).
     Every count lives in an array indexed by vertex (and issuer), so the
     recorder holds ``O(n·p)`` memory for ``n`` vertices and ``p`` parts,
     whatever the stream's length.

@@ -18,7 +18,9 @@ whole state machine is deterministic: same fault seed, same transitions.
 
 from __future__ import annotations
 
-from repro.errors import RuntimeConfigError, check_id
+import numpy as np
+
+from repro.errors import RuntimeConfigError, check_id, check_ids
 from repro.runtime.metrics import MetricsRegistry
 
 #: Health states of one server, as seen by the issuer side.
@@ -30,10 +32,10 @@ class HealthTracker:
     """Per-server failure-streak state machine with probing.
 
     ``record_failure`` / ``record_success`` are fed by the RPC runtime on
-    every delivery attempt; ``should_probe`` is consulted by the store when
-    it is about to route a read *around* a suspect server, and returns True
-    on every ``probe_every``-th such read so the suspect keeps receiving a
-    trickle of traffic to recover through.
+    every delivery attempt; ``probe_mask`` is consulted by the store when
+    it is about to route a batch of reads *around* suspect servers, and
+    marks every ``probe_every``-th such read of each server so the suspect
+    keeps receiving a trickle of traffic to recover through.
     """
 
     def __init__(
@@ -65,11 +67,6 @@ class HealthTracker:
         self._ok_streak = [0] * n_parts
         self._state = [STATE_HEALTHY] * n_parts
         self._routed_around = [0] * n_parts
-
-    def is_suspect(self, part: int) -> bool:
-        """Whether ``part`` is currently suspected."""
-        part = check_id(part, self.n_parts, RuntimeConfigError, "part")
-        return self._state[part] == STATE_SUSPECT
 
     @property
     def suspect_parts(self) -> "frozenset[int]":
@@ -108,15 +105,22 @@ class HealthTracker:
             self.metrics.counter("health.recoveries").inc()
             self._update_gauge()
 
-    def should_probe(self, part: int) -> bool:
-        """Whether a read about to be routed around ``part`` should instead
-        go through to it as a probe (every ``probe_every``-th such read)."""
-        part = check_id(part, self.n_parts, RuntimeConfigError, "part")
-        self._routed_around[part] += 1
-        if self._routed_around[part] % self.probe_every == 0:
-            self.metrics.counter("health.probes").inc()
-            return True
-        return False
+    def probe_mask(self, parts: np.ndarray) -> np.ndarray:
+        """Which of a batch of reads about to be routed around their part
+        (``parts``, in read order) probe it instead: each part counts its
+        reads on from its last batch, and every ``probe_every``-th probes.
+        The cadence is per part: only the order of one part's reads counts."""
+        parts = check_ids(parts, self.n_parts, RuntimeConfigError, "parts")
+        counts = np.bincount(parts, minlength=self.n_parts)
+        probe = np.zeros(parts.size, dtype=bool)
+        for part in counts.nonzero()[0].tolist():
+            seen = self._routed_around[part] + np.arange(1, counts[part] + 1)
+            probe[parts == part] = seen % self.probe_every == 0
+            self._routed_around[part] += int(counts[part])
+        n_probes = int(np.count_nonzero(probe))
+        if n_probes:
+            self.metrics.counter("health.probes").inc(n_probes)
+        return probe
 
     def __repr__(self) -> str:
         suspects = sorted(self.suspect_parts)

@@ -29,9 +29,9 @@ class NeighborCache:
 
     The cache is the only record of what it holds: the cluster's
     :class:`~repro.storage.replicas.ReplicaRegistry` is a view over the
-    caches' membership (``vertex in cache``). Failover and health-aware
-    routing read replicas through :meth:`peek`, which never touches the
-    hit/miss counters, so availability probes cannot corrupt
+    caches' membership. Failover and health-aware routing find and read
+    replicas through :meth:`holds` and :meth:`peek_many`, which never touch
+    the hit/miss counters, so availability probes cannot corrupt
     ``cache_hit_rate()``. Both sides keep their rows in a
     :class:`~repro.storage.rows.RowArena`: the pinned arena's span table is
     the pinned side's membership test, and the LRU side orders vertex ids
@@ -51,10 +51,6 @@ class NeighborCache:
 
     def __len__(self) -> int:
         return self._n_pinned + len(self._lru)
-
-    def __contains__(self, vertex: int) -> bool:
-        """Whether any copy of ``vertex`` is held (no accounting, no recency)."""
-        return self._pinned.has(vertex) or vertex in self._lru
 
     def pin(self, vertex: int, neighbors: np.ndarray) -> None:
         """Permanently cache a copy of ``vertex``'s neighbors (up to capacity).
@@ -89,24 +85,33 @@ class NeighborCache:
             pinned = self._pinned.held(ids)
             held, ids = ids[pinned], ids[~pinned]
         found, misses = self._lru.get_many(ids)
-        block = RowBlock(held, np.zeros(1, dtype=np.int64), held)  # nothing held yet
-        if held.size:  # pinned rows answer first
-            block = RowBlock(held, *self._pinned.take(held))
-        if found.size:
-            lru = RowBlock(found, *self._rows.take(found))
-            block = concat_blocks([block, lru]) if held.size else lru
         self.hits += n_lookups - misses.size
         self.misses += misses.size
-        return block, misses
+        return self._block(held, found), misses
+
+    def _block(self, pinned: np.ndarray, lru: np.ndarray) -> RowBlock:
+        """The ``pinned`` ids' rows, then the ``lru`` ids', as one block."""
+        block = RowBlock(pinned, np.zeros(1, dtype=np.int64), pinned)  # nothing held yet
+        if pinned.size:  # pinned rows answer first
+            block = RowBlock(pinned, *self._pinned.take(pinned))
+        if lru.size:
+            rows = RowBlock(lru, *self._rows.take(lru))
+            block = concat_blocks([block, rows]) if pinned.size else rows
+        return block
+
+    def holds(self, ids: np.ndarray) -> np.ndarray:
+        """Whether a copy of each of ``ids`` is held, as one mask, with no
+        accounting and no recency: the replica lookup's test."""
+        return self._pinned.held(ids) | self._lru.held(ids)
+
+    def peek_many(self, ids: np.ndarray) -> RowBlock:
+        """The copies of the held ``ids`` as one block (pinned ones first),
+        with no accounting and no recency."""
+        pinned = self._pinned.held(ids)
+        return self._block(ids[pinned], ids[~pinned])
 
     def peek(self, vertex: int) -> np.ndarray | None:
-        """Cached neighbor array without hit/miss accounting or recency.
-
-        The failover/suspect-routing path reads replicas through this, so
-        serving another worker's read does not distort this cache's own
-        hit-rate statistics (they model the *owner's* locality, not the
-        cluster's failures).
-        """
+        """Cached neighbor array without hit/miss accounting or recency."""
         if self._pinned.has(vertex):
             return self._pinned.row(vertex)
         return self._rows.row(vertex) if vertex in self._lru else None

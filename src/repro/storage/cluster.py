@@ -70,7 +70,7 @@ from repro.runtime.rpc import KIND_ATTRS, KIND_NEIGHBORS, RpcRuntime
 from repro.storage.partition.base import PartitionAssignment, Partitioner
 from repro.storage.partition.hashcut import EdgeCutPartitioner
 from repro.storage.replicas import ReplicaRegistry
-from repro.storage.rows import RowBlock, concat_blocks, pack_rows
+from repro.storage.rows import RowBlock, concat_blocks
 from repro.storage.server import GraphServer
 from repro.utils.rng import make_rng
 from repro.utils.timer import CostAccumulator
@@ -228,50 +228,6 @@ class DistributedGraphStore:
             self.attach_runtime(RpcRuntime(self))
         return self.runtime
 
-    def _replica_peek(self, vertex: int, exclude_part: int) -> "np.ndarray | None":
-        """A healthy replica's copy of ``vertex``'s neighbors, or None.
-
-        The servers are asked in part order, each with ``peek``, so
-        availability probes never touch any cache's hit/miss counters.
-        """
-        for p, server in enumerate(self.servers):
-            if p == exclude_part or p in self._failed:
-                continue
-            row = server.neighbor_cache.peek(vertex)
-            if row is not None:
-                return row
-        return None
-
-    def _read_unavailable(self, vertex: int, kind: str, from_part: int) -> np.ndarray:
-        """Last resort for a read no server or replica can serve."""
-        if self.degraded_reads and kind == KIND_NEIGHBORS:
-            self.ledger.record(EV_DEGRADED_READ)
-            self.runtime.metrics.counter("reads.degraded").inc()
-            rec = self.runtime.recorder
-            if rec is not None:
-                rec.record(vertex, self.owner(vertex), from_part, "degraded")
-            return np.zeros(0, dtype=np.int64)
-        raise ReadUnavailableError(vertex, self.owner(vertex), kind)
-
-    def _failover_read(self, vertex: int, from_part: int, kind: str) -> np.ndarray:
-        """Serve a read whose owner is unreachable from a healthy replica.
-
-        Replicas exist wherever a neighbor cache pinned/holds the vertex —
-        exactly the importance-cache entries ("cached on each partition it
-        occurs") — so hot vertices survive worker loss, cold ones do not.
-        Attribute rows have no replicas, so attr reads go straight to
-        :meth:`_read_unavailable` (raise, or degrade when enabled).
-        """
-        if kind == KIND_NEIGHBORS:
-            row = self._replica_peek(vertex, from_part)
-            if row is not None:
-                self.ledger.record(EV_FAILOVER_READ)
-                rec = self.runtime.recorder
-                if rec is not None:
-                    rec.record(vertex, self.owner(vertex), from_part, "failover")
-                return row
-        return self._read_unavailable(vertex, kind, from_part)
-
     def _resolve_read(
         self, kind: str, vertices: "np.ndarray | list[int]", from_part: int
     ) -> "RowBlock | dict[int, np.ndarray]":
@@ -283,14 +239,14 @@ class DistributedGraphStore:
         in this order: vertices the issuer owns read its shard (local); the
         rest probe the issuer's neighbor cache in batch order; misses whose
         owner is fail-stopped fail over to a replica and misses whose owner
-        is suspect route to one (with probing) — the only per-vertex arm,
-        entered only when such an owner exists; what is left goes remote
-        via the runtime, one coalesced request per owning server, and a
+        is suspect route to one (with probing), arms entered only when such
+        an owner exists (``_serve_troubled``); what is left goes remote via
+        the runtime, one coalesced request per owning server, and a
         successful response is absorbed whole (rows, shipping charge,
-        demand fill). RPC failures past the retry budget fall back to
-        replica failover per vertex and raise
+        demand fill). A request that runs out of retries falls back, whole,
+        to the same replica arms and raises
         :class:`~repro.errors.RetryExhaustedError` when no replica holds
-        the data (or degrade, see ``degraded_reads``). A neighbors read
+        one of its ids (or degrades, see ``degraded_reads``). A neighbors read
         answers with one :class:`RowBlock` in batch order, an attribute
         read with a dict of rows by vertex.
 
@@ -348,8 +304,8 @@ class DistributedGraphStore:
         is_local = vertex_to_part[uniq] == from_part
         local, foreign = uniq[is_local], uniq[~is_local]
 
-        # A neighbors read collects blocks (the local arm, the cache hits,
-        # each response) and single rows (routed and failover reads).
+        # A neighbors read collects one block per arm (and per response);
+        # an attribute read, rows by vertex.
         blocks: "list[RowBlock]" = []
         rows: "dict[int, np.ndarray]" = {}
         if neighbors:
@@ -377,12 +333,12 @@ class DistributedGraphStore:
                 if rec is not None:
                     rec.record(hits.ids, vertex_to_part[hits.ids], from_part, "cache_hit")
 
-        # Only a fail-stopped or suspect owner needs per-vertex routing
+        # Only a fail-stopped or suspect owner's ids are routed around it
         # (attribute rows have no replicas to route a suspect's reads to).
         if missed.size and (
             self._failed or (neighbors and runtime.health.suspect_parts)
         ):
-            missed = self._route_around(kind, missed, from_part, runtime, rows)
+            missed = self._serve_troubled(kind, missed, False, from_part, blocks)
         if not neighbors:
             for v, owner in zip(missed.tolist(), vertex_to_part[missed].tolist()):
                 if not self.servers[owner].attrs.has_vertex_attr(v):
@@ -405,17 +361,16 @@ class DistributedGraphStore:
                 plan_span.annotate(reads=missed.size, batches=len(requests))
             for req, resp in zip(requests, runtime.execute(requests)):
                 if not resp.ok:
-                    for v in req.vertices.tolist():
-                        try:
-                            rows[v] = self._failover_read(v, from_part, kind)
-                        except ReadUnavailableError as exc:
-                            if demand_fill and shipped:  # what came back first still fills
-                                issuer.neighbor_cache.admit_many(concat_blocks(shipped))
-                            raise RetryExhaustedError(
-                                f"{kind} of vertex {v}: {resp.error}, "
-                                "and no healthy replica holds it",
-                                resp.attempts,
-                            ) from exc
+                    try:
+                        self._serve_troubled(kind, req.vertices, True, from_part, blocks)
+                    except ReadUnavailableError as exc:
+                        if demand_fill and shipped:  # what came back first still fills
+                            issuer.neighbor_cache.admit_many(concat_blocks(shipped))
+                        raise RetryExhaustedError(
+                            f"{kind} of vertex {exc.vertex}: {resp.error}, "
+                            "and no healthy replica holds it",
+                            resp.attempts,
+                        ) from exc
                     continue
                 payload = resp.payload
                 ledger.record(EV_REMOTE_RPC)
@@ -439,9 +394,6 @@ class DistributedGraphStore:
             # The responses' rows, in request order, fill the cache at once.
             issuer.neighbor_cache.admit_many(concat_blocks(shipped))
         blocks.extend(shipped)
-        if rows:
-            ids = np.fromiter(rows, np.int64, len(rows))
-            blocks.append(RowBlock(ids, *pack_rows(list(rows.values()))))
         # The arms' blocks partition the read: the answer is the one block
         # already in first-seen order, or one gather out of all of them.
         if len(blocks) == 1 and np.array_equal(blocks[0].ids, uniq):
@@ -453,44 +405,64 @@ class DistributedGraphStore:
         offsets = block.offsets
         return RowBlock(uniq, *take_rows(offsets[:-1][order], offsets[1:][order], block.indices))
 
-    def _route_around(
-        self,
-        kind: str,
-        missed: np.ndarray,
-        from_part: int,
-        runtime: RpcRuntime,
-        results: "dict[int, np.ndarray]",
+    def _serve_troubled(
+        self, kind: str, ids: np.ndarray, exhausted: bool, from_part: int, blocks: "list[RowBlock]"
     ) -> np.ndarray:
-        """Serve what a troubled owner's vertices can get from replicas.
+        """Serve what replicas can of a read's ids (distinct, in batch
+        order) whose owner is in trouble; return the ids left to fetch.
 
-        The scalar arm of the read path, in batch order (``should_probe``
-        counts per read): a fail-stopped owner's vertex fails over to a
-        replica (or degrades / raises); a suspect owner's vertex routes to
-        a replica unless this read is the probe or no replica holds it.
-        Fills ``results`` and returns the ids still to fetch remotely.
+        An id fails over when ``exhausted`` (its request ran out of
+        retries) or its owner is fail-stopped: to a replica (``failover``),
+        else to an empty row (``degraded``: neighbors under
+        ``degraded_reads``), else it is unavailable. A neighbors id whose
+        owner is suspect routes to a replica (``suspect``) unless it probes
+        or none holds it. A replica is the first healthy server, in part
+        order, other than the issuer and the owner, whose cache holds the
+        id. Each arm is charged, counted and recorded once; rows join
+        ``blocks``. The first unavailable id raises
+        :class:`~repro.errors.ReadUnavailableError` once the ids ahead of
+        it are served, as a read one id at a time would.
         """
-        health = runtime.health
+        neighbors, runtime = kind == KIND_NEIGHBORS, self.runtime
+        owners = self.assignment.vertex_to_part[ids]
+        down = exhausted | np.isin(owners, list(self._failed))
+        holders = np.full(ids.size, -1)
+        if neighbors:
+            holders = self.replicas.first_holders(ids, owners, {from_part, *self._failed})
+        lost = down & (holders < 0)
+        error = None
+        if lost.any() and not (neighbors and self.degraded_reads):
+            cut = int(lost.argmax())
+            error = ReadUnavailableError(int(ids[cut]), int(owners[cut]), kind)
+            ids, owners, down, holders = ids[:cut], owners[:cut], down[:cut], holders[:cut]
+        routed = ~down & np.isin(owners, list(runtime.health.suspect_parts) if neighbors else [])
+        if routed.any():
+            routed[routed] = ~runtime.health.probe_mask(owners[routed])
+            routed &= holders >= 0
+        failover, degraded = down & (holders >= 0), down & (holders < 0)
         rec = runtime.recorder
-        remote: "list[int]" = []
-        for v, owner in zip(missed.tolist(), self.assignment.vertex_to_part[missed].tolist()):
-            if owner in self._failed:
-                results[v] = self._failover_read(v, from_part, kind)
-                continue
-            if (
-                kind == KIND_NEIGHBORS
-                and health.is_suspect(owner)
-                and not health.should_probe(owner)
-            ):
-                row = self._replica_peek(v, from_part)
-                if row is not None:
-                    self.ledger.record(EV_SUSPECT_ROUTE)
-                    runtime.metrics.counter("health.suspect_routes").inc()
-                    if rec is not None:
-                        rec.record(v, owner, from_part, "suspect")
-                    results[v] = row
-                    continue
-            remote.append(v)
-        return np.array(remote, dtype=np.int64)
+        for arm, event, route, counter in (
+            (failover, EV_FAILOVER_READ, "failover", None),
+            (routed, EV_SUSPECT_ROUTE, "suspect", "health.suspect_routes"),
+            (degraded, EV_DEGRADED_READ, "degraded", "reads.degraded"),
+        ):
+            n = int(np.count_nonzero(arm))
+            if n:
+                self.ledger.record(event, times=n)
+                if counter is not None:
+                    runtime.metrics.counter(counter).inc(n)
+                if rec is not None:
+                    rec.record(ids[arm], owners[arm], from_part, route)
+        served = failover | routed
+        blocks.extend(  # one block per holder
+            self.servers[part].neighbor_cache.peek_many(ids[served & (holders == part)])
+            for part in np.unique(holders[served]).tolist()
+        )
+        if degraded.any():  # empty rows
+            blocks.append(RowBlock(ids[degraded], np.zeros(degraded.sum() + 1, np.int64), ids[:0]))
+        if error is not None:
+            raise error
+        return ids[~(down | routed)]
 
     def neighbors(self, vertex: int, from_part: int) -> np.ndarray:
         """Out-neighbors of ``vertex`` as seen by worker ``from_part``.
@@ -523,10 +495,10 @@ class DistributedGraphStore:
         :meth:`neighbors` (same shared path), but all remote misses
         coalesce into one deduplicated request per owning server through
         the runtime: the ledger charges one ``remote_rpc`` per batch plus
-        per-item shipping. A batch whose retries are exhausted falls back
-        to a per-vertex failover read and raises
+        per-item shipping. A request whose retries are exhausted falls back
+        to replica failover and raises
         :class:`~repro.errors.RetryExhaustedError` when no replica holds
-        the vertex.
+        one of its vertices.
         """
         return self._resolve_read(KIND_NEIGHBORS, vertices, from_part)
 

@@ -12,6 +12,8 @@ wanted: on writes, failover and audits.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import StorageError, check_id
 
 
@@ -38,6 +40,21 @@ class ReplicaRegistry:
         part = check_id(part, self.n_parts, StorageError, "part")
         return self._servers[part].neighbor_cache.cached_vertices()
 
+    def first_holders(self, ids: np.ndarray, owners: np.ndarray, skip: "set[int]") -> np.ndarray:
+        """The first part, in part order, whose cache holds each of ``ids``
+        (``-1``: none), never a part in ``skip`` nor the id's own owner
+        (``owners``, aligned): a replica stands in for the owner. One
+        ``(parts, ids)`` mask; no cache's counters or recency move."""
+        held = np.zeros((self.n_parts, ids.size), dtype=bool)
+        for part, server in enumerate(self._servers):
+            if part not in skip:
+                held[part] = server.neighbor_cache.holds(ids)
+        column = np.arange(ids.size)
+        held[owners, column] = False
+        first = held.argmax(axis=0)
+        first[~held[first, column]] = -1
+        return first
+
     def audit(self, contents_by_part: "dict[int, set[int]]") -> "dict[str, list]":
         """Diff the view against contents read through the public surface.
 
@@ -56,10 +73,6 @@ class ReplicaRegistry:
             missing.extend((v, part) for v in sorted(truth - indexed))
             stale.extend((v, part) for v in sorted(indexed - truth))
         return {"missing": missing, "stale": stale}
-
-    def __contains__(self, vertex: int) -> bool:
-        vertex = int(vertex)
-        return any(vertex in server.neighbor_cache for server in self._servers)
 
     def __repr__(self) -> str:
         return f"ReplicaRegistry(parts={self.n_parts})"

@@ -101,6 +101,10 @@ class IdLRU:
         held = self._stamp.nonzero()[0]
         return tuple((held[self._stamp[held].argsort()] - 1).tolist())
 
+    def held(self, keys: np.ndarray) -> np.ndarray:
+        """Whether each of ``keys`` is held, as one mask (no stats, no recency)."""
+        return self._stamp.take(keys + 1, mode="clip") > 0
+
     def get_many(self, keys: "np.ndarray | list[int]") -> "tuple[np.ndarray, np.ndarray]":
         """Use each of ``keys`` in order; returns the held ones and the
         missing ones, each in input order."""
@@ -108,7 +112,7 @@ class IdLRU:
         if not self.capacity:
             self.misses += keys.size
             return keys[:0], keys
-        held = self._stamp.take(keys + 1, mode="clip") > 0
+        held = self.held(keys)
         found = keys[held]
         self._stamp[found + 1] = self._tick + 1 + held.nonzero()[0]
         self._tick += keys.size

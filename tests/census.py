@@ -20,9 +20,10 @@ one reason matching :data:`REASON_PATTERN`.
     python tests/census.py --check        # ... and hold it to tests/census.json
 
 ``--check`` fails on a program that exits non-zero (listed first: its census
-is incomplete; the line names each check the program reported failed), on an
-entry the allow-list does not name, and on an allow-listed entry that a
-program now calls or sets (a stale entry).
+is incomplete; the line names each check the program reported failed, and
+each allow-listed entry no other program reaches), on an entry the
+allow-list does not name, and on an allow-listed entry that a program now
+calls or sets (a stale entry).
 """
 
 from __future__ import annotations
@@ -344,11 +345,12 @@ def run_child(kind: str, argv: "list[str]", out: str, cwd: str) -> "tuple[dict, 
         return json.load(fh), problem
 
 
-def take_census(verbose: bool = True) -> "tuple[dict, list[str]]":
-    """Run every program under the recorder: the census, and one line per
-    program that exited non-zero (its census is then incomplete)."""
+def take_census(verbose: bool = True) -> "tuple[dict, list[tuple[str | None, set[str]]]]":
+    """Run every program under the recorder: the census, and per program its
+    problem line (``None`` when it exited 0; its census is then complete)
+    with the defs it called and the parameters it set."""
     called: "set[str]" = set()
-    failed: "list[str]" = []
+    runs: "list[tuple[str | None, set[str]]]" = []
     set_params: "set[str]" = set()
     with tempfile.TemporaryDirectory() as tmp:
         for i, (kind, argv) in enumerate(programs(tmp)):
@@ -356,8 +358,7 @@ def take_census(verbose: bool = True) -> "tuple[dict, list[str]]":
             if verbose:
                 print("  " + " ".join([kind] + [os.path.basename(a) for a in argv[:3]]),
                       file=sys.stderr)
-            if problem is not None:
-                failed.append(problem)
+            runs.append((problem, {*used["called"], *used["set"]}))
             called.update(used["called"])
             set_params.update(used["set"])
     defs = all_defs()
@@ -368,16 +369,40 @@ def take_census(verbose: bool = True) -> "tuple[dict, list[str]]":
         for param in params
         if f"{key}({param})" not in set_params and not is_model_hyperparameter(key)
     )
-    return {"functions": functions, "parameters": parameters}, failed
+    return {"functions": functions, "parameters": parameters}, runs
 
 
-def check(census: dict, allowed: dict) -> "list[str]":
-    """Problems: census entries not allow-listed, allow-listed entries a program uses."""
+def check(
+    census: dict, allowed: dict, runs: "list[tuple[str | None, set[str]]]" = ()
+) -> "list[str]":
+    """Problems: each program in ``runs`` (from :func:`take_census`) that
+    exited non-zero, then census entries not allow-listed and allow-listed
+    entries a program uses.
+
+    An allow-listed entry that only failed programs use is what the failure
+    ran into, not a finding of its own: the first such program's line names
+    it, and it is not reported stale.
+    """
+    kinds = ("functions", "parameters")
+    stale = [e for kind in kinds for e in sorted(set(allowed[kind]) - set(census[kind]))]
+    reached = set().union(*(used for problem, used in runs if problem is None))
+    explained: "set[str]" = set()
     problems = []
-    for kind in ("functions", "parameters"):
+    for problem, used in runs:
+        if problem is None:
+            continue
+        mine = [e for e in stale if e in used and e not in reached and e not in explained]
+        explained.update(mine)
+        if mine:
+            problem += "; it alone reaches allow-listed " + ", ".join(mine)
+        problems.append(problem)
+    for kind in kinds:
         found, listed = set(census[kind]), set(allowed[kind])
         problems += [f"not allow-listed ({kind}): {e}" for e in sorted(found - listed)]
-        problems += [f"stale, a program now uses it ({kind}): {e}" for e in sorted(listed - found)]
+        problems += [
+            f"stale, a program now uses it ({kind}): {e}"
+            for e in sorted(listed - found) if e not in explained
+        ]
     return problems
 
 
@@ -390,7 +415,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="exit 1 unless the census equals the allow-list's entries")
     args = parser.parse_args(argv)
-    census, failed = take_census()
+    census, runs = take_census()
     text = json.dumps(census, indent=1) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -399,7 +424,7 @@ def main(argv: "list[str] | None" = None) -> int:
         sys.stdout.write(text)
     if args.check:
         with open(ALLOW_LIST, encoding="utf-8") as fh:
-            problems = failed + check(census, json.load(fh))
+            problems = check(census, json.load(fh), runs)
         for problem in problems:
             print(problem)
         print(f"census: {len(census['functions'])} functions, "

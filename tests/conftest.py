@@ -64,6 +64,17 @@ def cache_get(cache, vertex: int):
     return cache._rows.row(vertex)
 
 
+def should_probe(health, part: int) -> bool:
+    """One read about to be routed around ``part``: whether it probes
+    instead (every ``probe_every``-th such read of the part). The scalar
+    decision ``HealthTracker.probe_mask`` must equal, read after read."""
+    health._routed_around[part] += 1
+    if health._routed_around[part] % health.probe_every == 0:
+        health.metrics.counter("health.probes").inc()
+        return True
+    return False
+
+
 def cache_admit(cache, vertex: int, row: np.ndarray) -> None:
     """Scalar demand fill on a ``NeighborCache`` (the ``admit_many`` oracle)."""
     if cache._lru.capacity > 0 and not cache.is_pinned(vertex):

@@ -1,10 +1,11 @@
-"""The usage census reports a failed program with the check that failed."""
+"""The usage census reports a failed program with the check that failed and
+the allow-listed entries only it reaches."""
 
 import pytest
 
 from repro.bench import ExperimentReport
 from repro.bench.harness import write_results
-from tests.census import run_child
+from tests.census import check, run_child
 
 _TOY_BENCH = """
 from repro.bench import Experiment, ExperimentReport
@@ -49,6 +50,27 @@ def test_failed_program_line_names_the_failed_check(toy_bench_dir, tmp_path, com
     assert "toy: check failed: toy value not above 1" in problem
     assert problem.count("check failed") == 1
     assert "repro.bench.harness:run_experiment" in used["called"]
+
+
+def test_allow_listed_entry_only_a_failed_program_reaches_is_named_in_its_line(
+    toy_bench_dir, tmp_path
+):
+    # The failed check sends bench-compare down gate._failed, which only a
+    # failing run reaches: that is the failure's consequence, not a stale entry.
+    argv = ["bench-compare", "--smoke", "--bench-dir", str(toy_bench_dir),
+            "--out-dir", str(tmp_path / "out")]
+    used, problem = run_child("cli", argv, str(tmp_path / "used.json"), str(tmp_path))
+    failed = (problem, {*used["called"], *used["set"]})
+    census = {"functions": [], "parameters": []}
+    allowed = {"functions": {"repro.bench.gate:_failed": "safety"}, "parameters": {}}
+    assert check(census, allowed, [failed]) == [
+        problem + "; it alone reaches allow-listed repro.bench.gate:_failed"
+    ]
+    # A passing program reaching it too makes it stale in its own right.
+    passing = (None, {"repro.bench.gate:_failed"})
+    assert check(census, allowed, [failed, passing]) == [
+        problem, "stale, a program now uses it (functions): repro.bench.gate:_failed"
+    ]
 
 
 def test_passing_program_has_no_problem_line(toy_bench_dir, tmp_path):

@@ -132,6 +132,18 @@ def test_request_planner_is_one_runtime_method():
     assert "latency_us" not in {f.name for f in dataclasses.fields(Response)}
 
 
+def test_a_read_has_one_classification():
+    """Failover, suspect routes and degraded reads are arms of the one read
+    classification: no per-vertex replica lookup, failover or fallback on
+    the store, and the probe decision is taken for a batch at once."""
+    from repro.runtime.health import HealthTracker
+    from repro.storage.cluster import DistributedGraphStore
+
+    retired = {"_replica_peek", "_read_unavailable", "_failover_read", "_route_around"}
+    assert not retired & set(vars(DistributedGraphStore))
+    assert not hasattr(HealthTracker, "should_probe")
+
+
 def test_each_run_event_has_one_record():
     """A stage time is a tracer span, the ledger<->trace table a view of span
     events and a served request its ``ServeRecord``: no span timer, no clock

@@ -1,14 +1,18 @@
 """ReplicaRegistry and HealthTracker units, plus the routing regressions.
 
-Covers the registry as a view of the caches (``held_by`` equals what the
-caches answer for after any churn), the suspect/recover/probe state machine,
-and two regressions the unified read path fixed:
+Covers the registry as a view of the caches (``held_by`` and
+``first_holders`` equal what the caches answer for after any churn), the
+suspect/recover/probe state machine (``probe_mask`` against the scalar
+decision), and three regressions the unified read path fixed:
 
 * failover probes must not count as cache lookups (they used to inflate
   ``misses`` on every scanned server and corrupt ``cache_hit_rate()``);
 * ``apply_edge_events`` must re-pin fresh adjacency on every server that
   held the vertex pinned (it used to drop the entry and never re-pin,
-  silently shrinking the hot vertex's failover coverage).
+  silently shrinking the hot vertex's failover coverage);
+* a read routed around its owner is never served from the owner's own
+  cache (a retry-exhausted read used to fail over to it, and a suspect's
+  reads used to route to it).
 """
 
 from __future__ import annotations
@@ -19,20 +23,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import powerlaw_graph
-from repro.errors import RuntimeConfigError, StorageError
+from repro.errors import RetryExhaustedError, RuntimeConfigError, StorageError
 from repro.graph.dynamic import EdgeEvent
-from repro.runtime import RpcRuntime
+from repro.runtime import FaultPlan, RetryPolicy, RpcRuntime
 from repro.runtime.health import HealthTracker
 from repro.runtime.metrics import MetricsRegistry
 from repro.storage.cache import ImportanceCachePolicy, NeighborCache
 from repro.storage.cluster import make_store
 from repro.storage.costmodel import (
     EV_FAILOVER_READ,
+    EV_REMOTE_RPC,
     EV_REPLICA_REFRESH,
     EV_SUSPECT_ROUTE,
 )
 from repro.storage.replicas import ReplicaRegistry
-from tests.conftest import pack_block, replica_holders
+from tests.conftest import pack_block, replica_holders, should_probe
 
 
 # --------------------------------------------------------------------- #
@@ -80,7 +85,7 @@ def _public_holders(store, vertex):
 @settings(max_examples=150, deadline=None)
 @given(ops=st.lists(_CHURN_OPS, max_size=25))
 def test_holders_equal_cache_contents_under_churn(ops):
-    """Whatever moves the caches, ``holders`` reads them: no upkeep to miss."""
+    """Whatever moves the caches, the registry reads them: no upkeep to miss."""
     from repro.storage.cache import LRUCachePolicy, RandomCachePolicy
 
     policies = {
@@ -115,7 +120,14 @@ def test_holders_equal_cache_contents_under_churn(ops):
             getattr(cache, op)(b)
         truth = {v: _public_holders(store, v) for v in range(48)}
         reg = store.replicas
-        assert all((v in reg) == bool(truth[v]) for v in range(48))
+        ids = np.arange(48)
+        owners = store.assignment.vertex_to_part[ids]
+        for skip in (set(), {0}):
+            first = [
+                min((p for p in truth[v] if p != owners[v] and p not in skip), default=-1)
+                for v in range(48)
+            ]
+            assert reg.first_holders(ids, owners, skip).tolist() == first
         for p in range(3):
             assert reg.held_by(p) == tuple(v for v in range(48) if p in truth[v])
         contents = {p: {v for v in range(48) if p in truth[v]} for p in range(3)}
@@ -147,9 +159,9 @@ def test_health_suspects_after_consecutive_failures():
     h = HealthTracker(2, suspect_after=3)
     h.record_failure(1)
     h.record_failure(1)
-    assert not h.is_suspect(1)
+    assert 1 not in h.suspect_parts
     h.record_failure(1)
-    assert h.is_suspect(1)
+    assert 1 in h.suspect_parts
     assert h.suspect_parts == frozenset({1})
     assert h.metrics.counter("health.suspects").value == 1
     assert h.metrics.gauge("health.suspect_parts").value == 1
@@ -162,29 +174,54 @@ def test_health_success_resets_failure_streak():
     h.record_success(0)  # interleaved success: streak back to zero
     h.record_failure(0)
     h.record_failure(0)
-    assert not h.is_suspect(0)
+    assert 0 not in h.suspect_parts
 
 
 def test_health_recovers_after_consecutive_successes():
     h = HealthTracker(1, suspect_after=2, recover_after=2)
     h.record_failure(0)
     h.record_failure(0)
-    assert h.is_suspect(0)
+    assert 0 in h.suspect_parts
     h.record_success(0)
     h.record_failure(0)  # breaks the ok streak while suspect
     h.record_success(0)
-    assert h.is_suspect(0)
+    assert 0 in h.suspect_parts
     h.record_success(0)
-    assert not h.is_suspect(0)
+    assert 0 not in h.suspect_parts
     assert h.metrics.counter("health.recoveries").value == 1
     assert h.metrics.gauge("health.suspect_parts").value == 0
 
 
 def test_health_probe_cadence():
     h = HealthTracker(1, probe_every=4)
-    decisions = [h.should_probe(0) for _ in range(8)]
+    assert h.probe_mask(np.zeros(8, dtype=np.int64)).tolist() == [False, False, False, True] * 2
+    assert h.metrics.counter("health.probes").value == 2
+    h = HealthTracker(1, probe_every=4)  # one read per call: the count carries over
+    decisions = [bool(h.probe_mask(np.zeros(1, dtype=np.int64))[0]) for _ in range(8)]
     assert decisions == [False, False, False, True] * 2
     assert h.metrics.counter("health.probes").value == 2
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n_parts=st.integers(1, 4),
+    probe_every=st.integers(1, 9),
+    data=st.data(),
+)
+def test_probe_mask_matches_the_scalar_decisions(n_parts, probe_every, data):
+    """Batches of interleaved parts, on counters carried over from earlier
+    reads: the mask, the counters and ``health.probes`` equal the scalar
+    decision taken read after read."""
+    part = st.integers(0, n_parts - 1)
+    batches = data.draw(st.lists(st.lists(part, max_size=24), max_size=5))
+    carried = data.draw(st.lists(st.integers(0, 20), min_size=n_parts, max_size=n_parts))
+    bulk, oracle = (HealthTracker(n_parts, probe_every=probe_every) for _ in range(2))
+    bulk._routed_around, oracle._routed_around = list(carried), list(carried)
+    for batch in batches:
+        mask = bulk.probe_mask(np.array(batch, dtype=np.int64))
+        assert mask.tolist() == [should_probe(oracle, p) for p in batch]
+        assert bulk._routed_around == oracle._routed_around
+        assert bulk.metrics.summary_rows() == oracle.metrics.summary_rows()
 
 
 def test_health_reset_and_validation():
@@ -200,7 +237,7 @@ def test_health_reset_and_validation():
     with pytest.raises(RuntimeConfigError):
         h.record_failure(5)
     h.record_failure(0)
-    assert h.is_suspect(0)
+    assert 0 in h.suspect_parts
 
 
 def test_runtime_feeds_health_tracker(small_powerlaw):
@@ -210,7 +247,7 @@ def test_runtime_feeds_health_tracker(small_powerlaw):
     store.attach_runtime(runtime)
     v = next(u for u in range(1000) if store.owner(u) == 1)
     store.neighbors(v, from_part=0)
-    assert not runtime.health.is_suspect(1)
+    assert 1 not in runtime.health.suspect_parts
     assert runtime.health.metrics is runtime.metrics
 
 
@@ -230,7 +267,7 @@ def test_suspect_owner_routes_to_replica(small_powerlaw):
     store.servers[1].neighbor_cache = cache
     for _ in range(3):
         runtime.health.record_failure(2)
-    assert runtime.health.is_suspect(2)
+    assert 2 in runtime.health.suspect_parts
     row = store.neighbors(v, from_part=0)
     np.testing.assert_array_equal(row, small_powerlaw.out_neighbors(v))
     assert store.ledger.count(EV_SUSPECT_ROUTE) == 1
@@ -265,10 +302,10 @@ def test_suspect_recovers_through_probes(small_powerlaw):
     ][:2]
     for _ in range(3):
         runtime.health.record_failure(1)
-    assert runtime.health.is_suspect(1)
+    assert 1 in runtime.health.suspect_parts
     for v in vs:  # probe_every=1: every read probes straight through
         store.neighbors(v, from_part=0)
-    assert not runtime.health.is_suspect(1)
+    assert 1 not in runtime.health.suspect_parts
 
 
 # --------------------------------------------------------------------- #
@@ -293,6 +330,44 @@ def test_failover_does_not_touch_cache_counters(small_powerlaw):
     assert store.servers[1].neighbor_cache.misses == 0
     assert store.servers[0].neighbor_cache.misses == issuer_misses + 1
     assert store.cache_hit_rate() == 0.0  # one honest issuer miss, no hits
+
+
+def _owner_only_copy(graph, store):
+    """A vertex of part 1 whose only cached copy sits in part 1's own cache."""
+    v = next(u for u in range(1000) if store.owner(u) == 1 and graph.out_neighbors(u).size)
+    cache = NeighborCache(2)
+    cache.pin(v, graph.out_neighbors(v))
+    store.servers[1].neighbor_cache = cache
+    return v
+
+
+def test_retry_exhausted_read_does_not_fail_over_to_the_owner(small_powerlaw):
+    store = make_store(small_powerlaw, 4, seed=0)
+    store.attach_runtime(
+        RpcRuntime(
+            store,
+            faults=FaultPlan(drop_rate=1.0, seed=0),
+            retry=RetryPolicy(max_attempts=1),
+        )
+    )
+    v = _owner_only_copy(small_powerlaw, store)
+    with pytest.raises(RetryExhaustedError, match=f"of vertex {v}: "):
+        store.neighbors(v, from_part=0)
+    assert store.ledger.count(EV_FAILOVER_READ) == 0
+
+
+def test_suspect_owner_is_not_routed_around_to_its_own_cache(small_powerlaw):
+    store = make_store(small_powerlaw, 4, seed=0)
+    runtime = RpcRuntime(store)
+    store.attach_runtime(runtime)
+    v = _owner_only_copy(small_powerlaw, store)
+    for _ in range(runtime.health.suspect_after):
+        runtime.health.record_failure(1)
+    assert 1 in runtime.health.suspect_parts
+    row = store.neighbors(v, from_part=0)  # no replica: it probes through
+    np.testing.assert_array_equal(row, small_powerlaw.out_neighbors(v))
+    assert store.ledger.count(EV_SUSPECT_ROUTE) == 0
+    assert store.ledger.count(EV_REMOTE_RPC) == 1
 
 
 def test_replica_peek_skips_failed_holders(small_powerlaw):

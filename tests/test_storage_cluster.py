@@ -13,6 +13,7 @@ from repro.errors import ReadUnavailableError, RetryExhaustedError, StorageError
 from repro.graph.dynamic import EdgeEvent
 from repro.obs import AccessRecorder
 from repro.runtime import (
+    FaultInjector,
     FaultPlan,
     HealthTracker,
     MetricsRegistry,
@@ -51,7 +52,14 @@ from repro.storage.costmodel import (
 from repro.storage.partition.hashcut import EdgeCutPartitioner
 from repro.utils.rng import make_rng
 from repro.storage.server import RowBlock
-from tests.conftest import block_rows, cache_admit, cache_get, pack_block, replica_holders
+from tests.conftest import (
+    block_rows,
+    cache_admit,
+    cache_get,
+    pack_block,
+    replica_holders,
+    should_probe,
+)
 
 
 def test_local_read_accounted(small_powerlaw):
@@ -314,12 +322,49 @@ def per_event_apply(store, events):
     return applied
 
 
+def replica_peek(store, vertex, from_part):
+    """A healthy replica's copy of ``vertex``'s row, or None: the servers
+    other than the issuer, the fail-stopped ones and the vertex's owner,
+    asked in part order with ``peek`` (no accounting, no recency)."""
+    skip = {from_part, store.owner(vertex), *store.failed_workers}
+    for p, server in enumerate(store.servers):
+        if p not in skip:
+            row = server.neighbor_cache.peek(vertex)
+            if row is not None:
+                return row
+    return None
+
+
+def failover_read(store, vertex, from_part, kind):
+    """One read whose owner is unreachable: a replica's row, else an empty
+    row under ``degraded_reads`` (neighbors only), else
+    :class:`ReadUnavailableError`."""
+    runtime = store.runtime
+    rec = runtime.recorder
+    owner = store.owner(vertex)
+    if kind == KIND_NEIGHBORS:
+        row = replica_peek(store, vertex, from_part)
+        if row is not None:
+            store.ledger.record(EV_FAILOVER_READ)
+            if rec is not None:
+                rec.record(vertex, owner, from_part, "failover")
+            return row
+        if store.degraded_reads:
+            store.ledger.record(EV_DEGRADED_READ)
+            runtime.metrics.counter("reads.degraded").inc()
+            if rec is not None:
+                rec.record(vertex, owner, from_part, "degraded")
+            return np.zeros(0, dtype=np.int64)
+    raise ReadUnavailableError(vertex, owner, kind)
+
+
 def per_vertex_dispatch(store, kind, vertices, from_part, runtime, read_span):
     """The ordered per-vertex dispatch loop the store used to run.
 
     Kept here as the oracle for ``_resolve_read_traced``: one vertex at a
     time through the scalar ``get`` / ``admit`` / ``local_neighbors`` /
-    ``ledger.record`` calls, in batch order.
+    ``ledger.record`` calls, the scalar replica lookup and probe decision,
+    in batch order.
     """
     health = runtime.health
     nb_cache = store.servers[from_part].neighbor_cache
@@ -363,16 +408,16 @@ def per_vertex_dispatch(store, kind, vertices, from_part, runtime, read_span):
                 results[v] = cached
                 continue
         if owner in store._failed:
-            results[v] = store._failover_read(v, from_part, kind)
+            results[v] = failover_read(store, v, from_part, kind)
             continue
         if kind == KIND_ATTRS and not server.attrs.has_vertex_attr(v):
             raise StorageError(f"vertex {v} has no attributes stored")
         if (
             kind == KIND_NEIGHBORS
-            and health.is_suspect(owner)
-            and not health.should_probe(owner)
+            and owner in health.suspect_parts
+            and not should_probe(health, owner)
         ):
-            row = store._replica_peek(v, from_part)
+            row = replica_peek(store, v, from_part)
             if row is not None:
                 store.ledger.record(EV_SUSPECT_ROUTE)
                 runtime.metrics.counter("health.suspect_routes").inc()
@@ -428,7 +473,7 @@ def _per_vertex_remote(store, kind, from_part, runtime, remote_v, remote_owner, 
         else:
             for v in req.vertices.tolist():
                 try:
-                    results[v] = store._failover_read(v, from_part, kind)
+                    results[v] = failover_read(store, v, from_part, kind)
                 except ReadUnavailableError as exc:
                     raise RetryExhaustedError(
                         f"{kind} of vertex {v}: {resp.error}, "
@@ -453,7 +498,11 @@ SCENARIOS = {
     "fail_stop": ({"drop_rate": 0.05}, 8, False),
     "degraded": ({"drop_rate": 0.05}, 8, True),
     "suspect": ({"drop_rate": 0.05}, 8, False),
+    "fail_stop_suspect": ({"drop_rate": 0.05}, 8, False),
 }
+#: The scenarios that take a worker offline, and those that make one suspect.
+FAIL_STOP = ("fail_stop", "degraded", "fail_stop_suspect")
+SUSPECT = ("suspect", "fail_stop_suspect")
 
 
 def _parity_store(graph, feats, policy, scenario, per_vertex):
@@ -599,14 +648,14 @@ def test_bulk_arms_match_per_vertex_dispatch(small_powerlaw, policy, scenario):
 
     for step in range(14):
         issuer = (0, 2, 3)[step % 3]
-        if step == 4 and scenario in ("fail_stop", "degraded"):
+        if step == 4 and scenario in FAIL_STOP:
             for store in stores:
                 store.fail_worker(down)
-        if step in (4, 8, 12) and scenario == "suspect":
+        if step in (4, 8, 12) and scenario in SUSPECT:
             for store in stores:
                 store.runtime.health.record_failure(2)
                 store.runtime.health.record_failure(2)
-                assert store.runtime.health.is_suspect(2)
+                assert 2 in store.runtime.health.suspect_parts
         failed = bool(bulk.failed_workers)
 
         for size in (1, 3, 1200, 40):
@@ -680,16 +729,56 @@ def test_bulk_arms_match_per_vertex_dispatch(small_powerlaw, policy, scenario):
     counters = {c.name: c.value for c in bulk.runtime.metrics.counters()}
     if scenario == "retry_exhausted":
         assert RetryExhaustedError in seen_errors
-    if scenario == "fail_stop":
+    if scenario in ("fail_stop", "fail_stop_suspect"):
         assert ReadUnavailableError in seen_errors
         if policy in ("random", "lru"):  # importance pins one set everywhere
             assert bulk.ledger.count(EV_FAILOVER_READ) > 0
     if scenario == "degraded":
         assert counters["reads.degraded"] > 0
-    if scenario == "suspect" and policy in ("random", "lru"):
+    if scenario in SUSPECT and policy in ("random", "lru"):
         assert counters["health.suspect_routes"] > 0
         assert counters["health.probes"] > 0
         assert counters["health.recoveries"] > 0
+
+
+@pytest.mark.parametrize("scenario", ["fail_stop", "retry_exhausted"])
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_an_unservable_id_between_servable_ones_raises_the_same_error(
+    small_powerlaw, policy, scenario
+):
+    """Fresh twin stores read batches that put unservable ids between
+    servable ones: the store and the per-vertex oracle raise alike."""
+    graph = small_powerlaw
+    feats = make_rng(3).normal(size=(graph.n_vertices, 6)).astype(np.float32)
+    stores = [
+        _parity_store(graph, feats, policy, scenario, per_vertex)
+        for per_vertex in (False, True)
+    ]
+    bulk = stores[0]
+    owners = bulk.assignment.vertex_to_part
+    issuer, down = 0, 1
+    for store in stores:
+        if scenario == "fail_stop":
+            store.fail_worker(down)
+        else:  # every RPC is dropped, and once is all it gets
+            store.runtime.faults = FaultInjector(FaultPlan(drop_rate=1.0, seed=5))
+            store.runtime.retry = RetryPolicy(max_attempts=1)
+
+    def servable(v):
+        owner = int(owners[v])
+        if owner == issuer or (scenario == "fail_stop" and owner != down):
+            return True
+        return any(p not in (owner, down) for p in replica_holders(bulk.replicas, v))
+
+    by_kind = {True: [], False: []}
+    for v in make_rng(9).permutation(graph.n_vertices)[:400].tolist():
+        by_kind[servable(v)].append(v)
+    ok, lost = by_kind[True][:6], by_kind[False][:3]
+    assert len(ok) == 6 and len(lost) == 3
+    batch = [ok[0], ok[1], lost[0], ok[2], lost[1], ok[3], ok[4], lost[2], ok[5]]
+    expected = ReadUnavailableError if scenario == "fail_stop" else RetryExhaustedError
+    assert _both(stores, lambda s: s.get_neighbors_batch(batch, from_part=issuer)) is expected
+    assert _both(stores, lambda s: s.get_attrs_batch(batch, from_part=issuer)) is expected
 
 
 # --------------------------------------------------------------------- #

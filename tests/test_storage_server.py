@@ -306,8 +306,11 @@ class DictCache:
     def __len__(self):
         return len(self.pinned) + len(self.lru)
 
-    def __contains__(self, vertex):
-        return vertex in self.pinned or vertex in self.lru
+    def holds(self, ids):
+        return np.array([v in self.pinned or v in self.lru for v in ids.tolist()], dtype=bool)
+
+    def peek_many(self, ids):
+        return pack_block(ids, {v: self.peek(v) for v in ids.tolist()})
 
     def get(self, vertex):
         row = self.pinned.get(vertex)
@@ -377,16 +380,22 @@ def _cache_state(cache, lru_order, lru_counts):
     )
     rows = [cache.peek(v) for v in range(-1, 13)]
     held = {v for v in range(12) if cache.peek(v) is not None}
+    copies = block_rows(cache.peek_many(np.array(sorted(held), dtype=np.int64)))
+    ids = np.arange(12)
     return (
         cache.pinned_vertices(),
         cache.cached_vertices(),
         lru_order,
         (cache.hits, cache.misses, *lru_counts),
         (len(cache), cache.free_pin_slots),
-        [(v in cache, cache.is_pinned(v)) for v in range(-1, 13)],
+        cache.holds(np.arange(-1, 13)).tolist(),
+        [cache.is_pinned(v) for v in range(-1, 13)],
         [None if row is None else row.tolist() for row in rows],
+        sorted((v, row.tolist()) for v, row in copies.items()),
         registry.held_by(1),
         [replica_holders(registry, v) for v in range(12)],
+        registry.first_holders(ids, np.zeros(12, dtype=np.int64), set()).tolist(),
+        registry.first_holders(ids, np.ones(12, dtype=np.int64), set()).tolist(),
         registry.audit({1: held}),
     )
 
