@@ -19,7 +19,9 @@ while cold tails degrade. The acceptance bar: with
 cache, availability must be >= 99% — while LRU and cacheless stores sit
 near the live-shard fraction (~62% with 1 of 4 workers down), because
 only importance caching replicates the hub mass every hop expansion
-keeps landing on. Other sweeps call :func:`run_fault_matrix` with their
+keeps landing on. A random cache, drawn separately on each server, sits
+between the two: its diverged caches serve some of the dead worker's
+reads as replica failovers. Other sweeps call :func:`run_fault_matrix` with their
 own axes.
 """
 
@@ -38,6 +40,7 @@ from repro.storage.cache import (
     CachePolicy,
     ImportanceCachePolicy,
     LRUCachePolicy,
+    RandomCachePolicy,
 )
 from repro.storage.cluster import DistributedGraphStore, make_store
 from repro.storage.costmodel import EV_FAILOVER_READ, EV_SUSPECT_ROUTE
@@ -47,6 +50,7 @@ from repro.utils.rng import make_rng
 POLICIES: "dict[str, type[CachePolicy] | None]" = {
     "none": None,
     "lru": LRUCachePolicy,
+    "random": RandomCachePolicy,
     "importance": ImportanceCachePolicy,
 }
 
@@ -154,7 +158,7 @@ def run_fault_matrix(
     graph: Graph,
     drop_rates: "tuple[float, ...]" = (0.0, 0.2),
     failed_workers: "tuple[int, ...]" = (0, 1),
-    policies: "tuple[str, ...]" = ("none", "lru", "importance"),
+    policies: "tuple[str, ...]" = ("none", "lru", "random", "importance"),
     n_workers: int = 4,
     cache_fraction: float = 0.25,
     hop_nums: "tuple[int, ...]" = (10, 5),
@@ -249,10 +253,12 @@ def _run(smoke: bool) -> ExperimentReport:
     report.note(
         "availability = logical neighbor reads served with data / issued "
         "(hub-weighted, pre-dedup); seeds drawn from live shards, hop "
-        "expansion reads everywhere. failover=0 here is structural: the "
+        "expansion reads everywhere. failover counts reads of a dead "
+        "owner's vertex served from another server's replica: the "
         "importance plan pins the same hub set on every server, so the "
-        "issuer's own cache hit subsumes the replica probe — failover "
-        "fires when caches diverge (exercised by tests/test_fault_matrix)."
+        "issuer's own cache hit subsumes the replica probe (failover=0), "
+        "while the random plan draws a different set per server and its "
+        "diverged caches serve failovers; lru fills only the issuer's cache."
     )
     return report
 
@@ -269,15 +275,18 @@ def _check(report: ExperimentReport, smoke: bool) -> None:
         if "failed=0" in label:
             assert m["availability"] == 1.0
 
-    # Importance caching strictly beats LRU and cacheless under a dead
-    # worker (those two degrade identically: LRU only demand-fills on the
-    # issuer, so no other server holds replicas).
+    # Under a dead worker importance caching beats random, which beats LRU
+    # and cacheless (those two degrade identically: LRU only demand-fills
+    # on the issuer, so no other server holds replicas). Random caches
+    # diverge across servers, so some reads fail over to a replica.
     for drop in ("0%", "20%"):
         imp = by_label[f"drop={drop} failed=1 cache=importance"]
+        rnd = by_label[f"drop={drop} failed=1 cache=random"]
         lru = by_label[f"drop={drop} failed=1 cache=lru"]
         none = by_label[f"drop={drop} failed=1 cache=none"]
-        assert imp["availability"] > lru["availability"]
+        assert imp["availability"] > rnd["availability"] > lru["availability"]
         assert lru["availability"] == none["availability"]
+        assert rnd["failover"] > 0
 
     # Injected drops surface as retries and a fatter latency tail.
     assert by_label["drop=20% failed=0 cache=none"]["retries"] > 0

@@ -114,21 +114,35 @@ class SeparateAttributeStore:
         """Whether ``vertex`` has stored attributes."""
         return vertex in self._vertex_handle
 
-    def remove_vertex_attr(self, vertex: int) -> "np.ndarray | None":
-        """Drop ``vertex``'s attribute mapping; returns the row or None.
+    def peek_vertex_attrs(self, vertices: np.ndarray) -> "dict[int, np.ndarray]":
+        """The rows of those of ``vertices`` with stored attributes, decoded
+        from the index: the IV cache is neither read nor filled, so sizing
+        or shipping rows for a migration moves no later read's hit."""
+        handle = self._vertex_handle
+        return {
+            v: self.iv.lookup_vector(handle[v]) for v in vertices.tolist() if v in handle
+        }
 
-        Used when ownership of a vertex migrates away: the handle mapping
-        and any cached decode leave with it. The interned payload stays in
-        the dedup index (other vertices may share it), but the inline-cost
+    def attr_sizes(self, vertices: np.ndarray) -> np.ndarray:
+        """Length of each of ``vertices``' attribute rows (0: none stored),
+        read off the index as :meth:`peek_vertex_attrs` reads them."""
+        rows = self.peek_vertex_attrs(vertices)
+        sizes = (rows[v].size if v in rows else 0 for v in vertices.tolist())
+        return np.fromiter(sizes, np.int64, vertices.size)
+
+    def remove_vertex_attrs(self, vertices: np.ndarray) -> None:
+        """Drop the attribute mappings of ``vertices`` (ones without are skipped).
+
+        Used when ownership migrates away: the handle mappings and any
+        cached decodes leave with them. The interned payloads stay in the
+        dedup index (other vertices may share them), but the inline-cost
         counter is rolled back so space accounting tracks live rows only.
         """
-        handle = self._vertex_handle.pop(vertex, None)
-        if handle is None:
-            return None
-        self.iv_cache.delete(vertex)
-        value = self.iv.lookup_vector(handle)
-        self._inline_bytes -= value.nbytes
-        return value
+        for vertex in vertices.tolist():
+            handle = self._vertex_handle.pop(vertex, None)
+            if handle is not None:
+                self.iv_cache.delete(vertex)
+                self._inline_bytes -= self.iv.lookup_vector(handle).nbytes
 
     # ------------------------------------------------------------------ #
     # Space accounting (the §3.2 cost comparison)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import StorageError, check_id, check_ids
+from repro.errors import StorageError, check_ids
 from repro.graph.graph import Graph
 from repro.storage.importance import MAX_HOP, importance_scores
 from repro.storage.rows import RowArena, RowBlock, concat_blocks
@@ -52,19 +52,21 @@ class NeighborCache:
     def __len__(self) -> int:
         return self._n_pinned + len(self._lru)
 
-    def pin(self, vertex: int, neighbors: np.ndarray) -> None:
-        """Permanently cache a copy of ``vertex``'s neighbors (up to capacity).
+    def pin(self, block: RowBlock) -> None:
+        """Permanently cache copies of the rows of ``block`` (distinct ids),
+        up to capacity.
 
-        ``vertex`` must be a non-negative integer and ``neighbors`` a 1-D
-        batch of them: anything else raises before the cache changes.
+        The ids and the rows must be 1-D batches of non-negative integers,
+        and the ids not yet pinned must fit: anything else raises before
+        the cache changes.
         """
-        vertex = check_id(vertex, None, StorageError, "pinned vertex")
-        row = check_ids(neighbors, None, StorageError, "pinned neighbors")
-        held = self._pinned.has(vertex)
-        if not held and self._n_pinned >= self.capacity:
+        ids = check_ids(block.ids, None, StorageError, "pinned vertices")
+        rows = check_ids(block.indices, None, StorageError, "pinned neighbors")
+        new = ids.size - int(np.count_nonzero(self._pinned.held(ids)))
+        if self._n_pinned + new > self.capacity:
             raise StorageError("neighbor cache pin capacity exhausted")
-        self._pinned.put(np.array([vertex], dtype=np.int64), np.array([0, row.size]), row)
-        self._n_pinned += not held
+        self._pinned.put(ids, block.offsets, rows)
+        self._n_pinned += new
 
     def get_many(
         self, vertices: "np.ndarray | list[int]"
@@ -116,22 +118,24 @@ class NeighborCache:
             return self._pinned.row(vertex)
         return self._rows.row(vertex) if vertex in self._lru else None
 
-    def is_pinned(self, vertex: int) -> bool:
-        """Whether ``vertex`` is held as a pinned (policy-selected) entry."""
-        return self._pinned.has(vertex)
+    def is_pinned(self, ids: "int | np.ndarray") -> "bool | np.ndarray":
+        """Whether each of ``ids`` is held as a pinned (policy- or
+        placement-selected) entry, as one mask (one bool for one id)."""
+        return self._pinned.held(np.asarray(ids))
 
-    def unpin(self, vertex: int) -> bool:
-        """Release a pinned entry (placement demotion); True if it was held.
+    def unpin_many(self, vertices: "np.ndarray | list[int]") -> "list[int]":
+        """Release the pinned entries of ``vertices`` (placement demotion);
+        returns the ones that were held, in first-seen order.
 
-        Unlike :meth:`invalidate` this touches only the pinned side — a
+        Unlike :meth:`invalidate_many` this touches only the pinned side — a
         demand-filled copy of the same vertex (possible under mixed
         policies) survives, because demotion is a capacity decision, not a
         staleness one.
         """
-        held = self._pinned.has(vertex)
-        if held:
-            self._pinned.drop([vertex])
-            self._n_pinned -= 1
+        ids = np.asarray(vertices, dtype=np.int64)
+        held = list(dict.fromkeys(ids[self._pinned.held(ids)].tolist()))
+        self._pinned.drop(held)
+        self._n_pinned -= len(held)
         return held
 
     @property
@@ -166,27 +170,15 @@ class NeighborCache:
         lru.put_many(ids)
         self._rows.put(*block, live=lru.keys)
 
-    def invalidate(self, vertex: int) -> None:
-        """Drop any cached copy of ``vertex``'s neighbors (after an update).
+    def invalidate_many(self, vertices: "np.ndarray | list[int]") -> "list[int]":
+        """Drop any cached copy of each of ``vertices``' neighbors (after an
+        update or a migration); returns the ones that were pinned.
 
-        Pinned entries are dropped too: a stale pinned row is worse than a
-        miss.
+        Pinned entries are dropped too — a stale pinned row is worse than a
+        miss. The write path re-pins the returned ids, in input order, with
+        their fresh rows.
         """
-        self.unpin(vertex)
-        self._lru.delete_many([vertex])
-
-    def invalidate_many(self, vertices: "list[int]") -> "list[int]":
-        """:meth:`invalidate` each of ``vertices``; returns the ones that were pinned.
-
-        The write path's call: the returned ids, in input order, are the
-        entries to re-pin with their fresh rows.
-        """
-        was_pinned: "list[int]" = []
-        if self._n_pinned:
-            ids = np.asarray(vertices, dtype=np.int64)
-            was_pinned = list(dict.fromkeys(ids[self._pinned.held(ids)].tolist()))
-            self._pinned.drop(was_pinned)
-            self._n_pinned -= len(was_pinned)
+        was_pinned = self.unpin_many(vertices) if self._n_pinned else []
         self._lru.delete_many(vertices)
         return was_pinned
 
@@ -195,8 +187,8 @@ class NeighborCache:
         """Whether this cache is pinned-only (no demand-filled side).
 
         True for the importance/random policies and for no cache at all:
-        contents change only through :meth:`pin` / :meth:`unpin` /
-        :meth:`invalidate`, never on access, and :meth:`pinned_vertices`
+        contents change only through :meth:`pin` / :meth:`unpin_many` /
+        :meth:`invalidate_many`, never on access, and :meth:`pinned_vertices`
         lists all of them. Demand-filled (LRU) caches move recency and
         contents per access.
         """

@@ -595,9 +595,11 @@ class DistributedGraphStore:
             touched = list(changed)
             for p, server in enumerate(self.servers):
                 cache = server.neighbor_cache
-                for src in cache.invalidate_many(touched):
+                repinned = cache.invalidate_many(touched)
+                if repinned:
+                    cache.pin(self.owner_rows(np.array(repinned, dtype=np.int64)))
+                for src in repinned:
                     owner, sizes = changed[src]
-                    cache.pin(src, self.servers[owner].local_neighbors(src))
                     if p != owner:
                         refreshes += len(sizes)
                         shipped += sum(sizes)
@@ -609,29 +611,39 @@ class DistributedGraphStore:
             raise error
         return applied
 
-    def commit_migration(self, vertex: int, new_part: int) -> int:
-        """Flip ownership of ``vertex`` to ``new_part``; returns the old owner.
+    def commit_migration(self, vertices: np.ndarray, new_part: int) -> np.ndarray:
+        """Flip ownership of ``vertices`` to ``new_part``; returns their old owners.
 
         The placement controller calls this only after the data handoff
-        succeeded (row installed on ``new_part``, old owner released), so
+        succeeded (rows installed on ``new_part``, old owner released), so
         the flip is the last, purely-local step of the migration protocol —
         reads before it route to the old owner's (still-installed) shard,
-        reads after it to the new owner's. The new owner's cached replica
-        of the vertex, if any, is dropped: owned rows are served from the
+        reads after it to the new owner's. The new owner's cached replicas
+        of the vertices, if any, are dropped: owned rows are served from the
         shard, and a lingering copy would advertise a failover replica on
         the very server whose failure it should cover.
         """
-        vertex = check_id(vertex, self.graph.n_vertices, StorageError, "vertex")
+        ids = check_ids(vertices, self.graph.n_vertices, StorageError, "vertices")
         new_part = check_id(new_part, self.n_workers, StorageError, "worker")
-        if not self.servers[new_part].owns(vertex):
+        staged = self.servers[new_part].owns(ids)
+        if not staged.all():
             raise StorageError(
-                f"cannot commit migration of vertex {vertex}: "
+                f"cannot commit migration of vertex {int(ids[~staged][0])}: "
                 f"worker {new_part} has not ingested it"
             )
-        previous = self.assignment.reassign_vertex(vertex, new_part)
-        self.servers[new_part].neighbor_cache.invalidate(vertex)
-        self.ledger.record(EV_VERTEX_MIGRATED)
+        previous = self.assignment.reassign(ids, new_part)
+        self.servers[new_part].neighbor_cache.invalidate_many(ids)
+        if ids.size:
+            self.ledger.record(EV_VERTEX_MIGRATED, times=ids.size)
         return previous
+
+    def owner_rows(self, vertices: np.ndarray) -> RowBlock:
+        """The shard rows of distinct ``vertices``, each read off its owner
+        with no charge, as one block grouped by owner in part order."""
+        owners = self.assignment.vertex_to_part[vertices]
+        return concat_blocks(
+            [self.servers[p].local_rows(vertices[owners == p]) for p in np.unique(owners).tolist()]
+        )
 
     def reset_ledger(self) -> None:
         """Zero the cost counters (cache contents are kept)."""

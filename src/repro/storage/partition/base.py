@@ -49,7 +49,7 @@ class PartitionAssignment:
         Source placement stores no per-edge array: edge ``(u, v)`` lives
         where ``u`` lives, so the map is ``vertex_to_part[src]``, gathered
         on each read (a read-only copy: write placements through
-        :meth:`reassign_vertex`).
+        :meth:`reassign`).
         """
         if self._edge_to_part is not None:
             return self._edge_to_part
@@ -117,21 +117,20 @@ class PartitionAssignment:
         part = check_id(part, self.n_parts, PartitionError, "part")
         return np.flatnonzero(self.vertex_to_part == part)
 
-    def reassign_vertex(self, vertex: int, part: int) -> int:
-        """Move ``vertex`` to ``part`` (incremental repartitioning commit).
+    def reassign(self, vertices: np.ndarray, part: int) -> np.ndarray:
+        """Move ``vertices`` to ``part`` (incremental repartitioning commit).
 
-        Keeps the source-placement invariant: edges whose source is
-        ``vertex`` follow it to the new part. Returns the previous owner.
+        Keeps the source-placement invariant: edges whose source is a moved
+        vertex follow it to the new part — one ``np.isin`` over a stored
+        per-edge map. Returns each vertex's previous part.
         """
         part = check_id(part, self.n_parts, PartitionError, "part")
-        vertex = check_id(vertex, self.graph.n_vertices, PartitionError, "vertex")
-        previous = int(self.vertex_to_part[vertex])
-        if previous == part:
-            return previous
-        self.vertex_to_part[vertex] = part
+        vertices = check_ids(vertices, self.graph.n_vertices, PartitionError, "vertices")
+        previous = self.vertex_to_part[vertices]
+        self.vertex_to_part[vertices] = part
         if self._edge_to_part is not None:  # a derived map follows on its own
             src, _, _ = self.graph.edge_array()
-            self._edge_to_part[src == vertex] = part
+            self._edge_to_part[np.isin(src, vertices[previous != part])] = part
         return previous
 
 

@@ -1,25 +1,25 @@
 """Trace-driven adaptive placement: replica promotion + incremental repartitioning.
 
 The paper's §4 storage layer decides caching and partitioning *offline*;
-everything this repo measured since PR 3 says the workload drifts out from
-under those decisions (shifting Zipf hot sets rotate which vertices are hot
-and which edges cross the cut). This module closes the observe → decide →
-migrate loop on the virtual clock:
+when the workload drifts (shifting Zipf hot sets rotate which vertices are
+hot and which edges cross the cut), this module closes the observe →
+decide → migrate loop on the virtual clock:
 
-* a :class:`PlacementController` consumes the decayed per-vertex /
-  per-issuer statistics of an :class:`~repro.obs.workload.AccessRecorder`
-  once per decision epoch;
+* a :class:`PlacementController` reads the decayed ``(vertex, issuer)``
+  arrays of an :class:`~repro.obs.workload.AccessRecorder` once per
+  decision epoch, and each pass ranks its candidates with masks and one
+  ``lexsort`` (gain descending, ties by vertex id, then issuer);
 * **replica promotion/demotion** prices each candidate with the §4 cost
   model (:meth:`CostModel.replication_gain_us`) instead of the static
   importance heuristic: pin where the modelled remote-read savings beat the
   install + maintenance cost, unpin replicas the hot set left behind;
 * an **incremental repartitioner** migrates vertices toward their dominant
   reader in bounded batches: a token bucket caps migration items per epoch,
-  and ownership handoff runs as a two-phase RPC protocol (``placement.fetch``
-  then ``placement.release``) through the normal :class:`RpcRuntime` — same
-  clock, same fault injection, same retries — so migration traffic is priced
-  on the ledger (``migration_rpc`` / ``item_shipped`` / ``vertex_migrated``
-  events) and a mid-migration fault leaves the cluster consistent.
+  and each batch moves as one row block through a two-phase RPC protocol
+  (``placement.fetch`` then ``placement.release``) on the normal
+  :class:`RpcRuntime` — same clock, same fault injection, same retries — so
+  migration traffic is priced on the ledger (``migration_rpc`` /
+  ``item_shipped`` / ``vertex_migrated`` events).
 
 Handoff safety on the single-threaded simulator: the new owner *ingests
 before* the old owner releases, and the assignment flips only after the
@@ -27,12 +27,9 @@ release RPC succeeded — every instant of the protocol has exactly one
 server the router resolves for the vertex, and that server holds the row.
 The fault model rolls drop/timeout *before* serving, so a release that
 fails after retries provably never executed: the controller rolls the
-staged copy back and the vertex simply stays put (exactly-once semantics).
-
-Everything is deterministic: candidate scans visit ``(vertex, issuer)``
-entries in order, ties
-break on vertex id, and per-epoch reports are plain dicts — two same-seed
-runs produce bit-identical decision sequences.
+staged copy back and the batch simply stays put (exactly-once semantics).
+Per-epoch reports are plain dicts; two same-seed runs produce
+bit-identical decision sequences.
 """
 
 from __future__ import annotations
@@ -51,6 +48,7 @@ from repro.storage.costmodel import (
     EV_REPLICA_DROP,
     EV_REPLICA_INSTALL,
 )
+from repro.storage.rows import RowBlock
 
 #: Migration protocol verbs (registered on the runtime via register_service).
 KIND_MIGRATE_FETCH = "placement.fetch"
@@ -154,32 +152,21 @@ class PlacementController:
     # ------------------------------------------------------------------ #
     # Migration protocol handlers (run on the *old owner* via the runtime)
     # ------------------------------------------------------------------ #
-    def _serve_fetch(self, req) -> "tuple[dict, dict, int]":
-        """Phase 1: read out the neighbor row and attrs of each vertex."""
+    def _serve_fetch(self, req) -> "tuple[RowBlock, dict, int]":
+        """Phase 1: read out the batch's neighbor rows (one block) and the
+        attribute rows of those that have them, off the shard and the
+        attribute index — no IV-cache traffic."""
         server = self.store.servers[req.dst_part]
-        payload: "dict[int, np.ndarray]" = {}
-        meta: "dict[int, object]" = {}
-        n_items = 0
-        for v in req.vertices.tolist():
-            row = server.local_neighbors(v)
-            attr = (
-                server.attrs.get_vertex_attr(v)
-                if server.attrs.has_vertex_attr(v)
-                else None
-            )
-            payload[v] = row
-            meta[v] = attr
-            n_items += int(row.size) + (int(attr.size) if attr is not None else 0)
-        return payload, meta, n_items
+        block = server.local_rows(req.vertices)
+        attrs = server.attrs.peek_vertex_attrs(req.vertices)
+        return block, attrs, int(block.offsets[-1]) + sum(map(len, attrs.values()))
 
-    def _serve_release(self, req) -> "tuple[dict, dict, int]":
-        """Phase 2: the old owner surrenders the rows (idempotent ack)."""
+    def _serve_release(self, req) -> "tuple[None, dict, int]":
+        """Phase 2: the old owner surrenders the rows it still holds (an
+        idempotent ack: a retried release finds them gone)."""
         server = self.store.servers[req.dst_part]
-        payload = {v: np.zeros(0, dtype=np.int64) for v in req.vertices.tolist()}
-        for v in payload:
-            if server.owns(v):
-                server.release_vertex(v)
-        return payload, {}, 0
+        server.release(req.vertices[server.owns(req.vertices)])
+        return None, {}, 0
 
     # ------------------------------------------------------------------ #
     # The decision loop
@@ -222,73 +209,80 @@ class PlacementController:
 
     # -- demotion ------------------------------------------------------ #
     def _demote_pass(self) -> int:
-        """Unpin replicas the hot set left behind (and now-local pins)."""
+        """Unpin replicas the hot set left behind (and now-local pins): one
+        mask per server, servers in part order and each one's pins in id
+        order, at most ``demote_per_epoch`` in all."""
         cfg = self.config
         cost = self.store.cost_model
         per_read = cost.remote_rpc_us - cost.cache_hit_us
         keep_floor = cost.replica_install_us * cfg.demote_margin
         weights = self.recorder.decayed_issuer_reads
+        vertex_to_part = self.store.assignment.vertex_to_part
         demoted = 0
         for part, server in enumerate(self.store.servers):
+            room = cfg.demote_per_epoch - demoted
+            if room <= 0:
+                break
             cache = server.neighbor_cache
-            for v in cache.pinned_vertices():
-                if demoted >= cfg.demote_per_epoch:
-                    return demoted
-                now_local = self.store.owner(v) == part
-                if not now_local:
-                    if weights[v, part] * per_read >= keep_floor:
-                        continue
-                cache.unpin(v)
-                self.store.ledger.record(EV_REPLICA_DROP)
-                self.runtime.metrics.counter("placement.demote").inc()
-                demoted += 1
+            pinned = np.array(cache.pinned_vertices(), dtype=np.int64)
+            cold = (vertex_to_part[pinned] == part) | ~(
+                weights[pinned, part] * per_read >= keep_floor
+            )
+            dropped = cache.unpin_many(pinned[cold][:room])
+            if dropped:
+                self.store.ledger.record(EV_REPLICA_DROP, times=len(dropped))
+                self.runtime.metrics.counter("placement.demote").inc(len(dropped))
+                demoted += len(dropped)
         return demoted
 
-    def _remote_weights(self) -> "zip":
-        """``(vertex, issuer, weight)`` of every nonzero decayed remote
-        weight at or above the decision floor, in ``(vertex, issuer)`` order."""
+    def _remote_entries(self) -> "np.ndarray":
+        """Mask of the nonzero decayed remote weights at or above the
+        decision floor, by ``(vertex, issuer)``."""
         remote = self.recorder.decayed_remote_reads
-        floor = self.config.min_decision_weight
-        vertices, issuers = np.nonzero((remote != 0.0) & (remote >= floor))
-        return zip(
-            vertices.tolist(), issuers.tolist(), remote[vertices, issuers].tolist()
-        )
+        return (remote != 0.0) & (remote >= self.config.min_decision_weight)
+
+    def _items(self, vertices: np.ndarray, owners: np.ndarray, attrs: bool) -> np.ndarray:
+        """Items each of ``vertices`` holds on its owner (``owners``,
+        aligned): its row's length, plus its attribute row's when
+        ``attrs``. Read off the shards and the attribute indexes, one batch
+        per owner, charging nothing."""
+        items = np.zeros(vertices.size, dtype=np.int64)
+        for part in np.unique(owners).tolist():
+            at = owners == part
+            server = self.store.servers[part]
+            items[at] = np.diff(server.local_rows(vertices[at]).offsets)
+            if attrs:
+                items[at] += server.attrs.attr_sizes(vertices[at])
+        return items
 
     # -- migration ----------------------------------------------------- #
-    def _migrate_candidates(self) -> "list[tuple[float, int, int, int, int]]":
-        """Ranked ``(gain, vertex, src, dst, items)`` migration candidates."""
+    def _migrate_candidates(self) -> "tuple[np.ndarray, ...]":
+        """Ranked migration candidates as aligned ``(gain, vertex, src, dst,
+        items)`` arrays: gain descending, ties by vertex id."""
         cfg = self.config
-        cost = self.store.cost_model
-        all_reads = self.recorder.decayed_issuer_reads
+        store = self.store
+        cost = store.cost_model
+        remote = self.recorder.decayed_remote_reads
+        live = self._remote_entries()
+        vertices = np.flatnonzero(live.any(axis=1))
         # Dominant remote reader per vertex (ties -> smaller part id).
-        best: "dict[int, tuple[float, int]]" = {}
-        for v, issuer, w in self._remote_weights():
-            cur = best.get(v)
-            if cur is None or w > cur[0]:
-                best[v] = (w, issuer)
-        ranked: "list[tuple[float, int, int, int, int]]" = []
-        for v in sorted(best):
-            w_target, target = best[v]
-            owner = self.store.owner(v)
-            if target == owner:
-                continue
-            if owner in self.store.failed_workers:
-                continue
-            if target in self.store.failed_workers:
-                continue
-            w_owner = float(all_reads[v, owner])
-            if w_target < cfg.migrate_dominance * max(w_owner, 1e-12):
-                continue
-            server = self.store.servers[owner]
-            items = int(server.local_neighbors(v).size)
-            if server.attrs.has_vertex_attr(v):
-                items += int(server.attrs.get_vertex_attr(v).size)
-            gain = cost.migration_gain_us(w_target, w_owner)
-            if gain * cfg.payback_windows <= cost.migration_cost_us(items):
-                continue
-            ranked.append((gain, v, owner, target, items))
-        ranked.sort(key=lambda t: (-t[0], t[1]))
-        return ranked
+        targets = np.where(live[vertices], remote[vertices], -np.inf).argmax(axis=1)
+        owners = store.assignment.vertex_to_part[vertices]
+        w_target = remote[vertices, targets]
+        w_owner = self.recorder.decayed_issuer_reads[vertices, owners]
+        failed = list(store.failed_workers)
+        keep = (
+            (targets != owners)
+            & ~np.isin(owners, failed)
+            & ~np.isin(targets, failed)
+            & ~(w_target < cfg.migrate_dominance * np.maximum(w_owner, 1e-12))
+        )
+        vertices, owners, targets = vertices[keep], owners[keep], targets[keep]
+        items = self._items(vertices, owners, attrs=True)
+        gain = cost.migration_gain_us(w_target[keep], w_owner[keep])
+        ranked = np.flatnonzero(gain * cfg.payback_windows > cost.migration_cost_us(items))
+        ranked = ranked[np.lexsort((vertices[ranked], -gain[ranked]))]
+        return tuple(a[ranked] for a in (gain, vertices, owners, targets, items))
 
     def _migrate_pass(self) -> "tuple[int, int, int]":
         """Execute the top candidates within the epoch's traffic budget."""
@@ -296,59 +290,55 @@ class PlacementController:
         counts = self.store.assignment.vertex_counts().astype(np.int64)
         mean = counts.sum() / counts.size if counts.size else 0.0
         limit = cfg.balance_limit * mean
-        selected: "dict[tuple[int, int], list[tuple[int, int]]]" = {}
+        _, vertices, owners, targets, items = self._migrate_candidates()
+        # The token bucket and the balance bound change with each pick.
+        selected: "dict[tuple[int, int], list[int]]" = {}
         n_selected = 0
-        items_used = 0
-        for gain, v, src, dst, items in self._migrate_candidates():
+        for i, (src, dst, size) in enumerate(
+            zip(owners.tolist(), targets.tolist(), items.tolist())
+        ):
             if n_selected >= cfg.migrate_per_epoch:
                 break
-            if items > self._tokens:
+            if size > self._tokens or counts[dst] + 1 > limit:
                 continue
-            if counts[dst] + 1 > limit:
-                continue
-            selected.setdefault((src, dst), []).append((v, items))
-            self._tokens -= items
+            selected.setdefault((src, dst), []).append(i)
+            self._tokens -= size
             counts[src] -= 1
             counts[dst] += 1
             n_selected += 1
-        migrated = 0
-        aborted = 0
+        migrated = items_used = aborted = 0
         for (src, dst) in sorted(selected):
-            batch = selected[(src, dst)]
-            done, items = self._migrate_batch(
-                src, dst, [v for v, _ in batch]
-            )
+            batch = np.array(selected[(src, dst)], dtype=np.int64)
+            done, shipped = self._migrate_batch(src, dst, vertices[batch])
             migrated += done
-            items_used += items
+            items_used += shipped
             if done == 0:
-                aborted += len(batch)
+                aborted += batch.size
                 # Refund the unused budget: nothing moved.
-                self._tokens += sum(i for _, i in batch)
-                for _v, _i in batch:
-                    counts[src] += 1
-                    counts[dst] -= 1
+                self._tokens += int(items[batch].sum())
         return migrated, items_used, aborted
 
     def _migrate_batch(
-        self, src: int, dst: int, vertices: "list[int]"
+        self, src: int, dst: int, vertices: "np.ndarray | list[int]"
     ) -> "tuple[int, int]":
         """Two-phase handoff of ``vertices`` from ``src`` to ``dst``.
 
         ``dst`` here is the migration *target* issuing the protocol;
-        ``src`` is the current owner serving both RPCs. Returns
+        ``src`` is the current owner serving both RPCs. The batch moves as
+        one block: one fetch, one ingest, one release, one commit. Returns
         ``(migrated, items_shipped)`` — all-or-nothing per batch.
         """
         runtime = self.runtime
         metrics = runtime.metrics
         store = self.store
+        ids = np.asarray(vertices, dtype=np.int64)
         with runtime.tracer.span(
-            "placement.migrate", src=src, dst=dst, vertices=len(vertices)
+            "placement.migrate", src=src, dst=dst, vertices=ids.size
         ):
-            owners = [src] * len(vertices)
-            fetch = runtime.plan(KIND_MIGRATE_FETCH, dst, vertices, owners)
-            (resp,) = runtime.execute(fetch)
+            owners = np.full(ids.size, src, dtype=np.int64)
+            (resp,) = runtime.execute(runtime.plan(KIND_MIGRATE_FETCH, dst, ids, owners))
             if not resp.ok:
-                metrics.counter("placement.migrate_aborted").inc(len(vertices))
+                metrics.counter("placement.migrate_aborted").inc(ids.size)
                 return 0, 0
             n_items = resp.n_items  # rows + attrs, as the old owner summed them
             store.ledger.record(EV_MIGRATION_RPC)
@@ -357,60 +347,65 @@ class PlacementController:
             # Stage the rows on the new owner *before* the old owner
             # releases: every instant has a server holding the data.
             target = store.servers[dst]
-            for v in vertices:
-                target.ingest_vertex(v, resp.payload[v], resp.meta[v])
-            release = runtime.plan(KIND_MIGRATE_RELEASE, dst, vertices, owners)
-            (ack,) = runtime.execute(release)
+            target.ingest(resp.payload, resp.meta)
+            (ack,) = runtime.execute(runtime.plan(KIND_MIGRATE_RELEASE, dst, ids, owners))
             if not ack.ok:
                 # The release provably never executed (faults roll before
                 # serving): the old owner still holds every row. Roll the
                 # staged copies back and leave ownership untouched.
-                for v in vertices:
-                    target.release_vertex(v)
-                metrics.counter("placement.migrate_aborted").inc(len(vertices))
+                target.release(ids)
+                metrics.counter("placement.migrate_aborted").inc(ids.size)
                 return 0, 0
             store.ledger.record(EV_MIGRATION_RPC)
-            for v in vertices:
-                store.commit_migration(v, dst)
-                metrics.counter("placement.migrate").inc()
+            store.commit_migration(ids, dst)
+            metrics.counter("placement.migrate").inc(ids.size)
             metrics.counter("placement.migrate_items").inc(n_items)
-        return len(vertices), n_items
+        return ids.size, n_items
 
     # -- promotion ----------------------------------------------------- #
+    def _promote_candidates(self) -> "tuple[np.ndarray, ...]":
+        """Ranked promotion candidates as aligned ``(gain, vertex, issuer,
+        degree)`` arrays: each remote reader of a live owner's vertex it
+        does not pin yet, where the replica pays; gain descending, ties by
+        vertex, then issuer."""
+        store = self.store
+        vertices, issuers = np.nonzero(self._remote_entries())
+        weights = self.recorder.decayed_remote_reads[vertices, issuers]
+        owners = store.assignment.vertex_to_part[vertices]
+        keep = (owners != issuers) & ~np.isin(owners, list(store.failed_workers))
+        for part, server in enumerate(store.servers):  # one pin mask per server
+            mine = keep & (issuers == part)
+            keep[mine] = ~server.neighbor_cache.is_pinned(vertices[mine])
+        vertices, issuers, owners, weights = (
+            a[keep] for a in (vertices, issuers, owners, weights)
+        )
+        degrees = self._items(vertices, owners, attrs=False)
+        gain = store.cost_model.replication_gain_us(weights, degrees)
+        ranked = np.flatnonzero(gain > 0.0)
+        ranked = ranked[np.lexsort((issuers[ranked], vertices[ranked], -gain[ranked]))]
+        return tuple(a[ranked] for a in (gain, vertices, issuers, degrees))
+
     def _promote_pass(self) -> int:
-        """Pin hot remote vertices where the §4 cost model says they pay."""
-        cfg = self.config
-        cost = self.store.cost_model
-        scored: "list[tuple[float, int, int]]" = []
-        for v, issuer, w in self._remote_weights():
-            owner = self.store.owner(v)
-            if owner == issuer or owner in self.store.failed_workers:
-                continue
-            cache = self.store.servers[issuer].neighbor_cache
-            if cache.is_pinned(v):
-                continue
-            degree = int(self.store.servers[owner].local_neighbors(v).size)
-            gain = cost.replication_gain_us(w, degree)
-            if gain <= 0.0:
-                continue
-            scored.append((gain, v, issuer))
-        scored.sort(key=lambda t: (-t[0], t[1], t[2]))
-        promoted = 0
-        for _gain, v, issuer in scored:
-            if promoted >= cfg.promote_per_epoch:
-                break
-            cache = self.store.servers[issuer].neighbor_cache
-            if cache.free_pin_slots == 0:
-                continue
-            owner = self.store.owner(v)
-            row = self.store.servers[owner].local_neighbors(v)
-            cache.pin(v, row)
-            self.store.ledger.record(EV_REPLICA_INSTALL)
-            if row.size:
-                self.store.ledger.record(EV_ITEM_SHIPPED, times=int(row.size))
-            self.runtime.metrics.counter("placement.promote").inc()
-            promoted += 1
-        return promoted
+        """Pin hot remote vertices where the §4 cost model says they pay:
+        best gain first, each issuer up to its free pin slots, at most
+        ``promote_per_epoch`` in all."""
+        store = self.store
+        _, vertices, issuers, degrees = self._promote_candidates()
+        # Each issuer's best candidates up to its free pin slots fit.
+        fits = np.zeros(vertices.size, dtype=bool)
+        for part, server in enumerate(store.servers):
+            fits[np.flatnonzero(issuers == part)[: server.neighbor_cache.free_pin_slots]] = True
+        picks = np.flatnonzero(fits)[: max(0, self.config.promote_per_epoch)]
+        for part in np.unique(issuers[picks]).tolist():
+            cache = store.servers[part].neighbor_cache
+            cache.pin(store.owner_rows(vertices[picks[issuers[picks] == part]]))
+        if picks.size:
+            store.ledger.record(EV_REPLICA_INSTALL, times=picks.size)
+            shipped = int(degrees[picks].sum())
+            if shipped:
+                store.ledger.record(EV_ITEM_SHIPPED, times=shipped)
+            self.runtime.metrics.counter("placement.promote").inc(picks.size)
+        return int(picks.size)
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -23,7 +23,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from repro.errors import StorageError, check_id
+from repro.errors import StorageError, check_ids
 from repro.graph.graph import Graph
 from repro.storage.attributes import SeparateAttributeStore
 from repro.storage.cache import NeighborCache
@@ -57,28 +57,20 @@ class GraphServer:
             f"cache={len(self.neighbor_cache)})"
         )
 
-    def owns(self, vertex: int) -> bool:
-        """Whether this server is the owner of ``vertex``."""
-        return self._rows.has(vertex)
+    def owns(self, vertices: "int | np.ndarray") -> "bool | np.ndarray":
+        """Whether this server owns each of ``vertices``, as one mask (one
+        bool for one id)."""
+        return self._rows.held(np.asarray(vertices))
 
     @property
     def n_local_edges(self) -> int:
         """Out-edges stored on this shard."""
         return self._n_local_edges
 
-    def local_neighbors(self, vertex: int) -> np.ndarray:
-        """Out-neighbors of an owned vertex (raises if not owned)."""
-        if not self._rows.has(vertex):
-            raise StorageError(f"server {self.part_id} does not own vertex {vertex}")
-        return self._rows.row(vertex)
-
     def local_rows(self, vertices: "np.ndarray | list[int]") -> RowBlock:
-        """Out-neighbor rows of distinct owned vertices, as one block.
-
-        The block's rows follow ``vertices``. Raises the error
-        :meth:`local_neighbors` raises, naming the first vertex this shard
-        does not own.
-        """
+        """Out-neighbor rows of distinct owned vertices, as one block whose
+        rows follow ``vertices``. Raises :class:`StorageError` naming the
+        first vertex this shard does not own."""
         ids = np.asarray(vertices, dtype=np.int64)
         try:
             return RowBlock(ids, *self._rows.take(ids))
@@ -131,42 +123,35 @@ class GraphServer:
             self._rows.put(np.fromiter(changed, np.int64, len(changed)), offsets, values)
         return changed
 
-    def ingest_vertex(
-        self,
-        vertex: int,
-        neighbors: np.ndarray,
-        attr: "np.ndarray | None" = None,
-    ) -> None:
-        """Take ownership of a migrated vertex (neighbor row + optional attrs).
+    def ingest(self, block: RowBlock, attrs: "dict[int, np.ndarray]") -> None:
+        """Take ownership of migrated vertices: the rows of ``block`` (one
+        append) and the attribute rows ``attrs`` holds for some of them.
 
         The migration protocol installs here *before* the old owner
         releases, so every instant has at least one server able to serve
-        the row. Re-ingesting an owned vertex is an error — the controller
-        must never double-commit.
+        each row. Re-ingesting an owned vertex is an error — the controller
+        must never double-commit — raised before anything changes.
         """
-        vertex = check_id(vertex, self._n, StorageError, "vertex")
-        if self.owns(vertex):
+        ids = check_ids(block.ids, self._n, StorageError, "migrated vertices")
+        owned = self._rows.held(ids)
+        if owned.any():
             raise StorageError(
-                f"server {self.part_id} already owns vertex {vertex}"
+                f"server {self.part_id} already owns vertex {int(ids[owned][0])}"
             )
-        row = np.array(neighbors, dtype=np.int64)
-        self._rows.put(np.array([vertex]), np.array([0, row.size]), row)
-        self._n_local_edges += row.size
-        if attr is not None:
+        self._rows.put(ids, block.offsets, block.indices)
+        self._n_local_edges += block.indices.size
+        for vertex, attr in attrs.items():
             self.attrs.put_vertex_attr(vertex, attr)
 
-    def release_vertex(self, vertex: int) -> "tuple[np.ndarray, np.ndarray | None]":
-        """Surrender ownership of ``vertex``; returns ``(neighbors, attr)``.
-
-        Idempotence for the RPC layer lives in the caller (the ownership
-        handler treats "not owned" as an already-applied release); here a
-        foreign release is an error so unit misuse surfaces loudly.
+    def release(self, vertices: np.ndarray) -> None:
+        """Surrender ownership of distinct ``vertices`` and their attribute
+        rows. A foreign id raises before anything changes: the release
+        handler, which must be idempotent, passes only the ids still owned.
         """
-        vertex = int(vertex)
-        neighbors = self.local_neighbors(vertex)
-        self._rows.drop([vertex])
-        self._n_local_edges -= neighbors.size
-        return neighbors, self.attrs.remove_vertex_attr(vertex)
+        offsets = self.local_rows(vertices).offsets
+        self._rows.drop(vertices)
+        self._n_local_edges -= int(offsets[-1])
+        self.attrs.remove_vertex_attrs(np.asarray(vertices, dtype=np.int64))
 
     def ingest_vertex_attr(self, vertex: int, vector: np.ndarray) -> None:
         """Store an owned vertex's attribute row in the IV index."""

@@ -64,6 +64,16 @@ def cache_get(cache, vertex: int):
     return cache._rows.row(vertex)
 
 
+def shard_row(server, vertex: int) -> np.ndarray:
+    """An owned vertex's row on a ``GraphServer``: a one-id ``local_rows``."""
+    return server.local_rows([vertex]).indices
+
+
+def pin_row(cache, vertex: int, row) -> None:
+    """Pin one vertex's row on a ``NeighborCache`` (a one-row block)."""
+    cache.pin(pack_block([vertex], {vertex: row}))
+
+
 def should_probe(health, part: int) -> bool:
     """One read about to be routed around ``part``: whether it probes
     instead (every ``probe_every``-th such read of the part). The scalar

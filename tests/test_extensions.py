@@ -104,7 +104,7 @@ def test_failed_owner_served_from_cache_replica(small_powerlaw):
     issuer = (owner + 1) % 4
     # The issuer's own cache may serve it; if so, drop that copy to force
     # the failover path through a third server.
-    store.servers[issuer].neighbor_cache.invalidate(hot)
+    store.servers[issuer].neighbor_cache.invalidate_many([hot])
     got = store.neighbors(hot, from_part=issuer)
     np.testing.assert_array_equal(
         np.sort(got), np.sort(small_powerlaw.out_neighbors(hot))

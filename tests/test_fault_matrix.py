@@ -30,7 +30,7 @@ from repro.storage.costmodel import (
     EV_REMOTE_RPC,
 )
 from repro.utils.rng import make_rng
-from tests.conftest import bench_script, block_rows
+from tests.conftest import bench_script, block_rows, pin_row
 
 N_WORKERS = 3
 SEED = 11
@@ -73,7 +73,7 @@ def _remote_vertices(store: DistributedGraphStore, from_part: int, n: int):
 def _pin_replica(store: DistributedGraphStore, part: int, vertex: int):
     """Give server ``part`` a one-entry cache replica of ``vertex``."""
     cache = NeighborCache(4)
-    cache.pin(vertex, store.graph.out_neighbors(vertex))
+    pin_row(cache, vertex, store.graph.out_neighbors(vertex))
     store.servers[part].neighbor_cache = cache  # setter rebinds the registry
 
 
@@ -337,6 +337,6 @@ def test_fault_matrix_cli(tmp_path):
 
     payload = bench_payload("fault_matrix", tmp_path)
     by_label = {r["label"]: r["measured"] for r in payload["records"]}
-    assert len(by_label) == 12  # 2 drop rates x 2 failed counts x 3 policies
+    assert len(by_label) == 16  # 2 drop rates x 2 failed counts x 4 policies
     assert by_label["drop=0% failed=1 cache=importance"]["availability"] >= 0.99
     assert (tmp_path / "fault_matrix.txt").read_text().startswith("[fault_matrix]")

@@ -54,10 +54,11 @@ def test_server_edge_mutation_guards(small_powerlaw):
             foreign.edit_rows({v: ops})
     # A batch that changes nothing installs nothing: the row is still read
     # out of the shard's slice, not out of a fresh override array.
-    row = store.servers[owner].local_neighbors(v)
+    arena = store.servers[owner]._rows
+    row = arena.row(v)
     absent = next(u for u in range(small_powerlaw.n_vertices) if u not in row.tolist())
     assert store.servers[owner].edit_rows({v: [("remove", absent)]}).get(v, []) == []
-    assert np.shares_memory(store.servers[owner].local_neighbors(v), row)
+    assert np.shares_memory(arena.row(v), row)
 
 
 def test_server_n_local_edges(small_powerlaw):
@@ -70,13 +71,14 @@ def test_server_n_local_edges(small_powerlaw):
 def test_neighbor_cache_pin_capacity():
     from repro.errors import StorageError
     from repro.storage.cache import NeighborCache
+    from tests.conftest import pin_row
 
     cache = NeighborCache(1)
-    cache.pin(0, np.array([1, 2]))
+    pin_row(cache, 0, [1, 2])
     with pytest.raises(StorageError):
-        cache.pin(1, np.array([3]))
-    cache.invalidate(0)
-    cache.pin(1, np.array([3]))  # capacity freed by invalidation
+        pin_row(cache, 1, [3])
+    cache.invalidate_many([0])
+    pin_row(cache, 1, [3])  # capacity freed by invalidation
     assert cache.peek(1).tolist() == [3]
 
 

@@ -363,7 +363,9 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
         StreamingPartitioner,
         TwoDimPartitioner,
     )
+    from repro.storage.partition.base import PartitionAssignment
     from repro.storage.replicas import ReplicaRegistry
+    from repro.storage.server import GraphServer
     from repro.tasks import evaluate_link_prediction, f1_score, score_pairs, subgraph_embedding
     from repro.utils.alias import AliasTable, GroupedAliasTable
     from repro.utils.lru import LRUCache
@@ -406,7 +408,10 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
         (build_distributed, {"coordination_rounds"}),
         (LRUCache, {"clear", "reset_stats", "hit_rate", "peek", "keys"}),
         (LRUCache.get, {"default"}),
-        (NeighborCache, {"get", "admit", "hit_rate"}),
+        (NeighborCache, {"get", "admit", "hit_rate", "unpin", "invalidate"}),
+        # A migration moves one block: no per-vertex handoff, commit or read.
+        (GraphServer, {"ingest_vertex", "release_vertex", "local_neighbors"}),
+        (PartitionAssignment, {"reassign_vertex"}),
         (ReplicaRegistry, {"holders", "replica_count", "n_tracked"}),
         (CostAccumulator, {"merge", "summary"}),
         (EmbeddingKVStore, {"row_versions", "cached_version_lag"}),
@@ -470,7 +475,7 @@ def test_retired_options_are_not_parameters_or_fields_of_anything():
         (GraphProvider, {"neighbors", "weights"}),
         (StoreProvider, {"weights"}),
         (SeparateAttributeStore(), {"ie", "ie_cache", "put_edge_attr", "get_edge_attr",
-                                    "edge_cache_capacity"}),
+                                    "edge_cache_capacity", "remove_vertex_attr"}),
         (random_walks, {"weighted"}),
         (walk_pairs, {"weighted"}),
         (train_test_split_edges, {"negatives_per_positive"}),

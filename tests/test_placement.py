@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data import powerlaw_graph
 from repro.errors import StorageError
 from repro.graph.dynamic import EdgeEvent
 from repro.obs import AccessRecorder
@@ -19,7 +20,7 @@ from repro.storage.costmodel import (
 from repro.storage.placement import PlacementConfig, PlacementController
 from repro.utils.rng import make_rng
 from tests.access_oracle import CounterRecorder
-from tests.conftest import replica_holders
+from tests.conftest import block_rows, replica_holders, shard_row
 
 
 # ---------------------------------------------------------------------- #
@@ -147,67 +148,112 @@ def test_replica_registry_exact_after_placement_churn(small_powerlaw):
 # ---------------------------------------------------------------------- #
 def test_server_ingest_release_roundtrip(small_powerlaw):
     store = make_store(small_powerlaw, 4, seed=0)
-    v = 0
-    src = store.owner(v)
+    src = store.owner(0)
     dst = (src + 1) % 4
-    row, attr = store.servers[src].release_vertex(v)
-    np.testing.assert_array_equal(
-        np.sort(row), np.sort(small_powerlaw.out_neighbors(v))
+    old, new = store.servers[src], store.servers[dst]
+    batch = np.array([v for v in range(80) if store.owner(v) == src][:5])
+    block = old.local_rows(batch)
+    rows = block_rows(block)
+    for v, row in rows.items():
+        np.testing.assert_array_equal(np.sort(row), np.sort(small_powerlaw.out_neighbors(v)))
+    edges = (old.n_local_edges, new.n_local_edges)
+    new.ingest(block, {})  # the new owner stages before the old one releases
+    old.release(batch)
+    assert new.owns(batch).all() and not old.owns(batch).any()
+    assert (old.n_local_edges, new.n_local_edges) == (
+        edges[0] - block.indices.size, edges[1] + block.indices.size
     )
-    assert not store.servers[src].owns(v)
-    store.servers[dst].ingest_vertex(v, row, attr)
-    assert store.servers[dst].owns(v)
-    np.testing.assert_array_equal(store.servers[dst].local_neighbors(v), row)
-    # Double-ingest and releasing a non-owned vertex both refuse.
+    for v, row in rows.items():
+        np.testing.assert_array_equal(shard_row(new, v), row)
+    # Double-ingest and releasing a non-owned vertex both refuse, and a
+    # batch with one such vertex changes nothing.
+    for refused in (lambda: new.ingest(block, {}), lambda: old.release(batch[:1])):
+        with pytest.raises(StorageError):
+            refused()
     with pytest.raises(StorageError):
-        store.servers[dst].ingest_vertex(v, row, attr)
-    with pytest.raises(StorageError):
-        store.servers[src].release_vertex(v)
+        new.release(np.append(batch, next(v for v in range(80) if old.owns(v))))
+    assert new.owns(batch).all() and new.n_local_edges == edges[1] + block.indices.size
+
+
+def _load_attrs(store, dim=6):
+    """Give every vertex a ``dim``-wide attribute row on its owner."""
+    feats = make_rng(1).standard_normal((store.graph.n_vertices, dim))
+    for v in range(store.graph.n_vertices):
+        store.servers[store.owner(v)].ingest_vertex_attr(v, feats[v])
+    return feats
 
 
 def test_migration_moves_row_and_attr_bytes(small_powerlaw):
     # The two-phase protocol (fetch, ingest, release, commit) ships a
     # vertex's neighbor row and attribute row, nothing else.
     store = make_store(small_powerlaw, 4, seed=0)
-    feats = make_rng(1).standard_normal((small_powerlaw.n_vertices, 6))
-    for v in range(small_powerlaw.n_vertices):
-        store.servers[store.owner(v)].ingest_vertex_attr(v, feats[v])
+    feats = _load_attrs(store)
     controller = PlacementController(store)
     old, new = store.servers[0], store.servers[2]
     moved = [v for v in range(small_powerlaw.n_vertices) if store.owner(v) == 0][:3]
     before = {
-        v: (old.local_neighbors(v).tobytes(), old.local_vertex_attr(v).tobytes())
+        v: (shard_row(old, v).tobytes(), old.local_vertex_attr(v).tobytes())
         for v in moved
     }
-    n_items = sum(old.local_neighbors(v).size + feats[v].size for v in moved)
+    n_items = sum(shard_row(old, v).size + feats[v].size for v in moved)
     edges = old.n_local_edges + new.n_local_edges
     assert controller._migrate_batch(0, 2, moved) == (len(moved), n_items)
     for v in moved:
         assert store.owner(v) == 2 and new.owns(v) and not old.owns(v)
         assert not old.attrs.has_vertex_attr(v)
-        after = (new.local_neighbors(v).tobytes(), new.local_vertex_attr(v).tobytes())
+        after = (shard_row(new, v).tobytes(), new.local_vertex_attr(v).tobytes())
         assert after == before[v]
     assert old.n_local_edges + new.n_local_edges == edges
     assert store.ledger.count(EV_VERTEX_MIGRATED) == len(moved)
 
 
+def _iv_state(store):
+    return [
+        (lru.hits, lru.misses, lru.evictions, tuple(lru._store))
+        for lru in (s.attrs.iv_cache for s in store.servers)
+    ]
+
+
+def test_placement_decisions_leave_the_iv_caches_alone():
+    # Sizing candidates and shipping their attribute rows read the attribute
+    # index, never the IV LRU: no hit, miss, eviction or fill moves. The one
+    # change a migration makes is the old owner forgetting what it released.
+    graph = powerlaw_graph(400, alpha=2.3, max_degree=40, seed=5)
+    store = make_store(graph, 4, seed=0)
+    _load_attrs(store)
+    for part in range(4):  # warm each IV cache with its owner's rows
+        store.get_attrs_batch(store.assignment.part_vertices(part), part)
+    controller = PlacementController(store, PlacementConfig(migrate_per_epoch=8))
+    hot = [v for v in range(graph.n_vertices) if store.owner(v) == 0][:12]
+    for _ in range(4):
+        store.get_neighbors_batch(hot, 1)
+    before = _iv_state(store)
+    controller.recorder.roll(controller.config.decay)
+    assert controller._migrate_candidates()[1].size
+    assert _iv_state(store) == before
+    assert controller.run_epoch()["migrated"]
+    moved = {v for v in hot if store.owner(v) == 1}
+    assert moved
+    assert _iv_state(store) == [
+        (hits, misses, evictions, tuple(v for v in keys if v not in moved))
+        for hits, misses, evictions, keys in before
+    ]
+
+
 def test_commit_migration_flips_owner_and_edges(small_powerlaw):
     store = make_store(small_powerlaw, 4, seed=0)
-    v = 5
-    src = store.owner(v)
+    src = store.owner(5)
     dst = (src + 2) % 4
-    row, attr = store.servers[src].release_vertex(v)
-    store.servers[dst].ingest_vertex(v, row, attr)
-    assert store.commit_migration(v, dst) == src
-    assert store.owner(v) == dst
-    assert store.ledger.count(EV_VERTEX_MIGRATED) == 1
-    # Every edge sourced at v follows its owner.
-    assignment = store.assignment
+    moved = np.array([v for v in range(60) if store.owner(v) == src][:4])
+    store.servers[dst].ingest(store.servers[src].local_rows(moved), {})
+    store.servers[src].release(moved)
+    assert store.commit_migration(moved, dst).tolist() == [src] * moved.size
+    assert all(store.owner(v) == dst for v in moved.tolist())
+    assert store.ledger.count(EV_VERTEX_MIGRATED) == moved.size
+    # Every edge sourced at a moved vertex follows its owner.
     src_col, _, _ = small_powerlaw.edge_array()
-    np.testing.assert_array_equal(
-        assignment.edge_to_part[src_col == v],
-        np.full(int((src_col == v).sum()), dst),
-    )
+    mask = np.isin(src_col, moved)
+    np.testing.assert_array_equal(store.assignment.edge_to_part[mask], np.full(mask.sum(), dst))
 
 
 def test_commit_migration_requires_ingest(small_powerlaw):
@@ -215,7 +261,15 @@ def test_commit_migration_requires_ingest(small_powerlaw):
     v = 3
     dst = (store.owner(v) + 1) % 4
     with pytest.raises(StorageError):
-        store.commit_migration(v, dst)
+        store.commit_migration([v], dst)
+    # One staged vertex beside an unstaged one: nothing flips, nothing is charged.
+    u = next(u for u in range(60) if store.owner(u) == store.owner(v) and u != v)
+    store.servers[dst].ingest(store.servers[store.owner(u)].local_rows([u]), {})
+    owners = store.assignment.vertex_to_part.copy()
+    with pytest.raises(StorageError, match=f"vertex {v}"):
+        store.commit_migration([u, v], dst)
+    np.testing.assert_array_equal(store.assignment.vertex_to_part, owners)
+    assert store.ledger.count(EV_VERTEX_MIGRATED) == 0
 
 
 # ---------------------------------------------------------------------- #

@@ -37,7 +37,7 @@ from repro.storage.costmodel import (
     EV_SUSPECT_ROUTE,
 )
 from repro.storage.replicas import ReplicaRegistry
-from tests.conftest import pack_block, replica_holders, should_probe
+from tests.conftest import pack_block, pin_row, replica_holders, shard_row, should_probe
 
 
 # --------------------------------------------------------------------- #
@@ -58,9 +58,8 @@ _CHURN_GRAPH = powerlaw_graph(48, alpha=2.1, max_degree=12, seed=2)
 _V = st.integers(0, 47)
 _PART = st.integers(0, 2)
 _CHURN_OPS = st.one_of(
-    st.tuples(st.just("pin"), _PART, _V),
-    st.tuples(st.just("unpin"), _PART, _V),
-    st.tuples(st.just("invalidate"), _PART, _V),
+    st.tuples(st.just("pin"), _PART, st.lists(_V, max_size=4, unique=True)),
+    st.tuples(st.just("unpin_many"), _PART, st.lists(_V, max_size=8)),
     st.tuples(st.just("admit_many"), _PART, st.lists(_V, max_size=8, unique=True)),
     st.tuples(st.just("invalidate_many"), _PART, st.lists(_V, max_size=8)),
     st.tuples(
@@ -68,7 +67,7 @@ _CHURN_OPS = st.one_of(
         st.sampled_from(["importance", "random", "lru"]),
         st.integers(0, 10),
     ),
-    st.tuples(st.just("commit_migration"), _PART, _V),
+    st.tuples(st.just("commit_migration"), _PART, st.lists(_V, max_size=8, unique=True)),
 )
 
 
@@ -82,11 +81,27 @@ def _public_holders(store, vertex):
     )
 
 
+def _migrate_batch(store, vertices, part):
+    """Move ``vertices`` to ``part`` as the placement protocol does, one batch
+    per old owner: ingest on ``part``, release on the owner, then one commit
+    of the lot (ids ``part`` owns already included)."""
+    ids = np.array(vertices, dtype=np.int64)
+    owners = store.assignment.vertex_to_part[ids].copy()
+    for old in np.unique(owners[owners != part]).tolist():
+        moved = ids[owners == old]
+        store.servers[part].ingest(store.servers[old].local_rows(moved), {})
+        store.servers[old].release(moved)
+    assert store.commit_migration(ids, part).tolist() == owners.tolist()
+
+
 @settings(max_examples=150, deadline=None)
-@given(ops=st.lists(_CHURN_OPS, max_size=25))
-def test_holders_equal_cache_contents_under_churn(ops):
-    """Whatever moves the caches, the registry reads them: no upkeep to miss."""
+@given(ops=st.lists(_CHURN_OPS, max_size=25), vertex_cut=st.booleans())
+def test_holders_equal_cache_contents_under_churn(ops, vertex_cut):
+    """Whatever moves the caches, the registry reads them: no upkeep to miss.
+    On a vertex-cut store, whose per-edge map is stored, a batch commit moves
+    exactly the out-edges of the vertices that changed owner."""
     from repro.storage.cache import LRUCachePolicy, RandomCachePolicy
+    from repro.storage.partition import VertexCutPartitioner
 
     policies = {
         "importance": ImportanceCachePolicy,
@@ -94,8 +109,11 @@ def test_holders_equal_cache_contents_under_churn(ops):
         "lru": LRUCachePolicy,
     }
     store = make_store(
-        _CHURN_GRAPH, 3, cache_policy=LRUCachePolicy(), cache_budget_fraction=0.1, seed=0
+        _CHURN_GRAPH, 3, partitioner=VertexCutPartitioner() if vertex_cut else None,
+        cache_policy=LRUCachePolicy(), cache_budget_fraction=0.1, seed=0,
     )
+    src, _, _ = _CHURN_GRAPH.edge_array()
+    edge_map = store.assignment.edge_to_part.copy()
     for step, (op, a, b) in enumerate(ops):
         if op == "set_cache_policy":
             store.set_cache_policy(policies[a](), budget=b)
@@ -103,7 +121,7 @@ def test_holders_equal_cache_contents_under_churn(ops):
         cache = store.servers[a].neighbor_cache
         if op == "pin":
             try:
-                cache.pin(b, np.array([step], dtype=np.int64))
+                cache.pin(pack_block(b, {v: np.array([step], dtype=np.int64) for v in b}))
             except StorageError:  # pin capacity exhausted
                 pass
         elif op == "admit_many":
@@ -111,11 +129,13 @@ def test_holders_equal_cache_contents_under_churn(ops):
                 pack_block(b, {v: np.array([v, step], dtype=np.int64) for v in b})
             )
         elif op == "commit_migration":
-            old = store.owner(b)
-            if old != a:
-                neighbors, _ = store.servers[old].release_vertex(b)
-                store.servers[a].ingest_vertex(b, neighbors)
-                assert store.commit_migration(b, a) == old
+            owners = store.assignment.vertex_to_part[b]
+            _migrate_batch(store, b, a)
+            moved = np.array(b, dtype=np.int64)[owners != a]
+            edge_map[np.isin(src, moved)] = a
+            np.testing.assert_array_equal(store.assignment.edge_to_part, edge_map)
+            if vertex_cut:  # a stored map: other edges keep their parts
+                assert store.assignment._edge_to_part is not None
         else:
             getattr(cache, op)(b)
         truth = {v: _public_holders(store, v) for v in range(48)}
@@ -263,7 +283,7 @@ def test_suspect_owner_routes_to_replica(small_powerlaw):
         if store.owner(u) == 2 and small_powerlaw.out_neighbors(u).size
     )
     cache = NeighborCache(2)
-    cache.pin(v, small_powerlaw.out_neighbors(v))
+    pin_row(cache, v, small_powerlaw.out_neighbors(v))
     store.servers[1].neighbor_cache = cache
     for _ in range(3):
         runtime.health.record_failure(2)
@@ -318,7 +338,7 @@ def test_failover_does_not_touch_cache_counters(small_powerlaw):
         if store.owner(u) == 2 and small_powerlaw.out_neighbors(u).size
     )
     cache = NeighborCache(2)
-    cache.pin(v, small_powerlaw.out_neighbors(v))
+    pin_row(cache, v, small_powerlaw.out_neighbors(v))
     store.servers[1].neighbor_cache = cache
     store.fail_worker(2)
     # The issuer's own (legitimate) lookup misses; the replica holder must
@@ -336,7 +356,7 @@ def _owner_only_copy(graph, store):
     """A vertex of part 1 whose only cached copy sits in part 1's own cache."""
     v = next(u for u in range(1000) if store.owner(u) == 1 and graph.out_neighbors(u).size)
     cache = NeighborCache(2)
-    cache.pin(v, graph.out_neighbors(v))
+    pin_row(cache, v, graph.out_neighbors(v))
     store.servers[1].neighbor_cache = cache
     return v
 
@@ -377,7 +397,7 @@ def test_replica_peek_skips_failed_holders(small_powerlaw):
         if store.owner(u) == 2 and small_powerlaw.out_neighbors(u).size
     )
     cache = NeighborCache(2)
-    cache.pin(v, small_powerlaw.out_neighbors(v))
+    pin_row(cache, v, small_powerlaw.out_neighbors(v))
     store.servers[1].neighbor_cache = cache
     store.fail_worker(2)
     store.fail_worker(1)  # the only replica holder is down too
@@ -408,7 +428,7 @@ def test_update_repins_fresh_adjacency_everywhere(small_powerlaw):
     )
     applied = store.apply_edge_events([EdgeEvent(timestamp=0, src=v, dst=fresh_dst)])
     assert applied == 1
-    expected = store.servers[owner].local_neighbors(v)
+    expected = shard_row(store.servers[owner], v)
     assert fresh_dst in expected
     for server in store.servers:
         assert server.neighbor_cache.is_pinned(v)
@@ -427,7 +447,7 @@ def test_update_keeps_failover_coverage(small_powerlaw):
         u for u in range(1000) if u not in small_powerlaw.out_neighbors(v)
     )
     store.apply_edge_events([EdgeEvent(timestamp=0, src=v, dst=fresh_dst)])
-    expected = store.servers[owner].local_neighbors(v)
+    expected = shard_row(store.servers[owner], v)
     store.fail_worker(owner)
     issuer = next(p for p in range(3) if p != owner)
     got = store.neighbors(v, from_part=issuer)

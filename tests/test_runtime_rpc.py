@@ -22,7 +22,7 @@ from repro.storage.cache import NeighborCache
 from repro.storage.cluster import make_store
 from repro.storage.costmodel import EV_ITEM_SHIPPED, EV_REMOTE_RPC
 from repro.utils.rng import make_rng
-from tests.conftest import block_rows, pack_block
+from tests.conftest import block_rows, pack_block, pin_row, shard_row
 
 
 def _graph():
@@ -107,7 +107,7 @@ def test_batch_read_deduplicates_repeated_vertices():
     batch = store.get_neighbors_batch([v, v, v, v], from_part=0)
     assert store.ledger.count(EV_REMOTE_RPC) == 1
     assert batch.ids.tolist() == [v]
-    assert np.array_equal(batch.indices, store.servers[store.owner(v)].local_neighbors(v))
+    assert np.array_equal(batch.indices, shard_row(store.servers[store.owner(v)], v))
 
 
 # --------------------------------------------------------------------- #
@@ -187,9 +187,9 @@ def test_retry_exhaustion_falls_over_to_cache_replica():
         )
     )
     v = next(u for u in range(graph.n_vertices) if store.owner(u) != 0)
-    row = store.servers[store.owner(v)].local_neighbors(v)
+    row = shard_row(store.servers[store.owner(v)], v)
     replica = NeighborCache(4)
-    replica.pin(v, row)
+    pin_row(replica, v, row)
     healthy = next(p for p in range(4) if p not in (0, store.owner(v)))
     store.servers[healthy].neighbor_cache = replica
     batch = store.get_neighbors_batch([v], from_part=0)

@@ -57,7 +57,9 @@ from tests.conftest import (
     cache_admit,
     cache_get,
     pack_block,
+    pin_row,
     replica_holders,
+    shard_row,
     should_probe,
 )
 
@@ -175,7 +177,7 @@ def test_server_shard_isolation(small_powerlaw):
     owner = store.owner(v)
     foreign = store.servers[(owner + 1) % 3]
     with pytest.raises(StorageError):
-        foreign.local_neighbors(v)
+        shard_row(foreign, v)
 
 
 def test_build_distributed_report(small_powerlaw):
@@ -244,10 +246,10 @@ def test_apply_edge_events_rejects_unknown_dst(small_powerlaw):
     # event after them touched nothing.
     assert store.ledger.count(EV_EDGE_INGESTED) == len(bads)
     np.testing.assert_array_equal(
-        store.servers[store.owner(1)].local_neighbors(1), small_powerlaw.out_neighbors(1)
+        shard_row(store.servers[store.owner(1)], 1), small_powerlaw.out_neighbors(1)
     )
     np.testing.assert_array_equal(
-        store.servers[store.owner(0)].local_neighbors(0),
+        shard_row(store.servers[store.owner(0)], 0),
         np.append(small_powerlaw.out_neighbors(0), [7] * len(bads)),
     )
     sampler = UniformNeighborSampler(StoreProvider(store, 0))
@@ -312,10 +314,10 @@ def per_event_apply(store, events):
         for p in replica_holders(store.replicas, src):
             cache = store.servers[p].neighbor_cache
             pinned = cache.is_pinned(src)
-            cache.invalidate(src)
+            cache.invalidate_many([src])
             if pinned:
-                fresh = server.local_neighbors(src)
-                cache.pin(src, fresh)
+                fresh = shard_row(server, src)
+                pin_row(cache, src, fresh)
                 if p != owner:
                     store.ledger.record(EV_REPLICA_REFRESH)
                     store.ledger.record(EV_ITEM_SHIPPED, times=int(fresh.size))
@@ -389,7 +391,7 @@ def per_vertex_dispatch(store, kind, vertices, from_part, runtime, read_span):
                 rec.record(v, owner, from_part, "local")
             if kind == KIND_NEIGHBORS:
                 store.ledger.record(EV_LOCAL_READ)
-                results[v] = server.local_neighbors(v)
+                results[v] = shard_row(server, v)
             else:
                 if not server.attrs.has_vertex_attr(v):
                     raise StorageError(f"vertex {v} has no attributes stored")
@@ -704,7 +706,7 @@ def test_bulk_arms_match_per_vertex_dispatch(small_powerlaw, policy, scenario):
         for src in rng.integers(0, n, size=24).tolist():
             if failed and owners[src] == down:
                 continue
-            row = bulk.servers[owners[src]].local_neighbors(src)
+            row = shard_row(bulk.servers[owners[src]], src)
             roll = int(rng.integers(3))
             if roll == 0 and row.size:
                 events.append(EdgeEvent(0, src, int(row[rng.integers(row.size)]), "remove"))
@@ -862,7 +864,7 @@ def test_batched_writes_match_the_per_event_loop(batches):
         assert state == _write_state(oracle)
         for server in bulk.servers:  # every pin holds its owner's current row
             for v in server.neighbor_cache.pinned_vertices():
-                row = bulk.servers[bulk.owner(v)].local_neighbors(v)
+                row = shard_row(bulk.servers[bulk.owner(v)], v)
                 np.testing.assert_array_equal(server.neighbor_cache.peek(v), row)
 
 
@@ -950,8 +952,8 @@ _MALFORMED_READS = {
     "bool_failed_worker": lambda s: s.fail_worker(True),
     "float_failed_worker": lambda s: s.fail_worker(1.5),
     "bool_restored_worker": lambda s: s.restore_worker(True),
-    "bool_migration_target": lambda s: s.commit_migration(_owned_by_one(s), True),
-    "float_migration_target": lambda s: s.commit_migration(_owned_by_one(s), 1.5),
+    "bool_migration_target": lambda s: s.commit_migration([_owned_by_one(s)], True),
+    "float_migration_target": lambda s: s.commit_migration([_owned_by_one(s)], 1.5),
 }
 
 
@@ -1019,7 +1021,7 @@ def test_read_block_follows_the_deduplicated_request(small_powerlaw, arm):
     def expected(v):
         owner = store.owner(v)
         if owner not in store.failed_workers:
-            return store.servers[owner].local_neighbors(v)
+            return shard_row(store.servers[owner], v)
         copies = [s.neighbor_cache.peek(v) for s in store.servers if s.part_id != owner]
         return next((c for c in copies if c is not None), np.zeros(0, np.int64))
 

@@ -228,7 +228,7 @@ def test_importance_caches_pin_one_set_independently(small_powerlaw):
         np.testing.assert_array_equal(caches[3].peek(v), small_powerlaw.out_neighbors(v))
     # Each server owns its pin table: a demotion on one leaves the others.
     v = pinned[0]
-    assert caches[0].unpin(v)
+    assert caches[0].unpin_many([v]) == [v]
     assert not caches[0].is_pinned(v)
     assert all(c.is_pinned(v) for c in caches[1:])
     assert replica_holders(store.replicas, v) == (1, 2, 3)

@@ -221,18 +221,23 @@ def test_edge_maps_equal_the_per_edge_oracle_across_migrations(data):
         np.testing.assert_array_equal(edge_map, assignment.vertex_to_part[src])
     _assert_matches_edge_map(assignment, edge_map)
 
-    # Migrations through the store: the edges sourced at a moved vertex follow it.
+    # Migrations through the store, a batch at a time: the edges sourced at
+    # a moved vertex follow it, one vertex at a time in the kept map.
     store = DistributedGraphStore(graph, assignment)
     owners = assignment.vertex_to_part.copy()
-    moves = st.tuples(st.integers(0, graph.n_vertices - 1), st.integers(0, n_parts - 1))
-    for v, part in data.draw(st.lists(moves, max_size=8), label="moves"):
-        previous = store.owner(v)
-        if previous != part:
-            row, attr = store.servers[previous].release_vertex(v)
-            store.servers[part].ingest_vertex(v, row, attr)
-            edge_map[src == v] = part
-        assert store.commit_migration(v, part) == previous == owners[v]
-        owners[v] = part
+    batch = st.lists(st.integers(0, graph.n_vertices - 1), max_size=4, unique=True)
+    moves = st.tuples(batch, st.integers(0, n_parts - 1))
+    for batch, part in data.draw(st.lists(moves, max_size=6), label="moves"):
+        ids = np.array(batch, dtype=np.int64)
+        for previous in np.unique(owners[ids]).tolist():
+            moved = ids[owners[ids] == previous]
+            if previous != part:
+                store.servers[part].ingest(store.servers[previous].local_rows(moved), {})
+                store.servers[previous].release(moved)
+                for v in moved.tolist():
+                    edge_map[src == v] = part
+        assert store.commit_migration(ids, part).tolist() == owners[ids].tolist()
+        owners[ids] = part
     np.testing.assert_array_equal(assignment.vertex_to_part, owners)
     _assert_matches_edge_map(assignment, edge_map)
 

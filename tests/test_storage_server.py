@@ -3,12 +3,14 @@
 ``OracleServer`` is the ``GraphServer`` body as it was before the shard
 became one CSR slice — one ``np.array`` copy per owned row, edited one arc
 at a time. A hypothesis state machine drives both through every mutator
-(a batch of row edits against the scalar add/remove sequence) and compares
+(a batch of row edits against the scalar add/remove sequence, a migrated
+batch's ingest and release against moving its rows one by one) and compares
 the whole public surface after each step; ``pin_loop_cache`` is
-the cache install as it was, one ``pin`` per selected vertex, the oracle for
-the bulk install; ``DictCache``, the neighbor cache as it was (pinned rows
-in a dict of arrays), fed one vertex at a time, is the oracle for
-``get_many`` / ``admit_many`` / ``invalidate_many`` and the pin arena.
+the cache install as it was, one one-row ``pin`` per selected vertex, the
+oracle for the bulk install; ``DictCache``, the neighbor cache as it was
+(pinned rows in a dict of arrays), fed one vertex at a time, is the oracle
+for ``get_many`` / ``admit_many`` / ``invalidate_many`` / ``unpin_many``,
+the all-or-nothing batch ``pin`` and the pin arena.
 """
 
 from types import SimpleNamespace
@@ -29,14 +31,17 @@ from repro.storage.cluster import build_distributed, make_store
 from repro.storage.costmodel import EV_CACHE_FILL, EV_CACHE_HIT
 from repro.storage.partition import EdgeCutPartitioner
 from repro.storage.replicas import ReplicaRegistry
+from repro.storage.rows import RowBlock, concat_blocks
 from repro.storage.server import GraphServer
 from repro.utils.lru import IdLRU, LRUCache
 from repro.utils.rng import make_rng
 from tests.conftest import (
     block_rows,
     pack_block,
+    pin_row,
     python_calls,
     replica_holders,
+    shard_row,
 )
 
 
@@ -128,32 +133,48 @@ class ShardMachine(RuleBasedStateMachine):
 
     @rule(data=st.data(), and_back=st.booleans())
     def migrate(self, data, and_back):
-        vertex = data.draw(st.integers(0, self.n - 1))
-        home = self.owner[vertex]
+        # A batch of one shard's vertices moves as one block: the target
+        # ingests it, then the source releases it (and, maybe, back).
+        home = data.draw(st.integers(0, len(self.servers) - 1))
         away = data.draw(st.integers(0, len(self.servers) - 1))
-        if away == home:
+        owned = [v for v in range(self.n) if self.owner[v] == home]
+        if away == home or not owned:
             return
+        batch = data.draw(st.lists(st.sampled_from(owned), min_size=1, unique=True))
         for source, target in [(home, away), (away, home)][: 1 + and_back]:
+            block = self.servers[source].local_rows(batch)
             with pytest.raises(StorageError):  # never two owners at once
-                self.servers[source].ingest_vertex(vertex, np.zeros(0, np.int64))
-            neighbors, attr = self.servers[source].release_vertex(vertex)
-            assert attr is None
-            self.servers[target].ingest_vertex(vertex, neighbors)
-            self.oracles[target].ingest_vertex(
-                vertex, self.oracles[source].release_vertex(vertex)
-            )
-            self.owner[vertex] = target
+                self.servers[source].ingest(block, {})
+            # A batch holding one vertex the target already owns changes
+            # nothing (the invariant below compares every row).
+            theirs = [v for v in range(self.n) if self.owner[v] == target][:1]
+            if theirs:
+                with pytest.raises(StorageError):
+                    self.servers[target].ingest(
+                        concat_blocks([block, self.servers[target].local_rows(theirs)]), {}
+                    )
+            self.servers[target].ingest(block, {})
+            self.servers[source].release(np.array(batch))
+            for vertex in batch:
+                self.oracles[target].ingest_vertex(
+                    vertex, self.oracles[source].release_vertex(vertex)
+                )
+                self.owner[vertex] = target
 
     @rule(data=st.data())
     def foreign_writes_raise(self, data):
         vertex = data.draw(st.integers(0, self.n - 1))
         for server in self.servers:
             if server.part_id != self.owner[vertex]:
+                # A release naming an owned vertex beside the foreign one
+                # releases neither (the invariant compares every row).
+                mine = [v for v in range(self.n) if self.owner[v] == server.part_id][:1]
                 for write in (
                     lambda: server.edit_rows({vertex: [("add", 0)]}),
                     lambda: server.edit_rows({vertex: [("remove", 0)]}),
                     lambda: server.edit_rows({vertex: []}),
-                    lambda: server.release_vertex(vertex),
+                    lambda: server.release([vertex]),
+                    lambda: server.release(mine + [vertex]),
                 ):
                     with pytest.raises(StorageError):
                         write()
@@ -180,9 +201,9 @@ class ShardMachine(RuleBasedStateMachine):
                 assert server.owns(v) == oracle.owns(v) == (self.owner[v] == server.part_id)
                 if not server.owns(v):
                     with pytest.raises(StorageError):
-                        server.local_neighbors(v)
+                        shard_row(server, v)
                     continue
-                row, want = server.local_neighbors(v), oracle.rows[v]
+                row, want = shard_row(server, v), oracle.rows[v]
                 assert row.dtype == want.dtype and np.array_equal(row, want)
                 self.handed_out.setdefault(id(row), (row, row.copy()))
 
@@ -203,7 +224,7 @@ def test_built_rows_equal_the_graph(directed):
     for store in (built, make_store(graph, 5, seed=0)):
         for v in range(graph.n_vertices):
             server = store.servers[store.owner(v)]
-            np.testing.assert_array_equal(server.local_neighbors(v), graph.out_neighbors(v))
+            np.testing.assert_array_equal(shard_row(server, v), graph.out_neighbors(v))
         # Mirrored arcs count on both endpoints' shards when undirected.
         assert sum(s.n_local_edges for s in store.servers) == graph.csr_arrays()[1].size
 
@@ -212,7 +233,7 @@ def test_shard_rows_are_copies_of_the_graph(small_powerlaw):
     store = make_store(small_powerlaw, 3, seed=0)
     indices = small_powerlaw.csr_arrays()[1]
     for v in (0, 1, 2):
-        row = store.servers[store.owner(v)].local_neighbors(v)
+        row = shard_row(store.servers[store.owner(v)], v)
         assert not np.shares_memory(row, indices)
 
 
@@ -225,7 +246,7 @@ def pin_loop_cache(policy, graph, budget, rng):
     if policy.demand_filled:
         return cache
     for v in policy.select(graph, budget, rng):
-        cache.pin(int(v), graph.out_neighbors(int(v)))
+        pin_row(cache, int(v), graph.out_neighbors(int(v)))
     cache._lru = IdLRU(0)
     return cache
 
@@ -324,10 +345,12 @@ class DictCache:
         if self.lru.capacity and vertex not in self.pinned:
             self.lru.put(vertex, row)
 
-    def pin(self, vertex, row):
-        if vertex not in self.pinned and len(self.pinned) >= self.capacity:
+    def pin(self, rows):
+        # All or nothing: the rows not yet pinned must fit together.
+        if len(self.pinned) + len(rows.keys() - self.pinned.keys()) > self.capacity:
             raise StorageError("neighbor cache pin capacity exhausted")
-        self.pinned[vertex] = np.array(row, dtype=np.int64)
+        for vertex, row in rows.items():
+            self.pinned[vertex] = np.array(row, dtype=np.int64)
 
     def unpin(self, vertex):
         return self.pinned.pop(vertex, None) is not None
@@ -359,7 +382,8 @@ _CACHE_OPS = st.one_of(
     st.tuples(st.just("get_many"), st.lists(_IDS, max_size=10)),  # duplicates too
     st.tuples(st.just("admit_many"), st.lists(_IDS, max_size=10, unique=True)),
     st.tuples(st.just("invalidate_many"), st.lists(_IDS, max_size=6)),
-    st.tuples(st.sampled_from(["pin", "unpin", "invalidate"]), _IDS),
+    st.tuples(st.just("pin"), st.lists(_IDS, max_size=4, unique=True)),
+    st.tuples(st.just("unpin_many"), st.lists(_IDS, max_size=6)),  # duplicates too
 )
 #: Twelve vertices whose rows seed the pinned caches ``make_caches`` builds.
 _SEED_GRAPH = powerlaw_graph(12, alpha=2.3, max_degree=6, seed=4)
@@ -453,13 +477,14 @@ def test_bulk_cache_ops_equal_their_scalar_sequence(capacity, pin_only, seeded, 
                     was_pinned.append(v)
                 scalar.invalidate(v)
             assert bulk.invalidate_many(arg) == was_pinned
+        elif op == "unpin_many":
+            assert bulk.unpin_many(arg) == [v for v in arg if scalar.unpin(v)]
         else:
-            row = np.array([step], dtype=np.int64)
+            rows = {v: np.array([v, step], dtype=np.int64) for v in arg}
             outcomes = []
-            for cache in (bulk, scalar):
+            for pin in (lambda: bulk.pin(pack_block(arg, rows)), lambda: scalar.pin(rows)):
                 try:
-                    call = getattr(cache, op)
-                    outcomes.append(call(arg, row) if op == "pin" else call(arg))
+                    outcomes.append(pin())
                 except StorageError as exc:  # pin capacity exhausted
                     outcomes.append(str(exc))
             assert outcomes[0] == outcomes[1]
@@ -472,11 +497,12 @@ def test_bulk_cache_ops_equal_their_scalar_sequence(capacity, pin_only, seeded, 
 
 def test_pin_rejects_malformed_ids_before_changing_anything():
     cache = make_pinned_cache(4)
-    cache.pin(1, np.array([5, 6]))
+    pin_row(cache, 1, [5, 6])
     before = _bulk_state(cache)
     for vertex, neighbors in ((3, [0.7, 2.9]), (-1, [2]), (True, [2]), (2.5, [2])):
-        with pytest.raises(StorageError, match=r"pinned (vertex|neighbors)"):
-            cache.pin(vertex, neighbors)
+        block = RowBlock(np.array([vertex]), np.array([0, 2]), np.array(neighbors))
+        with pytest.raises(StorageError, match=r"pinned (vertices|neighbors)"):
+            cache.pin(block)
         assert _bulk_state(cache) == before
     # The padding slot a key of -1 would have hit still makes clipped
     # lookups miss.
@@ -512,18 +538,18 @@ def test_local_rows_matches_local_neighbors(small_powerlaw):
     foreign = next(v for v in range(60) if not server.owns(v))
     # Rewritten rows (an edit, a migration in) sit between slice rows.
     server.edit_rows({owned[1]: [("add", 0)]})
-    server.ingest_vertex(foreign, np.array([7, 8], dtype=np.int64))
+    server.ingest(pack_block([foreign], {foreign: [7, 8]}), {})
     batch = owned[:4] + [foreign] + owned[4:]
     rows = block_rows(server.local_rows(batch))
     assert list(rows) == batch
     for v in batch:
-        want = server.local_neighbors(v)
+        want = shard_row(server, v)
         assert rows[v].dtype == want.dtype and np.array_equal(rows[v], want)
     empty = server.local_rows([])
     assert empty.ids.size == empty.indices.size == 0 and empty.offsets.tolist() == [0]
-    server.release_vertex(foreign)
+    server.release([foreign])
     with pytest.raises(StorageError) as scalar:
-        server.local_neighbors(foreign)
+        shard_row(server, foreign)
     with pytest.raises(StorageError) as bulk:
         server.local_rows(owned[:3] + [foreign] + owned[3:])
     assert str(bulk.value) == str(scalar.value) and str(foreign) in str(bulk.value)
@@ -538,13 +564,13 @@ def test_ids_outside_the_graph_are_owned_by_no_shard(small_powerlaw):
         for outside in (-1, -n, n, n + 1):
             assert not server.owns(outside)
             with pytest.raises(StorageError):
-                server.local_neighbors(outside)
+                shard_row(server, outside)
             with pytest.raises(StorageError):
                 server.local_rows([outside])
             with pytest.raises(StorageError):
                 server.edit_rows({outside: [("add", 0)]})
             with pytest.raises(StorageError):  # nor may a migration land there
-                server.ingest_vertex(outside, np.array([0], dtype=np.int64))
+                server.ingest(pack_block([outside], {outside: [0]}), {})
             assert not server.owns(outside)
 
 
@@ -554,19 +580,19 @@ def test_rows_handed_out_keep_their_contents(small_powerlaw):
     store = make_store(small_powerlaw, 2, seed=0)
     server = store.servers[0]
     owned = [v for v in range(small_powerlaw.n_vertices) if server.owns(v)][:6]
-    single = {v: server.local_neighbors(v) for v in owned}
+    single = {v: shard_row(server, v) for v in owned}
     block = server.local_rows(owned)
     then = {v: row.copy() for v, row in single.items()}
     then_block = [array.copy() for array in block]
     server.edit_rows({owned[0]: [("add", owned[1]), ("add", owned[2])]})
     if single[owned[1]].size:
         server.edit_rows({owned[1]: [("remove", int(single[owned[1]][0]))]})
-    server.release_vertex(owned[2])
+    server.release([owned[2]])
     for v, row in single.items():
         assert np.array_equal(row, then[v])
     for array, was in zip(block, then_block):
         assert np.array_equal(array, was)
-    assert server.local_neighbors(owned[0]).tolist() == then[owned[0]].tolist() + owned[1:3]
+    assert shard_row(server, owned[0]).tolist() == then[owned[0]].tolist() + owned[1:3]
 
 
 def test_migrating_away_and_back_restores_the_vertex(small_powerlaw):
@@ -578,18 +604,18 @@ def test_migrating_away_and_back_restores_the_vertex(small_powerlaw):
     )
     edges = (home.n_local_edges, away.n_local_edges)
     degree = small_powerlaw.out_neighbors(v).size
-    neighbors, _ = home.release_vertex(v)
-    away.ingest_vertex(v, neighbors)
+    away.ingest(home.local_rows([v]), {})
+    home.release([v])
     assert not home.owns(v) and away.owns(v)
     assert (home.n_local_edges, away.n_local_edges) == (edges[0] - degree, edges[1] + degree)
-    neighbors, _ = away.release_vertex(v)
-    home.ingest_vertex(v, neighbors)
+    home.ingest(away.local_rows([v]), {})
+    away.release([v])
     assert home.owns(v) and not away.owns(v)
     assert (home.n_local_edges, away.n_local_edges) == edges
-    np.testing.assert_array_equal(home.local_neighbors(v), small_powerlaw.out_neighbors(v))
+    np.testing.assert_array_equal(shard_row(home, v), small_powerlaw.out_neighbors(v))
     np.testing.assert_array_equal(home.local_rows([v]).indices, small_powerlaw.out_neighbors(v))
     with pytest.raises(StorageError):
-        away.local_neighbors(v)
+        shard_row(away, v)
 
 
 def test_batch_read_makes_no_call_per_vertex():

@@ -24,6 +24,7 @@ from repro.storage.costmodel import EV_FAILOVER_READ
 from repro.storage.placement import PlacementConfig, PlacementController
 from repro.utils.rng import make_rng
 from repro.utils.tables import format_table
+from tests.conftest import shard_row
 
 _SIZES = (1, 2, 3, 5, 9, 16, 17, 33, 100, 512, 2048)
 
@@ -75,7 +76,7 @@ def _scenario(graph, policy):
     ]
     events = []
     for k, src in enumerate(sources):
-        row = store.servers[store.owner(src)].local_neighbors(src)
+        row = shard_row(store.servers[store.owner(src)], src)
         events.append(EdgeEvent(timestamp=0, src=src, dst=(src * 7 + k) % n))
         if row.size:
             events.append(EdgeEvent(timestamp=0, src=src, dst=int(row[0]), kind="remove"))

@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from tests.conftest import pin_row, shard_row
 from tests.format_checkers import check_chrome_trace, check_prometheus_text
 from repro.algorithms import SIGN, GNNFramework, GraphSAGE
 from repro.data import make_dataset
@@ -212,9 +213,9 @@ def test_failover_read_is_stamped_onto_the_trace():
         )
     )
     v = next(u for u in range(graph.n_vertices) if store.owner(u) != 0)
-    row = store.servers[store.owner(v)].local_neighbors(v)
+    row = shard_row(store.servers[store.owner(v)], v)
     replica = NeighborCache(4)
-    replica.pin(v, row)
+    pin_row(replica, v, row)
     healthy = next(p for p in range(4) if p not in (0, store.owner(v)))
     store.servers[healthy].neighbor_cache = replica
     batch = store.get_neighbors_batch([v], from_part=0)
