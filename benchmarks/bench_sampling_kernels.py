@@ -15,6 +15,10 @@ fan-outs 10x5, 64-seed batches):
 * **Determinism survives.** Same seed, same output — including straight
   after a dynamic-graph refresh (``SnapshotProvider.advance`` hands the
   sampler a new snapshot object on the next draw).
+* **The bounded-draw kernel is numpy's draw.** On every frontier of the
+  uniform expansion, :func:`~repro.utils.rng.bounded_integers` must return
+  what ``rng.integers`` returns and leave the generator in the same state;
+  ``_check`` asserts it at ``--smoke`` too, so it holds on every PR.
 * **Grouped alias construction is exact.** The vectorized grouped Vose
   build must imply per-slot draw probabilities equal to the normalized
   weights (the distribution per-list ``AliasTable``s sample), and its
@@ -39,7 +43,7 @@ from repro.sampling import (
     WeightedNeighborSampler,
 )
 from repro.utils.alias import AliasTable, GroupedAliasTable
-from repro.utils.rng import make_rng
+from repro.utils.rng import bounded_integers, make_rng
 
 HOP_NUMS = [10, 5]
 BATCH_SIZE = 64
@@ -124,6 +128,26 @@ def _determinism(graph) -> "tuple[bool, bool]":
     r1, r2 = expand_after_refresh(), expand_after_refresh()
     refresh_ok = all(np.array_equal(x, y) for x, y in zip(r1.layers, r2.layers))
     return static_ok, refresh_ok
+
+
+def _bounded_draws_agree(graph, batches: "list[np.ndarray]") -> bool:
+    """Does ``bounded_integers`` equal ``rng.integers`` on every frontier of
+    the uniform expansion of ``batches``, values and generator state?"""
+    csr = CsrAdjacency.from_graph(graph)
+    sampler = UniformNeighborSampler(GraphProvider(graph))
+    ours, numpys, expand = make_rng(SEED), make_rng(SEED), make_rng(SEED)
+    for batch in batches:
+        layers = sampler.sample(batch, HOP_NUMS, expand).layers
+        for frontier, count in zip(layers, HOP_NUMS):
+            degrees = csr.degrees[frontier]
+            degrees = degrees[degrees > 0]
+            got = bounded_integers(ours, degrees, count)
+            want = numpys.integers(0, degrees[:, None], size=(degrees.size, count))
+            if not np.array_equal(got, want):
+                return False
+            if ours.bit_generator.state != numpys.bit_generator.state:
+                return False
+    return True
 
 
 def _alias_max_prob_error(csr) -> float:
@@ -217,6 +241,7 @@ def _run(smoke: bool) -> ExperimentReport:
     report.meta = {
         "uniform": (loop, timings["uniform"]),
         "uniform_same_draws": same_draws,
+        "bounded_draws_agree": _bounded_draws_agree(graph, batches),
         "deterministic": static_ok,
         "refresh_deterministic": refresh_ok,
         "alias_max_prob_error": max_diff,
@@ -232,6 +257,9 @@ def _check(report: ExperimentReport, smoke: bool) -> None:
     )
     assert meta["uniform_same_draws"], (
         "the timed per-row loop and the uniform kernel drew different children"
+    )
+    assert meta["bounded_draws_agree"], (
+        "bounded_integers and rng.integers drew different values or left different states"
     )
     assert meta["alias_max_prob_error"] < 1e-9, (
         "grouped alias probabilities drifted from the normalized weights"

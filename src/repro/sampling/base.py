@@ -119,9 +119,11 @@ class StoreProvider(NeighborProvider):
     A frontier is deduplicated by :func:`~repro.sampling.blocks.compact_level`
     (sorted unique ids) and fetched with **one**
     ``store.get_neighbors_batch`` read — one coalesced RPC per destination
-    server via the runtime. The read answers with the rows of exactly those
-    ids, in that order, as one ragged block, and its arrays become the
-    kernels' block as they are: nothing is re-packed. Nothing is kept
+    server via the runtime; the store sees the ids strictly ascending and
+    keeps them as they are, without a second dedup. The read answers with
+    the rows of exactly those ids, in that order, as one ragged block, and
+    its arrays become the kernels' block as they are: nothing is re-packed,
+    and the unit weights are one read-only zero-stride view. Nothing is kept
     between calls, so a row is never older than the read that fetched it.
     """
 
@@ -129,14 +131,19 @@ class StoreProvider(NeighborProvider):
         # Typed loosely to avoid a circular import with repro.storage.
         self.store = store
         self.from_part = from_part
+        # Every block's weights: a read-only zero-stride view of 1.0, grown
+        # as blocks grow, so a hop slices it instead of allocating.
+        self._unit = np.broadcast_to(1.0, (0,))
 
     def frontier_block(
         self, frontier: np.ndarray
     ) -> "tuple[CsrAdjacency, np.ndarray]":
         ids, (rows,) = compact_level(self.store.graph.n_vertices, frontier)
         block = self.store.get_neighbors_batch(ids, from_part=self.from_part)
-        indices = block.indices
-        return CsrAdjacency(block.offsets, indices, np.ones(indices.size)), rows
+        n = block.indices.size
+        if self._unit.size < n:
+            self._unit = np.broadcast_to(1.0, (2 * n,))
+        return CsrAdjacency(block.offsets, block.indices, self._unit[:n]), rows
 
     def neighbors(self, vertex: int) -> np.ndarray:
         """Out-neighbor ids of ``vertex``: one unbatched store read."""

@@ -7,7 +7,8 @@ dispatch. This module packs adjacency rows into a :class:`CsrAdjacency`
 block (concatenated neighbor/weight arrays + offsets) so a whole frontier
 expands in a handful of numpy kernel calls:
 
-* uniform fan-out: one broadcast ``rng.integers`` over per-row degrees;
+* uniform fan-out: one :func:`~repro.utils.rng.bounded_integers` draw over
+  per-row degrees;
 * weighted / importance fan-out: one
   :class:`~repro.utils.alias.GroupedAliasTable` draw spanning every
   adjacency list at once;
@@ -27,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SamplingError
+from repro.utils.rng import bounded_integers
 
 
 class CsrAdjacency:
@@ -116,18 +118,19 @@ class CsrAdjacency:
     ) -> np.ndarray:
         """Uniform with-replacement fan-out.
 
-        The broadcast draw consumes ``rng`` exactly like one
-        ``rng.integers(degree, size=count)`` per non-empty row, in order.
+        The one :func:`~repro.utils.rng.bounded_integers` draw consumes
+        ``rng`` exactly like one ``rng.integers(degree, size=count)`` per
+        non-empty row, in order.
         When no row is empty that draw is the whole answer: no pad scaffold.
         """
         degrees = self.degrees[rows]
         if degrees.all():
-            slot = rng.integers(0, degrees[:, None], size=(rows.size, count))
+            slot = bounded_integers(rng, degrees, count)
             return self.indices[self.indptr[rows][:, None] + slot]
         out, nz = self._pad_empty(rows, count, pad_ids)
         if nz.any():
             rs = rows[nz]
-            slot = rng.integers(0, self.degrees[rs][:, None], size=(rs.size, count))
+            slot = bounded_integers(rng, self.degrees[rs], count)
             out[nz] = self.indices[self.indptr[rs][:, None] + slot]
         return out
 

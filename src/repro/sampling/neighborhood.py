@@ -20,9 +20,9 @@ Every sampler runs one flow behind the public
 ask the provider for the frontier's rows as one ragged
 :class:`~repro.sampling.kernels.CsrAdjacency` block, then expand the whole
 frontier with one vectorized kernel call on the block's rows (uniform draws
-are a broadcast ``rng.integers``; weighted/importance draws go through one
-:class:`~repro.utils.alias.GroupedAliasTable` spanning every row of the
-block; top-k/full are one gather). In-memory providers hand back their
+are one :func:`~repro.utils.rng.bounded_integers` call; weighted/importance
+draws go through one :class:`~repro.utils.alias.GroupedAliasTable` spanning
+every row of the block; top-k/full are one gather). In-memory providers hand back their
 whole-graph snapshot for free; the distributed store pays one batched read
 of the deduplicated frontier per hop. Tables derived from a block live
 exactly as long as the provider keeps handing back that block object.

@@ -14,6 +14,7 @@ from repro.errors import SamplingError, check_ids
 from repro.graph.ahg import AttributedHeterogeneousGraph
 from repro.graph.graph import Graph
 from repro.sampling.kernels import CsrAdjacency
+from repro.utils.rng import bounded_integers
 
 
 def random_walks(
@@ -42,7 +43,7 @@ def random_walks(
         if idx.size == 0:
             break
         vs = current[idx]
-        slot = rng.integers(0, csr.degrees[vs])
+        slot = bounded_integers(rng, csr.degrees[vs])
         nxt = csr.indices[csr.indptr[vs] + slot]
         out[idx, step] = nxt
         current[idx] = nxt

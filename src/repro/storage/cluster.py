@@ -288,14 +288,17 @@ class DistributedGraphStore:
 
         # Dedup the (checked) ids to first-seen order (what a dict keeps),
         # so every arm below — cache recency, fills, request payloads — sees
-        # a stable order: a small batch on a list, a larger one by keeping
-        # each id's first position in the scratch table (FEW_ROWS). ``uniq``
-        # becomes the answer's ids: never the caller's array. Then split it
-        # into the issuer's own vertices (local arm) and the rest (cache
-        # arm).
+        # a stable order: a small batch on a list, a strictly ascending one
+        # (a sampler's frontier, already unique) as it is, any other by
+        # keeping each id's first position in the scratch table (FEW_ROWS).
+        # ``uniq`` becomes the answer's ids: never the caller's array. Then
+        # split it into the issuer's own vertices (local arm) and the rest
+        # (cache arm).
         vertex_to_part = self.assignment.vertex_to_part
         if vertices.size <= FEW_ROWS:
             uniq = np.array(list(dict.fromkeys(vertices.tolist())), dtype=np.int64)
+        elif (vertices[1:] > vertices[:-1]).all():
+            uniq = vertices.copy()
         else:
             first, seen = self._position, np.arange(vertices.size)
             first[vertices] = vertices.size

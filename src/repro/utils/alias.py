@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SamplingError
+from repro.utils.rng import bounded_integers
 
 
 def build_alias_arrays(
@@ -235,7 +236,7 @@ class GroupedAliasTable:
         if np.any(sizes == 0):
             empty = int(groups[np.argmax(sizes == 0)])
             raise SamplingError(f"cannot draw from empty alias group {empty}")
-        slot = rng.integers(0, sizes[:, None], size=(groups.size, count))
+        slot = bounded_integers(rng, sizes, count)
         flat = self._indptr[groups][:, None] + slot
         keep = rng.random((groups.size, count)) < self._prob[flat]
         return np.where(keep, flat, self._alias[flat])

@@ -1,6 +1,7 @@
-"""Frontier-sampling kernels: adjacency blocks, grouped alias tables,
-equivalence to the scalar oracles below, determinism, dynamic refresh, and the
-one draw path every provider (in-memory or store-backed) runs."""
+"""Frontier-sampling kernels: the bounded-draw kernel against
+``Generator.integers``, adjacency blocks, grouped alias tables, equivalence to
+the scalar oracles below, determinism, dynamic refresh, and the one draw path
+every provider (in-memory or store-backed) runs."""
 
 from __future__ import annotations
 
@@ -33,7 +34,8 @@ from repro.storage.cluster import make_store
 from repro.storage.costmodel import EV_ITEM_SHIPPED
 from repro.storage.server import RowBlock
 from repro.utils.alias import AliasTable, GroupedAliasTable, build_alias_arrays
-from repro.utils.rng import make_rng
+from repro.utils import rng as rng_module
+from repro.utils.rng import FEW_DRAWS, bounded_integers, make_rng
 from repro.utils.stats import ZipfSampler, chi2_sf, chi_square_gof, zipf_probs
 from tests.conftest import out_weights, python_calls
 
@@ -169,6 +171,85 @@ def _draw_counts(draw_fn, graph, frontier, count, rounds, rng):
         children = draw_fn(frontier, count, rng)
         np.add.at(acc, (np.repeat(frontier, count), children.ravel()), 1)
     return acc.ravel()
+
+
+# --------------------------------------------------------------------- #
+# bounded_integers: Generator.integers(0, high), values and state
+# --------------------------------------------------------------------- #
+BOUNDS = {
+    "ones and twos": lambda r, n: r.integers(1, 3, size=n),
+    "ones among wide": lambda r, n: np.where(r.random(n) < 0.4, 1, r.integers(2, 1 << 31, size=n)),
+    # 2**32 % (3 * 2**29) == 2**30: a quarter of the draws reject.
+    "rejecting": lambda r, n: np.where(r.random(n) < 0.2, 1, 3 << 29),
+    "widest": lambda r, n: np.full(n, (1 << 31) - 1),
+    "degrees": lambda r, n: r.integers(1, 60, size=n),
+}
+
+
+def same_state(a: dict, b: dict) -> bool:
+    """``bit_generator.state`` equality that also holds arrays (MT19937's key)."""
+    if a.keys() != b.keys():
+        return False
+    return all(
+        same_state(a[k], b[k]) if isinstance(a[k], dict) else np.array_equal(a[k], b[k])
+        for k in a
+    )
+
+
+class TestBoundedIntegers:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(BOUNDS)),
+        n=st.integers(0, 400),
+        count=st.one_of(st.none(), st.integers(0, 6)),
+        seed=st.integers(0, 2**16),
+        buffered=st.booleans(),
+        half=st.integers(0, 2**32 - 1),
+        few_draws=st.sampled_from([FEW_DRAWS, 0]),
+        generator=st.sampled_from(["PCG64", "MT19937"]),
+    )
+    @example(kind="ones and twos", n=0, count=None, seed=1, buffered=True, half=7,
+             few_draws=0, generator="PCG64")  # an empty batch
+    @example(kind="ones and twos", n=300, count=4, seed=2, buffered=True, half=5,
+             few_draws=FEW_DRAWS, generator="PCG64")
+    @example(kind="rejecting", n=400, count=5, seed=3, buffered=False, half=9,
+             few_draws=FEW_DRAWS, generator="PCG64")
+    @example(kind="rejecting", n=40, count=None, seed=4, buffered=True, half=1,
+             few_draws=0, generator="PCG64")
+    @example(kind="widest", n=300, count=6, seed=5, buffered=True, half=3,
+             few_draws=FEW_DRAWS, generator="PCG64")
+    @example(kind="degrees", n=400, count=6, seed=6, buffered=False, half=0,
+             few_draws=FEW_DRAWS, generator="MT19937")
+    def test_equals_generator_integers(
+        self, kind, n, count, seed, buffered, half, few_draws, generator
+    ):
+        # Same values, same dtype and shape, and the whole state afterwards
+        # equal, the half-word buffer included: the next draws of either
+        # kind agree too. The bounds start with or without a buffered half
+        # (a stale one sits in the state either way) and fall on both sides
+        # of FEW_DRAWS; with FEW_DRAWS at 0 every batch, the empty one
+        # included, takes the array path.
+        high = BOUNDS[kind](make_rng(seed), n).astype(np.int64)
+        twins = []
+        for _ in range(2):
+            bits = getattr(np.random, generator)(seed)
+            if generator == "PCG64":
+                state = bits.state
+                state["has_uint32"], state["uinteger"] = int(buffered), half
+                bits.state = state
+            twins.append(np.random.Generator(bits))
+        ours, theirs = twins
+        if count is None:
+            want = theirs.integers(0, high)
+        else:
+            want = theirs.integers(0, high[:, None], size=(n, count))
+        with mock.patch.object(rng_module, "FEW_DRAWS", few_draws):
+            got = bounded_integers(ours, high, count)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert same_state(ours.bit_generator.state, theirs.bit_generator.state)
+        assert np.array_equal(ours.integers(0, 1000, size=3), theirs.integers(0, 1000, size=3))
+        assert ours.random() == theirs.random()
 
 
 # --------------------------------------------------------------------- #
@@ -665,6 +746,34 @@ class TestStoreBackedBlocks:
                 for x, y in zip(a.layers, b.layers):
                     assert np.array_equal(x, y)
             assert store.runtime.metrics.counter("rpc.retries").value > 0
+
+    @pytest.mark.parametrize("kind", ["weighted", "importance"])
+    def test_unit_weights_are_a_read_only_view_that_draws_like_ones(self, kind):
+        # The store serves no weights, so a block's weights are one
+        # zero-stride view of 1.0; an alias table only reads them, so the
+        # draws and the generator state equal those over an array of ones.
+        graph = make_dataset("taobao-small-sim", scale=0.1, seed=0)
+
+        class OnesProvider(StoreProvider):
+            def frontier_block(self, frontier):
+                block, rows = super().frontier_block(frontier)
+                ones = np.ones(block.indices.size)
+                return CsrAdjacency(block.indptr, block.indices, ones), rows
+
+        batch = make_rng(4).integers(0, graph.n_vertices, size=200)
+        samples, states = [], []
+        for provider_type in (StoreProvider, OnesProvider):
+            provider = provider_type(make_store(graph, 2, seed=0), 0)
+            rng = make_rng(8)
+            samples.append(_sampler(kind, graph, provider).sample(batch, [6, 3], rng).layers)
+            states.append(rng.bit_generator.state)
+        for got, want in zip(*samples):
+            assert np.array_equal(got, want)
+        assert states[0] == states[1]
+        block, _ = StoreProvider(make_store(graph, 2, seed=0), 0).frontier_block(batch)
+        assert block.weights.strides == (0,) and np.all(block.weights == 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            block.weights[0] = 2.0
 
     def test_provider_rows_are_never_stale(self):
         # Regression: the provider used to keep the last prefetched rows and

@@ -717,6 +717,25 @@ def test_bulk_arms_match_per_vertex_dispatch(small_powerlaw, policy, scenario):
         assert bulk.apply_edge_events(events) == oracle.apply_edge_events(events)
         check()
 
+    # A sampler's frontier is strictly ascending: the store keeps it as its
+    # first-seen order instead of running the scratch table.
+    frontier = np.unique(make_rng(23).integers(0, n, size=300))
+    for issuer in (0, 2, 3):
+        if bulk.failed_workers and not bulk.degraded_reads:  # servable ids, as above
+            frontier = np.array(
+                [
+                    v
+                    for v in frontier.tolist()
+                    if owners[v] != down
+                    or any(p != down for p in replica_holders(bulk.replicas, v))
+                ],
+                dtype=np.int64,
+            )
+        out = _both(stores, lambda s: s.get_neighbors_batch(frontier, from_part=issuer))
+        if isinstance(out, RowBlock):
+            np.testing.assert_array_equal(out.ids, frontier)
+        check()
+
     # Errors every caller can hit leave no trace in either store.
     for bad_call in (
         lambda s: s.get_neighbors_batch([0, n], from_part=0),
@@ -741,6 +760,20 @@ def test_bulk_arms_match_per_vertex_dispatch(small_powerlaw, policy, scenario):
         assert counters["health.suspect_routes"] > 0
         assert counters["health.probes"] > 0
         assert counters["health.recoveries"] > 0
+
+
+def test_an_ascending_read_keeps_its_ids_and_answers_like_any_other(small_powerlaw):
+    # A strictly ascending batch (every sampler frontier) is already unique:
+    # the store keeps it as its first-seen order, in a copy of its own. The
+    # answer equals the one a repeated id routes through the scratch table.
+    ids = np.arange(0, small_powerlaw.n_vertices, 3, dtype=np.int64)
+    store = make_store(small_powerlaw, N_PARTS, seed=0)
+    ascending = store.get_neighbors_batch(ids, from_part=0)
+    repeated = store.get_neighbors_batch(np.append(ids, ids[0]), from_part=0)
+    assert not np.shares_memory(ascending.ids, ids)
+    for got, want in zip(ascending, repeated):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(ascending.ids, ids)
 
 
 @pytest.mark.parametrize("scenario", ["fail_stop", "retry_exhausted"])
